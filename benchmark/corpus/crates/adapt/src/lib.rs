@@ -1,0 +1,51 @@
+//! # adapt — adaptive algorithms for fail-stutter tolerance
+//!
+//! The mechanisms §3–§4 of *"Fail-Stutter Fault Tolerance"* call for, and
+//! the related-work baselines the paper compares against:
+//!
+//! * [`aimd`] — TCP-style additive-increase / multiplicative-decrease rate
+//!   control, converging to fair shares of a stuttering resource.
+//! * [`queue`] — push (static partition) vs pull (River-style distributed
+//!   queue) work distribution over consumers with time-varying rates.
+//! * [`hedge`] — Shasha–Turek duplicate issue under slow-down failures,
+//!   with reconciliation so side effects commit exactly once.
+//! * [`avail`] — availability as Gray & Reuter define it: the fraction of
+//!   offered load processed with acceptable response times.
+//!
+//! # Examples
+//!
+//! ```
+//! use adapt::queue::{distribute, Strategy};
+//! use simcore::resource::RateProfile;
+//! use simcore::time::SimTime;
+//!
+//! // Four consumers, one at a third of the speed.
+//! let rates: Vec<RateProfile> = [10.0, 10.0, 10.0, 10.0 / 3.0]
+//!     .iter().map(|&r| RateProfile::constant(r)).collect();
+//! let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).unwrap();
+//! let pull = distribute(Strategy::Pull, &rates, 400, 1.0, SimTime::ZERO).unwrap();
+//! assert!(pull.makespan < push.makespan); // the distributed queue wins
+//! ```
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod aimd;
+pub mod avail;
+pub mod hedge;
+pub mod oracle;
+pub mod queue;
+pub mod river;
+pub mod txn;
+
+/// Convenience re-exports.
+pub mod prelude {
+    pub use crate::aimd::{fairness_index, share_bottleneck, Aimd};
+    pub use crate::avail::{availability_of, AvailabilityMeter};
+    pub use crate::hedge::{run_hedged, HedgeConfig, HedgeOutcome, TaskOutcome};
+    pub use crate::queue::{
+        distribute, distribute_weighted, DistributeOutcome, QueueError, Strategy,
+    };
+    pub use crate::river::{run_decluster, DeclusterOutcome, DeclusterPolicy};
+    pub use crate::txn::{run_transactions, Executor, Txn, TxnBatchOutcome, TxnOutcome};
+}

@@ -1,0 +1,313 @@
+//! Push vs pull work distribution — the River principle.
+//!
+//! Paper §4: River "provides mechanisms to enable consistent and high
+//! performance in spite of erratic performance in underlying components",
+//! chiefly through a *distributed queue*: consumers take work at the rate
+//! they can actually sustain, rather than receiving a static share.
+//!
+//! [`distribute`] runs the same batch of work items under both strategies
+//! against consumers with arbitrary time-varying rates, making the
+//! static-parallelism penalty directly measurable.
+
+use simcore::resource::RateProfile;
+use simcore::time::{SimDuration, SimTime};
+
+/// A work-distribution strategy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Strategy {
+    /// Static partition: item `i` is pre-assigned to consumer
+    /// `i mod consumers` (fail-stop thinking).
+    Push,
+    /// Distributed queue: a free consumer pulls the next item
+    /// (fail-stutter thinking).
+    Pull,
+}
+
+/// The outcome of distributing a batch.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DistributeOutcome {
+    /// When the last item completed.
+    pub makespan: SimDuration,
+    /// Items completed by each consumer.
+    pub per_consumer: Vec<u64>,
+}
+
+/// Errors from work distribution.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueueError {
+    /// A consumer with pre-assigned work never finishes (push strategy
+    /// with a dead consumer), or no consumer remains (pull strategy).
+    StarvedForever,
+}
+
+impl std::fmt::Display for QueueError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "work can never complete: consumer(s) permanently stopped")
+    }
+}
+
+impl std::error::Error for QueueError {}
+
+/// Distributes `items` work items of `item_units` each over consumers whose
+/// service capacity is given by `rates` (units/second over time), starting
+/// at `start`.
+pub fn distribute(
+    strategy: Strategy,
+    rates: &[RateProfile],
+    items: u64,
+    item_units: f64,
+    start: SimTime,
+) -> Result<DistributeOutcome, QueueError> {
+    assert!(!rates.is_empty(), "need at least one consumer");
+    assert!(items > 0 && item_units > 0.0, "degenerate batch");
+    match strategy {
+        Strategy::Push => push(rates, items, item_units, start),
+        Strategy::Pull => pull(rates, items, item_units, start),
+    }
+}
+
+/// Distributes a batch by a *static proportional* partition: consumer `i`
+/// receives a share of items proportional to `weights[i]` (largest-
+/// remainder apportionment), then works through it alone.
+///
+/// This is the plane-fed middle ground between [`Strategy::Push`] and
+/// [`Strategy::Pull`]: a coordinator that cannot run a distributed queue
+/// (items must be pre-placed) but *does* have a gossiped estimate of each
+/// consumer's rate can at least weight the partition by those estimates —
+/// the paper's scenario-2 design with the gauge replaced by the plane.
+/// Uniform weights reduce exactly to `Push`; true rates as weights
+/// approach `Pull`. Weights must be finite and non-negative; a consumer
+/// weighted 0.0 (believed failed) gets nothing. All-zero weights — a
+/// plane that believes in nobody — yield [`QueueError::StarvedForever`].
+pub fn distribute_weighted(
+    rates: &[RateProfile],
+    weights: &[f64],
+    items: u64,
+    item_units: f64,
+    start: SimTime,
+) -> Result<DistributeOutcome, QueueError> {
+    assert!(!rates.is_empty(), "need at least one consumer");
+    assert_eq!(rates.len(), weights.len(), "one weight per consumer");
+    assert!(items > 0 && item_units > 0.0, "degenerate batch");
+    assert!(weights.iter().all(|w| w.is_finite() && *w >= 0.0), "weights must be non-negative");
+    let sum: f64 = weights.iter().sum();
+    if sum <= 0.0 {
+        return Err(QueueError::StarvedForever);
+    }
+    // Largest-remainder apportionment so shares sum to `items`.
+    let quotas: Vec<f64> = weights.iter().map(|w| items as f64 * w / sum).collect();
+    let mut per_consumer: Vec<u64> = quotas.iter().map(|q| q.floor() as u64).collect();
+    let mut left = items - per_consumer.iter().sum::<u64>();
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&i, &j| {
+        let fi = quotas[i] - quotas[i].floor();
+        let fj = quotas[j] - quotas[j].floor();
+        fj.total_cmp(&fi)
+    });
+    for &i in &order {
+        if left == 0 {
+            break;
+        }
+        per_consumer[i] += 1;
+        left -= 1;
+    }
+    let mut makespan = SimDuration::ZERO;
+    for (i, profile) in rates.iter().enumerate() {
+        if per_consumer[i] == 0 {
+            continue;
+        }
+        match profile.time_to_transfer(start, per_consumer[i] as f64 * item_units) {
+            Some(t) => makespan = makespan.max(t),
+            None => return Err(QueueError::StarvedForever),
+        }
+    }
+    Ok(DistributeOutcome { makespan, per_consumer })
+}
+
+fn push(
+    rates: &[RateProfile],
+    items: u64,
+    item_units: f64,
+    start: SimTime,
+) -> Result<DistributeOutcome, QueueError> {
+    let n = rates.len() as u64;
+    let mut per_consumer = vec![0u64; rates.len()];
+    let mut makespan = SimDuration::ZERO;
+    for (i, profile) in rates.iter().enumerate() {
+        let assigned = items / n + u64::from((i as u64) < items % n);
+        per_consumer[i] = assigned;
+        if assigned == 0 {
+            continue;
+        }
+        match profile.time_to_transfer(start, assigned as f64 * item_units) {
+            Some(t) => makespan = makespan.max(t),
+            None => return Err(QueueError::StarvedForever),
+        }
+    }
+    Ok(DistributeOutcome { makespan, per_consumer })
+}
+
+fn pull(
+    rates: &[RateProfile],
+    items: u64,
+    item_units: f64,
+    start: SimTime,
+) -> Result<DistributeOutcome, QueueError> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> =
+        (0..rates.len()).map(|i| Reverse((start, i))).collect();
+    let mut per_consumer = vec![0u64; rates.len()];
+    let mut issued = 0u64;
+    let mut finish = start;
+    while issued < items {
+        let Some(Reverse((avail, i))) = ready.pop() else {
+            return Err(QueueError::StarvedForever);
+        };
+        match rates[i].time_to_transfer(avail, item_units) {
+            Some(dt) => {
+                issued += 1;
+                per_consumer[i] += 1;
+                let done = avail + dt;
+                finish = finish.max(done);
+                ready.push(Reverse((done, i)));
+            }
+            None => {
+                // Consumer is dead from here on; it simply pulls no more.
+            }
+        }
+    }
+    Ok(DistributeOutcome { makespan: finish - start, per_consumer })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn constant_rates(rates: &[f64]) -> Vec<RateProfile> {
+        rates.iter().map(|&r| RateProfile::constant(r)).collect()
+    }
+
+    #[test]
+    fn uniform_consumers_tie() {
+        let rates = constant_rates(&[10.0, 10.0, 10.0, 10.0]);
+        let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        let pull = distribute(Strategy::Pull, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        assert_eq!(push.makespan, SimDuration::from_secs(10));
+        // Pull pays no penalty when everyone is identical.
+        assert_eq!(pull.makespan, SimDuration::from_secs(10));
+        assert_eq!(pull.per_consumer, vec![100, 100, 100, 100]);
+    }
+
+    #[test]
+    fn push_tracks_the_straggler_pull_does_not() {
+        // One consumer at a third of the speed: push is gated by it, pull
+        // routes around it.
+        let rates = constant_rates(&[10.0, 10.0, 10.0, 10.0 / 3.0]);
+        let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        let pull = distribute(Strategy::Pull, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        // Push: 100 items at 10/3 u/s = 30 s.
+        assert_eq!(push.makespan, SimDuration::from_secs(30));
+        // Pull: aggregate 33.3 u/s → ~12 s.
+        assert!(pull.makespan < SimDuration::from_secs(14), "{}", pull.makespan);
+        // The slow consumer did roughly a third the work of the others.
+        let slow = pull.per_consumer[3] as f64;
+        let fast = pull.per_consumer[0] as f64;
+        assert!(slow < 0.6 * fast, "slow {slow} fast {fast}");
+    }
+
+    #[test]
+    fn dead_consumer_kills_push_not_pull() {
+        let mut rates = constant_rates(&[10.0, 10.0, 10.0]);
+        rates[1] = RateProfile::from_breakpoints(vec![
+            (SimTime::ZERO, 10.0),
+            (SimTime::from_secs(1), 0.0),
+        ]);
+        let push = distribute(Strategy::Push, &rates, 300, 1.0, SimTime::ZERO);
+        assert_eq!(push, Err(QueueError::StarvedForever));
+        let pull = distribute(Strategy::Pull, &rates, 300, 1.0, SimTime::ZERO).expect("ok");
+        assert_eq!(pull.per_consumer.iter().sum::<u64>(), 300);
+        // The dead consumer only got what it finished in its first second.
+        assert!(pull.per_consumer[1] <= 11, "{:?}", pull.per_consumer);
+    }
+
+    #[test]
+    fn all_dead_is_an_error() {
+        let rates = vec![RateProfile::from_breakpoints(vec![
+            (SimTime::ZERO, 10.0),
+            (SimTime::from_secs(1), 0.0),
+        ])];
+        let r = distribute(Strategy::Pull, &rates, 1_000, 1.0, SimTime::ZERO);
+        assert_eq!(r, Err(QueueError::StarvedForever));
+    }
+
+    #[test]
+    fn pull_adapts_to_time_varying_rates() {
+        // A consumer that is slow early and fast late still ends up with
+        // close to its fair share of work.
+        let varying = RateProfile::from_breakpoints(vec![
+            (SimTime::ZERO, 2.0),
+            (SimTime::from_secs(10), 18.0),
+        ]);
+        let rates = vec![RateProfile::constant(10.0), varying];
+        let pull = distribute(Strategy::Pull, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        let total: u64 = pull.per_consumer.iter().sum();
+        assert_eq!(total, 400);
+        assert!(pull.per_consumer[1] > 100, "{:?}", pull.per_consumer);
+    }
+
+    #[test]
+    fn weighted_with_uniform_weights_is_push() {
+        let rates = constant_rates(&[10.0, 10.0, 10.0, 10.0 / 3.0]);
+        let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        let weighted = distribute_weighted(&rates, &[1.0; 4], 400, 1.0, SimTime::ZERO).expect("ok");
+        assert_eq!(weighted.makespan, push.makespan);
+        assert_eq!(weighted.per_consumer, push.per_consumer);
+    }
+
+    #[test]
+    fn weighted_with_true_rates_routes_around_the_straggler() {
+        let rates = constant_rates(&[10.0, 10.0, 10.0, 10.0 / 3.0]);
+        let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        let pull = distribute(Strategy::Pull, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
+        let weighted =
+            distribute_weighted(&rates, &[10.0, 10.0, 10.0, 10.0 / 3.0], 400, 1.0, SimTime::ZERO)
+                .expect("ok");
+        // Perfect estimates land on the pull-side makespan, far from push.
+        assert!(weighted.makespan <= pull.makespan + SimDuration::from_secs(1));
+        assert!(weighted.makespan.as_secs_f64() < 0.5 * push.makespan.as_secs_f64());
+        assert_eq!(weighted.per_consumer.iter().sum::<u64>(), 400);
+    }
+
+    #[test]
+    fn weighted_zero_weight_consumer_gets_nothing() {
+        let mut rates = constant_rates(&[10.0, 10.0, 10.0]);
+        // Consumer 1 is truly dead AND the plane knows it: weight 0 keeps
+        // the batch clear of the corpse that would kill a plain push.
+        rates[1] = RateProfile::from_breakpoints(vec![
+            (SimTime::ZERO, 10.0),
+            (SimTime::from_secs(1), 0.0),
+        ]);
+        let out =
+            distribute_weighted(&rates, &[1.0, 0.0, 1.0], 300, 1.0, SimTime::ZERO).expect("ok");
+        assert_eq!(out.per_consumer[1], 0);
+        assert_eq!(out.per_consumer.iter().sum::<u64>(), 300);
+    }
+
+    #[test]
+    fn weighted_all_zero_weights_starves() {
+        let rates = constant_rates(&[10.0, 10.0]);
+        let r = distribute_weighted(&rates, &[0.0, 0.0], 10, 1.0, SimTime::ZERO);
+        assert_eq!(r, Err(QueueError::StarvedForever));
+    }
+
+    #[test]
+    fn work_is_conserved() {
+        let rates = constant_rates(&[3.0, 7.0, 11.0]);
+        for strategy in [Strategy::Push, Strategy::Pull] {
+            let out = distribute(strategy, &rates, 1_001, 2.5, SimTime::ZERO).expect("ok");
+            assert_eq!(out.per_consumer.iter().sum::<u64>(), 1_001, "{strategy:?}");
+        }
+    }
+}

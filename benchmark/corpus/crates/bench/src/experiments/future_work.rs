@@ -1,0 +1,150 @@
+//! Experiments E27–E28: the paper's §5 future work (WiND) and the §4
+//! bimodal-multicast comparison, implemented rather than merely cited.
+
+use netsim::prelude::*;
+use raidsim::prelude::*;
+use simcore::prelude::*;
+use stutter::prelude::*;
+
+use crate::report::{mbs, pct, Finding, Report, Table};
+
+/// E27 — a WiND-style self-managing array: monitors + adaptive
+/// distribution + predictive rebuilds vs a fail-stop array.
+pub fn e27_wind() -> Report {
+    let mut report = Report::new();
+    let horizon = SimDuration::from_secs(7_200);
+
+    // Four pairs; pair 1 wears out and fail-stops mid-run.
+    let wear = Injector::Wearout {
+        onset: SimTime::from_secs(900),
+        ramp: SimDuration::from_secs(1_200),
+        floor: 0.2,
+        fail_after: Some(SimDuration::from_secs(600)),
+    };
+    let rng = Stream::from_seed(61);
+    let p = wear.timeline(horizon, &mut rng.derive("pair-1"));
+    let mut pairs: Vec<MirrorPair> = (0..4).map(|_| MirrorPair::healthy(10e6)).collect();
+    pairs[1] =
+        MirrorPair::new(VDisk::new(10e6).with_profile(p.clone()), VDisk::new(10e6).with_profile(p));
+
+    let cfg = WindConfig::default();
+    let unmanaged = run_wind(&pairs, cfg, Management::Unmanaged);
+    let managed = run_wind(&pairs, cfg, Management::Managed { hot_spares: 1 });
+
+    let mut table = Table::new(
+        "Two hours of a 25 MB/s write stream over 4 pairs, pair 1 wearing out then failing",
+        &["management", "mean throughput", "availability", "rebuilds", "pairs lost"],
+    );
+    for (name, out) in [("fail-stop (unmanaged)", &unmanaged), ("fail-stutter (WiND)", &managed)] {
+        let rebuilds =
+            out.events.iter().filter(|e| matches!(e, WindEvent::RebuildStarted { .. })).count();
+        let lost = out.events.iter().filter(|e| matches!(e, WindEvent::PairLost { .. })).count();
+        table.row(vec![
+            name.into(),
+            mbs(out.mean_throughput),
+            pct(out.availability),
+            rebuilds.to_string(),
+            lost.to_string(),
+        ]);
+    }
+    report.tables.push(table);
+    report.findings.push(Finding::new(
+        "self-managing storage rides through wear-out",
+        "investigating the adaptive software techniques central to building robust and \
+         manageable storage systems (Section 5, WiND)",
+        format!(
+            "managed availability {} vs unmanaged {}",
+            pct(managed.availability),
+            pct(unmanaged.availability)
+        ),
+        managed.availability > 0.9 && unmanaged.availability < 0.8,
+    ));
+    let predicted_rebuild =
+        managed.events.iter().any(|e| matches!(e, WindEvent::RebuildStarted { pair: 1, .. }));
+    let no_loss = !managed.events.iter().any(|e| matches!(e, WindEvent::PairLost { .. }));
+    report.findings.push(Finding::new(
+        "prediction triggers the rebuild before data loss",
+        "erratic performance may be an early indicator of impending failure (Section 3.3)",
+        format!("rebuild on pair 1: {predicted_rebuild}; no pair lost under management: {no_loss}"),
+        predicted_rebuild && no_loss,
+    ));
+    report
+}
+
+/// E28 — atomic vs bimodal multicast under a stuttering member.
+pub fn e28_bimodal() -> Report {
+    let mut report = Report::new();
+    let slow = Injector::StaticSlowdown { factor: 0.5 }
+        .timeline(SimDuration::from_secs(240), &mut Stream::from_seed(67));
+    let mut members: Vec<Member> = (0..12).map(|_| Member::new(1_000.0)).collect();
+    members[4] = Member::new(1_000.0).with_profile(slow);
+
+    let cfg = McastConfig::default();
+    let atomic = run_multicast(&members, cfg, McastProtocol::Atomic);
+    let bimodal = run_multicast(&members, cfg, McastProtocol::Bimodal);
+
+    let mut table = Table::new(
+        "12-member group, 900 msg/s offered, one member at half speed",
+        &["protocol", "mean delivery", "peak member lag", "final lag"],
+    );
+    for (name, out) in [("atomic", &atomic), ("bimodal", &bimodal)] {
+        table.row(vec![
+            name.into(),
+            format!("{:.0} msg/s", out.mean_delivery),
+            format!("{:.0} msgs", out.peak_lag),
+            format!("{:.0} msgs", out.final_lag),
+        ]);
+    }
+    report.tables.push(table);
+    report.findings.push(Finding::new(
+        "probabilistic delivery degrades gracefully",
+        "change the semantics of multicast from absolute delivery requirements to \
+         probabilistic ones, and thus gracefully degrade when nodes begin to perform \
+         poorly (Section 4, Bimodal Multicast)",
+        format!(
+            "atomic {:.0} msg/s (tracks the stutterer) vs bimodal {:.0} msg/s (group pace); \
+             the cost is a {:.0}-message lag at the stutterer",
+            atomic.mean_delivery, bimodal.mean_delivery, bimodal.final_lag
+        ),
+        atomic.mean_delivery < 550.0 && bimodal.mean_delivery > 880.0,
+    ));
+    report
+}
+
+/// E29 — River's graduated declustering: a mirrored ring absorbs one slow
+/// producer.
+pub fn e29_river() -> Report {
+    use adapt::prelude::{run_decluster, DeclusterPolicy};
+
+    let mut report = Report::new();
+    let mut table = Table::new(
+        "Streaming 1 GB/partition over a 8-producer mirrored ring, producer 3 slowed",
+        &["producer-3 speed", "primary-only", "graduated", "gain"],
+    );
+    let mut headline = 0.0f64;
+    for &slow in &[1.0, 0.5, 0.25, 0.1] {
+        let mut speeds = vec![10e6; 8];
+        speeds[3] = 10e6 * slow;
+        let p = run_decluster(&speeds, 1e9, DeclusterPolicy::PrimaryOnly);
+        let g = run_decluster(&speeds, 1e9, DeclusterPolicy::Graduated);
+        let gain = p.makespan.as_secs_f64() / g.makespan.as_secs_f64();
+        if (slow - 0.25).abs() < 1e-9 {
+            headline = gain;
+        }
+        table.row(vec![
+            pct(slow),
+            format!("{:.1} s", p.makespan.as_secs_f64()),
+            format!("{:.1} s", g.makespan.as_secs_f64()),
+            format!("{gain:.2}x"),
+        ]);
+    }
+    report.tables.push(table);
+    report.findings.push(Finding::new(
+        "graduated declustering absorbs the slow producer",
+        "River provides mechanisms to enable consistent and high performance in spite of \
+         erratic performance in underlying components (Section 4)",
+        format!("{headline:.2}x at a 25%-speed producer"),
+        headline > 2.0,
+    ));
+    report
+}

@@ -1,0 +1,1352 @@
+//! Interprocedural taint analysis: prove the digest is deterministic.
+//!
+//! The token and semantic rules flag nondeterminism *sources* wherever
+//! they appear; this module answers the stronger question the golden
+//! pyramid actually rests on: does a nondeterministic value **flow into**
+//! a digest fold, a golden assertion, a bench metric, or an oracle
+//! verdict? It is a summary-based taint analysis over the existing
+//! workspace call graph ([`crate::graph`]):
+//!
+//! * **Sources** — wall-clock reads (`Instant`, `SystemTime`,
+//!   `thread::sleep`), ambient RNG (`thread_rng`, `from_entropy`,
+//!   `OsRng`, `getrandom`, `rand::random`), unordered-collection
+//!   iteration (`HashMap`/`HashSet`), pointer/address formatting
+//!   (`{:p}`, `ptr::addr_of`), thread identity (`thread::current`),
+//!   environment reads (`env::var`/`var_os`/`vars`), and NaN-sensitive
+//!   float folds (`fold`/`reduce` over `f64::min`/`max`).
+//! * **Per-function summaries** — a function is *tainted* when its body
+//!   reads a source directly, calls a tainted function, or reads a
+//!   struct field a tainted value was assigned into (the
+//!   field-laundering case). Summaries are computed to a fixpoint over
+//!   the call-graph edges; each records the hop it arrived through, so a
+//!   finding can print the full source→sink path.
+//! * **Per-sink local tracking** — inside the function containing a
+//!   sink, `let` and `for` bindings whose initialiser is tainted carry
+//!   the taint forward by name; an explicit `sort*()` on an
+//!   unordered-iteration local *sanitises* it (a sorted collection has a
+//!   deterministic order again).
+//! * **Sinks** — digest folds (`write`/`write_u64`/`write_f64`/
+//!   `write_str` in files that name `Fnv64`), golden assertions
+//!   (`assert*!` whose arguments name a `GOLDEN_*` constant or whose
+//!   enclosing fn is `golden*`), bench metric emission (`Finding::new`,
+//!   `.row(..)` in files that name `Table`), and oracle verdicts (calls
+//!   into functions defined in `oracle` modules). Sinks apply in test
+//!   code too — that is where goldens live.
+//!
+//! Three rules come out of this: `digest-taint` (source reaches a
+//! digest/golden/bench sink, with the interprocedural path in the
+//! message), `oracle-taint` (source reaches an oracle verdict), and
+//! `rng-lineage` (`from_seed` must be rooted on a literal or a
+//! `*seed*`-named value, never a loop index or shard id — a stream keyed
+//! on iteration order silently changes when the loop does).
+//!
+//! Like the rest of fs-lint the analysis is conservative and name-based
+//! where resolution is ambiguous: free-call taint matches only within
+//! the same module or through a matching qualifier segment, and method
+//! taint is gated on the caller's file mentioning the owner type or
+//! trait — the same gate the graph uses for dispatch edges. Known
+//! under-approximations: closure-parameter calls are invisible (a
+//! workload closure passed *into* a helper taints the call site's
+//! argument span, not the helper), struct-literal field initialisers do
+//! not taint fields (only `.field = value` assignments do), and bare
+//! function references contribute no value taint.
+
+use crate::graph::{FileUnit, Graph};
+use crate::lexer::{TokKind, Token};
+use crate::parse::{self, FnItem};
+use crate::rules::{id, Finding};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Root source kind: a wall-clock read (`Instant::now`, `SystemTime`).
+pub const K_WALL: &str = "wall-clock";
+/// Root source kind: ambient RNG (`thread_rng`, `from_entropy`, OS entropy).
+pub const K_RNG: &str = "ambient-rng";
+/// Root source kind: iteration order of an unordered collection.
+pub const K_UNORD: &str = "unordered-iter";
+/// Root source kind: pointer/address formatting (`{:p}`, `addr_of`).
+pub const K_PTR: &str = "ptr-format";
+/// Root source kind: the host thread's identity (`thread::current().id()`).
+pub const K_TID: &str = "thread-id";
+/// Root source kind: an environment read (`env::var` and friends).
+pub const K_ENV: &str = "env-read";
+/// Root source kind: a NaN-sensitive float fold (`fold(f64::min)`-shape).
+pub const K_NAN: &str = "nan-fold";
+
+/// One function's taint summary: how nondeterminism enters its body.
+/// `None` in the per-node vector means the function is clean.
+#[derive(Debug, Clone)]
+pub struct TaintSummary {
+    /// Root source kind ([`K_WALL`], [`K_RNG`], …), propagated unchanged
+    /// along call chains.
+    pub kind: &'static str,
+    /// 1-based line of the source read, or of the call/field-read that
+    /// imported the taint.
+    pub line: u32,
+    /// The callee node id the taint arrived through, `None` at the root.
+    pub via: Option<usize>,
+    /// Human description of this hop.
+    pub what: String,
+}
+
+/// One directly-read source occurrence.
+#[derive(Debug, Clone)]
+struct Src {
+    kind: &'static str,
+    tok: usize,
+    line: u32,
+    desc: String,
+}
+
+/// Why an expression is tainted.
+#[derive(Debug, Clone)]
+enum Cause {
+    /// A source token inside the expression itself.
+    Direct(Src),
+    /// A call to a tainted function.
+    Call { node: usize },
+    /// A read of a struct field a tainted value was assigned into.
+    Field { name: String },
+}
+
+/// An expression's taint: the cause plus the locals it flowed through.
+#[derive(Debug, Clone)]
+struct Taint {
+    cause: Cause,
+    via_locals: Vec<String>,
+}
+
+/// One tainted local binding, live on `[from, until]` token indices.
+#[derive(Debug, Clone)]
+struct Local {
+    name: String,
+    from: usize,
+    until: usize,
+    taint: Taint,
+    root: &'static str,
+}
+
+/// What a tainted struct field carries.
+#[derive(Debug, Clone)]
+struct FieldTaint {
+    kind: &'static str,
+    desc: String,
+}
+
+/// Digest-fold method names (gated on the file naming `Fnv64`).
+const DIGEST_METHODS: &[&str] = &["write", "write_u64", "write_f64", "write_str"];
+
+/// Runs the flow analysis: the `digest-taint` / `oracle-taint` /
+/// `rng-lineage` findings plus the per-node taint summaries, aligned
+/// with `graph.nodes` for the `--graph-out` export. Works with or
+/// without graph entry points — taint needs edges, not roots.
+pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<TaintSummary>>) {
+    let mut flow = Flow::new(units, graph);
+    flow.fixpoint();
+    let mut findings = flow.sink_findings();
+    findings.extend(flow.rng_lineage());
+    (findings, flow.summaries)
+}
+
+/// The analysis state: summaries and tainted fields grow monotonically
+/// to a fixpoint.
+struct Flow<'a> {
+    units: &'a [FileUnit],
+    graph: &'a Graph,
+    /// Every identifier each file mentions (the method-taint gate).
+    file_idents: Vec<BTreeSet<&'a str>>,
+    /// Precomputed NaN-fold sources per file.
+    nan_srcs: Vec<Vec<Src>>,
+    /// Per-node taint summaries, aligned with `graph.nodes`.
+    summaries: Vec<Option<TaintSummary>>,
+    /// Tainted node ids by function name (rebuilt each round).
+    by_name: BTreeMap<String, Vec<usize>>,
+    /// Tainted struct fields by field name (global, name-based).
+    fields: BTreeMap<String, FieldTaint>,
+}
+
+impl<'a> Flow<'a> {
+    fn new(units: &'a [FileUnit], graph: &'a Graph) -> Flow<'a> {
+        let file_idents = units
+            .iter()
+            .map(|u| {
+                u.lexed
+                    .tokens
+                    .iter()
+                    .filter(|t| t.kind == TokKind::Ident)
+                    .map(|t| t.text.as_str())
+                    .collect()
+            })
+            .collect();
+        let nan_srcs = units.iter().map(nan_fold_sources).collect();
+        let mut flow = Flow {
+            units,
+            graph,
+            file_idents,
+            nan_srcs,
+            summaries: vec![None; graph.nodes.len()],
+            by_name: BTreeMap::new(),
+            fields: BTreeMap::new(),
+        };
+        for n in 0..graph.nodes.len() {
+            if let Some(src) = flow.direct_source(n) {
+                flow.summaries[n] = Some(TaintSummary {
+                    kind: src.kind,
+                    line: src.line,
+                    via: None,
+                    what: src.desc,
+                });
+            }
+        }
+        flow
+    }
+
+    /// The earliest source token inside node `n`'s body, if any.
+    fn direct_source(&self, n: usize) -> Option<Src> {
+        let node = &self.graph.nodes[n];
+        let toks = &self.units[node.file].lexed.tokens;
+        let (b0, b1) = node.body;
+        let mut best: Option<Src> = None;
+        for i in b0..=b1.min(toks.len().saturating_sub(1)) {
+            if let Some(s) = lexical_source(toks, i) {
+                best = Some(s);
+                break;
+            }
+        }
+        for s in &self.nan_srcs[node.file] {
+            if s.tok >= b0 && s.tok <= b1 && best.as_ref().is_none_or(|b| s.tok < b.tok) {
+                best = Some(s.clone());
+            }
+        }
+        best
+    }
+
+    /// Iterates summary propagation and field discovery to a fixpoint.
+    /// Both sets only grow, so this terminates.
+    fn fixpoint(&mut self) {
+        loop {
+            self.rebuild_by_name();
+            let mut changed = self.discover_fields();
+            let mut updates: Vec<(usize, TaintSummary)> = Vec::new();
+            for n in 0..self.graph.nodes.len() {
+                if self.summaries[n].is_some() {
+                    continue;
+                }
+                if let Some(&m) =
+                    self.graph.edges[n].iter().find(|&&m| m != n && self.summaries[m].is_some())
+                {
+                    let kind = self.summaries[m].as_ref().map(|s| s.kind).unwrap_or(K_WALL);
+                    updates.push((
+                        n,
+                        TaintSummary {
+                            kind,
+                            line: self.call_line(n, m),
+                            via: Some(m),
+                            what: format!("calls `{}`", self.graph.nodes[m].name),
+                        },
+                    ));
+                    continue;
+                }
+                if let Some((fname, line)) = self.body_field_read(n) {
+                    let ft = self.fields[&fname].clone();
+                    updates.push((
+                        n,
+                        TaintSummary {
+                            kind: ft.kind,
+                            line,
+                            via: None,
+                            what: format!("reads tainted field `.{fname}` ({})", ft.desc),
+                        },
+                    ));
+                }
+            }
+            if !updates.is_empty() {
+                changed = true;
+                for (n, s) in updates {
+                    self.summaries[n] = Some(s);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    fn rebuild_by_name(&mut self) {
+        self.by_name.clear();
+        for (n, s) in self.summaries.iter().enumerate() {
+            if s.is_some() {
+                self.by_name.entry(self.graph.nodes[n].name.clone()).or_default().push(n);
+            }
+        }
+    }
+
+    /// The line of a call from node `n` to node `m`, for the hop record.
+    fn call_line(&self, n: usize, m: usize) -> u32 {
+        let node = &self.graph.nodes[n];
+        let callee = &self.graph.nodes[m];
+        let u = &self.units[node.file];
+        let (b0, b1) = node.body;
+        let found = if callee.owner.is_some() {
+            u.model
+                .calls
+                .iter()
+                .find(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name)
+                .map(|c| c.line)
+        } else {
+            u.model
+                .free_calls
+                .iter()
+                .find(|c| c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
+                .map(|c| c.line)
+        };
+        found.unwrap_or(node.line)
+    }
+
+    /// A read of a tainted field inside node `n`'s body (`.f` not
+    /// followed by `(` or `=`), if any.
+    fn body_field_read(&self, n: usize) -> Option<(String, u32)> {
+        if self.fields.is_empty() {
+            return None;
+        }
+        let node = &self.graph.nodes[n];
+        let toks = &self.units[node.file].lexed.tokens;
+        let (b0, b1) = node.body;
+        for i in b0..=b1.min(toks.len().saturating_sub(2)) {
+            if !toks[i].is_punct('.') {
+                continue;
+            }
+            let nt = &toks[i + 1];
+            if nt.kind != TokKind::Ident || !self.fields.contains_key(&nt.text) {
+                continue;
+            }
+            if field_read_shape(toks, i) {
+                return Some((nt.text.clone(), nt.line));
+            }
+        }
+        None
+    }
+
+    /// One round of `.field = RHS` discovery: any assignment whose RHS is
+    /// tainted marks the field (by name, workspace-global). Returns true
+    /// when a new field was learned.
+    fn discover_fields(&mut self) -> bool {
+        let mut learned: Vec<(String, FieldTaint)> = Vec::new();
+        for file in 0..self.units.len() {
+            let u = &self.units[file];
+            let toks = &u.lexed.tokens;
+            let mut locals_cache: BTreeMap<usize, Vec<Local>> = BTreeMap::new();
+            let mut i = 0usize;
+            while i + 2 < toks.len() {
+                if !toks[i].is_punct('.')
+                    || toks[i + 1].kind != TokKind::Ident
+                    || !toks[i + 2].is_punct('=')
+                    || toks.get(i + 3).is_some_and(|t| t.is_punct('='))
+                {
+                    i += 1;
+                    continue;
+                }
+                let fname = toks[i + 1].text.clone();
+                if self.fields.contains_key(&fname) || learned.iter().any(|(n, _)| *n == fname) {
+                    i += 1;
+                    continue;
+                }
+                let Some(end) = rhs_end(toks, i + 3) else {
+                    i += 1;
+                    continue;
+                };
+                let taint = match u.model.enclosing_fn_idx(i) {
+                    Some(fk) => {
+                        let ls = locals_cache
+                            .entry(fk)
+                            .or_insert_with(|| self.locals_for(file, u.model.fns[fk].body));
+                        self.taint_in(file, i + 3, end, ls)
+                    }
+                    None => self.taint_in(file, i + 3, end, &[]),
+                };
+                if let Some(t) = taint {
+                    let kind = self.root_kind(&t.cause);
+                    let desc = self.describe(file, &t);
+                    learned.push((fname, FieldTaint { kind, desc }));
+                }
+                i += 1;
+            }
+        }
+        let changed = !learned.is_empty();
+        for (name, ft) in learned {
+            self.fields.entry(name).or_insert(ft);
+        }
+        changed
+    }
+
+    /// The root source kind behind a cause.
+    fn root_kind(&self, c: &Cause) -> &'static str {
+        match c {
+            Cause::Direct(s) => s.kind,
+            Cause::Call { node } => {
+                self.summaries[*node].as_ref().map(|s| s.kind).unwrap_or(K_WALL)
+            }
+            Cause::Field { name } => self.fields.get(name).map(|f| f.kind).unwrap_or(K_WALL),
+        }
+    }
+
+    /// Tainted `let`/`for` bindings of the function body at `body`, with
+    /// `sort*()` sanitisation applied in textual order.
+    fn locals_for(&self, file: usize, body: (usize, usize)) -> Vec<Local> {
+        let u = &self.units[file];
+        let toks = &u.lexed.tokens;
+        let (b0, b1) = body;
+        // `recv.sort*()` sites: re-establish a deterministic order on an
+        // unordered-iteration local, killing its taint from that point.
+        let sorts: Vec<(usize, String)> = u
+            .model
+            .calls
+            .iter()
+            .filter(|c| c.dot > b0 && c.dot < b1 && c.name.starts_with("sort"))
+            .filter_map(|c| {
+                let r = toks.get(c.dot.checked_sub(1)?)?;
+                (r.kind == TokKind::Ident).then(|| (c.dot, r.text.clone()))
+            })
+            .collect();
+        let mut next_sort = 0usize;
+        let mut locals: Vec<Local> = param_taint(toks, b0);
+        let mut i = b0;
+        while i <= b1 && i < toks.len() {
+            while next_sort < sorts.len() && sorts[next_sort].0 < i {
+                let (dot, recv) = &sorts[next_sort];
+                for l in locals.iter_mut() {
+                    if l.name == *recv && l.root == K_UNORD && *dot > l.from && *dot < l.until {
+                        l.until = *dot;
+                    }
+                }
+                next_sort += 1;
+            }
+            let t = &toks[i];
+            if t.kind == TokKind::Ident && t.text == "let" {
+                let (eq, semi) = let_bounds(toks, i + 1, b1);
+                let Some(semi) = semi else {
+                    i += 1;
+                    continue;
+                };
+                if let Some(eq) = eq {
+                    let names = pattern_names(toks, i + 1, eq);
+                    if !names.is_empty() {
+                        // The scan covers the whole statement so a type
+                        // ascription (`: HashMap<..>`) taints too.
+                        let taint = self.taint_in(file, i + 1, semi, &locals);
+                        for name in &names {
+                            // Shadowing: a rebinding ends the old local's
+                            // range whether or not the new one is tainted.
+                            for l in locals.iter_mut() {
+                                if l.name == *name && l.until > semi {
+                                    l.until = semi;
+                                }
+                            }
+                        }
+                        if let Some(t) = taint {
+                            let root = self.root_kind(&t.cause);
+                            for name in names {
+                                locals.push(Local {
+                                    name,
+                                    from: semi,
+                                    until: usize::MAX,
+                                    taint: t.clone(),
+                                    root,
+                                });
+                            }
+                        }
+                    }
+                }
+                i = semi + 1;
+                continue;
+            }
+            if t.kind == TokKind::Ident && t.text == "for" {
+                if let Some((names, expr_end, brace)) = for_binding(toks, i, b1) {
+                    if let Some(t) = self.taint_in(file, i + 1, expr_end, &locals) {
+                        let root = self.root_kind(&t.cause);
+                        for name in names {
+                            locals.push(Local {
+                                name,
+                                from: brace,
+                                until: usize::MAX,
+                                taint: t.clone(),
+                                root,
+                            });
+                        }
+                    }
+                    i = brace.max(i + 1);
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        locals
+    }
+
+    /// The earliest taint inside the token span `[lo, hi]`: a direct
+    /// source, a tainted local mention, a tainted field read, or a call
+    /// to a tainted function.
+    fn taint_in(&self, file: usize, lo: usize, hi: usize, locals: &[Local]) -> Option<Taint> {
+        let u = &self.units[file];
+        let toks = &u.lexed.tokens;
+        if toks.is_empty() || lo > hi {
+            return None;
+        }
+        let hi = hi.min(toks.len() - 1);
+        let mut best: Option<(usize, Taint)> = None;
+        let consider = |tok: usize, t: Taint, best: &mut Option<(usize, Taint)>| {
+            if best.as_ref().is_none_or(|(b, _)| tok < *b) {
+                *best = Some((tok, t));
+            }
+        };
+        for i in lo..=hi {
+            let t = &toks[i];
+            if let Some(src) = lexical_source(toks, i) {
+                consider(i, Taint { cause: Cause::Direct(src), via_locals: Vec::new() }, &mut best);
+                continue;
+            }
+            if t.kind == TokKind::Ident {
+                // Skip method names and path interiors (`a::b`); a single
+                // `:` (struct-literal init) still counts as a mention.
+                let after_dot = i > 0 && toks[i - 1].is_punct('.');
+                let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
+                if !after_dot && !in_path {
+                    if let Some(l) = locals
+                        .iter()
+                        .rev()
+                        .find(|l| l.name == t.text && i >= l.from && i <= l.until)
+                    {
+                        let mut via = l.taint.via_locals.clone();
+                        if via.last() != Some(&l.name) {
+                            via.push(l.name.clone());
+                        }
+                        consider(
+                            i,
+                            Taint { cause: l.taint.cause.clone(), via_locals: via },
+                            &mut best,
+                        );
+                    }
+                }
+            }
+            if t.is_punct('.') && !self.fields.is_empty() {
+                if let Some(nt) = toks.get(i + 1) {
+                    if nt.kind == TokKind::Ident
+                        && self.fields.contains_key(&nt.text)
+                        && field_read_shape(toks, i)
+                    {
+                        consider(
+                            i,
+                            Taint {
+                                cause: Cause::Field { name: nt.text.clone() },
+                                via_locals: Vec::new(),
+                            },
+                            &mut best,
+                        );
+                    }
+                }
+            }
+        }
+        for mc in u.model.calls.iter().filter(|c| c.dot >= lo && c.dot <= hi) {
+            let Some(cands) = self.by_name.get(&mc.name) else { continue };
+            for &n in cands {
+                let node = &self.graph.nodes[n];
+                if node.owner.is_none() {
+                    continue;
+                }
+                let mentioned =
+                    node.owner.as_deref().is_some_and(|o| self.file_idents[file].contains(o))
+                        || node
+                            .trait_name
+                            .as_deref()
+                            .is_some_and(|tr| self.file_idents[file].contains(tr));
+                if mentioned {
+                    consider(
+                        mc.dot,
+                        Taint { cause: Cause::Call { node: n }, via_locals: Vec::new() },
+                        &mut best,
+                    );
+                    break;
+                }
+            }
+        }
+        for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= lo && c.tok <= hi) {
+            let Some(cands) = self.by_name.get(&fc.name) else { continue };
+            for &n in cands {
+                let node = &self.graph.nodes[n];
+                let matched = if fc.qual.is_empty() {
+                    // Unqualified: only a tainted free fn of the SAME
+                    // module — prevents `catalog::all()` matching an
+                    // unrelated tainted `all()` elsewhere.
+                    node.owner.is_none() && node.abs_module == u.mp.abs()
+                } else {
+                    let q = fc.qual.last().map(String::as_str).unwrap_or("");
+                    (node.owner.is_none() && node.abs_module.last().map(String::as_str) == Some(q))
+                        || node.owner.as_deref() == Some(q)
+                };
+                if matched {
+                    consider(
+                        fc.tok,
+                        Taint { cause: Cause::Call { node: n }, via_locals: Vec::new() },
+                        &mut best,
+                    );
+                    break;
+                }
+            }
+        }
+        best.map(|(_, t)| t)
+    }
+
+    /// The human-readable source→here path for a taint.
+    fn describe(&self, file: usize, t: &Taint) -> String {
+        let mut parts: Vec<String> = Vec::new();
+        match &t.cause {
+            Cause::Direct(s) => {
+                parts.push(format!("{} ({}:{})", s.desc, self.units[file].path, s.line));
+            }
+            Cause::Field { name } => {
+                let desc = self.fields.get(name).map(|f| f.desc.as_str()).unwrap_or("?");
+                parts.push(format!("{desc} -> field `.{name}`"));
+            }
+            Cause::Call { node } => parts.extend(self.chain(*node)),
+        }
+        for l in &t.via_locals {
+            parts.push(format!("local `{l}`"));
+        }
+        parts.join(" -> ")
+    }
+
+    /// The call chain from the root source down to node `from`, one hop
+    /// per entry. `via` links never cycle (a summary's provider was
+    /// always assigned in an earlier round), but a depth cap guards the
+    /// walk anyway.
+    fn chain(&self, from: usize) -> Vec<String> {
+        let mut hops: Vec<String> = Vec::new();
+        let mut cur = from;
+        for _ in 0..16 {
+            let Some(s) = self.summaries[cur].as_ref() else { break };
+            let n = &self.graph.nodes[cur];
+            hops.push(format!("`{}` ({}:{})", n.name, self.units[n.file].path, n.line));
+            match s.via {
+                Some(v) if v != cur => cur = v,
+                _ => {
+                    hops.push(format!("{} ({}:{})", s.what, self.units[n.file].path, s.line));
+                    break;
+                }
+            }
+        }
+        hops.reverse();
+        hops
+    }
+
+    /// The sink pass: `digest-taint` and `oracle-taint` findings.
+    fn sink_findings(&self) -> Vec<Finding> {
+        let mut out = Vec::new();
+        // Free functions defined inside `oracle` modules: calling one
+        // constructs a verdict.
+        let oracle_fns: BTreeSet<&str> = self
+            .graph
+            .nodes
+            .iter()
+            .filter(|n| n.owner.is_none() && n.abs_module.iter().skip(1).any(|m| m == "oracle"))
+            .map(|n| n.name.as_str())
+            .collect();
+        for (file, u) in self.units.iter().enumerate() {
+            let toks = &u.lexed.tokens;
+            let mut locals_cache: BTreeMap<Option<usize>, Vec<Local>> = BTreeMap::new();
+            let check = |flow: &Self,
+                         site_tok: usize,
+                         line: u32,
+                         args: (usize, usize),
+                         rule: &'static str,
+                         sink: String,
+                         cache: &mut BTreeMap<Option<usize>, Vec<Local>>,
+                         out: &mut Vec<Finding>| {
+                let (a0, a1) = args;
+                if a1 <= a0 {
+                    return;
+                }
+                let fk = u.model.enclosing_fn_idx(site_tok);
+                let locals = cache.entry(fk).or_insert_with(|| match fk {
+                    Some(k) => flow.locals_for(file, u.model.fns[k].body),
+                    None => Vec::new(),
+                });
+                if let Some(t) = flow.taint_in(file, a0 + 1, a1 - 1, locals) {
+                    let path = flow.describe(file, &t);
+                    let message = if rule == id::DIGEST_TAINT {
+                        format!(
+                            "nondeterministic value flows into {sink}: {path} -> {sink}; every \
+                             byte reaching a digest, golden, or bench artifact must be a pure \
+                             function of the scenario labels — derive it from simulated time or \
+                             a labeled Stream (or suppress citing the invariant that pins it)"
+                        )
+                    } else {
+                        format!(
+                            "nondeterministic value flows into {sink}: {path} -> {sink}; a \
+                             verdict that depends on the host machine verifies nothing"
+                        )
+                    };
+                    out.push(Finding { path: u.path.clone(), line, rule, message });
+                }
+            };
+            // Digest folds, gated on the file naming the digest type.
+            if self.file_idents[file].contains("Fnv64") {
+                for mc in &u.model.calls {
+                    if DIGEST_METHODS.contains(&mc.name.as_str()) {
+                        check(
+                            self,
+                            mc.dot,
+                            mc.line,
+                            mc.args,
+                            id::DIGEST_TAINT,
+                            format!("digest fold `{}`", mc.name),
+                            &mut locals_cache,
+                            &mut out,
+                        );
+                    }
+                }
+            }
+            // Golden assertions.
+            for mac in &u.model.macros {
+                if !matches!(mac.name.as_str(), "assert" | "assert_eq" | "assert_ne") {
+                    continue;
+                }
+                let open = mac.tok + 2;
+                if !toks.get(open).is_some_and(|t| t.is_punct('(')) {
+                    continue;
+                }
+                let close = parse::match_delim(toks, open);
+                let named_golden = toks[open..=close]
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && t.text.starts_with("GOLDEN"));
+                let in_golden_fn = u
+                    .model
+                    .enclosing_fn(mac.tok)
+                    .is_some_and(|f: &FnItem| f.name.starts_with("golden"));
+                if named_golden || in_golden_fn {
+                    check(
+                        self,
+                        mac.tok,
+                        mac.line,
+                        (open, close),
+                        id::DIGEST_TAINT,
+                        format!("golden assertion `{}!`", mac.name),
+                        &mut locals_cache,
+                        &mut out,
+                    );
+                }
+            }
+            // Bench metric emission.
+            for fc in &u.model.free_calls {
+                if fc.name == "new"
+                    && fc.called
+                    && fc.qual.last().map(String::as_str) == Some("Finding")
+                {
+                    if let Some(args) = call_args(toks, fc.tok) {
+                        check(
+                            self,
+                            fc.tok,
+                            fc.line,
+                            args,
+                            id::DIGEST_TAINT,
+                            "bench metric `Finding::new`".to_string(),
+                            &mut locals_cache,
+                            &mut out,
+                        );
+                    }
+                }
+            }
+            if self.file_idents[file].contains("Table") {
+                for mc in &u.model.calls {
+                    if mc.name == "row" {
+                        check(
+                            self,
+                            mc.dot,
+                            mc.line,
+                            mc.args,
+                            id::DIGEST_TAINT,
+                            "bench table `row`".to_string(),
+                            &mut locals_cache,
+                            &mut out,
+                        );
+                    }
+                }
+            }
+            // Oracle verdicts: calls into oracle-module functions, gated
+            // on the call actually referencing an oracle module (path
+            // qualifier or a `use` with an oracle segment) so shared
+            // names elsewhere never match.
+            let file_uses_oracle = u.model.uses.iter().any(|d| {
+                d.segs.iter().any(|s| s.contains("oracle"))
+                    || d.alias.as_deref().is_some_and(|a| a.contains("oracle"))
+            });
+            for fc in &u.model.free_calls {
+                if !fc.called || !oracle_fns.contains(fc.name.as_str()) {
+                    continue;
+                }
+                let qual_oracle = fc.qual.iter().any(|q| q.contains("oracle"));
+                if !qual_oracle && !file_uses_oracle {
+                    continue;
+                }
+                if let Some(args) = call_args(toks, fc.tok) {
+                    check(
+                        self,
+                        fc.tok,
+                        fc.line,
+                        args,
+                        id::ORACLE_TAINT,
+                        format!("oracle check `{}`", fc.name),
+                        &mut locals_cache,
+                        &mut out,
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    /// The `rng-lineage` pass: every `from_seed(..)` argument must be a
+    /// literal or a `*seed*`-named value. Test code (and files under
+    /// `tests/` trees, where proptest-generated fns carry no `#[test]`
+    /// marker) is exempt — a test may explore seeds freely.
+    fn rng_lineage(&self) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for u in self.units.iter() {
+            if u.path.starts_with("tests/") || u.path.contains("/tests/") {
+                continue;
+            }
+            let toks = &u.lexed.tokens;
+            for fc in u.model.free_calls.iter().filter(|c| c.name == "from_seed" && c.called) {
+                if u.model.in_test_span(fc.tok)
+                    || u.model.enclosing_fn(fc.tok).is_some_and(|f| f.in_test)
+                {
+                    continue;
+                }
+                let Some((open, close)) = call_args(toks, fc.tok) else { continue };
+                let rooted = toks[open + 1..close].iter().any(|t| {
+                    t.kind == TokKind::Num
+                        || (t.kind == TokKind::Ident
+                            && t.text.to_ascii_lowercase().contains("seed"))
+                });
+                if !rooted {
+                    let arg: Vec<&str> =
+                        toks[open + 1..close].iter().take(8).map(|t| t.text.as_str()).collect();
+                    out.push(Finding {
+                        path: u.path.clone(),
+                        line: fc.line,
+                        rule: id::RNG_LINEAGE,
+                        message: format!(
+                            "`from_seed({})` is not rooted on a literal or master seed — RNG \
+                             streams must be label-rooted \
+                             (`Stream::from_seed(SEED).derive(\"component.use\")` or \
+                             `.derive_index(i)` under a labeled parent), never seeded from loop \
+                             indices or shard ids: a stream keyed on iteration order silently \
+                             changes when the loop does",
+                            arg.join(" ")
+                        ),
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A direct nondeterminism source at token `i`, if one starts here.
+fn lexical_source(toks: &[Token], i: usize) -> Option<Src> {
+    let t = &toks[i];
+    let prefixed = |head: &str| {
+        i >= 3
+            && toks[i - 3].is_ident(head)
+            && toks[i - 2].is_punct(':')
+            && toks[i - 1].is_punct(':')
+    };
+    match t.kind {
+        TokKind::Ident => {
+            let (kind, desc) = match t.text.as_str() {
+                "Instant" | "SystemTime" => (K_WALL, format!("`{}` wall-clock read", t.text)),
+                "sleep" | "sleep_ms" if prefixed("thread") => {
+                    (K_WALL, "`thread::sleep` wall-clock wait".to_string())
+                }
+                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => {
+                    (K_RNG, format!("ambient RNG `{}`", t.text))
+                }
+                "random" if prefixed("rand") => (K_RNG, "ambient RNG `rand::random`".to_string()),
+                "HashMap" | "HashSet" => {
+                    (K_UNORD, format!("`{}` unordered iteration order", t.text))
+                }
+                "addr_of" | "addr_of_mut" => (K_PTR, format!("raw address `ptr::{}`", t.text)),
+                "current" if prefixed("thread") => {
+                    (K_TID, "`thread::current()` identity".to_string())
+                }
+                "var" | "var_os" | "vars" if prefixed("env") => {
+                    (K_ENV, format!("environment read `env::{}`", t.text))
+                }
+                _ => return None,
+            };
+            Some(Src { kind, tok: i, line: t.line, desc })
+        }
+        // The needle is assembled with `concat!` so this file's own string
+        // literal does not register as a pointer-format source when
+        // fs-lint lints itself.
+        TokKind::Str if t.text.contains(concat!(":", "p}")) => Some(Src {
+            kind: K_PTR,
+            tok: i,
+            line: t.line,
+            // Same concat! dodge as the needle above.
+            desc: concat!("`{", ":", "p}` pointer formatting").to_string(),
+        }),
+        _ => None,
+    }
+}
+
+/// NaN-sensitive float folds in one file: `fold`/`reduce` whose argument
+/// span mentions `f64::min`/`f64::max` (or `f32`). The fold's value
+/// depends on NaN placement, which depends on evaluation order.
+fn nan_fold_sources(u: &FileUnit) -> Vec<Src> {
+    let toks = &u.lexed.tokens;
+    let mut out = Vec::new();
+    for mc in &u.model.calls {
+        if mc.name != "fold" && mc.name != "reduce" {
+            continue;
+        }
+        let (a0, a1) = mc.args;
+        if a1 <= a0 + 3 || a1 >= toks.len() {
+            continue;
+        }
+        let nan_prone = toks[a0..=a1].windows(4).any(|w| {
+            (w[0].is_ident("f64") || w[0].is_ident("f32"))
+                && w[1].is_punct(':')
+                && w[2].is_punct(':')
+                && (w[3].is_ident("min") || w[3].is_ident("max"))
+        });
+        if nan_prone {
+            out.push(Src {
+                kind: K_NAN,
+                tok: mc.dot,
+                line: mc.line,
+                desc: format!("NaN-sensitive `{}` over float min/max", mc.name),
+            });
+        }
+    }
+    out
+}
+
+/// True when the `.` at `i` reads a field: next token is an identifier
+/// not followed by `(` (a method call) or a plain `=` (a write; `==`
+/// still reads).
+pub(crate) fn field_read_shape(toks: &[Token], i: usize) -> bool {
+    if !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
+        return false;
+    }
+    let Some(after) = toks.get(i + 2) else { return true };
+    if after.is_punct('(') {
+        return false;
+    }
+    if after.is_punct('=') && !toks.get(i + 3).is_some_and(|t| t.is_punct('=')) {
+        return false;
+    }
+    true
+}
+
+/// The argument parens of the call whose name token is `tok`, skipping a
+/// turbofish; `None` for bare references.
+pub(crate) fn call_args(toks: &[Token], tok: usize) -> Option<(usize, usize)> {
+    let mut k = tok + 1;
+    if toks.get(k).is_some_and(|t| t.is_punct(':'))
+        && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
+        && toks.get(k + 2).is_some_and(|t| t.is_punct('<'))
+    {
+        let close = parse::skip_angles(toks, k + 2);
+        if close == k + 2 {
+            return None;
+        }
+        k = close + 1;
+    }
+    if !toks.get(k).is_some_and(|t| t.is_punct('(')) {
+        return None;
+    }
+    Some((k, parse::match_delim(toks, k)))
+}
+
+/// The bounds of a `let` statement starting after the `let` at `from-1`:
+/// the depth-0 `=` (skipping `==`/compound operators) and the depth-0 `;`.
+pub(crate) fn let_bounds(
+    toks: &[Token],
+    from: usize,
+    limit: usize,
+) -> (Option<usize>, Option<usize>) {
+    let mut depth = 0i32;
+    let mut eq = None;
+    let mut i = from;
+    while i <= limit && i < toks.len() {
+        let t = &toks[i];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "=" if depth == 0 && eq.is_none() => {
+                    // `>` is NOT compound here: before a let's binding `=`
+                    // it can only be a generic close (`let k: Vec<u64> =`) —
+                    // a real `>=` cannot appear in pattern/type position.
+                    let compound = i > 0
+                        && toks[i - 1].kind == TokKind::Punct
+                        && matches!(
+                            toks[i - 1].text.as_str(),
+                            "=" | "<" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
+                        );
+                    let double = toks.get(i + 1).is_some_and(|t| t.is_punct('='));
+                    if !compound && !double {
+                        eq = Some(i);
+                    }
+                }
+                ";" if depth == 0 => return (eq, Some(i)),
+                _ => {}
+            }
+        }
+        i += 1;
+    }
+    (eq, None)
+}
+
+/// Lower-case identifiers bound by the pattern between `from` and the
+/// `=` at `eq`, stopping at a depth-0 `:` (type ascription). CamelCase
+/// names are enum/struct constructors, not bindings.
+pub(crate) fn pattern_names(toks: &[Token], from: usize, eq: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    for t in toks.iter().take(eq.min(toks.len())).skip(from) {
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                ":" if depth == 0 => break,
+                _ => {}
+            }
+        } else if t.kind == TokKind::Ident
+            && !parse::is_keyword(&t.text)
+            && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+        {
+            out.push(t.text.clone());
+        }
+    }
+    out
+}
+
+/// `for PAT in EXPR {` starting at the `for` at `i`: the bound names,
+/// the last token of EXPR, and the index of the opening `{`.
+pub(crate) fn for_binding(
+    toks: &[Token],
+    i: usize,
+    limit: usize,
+) -> Option<(Vec<String>, usize, usize)> {
+    let mut j = i + 1;
+    let mut names = Vec::new();
+    while j <= limit && j < i + 24 && j < toks.len() {
+        let t = &toks[j];
+        if t.is_ident("in") {
+            break;
+        }
+        if t.is_punct('{') || t.is_punct(';') {
+            return None;
+        }
+        if t.kind == TokKind::Ident
+            && !parse::is_keyword(&t.text)
+            && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+        {
+            names.push(t.text.clone());
+        }
+        j += 1;
+    }
+    if !toks.get(j).is_some_and(|t| t.is_ident("in")) {
+        return None;
+    }
+    let mut k = j + 1;
+    let mut depth = 0i32;
+    while k <= limit && k < toks.len() {
+        let t = &toks[k];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                "{" if depth == 0 => {
+                    if k > j + 1 {
+                        return Some((names, k - 1, k));
+                    }
+                    return None;
+                }
+                _ => {}
+            }
+        }
+        k += 1;
+    }
+    None
+}
+
+/// Parameters of the fn whose body opens at `b0` that are typed on an
+/// unordered collection (`fn fold(m: &HashMap<..>)`): each becomes a
+/// tainted local live across the whole body. Only container types make
+/// sense here — a `HashMap` parameter's *iteration* is what the caller
+/// cannot pin, whereas an `Instant` parameter was already flagged at the
+/// caller's read site.
+fn param_taint(toks: &[Token], b0: usize) -> Vec<Local> {
+    let mut out = Vec::new();
+    // The signature's `fn` keyword is the nearest one before the body.
+    let Some(sig) = (0..b0).rev().find(|&k| toks[k].is_ident("fn")) else { return out };
+    let Some(open) = (sig..b0).find(|&k| toks[k].is_punct('(')) else { return out };
+    let close = parse::match_delim(toks, open);
+    if close >= b0 {
+        return out;
+    }
+    let mut k = open + 1;
+    while k < close {
+        let named = toks[k].kind == TokKind::Ident
+            && !parse::is_keyword(&toks[k].text)
+            && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
+            && !toks.get(k + 2).is_some_and(|t| t.is_punct(':'))
+            && !toks[k - 1].is_punct(':');
+        if !named {
+            k += 1;
+            continue;
+        }
+        // The type span runs to the next depth-0 comma (commas inside a
+        // generic's angles may cut it short — that only under-taints).
+        let mut depth = 0i32;
+        let mut j = k + 2;
+        let mut src = None;
+        while j < close {
+            let t = &toks[j];
+            if t.kind == TokKind::Punct {
+                match t.text.as_str() {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => depth -= 1,
+                    "," if depth == 0 => break,
+                    _ => {}
+                }
+            } else if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
+                src = Some(Src {
+                    kind: K_UNORD,
+                    tok: j,
+                    line: t.line,
+                    desc: format!("`{}`-typed parameter `{}`", t.text, toks[k].text),
+                });
+            }
+            j += 1;
+        }
+        if let Some(s) = src {
+            out.push(Local {
+                name: toks[k].text.clone(),
+                from: b0,
+                until: usize::MAX,
+                taint: Taint { cause: Cause::Direct(s), via_locals: Vec::new() },
+                root: K_UNORD,
+            });
+        }
+        k = j + 1;
+    }
+    out
+}
+
+/// Token end of an assignment RHS starting at `from`: the depth-0 `;`,
+/// `,`, or closing delimiter.
+pub(crate) fn rhs_end(toks: &[Token], from: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut j = from;
+    while j < toks.len() {
+        let t = &toks[j];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    if depth == 0 {
+                        return if j > from { Some(j - 1) } else { None };
+                    }
+                    depth -= 1;
+                }
+                ";" | "," if depth == 0 => {
+                    return if j > from { Some(j - 1) } else { None };
+                }
+                _ => {}
+            }
+        }
+        j += 1;
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::{FileUnit, Graph};
+
+    fn unit(path: &str, src: &str) -> FileUnit {
+        FileUnit::new(path.to_string(), src)
+    }
+
+    fn run(units: &[FileUnit]) -> (Vec<Finding>, Vec<Option<TaintSummary>>) {
+        let graph = Graph::build(units);
+        analyze(units, &graph)
+    }
+
+    #[test]
+    fn direct_wall_clock_into_digest_fold_fires() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Fnv64(u64); impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+             pub fn fold() { let mut h = Fnv64(0); \
+             let t = std::time::Instant::now().elapsed().as_nanos() as u64; h.write_u64(t); }",
+        )];
+        let (findings, _) = run(&units);
+        let f = findings.iter().find(|f| f.rule == id::DIGEST_TAINT).expect("digest-taint");
+        assert!(f.message.contains("wall-clock"), "{}", f.message);
+        assert!(f.message.contains("local `t`"), "{}", f.message);
+    }
+
+    #[test]
+    fn two_hop_flow_reports_the_call_path() {
+        let units = [
+            unit(
+                "crates/alpha/src/lib.rs",
+                "pub fn now_nanos() -> u64 { \
+                 std::time::Instant::now().elapsed().as_nanos() as u64 }\n\
+                 pub fn stamp() -> u64 { now_nanos() ^ 1 }",
+            ),
+            unit(
+                "crates/beta/src/lib.rs",
+                "use alpha::stamp; pub struct Fnv64(u64); \
+                 impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+                 pub fn fold() { let mut h = Fnv64(0); let s = alpha::stamp(); h.write_u64(s); }",
+            ),
+        ];
+        let (findings, summaries) = run(&units);
+        let f = findings.iter().find(|f| f.rule == id::DIGEST_TAINT).expect("digest-taint");
+        for hop in ["now_nanos", "stamp", "local `s`", "->"] {
+            assert!(f.message.contains(hop), "missing {hop} in: {}", f.message);
+        }
+        // `stamp` carries an interprocedural summary via `now_nanos`.
+        let stamped = summaries
+            .iter()
+            .flatten()
+            .any(|s| s.kind == K_WALL && s.via.is_some() && s.what.contains("now_nanos"));
+        assert!(stamped, "{summaries:?}");
+    }
+
+    #[test]
+    fn sorted_unordered_local_is_sanitized() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Fnv64(u64); impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+             pub fn fold(m: &std::collections::HashMap<u64, u64>) { let mut h = Fnv64(0); \
+             let mut keys: Vec<u64> = m.keys().copied().collect(); keys.sort_unstable(); \
+             for k in keys { h.write_u64(k); } }",
+        )];
+        let (findings, _) = run(&units);
+        assert!(
+            findings.iter().all(|f| f.rule != id::DIGEST_TAINT),
+            "sorted keys are deterministic: {findings:?}"
+        );
+    }
+
+    #[test]
+    fn unsorted_unordered_local_fires() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Fnv64(u64); impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+             pub fn fold(m: &std::collections::HashMap<u64, u64>) { let mut h = Fnv64(0); \
+             let keys: Vec<u64> = m.keys().copied().collect(); \
+             for k in keys { h.write_u64(k); } }",
+        )];
+        let (findings, _) = run(&units);
+        assert!(findings.iter().any(|f| f.rule == id::DIGEST_TAINT), "{findings:?}");
+    }
+
+    #[test]
+    fn field_laundering_is_tracked() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Fnv64(u64); impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+             pub struct Cache { pub stamp: u64 } \
+             impl Cache { pub fn refresh(&mut self) { \
+             let t = std::time::Instant::now().elapsed().as_nanos() as u64; self.stamp = t; } } \
+             pub fn fold(c: &Cache) { let mut h = Fnv64(0); h.write_u64(c.stamp); }",
+        )];
+        let (findings, _) = run(&units);
+        let f = findings.iter().find(|f| f.rule == id::DIGEST_TAINT).expect("laundered taint");
+        assert!(f.message.contains("field `.stamp`"), "{}", f.message);
+    }
+
+    #[test]
+    fn rng_lineage_flags_loop_index_seeds_only() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub fn seeds(master_seed: u64) { for i in 0..4u64 { \
+             let bad = Stream::from_seed(i); \
+             let good = Stream::from_seed(master_seed); \
+             let lit = Stream::from_seed(42); } }\n\
+             #[cfg(test)] mod tests { #[test] fn t() { let x = Stream::from_seed(7 + 1); } }",
+        )];
+        let (findings, _) = run(&units);
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == id::RNG_LINEAGE).collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("from_seed(i)"), "{}", hits[0].message);
+    }
+
+    #[test]
+    // Not named `golden_*`: a fn declared with that prefix would itself
+    // trip `golden-regen-note` (and the flow golden-sink gate) when
+    // fs-lint lints this file.
+    fn assertions_on_goldens_and_bench_rows_are_sinks() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "const GOLDEN_X: u64 = 7; \
+             pub fn golden_check() { \
+             let t = std::time::Instant::now().elapsed().as_nanos() as u64; \
+             assert_eq!(t, GOLDEN_X); } \
+             pub fn bench() { \
+             let t = std::time::Instant::now().elapsed().as_nanos() as u64; \
+             let f = Finding::new(t); }",
+        )];
+        let (findings, _) = run(&units);
+        let digest: Vec<_> = findings.iter().filter(|f| f.rule == id::DIGEST_TAINT).collect();
+        assert!(digest.iter().any(|f| f.message.contains("golden assertion")), "{digest:?}");
+        assert!(digest.iter().any(|f| f.message.contains("Finding::new")), "{digest:?}");
+    }
+
+    #[test]
+    fn oracle_taint_fires_only_through_oracle_references() {
+        let units = [
+            unit(
+                "crates/alpha/src/oracle.rs",
+                "pub fn check_conserved(total: u64) -> bool { total == 0 }",
+            ),
+            unit(
+                "crates/alpha/src/run.rs",
+                "use crate::oracle; pub fn verdict() { \
+                 let t = std::time::Instant::now().elapsed().as_nanos() as u64; \
+                 let ok = oracle::check_conserved(t); }",
+            ),
+            unit(
+                "crates/beta/src/lib.rs",
+                "pub fn check_conserved(total: u64) -> bool { total == 0 } \
+                 pub fn local_use() { \
+                 let t = std::time::Instant::now().elapsed().as_nanos() as u64; \
+                 let ok = check_conserved(t); }",
+            ),
+        ];
+        let (findings, _) = run(&units);
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == id::ORACLE_TAINT).collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].path.ends_with("run.rs"), "{hits:?}");
+    }
+
+    #[test]
+    fn clean_code_has_no_summaries_or_findings() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Fnv64(u64); impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+             pub fn fold(vals: &[u64]) { let mut h = Fnv64(0); \
+             for v in vals { h.write_u64(*v); } }",
+        )];
+        let (findings, summaries) = run(&units);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert!(summaries.iter().all(Option::is_none));
+    }
+}

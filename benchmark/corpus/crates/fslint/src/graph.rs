@@ -1,0 +1,929 @@
+//! The workspace call graph: nodes, edges, reachability fixpoints, and the
+//! whole-program rules built on them.
+//!
+//! fs-lint v2 approximated "code a fault injector can reach" with
+//! hardcoded path lists. That approximation failed in both directions: a
+//! panic in a helper crate called *from* an injector-driven crate was
+//! invisible, and a panic in genuinely unreachable utility code was a
+//! false positive. This module replaces the lists with an actual
+//! reachability analysis over a conservative call graph:
+//!
+//! * **Nodes** are `fn` items keyed by *(crate, module path, name)*, with
+//!   their owning `impl` type recovered by span containment
+//!   ([`crate::parse`]).
+//! * **Edges** come from method-call chains and free-function calls.
+//!   Method calls dispatch *by name* to every method with that name in the
+//!   workspace — a superset of real dispatch that subsumes trait objects
+//!   and generic bounds (`impl Trait for T` methods get an edge from every
+//!   call through the trait's method names) — **gated on the caller's
+//!   file mentioning the method's self type or trait** as an identifier
+//!   anywhere (import, construction, annotation, impl). The gate prunes
+//!   pure name collisions: `atomic.load(..)` does not edge into an
+//!   unrelated `Vm::load`, because a file that really calls a workspace
+//!   method has to name its type or trait to get a value of it. Free
+//!   calls resolve through
+//!   per-crate module resolution, imports, and `pub use` re-exports
+//!   ([`crate::resolve`]); a `Self::helper()` call resolves against the
+//!   enclosing impl. Paths that cannot be resolved (std, unknown crates)
+//!   contribute no edge.
+//! * **Injector-reachable set `R`**: the fixpoint from the real entry
+//!   points — methods of `Injector` and `*Detector` impls, the simcore
+//!   `Simulation`/`Scheduler`/`EventHandle` surface (scheduler callbacks
+//!   run under these), and the campaign dispatch roots `run_scenario` /
+//!   `run_all`. `panic-path` runs exactly on `R`.
+//! * **Scheduling set `S ⊆ R`-ish**: functions that own or touch an event
+//!   queue — methods of types with a `BinaryHeap` or `EventKey` field,
+//!   methods of `impl EventQueue for _` blocks (the pluggable queue
+//!   backends in `simcore::queue`), bodies mentioning `BinaryHeap` or
+//!   `EventKey`, and callers of the scheduler primitives
+//!   (`schedule_at`/`schedule_after`/`schedule_periodic`/`at_cancellable`/
+//!   `run_until`/`run_for`/`schedule_event` and the queue ops
+//!   `push`-adjacent `pop_next`/`pop_batch`/`min_time`). The full
+//!   `stable-tiebreak` battery runs on
+//!   `S`; the rest of `R` gets only the bare-time-key check, because a
+//!   single-key `min_by_key` in ordinary model code is not a scheduling
+//!   hazard. `Ord`/`PartialOrd` impls are in scope when their type appears
+//!   inside any `BinaryHeap<…>` element type workspace-wide.
+//!
+//! Known, deliberate approximations: module-level constant expressions
+//! have no enclosing `fn` and contribute no edges; inline `mod m {}`
+//! blocks share their file's module path; bare (unqualified) function
+//! *references* passed as values are not edges (qualified ones are);
+//! closure-variable calls `(cb)(x)` are invisible. Each widens or narrows
+//! the sets slightly — the gate's backstop is that `workspace_clean` keeps
+//! the whole tree finding-free either way.
+//!
+//! ## No entry points
+//!
+//! When the scanned file set contains *no* entry points (single-file runs,
+//! fixture subsets) there is nothing to seed the fixpoints from, and the
+//! engine uses [`FileScope::unscoped`]: `S` and `R` are empty, so only the
+//! everywhere rules apply. The v2 path lists and their `--scope-fallback`
+//! escape hatch are gone.
+
+use crate::lexer::{Lexed, TokKind};
+use crate::parse::{self, FileModel};
+use crate::resolve::{self, ImportMap, ModPath, Resolver};
+use crate::rules::{id, Finding};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// One lexed and parsed file, with its module coordinates.
+pub struct FileUnit {
+    /// Workspace-relative path with `/` separators.
+    pub path: String,
+    /// Lexed tokens and comments.
+    pub lexed: Lexed,
+    /// Parsed shape.
+    pub model: FileModel,
+    /// Crate and module coordinates.
+    pub mp: ModPath,
+}
+
+impl FileUnit {
+    /// Lexes, parses, and locates one file's source.
+    pub fn new(path: String, source: &str) -> FileUnit {
+        let lexed = crate::lexer::lex(source);
+        let model = parse::parse(&lexed);
+        let mp = resolve::module_path(&path);
+        FileUnit { path, lexed, model, mp }
+    }
+}
+
+/// One function or method node.
+#[derive(Debug)]
+pub struct FnNode {
+    /// Index of the owning [`FileUnit`].
+    pub file: usize,
+    /// Index into the file's `model.fns`.
+    pub fn_idx: usize,
+    /// The function's name.
+    pub name: String,
+    /// The owning impl's type name, `None` for free functions.
+    pub owner: Option<String>,
+    /// The owning impl's trait name, if it is a trait impl.
+    pub trait_name: Option<String>,
+    /// Absolute module path `[krate, modules…]`.
+    pub abs_module: Vec<String>,
+    /// 1-based line of the `fn` keyword.
+    pub line: u32,
+    /// Token span of the body, braces included.
+    pub body: (usize, usize),
+    /// True for test code.
+    pub in_test: bool,
+}
+
+/// The trait the pluggable event-queue backends implement; every method
+/// of an `impl EventQueue for _` block belongs to the scheduling set.
+const QUEUE_TRAIT: &str = "EventQueue";
+/// The arena-index key type queued by the event engine; owning or
+/// touching it marks a function as scheduling code, like `BinaryHeap`.
+const QUEUE_KEY_TYPE: &str = "EventKey";
+
+/// Scheduler primitives whose callers belong to the scheduling set `S`.
+const SCHED_METHODS: &[&str] = &[
+    "schedule_at",
+    "schedule_after",
+    "schedule_periodic",
+    "at_cancellable",
+    "run_until",
+    "run_for",
+    "schedule_event",
+    "pop_next",
+    "pop_batch",
+    "min_time",
+];
+
+/// Impl type names whose methods are injector-reachability entry points.
+const ENTRY_TYPES: &[&str] = &["Injector", "Simulation", "Scheduler", "EventHandle"];
+
+/// Free functions that are entry points: the campaign's scenario dispatch
+/// and the runner's pool loop (scheduler callbacks hang off these).
+const ENTRY_FNS: &[&str] = &["run_scenario", "run_all"];
+
+/// The workspace call graph with its reachability fixpoints.
+pub struct Graph {
+    /// Every function node, in (file, source) order.
+    pub nodes: Vec<FnNode>,
+    /// Adjacency: `edges[n]` is the set of callee node ids of `n`.
+    pub edges: Vec<BTreeSet<usize>>,
+    /// Entry-point node ids.
+    pub entries: Vec<usize>,
+    /// `reachable[n]`: node is in the injector-reachable set `R`.
+    pub reachable: Vec<bool>,
+    /// `sched[n]`: node is in the scheduling set `S`.
+    pub sched: Vec<bool>,
+    /// Type names appearing inside `BinaryHeap<…>` element types.
+    pub heap_elem_types: BTreeSet<String>,
+}
+
+impl Graph {
+    /// Builds the graph over the scanned files.
+    pub fn build(units: &[FileUnit]) -> Graph {
+        let mut nodes = Vec::new();
+        for (file, u) in units.iter().enumerate() {
+            for (fn_idx, f) in u.model.fns.iter().enumerate() {
+                let (owner, trait_name) = match u.model.owning_impl(f.body) {
+                    Some(k) => {
+                        let im = &u.model.impls[k];
+                        (Some(im.type_name.clone()), im.trait_name.clone())
+                    }
+                    None => (None, None),
+                };
+                nodes.push(FnNode {
+                    file,
+                    fn_idx,
+                    name: f.name.clone(),
+                    owner,
+                    trait_name,
+                    abs_module: u.mp.abs(),
+                    line: f.line,
+                    body: f.body,
+                    in_test: f.in_test,
+                });
+            }
+        }
+
+        let mod_paths: Vec<ModPath> = units.iter().map(|u| u.mp.clone()).collect();
+        let resolver = Resolver::from_mod_paths(&mod_paths);
+        let imports: Vec<ImportMap> =
+            units.iter().map(|u| resolve::import_map(&u.model.uses, &resolver, &u.mp)).collect();
+
+        // Lookup tables.
+        let mut free_fns: BTreeMap<Vec<String>, Vec<usize>> = BTreeMap::new();
+        let mut methods_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let mut methods_by_type: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+        for (n, node) in nodes.iter().enumerate() {
+            match &node.owner {
+                None => {
+                    let mut key = node.abs_module.clone();
+                    key.push(node.name.clone());
+                    free_fns.entry(key).or_default().push(n);
+                }
+                Some(ty) => {
+                    methods_by_name.entry(&node.name).or_default().push(n);
+                    methods_by_type.entry((ty, &node.name)).or_default().push(n);
+                }
+            }
+        }
+        // `pub use` re-exports per module: (visible name or None-for-glob,
+        // canonical target).
+        let mut reexports: ReexportMap = BTreeMap::new();
+        for u in units {
+            for d in u.model.uses.iter().filter(|d| d.is_pub) {
+                let Some(target) = resolver.canon(&u.mp, &d.segs) else { continue };
+                let vis =
+                    if d.glob { None } else { d.alias.clone().or_else(|| d.segs.last().cloned()) };
+                reexports.entry(u.mp.abs()).or_default().push((vis, target));
+            }
+        }
+        let lookup = FnLookup { free_fns, reexports };
+
+        // Every identifier each file mentions anywhere: the receiver-type
+        // gate for method edges below.
+        let file_idents: Vec<BTreeSet<&str>> = units
+            .iter()
+            .map(|u| {
+                u.lexed
+                    .tokens
+                    .iter()
+                    .filter(|t| t.kind == TokKind::Ident)
+                    .map(|t| t.text.as_str())
+                    .collect()
+            })
+            .collect();
+
+        // Edges.
+        let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
+        let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+        for (n, node) in nodes.iter().enumerate() {
+            node_of.insert((node.file, node.fn_idx), n);
+        }
+        for (file, u) in units.iter().enumerate() {
+            let src_of = |tok: usize| {
+                u.model.enclosing_fn_idx(tok).and_then(|k| node_of.get(&(file, k)).copied())
+            };
+            let mentions = |name: &Option<String>| {
+                name.as_deref().is_some_and(|n| file_idents[file].contains(n))
+            };
+            for call in &u.model.calls {
+                let Some(src) = src_of(call.dot) else { continue };
+                if let Some(tgts) = methods_by_name.get(call.name.as_str()) {
+                    // By-name dispatch, gated: the caller's file must
+                    // mention the candidate's self type (construction,
+                    // import, annotation) or its trait (dyn / generic
+                    // dispatch). A bare name match against a std method
+                    // (`atomic.load`, `vec.push`) mentions neither and
+                    // contributes no edge.
+                    edges[src].extend(
+                        tgts.iter().copied().filter(|&t| {
+                            mentions(&nodes[t].owner) || mentions(&nodes[t].trait_name)
+                        }),
+                    );
+                }
+            }
+            for fc in &u.model.free_calls {
+                let Some(src) = src_of(fc.tok) else { continue };
+                let mut targets: Vec<usize> = Vec::new();
+                if fc.qual.first().is_some_and(|q| q == "Self") && fc.qual.len() == 1 {
+                    // Resolve against the enclosing impl's type.
+                    if let Some(k) = u.model.owning_impl((fc.tok, fc.tok)) {
+                        let ty = u.model.impls[k].type_name.as_str();
+                        if let Some(ts) = methods_by_type.get(&(ty, fc.name.as_str())) {
+                            targets.extend(ts.iter().copied());
+                        }
+                    }
+                } else if fc.qual.is_empty() {
+                    if fc.called {
+                        // Same module, then named import, then glob imports.
+                        let mut key = u.mp.abs();
+                        key.push(fc.name.clone());
+                        targets.extend(lookup.find(&key, 0));
+                        if targets.is_empty() {
+                            if let Some(t) = imports[file].named.get(&fc.name) {
+                                targets.extend(lookup.find(t, 0));
+                            }
+                        }
+                        if targets.is_empty() {
+                            for g in &imports[file].globs {
+                                let mut key = g.clone();
+                                key.push(fc.name.clone());
+                                targets.extend(lookup.find(&key, 0));
+                            }
+                        }
+                    }
+                } else {
+                    // A type-qualified associated call (`Fnv64::new()`), by
+                    // the last qualifier segment.
+                    if let Some(last) = fc.qual.last() {
+                        if let Some(ts) = methods_by_type.get(&(last.as_str(), fc.name.as_str())) {
+                            targets.extend(ts.iter().copied());
+                        }
+                    }
+                    // A module-qualified free call, with the head segment
+                    // substituted through the import map when it names an
+                    // imported module (`use adapt::oracle as qoracle`).
+                    let mut segs = fc.qual.clone();
+                    segs.push(fc.name.clone());
+                    if let Some(head_target) = imports[file].named.get(&fc.qual[0]) {
+                        let mut key = head_target.clone();
+                        key.extend(segs[1..].iter().cloned());
+                        targets.extend(lookup.find(&key, 0));
+                    }
+                    if let Some(abs) = resolver.canon(&u.mp, &segs) {
+                        targets.extend(lookup.find(&abs, 0));
+                    }
+                }
+                edges[src].extend(targets);
+            }
+        }
+
+        // Entry points.
+        let entries: Vec<usize> = nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.in_test && is_entry(n))
+            .map(|(i, _)| i)
+            .collect();
+        let reachable = bfs(&edges, entries.iter().copied());
+
+        // The scheduling set and heap element types. "Queue structs" are
+        // event-queue owners: a `BinaryHeap` or `EventKey` field, or an
+        // `impl EventQueue for _` block (the pluggable backends).
+        let mut queue_structs: BTreeSet<&str> = BTreeSet::new();
+        let mut heap_elem_types: BTreeSet<String> = BTreeSet::new();
+        for u in units {
+            for s in &u.model.structs {
+                let (b0, b1) = s.body;
+                if u.lexed.tokens[b0..=b1]
+                    .iter()
+                    .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE))
+                {
+                    queue_structs.insert(&s.name);
+                }
+            }
+            for im in &u.model.impls {
+                if im.trait_name.as_deref() == Some(QUEUE_TRAIT) {
+                    queue_structs.insert(&im.type_name);
+                }
+            }
+            for h in &u.model.heaps {
+                let (a0, a1) = h.angles;
+                for t in &u.lexed.tokens[a0..=a1] {
+                    if t.kind == TokKind::Ident
+                        && t.text != "Reverse"
+                        && t.text.starts_with(char::is_uppercase)
+                    {
+                        heap_elem_types.insert(t.text.clone());
+                    }
+                }
+            }
+        }
+        let mut sched = vec![false; nodes.len()];
+        for (n, node) in nodes.iter().enumerate() {
+            if node.owner.as_deref().is_some_and(|t| queue_structs.contains(t)) {
+                sched[n] = true;
+                continue;
+            }
+            let u = &units[node.file];
+            let (b0, b1) = node.body;
+            let touches_heap = u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
+                || u.lexed.tokens[b0..=b1]
+                    .iter()
+                    .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE));
+            let calls_sched =
+                u.model.calls.iter().any(|c| {
+                    c.dot >= b0 && c.dot <= b1 && SCHED_METHODS.contains(&c.name.as_str())
+                }) || u.model.free_calls.iter().any(|c| {
+                    c.tok >= b0
+                        && c.tok <= b1
+                        && c.called
+                        && SCHED_METHODS.contains(&c.name.as_str())
+                });
+            sched[n] = touches_heap || calls_sched;
+        }
+
+        Graph { nodes, edges, entries, reachable, sched, heap_elem_types }
+    }
+
+    /// True when graph-derived scoping is usable: the scanned set contains
+    /// at least one entry point.
+    pub fn has_entries(&self) -> bool {
+        !self.entries.is_empty()
+    }
+
+    /// The scope object for one scanned file under graph-derived scoping.
+    pub fn scope_for(&self, file: usize) -> FileScope {
+        let mut sched_spans = Vec::new();
+        let mut reach_spans = Vec::new();
+        for (n, node) in self.nodes.iter().enumerate() {
+            // Test code is exempt from both rule families: a test that
+            // panics is a test that fails, and a test's private sort is
+            // not the scheduler's.
+            if node.file != file || node.in_test {
+                continue;
+            }
+            if self.sched[n] {
+                sched_spans.push(node.body);
+            }
+            if self.reachable[n] {
+                reach_spans.push(node.body);
+            }
+        }
+        FileScope {
+            sched_spans,
+            reach_spans,
+            ord_types: Some(self.heap_elem_types.clone()),
+            heaps: true,
+        }
+    }
+
+    /// The whole-program rules: `oracle-coverage` and `dead-scenario`.
+    /// Both are silent when the scanned set contains no campaign registry
+    /// (single-file runs, fixtures without one).
+    pub fn whole_program_findings(&self, units: &[FileUnit]) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        self.oracle_coverage(units, &mut findings);
+        self.dead_scenario(units, &mut findings);
+        findings
+    }
+
+    /// Every scenario-class dispatcher registered next to `run_scenario`
+    /// must reach at least one `oracle` module, and every injector
+    /// constructor in a `catalog` module must be reachable from the
+    /// campaign binary: no scenario cell runs unchecked.
+    fn oracle_coverage(&self, units: &[FileUnit], findings: &mut Vec<Finding>) {
+        let dispatch: Vec<usize> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| {
+                n.owner.is_none()
+                    && n.name == "run_scenario"
+                    && n.abs_module.iter().any(|m| m == "campaign")
+            })
+            .map(|(i, _)| i)
+            .collect();
+        for &rs in &dispatch {
+            let callees: Vec<usize> = self.edges[rs]
+                .iter()
+                .copied()
+                .filter(|&c| {
+                    let n = &self.nodes[c];
+                    c != rs
+                        && n.owner.is_none()
+                        && n.name.starts_with("run_")
+                        && n.abs_module == self.nodes[rs].abs_module
+                })
+                .collect();
+            for c in callees {
+                let seen = bfs(&self.edges, std::iter::once(c));
+                let covered = seen.iter().enumerate().any(|(n, &s)| {
+                    s && self.nodes[n].abs_module[1..].iter().any(|m| m == "oracle")
+                });
+                if !covered {
+                    let node = &self.nodes[c];
+                    findings.push(Finding {
+                        path: units[node.file].path.clone(),
+                        line: node.line,
+                        rule: id::ORACLE_COVERAGE,
+                        message: format!(
+                            "scenario dispatcher `{}` reaches no oracle module: its cells run \
+                             with no invariant checked — call the class's oracle (or route \
+                             results through one that does)",
+                            node.name
+                        ),
+                    });
+                }
+            }
+        }
+        // Registration side: catalog constructors must be wired into the
+        // campaign binary, else an injector class silently runs nowhere.
+        if let Some(from_main) = self.campaign_main_reach() {
+            for (n, node) in self.nodes.iter().enumerate() {
+                let in_catalog = node.abs_module.last().is_some_and(|m| m == "catalog");
+                if in_catalog && node.owner.is_none() && !node.in_test && !from_main[n] {
+                    findings.push(Finding {
+                        path: units[node.file].path.clone(),
+                        line: node.line,
+                        rule: id::ORACLE_COVERAGE,
+                        message: format!(
+                            "injector constructor `{}` is not reachable from the campaign \
+                             binary: the class is registered in no scenario cell, so it is \
+                             never oracle-checked — add it to the catalog's `all()` (or the \
+                             campaign registry)",
+                            node.name
+                        ),
+                    });
+                }
+            }
+        }
+        let _ = dispatch;
+    }
+
+    /// Campaign cells whose code is never reachable from the `fs-campaign`
+    /// binary's `main` are dead: they look covered but never run.
+    fn dead_scenario(&self, units: &[FileUnit], findings: &mut Vec<Finding>) {
+        let Some(from_main) = self.campaign_main_reach() else { return };
+        for (n, node) in self.nodes.iter().enumerate() {
+            let in_campaign = node.abs_module.get(1).is_some_and(|m| m == "campaign");
+            // Trait-impl methods (`Default::default`, `Display::fmt`, …)
+            // are invoked through derives, operators, and `..` spreads the
+            // graph cannot see; only inherent/free campaign code counts.
+            if in_campaign && !node.in_test && node.trait_name.is_none() && !from_main[n] {
+                findings.push(Finding {
+                    path: units[node.file].path.clone(),
+                    line: node.line,
+                    rule: id::DEAD_SCENARIO,
+                    message: format!(
+                        "campaign item `{}` is not reachable from the fs-campaign binary — a \
+                         dead scenario cell looks covered but never runs; wire it into the \
+                         dispatch (or delete it)",
+                        node.name
+                    ),
+                });
+            }
+        }
+    }
+
+    /// Reachability from the campaign binary's `main`(s); `None` when the
+    /// scanned set contains no campaign binary.
+    fn campaign_main_reach(&self) -> Option<Vec<bool>> {
+        let mains: Vec<usize> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| {
+                n.name == "main"
+                    && n.owner.is_none()
+                    && n.abs_module.get(1).is_some_and(|m| m == "bin")
+                    && n.abs_module.last().is_some_and(|b| b.contains("campaign"))
+            })
+            .map(|(i, _)| i)
+            .collect();
+        if mains.is_empty() {
+            return None;
+        }
+        Some(bfs(&self.edges, mains.into_iter()))
+    }
+
+    /// Renders the graph as a JSON document for `--graph-out`. `taint`
+    /// holds the per-node summaries from [`crate::flow::analyze`], `usum`
+    /// the return-unit summaries from [`crate::units::analyze`], and
+    /// `esum` the effect summaries from [`crate::effects::analyze`], each
+    /// aligned with `nodes` (pass `&[]` to omit them all).
+    pub fn render_json(
+        &self,
+        units: &[FileUnit],
+        taint: &[Option<crate::flow::TaintSummary>],
+        usum: &[Option<crate::units::UnitSummary>],
+        esum: &[Option<crate::effects::EffectSummary>],
+    ) -> String {
+        use crate::engine::json_str;
+        let mut out = String::from("{\n  \"nodes\": [");
+        for (i, n) in self.nodes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let module = n.abs_module[1..].join("::");
+            let taint_json = match taint.get(i) {
+                Some(Some(s)) => format!(
+                    "{{\"kind\": {}, \"line\": {}, \"via\": {}, \"what\": {}}}",
+                    json_str(s.kind),
+                    s.line,
+                    s.via.map_or("null".to_string(), |v| v.to_string()),
+                    json_str(&s.what),
+                ),
+                _ => "null".to_string(),
+            };
+            let unit_json = match usum.get(i) {
+                Some(Some(s)) => format!(
+                    "{{\"dim\": {}, \"line\": {}, \"via\": {}, \"what\": {}}}",
+                    json_str(&s.dim.render()),
+                    s.line,
+                    s.via.map_or("null".to_string(), |v| v.to_string()),
+                    json_str(&s.what),
+                ),
+                _ => "null".to_string(),
+            };
+            let effects_json = match esum.get(i) {
+                Some(Some(s)) => {
+                    let rows: Vec<String> = s
+                        .effects
+                        .iter()
+                        .map(|e| {
+                            format!(
+                                "{{\"kind\": {}, \"owner\": {}, \"field\": {}, \"line\": {}, \
+                                 \"via\": {}, \"what\": {}}}",
+                                json_str(e.kind),
+                                json_str(&e.owner),
+                                json_str(&e.field),
+                                e.line,
+                                e.via.map_or("null".to_string(), |v| v.to_string()),
+                                json_str(&e.what),
+                            )
+                        })
+                        .collect();
+                    format!("[{}]", rows.join(", "))
+                }
+                _ => "null".to_string(),
+            };
+            out.push_str(&format!(
+                "\n    {{\"id\": {i}, \"crate\": {}, \"module\": {}, \"name\": {}, \
+                 \"owner\": {}, \"path\": {}, \"line\": {}, \"test\": {}, \"entry\": {}, \
+                 \"reachable\": {}, \"sched\": {}, \"taint\": {}, \"unit\": {}, \
+                 \"effects\": {}}}",
+                json_str(&n.abs_module[0]),
+                json_str(&module),
+                json_str(&n.name),
+                n.owner.as_deref().map_or("null".to_string(), json_str),
+                json_str(&units[n.file].path),
+                n.line,
+                n.in_test,
+                self.entries.contains(&i),
+                self.reachable[i],
+                self.sched[i],
+                taint_json,
+                unit_json,
+                effects_json,
+            ));
+        }
+        if !self.nodes.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push_str("],\n  \"edges\": [");
+        let mut first = true;
+        for (src, tgts) in self.edges.iter().enumerate() {
+            for &t in tgts {
+                if !first {
+                    out.push(',');
+                }
+                first = false;
+                out.push_str(&format!("\n    [{src}, {t}]"));
+            }
+        }
+        if !first {
+            out.push_str("\n  ");
+        }
+        out.push_str("]\n}\n");
+        out
+    }
+}
+
+/// True when a node is an injector-reachability entry point.
+fn is_entry(n: &FnNode) -> bool {
+    let type_entry = |name: &str| ENTRY_TYPES.contains(&name) || name.ends_with("Detector");
+    if n.owner.as_deref().is_some_and(type_entry) || n.trait_name.as_deref().is_some_and(type_entry)
+    {
+        return true;
+    }
+    n.owner.is_none() && ENTRY_FNS.contains(&n.name.as_str())
+}
+
+/// Breadth-first reachability over the adjacency sets.
+pub(crate) fn bfs(edges: &[BTreeSet<usize>], roots: impl Iterator<Item = usize>) -> Vec<bool> {
+    let mut seen = vec![false; edges.len()];
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    for r in roots {
+        if !seen[r] {
+            seen[r] = true;
+            queue.push_back(r);
+        }
+    }
+    while let Some(n) = queue.pop_front() {
+        for &t in &edges[n] {
+            if !seen[t] {
+                seen[t] = true;
+                queue.push_back(t);
+            }
+        }
+    }
+    seen
+}
+
+/// Per-module `pub use` re-exports: module path → (visible name, or
+/// `None` for a glob; canonical target path).
+type ReexportMap = BTreeMap<Vec<String>, Vec<(Option<String>, Vec<String>)>>;
+
+/// Free-function lookup with `pub use` re-export following.
+struct FnLookup {
+    free_fns: BTreeMap<Vec<String>, Vec<usize>>,
+    reexports: ReexportMap,
+}
+
+impl FnLookup {
+    /// Node ids for the absolute path `abs` = `[krate, modules…, name]`,
+    /// following re-exports to a small depth (cycles terminate there).
+    fn find(&self, abs: &[String], depth: usize) -> Vec<usize> {
+        if depth > 4 {
+            return Vec::new();
+        }
+        if let Some(ids) = self.free_fns.get(abs) {
+            return ids.clone();
+        }
+        let Some((name, parent)) = abs.split_last() else { return Vec::new() };
+        let mut out = Vec::new();
+        if let Some(rx) = self.reexports.get(parent) {
+            for (vis, target) in rx {
+                match vis {
+                    Some(v) if v == name => out.extend(self.find(target, depth + 1)),
+                    None => {
+                        let mut key = target.clone();
+                        key.push(name.clone());
+                        out.extend(self.find(&key, depth + 1));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Scoping: what the semantic rules consult.
+// ---------------------------------------------------------------------------
+
+/// One file's semantic-rule scope: the token spans of its `S` and `R`
+/// members, derived from the call graph ([`Graph::scope_for`]).
+#[derive(Debug)]
+pub struct FileScope {
+    /// Body spans of scheduling-set (`S`) functions in this file.
+    pub sched_spans: Vec<(usize, usize)>,
+    /// Body spans of injector-reachable (`R`) functions in this file.
+    pub reach_spans: Vec<(usize, usize)>,
+    /// Type names whose `Ord`/`PartialOrd` impls are in tiebreak scope;
+    /// `None` means every type (whole-file unit-test scopes only).
+    pub ord_types: Option<BTreeSet<String>>,
+    /// Whether `BinaryHeap<…>` declarations are in scope. Graph scopes
+    /// always set this: every heap is scheduling infrastructure.
+    pub heaps: bool,
+}
+
+impl FileScope {
+    /// The empty scope, used when the scanned set has no entry points
+    /// (single-file runs, fixture subsets): `S` and `R` are empty and no
+    /// `Ord` impl or heap declaration is in scope, so only the everywhere
+    /// rules (`float-total-order`, the token rules) apply.
+    pub fn unscoped() -> FileScope {
+        FileScope {
+            sched_spans: Vec::new(),
+            reach_spans: Vec::new(),
+            ord_types: Some(BTreeSet::new()),
+            heaps: false,
+        }
+    }
+
+    /// A whole-file scope for single-file unit harnesses: every token is
+    /// in `S` (when `sched`) and `R` (when `reach`), and `sched` puts
+    /// every `Ord` impl and heap declaration in scope. Stands in for what
+    /// the graph would derive once the file sat in a full workspace.
+    #[cfg(test)]
+    pub fn whole_file(sched: bool, reach: bool) -> FileScope {
+        let span = |on: bool| if on { vec![(0, usize::MAX)] } else { Vec::new() };
+        FileScope {
+            sched_spans: span(sched),
+            reach_spans: span(reach),
+            ord_types: if sched { None } else { Some(BTreeSet::new()) },
+            heaps: sched,
+        }
+    }
+
+    /// True when token index `i` is inside scheduling-set code: the full
+    /// `stable-tiebreak` battery applies.
+    pub fn in_sched(&self, i: usize) -> bool {
+        self.sched_spans.iter().any(|&(s, e)| i >= s && i <= e)
+    }
+
+    /// True when token index `i` is inside injector-reachable code:
+    /// `panic-path` applies.
+    pub fn in_reach(&self, i: usize) -> bool {
+        self.reach_spans.iter().any(|&(s, e)| i >= s && i <= e)
+    }
+
+    /// True when token index `i` gets the *weak* tiebreak check (bare
+    /// time-key orderings only): reachable but not scheduling code.
+    pub fn weak_tiebreak(&self, i: usize) -> bool {
+        self.in_reach(i) && !self.in_sched(i)
+    }
+
+    /// True when the `Ord`/`PartialOrd` impl for `ty` is in tiebreak scope.
+    pub fn ord_in_scope(&self, ty: &str) -> bool {
+        match &self.ord_types {
+            Some(set) => set.contains(ty),
+            None => true,
+        }
+    }
+
+    /// True when `BinaryHeap<…>` element checks apply at token `i`.
+    pub fn heap_in_scope(&self, _i: usize) -> bool {
+        self.heaps
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unit(path: &str, src: &str) -> FileUnit {
+        FileUnit::new(path.to_string(), src)
+    }
+
+    fn node_id(g: &Graph, name: &str) -> usize {
+        g.nodes.iter().position(|n| n.name == name).unwrap_or_else(|| panic!("no node {name}"))
+    }
+
+    #[test]
+    fn cross_crate_free_call_edges_resolve() {
+        let units = [
+            unit(
+                "crates/alpha/src/lib.rs",
+                "pub struct Injector; impl Injector { pub fn fire(&self) { beta::helper(1); } }",
+            ),
+            unit("crates/beta/src/lib.rs", "pub fn helper(x: u64) -> u64 { x }"),
+        ];
+        let g = Graph::build(&units);
+        let fire = node_id(&g, "fire");
+        let helper = node_id(&g, "helper");
+        assert!(g.edges[fire].contains(&helper), "{:?}", g.edges);
+        assert!(g.entries.contains(&fire), "Injector methods are entries");
+        assert!(g.reachable[helper], "helper is reachable through the cross-crate call");
+    }
+
+    #[test]
+    fn pub_use_reexports_resolve() {
+        let units = [
+            unit(
+                "crates/alpha/src/lib.rs",
+                "pub mod eng; pub use eng::dispatch; \
+                 pub struct Injector; impl Injector { pub fn fire(&self) { dispatch(); } }",
+            ),
+            unit("crates/alpha/src/eng.rs", "pub fn dispatch() {}"),
+        ];
+        let g = Graph::build(&units);
+        assert!(g.reachable[node_id(&g, "dispatch")], "re-exported fn resolves");
+    }
+
+    #[test]
+    fn method_dispatch_is_by_name_and_unreachable_stays_out() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Injector; impl Injector { pub fn fire(&self, w: &W) { w.step(); } } \
+             pub struct W; impl W { pub fn step(&self) {} pub fn never(&self) {} }",
+        )];
+        let g = Graph::build(&units);
+        assert!(g.reachable[node_id(&g, "step")]);
+        assert!(!g.reachable[node_id(&g, "never")], "uncalled method is not reachable");
+    }
+
+    #[test]
+    fn method_edges_require_a_type_or_trait_mention() {
+        // `fire` calls `.load(..)` on a std atomic: beta's `Vm::load` has
+        // the same name, but alpha never mentions `Vm`, so no edge forms.
+        // gamma calls through `Box<dyn Pump>`: naming the *trait* is
+        // enough to edge into every implementor's method.
+        let units = [
+            unit(
+                "crates/alpha/src/lib.rs",
+                "pub struct Injector; impl Injector { \
+                   pub fn fire(&self, a: &AtomicU8) { a.load(Relaxed); } }",
+            ),
+            unit("crates/beta/src/lib.rs", "pub struct Vm; impl Vm { pub fn load(&self) {} }"),
+            unit(
+                "crates/gamma/src/lib.rs",
+                "pub struct Injector; impl Injector { \
+                   pub fn drive(&self, p: &mut Box<dyn Pump>) { p.pump(); } }",
+            ),
+            unit(
+                "crates/delta/src/lib.rs",
+                "pub struct Piston; impl Pump for Piston { pub fn pump(&mut self) {} }",
+            ),
+        ];
+        let g = Graph::build(&units);
+        assert!(!g.reachable[node_id(&g, "load")], "std-method name collision edges nothing");
+        assert!(g.reachable[node_id(&g, "pump")], "trait mention reaches dyn implementors");
+    }
+
+    #[test]
+    fn queue_backends_and_key_owners_join_the_sched_set() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Ring { keys: Vec<EventKey> } \
+             impl EventQueue for Ring { pub fn rotate(&mut self) {} } \
+             impl Ring { pub fn tune(&mut self) {} } \
+             pub struct Driver; \
+             impl Driver { pub fn drain(&self, q: &mut Ring) { q.pop_batch(); } } \
+             pub fn bystander() {}",
+        )];
+        let g = Graph::build(&units);
+        assert!(g.sched[node_id(&g, "rotate")], "EventQueue impl methods are S");
+        assert!(g.sched[node_id(&g, "tune")], "inherent methods of EventKey owners are S");
+        assert!(g.sched[node_id(&g, "drain")], "queue-op callers are S");
+        assert!(!g.sched[node_id(&g, "bystander")]);
+    }
+
+    #[test]
+    fn sched_set_covers_heap_owners_and_scheduler_callers() {
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Q { h: BinaryHeap<(SimTime, u64)> } \
+             impl Q { pub fn push(&mut self) {} } \
+             pub fn arms(sim: &mut Sim) { sim.schedule_at(1); } \
+             pub fn plain() {}",
+        )];
+        let g = Graph::build(&units);
+        assert!(g.sched[node_id(&g, "push")], "heap-owning type's methods are S");
+        assert!(g.sched[node_id(&g, "arms")], "scheduler-primitive callers are S");
+        assert!(!g.sched[node_id(&g, "plain")]);
+        assert!(g.heap_elem_types.contains("SimTime"));
+    }
+
+    #[test]
+    fn no_entries_means_unscoped() {
+        let g = Graph::build(&[unit("crates/alpha/src/lib.rs", "pub fn lonely() {}")]);
+        assert!(!g.has_entries());
+        // The scope the engine substitutes has nothing in S or R.
+        let s = FileScope::unscoped();
+        assert!(!s.in_sched(0) && !s.in_reach(0));
+        assert!(!s.heap_in_scope(0) && !s.ord_in_scope("Ev"));
+    }
+}

@@ -1,0 +1,1285 @@
+//! A lightweight item/expression parser over the lexed token stream.
+//!
+//! The semantic rules ([`crate::sem`]) need more shape than bare tokens:
+//! which spans are test code, what each function's locals look like, where
+//! method-call chains and comparator closures sit, and which expressions
+//! index into collections. With no `syn` available offline, this module
+//! recovers exactly that structure — and nothing more — from the
+//! [`crate::lexer`] output:
+//!
+//! * `fn` items with their body spans, surrounding `#[test]`/`#[cfg(test)]`
+//!   markers, `for`-loop variables, closure parameters, and a per-function
+//!   set of float-typed locals (`let x: f64`, float literals, `as f64`);
+//! * `impl Ord for T` / `impl PartialOrd for T` blocks;
+//! * *every* `impl` block (inherent or trait) with its type and trait
+//!   names, so the call graph ([`crate::graph`]) can attach methods to
+//!   their owners;
+//! * method calls `.name(args)` — including turbofish forms
+//!   `.collect::<Vec<_>>()` — with balanced argument spans and the method
+//!   chained immediately after the call, if any;
+//! * free-function calls and qualified path references
+//!   (`helper(x)`, `beta::helper(x)`, `Fnv64::new()`, `catalog::all`) with
+//!   their qualifier segments, for call-graph edges;
+//! * `struct` definitions with their body spans (the graph uses these to
+//!   find `BinaryHeap` fields);
+//! * `use`/`pub use` declarations, flattened to one item per imported
+//!   name (groups and globs included), for module resolution
+//!   ([`crate::resolve`]);
+//! * macro invocations `name!(…)`;
+//! * index expressions `recv[idx]` (attributes, slice types, and array
+//!   literals are not index expressions and never match);
+//! * `BinaryHeap<…>` type mentions with their generic argument span.
+//!
+//! Everything is spans of token indices into the original
+//! [`Lexed::tokens`](crate::lexer::Lexed) vector; the parser allocates no
+//! token copies. Like the lexer, it never fails: unparsable stretches are
+//! skipped, because a linter must report what it *can* see.
+
+use crate::lexer::{Lexed, TokKind, Token};
+use std::collections::BTreeSet;
+
+/// Words that look like identifiers but can never *be* an indexed value or
+/// a bound variable (used to reject `&mut [T]` as an index expression and
+/// keyword "patterns" in `for` loops).
+const KEYWORDS: &[&str] = &[
+    "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false", "fn",
+    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "self", "Self", "static", "struct", "super", "trait", "true", "type", "unsafe",
+    "use", "where", "while",
+];
+
+/// True if `word` is a Rust keyword (see [`KEYWORDS`]).
+pub fn is_keyword(word: &str) -> bool {
+    KEYWORDS.contains(&word)
+}
+
+/// One parsed `fn` item.
+#[derive(Debug)]
+pub struct FnItem {
+    /// The function's name.
+    pub name: String,
+    /// 1-based line of the `fn` keyword.
+    pub line: u32,
+    /// Token span `[start, end]` of the body block, braces included.
+    pub body: (usize, usize),
+    /// True when the item is test code: it carries `#[test]` / `#[cfg(test)]`
+    /// or sits inside a `#[cfg(test)] mod`.
+    pub in_test: bool,
+    /// Variables the function binds locally: parameters, `let` patterns,
+    /// `for` patterns, and closure parameter lists. The `panic-path` rule
+    /// treats a bare bound identifier as an index established in scope —
+    /// only computed subscripts carry an arithmetic claim worth flagging.
+    pub bound_vars: BTreeSet<String>,
+    /// Locals and parameters the parser knows are float-typed: `x: f64`
+    /// ascriptions, `let x = 1.25`, and `let x = … as f64` initialisers.
+    pub float_vars: BTreeSet<String>,
+}
+
+/// One `impl Ord for T` / `impl PartialOrd for T` block.
+#[derive(Debug)]
+pub struct OrdImpl {
+    /// `"Ord"` or `"PartialOrd"`.
+    pub trait_name: String,
+    /// The implementing type's name.
+    pub type_name: String,
+    /// 1-based line of the `impl` keyword.
+    pub line: u32,
+    /// Token span `[start, end]` of the impl body, braces included.
+    pub body: (usize, usize),
+}
+
+/// One `.name(args)` method call.
+#[derive(Debug)]
+pub struct MethodCall {
+    /// The method name.
+    pub name: String,
+    /// 1-based line of the method name token.
+    pub line: u32,
+    /// Token index of the `.` (the receiver ends just before it).
+    pub dot: usize,
+    /// Token span `(open, close)` of the argument parentheses.
+    pub args: (usize, usize),
+    /// The method chained directly onto this call's result, if any
+    /// (`.partial_cmp(b).unwrap()` → `Some("unwrap")`).
+    pub chained: Option<String>,
+}
+
+/// One `impl` block, inherent (`impl T { … }`) or trait
+/// (`impl Trait for T { … }`).
+#[derive(Debug)]
+pub struct ImplBlock {
+    /// The implemented trait's last path segment, `None` for inherent impls.
+    pub trait_name: Option<String>,
+    /// The implementing type's name (last path segment).
+    pub type_name: String,
+    /// 1-based line of the `impl` keyword.
+    pub line: u32,
+    /// Token span `[start, end]` of the impl body, braces included.
+    pub body: (usize, usize),
+}
+
+/// One free-function call (`helper(x)`, `beta::helper(x)`) or qualified
+/// path reference (`catalog::all` passed as a value, `Kind::Raid`).
+#[derive(Debug)]
+pub struct FreeCall {
+    /// Path segments before the final name (`beta::helper` → `["beta"]`).
+    /// May start with `crate`, `self`, `super`, or `Self`.
+    pub qual: Vec<String>,
+    /// The final path segment: the called or referenced name.
+    pub name: String,
+    /// 1-based line of the name token.
+    pub line: u32,
+    /// Token index of the name token.
+    pub tok: usize,
+    /// True when an argument list follows (a call, not a bare reference).
+    pub called: bool,
+}
+
+/// One `struct` definition with its body span (fields or tuple elements).
+#[derive(Debug)]
+pub struct StructDef {
+    /// The struct's name.
+    pub name: String,
+    /// 1-based line of the `struct` keyword.
+    pub line: u32,
+    /// Token span `[start, end]` of the `{…}`/`(…)` body, delimiters
+    /// included. Unit structs are not recorded.
+    pub body: (usize, usize),
+}
+
+/// One flattened `use` item: groups (`use a::{b, c}`) and globs expand to
+/// one [`UseDecl`] per imported name.
+#[derive(Debug)]
+pub struct UseDecl {
+    /// Full path segments as written (`use a::b::C` → `["a", "b", "C"]`).
+    pub segs: Vec<String>,
+    /// The `as` rename, if any; otherwise the last segment is the visible
+    /// name.
+    pub alias: Option<String>,
+    /// True for `use a::b::*`.
+    pub glob: bool,
+    /// True for `pub use` / `pub(crate) use` re-exports.
+    pub is_pub: bool,
+    /// 1-based line of the item.
+    pub line: u32,
+}
+
+/// One `name!(…)` macro invocation.
+#[derive(Debug)]
+pub struct MacroCall {
+    /// The macro's name, without the `!`.
+    pub name: String,
+    /// 1-based line of the name token.
+    pub line: u32,
+    /// Token index of the name token.
+    pub tok: usize,
+}
+
+/// One index expression `recv[idx]`.
+#[derive(Debug)]
+pub struct IndexExpr {
+    /// 1-based line of the opening bracket.
+    pub line: u32,
+    /// Token span `(open, close)` of the brackets.
+    pub brackets: (usize, usize),
+}
+
+/// One `BinaryHeap<…>` type mention.
+#[derive(Debug)]
+pub struct HeapType {
+    /// 1-based line of the `BinaryHeap` token.
+    pub line: u32,
+    /// Token span `(open, close)` of the angle brackets.
+    pub angles: (usize, usize),
+}
+
+/// The parsed shape of one file.
+#[derive(Debug, Default)]
+pub struct FileModel {
+    /// Every `fn` item, in source order.
+    pub fns: Vec<FnItem>,
+    /// Every `impl Ord`/`impl PartialOrd` block.
+    pub ord_impls: Vec<OrdImpl>,
+    /// Every `impl` block, inherent or trait.
+    pub impls: Vec<ImplBlock>,
+    /// Every free-function call and qualified path reference.
+    pub free_calls: Vec<FreeCall>,
+    /// Every `struct` definition with a body.
+    pub structs: Vec<StructDef>,
+    /// Every flattened `use` item.
+    pub uses: Vec<UseDecl>,
+    /// Every method call.
+    pub calls: Vec<MethodCall>,
+    /// Every macro invocation.
+    pub macros: Vec<MacroCall>,
+    /// Every index expression.
+    pub indexings: Vec<IndexExpr>,
+    /// Every `BinaryHeap<…>` mention.
+    pub heaps: Vec<HeapType>,
+    /// Token spans (inclusive) of `#[cfg(test)] mod … { … }` bodies.
+    pub test_spans: Vec<(usize, usize)>,
+}
+
+impl FileModel {
+    /// True if token index `i` falls inside a `#[cfg(test)]` module body.
+    pub fn in_test_span(&self, i: usize) -> bool {
+        self.test_spans.iter().any(|&(s, e)| i >= s && i <= e)
+    }
+
+    /// The innermost `fn` whose body contains token index `i`.
+    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
+        self.enclosing_fn_idx(i).map(|k| &self.fns[k])
+    }
+
+    /// Index into [`fns`](Self::fns) of the innermost `fn` whose body
+    /// contains token index `i`.
+    pub fn enclosing_fn_idx(&self, i: usize) -> Option<usize> {
+        self.fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| i >= f.body.0 && i <= f.body.1)
+            .min_by_key(|(_, f)| f.body.1 - f.body.0)
+            .map(|(k, _)| k)
+    }
+
+    /// Index into [`impls`](Self::impls) of the innermost impl block whose
+    /// body strictly contains the fn body span `body` (the impl's braces
+    /// enclose a method's, so strict containment rejects the impl itself).
+    pub fn owning_impl(&self, body: (usize, usize)) -> Option<usize> {
+        self.impls
+            .iter()
+            .enumerate()
+            .filter(|(_, im)| body.0 > im.body.0 && body.1 < im.body.1)
+            .min_by_key(|(_, im)| im.body.1 - im.body.0)
+            .map(|(k, _)| k)
+    }
+}
+
+/// Finds the matching close delimiter for the opener at `open`, tracking
+/// all three bracket kinds together. Returns the close index, or the last
+/// token on unbalanced input.
+pub fn match_delim(toks: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    let mut i = open;
+    while i < toks.len() {
+        let t = &toks[i];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return i;
+                    }
+                }
+                _ => {}
+            }
+        }
+        i += 1;
+    }
+    toks.len().saturating_sub(1)
+}
+
+/// Skips a generic argument list starting at the `<` at `open`, returning
+/// the index of the matching `>`. Understands nested angles, the two-token
+/// `->` arrow, and stops sanely on unbalanced input.
+pub fn skip_angles(toks: &[Token], open: usize) -> usize {
+    let mut depth = 0i32;
+    let mut i = open;
+    while i < toks.len() {
+        let t = &toks[i];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "<" => depth += 1,
+                ">" if i > 0 && toks[i - 1].is_punct('-') => {} // `->` arrow
+                ">" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return i;
+                    }
+                }
+                // A delimiter mismatch means this `<` was a comparison.
+                ";" | "{" => return open,
+                _ => {}
+            }
+        }
+        i += 1;
+    }
+    open
+}
+
+/// True if the token at `i` is a punctuation character `c`.
+fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct(c))
+}
+
+/// Parses the lexed file into a [`FileModel`].
+pub fn parse(lexed: &Lexed) -> FileModel {
+    let toks = &lexed.tokens;
+    let mut model = FileModel::default();
+
+    collect_test_spans(toks, &mut model);
+    collect_fns(toks, &mut model);
+    collect_ord_impls(toks, &mut model);
+    collect_impls(toks, &mut model);
+    collect_structs(toks, &mut model);
+    let use_spans = collect_uses(toks, &mut model);
+    collect_free_calls(toks, &use_spans, &mut model);
+
+    let mut i = 0usize;
+    while i < toks.len() {
+        let t = &toks[i];
+        match t.kind {
+            TokKind::Punct if t.text == "." => {
+                if let Some(call) = parse_method_call(toks, i) {
+                    model.calls.push(call);
+                }
+                i += 1;
+            }
+            TokKind::Punct if t.text == "[" => {
+                if is_index_open(toks, i) {
+                    let close = match_delim(toks, i);
+                    model.indexings.push(IndexExpr { line: t.line, brackets: (i, close) });
+                }
+                i += 1;
+            }
+            TokKind::Ident if t.text == "BinaryHeap" => {
+                // `BinaryHeap<…>` or `BinaryHeap::<…>`.
+                let mut j = i + 1;
+                if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
+                    j += 2;
+                }
+                if punct_at(toks, j, '<') {
+                    let close = skip_angles(toks, j);
+                    if close > j {
+                        model.heaps.push(HeapType { line: t.line, angles: (j, close) });
+                    }
+                }
+                i += 1;
+            }
+            TokKind::Ident if punct_at(toks, i + 1, '!') && !is_keyword(&t.text) => {
+                model.macros.push(MacroCall { name: t.text.clone(), line: t.line, tok: i });
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    model
+}
+
+/// Records the body spans of `#[cfg(test)] mod … { … }` items.
+fn collect_test_spans(toks: &[Token], model: &mut FileModel) {
+    let mut i = 0usize;
+    while i < toks.len() {
+        if punct_at(toks, i, '#') && punct_at(toks, i + 1, '[') {
+            let close = match_delim(toks, i + 1);
+            let attr_is_cfg_test = toks[i + 2..close]
+                .windows(3)
+                .any(|w| w[0].is_ident("cfg") && w[1].is_punct('(') && w[2].is_ident("test"));
+            if attr_is_cfg_test {
+                // Skip further attributes/doc markers to the item keyword.
+                let mut j = close + 1;
+                while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
+                    j = match_delim(toks, j + 1) + 1;
+                }
+                if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
+                    j += 1;
+                }
+                if toks.get(j).is_some_and(|t| t.is_ident("mod")) {
+                    // Find the body `{`; a `mod name;` declaration has none.
+                    let mut k = j + 1;
+                    while k < toks.len() && !punct_at(toks, k, '{') && !punct_at(toks, k, ';') {
+                        k += 1;
+                    }
+                    if punct_at(toks, k, '{') {
+                        model.test_spans.push((k, match_delim(toks, k)));
+                    }
+                }
+            }
+            i = close + 1;
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Records every `fn` item with its local analysis.
+fn collect_fns(toks: &[Token], model: &mut FileModel) {
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !toks[i].is_ident("fn") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
+            i += 1;
+            continue;
+        }
+        let name = toks[i + 1].text.clone();
+        let line = toks[i].line;
+        // The body is the first `{` past the signature at bracket depth 0.
+        // Generic params and return types never contain braces.
+        let mut j = i + 2;
+        let mut depth = 0i32;
+        let mut body_open = None;
+        while j < toks.len() {
+            let t = &toks[j];
+            if t.kind == TokKind::Punct {
+                match t.text.as_str() {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    "{" if depth == 0 => {
+                        body_open = Some(j);
+                        break;
+                    }
+                    ";" if depth == 0 => break, // trait method declaration
+                    _ => {}
+                }
+            }
+            j += 1;
+        }
+        let Some(open) = body_open else {
+            i += 2;
+            continue;
+        };
+        let close = match_delim(toks, open);
+        let in_test = has_test_attr(toks, i) || model.in_test_span(i);
+        let mut item = FnItem {
+            name,
+            line,
+            body: (open, close),
+            in_test,
+            bound_vars: BTreeSet::new(),
+            float_vars: BTreeSet::new(),
+        };
+        // The signature (params) participates in float tracking.
+        collect_params(toks, i, &mut item);
+        analyze_fn(toks, i, close, &mut item);
+        model.fns.push(item);
+        i += 2;
+    }
+}
+
+/// True if the `fn` at `at` is directly preceded by a `#[test]`-ish or
+/// `#[cfg(test)]` attribute (scanning back across attributes and the
+/// visibility/`const`/`async` qualifiers).
+fn has_test_attr(toks: &[Token], at: usize) -> bool {
+    let mut i = at;
+    // Walk back over qualifiers to the potential attribute close bracket.
+    while i > 0
+        && toks[i - 1].kind == TokKind::Ident
+        && matches!(toks[i - 1].text.as_str(), "pub" | "const" | "async" | "unsafe" | "extern")
+    {
+        i -= 1;
+    }
+    while i >= 2 && toks[i - 1].is_punct(']') {
+        // Find the attribute's opening `[` by scanning back.
+        let close = i - 1;
+        let mut depth = 0usize;
+        let mut open = close;
+        loop {
+            match toks[open].text.as_str() {
+                "]" => depth += 1,
+                "[" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            if open == 0 {
+                return false;
+            }
+            open -= 1;
+        }
+        if open == 0 || !toks[open - 1].is_punct('#') {
+            return false;
+        }
+        if toks[open..close].iter().any(|t| t.is_ident("test")) {
+            return true;
+        }
+        i = open - 1;
+    }
+    false
+}
+
+/// Inserts the parameter names of the `fn` at `at` into `bound_vars`:
+/// idents directly followed by `:` inside the signature parens. Path
+/// segments never match — they are preceded by `:` or followed by `::`.
+fn collect_params(toks: &[Token], at: usize, item: &mut FnItem) {
+    let mut j = at + 2;
+    if punct_at(toks, j, '<') {
+        let close = skip_angles(toks, j);
+        if close == j {
+            return;
+        }
+        j = close + 1;
+    }
+    if !punct_at(toks, j, '(') {
+        return;
+    }
+    let close = match_delim(toks, j);
+    for k in j + 1..close {
+        if toks[k].kind == TokKind::Ident
+            && !is_keyword(&toks[k].text)
+            && punct_at(toks, k + 1, ':')
+            && !punct_at(toks, k + 2, ':')
+            && !punct_at(toks, k - 1, ':')
+        {
+            item.bound_vars.insert(toks[k].text.clone());
+        }
+    }
+}
+
+/// Fills `bound_vars` and `float_vars` for the token range `[start, end]`.
+fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
+    let mut i = start;
+    while i <= end && i < toks.len() {
+        let t = &toks[i];
+        match t.kind {
+            // `for <pattern> in …` — every ident in the pattern is bound.
+            TokKind::Ident if t.text == "for" => {
+                let mut j = i + 1;
+                while j <= end && !toks[j].is_ident("in") && !punct_at(toks, j, '{') {
+                    if toks[j].kind == TokKind::Ident && !is_keyword(&toks[j].text) {
+                        item.bound_vars.insert(toks[j].text.clone());
+                    }
+                    j += 1;
+                }
+                i = j;
+            }
+            // `|a, b| …` closure parameter lists.
+            TokKind::Punct if t.text == "|" && closure_opens_here(toks, i) => {
+                let mut j = i + 1;
+                while j <= end && !punct_at(toks, j, '|') {
+                    if toks[j].kind == TokKind::Ident && !is_keyword(&toks[j].text) {
+                        // Skip type-ascription idents: `|x: usize|` binds `x`.
+                        let ascribed = j > 0 && punct_at(toks, j - 1, ':');
+                        if !ascribed {
+                            item.bound_vars.insert(toks[j].text.clone());
+                        }
+                    }
+                    j += 1;
+                }
+                i = j + 1;
+            }
+            // `let [mut] PATTERN …` — every ident in the pattern (up to the
+            // depth-0 `=`) is bound; a single-name binding also classifies
+            // its initialiser for float tracking.
+            TokKind::Ident if t.text == "let" => {
+                let mut j = i + 1;
+                if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
+                    j += 1;
+                }
+                if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident) {
+                    let name = toks[j].text.clone();
+                    if stmt_is_floaty(toks, j + 1, end) {
+                        item.float_vars.insert(name);
+                    }
+                }
+                let mut depth = 0i32;
+                let mut k = i + 1;
+                while k <= end && k < toks.len() {
+                    let t = &toks[k];
+                    if t.kind == TokKind::Punct {
+                        match t.text.as_str() {
+                            "(" | "[" | "{" => depth += 1,
+                            ")" | "]" | "}" => depth -= 1,
+                            "=" | ";" if depth == 0 => break,
+                            _ => {}
+                        }
+                    } else if t.kind == TokKind::Ident && !is_keyword(&t.text) {
+                        item.bound_vars.insert(t.text.clone());
+                    }
+                    k += 1;
+                }
+                i = k;
+            }
+            // Bare ascriptions `name: f64` (params, struct literals).
+            TokKind::Ident if matches!(t.text.as_str(), "f64" | "f32") => {
+                if i >= 2 && punct_at(toks, i - 1, ':') && toks[i - 2].kind == TokKind::Ident {
+                    item.float_vars.insert(toks[i - 2].text.clone());
+                }
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+}
+
+/// Heuristic: does the `|` at `i` begin a closure parameter list?
+/// (Distinguishes from bitwise/logical `|` by what precedes it.)
+fn closure_opens_here(toks: &[Token], i: usize) -> bool {
+    if i == 0 {
+        return true;
+    }
+    let prev = &toks[i - 1];
+    match prev.kind {
+        TokKind::Punct => matches!(prev.text.as_str(), "(" | "," | "=" | "{" | ";" | "&" | ":"),
+        TokKind::Ident => matches!(prev.text.as_str(), "move" | "return" | "else"),
+        _ => false,
+    }
+}
+
+/// True when the statement tokens after a `let NAME` mark a float binding:
+/// `: f64`, a float literal initialiser, or a trailing `as f64` cast.
+fn stmt_is_floaty(toks: &[Token], from: usize, end: usize) -> bool {
+    let mut i = from;
+    let mut depth = 0i32;
+    while i <= end && i < toks.len() {
+        let t = &toks[i];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    if depth == 0 {
+                        return false;
+                    }
+                    depth -= 1;
+                }
+                ";" if depth == 0 => return false,
+                _ => {}
+            }
+        }
+        let floaty = match t.kind {
+            TokKind::Ident => matches!(t.text.as_str(), "f64" | "f32"),
+            TokKind::Num => {
+                t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32")
+            }
+            _ => false,
+        };
+        if floaty {
+            return true;
+        }
+        i += 1;
+    }
+    false
+}
+
+/// Parses a method call whose `.` sits at `dot`, tolerating turbofish.
+fn parse_method_call(toks: &[Token], dot: usize) -> Option<MethodCall> {
+    let name_tok = toks.get(dot + 1)?;
+    if name_tok.kind != TokKind::Ident {
+        return None;
+    }
+    let mut j = dot + 2;
+    // `.collect::<Vec<_>>()` — skip the turbofish.
+    if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, '<') {
+        let close = skip_angles(toks, j + 2);
+        if close == j + 2 {
+            return None;
+        }
+        j = close + 1;
+    }
+    if !punct_at(toks, j, '(') {
+        return None;
+    }
+    let close = match_delim(toks, j);
+    let chained = if punct_at(toks, close + 1, '.')
+        && toks.get(close + 2).is_some_and(|t| t.kind == TokKind::Ident)
+    {
+        Some(toks[close + 2].text.clone())
+    } else {
+        None
+    };
+    Some(MethodCall {
+        name: name_tok.text.clone(),
+        line: name_tok.line,
+        dot,
+        args: (j, close),
+        chained,
+    })
+}
+
+/// True when the `[` at `i` opens an *index expression*: the previous token
+/// must end a value (an identifier that is not a keyword, a close paren, a
+/// close bracket, or a string literal). Attributes (`#[…]`), slice types
+/// (`&[T]`, `&mut [T]`), and array literals never match.
+fn is_index_open(toks: &[Token], i: usize) -> bool {
+    if i == 0 {
+        return false;
+    }
+    let prev = &toks[i - 1];
+    match prev.kind {
+        TokKind::Ident => !is_keyword(&prev.text),
+        TokKind::Punct => matches!(prev.text.as_str(), ")" | "]"),
+        TokKind::Str => true,
+        _ => false,
+    }
+}
+
+/// Records every `impl Ord for T` / `impl PartialOrd for T` block.
+fn collect_ord_impls(toks: &[Token], model: &mut FileModel) {
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !toks[i].is_ident("impl") {
+            i += 1;
+            continue;
+        }
+        // `impl [<…>] TRAIT for TYPE { … }`
+        let mut j = i + 1;
+        if punct_at(toks, j, '<') {
+            let close = skip_angles(toks, j);
+            if close == j {
+                i += 1;
+                continue;
+            }
+            j = close + 1;
+        }
+        let Some(trait_tok) = toks.get(j) else { break };
+        if trait_tok.kind == TokKind::Ident
+            && matches!(trait_tok.text.as_str(), "Ord" | "PartialOrd")
+            && toks.get(j + 1).is_some_and(|t| t.is_ident("for"))
+        {
+            // The type name is the next ident; its generics may follow.
+            if let Some(ty) = toks.get(j + 2).filter(|t| t.kind == TokKind::Ident) {
+                let mut k = j + 3;
+                while k < toks.len() && !punct_at(toks, k, '{') {
+                    k += 1;
+                }
+                if punct_at(toks, k, '{') {
+                    model.ord_impls.push(OrdImpl {
+                        trait_name: trait_tok.text.clone(),
+                        type_name: ty.text.clone(),
+                        line: toks[i].line,
+                        body: (k, match_delim(toks, k)),
+                    });
+                }
+            }
+        }
+        i = j + 1;
+    }
+}
+
+/// True if the token before `i` puts `i` at item position: start of file,
+/// after `;`/`}`/`{`, after an attribute's `]`, or after a visibility /
+/// item qualifier keyword. Rejects `-> impl Trait` return types and
+/// `x: impl Fn()` argument positions.
+fn at_item_position(toks: &[Token], i: usize) -> bool {
+    let Some(k) = i.checked_sub(1) else { return true };
+    let prev = &toks[k];
+    match prev.kind {
+        TokKind::Punct => matches!(prev.text.as_str(), ";" | "}" | "{" | "]" | ")"),
+        TokKind::Ident => matches!(prev.text.as_str(), "pub" | "unsafe" | "const" | "default"),
+        _ => false,
+    }
+}
+
+/// Reads a type/trait path at `j` (`a::b::C`, optional trailing generics),
+/// returning the final segment and the index just past it.
+fn read_path(toks: &[Token], mut j: usize) -> Option<(String, usize)> {
+    let t = toks.get(j)?;
+    if t.kind != TokKind::Ident || (is_keyword(&t.text) && t.text != "Self") {
+        return None;
+    }
+    let mut last = t.text.clone();
+    j += 1;
+    while punct_at(toks, j, ':')
+        && punct_at(toks, j + 1, ':')
+        && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
+    {
+        last = toks[j + 2].text.clone();
+        j += 3;
+    }
+    if punct_at(toks, j, '<') {
+        let close = skip_angles(toks, j);
+        if close > j {
+            j = close + 1;
+        }
+    }
+    Some((last, j))
+}
+
+/// Records every `impl` block (inherent or trait) at item position.
+fn collect_impls(toks: &[Token], model: &mut FileModel) {
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !toks[i].is_ident("impl") || !at_item_position(toks, i) {
+            i += 1;
+            continue;
+        }
+        let line = toks[i].line;
+        let mut j = i + 1;
+        if punct_at(toks, j, '<') {
+            let close = skip_angles(toks, j);
+            if close == j {
+                i += 1;
+                continue;
+            }
+            j = close + 1;
+        }
+        let Some((first, after)) = read_path(toks, j) else {
+            i = j.max(i + 1);
+            continue;
+        };
+        j = after;
+        let (trait_name, type_name) = if toks.get(j).is_some_and(|t| t.is_ident("for")) {
+            j += 1;
+            // Skip reference/dyn sigils on the implementing type.
+            while toks.get(j).is_some_and(|t| {
+                t.is_punct('&')
+                    || t.is_ident("dyn")
+                    || t.is_ident("mut")
+                    || t.kind == TokKind::Lifetime
+            }) {
+                j += 1;
+            }
+            let Some((ty, after)) = read_path(toks, j) else {
+                i = j.max(i + 1);
+                continue;
+            };
+            j = after;
+            (Some(first), ty)
+        } else {
+            (None, first)
+        };
+        // Scan across any `where` clause (it contains no braces) to the body.
+        while j < toks.len() && !punct_at(toks, j, '{') && !punct_at(toks, j, ';') {
+            j += 1;
+        }
+        if punct_at(toks, j, '{') {
+            let close = match_delim(toks, j);
+            model.impls.push(ImplBlock { trait_name, type_name, line, body: (j, close) });
+        }
+        i = j + 1;
+    }
+}
+
+/// Records every `struct` definition that has a body (`{…}` or `(…)`).
+fn collect_structs(toks: &[Token], model: &mut FileModel) {
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !toks[i].is_ident("struct") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+        {
+            i += 1;
+            continue;
+        }
+        let name = toks[i + 1].text.clone();
+        let line = toks[i].line;
+        let mut j = i + 2;
+        if punct_at(toks, j, '<') {
+            let close = skip_angles(toks, j);
+            if close == j {
+                i += 2;
+                continue;
+            }
+            j = close + 1;
+        }
+        // Tuple struct body is immediate; a `where` clause may precede `{`.
+        if !punct_at(toks, j, '(') {
+            while j < toks.len() && !punct_at(toks, j, '{') && !punct_at(toks, j, ';') {
+                j += 1;
+            }
+        }
+        if punct_at(toks, j, '{') || punct_at(toks, j, '(') {
+            model.structs.push(StructDef { name, line, body: (j, match_delim(toks, j)) });
+        }
+        i = j + 1;
+    }
+}
+
+/// Records every `use` item (flattened) and returns their token spans so
+/// the free-call collector can skip the paths inside them.
+fn collect_uses(toks: &[Token], model: &mut FileModel) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        if !toks[i].is_ident("use") || !at_item_position_for_use(toks, i) {
+            i += 1;
+            continue;
+        }
+        let is_pub = use_is_pub(toks, i);
+        let line = toks[i].line;
+        let end = use_tree(toks, i + 1, &[], is_pub, line, &mut model.uses);
+        spans.push((i, end));
+        i = end.max(i + 1);
+    }
+    spans
+}
+
+/// Like [`at_item_position`], for `use` (also valid right after `pub(…)`).
+fn at_item_position_for_use(toks: &[Token], i: usize) -> bool {
+    let Some(k) = i.checked_sub(1) else { return true };
+    let prev = &toks[k];
+    match prev.kind {
+        TokKind::Punct => matches!(prev.text.as_str(), ";" | "}" | "{" | "]" | ")"),
+        TokKind::Ident => prev.text == "pub",
+        _ => false,
+    }
+}
+
+/// True when the `use` at `i` is a `pub use` / `pub(crate) use` re-export.
+fn use_is_pub(toks: &[Token], i: usize) -> bool {
+    let Some(mut k) = i.checked_sub(1) else { return false };
+    if toks[k].is_punct(')') {
+        // Walk back over the `(crate)`/`(super)` restriction.
+        let mut depth = 0i32;
+        loop {
+            if toks[k].is_punct(')') {
+                depth += 1;
+            } else if toks[k].is_punct('(') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            let Some(prev) = k.checked_sub(1) else { return false };
+            k = prev;
+        }
+        let Some(prev) = k.checked_sub(1) else { return false };
+        k = prev;
+    }
+    toks[k].is_ident("pub")
+}
+
+/// Parses one use tree at `j` with `prefix` segments already read; emits
+/// flattened [`UseDecl`]s and returns the index just past the tree.
+fn use_tree(
+    toks: &[Token],
+    mut j: usize,
+    prefix: &[String],
+    is_pub: bool,
+    line: u32,
+    out: &mut Vec<UseDecl>,
+) -> usize {
+    let mut segs = prefix.to_vec();
+    loop {
+        match toks.get(j) {
+            Some(t) if t.kind == TokKind::Ident && t.text != "as" => {
+                segs.push(t.text.clone());
+                j += 1;
+                if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
+                    j += 2;
+                    continue;
+                }
+                break;
+            }
+            Some(t) if t.is_punct('{') => {
+                let close = match_delim(toks, j);
+                let mut k = j + 1;
+                while k < close {
+                    let next = use_tree(toks, k, &segs, is_pub, line, out);
+                    k = next.max(k + 1);
+                    if punct_at(toks, k, ',') {
+                        k += 1;
+                    } else {
+                        break;
+                    }
+                }
+                return close + 1;
+            }
+            Some(t) if t.is_punct('*') => {
+                out.push(UseDecl { segs, alias: None, glob: true, is_pub, line });
+                return j + 1;
+            }
+            _ => return j,
+        }
+    }
+    let alias = if toks.get(j).is_some_and(|t| t.is_ident("as")) {
+        let a = toks.get(j + 1).map(|t| t.text.clone());
+        j += 2;
+        a
+    } else {
+        None
+    };
+    if segs.len() > prefix.len() {
+        out.push(UseDecl { segs, alias, glob: false, is_pub, line });
+    }
+    j
+}
+
+/// Path heads that are keywords but still begin a callable path.
+fn is_path_head_keyword(word: &str) -> bool {
+    matches!(word, "crate" | "self" | "super" | "Self")
+}
+
+/// Records free-function calls and qualified path references. A chain
+/// `a::b::name(…)` is recorded once at its head; method names (preceded by
+/// `.`), definitions (preceded by `fn` etc.), macros (followed by `!`), and
+/// paths inside `use` items never match.
+fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut FileModel) {
+    let in_use = |i: usize| use_spans.iter().any(|&(s, e)| i >= s && i <= e);
+    let mut i = 0usize;
+    while i < toks.len() {
+        let t = &toks[i];
+        let head_ok = t.kind == TokKind::Ident
+            && (!is_keyword(&t.text) || is_path_head_keyword(&t.text))
+            && !in_use(i);
+        if !head_ok {
+            i += 1;
+            continue;
+        }
+        // Not a path head if preceded by `.` (method), `::` (path interior),
+        // or an item-definition keyword.
+        if i > 0 {
+            let prev = &toks[i - 1];
+            let def_kw = matches!(
+                prev.text.as_str(),
+                "fn" | "mod" | "struct" | "enum" | "trait" | "use" | "impl" | "macro" | "type"
+            ) && prev.kind == TokKind::Ident;
+            if prev.is_punct('.')
+                || def_kw
+                || (prev.is_punct(':') && i > 1 && toks[i - 2].is_punct(':'))
+            {
+                i += 1;
+                continue;
+            }
+        }
+        // Read the full chain.
+        let mut segs = vec![t.text.clone()];
+        let mut j = i + 1;
+        let mut name_tok = i;
+        while punct_at(toks, j, ':')
+            && punct_at(toks, j + 1, ':')
+            && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
+        {
+            segs.push(toks[j + 2].text.clone());
+            name_tok = j + 2;
+            j += 3;
+        }
+        // `name::<T>(…)` — skip the turbofish before the argument check.
+        let mut k = j;
+        if punct_at(toks, k, ':') && punct_at(toks, k + 1, ':') && punct_at(toks, k + 2, '<') {
+            let close = skip_angles(toks, k + 2);
+            if close > k + 2 {
+                k = close + 1;
+            }
+        }
+        let called = punct_at(toks, k, '(');
+        if toks[i].is_ident("self") && segs.len() == 1 {
+            // Bare `self` is a receiver, never a call.
+            i = j;
+            continue;
+        }
+        if called || segs.len() > 1 {
+            if let Some(name) = segs.pop() {
+                model.free_calls.push(FreeCall {
+                    qual: segs,
+                    name,
+                    line: toks[name_tok].line,
+                    tok: name_tok,
+                    called,
+                });
+            }
+        }
+        i = j;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    fn model(src: &str) -> FileModel {
+        parse(&lex(src))
+    }
+
+    #[test]
+    fn fn_items_and_bodies_are_recovered() {
+        let m = model("fn a() { 1 } fn b<T: Ord>(x: T) -> Vec<u8> { vec![] }");
+        assert_eq!(m.fns.len(), 2);
+        assert_eq!(m.fns[0].name, "a");
+        assert_eq!(m.fns[1].name, "b");
+        assert!(!m.fns[0].in_test);
+    }
+
+    #[test]
+    fn cfg_test_mod_marks_fns_as_test() {
+        let m = model("fn lib() {} #[cfg(test)] mod tests { fn helper() {} #[test] fn t() {} }");
+        let by_name = |n: &str| m.fns.iter().find(|f| f.name == n).unwrap();
+        assert!(!by_name("lib").in_test);
+        assert!(by_name("helper").in_test);
+        assert!(by_name("t").in_test);
+    }
+
+    #[test]
+    fn test_attr_with_qualifiers_is_seen() {
+        let m = model("#[test]\npub fn check() {}");
+        assert!(m.fns[0].in_test);
+    }
+
+    #[test]
+    fn method_calls_survive_turbofish_and_chaining() {
+        let m = model(
+            "fn f() { let v = it.collect::<Vec<BTree<u8, i8>>>(); a.partial_cmp(b).unwrap(); }",
+        );
+        let collect = m.calls.iter().find(|c| c.name == "collect").unwrap();
+        assert_eq!(collect.chained, None);
+        let pc = m.calls.iter().find(|c| c.name == "partial_cmp").unwrap();
+        assert_eq!(pc.chained.as_deref(), Some("unwrap"));
+        assert!(m.calls.iter().any(|c| c.name == "unwrap"));
+    }
+
+    #[test]
+    fn closures_in_method_chains_bind_params() {
+        let m = model("fn f(v: Vec<u64>) { v.iter().map(|(i, x)| i + x).filter(|y| *y > 1); }");
+        let f = &m.fns[0];
+        for var in ["i", "x", "y"] {
+            assert!(f.bound_vars.contains(var), "{var} missing from {:?}", f.bound_vars);
+        }
+    }
+
+    #[test]
+    fn params_and_let_patterns_bind_vars() {
+        let m = model(
+            "fn f(idx: usize, mesh: &Mesh<u8>) { let primary = idx; \
+             let (a, b) = pair(); let v: Vec<u64> = Vec::new(); }",
+        );
+        let f = &m.fns[0];
+        for var in ["idx", "mesh", "primary", "a", "b", "v"] {
+            assert!(f.bound_vars.contains(var), "{var} missing from {:?}", f.bound_vars);
+        }
+    }
+
+    #[test]
+    fn for_patterns_bind_vars() {
+        let m = model("fn f() { for (a, b) in pairs { } for i in 0..n { } }");
+        let f = &m.fns[0];
+        for var in ["a", "b", "i"] {
+            assert!(f.bound_vars.contains(var));
+        }
+        assert!(!f.bound_vars.contains("pairs"));
+    }
+
+    #[test]
+    fn float_locals_are_classified() {
+        let m = model(
+            "fn f(rate: f64, n: usize) { let x = 1.5; let y: f64 = g(); \
+             let z = n as f64; let k = 3; }",
+        );
+        let f = &m.fns[0];
+        for var in ["rate", "x", "y", "z"] {
+            assert!(f.float_vars.contains(var), "{var} missing from {:?}", f.float_vars);
+        }
+        assert!(!f.float_vars.contains("k"));
+        assert!(!f.float_vars.contains("n"));
+    }
+
+    #[test]
+    fn index_expressions_exclude_attrs_and_slice_types() {
+        let m = model("#[derive(Clone)] fn f(xs: &mut [u8]) { let a = xs[0]; let b = [1, 2]; }");
+        assert_eq!(m.indexings.len(), 1);
+    }
+
+    #[test]
+    fn heap_generics_are_spanned() {
+        let m =
+            model("fn f() { let h: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new(); }");
+        assert_eq!(m.heaps.len(), 1);
+    }
+
+    #[test]
+    fn ord_impls_are_recovered() {
+        let m = model(
+            "impl Ord for Entry { fn cmp(&self, o: &Self) -> Ordering { self.seq.cmp(&o.seq) } }",
+        );
+        assert_eq!(m.ord_impls.len(), 1);
+        assert_eq!(m.ord_impls[0].trait_name, "Ord");
+        assert_eq!(m.ord_impls[0].type_name, "Entry");
+    }
+
+    #[test]
+    fn nested_generics_in_comparator_types_parse() {
+        let m = model(
+            "fn f() { let c: BTreeMap<Key<Vec<u8>>, fn(&A) -> Ordering> = BTreeMap::new(); \
+             xs.sort_by_key(|e: &Entry<Wrap<u8>>| e.seq); }",
+        );
+        assert!(m.calls.iter().any(|c| c.name == "sort_by_key"));
+    }
+
+    #[test]
+    fn macro_calls_are_recorded() {
+        let m = model("fn f() { panic!(\"boom\"); assert!(true); }");
+        assert!(m.macros.iter().any(|c| c.name == "panic"));
+        assert!(m.macros.iter().any(|c| c.name == "assert"));
+    }
+
+    #[test]
+    fn inherent_and_trait_impls_are_recorded() {
+        let m = model(
+            "impl Widget { fn new() -> Self { Widget } } \
+             impl fmt::Display for Widget<T> { fn fmt(&self) {} } \
+             impl<S: State> Simulation<S> { fn step(&mut self) {} }",
+        );
+        assert_eq!(m.impls.len(), 3, "{:?}", m.impls);
+        assert_eq!(m.impls[0].trait_name, None);
+        assert_eq!(m.impls[0].type_name, "Widget");
+        assert_eq!(m.impls[1].trait_name.as_deref(), Some("Display"));
+        assert_eq!(m.impls[1].type_name, "Widget");
+        assert_eq!(m.impls[2].trait_name, None);
+        assert_eq!(m.impls[2].type_name, "Simulation");
+    }
+
+    #[test]
+    fn return_position_impl_trait_is_not_an_impl_block() {
+        let m = model("fn f() -> impl Iterator<Item = u8> { it() } fn g(x: impl Fn()) { x() }");
+        assert!(m.impls.is_empty(), "{:?}", m.impls);
+    }
+
+    #[test]
+    fn methods_attach_to_their_impl_by_span() {
+        let m = model("fn free() {} impl W { fn method(&self) {} }");
+        let free = m.fns.iter().find(|f| f.name == "free").unwrap();
+        let method = m.fns.iter().find(|f| f.name == "method").unwrap();
+        assert_eq!(m.owning_impl(free.body), None);
+        let owner = m.owning_impl(method.body).map(|k| m.impls[k].type_name.as_str());
+        assert_eq!(owner, Some("W"));
+    }
+
+    #[test]
+    fn struct_bodies_are_recorded() {
+        let m = model("struct A { q: BinaryHeap<u8> } struct B(u8); struct C; struct D<T> where T: Ord { t: T }");
+        let names: Vec<&str> = m.structs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["A", "B", "D"]);
+    }
+
+    #[test]
+    fn use_items_flatten_groups_globs_and_aliases() {
+        let m = model(
+            "use adapt::oracle as qoracle; pub use eng::dispatch; \
+             use std::collections::{BTreeMap, btree_map::Entry}; use crate::prelude::*;",
+        );
+        assert_eq!(m.uses.len(), 5, "{:?}", m.uses);
+        assert_eq!(m.uses[0].segs, vec!["adapt", "oracle"]);
+        assert_eq!(m.uses[0].alias.as_deref(), Some("qoracle"));
+        assert!(!m.uses[0].is_pub);
+        assert!(m.uses[1].is_pub);
+        assert_eq!(m.uses[1].segs, vec!["eng", "dispatch"]);
+        assert_eq!(m.uses[2].segs, vec!["std", "collections", "BTreeMap"]);
+        assert_eq!(m.uses[3].segs, vec!["std", "collections", "btree_map", "Entry"]);
+        assert!(m.uses[4].glob);
+        assert_eq!(m.uses[4].segs, vec!["crate", "prelude"]);
+    }
+
+    #[test]
+    fn free_calls_record_qualifiers_and_skip_methods_and_macros() {
+        let m = model(
+            "fn f() { helper(1); beta::helper(2); x.method(); vec![q::r()]; \
+             Fnv64::new(); crate::util::go::<u8>(3); assert!(ok()); }",
+        );
+        let by_name = |n: &str| m.free_calls.iter().filter(|c| c.name == n).collect::<Vec<_>>();
+        assert_eq!(by_name("helper").len(), 2);
+        assert_eq!(by_name("helper")[1].qual, vec!["beta"]);
+        assert!(by_name("method").is_empty(), "{:?}", m.free_calls);
+        assert_eq!(by_name("new")[0].qual, vec!["Fnv64"]);
+        assert_eq!(by_name("go")[0].qual, vec!["crate", "util"]);
+        assert!(by_name("go")[0].called);
+        assert_eq!(by_name("r")[0].qual, vec!["q"]);
+        assert!(by_name("ok")[0].called);
+    }
+
+    #[test]
+    fn bare_references_with_qualifiers_are_recorded_uncalled() {
+        let m = model("fn f() { v.sort_by(f64::total_cmp); go(catalog::all); }");
+        let r = m.free_calls.iter().find(|c| c.name == "total_cmp").unwrap();
+        assert!(!r.called);
+        assert_eq!(r.qual, vec!["f64"]);
+        let a = m.free_calls.iter().find(|c| c.name == "all").unwrap();
+        assert!(!a.called);
+    }
+
+    #[test]
+    fn use_paths_are_not_free_calls() {
+        let m = model("use a::b::c; fn f() { b2::c2(); }");
+        assert!(m.free_calls.iter().all(|c| c.name != "c"), "{:?}", m.free_calls);
+        assert!(m.free_calls.iter().any(|c| c.name == "c2"));
+    }
+}

@@ -1,0 +1,1873 @@
+//! Interprocedural unit inference: prove every quantity carries the
+//! right unit.
+//!
+//! Fail-stutter bugs are threshold bugs: a detector comparing a
+//! nanosecond observation against a threshold configured in ticks, or a
+//! rate accumulated per tick but shed per second, silently reshapes the
+//! performance-fault model without ever failing a test. The workspace is
+//! full of implicitly-united raw `u64`/`f64` — `as_nanos()` escapes,
+//! `ticks_per_sec` conversions, LBA/block arithmetic — and only naming
+//! discipline keeps them apart. This pass turns that discipline into a
+//! machine-checked dimension system (Kennedy-style units-of-measure
+//! inference, run as abstract interpretation over the same workspace
+//! call graph the taint pass uses):
+//!
+//! * **Seeds** — API signatures (`SimTime::from_secs(x)` means the
+//!   result is sim time in nanos; `as_nanos()`/`as_millis()`/… read a
+//!   concrete unit; `SimTime`/`SimDuration`/`Duration` values *are*
+//!   nanos) and naming discipline (`*_nanos`/`*_ms`/`*_secs`/`*_ticks`/
+//!   `lba`/`nblocks` suffixes, `dt`, and `a_per_b` rate names).
+//! * **A small unit lattice** — `Unknown ⊑ Scalar ⊑ Of(dim) ⊑
+//!   Conflict`, where a dimension is a signed exponent vector over the
+//!   bases (nanos, micros, millis, secs, ticks, blocks, bytes). Mul and
+//!   div compose dimensions; dividing same-united quantities yields a
+//!   dimensionless ratio; a bare conversion literal (`* 1_000_000`)
+//!   poisons the expression to `Unknown` because the target unit is no
+//!   longer inferable from the text.
+//! * **Per-function summaries** — a function's return unit is seeded
+//!   from its own name and return type (the name is authoritative: a fn
+//!   *named* `ticks_per_sec` returns ticks/sec by contract) and
+//!   otherwise inferred from its `return`/trailing expressions, to a
+//!   fixpoint over the call-graph so units flow through helpers across
+//!   crates. Struct fields learn units from `.field = expr` assignments
+//!   (the laundering case); locals from `let`/`for` bindings with
+//!   flow-style shadowing.
+//!
+//! Four rules come out of this: `unit-mismatch` (add/sub/compare/assign
+//! across conflicting inferred units — the message prints both inference
+//! chains hop by hop), `raw-unit-conversion` (magic `* 1_000` /
+//! `* 1_000_000` / `* 1_000_000_000` literals outside `simcore::time` —
+//! named constructors and consts exist for exactly this), `rate-confusion`
+//! (a per-X rate combined with a quantity of a different shape without an
+//! explicit `dt` factor), and `threshold-unit` (a config threshold
+//! compared against an observation of a different unit in
+//! injector/detector-reachable code).
+//!
+//! Like [`crate::flow`] the analysis is conservative and name-based
+//! where resolution is ambiguous: an unresolvable call, macro, or
+//! conversion literal inside an operand poisons it to `Unknown`, and
+//! `Unknown` operands never fire a rule. Method-call and free-call
+//! resolution reuse the flow gates (owner/trait mention for methods,
+//! same-module or matching qualifier for free calls). Known
+//! under-approximations: method-call *arguments* are not checked against
+//! parameter units (only free calls are), tuple patterns bind a unit
+//! only when the name itself carries a suffix, and `%` keeps its left
+//! operand's unit without checking the right.
+
+use crate::flow::{call_args, field_read_shape, for_binding, let_bounds, pattern_names, rhs_end};
+use crate::graph::{FileUnit, Graph};
+use crate::lexer::{TokKind, Token};
+use crate::parse;
+use crate::rules::{id, Finding};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// A dimension: signed exponents over the unit bases, zero entries
+/// never stored. `{nanos: 1, secs: -1}` renders as `nanos/secs`.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Dim(BTreeMap<&'static str, i32>);
+
+impl Dim {
+    /// The dimension of one base unit.
+    pub fn base(name: &'static str) -> Dim {
+        let mut m = BTreeMap::new();
+        m.insert(name, 1);
+        Dim(m)
+    }
+
+    /// The reciprocal dimension (all exponents negated).
+    pub fn inv(&self) -> Dim {
+        Dim(self.0.iter().map(|(k, v)| (*k, -v)).collect())
+    }
+
+    /// Dimension product: exponents add, zeros vanish.
+    pub fn mul(&self, other: &Dim) -> Dim {
+        let mut m = self.0.clone();
+        for (k, v) in &other.0 {
+            let e = m.entry(k).or_insert(0);
+            *e += v;
+            if *e == 0 {
+                m.remove(k);
+            }
+        }
+        Dim(m)
+    }
+
+    /// Dimension quotient: same-dimension division is dimensionless.
+    pub fn div(&self, other: &Dim) -> Dim {
+        self.mul(&other.inv())
+    }
+
+    /// True for the dimensionless (empty) vector.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// True when any exponent is negative — the quantity is a rate.
+    pub fn is_rate(&self) -> bool {
+        self.0.values().any(|&v| v < 0)
+    }
+
+    /// ASCII rendering: `nanos`, `nanos/secs`, `1/secs`, `nanos^2`.
+    pub fn render(&self) -> String {
+        let part = |e: i32, name: &str| {
+            if e == 1 {
+                name.to_string()
+            } else {
+                format!("{name}^{e}")
+            }
+        };
+        let num: Vec<String> =
+            self.0.iter().filter(|&(_, &v)| v > 0).map(|(k, &v)| part(v, k)).collect();
+        let den: Vec<String> =
+            self.0.iter().filter(|&(_, &v)| v < 0).map(|(k, &v)| part(-v, k)).collect();
+        match (num.is_empty(), den.is_empty()) {
+            (true, true) => "dimensionless".to_string(),
+            (false, true) => num.join("*"),
+            (true, false) => format!("1/{}", den.join("*")),
+            (false, false) => format!("{}/{}", num.join("*"), den.join("*")),
+        }
+    }
+}
+
+/// The unit lattice: `Unknown ⊑ Scalar ⊑ Of(d) ⊑ Conflict`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Unit {
+    /// No information — poisons arithmetic, never fires a rule.
+    Unknown,
+    /// A dimensionless number (literals, counts, ratios).
+    Scalar,
+    /// A concrete dimension.
+    Of(Dim),
+    /// Two incompatible concrete dimensions met (summary join only).
+    Conflict,
+}
+
+impl Unit {
+    /// Lattice join: least upper bound of two inferences.
+    pub fn join(&self, other: &Unit) -> Unit {
+        match (self, other) {
+            (Unit::Conflict, _) | (_, Unit::Conflict) => Unit::Conflict,
+            (Unit::Unknown, u) | (u, Unit::Unknown) => u.clone(),
+            (Unit::Scalar, u) | (u, Unit::Scalar) => u.clone(),
+            (Unit::Of(a), Unit::Of(b)) if a == b => Unit::Of(a.clone()),
+            _ => Unit::Conflict,
+        }
+    }
+
+    /// Unit product. `Unknown`/`Conflict` poison; `Scalar` is identity;
+    /// dimensions compose, collapsing to `Scalar` when they cancel.
+    pub fn mul(&self, other: &Unit) -> Unit {
+        match (self, other) {
+            (Unit::Unknown | Unit::Conflict, _) | (_, Unit::Unknown | Unit::Conflict) => {
+                Unit::Unknown
+            }
+            (Unit::Scalar, u) | (u, Unit::Scalar) => u.clone(),
+            (Unit::Of(a), Unit::Of(b)) => {
+                let d = a.mul(b);
+                if d.is_empty() {
+                    Unit::Scalar
+                } else {
+                    Unit::Of(d)
+                }
+            }
+        }
+    }
+
+    /// Unit quotient; same-unit division yields a dimensionless ratio.
+    pub fn div(&self, other: &Unit) -> Unit {
+        match other {
+            Unit::Of(d) => self.mul(&Unit::Of(d.inv())),
+            _ => self.mul(other),
+        }
+    }
+}
+
+/// One function's return-unit summary, for the `--graph-out` export and
+/// hop-by-hop message chains. `None` in the per-node vector means no
+/// concrete return unit was inferred.
+#[derive(Debug, Clone)]
+pub struct UnitSummary {
+    /// The inferred return dimension.
+    pub dim: Dim,
+    /// 1-based line of the evidence (or of the `fn` for name seeds).
+    pub line: u32,
+    /// The callee node id the unit arrived through, `None` at the root.
+    pub via: Option<usize>,
+    /// Human description of this hop.
+    pub what: String,
+}
+
+/// Types whose values are sim time, canonically counted in nanos.
+const TIME_TYPES: &[&str] = &["SimTime", "SimDuration", "Duration"];
+
+/// `Type::from_*` constructors producing a sim-time value.
+const TIME_CTORS: &[(&str, &str)] = &[
+    ("from_nanos", "nanos"),
+    ("from_micros", "micros"),
+    ("from_millis", "millis"),
+    ("from_secs", "secs"),
+    ("from_secs_f64", "secs"),
+];
+
+/// Methods that read a concrete unit off a time value.
+fn method_dim(name: &str) -> Option<&'static str> {
+    match name {
+        "as_nanos" | "subsec_nanos" => Some("nanos"),
+        "as_micros" => Some("micros"),
+        "as_millis" | "subsec_millis" => Some("millis"),
+        "as_secs" | "as_secs_f64" | "as_secs_f32" => Some("secs"),
+        _ => None,
+    }
+}
+
+/// Methods that pass their receiver's unit through unchanged. Anything
+/// not listed (and not otherwise resolvable) poisons the operand to
+/// `Unknown` — a call we cannot see through could convert.
+const PRESERVE_METHODS: &[&str] = &[
+    "abs",
+    "ceil",
+    "checked_add",
+    "checked_sub",
+    "clamp",
+    "clone",
+    "cloned",
+    "copied",
+    "expect",
+    "floor",
+    "get",
+    "into",
+    "iter",
+    "max",
+    "min",
+    "rem_euclid",
+    "round",
+    "saturating_add",
+    "saturating_mul",
+    "saturating_sub",
+    "sum",
+    "to_owned",
+    "unwrap",
+    "unwrap_or",
+    "unwrap_or_default",
+    "unwrap_or_else",
+    "wrapping_add",
+    "wrapping_sub",
+];
+
+/// Primitive type names an `as` cast mentions; never unit evidence and
+/// never an unresolved value.
+const NUM_TYPES: &[&str] = &[
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "bool", "char",
+];
+
+/// Maps one lower-case name segment to its unit base.
+fn base_word(w: &str) -> Option<&'static str> {
+    match w {
+        "nanos" | "nano" | "nanosecond" | "nanoseconds" | "ns" => Some("nanos"),
+        "micros" | "micro" | "us" => Some("micros"),
+        "millis" | "milli" | "ms" => Some("millis"),
+        "secs" | "sec" | "second" | "seconds" => Some("secs"),
+        "ticks" | "tick" => Some("ticks"),
+        "lba" | "lbas" | "block" | "blocks" | "nblocks" => Some("blocks"),
+        "bytes" | "byte" | "nbytes" => Some("bytes"),
+        _ => None,
+    }
+}
+
+/// The dimension an identifier's *name* declares, with a human label.
+/// `dt` is the simulation step (sim time in nanos); `a_per_b` names are
+/// rates (`ticks_per_sec` is ticks/secs, `open_per_sec` with an
+/// unresolvable numerator is a bare per-sec count rate); otherwise the
+/// last `_`-segment is tried as a unit suffix.
+pub(crate) fn name_dim(name: &str) -> Option<(Dim, String)> {
+    // Note `dt` itself carries no name-declared unit: a `dt: SimDuration`
+    // is nanos via its type, while `let dt = step.as_secs_f64()` is secs
+    // via its binding — both idioms live in this workspace.
+    let lower = name.to_ascii_lowercase();
+    if let Some(rest) = lower.strip_prefix("per_") {
+        let den_word = rest.split('_').next().unwrap_or(rest);
+        let den = base_word(den_word)?;
+        return Some((Dim::base(den).inv(), format!("named `per_{den_word}` (a per-{den} rate)")));
+    }
+    if let Some(pos) = lower.rfind("_per_") {
+        let num_word = lower[..pos].rsplit('_').next().unwrap_or(&lower[..pos]);
+        let rest = &lower[pos + 5..];
+        let den_word = rest.split('_').next().unwrap_or(rest);
+        let den = base_word(den_word)?;
+        let dim = match base_word(num_word) {
+            Some(num) => Dim::base(num).div(&Dim::base(den)),
+            None => Dim::base(den).inv(),
+        };
+        let label = format!("named `*_per_{den_word}` (a {} rate)", dim_label(&dim));
+        return Some((dim, label));
+    }
+    let last = lower.rsplit('_').next().unwrap_or(&lower);
+    let b = base_word(last)?;
+    Some((Dim::base(b), format!("suffixed `*_{last}` ({b})")))
+}
+
+fn dim_label(d: &Dim) -> String {
+    d.render()
+}
+
+/// Normalizes a numeric literal: underscores stripped, lower-cased,
+/// trailing primitive type suffix removed.
+fn normalized_num(text: &str) -> String {
+    let mut t: String = text.chars().filter(|c| *c != '_').collect();
+    t.make_ascii_lowercase();
+    for s in NUM_TYPES {
+        if t.len() > s.len() && t.ends_with(s) {
+            t.truncate(t.len() - s.len());
+            break;
+        }
+    }
+    t
+}
+
+/// True for any literal spelling of 10^3/10^6/10^9 — inference poison:
+/// a bare scale factor makes the target unit untrackable from the text.
+fn conversion_literal(text: &str) -> bool {
+    matches!(
+        normalized_num(text).as_str(),
+        "1000"
+            | "1000000"
+            | "1000000000"
+            | "1e3"
+            | "1e6"
+            | "1e9"
+            | "1000.0"
+            | "1000000.0"
+            | "1000000000.0"
+    )
+}
+
+/// True for the *integer* forms the `raw-unit-conversion` rule flags
+/// (float reporting math like `* 1e3` stays legal, it merely poisons
+/// inference).
+fn raw_conversion_int(text: &str) -> bool {
+    let t = normalized_num(text);
+    !text.contains('.')
+        && !t.contains('e')
+        && matches!(t.as_str(), "1000" | "1000000" | "1000000000")
+}
+
+/// An inferred unit with its evidence trail.
+#[derive(Debug, Clone)]
+struct Inferred {
+    unit: Unit,
+    /// Root-first hops, ready to join with `" -> "`.
+    chain: Vec<String>,
+    /// Summarized callee node the unit arrived through, if any.
+    via: Option<usize>,
+    /// Token index of the decisive evidence.
+    tok: usize,
+    /// 1-based line of the decisive evidence.
+    line: u32,
+}
+
+impl Inferred {
+    fn unknown() -> Inferred {
+        Inferred { unit: Unit::Unknown, chain: Vec::new(), via: None, tok: 0, line: 0 }
+    }
+
+    fn scalar() -> Inferred {
+        Inferred { unit: Unit::Scalar, chain: Vec::new(), via: None, tok: 0, line: 0 }
+    }
+}
+
+/// One unit-carrying local binding, live on `[from, until]` tokens.
+#[derive(Debug, Clone)]
+struct ULocal {
+    name: String,
+    from: usize,
+    until: usize,
+    dim: Dim,
+    chain: Vec<String>,
+}
+
+/// What a unit-carrying struct field was learned to hold.
+#[derive(Debug, Clone)]
+struct FieldUnit {
+    dim: Dim,
+    desc: String,
+}
+
+/// Runs the unit analysis: `unit-mismatch` / `raw-unit-conversion` /
+/// `rate-confusion` / `threshold-unit` findings plus per-node return-unit
+/// summaries aligned with `graph.nodes` for the `--graph-out` export.
+pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<UnitSummary>>) {
+    let mut u = Units::new(units, graph);
+    u.fixpoint();
+    let mut findings = u.site_findings();
+    findings.extend(u.raw_conversions());
+    (findings, u.summaries)
+}
+
+/// The analysis state: summaries and field units grow monotonically to a
+/// fixpoint, then the site scan reads them.
+struct Units<'a> {
+    units: &'a [FileUnit],
+    graph: &'a Graph,
+    /// Every identifier each file mentions (the method-resolution gate).
+    file_idents: Vec<BTreeSet<&'a str>>,
+    /// Per-node return-unit summaries, aligned with `graph.nodes`.
+    summaries: Vec<Option<UnitSummary>>,
+    /// Summarized node ids by function name (rebuilt each round).
+    by_name: BTreeMap<String, Vec<usize>>,
+    /// All node ids by function name (for parameter-unit lookups).
+    all_by_name: BTreeMap<String, Vec<usize>>,
+    /// Per-node parameter units, in declaration order.
+    params: Vec<Vec<(String, Option<Dim>)>>,
+    /// Unit-carrying struct fields by field name (global, name-based).
+    fields: BTreeMap<String, FieldUnit>,
+}
+
+impl<'a> Units<'a> {
+    fn new(units: &'a [FileUnit], graph: &'a Graph) -> Units<'a> {
+        let file_idents = units
+            .iter()
+            .map(|u| {
+                u.lexed
+                    .tokens
+                    .iter()
+                    .filter(|t| t.kind == TokKind::Ident)
+                    .map(|t| t.text.as_str())
+                    .collect()
+            })
+            .collect();
+        let mut all_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (n, node) in graph.nodes.iter().enumerate() {
+            all_by_name.entry(node.name.clone()).or_default().push(n);
+        }
+        let params = graph
+            .nodes
+            .iter()
+            .map(|node| signature_params(&units[node.file].lexed.tokens, node.body.0))
+            .collect();
+        let mut u = Units {
+            units,
+            graph,
+            file_idents,
+            summaries: vec![None; graph.nodes.len()],
+            by_name: BTreeMap::new(),
+            all_by_name,
+            params,
+            fields: BTreeMap::new(),
+        };
+        for n in 0..graph.nodes.len() {
+            u.summaries[n] = u.seed_summary(n);
+        }
+        u
+    }
+
+    /// The declaration-driven summary of node `n`: its own name first
+    /// (authoritative — a fn *named* `ticks_per_sec` returns ticks/sec
+    /// by contract), then a `SimTime`/`SimDuration` return type. Only
+    /// fns returning a bare numeric or time type are ever summarized —
+    /// a struct-returning fn does not hand its unit to the whole struct.
+    fn seed_summary(&self, n: usize) -> Option<UnitSummary> {
+        let node = &self.graph.nodes[n];
+        let toks = &self.units[node.file].lexed.tokens;
+        let ret = return_type_span(toks, node.body.0).filter(|&s| unit_bearing_return(toks, s))?;
+        if let Some((dim, label)) = name_dim(&node.name) {
+            return Some(UnitSummary {
+                dim,
+                line: node.line,
+                via: None,
+                what: format!("`{}` is {label}", node.name),
+            });
+        }
+        for t in &toks[ret.0..=ret.1] {
+            if t.kind == TokKind::Ident && TIME_TYPES.contains(&t.text.as_str()) {
+                return Some(UnitSummary {
+                    dim: Dim::base("nanos"),
+                    line: node.line,
+                    via: None,
+                    what: format!("`{}` returns `{}` (sim time in nanos)", node.name, t.text),
+                });
+            }
+        }
+        None
+    }
+
+    fn rebuild_by_name(&mut self) {
+        self.by_name.clear();
+        for (n, s) in self.summaries.iter().enumerate() {
+            if s.is_some() {
+                self.by_name.entry(self.graph.nodes[n].name.clone()).or_default().push(n);
+            }
+        }
+    }
+
+    /// Iterates summary propagation and field discovery to a fixpoint.
+    /// Both sets only grow, so this terminates.
+    fn fixpoint(&mut self) {
+        loop {
+            self.rebuild_by_name();
+            let mut changed = self.discover_fields();
+            let mut updates: Vec<(usize, UnitSummary)> = Vec::new();
+            for n in 0..self.graph.nodes.len() {
+                if self.summaries[n].is_some() {
+                    continue;
+                }
+                let node = &self.graph.nodes[n];
+                let toks = &self.units[node.file].lexed.tokens;
+                if return_type_span(toks, node.body.0)
+                    .filter(|&s| unit_bearing_return(toks, s))
+                    .is_none()
+                {
+                    continue;
+                }
+                let locals = self.locals_for(node.file, node.body, &self.params[n]);
+                let mut joined = Unit::Unknown;
+                let mut first: Option<Inferred> = None;
+                for (lo, hi) in return_spans(toks, node.body) {
+                    let inf = self.eval_span(node.file, lo, hi, &locals);
+                    if matches!(inf.unit, Unit::Of(_)) && first.is_none() {
+                        first = Some(inf.clone());
+                    }
+                    joined = joined.join(&inf.unit);
+                }
+                if let (Unit::Of(dim), Some(inf)) = (joined, first) {
+                    let what = match inf.via {
+                        Some(v) => format!("calls `{}`", self.graph.nodes[v].name),
+                        None => inf.chain.first().cloned().unwrap_or_else(|| "inferred".into()),
+                    };
+                    updates.push((n, UnitSummary { dim, line: inf.line, via: inf.via, what }));
+                }
+            }
+            if !updates.is_empty() {
+                changed = true;
+                for (n, s) in updates {
+                    self.summaries[n] = Some(s);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// One round of `.field = RHS` discovery: an assignment whose RHS
+    /// carries a concrete unit teaches the field (by name,
+    /// workspace-global). Fields whose *name* already carries a suffix
+    /// are left to the suffix — the declaration wins over any one
+    /// assignment. Returns true when a new field was learned.
+    fn discover_fields(&mut self) -> bool {
+        let mut learned: Vec<(String, FieldUnit)> = Vec::new();
+        for file in 0..self.units.len() {
+            let u = &self.units[file];
+            let toks = &u.lexed.tokens;
+            let mut locals_cache: BTreeMap<usize, Vec<ULocal>> = BTreeMap::new();
+            let mut i = 0usize;
+            while i + 2 < toks.len() {
+                if !toks[i].is_punct('.')
+                    || toks[i + 1].kind != TokKind::Ident
+                    || !toks[i + 2].is_punct('=')
+                    || toks.get(i + 3).is_some_and(|t| t.is_punct('='))
+                {
+                    i += 1;
+                    continue;
+                }
+                let fname = toks[i + 1].text.clone();
+                if name_dim(&fname).is_some()
+                    || self.fields.contains_key(&fname)
+                    || learned.iter().any(|(n, _)| *n == fname)
+                {
+                    i += 1;
+                    continue;
+                }
+                let Some(end) = rhs_end(toks, i + 3) else {
+                    i += 1;
+                    continue;
+                };
+                let inf = match u.model.enclosing_fn_idx(i) {
+                    Some(fk) => {
+                        let body = u.model.fns[fk].body;
+                        let params = self.params_for(file, fk);
+                        let ls = locals_cache
+                            .entry(fk)
+                            .or_insert_with(|| self.locals_for(file, body, &params));
+                        self.eval_span(file, i + 3, end.saturating_sub(1), ls)
+                    }
+                    None => self.eval_span(file, i + 3, end.saturating_sub(1), &[]),
+                };
+                if let Unit::Of(dim) = inf.unit {
+                    learned.push((fname, FieldUnit { dim, desc: inf.chain.join(" -> ") }));
+                }
+                i += 1;
+            }
+        }
+        let changed = !learned.is_empty();
+        for (name, fu) in learned {
+            self.fields.entry(name).or_insert(fu);
+        }
+        changed
+    }
+
+    /// The parameter units of the graph node matching `(file, fn_idx)`,
+    /// or a fresh signature parse when the fn is not in the graph.
+    fn params_for(&self, file: usize, fn_idx: usize) -> Vec<(String, Option<Dim>)> {
+        for (n, node) in self.graph.nodes.iter().enumerate() {
+            if node.file == file && node.fn_idx == fn_idx {
+                return self.params[n].clone();
+            }
+        }
+        signature_params(&self.units[file].lexed.tokens, self.units[file].model.fns[fn_idx].body.0)
+    }
+
+    /// Unit-carrying `let`/`for` bindings of the body at `body`, with
+    /// flow-style shadowing. A name's own suffix is authoritative; an
+    /// un-suffixed single-name binding takes the RHS's inferred unit.
+    fn locals_for(
+        &self,
+        file: usize,
+        body: (usize, usize),
+        params: &[(String, Option<Dim>)],
+    ) -> Vec<ULocal> {
+        let u = &self.units[file];
+        let toks = &u.lexed.tokens;
+        let (b0, b1) = body;
+        let mut locals: Vec<ULocal> = Vec::new();
+        for (name, dim) in params {
+            if let Some(d) = dim {
+                locals.push(ULocal {
+                    name: name.clone(),
+                    from: b0,
+                    until: usize::MAX,
+                    dim: d.clone(),
+                    chain: vec![format!("parameter `{name}` ({}, {})", d.render(), u.path)],
+                });
+            }
+        }
+        let mut i = b0;
+        while i <= b1 && i < toks.len() {
+            let t = &toks[i];
+            if t.kind == TokKind::Ident && t.text == "let" {
+                let (eq, semi) = let_bounds(toks, i + 1, b1);
+                let Some(semi) = semi else {
+                    i += 1;
+                    continue;
+                };
+                if let Some(eq) = eq {
+                    let names = pattern_names(toks, i + 1, eq);
+                    if !names.is_empty() {
+                        let rhs = self.eval_span(file, eq + 1, semi.saturating_sub(1), &locals);
+                        for name in &names {
+                            // Shadowing: a rebinding ends the old local's
+                            // range whether or not the new one has a unit.
+                            for l in locals.iter_mut() {
+                                if l.name == *name && l.until > semi {
+                                    l.until = semi;
+                                }
+                            }
+                        }
+                        for name in names {
+                            let bound = match name_dim(&name) {
+                                Some((d, label)) => Some((
+                                    d,
+                                    vec![format!("local `{name}` {label} ({}:{})", u.path, t.line)],
+                                )),
+                                None => match (&rhs.unit, names_len_one(&rhs)) {
+                                    (Unit::Of(d), _) => {
+                                        let mut chain = rhs.chain.clone();
+                                        chain.push(format!("local `{name}`"));
+                                        Some((d.clone(), chain))
+                                    }
+                                    _ => None,
+                                },
+                            };
+                            if let Some((dim, chain)) = bound {
+                                locals.push(ULocal {
+                                    name,
+                                    from: semi,
+                                    until: usize::MAX,
+                                    dim,
+                                    chain,
+                                });
+                            }
+                        }
+                    }
+                }
+                i = semi + 1;
+                continue;
+            }
+            if t.kind == TokKind::Ident && t.text == "for" {
+                if let Some((names, expr_end, brace)) = for_binding(toks, i, b1) {
+                    let rhs = self.eval_span(file, i + 1, expr_end, &locals);
+                    for name in names {
+                        let bound = match name_dim(&name) {
+                            Some((d, label)) => Some((
+                                d,
+                                vec![format!("loop `{name}` {label} ({}:{})", u.path, t.line)],
+                            )),
+                            None => match &rhs.unit {
+                                Unit::Of(d) => {
+                                    let mut chain = rhs.chain.clone();
+                                    chain.push(format!("loop local `{name}`"));
+                                    Some((d.clone(), chain))
+                                }
+                                _ => None,
+                            },
+                        };
+                        if let Some((dim, chain)) = bound {
+                            locals.push(ULocal {
+                                name,
+                                from: brace,
+                                until: usize::MAX,
+                                dim,
+                                chain,
+                            });
+                        }
+                    }
+                    i = brace.max(i + 1);
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        locals
+    }
+
+    /// The unit of the token span `[lo, hi]`: depth-0 binary `+`/`-`
+    /// split the span into terms whose units are joined (mixed terms are
+    /// the site scan's business, so a disagreement here degrades to
+    /// `Unknown` rather than firing twice); within a term, depth-0
+    /// `*`/`/` factors compose through the lattice. Evaluation stops at
+    /// a depth-0 `%` (the remainder keeps the left unit, the right side
+    /// is a modulus).
+    fn eval_span(&self, file: usize, lo: usize, hi: usize, locals: &[ULocal]) -> Inferred {
+        let toks = &self.units[file].lexed.tokens;
+        if toks.is_empty() || lo > hi || lo >= toks.len() {
+            return Inferred::unknown();
+        }
+        let mut hi = hi.min(toks.len() - 1);
+        let is_value = |i: usize| {
+            i > lo
+                && ((toks[i - 1].kind == TokKind::Ident && !parse::is_keyword(&toks[i - 1].text))
+                    || toks[i - 1].kind == TokKind::Num
+                    || toks[i - 1].is_punct(')')
+                    || toks[i - 1].is_punct(']'))
+        };
+        // Term boundaries at depth-0 binary `+` / `-` (and the `%` stop).
+        let mut term_cuts: Vec<usize> = Vec::new();
+        let mut depth = 0i32;
+        for i in lo..=hi {
+            let t = &toks[i];
+            if t.kind != TokKind::Punct {
+                continue;
+            }
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "+" | "-" if depth == 0 => {
+                    let arrow = t.text == "-" && toks.get(i + 1).is_some_and(|n| n.is_punct('>'));
+                    if is_value(i) && !arrow {
+                        term_cuts.push(i);
+                    }
+                }
+                "%" if depth == 0 => {
+                    hi = i.saturating_sub(1);
+                    break;
+                }
+                _ => {}
+            }
+        }
+        term_cuts.retain(|&i| i <= hi);
+        let mut joined: Option<Inferred> = None;
+        let mut start = lo;
+        for cut in term_cuts.into_iter().chain(std::iter::once(hi + 1)) {
+            if cut > start {
+                let term = self.eval_term(file, start, cut - 1, locals);
+                joined = Some(match joined {
+                    None => term,
+                    Some(acc) => {
+                        let unit = acc.unit.join(&term.unit);
+                        let keep_acc = matches!(acc.unit, Unit::Of(_)) || acc.unit == unit;
+                        let mut r = if keep_acc { acc } else { term };
+                        if matches!(unit, Unit::Conflict) {
+                            r.unit = Unit::Unknown;
+                        } else {
+                            r.unit = unit;
+                        }
+                        r
+                    }
+                });
+            }
+            start = cut + 1;
+        }
+        joined.unwrap_or_else(Inferred::unknown)
+    }
+
+    /// The unit of one additive term: depth-0 `*`/`/` factors composed
+    /// left to right.
+    fn eval_term(&self, file: usize, lo: usize, hi: usize, locals: &[ULocal]) -> Inferred {
+        let toks = &self.units[file].lexed.tokens;
+        let mut cuts: Vec<(usize, char)> = Vec::new();
+        let mut depth = 0i32;
+        for i in lo..=hi {
+            let t = &toks[i];
+            if t.kind != TokKind::Punct {
+                continue;
+            }
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "*" | "/" if depth == 0 => {
+                    let binary = i > lo
+                        && (toks[i - 1].kind == TokKind::Ident
+                            || toks[i - 1].kind == TokKind::Num
+                            || toks[i - 1].is_punct(')')
+                            || toks[i - 1].is_punct(']'));
+                    if binary {
+                        cuts.push((i, t.text.chars().next().unwrap_or('*')));
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut result = Inferred::scalar();
+        let mut start = lo;
+        let mut pending_op = '*';
+        for (cut, op) in cuts.into_iter().chain(std::iter::once((hi + 1, '*'))) {
+            if cut > start {
+                let f = self.eval_factor(file, start, cut.min(hi + 1) - 1, locals);
+                result = combine(result, f, pending_op, toks);
+            }
+            start = cut + 1;
+            pending_op = op;
+        }
+        result
+    }
+
+    /// The unit of one factor (no depth-0 `*`/`/` inside). Precedence:
+    /// poison (unresolvable call, macro, conversion literal) beats
+    /// everything; then call evidence — a call whose argument parens
+    /// enclose the other candidate wins (the wrapping transform for
+    /// prefix calls like `from_secs_f64(x.as_bytes()/r)`), otherwise the
+    /// *last* call in a postfix chain; then the earliest token evidence
+    /// (local, parameter, field, suffix, time-type mention); a left-over
+    /// unresolved identifier means `Unknown`, a literal-only factor is
+    /// `Scalar`.
+    fn eval_factor(&self, file: usize, lo: usize, hi: usize, locals: &[ULocal]) -> Inferred {
+        let u = &self.units[file];
+        let toks = &u.lexed.tokens;
+        if lo > hi || lo >= toks.len() {
+            return Inferred::unknown();
+        }
+        let hi = hi.min(toks.len() - 1);
+        type CallEv = Option<(Inferred, Option<(usize, usize)>)>;
+        let mut call_ev: CallEv = None;
+        let keep = |cand: Inferred, cover: Option<(usize, usize)>, slot: &mut CallEv| {
+            let wins = match slot.as_ref() {
+                None => true,
+                Some((held, held_cover)) => {
+                    let cand_encloses = cover.is_some_and(|(o, c)| o < held.tok && held.tok < c);
+                    let held_encloses =
+                        held_cover.is_some_and(|(o, c)| o < cand.tok && cand.tok < c);
+                    cand_encloses || (!held_encloses && cand.tok > held.tok)
+                }
+            };
+            if wins {
+                *slot = Some((cand, cover));
+            }
+        };
+        for mc in u.model.calls.iter().filter(|c| c.dot >= lo && c.dot <= hi) {
+            if let Some(b) = method_dim(&mc.name) {
+                keep(
+                    Inferred {
+                        unit: Unit::Of(Dim::base(b)),
+                        chain: vec![format!("`.{}()` reads {b} ({}:{})", mc.name, u.path, mc.line)],
+                        via: None,
+                        tok: mc.dot,
+                        line: mc.line,
+                    },
+                    Some(mc.args),
+                    &mut call_ev,
+                );
+            } else if let Some((d, label)) = name_dim(&mc.name) {
+                keep(
+                    Inferred {
+                        unit: Unit::Of(d),
+                        chain: vec![format!("`.{}()` {label} ({}:{})", mc.name, u.path, mc.line)],
+                        via: None,
+                        tok: mc.dot,
+                        line: mc.line,
+                    },
+                    Some(mc.args),
+                    &mut call_ev,
+                );
+            } else if PRESERVE_METHODS.contains(&mc.name.as_str()) {
+                // Receiver-transparent: the receiver's own token evidence
+                // carries the unit through (even when a `SimTime::max`-style
+                // summary would match by name).
+            } else if let Some(n) = self.resolve_method(file, &mc.name) {
+                let dim = self.summaries[n].as_ref().map(|s| s.dim.clone());
+                if let Some(dim) = dim {
+                    keep(
+                        Inferred {
+                            unit: Unit::Of(dim),
+                            chain: self.chain(n),
+                            via: Some(n),
+                            tok: mc.dot,
+                            line: mc.line,
+                        },
+                        Some(mc.args),
+                        &mut call_ev,
+                    );
+                }
+            } else {
+                return Inferred::unknown();
+            }
+        }
+        for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= lo && c.tok <= hi) {
+            let time_ctor = TIME_CTORS
+                .iter()
+                .find(|(n, _)| *n == fc.name)
+                .filter(|_| fc.qual.last().is_some_and(|q| TIME_TYPES.contains(&q.as_str())));
+            if time_ctor.is_some() {
+                let q = fc.qual.last().map(String::as_str).unwrap_or("");
+                keep(
+                    Inferred {
+                        unit: Unit::Of(Dim::base("nanos")),
+                        chain: vec![format!(
+                            "`{q}::{}(..)` constructs sim time in nanos ({}:{})",
+                            fc.name, u.path, fc.line
+                        )],
+                        via: None,
+                        tok: fc.tok,
+                        line: fc.line,
+                    },
+                    call_args(toks, fc.tok),
+                    &mut call_ev,
+                );
+            } else if let Some((d, label)) = name_dim(&fc.name) {
+                keep(
+                    Inferred {
+                        unit: Unit::Of(d),
+                        chain: vec![format!("`{}(..)` {label} ({}:{})", fc.name, u.path, fc.line)],
+                        via: None,
+                        tok: fc.tok,
+                        line: fc.line,
+                    },
+                    call_args(toks, fc.tok),
+                    &mut call_ev,
+                );
+            } else if let Some(n) = self.resolve_free(file, fc.qual.as_slice(), &fc.name) {
+                let dim = self.summaries[n].as_ref().map(|s| s.dim.clone());
+                if let Some(dim) = dim {
+                    keep(
+                        Inferred {
+                            unit: Unit::Of(dim),
+                            chain: self.chain(n),
+                            via: Some(n),
+                            tok: fc.tok,
+                            line: fc.line,
+                        },
+                        call_args(toks, fc.tok),
+                        &mut call_ev,
+                    );
+                }
+            } else if fc.name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
+                // A lower-case call we cannot see through could convert.
+                // (Upper-case names are tuple/enum constructors, which
+                // pass their payload through.)
+                return Inferred::unknown();
+            }
+        }
+        if u.model.macros.iter().any(|m| m.tok >= lo && m.tok <= hi) {
+            return Inferred::unknown();
+        }
+        if toks[lo..=hi].iter().any(|t| t.kind == TokKind::Num && conversion_literal(&t.text)) {
+            return Inferred::unknown();
+        }
+        if let Some((ev, _)) = call_ev {
+            return ev;
+        }
+        // Token evidence: earliest wins.
+        let mut best: Option<Inferred> = None;
+        let mut unresolved = false;
+        let consider = |cand: Inferred, best: &mut Option<Inferred>| {
+            if best.as_ref().is_none_or(|b| cand.tok < b.tok) {
+                *best = Some(cand);
+            }
+        };
+        for i in lo..=hi {
+            let t = &toks[i];
+            if t.kind != TokKind::Ident || parse::is_keyword(&t.text) {
+                continue;
+            }
+            if NUM_TYPES.contains(&t.text.as_str()) || t.text == "None" {
+                continue;
+            }
+            let after_dot = i > 0 && toks[i - 1].is_punct('.');
+            let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
+            if after_dot {
+                if field_read_shape(toks, i - 1) {
+                    if let Some(fu) = self.fields.get(&t.text) {
+                        consider(
+                            Inferred {
+                                unit: Unit::Of(fu.dim.clone()),
+                                chain: vec![format!("{} -> field `.{}`", fu.desc, t.text)],
+                                via: None,
+                                tok: i,
+                                line: t.line,
+                            },
+                            &mut best,
+                        );
+                    } else if let Some((d, label)) = name_dim(&t.text) {
+                        consider(
+                            Inferred {
+                                unit: Unit::Of(d),
+                                chain: vec![format!(
+                                    "field `.{}` {label} ({}:{})",
+                                    t.text, u.path, t.line
+                                )],
+                                via: None,
+                                tok: i,
+                                line: t.line,
+                            },
+                            &mut best,
+                        );
+                    } else {
+                        unresolved = true;
+                    }
+                }
+                continue;
+            }
+            if in_path || toks.get(i + 1).is_some_and(|n| n.is_punct(':')) {
+                // Path interiors and qualifiers; calls are handled above.
+                continue;
+            }
+            if TIME_TYPES.contains(&t.text.as_str()) {
+                consider(
+                    Inferred {
+                        unit: Unit::Of(Dim::base("nanos")),
+                        chain: vec![format!(
+                            "`{}` value (sim time in nanos, {}:{})",
+                            t.text, u.path, t.line
+                        )],
+                        via: None,
+                        tok: i,
+                        line: t.line,
+                    },
+                    &mut best,
+                );
+                continue;
+            }
+            if let Some(l) =
+                locals.iter().rev().find(|l| l.name == t.text && i >= l.from && i <= l.until)
+            {
+                consider(
+                    Inferred {
+                        unit: Unit::Of(l.dim.clone()),
+                        chain: l.chain.clone(),
+                        via: None,
+                        tok: i,
+                        line: t.line,
+                    },
+                    &mut best,
+                );
+                continue;
+            }
+            if let Some((d, label)) = name_dim(&t.text) {
+                consider(
+                    Inferred {
+                        unit: Unit::Of(d),
+                        chain: vec![format!("`{}` {label} ({}:{})", t.text, u.path, t.line)],
+                        via: None,
+                        tok: i,
+                        line: t.line,
+                    },
+                    &mut best,
+                );
+                continue;
+            }
+            if t.text.starts_with(|c: char| c.is_ascii_uppercase()) {
+                // A type/variant mention, not a value.
+                let heads_literal = toks.get(i + 1).is_some_and(|n| n.is_punct('{'));
+                if !heads_literal {
+                    // Upper-case consts (e.g. `QUEUE_CAP`) are values we
+                    // cannot resolve — poison like any unknown ident,
+                    // unless the name carried a suffix (handled above).
+                    if t.text.chars().all(|c| !c.is_ascii_lowercase()) {
+                        unresolved = true;
+                    }
+                }
+                continue;
+            }
+            unresolved = true;
+        }
+        match best {
+            Some(b) => b,
+            None if unresolved => Inferred::unknown(),
+            None => Inferred::scalar(),
+        }
+    }
+
+    /// Resolves a method call to a summarized node (flow's gate: the
+    /// caller's file must mention the owner type or trait).
+    fn resolve_method(&self, file: usize, name: &str) -> Option<usize> {
+        let cands = self.by_name.get(name)?;
+        for &n in cands {
+            let node = &self.graph.nodes[n];
+            if node.owner.is_none() {
+                continue;
+            }
+            let mentioned = node
+                .owner
+                .as_deref()
+                .is_some_and(|o| self.file_idents[file].contains(o))
+                || node.trait_name.as_deref().is_some_and(|tr| self.file_idents[file].contains(tr));
+            if mentioned {
+                return Some(n);
+            }
+        }
+        None
+    }
+
+    /// Resolves a free call against `cands` with flow's gates: an
+    /// unqualified call only matches a free fn of the same module; a
+    /// qualified call matches on the last qualifier segment.
+    fn resolve_in(
+        &self,
+        file: usize,
+        qual: &[String],
+        name: &str,
+        cands: &[usize],
+    ) -> Option<usize> {
+        let u = &self.units[file];
+        let _ = name;
+        for &n in cands {
+            let node = &self.graph.nodes[n];
+            let matched = if qual.is_empty() {
+                node.owner.is_none() && node.abs_module == u.mp.abs()
+            } else {
+                let q = qual.last().map(String::as_str).unwrap_or("");
+                (node.owner.is_none() && node.abs_module.last().map(String::as_str) == Some(q))
+                    || node.owner.as_deref() == Some(q)
+            };
+            if matched {
+                return Some(n);
+            }
+        }
+        None
+    }
+
+    /// Resolves a free call to a *summarized* node.
+    fn resolve_free(&self, file: usize, qual: &[String], name: &str) -> Option<usize> {
+        let cands = self.by_name.get(name)?.clone();
+        self.resolve_in(file, qual, name, &cands)
+    }
+
+    /// Resolves a free call to *any* node (for parameter-unit checks).
+    fn resolve_any(&self, file: usize, qual: &[String], name: &str) -> Option<usize> {
+        let cands = self.all_by_name.get(name)?.clone();
+        self.resolve_in(file, qual, name, &cands)
+    }
+
+    /// The call chain from the root evidence down to node `from`, one
+    /// hop per entry, mirroring the taint pass's path printing.
+    fn chain(&self, from: usize) -> Vec<String> {
+        let mut hops: Vec<String> = Vec::new();
+        let mut cur = from;
+        for _ in 0..16 {
+            let Some(s) = self.summaries[cur].as_ref() else { break };
+            let n = &self.graph.nodes[cur];
+            hops.push(format!("`{}` ({}:{})", n.name, self.units[n.file].path, n.line));
+            match s.via {
+                Some(v) if v != cur => cur = v,
+                _ => {
+                    hops.push(format!("{} ({}:{})", s.what, self.units[n.file].path, s.line));
+                    break;
+                }
+            }
+        }
+        hops.reverse();
+        hops
+    }
+
+    /// The site scan: walks every fn body for binary add/sub/compare/
+    /// assign sites whose operands carry conflicting concrete units, and
+    /// checks time-constructor and free-call arguments against their
+    /// declared parameter units.
+    fn site_findings(&self) -> Vec<Finding> {
+        let mut out = Vec::new();
+        let graph_mode = self.graph.has_entries();
+        for (file, u) in self.units.iter().enumerate() {
+            let scope = graph_mode.then(|| self.graph.scope_for(file));
+            for (fk, f) in u.model.fns.iter().enumerate() {
+                let params = self.params_for(file, fk);
+                let locals = self.locals_for(file, f.body, &params);
+                self.scan_ops(file, f.body, &locals, scope.as_ref(), &mut out);
+                self.check_call_args(file, f.body, &locals, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Binary-operator scan over one body span.
+    fn scan_ops(
+        &self,
+        file: usize,
+        body: (usize, usize),
+        locals: &[ULocal],
+        scope: Option<&crate::graph::FileScope>,
+        out: &mut Vec<Finding>,
+    ) {
+        let u = &self.units[file];
+        let toks = &u.lexed.tokens;
+        let (b0, b1) = body;
+        let mut i = b0;
+        while i <= b1 && i < toks.len() {
+            let Some((rhs_from, op_desc)) = binary_op_at(toks, i) else {
+                i += 1;
+                continue;
+            };
+            let left = operand_back(toks, i.saturating_sub(1), b0);
+            let right = operand_fwd(toks, rhs_from, b1);
+            if let (Some((ll, lh)), Some((rl, rh))) = (left, right) {
+                let l = self.eval_span(file, ll, lh, locals);
+                let r = self.eval_span(file, rl, rh, locals);
+                if let (Unit::Of(ld), Unit::Of(rd)) = (&l.unit, &r.unit) {
+                    if ld != rd {
+                        out.push(self.mismatch_finding(
+                            file,
+                            toks,
+                            i,
+                            op_desc,
+                            (ll, lh, &l, ld),
+                            (rl, rh, &r, rd),
+                            scope,
+                        ));
+                    }
+                }
+            }
+            i = rhs_from;
+        }
+    }
+
+    /// Builds the classified finding for one conflicting site.
+    #[allow(clippy::too_many_arguments)]
+    fn mismatch_finding(
+        &self,
+        file: usize,
+        toks: &[Token],
+        op_tok: usize,
+        op_desc: &'static str,
+        left: (usize, usize, &Inferred, &Dim),
+        right: (usize, usize, &Inferred, &Dim),
+        scope: Option<&crate::graph::FileScope>,
+    ) -> Finding {
+        let u = &self.units[file];
+        let (ll, lh, l, ld) = left;
+        let (rl, rh, r, rd) = right;
+        let lt = span_text(toks, ll, lh);
+        let rt = span_text(toks, rl, rh);
+        let lc = l.chain.join(" -> ");
+        let rc = r.chain.join(" -> ");
+        let is_cmp = matches!(op_desc, "comparison");
+        let mentions_cfg = |lo: usize, hi: usize| {
+            toks[lo..=hi.min(toks.len() - 1)].iter().any(|t| {
+                t.kind == TokKind::Ident && {
+                    let low = t.text.to_ascii_lowercase();
+                    low.contains("threshold") || low.contains("cfg") || low.contains("config")
+                }
+            })
+        };
+        let (rule, advice) = if ld.is_rate() || rd.is_rate() {
+            (
+                id::RATE_CONFUSION,
+                "a rate and a quantity of a different shape only combine through an explicit \
+                 step factor (multiply the rate by `dt`/`dt_secs`, or divide by `ticks_per_sec`)",
+            )
+        } else if is_cmp
+            && scope.is_some_and(|s| s.in_reach(op_tok))
+            && (mentions_cfg(ll, lh) || mentions_cfg(rl, rh))
+        {
+            (
+                id::THRESHOLD_UNIT,
+                "a detector threshold must be configured in the unit it is compared against — \
+                 convert at the config boundary, not at the comparison site",
+            )
+        } else {
+            (
+                id::UNIT_MISMATCH,
+                "convert explicitly at the boundary (simcore::time constructors or the \
+                 NANOS_PER_* consts) so both operands carry one unit",
+            )
+        };
+        Finding {
+            path: u.path.clone(),
+            line: toks[op_tok].line,
+            rule,
+            message: format!(
+                "unit mismatch in {op_desc}: `{lt}` is {} ({lc}) but `{rt}` is {} ({rc}); {advice}",
+                ld.render(),
+                rd.render()
+            ),
+        }
+    }
+
+    /// Checks time-constructor arguments (`from_secs` wants secs) and
+    /// free-call arguments against the callee's parameter units.
+    fn check_call_args(
+        &self,
+        file: usize,
+        body: (usize, usize),
+        locals: &[ULocal],
+        out: &mut Vec<Finding>,
+    ) {
+        let u = &self.units[file];
+        let toks = &u.lexed.tokens;
+        let (b0, b1) = body;
+        for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= b0 && c.tok <= b1) {
+            let Some((open, close)) = call_args(toks, fc.tok) else { continue };
+            if close <= open + 1 {
+                continue;
+            }
+            let time_ctor = TIME_CTORS
+                .iter()
+                .find(|(n, _)| *n == fc.name)
+                .filter(|_| fc.qual.last().is_some_and(|q| TIME_TYPES.contains(&q.as_str())));
+            if let Some((ctor, expect)) = time_ctor {
+                let want = Dim::base(expect);
+                let a = self.eval_span(file, open + 1, close - 1, locals);
+                if let Unit::Of(ad) = &a.unit {
+                    if *ad != want {
+                        let q = fc.qual.last().map(String::as_str).unwrap_or("");
+                        out.push(Finding {
+                            path: u.path.clone(),
+                            line: fc.line,
+                            rule: id::UNIT_MISMATCH,
+                            message: format!(
+                                "unit mismatch in constructor argument: `{q}::{ctor}` expects \
+                                 {expect} but `{}` is {} ({}); pick the constructor matching the \
+                                 value's unit",
+                                span_text(toks, open + 1, close - 1),
+                                ad.render(),
+                                a.chain.join(" -> ")
+                            ),
+                        });
+                    }
+                }
+                continue;
+            }
+            let Some(n) = self.resolve_any(file, fc.qual.as_slice(), &fc.name) else { continue };
+            let callee_params = &self.params[n];
+            if callee_params.iter().all(|(_, d)| d.is_none()) {
+                continue;
+            }
+            for (k, (alo, ahi)) in split_args(toks, open, close).into_iter().enumerate() {
+                let Some((pname, Some(pd))) = callee_params.get(k) else { continue };
+                let a = self.eval_span(file, alo, ahi, locals);
+                if let Unit::Of(ad) = &a.unit {
+                    if ad != pd {
+                        let callee = &self.graph.nodes[n];
+                        out.push(Finding {
+                            path: u.path.clone(),
+                            line: fc.line,
+                            rule: id::UNIT_MISMATCH,
+                            message: format!(
+                                "unit mismatch in call argument: parameter `{pname}` of `{}` \
+                                 ({}:{}) is {} (declared by its name) but `{}` is {} ({}); \
+                                 convert before the call",
+                                callee.name,
+                                self.units[callee.file].path,
+                                callee.line,
+                                pd.render(),
+                                span_text(toks, alo, ahi),
+                                ad.render(),
+                                a.chain.join(" -> ")
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `raw-unit-conversion` pass: magic 10^3/10^6/10^9 integer
+    /// literals adjacent to `*` or `/`, anywhere but `simcore::time`
+    /// itself (the one blessed home of the conversion consts).
+    fn raw_conversions(&self) -> Vec<Finding> {
+        let mut out = Vec::new();
+        for u in self.units.iter() {
+            if u.path.ends_with("simcore/src/time.rs") {
+                continue;
+            }
+            let toks = &u.lexed.tokens;
+            for (i, t) in toks.iter().enumerate() {
+                if t.kind != TokKind::Num || !raw_conversion_int(&t.text) {
+                    continue;
+                }
+                let scaled = [i.checked_sub(1).map(|p| &toks[p]), toks.get(i + 1)]
+                    .into_iter()
+                    .flatten()
+                    .any(|n| n.is_punct('*') || n.is_punct('/'));
+                if scaled {
+                    out.push(Finding {
+                        path: u.path.clone(),
+                        line: t.line,
+                        rule: id::RAW_UNIT_CONVERSION,
+                        message: format!(
+                            "magic unit-conversion literal `{}` — scale through simcore::time's \
+                             named constructors (`from_micros`/`from_millis`/`from_secs`) or the \
+                             NANOS_PER_MICRO/NANOS_PER_MILLI/NANOS_PER_SEC consts so the target \
+                             unit stays explicit (a named count const is fine too)",
+                            t.text
+                        ),
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Composes a factor into the running span result.
+fn combine(acc: Inferred, f: Inferred, op: char, _toks: &[Token]) -> Inferred {
+    let unit = if op == '/' { acc.unit.div(&f.unit) } else { acc.unit.mul(&f.unit) };
+    let mut chain = acc.chain;
+    let mut via = acc.via;
+    let mut tok = acc.tok;
+    let mut line = acc.line;
+    if matches!(f.unit, Unit::Of(_)) {
+        if chain.is_empty() {
+            chain = f.chain;
+            via = f.via;
+            tok = f.tok;
+            line = f.line;
+        } else {
+            let word = if op == '/' { "divided by" } else { "scaled by" };
+            if let Some(first) = f.chain.last() {
+                chain.push(format!("{word} {first}"));
+            }
+            via = None;
+        }
+    }
+    Inferred { unit, chain, via, tok, line }
+}
+
+/// True when `rhs` could bind a single-name pattern (tuple patterns only
+/// bind through their own suffixes).
+fn names_len_one(_rhs: &Inferred) -> bool {
+    true
+}
+
+/// True when a return-type span denotes a value that can carry ONE unit:
+/// every identifier in it is a bare numeric primitive or a time type. A
+/// struct/enum return (e.g. `-> Geometry`) aggregates many quantities, so
+/// its fn never gets a scalar unit summary.
+fn unit_bearing_return(toks: &[Token], span: (usize, usize)) -> bool {
+    let mut saw = false;
+    for t in toks.iter().take(span.1.min(toks.len() - 1) + 1).skip(span.0) {
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        if parse::is_keyword(&t.text) {
+            continue;
+        }
+        if !NUM_TYPES.contains(&t.text.as_str()) && !TIME_TYPES.contains(&t.text.as_str()) {
+            return false;
+        }
+        saw = true;
+    }
+    saw
+}
+
+/// The `-> TYPE` span of the fn whose body opens at `b0`, if it has an
+/// explicit return type.
+fn return_type_span(toks: &[Token], b0: usize) -> Option<(usize, usize)> {
+    let sig = (0..b0).rev().find(|&k| toks[k].is_ident("fn"))?;
+    let open = (sig..b0).find(|&k| toks[k].is_punct('('))?;
+    let close = parse::match_delim(toks, open);
+    if close >= b0 {
+        return None;
+    }
+    let mut k = close + 1;
+    while k + 1 < b0 {
+        if toks[k].is_punct('-') && toks[k + 1].is_punct('>') {
+            let start = k + 2;
+            // The type runs to the body brace or a `where` clause.
+            let end = match (start..b0).find(|&j| toks[j].is_ident("where")) {
+                Some(j) => j.saturating_sub(1),
+                None => b0.saturating_sub(1),
+            };
+            return (start <= end).then_some((start, end));
+        }
+        k += 1;
+    }
+    None
+}
+
+/// Named parameters of the fn whose body opens at `b0`, with the unit
+/// each name or `SimTime`/`SimDuration` type declares.
+fn signature_params(toks: &[Token], b0: usize) -> Vec<(String, Option<Dim>)> {
+    let mut out = Vec::new();
+    let Some(sig) = (0..b0).rev().find(|&k| toks[k].is_ident("fn")) else { return out };
+    let Some(open) = (sig..b0).find(|&k| toks[k].is_punct('(')) else { return out };
+    let close = parse::match_delim(toks, open);
+    if close >= b0 {
+        return out;
+    }
+    let mut k = open + 1;
+    while k < close {
+        let named = toks[k].kind == TokKind::Ident
+            && !parse::is_keyword(&toks[k].text)
+            && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
+            && !toks.get(k + 2).is_some_and(|t| t.is_punct(':'))
+            && !toks[k - 1].is_punct(':');
+        if !named {
+            k += 1;
+            continue;
+        }
+        let name = toks[k].text.clone();
+        // The type span runs to the next depth-0 comma.
+        let mut depth = 0i32;
+        let mut j = k + 2;
+        let mut type_time = false;
+        while j < close {
+            let t = &toks[j];
+            if t.kind == TokKind::Punct {
+                match t.text.as_str() {
+                    "(" | "[" | "{" | "<" => depth += 1,
+                    ")" | "]" | "}" | ">" => depth -= 1,
+                    "," if depth == 0 => break,
+                    _ => {}
+                }
+            } else if t.kind == TokKind::Ident && TIME_TYPES.contains(&t.text.as_str()) {
+                type_time = true;
+            }
+            j += 1;
+        }
+        let dim = match name_dim(&name) {
+            Some((d, _)) => Some(d),
+            None if type_time => Some(Dim::base("nanos")),
+            None => None,
+        };
+        out.push((name, dim));
+        k = j + 1;
+    }
+    out
+}
+
+/// The `return EXPR;` spans plus the trailing expression of a body.
+fn return_spans(toks: &[Token], body: (usize, usize)) -> Vec<(usize, usize)> {
+    let (b0, b1) = body;
+    let mut spans = Vec::new();
+    let last = b1.min(toks.len().saturating_sub(1));
+    for i in (b0 + 1)..last {
+        if toks[i].is_ident("return") {
+            if let Some(end) = rhs_end(toks, i + 1) {
+                if end > i + 1 {
+                    spans.push((i + 1, end - 1));
+                }
+            }
+        }
+    }
+    // Trailing expression: whatever follows the last depth-0 `;`.
+    let mut depth = 0i32;
+    let mut start = b0 + 1;
+    for (i, t) in toks.iter().enumerate().take(last).skip(b0 + 1) {
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                ";" if depth == 0 => start = i + 1,
+                _ => {}
+            }
+        }
+    }
+    if start < last
+        && !toks[start].is_ident("for")
+        && !toks[start].is_ident("while")
+        && !toks[start].is_ident("loop")
+        && !toks[start].is_ident("let")
+    {
+        spans.push((start, last - 1));
+    }
+    spans
+}
+
+/// Identifies a binary operator starting at token `i`; returns the index
+/// the right operand starts at and a description of the op class.
+fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
+    let t = &toks[i];
+    if t.kind != TokKind::Punct {
+        return None;
+    }
+    let prev = i.checked_sub(1).map(|p| &toks[p]);
+    let next = toks.get(i + 1);
+    let prev_value = prev.is_some_and(|p| {
+        (p.kind == TokKind::Ident && !parse::is_keyword(&p.text))
+            || p.kind == TokKind::Num
+            || p.is_punct(')')
+            || p.is_punct(']')
+    });
+    let prev_is = |c: char| prev.is_some_and(|p| p.is_punct(c));
+    let next_is = |c: char| next.is_some_and(|n| n.is_punct(c));
+    match t.text.as_str() {
+        "+" | "-" if prev_value && !next_is('>') && !next_is('=') => Some((i + 1, "addition")),
+        "+" | "-" if prev_value && next_is('=') => Some((i + 2, "compound assignment")),
+        "<" if prev_value
+            && !prev_is('<')
+            && !prev_is(':')
+            && !next_is('<')
+            && !prev.is_some_and(|p| {
+                p.kind == TokKind::Ident && p.text.starts_with(|c: char| c.is_ascii_uppercase())
+            }) =>
+        {
+            Some((if next_is('=') { i + 2 } else { i + 1 }, "comparison"))
+        }
+        ">" if prev_value && !prev_is('-') && !prev_is('=') && !prev_is('>') && !next_is('>') => {
+            Some((if next_is('=') { i + 2 } else { i + 1 }, "comparison"))
+        }
+        // Plain `=` assignments are bindings, not combinations — the
+        // binding rules (lets, field discovery) own those; only `==`
+        // compares two existing quantities.
+        "=" if next_is('=')
+            && !prev_is('=')
+            && !prev_is('!')
+            && !prev_is('<')
+            && !prev_is('>')
+            && !prev_is('+')
+            && !prev_is('-')
+            && !prev_is('*')
+            && !prev_is('/')
+            && !prev_is('%')
+            && !prev_is('&')
+            && !prev_is('|')
+            && !prev_is('^') =>
+        {
+            Some((i + 2, "comparison"))
+        }
+        "!" if next_is('=') => Some((i + 2, "comparison")),
+        _ => None,
+    }
+}
+
+/// Walks backward from `from` to find the left operand span, stopping at
+/// a depth-0 expression boundary. Returns `(lo, hi)` inclusive.
+fn operand_back(toks: &[Token], from: usize, floor: usize) -> Option<(usize, usize)> {
+    if from < floor || from >= toks.len() {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut j = from as isize;
+    let floor = floor as isize;
+    while j >= floor {
+        let t = &toks[j as usize];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                ")" | "]" | "}" => depth += 1,
+                "(" | "[" | "{" => {
+                    depth -= 1;
+                    if depth < 0 {
+                        break;
+                    }
+                }
+                ";" | "," | "=" | "<" | ">" | "+" | "-" | "&" | "|" | "!" | "?" | ":"
+                    if depth == 0 =>
+                {
+                    break;
+                }
+                "." if depth == 0
+                    && (toks.get(j as usize + 1).is_some_and(|n| n.is_punct('.'))
+                        || (j > 0 && toks[j as usize - 1].is_punct('.'))) =>
+                {
+                    break;
+                }
+                _ => {}
+            }
+        } else if t.kind == TokKind::Ident
+            && depth == 0
+            && matches!(
+                t.text.as_str(),
+                "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
+            )
+        {
+            break;
+        }
+        j -= 1;
+    }
+    let lo = (j + 1) as usize;
+    (lo <= from).then_some((lo, from))
+}
+
+/// Walks forward from `from` to find the right operand span, stopping at
+/// a depth-0 expression boundary. Returns `(lo, hi)` inclusive.
+fn operand_fwd(toks: &[Token], from: usize, ceil: usize) -> Option<(usize, usize)> {
+    if from >= toks.len() || from > ceil {
+        return None;
+    }
+    let mut depth = 0i32;
+    let mut j = from;
+    let ceil = ceil.min(toks.len() - 1);
+    while j <= ceil {
+        let t = &toks[j];
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                // A depth-0 `{` opens a block/struct body, not part of
+                // this operand.
+                "{" if depth == 0 => break,
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth < 0 {
+                        break;
+                    }
+                }
+                ";" | "," | "=" | "<" | ">" | "+" | "-" | "&" | "|" | "?" | ":" if depth == 0 => {
+                    break;
+                }
+                "." if depth == 0
+                    && (toks.get(j + 1).is_some_and(|n| n.is_punct('.'))
+                        || (j > 0 && toks[j - 1].is_punct('.'))) =>
+                {
+                    break;
+                }
+                _ => {}
+            }
+        } else if t.kind == TokKind::Ident
+            && depth == 0
+            && matches!(
+                t.text.as_str(),
+                "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
+            )
+        {
+            break;
+        }
+        j += 1;
+    }
+    let hi = j.saturating_sub(1);
+    (hi >= from && j > from).then_some((from, hi))
+}
+
+/// Splits a call's argument list at depth-0 commas into spans.
+fn split_args(toks: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut depth = 0i32;
+    let mut start = open + 1;
+    for (i, t) in toks.iter().enumerate().take(close).skip(open + 1) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            "," if depth == 0 => {
+                if i > start {
+                    out.push((start, i - 1));
+                }
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    if close > start {
+        out.push((start, close - 1));
+    }
+    out
+}
+
+/// A short rendering of a token span for messages.
+fn span_text(toks: &[Token], lo: usize, hi: usize) -> String {
+    let hi = hi.min(toks.len().saturating_sub(1));
+    let mut parts: Vec<&str> = Vec::new();
+    for t in toks.iter().take(hi + 1).skip(lo).take(10) {
+        parts.push(match t.kind {
+            TokKind::Str => "\"..\"",
+            _ => t.text.as_str(),
+        });
+    }
+    let mut s = parts.join(" ");
+    if hi.saturating_sub(lo) >= 10 {
+        s.push_str(" ..");
+    }
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nanos() -> Unit {
+        Unit::Of(Dim::base("nanos"))
+    }
+
+    fn millis() -> Unit {
+        Unit::Of(Dim::base("millis"))
+    }
+
+    #[test]
+    fn join_is_commutative_and_idempotent() {
+        let cases = [Unit::Unknown, Unit::Scalar, nanos(), millis(), Unit::Conflict];
+        for a in &cases {
+            assert_eq!(a.join(a), *a, "idempotent: {a:?}");
+            for b in &cases {
+                assert_eq!(a.join(b), b.join(a), "commutative: {a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(Unit::Unknown.join(&nanos()), nanos());
+        assert_eq!(Unit::Scalar.join(&nanos()), nanos());
+        assert_eq!(nanos().join(&millis()), Unit::Conflict);
+    }
+
+    #[test]
+    fn mul_div_round_trips() {
+        let rate = Dim::base("nanos").div(&Dim::base("secs"));
+        assert_eq!(rate.mul(&Dim::base("secs")), Dim::base("nanos"));
+        assert_eq!(Dim::base("nanos").div(&Dim::base("nanos")), Dim::default());
+        assert!(Dim::base("nanos").div(&Dim::base("nanos")).is_empty());
+        assert!(rate.is_rate());
+        assert!(!Dim::base("ticks").is_rate());
+        // Unit-level: same-unit division is a dimensionless ratio.
+        assert_eq!(nanos().div(&nanos()), Unit::Scalar);
+        assert_eq!(nanos().div(&Unit::Scalar), nanos());
+        assert_eq!(Unit::Unknown.mul(&nanos()), Unit::Unknown);
+    }
+
+    #[test]
+    fn dims_render_ascii() {
+        assert_eq!(Dim::base("nanos").render(), "nanos");
+        assert_eq!(Dim::base("nanos").div(&Dim::base("secs")).render(), "nanos/secs");
+        assert_eq!(Dim::base("secs").inv().render(), "1/secs");
+        assert_eq!(Dim::base("nanos").mul(&Dim::base("nanos")).render(), "nanos^2");
+        assert_eq!(Dim::default().render(), "dimensionless");
+    }
+
+    #[test]
+    fn names_declare_dimensions() {
+        assert_eq!(name_dim("limit_ms").unwrap().0, Dim::base("millis"));
+        assert_eq!(name_dim("dt_secs").unwrap().0, Dim::base("secs"));
+        assert!(name_dim("dt").is_none(), "dt's unit comes from its type or binding");
+        assert_eq!(
+            name_dim("ticks_per_sec").unwrap().0,
+            Dim::base("ticks").div(&Dim::base("secs"))
+        );
+        assert_eq!(name_dim("open_per_sec").unwrap().0, Dim::base("secs").inv());
+        assert_eq!(name_dim("lba").unwrap().0, Dim::base("blocks"));
+        assert_eq!(
+            name_dim("NANOS_PER_SEC").unwrap().0,
+            Dim::base("nanos").div(&Dim::base("secs"))
+        );
+        assert!(name_dim("attempts").is_none());
+        assert!(name_dim("rows_per_million").is_none());
+    }
+
+    #[test]
+    fn conversion_literals_are_recognized() {
+        for t in ["1_000", "1000", "1_000_000u64", "1_000_000_000", "1e9", "1000.0"] {
+            assert!(conversion_literal(t), "{t}");
+        }
+        for t in ["1_000", "1000u64", "1_000_000_000"] {
+            assert!(raw_conversion_int(t), "{t}");
+        }
+        for t in ["1e9", "1000.0", "1024", "999"] {
+            assert!(!raw_conversion_int(t), "{t}");
+        }
+        assert!(!conversion_literal("1024"));
+    }
+}
