@@ -12,22 +12,25 @@
 //!
 //! The engine is aggregate: same-tick requests form *cohorts*
 //! ([`crate::server`]), so cost per tick is O(cohorts), independent of
-//! the client population. The whole run is driven by a single `simcore`
-//! periodic event — one event per timestamp means the dispatch order is
-//! trivially identical under every event-queue kind, keeping the
-//! campaign's queue-invariance digest safe.
-
-use std::collections::BTreeMap;
+//! the client population. A run is a plain loop over the ticks, and the
+//! clients waiting out a think time or a backoff sit in fixed-size rings
+//! of per-tick counters, so a tick allocates nothing and walks no tree.
 
 use simcore::rng::Stream;
-use simcore::sim::Simulation;
 use simcore::time::{SimDuration, SimTime, NANOS_PER_SEC};
 use stutter::injector::SlowdownProfile;
 use stutter::predict::FailurePredictor;
 
 use crate::client::{Backoff, BudgetConfig, RetryBudget, RetryPolicy};
-use crate::policy::{BreakerState, CircuitBreaker, Mitigation, ShedConfig};
+use crate::policy::{CircuitBreaker, Mitigation, ShedConfig};
 use crate::server::{Cohort, ServerQueue};
+
+/// Most counters either tick wheel may hold; [`Config::validate`]
+/// rejects a configuration whose think or backoff wheel would need more.
+pub(crate) const MAX_WHEEL_SLOTS: u64 = 1 << 20;
+
+/// Ticks over which one batch of clients' next fresh issues is spread.
+const THINK_SPREAD: u64 = 4;
 
 /// Closed-loop population configuration.
 #[derive(Clone, Copy, Debug)]
@@ -112,6 +115,33 @@ impl Config {
                 self.dt.as_nanos()
             ));
         }
+        let think_slots = self.think_wheel_ticks();
+        if think_slots > MAX_WHEEL_SLOTS {
+            return Err(format!(
+                "think = {} ns needs a {think_slots}-slot think wheel at dt = {} ns; \
+                 the cap is {MAX_WHEEL_SLOTS}",
+                self.think.as_nanos(),
+                self.dt.as_nanos()
+            ));
+        }
+        let retry_columns = u64::from(self.policy.max_attempts - 1);
+        if retry_columns > MAX_WHEEL_SLOTS {
+            return Err(format!(
+                "policy.max_attempts = {} needs more backoff-wheel columns than the \
+                 {MAX_WHEEL_SLOTS}-slot cap",
+                self.policy.max_attempts
+            ));
+        }
+        let backoff_ticks = self.backoff_wheel_ticks();
+        let backoff_slots = backoff_ticks.saturating_mul(retry_columns);
+        if backoff_slots > MAX_WHEEL_SLOTS {
+            return Err(format!(
+                "policy.backoff delays up to {} ticks over policy.max_attempts = {} need a \
+                 {backoff_slots}-slot backoff wheel; the cap is {MAX_WHEEL_SLOTS}",
+                backoff_ticks - 1,
+                self.policy.max_attempts
+            ));
+        }
         Ok(())
     }
 
@@ -133,6 +163,48 @@ impl Config {
 
     fn dur_ticks(&self, d: SimDuration) -> u64 {
         (d.as_nanos() / self.dt.as_nanos()).max(1)
+    }
+
+    /// Think-wheel length: a think is scheduled up to
+    /// `think + THINK_SPREAD - 1` ticks ahead of the tick being drained.
+    fn think_wheel_ticks(&self) -> u64 {
+        self.dur_ticks(self.think).saturating_add(THINK_SPREAD)
+    }
+
+    /// Backoff-wheel length: one more than the longest backoff delay, in
+    /// ticks, over the attempts that can still retry.
+    fn backoff_wheel_ticks(&self) -> u64 {
+        let longest = (1..self.policy.max_attempts)
+            .map(|a| self.dur_ticks(self.policy.backoff.delay(a)))
+            .max()
+            .unwrap_or(0);
+        longest.saturating_add(1)
+    }
+}
+
+/// A ring of per-tick client counters, `width` of them per tick, indexed
+/// by tick modulo the ring length. It stands in for a tick-keyed map as
+/// long as no count is added more than `len - 1` ticks ahead of the
+/// tick being drained.
+struct TickWheel {
+    counts: Vec<u64>,
+    width: usize,
+    len: u64,
+}
+
+impl TickWheel {
+    fn new(len: u64, width: usize) -> Self {
+        TickWheel { counts: vec![0; len as usize * width], width, len }
+    }
+
+    fn add(&mut self, tick: u64, col: usize, n: u64) {
+        let at = (tick % self.len) as usize * self.width + col;
+        self.counts[at] += n;
+    }
+
+    fn take(&mut self, tick: u64, col: usize) -> u64 {
+        let at = (tick % self.len) as usize * self.width + col;
+        std::mem::take(&mut self.counts[at])
     }
 }
 
@@ -196,16 +268,6 @@ pub struct RunTrace {
     pub ticks_per_sec: u64,
     /// Live (non-orphan) requests served, per tick.
     pub goodput: Vec<u64>,
-    /// Queue depth at tick end.
-    pub depth: Vec<u64>,
-    /// Orphaned requests served, per tick.
-    pub orphans: Vec<u64>,
-    /// Closed-loop timeouts, per tick.
-    pub timeouts: Vec<u64>,
-    /// Admissions rejected (breaker + shed + cap), per tick.
-    pub rejected: Vec<u64>,
-    /// Breaker state per tick (0 closed, 1 half-open, 2 open).
-    pub breaker: Vec<u8>,
     /// First tick with degraded capacity (multiplier < 1), if any.
     pub first_degraded: Option<u64>,
     /// Last tick with degraded capacity, if any.
@@ -244,21 +306,21 @@ struct Engine {
     predictor: Option<(FailurePredictor, ShedConfig, f64, f64)>,
     pred_armed: bool,
     plain_shed: Option<ShedConfig>,
-    think_wheel: BTreeMap<u64, u64>,
-    backoff_wheel: BTreeMap<u64, BTreeMap<u32, u64>>,
+    /// Clients thinking, by the tick of their next fresh issue.
+    think_wheel: TickWheel,
+    /// Clients backing off, by retry tick; column `a - 2` holds those
+    /// about to make attempt `a`.
+    backoff_wheel: TickWheel,
     jitter: Stream,
     credit: f64,
     open_acc: f64,
     tick: u64,
-    ticks: u64,
     timeout_ticks: u64,
     think_ticks: u64,
     dt_secs: f64,
     waiting: u64,
     in_backoff: u64,
     in_think: u64,
-    tick_timeouts: u64,
-    tick_rejected: u64,
     totals: Totals,
     trace: RunTrace,
 }
@@ -284,9 +346,9 @@ impl Engine {
                 (None, None, Some((FailurePredictor::new(predictor), shed, level, decline)))
             }
         };
-        let mut think_wheel: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut think_wheel = TickWheel::new(cfg.think_wheel_ticks(), 1);
         if cfg.initial_burst {
-            think_wheel.insert(0, cfg.population);
+            think_wheel.add(0, 0, cfg.population);
         } else {
             // Stagger first issues uniformly over one think time, with a
             // seeded phase so replicates de-correlate.
@@ -296,12 +358,10 @@ impl Engine {
                 let cum = cfg.population * (s + 1) / think_ticks;
                 let c = cum - prev;
                 prev = cum;
-                if c > 0 {
-                    *think_wheel.entry((s + phase) % think_ticks).or_insert(0) += c;
-                }
+                think_wheel.add((s + phase) % think_ticks, 0, c);
             }
         }
-        let cap = ticks as usize;
+        let retry_columns = (cfg.policy.max_attempts - 1) as usize;
         Engine {
             cfg,
             trigger,
@@ -312,31 +372,23 @@ impl Engine {
             pred_armed: false,
             plain_shed,
             think_wheel,
-            backoff_wheel: BTreeMap::new(),
+            backoff_wheel: TickWheel::new(cfg.backoff_wheel_ticks(), retry_columns),
             jitter: rng.derive("meta-jitter"),
             credit: 0.0,
             open_acc: 0.0,
             tick: 0,
-            ticks,
             timeout_ticks,
             think_ticks,
             dt_secs: cfg.dt.as_secs_f64(),
             waiting: 0,
             in_backoff: 0,
             in_think: cfg.population,
-            tick_timeouts: 0,
-            tick_rejected: 0,
             totals: Totals::default(),
             trace: RunTrace {
                 dt: cfg.dt,
                 ticks,
                 ticks_per_sec,
-                goodput: Vec::with_capacity(cap),
-                depth: Vec::with_capacity(cap),
-                orphans: Vec::with_capacity(cap),
-                timeouts: Vec::with_capacity(cap),
-                rejected: Vec::with_capacity(cap),
-                breaker: Vec::with_capacity(cap),
+                goodput: Vec::with_capacity(ticks as usize),
                 first_degraded: None,
                 last_degraded: None,
                 totals: Totals::default(),
@@ -352,15 +404,12 @@ impl Engine {
             return;
         }
         let base = t + self.think_ticks;
-        let spread = 4;
-        let phase = self.jitter.next_below(spread);
-        let per = n / spread;
-        let rem = n % spread;
-        for s in 0..spread {
+        let phase = self.jitter.next_below(THINK_SPREAD);
+        let per = n / THINK_SPREAD;
+        let rem = n % THINK_SPREAD;
+        for s in 0..THINK_SPREAD {
             let c = per + if s == phase { rem } else { 0 };
-            if c > 0 {
-                *self.think_wheel.entry(base + s).or_insert(0) += c;
-            }
+            self.think_wheel.add(base + s, 0, c);
         }
         self.in_think += n;
     }
@@ -377,8 +426,7 @@ impl Engine {
         let refused = n - granted;
         if granted > 0 {
             let delay = self.cfg.dur_ticks(self.cfg.policy.backoff.delay(attempt));
-            let slot = self.backoff_wheel.entry(t + delay).or_default();
-            *slot.entry(attempt + 1).or_insert(0) += granted;
+            self.backoff_wheel.add(t + delay, attempt as usize - 1, granted);
             self.in_backoff += granted;
             self.totals.retries_scheduled += granted;
         }
@@ -431,18 +479,15 @@ impl Engine {
         self.totals.rejected_shed += rej_shed;
         self.totals.rejected_cap += rej_cap;
         let rejected = rej_breaker + rej_shed + rej_cap;
-        self.tick_rejected += rejected;
         if rejected > 0 && self.totals.first_reject_tick.is_none() {
             self.totals.first_reject_tick = Some(t);
         }
         if remaining > 0 {
             self.totals.admitted += remaining;
             self.queue.push(Cohort {
-                issued_tick: t,
                 deadline_tick: t + self.timeout_ticks,
                 attempt,
                 remaining,
-                live: true,
                 open,
             });
             if !open {
@@ -501,7 +546,7 @@ impl Engine {
         self.schedule_think(t, served.live_closed);
 
         // Timeouts: unserved remainders orphan, issuers retry or give up.
-        for e in self.queue.expire(t) {
+        while let Some(e) = self.queue.expire_next(t) {
             if let Some(b) = &mut self.breaker {
                 b.record(0, e.count);
             }
@@ -509,7 +554,6 @@ impl Engine {
                 self.totals.open_timeouts += e.count;
             } else {
                 self.totals.timeouts += e.count;
-                self.tick_timeouts += e.count;
                 self.waiting -= e.count;
                 self.fail_path(t, e.attempt, e.count);
             }
@@ -517,13 +561,15 @@ impl Engine {
 
         // Issue: retries (ascending attempt), then fresh, then open.
         let mut admit_left = self.breaker.as_ref().and_then(|b| b.admit_limit());
-        if let Some(batches) = self.backoff_wheel.remove(&t) {
-            for (attempt, count) in batches {
+        for attempt in 2..=self.cfg.policy.max_attempts {
+            let count = self.backoff_wheel.take(t, attempt as usize - 2);
+            if count > 0 {
                 self.in_backoff -= count;
                 self.admit(t, attempt, count, false, shed, &mut admit_left);
             }
         }
-        if let Some(fresh) = self.think_wheel.remove(&t) {
+        let fresh = self.think_wheel.take(t, 0);
+        if fresh > 0 {
             self.in_think -= fresh;
             self.admit(t, 1, fresh, false, shed, &mut admit_left);
         }
@@ -536,17 +582,6 @@ impl Engine {
 
         // Record.
         self.trace.goodput.push(served.live_closed + served.live_open);
-        self.trace.depth.push(self.queue.depth());
-        self.trace.orphans.push(served.orphan);
-        self.trace.timeouts.push(self.tick_timeouts);
-        self.trace.rejected.push(self.tick_rejected);
-        self.trace.breaker.push(match self.breaker.as_ref().map(|b| b.state()) {
-            None | Some(BreakerState::Closed) => 0,
-            Some(BreakerState::HalfOpen) => 1,
-            Some(BreakerState::Open) => 2,
-        });
-        self.tick_timeouts = 0;
-        self.tick_rejected = 0;
         assert!(
             self.waiting + self.in_backoff + self.in_think == self.cfg.population,
             "client conservation broken at tick {t}"
@@ -569,28 +604,21 @@ impl Engine {
 
 /// Runs the closed loop to the horizon under `trigger` and `mitigation`.
 ///
-/// Deterministic given `(config, trigger, rng)`: the run is driven by a
-/// single `simcore` periodic event, so with one event per timestamp the
-/// dispatch order is identical under every event-queue kind.
+/// Deterministic given `(config, trigger, rng)`: one [`Config::ticks`]
+/// loop of fixed `dt` steps, with no event queue involved.
 pub fn run(
     cfg: &Config,
     trigger: &SlowdownProfile,
     mitigation: Mitigation,
     rng: &mut Stream,
 ) -> RunTrace {
-    let engine = Engine::new(*cfg, trigger.clone(), mitigation, rng);
-    let ticks = engine.ticks;
-    let mut sim = Simulation::new(engine);
-    sim.schedule_periodic(SimDuration::ZERO, move |eng: &mut Engine, sched| {
-        eng.step(sched.now());
-        if eng.tick >= ticks {
-            None
-        } else {
-            Some(eng.cfg.dt)
-        }
-    });
-    sim.run_until(SimTime::ZERO + cfg.horizon);
-    sim.into_state().finish()
+    let mut engine = Engine::new(*cfg, trigger.clone(), mitigation, rng);
+    let mut now = SimTime::ZERO;
+    for _ in 0..engine.trace.ticks {
+        engine.step(now);
+        now += cfg.dt;
+    }
+    engine.finish()
 }
 
 #[cfg(test)]
@@ -653,6 +681,26 @@ mod tests {
     }
 
     #[test]
+    fn validate_caps_the_tick_wheels() {
+        // The wheels are sized from public fields, so a config must not
+        // be able to make the engine allocate without bound.
+        let mut cfg = small();
+        cfg.think = SimDuration::from_secs(60_000);
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("think") && err.contains("cap"), "{err}");
+        let mut cfg = small();
+        cfg.policy.max_attempts = u32::MAX;
+        assert!(cfg.validate().unwrap_err().contains("policy.max_attempts"));
+        let mut cfg = small();
+        cfg.policy.backoff = Backoff::Fixed(SimDuration::from_secs(60_000));
+        assert!(cfg.validate().unwrap_err().contains("policy.backoff"));
+        // A wheel of exactly the cap is still a valid configuration.
+        let mut cfg = small();
+        cfg.think = cfg.dt.mul_f64((MAX_WHEEL_SLOTS - THINK_SPREAD) as f64);
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
     fn quiet_run_conserves_and_serves() {
         let mut rng = Stream::from_seed(7).derive("meta-engine-test-quiet");
         let cfg = small();
@@ -707,29 +755,5 @@ mod tests {
         let tr = run(&cfg, &w, Mitigation::None, &mut rng);
         let (a, b) = tr.degraded_secs().expect("window must register as degraded");
         assert_eq!((a, b), (30, 39));
-    }
-
-    #[test]
-    fn identical_under_both_queue_kinds() {
-        use simcore::queue::QueueKind;
-        let gp = |kind: QueueKind| {
-            let engine = {
-                let mut rng = Stream::from_seed(11).derive("meta-engine-test-kinds");
-                Engine::new(small(), outage(30, 10), Mitigation::None, &mut rng)
-            };
-            let ticks = engine.ticks;
-            let mut sim = Simulation::with_queue_kind(engine, kind);
-            sim.schedule_periodic(SimDuration::ZERO, move |eng: &mut Engine, sched| {
-                eng.step(sched.now());
-                if eng.tick >= ticks {
-                    None
-                } else {
-                    Some(eng.cfg.dt)
-                }
-            });
-            sim.run_until(SimTime::ZERO + small().horizon);
-            sim.into_state().finish().goodput
-        };
-        assert_eq!(gp(QueueKind::Calendar), gp(QueueKind::Reference));
     }
 }

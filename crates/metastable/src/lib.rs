@@ -8,10 +8,11 @@
 //! (PAPERS.md) is the at-scale version of that claim. This crate models
 //! it end to end:
 //!
-//! * [`engine`] — an aggregate cohort-based tick engine driven by a
-//!   single `simcore` periodic event, so runs are deterministic and
-//!   identical under every event-queue kind, and cost is independent of
-//!   the client population (10⁵–10⁶ clients are free).
+//! * [`engine`] — an aggregate cohort-based tick engine: a run is a
+//!   plain loop over fixed ticks with thinking and backing-off clients
+//!   counted in fixed-size tick wheels, so runs are deterministic, use no
+//!   event queue, and cost is independent of the client population
+//!   (10⁵–10⁶ clients are free).
 //! * [`client`] — per-client retry policy (timeout, attempts, backoff)
 //!   and the aggregate retry-token budget.
 //! * [`server`] — the bounded FIFO queue of request cohorts and the

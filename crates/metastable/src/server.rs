@@ -6,7 +6,7 @@
 //! tick, same deadline, same attempt number — so the engine's cost per
 //! tick is bounded by the handful of cohorts created per tick, not by
 //! the client population. This is what lets the closed loop model 10⁵+
-//! clients on the PR-6 event engine without per-request events.
+//! clients in a plain tick loop without per-request state.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -16,22 +16,18 @@ use stutter::injector::SlowdownProfile;
 /// An aggregate batch of identical outstanding requests.
 #[derive(Clone, Copy, Debug)]
 pub struct Cohort {
-    /// Tick at which the batch entered the queue.
-    pub issued_tick: u64,
     /// Tick at which the issuing clients give up waiting.
     pub deadline_tick: u64,
     /// 1-based attempt number of the issuing clients.
     pub attempt: u32,
     /// Requests of the batch still queued.
     pub remaining: u64,
-    /// Whether the issuers are still waiting (false once timed out).
-    pub live: bool,
     /// Whether the batch came from the open-arrival stream.
     pub open: bool,
 }
 
 /// One tick of service, split by request disposition.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Served {
     /// Closed-loop requests served before their issuer's deadline.
     pub live_closed: u64,
@@ -44,7 +40,7 @@ pub struct Served {
 }
 
 /// A cohort remainder newly orphaned by its deadline passing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Expired {
     /// Attempt number the timed-out clients were on.
     pub attempt: u32,
@@ -54,12 +50,17 @@ pub struct Expired {
     pub open: bool,
 }
 
-/// Bounded FIFO queue of request cohorts with a deadline index.
+/// Bounded FIFO queue of request cohorts.
+///
+/// Cohorts are pushed with non-decreasing deadlines (the engine's
+/// deadline is the issue tick plus one fixed timeout), so FIFO order is
+/// deadline order and the orphaned cohorts — those whose issuers timed
+/// out — are always a prefix of the queue. `orphaned` counts that
+/// prefix; every cohort behind it is live.
 #[derive(Debug)]
 pub struct ServerQueue {
-    slab: Vec<Cohort>,
-    fifo: VecDeque<u32>,
-    by_deadline: BTreeMap<u64, Vec<u32>>,
+    cohorts: VecDeque<Cohort>,
+    orphaned: usize,
     depth: u64,
     cap: u64,
 }
@@ -67,13 +68,7 @@ pub struct ServerQueue {
 impl ServerQueue {
     /// An empty queue admitting at most `cap` requests.
     pub fn new(cap: u64) -> Self {
-        ServerQueue {
-            slab: Vec::new(),
-            fifo: VecDeque::new(),
-            by_deadline: BTreeMap::new(),
-            depth: 0,
-            cap,
-        }
+        ServerQueue { cohorts: VecDeque::new(), orphaned: 0, depth: 0, cap }
     }
 
     /// Requests currently queued.
@@ -88,16 +83,18 @@ impl ServerQueue {
 
     /// Enqueues a cohort. The caller must have clamped `remaining` to
     /// [`free_slots`](Self::free_slots); empty cohorts are ignored.
+    /// Deadlines must not decrease from one push to the next.
     pub fn push(&mut self, c: Cohort) {
         if c.remaining == 0 {
             return;
         }
         debug_assert!(c.remaining <= self.free_slots(), "cohort overflows queue capacity");
-        let id = self.slab.len() as u32;
+        debug_assert!(
+            self.cohorts.back().is_none_or(|b| b.deadline_tick <= c.deadline_tick),
+            "cohort deadlines must not decrease: the orphaned prefix depends on it"
+        );
         self.depth += c.remaining;
-        self.by_deadline.entry(c.deadline_tick).or_default().push(id);
-        self.slab.push(c);
-        self.fifo.push_back(id);
+        self.cohorts.push_back(c);
     }
 
     /// Serves queued requests front-to-back while `credit` covers them.
@@ -107,15 +104,12 @@ impl ServerQueue {
     /// issuer already gave up is pure waste, and rejecting is cheap).
     pub fn serve(&mut self, credit: &mut f64, drop_expired: bool) -> Served {
         let mut out = Served::default();
-        while let Some(&id) = self.fifo.front() {
-            let Some(c) = self.slab.get_mut(id as usize) else {
-                break;
-            };
-            if drop_expired && !c.live {
+        while let Some(c) = self.cohorts.front_mut() {
+            let orphan = self.orphaned > 0;
+            if drop_expired && orphan {
                 out.dropped_expired += c.remaining;
                 self.depth -= c.remaining;
-                c.remaining = 0;
-                self.fifo.pop_front();
+                self.pop_front();
                 continue;
             }
             let can = *credit as u64;
@@ -126,58 +120,49 @@ impl ServerQueue {
             *credit -= k as f64;
             c.remaining -= k;
             self.depth -= k;
-            if c.live {
-                if c.open {
-                    out.live_open += k;
-                } else {
-                    out.live_closed += k;
-                }
-            } else {
+            if orphan {
                 out.orphan += k;
-            }
-            if c.remaining == 0 {
-                self.fifo.pop_front();
+            } else if c.open {
+                out.live_open += k;
             } else {
+                out.live_closed += k;
+            }
+            if c.remaining > 0 {
                 break; // credit exhausted mid-cohort
             }
+            self.pop_front();
         }
         out
     }
 
-    /// Marks every cohort whose deadline is `tick` as timed out,
-    /// returning the newly orphaned remainders (cohorts fully served
-    /// before their deadline produce nothing).
-    pub fn expire(&mut self, tick: u64) -> Vec<Expired> {
-        let mut out = Vec::new();
-        if let Some(ids) = self.by_deadline.remove(&tick) {
-            for id in ids {
-                if let Some(c) = self.slab.get_mut(id as usize) {
-                    if c.live && c.remaining > 0 {
-                        c.live = false;
-                        out.push(Expired { attempt: c.attempt, count: c.remaining, open: c.open });
-                    } else {
-                        c.live = false;
-                    }
-                }
-            }
+    fn pop_front(&mut self) {
+        self.cohorts.pop_front();
+        self.orphaned = self.orphaned.saturating_sub(1);
+    }
+
+    /// Times out the oldest live cohort whose deadline is at or before
+    /// `tick` and returns its unserved remainder, or `None` once no live
+    /// cohort is due. Call it until `None` each tick; cohorts fully
+    /// served before their deadline have left the queue and produce
+    /// nothing.
+    pub fn expire_next(&mut self, tick: u64) -> Option<Expired> {
+        let c = self.cohorts.get(self.orphaned)?;
+        if c.deadline_tick > tick {
+            return None;
         }
-        out
+        self.orphaned += 1;
+        Some(Expired { attempt: c.attempt, count: c.remaining, open: c.open })
     }
 
     /// Final queue census: (live closed, live open, orphaned) requests.
     pub fn census(&self) -> (u64, u64, u64) {
-        let mut live_closed = 0;
-        let mut live_open = 0;
-        let mut orphan = 0;
-        for &id in &self.fifo {
-            if let Some(c) = self.slab.get(id as usize) {
-                if !c.live {
-                    orphan += c.remaining;
-                } else if c.open {
-                    live_open += c.remaining;
-                } else {
-                    live_closed += c.remaining;
-                }
+        let orphan = self.cohorts.iter().take(self.orphaned).map(|c| c.remaining).sum();
+        let (mut live_closed, mut live_open) = (0, 0);
+        for c in self.cohorts.iter().skip(self.orphaned) {
+            if c.open {
+                live_open += c.remaining;
+            } else {
+                live_closed += c.remaining;
             }
         }
         (live_closed, live_open, orphan)
@@ -234,14 +219,11 @@ mod tests {
     use super::*;
 
     fn cohort(deadline: u64, n: u64, attempt: u32) -> Cohort {
-        Cohort {
-            issued_tick: 0,
-            deadline_tick: deadline,
-            attempt,
-            remaining: n,
-            live: true,
-            open: false,
-        }
+        Cohort { deadline_tick: deadline, attempt, remaining: n, open: false }
+    }
+
+    fn expire(q: &mut ServerQueue, tick: u64) -> Vec<Expired> {
+        std::iter::from_fn(|| q.expire_next(tick)).collect()
     }
 
     #[test]
@@ -253,15 +235,16 @@ mod tests {
         let s = q.serve(&mut credit, false);
         assert_eq!(s.live_closed, 6);
         assert_eq!(q.depth(), 8);
-        let expired = q.expire(5);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].count, 4);
+        let expired = expire(&mut q, 5);
+        assert_eq!(expired, [Expired { attempt: 1, count: 4, open: false }]);
         // orphaned head now served as waste
         let mut credit = 10.0;
         let s = q.serve(&mut credit, false);
         assert_eq!(s.orphan, 4);
         assert_eq!(s.live_closed, 4);
         assert_eq!(q.depth(), 0);
+        // a cohort served in full before its deadline never times out
+        assert!(expire(&mut q, 7).is_empty());
     }
 
     #[test]
@@ -269,7 +252,7 @@ mod tests {
         let mut q = ServerQueue::new(100);
         q.push(cohort(1, 9, 1));
         q.push(cohort(9, 3, 1));
-        assert!(q.expire(1).len() == 1);
+        assert_eq!(expire(&mut q, 1).len(), 1);
         let mut credit = 3.0;
         let s = q.serve(&mut credit, true);
         assert_eq!(s.dropped_expired, 9);
@@ -282,7 +265,7 @@ mod tests {
         let mut q = ServerQueue::new(100);
         q.push(cohort(1, 5, 1));
         q.push(Cohort { open: true, ..cohort(9, 2, 1) });
-        q.expire(1);
+        expire(&mut q, 1);
         assert_eq!(q.census(), (0, 2, 5));
     }
 

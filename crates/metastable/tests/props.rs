@@ -1,4 +1,5 @@
-//! Property tests for the mitigation layer and the retry budget.
+//! Property tests for the mitigation layer, the retry budget and the
+//! server queue.
 //!
 //! Two contracts matter for the metastable scenarios and are promised in
 //! the module docs: the circuit breaker is *monotone* in the observed
@@ -7,12 +8,82 @@
 //! function itself), and its admission limit never starves probes. The
 //! retry budget's token accounting must be non-negative and invariant
 //! under any permutation of same-tick client arrivals, so engine results
-//! cannot depend on client iteration order.
+//! cannot depend on client iteration order. The server queue keeps only
+//! a count of its orphaned head, which must behave exactly like marking
+//! each cohort at its deadline.
 
 use proptest::prelude::*;
 
 use metastable::client::{BudgetConfig, RetryBudget};
 use metastable::policy::{BreakerConfig, CircuitBreaker};
+use metastable::server::{Cohort, Expired, Served, ServerQueue};
+
+/// The server queue with no bookkeeping: every cohort ever pushed, in
+/// push order, with its own liveness flag, and expiry by a linear scan
+/// for cohorts whose deadline is exactly the expiring tick.
+struct NaiveQueue {
+    cohorts: Vec<(Cohort, bool)>,
+}
+
+impl NaiveQueue {
+    fn depth(&self) -> u64 {
+        self.cohorts.iter().map(|(c, _)| c.remaining).sum()
+    }
+
+    fn push(&mut self, c: Cohort) {
+        self.cohorts.push((c, true));
+    }
+
+    fn serve(&mut self, credit: &mut f64, drop_expired: bool) -> Served {
+        let mut out = Served::default();
+        for (c, live) in self.cohorts.iter_mut().filter(|(c, _)| c.remaining > 0) {
+            if drop_expired && !*live {
+                out.dropped_expired += c.remaining;
+                c.remaining = 0;
+                continue;
+            }
+            let can = *credit as u64;
+            if can == 0 {
+                break;
+            }
+            let k = can.min(c.remaining);
+            *credit -= k as f64;
+            c.remaining -= k;
+            match (*live, c.open) {
+                (false, _) => out.orphan += k,
+                (true, true) => out.live_open += k,
+                (true, false) => out.live_closed += k,
+            }
+            if c.remaining > 0 {
+                break;
+            }
+        }
+        out
+    }
+
+    fn expire(&mut self, tick: u64) -> Vec<Expired> {
+        let mut out = Vec::new();
+        for (c, live) in self.cohorts.iter_mut().filter(|(c, _)| c.deadline_tick == tick) {
+            if *live && c.remaining > 0 {
+                out.push(Expired { attempt: c.attempt, count: c.remaining, open: c.open });
+            }
+            *live = false;
+        }
+        out
+    }
+
+    fn census(&self) -> (u64, u64, u64) {
+        let mut census = (0, 0, 0);
+        for (c, live) in &self.cohorts {
+            match (*live, c.open) {
+                (false, _) => census.2 += c.remaining,
+                (true, true) => census.1 += c.remaining,
+                (true, false) => census.0 += c.remaining,
+            }
+        }
+        census
+    }
+}
 
 fn breaker_cfg() -> BreakerConfig {
     BreakerConfig {
@@ -134,5 +205,44 @@ proptest! {
         prop_assert_eq!(granted_a, granted_b);
         let total: u64 = requests.iter().sum();
         prop_assert_eq!(granted_a, total.min(a.available() + granted_a));
+    }
+
+    /// `ServerQueue` agrees with the naive model on every tick of a run
+    /// shaped like the engine's: serve (with or without age shedding),
+    /// expire the tick, then push cohorts clamped to the free slots,
+    /// with deadlines that never decrease and always lie ahead.
+    #[test]
+    fn server_queue_matches_naive_model(
+        cap in 1u64..300,
+        ticks in proptest::collection::vec(
+            (
+                0u64..400,
+                any::<bool>(),
+                proptest::collection::vec((0u64..3, 0u64..120, 1u32..4, any::<bool>()), 0..4),
+            ),
+            1..60,
+        )
+    ) {
+        let mut queue = ServerQueue::new(cap);
+        let mut model = NaiveQueue { cohorts: Vec::new() };
+        let mut deadline = 0;
+        for (t, (quarters, drop_expired, pushes)) in (0u64..).zip(&ticks) {
+            let mut credit = *quarters as f64 / 4.0;
+            let mut model_credit = credit;
+            let served = queue.serve(&mut credit, *drop_expired);
+            prop_assert_eq!(served, model.serve(&mut model_credit, *drop_expired));
+            prop_assert_eq!(credit, model_credit);
+            let expired: Vec<Expired> = std::iter::from_fn(|| queue.expire_next(t)).collect();
+            prop_assert_eq!(expired, model.expire(t));
+            for &(gap, n, attempt, open) in pushes {
+                deadline = deadline.max(t + 1) + gap;
+                let remaining = n.min(queue.free_slots());
+                let c = Cohort { deadline_tick: deadline, attempt, remaining, open };
+                queue.push(c);
+                model.push(c);
+            }
+            prop_assert_eq!(queue.depth(), model.depth());
+            prop_assert_eq!(queue.census(), model.census());
+        }
     }
 }
