@@ -8,7 +8,6 @@ pub mod ablations;
 pub mod cluster_exp;
 pub mod cpu;
 pub mod disks;
-pub mod engine;
 pub mod future_work;
 pub mod metastable_exp;
 pub mod model_exp;
@@ -274,13 +273,6 @@ pub fn all() -> Vec<Experiment> {
             title: "Scenario 3bis: striping planned from the gossiped performance plane",
             source: "Section 3.2",
             run: plane::e34_perfplane,
-        },
-        Experiment {
-            id: "e35",
-            slug: "simcore",
-            title: "Event-engine throughput: calendar queue vs binary-heap oracle",
-            source: "infrastructure (enables Sections 3.1-3.2 at scale)",
-            run: engine::e35_engine,
         },
         Experiment {
             id: "e36",

@@ -48,17 +48,24 @@ fn semantic_rules_are_registered() {
 #[test]
 fn flow_rules_actually_ran_on_the_workspace() {
     // `workspace_lints_clean` proves there are no findings; this proves
-    // the taint analysis produced *summaries* — i.e. it ran and found the
-    // real wall-clock roots in `crates/bench` — so a clean report cannot
-    // come from the flow pass silently short-circuiting.
+    // the taint analysis produced *summaries*, so a clean report cannot
+    // come from the flow pass silently short-circuiting. The workspace
+    // itself has no unsuppressed wall-clock read to seed taint from, so
+    // the cross-crate `flow/helper` fixture rides along in the same
+    // `lint_paths` call and its `now_nanos` root must be summarised.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let files = fslint::collect_workspace_files(&root);
+    let mut files = fslint::collect_workspace_files(&root);
+    files.extend(fslint::collect_workspace_files(
+        &root.join("crates/fslint/tests/fixtures/flow/helper"),
+    ));
     let cfg = Config { graph_json: true, ..Config::default() };
     let report = fslint::lint_paths(&root, &files, &cfg);
     let graph = report.graph_json.expect("graph requested");
     assert!(
-        graph.contains("\"taint\": {\"kind\": \"wall-clock\""),
-        "no wall-clock taint summaries in the workspace graph — did flow::analyze run?"
+        graph.lines().any(|l| l.contains("fixtures/flow/helper/")
+            && l.contains("\"name\": \"now_nanos\"")
+            && l.contains("\"taint\": {\"kind\": \"wall-clock\"")),
+        "no wall-clock summary for the helper fixture's `now_nanos` — did flow::analyze run?"
     );
     // Same proof for the dimensional pass: the real tree is full of
     // `_nanos`/`SimTime` returns, so unit summaries must be present.

@@ -16,6 +16,7 @@ use simcore::time::SimTime;
 use stutter::fault::{ComponentId, HealthState};
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Identifies a plane node (an observer/consumer of performance state).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -93,18 +94,28 @@ impl Store {
     }
 
     /// All freshest entries, ordered by component — the gossip payload.
-    pub fn snapshot(&self) -> Vec<HealthEntry> {
+    /// Shared, so one round's pushes to several peers carry one copy.
+    pub fn snapshot(&self) -> Rc<[HealthEntry]> {
         self.entries.values().copied().collect()
+    }
+
+    /// The freshest entries, ordered by component, without copying them.
+    pub(crate) fn latest(&self) -> impl Iterator<Item = &HealthEntry> + '_ {
+        self.entries.values()
     }
 
     /// Entries strictly fresher here than in `theirs` (or absent there) —
     /// the pull half of a push-pull exchange.
+    ///
+    /// `theirs` is a digest, in any order, with at most one entry per
+    /// component. Digests are a few entries long, so each lookup is a
+    /// linear scan.
     pub fn fresher_than(&self, theirs: &[HealthEntry]) -> Vec<HealthEntry> {
-        let their_seq: BTreeMap<ComponentId, u64> =
-            theirs.iter().map(|e| (e.component, e.seq)).collect();
         self.entries
             .values()
-            .filter(|e| their_seq.get(&e.component).is_none_or(|&s| e.seq > s))
+            .filter(|e| {
+                theirs.iter().find(|t| t.component == e.component).is_none_or(|t| e.seq > t.seq)
+            })
             .copied()
             .collect()
     }

@@ -24,6 +24,8 @@
 //! black-holed *link* can therefore never fabricate a fail-stop — the
 //! no-false-fail-stop oracle holds by construction.
 
+use std::rc::Rc;
+
 use simcore::rng::Stream;
 use simcore::sim::{Scheduler, Simulation};
 use simcore::stats::Ewma;
@@ -69,6 +71,28 @@ pub struct PlaneConfig {
     pub horizon: SimDuration,
     /// Staleness policy handed to consumer views.
     pub staleness: StalenessConfig,
+}
+
+impl PlaneConfig {
+    /// Checks the constraints [`run_plane`] relies on; the error names the
+    /// offending field. A zero interval would rearm its periodic handler
+    /// at the same instant forever, so the run would never reach its
+    /// horizon.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, interval) in [
+            ("observe_interval", self.observe_interval),
+            ("refresh_interval", self.refresh_interval),
+            ("gossip_interval", self.gossip_interval),
+        ] {
+            if interval.is_zero() {
+                return Err(format!("{name} must be positive"));
+            }
+        }
+        if self.fanout < 1 {
+            return Err("fanout must be at least 1".to_string());
+        }
+        Ok(())
+    }
 }
 
 impl Default for PlaneConfig {
@@ -241,6 +265,8 @@ struct SimState {
     mesh: Mesh,
     nodes: Vec<NodeState>,
     stats: PlaneStats,
+    /// `observe`'s peer-relative round, reused across calls.
+    rates: Vec<f64>,
 }
 
 impl SimState {
@@ -283,13 +309,21 @@ impl SimState {
             (smoothed > 0.0).then(|| {
                 // Peer-relative round: own smoothed rate first, then the
                 // peer rates the plane itself has delivered so far.
-                let mut rates = vec![smoothed];
-                for e in self.nodes[i].store.snapshot() {
-                    if e.component != ComponentId(i as u32) && !e.is_tombstone() && e.rate > 0.0 {
-                        rates.push(e.rate);
-                    }
-                }
-                self.detector.classify_round(&rates)[0]
+                let rates = &mut self.rates;
+                rates.clear();
+                rates.push(smoothed);
+                rates.extend(
+                    self.nodes[i]
+                        .store
+                        .latest()
+                        .filter(|e| {
+                            e.component != ComponentId(i as u32)
+                                && !e.is_tombstone()
+                                && e.rate > 0.0
+                        })
+                        .map(|e| e.rate),
+                );
+                self.detector.classify_round(rates)[0]
             })
         };
         let Some(verdict) = verdict else { return };
@@ -338,7 +372,7 @@ impl SimState {
             self.stats.pushes_sent += 1;
             match self.mesh.send(i, to, now, bytes) {
                 Some(d) => {
-                    let payload = digest.clone();
+                    let payload = Rc::clone(&digest);
                     ctx.at(d.arrive, move |s: &mut SimState, ctx| {
                         s.receive_push(i, to, payload, ctx);
                     });
@@ -352,7 +386,7 @@ impl SimState {
         &mut self,
         from: usize,
         to: usize,
-        entries: Vec<HealthEntry>,
+        entries: Rc<[HealthEntry]>,
         ctx: &mut Scheduler<SimState>,
     ) {
         let now = ctx.now();
@@ -360,7 +394,7 @@ impl SimState {
         // Pull half first, against the digest as sent: everything the
         // receiver holds that is fresher than the sender's view.
         let reply = self.nodes[to].store.fresher_than(&entries);
-        for e in entries {
+        for &e in entries.iter() {
             if self.nodes[to].store.merge(now, e) {
                 self.stats.merges += 1;
             }
@@ -397,7 +431,8 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
     assert!(n >= 2, "a plane needs at least two nodes, got {n}");
     assert_eq!(spec.link_profiles.len(), n * n, "link profile matrix must be n*n");
     let cfg = spec.config.clone();
-    assert!(cfg.fanout >= 1, "fanout must be at least 1");
+    let checked = cfg.validate();
+    assert!(checked.is_ok(), "invalid plane config: {checked:?}");
 
     let mut mesh = Mesh::homogeneous(n, cfg.link_rate, cfg.link_latency);
     for from in 0..n {
@@ -437,6 +472,7 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
         mesh,
         nodes,
         stats: PlaneStats::default(),
+        rates: Vec::with_capacity(n),
     };
 
     let mut sim = Simulation::new(state);
@@ -567,6 +603,45 @@ mod tests {
             assert!(matches!(q.state, PlaneState::Known(HealthState::PerfFaulty { .. })));
         }
         assert!(run.stats.pushes_dropped > 0);
+    }
+
+    /// The default config with one edit applied, which must be rejected.
+    fn rejected(edit: impl FnOnce(&mut PlaneConfig)) -> String {
+        let mut cfg = PlaneConfig::default();
+        assert_eq!(cfg.validate(), Ok(()));
+        edit(&mut cfg);
+        cfg.validate().expect_err("the edited config must be rejected")
+    }
+
+    #[test]
+    fn validate_rejects_zero_observe_interval() {
+        let err = rejected(|c| c.observe_interval = SimDuration::ZERO);
+        assert!(err.contains("observe_interval"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_refresh_interval() {
+        let err = rejected(|c| c.refresh_interval = SimDuration::ZERO);
+        assert!(err.contains("refresh_interval"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_gossip_interval() {
+        let err = rejected(|c| c.gossip_interval = SimDuration::ZERO);
+        assert!(err.contains("gossip_interval"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_fanout() {
+        let err = rejected(|c| c.fanout = 0);
+        assert!(err.contains("fanout"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "gossip_interval")]
+    fn run_plane_refuses_a_zero_interval_instead_of_hanging() {
+        let config = PlaneConfig { gossip_interval: SimDuration::ZERO, ..PlaneConfig::default() };
+        run_plane(&PlaneSpec::homogeneous(config, 4, 10e6), &mut Stream::from_seed(1));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The substrate under every experiment in the fail-stutter workspace:
 //! a virtual clock ([`time`]), a seed-tree deterministic RNG ([`rng`]),
-//! workload distributions ([`dist`]), an event loop ([`sim`]) over
-//! pluggable event queues ([`queue`]), timeline queueing/rate resources
-//! ([`resource`]), measurement ([`stats`]) and tracing ([`trace`]).
+//! workload distributions ([`dist`]), a binary-heap event loop ([`sim`]),
+//! timeline queueing/rate resources ([`resource`]), measurement
+//! ([`stats`]) and tracing ([`trace`]).
 //!
 //! Design rules:
 //!
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod sim;
@@ -55,10 +54,9 @@ pub mod prelude {
         Constant, Distribution, Exponential, LogNormal, Normal, Pareto, TwoPoint, Uniform, Weibull,
         WeightedIndex, Zipf,
     };
-    pub use crate::queue::QueueKind;
     pub use crate::resource::{FcfsServer, Grant, RateProfile, TokenBucket};
     pub use crate::rng::Stream;
-    pub use crate::sim::{EventHandle, Scheduler, Simulation};
+    pub use crate::sim::{Scheduler, Simulation};
     pub use crate::stats::{Ewma, Histogram, RateMeter, Series, TimeWeighted, Welford};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::Trace;
