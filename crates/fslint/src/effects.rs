@@ -1,9 +1,8 @@
 //! Interprocedural effect analysis: prove the probe does not perturb.
 //!
 //! Fail-stutter tolerance rests on *observing* a component's performance
-//! without distorting it, and the golden/digest tiers additionally rest on
-//! batched same-timestamp dispatch being order-independent. Neither was
-//! proved — the taint pass ([`crate::flow`]) tracks where nondeterminism
+//! without distorting it. That was not proved — the taint pass
+//! ([`crate::flow`]) tracks where nondeterminism
 //! *flows*, not what a function *mutates*. This module is the third
 //! summary pass over the workspace call graph: per-function **effect
 //! sets**, computed to a fixpoint with the same via-link hop records the
@@ -17,9 +16,9 @@
 //!   `SCREAMING_CASE` root (static writes); interior-mutability calls
 //!   (`set`, `borrow_mut`, `lock`, `store`, `fetch_*`, …) on any
 //!   non-local root; RNG draws (`next_u64`, `shuffle`, … in files naming
-//!   `Stream`); and scheduler primitives (`schedule_*`, `cancel`,
-//!   `at_cancellable` in files naming the scheduler surface). Mutations
-//!   of *locals* are not effects — they never escape the frame.
+//!   `Stream`); and scheduler primitives (`schedule_*` in files naming
+//!   the scheduler surface). Mutations of *locals* are not effects —
+//!   they never escape the frame.
 //! * **Propagation** — a caller inherits its callees' effects over the
 //!   graph edges, each hop recording the callee node id (`via`) and the
 //!   call line, so a finding prints the full caller→…→write chain. One
@@ -30,17 +29,13 @@
 //! * **Export** — per-node effect summaries ride along in `--graph-out`
 //!   next to the taint and unit summaries.
 //!
-//! Four rules come out of this:
+//! Three rules come out of this:
 //!
 //! * `oracle-pure` — oracle-module functions and `*Detector` `&self`
 //!   verdict methods reachable from the campaign runners
 //!   (`run_scenario`/`run_all`) must be write-free on simulation state
 //!   (`simcore` types, minus the oracle-owned `Stream`/`Fnv64`): a probe
 //!   that perturbs the system invalidates its own verdict.
-//! * `batch-commute` — a `pop_batch` caller whose same-batch handlers
-//!   have overlapping write sets needs an explicit `seq` tiebreak
-//!   (workspace-wide, an `EventKey`-style key with a `seq` field counts):
-//!   without one, equal-timestamp dispatch order is unspecified.
 //! * `injection-scoped` — `*Injector` methods may write only their own
 //!   fields and the surface types their struct declares; arbitrary sim
 //!   state is off-limits (inject through the declared surface).
@@ -58,8 +53,9 @@
 
 use crate::graph::{bfs, FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
-use crate::parse::{self, is_keyword};
+use crate::parse::{is_keyword, FnSig, Param, Receiver};
 use crate::rules::{id, Finding};
+use crate::summary::call_args;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Effect kind: a write to a struct field or through a `&mut` parameter.
@@ -71,7 +67,7 @@ pub const E_INTERIOR: &str = "interior-mut";
 pub const E_STATIC: &str = "static-write";
 /// Effect kind: an RNG draw (`Stream::next_*`/`shuffle`/`choose`).
 pub const E_RNG: &str = "rng-draw";
-/// Effect kind: a scheduler primitive (`schedule_*`, `cancel`).
+/// Effect kind: a scheduler primitive (`schedule_*`).
 pub const E_SCHED: &str = "sched";
 
 /// Per-node effect cap: summaries grow monotonically and a handful of
@@ -143,7 +139,7 @@ const DRAWS: &[&str] = &[
 
 /// Identifiers that gate scheduler-effect extraction: a file calling a
 /// real scheduler primitive has to name the scheduler surface somewhere.
-const SCHED_GATE: &[&str] = &["Scheduler", "Simulation", "EventHandle", "EventQueue"];
+const SCHED_GATE: &[&str] = &["Scheduler", "Simulation"];
 
 /// `simcore` types exempt from `oracle-pure`: oracles legitimately draw
 /// from a `&mut Stream` (which writes `Stream.state`) and fold into a
@@ -189,25 +185,13 @@ fn add(effects: &mut Vec<Effect>, e: Effect) {
     }
 }
 
-/// One parsed parameter of a function signature.
-#[derive(Debug, Default)]
-struct Param {
-    name: String,
-    ty: String,
-    mut_ref: bool,
+/// The parameter of `sig` named `name`, if its type names a type (a
+/// write through it needs an owner).
+fn param<'s>(sig: &'s FnSig, name: &str) -> Option<&'s Param> {
+    sig.params.iter().find(|p| p.name == name && !p.ty_name.is_empty())
 }
 
-/// The signature facts effect extraction needs.
-#[derive(Debug, Default)]
-struct FnSig {
-    has_self: bool,
-    /// `&mut self` (a by-value `mut self` builder consumes its receiver,
-    /// so its writes never escape — it does not count).
-    mut_ref_self: bool,
-    params: Vec<Param>,
-}
-
-/// Runs the effect analysis: the four rule findings plus the per-node
+/// Runs the effect analysis: the three rule findings plus the per-node
 /// effect summaries, aligned with `graph.nodes` for `--graph-out`. Like
 /// taint and units it needs edges, not entry roots, so fixture subsets
 /// still prove their effect discipline.
@@ -216,7 +200,6 @@ pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<E
     eff.fixpoint();
     let mut findings = Vec::new();
     eff.oracle_pure(&mut findings);
-    eff.batch_commute(&mut findings);
     eff.injection_scoped(&mut findings);
     eff.mitigation_effect(&mut findings);
     let summaries = eff
@@ -230,40 +213,14 @@ pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<E
 /// The analysis state: effect sets grow monotonically to a fixpoint.
 struct Effects<'a> {
     units: &'a [FileUnit],
-    graph: &'a Graph,
-    /// Parsed signature per node, aligned with `graph.nodes`.
-    sigs: Vec<FnSig>,
-    /// Every identifier each file mentions (the RNG/scheduler gates).
-    file_idents: Vec<BTreeSet<&'a str>>,
+    graph: &'a Graph<'a>,
     /// Per-node effect sets, aligned with `graph.nodes`.
     summaries: Vec<Vec<Effect>>,
 }
 
 impl<'a> Effects<'a> {
-    fn new(units: &'a [FileUnit], graph: &'a Graph) -> Effects<'a> {
-        let file_idents = units
-            .iter()
-            .map(|u| {
-                u.lexed
-                    .tokens
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.as_str())
-                    .collect()
-            })
-            .collect();
-        let sigs = graph
-            .nodes
-            .iter()
-            .map(|n| fn_sig(&units[n.file].lexed.tokens, &n.name, n.body.0))
-            .collect();
-        let mut eff = Effects {
-            units,
-            graph,
-            sigs,
-            file_idents,
-            summaries: vec![Vec::new(); graph.nodes.len()],
-        };
+    fn new(units: &'a [FileUnit], graph: &'a Graph<'a>) -> Effects<'a> {
+        let mut eff = Effects { units, graph, summaries: vec![Vec::new(); graph.nodes.len()] };
         for n in 0..graph.nodes.len() {
             let direct = eff.direct_effects(n);
             for e in direct {
@@ -280,7 +237,7 @@ impl<'a> Effects<'a> {
         let toks = &u.lexed.tokens;
         let (b0, b1) = node.body;
         let b1 = b1.min(toks.len().saturating_sub(1));
-        let sig = &self.sigs[n];
+        let sig = sig_of(self.units, self.graph, n);
         let mut out = Vec::new();
 
         // Field and static assignments: `.field = …` / `.field op= …` and
@@ -296,16 +253,16 @@ impl<'a> Effects<'a> {
                 let Some(root) = root else { continue };
                 let place = hop.unwrap_or_else(|| written.clone());
                 if root == "self" {
-                    if sig.mut_ref_self {
+                    if sig.receiver == Receiver::RefMut {
                         if let Some(owner) = &node.owner {
                             out.push(write_effect(E_WRITE, owner.clone(), place, line));
                         }
                     }
                 } else if is_screaming(&root) {
                     out.push(write_effect(E_STATIC, root, written, line));
-                } else if let Some(p) = sig.params.iter().find(|p| p.name == root) {
+                } else if let Some(p) = param(sig, &root) {
                     if p.mut_ref {
-                        out.push(write_effect(E_WRITE, p.ty.clone(), place, line));
+                        out.push(write_effect(E_WRITE, p.ty_name.clone(), place, line));
                     }
                 }
             }
@@ -315,26 +272,19 @@ impl<'a> Effects<'a> {
                 && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
                 && assign_after(toks, i + 2)
             {
-                let name = &toks[i + 1].text;
-                if let Some(p) = sig.params.iter().find(|p| &p.name == name) {
-                    if p.mut_ref {
-                        out.push(write_effect(
-                            E_WRITE,
-                            p.ty.clone(),
-                            "*".to_string(),
-                            toks[i + 1].line,
-                        ));
-                    }
+                if let Some(p) = param(sig, &toks[i + 1].text).filter(|p| p.mut_ref) {
+                    let line = toks[i + 1].line;
+                    out.push(write_effect(E_WRITE, p.ty_name.clone(), "*".to_string(), line));
                 }
             }
         }
 
         // Method calls: std mutators, interior mutability, RNG draws, and
         // scheduler primitives.
-        let sched_gate = SCHED_GATE.iter().any(|g| self.file_idents[node.file].contains(g));
+        let sched_gate = SCHED_GATE.iter().any(|g| self.graph.mentions(node.file, g));
         for c in u.model.calls.iter().filter(|c| c.dot >= b0 && c.dot <= b1) {
             let name = c.name.as_str();
-            if DRAWS.contains(&name) && self.file_idents[node.file].contains("Stream") {
+            if DRAWS.contains(&name) && self.graph.mentions(node.file, "Stream") {
                 out.push(Effect {
                     kind: E_RNG,
                     owner: "Stream".to_string(),
@@ -344,9 +294,7 @@ impl<'a> Effects<'a> {
                     what: format!("draws RNG (`Stream::{name}`)"),
                 });
             }
-            if sched_gate
-                && (name.starts_with("schedule") || name == "cancel" || name == "at_cancellable")
-            {
+            if sched_gate && name.starts_with("schedule") {
                 out.push(sched_effect(c.name.clone(), c.line));
             }
             let is_mut = MUTATORS.contains(&name);
@@ -365,7 +313,7 @@ impl<'a> Effects<'a> {
                 if let Some(owner) = &node.owner {
                     if is_int {
                         out.push(write_effect(E_INTERIOR, owner.clone(), h, c.line));
-                    } else if sig.mut_ref_self {
+                    } else if sig.receiver == Receiver::RefMut {
                         out.push(write_effect(E_WRITE, owner.clone(), h, c.line));
                     }
                 }
@@ -376,12 +324,12 @@ impl<'a> Effects<'a> {
                     hop.unwrap_or_else(|| "*".to_string()),
                     c.line,
                 ));
-            } else if let Some(p) = sig.params.iter().find(|p| p.name == root) {
+            } else if let Some(p) = param(sig, &root) {
                 let place = hop.unwrap_or_else(|| "*".to_string());
                 if is_int {
-                    out.push(write_effect(E_INTERIOR, p.ty.clone(), place, c.line));
+                    out.push(write_effect(E_INTERIOR, p.ty_name.clone(), place, c.line));
                 } else if p.mut_ref {
-                    out.push(write_effect(E_WRITE, p.ty.clone(), place, c.line));
+                    out.push(write_effect(E_WRITE, p.ty_name.clone(), place, c.line));
                 }
             }
         }
@@ -411,12 +359,12 @@ impl<'a> Effects<'a> {
                     if m == n || self.summaries[m].is_empty() {
                         continue;
                     }
-                    let owned_stays = *contained.entry((n, m)).or_insert_with(|| {
-                        callee_contained(self.units, self.graph, &self.sigs, n, m)
-                    });
-                    let args_stay = *arg_local.entry((n, m)).or_insert_with(|| {
-                        mut_args_stay_local(self.units, self.graph, &self.sigs, n, m)
-                    });
+                    let owned_stays = *contained
+                        .entry((n, m))
+                        .or_insert_with(|| callee_contained(self.units, self.graph, n, m));
+                    let args_stay = *arg_local
+                        .entry((n, m))
+                        .or_insert_with(|| mut_args_stay_local(self.units, self.graph, n, m));
                     let callee_owner = self.graph.nodes[m].owner.as_deref();
                     for k in 0..self.summaries[m].len() {
                         let e = &self.summaries[m][k];
@@ -436,7 +384,10 @@ impl<'a> Effects<'a> {
                         // own stack slot.
                         if args_stay
                             && e.kind == E_WRITE
-                            && self.sigs[m].params.iter().any(|p| p.mut_ref && p.ty == e.owner)
+                            && sig_of(self.units, self.graph, m)
+                                .params
+                                .iter()
+                                .any(|p| p.mut_ref && p.ty_name == e.owner)
                         {
                             continue;
                         }
@@ -451,7 +402,7 @@ impl<'a> Effects<'a> {
                                 kind: e.kind,
                                 owner: e.owner.clone(),
                                 field: e.field.clone(),
-                                line: self.call_line(n, m),
+                                line: self.graph.call_line(self.units, n, m),
                                 via: Some(m),
                                 what: format!("calls `{}`", self.graph.nodes[m].name),
                             },
@@ -466,28 +417,6 @@ impl<'a> Effects<'a> {
                 add(&mut self.summaries[n], e);
             }
         }
-    }
-
-    /// The line of a call from node `n` to node `m`, for the hop record.
-    fn call_line(&self, n: usize, m: usize) -> u32 {
-        let node = &self.graph.nodes[n];
-        let callee = &self.graph.nodes[m];
-        let u = &self.units[node.file];
-        let (b0, b1) = node.body;
-        let found = if callee.owner.is_some() {
-            u.model
-                .calls
-                .iter()
-                .find(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name)
-                .map(|c| c.line)
-        } else {
-            u.model
-                .free_calls
-                .iter()
-                .find(|c| c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
-                .map(|c| c.line)
-        };
-        found.unwrap_or(node.line)
     }
 
     /// Renders the hop-by-hop chain from node `start`'s effect `e` down
@@ -552,8 +481,10 @@ impl<'a> Effects<'a> {
             let is_oracle_fn =
                 node.owner.is_none() && node.abs_module.iter().skip(1).any(|m| m == "oracle");
             let is_verdict_method = node.owner.as_deref().is_some_and(|t| t.ends_with("Detector"))
-                && self.sigs[n].has_self
-                && !self.sigs[n].mut_ref_self;
+                && matches!(
+                    sig_of(self.units, self.graph, n).receiver,
+                    Receiver::Value | Receiver::Ref
+                );
             if !is_oracle_fn && !is_verdict_method {
                 continue;
             }
@@ -573,84 +504,6 @@ impl<'a> Effects<'a> {
                          never write it (route mutations through a handler outside the \
                          oracle, or hand the oracle an immutable view)",
                         self.chain(n, e)
-                    ),
-                });
-            }
-        }
-    }
-
-    /// `batch-commute`: a `pop_batch` caller whose handlers have
-    /// overlapping write sets needs an explicit `seq` tiebreak.
-    fn batch_commute(&self, findings: &mut Vec<Finding>) {
-        // Workspace-wide seq evidence: an `EventKey` queue key, or any
-        // heap element type with a `seq` field, orders equal timestamps
-        // explicitly — dispatch order is then pinned for every batch.
-        let global_seq = self.units.iter().any(|u| {
-            u.model.structs.iter().any(|s| {
-                s.name == "EventKey"
-                    || (self.graph.heap_elem_types.contains(&s.name) && struct_has_seq(u, s))
-            })
-        });
-        if global_seq {
-            return;
-        }
-        for (n, node) in self.graph.nodes.iter().enumerate() {
-            if node.in_test {
-                continue;
-            }
-            let u = &self.units[node.file];
-            let (b0, b1) = node.body;
-            let pops =
-                u.model.calls.iter().any(|c| c.dot >= b0 && c.dot <= b1 && c.name == "pop_batch")
-                    || u.model
-                        .free_calls
-                        .iter()
-                        .any(|c| c.tok >= b0 && c.tok <= b1 && c.called && c.name == "pop_batch");
-            if !pops {
-                continue;
-            }
-            // A local tiebreak (sorting the batch by a `seq` before
-            // dispatch) also counts.
-            let toks = &u.lexed.tokens;
-            let b1c = b1.min(toks.len().saturating_sub(1));
-            if toks[b0..=b1c].iter().any(|t| t.is_ident("seq")) {
-                continue;
-            }
-            let mut seen: BTreeMap<(&str, &str, &str), usize> = BTreeMap::new();
-            let mut hit: Option<(usize, usize, &Effect)> = None;
-            'scan: for &m in &self.graph.edges[n] {
-                if m == n || self.graph.nodes[m].in_test {
-                    continue;
-                }
-                for e in &self.summaries[m] {
-                    if e.kind != E_WRITE && e.kind != E_INTERIOR {
-                        continue;
-                    }
-                    let key = (e.kind, e.owner.as_str(), e.field.as_str());
-                    match seen.get(&key) {
-                        Some(&m0) if m0 != m => {
-                            hit = Some((m0, m, e));
-                            break 'scan;
-                        }
-                        Some(_) => {}
-                        None => {
-                            seen.insert(key, m);
-                        }
-                    }
-                }
-            }
-            if let Some((m0, m1, e)) = hit {
-                findings.push(Finding {
-                    path: u.path.clone(),
-                    line: node.line,
-                    rule: id::BATCH_COMMUTE,
-                    message: format!(
-                        "same-batch handlers `{}` and `{}` share the write set `{}.{}` with no \
-                         seq tiebreak — equal-timestamp dispatch order from `pop_batch` is \
-                         unspecified, so overlapping writes make the outcome \
-                         schedule-dependent; add an explicit seq to the queue key (or sort \
-                         the batch by seq before dispatch)",
-                        self.graph.nodes[m0].name, self.graph.nodes[m1].name, e.owner, e.field
                     ),
                 });
             }
@@ -763,6 +616,12 @@ impl<'a> Effects<'a> {
     }
 }
 
+/// Node `n`'s signature.
+fn sig_of<'u>(units: &'u [FileUnit], graph: &Graph, n: usize) -> &'u FnSig {
+    let node = &graph.nodes[n];
+    &units[node.file].model.fns[node.fn_idx].sig
+}
+
 /// A direct write/interior/static effect record.
 fn write_effect(kind: &'static str, owner: String, field: String, line: u32) -> Effect {
     let what = match kind {
@@ -790,7 +649,7 @@ fn sched_effect(name: String, line: u32) -> Effect {
 /// receiver root (not `self`, not a parameter, not a static), and no
 /// UFCS-style free call names it. A locally constructed digest or
 /// detector is caller-owned — mutating it is not an external effect.
-fn callee_contained(units: &[FileUnit], graph: &Graph, sigs: &[FnSig], n: usize, m: usize) -> bool {
+fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bool {
     let callee = &graph.nodes[m];
     if callee.owner.is_none() {
         return false;
@@ -799,13 +658,13 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, sigs: &[FnSig], n: usize,
     let u = &units[node.file];
     let toks = &u.lexed.tokens;
     let (b0, b1) = node.body;
-    let sig = &sigs[n];
+    let sig = sig_of(units, graph, n);
     let mut saw = false;
     for c in u.model.calls.iter().filter(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name) {
         saw = true;
         let (root, _) = receiver_root(toks, c.dot);
         let Some(root) = root else { return false };
-        if root == "self" || is_screaming(&root) || sig.params.iter().any(|p| p.name == root) {
+        if root == "self" || is_screaming(&root) || param(sig, &root).is_some() {
             return false;
         }
     }
@@ -823,22 +682,15 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, sigs: &[FnSig], n: usize,
 /// own `&mut` parameter fails the check, so those writes still
 /// propagate. Conservative: any param mention in any argument position
 /// (even read-only) defeats containment.
-fn mut_args_stay_local(
-    units: &[FileUnit],
-    graph: &Graph,
-    sigs: &[FnSig],
-    n: usize,
-    m: usize,
-) -> bool {
+fn mut_args_stay_local(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bool {
     let callee = &graph.nodes[m];
     let node = &graph.nodes[n];
     let u = &units[node.file];
     let toks = &u.lexed.tokens;
     let (b0, b1) = node.body;
-    let sig = &sigs[n];
-    let root_is_local = |root: &str| {
-        root != "self" && !is_screaming(root) && !sig.params.iter().any(|p| p.name == root)
-    };
+    let sig = sig_of(units, graph, n);
+    let root_is_local =
+        |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
     let span_ok = |open: usize, close: usize| {
         for i in open + 1..close {
             // Only chain roots: `x` in `x.len()` counts, `len` does not,
@@ -846,7 +698,7 @@ fn mut_args_stay_local(
             if toks[i].kind == TokKind::Ident
                 && !toks[i - 1].is_punct('.')
                 && !toks[i - 1].is_punct(':')
-                && (toks[i].text == "self" || !crate::parse::is_keyword(&toks[i].text))
+                && (toks[i].text == "self" || !is_keyword(&toks[i].text))
                 && !root_is_local(&toks[i].text)
             {
                 return false;
@@ -868,12 +720,8 @@ fn mut_args_stay_local(
         .filter(|c| c.called && c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
     {
         saw = true;
-        // The argument parens open right after the name (these calls have
-        // no turbofish in this workspace's style).
-        let Some(open) = (c.tok + 1..=(c.tok + 2).min(b1)).find(|&i| toks[i].is_punct('(')) else {
-            return false;
-        };
-        if !span_ok(open, crate::parse::match_delim(toks, open)) {
+        let Some((open, close)) = call_args(toks, c.tok) else { return false };
+        if !span_ok(open, close) {
             return false;
         }
     }
@@ -973,125 +821,6 @@ fn receiver_root(toks: &[Token], dot: usize) -> (Option<String>, Option<String>)
     }
 }
 
-/// Parses the signature of the `fn` whose body opens at `body_open`:
-/// receiver shape plus (name, type, `&mut`-ness) per parameter.
-fn fn_sig(toks: &[Token], name: &str, body_open: usize) -> FnSig {
-    let mut sig = FnSig::default();
-    // The nearest `fn <name>` before the body is this function's own
-    // signature — nothing between them can re-declare it.
-    let mut fn_at = None;
-    let mut k = body_open;
-    while k > 0 {
-        k -= 1;
-        if toks[k].is_ident("fn") && toks.get(k + 1).is_some_and(|t| t.is_ident(name)) {
-            fn_at = Some(k);
-            break;
-        }
-    }
-    let Some(at) = fn_at else { return sig };
-    let mut j = at + 2;
-    if toks.get(j).is_some_and(|t| t.is_punct('<')) {
-        let close = parse::skip_angles(toks, j);
-        if close == j {
-            return sig;
-        }
-        j = close + 1;
-    }
-    if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
-        return sig;
-    }
-    let close = parse::match_delim(toks, j);
-    // Split the parameter list at depth-0 commas (generic argument lists
-    // hide theirs behind `skip_angles`).
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut start = j + 1;
-    let mut depth = 0i32;
-    let mut k = j + 1;
-    while k < close {
-        let t = &toks[k];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "<" if depth == 0 => {
-                    let c = parse::skip_angles(toks, k);
-                    if c > k {
-                        k = c;
-                    }
-                }
-                "," if depth == 0 => {
-                    spans.push((start, k));
-                    start = k + 1;
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-    }
-    if start < close {
-        spans.push((start, close));
-    }
-    for (s, e) in spans {
-        let span = &toks[s..e];
-        if span.iter().any(|t| t.is_ident("self")) && !span.iter().any(|t| t.is_punct(':')) {
-            sig.has_self = true;
-            sig.mut_ref_self =
-                span.iter().any(|t| t.is_punct('&')) && span.iter().any(|t| t.is_ident("mut"));
-            continue;
-        }
-        let Some(colon) = span.iter().position(|t| t.is_punct(':')) else { continue };
-        if colon == 0 {
-            continue;
-        }
-        let nt = &span[colon - 1];
-        if nt.kind != TokKind::Ident || is_keyword(&nt.text) {
-            continue;
-        }
-        let mut p = Param { name: nt.text.clone(), ..Param::default() };
-        // The type: skip refs and lifetimes, note `mut`, then take the
-        // first real type ident (`&mut Vec<Event>` → `Vec`, mut_ref).
-        let mut t = colon + 1;
-        let mut saw_ref = false;
-        while t < span.len() && (span[t].is_punct('&') || span[t].kind == TokKind::Lifetime) {
-            saw_ref |= span[t].is_punct('&');
-            t += 1;
-        }
-        if t < span.len() && span[t].is_ident("mut") {
-            p.mut_ref = saw_ref;
-            t += 1;
-        }
-        while t < span.len() {
-            let tok = &span[t];
-            if tok.kind == TokKind::Ident && !is_keyword(&tok.text) {
-                p.ty = tok.text.clone();
-                // A qualified path names the type in its LAST segment
-                // (`simcore::Server` → `Server`); `::` lexes as two `:`s.
-                if span.get(t + 1).is_some_and(|x| x.is_punct(':'))
-                    && span.get(t + 2).is_some_and(|x| x.is_punct(':'))
-                    && span.get(t + 3).is_some_and(|x| x.kind == TokKind::Ident)
-                {
-                    t += 3;
-                    continue;
-                }
-                break;
-            }
-            t += 1;
-        }
-        if !p.ty.is_empty() {
-            sig.params.push(p);
-        }
-    }
-    sig
-}
-
-/// True when struct `s` in unit `u` has a field named `seq`.
-fn struct_has_seq(u: &FileUnit, s: &crate::parse::StructDef) -> bool {
-    let toks = &u.lexed.tokens;
-    let (b0, b1) = s.body;
-    let b1 = b1.min(toks.len().saturating_sub(1));
-    (b0..b1).any(|i| toks[i].is_ident("seq") && toks[i + 1].is_punct(':'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1109,28 +838,6 @@ mod tests {
             Some(s) => s.effects.iter().collect(),
             None => Vec::new(),
         }
-    }
-
-    #[test]
-    fn signature_shapes_are_recovered() {
-        let u = unit(
-            "crates/a/src/lib.rs",
-            "impl W { fn a(&self) {} fn b(&mut self) {} fn c(mut self) -> W { self } } \
-             fn d(n: usize, srv: &mut Server, view: &Plane, out: &mut Vec<Row>) {}",
-        );
-        let toks = &u.lexed.tokens;
-        let sig_of = |name: &str| {
-            let f = u.model.fns.iter().find(|f| f.name == name).unwrap_or_else(|| panic!());
-            fn_sig(toks, &f.name, f.body.0)
-        };
-        assert!(sig_of("a").has_self && !sig_of("a").mut_ref_self);
-        assert!(sig_of("b").mut_ref_self);
-        assert!(sig_of("c").has_self && !sig_of("c").mut_ref_self, "by-value mut self is owned");
-        let d = sig_of("d");
-        assert_eq!(d.params.len(), 4);
-        assert_eq!((d.params[1].ty.as_str(), d.params[1].mut_ref), ("Server", true));
-        assert_eq!((d.params[2].ty.as_str(), d.params[2].mut_ref), ("Plane", false));
-        assert_eq!((d.params[3].ty.as_str(), d.params[3].mut_ref), ("Vec", true));
     }
 
     #[test]
@@ -1263,31 +970,6 @@ mod tests {
         assert!(
             !pure[0].message.contains("sample"),
             "Stream draws are oracle-legitimate: {findings:?}"
-        );
-    }
-
-    #[test]
-    fn batch_commute_needs_a_seq_tiebreak() {
-        let hot = "pub fn drain(q: &mut Ring, srv: &mut Srv) { \
-                     let b = q.pop_batch(); h1(srv); h2(srv); } \
-                   pub fn h1(s: &mut Srv) { s.depth = 1; } \
-                   pub fn h2(s: &mut Srv) { s.depth = 2; }";
-        let pos = [unit("crates/a/src/lib.rs", hot)];
-        let g = Graph::build(&pos);
-        let (findings, _) = analyze(&pos, &g);
-        let hits: Vec<_> = findings.iter().filter(|f| f.rule == id::BATCH_COMMUTE).collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert!(hits[0].message.contains("`h1`") && hits[0].message.contains("`h2`"));
-
-        let neg = [
-            unit("crates/a/src/lib.rs", hot),
-            unit("crates/a/src/key.rs", "pub struct EventKey { pub at: u64, pub seq: u64 }"),
-        ];
-        let g = Graph::build(&neg);
-        let (findings, _) = analyze(&neg, &g);
-        assert!(
-            !findings.iter().any(|f| f.rule == id::BATCH_COMMUTE),
-            "an EventKey seq field pins dispatch order: {findings:?}"
         );
     }
 

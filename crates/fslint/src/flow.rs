@@ -55,6 +55,7 @@ use crate::graph::{FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
 use crate::parse::{self, FnItem};
 use crate::rules::{id, Finding};
+use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Root source kind: a wall-clock read (`Instant::now`, `SystemTime`).
@@ -115,16 +116,6 @@ struct Taint {
     via_locals: Vec<String>,
 }
 
-/// One tainted local binding, live on `[from, until]` token indices.
-#[derive(Debug, Clone)]
-struct Local {
-    name: String,
-    from: usize,
-    until: usize,
-    taint: Taint,
-    root: &'static str,
-}
-
 /// What a tainted struct field carries.
 #[derive(Debug, Clone)]
 struct FieldTaint {
@@ -141,7 +132,7 @@ const DIGEST_METHODS: &[&str] = &["write", "write_u64", "write_f64", "write_str"
 /// without graph entry points — taint needs edges, not roots.
 pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<TaintSummary>>) {
     let mut flow = Flow::new(units, graph);
-    flow.fixpoint();
+    summary::fixpoint(&mut flow, |f| &mut f.summaries, Flow::learn, Flow::infer);
     let mut findings = flow.sink_findings();
     findings.extend(flow.rng_lineage());
     (findings, flow.summaries)
@@ -151,40 +142,26 @@ pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<T
 /// to a fixpoint.
 struct Flow<'a> {
     units: &'a [FileUnit],
-    graph: &'a Graph,
-    /// Every identifier each file mentions (the method-taint gate).
-    file_idents: Vec<BTreeSet<&'a str>>,
+    graph: &'a Graph<'a>,
     /// Precomputed NaN-fold sources per file.
     nan_srcs: Vec<Vec<Src>>,
     /// Per-node taint summaries, aligned with `graph.nodes`.
     summaries: Vec<Option<TaintSummary>>,
     /// Tainted node ids by function name (rebuilt each round).
-    by_name: BTreeMap<String, Vec<usize>>,
+    by_name: ByName<'a>,
     /// Tainted struct fields by field name (global, name-based).
     fields: BTreeMap<String, FieldTaint>,
 }
 
 impl<'a> Flow<'a> {
-    fn new(units: &'a [FileUnit], graph: &'a Graph) -> Flow<'a> {
-        let file_idents = units
-            .iter()
-            .map(|u| {
-                u.lexed
-                    .tokens
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.as_str())
-                    .collect()
-            })
-            .collect();
+    fn new(units: &'a [FileUnit], graph: &'a Graph<'a>) -> Flow<'a> {
         let nan_srcs = units.iter().map(nan_fold_sources).collect();
         let mut flow = Flow {
             units,
             graph,
-            file_idents,
             nan_srcs,
             summaries: vec![None; graph.nodes.len()],
-            by_name: BTreeMap::new(),
+            by_name: ByName::new(),
             fields: BTreeMap::new(),
         };
         for n in 0..graph.nodes.len() {
@@ -220,86 +197,22 @@ impl<'a> Flow<'a> {
         best
     }
 
-    /// Iterates summary propagation and field discovery to a fixpoint.
-    /// Both sets only grow, so this terminates.
-    fn fixpoint(&mut self) {
-        loop {
-            self.rebuild_by_name();
-            let mut changed = self.discover_fields();
-            let mut updates: Vec<(usize, TaintSummary)> = Vec::new();
-            for n in 0..self.graph.nodes.len() {
-                if self.summaries[n].is_some() {
-                    continue;
-                }
-                if let Some(&m) =
-                    self.graph.edges[n].iter().find(|&&m| m != n && self.summaries[m].is_some())
-                {
-                    let kind = self.summaries[m].as_ref().map(|s| s.kind).unwrap_or(K_WALL);
-                    updates.push((
-                        n,
-                        TaintSummary {
-                            kind,
-                            line: self.call_line(n, m),
-                            via: Some(m),
-                            what: format!("calls `{}`", self.graph.nodes[m].name),
-                        },
-                    ));
-                    continue;
-                }
-                if let Some((fname, line)) = self.body_field_read(n) {
-                    let ft = self.fields[&fname].clone();
-                    updates.push((
-                        n,
-                        TaintSummary {
-                            kind: ft.kind,
-                            line,
-                            via: None,
-                            what: format!("reads tainted field `.{fname}` ({})", ft.desc),
-                        },
-                    ));
-                }
-            }
-            if !updates.is_empty() {
-                changed = true;
-                for (n, s) in updates {
-                    self.summaries[n] = Some(s);
-                }
-            }
-            if !changed {
-                break;
-            }
+    /// Node `n`'s summary from earlier rounds': through a tainted
+    /// callee, else through a tainted field its body reads.
+    fn infer(&self, n: usize) -> Option<TaintSummary> {
+        let tainted = |&&m: &&usize| m != n && self.summaries[m].is_some();
+        if let Some(&m) = self.graph.edges[n].iter().find(tainted) {
+            return Some(TaintSummary {
+                kind: self.summaries[m].as_ref().map_or(K_WALL, |s| s.kind),
+                line: self.graph.call_line(self.units, n, m),
+                via: Some(m),
+                what: format!("calls `{}`", self.graph.nodes[m].name),
+            });
         }
-    }
-
-    fn rebuild_by_name(&mut self) {
-        self.by_name.clear();
-        for (n, s) in self.summaries.iter().enumerate() {
-            if s.is_some() {
-                self.by_name.entry(self.graph.nodes[n].name.clone()).or_default().push(n);
-            }
-        }
-    }
-
-    /// The line of a call from node `n` to node `m`, for the hop record.
-    fn call_line(&self, n: usize, m: usize) -> u32 {
-        let node = &self.graph.nodes[n];
-        let callee = &self.graph.nodes[m];
-        let u = &self.units[node.file];
-        let (b0, b1) = node.body;
-        let found = if callee.owner.is_some() {
-            u.model
-                .calls
-                .iter()
-                .find(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name)
-                .map(|c| c.line)
-        } else {
-            u.model
-                .free_calls
-                .iter()
-                .find(|c| c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
-                .map(|c| c.line)
-        };
-        found.unwrap_or(node.line)
+        let (fname, line) = self.body_field_read(n)?;
+        let ft = &self.fields[&fname];
+        let what = format!("reads tainted field `.{fname}` ({})", ft.desc);
+        Some(TaintSummary { kind: ft.kind, line, via: None, what })
     }
 
     /// A read of a tainted field inside node `n`'s body (`.f` not
@@ -326,55 +239,23 @@ impl<'a> Flow<'a> {
         None
     }
 
-    /// One round of `.field = RHS` discovery: any assignment whose RHS is
+    /// Starts a fixpoint round: re-indexes the tainted nodes, then runs
+    /// one round of `.field = RHS` discovery — any assignment whose RHS is
     /// tainted marks the field (by name, workspace-global). Returns true
     /// when a new field was learned.
-    fn discover_fields(&mut self) -> bool {
-        let mut learned: Vec<(String, FieldTaint)> = Vec::new();
-        for file in 0..self.units.len() {
-            let u = &self.units[file];
-            let toks = &u.lexed.tokens;
-            let mut locals_cache: BTreeMap<usize, Vec<Local>> = BTreeMap::new();
-            let mut i = 0usize;
-            while i + 2 < toks.len() {
-                if !toks[i].is_punct('.')
-                    || toks[i + 1].kind != TokKind::Ident
-                    || !toks[i + 2].is_punct('=')
-                    || toks.get(i + 3).is_some_and(|t| t.is_punct('='))
-                {
-                    i += 1;
-                    continue;
-                }
-                let fname = toks[i + 1].text.clone();
-                if self.fields.contains_key(&fname) || learned.iter().any(|(n, _)| *n == fname) {
-                    i += 1;
-                    continue;
-                }
-                let Some(end) = rhs_end(toks, i + 3) else {
-                    i += 1;
-                    continue;
-                };
-                let taint = match u.model.enclosing_fn_idx(i) {
-                    Some(fk) => {
-                        let ls = locals_cache
-                            .entry(fk)
-                            .or_insert_with(|| self.locals_for(file, u.model.fns[fk].body));
-                        self.taint_in(file, i + 3, end, ls)
-                    }
-                    None => self.taint_in(file, i + 3, end, &[]),
-                };
-                if let Some(t) = taint {
-                    let kind = self.root_kind(&t.cause);
-                    let desc = self.describe(file, &t);
-                    learned.push((fname, FieldTaint { kind, desc }));
-                }
-                i += 1;
-            }
-        }
+    fn learn(&mut self) -> bool {
+        self.by_name = summary::by_name(self.graph, |n| self.summaries[n].is_some());
+        let learned = summary::learn_fields(
+            self.units,
+            |f| self.fields.contains_key(f),
+            |file, fk| self.locals_for(file, fk),
+            |file, (lo, hi), locals| {
+                let t = self.taint_in(file, lo, hi, locals)?;
+                Some(FieldTaint { kind: self.root_kind(&t.cause), desc: self.describe(file, &t) })
+            },
+        );
         let changed = !learned.is_empty();
-        for (name, ft) in learned {
-            self.fields.entry(name).or_insert(ft);
-        }
+        self.fields.extend(learned);
         changed
     }
 
@@ -389,103 +270,69 @@ impl<'a> Flow<'a> {
         }
     }
 
-    /// Tainted `let`/`for` bindings of the function body at `body`, with
-    /// `sort*()` sanitisation applied in textual order.
-    fn locals_for(&self, file: usize, body: (usize, usize)) -> Vec<Local> {
+    /// Tainted parameters and `let`/`for` bindings of `fns[fk]` in
+    /// `file`, with `sort*()` sanitisation applied in textual order.
+    fn locals_for(&self, file: usize, fk: usize) -> Locals<Taint> {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
-        let (b0, b1) = body;
-        // `recv.sort*()` sites: re-establish a deterministic order on an
-        // unordered-iteration local, killing its taint from that point.
-        let sorts: Vec<(usize, String)> = u
+        let f = &u.model.fns[fk];
+        let (b0, b1) = f.body;
+        let mut locals = Locals::new();
+        // Parameters typed on an unordered collection (`fn fold(m:
+        // &HashMap<..>)`) are tainted across the whole body. Only container
+        // types make sense here — a `HashMap` parameter's *iteration* is
+        // what the caller cannot pin, whereas an `Instant` parameter was
+        // already flagged at the caller's read site.
+        for p in &f.sig.params {
+            let (t0, t1) = p.ty;
+            let Some(j) =
+                (t0..=t1).find(|&j| toks[j].is_ident("HashMap") || toks[j].is_ident("HashSet"))
+            else {
+                continue;
+            };
+            let desc = format!("`{}`-typed parameter `{}`", toks[j].text, p.name);
+            let src = Src { kind: K_UNORD, tok: j, line: toks[j].line, desc };
+            locals.bind(
+                p.name.clone(),
+                b0,
+                Taint { cause: Cause::Direct(src), via_locals: Vec::new() },
+            );
+        }
+        // `recv.sort*()` sites re-establish a deterministic order on an
+        // unordered-iteration local, killing its taint from that point;
+        // a binding sees the sorts before it.
+        let sorts: Vec<(usize, &str)> = u
             .model
             .calls
             .iter()
             .filter(|c| c.dot > b0 && c.dot < b1 && c.name.starts_with("sort"))
             .filter_map(|c| {
                 let r = toks.get(c.dot.checked_sub(1)?)?;
-                (r.kind == TokKind::Ident).then(|| (c.dot, r.text.clone()))
+                (r.kind == TokKind::Ident).then_some((c.dot, r.text.as_str()))
             })
             .collect();
-        let mut next_sort = 0usize;
-        let mut locals: Vec<Local> = param_taint(toks, b0);
-        let mut i = b0;
-        while i <= b1 && i < toks.len() {
-            while next_sort < sorts.len() && sorts[next_sort].0 < i {
-                let (dot, recv) = &sorts[next_sort];
-                for l in locals.iter_mut() {
-                    if l.name == *recv && l.root == K_UNORD && *dot > l.from && *dot < l.until {
-                        l.until = *dot;
-                    }
-                }
-                next_sort += 1;
+        let mut sorted = 0usize;
+        let mut sort_before = |locals: &mut Locals<Taint>, at: usize| {
+            for &(dot, recv) in sorts[sorted..].iter().take_while(|(dot, _)| *dot < at) {
+                locals.end(recv, dot, |t| self.root_kind(&t.cause) != K_UNORD);
+                sorted += 1;
             }
-            let t = &toks[i];
-            if t.kind == TokKind::Ident && t.text == "let" {
-                let (eq, semi) = let_bounds(toks, i + 1, b1);
-                let Some(semi) = semi else {
-                    i += 1;
-                    continue;
-                };
-                if let Some(eq) = eq {
-                    let names = pattern_names(toks, i + 1, eq);
-                    if !names.is_empty() {
-                        // The scan covers the whole statement so a type
-                        // ascription (`: HashMap<..>`) taints too.
-                        let taint = self.taint_in(file, i + 1, semi, &locals);
-                        for name in &names {
-                            // Shadowing: a rebinding ends the old local's
-                            // range whether or not the new one is tainted.
-                            for l in locals.iter_mut() {
-                                if l.name == *name && l.until > semi {
-                                    l.until = semi;
-                                }
-                            }
-                        }
-                        if let Some(t) = taint {
-                            let root = self.root_kind(&t.cause);
-                            for name in names {
-                                locals.push(Local {
-                                    name,
-                                    from: semi,
-                                    until: usize::MAX,
-                                    taint: t.clone(),
-                                    root,
-                                });
-                            }
-                        }
-                    }
-                }
-                i = semi + 1;
-                continue;
-            }
-            if t.kind == TokKind::Ident && t.text == "for" {
-                if let Some((names, expr_end, brace)) = for_binding(toks, i, b1) {
-                    if let Some(t) = self.taint_in(file, i + 1, expr_end, &locals) {
-                        let root = self.root_kind(&t.cause);
-                        for name in names {
-                            locals.push(Local {
-                                name,
-                                from: brace,
-                                until: usize::MAX,
-                                taint: t.clone(),
-                                root,
-                            });
-                        }
-                    }
-                    i = brace.max(i + 1);
-                    continue;
-                }
-            }
-            i += 1;
-        }
+        };
+        summary::walk_bindings(toks, f.body, &mut locals, |locals, b| {
+            sort_before(locals, b.at);
+            // The scan covers the whole statement so a type ascription
+            // (`: HashMap<..>`) taints too.
+            let Some(t) = self.taint_in(file, b.at + 1, b.rhs.1, locals) else { return Vec::new() };
+            b.names.iter().map(|n| (n.clone(), t.clone())).collect()
+        });
+        sort_before(&mut locals, usize::MAX);
         locals
     }
 
     /// The earliest taint inside the token span `[lo, hi]`: a direct
     /// source, a tainted local mention, a tainted field read, or a call
     /// to a tainted function.
-    fn taint_in(&self, file: usize, lo: usize, hi: usize, locals: &[Local]) -> Option<Taint> {
+    fn taint_in(&self, file: usize, lo: usize, hi: usize, locals: &Locals<Taint>) -> Option<Taint> {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
         if toks.is_empty() || lo > hi {
@@ -510,18 +357,14 @@ impl<'a> Flow<'a> {
                 let after_dot = i > 0 && toks[i - 1].is_punct('.');
                 let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
                 if !after_dot && !in_path {
-                    if let Some(l) = locals
-                        .iter()
-                        .rev()
-                        .find(|l| l.name == t.text && i >= l.from && i <= l.until)
-                    {
-                        let mut via = l.taint.via_locals.clone();
+                    if let Some(l) = locals.find(&t.text, i) {
+                        let mut via = l.val.via_locals.clone();
                         if via.last() != Some(&l.name) {
                             via.push(l.name.clone());
                         }
                         consider(
                             i,
-                            Taint { cause: l.taint.cause.clone(), via_locals: via },
+                            Taint { cause: l.val.cause.clone(), via_locals: via },
                             &mut best,
                         );
                     }
@@ -545,51 +388,23 @@ impl<'a> Flow<'a> {
                 }
             }
         }
+        let call = |node| Taint { cause: Cause::Call { node }, via_locals: Vec::new() };
         for mc in u.model.calls.iter().filter(|c| c.dot >= lo && c.dot <= hi) {
-            let Some(cands) = self.by_name.get(&mc.name) else { continue };
-            for &n in cands {
-                let node = &self.graph.nodes[n];
-                if node.owner.is_none() {
-                    continue;
-                }
-                let mentioned =
-                    node.owner.as_deref().is_some_and(|o| self.file_idents[file].contains(o))
-                        || node
-                            .trait_name
-                            .as_deref()
-                            .is_some_and(|tr| self.file_idents[file].contains(tr));
-                if mentioned {
-                    consider(
-                        mc.dot,
-                        Taint { cause: Cause::Call { node: n }, via_locals: Vec::new() },
-                        &mut best,
-                    );
-                    break;
-                }
+            if let Some(n) = summary::resolve_method(self.graph, &self.by_name, file, &mc.name) {
+                consider(mc.dot, call(n), &mut best);
             }
         }
         for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= lo && c.tok <= hi) {
-            let Some(cands) = self.by_name.get(&fc.name) else { continue };
-            for &n in cands {
-                let node = &self.graph.nodes[n];
-                let matched = if fc.qual.is_empty() {
-                    // Unqualified: only a tainted free fn of the SAME
-                    // module — prevents `catalog::all()` matching an
-                    // unrelated tainted `all()` elsewhere.
-                    node.owner.is_none() && node.abs_module == u.mp.abs()
-                } else {
-                    let q = fc.qual.last().map(String::as_str).unwrap_or("");
-                    (node.owner.is_none() && node.abs_module.last().map(String::as_str) == Some(q))
-                        || node.owner.as_deref() == Some(q)
-                };
-                if matched {
-                    consider(
-                        fc.tok,
-                        Taint { cause: Cause::Call { node: n }, via_locals: Vec::new() },
-                        &mut best,
-                    );
-                    break;
-                }
+            let resolved = summary::resolve_free(
+                self.graph,
+                self.units,
+                &self.by_name,
+                file,
+                &fc.qual,
+                &fc.name,
+            );
+            if let Some(n) = resolved {
+                consider(fc.tok, call(n), &mut best);
             }
         }
         best.map(|(_, t)| t)
@@ -606,35 +421,15 @@ impl<'a> Flow<'a> {
                 let desc = self.fields.get(name).map(|f| f.desc.as_str()).unwrap_or("?");
                 parts.push(format!("{desc} -> field `.{name}`"));
             }
-            Cause::Call { node } => parts.extend(self.chain(*node)),
+            Cause::Call { node } => {
+                let hop = |n: usize| self.summaries[n].as_ref().map(|s| (s.via, &*s.what, s.line));
+                parts.extend(summary::chain(self.graph, self.units, *node, hop))
+            }
         }
         for l in &t.via_locals {
             parts.push(format!("local `{l}`"));
         }
         parts.join(" -> ")
-    }
-
-    /// The call chain from the root source down to node `from`, one hop
-    /// per entry. `via` links never cycle (a summary's provider was
-    /// always assigned in an earlier round), but a depth cap guards the
-    /// walk anyway.
-    fn chain(&self, from: usize) -> Vec<String> {
-        let mut hops: Vec<String> = Vec::new();
-        let mut cur = from;
-        for _ in 0..16 {
-            let Some(s) = self.summaries[cur].as_ref() else { break };
-            let n = &self.graph.nodes[cur];
-            hops.push(format!("`{}` ({}:{})", n.name, self.units[n.file].path, n.line));
-            match s.via {
-                Some(v) if v != cur => cur = v,
-                _ => {
-                    hops.push(format!("{} ({}:{})", s.what, self.units[n.file].path, s.line));
-                    break;
-                }
-            }
-        }
-        hops.reverse();
-        hops
     }
 
     /// The sink pass: `digest-taint` and `oracle-taint` findings.
@@ -651,14 +446,14 @@ impl<'a> Flow<'a> {
             .collect();
         for (file, u) in self.units.iter().enumerate() {
             let toks = &u.lexed.tokens;
-            let mut locals_cache: BTreeMap<Option<usize>, Vec<Local>> = BTreeMap::new();
+            let mut locals_cache: BTreeMap<Option<usize>, Locals<Taint>> = BTreeMap::new();
             let check = |flow: &Self,
                          site_tok: usize,
                          line: u32,
                          args: (usize, usize),
                          rule: &'static str,
                          sink: String,
-                         cache: &mut BTreeMap<Option<usize>, Vec<Local>>,
+                         cache: &mut BTreeMap<Option<usize>, Locals<Taint>>,
                          out: &mut Vec<Finding>| {
                 let (a0, a1) = args;
                 if a1 <= a0 {
@@ -666,8 +461,8 @@ impl<'a> Flow<'a> {
                 }
                 let fk = u.model.enclosing_fn_idx(site_tok);
                 let locals = cache.entry(fk).or_insert_with(|| match fk {
-                    Some(k) => flow.locals_for(file, u.model.fns[k].body),
-                    None => Vec::new(),
+                    Some(k) => flow.locals_for(file, k),
+                    None => Locals::new(),
                 });
                 if let Some(t) = flow.taint_in(file, a0 + 1, a1 - 1, locals) {
                     let path = flow.describe(file, &t);
@@ -688,7 +483,7 @@ impl<'a> Flow<'a> {
                 }
             };
             // Digest folds, gated on the file naming the digest type.
-            if self.file_idents[file].contains("Fnv64") {
+            if self.graph.mentions(file, "Fnv64") {
                 for mc in &u.model.calls {
                     if DIGEST_METHODS.contains(&mc.name.as_str()) {
                         check(
@@ -754,7 +549,7 @@ impl<'a> Flow<'a> {
                     }
                 }
             }
-            if self.file_idents[file].contains("Table") {
+            if self.graph.mentions(file, "Table") {
                 for mc in &u.model.calls {
                     if mc.name == "row" {
                         check(
@@ -928,248 +723,6 @@ fn nan_fold_sources(u: &FileUnit) -> Vec<Src> {
         }
     }
     out
-}
-
-/// True when the `.` at `i` reads a field: next token is an identifier
-/// not followed by `(` (a method call) or a plain `=` (a write; `==`
-/// still reads).
-pub(crate) fn field_read_shape(toks: &[Token], i: usize) -> bool {
-    if !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-        return false;
-    }
-    let Some(after) = toks.get(i + 2) else { return true };
-    if after.is_punct('(') {
-        return false;
-    }
-    if after.is_punct('=') && !toks.get(i + 3).is_some_and(|t| t.is_punct('=')) {
-        return false;
-    }
-    true
-}
-
-/// The argument parens of the call whose name token is `tok`, skipping a
-/// turbofish; `None` for bare references.
-pub(crate) fn call_args(toks: &[Token], tok: usize) -> Option<(usize, usize)> {
-    let mut k = tok + 1;
-    if toks.get(k).is_some_and(|t| t.is_punct(':'))
-        && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-        && toks.get(k + 2).is_some_and(|t| t.is_punct('<'))
-    {
-        let close = parse::skip_angles(toks, k + 2);
-        if close == k + 2 {
-            return None;
-        }
-        k = close + 1;
-    }
-    if !toks.get(k).is_some_and(|t| t.is_punct('(')) {
-        return None;
-    }
-    Some((k, parse::match_delim(toks, k)))
-}
-
-/// The bounds of a `let` statement starting after the `let` at `from-1`:
-/// the depth-0 `=` (skipping `==`/compound operators) and the depth-0 `;`.
-pub(crate) fn let_bounds(
-    toks: &[Token],
-    from: usize,
-    limit: usize,
-) -> (Option<usize>, Option<usize>) {
-    let mut depth = 0i32;
-    let mut eq = None;
-    let mut i = from;
-    while i <= limit && i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "=" if depth == 0 && eq.is_none() => {
-                    // `>` is NOT compound here: before a let's binding `=`
-                    // it can only be a generic close (`let k: Vec<u64> =`) —
-                    // a real `>=` cannot appear in pattern/type position.
-                    let compound = i > 0
-                        && toks[i - 1].kind == TokKind::Punct
-                        && matches!(
-                            toks[i - 1].text.as_str(),
-                            "=" | "<" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-                        );
-                    let double = toks.get(i + 1).is_some_and(|t| t.is_punct('='));
-                    if !compound && !double {
-                        eq = Some(i);
-                    }
-                }
-                ";" if depth == 0 => return (eq, Some(i)),
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    (eq, None)
-}
-
-/// Lower-case identifiers bound by the pattern between `from` and the
-/// `=` at `eq`, stopping at a depth-0 `:` (type ascription). CamelCase
-/// names are enum/struct constructors, not bindings.
-pub(crate) fn pattern_names(toks: &[Token], from: usize, eq: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    for t in toks.iter().take(eq.min(toks.len())).skip(from) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ":" if depth == 0 => break,
-                _ => {}
-            }
-        } else if t.kind == TokKind::Ident
-            && !parse::is_keyword(&t.text)
-            && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-        {
-            out.push(t.text.clone());
-        }
-    }
-    out
-}
-
-/// `for PAT in EXPR {` starting at the `for` at `i`: the bound names,
-/// the last token of EXPR, and the index of the opening `{`.
-pub(crate) fn for_binding(
-    toks: &[Token],
-    i: usize,
-    limit: usize,
-) -> Option<(Vec<String>, usize, usize)> {
-    let mut j = i + 1;
-    let mut names = Vec::new();
-    while j <= limit && j < i + 24 && j < toks.len() {
-        let t = &toks[j];
-        if t.is_ident("in") {
-            break;
-        }
-        if t.is_punct('{') || t.is_punct(';') {
-            return None;
-        }
-        if t.kind == TokKind::Ident
-            && !parse::is_keyword(&t.text)
-            && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-        {
-            names.push(t.text.clone());
-        }
-        j += 1;
-    }
-    if !toks.get(j).is_some_and(|t| t.is_ident("in")) {
-        return None;
-    }
-    let mut k = j + 1;
-    let mut depth = 0i32;
-    while k <= limit && k < toks.len() {
-        let t = &toks[k];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    if k > j + 1 {
-                        return Some((names, k - 1, k));
-                    }
-                    return None;
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-    }
-    None
-}
-
-/// Parameters of the fn whose body opens at `b0` that are typed on an
-/// unordered collection (`fn fold(m: &HashMap<..>)`): each becomes a
-/// tainted local live across the whole body. Only container types make
-/// sense here — a `HashMap` parameter's *iteration* is what the caller
-/// cannot pin, whereas an `Instant` parameter was already flagged at the
-/// caller's read site.
-fn param_taint(toks: &[Token], b0: usize) -> Vec<Local> {
-    let mut out = Vec::new();
-    // The signature's `fn` keyword is the nearest one before the body.
-    let Some(sig) = (0..b0).rev().find(|&k| toks[k].is_ident("fn")) else { return out };
-    let Some(open) = (sig..b0).find(|&k| toks[k].is_punct('(')) else { return out };
-    let close = parse::match_delim(toks, open);
-    if close >= b0 {
-        return out;
-    }
-    let mut k = open + 1;
-    while k < close {
-        let named = toks[k].kind == TokKind::Ident
-            && !parse::is_keyword(&toks[k].text)
-            && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-            && !toks.get(k + 2).is_some_and(|t| t.is_punct(':'))
-            && !toks[k - 1].is_punct(':');
-        if !named {
-            k += 1;
-            continue;
-        }
-        // The type span runs to the next depth-0 comma (commas inside a
-        // generic's angles may cut it short — that only under-taints).
-        let mut depth = 0i32;
-        let mut j = k + 2;
-        let mut src = None;
-        while j < close {
-            let t = &toks[j];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-            } else if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-                src = Some(Src {
-                    kind: K_UNORD,
-                    tok: j,
-                    line: t.line,
-                    desc: format!("`{}`-typed parameter `{}`", t.text, toks[k].text),
-                });
-            }
-            j += 1;
-        }
-        if let Some(s) = src {
-            out.push(Local {
-                name: toks[k].text.clone(),
-                from: b0,
-                until: usize::MAX,
-                taint: Taint { cause: Cause::Direct(s), via_locals: Vec::new() },
-                root: K_UNORD,
-            });
-        }
-        k = j + 1;
-    }
-    out
-}
-
-/// Token end of an assignment RHS starting at `from`: the depth-0 `;`,
-/// `,`, or closing delimiter.
-pub(crate) fn rhs_end(toks: &[Token], from: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        return if j > from { Some(j - 1) } else { None };
-                    }
-                    depth -= 1;
-                }
-                ";" | "," if depth == 0 => {
-                    return if j > from { Some(j - 1) } else { None };
-                }
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 #[cfg(test)]

@@ -28,18 +28,15 @@
 //!   contribute no edge.
 //! * **Injector-reachable set `R`**: the fixpoint from the real entry
 //!   points — methods of `Injector` and `*Detector` impls, the simcore
-//!   `Simulation`/`Scheduler`/`EventHandle` surface (scheduler callbacks
-//!   run under these), and the campaign dispatch roots `run_scenario` /
-//!   `run_all`. `panic-path` runs exactly on `R`.
-//! * **Scheduling set `S ⊆ R`-ish**: functions that own or touch an event
-//!   queue — methods of types with a `BinaryHeap` or `EventKey` field,
-//!   methods of `impl EventQueue for _` blocks (the pluggable queue
-//!   backends in `simcore::queue`), bodies mentioning `BinaryHeap` or
-//!   `EventKey`, and callers of the scheduler primitives
-//!   (`schedule_at`/`schedule_after`/`schedule_periodic`/`at_cancellable`/
-//!   `run_until`/`run_for`/`schedule_event` and the queue ops
-//!   `push`-adjacent `pop_next`/`pop_batch`/`min_time`). The full
-//!   `stable-tiebreak` battery runs on
+//!   `Simulation`/`Scheduler` surface (scheduler callbacks run under
+//!   these), and the campaign dispatch roots `run_scenario` / `run_all`.
+//!   `panic-path` runs exactly on `R`.
+//! * **Scheduling set `S ⊆ R`-ish**: functions that own or touch the
+//!   event queue — methods of types with a `BinaryHeap` or `EventKey`
+//!   field, bodies mentioning `BinaryHeap` or `EventKey`, and callers of
+//!   the scheduler primitives (`schedule_at`/`schedule_after`/
+//!   `schedule_periodic`/`run_until`/`run_for`/`schedule_event`). The
+//!   full `stable-tiebreak` battery runs on
 //!   `S`; the rest of `R` gets only the bare-time-key check, because a
 //!   single-key `min_by_key` in ordinary model code is not a scheduling
 //!   hazard. `Ord`/`PartialOrd` impls are in scope when their type appears
@@ -112,11 +109,8 @@ pub struct FnNode {
     pub in_test: bool,
 }
 
-/// The trait the pluggable event-queue backends implement; every method
-/// of an `impl EventQueue for _` block belongs to the scheduling set.
-const QUEUE_TRAIT: &str = "EventQueue";
-/// The arena-index key type queued by the event engine; owning or
-/// touching it marks a function as scheduling code, like `BinaryHeap`.
+/// The `(at, seq)` key the event engine queues; owning or touching it
+/// marks a function as scheduling code, like `BinaryHeap`.
 const QUEUE_KEY_TYPE: &str = "EventKey";
 
 /// Scheduler primitives whose callers belong to the scheduling set `S`.
@@ -124,24 +118,20 @@ const SCHED_METHODS: &[&str] = &[
     "schedule_at",
     "schedule_after",
     "schedule_periodic",
-    "at_cancellable",
     "run_until",
     "run_for",
     "schedule_event",
-    "pop_next",
-    "pop_batch",
-    "min_time",
 ];
 
 /// Impl type names whose methods are injector-reachability entry points.
-const ENTRY_TYPES: &[&str] = &["Injector", "Simulation", "Scheduler", "EventHandle"];
+const ENTRY_TYPES: &[&str] = &["Injector", "Simulation", "Scheduler"];
 
 /// Free functions that are entry points: the campaign's scenario dispatch
 /// and the runner's pool loop (scheduler callbacks hang off these).
 const ENTRY_FNS: &[&str] = &["run_scenario", "run_all"];
 
 /// The workspace call graph with its reachability fixpoints.
-pub struct Graph {
+pub struct Graph<'a> {
     /// Every function node, in (file, source) order.
     pub nodes: Vec<FnNode>,
     /// Adjacency: `edges[n]` is the set of callee node ids of `n`.
@@ -154,13 +144,21 @@ pub struct Graph {
     pub sched: Vec<bool>,
     /// Type names appearing inside `BinaryHeap<…>` element types.
     pub heap_elem_types: BTreeSet<String>,
+    /// Every identifier each file mentions anywhere: the owner/trait
+    /// mention gate for method calls.
+    idents: Vec<BTreeSet<&'a str>>,
+    /// Node id of each file's first `fn`; its `fn_idx`-th is
+    /// `file_start[file] + fn_idx`.
+    file_start: Vec<usize>,
 }
 
-impl Graph {
+impl<'a> Graph<'a> {
     /// Builds the graph over the scanned files.
-    pub fn build(units: &[FileUnit]) -> Graph {
+    pub fn build(units: &'a [FileUnit]) -> Graph<'a> {
         let mut nodes = Vec::new();
+        let mut file_start = Vec::with_capacity(units.len());
         for (file, u) in units.iter().enumerate() {
+            file_start.push(nodes.len());
             for (fn_idx, f) in u.model.fns.iter().enumerate() {
                 let (owner, trait_name) = match u.model.owning_impl(f.body) {
                     Some(k) => {
@@ -220,7 +218,7 @@ impl Graph {
 
         // Every identifier each file mentions anywhere: the receiver-type
         // gate for method edges below.
-        let file_idents: Vec<BTreeSet<&str>> = units
+        let idents: Vec<BTreeSet<&str>> = units
             .iter()
             .map(|u| {
                 u.lexed
@@ -234,17 +232,10 @@ impl Graph {
 
         // Edges.
         let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for (n, node) in nodes.iter().enumerate() {
-            node_of.insert((node.file, node.fn_idx), n);
-        }
         for (file, u) in units.iter().enumerate() {
-            let src_of = |tok: usize| {
-                u.model.enclosing_fn_idx(tok).and_then(|k| node_of.get(&(file, k)).copied())
-            };
-            let mentions = |name: &Option<String>| {
-                name.as_deref().is_some_and(|n| file_idents[file].contains(n))
-            };
+            let src_of = |tok: usize| u.model.enclosing_fn_idx(tok).map(|k| file_start[file] + k);
+            let mentions =
+                |name: &Option<String>| name.as_deref().is_some_and(|n| idents[file].contains(n));
             for call in &u.model.calls {
                 let Some(src) = src_of(call.dot) else { continue };
                 if let Some(tgts) = methods_by_name.get(call.name.as_str()) {
@@ -327,8 +318,7 @@ impl Graph {
         let reachable = bfs(&edges, entries.iter().copied());
 
         // The scheduling set and heap element types. "Queue structs" are
-        // event-queue owners: a `BinaryHeap` or `EventKey` field, or an
-        // `impl EventQueue for _` block (the pluggable backends).
+        // event-queue owners: a `BinaryHeap` or `EventKey` field.
         let mut queue_structs: BTreeSet<&str> = BTreeSet::new();
         let mut heap_elem_types: BTreeSet<String> = BTreeSet::new();
         for u in units {
@@ -339,11 +329,6 @@ impl Graph {
                     .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE))
                 {
                     queue_structs.insert(&s.name);
-                }
-            }
-            for im in &u.model.impls {
-                if im.trait_name.as_deref() == Some(QUEUE_TRAIT) {
-                    queue_structs.insert(&im.type_name);
                 }
             }
             for h in &u.model.heaps {
@@ -382,7 +367,40 @@ impl Graph {
             sched[n] = touches_heap || calls_sched;
         }
 
-        Graph { nodes, edges, entries, reachable, sched, heap_elem_types }
+        Graph { nodes, edges, entries, reachable, sched, heap_elem_types, idents, file_start }
+    }
+
+    /// The node of `units[file].model.fns[fn_idx]`.
+    pub(crate) fn node_of(&self, file: usize, fn_idx: usize) -> usize {
+        self.file_start[file] + fn_idx
+    }
+
+    /// True when `units[file]` mentions the identifier `name` anywhere.
+    pub(crate) fn mentions(&self, file: usize, name: &str) -> bool {
+        self.idents[file].contains(name)
+    }
+
+    /// The line of node `n`'s first call, by name, to node `m`; `n`'s
+    /// own line when the call is not found.
+    pub(crate) fn call_line(&self, units: &[FileUnit], n: usize, m: usize) -> u32 {
+        let node = &self.nodes[n];
+        let callee = &self.nodes[m];
+        let model = &units[node.file].model;
+        let (b0, b1) = node.body;
+        let found = if callee.owner.is_some() {
+            model
+                .calls
+                .iter()
+                .find(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name)
+                .map(|c| c.line)
+        } else {
+            model
+                .free_calls
+                .iter()
+                .find(|c| c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
+                .map(|c| c.line)
+        };
+        found.unwrap_or(node.line)
     }
 
     /// True when graph-derived scoping is usable: the scanned set contains
@@ -497,7 +515,6 @@ impl Graph {
                 }
             }
         }
-        let _ = dispatch;
     }
 
     /// Campaign cells whose code is never reachable from the `fs-campaign`
@@ -565,24 +582,24 @@ impl Graph {
                 out.push(',');
             }
             let module = n.abs_module[1..].join("::");
+            let hop = |line: u32, via: Option<usize>, what: &str| {
+                let via = via.map_or("null".to_string(), |v| v.to_string());
+                format!("\"line\": {line}, \"via\": {via}, \"what\": {}}}", json_str(what))
+            };
             let taint_json = match taint.get(i) {
-                Some(Some(s)) => format!(
-                    "{{\"kind\": {}, \"line\": {}, \"via\": {}, \"what\": {}}}",
-                    json_str(s.kind),
-                    s.line,
-                    s.via.map_or("null".to_string(), |v| v.to_string()),
-                    json_str(&s.what),
-                ),
+                Some(Some(s)) => {
+                    format!("{{\"kind\": {}, {}", json_str(s.kind), hop(s.line, s.via, &s.what))
+                }
                 _ => "null".to_string(),
             };
             let unit_json = match usum.get(i) {
-                Some(Some(s)) => format!(
-                    "{{\"dim\": {}, \"line\": {}, \"via\": {}, \"what\": {}}}",
-                    json_str(&s.dim.render()),
-                    s.line,
-                    s.via.map_or("null".to_string(), |v| v.to_string()),
-                    json_str(&s.what),
-                ),
+                Some(Some(s)) => {
+                    format!(
+                        "{{\"dim\": {}, {}",
+                        json_str(&s.dim.render()),
+                        hop(s.line, s.via, &s.what)
+                    )
+                }
                 _ => "null".to_string(),
             };
             let effects_json = match esum.get(i) {
@@ -592,14 +609,11 @@ impl Graph {
                         .iter()
                         .map(|e| {
                             format!(
-                                "{{\"kind\": {}, \"owner\": {}, \"field\": {}, \"line\": {}, \
-                                 \"via\": {}, \"what\": {}}}",
+                                "{{\"kind\": {}, \"owner\": {}, \"field\": {}, {}",
                                 json_str(e.kind),
                                 json_str(&e.owner),
                                 json_str(&e.field),
-                                e.line,
-                                e.via.map_or("null".to_string(), |v| v.to_string()),
-                                json_str(&e.what),
+                                hop(e.line, e.via, &e.what)
                             )
                         })
                         .collect();
@@ -884,20 +898,18 @@ mod tests {
     }
 
     #[test]
-    fn queue_backends_and_key_owners_join_the_sched_set() {
+    fn key_owners_join_the_sched_set() {
         let units = [unit(
             "crates/alpha/src/lib.rs",
             "pub struct Ring { keys: Vec<EventKey> } \
-             impl EventQueue for Ring { pub fn rotate(&mut self) {} } \
              impl Ring { pub fn tune(&mut self) {} } \
              pub struct Driver; \
-             impl Driver { pub fn drain(&self, q: &mut Ring) { q.pop_batch(); } } \
+             impl Driver { pub fn drain(&self, sim: &mut Sim) { sim.run_until(9); } } \
              pub fn bystander() {}",
         )];
         let g = Graph::build(&units);
-        assert!(g.sched[node_id(&g, "rotate")], "EventQueue impl methods are S");
         assert!(g.sched[node_id(&g, "tune")], "inherent methods of EventKey owners are S");
-        assert!(g.sched[node_id(&g, "drain")], "queue-op callers are S");
+        assert!(g.sched[node_id(&g, "drain")], "scheduler-primitive callers are S");
         assert!(!g.sched[node_id(&g, "bystander")]);
     }
 
@@ -919,7 +931,8 @@ mod tests {
 
     #[test]
     fn no_entries_means_unscoped() {
-        let g = Graph::build(&[unit("crates/alpha/src/lib.rs", "pub fn lonely() {}")]);
+        let units = [unit("crates/alpha/src/lib.rs", "pub fn lonely() {}")];
+        let g = Graph::build(&units);
         assert!(!g.has_entries());
         // The scope the engine substitutes has nothing in S or R.
         let s = FileScope::unscoped();

@@ -38,7 +38,6 @@
 //! | `rate-confusion` | a per-X rate only combines with a different shape through a `dt` factor |
 //! | `threshold-unit` | detector thresholds are configured in the unit they are compared against |
 //! | `oracle-pure` | campaign-reachable oracle/detector verdict paths are write-free on sim state |
-//! | `batch-commute` | same-timestamp batch handlers with overlapping writes carry a `seq` tiebreak |
 //! | `injection-scoped` | injectors write only their declared injection surface |
 //! | `mitigation-effect` | metastable policy hooks write policy-owned state only |
 //! | `suppression-stale` | no `fslint: allow(...)` comment that silences nothing |
@@ -74,16 +73,24 @@
 //! chains hop by hop; return-unit summaries ride along in the
 //! `--graph-out` export under `"unit"`.
 //!
-//! The effect rules (`oracle-pure`, `batch-commute`, `injection-scoped`,
+//! The effect rules (`oracle-pure`, `injection-scoped`,
 //! `mitigation-effect`) run a third summary pass over the same graph
 //! ([`effects`]): per-function write/interior-mutability/static-write/
 //! RNG-draw/scheduler effect sets are extracted from `self.field = …`
 //! assignments, `&mut` parameter writes, mutating method calls, and
-//! `schedule_*`/`cancel` dispatch, then propagated caller-ward to a
+//! `schedule_*` dispatch, then propagated caller-ward to a
 //! fixpoint with the same via-link hop reporting taint and units use —
 //! so "the detector's verdict path mutates the scheduler three calls
 //! down" renders as a full call chain. Effect summaries ride along in
 //! the `--graph-out` export under `"effects"`.
+//!
+//! The three summary passes keep only their seeds, transfer functions
+//! and rules; the plumbing around them is shared (the crate-private
+//! `summary` module): the signature each [`parse::FnItem`] records once,
+//! the identifier sets and `(file, fn) → node` map [`graph::Graph`]
+//! builds once, one call resolver behind the graph's gates, one
+//! `let`/`for` binding walker with shadowing, one `.field = value`
+//! scanner, and one hop-chain printer.
 //!
 //! ## Suppressions
 //!
@@ -134,6 +141,7 @@ pub mod resolve;
 pub mod rules;
 pub mod sarif;
 pub mod sem;
+pub(crate) mod summary;
 pub mod suppress;
 pub mod units;
 

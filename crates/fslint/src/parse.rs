@@ -8,8 +8,10 @@
 //! [`crate::lexer`] output:
 //!
 //! * `fn` items with their body spans, surrounding `#[test]`/`#[cfg(test)]`
-//!   markers, `for`-loop variables, closure parameters, and a per-function
-//!   set of float-typed locals (`let x: f64`, float literals, `as f64`);
+//!   markers, their signature (receiver, named parameters with their
+//!   types, return type), `for`-loop variables, closure parameters, and a
+//!   per-function set of float-typed locals (`let x: f64`, float
+//!   literals, `as f64`);
 //! * `impl Ord for T` / `impl PartialOrd for T` blocks;
 //! * *every* `impl` block (inherent or trait) with its type and trait
 //!   names, so the call graph ([`crate::graph`]) can attach methods to
@@ -53,6 +55,48 @@ pub fn is_keyword(word: &str) -> bool {
     KEYWORDS.contains(&word)
 }
 
+/// How a method takes `self`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Receiver {
+    /// No `self` parameter (or a typed `self: T` one).
+    #[default]
+    None,
+    /// `self` or `mut self`: the method consumes its receiver.
+    Value,
+    /// `&self`.
+    Ref,
+    /// `&mut self`.
+    RefMut,
+}
+
+/// One named parameter of a `fn` signature.
+#[derive(Debug)]
+pub struct Param {
+    /// The bound name (`mut x: u64` binds `x`).
+    pub name: String,
+    /// Token span `[start, end]` of the type after the `:`.
+    pub ty: (usize, usize),
+    /// The type's name past `&`, lifetimes and `mut`, by its last path
+    /// segment (`&mut simcore::Server` → `Server`); empty when the type
+    /// names nothing (`()`).
+    pub ty_name: String,
+    /// True for a `&mut` type.
+    pub mut_ref: bool,
+}
+
+/// A `fn` item's signature, read once from its own `fn` token.
+#[derive(Debug, Default)]
+pub struct FnSig {
+    /// How the function takes `self`.
+    pub receiver: Receiver,
+    /// Parameters whose pattern is a single name, in declaration order
+    /// (`(a, b): (u64, u64)` binds no single name and is skipped).
+    pub params: Vec<Param>,
+    /// Token span `[start, end]` of the return type, up to a `where`
+    /// clause or the body; `None` without `->`.
+    pub ret: Option<(usize, usize)>,
+}
+
 /// One parsed `fn` item.
 #[derive(Debug)]
 pub struct FnItem {
@@ -62,6 +106,8 @@ pub struct FnItem {
     pub line: u32,
     /// Token span `[start, end]` of the body block, braces included.
     pub body: (usize, usize),
+    /// The signature.
+    pub sig: FnSig,
     /// True when the item is test code: it carries `#[test]` / `#[cfg(test)]`
     /// or sits inside a `#[cfg(test)] mod`.
     pub in_test: bool,
@@ -440,16 +486,18 @@ fn collect_fns(toks: &[Token], model: &mut FileModel) {
         };
         let close = match_delim(toks, open);
         let in_test = has_test_attr(toks, i) || model.in_test_span(i);
+        let sig = parse_sig(toks, i, open);
+        let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
         let mut item = FnItem {
             name,
             line,
             body: (open, close),
+            sig,
             in_test,
-            bound_vars: BTreeSet::new(),
+            bound_vars,
             float_vars: BTreeSet::new(),
         };
         // The signature (params) participates in float tracking.
-        collect_params(toks, i, &mut item);
         analyze_fn(toks, i, close, &mut item);
         model.fns.push(item);
         i += 2;
@@ -500,32 +548,93 @@ fn has_test_attr(toks: &[Token], at: usize) -> bool {
     false
 }
 
-/// Inserts the parameter names of the `fn` at `at` into `bound_vars`:
-/// idents directly followed by `:` inside the signature parens. Path
-/// segments never match — they are preceded by `:` or followed by `::`.
-fn collect_params(toks: &[Token], at: usize, item: &mut FnItem) {
+/// Parses the signature of the `fn` at `at` whose body opens at `body`.
+fn parse_sig(toks: &[Token], at: usize, body: usize) -> FnSig {
+    let mut sig = FnSig::default();
     let mut j = at + 2;
     if punct_at(toks, j, '<') {
         let close = skip_angles(toks, j);
         if close == j {
-            return;
+            return sig;
         }
         j = close + 1;
     }
     if !punct_at(toks, j, '(') {
-        return;
+        return sig;
     }
     let close = match_delim(toks, j);
-    for k in j + 1..close {
-        if toks[k].kind == TokKind::Ident
-            && !is_keyword(&toks[k].text)
-            && punct_at(toks, k + 1, ':')
-            && !punct_at(toks, k + 2, ':')
-            && !punct_at(toks, k - 1, ':')
-        {
-            item.bound_vars.insert(toks[k].text.clone());
+    // Split the list at depth-0 commas; generic angles hide theirs.
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let (mut start, mut depth, mut k) = (j + 1, 0i32, j + 1);
+    while k < close {
+        if toks[k].kind == TokKind::Punct {
+            match toks[k].text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "<" if depth == 0 => k = skip_angles(toks, k),
+                "," if depth == 0 => {
+                    spans.push((start, k));
+                    start = k + 1;
+                }
+                _ => {}
+            }
         }
+        k += 1;
     }
+    if start < close {
+        spans.push((start, close));
+    }
+    for (s, e) in spans {
+        let span = &toks[s..e];
+        let colon = span.iter().position(|t| t.is_punct(':'));
+        if colon.is_none() && span.iter().any(|t| t.is_ident("self")) {
+            let by_ref = span.iter().any(|t| t.is_punct('&'));
+            sig.receiver = match (by_ref, span.iter().any(|t| t.is_ident("mut"))) {
+                (false, _) => Receiver::Value,
+                (true, false) => Receiver::Ref,
+                (true, true) => Receiver::RefMut,
+            };
+            continue;
+        }
+        // `name: Type`; a `::` path (a proptest `x in strategy`) is no
+        // parameter type.
+        let Some(colon) =
+            colon.filter(|&c| c > 0 && !span.get(c + 1).is_some_and(|t| t.is_punct(':')))
+        else {
+            continue;
+        };
+        let nt = &span[colon - 1];
+        if nt.kind != TokKind::Ident || is_keyword(&nt.text) {
+            continue;
+        }
+        // The type: skip refs and lifetimes, note `mut`, then take the
+        // first real type path by its last segment.
+        let mut t = colon + 1;
+        let mut saw_ref = false;
+        while t < span.len() && (span[t].is_punct('&') || span[t].kind == TokKind::Lifetime) {
+            saw_ref |= span[t].is_punct('&');
+            t += 1;
+        }
+        let mut_ref = saw_ref && t < span.len() && span[t].is_ident("mut");
+        let ty_name = span[t..]
+            .iter()
+            .position(|x| x.kind == TokKind::Ident && !is_keyword(&x.text))
+            .and_then(|p| read_path(toks, s + t + p))
+            .map(|(last, _)| last)
+            .unwrap_or_default();
+        sig.params.push(Param {
+            name: nt.text.clone(),
+            ty: (s + colon + 1, e - 1),
+            ty_name,
+            mut_ref,
+        });
+    }
+    if punct_at(toks, close + 1, '-') && punct_at(toks, close + 2, '>') {
+        let start = close + 3;
+        let end = (start..body).find(|&k| toks[k].is_ident("where")).unwrap_or(body) - 1;
+        sig.ret = (start <= end).then_some((start, end));
+    }
+    sig
 }
 
 /// Fills `bound_vars` and `float_vars` for the token range `[start, end]`.

@@ -66,9 +66,6 @@ pub mod id {
     /// runner that writes simulation state (interprocedural,
     /// effect-summary based; reported with the write chain).
     pub const ORACLE_PURE: &str = "oracle-pure";
-    /// Two same-batch handlers with overlapping write sets dispatched
-    /// from `pop_batch` without an explicit seq tiebreak.
-    pub const BATCH_COMMUTE: &str = "batch-commute";
     /// An injector writing state outside its declared injection surface.
     pub const INJECTION_SCOPED: &str = "injection-scoped";
     /// A metastable policy hook writing non-policy-owned state.
@@ -255,14 +252,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "oracle/detector verdict paths reachable from the campaign runner must be \
                   write-free on simulation state (interprocedural effect summaries; the \
                   probe effect, made a lint)",
-        level: "error",
-        help: anchor::EFFECTS,
-    },
-    RuleInfo {
-        id: id::BATCH_COMMUTE,
-        summary: "same-batch handlers with overlapping write sets dispatched from pop_batch \
-                  must be ordered by an explicit seq tiebreak — equal-timestamp dispatch \
-                  order is otherwise unspecified",
         level: "error",
         help: anchor::EFFECTS,
     },

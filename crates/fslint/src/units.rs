@@ -47,19 +47,19 @@
 //! where resolution is ambiguous: an unresolvable call, macro, or
 //! conversion literal inside an operand poisons it to `Unknown`, and
 //! `Unknown` operands never fire a rule. Method-call and free-call
-//! resolution reuse the flow gates (owner/trait mention for methods,
-//! same-module or matching qualifier for free calls). Known
+//! resolution share the taint pass's resolver (owner/trait mention for
+//! methods, same-module or matching qualifier for free calls). Known
 //! under-approximations: method-call *arguments* are not checked against
 //! parameter units (only free calls are), tuple patterns bind a unit
 //! only when the name itself carries a suffix, and `%` keeps its left
 //! operand's unit without checking the right.
 
-use crate::flow::{call_args, field_read_shape, for_binding, let_bounds, pattern_names, rhs_end};
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
 use crate::parse;
 use crate::rules::{id, Finding};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::summary::{self, call_args, field_read_shape, rhs_end, ByName, Locals};
+use std::collections::BTreeMap;
 
 /// A dimension: signed exponents over the unit bases, zero entries
 /// never stored. `{nanos: 1, secs: -1}` renders as `nanos/secs`.
@@ -376,15 +376,8 @@ impl Inferred {
     }
 }
 
-/// One unit-carrying local binding, live on `[from, until]` tokens.
-#[derive(Debug, Clone)]
-struct ULocal {
-    name: String,
-    from: usize,
-    until: usize,
-    dim: Dim,
-    chain: Vec<String>,
-}
+/// Unit-carrying locals: each binding's dimension and inference chain.
+type ULocals = Locals<(Dim, Vec<String>)>;
 
 /// What a unit-carrying struct field was learned to hold.
 #[derive(Debug, Clone)]
@@ -398,7 +391,7 @@ struct FieldUnit {
 /// summaries aligned with `graph.nodes` for the `--graph-out` export.
 pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<UnitSummary>>) {
     let mut u = Units::new(units, graph);
-    u.fixpoint();
+    summary::fixpoint(&mut u, |u| &mut u.summaries, Units::learn, Units::infer);
     let mut findings = u.site_findings();
     findings.extend(u.raw_conversions());
     (findings, u.summaries)
@@ -408,50 +401,51 @@ pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<U
 /// fixpoint, then the site scan reads them.
 struct Units<'a> {
     units: &'a [FileUnit],
-    graph: &'a Graph,
-    /// Every identifier each file mentions (the method-resolution gate).
-    file_idents: Vec<BTreeSet<&'a str>>,
+    graph: &'a Graph<'a>,
     /// Per-node return-unit summaries, aligned with `graph.nodes`.
     summaries: Vec<Option<UnitSummary>>,
     /// Summarized node ids by function name (rebuilt each round).
-    by_name: BTreeMap<String, Vec<usize>>,
+    by_name: ByName<'a>,
     /// All node ids by function name (for parameter-unit lookups).
-    all_by_name: BTreeMap<String, Vec<usize>>,
-    /// Per-node parameter units, in declaration order.
-    params: Vec<Vec<(String, Option<Dim>)>>,
+    all_by_name: ByName<'a>,
+    /// Per-node parameter units, in declaration order: a name's own
+    /// suffix, else a `SimTime`/`SimDuration` type.
+    params: Vec<Vec<(&'a str, Option<Dim>)>>,
     /// Unit-carrying struct fields by field name (global, name-based).
     fields: BTreeMap<String, FieldUnit>,
 }
 
 impl<'a> Units<'a> {
-    fn new(units: &'a [FileUnit], graph: &'a Graph) -> Units<'a> {
-        let file_idents = units
-            .iter()
-            .map(|u| {
-                u.lexed
-                    .tokens
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.as_str())
-                    .collect()
-            })
-            .collect();
-        let mut all_by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (n, node) in graph.nodes.iter().enumerate() {
-            all_by_name.entry(node.name.clone()).or_default().push(n);
-        }
+    fn new(units: &'a [FileUnit], graph: &'a Graph<'a>) -> Units<'a> {
         let params = graph
             .nodes
             .iter()
-            .map(|node| signature_params(&units[node.file].lexed.tokens, node.body.0))
+            .map(|node| {
+                let u = &units[node.file];
+                let toks = &u.lexed.tokens;
+                let time = |(t0, t1): (usize, usize)| {
+                    toks[t0..=t1]
+                        .iter()
+                        .any(|t| t.kind == TokKind::Ident && TIME_TYPES.contains(&t.text.as_str()))
+                };
+                let sig = &u.model.fns[node.fn_idx].sig;
+                sig.params
+                    .iter()
+                    .map(|p| {
+                        let dim = name_dim(&p.name)
+                            .map(|(d, _)| d)
+                            .or_else(|| time(p.ty).then(|| Dim::base("nanos")));
+                        (p.name.as_str(), dim)
+                    })
+                    .collect()
+            })
             .collect();
         let mut u = Units {
             units,
             graph,
-            file_idents,
             summaries: vec![None; graph.nodes.len()],
-            by_name: BTreeMap::new(),
-            all_by_name,
+            by_name: ByName::new(),
+            all_by_name: summary::by_name(graph, |_| true),
             params,
             fields: BTreeMap::new(),
         };
@@ -469,7 +463,7 @@ impl<'a> Units<'a> {
     fn seed_summary(&self, n: usize) -> Option<UnitSummary> {
         let node = &self.graph.nodes[n];
         let toks = &self.units[node.file].lexed.tokens;
-        let ret = return_type_span(toks, node.body.0).filter(|&s| unit_bearing_return(toks, s))?;
+        let ret = self.unit_return(n)?;
         if let Some((dim, label)) = name_dim(&node.name) {
             return Some(UnitSummary {
                 dim,
@@ -491,242 +485,106 @@ impl<'a> Units<'a> {
         None
     }
 
-    fn rebuild_by_name(&mut self) {
-        self.by_name.clear();
-        for (n, s) in self.summaries.iter().enumerate() {
-            if s.is_some() {
-                self.by_name.entry(self.graph.nodes[n].name.clone()).or_default().push(n);
-            }
-        }
+    /// Node `n`'s return-type span when it can carry ONE unit: every
+    /// identifier in it is a bare numeric primitive or a time type. A
+    /// struct/enum return (e.g. `-> Geometry`) aggregates many
+    /// quantities, so its fn never gets a scalar unit summary.
+    fn unit_return(&self, n: usize) -> Option<(usize, usize)> {
+        let node = &self.graph.nodes[n];
+        let u = &self.units[node.file];
+        let (r0, r1) = u.model.fns[node.fn_idx].sig.ret?;
+        let mut idents = u.lexed.tokens[r0..=r1]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident && !parse::is_keyword(&t.text))
+            .peekable();
+        let bearing = idents.peek().is_some()
+            && idents.all(|t| {
+                NUM_TYPES.contains(&t.text.as_str()) || TIME_TYPES.contains(&t.text.as_str())
+            });
+        bearing.then_some((r0, r1))
     }
 
-    /// Iterates summary propagation and field discovery to a fixpoint.
-    /// Both sets only grow, so this terminates.
-    fn fixpoint(&mut self) {
-        loop {
-            self.rebuild_by_name();
-            let mut changed = self.discover_fields();
-            let mut updates: Vec<(usize, UnitSummary)> = Vec::new();
-            for n in 0..self.graph.nodes.len() {
-                if self.summaries[n].is_some() {
-                    continue;
-                }
-                let node = &self.graph.nodes[n];
-                let toks = &self.units[node.file].lexed.tokens;
-                if return_type_span(toks, node.body.0)
-                    .filter(|&s| unit_bearing_return(toks, s))
-                    .is_none()
-                {
-                    continue;
-                }
-                let locals = self.locals_for(node.file, node.body, &self.params[n]);
-                let mut joined = Unit::Unknown;
-                let mut first: Option<Inferred> = None;
-                for (lo, hi) in return_spans(toks, node.body) {
-                    let inf = self.eval_span(node.file, lo, hi, &locals);
-                    if matches!(inf.unit, Unit::Of(_)) && first.is_none() {
-                        first = Some(inf.clone());
-                    }
-                    joined = joined.join(&inf.unit);
-                }
-                if let (Unit::Of(dim), Some(inf)) = (joined, first) {
-                    let what = match inf.via {
-                        Some(v) => format!("calls `{}`", self.graph.nodes[v].name),
-                        None => inf.chain.first().cloned().unwrap_or_else(|| "inferred".into()),
-                    };
-                    updates.push((n, UnitSummary { dim, line: inf.line, via: inf.via, what }));
-                }
+    /// Node `n`'s return unit from earlier rounds': the join of its
+    /// `return`/trailing expressions, when that is one concrete unit.
+    fn infer(&self, n: usize) -> Option<UnitSummary> {
+        self.unit_return(n)?;
+        let node = &self.graph.nodes[n];
+        let locals = self.locals_for(node.file, node.fn_idx);
+        let mut joined = Unit::Unknown;
+        let mut first: Option<Inferred> = None;
+        for (lo, hi) in return_spans(&self.units[node.file].lexed.tokens, node.body) {
+            let inf = self.eval_span(node.file, lo, hi, &locals);
+            if matches!(inf.unit, Unit::Of(_)) && first.is_none() {
+                first = Some(inf.clone());
             }
-            if !updates.is_empty() {
-                changed = true;
-                for (n, s) in updates {
-                    self.summaries[n] = Some(s);
-                }
-            }
-            if !changed {
-                break;
-            }
+            joined = joined.join(&inf.unit);
         }
+        let (Unit::Of(dim), Some(inf)) = (joined, first) else { return None };
+        let what = match inf.via {
+            Some(v) => format!("calls `{}`", self.graph.nodes[v].name),
+            None => inf.chain.first().cloned().unwrap_or_else(|| "inferred".into()),
+        };
+        Some(UnitSummary { dim, line: inf.line, via: inf.via, what })
     }
 
-    /// One round of `.field = RHS` discovery: an assignment whose RHS
-    /// carries a concrete unit teaches the field (by name,
+    /// Starts a fixpoint round: re-indexes the summarized nodes, then
+    /// runs one round of `.field = RHS` discovery — an assignment whose
+    /// RHS carries a concrete unit teaches the field (by name,
     /// workspace-global). Fields whose *name* already carries a suffix
     /// are left to the suffix — the declaration wins over any one
     /// assignment. Returns true when a new field was learned.
-    fn discover_fields(&mut self) -> bool {
-        let mut learned: Vec<(String, FieldUnit)> = Vec::new();
-        for file in 0..self.units.len() {
-            let u = &self.units[file];
-            let toks = &u.lexed.tokens;
-            let mut locals_cache: BTreeMap<usize, Vec<ULocal>> = BTreeMap::new();
-            let mut i = 0usize;
-            while i + 2 < toks.len() {
-                if !toks[i].is_punct('.')
-                    || toks[i + 1].kind != TokKind::Ident
-                    || !toks[i + 2].is_punct('=')
-                    || toks.get(i + 3).is_some_and(|t| t.is_punct('='))
-                {
-                    i += 1;
-                    continue;
+    fn learn(&mut self) -> bool {
+        self.by_name = summary::by_name(self.graph, |n| self.summaries[n].is_some());
+        let learned = summary::learn_fields(
+            self.units,
+            |f| name_dim(f).is_some() || self.fields.contains_key(f),
+            |file, fk| self.locals_for(file, fk),
+            |file, (lo, hi), locals| match self.eval_span(file, lo, hi, locals) {
+                Inferred { unit: Unit::Of(dim), chain, .. } => {
+                    Some(FieldUnit { dim, desc: chain.join(" -> ") })
                 }
-                let fname = toks[i + 1].text.clone();
-                if name_dim(&fname).is_some()
-                    || self.fields.contains_key(&fname)
-                    || learned.iter().any(|(n, _)| *n == fname)
-                {
-                    i += 1;
-                    continue;
-                }
-                let Some(end) = rhs_end(toks, i + 3) else {
-                    i += 1;
-                    continue;
-                };
-                let inf = match u.model.enclosing_fn_idx(i) {
-                    Some(fk) => {
-                        let body = u.model.fns[fk].body;
-                        let params = self.params_for(file, fk);
-                        let ls = locals_cache
-                            .entry(fk)
-                            .or_insert_with(|| self.locals_for(file, body, &params));
-                        self.eval_span(file, i + 3, end.saturating_sub(1), ls)
-                    }
-                    None => self.eval_span(file, i + 3, end.saturating_sub(1), &[]),
-                };
-                if let Unit::Of(dim) = inf.unit {
-                    learned.push((fname, FieldUnit { dim, desc: inf.chain.join(" -> ") }));
-                }
-                i += 1;
-            }
-        }
+                _ => None,
+            },
+        );
         let changed = !learned.is_empty();
-        for (name, fu) in learned {
-            self.fields.entry(name).or_insert(fu);
-        }
+        self.fields.extend(learned);
         changed
     }
 
-    /// The parameter units of the graph node matching `(file, fn_idx)`,
-    /// or a fresh signature parse when the fn is not in the graph.
-    fn params_for(&self, file: usize, fn_idx: usize) -> Vec<(String, Option<Dim>)> {
-        for (n, node) in self.graph.nodes.iter().enumerate() {
-            if node.file == file && node.fn_idx == fn_idx {
-                return self.params[n].clone();
-            }
-        }
-        signature_params(&self.units[file].lexed.tokens, self.units[file].model.fns[fn_idx].body.0)
-    }
-
-    /// Unit-carrying `let`/`for` bindings of the body at `body`, with
-    /// flow-style shadowing. A name's own suffix is authoritative; an
-    /// un-suffixed single-name binding takes the RHS's inferred unit.
-    fn locals_for(
-        &self,
-        file: usize,
-        body: (usize, usize),
-        params: &[(String, Option<Dim>)],
-    ) -> Vec<ULocal> {
+    /// Unit-carrying parameters and `let`/`for` bindings of `fns[fk]` in
+    /// `file`. A name's own suffix is authoritative; an un-suffixed
+    /// binding takes its right-hand side's inferred unit.
+    fn locals_for(&self, file: usize, fk: usize) -> ULocals {
         let u = &self.units[file];
-        let toks = &u.lexed.tokens;
-        let (b0, b1) = body;
-        let mut locals: Vec<ULocal> = Vec::new();
-        for (name, dim) in params {
+        let body = u.model.fns[fk].body;
+        let mut locals = Locals::new();
+        for (name, dim) in &self.params[self.graph.node_of(file, fk)] {
             if let Some(d) = dim {
-                locals.push(ULocal {
-                    name: name.clone(),
-                    from: b0,
-                    until: usize::MAX,
-                    dim: d.clone(),
-                    chain: vec![format!("parameter `{name}` ({}, {})", d.render(), u.path)],
-                });
+                let chain = vec![format!("parameter `{name}` ({}, {})", d.render(), u.path)];
+                locals.bind(name.to_string(), body.0, (d.clone(), chain));
             }
         }
-        let mut i = b0;
-        while i <= b1 && i < toks.len() {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident && t.text == "let" {
-                let (eq, semi) = let_bounds(toks, i + 1, b1);
-                let Some(semi) = semi else {
-                    i += 1;
-                    continue;
+        summary::walk_bindings(&u.lexed.tokens, body, &mut locals, |locals, b| {
+            let rhs = self.eval_span(file, b.rhs.0, b.rhs.1, locals);
+            let (kind, via) = if b.is_let { ("local", "local") } else { ("loop", "loop local") };
+            let line = u.lexed.tokens[b.at].line;
+            let mut out = Vec::new();
+            for name in &b.names {
+                let bound = match (name_dim(name), &rhs.unit) {
+                    (Some((d, label)), _) => {
+                        (d, vec![format!("{kind} `{name}` {label} ({}:{line})", u.path)])
+                    }
+                    (None, Unit::Of(d)) => {
+                        let mut chain = rhs.chain.clone();
+                        chain.push(format!("{via} `{name}`"));
+                        (d.clone(), chain)
+                    }
+                    _ => continue,
                 };
-                if let Some(eq) = eq {
-                    let names = pattern_names(toks, i + 1, eq);
-                    if !names.is_empty() {
-                        let rhs = self.eval_span(file, eq + 1, semi.saturating_sub(1), &locals);
-                        for name in &names {
-                            // Shadowing: a rebinding ends the old local's
-                            // range whether or not the new one has a unit.
-                            for l in locals.iter_mut() {
-                                if l.name == *name && l.until > semi {
-                                    l.until = semi;
-                                }
-                            }
-                        }
-                        for name in names {
-                            let bound = match name_dim(&name) {
-                                Some((d, label)) => Some((
-                                    d,
-                                    vec![format!("local `{name}` {label} ({}:{})", u.path, t.line)],
-                                )),
-                                None => match (&rhs.unit, names_len_one(&rhs)) {
-                                    (Unit::Of(d), _) => {
-                                        let mut chain = rhs.chain.clone();
-                                        chain.push(format!("local `{name}`"));
-                                        Some((d.clone(), chain))
-                                    }
-                                    _ => None,
-                                },
-                            };
-                            if let Some((dim, chain)) = bound {
-                                locals.push(ULocal {
-                                    name,
-                                    from: semi,
-                                    until: usize::MAX,
-                                    dim,
-                                    chain,
-                                });
-                            }
-                        }
-                    }
-                }
-                i = semi + 1;
-                continue;
+                out.push((name.clone(), bound));
             }
-            if t.kind == TokKind::Ident && t.text == "for" {
-                if let Some((names, expr_end, brace)) = for_binding(toks, i, b1) {
-                    let rhs = self.eval_span(file, i + 1, expr_end, &locals);
-                    for name in names {
-                        let bound = match name_dim(&name) {
-                            Some((d, label)) => Some((
-                                d,
-                                vec![format!("loop `{name}` {label} ({}:{})", u.path, t.line)],
-                            )),
-                            None => match &rhs.unit {
-                                Unit::Of(d) => {
-                                    let mut chain = rhs.chain.clone();
-                                    chain.push(format!("loop local `{name}`"));
-                                    Some((d.clone(), chain))
-                                }
-                                _ => None,
-                            },
-                        };
-                        if let Some((dim, chain)) = bound {
-                            locals.push(ULocal {
-                                name,
-                                from: brace,
-                                until: usize::MAX,
-                                dim,
-                                chain,
-                            });
-                        }
-                    }
-                    i = brace.max(i + 1);
-                    continue;
-                }
-            }
-            i += 1;
-        }
+            out
+        });
         locals
     }
 
@@ -737,7 +595,7 @@ impl<'a> Units<'a> {
     /// `*`/`/` factors compose through the lattice. Evaluation stops at
     /// a depth-0 `%` (the remainder keeps the left unit, the right side
     /// is a modulus).
-    fn eval_span(&self, file: usize, lo: usize, hi: usize, locals: &[ULocal]) -> Inferred {
+    fn eval_span(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
         let toks = &self.units[file].lexed.tokens;
         if toks.is_empty() || lo > hi || lo >= toks.len() {
             return Inferred::unknown();
@@ -802,7 +660,7 @@ impl<'a> Units<'a> {
 
     /// The unit of one additive term: depth-0 `*`/`/` factors composed
     /// left to right.
-    fn eval_term(&self, file: usize, lo: usize, hi: usize, locals: &[ULocal]) -> Inferred {
+    fn eval_term(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
         let toks = &self.units[file].lexed.tokens;
         let mut cuts: Vec<(usize, char)> = Vec::new();
         let mut depth = 0i32;
@@ -833,7 +691,7 @@ impl<'a> Units<'a> {
         for (cut, op) in cuts.into_iter().chain(std::iter::once((hi + 1, '*'))) {
             if cut > start {
                 let f = self.eval_factor(file, start, cut.min(hi + 1) - 1, locals);
-                result = combine(result, f, pending_op, toks);
+                result = combine(result, f, pending_op);
             }
             start = cut + 1;
             pending_op = op;
@@ -850,13 +708,17 @@ impl<'a> Units<'a> {
     /// (local, parameter, field, suffix, time-type mention); a left-over
     /// unresolved identifier means `Unknown`, a literal-only factor is
     /// `Scalar`.
-    fn eval_factor(&self, file: usize, lo: usize, hi: usize, locals: &[ULocal]) -> Inferred {
+    fn eval_factor(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
         if lo > hi || lo >= toks.len() {
             return Inferred::unknown();
         }
         let hi = hi.min(toks.len() - 1);
+        let chain = |n: usize| {
+            let hop = |m: usize| self.summaries[m].as_ref().map(|s| (s.via, &*s.what, s.line));
+            summary::chain(self.graph, self.units, n, hop)
+        };
         type CallEv = Option<(Inferred, Option<(usize, usize)>)>;
         let mut call_ev: CallEv = None;
         let keep = |cand: Inferred, cover: Option<(usize, usize)>, slot: &mut CallEv| {
@@ -902,13 +764,15 @@ impl<'a> Units<'a> {
                 // Receiver-transparent: the receiver's own token evidence
                 // carries the unit through (even when a `SimTime::max`-style
                 // summary would match by name).
-            } else if let Some(n) = self.resolve_method(file, &mc.name) {
+            } else if let Some(n) =
+                summary::resolve_method(self.graph, &self.by_name, file, &mc.name)
+            {
                 let dim = self.summaries[n].as_ref().map(|s| s.dim.clone());
                 if let Some(dim) = dim {
                     keep(
                         Inferred {
                             unit: Unit::Of(dim),
-                            chain: self.chain(n),
+                            chain: chain(n),
                             via: Some(n),
                             tok: mc.dot,
                             line: mc.line,
@@ -954,13 +818,20 @@ impl<'a> Units<'a> {
                     call_args(toks, fc.tok),
                     &mut call_ev,
                 );
-            } else if let Some(n) = self.resolve_free(file, fc.qual.as_slice(), &fc.name) {
+            } else if let Some(n) = summary::resolve_free(
+                self.graph,
+                self.units,
+                &self.by_name,
+                file,
+                &fc.qual,
+                &fc.name,
+            ) {
                 let dim = self.summaries[n].as_ref().map(|s| s.dim.clone());
                 if let Some(dim) = dim {
                     keep(
                         Inferred {
                             unit: Unit::Of(dim),
-                            chain: self.chain(n),
+                            chain: chain(n),
                             via: Some(n),
                             tok: fc.tok,
                             line: fc.line,
@@ -1056,13 +927,12 @@ impl<'a> Units<'a> {
                 );
                 continue;
             }
-            if let Some(l) =
-                locals.iter().rev().find(|l| l.name == t.text && i >= l.from && i <= l.until)
-            {
+            if let Some(l) = locals.find(&t.text, i) {
+                let (dim, chain) = &l.val;
                 consider(
                     Inferred {
-                        unit: Unit::Of(l.dim.clone()),
-                        chain: l.chain.clone(),
+                        unit: Unit::Of(dim.clone()),
+                        chain: chain.clone(),
                         via: None,
                         tok: i,
                         line: t.line,
@@ -1106,88 +976,6 @@ impl<'a> Units<'a> {
         }
     }
 
-    /// Resolves a method call to a summarized node (flow's gate: the
-    /// caller's file must mention the owner type or trait).
-    fn resolve_method(&self, file: usize, name: &str) -> Option<usize> {
-        let cands = self.by_name.get(name)?;
-        for &n in cands {
-            let node = &self.graph.nodes[n];
-            if node.owner.is_none() {
-                continue;
-            }
-            let mentioned = node
-                .owner
-                .as_deref()
-                .is_some_and(|o| self.file_idents[file].contains(o))
-                || node.trait_name.as_deref().is_some_and(|tr| self.file_idents[file].contains(tr));
-            if mentioned {
-                return Some(n);
-            }
-        }
-        None
-    }
-
-    /// Resolves a free call against `cands` with flow's gates: an
-    /// unqualified call only matches a free fn of the same module; a
-    /// qualified call matches on the last qualifier segment.
-    fn resolve_in(
-        &self,
-        file: usize,
-        qual: &[String],
-        name: &str,
-        cands: &[usize],
-    ) -> Option<usize> {
-        let u = &self.units[file];
-        let _ = name;
-        for &n in cands {
-            let node = &self.graph.nodes[n];
-            let matched = if qual.is_empty() {
-                node.owner.is_none() && node.abs_module == u.mp.abs()
-            } else {
-                let q = qual.last().map(String::as_str).unwrap_or("");
-                (node.owner.is_none() && node.abs_module.last().map(String::as_str) == Some(q))
-                    || node.owner.as_deref() == Some(q)
-            };
-            if matched {
-                return Some(n);
-            }
-        }
-        None
-    }
-
-    /// Resolves a free call to a *summarized* node.
-    fn resolve_free(&self, file: usize, qual: &[String], name: &str) -> Option<usize> {
-        let cands = self.by_name.get(name)?.clone();
-        self.resolve_in(file, qual, name, &cands)
-    }
-
-    /// Resolves a free call to *any* node (for parameter-unit checks).
-    fn resolve_any(&self, file: usize, qual: &[String], name: &str) -> Option<usize> {
-        let cands = self.all_by_name.get(name)?.clone();
-        self.resolve_in(file, qual, name, &cands)
-    }
-
-    /// The call chain from the root evidence down to node `from`, one
-    /// hop per entry, mirroring the taint pass's path printing.
-    fn chain(&self, from: usize) -> Vec<String> {
-        let mut hops: Vec<String> = Vec::new();
-        let mut cur = from;
-        for _ in 0..16 {
-            let Some(s) = self.summaries[cur].as_ref() else { break };
-            let n = &self.graph.nodes[cur];
-            hops.push(format!("`{}` ({}:{})", n.name, self.units[n.file].path, n.line));
-            match s.via {
-                Some(v) if v != cur => cur = v,
-                _ => {
-                    hops.push(format!("{} ({}:{})", s.what, self.units[n.file].path, s.line));
-                    break;
-                }
-            }
-        }
-        hops.reverse();
-        hops
-    }
-
     /// The site scan: walks every fn body for binary add/sub/compare/
     /// assign sites whose operands carry conflicting concrete units, and
     /// checks time-constructor and free-call arguments against their
@@ -1198,8 +986,7 @@ impl<'a> Units<'a> {
         for (file, u) in self.units.iter().enumerate() {
             let scope = graph_mode.then(|| self.graph.scope_for(file));
             for (fk, f) in u.model.fns.iter().enumerate() {
-                let params = self.params_for(file, fk);
-                let locals = self.locals_for(file, f.body, &params);
+                let locals = self.locals_for(file, fk);
                 self.scan_ops(file, f.body, &locals, scope.as_ref(), &mut out);
                 self.check_call_args(file, f.body, &locals, &mut out);
             }
@@ -1212,7 +999,7 @@ impl<'a> Units<'a> {
         &self,
         file: usize,
         body: (usize, usize),
-        locals: &[ULocal],
+        locals: &ULocals,
         scope: Option<&crate::graph::FileScope>,
         out: &mut Vec<Finding>,
     ) {
@@ -1316,7 +1103,7 @@ impl<'a> Units<'a> {
         &self,
         file: usize,
         body: (usize, usize),
-        locals: &[ULocal],
+        locals: &ULocals,
         out: &mut Vec<Finding>,
     ) {
         let u = &self.units[file];
@@ -1354,7 +1141,15 @@ impl<'a> Units<'a> {
                 }
                 continue;
             }
-            let Some(n) = self.resolve_any(file, fc.qual.as_slice(), &fc.name) else { continue };
+            let resolved = summary::resolve_free(
+                self.graph,
+                self.units,
+                &self.all_by_name,
+                file,
+                &fc.qual,
+                &fc.name,
+            );
+            let Some(n) = resolved else { continue };
             let callee_params = &self.params[n];
             if callee_params.iter().all(|(_, d)| d.is_none()) {
                 continue;
@@ -1427,7 +1222,7 @@ impl<'a> Units<'a> {
 }
 
 /// Composes a factor into the running span result.
-fn combine(acc: Inferred, f: Inferred, op: char, _toks: &[Token]) -> Inferred {
+fn combine(acc: Inferred, f: Inferred, op: char) -> Inferred {
     let unit = if op == '/' { acc.unit.div(&f.unit) } else { acc.unit.mul(&f.unit) };
     let mut chain = acc.chain;
     let mut via = acc.via;
@@ -1448,109 +1243,6 @@ fn combine(acc: Inferred, f: Inferred, op: char, _toks: &[Token]) -> Inferred {
         }
     }
     Inferred { unit, chain, via, tok, line }
-}
-
-/// True when `rhs` could bind a single-name pattern (tuple patterns only
-/// bind through their own suffixes).
-fn names_len_one(_rhs: &Inferred) -> bool {
-    true
-}
-
-/// True when a return-type span denotes a value that can carry ONE unit:
-/// every identifier in it is a bare numeric primitive or a time type. A
-/// struct/enum return (e.g. `-> Geometry`) aggregates many quantities, so
-/// its fn never gets a scalar unit summary.
-fn unit_bearing_return(toks: &[Token], span: (usize, usize)) -> bool {
-    let mut saw = false;
-    for t in toks.iter().take(span.1.min(toks.len() - 1) + 1).skip(span.0) {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if parse::is_keyword(&t.text) {
-            continue;
-        }
-        if !NUM_TYPES.contains(&t.text.as_str()) && !TIME_TYPES.contains(&t.text.as_str()) {
-            return false;
-        }
-        saw = true;
-    }
-    saw
-}
-
-/// The `-> TYPE` span of the fn whose body opens at `b0`, if it has an
-/// explicit return type.
-fn return_type_span(toks: &[Token], b0: usize) -> Option<(usize, usize)> {
-    let sig = (0..b0).rev().find(|&k| toks[k].is_ident("fn"))?;
-    let open = (sig..b0).find(|&k| toks[k].is_punct('('))?;
-    let close = parse::match_delim(toks, open);
-    if close >= b0 {
-        return None;
-    }
-    let mut k = close + 1;
-    while k + 1 < b0 {
-        if toks[k].is_punct('-') && toks[k + 1].is_punct('>') {
-            let start = k + 2;
-            // The type runs to the body brace or a `where` clause.
-            let end = match (start..b0).find(|&j| toks[j].is_ident("where")) {
-                Some(j) => j.saturating_sub(1),
-                None => b0.saturating_sub(1),
-            };
-            return (start <= end).then_some((start, end));
-        }
-        k += 1;
-    }
-    None
-}
-
-/// Named parameters of the fn whose body opens at `b0`, with the unit
-/// each name or `SimTime`/`SimDuration` type declares.
-fn signature_params(toks: &[Token], b0: usize) -> Vec<(String, Option<Dim>)> {
-    let mut out = Vec::new();
-    let Some(sig) = (0..b0).rev().find(|&k| toks[k].is_ident("fn")) else { return out };
-    let Some(open) = (sig..b0).find(|&k| toks[k].is_punct('(')) else { return out };
-    let close = parse::match_delim(toks, open);
-    if close >= b0 {
-        return out;
-    }
-    let mut k = open + 1;
-    while k < close {
-        let named = toks[k].kind == TokKind::Ident
-            && !parse::is_keyword(&toks[k].text)
-            && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-            && !toks.get(k + 2).is_some_and(|t| t.is_punct(':'))
-            && !toks[k - 1].is_punct(':');
-        if !named {
-            k += 1;
-            continue;
-        }
-        let name = toks[k].text.clone();
-        // The type span runs to the next depth-0 comma.
-        let mut depth = 0i32;
-        let mut j = k + 2;
-        let mut type_time = false;
-        while j < close {
-            let t = &toks[j];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" | "<" => depth += 1,
-                    ")" | "]" | "}" | ">" => depth -= 1,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-            } else if t.kind == TokKind::Ident && TIME_TYPES.contains(&t.text.as_str()) {
-                type_time = true;
-            }
-            j += 1;
-        }
-        let dim = match name_dim(&name) {
-            Some((d, _)) => Some(d),
-            None if type_time => Some(Dim::base("nanos")),
-            None => None,
-        };
-        out.push((name, dim));
-        k = j + 1;
-    }
-    out
 }
 
 /// The `return EXPR;` spans plus the trailing expression of a body.

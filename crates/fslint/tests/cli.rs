@@ -30,7 +30,6 @@ fn every_positive_fixture_exits_nonzero() {
             "effects/oracle_pure_pos/crates/camp/src/oracle.rs",
             "effects/oracle_pure_pos/crates/simcore/src/lib.rs",
         ],
-        &["effects/batch_commute_pos/crates/sim/src/lib.rs"],
         &[
             "effects/injection_scoped_pos/crates/stutter/src/lib.rs",
             "effects/injection_scoped_pos/crates/sim/src/lib.rs",
@@ -367,7 +366,6 @@ fn list_rules_names_all_rules() {
         "rate-confusion",
         "threshold-unit",
         "oracle-pure",
-        "batch-commute",
         "injection-scoped",
         "mitigation-effect",
     ] {

@@ -1,9 +1,9 @@
 //! End-to-end effect analysis: each fixture tree under
-//! `tests/fixtures/effects/` is linted as one set, proving the four
+//! `tests/fixtures/effects/` is linted as one set, proving the three
 //! effect rules fire on real trees — a cross-crate write chain behind
-//! an oracle verdict, same-batch handlers racing on a field, an
-//! injector escaping its surface, a policy mutating the server — and
-//! that the disciplined counterparts stay silent.
+//! an oracle verdict, an injector escaping its surface, a policy
+//! mutating the server — and that the disciplined counterparts stay
+//! silent.
 
 use fslint::{collect_workspace_files, lint_paths, Config, Finding};
 use std::path::Path;
@@ -22,12 +22,7 @@ fn lint_tree(case: &str) -> Vec<Finding> {
 fn effect_findings(case: &str) -> Vec<Finding> {
     lint_tree(case)
         .into_iter()
-        .filter(|f| {
-            matches!(
-                f.rule,
-                "oracle-pure" | "batch-commute" | "injection-scoped" | "mitigation-effect"
-            )
-        })
+        .filter(|f| matches!(f.rule, "oracle-pure" | "injection-scoped" | "mitigation-effect"))
         .collect()
 }
 
@@ -51,23 +46,6 @@ fn impure_oracle_is_flagged_across_a_two_hop_cross_crate_chain() {
 fn read_only_oracle_drawing_its_own_stream_is_clean() {
     let findings = effect_findings("oracle_pure_neg");
     assert!(findings.is_empty(), "reads + RNG draws are not probe effects: {findings:?}");
-}
-
-#[test]
-fn racing_batch_handlers_without_a_tiebreak_are_flagged() {
-    let findings = effect_findings("batch_commute_pos");
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    let f = &findings[0];
-    assert_eq!(f.rule, "batch-commute");
-    assert!(f.message.contains("handle_admit"), "{}", f.message);
-    assert!(f.message.contains("handle_shed"), "{}", f.message);
-    assert!(f.message.contains("Server.inflight"), "{}", f.message);
-}
-
-#[test]
-fn seq_ordered_batch_with_overlapping_writes_is_clean() {
-    let findings = effect_findings("batch_commute_neg");
-    assert!(findings.is_empty(), "an EventKey seq pins dispatch order: {findings:?}");
 }
 
 #[test]
@@ -120,7 +98,7 @@ fn graph_export_carries_effect_summaries() {
 fn effect_analysis_is_deterministic() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/effects")
-        .join("batch_commute_pos");
+        .join("oracle_pure_pos");
     let files = collect_workspace_files(&root);
     let a = fslint::engine::render_json(&lint_paths(&root, &files, &Config::default()));
     let b = fslint::engine::render_json(&lint_paths(&root, &files, &Config::default()));

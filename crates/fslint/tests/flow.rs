@@ -87,6 +87,29 @@ fn unsorted_collection_reaches_the_digest() {
 }
 
 #[test]
+fn unordered_parameters_taint_after_a_fn_pointer_parameter() {
+    // The same fold with and without a `fn(u64) -> u64` parameter before
+    // the `HashMap` one: the signature is read from the item's own `fn`
+    // token, so the pointer type's `fn` hides nothing.
+    for case in ["sort_pos", "fn_param_pos"] {
+        let findings = flow_findings(case);
+        assert_eq!(findings.len(), 1, "{case}: {findings:?}");
+        let f = &findings[0];
+        assert_eq!(f.rule, "digest-taint");
+        assert!(f.message.contains("`HashMap`-typed parameter `m`"), "{case}: {}", f.message);
+    }
+}
+
+#[test]
+fn method_taint_resolves_only_through_a_named_owner() {
+    let findings = flow_findings("gate_neg");
+    assert!(findings.is_empty(), "a std `load` is not `Vm::load`: {findings:?}");
+    let findings = flow_findings("gate_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("`load`"), "{}", findings[0].message);
+}
+
+#[test]
 fn oracle_taint_fires_only_for_the_tainted_verdict() {
     let findings = flow_findings("oracle");
     // `run_checked` is flagged; `run_clean` calls the same oracle with a

@@ -111,6 +111,24 @@ fn struct_field_laundering_is_tracked_across_functions() {
 }
 
 #[test]
+fn one_token_field_assignment_teaches_the_field() {
+    // `w.span = t_nanos;`: the whole right-hand side is its last token.
+    let findings = unit_findings("field_ident");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!((f.rule, f.line), ("unit-mismatch", 19));
+    assert!(f.message.contains("`.span`") && f.message.contains("t_nanos"), "{}", f.message);
+}
+
+#[test]
+fn a_shadowing_let_ends_the_old_unit() {
+    // `d` is rebound to a value of unknown unit: the nanos binding ends
+    // there, so the sum compares nothing.
+    let findings = unit_findings("shadow_neg");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn nanos_into_a_millis_parameter_fires_across_crates() {
     let findings = unit_findings("param_pos");
     assert_eq!(findings.len(), 1, "{findings:?}");

@@ -34,7 +34,6 @@ fn semantic_rules_are_registered() {
         fslint::rules::id::RATE_CONFUSION,
         fslint::rules::id::THRESHOLD_UNIT,
         fslint::rules::id::ORACLE_PURE,
-        fslint::rules::id::BATCH_COMMUTE,
         fslint::rules::id::INJECTION_SCOPED,
         fslint::rules::id::MITIGATION_EFFECT,
     ] {

@@ -3,8 +3,8 @@
 //! The substrate under every experiment in the fail-stutter workspace:
 //! a virtual clock ([`time`]), a seed-tree deterministic RNG ([`rng`]),
 //! workload distributions ([`dist`]), a binary-heap event loop ([`sim`]),
-//! timeline queueing/rate resources ([`resource`]), measurement
-//! ([`stats`]) and tracing ([`trace`]).
+//! timeline queueing/rate resources ([`resource`]) and measurement
+//! ([`stats`]).
 //!
 //! Design rules:
 //!
@@ -46,7 +46,6 @@ pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 /// Convenience re-exports of the items nearly every model needs.
 pub mod prelude {
@@ -54,10 +53,9 @@ pub mod prelude {
         Constant, Distribution, Exponential, LogNormal, Normal, Pareto, TwoPoint, Uniform, Weibull,
         WeightedIndex, Zipf,
     };
-    pub use crate::resource::{FcfsServer, Grant, RateProfile, TokenBucket};
+    pub use crate::resource::{FcfsServer, Grant, RateProfile};
     pub use crate::rng::Stream;
     pub use crate::sim::{Scheduler, Simulation};
-    pub use crate::stats::{Ewma, Histogram, RateMeter, Series, TimeWeighted, Welford};
+    pub use crate::stats::{Ewma, Histogram, Series};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::Trace;
 }

@@ -9,7 +9,6 @@
 //! * [`RateProfile`] — a piecewise-constant rate (units/second) over time,
 //!   with exact integration: "how long does it take to move `u` units
 //!   starting at `t`?".
-//! * [`TokenBucket`] — classic token-bucket pacing.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -215,70 +214,6 @@ impl RateProfile {
     }
 }
 
-/// A token bucket: capacity `burst`, refilled at `rate` tokens/second.
-///
-/// Used for pacing (flow control credits, IO throttles). Time-driven and
-/// deterministic: the bucket tracks its own "last refill" instant.
-#[derive(Clone, Debug)]
-pub struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    /// Creates a full bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` or `burst` is not positive.
-    pub fn new(rate: f64, burst: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        assert!(burst > 0.0, "burst must be positive");
-        TokenBucket { rate, burst, tokens: burst, last: SimTime::ZERO }
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-        self.last = self.last.max(now);
-    }
-
-    /// Tokens available at `now`.
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
-    /// The earliest instant at or after `now` when `n` tokens can be taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the burst size (it could never be satisfied).
-    pub fn earliest(&mut self, now: SimTime, n: f64) -> SimTime {
-        assert!(n <= self.burst, "request {n} exceeds burst {}", self.burst);
-        self.refill(now);
-        if self.tokens >= n {
-            now
-        } else {
-            let wait = (n - self.tokens) / self.rate;
-            now + SimDuration::from_secs_f64(wait)
-        }
-    }
-
-    /// Takes `n` tokens at time `t`, waiting if necessary; returns the time
-    /// at which the tokens were granted.
-    pub fn take(&mut self, now: SimTime, n: f64) -> SimTime {
-        let at = self.earliest(now, n);
-        self.refill(at);
-        // Clamp away the float rounding of the wait-time computation so
-        // the balance never goes (infinitesimally) negative.
-        self.tokens = (self.tokens - n).max(0.0);
-        at
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,24 +290,5 @@ mod tests {
     fn rate_profile_zero_units_is_instant() {
         let p = RateProfile::constant(0.0);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 0.0), Some(SimDuration::ZERO));
-    }
-
-    #[test]
-    fn token_bucket_paces() {
-        let mut tb = TokenBucket::new(10.0, 10.0);
-        // Burst drains immediately.
-        assert_eq!(tb.take(SimTime::ZERO, 10.0), SimTime::ZERO);
-        // Next 10 tokens need a full second.
-        let at = tb.take(SimTime::ZERO, 10.0);
-        assert_eq!(at, SimTime::from_secs(1));
-        // Refill caps at burst.
-        assert!((tb.available(SimTime::from_secs(100)) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn token_bucket_rejects_oversized_request() {
-        let mut tb = TokenBucket::new(1.0, 5.0);
-        let _ = tb.earliest(SimTime::ZERO, 6.0);
     }
 }

@@ -2,86 +2,13 @@
 //!
 //! All collectors are deterministic and allocation-light:
 //!
-//! * [`Welford`] — streaming mean/variance.
 //! * [`Ewma`] — exponentially weighted moving average (the paper's adaptive
 //!   mechanisms are built on this).
 //! * [`Histogram`] — log-bucketed histogram with quantile queries, suitable
 //!   for latency distributions spanning many decades.
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant signal
-//!   (e.g. queue depth or delivered bandwidth over simulated time).
 //! * [`Series`] — a recorded `(time, value)` trace for figure generation.
 
 use crate::time::SimTime;
-
-/// Streaming mean and variance (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance, or 0 if fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Coefficient of variation (std dev / mean), or 0 for zero mean.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean.abs()
-        }
-    }
-
-    /// Smallest observation, or +inf if empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation, or -inf if empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
 
 /// Exponentially weighted moving average.
 ///
@@ -256,65 +183,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Call [`set`](Self::set) whenever the signal changes; the collector
-/// integrates `value · dt` between changes.
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    current: f64,
-    integral: f64,
-    start: SimTime,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Creates a collector starting at `start` with initial signal `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted { last_time: start, current: value, integral: 0.0, start, max: value }
-    }
-
-    /// Updates the signal to `value` at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous update.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        assert!(now >= self.last_time, "time went backwards");
-        self.integral += self.current * (now - self.last_time).as_secs_f64();
-        self.last_time = now;
-        self.current = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Adds `delta` to the signal at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.current + delta;
-        self.set(now, v);
-    }
-
-    /// Current signal value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Largest signal value seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted mean of the signal over `[start, now]`.
-    pub fn mean_until(&self, now: SimTime) -> f64 {
-        let total = (now - self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.current;
-        }
-        let integral = self.integral + self.current * (now - self.last_time).as_secs_f64();
-        integral / total
-    }
-}
-
 /// A recorded `(time, value)` trace, the raw material of a figure.
 #[derive(Clone, Debug, Default)]
 pub struct Series {
@@ -386,40 +254,6 @@ impl Series {
     }
 }
 
-/// A throughput meter: counts units of work and reports rates per second.
-#[derive(Clone, Debug)]
-pub struct RateMeter {
-    start: SimTime,
-    units: f64,
-}
-
-impl RateMeter {
-    /// Creates a meter starting at `start`.
-    pub fn new(start: SimTime) -> Self {
-        RateMeter { start, units: 0.0 }
-    }
-
-    /// Records `units` of completed work.
-    pub fn add(&mut self, units: f64) {
-        self.units += units;
-    }
-
-    /// Total units recorded.
-    pub fn total(&self) -> f64 {
-        self.units
-    }
-
-    /// Mean rate in units/second over `[start, now]`; 0 if no time elapsed.
-    pub fn rate_until(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.start).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.units / dt
-        }
-    }
-}
-
 /// Computes an exact quantile of a sample set (for tests and reports).
 ///
 /// # Panics
@@ -436,21 +270,6 @@ pub fn exact_quantile(samples: &mut [f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_closed_form() {
-        let mut w = Welford::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            w.add(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-        assert!((w.cv() - 0.4).abs() < 1e-12);
-    }
 
     #[test]
     fn ewma_first_observation_initialises() {
@@ -505,25 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_integrates_steps() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(10), 10.0); // 0 for 10 s
-        tw.set(SimTime::from_secs(20), 0.0); // 10 for 10 s
-        let mean = tw.mean_until(SimTime::from_secs(20));
-        assert!((mean - 5.0).abs() < 1e-9, "mean {mean}");
-        assert_eq!(tw.max(), 10.0);
-    }
-
-    #[test]
-    fn time_weighted_add_is_relative() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(1), 2.0);
-        assert_eq!(tw.current(), 3.0);
-        tw.add(SimTime::from_secs(2), -3.0);
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
     fn series_records_and_thins() {
         let mut s = Series::new();
         for i in 0..100 {
@@ -543,15 +343,6 @@ mod tests {
         let mut s = Series::new();
         s.push(SimTime::from_secs(2), 0.0);
         s.push(SimTime::from_secs(1), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_reports_rate() {
-        let mut r = RateMeter::new(SimTime::ZERO);
-        r.add(100.0);
-        assert_eq!(r.rate_until(SimTime::from_secs(10)), 10.0);
-        assert_eq!(r.total(), 100.0);
-        assert_eq!(r.rate_until(SimTime::ZERO), 0.0);
     }
 
     #[test]
