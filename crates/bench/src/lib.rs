@@ -3,7 +3,7 @@
 //! Regenerates every reproduced claim of *"Fail-Stutter Fault Tolerance"*
 //! as a table plus shape findings. The paper is a position paper with no
 //! numbered tables or figures, so the reproduction targets are its
-//! quantified claims (see `DESIGN.md` for the index E01–E26).
+//! quantified claims (see `DESIGN.md` for the index E01–E34, E36).
 //!
 //! Run everything:
 //!
@@ -12,9 +12,6 @@
 //! cargo run -p fs-bench --release --bin fs-experiments -- e01 e11   # subset
 //! cargo run -p fs-bench --release --bin fs-experiments -- --markdown
 //! ```
-//!
-//! `cargo bench` runs the same suite through the `experiments` bench
-//! target, plus Criterion micro-benchmarks of the simulation kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -113,13 +113,6 @@ impl FileSystem {
         self.free_fragments()
     }
 
-    /// Deletes the file at `index` (the last file takes its index), and
-    /// returns its former extents to the free list.
-    pub fn delete_file(&mut self, index: usize) {
-        let f = self.files.swap_remove(index);
-        self.release(&f);
-    }
-
     fn release(&mut self, file: &File) {
         for &e in file.extents() {
             self.free.push(e);

@@ -92,11 +92,6 @@ impl Disk {
         &self.geom
     }
 
-    /// The defect table.
-    pub fn remap_table(&self) -> &RemapTable {
-        &self.remap
-    }
-
     /// The attached fail-stutter timeline.
     pub fn profile(&self) -> &SlowdownProfile {
         &self.profile

@@ -49,16 +49,6 @@ impl Node {
         self.disk_rate * self.disk_profile.multiplier_at(t)
     }
 
-    /// Nominal CPU rate.
-    pub fn cpu_nominal(&self) -> f64 {
-        self.cpu_rate
-    }
-
-    /// Nominal disk rate.
-    pub fn disk_nominal(&self) -> f64 {
-        self.disk_rate
-    }
-
     /// The node's CPU capacity as a [`RateProfile`] over `[0, horizon]`.
     pub fn cpu_rate_profile(&self, horizon: SimDuration) -> RateProfile {
         self.cpu_profile.to_rate_profile(self.cpu_rate).clipped(horizon)

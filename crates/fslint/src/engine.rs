@@ -11,8 +11,7 @@
 //! whole-program rules (`oracle-coverage`, `dead-scenario`), the
 //! interprocedural taint analysis ([`crate::flow`]: `digest-taint`,
 //! `rng-lineage`, `oracle-taint`), and inline suppressions — reporting any
-//! suppression that no longer silences a finding (or only silences
-//! findings already recorded in the baseline) as `suppression-stale`.
+//! suppression that no longer silences a finding as `suppression-stale`.
 //! Output is deterministic regardless of sharding: units keep the sorted
 //! file order and findings are sorted by (path, line, rule) before emit.
 
@@ -21,7 +20,6 @@ use crate::graph::{FileScope, FileUnit, Graph};
 use crate::rules::{self, FileCtx, Finding, LabelSite};
 use crate::sem;
 use crate::suppress;
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,8 +34,6 @@ const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 /// Engine configuration.
 #[derive(Debug, Default, Clone)]
 pub struct Config {
-    /// Rule ids disabled wholesale (from `--allow`).
-    pub allow: BTreeSet<String>,
     /// Export the call graph in the report (`--graph-out`).
     pub graph_json: bool,
     /// Measure per-phase wall time and carry it in the report
@@ -47,11 +43,6 @@ pub struct Config {
     /// `available_parallelism`. Sharding only changes which thread lexes
     /// which file — output is byte-identical at any setting.
     pub jobs: Option<usize>,
-    /// `(rule, path)` keys the active baseline records debt for. A
-    /// suppression whose every silenced finding is covered here is
-    /// redundant — the baseline would have filtered those findings anyway
-    /// — and is reported `suppression-stale` instead of counting as used.
-    pub baselined: BTreeSet<(String, String)>,
 }
 
 /// A completed lint run.
@@ -260,39 +251,20 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
         file_findings.extend(program_findings.iter().filter(|f| f.path == path).cloned());
         let (kept, silenced) = suppress::apply(path, scan, std::mem::take(file_findings));
         findings.extend(kept);
-        for (s, silenced) in scan.suppressions.iter().zip(silenced) {
-            let message = if silenced.is_empty() {
-                format!(
-                    "suppression of `{}` no longer silences any finding — the invariant \
-                     it documented is machine-checked or gone; delete the comment",
-                    s.rules.join(", ")
-                )
-            } else if silenced
-                .iter()
-                .all(|r| cfg.baselined.contains(&(r.to_string(), path.to_string())))
-            {
-                // Without the inline allow, the baseline's (rule, path)
-                // budget would have filtered these findings anyway.
-                format!(
-                    "suppression of `{}` only silences findings the baseline already \
-                     records for this file — recorded debt needs no inline allow; \
-                     delete the comment (or the baseline entry, if the inline \
-                     reason is the one worth keeping)",
-                    s.rules.join(", ")
-                )
-            } else {
-                continue;
-            };
+        for (s, _) in scan.suppressions.iter().zip(silenced).filter(|&(_, silenced)| !silenced) {
             findings.push(Finding {
                 path: path.to_string(),
                 line: s.end_line,
                 rule: rules::id::SUPPRESSION_STALE,
-                message,
+                message: format!(
+                    "suppression of `{}` no longer silences any finding — the invariant \
+                     it documented is machine-checked or gone; delete the comment",
+                    s.rules.join(", ")
+                ),
             });
         }
     }
 
-    findings.retain(|f| !cfg.allow.contains(f.rule));
     findings.sort();
     findings.dedup();
     phases.rules_ms = timer.lap();

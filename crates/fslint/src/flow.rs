@@ -320,9 +320,11 @@ impl<'a> Flow<'a> {
         };
         summary::walk_bindings(toks, f.body, &mut locals, |locals, b| {
             sort_before(locals, b.at);
-            // The scan covers the whole statement so a type ascription
-            // (`: HashMap<..>`) taints too.
-            let Some(t) = self.taint_in(file, b.at + 1, b.rhs.1, locals) else { return Vec::new() };
+            // The scan starts at a type ascription (`: HashMap<..>` taints
+            // too), never at the names a `let` binds: `let t = 7;` does
+            // not re-read an older `t`.
+            let lo = b.ty.unwrap_or(b.rhs.0);
+            let Some(t) = self.taint_in(file, lo, b.rhs.1, locals) else { return Vec::new() };
             b.names.iter().map(|n| (n.clone(), t.clone())).collect()
         });
         sort_before(&mut locals, usize::MAX);
@@ -806,6 +808,21 @@ mod tests {
              pub fn fold(m: &std::collections::HashMap<u64, u64>) { let mut h = Fnv64(0); \
              let keys: Vec<u64> = m.keys().copied().collect(); \
              for k in keys { h.write_u64(k); } }",
+        )];
+        let (findings, _) = run(&units);
+        assert!(findings.iter().any(|f| f.rule == id::DIGEST_TAINT), "{findings:?}");
+    }
+
+    #[test]
+    fn let_type_ascription_taints() {
+        // Only the ascription names the unordered type; the scan that
+        // skips a `let`'s own names must still read it.
+        let units = [unit(
+            "crates/alpha/src/lib.rs",
+            "pub struct Fnv64(u64); impl Fnv64 { pub fn write_u64(&mut self, v: u64) {} } \
+             pub fn fold(v: Vec<(u64, u64)>) { let mut h = Fnv64(0); \
+             let m: std::collections::HashMap<u64, u64> = v.into_iter().collect(); \
+             for (k, _) in m { h.write_u64(k); } }",
         )];
         let (findings, _) = run(&units);
         assert!(findings.iter().any(|f| f.rule == id::DIGEST_TAINT), "{findings:?}");

@@ -113,24 +113,14 @@
 //! fs-lint path/to/a.rs path/to/b.rs                  # lint exactly these files
 //! ```
 //!
-//! Exit status: 0 clean, 1 findings, 2 usage error.
-//!
-//! ## Baselines
-//!
-//! To adopt a new rule on a tree with pre-existing findings without losing
-//! the gate on regressions, record the debt and compare against it
-//! (see [`baseline`] for the add/remove semantics):
-//!
-//! ```text
-//! fs-lint --write-baseline fslint-baseline.json   # record current findings
-//! fs-lint --baseline fslint-baseline.json         # fail only on NEW findings
-//! fs-lint --baseline fslint-baseline.json --prune-baseline  # drop stale debt
-//! ```
+//! `--out FILE` also writes the JSON report to a file, `--graph-out FILE`
+//! exports the call graph, `--timings` adds per-phase wall times, and
+//! `--jobs N` caps the scan threads. Exit status: 0 clean, 1 findings,
+//! 2 usage error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod effects;
 pub mod engine;
 pub mod flow;
@@ -139,7 +129,6 @@ pub mod lexer;
 pub mod parse;
 pub mod resolve;
 pub mod rules;
-pub mod sarif;
 pub mod sem;
 pub(crate) mod summary;
 pub mod suppress;

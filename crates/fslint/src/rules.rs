@@ -1,10 +1,9 @@
 //! The determinism rules `fs-lint` enforces, and the matching that backs
 //! them.
 //!
-//! Every rule has a stable kebab-case id that suppression comments and
-//! `--allow` refer to. Rules match on lexed identifier tokens
-//! ([`crate::lexer`]), so forbidden names inside strings, comments, and doc
-//! examples never fire.
+//! Every rule has a stable kebab-case id that suppression comments refer
+//! to. Rules match on lexed identifier tokens ([`crate::lexer`]), so
+//! forbidden names inside strings, comments, and doc examples never fire.
 
 use crate::lexer::{Lexed, TokKind, Token};
 use std::collections::BTreeMap;
@@ -78,40 +77,12 @@ pub mod id {
     pub const MALFORMED_SUPPRESSION: &str = "malformed-suppression";
 }
 
-/// Base URL of the rule documentation (the TESTING.md rule table); each
-/// rule's [`RuleInfo::help`] anchor appends to it for the SARIF
-/// `helpUri`, so GitHub inline annotations link straight to the docs.
-pub const HELP_BASE: &str =
-    "https://github.com/paper-repo-growth/fail-stutter/blob/main/docs/TESTING.md";
-
-/// One rule's id, one-line description (for `--list-rules`), and SARIF
-/// metadata (severity level + documentation anchor).
+/// One rule's id and one-line description (for `--list-rules`).
 pub struct RuleInfo {
-    /// Stable kebab-case id used in suppressions and `--allow`.
+    /// Stable kebab-case id used in suppressions.
     pub id: &'static str,
     /// One-line description of what the rule enforces.
     pub summary: &'static str,
-    /// SARIF `defaultConfiguration.level`: `"error"` for contract rules,
-    /// `"warning"` for hygiene rules (suppression-stale, dead-scenario).
-    pub level: &'static str,
-    /// Anchor fragment under [`HELP_BASE`] documenting the rule family.
-    pub help: &'static str,
-}
-
-/// Documentation anchors, one per rule family section in TESTING.md.
-mod anchor {
-    /// The token rules and the suppression machinery.
-    pub const TIER0: &str = "#tier-0--static-checks-fs-lint";
-    /// The call-graph-scoped semantic rules.
-    pub const REACH: &str = "#reachability-scoping";
-    /// The whole-program graph rules.
-    pub const WHOLE: &str = "#whole-program-rules";
-    /// The interprocedural taint rules.
-    pub const TAINT: &str = "#taint-scoping";
-    /// The dimensional-analysis rules.
-    pub const UNITS: &str = "#unit-scoping";
-    /// The effect-analysis rules.
-    pub const EFFECTS: &str = "#effect-scoping";
 }
 
 /// Every rule the pass knows, in reporting order.
@@ -120,168 +91,122 @@ pub const RULES: &[RuleInfo] = &[
         id: id::NO_WALL_CLOCK,
         summary: "std::time::Instant / SystemTime / thread::sleep are forbidden outside \
                   crates/bench — simulated time only",
-        level: "error",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::NO_UNORDERED_COLLECTIONS,
         summary: "HashMap/HashSet are forbidden — BTreeMap/BTreeSet keep iteration \
                   deterministic",
-        level: "error",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::NO_AMBIENT_RNG,
         summary: "thread_rng / from_entropy / rand::random are forbidden — randomness must \
                   flow through simcore::rng::Stream::derive",
-        level: "error",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::UNIQUE_STREAM_LABELS,
         summary: "a derive(\"label\") string may not recur in a second file — label \
                   collisions correlate supposedly-independent streams",
-        level: "error",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::FORBID_UNSAFE_EVERYWHERE,
         summary: "crate roots carry #![forbid(unsafe_code)] + #![warn(missing_docs)]; no \
                   scanned file uses `unsafe`",
-        level: "error",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::GOLDEN_REGEN_NOTE,
         summary: "files pinning golden constants carry a regeneration note (how to re-pin, \
                   see docs/TESTING.md)",
-        level: "error",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::STABLE_TIEBREAK,
         summary: "scheduling-set comparators (sort/min/max/Ord impls/BinaryHeap) must carry \
                   a stable tiebreak key and never key on floats; scope is call-graph derived",
-        level: "error",
-        help: anchor::REACH,
     },
     RuleInfo {
         id: id::FLOAT_TOTAL_ORDER,
         summary: "no partial_cmp(..).unwrap()/expect()/unwrap_or() and no NaN-absorbing \
                   f64::min/max reductions — use total_cmp or an integer key",
-        level: "error",
-        help: anchor::REACH,
     },
     RuleInfo {
         id: id::PANIC_PATH,
         summary: "no unwrap/expect/panic!-family/unbounded subscripts in code reachable from \
                   an injector/detector/scheduler entry point (call-graph fixpoint)",
-        level: "error",
-        help: anchor::REACH,
     },
     RuleInfo {
         id: id::ORACLE_COVERAGE,
         summary: "every scenario class registered with the campaign dispatch must reach an \
                   oracle module, and every catalog constructor must be wired into the \
                   campaign binary",
-        level: "error",
-        help: anchor::WHOLE,
     },
     RuleInfo {
         id: id::DEAD_SCENARIO,
         summary: "campaign code must be reachable from the fs-campaign binary — a dead \
                   scenario cell looks covered but never runs",
-        level: "warning",
-        help: anchor::WHOLE,
     },
     RuleInfo {
         id: id::DIGEST_TAINT,
         summary: "no wall-clock / ambient-RNG / unordered-iteration / pointer-format / \
                   thread-id / env-read / NaN-fold value may flow (interprocedurally) into a \
                   digest fold, golden assertion, or bench metric emission",
-        level: "error",
-        help: anchor::TAINT,
     },
     RuleInfo {
         id: id::RNG_LINEAGE,
         summary: "RNG streams must be rooted on a literal or master seed and derived through \
                   label-rooted derive()/derive_index() chains, never seeded from loop indices \
                   or shard ids",
-        level: "error",
-        help: anchor::TAINT,
     },
     RuleInfo {
         id: id::ORACLE_TAINT,
         summary: "no nondeterministic source value may flow into an oracle verdict — a \
                   verdict that depends on the host is not an invariant check",
-        level: "error",
-        help: anchor::TAINT,
     },
     RuleInfo {
         id: id::UNIT_MISMATCH,
         summary: "quantities added, subtracted, or compared must carry the same inferred \
                   unit (nanos/millis/secs/ticks/blocks/bytes — interprocedural inference \
                   over signatures and naming discipline)",
-        level: "error",
-        help: anchor::UNITS,
     },
     RuleInfo {
         id: id::RAW_UNIT_CONVERSION,
         summary: "no magic *1_000/*1_000_000/*1_000_000_000 conversion literals outside \
                   simcore::time — use the named from_* constructors or NANOS_PER_* consts, \
                   which also carry the dimension for inference",
-        level: "error",
-        help: anchor::UNITS,
     },
     RuleInfo {
         id: id::RATE_CONFUSION,
         summary: "a per-second rate and a per-tick quantity only combine through an \
                   explicit dt factor (rate * dt_secs or a ticks_per_sec scaling)",
-        level: "error",
-        help: anchor::UNITS,
     },
     RuleInfo {
         id: id::THRESHOLD_UNIT,
         summary: "a configured threshold in injector/detector-reachable code must be \
                   compared in the unit of the observation it gates",
-        level: "error",
-        help: anchor::UNITS,
     },
     RuleInfo {
         id: id::ORACLE_PURE,
         summary: "oracle/detector verdict paths reachable from the campaign runner must be \
                   write-free on simulation state (interprocedural effect summaries; the \
                   probe effect, made a lint)",
-        level: "error",
-        help: anchor::EFFECTS,
     },
     RuleInfo {
         id: id::INJECTION_SCOPED,
         summary: "injectors write only through their declared injection surface (their own \
                   fields and the types their struct names), never arbitrary sim state",
-        level: "error",
-        help: anchor::EFFECTS,
     },
     RuleInfo {
         id: id::MITIGATION_EFFECT,
         summary: "metastable policy hooks (shed/breaker) write policy-owned state only — a \
                   mitigation that mutates server internals is the sustaining effect itself",
-        level: "error",
-        help: anchor::EFFECTS,
     },
     RuleInfo {
         id: id::SUPPRESSION_STALE,
         summary: "a suppression comment that silences no finding any more must be deleted \
                   (the invariant it documented is now machine-checked or gone)",
-        level: "warning",
-        help: anchor::TIER0,
     },
     RuleInfo {
         id: id::MALFORMED_SUPPRESSION,
         summary: "fslint suppression comments must parse, name known rules, and give a \
                   reason (never allowable)",
-        level: "error",
-        help: anchor::TIER0,
     },
 ];
 

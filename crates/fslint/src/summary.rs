@@ -194,6 +194,8 @@ pub(crate) struct Binding {
     pub is_let: bool,
     /// The lower-case names the pattern binds.
     pub names: Vec<String>,
+    /// The `:` of a `let`'s type ascription, if it has one.
+    pub ty: Option<usize>,
     /// The value's token span: a `let`'s right-hand side, or a `for`'s
     /// pattern and iterated expression.
     pub rhs: (usize, usize),
@@ -219,9 +221,9 @@ pub(crate) fn walk_bindings<T>(
                 continue;
             };
             if let Some(eq) = eq {
-                let names = pattern_names(toks, i + 1, eq);
+                let (names, ty) = pattern_names(toks, i + 1, eq);
                 if !names.is_empty() {
-                    let b = Binding { at: i, is_let: true, names, rhs: (eq + 1, semi - 1) };
+                    let b = Binding { at: i, is_let: true, names, ty, rhs: (eq + 1, semi - 1) };
                     let vals = bind(locals, &b);
                     for name in &b.names {
                         locals.end(name, semi, |_| false);
@@ -235,7 +237,7 @@ pub(crate) fn walk_bindings<T>(
         } else if let Some((names, expr_end, brace)) =
             toks[i].is_ident("for").then(|| for_binding(toks, i, b1)).flatten()
         {
-            let b = Binding { at: i, is_let: false, names, rhs: (i + 1, expr_end) };
+            let b = Binding { at: i, is_let: false, names, ty: None, rhs: (i + 1, expr_end) };
             for (name, val) in bind(locals, &b) {
                 locals.bind(name, brace, val);
             }
@@ -365,24 +367,29 @@ pub(crate) fn let_bounds(
 }
 
 /// Lower-case identifiers bound by the pattern between `from` and the
-/// `=` at `eq`, stopping at a depth-0 `:` (type ascription). CamelCase
-/// names are enum/struct constructors, not bindings.
-pub(crate) fn pattern_names(toks: &[Token], from: usize, eq: usize) -> Vec<String> {
+/// `=` at `eq`, stopping at a depth-0 `:` (type ascription), which is
+/// returned too. CamelCase names are enum/struct constructors, not
+/// bindings.
+pub(crate) fn pattern_names(
+    toks: &[Token],
+    from: usize,
+    eq: usize,
+) -> (Vec<String>, Option<usize>) {
     let mut out = Vec::new();
     let mut depth = 0i32;
-    for t in toks.iter().take(eq.min(toks.len())).skip(from) {
+    for (j, t) in toks.iter().enumerate().take(eq.min(toks.len())).skip(from) {
         if t.kind == TokKind::Punct {
             match t.text.as_str() {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
-                ":" if depth == 0 => break,
+                ":" if depth == 0 => return (out, Some(j)),
                 _ => {}
             }
         } else if binding_name(t) {
             out.push(t.text.clone());
         }
     }
-    out
+    (out, None)
 }
 
 /// True for a lower-case, non-keyword identifier: a pattern binding.

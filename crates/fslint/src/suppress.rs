@@ -107,18 +107,12 @@ fn parse_allow(directive: &str) -> Result<Vec<String>, String> {
 /// Drops findings covered by a valid suppression and appends
 /// `malformed-suppression` findings for invalid directives in `path`.
 ///
-/// The second return value has one entry per [`Scan::suppressions`]: the
-/// rule ids of the findings that suppression silenced this run (empty
-/// when it silenced nothing). They are the `suppression-stale` rule's
-/// input — a suppression that silences nothing documents an invariant
-/// that is now machine-checked or gone, and one that only silences
-/// baselined findings is redundant with the recorded debt; both must go.
-pub fn apply(
-    path: &str,
-    scan: &Scan,
-    findings: Vec<Finding>,
-) -> (Vec<Finding>, Vec<Vec<&'static str>>) {
-    let mut used: Vec<Vec<&'static str>> = vec![Vec::new(); scan.suppressions.len()];
+/// The second return value has one entry per [`Scan::suppressions`]:
+/// whether that suppression silenced a finding this run. It is the
+/// `suppression-stale` rule's input — a suppression that silences nothing
+/// documents an invariant that is now machine-checked or gone.
+pub fn apply(path: &str, scan: &Scan, findings: Vec<Finding>) -> (Vec<Finding>, Vec<bool>) {
+    let mut used = vec![false; scan.suppressions.len()];
     let mut out: Vec<Finding> = Vec::with_capacity(findings.len());
     for f in findings {
         let mut covered = false;
@@ -127,7 +121,7 @@ pub fn apply(
                 && s.rules.iter().any(|r| r == f.rule)
             {
                 covered = true;
-                used[i].push(f.rule);
+                used[i] = true;
             }
         }
         if !covered {

@@ -86,125 +86,24 @@ fn out_flag_writes_the_artifact_even_on_failure() {
 }
 
 #[test]
-fn unknown_rule_in_allow_is_a_usage_error() {
-    let out = run(&["--allow", "no-such-rule"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn baseline_workflow_records_then_gates_only_new_findings() {
-    let dir = std::env::temp_dir().join("fslint-baseline-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("baseline.json");
-    let float_pos = fixture("sem/float_order_pos.rs");
-    let panic_pos = fixture("sem/crates/stutter/src/panic_pos.rs");
-
-    // Record the float findings as accepted debt; the write itself succeeds
-    // even though the tree is dirty.
-    let out = run(&["--write-baseline", baseline.to_str().unwrap(), float_pos.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(std::fs::read_to_string(&baseline).unwrap().contains("float-total-order"));
-
-    // Same tree against the baseline: everything is covered, gate passes.
-    let out = run(&["--baseline", baseline.to_str().unwrap(), float_pos.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
-
-    // A file with findings NOT in the baseline fails, and only the new
-    // findings are reported (add semantics).
-    let out = run(&[
-        "--baseline",
-        baseline.to_str().unwrap(),
-        float_pos.to_str().unwrap(),
-        panic_pos.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1));
+fn suppression_that_silences_nothing_is_stale() {
+    let out = run(&[fixture("suppress_stale.rs").to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("panic-path"), "{text}");
-    assert!(!text.contains("float-total-order"), "baselined findings leaked:\n{text}");
+    let findings: Vec<&str> = text.lines().filter(|l| l.contains(": [")).collect();
+    assert_eq!(findings.len(), 1, "{text}");
+    // Reported on the comment's own line.
+    assert!(findings[0].contains("suppress_stale.rs:5: [suppression-stale]"), "{text}");
 }
 
 #[test]
-fn fixed_baseline_entries_are_reported_stale_without_failing() {
-    let dir = std::env::temp_dir().join("fslint-baseline-stale-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("baseline.json");
-    let float_pos = fixture("sem/float_order_pos.rs");
-    let panic_pos = fixture("sem/crates/stutter/src/panic_pos.rs");
-
-    let out = run(&[
-        "--write-baseline",
-        baseline.to_str().unwrap(),
-        float_pos.to_str().unwrap(),
-        panic_pos.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-
-    // "Fix" the panic findings by dropping that file from the run: the gate
-    // stays green (remove semantics) but the stale entry is surfaced.
-    let out = run(&["--baseline", baseline.to_str().unwrap(), float_pos.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("stale baseline entry"), "{err}");
-    assert!(err.contains("panic_pos.rs"), "{err}");
-}
-
-#[test]
-fn prune_baseline_drops_stale_entries_and_reopens_the_gate() {
-    let dir = std::env::temp_dir().join("fslint-baseline-prune-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("baseline.json");
-    let float_pos = fixture("sem/float_order_pos.rs");
-    let panic_pos = fixture("sem/crates/stutter/src/panic_pos.rs");
-
-    // Record both files' findings as accepted debt.
-    let out = run(&[
-        "--write-baseline",
-        baseline.to_str().unwrap(),
-        float_pos.to_str().unwrap(),
-        panic_pos.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-
-    // "Fix" the panic findings by dropping that file, pruning as we go:
-    // the gate stays green and the baseline is rewritten in place.
-    let out = run(&[
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--prune-baseline",
-        float_pos.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("pruned"), "{err}");
-    let rewritten = std::fs::read_to_string(&baseline).unwrap();
-    assert!(!rewritten.contains("panic_pos.rs"), "stale key survived the prune:\n{rewritten}");
-    assert!(rewritten.contains("float_order_pos.rs"), "live key was lost:\n{rewritten}");
-
-    // A second baselined run is quiet: nothing stale remains to report.
-    let out = run(&["--baseline", baseline.to_str().unwrap(), float_pos.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("stale"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Reintroducing the file now fails the gate: the debt was truly
-    // dropped, not hidden.
-    let out = run(&[
-        "--baseline",
-        baseline.to_str().unwrap(),
-        float_pos.to_str().unwrap(),
-        panic_pos.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("panic-path"));
-}
-
-#[test]
-fn prune_baseline_without_baseline_is_a_usage_error() {
-    let out = run(&["--prune-baseline", fixture("wall_clock_neg.rs").to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
+fn unknown_flags_are_usage_errors() {
+    for args in [["--format", "sarif"], ["--baseline", "x"], ["--allow", "no-wall-clock"]] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -239,115 +138,6 @@ fn graph_out_writes_the_call_graph_even_when_the_gate_fails() {
     assert!(written.contains("\"nodes\""), "{written}");
     assert!(written.contains("\"run_scenario\""), "{written}");
     assert!(written.contains("\"edges\""), "{written}");
-}
-
-#[test]
-fn bad_baseline_usage_is_a_usage_error() {
-    let dir = std::env::temp_dir().join("fslint-baseline-bad-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let garbled = dir.join("garbled.json");
-    std::fs::write(&garbled, "{\"not\": \"a baseline\"}").unwrap();
-    let neg = fixture("wall_clock_neg.rs");
-
-    let out = run(&["--baseline", garbled.to_str().unwrap(), neg.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-
-    let missing = dir.join("no-such-file.json");
-    let out = run(&["--baseline", missing.to_str().unwrap(), neg.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-
-    let out = run(&["--baseline", garbled.to_str().unwrap(), "--write-baseline", "x"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn format_sarif_emits_a_sarif_document() {
-    let out = run(&["--format", "sarif", fixture("unordered_pos.rs").to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "findings still fail the gate");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("\"version\": \"2.1.0\""), "{text}");
-    assert!(text.contains("\"ruleId\": \"no-unordered-collections\""), "{text}");
-    assert!(text.contains("\"physicalLocation\""), "{text}");
-    // Every driver rule links to its TESTING.md table section and declares
-    // its default level, so GitHub annotations carry doc links.
-    assert!(text.contains("\"helpUri\": \"https://github.com/"), "{text}");
-    assert!(text.contains("docs/TESTING.md#"), "{text}");
-    assert!(text.contains("\"defaultConfiguration\": {\"level\": \"error\"}"), "{text}");
-    assert!(text.contains("\"defaultConfiguration\": {\"level\": \"warning\"}"), "{text}");
-    assert!(text.contains("#effect-scoping"), "v6 rules link their section: {text}");
-
-    // A clean run emits an empty results array and exits 0.
-    let out = run(&["--format", "sarif", fixture("wall_clock_neg.rs").to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"results\": []"));
-
-    let out = run(&["--format", "yaml"]);
-    assert_eq!(out.status.code(), Some(2), "unknown format is a usage error");
-}
-
-#[test]
-fn suppression_that_only_silences_baselined_findings_is_stale() {
-    // Lifecycle: a suppression and a baseline entry covering the SAME
-    // finding cannot both be load-bearing. The engine flags the
-    // suppression as stale; `--allow` + `--prune-baseline` then resolve
-    // the overlap in favour of the inline reason.
-    let dir = std::env::temp_dir().join("fslint-suppress-baseline-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("clocky.rs");
-    std::fs::write(
-        &file,
-        "//! Test input: one suppressed wall-clock read.\n\
-         fn measure() {\n\
-             // fslint: allow(no-wall-clock) — calibrates against the host clock\n\
-             let t = std::time::Instant::now();\n\
-             drop(t);\n\
-         }\n",
-    )
-    .unwrap();
-    let baseline = dir.join("baseline.json");
-    let root_arg = dir.to_string_lossy().into_owned();
-    let file_arg = file.to_string_lossy().into_owned();
-
-    // Alone, the suppression silences a live finding: used, gate green.
-    let out = run(&["--root", &root_arg, &file_arg]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
-
-    // Record the same finding as baseline debt (hand-written: with the
-    // suppression in place, --write-baseline would see nothing).
-    std::fs::write(
-        &baseline,
-        "{\"baseline\": [{\"rule\": \"no-wall-clock\", \"path\": \"clocky.rs\", \"count\": 1}]}",
-    )
-    .unwrap();
-
-    // Now the suppression only re-silences recorded debt: stale, and the
-    // stale finding itself is new relative to the baseline — gate fails.
-    let out = run(&["--root", &root_arg, "--baseline", baseline.to_str().unwrap(), &file_arg]);
-    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("suppression-stale"), "{text}");
-    assert!(text.contains("baseline already records"), "{text}");
-
-    // Resolution: keep the inline reason, drop the baseline entry. The
-    // suppressed finding never reaches the baseline, so its entry is
-    // stale debt and --prune-baseline removes it.
-    let out = run(&[
-        "--root",
-        &root_arg,
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--prune-baseline",
-        "--allow",
-        "suppression-stale",
-        &file_arg,
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
-    let rewritten = std::fs::read_to_string(&baseline).unwrap();
-    assert!(!rewritten.contains("clocky.rs"), "overlapping entry survived:\n{rewritten}");
-
-    // Against the pruned baseline the suppression is load-bearing again.
-    let out = run(&["--root", &root_arg, "--baseline", baseline.to_str().unwrap(), &file_arg]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
 }
 
 #[test]

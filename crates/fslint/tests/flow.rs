@@ -101,6 +101,17 @@ fn unordered_parameters_taint_after_a_fn_pointer_parameter() {
 }
 
 #[test]
+fn a_let_rebinding_ends_the_old_taint() {
+    // `let t = 7;` binds a new `t`; its pattern is not a read of the
+    // tainted one it shadows.
+    let findings = flow_findings("let_rebind_neg");
+    assert!(findings.is_empty(), "the rebound `t` is a constant: {findings:?}");
+    let findings = flow_findings("let_rebind_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("local `t`"), "{}", findings[0].message);
+}
+
+#[test]
 fn method_taint_resolves_only_through_a_named_owner() {
     let findings = flow_findings("gate_neg");
     assert!(findings.is_empty(), "a std `load` is not `Vm::load`: {findings:?}");

@@ -140,15 +140,6 @@ fn suppression_requires_a_reason() {
 }
 
 #[test]
-fn global_allow_disables_a_rule() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut cfg = Config::default();
-    cfg.allow.insert(id::NO_UNORDERED_COLLECTIONS.to_string());
-    let report = lint_paths(&root, &[fixture("unordered_pos.rs")], &cfg);
-    assert!(report.is_clean(), "{:?}", report.findings);
-}
-
-#[test]
 fn all_negative_fixtures_are_clean_together() {
     // Linting all negatives as one set exercises the cross-file label rule
     // over realistic variety.

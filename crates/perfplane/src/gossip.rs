@@ -163,20 +163,6 @@ impl PlaneSpec {
         self.link_profiles[idx] = Some(profile);
     }
 
-    /// Gives **every** directed link the same timeline (the "the plane's
-    /// own carrier stutters" scenario).
-    pub fn set_all_link_profiles(&mut self, profile: &SlowdownProfile) {
-        let n = self.nodes();
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    let idx = from * n + to;
-                    self.link_profiles[idx] = Some(profile.clone());
-                }
-            }
-        }
-    }
-
     /// A copy of this spec with every link additionally slowed by
     /// `factor` — the degraded twin for the plane-degraded metamorphic
     /// oracle.

@@ -219,11 +219,6 @@ impl<S> Simulation<S> {
         &self.state
     }
 
-    /// Exclusive access to the simulation state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     /// Consumes the simulation, returning the final state.
     pub fn into_state(self) -> S {
         self.state
