@@ -16,14 +16,15 @@
 //! fs-campaign --list                  # print every scenario label
 //! ```
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 
 use fs_bench::campaign::{enumerate, run_campaign, run_selected, CampaignConfig, CampaignReport};
 
 struct Args {
     seed: u64,
-    threads: Option<usize>,
-    replicates: Option<u64>,
+    threads: Option<NonZeroUsize>,
+    replicates: Option<NonZeroU64>,
     smoke: bool,
     list: bool,
     out: Option<String>,
@@ -46,12 +47,18 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--threads" => {
-                args.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?)
+                args.threads = Some(
+                    value("--threads")?
+                        .parse()
+                        .map_err(|e| format!("--threads must be a positive integer: {e}"))?,
+                )
             }
             "--replicates" => {
-                args.replicates =
-                    Some(value("--replicates")?.parse().map_err(|e| format!("--replicates: {e}"))?)
+                args.replicates = Some(
+                    value("--replicates")?
+                        .parse()
+                        .map_err(|e| format!("--replicates must be a positive integer: {e}"))?,
+                )
             }
             "--smoke" => args.smoke = true,
             "--list" => args.list = true,
@@ -99,10 +106,10 @@ fn main() -> ExitCode {
         CampaignConfig::standard(args.seed)
     };
     if let Some(t) = args.threads {
-        cfg.threads = t.max(1);
+        cfg.threads = t.get();
     }
     if let Some(r) = args.replicates {
-        cfg.replicates = r.max(1);
+        cfg.replicates = r.get();
     }
 
     if args.list {

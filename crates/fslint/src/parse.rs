@@ -50,7 +50,7 @@ const KEYWORDS: &[&str] = &[
     "use", "where", "while",
 ];
 
-/// True if `word` is a Rust keyword (see [`KEYWORDS`]).
+/// True if `word` is a Rust keyword (one of `KEYWORDS`).
 pub fn is_keyword(word: &str) -> bool {
     KEYWORDS.contains(&word)
 }

@@ -37,7 +37,7 @@ pub struct Scan {
     pub malformed: Vec<(u32, String)>,
 }
 
-/// Scans comments for suppression directives (the [`MARKER`] prefix).
+/// Scans comments for suppression directives (the `fslint:` prefix).
 ///
 /// Doc comments (`///`, `//!`, `/**`, `/*!` — their text keeps the extra
 /// `/`, `!`, or `*` prefix) are documentation, never directives: the crate

@@ -93,7 +93,7 @@ impl Config {
     }
 
     /// Checks every constraint the engine relies on, in release builds
-    /// too. [`Engine::new`] refuses an invalid configuration, but
+    /// too. [`run`] refuses an invalid configuration, but
     /// sweep/CLI code should call this at the config boundary, where the
     /// error can name the offending knob instead of panicking mid-run.
     pub fn validate(&self) -> Result<(), String> {

@@ -27,7 +27,7 @@
 use std::rc::Rc;
 
 use simcore::rng::Stream;
-use simcore::sim::{Scheduler, Simulation};
+use simcore::sim::EventQueue;
 use simcore::stats::Ewma;
 use simcore::time::{SimDuration, SimTime};
 use stutter::detect::PeerRelativeDetector;
@@ -75,7 +75,7 @@ pub struct PlaneConfig {
 
 impl PlaneConfig {
     /// Checks the constraints [`run_plane`] relies on; the error names the
-    /// offending field. A zero interval would rearm its periodic handler
+    /// offending field. A zero interval would re-arm its periodic event
     /// at the same instant forever, so the run would never reach its
     /// horizon.
     pub fn validate(&self) -> Result<(), String> {
@@ -234,6 +234,21 @@ impl PlaneRun {
     }
 }
 
+/// One event of the plane's dispatch loop.
+enum Event {
+    /// Node `i` samples its component; re-arms every `observe_interval`.
+    Observe(usize),
+    /// Node `i` republishes its heartbeat; re-arms every `refresh_interval`.
+    Refresh(usize),
+    /// Node `i` pushes its digest to `fanout` peers; re-arms every
+    /// `gossip_interval`.
+    Gossip(usize),
+    /// A push digest from `from` arrives at `to`.
+    Push { from: usize, to: usize, entries: Rc<[HealthEntry]> },
+    /// The pull reply to a push arrives back at its sender `to`.
+    Reply { to: usize, entries: Vec<HealthEntry> },
+}
+
 struct NodeState {
     store: Store,
     ewma: Ewma,
@@ -348,7 +363,7 @@ impl SimState {
         64 + self.cfg.entry_bytes * entries as u64
     }
 
-    fn gossip_round(&mut self, i: usize, now: SimTime, ctx: &mut Scheduler<SimState>) {
+    fn gossip_round(&mut self, i: usize, now: SimTime, queue: &mut EventQueue<Event>) {
         let digest = self.nodes[i].store.snapshot();
         if digest.is_empty() {
             return;
@@ -358,10 +373,8 @@ impl SimState {
             self.stats.pushes_sent += 1;
             match self.mesh.send(i, to, now, bytes) {
                 Some(d) => {
-                    let payload = Rc::clone(&digest);
-                    ctx.at(d.arrive, move |s: &mut SimState, ctx| {
-                        s.receive_push(i, to, payload, ctx);
-                    });
+                    let entries = Rc::clone(&digest);
+                    queue.schedule_at(d.arrive, Event::Push { from: i, to, entries });
                 }
                 None => self.stats.pushes_dropped += 1,
             }
@@ -372,34 +385,31 @@ impl SimState {
         &mut self,
         from: usize,
         to: usize,
-        entries: Rc<[HealthEntry]>,
-        ctx: &mut Scheduler<SimState>,
+        entries: &[HealthEntry],
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
     ) {
-        let now = ctx.now();
-        self.stats.delivered += 1;
         // Pull half first, against the digest as sent: everything the
         // receiver holds that is fresher than the sender's view.
-        let reply = self.nodes[to].store.fresher_than(&entries);
-        for &e in entries.iter() {
-            if self.nodes[to].store.merge(now, e) {
-                self.stats.merges += 1;
-            }
-        }
+        let reply = self.nodes[to].store.fresher_than(entries);
+        self.deliver(to, entries, now);
         if reply.is_empty() {
             return;
         }
         let bytes = self.payload_bytes(reply.len());
         self.stats.replies_sent += 1;
         if let Some(d) = self.mesh.send(to, from, now, bytes) {
-            ctx.at(d.arrive, move |s: &mut SimState, ctx| {
-                let now = ctx.now();
-                s.stats.delivered += 1;
-                for e in reply {
-                    if s.nodes[from].store.merge(now, e) {
-                        s.stats.merges += 1;
-                    }
-                }
-            });
+            queue.schedule_at(d.arrive, Event::Reply { to: from, entries: reply });
+        }
+    }
+
+    /// Merges a delivered digest (push or reply) into node `to`'s store.
+    fn deliver(&mut self, to: usize, entries: &[HealthEntry], now: SimTime) {
+        self.stats.delivered += 1;
+        for &e in entries {
+            if self.nodes[to].store.merge(now, e) {
+                self.stats.merges += 1;
+            }
         }
     }
 }
@@ -451,7 +461,7 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
         .map(|c| profile_fails(&c.profile, cfg.fail_threshold, cfg.horizon))
         .collect();
 
-    let state = SimState {
+    let mut state = SimState {
         cfg: cfg.clone(),
         components: spec.components.clone(),
         detector: PeerRelativeDetector::new(cfg.peer_fraction),
@@ -461,25 +471,37 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
         rates: Vec::with_capacity(n),
     };
 
-    let mut sim = Simulation::new(state);
+    // Each periodic event re-arms after its handler has scheduled its
+    // deliveries, so the re-arm takes the later sequence number.
+    let mut queue = EventQueue::new();
     for i in 0..n {
-        sim.schedule_periodic(cfg.observe_interval, move |s: &mut SimState, ctx| {
-            s.observe(i, ctx.now());
-            Some(s.cfg.observe_interval)
-        });
-        sim.schedule_periodic(cfg.refresh_interval, move |s: &mut SimState, ctx| {
-            s.heartbeat(i, ctx.now());
-            Some(s.cfg.refresh_interval)
-        });
-        sim.schedule_periodic(cfg.gossip_interval, move |s: &mut SimState, ctx| {
-            s.gossip_round(i, ctx.now(), ctx);
-            Some(s.cfg.gossip_interval)
-        });
+        queue.schedule_at(SimTime::ZERO + cfg.observe_interval, Event::Observe(i));
+        queue.schedule_at(SimTime::ZERO + cfg.refresh_interval, Event::Refresh(i));
+        queue.schedule_at(SimTime::ZERO + cfg.gossip_interval, Event::Gossip(i));
     }
     let end = SimTime::ZERO + cfg.horizon;
-    sim.run_until(end);
+    while let Some(event) = queue.pop_until(end) {
+        let now = queue.now();
+        match event {
+            Event::Observe(i) => {
+                state.observe(i, now);
+                queue.schedule_at(now + cfg.observe_interval, Event::Observe(i));
+            }
+            Event::Refresh(i) => {
+                state.heartbeat(i, now);
+                queue.schedule_at(now + cfg.refresh_interval, Event::Refresh(i));
+            }
+            Event::Gossip(i) => {
+                state.gossip_round(i, now, &mut queue);
+                queue.schedule_at(now + cfg.gossip_interval, Event::Gossip(i));
+            }
+            Event::Push { from, to, entries } => {
+                state.receive_push(from, to, &entries, now, &mut queue);
+            }
+            Event::Reply { to, entries } => state.deliver(to, &entries, now),
+        }
+    }
 
-    let mut state = sim.into_state();
     state.stats.carrier_bytes = state.mesh.bytes_sent();
     let stats = state.stats;
     let views = state

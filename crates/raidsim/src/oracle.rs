@@ -11,7 +11,7 @@
 //!
 //! * The closed forms assume a *constant* slow-pair rate `b`; they are only
 //!   asserted when the injected profile is constant (see
-//!   [`profile_is_constant`] in the harness). Episodic faults get the
+//!   `profile_is_constant` in the `fs-bench` campaign harness). Episodic faults get the
 //!   weaker metamorphic checks instead.
 //! * Scenario 2 ≥ scenario 1 is a theorem only when the gauge observes the
 //!   long-run rate; with an instantaneous gauge and a drifting fault the

@@ -15,19 +15,6 @@ pub trait Distribution {
     fn mean(&self) -> f64;
 }
 
-/// A distribution that always returns the same value.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut Stream) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> f64 {
-        self.0
-    }
-}
-
 /// The uniform distribution on `[lo, hi)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Uniform {
@@ -75,11 +62,6 @@ impl Exponential {
     pub fn with_mean(mean: f64) -> Self {
         assert!(mean > 0.0, "exponential mean must be positive, got {mean}");
         Exponential { mean }
-    }
-
-    /// Creates an exponential distribution with the given event rate.
-    pub fn with_rate(rate: f64) -> Self {
-        Self::with_mean(1.0 / rate)
     }
 }
 
@@ -237,7 +219,7 @@ impl Distribution for Weibull {
 
 /// The gamma function via the Lanczos approximation (g = 7, n = 9),
 /// accurate to ~1e-13 for positive arguments.
-pub fn gamma(x: f64) -> f64 {
+fn gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -291,43 +273,6 @@ impl Distribution for TwoPoint {
     }
 }
 
-/// Zipf-distributed ranks over `{1, ..., n}` with exponent `s`.
-///
-/// Sampled by inversion over the precomputed CDF; suitable for skewed key
-/// popularity in hash-table workloads.
-#[derive(Clone, Debug)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = *cdf.last().expect("non-empty");
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws a rank in `[0, n)` (zero-based).
-    pub fn sample_rank(&self, rng: &mut Stream) -> usize {
-        let u = rng.next_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
 /// Picks indices according to fixed non-negative weights.
 #[derive(Clone, Debug)]
 pub struct WeightedIndex {
@@ -373,15 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let d = Constant(3.5);
-        let mut rng = Stream::from_seed(1);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 3.5);
-        }
-    }
-
-    #[test]
     fn uniform_bounds_and_mean() {
         let d = Uniform::new(2.0, 6.0);
         let mut rng = Stream::from_seed(2);
@@ -396,7 +332,6 @@ mod tests {
     fn exponential_mean_converges() {
         let d = Exponential::with_mean(2.0);
         assert!((mean_of(&d, 4, 100_000) - 2.0).abs() < 0.05);
-        assert!((Exponential::with_rate(0.5).mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -474,17 +409,6 @@ mod tests {
     fn two_point_mixes() {
         let d = TwoPoint { p: 0.8, a: 1.0, b: 0.2 };
         assert!((mean_of(&d, 9, 100_000) - 0.84).abs() < 0.01);
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_ranks() {
-        let z = Zipf::new(100, 1.0);
-        let mut rng = Stream::from_seed(10);
-        let mut counts = vec![0u32; 100];
-        for _ in 0..100_000 {
-            counts[z.sample_rank(&mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[9] && counts[9] > counts[99]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The substrate under every experiment in the fail-stutter workspace:
 //! a virtual clock ([`time`]), a seed-tree deterministic RNG ([`rng`]),
-//! workload distributions ([`dist`]), a binary-heap event loop ([`sim`]),
-//! timeline queueing/rate resources ([`resource`]) and measurement
-//! ([`stats`]).
+//! workload distributions ([`dist`]), a typed `(time, seq)` event queue
+//! ([`sim`]), timeline queueing/rate resources ([`resource`]) and
+//! measurement ([`stats`]).
 //!
 //! Design rules:
 //!
@@ -15,8 +15,9 @@
 //!   the randomness observed by another.
 //! * **Calculational device models where possible.** Most hardware models
 //!   answer "when does this request finish?" with the pure primitives in
-//!   [`resource`]; the event loop in [`sim`] is reserved for feedback
-//!   dynamics (adaptive controllers, flow control).
+//!   [`resource`]. Only message-driven models need [`sim::EventQueue`]:
+//!   the gossip performance plane pops its observe, refresh, gossip and
+//!   delivery events from one, in its own dispatch loop.
 //!
 //! # Examples
 //!
@@ -50,12 +51,12 @@ pub mod time;
 /// Convenience re-exports of the items nearly every model needs.
 pub mod prelude {
     pub use crate::dist::{
-        Constant, Distribution, Exponential, LogNormal, Normal, Pareto, TwoPoint, Uniform, Weibull,
-        WeightedIndex, Zipf,
+        Distribution, Exponential, LogNormal, Normal, Pareto, TwoPoint, Uniform, Weibull,
+        WeightedIndex,
     };
     pub use crate::resource::{FcfsServer, Grant, RateProfile};
     pub use crate::rng::Stream;
-    pub use crate::sim::{Scheduler, Simulation};
+    pub use crate::sim::EventQueue;
     pub use crate::stats::{Ewma, Histogram, Series};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -50,8 +50,6 @@ impl Grant {
 #[derive(Clone, Debug, Default)]
 pub struct FcfsServer {
     next_free: SimTime,
-    busy: SimDuration,
-    served: u64,
 }
 
 impl FcfsServer {
@@ -67,8 +65,6 @@ impl FcfsServer {
         let start = arrival.max(self.next_free);
         let finish = start + service;
         self.next_free = finish;
-        self.busy += service;
-        self.served += 1;
         Grant { start, finish }
     }
 
@@ -81,26 +77,6 @@ impl FcfsServer {
     /// The earliest instant a new request could begin service.
     pub fn next_free(&self) -> SimTime {
         self.next_free
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Utilisation over `[ZERO, now]`, in `[0, 1]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let t = now.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            (self.busy.as_secs_f64() / t).min(1.0)
-        }
     }
 }
 
@@ -228,9 +204,6 @@ mod tests {
         assert_eq!(b, Grant { start: SimTime::from_secs(2), finish: SimTime::from_secs(4) });
         // Idle gap before c.
         assert_eq!(c, Grant { start: SimTime::from_secs(10), finish: SimTime::from_secs(11) });
-        assert_eq!(s.served(), 3);
-        assert_eq!(s.busy_time(), SimDuration::from_secs(5));
-        assert!((s.utilization(SimTime::from_secs(11)) - 5.0 / 11.0).abs() < 1e-12);
     }
 
     #[test]

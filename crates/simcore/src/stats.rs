@@ -52,11 +52,6 @@ impl Ewma {
     pub fn value_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
-
-    /// Discards all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 /// Log-bucketed histogram over positive values with quantile queries.
@@ -83,19 +78,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates a histogram with 16 sub-buckets per octave.
+    /// Creates a histogram with 16 sub-buckets per octave (relative error
+    /// ≈ `ln 2 / 16`).
     pub fn new() -> Self {
-        Self::with_resolution(16)
-    }
-
-    /// Creates a histogram with `sub` sub-buckets per octave (relative
-    /// error ≈ `ln 2 / sub`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub` is zero.
-    pub fn with_resolution(sub: u32) -> Self {
-        assert!(sub > 0, "need at least one sub-bucket per octave");
+        let sub = 16;
         Histogram {
             buckets: vec![0; (HIST_OCTAVES * sub) as usize],
             sub,
@@ -176,11 +162,6 @@ impl Histogram {
         }
         self.max_seen
     }
-
-    /// Convenience accessor for the median.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
 }
 
 /// A recorded `(time, value)` trace, the raw material of a figure.
@@ -212,24 +193,6 @@ impl Series {
         &self.points
     }
 
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no points have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of the values (unweighted).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
     /// Minimum value, or +inf if empty.
     pub fn min(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).min_by(f64::total_cmp).unwrap_or(f64::INFINITY)
@@ -238,19 +201,6 @@ impl Series {
     /// Maximum value, or -inf if empty.
     pub fn max(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).max_by(f64::total_cmp).unwrap_or(f64::NEG_INFINITY)
-    }
-
-    /// Downsamples to at most `n` points by stride, preserving endpoints.
-    pub fn thin(&self, n: usize) -> Series {
-        if n == 0 || self.points.len() <= n {
-            return self.clone();
-        }
-        let stride = self.points.len().div_ceil(n);
-        let mut points: Vec<(SimTime, f64)> = self.points.iter().step_by(stride).copied().collect();
-        if points.last() != self.points.last() {
-            points.push(*self.points.last().expect("non-empty"));
-        }
-        Series { points }
     }
 }
 
@@ -275,11 +225,10 @@ mod tests {
     fn ewma_first_observation_initialises() {
         let mut e = Ewma::new(0.5);
         assert_eq!(e.value(), None);
+        assert_eq!(e.value_or(-1.0), -1.0);
         assert_eq!(e.observe(10.0), 10.0);
         assert_eq!(e.observe(0.0), 5.0);
         assert_eq!(e.observe(5.0), 5.0);
-        e.reset();
-        assert_eq!(e.value_or(-1.0), -1.0);
     }
 
     #[test]
@@ -324,17 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn series_records_and_thins() {
+    fn series_records_points() {
         let mut s = Series::new();
         for i in 0..100 {
             s.push(SimTime::from_secs(i), i as f64);
         }
-        assert_eq!(s.len(), 100);
+        assert_eq!(s.points().len(), 100);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 99.0);
-        let t = s.thin(10);
-        assert!(t.len() <= 12);
-        assert_eq!(t.points().last(), s.points().last());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`simcore`] | deterministic discrete-event simulation kernel |
+//! | [`simcore`] | deterministic simulation kernel: integer time, seed-tree RNG, distributions, a `(time, seq)` event queue, timeline resources |
 //! | [`stutter`] | **the fault model**: taxonomy, specs, injectors, detectors, notification, prediction |
 //! | [`blockdev`] | disk substrate: zones, bad-block remapping, SCSI chains, file-system aging |
 //! | [`netsim`] | network substrate: unfair switches, deadlock watchdogs, flow-control collapse |

@@ -30,19 +30,20 @@ fn golden_rng_stream() {
 
 #[test]
 fn golden_event_loop() {
-    let mut sim = Simulation::new(0u64);
-    sim.schedule_periodic(SimDuration::from_micros(10), |count: &mut u64, _| {
-        *count += 1;
-        if *count < 1_000 {
-            Some(SimDuration::from_micros(10))
-        } else {
-            None
+    // One self-rescheduling event, 10 µs apart, 1,000 times.
+    let period = SimDuration::from_micros(10);
+    let mut queue = EventQueue::new();
+    queue.schedule_at(SimTime::ZERO + period, 1u64);
+    let mut popped = 0;
+    while let Some(count) = queue.pop_until(SimTime::MAX) {
+        popped += 1;
+        assert_eq!(count, popped);
+        if count < 1_000 {
+            queue.schedule_at(queue.now() + period, count + 1);
         }
-    });
-    sim.run();
-    assert_eq!(*sim.state(), 1_000);
-    assert_eq!(sim.now(), SimTime::from_micros(10_000));
-    assert_eq!(sim.events_executed(), 1_000);
+    }
+    assert_eq!(popped, 1_000);
+    assert_eq!(queue.now(), SimTime::from_micros(10_000));
 }
 
 #[test]

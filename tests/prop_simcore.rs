@@ -10,14 +10,12 @@ proptest! {
     /// order they were scheduled in.
     #[test]
     fn event_order_is_time_then_fifo(times in proptest::collection::vec(0u64..1_000, 1..64)) {
-        let mut sim = Simulation::new(Vec::<(u64, usize)>::new());
+        let mut queue = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_nanos(t), move |log: &mut Vec<(u64, usize)>, _| {
-                log.push((t, i));
-            });
+            queue.schedule_at(SimTime::from_nanos(t), (t, i));
         }
-        sim.run();
-        let log = sim.into_state();
+        let log: Vec<(u64, usize)> =
+            std::iter::from_fn(|| queue.pop_until(SimTime::MAX)).collect();
         prop_assert_eq!(log.len(), times.len());
         for w in log.windows(2) {
             prop_assert!(w[0].0 <= w[1].0, "time order violated: {:?}", w);
