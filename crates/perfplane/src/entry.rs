@@ -15,6 +15,7 @@
 use simcore::time::SimTime;
 use stutter::fault::{ComponentId, HealthState};
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -61,6 +62,9 @@ impl HealthEntry {
 pub struct Store {
     entries: BTreeMap<ComponentId, HealthEntry>,
     history: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
+    /// The gossip digest of `entries`, built on first use and dropped by
+    /// every accepted merge.
+    digest: OnceCell<Rc<[HealthEntry]>>,
 }
 
 impl Store {
@@ -85,6 +89,7 @@ impl Store {
         }
         self.entries.insert(entry.component, entry);
         self.history.entry(entry.component).or_default().push((now, entry));
+        self.digest.take();
         true
     }
 
@@ -94,9 +99,9 @@ impl Store {
     }
 
     /// All freshest entries, ordered by component — the gossip payload.
-    /// Shared, so one round's pushes to several peers carry one copy.
+    /// Shared, so pushes carry one copy until a merge accepts an entry.
     pub fn snapshot(&self) -> Rc<[HealthEntry]> {
-        self.entries.values().copied().collect()
+        Rc::clone(self.digest.get_or_init(|| self.entries.values().copied().collect()))
     }
 
     /// The freshest entries, ordered by component, without copying them.
@@ -120,18 +125,9 @@ impl Store {
             .collect()
     }
 
-    /// The accepted-update history for a component, in arrival order.
-    pub fn history(&self, component: ComponentId) -> &[(SimTime, HealthEntry)] {
-        self.history.get(&component).map_or(&[], Vec::as_slice)
-    }
-
-    /// Components with at least one entry.
-    pub fn components(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        self.entries.keys().copied()
-    }
-
-    /// Moves the history out of the store (for building a view).
-    pub fn into_history(self) -> BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>> {
+    /// Moves the history out of the store (for building a view). Each
+    /// component's history is in arrival order.
+    pub(crate) fn into_history(self) -> BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>> {
         self.history
     }
 }
@@ -160,7 +156,7 @@ mod tests {
         assert!(!s.merge(SimTime::ZERO, entry(1, HealthState::Healthy)), "stale rejected");
         assert!(s.merge(SimTime::ZERO, entry(3, HealthState::PerfFaulty { severity: 0.5 })));
         assert_eq!(s.get(ComponentId(0)).unwrap().seq, 3);
-        assert_eq!(s.history(ComponentId(0)).len(), 2);
+        assert_eq!(s.into_history()[&ComponentId(0)].len(), 2);
     }
 
     #[test]
@@ -184,5 +180,35 @@ mod tests {
         let reply = a.fresher_than(&b.snapshot());
         assert_eq!(reply.len(), 2, "newer version and unknown component");
         assert!(a.fresher_than(&a.snapshot()).is_empty());
+    }
+
+    #[test]
+    fn the_cached_digest_tracks_every_merge() {
+        let on = |component: u32, seq: u64, state: HealthState| HealthEntry {
+            component: ComponentId(component),
+            ..entry(seq, state)
+        };
+        let merges = [
+            (on(1, 4, HealthState::Healthy), true),
+            (on(0, 2, HealthState::Healthy), true),
+            (on(1, 3, HealthState::Healthy), false), // stale
+            (on(0, 2, HealthState::PerfFaulty { severity: 0.5 }), false), // equal seq
+            (on(1, 5, HealthState::PerfFaulty { severity: 0.5 }), true),
+            (on(0, 6, HealthState::Failed), true),
+            (on(0, 9, HealthState::Healthy), false), // after the tombstone
+            (on(2, 1, HealthState::Healthy), true),
+        ];
+        let mut s = Store::new();
+        for (at, (e, accepted)) in merges.into_iter().enumerate() {
+            let before = s.snapshot();
+            assert_eq!(s.merge(SimTime::from_secs(at as u64), e), accepted, "{e:?}");
+            let after = s.snapshot();
+            let rebuilt: Vec<HealthEntry> =
+                (0..3).filter_map(|c| s.get(ComponentId(c)).copied()).collect();
+            assert_eq!(*after, *rebuilt, "after merging {e:?}");
+            // One digest is shared until a merge accepts an entry.
+            assert!(Rc::ptr_eq(&after, &s.snapshot()), "{e:?}");
+            assert_eq!(Rc::ptr_eq(&before, &after), !accepted, "{e:?}");
+        }
     }
 }

@@ -77,7 +77,8 @@ impl PlaneConfig {
     /// Checks the constraints [`run_plane`] relies on; the error names the
     /// offending field. A zero interval would re-arm its periodic event
     /// at the same instant forever, so the run would never reach its
-    /// horizon.
+    /// horizon; a bad smoothing factor, peer fraction or link rate would
+    /// panic inside the EWMA, detector or link constructor.
     pub fn validate(&self) -> Result<(), String> {
         for (name, interval) in [
             ("observe_interval", self.observe_interval),
@@ -90,6 +91,16 @@ impl PlaneConfig {
         }
         if self.fanout < 1 {
             return Err("fanout must be at least 1".to_string());
+        }
+        for (name, fraction) in
+            [("ewma_alpha", self.ewma_alpha), ("peer_fraction", self.peer_fraction)]
+        {
+            if fraction.is_nan() || fraction <= 0.0 || fraction > 1.0 {
+                return Err(format!("{name} must be in (0, 1], got {fraction}"));
+            }
+        }
+        if self.link_rate.is_nan() || self.link_rate <= 0.0 {
+            return Err(format!("link_rate must be positive, got {}", self.link_rate));
         }
         Ok(())
     }
@@ -268,6 +279,8 @@ struct SimState {
     stats: PlaneStats,
     /// `observe`'s peer-relative round, reused across calls.
     rates: Vec<f64>,
+    /// `gossip_round`'s push targets, reused across calls.
+    peers: Vec<usize>,
 }
 
 impl SimState {
@@ -324,7 +337,7 @@ impl SimState {
                         })
                         .map(|e| e.rate),
                 );
-                self.detector.classify_round(rates)[0]
+                self.detector.classify(rates, 0)
             })
         };
         let Some(verdict) = verdict else { return };
@@ -343,10 +356,12 @@ impl SimState {
         self.publish(i, now, state, smoothed);
     }
 
-    fn pick_peers(&mut self, i: usize) -> Vec<usize> {
+    /// Fills `peers` with `fanout` distinct random peers of node `i`.
+    fn pick_peers(&mut self, i: usize) {
         let n = self.nodes.len();
         let k = self.cfg.fanout.min(n - 1);
-        let mut peers = Vec::with_capacity(k);
+        let peers = &mut self.peers;
+        peers.clear();
         while peers.len() < k {
             let mut p = self.nodes[i].rng.next_below((n - 1) as u64) as usize;
             if p >= i {
@@ -356,7 +371,6 @@ impl SimState {
                 peers.push(p);
             }
         }
-        peers
     }
 
     fn payload_bytes(&self, entries: usize) -> u64 {
@@ -369,7 +383,8 @@ impl SimState {
             return;
         }
         let bytes = self.payload_bytes(digest.len());
-        for to in self.pick_peers(i) {
+        self.pick_peers(i);
+        for &to in &self.peers {
             self.stats.pushes_sent += 1;
             match self.mesh.send(i, to, now, bytes) {
                 Some(d) => {
@@ -469,6 +484,7 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
         nodes,
         stats: PlaneStats::default(),
         rates: Vec::with_capacity(n),
+        peers: Vec::with_capacity(cfg.fanout.min(n - 1)),
     };
 
     // Each periodic event re-arms after its handler has scheduled its
@@ -643,6 +659,30 @@ mod tests {
     fn validate_rejects_zero_fanout() {
         let err = rejected(|c| c.fanout = 0);
         assert!(err.contains("fanout"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_ewma_alpha_outside_the_unit_interval() {
+        for alpha in [0.0, -0.3, 1.5, f64::NAN] {
+            let err = rejected(|c| c.ewma_alpha = alpha);
+            assert!(err.contains("ewma_alpha"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_peer_fraction_outside_the_unit_interval() {
+        for fraction in [0.0, -0.75, 1.25, f64::NAN] {
+            let err = rejected(|c| c.peer_fraction = fraction);
+            assert!(err.contains("peer_fraction"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_non_positive_link_rate() {
+        for rate in [0.0, -1e6, f64::NAN] {
+            let err = rejected(|c| c.link_rate = rate);
+            assert!(err.contains("link_rate"), "{err}");
+        }
     }
 
     #[test]

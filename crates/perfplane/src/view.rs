@@ -84,7 +84,8 @@ impl PlaneView {
 ///
 /// Built from a [`crate::entry::Store`] after a gossip run; `query` is a
 /// pure function of `(component, now)`, so consumers can replay any
-/// decision instant.
+/// decision instant. Lookups binary-search each history, which the store
+/// appended in non-decreasing arrival order.
 #[derive(Clone, Debug)]
 pub struct StalenessView {
     histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
@@ -92,23 +93,20 @@ pub struct StalenessView {
 }
 
 impl StalenessView {
-    /// Wraps an accepted-update history under a staleness policy.
-    pub fn new(
+    /// Wraps an accepted-update history under a staleness policy. Each
+    /// history must be in non-decreasing arrival order.
+    pub(crate) fn new(
         histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
         staleness: StalenessConfig,
     ) -> Self {
         StalenessView { histories, staleness }
     }
 
-    /// The staleness policy in force.
-    pub fn staleness(&self) -> StalenessConfig {
-        self.staleness
-    }
-
     /// The raw freshest entry that had arrived by `now`, if any.
     pub fn entry_at(&self, component: ComponentId, now: SimTime) -> Option<&HealthEntry> {
         let h = self.histories.get(&component)?;
-        h.iter().rev().find(|(arrival, _)| *arrival <= now).map(|(_, e)| e)
+        let arrived = h.partition_point(|(arrival, _)| *arrival <= now);
+        h[..arrived].last().map(|(_, e)| e)
     }
 
     /// The full accepted-update history for a component.
@@ -145,11 +143,12 @@ impl StalenessView {
 
     /// The rate a consumer should plan with at `now`: the gossiped rate
     /// when fresh, 0.0 for a tombstone, `fallback` (typically the
-    /// component's nominal spec rate) when unknown or aged out.
+    /// component's nominal spec rate) when unknown or aged out. The same
+    /// answer [`Self::query`] implies, without computing its confidence.
     pub fn estimated_rate(&self, component: ComponentId, now: SimTime, fallback: f64) -> f64 {
-        match self.query(component, now) {
-            PlaneView { state: PlaneState::Known(HealthState::Failed), .. } => 0.0,
-            PlaneView { state: PlaneState::Known(_), rate: Some(r), .. } => r,
+        match self.entry_at(component, now) {
+            Some(e) if e.is_tombstone() => 0.0,
+            Some(e) if now.saturating_since(e.observed_at) <= self.staleness.stale_after => e.rate,
             _ => fallback,
         }
     }
@@ -159,6 +158,7 @@ impl StalenessView {
 mod tests {
     use super::*;
     use crate::entry::NodeId;
+    use proptest::prelude::*;
 
     fn entry(seq: u64, state: HealthState, observed_at: SimTime) -> HealthEntry {
         HealthEntry {
@@ -245,5 +245,90 @@ mod tests {
         assert!(matches!(between.state, PlaneState::Known(HealthState::Healthy)));
         let after = v.query(ComponentId(0), SimTime::from_secs(21));
         assert!(matches!(after.state, PlaneState::Known(HealthState::PerfFaulty { .. })));
+    }
+
+    /// The reference lookup: the last arrival at or before `now`, found by
+    /// a reverse linear scan.
+    fn scan(history: &[(SimTime, HealthEntry)], now: SimTime) -> Option<&HealthEntry> {
+        history.iter().rev().find(|(arrival, _)| *arrival <= now).map(|(_, e)| e)
+    }
+
+    /// The reference consumer rate, decided through `query`'s staleness rule.
+    fn rate_via_query(v: &StalenessView, c: ComponentId, now: SimTime, fallback: f64) -> f64 {
+        match v.query(c, now) {
+            PlaneView { state: PlaneState::Known(HealthState::Failed), .. } => 0.0,
+            PlaneView { state: PlaneState::Known(_), rate: Some(r), .. } => r,
+            _ => fallback,
+        }
+    }
+
+    /// One component's accepted history as a store appends it: arrivals
+    /// non-decreasing (a zero gap lands several entries at one instant),
+    /// seqs increasing, each entry observed up to 90 s before it arrived,
+    /// and optionally a closing tombstone.
+    fn history(c: u32) -> impl Strategy<Value = Vec<(SimTime, HealthEntry)>> {
+        let step = (prop_oneof![Just(0u64), 1u64..40_000], 0u64..90_000, any::<bool>());
+        (proptest::collection::vec(step, 0..8), any::<bool>()).prop_map(move |(steps, tomb)| {
+            let last = steps.len();
+            let mut arrival = SimTime::from_secs(100);
+            let mut out = Vec::with_capacity(last);
+            for (k, (gap_ms, lag_ms, slow)) in steps.into_iter().enumerate() {
+                arrival += SimDuration::from_millis(gap_ms);
+                let state = match (tomb && k + 1 == last, slow) {
+                    (true, _) => HealthState::Failed,
+                    (false, true) => HealthState::PerfFaulty { severity: 0.4 },
+                    (false, false) => HealthState::Healthy,
+                };
+                let e = HealthEntry {
+                    component: ComponentId(c),
+                    origin: NodeId(c),
+                    seq: k as u64 + 1,
+                    state,
+                    rate: if matches!(state, HealthState::Failed) { 0.0 } else { (k + 1) as f64 },
+                    observed_at: arrival - SimDuration::from_millis(lag_ms),
+                };
+                out.push((arrival, e));
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Probed before the first arrival, 1 ns around and exactly at
+        /// every arrival, at and just past every entry's staleness bound,
+        /// and after the last arrival: `entry_at` agrees with the linear
+        /// scan and `estimated_rate` with `query`.
+        #[test]
+        fn lookups_match_the_linear_scan_and_query(
+            histories in (history(0), history(1), history(2))
+        ) {
+            let (h0, h1, h2) = histories;
+            let staleness = StalenessConfig::default();
+            let histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>> = [h0, h1, h2]
+                .into_iter()
+                .filter(|h| !h.is_empty())
+                .map(|h| (h[0].1.component, h))
+                .collect();
+            let v = StalenessView::new(histories.clone(), staleness);
+            let mut probes = vec![SimTime::ZERO, SimTime::from_secs(10_000)];
+            for (arrival, e) in histories.values().flatten() {
+                let bound = e.observed_at + staleness.stale_after;
+                let ns = SimDuration::from_nanos(1);
+                probes.extend([*arrival - ns, *arrival, *arrival + ns, bound, bound + ns]);
+            }
+            for c in (0..4).map(ComponentId) {
+                let h = histories.get(&c).map_or(&[][..], Vec::as_slice);
+                for &now in &probes {
+                    prop_assert_eq!(v.entry_at(c, now), scan(h, now), "{} at {:?}", c, now);
+                    prop_assert_eq!(
+                        v.estimated_rate(c, now, 42.0).to_bits(),
+                        rate_via_query(&v, c, now, 42.0).to_bits(),
+                        "{} at {:?}", c, now
+                    );
+                }
+            }
+        }
     }
 }

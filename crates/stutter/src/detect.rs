@@ -136,36 +136,51 @@ impl PeerRelativeDetector {
         PeerRelativeDetector { fraction }
     }
 
-    /// Classifies every component given this round's per-component rates.
+    /// Classifies `round[i]` given this round's per-component rates.
     ///
-    /// Returns one [`HealthState`] per input, in order. Zero rates are
-    /// classified failed. With fewer than three components the median is
-    /// too fragile, so everything non-zero is reported healthy.
-    pub fn classify_round(&self, rates: &[f64]) -> Vec<HealthState> {
-        let mut sorted: Vec<f64> = rates.iter().copied().filter(|r| *r > 0.0).collect();
-        sorted.sort_by(f64::total_cmp);
-        let mid = sorted.len() / 2;
-        let median = if sorted.len() >= 3 { sorted[mid] } else { 0.0 };
-        rates
-            .iter()
-            .map(|&r| {
-                if r <= 0.0 {
-                    HealthState::Failed
-                } else if median > 0.0 && r < self.fraction * median {
-                    HealthState::PerfFaulty {
-                        severity: (r / median).clamp(f64::MIN_POSITIVE, 0.999_999),
-                    }
-                } else {
-                    HealthState::Healthy
-                }
-            })
-            .collect()
+    /// A zero rate is classified failed. The median is taken over the
+    /// round's non-zero rates; with fewer than three of them it is too
+    /// fragile, so every non-zero rate is reported healthy. `round` is
+    /// scratch space: the call reorders it in place instead of allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds for `round`.
+    pub fn classify(&self, round: &mut [f64], i: usize) -> HealthState {
+        let r = round[i];
+        if r <= 0.0 {
+            return HealthState::Failed;
+        }
+        // Move the live rates to the front; dead ones must not drag the
+        // median down.
+        let mut live = 0;
+        for k in 0..round.len() {
+            if round[k] > 0.0 {
+                round.swap(live, k);
+                live += 1;
+            }
+        }
+        if live < 3 {
+            return HealthState::Healthy;
+        }
+        let (_, &mut median, _) = round[..live].select_nth_unstable_by(live / 2, f64::total_cmp);
+        if r < self.fraction * median {
+            HealthState::PerfFaulty { severity: (r / median).clamp(f64::MIN_POSITIVE, 0.999_999) }
+        } else {
+            HealthState::Healthy
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every component's verdict for one round, one `classify` call each
+    /// on a fresh copy of the round.
+    fn verdicts(d: &PeerRelativeDetector, rates: &[f64]) -> Vec<HealthState> {
+        (0..rates.len()).map(|i| d.classify(&mut rates.to_vec(), i)).collect()
+    }
 
     #[test]
     fn threshold_detector_three_regimes() {
@@ -215,7 +230,7 @@ mod tests {
     #[test]
     fn peer_relative_flags_the_straggler() {
         let d = PeerRelativeDetector::new(0.8);
-        let states = d.classify_round(&[10.0, 10.1, 9.9, 10.0, 5.0]);
+        let states = verdicts(&d, &[10.0, 10.1, 9.9, 10.0, 5.0]);
         assert!(states[..4].iter().all(|s| matches!(s, HealthState::Healthy)));
         assert!(matches!(states[4], HealthState::PerfFaulty { .. }));
     }
@@ -223,21 +238,21 @@ mod tests {
     #[test]
     fn peer_relative_zero_rate_is_failed() {
         let d = PeerRelativeDetector::new(0.8);
-        let states = d.classify_round(&[10.0, 0.0, 10.0, 10.0]);
+        let states = verdicts(&d, &[10.0, 0.0, 10.0, 10.0]);
         assert_eq!(states[1], HealthState::Failed);
     }
 
     #[test]
     fn peer_relative_small_groups_stay_healthy() {
         let d = PeerRelativeDetector::new(0.8);
-        let states = d.classify_round(&[10.0, 1.0]);
+        let states = verdicts(&d, &[10.0, 1.0]);
         assert!(states.iter().all(|s| matches!(s, HealthState::Healthy)));
     }
 
     #[test]
     fn peer_relative_empty_round_is_empty() {
         let d = PeerRelativeDetector::new(0.8);
-        assert!(d.classify_round(&[]).is_empty());
+        assert!(verdicts(&d, &[]).is_empty());
     }
 
     #[test]
@@ -246,7 +261,7 @@ mod tests {
         // Even at the tightest fraction, equal peers are all healthy: the
         // faulty test is strict (`r < fraction · median`).
         for n in [3usize, 4, 9] {
-            let states = d.classify_round(&vec![7.5; n]);
+            let states = verdicts(&d, &vec![7.5; n]);
             assert_eq!(states.len(), n);
             assert!(states.iter().all(|s| matches!(s, HealthState::Healthy)), "n={n}");
         }
@@ -257,8 +272,8 @@ mod tests {
         let d = PeerRelativeDetector::new(0.8);
         // One live component has no peers to be judged against: healthy
         // however slow, failed only at zero.
-        assert_eq!(d.classify_round(&[0.001]), vec![HealthState::Healthy]);
-        assert_eq!(d.classify_round(&[0.0]), vec![HealthState::Failed]);
+        assert_eq!(verdicts(&d, &[0.001]), vec![HealthState::Healthy]);
+        assert_eq!(verdicts(&d, &[0.0]), vec![HealthState::Failed]);
     }
 
     #[test]
@@ -266,7 +281,7 @@ mod tests {
         let d = PeerRelativeDetector::new(0.8);
         // Three dead components must not drag the median to zero and mask
         // the live straggler.
-        let states = d.classify_round(&[10.0, 10.0, 10.0, 5.0, 0.0, 0.0, 0.0]);
+        let states = verdicts(&d, &[10.0, 10.0, 10.0, 5.0, 0.0, 0.0, 0.0]);
         assert!(matches!(states[3], HealthState::PerfFaulty { .. }), "{states:?}");
         assert!(states[4..].iter().all(|s| matches!(s, HealthState::Failed)));
     }
@@ -276,7 +291,7 @@ mod tests {
         let d = PeerRelativeDetector::new(0.8);
         // Extreme but finite inputs: tiny, huge, and zero rates mixed.
         let rates = [f64::MIN_POSITIVE, 1e300, 10.0, 10.0, 10.0, 0.0, 1e-12];
-        for s in d.classify_round(&rates) {
+        for s in verdicts(&d, &rates) {
             if let HealthState::PerfFaulty { severity } = s {
                 assert!(severity.is_finite());
                 assert!((f64::MIN_POSITIVE..1.0).contains(&severity), "severity {severity}");
@@ -288,7 +303,7 @@ mod tests {
     fn peer_relative_median_robust_to_one_outlier() {
         let d = PeerRelativeDetector::new(0.5);
         // One absurdly fast peer must not drag everyone into faultiness.
-        let states = d.classify_round(&[10.0, 10.0, 10.0, 1000.0]);
+        let states = verdicts(&d, &[10.0, 10.0, 10.0, 1000.0]);
         assert!(states[..3].iter().all(|s| matches!(s, HealthState::Healthy)));
     }
 }
