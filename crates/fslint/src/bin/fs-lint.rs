@@ -6,7 +6,8 @@
 //! ```
 //!
 //! With no `FILE` arguments the whole workspace under `--root` (default:
-//! the current directory) is scanned. Stdout carries the line-oriented
+//! the current directory) is scanned; a `FILE` that is not a file (a
+//! directory, a missing path) is a usage error. Stdout carries the line-oriented
 //! text report, or the JSON report with `--json`. `--out` always writes
 //! the JSON report to the given file (for CI artifacts) as well;
 //! `--graph-out` writes the workspace call graph the scoping was derived
@@ -74,6 +75,15 @@ fn main() -> ExitCode {
             _ if arg.starts_with('-') => return usage(&format!("unknown flag `{arg}`")),
             _ => files.push(PathBuf::from(arg)),
         }
+    }
+
+    // A FILE argument names one file; a directory or a missing path is a
+    // usage error, never a finding.
+    if let Some(bad) = files.iter().find(|f| !f.is_file()) {
+        return usage(&format!(
+            "`{}` is not a file; to lint a directory tree use --root DIR",
+            bad.display()
+        ));
     }
 
     let report = if files.is_empty() {

@@ -247,7 +247,7 @@ impl<'a> Effects<'a> {
                 && toks.get(i + 1).is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Num))
                 && assign_after(toks, i + 2)
             {
-                let written = toks[i + 1].text.clone();
+                let written = toks[i + 1].text.to_string();
                 let line = toks[i + 1].line;
                 let (root, hop) = receiver_root(toks, i);
                 let Some(root) = root else { continue };
@@ -282,7 +282,7 @@ impl<'a> Effects<'a> {
         // Method calls: std mutators, interior mutability, RNG draws, and
         // scheduler primitives.
         let sched_gate = SCHED_GATE.iter().any(|g| self.graph.mentions(node.file, g));
-        for c in u.model.calls.iter().filter(|c| c.dot >= b0 && c.dot <= b1) {
+        for c in u.model.calls_in(b0, b1) {
             let name = c.name.as_str();
             if DRAWS.contains(&name) && self.graph.mentions(node.file, "Stream") {
                 out.push(Effect {
@@ -335,9 +335,12 @@ impl<'a> Effects<'a> {
         }
         // Free-call scheduler primitives (`schedule_event(&mut q, ..)`).
         if sched_gate {
-            for c in u.model.free_calls.iter().filter(|c| {
-                c.tok >= b0 && c.tok <= b1 && c.called && c.name.starts_with("schedule")
-            }) {
+            for c in u
+                .model
+                .free_calls_in(b0, b1)
+                .iter()
+                .filter(|c| c.called && c.name.starts_with("schedule"))
+            {
                 out.push(sched_effect(c.name.clone(), c.line));
             }
         }
@@ -355,6 +358,8 @@ impl<'a> Effects<'a> {
                 if self.summaries[n].len() >= MAX_EFFECTS {
                     continue;
                 }
+                // `n`'s pending updates are the tail pushed from here on.
+                let pending = updates.len();
                 for &m in &self.graph.edges[n] {
                     if m == n || self.summaries[m].is_empty() {
                         continue;
@@ -392,7 +397,7 @@ impl<'a> Effects<'a> {
                             continue;
                         }
                         if self.summaries[n].iter().any(|x| same_key(x, e))
-                            || updates.iter().any(|(j, x)| *j == n && same_key(x, e))
+                            || updates[pending..].iter().any(|(_, x)| same_key(x, e))
                         {
                             continue;
                         }
@@ -533,7 +538,7 @@ impl<'a> Effects<'a> {
                     let toks = &u.lexed.tokens;
                     for t in &toks[s0..=s1.min(toks.len().saturating_sub(1))] {
                         if t.kind == TokKind::Ident && t.text.starts_with(char::is_uppercase) {
-                            allowed.insert(t.text.clone());
+                            allowed.insert(t.text.to_string());
                         }
                     }
                 }
@@ -660,7 +665,7 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bo
     let (b0, b1) = node.body;
     let sig = sig_of(units, graph, n);
     let mut saw = false;
-    for c in u.model.calls.iter().filter(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name) {
+    for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
         saw = true;
         let (root, _) = receiver_root(toks, c.dot);
         let Some(root) = root else { return false };
@@ -668,7 +673,7 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bo
             return false;
         }
     }
-    if u.model.free_calls.iter().any(|c| c.tok >= b0 && c.tok <= b1 && c.name == callee.name) {
+    if u.model.free_calls_in(b0, b1).iter().any(|c| c.name == callee.name) {
         return false;
     }
     saw
@@ -707,18 +712,13 @@ fn mut_args_stay_local(units: &[FileUnit], graph: &Graph, n: usize, m: usize) ->
         true
     };
     let mut saw = false;
-    for c in u.model.calls.iter().filter(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name) {
+    for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
         saw = true;
         if !span_ok(c.args.0, c.args.1) {
             return false;
         }
     }
-    for c in u
-        .model
-        .free_calls
-        .iter()
-        .filter(|c| c.called && c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
-    {
+    for c in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called && c.name == callee.name) {
         saw = true;
         let Some((open, close)) = call_args(toks, c.tok) else { return false };
         if !span_ok(open, close) {
@@ -742,7 +742,7 @@ fn assign_after(toks: &[Token], k: usize) -> bool {
     if t.kind != TokKind::Punct {
         return false;
     }
-    match t.text.as_str() {
+    match &*t.text {
         "=" => !toks.get(k + 1).is_some_and(|x| x.is_punct('=') || x.is_punct('>')),
         "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" => {
             toks.get(k + 1).is_some_and(|x| x.is_punct('='))
@@ -755,8 +755,8 @@ fn assign_after(toks: &[Token], k: usize) -> bool {
 /// position: a statement/expression opener.
 fn deref_position(prev: &Token) -> bool {
     match prev.kind {
-        TokKind::Punct => matches!(prev.text.as_str(), ";" | "{" | "(" | "," | "="),
-        TokKind::Ident => matches!(prev.text.as_str(), "let" | "return" | "else"),
+        TokKind::Punct => matches!(&*prev.text, ";" | "{" | "(" | "," | "="),
+        TokKind::Ident => matches!(&*prev.text, "let" | "return" | "else"),
         _ => false,
     }
 }
@@ -769,7 +769,7 @@ fn backward_match(toks: &[Token], close: usize) -> Option<usize> {
     loop {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 ")" | "]" | "}" => depth += 1,
                 "(" | "[" | "{" => {
                     depth -= 1;
@@ -810,7 +810,7 @@ fn receiver_root(toks: &[Token], dot: usize) -> (Option<String>, Option<String>)
                 return (root, hop);
             }
             hop = root.take();
-            root = Some(t.text.clone());
+            root = Some(t.text.to_string());
             if j >= 1 && toks[j - 1].is_punct('.') {
                 i = j - 1;
                 continue;

@@ -229,11 +229,11 @@ impl<'a> Flow<'a> {
                 continue;
             }
             let nt = &toks[i + 1];
-            if nt.kind != TokKind::Ident || !self.fields.contains_key(&nt.text) {
+            if nt.kind != TokKind::Ident || !self.fields.contains_key(&*nt.text) {
                 continue;
             }
             if field_read_shape(toks, i) {
-                return Some((nt.text.clone(), nt.line));
+                return Some((nt.text.to_string(), nt.line));
             }
         }
         None
@@ -303,12 +303,12 @@ impl<'a> Flow<'a> {
         // a binding sees the sorts before it.
         let sorts: Vec<(usize, &str)> = u
             .model
-            .calls
+            .calls_in(b0 + 1, b1.saturating_sub(1))
             .iter()
-            .filter(|c| c.dot > b0 && c.dot < b1 && c.name.starts_with("sort"))
+            .filter(|c| c.name.starts_with("sort"))
             .filter_map(|c| {
                 let r = toks.get(c.dot.checked_sub(1)?)?;
-                (r.kind == TokKind::Ident).then_some((c.dot, r.text.as_str()))
+                (r.kind == TokKind::Ident).then_some((c.dot, &*r.text))
             })
             .collect();
         let mut sorted = 0usize;
@@ -375,13 +375,13 @@ impl<'a> Flow<'a> {
             if t.is_punct('.') && !self.fields.is_empty() {
                 if let Some(nt) = toks.get(i + 1) {
                     if nt.kind == TokKind::Ident
-                        && self.fields.contains_key(&nt.text)
+                        && self.fields.contains_key(&*nt.text)
                         && field_read_shape(toks, i)
                     {
                         consider(
                             i,
                             Taint {
-                                cause: Cause::Field { name: nt.text.clone() },
+                                cause: Cause::Field { name: nt.text.to_string() },
                                 via_locals: Vec::new(),
                             },
                             &mut best,
@@ -391,12 +391,12 @@ impl<'a> Flow<'a> {
             }
         }
         let call = |node| Taint { cause: Cause::Call { node }, via_locals: Vec::new() };
-        for mc in u.model.calls.iter().filter(|c| c.dot >= lo && c.dot <= hi) {
+        for mc in u.model.calls_in(lo, hi) {
             if let Some(n) = summary::resolve_method(self.graph, &self.by_name, file, &mc.name) {
                 consider(mc.dot, call(n), &mut best);
             }
         }
-        for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= lo && c.tok <= hi) {
+        for fc in u.model.free_calls_in(lo, hi).iter().filter(|c| c.called) {
             let resolved = summary::resolve_free(
                 self.graph,
                 self.units,
@@ -625,7 +625,7 @@ impl<'a> Flow<'a> {
                 });
                 if !rooted {
                     let arg: Vec<&str> =
-                        toks[open + 1..close].iter().take(8).map(|t| t.text.as_str()).collect();
+                        toks[open + 1..close].iter().take(8).map(|t| &*t.text).collect();
                     out.push(Finding {
                         path: u.path.clone(),
                         line: fc.line,
@@ -658,7 +658,7 @@ fn lexical_source(toks: &[Token], i: usize) -> Option<Src> {
     };
     match t.kind {
         TokKind::Ident => {
-            let (kind, desc) = match t.text.as_str() {
+            let (kind, desc) = match &*t.text {
                 "Instant" | "SystemTime" => (K_WALL, format!("`{}` wall-clock read", t.text)),
                 "sleep" | "sleep_ms" if prefixed("thread") => {
                     (K_WALL, "`thread::sleep` wall-clock wait".to_string())

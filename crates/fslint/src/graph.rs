@@ -225,7 +225,7 @@ impl<'a> Graph<'a> {
                     .tokens
                     .iter()
                     .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.as_str())
+                    .map(|t| &*t.text)
                     .collect()
             })
             .collect();
@@ -338,7 +338,7 @@ impl<'a> Graph<'a> {
                         && t.text != "Reverse"
                         && t.text.starts_with(char::is_uppercase)
                     {
-                        heap_elem_types.insert(t.text.clone());
+                        heap_elem_types.insert(t.text.to_string());
                     }
                 }
             }
@@ -356,14 +356,11 @@ impl<'a> Graph<'a> {
                     .iter()
                     .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE));
             let calls_sched =
-                u.model.calls.iter().any(|c| {
-                    c.dot >= b0 && c.dot <= b1 && SCHED_METHODS.contains(&c.name.as_str())
-                }) || u.model.free_calls.iter().any(|c| {
-                    c.tok >= b0
-                        && c.tok <= b1
-                        && c.called
-                        && SCHED_METHODS.contains(&c.name.as_str())
-                });
+                u.model.calls_in(b0, b1).iter().any(|c| SCHED_METHODS.contains(&c.name.as_str()))
+                    || u.model
+                        .free_calls_in(b0, b1)
+                        .iter()
+                        .any(|c| c.called && SCHED_METHODS.contains(&c.name.as_str()));
             sched[n] = touches_heap || calls_sched;
         }
 
@@ -388,17 +385,9 @@ impl<'a> Graph<'a> {
         let model = &units[node.file].model;
         let (b0, b1) = node.body;
         let found = if callee.owner.is_some() {
-            model
-                .calls
-                .iter()
-                .find(|c| c.dot >= b0 && c.dot <= b1 && c.name == callee.name)
-                .map(|c| c.line)
+            model.calls_in(b0, b1).iter().find(|c| c.name == callee.name).map(|c| c.line)
         } else {
-            model
-                .free_calls
-                .iter()
-                .find(|c| c.tok >= b0 && c.tok <= b1 && c.name == callee.name)
-                .map(|c| c.line)
+            model.free_calls_in(b0, b1).iter().find(|c| c.name == callee.name).map(|c| c.line)
         };
         found.unwrap_or(node.line)
     }

@@ -90,7 +90,8 @@
 //! the identifier sets and `(file, fn) → node` map [`graph::Graph`]
 //! builds once, one call resolver behind the graph's gates, one
 //! `let`/`for` binding walker with shadowing, one `.field = value`
-//! scanner, and one hop-chain printer.
+//! learner over the assignment sites [`parse`] records, and one
+//! hop-chain printer.
 //!
 //! ## Suppressions
 //!

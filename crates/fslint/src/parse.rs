@@ -30,29 +30,28 @@
 //! * macro invocations `name!(…)`;
 //! * index expressions `recv[idx]` (attributes, slice types, and array
 //!   literals are not index expressions and never match);
-//! * `BinaryHeap<…>` type mentions with their generic argument span.
+//! * `BinaryHeap<…>` type mentions with their generic argument span;
+//! * `.field = RHS` assignments with the end of their right-hand side,
+//!   which the summary passes learn struct fields from in every fixpoint
+//!   round without scanning the tokens again.
 //!
 //! Everything is spans of token indices into the original
 //! [`Lexed::tokens`](crate::lexer::Lexed) vector; the parser allocates no
-//! token copies. Like the lexer, it never fails: unparsable stretches are
-//! skipped, because a linter must report what it *can* see.
+//! token copies. Method calls, free calls and macros are recorded in token
+//! order, so the calls inside a token span are found by binary search
+//! (`FileModel::calls_in` and its siblings) rather than by filtering the
+//! whole list. Like the lexer, the parser never fails: unparsable
+//! stretches are skipped, because a linter must report what it *can* see.
 
 use crate::lexer::{Lexed, TokKind, Token};
 use std::collections::BTreeSet;
 
-/// Words that look like identifiers but can never *be* an indexed value or
-/// a bound variable (used to reject `&mut [T]` as an index expression and
-/// keyword "patterns" in `for` loops).
-const KEYWORDS: &[&str] = &[
-    "as", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false", "fn",
-    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-    "return", "self", "Self", "static", "struct", "super", "trait", "true", "type", "unsafe",
-    "use", "where", "while",
-];
-
-/// True if `word` is a Rust keyword (one of `KEYWORDS`).
-pub fn is_keyword(word: &str) -> bool {
-    KEYWORDS.contains(&word)
+/// True if `word` is a Rust keyword: a word that looks like an identifier
+/// but can never *be* an indexed value or a bound variable (used to reject
+/// `&mut [T]` as an index expression and keyword "patterns" in `for`
+/// loops).
+pub(crate) fn is_keyword(word: &str) -> bool {
+    crate::lexer::keyword(word).is_some()
 }
 
 /// How a method takes `self`.
@@ -239,7 +238,22 @@ pub struct HeapType {
     pub angles: (usize, usize),
 }
 
+/// One `.field = RHS` assignment (a plain `=`, not `==`) with a
+/// non-empty right-hand side.
+#[derive(Debug)]
+pub(crate) struct FieldWrite {
+    /// Token index of the `.`; the field name and the `=` follow it.
+    pub dot: usize,
+    /// Token index of the right-hand side's last token.
+    pub rhs_end: usize,
+}
+
 /// The parsed shape of one file.
+///
+/// `calls`, `free_calls` and `macros` are pushed in token order (by
+/// `dot`, `tok` and `tok`), so a token span's entries are one contiguous
+/// run that the crate's span lookups (`calls_in`, `free_calls_in`,
+/// `macros_in`) find by binary search.
 #[derive(Debug, Default)]
 pub struct FileModel {
     /// Every `fn` item, in source order.
@@ -264,22 +278,50 @@ pub struct FileModel {
     pub heaps: Vec<HeapType>,
     /// Token spans (inclusive) of `#[cfg(test)] mod … { … }` bodies.
     pub test_spans: Vec<(usize, usize)>,
+    /// Every `.field = RHS` assignment, in token order.
+    pub(crate) field_writes: Vec<FieldWrite>,
+}
+
+/// The run of `items` whose position `at` lies in `[lo, hi]`; `items`
+/// must be sorted by `at`.
+fn in_span<T>(items: &[T], lo: usize, hi: usize, at: impl Fn(&T) -> usize) -> &[T] {
+    let start = items.partition_point(|x| at(x) < lo);
+    let end = items.partition_point(|x| at(x) <= hi).max(start);
+    &items[start..end]
 }
 
 impl FileModel {
+    /// The method calls whose `.` lies in the token span `[lo, hi]`, in
+    /// token order.
+    pub(crate) fn calls_in(&self, lo: usize, hi: usize) -> &[MethodCall] {
+        in_span(&self.calls, lo, hi, |c| c.dot)
+    }
+
+    /// The free calls and path references whose name token lies in
+    /// `[lo, hi]`, in token order.
+    pub(crate) fn free_calls_in(&self, lo: usize, hi: usize) -> &[FreeCall] {
+        in_span(&self.free_calls, lo, hi, |c| c.tok)
+    }
+
+    /// The macro invocations whose name token lies in `[lo, hi]`, in
+    /// token order.
+    pub(crate) fn macros_in(&self, lo: usize, hi: usize) -> &[MacroCall] {
+        in_span(&self.macros, lo, hi, |m| m.tok)
+    }
+
     /// True if token index `i` falls inside a `#[cfg(test)]` module body.
-    pub fn in_test_span(&self, i: usize) -> bool {
+    pub(crate) fn in_test_span(&self, i: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| i >= s && i <= e)
     }
 
     /// The innermost `fn` whose body contains token index `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
+    pub(crate) fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
         self.enclosing_fn_idx(i).map(|k| &self.fns[k])
     }
 
     /// Index into [`fns`](Self::fns) of the innermost `fn` whose body
     /// contains token index `i`.
-    pub fn enclosing_fn_idx(&self, i: usize) -> Option<usize> {
+    pub(crate) fn enclosing_fn_idx(&self, i: usize) -> Option<usize> {
         self.fns
             .iter()
             .enumerate()
@@ -291,7 +333,7 @@ impl FileModel {
     /// Index into [`impls`](Self::impls) of the innermost impl block whose
     /// body strictly contains the fn body span `body` (the impl's braces
     /// enclose a method's, so strict containment rejects the impl itself).
-    pub fn owning_impl(&self, body: (usize, usize)) -> Option<usize> {
+    pub(crate) fn owning_impl(&self, body: (usize, usize)) -> Option<usize> {
         self.impls
             .iter()
             .enumerate()
@@ -304,13 +346,13 @@ impl FileModel {
 /// Finds the matching close delimiter for the opener at `open`, tracking
 /// all three bracket kinds together. Returns the close index, or the last
 /// token on unbalanced input.
-pub fn match_delim(toks: &[Token], open: usize) -> usize {
+pub(crate) fn match_delim(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut i = open;
     while i < toks.len() {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => {
                     depth = depth.saturating_sub(1);
@@ -329,13 +371,13 @@ pub fn match_delim(toks: &[Token], open: usize) -> usize {
 /// Skips a generic argument list starting at the `<` at `open`, returning
 /// the index of the matching `>`. Understands nested angles, the two-token
 /// `->` arrow, and stops sanely on unbalanced input.
-pub fn skip_angles(toks: &[Token], open: usize) -> usize {
+pub(crate) fn skip_angles(toks: &[Token], open: usize) -> usize {
     let mut depth = 0i32;
     let mut i = open;
     while i < toks.len() {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "<" => depth += 1,
                 ">" if i > 0 && toks[i - 1].is_punct('-') => {} // `->` arrow
                 ">" => {
@@ -379,6 +421,8 @@ pub fn parse(lexed: &Lexed) -> FileModel {
             TokKind::Punct if t.text == "." => {
                 if let Some(call) = parse_method_call(toks, i) {
                     model.calls.push(call);
+                } else if let Some(rhs_end) = field_write_rhs_end(toks, i) {
+                    model.field_writes.push(FieldWrite { dot: i, rhs_end });
                 }
                 i += 1;
             }
@@ -404,13 +448,57 @@ pub fn parse(lexed: &Lexed) -> FileModel {
                 i += 1;
             }
             TokKind::Ident if punct_at(toks, i + 1, '!') && !is_keyword(&t.text) => {
-                model.macros.push(MacroCall { name: t.text.clone(), line: t.line, tok: i });
+                model.macros.push(MacroCall { name: t.text.to_string(), line: t.line, tok: i });
                 i += 1;
             }
             _ => i += 1,
         }
     }
+    debug_assert!(model.calls.windows(2).all(|w| w[0].dot < w[1].dot));
+    debug_assert!(model.free_calls.windows(2).all(|w| w[0].tok < w[1].tok));
+    debug_assert!(model.macros.windows(2).all(|w| w[0].tok < w[1].tok));
     model
+}
+
+/// The right-hand side's last token when the `.` at `dot` starts a
+/// `.field = RHS` assignment (a plain `=`, not `==`) whose RHS is
+/// non-empty.
+fn field_write_rhs_end(toks: &[Token], dot: usize) -> Option<usize> {
+    let assigns = toks.get(dot + 1).is_some_and(|t| t.kind == TokKind::Ident)
+        && punct_at(toks, dot + 2, '=')
+        && !punct_at(toks, dot + 3, '=');
+    if assigns {
+        rhs_end(toks, dot + 3)
+    } else {
+        None
+    }
+}
+
+/// Token end of an assignment RHS starting at `from`: the last token
+/// before the depth-0 `;`, `,`, or closing delimiter.
+pub(crate) fn rhs_end(toks: &[Token], from: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut j = from;
+    while j < toks.len() {
+        let t = &toks[j];
+        if t.kind == TokKind::Punct {
+            match &*t.text {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    if depth == 0 {
+                        return if j > from { Some(j - 1) } else { None };
+                    }
+                    depth -= 1;
+                }
+                ";" | "," if depth == 0 => {
+                    return if j > from { Some(j - 1) } else { None };
+                }
+                _ => {}
+            }
+        }
+        j += 1;
+    }
+    None
 }
 
 /// Records the body spans of `#[cfg(test)] mod … { … }` items.
@@ -457,7 +545,7 @@ fn collect_fns(toks: &[Token], model: &mut FileModel) {
             i += 1;
             continue;
         }
-        let name = toks[i + 1].text.clone();
+        let name = toks[i + 1].text.to_string();
         let line = toks[i].line;
         // The body is the first `{` past the signature at bracket depth 0.
         // Generic params and return types never contain braces.
@@ -467,7 +555,7 @@ fn collect_fns(toks: &[Token], model: &mut FileModel) {
         while j < toks.len() {
             let t = &toks[j];
             if t.kind == TokKind::Punct {
-                match t.text.as_str() {
+                match &*t.text {
                     "(" | "[" => depth += 1,
                     ")" | "]" => depth -= 1,
                     "{" if depth == 0 => {
@@ -512,7 +600,7 @@ fn has_test_attr(toks: &[Token], at: usize) -> bool {
     // Walk back over qualifiers to the potential attribute close bracket.
     while i > 0
         && toks[i - 1].kind == TokKind::Ident
-        && matches!(toks[i - 1].text.as_str(), "pub" | "const" | "async" | "unsafe" | "extern")
+        && matches!(&*toks[i - 1].text, "pub" | "const" | "async" | "unsafe" | "extern")
     {
         i -= 1;
     }
@@ -522,7 +610,7 @@ fn has_test_attr(toks: &[Token], at: usize) -> bool {
         let mut depth = 0usize;
         let mut open = close;
         loop {
-            match toks[open].text.as_str() {
+            match &*toks[open].text {
                 "]" => depth += 1,
                 "[" => {
                     depth -= 1;
@@ -568,7 +656,7 @@ fn parse_sig(toks: &[Token], at: usize, body: usize) -> FnSig {
     let (mut start, mut depth, mut k) = (j + 1, 0i32, j + 1);
     while k < close {
         if toks[k].kind == TokKind::Punct {
-            match toks[k].text.as_str() {
+            match &*toks[k].text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 "<" if depth == 0 => k = skip_angles(toks, k),
@@ -623,7 +711,7 @@ fn parse_sig(toks: &[Token], at: usize, body: usize) -> FnSig {
             .map(|(last, _)| last)
             .unwrap_or_default();
         sig.params.push(Param {
-            name: nt.text.clone(),
+            name: nt.text.to_string(),
             ty: (s + colon + 1, e - 1),
             ty_name,
             mut_ref,
@@ -648,7 +736,7 @@ fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                 let mut j = i + 1;
                 while j <= end && !toks[j].is_ident("in") && !punct_at(toks, j, '{') {
                     if toks[j].kind == TokKind::Ident && !is_keyword(&toks[j].text) {
-                        item.bound_vars.insert(toks[j].text.clone());
+                        item.bound_vars.insert(toks[j].text.to_string());
                     }
                     j += 1;
                 }
@@ -662,7 +750,7 @@ fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                         // Skip type-ascription idents: `|x: usize|` binds `x`.
                         let ascribed = j > 0 && punct_at(toks, j - 1, ':');
                         if !ascribed {
-                            item.bound_vars.insert(toks[j].text.clone());
+                            item.bound_vars.insert(toks[j].text.to_string());
                         }
                     }
                     j += 1;
@@ -678,7 +766,7 @@ fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                     j += 1;
                 }
                 if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident) {
-                    let name = toks[j].text.clone();
+                    let name = toks[j].text.to_string();
                     if stmt_is_floaty(toks, j + 1, end) {
                         item.float_vars.insert(name);
                     }
@@ -688,23 +776,23 @@ fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                 while k <= end && k < toks.len() {
                     let t = &toks[k];
                     if t.kind == TokKind::Punct {
-                        match t.text.as_str() {
+                        match &*t.text {
                             "(" | "[" | "{" => depth += 1,
                             ")" | "]" | "}" => depth -= 1,
                             "=" | ";" if depth == 0 => break,
                             _ => {}
                         }
                     } else if t.kind == TokKind::Ident && !is_keyword(&t.text) {
-                        item.bound_vars.insert(t.text.clone());
+                        item.bound_vars.insert(t.text.to_string());
                     }
                     k += 1;
                 }
                 i = k;
             }
             // Bare ascriptions `name: f64` (params, struct literals).
-            TokKind::Ident if matches!(t.text.as_str(), "f64" | "f32") => {
+            TokKind::Ident if matches!(&*t.text, "f64" | "f32") => {
                 if i >= 2 && punct_at(toks, i - 1, ':') && toks[i - 2].kind == TokKind::Ident {
-                    item.float_vars.insert(toks[i - 2].text.clone());
+                    item.float_vars.insert(toks[i - 2].text.to_string());
                 }
                 i += 1;
             }
@@ -721,8 +809,8 @@ fn closure_opens_here(toks: &[Token], i: usize) -> bool {
     }
     let prev = &toks[i - 1];
     match prev.kind {
-        TokKind::Punct => matches!(prev.text.as_str(), "(" | "," | "=" | "{" | ";" | "&" | ":"),
-        TokKind::Ident => matches!(prev.text.as_str(), "move" | "return" | "else"),
+        TokKind::Punct => matches!(&*prev.text, "(" | "," | "=" | "{" | ";" | "&" | ":"),
+        TokKind::Ident => matches!(&*prev.text, "move" | "return" | "else"),
         _ => false,
     }
 }
@@ -735,7 +823,7 @@ fn stmt_is_floaty(toks: &[Token], from: usize, end: usize) -> bool {
     while i <= end && i < toks.len() {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => {
                     if depth == 0 {
@@ -748,7 +836,7 @@ fn stmt_is_floaty(toks: &[Token], from: usize, end: usize) -> bool {
             }
         }
         let floaty = match t.kind {
-            TokKind::Ident => matches!(t.text.as_str(), "f64" | "f32"),
+            TokKind::Ident => matches!(&*t.text, "f64" | "f32"),
             TokKind::Num => {
                 t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32")
             }
@@ -784,12 +872,12 @@ fn parse_method_call(toks: &[Token], dot: usize) -> Option<MethodCall> {
     let chained = if punct_at(toks, close + 1, '.')
         && toks.get(close + 2).is_some_and(|t| t.kind == TokKind::Ident)
     {
-        Some(toks[close + 2].text.clone())
+        Some(toks[close + 2].text.to_string())
     } else {
         None
     };
     Some(MethodCall {
-        name: name_tok.text.clone(),
+        name: name_tok.text.to_string(),
         line: name_tok.line,
         dot,
         args: (j, close),
@@ -808,7 +896,7 @@ fn is_index_open(toks: &[Token], i: usize) -> bool {
     let prev = &toks[i - 1];
     match prev.kind {
         TokKind::Ident => !is_keyword(&prev.text),
-        TokKind::Punct => matches!(prev.text.as_str(), ")" | "]"),
+        TokKind::Punct => matches!(&*prev.text, ")" | "]"),
         TokKind::Str => true,
         _ => false,
     }
@@ -834,7 +922,7 @@ fn collect_ord_impls(toks: &[Token], model: &mut FileModel) {
         }
         let Some(trait_tok) = toks.get(j) else { break };
         if trait_tok.kind == TokKind::Ident
-            && matches!(trait_tok.text.as_str(), "Ord" | "PartialOrd")
+            && matches!(&*trait_tok.text, "Ord" | "PartialOrd")
             && toks.get(j + 1).is_some_and(|t| t.is_ident("for"))
         {
             // The type name is the next ident; its generics may follow.
@@ -845,8 +933,8 @@ fn collect_ord_impls(toks: &[Token], model: &mut FileModel) {
                 }
                 if punct_at(toks, k, '{') {
                     model.ord_impls.push(OrdImpl {
-                        trait_name: trait_tok.text.clone(),
-                        type_name: ty.text.clone(),
+                        trait_name: trait_tok.text.to_string(),
+                        type_name: ty.text.to_string(),
                         line: toks[i].line,
                         body: (k, match_delim(toks, k)),
                     });
@@ -865,8 +953,8 @@ fn at_item_position(toks: &[Token], i: usize) -> bool {
     let Some(k) = i.checked_sub(1) else { return true };
     let prev = &toks[k];
     match prev.kind {
-        TokKind::Punct => matches!(prev.text.as_str(), ";" | "}" | "{" | "]" | ")"),
-        TokKind::Ident => matches!(prev.text.as_str(), "pub" | "unsafe" | "const" | "default"),
+        TokKind::Punct => matches!(&*prev.text, ";" | "}" | "{" | "]" | ")"),
+        TokKind::Ident => matches!(&*prev.text, "pub" | "unsafe" | "const" | "default"),
         _ => false,
     }
 }
@@ -878,13 +966,13 @@ fn read_path(toks: &[Token], mut j: usize) -> Option<(String, usize)> {
     if t.kind != TokKind::Ident || (is_keyword(&t.text) && t.text != "Self") {
         return None;
     }
-    let mut last = t.text.clone();
+    let mut last = t.text.to_string();
     j += 1;
     while punct_at(toks, j, ':')
         && punct_at(toks, j + 1, ':')
         && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
     {
-        last = toks[j + 2].text.clone();
+        last = toks[j + 2].text.to_string();
         j += 3;
     }
     if punct_at(toks, j, '<') {
@@ -960,7 +1048,7 @@ fn collect_structs(toks: &[Token], model: &mut FileModel) {
             i += 1;
             continue;
         }
-        let name = toks[i + 1].text.clone();
+        let name = toks[i + 1].text.to_string();
         let line = toks[i].line;
         let mut j = i + 2;
         if punct_at(toks, j, '<') {
@@ -1008,7 +1096,7 @@ fn at_item_position_for_use(toks: &[Token], i: usize) -> bool {
     let Some(k) = i.checked_sub(1) else { return true };
     let prev = &toks[k];
     match prev.kind {
-        TokKind::Punct => matches!(prev.text.as_str(), ";" | "}" | "{" | "]" | ")"),
+        TokKind::Punct => matches!(&*prev.text, ";" | "}" | "{" | "]" | ")"),
         TokKind::Ident => prev.text == "pub",
         _ => false,
     }
@@ -1052,7 +1140,7 @@ fn use_tree(
     loop {
         match toks.get(j) {
             Some(t) if t.kind == TokKind::Ident && t.text != "as" => {
-                segs.push(t.text.clone());
+                segs.push(t.text.to_string());
                 j += 1;
                 if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
                     j += 2;
@@ -1082,7 +1170,7 @@ fn use_tree(
         }
     }
     let alias = if toks.get(j).is_some_and(|t| t.is_ident("as")) {
-        let a = toks.get(j + 1).map(|t| t.text.clone());
+        let a = toks.get(j + 1).map(|t| t.text.to_string());
         j += 2;
         a
     } else {
@@ -1120,7 +1208,7 @@ fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut 
         if i > 0 {
             let prev = &toks[i - 1];
             let def_kw = matches!(
-                prev.text.as_str(),
+                &*prev.text,
                 "fn" | "mod" | "struct" | "enum" | "trait" | "use" | "impl" | "macro" | "type"
             ) && prev.kind == TokKind::Ident;
             if prev.is_punct('.')
@@ -1132,14 +1220,14 @@ fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut 
             }
         }
         // Read the full chain.
-        let mut segs = vec![t.text.clone()];
+        let mut segs = vec![t.text.to_string()];
         let mut j = i + 1;
         let mut name_tok = i;
         while punct_at(toks, j, ':')
             && punct_at(toks, j + 1, ':')
             && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
         {
-            segs.push(toks[j + 2].text.clone());
+            segs.push(toks[j + 2].text.to_string());
             name_tok = j + 2;
             j += 3;
         }
@@ -1390,5 +1478,89 @@ mod tests {
         let m = model("use a::b::c; fn f() { b2::c2(); }");
         assert!(m.free_calls.iter().all(|c| c.name != "c"), "{:?}", m.free_calls);
         assert!(m.free_calls.iter().any(|c| c.name == "c2"));
+    }
+
+    /// Checks one span lookup whose first two entries, named `names[0]`
+    /// and `names[1]`, sit at tokens `a < b`.
+    fn check_span_ends(lookup: impl Fn(usize, usize) -> Vec<String>, (a, b): (usize, usize)) {
+        let both = lookup(a, b);
+        assert_eq!(both.len(), 2, "{both:?}");
+        let (first, second) = (&both[..1], &both[1..]);
+        assert_eq!(lookup(a, a + 1), first, "an entry exactly at `lo` is inside");
+        assert_eq!(lookup(b - 1, b), second, "an entry exactly at `hi` is inside");
+        assert_eq!(lookup(a + 1, b), second, "an entry one token below `lo` is outside");
+        assert_eq!(lookup(a, b - 1), first, "an entry one token above `hi` is outside");
+        assert!(lookup(b, a).is_empty(), "`lo > hi` is an empty span");
+    }
+
+    #[test]
+    fn span_lookups_include_both_ends_and_nothing_past_them() {
+        let m = model("fn f() { a.x(); b.y(); g(); h(); m!(); n!(); }");
+        let names = |v: Vec<&str>| v.into_iter().map(String::from).collect::<Vec<_>>();
+        check_span_ends(
+            |lo, hi| names(m.calls_in(lo, hi).iter().map(|c| c.name.as_str()).collect()),
+            (m.calls[0].dot, m.calls[1].dot),
+        );
+        check_span_ends(
+            |lo, hi| names(m.free_calls_in(lo, hi).iter().map(|c| c.name.as_str()).collect()),
+            (m.free_calls[0].tok, m.free_calls[1].tok),
+        );
+        check_span_ends(
+            |lo, hi| names(m.macros_in(lo, hi).iter().map(|c| c.name.as_str()).collect()),
+            (m.macros[0].tok, m.macros[1].tok),
+        );
+    }
+
+    /// A fixture dense in method calls, free calls and macros.
+    const SPAN_FIXTURE: &str =
+        include_str!("../tests/fixtures/sem/crates/stutter/src/panic_neg.rs");
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// On any span, the binary-search lookups return exactly what a
+        /// filter over the whole vector keeps, in the same order.
+        #[test]
+        fn span_lookups_match_the_whole_vector_filter(lo in 0usize..500, hi in 0usize..500) {
+            let m = model(SPAN_FIXTURE);
+            let inside = |at: usize| lo <= at && at <= hi;
+            let calls: Vec<usize> = m.calls.iter().map(|c| c.dot).filter(|&d| inside(d)).collect();
+            let free: Vec<usize> = m.free_calls.iter().map(|c| c.tok).filter(|&t| inside(t)).collect();
+            let macros: Vec<usize> = m.macros.iter().map(|c| c.tok).filter(|&t| inside(t)).collect();
+            proptest::prop_assert_eq!(
+                m.calls_in(lo, hi).iter().map(|c| c.dot).collect::<Vec<_>>(),
+                calls
+            );
+            proptest::prop_assert_eq!(
+                m.free_calls_in(lo, hi).iter().map(|c| c.tok).collect::<Vec<_>>(),
+                free
+            );
+            proptest::prop_assert_eq!(
+                m.macros_in(lo, hi).iter().map(|c| c.tok).collect::<Vec<_>>(),
+                macros
+            );
+        }
+    }
+
+    #[test]
+    fn the_span_fixture_fills_the_proptest_range() {
+        let m = model(SPAN_FIXTURE);
+        let n = lex(SPAN_FIXTURE).tokens.len();
+        assert!((400..500).contains(&n), "{n} tokens: resize the proptest's span range");
+        assert!(m.calls.len() >= 10 && m.free_calls.len() >= 10 && m.macros.len() >= 3);
+    }
+
+    #[test]
+    fn field_writes_record_the_dot_and_the_rhs_end() {
+        let (src, m) = {
+            let src = "fn f(s: &mut S) { s.a = g(1, 2); s.b == 3; s.c += 4; self.d = x }";
+            (lex(src), model(src))
+        };
+        let writes: Vec<(&str, &str)> = m
+            .field_writes
+            .iter()
+            .map(|w| (&*src.tokens[w.dot + 1].text, &*src.tokens[w.rhs_end].text))
+            .collect();
+        assert_eq!(writes, [("a", ")"), ("d", "x")]);
     }
 }

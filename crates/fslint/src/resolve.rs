@@ -54,7 +54,7 @@ impl ModPath {
 /// absolute; `/`-separated). Matching is positional on the
 /// `crates/<c>/src/` shape — the *last* occurrence wins, so lint-fixture
 /// trees that mirror the shape resolve like the real thing.
-pub fn module_path(path: &str) -> ModPath {
+pub(crate) fn module_path(path: &str) -> ModPath {
     let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
     // `crates/<c>/src/…` anywhere in the path (last occurrence wins).
     let hit = (0..comps.len())
@@ -186,7 +186,7 @@ pub struct ImportMap {
 }
 
 /// Builds a file's [`ImportMap`] from its flattened `use` items.
-pub fn import_map(uses: &[UseDecl], res: &Resolver, at: &ModPath) -> ImportMap {
+pub(crate) fn import_map(uses: &[UseDecl], res: &Resolver, at: &ModPath) -> ImportMap {
     let mut map = ImportMap::default();
     for u in uses {
         let Some(abs) = res.canon(at, &u.segs) else { continue };

@@ -290,8 +290,8 @@ fn no_wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let named = match t.text.as_str() {
-            "Instant" | "SystemTime" => Some(t.text.as_str()),
+        let named = match &*t.text {
+            "Instant" | "SystemTime" => Some(&*t.text),
             "sleep" | "sleep_ms" if i >= 3 && is_path_pair(ctx, i - 3, "thread", &t.text) => {
                 Some("thread::sleep")
             }
@@ -317,7 +317,7 @@ fn no_unordered_collections(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let replacement = match t.text.as_str() {
+        let replacement = match &*t.text {
             "HashMap" => "BTreeMap",
             "HashSet" => "BTreeSet",
             _ => continue,
@@ -341,8 +341,8 @@ fn no_ambient_rng(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let named = match t.text.as_str() {
-            "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => Some(t.text.as_str()),
+        let named = match &*t.text {
+            "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => Some(&*t.text),
             "random" if i >= 3 && is_path_pair(ctx, i - 3, "rand", "random") => {
                 Some("rand::random")
             }
@@ -405,7 +405,7 @@ fn golden_regen_note(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     let toks = &ctx.lexed.tokens;
     let Some(first_golden) = toks.iter().enumerate().find_map(|(i, t)| {
         let declares = i > 0
-            && matches!(toks[i - 1].text.as_str(), "const" | "static" | "fn")
+            && matches!(&*toks[i - 1].text, "const" | "static" | "fn")
             && toks[i - 1].kind == TokKind::Ident;
         (declares && t.kind == TokKind::Ident && t.text.to_ascii_lowercase().starts_with("golden"))
             .then_some(t)
@@ -455,7 +455,8 @@ pub fn label_sites(ctx: &FileCtx<'_>) -> Vec<LabelSite> {
             && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
         {
             let lit = &toks[i + 2];
-            out.push(LabelSite { path: ctx.path.clone(), line: lit.line, label: lit.text.clone() });
+            let label = lit.text.to_string();
+            out.push(LabelSite { path: ctx.path.clone(), line: lit.line, label });
         }
     }
     out

@@ -237,10 +237,10 @@ fn check_comparator_body(
 fn bare_time_key(toks: &[Token], (start, end): (usize, usize)) -> bool {
     let plain_chain = toks[start..=end].iter().all(|t| match t.kind {
         TokKind::Ident => true,
-        TokKind::Punct => matches!(t.text.as_str(), "." | "&" | "*"),
+        TokKind::Punct => matches!(&*t.text, "." | "&" | "*"),
         _ => false,
     });
-    plain_chain && toks[end].kind == TokKind::Ident && TIME_KEYS.contains(&toks[end].text.as_str())
+    plain_chain && toks[end].kind == TokKind::Ident && TIME_KEYS.contains(&&*toks[end].text)
 }
 
 fn push_float_key(findings: &mut Vec<Finding>, ctx: &FileCtx<'_>, line: u32, what: &str) {
@@ -381,7 +381,7 @@ fn panic_path(
         // a claim of their own.
         if inner.len() == 1 && inner[0].kind == TokKind::Ident {
             let bound =
-                model.enclosing_fn(open).is_some_and(|f| f.bound_vars.contains(&inner[0].text));
+                model.enclosing_fn(open).is_some_and(|f| f.bound_vars.contains(&*inner[0].text));
             if bound {
                 continue;
             }
@@ -469,7 +469,7 @@ fn has_toplevel_comma(toks: &[Token], (start, end): (usize, usize)) -> bool {
         if t.kind != TokKind::Punct {
             continue;
         }
-        match t.text.as_str() {
+        match &*t.text {
             "(" | "[" | "{" | "<" => depth += 1,
             ")" | "]" | "}" | ">" => depth -= 1,
             "," if depth == 1 => return true,
@@ -488,7 +488,7 @@ fn receiver_is_tuple(toks: &[Token], dot: usize) -> bool {
     let mut depth = 0i32;
     let mut i = dot - 1;
     loop {
-        match toks[i].text.as_str() {
+        match &*toks[i].text {
             ")" if toks[i].kind == TokKind::Punct => depth += 1,
             "(" if toks[i].kind == TokKind::Punct => {
                 depth -= 1;
@@ -509,7 +509,7 @@ fn receiver_is_tuple(toks: &[Token], dot: usize) -> bool {
 /// (`other.entry.at.cmp(..)` → `Some("at")`).
 fn receiver_tail_ident(toks: &[Token], dot: usize) -> Option<String> {
     let prev = toks.get(dot.checked_sub(1)?)?;
-    (prev.kind == TokKind::Ident).then(|| prev.text.clone())
+    (prev.kind == TokKind::Ident).then(|| prev.text.to_string())
 }
 
 /// True if the span references a float literal or an identifier the
@@ -523,7 +523,7 @@ fn span_mentions_float(
     let floats = model.enclosing_fn(at).map(|f| &f.float_vars);
     toks[start..=end].iter().any(|t| match t.kind {
         TokKind::Ident => {
-            matches!(t.text.as_str(), "f64" | "f32") || floats.is_some_and(|s| s.contains(&t.text))
+            matches!(&*t.text, "f64" | "f32") || floats.is_some_and(|s| s.contains(&*t.text))
         }
         TokKind::Num => t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32"),
         _ => false,

@@ -14,7 +14,8 @@
 //!   root-first path;
 //! * the `let`/`for` binding walker over a [`Locals`] range table, with
 //!   shadowing;
-//! * the `.field = RHS` scanner that teaches struct fields by name;
+//! * the `.field = RHS` learner that teaches struct fields by name, over
+//!   the assignment sites [`parse`] records once per file;
 //! * the token helpers those scans are built from.
 //!
 //! Each pass keeps only its seeds, its transfer function and its rules.
@@ -248,11 +249,12 @@ pub(crate) fn walk_bindings<T>(
     }
 }
 
-/// One round of `.field = RHS` discovery over every file: the value
-/// `eval` infers for an assignment's right-hand side, with the enclosing
-/// fn's locals from `locals_for(file, fn_idx)`, teaches the field — by
-/// name, workspace-wide. Fields `known` names are skipped, and a field's
-/// first valued assignment wins.
+/// One round of `.field = RHS` discovery over every file's parse-time
+/// [`field_writes`](parse::FileModel::field_writes): the value `eval`
+/// infers for an assignment's right-hand side, with the enclosing fn's
+/// locals from `locals_for(file, fn_idx)`, teaches the field — by name,
+/// workspace-wide. Fields `known` names are skipped, and a field's first
+/// valued assignment wins.
 pub(crate) fn learn_fields<T, V>(
     units: &[FileUnit],
     known: impl Fn(&str) -> bool,
@@ -262,27 +264,18 @@ pub(crate) fn learn_fields<T, V>(
     let mut learned: Vec<(String, V)> = Vec::new();
     let none = Locals::new();
     for (file, u) in units.iter().enumerate() {
-        let toks = &u.lexed.tokens;
         let mut cache: BTreeMap<usize, Locals<T>> = BTreeMap::new();
-        for i in 0..toks.len().saturating_sub(2) {
-            if !toks[i].is_punct('.')
-                || toks[i + 1].kind != TokKind::Ident
-                || !toks[i + 2].is_punct('=')
-                || toks.get(i + 3).is_some_and(|t| t.is_punct('='))
-            {
-                continue;
-            }
-            let fname = &toks[i + 1].text;
+        for w in &u.model.field_writes {
+            let fname = &*u.lexed.tokens[w.dot + 1].text;
             if known(fname) || learned.iter().any(|(n, _)| n == fname) {
                 continue;
             }
-            let Some(end) = rhs_end(toks, i + 3) else { continue };
-            let locals = match u.model.enclosing_fn_idx(i) {
+            let locals = match u.model.enclosing_fn_idx(w.dot) {
                 Some(fk) => &*cache.entry(fk).or_insert_with(|| locals_for(file, fk)),
                 None => &none,
             };
-            if let Some(v) = eval(file, (i + 3, end), locals) {
-                learned.push((fname.clone(), v));
+            if let Some(v) = eval(file, (w.dot + 3, w.rhs_end), locals) {
+                learned.push((fname.to_string(), v));
             }
         }
     }
@@ -339,7 +332,7 @@ pub(crate) fn let_bounds(
     while i <= limit && i < toks.len() {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 "=" if depth == 0 && eq.is_none() => {
@@ -349,7 +342,7 @@ pub(crate) fn let_bounds(
                     let compound = i > 0
                         && toks[i - 1].kind == TokKind::Punct
                         && matches!(
-                            toks[i - 1].text.as_str(),
+                            &*toks[i - 1].text,
                             "=" | "<" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
                         );
                     let double = toks.get(i + 1).is_some_and(|t| t.is_punct('='));
@@ -379,14 +372,14 @@ pub(crate) fn pattern_names(
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().take(eq.min(toks.len())).skip(from) {
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 ":" if depth == 0 => return (out, Some(j)),
                 _ => {}
             }
         } else if binding_name(t) {
-            out.push(t.text.clone());
+            out.push(t.text.to_string());
         }
     }
     (out, None)
@@ -417,7 +410,7 @@ pub(crate) fn for_binding(
             return None;
         }
         if binding_name(t) {
-            names.push(t.text.clone());
+            names.push(t.text.to_string());
         }
         j += 1;
     }
@@ -429,7 +422,7 @@ pub(crate) fn for_binding(
     while k <= limit && k < toks.len() {
         let t = &toks[k];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth -= 1,
                 "{" if depth == 0 => {
@@ -442,33 +435,6 @@ pub(crate) fn for_binding(
             }
         }
         k += 1;
-    }
-    None
-}
-
-/// Token end of an assignment RHS starting at `from`: the last token
-/// before the depth-0 `;`, `,`, or closing delimiter.
-pub(crate) fn rhs_end(toks: &[Token], from: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        return if j > from { Some(j - 1) } else { None };
-                    }
-                    depth -= 1;
-                }
-                ";" | "," if depth == 0 => {
-                    return if j > from { Some(j - 1) } else { None };
-                }
-                _ => {}
-            }
-        }
-        j += 1;
     }
     None
 }

@@ -56,9 +56,9 @@
 
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
-use crate::parse;
+use crate::parse::{self, rhs_end};
 use crate::rules::{id, Finding};
-use crate::summary::{self, call_args, field_read_shape, rhs_end, ByName, Locals};
+use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
 use std::collections::BTreeMap;
 
 /// A dimension: signed exponents over the unit bases, zero entries
@@ -426,7 +426,7 @@ impl<'a> Units<'a> {
                 let time = |(t0, t1): (usize, usize)| {
                     toks[t0..=t1]
                         .iter()
-                        .any(|t| t.kind == TokKind::Ident && TIME_TYPES.contains(&t.text.as_str()))
+                        .any(|t| t.kind == TokKind::Ident && TIME_TYPES.contains(&&*t.text))
                 };
                 let sig = &u.model.fns[node.fn_idx].sig;
                 sig.params
@@ -473,7 +473,7 @@ impl<'a> Units<'a> {
             });
         }
         for t in &toks[ret.0..=ret.1] {
-            if t.kind == TokKind::Ident && TIME_TYPES.contains(&t.text.as_str()) {
+            if t.kind == TokKind::Ident && TIME_TYPES.contains(&&*t.text) {
                 return Some(UnitSummary {
                     dim: Dim::base("nanos"),
                     line: node.line,
@@ -498,9 +498,7 @@ impl<'a> Units<'a> {
             .filter(|t| t.kind == TokKind::Ident && !parse::is_keyword(&t.text))
             .peekable();
         let bearing = idents.peek().is_some()
-            && idents.all(|t| {
-                NUM_TYPES.contains(&t.text.as_str()) || TIME_TYPES.contains(&t.text.as_str())
-            });
+            && idents.all(|t| NUM_TYPES.contains(&&*t.text) || TIME_TYPES.contains(&&*t.text));
         bearing.then_some((r0, r1))
     }
 
@@ -616,7 +614,7 @@ impl<'a> Units<'a> {
             if t.kind != TokKind::Punct {
                 continue;
             }
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 "+" | "-" if depth == 0 => {
@@ -669,7 +667,7 @@ impl<'a> Units<'a> {
             if t.kind != TokKind::Punct {
                 continue;
             }
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 "*" | "/" if depth == 0 => {
@@ -735,7 +733,7 @@ impl<'a> Units<'a> {
                 *slot = Some((cand, cover));
             }
         };
-        for mc in u.model.calls.iter().filter(|c| c.dot >= lo && c.dot <= hi) {
+        for mc in u.model.calls_in(lo, hi) {
             if let Some(b) = method_dim(&mc.name) {
                 keep(
                     Inferred {
@@ -785,7 +783,7 @@ impl<'a> Units<'a> {
                 return Inferred::unknown();
             }
         }
-        for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= lo && c.tok <= hi) {
+        for fc in u.model.free_calls_in(lo, hi).iter().filter(|c| c.called) {
             let time_ctor = TIME_CTORS
                 .iter()
                 .find(|(n, _)| *n == fc.name)
@@ -847,7 +845,7 @@ impl<'a> Units<'a> {
                 return Inferred::unknown();
             }
         }
-        if u.model.macros.iter().any(|m| m.tok >= lo && m.tok <= hi) {
+        if !u.model.macros_in(lo, hi).is_empty() {
             return Inferred::unknown();
         }
         if toks[lo..=hi].iter().any(|t| t.kind == TokKind::Num && conversion_literal(&t.text)) {
@@ -869,14 +867,14 @@ impl<'a> Units<'a> {
             if t.kind != TokKind::Ident || parse::is_keyword(&t.text) {
                 continue;
             }
-            if NUM_TYPES.contains(&t.text.as_str()) || t.text == "None" {
+            if NUM_TYPES.contains(&&*t.text) || t.text == "None" {
                 continue;
             }
             let after_dot = i > 0 && toks[i - 1].is_punct('.');
             let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
             if after_dot {
                 if field_read_shape(toks, i - 1) {
-                    if let Some(fu) = self.fields.get(&t.text) {
+                    if let Some(fu) = self.fields.get(&*t.text) {
                         consider(
                             Inferred {
                                 unit: Unit::Of(fu.dim.clone()),
@@ -911,7 +909,7 @@ impl<'a> Units<'a> {
                 // Path interiors and qualifiers; calls are handled above.
                 continue;
             }
-            if TIME_TYPES.contains(&t.text.as_str()) {
+            if TIME_TYPES.contains(&&*t.text) {
                 consider(
                     Inferred {
                         unit: Unit::Of(Dim::base("nanos")),
@@ -1109,7 +1107,7 @@ impl<'a> Units<'a> {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
         let (b0, b1) = body;
-        for fc in u.model.free_calls.iter().filter(|c| c.called && c.tok >= b0 && c.tok <= b1) {
+        for fc in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called) {
             let Some((open, close)) = call_args(toks, fc.tok) else { continue };
             if close <= open + 1 {
                 continue;
@@ -1264,7 +1262,7 @@ fn return_spans(toks: &[Token], body: (usize, usize)) -> Vec<(usize, usize)> {
     let mut start = b0 + 1;
     for (i, t) in toks.iter().enumerate().take(last).skip(b0 + 1) {
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 ";" if depth == 0 => start = i + 1,
@@ -1300,7 +1298,7 @@ fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
     });
     let prev_is = |c: char| prev.is_some_and(|p| p.is_punct(c));
     let next_is = |c: char| next.is_some_and(|n| n.is_punct(c));
-    match t.text.as_str() {
+    match &*t.text {
         "+" | "-" if prev_value && !next_is('>') && !next_is('=') => Some((i + 1, "addition")),
         "+" | "-" if prev_value && next_is('=') => Some((i + 2, "compound assignment")),
         "<" if prev_value
@@ -1352,7 +1350,7 @@ fn operand_back(toks: &[Token], from: usize, floor: usize) -> Option<(usize, usi
     while j >= floor {
         let t = &toks[j as usize];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 ")" | "]" | "}" => depth += 1,
                 "(" | "[" | "{" => {
                     depth -= 1;
@@ -1376,7 +1374,7 @@ fn operand_back(toks: &[Token], from: usize, floor: usize) -> Option<(usize, usi
         } else if t.kind == TokKind::Ident
             && depth == 0
             && matches!(
-                t.text.as_str(),
+                &*t.text,
                 "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
             )
         {
@@ -1400,7 +1398,7 @@ fn operand_fwd(toks: &[Token], from: usize, ceil: usize) -> Option<(usize, usize
     while j <= ceil {
         let t = &toks[j];
         if t.kind == TokKind::Punct {
-            match t.text.as_str() {
+            match &*t.text {
                 // A depth-0 `{` opens a block/struct body, not part of
                 // this operand.
                 "{" if depth == 0 => break,
@@ -1425,7 +1423,7 @@ fn operand_fwd(toks: &[Token], from: usize, ceil: usize) -> Option<(usize, usize
         } else if t.kind == TokKind::Ident
             && depth == 0
             && matches!(
-                t.text.as_str(),
+                &*t.text,
                 "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
             )
         {
@@ -1446,7 +1444,7 @@ fn split_args(toks: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> 
         if t.kind != TokKind::Punct {
             continue;
         }
-        match t.text.as_str() {
+        match &*t.text {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth -= 1,
             "," if depth == 0 => {
@@ -1471,7 +1469,7 @@ fn span_text(toks: &[Token], lo: usize, hi: usize) -> String {
     for t in toks.iter().take(hi + 1).skip(lo).take(10) {
         parts.push(match t.kind {
             TokKind::Str => "\"..\"",
-            _ => t.text.as_str(),
+            _ => &*t.text,
         });
     }
     let mut s = parts.join(" ");
@@ -1484,6 +1482,7 @@ fn span_text(toks: &[Token], lo: usize, hi: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{FileUnit, Graph};
 
     fn nanos() -> Unit {
         Unit::Of(Dim::base("nanos"))
@@ -1561,5 +1560,21 @@ mod tests {
             assert!(!raw_conversion_int(t), "{t}");
         }
         assert!(!conversion_literal("1024"));
+    }
+
+    #[test]
+    fn a_fields_first_valued_assignment_wins() {
+        // `.v` is assigned millis, then secs: it learns millis, so the
+        // comparison with secs is a mismatch that names the first value.
+        let units = [FileUnit::new(
+            "crates/a/src/lib.rs".to_string(),
+            "pub struct S { pub v: u64 } impl S { \
+             pub fn set(&mut self, a_ms: u64, b_secs: u64) { self.v = a_ms; self.v = b_secs; } \
+             pub fn late(&self, c_secs: u64) -> bool { self.v < c_secs } }",
+        )];
+        let (findings, _) = analyze(&units, &Graph::build(&units));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, id::UNIT_MISMATCH);
+        assert!(findings[0].message.contains("parameter `a_ms`"), "{}", findings[0].message);
     }
 }

@@ -107,6 +107,22 @@ fn unknown_flags_are_usage_errors() {
 }
 
 #[test]
+fn a_file_argument_that_is_not_a_file_is_a_usage_error() {
+    let dir = fixture("root_pos");
+    let missing = fixture("no_such_file.rs");
+    for bad in [&dir, &missing] {
+        let out = run(&[fixture("wall_clock_neg.rs").to_str().unwrap(), bad.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(out.stdout.is_empty(), "{bad:?}: no report is printed");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.contains(&*bad.to_string_lossy()), "{bad:?}: {err}");
+        assert!(first.contains("--root DIR"), "{bad:?}: {err}");
+        assert!(!err.contains("malformed-suppression"), "{bad:?}: {err}");
+    }
+}
+
+#[test]
 fn graph_out_writes_the_call_graph_even_when_the_gate_fails() {
     let dir = std::env::temp_dir().join("fslint-graph-out-test");
     std::fs::create_dir_all(&dir).unwrap();

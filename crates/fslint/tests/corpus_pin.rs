@@ -1,0 +1,77 @@
+//! Pins over the frozen benchmark corpus (`benchmark/corpus`, read only).
+//!
+//! * The lex pin digests every token `(kind, line, text)` and every
+//!   comment `(line, end_line, text)` the lexer produces, file by file in
+//!   sorted order.
+//! * The graph pin digests the `--graph-out` export of the whole corpus,
+//!   at one scan thread and at the default. The export carries every
+//!   node's edges and its taint, unit and effect summary with the `via`
+//!   hop it arrived through, so a reordered field learning round or
+//!   fixpoint round moves it even when no finding changes.
+//!
+//! Both are FNV-1a 64. The graph pin equals the digest of the file that
+//! `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
+//! regenerate after an intentional change to the lexer or to an
+//! analysis, run `cargo test -p fslint --test corpus_pin` and copy each
+//! `got` value from the failure message into its constant.
+
+use fslint::lexer::lex;
+use fslint::{collect_workspace_files, lint_workspace, Config};
+use std::path::PathBuf;
+
+/// Digest of every token and comment of the corpus.
+const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
+/// Digest of the corpus's `--graph-out` export.
+const GOLDEN_CORPUS_GRAPH: u64 = 0x97a3_684f_362b_7764;
+/// Files the corpus holds.
+const CORPUS_FILES: usize = 151;
+
+fn corpus() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/corpus")
+}
+
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The FNV-1a 64 offset basis.
+const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn corpus_tokens_and_comments_are_pinned() {
+    let files = collect_workspace_files(&corpus());
+    assert_eq!(files.len(), CORPUS_FILES);
+    let mut h = FNV_START;
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("corpus file is readable");
+        let lexed = lex(&source);
+        for t in &lexed.tokens {
+            h = fnv1a(h, format!("{:?}", t.kind).as_bytes());
+            h = fnv1a(h, &t.line.to_le_bytes());
+            h = fnv1a(h, t.text.as_bytes());
+            h = fnv1a(h, &[0x1e]);
+        }
+        for c in &lexed.comments {
+            h = fnv1a(h, &c.line.to_le_bytes());
+            h = fnv1a(h, &c.end_line.to_le_bytes());
+            h = fnv1a(h, c.text.as_bytes());
+            h = fnv1a(h, &[0x1e]);
+        }
+        h = fnv1a(h, &[0x1d]);
+    }
+    assert_eq!(h, GOLDEN_CORPUS_LEX, "got {h:#018x}");
+}
+
+#[test]
+fn corpus_graph_export_is_pinned_at_any_job_count() {
+    for jobs in [Some(1), None] {
+        let cfg = Config { graph_json: true, jobs, ..Config::default() };
+        let report = lint_workspace(&corpus(), &cfg);
+        assert_eq!(report.files_scanned, CORPUS_FILES);
+        assert!(report.is_clean(), "{:?}", report.findings);
+        let doc = report.graph_json.expect("the export was requested");
+        let h = fnv1a(FNV_START, doc.as_bytes());
+        assert_eq!(h, GOLDEN_CORPUS_GRAPH, "jobs {jobs:?}: got {h:#018x} ({} bytes)", doc.len());
+    }
+}

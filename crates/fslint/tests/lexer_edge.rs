@@ -36,7 +36,7 @@ fn raw_string_hash_counts_nest_correctly() {
     use fslint::lexer::{lex, TokKind};
     let l = lex(r####"let x = r##"inner r#"deep"# HashMap"##; let y = HashSet::new();"####);
     let strs: Vec<_> =
-        l.tokens.iter().filter(|t| t.kind == TokKind::Str).map(|t| t.text.clone()).collect();
+        l.tokens.iter().filter(|t| t.kind == TokKind::Str).map(|t| t.text.to_string()).collect();
     assert_eq!(strs, vec![r##"inner r#"deep"# HashMap"##.to_string()]);
     // The HashMap inside the raw string is invisible; the HashSet after it
     // is real code and must be visible.

@@ -17,7 +17,7 @@ fn item<'m>(m: &'m FileModel, name: &str) -> &'m FnItem {
 
 /// The tokens of `span`, space-joined.
 fn text(lexed: &Lexed, (lo, hi): (usize, usize)) -> String {
-    lexed.tokens[lo..=hi].iter().map(|t| t.text.as_str()).collect::<Vec<_>>().join(" ")
+    lexed.tokens[lo..=hi].iter().map(|t| &*t.text).collect::<Vec<_>>().join(" ")
 }
 
 /// `(name, type text, type name, &mut)` per parameter.
