@@ -66,15 +66,6 @@ impl AvailabilityMeter {
     }
 }
 
-/// Computes availability for a batch of latencies against a deadline.
-pub fn availability_of(latencies: &[SimDuration], deadline: SimDuration) -> f64 {
-    let mut m = AvailabilityMeter::new(deadline);
-    for &l in latencies {
-        m.record(l);
-    }
-    m.availability()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,16 +94,5 @@ mod tests {
     fn empty_meter_is_fully_available() {
         let m = AvailabilityMeter::new(SimDuration::from_millis(1));
         assert_eq!(m.availability(), 1.0);
-    }
-
-    #[test]
-    fn batch_helper_agrees() {
-        let lats = vec![
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-            SimDuration::from_millis(300),
-        ];
-        let a = availability_of(&lats, SimDuration::from_millis(100));
-        assert!((a - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -3,14 +3,15 @@
 //! The mechanisms §3–§4 of *"Fail-Stutter Fault Tolerance"* call for, and
 //! the related-work baselines the paper compares against:
 //!
-//! * [`aimd`] — TCP-style additive-increase / multiplicative-decrease rate
-//!   control, converging to fair shares of a stuttering resource.
 //! * [`queue`] — push (static partition) vs pull (River-style distributed
 //!   queue) work distribution over consumers with time-varying rates.
 //! * [`hedge`] — Shasha–Turek duplicate issue under slow-down failures,
 //!   with reconciliation so side effects commit exactly once.
 //! * [`avail`] — availability as Gray & Reuter define it: the fraction of
 //!   offered load processed with acceptable response times.
+//!
+//! TCP-style AIMD, the paper's other §4 adaptation, lives beside the
+//! network it adapts to, in `netsim::adaptive_transfer` (E10).
 //!
 //! # Examples
 //!
@@ -30,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aimd;
 pub mod avail;
 pub mod hedge;
 pub mod oracle;
@@ -40,12 +40,9 @@ pub mod txn;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::aimd::{fairness_index, share_bottleneck, Aimd};
-    pub use crate::avail::{availability_of, AvailabilityMeter};
+    pub use crate::avail::AvailabilityMeter;
     pub use crate::hedge::{run_hedged, HedgeConfig, HedgeOutcome, TaskOutcome};
-    pub use crate::queue::{
-        distribute, distribute_weighted, DistributeOutcome, QueueError, Strategy,
-    };
+    pub use crate::queue::{distribute, DistributeOutcome, QueueError, Strategy};
     pub use crate::river::{run_decluster, DeclusterOutcome, DeclusterPolicy};
     pub use crate::txn::{run_transactions, Executor, Txn, TxnBatchOutcome, TxnOutcome};
 }

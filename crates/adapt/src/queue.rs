@@ -66,64 +66,6 @@ pub fn distribute(
     }
 }
 
-/// Distributes a batch by a *static proportional* partition: consumer `i`
-/// receives a share of items proportional to `weights[i]` (largest-
-/// remainder apportionment), then works through it alone.
-///
-/// This is the plane-fed middle ground between [`Strategy::Push`] and
-/// [`Strategy::Pull`]: a coordinator that cannot run a distributed queue
-/// (items must be pre-placed) but *does* have a gossiped estimate of each
-/// consumer's rate can at least weight the partition by those estimates —
-/// the paper's scenario-2 design with the gauge replaced by the plane.
-/// Uniform weights reduce exactly to `Push`; true rates as weights
-/// approach `Pull`. Weights must be finite and non-negative; a consumer
-/// weighted 0.0 (believed failed) gets nothing. All-zero weights — a
-/// plane that believes in nobody — yield [`QueueError::StarvedForever`].
-pub fn distribute_weighted(
-    rates: &[RateProfile],
-    weights: &[f64],
-    items: u64,
-    item_units: f64,
-    start: SimTime,
-) -> Result<DistributeOutcome, QueueError> {
-    assert!(!rates.is_empty(), "need at least one consumer");
-    assert_eq!(rates.len(), weights.len(), "one weight per consumer");
-    assert!(items > 0 && item_units > 0.0, "degenerate batch");
-    assert!(weights.iter().all(|w| w.is_finite() && *w >= 0.0), "weights must be non-negative");
-    let sum: f64 = weights.iter().sum();
-    if sum <= 0.0 {
-        return Err(QueueError::StarvedForever);
-    }
-    // Largest-remainder apportionment so shares sum to `items`.
-    let quotas: Vec<f64> = weights.iter().map(|w| items as f64 * w / sum).collect();
-    let mut per_consumer: Vec<u64> = quotas.iter().map(|q| q.floor() as u64).collect();
-    let mut left = items - per_consumer.iter().sum::<u64>();
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&i, &j| {
-        let fi = quotas[i] - quotas[i].floor();
-        let fj = quotas[j] - quotas[j].floor();
-        fj.total_cmp(&fi)
-    });
-    for &i in &order {
-        if left == 0 {
-            break;
-        }
-        per_consumer[i] += 1;
-        left -= 1;
-    }
-    let mut makespan = SimDuration::ZERO;
-    for (i, profile) in rates.iter().enumerate() {
-        if per_consumer[i] == 0 {
-            continue;
-        }
-        match profile.time_to_transfer(start, per_consumer[i] as f64 * item_units) {
-            Some(t) => makespan = makespan.max(t),
-            None => return Err(QueueError::StarvedForever),
-        }
-    }
-    Ok(DistributeOutcome { makespan, per_consumer })
-}
-
 fn push(
     rates: &[RateProfile],
     items: u64,
@@ -255,51 +197,6 @@ mod tests {
         let total: u64 = pull.per_consumer.iter().sum();
         assert_eq!(total, 400);
         assert!(pull.per_consumer[1] > 100, "{:?}", pull.per_consumer);
-    }
-
-    #[test]
-    fn weighted_with_uniform_weights_is_push() {
-        let rates = constant_rates(&[10.0, 10.0, 10.0, 10.0 / 3.0]);
-        let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
-        let weighted = distribute_weighted(&rates, &[1.0; 4], 400, 1.0, SimTime::ZERO).expect("ok");
-        assert_eq!(weighted.makespan, push.makespan);
-        assert_eq!(weighted.per_consumer, push.per_consumer);
-    }
-
-    #[test]
-    fn weighted_with_true_rates_routes_around_the_straggler() {
-        let rates = constant_rates(&[10.0, 10.0, 10.0, 10.0 / 3.0]);
-        let push = distribute(Strategy::Push, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
-        let pull = distribute(Strategy::Pull, &rates, 400, 1.0, SimTime::ZERO).expect("ok");
-        let weighted =
-            distribute_weighted(&rates, &[10.0, 10.0, 10.0, 10.0 / 3.0], 400, 1.0, SimTime::ZERO)
-                .expect("ok");
-        // Perfect estimates land on the pull-side makespan, far from push.
-        assert!(weighted.makespan <= pull.makespan + SimDuration::from_secs(1));
-        assert!(weighted.makespan.as_secs_f64() < 0.5 * push.makespan.as_secs_f64());
-        assert_eq!(weighted.per_consumer.iter().sum::<u64>(), 400);
-    }
-
-    #[test]
-    fn weighted_zero_weight_consumer_gets_nothing() {
-        let mut rates = constant_rates(&[10.0, 10.0, 10.0]);
-        // Consumer 1 is truly dead AND the plane knows it: weight 0 keeps
-        // the batch clear of the corpse that would kill a plain push.
-        rates[1] = RateProfile::from_breakpoints(vec![
-            (SimTime::ZERO, 10.0),
-            (SimTime::from_secs(1), 0.0),
-        ]);
-        let out =
-            distribute_weighted(&rates, &[1.0, 0.0, 1.0], 300, 1.0, SimTime::ZERO).expect("ok");
-        assert_eq!(out.per_consumer[1], 0);
-        assert_eq!(out.per_consumer.iter().sum::<u64>(), 300);
-    }
-
-    #[test]
-    fn weighted_all_zero_weights_starves() {
-        let rates = constant_rates(&[10.0, 10.0]);
-        let r = distribute_weighted(&rates, &[0.0, 0.0], 10, 1.0, SimTime::ZERO);
-        assert_eq!(r, Err(QueueError::StarvedForever));
     }
 
     #[test]

@@ -76,38 +76,17 @@ proptest! {
         prop_assert!(out.makespan >= out.worst_latency());
     }
 
-    /// AIMD rates always stay within their clamps.
-    #[test]
-    fn aimd_stays_clamped(
-        initial in 0.1f64..100.0,
-        events in proptest::collection::vec(any::<bool>(), 1..128)
-    ) {
-        let mut a = Aimd::new(initial, 1.0, 0.5, 0.5, 50.0);
-        for &up in &events {
-            let r = if up { a.on_success() } else { a.on_congestion() };
-            prop_assert!((0.5..=50.0).contains(&r), "rate {r}");
-        }
-    }
-
-    /// Jain's fairness index is always in (0, 1] and is 1 for equal rates.
-    #[test]
-    fn fairness_index_bounds(rates in proptest::collection::vec(0.001f64..1e6, 1..32)) {
-        let f = fairness_index(&rates);
-        prop_assert!(f > 0.0 && f <= 1.0 + 1e-12, "index {f}");
-        let equal = vec![rates[0]; rates.len()];
-        prop_assert!((fairness_index(&equal) - 1.0).abs() < 1e-12);
-    }
-
     /// Availability is the exact fraction of latencies within deadline.
     #[test]
     fn availability_is_a_fraction(
         lats in proptest::collection::vec(0u64..10_000, 1..128),
         deadline in 1u64..10_000
     ) {
-        let latencies: Vec<SimDuration> =
-            lats.iter().map(|&ms| SimDuration::from_millis(ms)).collect();
-        let d = SimDuration::from_millis(deadline);
-        let a = availability_of(&latencies, d);
+        let mut meter = AvailabilityMeter::new(SimDuration::from_millis(deadline));
+        for &ms in &lats {
+            meter.record(SimDuration::from_millis(ms));
+        }
+        let a = meter.availability();
         let expect =
             lats.iter().filter(|&&ms| ms <= deadline).count() as f64 / lats.len() as f64;
         prop_assert!((a - expect).abs() < 1e-12);

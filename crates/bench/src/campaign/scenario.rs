@@ -182,7 +182,7 @@ fn slug(name: &str) -> String {
 }
 
 /// The injector axis: no fault, the full §2 catalog, and §3.3 wear-out.
-pub fn injector_catalog() -> Vec<(String, Injector)> {
+fn injector_catalog() -> Vec<(String, Injector)> {
     let mut v = vec![("no-fault".to_string(), Injector::NoFault)];
     for (name, inj) in catalog::all() {
         v.push((slug(name), inj));

@@ -168,7 +168,7 @@ impl FileSystem {
     /// Creates a file by drawing from randomly chosen free runs — the
     /// placement behaviour of a real allocator spreading files across
     /// cylinder groups. Used by [`age`](Self::age).
-    pub fn create_file_random_fit(
+    fn create_file_random_fit(
         &mut self,
         blocks: u64,
         rng: &mut Stream,

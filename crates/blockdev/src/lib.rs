@@ -32,24 +32,16 @@
 #![warn(missing_docs)]
 
 pub mod aging;
-pub mod cache;
 pub mod disk;
 pub mod geometry;
 pub mod remap;
-pub mod sched;
 pub mod scsi;
-pub mod smart;
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::aging::{Extent, File, FileSystem};
-    pub use crate::cache::{CachedDisk, DriveCacheConfig, DriveCacheStats};
     pub use crate::disk::{measure_sequential_read, Disk, DiskError};
     pub use crate::geometry::Geometry;
     pub use crate::remap::RemapTable;
-    pub use crate::sched::{
-        run_schedule, schedule_stats, Completion, Request, SchedPolicy, ScheduleStats,
-    };
     pub use crate::scsi::{ErrorCensus, ErrorEvent, ErrorKind, ErrorProcess, ScsiChain};
-    pub use crate::smart::{Advisory, SmartConfig, SmartEvent, SmartLog};
 }

@@ -99,63 +99,6 @@ proptest! {
         }
     }
 
-    /// Any schedule policy completes every request exactly once.
-    #[test]
-    fn schedules_complete_everything(
-        reqs in proptest::collection::vec((0u64..5_000, 0u64..3_000_000, 1u64..128), 1..40),
-        sstf in any::<bool>()
-    ) {
-        let policy = if sstf { SchedPolicy::Sstf } else { SchedPolicy::Fcfs };
-        let requests: Vec<Request> = reqs
-            .iter()
-            .map(|&(ms, lba, n)| Request { at: SimTime::from_millis(ms), lba, nblocks: n })
-            .collect();
-        let mut d = Disk::new(Geometry::hawk_5400(), Stream::from_seed(5));
-        let done = run_schedule(&mut d, policy, &requests).expect("healthy");
-        prop_assert_eq!(done.len(), requests.len());
-        for c in &done {
-            prop_assert!(c.finish >= c.request.at);
-        }
-        let stats = schedule_stats(&done);
-        prop_assert!(stats.mean_latency <= stats.max_latency);
-    }
-
-    /// The SSTF schedule is a function of the request *set*: permuting the
-    /// submission slice changes nothing, because equal-seek-distance ties
-    /// are broken by request content, never by queue position. (FCFS is
-    /// deliberately not permutation-invariant — "first come" among
-    /// simultaneous arrivals means submission order.)
-    #[test]
-    fn sstf_schedule_is_permutation_invariant(
-        reqs in proptest::collection::vec((0u64..2_000, 0u64..3_000_000, 1u64..128), 1..24),
-        seed in any::<u64>()
-    ) {
-        let requests: Vec<Request> = reqs
-            .iter()
-            .map(|&(ms, lba, n)| Request { at: SimTime::from_millis(ms), lba, nblocks: n })
-            .collect();
-        let mut shuffled = requests.clone();
-        Stream::from_seed(seed).shuffle(&mut shuffled);
-
-        let mut d1 = Disk::new(Geometry::hawk_5400(), Stream::from_seed(5));
-        let done = run_schedule(&mut d1, SchedPolicy::Sstf, &requests).expect("healthy");
-        let mut d2 = Disk::new(Geometry::hawk_5400(), Stream::from_seed(5));
-        let done_shuffled = run_schedule(&mut d2, SchedPolicy::Sstf, &shuffled).expect("healthy");
-        prop_assert_eq!(done, done_shuffled);
-    }
-
-    /// The drive cache never changes what is read, only when it arrives:
-    /// hits are no slower than the same read uncached.
-    #[test]
-    fn cache_hits_never_slower(lba in 0u64..3_000_000, n in 1u64..128) {
-        let disk = Disk::new(Geometry::hawk_5400(), Stream::from_seed(9));
-        let mut c = CachedDisk::new(disk, DriveCacheConfig::default());
-        let miss = c.read(SimTime::ZERO, lba, n).expect("ok");
-        let hit = c.read(miss.finish, lba, n).expect("ok");
-        prop_assert!(hit.finish - hit.start <= miss.finish - miss.start);
-        prop_assert_eq!(c.stats().hits, 1);
-    }
-
     /// SCSI chains are deterministic per seed and error counts advance
     /// monotonically with time.
     #[test]

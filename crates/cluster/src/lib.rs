@@ -36,5 +36,5 @@ pub mod prelude {
     pub use crate::dds::{run_dds, Brick, DdsConfig, DdsOutcome};
     pub use crate::node::Node;
     pub use crate::service::{run_service, Partition, ResponsePolicy, ServiceOutcome};
-    pub use crate::sort::{run_sort, run_sort_informed, Placement, SortJob, SortOutcome};
+    pub use crate::sort::{run_sort, Placement, SortJob, SortOutcome};
 }

@@ -92,29 +92,6 @@ pub fn run_sort(nodes: &[Node], job: SortJob, placement: Placement, start: SimTi
     run_phases(nodes, job, per_node, start)
 }
 
-/// Runs the sort with record shares proportional to externally supplied
-/// `weights` — straggler-aware placement fed by a performance-state plane.
-///
-/// Where [`Placement::Adaptive`] gauges each node locally at sort start
-/// (which a real coordinator often cannot do), this variant plans from
-/// whatever a [gossiped view](https://en.wikipedia.org/wiki/Gossip_protocol)
-/// of node speed says: one weight per node, typically
-/// `StalenessView::estimated_rate` with the node's nominal rate as the
-/// fallback for `Unknown`. A node weighted 0.0 (believed failed) gets no
-/// records. Weights must be non-negative with a positive sum.
-pub fn run_sort_informed(
-    nodes: &[Node],
-    job: SortJob,
-    weights: &[f64],
-    start: SimTime,
-) -> SortOutcome {
-    assert!(!nodes.is_empty(), "need at least one node");
-    assert_eq!(nodes.len(), weights.len(), "one weight per node");
-    assert!(weights.iter().all(|w| w.is_finite() && *w >= 0.0), "weights must be non-negative");
-    let per_node = apportion(job.records, weights);
-    run_phases(nodes, job, per_node, start)
-}
-
 /// The three barrier-separated phases over a fixed record assignment.
 fn run_phases(nodes: &[Node], job: SortJob, per_node: Vec<u64>, start: SimTime) -> SortOutcome {
     let horizon = SimDuration::from_secs(1 << 20);
@@ -248,49 +225,6 @@ mod tests {
         let hogged = adaptive_out.per_node[3] as f64;
         let healthy = adaptive_out.per_node[0] as f64;
         assert!((hogged / healthy - 0.5).abs() < 0.05, "{hogged} vs {healthy}");
-    }
-
-    #[test]
-    fn informed_placement_matches_adaptive_when_weights_are_true_rates() {
-        let hog = Injector::StaticSlowdown { factor: 0.5 };
-        let mut nodes = cluster();
-        let profile = hog.timeline(SimDuration::from_secs(3600), &mut Stream::from_seed(1));
-        nodes[3] =
-            Node::new(1e6, 10e6).with_cpu_profile(profile.clone()).with_disk_profile(profile);
-        let adaptive = run_sort(&nodes, job(), Placement::Adaptive, SimTime::ZERO);
-        // A plane that learned the truth: same harmonic speeds as gauging.
-        let weights: Vec<f64> = nodes
-            .iter()
-            .map(|n| {
-                let disk = n.disk_rate_at(SimTime::ZERO) / 100.0;
-                let cpu = n.cpu_rate_at(SimTime::ZERO);
-                1.0 / (2.0 / disk + 1.0 / cpu)
-            })
-            .collect();
-        let informed = run_sort_informed(&nodes, job(), &weights, SimTime::ZERO);
-        assert_eq!(informed.per_node, adaptive.per_node);
-        assert_eq!(informed.total, adaptive.total);
-    }
-
-    #[test]
-    fn informed_placement_with_uniform_weights_is_static() {
-        let mut nodes = cluster();
-        let hog = Injector::StaticSlowdown { factor: 0.5 };
-        let profile = hog.timeline(SimDuration::from_secs(3600), &mut Stream::from_seed(1));
-        nodes[3] = Node::new(1e6, 10e6).with_disk_profile(profile);
-        let stat = run_sort(&nodes, job(), Placement::Static, SimTime::ZERO);
-        let uninformed = run_sort_informed(&nodes, job(), &[1.0; 8], SimTime::ZERO);
-        assert_eq!(uninformed.total, stat.total, "a know-nothing plane buys nothing");
-    }
-
-    #[test]
-    fn informed_placement_routes_around_a_believed_failure() {
-        let nodes = cluster();
-        let mut weights = vec![1.0; 8];
-        weights[5] = 0.0; // the plane holds a tombstone for node 5
-        let out = run_sort_informed(&nodes, job(), &weights, SimTime::ZERO);
-        assert_eq!(out.per_node[5], 0);
-        assert_eq!(out.per_node.iter().sum::<u64>(), job().records);
     }
 
     #[test]

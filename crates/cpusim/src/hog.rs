@@ -58,7 +58,7 @@ impl Machine {
     }
 
     /// Total CPU demanded by hogs.
-    pub fn hog_cpu(&self) -> f64 {
+    fn hog_cpu(&self) -> f64 {
         self.hogs.iter().map(|h| h.cpu).sum()
     }
 

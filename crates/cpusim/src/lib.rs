@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod hierarchy;
 pub mod hog;
 pub mod nonmono;
 pub mod tlb;
@@ -43,9 +42,6 @@ pub mod vm;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::cache::{run_time_cycles, run_working_set, Cache, CacheConfig, CacheStats};
-    pub use crate::hierarchy::{
-        run_hierarchy_working_set, Hierarchy, HierarchyCosts, HierarchyStats,
-    };
     pub use crate::hog::{Demand, Machine};
     pub use crate::nonmono::{alignment_spread, run_snippet, FetchUnit, Snippet};
     pub use crate::tlb::{divergence, Tlb};

@@ -16,7 +16,7 @@
 //! A barrier-synchronised variant ([`barrier_transpose_time`]) provides the
 //! static-parallelism comparison used by the experiments.
 
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimDuration;
 
 /// Parameters of the fluid transpose model.
 #[derive(Clone, Copy, Debug)]
@@ -145,11 +145,6 @@ pub fn barrier_transpose_time(config: &TransposeConfig, drain_multipliers: &[f64
 /// Convenience: elapsed time of a fully healthy transpose.
 pub fn healthy_baseline(config: &TransposeConfig) -> TransposeResult {
     run_transpose(config, &vec![1.0; config.nodes])
-}
-
-/// Convenience alias so experiment code can speak in `SimTime`.
-pub fn finish_time(result: &TransposeResult) -> SimTime {
-    SimTime::ZERO + result.elapsed
 }
 
 #[cfg(test)]

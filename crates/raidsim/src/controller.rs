@@ -53,7 +53,7 @@ pub struct MapEntry {
     pub pair: usize,
 }
 
-/// The outcome of a completed array operation (write or read).
+/// The outcome of a completed array write.
 #[derive(Clone, Debug)]
 pub struct WriteOutcome {
     /// Time from issue to the last pair finishing.
@@ -194,18 +194,6 @@ impl Raid10 {
         start: SimTime,
         per_pair: Vec<u64>,
     ) -> Result<WriteOutcome, RaidError> {
-        let profiles: Vec<_> =
-            self.pairs.iter().map(|p| p.write_rate_profile(self.horizon)).collect();
-        self.run_assignment(w, start, per_pair, &profiles)
-    }
-
-    fn run_assignment(
-        &self,
-        w: Workload,
-        start: SimTime,
-        per_pair: Vec<u64>,
-        profiles: &[simcore::resource::RateProfile],
-    ) -> Result<WriteOutcome, RaidError> {
         debug_assert_eq!(per_pair.iter().sum::<u64>(), w.blocks);
         let mut elapsed = SimDuration::ZERO;
         for (i, &blocks) in per_pair.iter().enumerate() {
@@ -213,37 +201,12 @@ impl Raid10 {
                 continue;
             }
             let bytes = (blocks * w.block_bytes) as f64;
-            match profiles[i].time_to_transfer(start, bytes) {
+            match self.pairs[i].write_rate_profile(self.horizon).time_to_transfer(start, bytes) {
                 Some(t) => elapsed = elapsed.max(t),
                 None => return Err(RaidError::PairFailed { pair: i }),
             }
         }
         Ok(self.outcome(w, elapsed, per_pair, None))
-    }
-
-    /// Reads `D` blocks striped equally across pairs (fail-stop design,
-    /// read side). A healthy RAID-1 pair reads at the sum of its replicas'
-    /// rates.
-    pub fn read_static(&self, w: Workload, start: SimTime) -> Result<WriteOutcome, RaidError> {
-        let n = self.n() as u64;
-        let per_pair: Vec<u64> =
-            (0..n).map(|i| w.blocks / n + u64::from(i < w.blocks % n)).collect();
-        let profiles: Vec<_> =
-            self.pairs.iter().map(|p| p.read_rate_profile(self.horizon)).collect();
-        self.run_assignment(w, start, per_pair, &profiles)
-    }
-
-    /// Reads `D` blocks with adaptive chunk pulling (fail-stutter design,
-    /// read side).
-    pub fn read_adaptive(
-        &self,
-        w: Workload,
-        start: SimTime,
-        chunk_blocks: u64,
-    ) -> Result<WriteOutcome, RaidError> {
-        let profiles: Vec<_> =
-            self.pairs.iter().map(|p| p.read_rate_profile(self.horizon)).collect();
-        self.run_adaptive_over(w, start, chunk_blocks, &profiles)
     }
 
     /// Scenario 3: adaptive chunked striping with a block map.
@@ -259,9 +222,49 @@ impl Raid10 {
         start: SimTime,
         chunk_blocks: u64,
     ) -> Result<WriteOutcome, RaidError> {
+        assert!(chunk_blocks > 0, "chunk size must be positive");
         let profiles: Vec<_> =
             self.pairs.iter().map(|p| p.write_rate_profile(self.horizon)).collect();
-        self.run_adaptive_over(w, start, chunk_blocks, &profiles)
+        // Each chunk goes to the pair that would *complete* it earliest —
+        // equivalent to pairs pulling work in proportion to their current
+        // rates, and free of the straggler tail a naive earliest-available
+        // assignment leaves on the slowest pair.
+        let mut avail = vec![start; self.n()];
+        let mut dead = vec![false; self.n()];
+        let mut next_block = 0u64;
+        let mut per_pair_blocks = vec![0u64; self.n()];
+        let mut map: Vec<MapEntry> = Vec::new();
+        let mut finish = start;
+
+        while next_block < w.blocks {
+            let chunk_len = chunk_blocks.min(w.blocks - next_block);
+            let bytes = (chunk_len * w.block_bytes) as f64;
+            let mut best: Option<(SimTime, usize)> = None;
+            for i in 0..self.n() {
+                if dead[i] {
+                    continue;
+                }
+                match profiles[i].time_to_transfer(avail[i], bytes) {
+                    Some(dt) => {
+                        let done = avail[i] + dt;
+                        if best.is_none_or(|(b, _)| done < b) {
+                            best = Some((done, i));
+                        }
+                    }
+                    None => dead[i] = true,
+                }
+            }
+            let Some((done, i)) = best else {
+                return Err(RaidError::NoUsablePairs);
+            };
+            avail[i] = done;
+            finish = finish.max(done);
+            per_pair_blocks[i] += chunk_len;
+            map.push(MapEntry { start: next_block, len: chunk_len, pair: i });
+            next_block += chunk_len;
+        }
+        map.sort_by_key(|e| (e.start, e.pair));
+        Ok(self.outcome(w, finish - start, per_pair_blocks, Some(map)))
     }
 
     /// Scenario 3bis: adaptive chunked striping steered by an external
@@ -346,56 +349,6 @@ impl Raid10 {
                 }
                 None => dead[i] = true, // write error: retire, re-queue the chunk
             }
-        }
-        map.sort_by_key(|e| (e.start, e.pair));
-        Ok(self.outcome(w, finish - start, per_pair_blocks, Some(map)))
-    }
-
-    fn run_adaptive_over(
-        &self,
-        w: Workload,
-        start: SimTime,
-        chunk_blocks: u64,
-        profiles: &[simcore::resource::RateProfile],
-    ) -> Result<WriteOutcome, RaidError> {
-        assert!(chunk_blocks > 0, "chunk size must be positive");
-        // Each chunk goes to the pair that would *complete* it earliest —
-        // equivalent to pairs pulling work in proportion to their current
-        // rates, and free of the straggler tail a naive earliest-available
-        // assignment leaves on the slowest pair.
-        let mut avail = vec![start; self.n()];
-        let mut dead = vec![false; self.n()];
-        let mut next_block = 0u64;
-        let mut per_pair_blocks = vec![0u64; self.n()];
-        let mut map: Vec<MapEntry> = Vec::new();
-        let mut finish = start;
-
-        while next_block < w.blocks {
-            let chunk_len = chunk_blocks.min(w.blocks - next_block);
-            let bytes = (chunk_len * w.block_bytes) as f64;
-            let mut best: Option<(SimTime, usize)> = None;
-            for i in 0..self.n() {
-                if dead[i] {
-                    continue;
-                }
-                match profiles[i].time_to_transfer(avail[i], bytes) {
-                    Some(dt) => {
-                        let done = avail[i] + dt;
-                        if best.is_none_or(|(b, _)| done < b) {
-                            best = Some((done, i));
-                        }
-                    }
-                    None => dead[i] = true,
-                }
-            }
-            let Some((done, i)) = best else {
-                return Err(RaidError::NoUsablePairs);
-            };
-            avail[i] = done;
-            finish = finish.max(done);
-            per_pair_blocks[i] += chunk_len;
-            map.push(MapEntry { start: next_block, len: chunk_len, pair: i });
-            next_block += chunk_len;
         }
         map.sort_by_key(|e| (e.start, e.pair));
         Ok(self.outcome(w, finish - start, per_pair_blocks, Some(map)))
@@ -552,44 +505,6 @@ mod tests {
             Err(RaidError::NoUsablePairs)
         ));
         assert!(matches!(array.write_adaptive(w, SimTime::ZERO, 4), Err(RaidError::NoUsablePairs)));
-    }
-
-    #[test]
-    fn read_static_uses_summed_replica_rates() {
-        // A healthy pair reads at 2x its write rate.
-        let array = Raid10::new((0..4).map(|_| MirrorPair::healthy(10.0 * MB)).collect(), HOUR);
-        let w = workload();
-        let writes = array.write_static(w, SimTime::ZERO).expect("alive");
-        let reads = array.read_static(w, SimTime::ZERO).expect("alive");
-        assert!((reads.throughput / (2.0 * writes.throughput) - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn read_adaptive_routes_around_slow_pair() {
-        let array = array_with_slow_pair(4, 0.2);
-        let w = workload();
-        let static_read = array.read_static(w, SimTime::ZERO).expect("alive");
-        let adaptive_read = array.read_adaptive(w, SimTime::ZERO, 64).expect("alive");
-        // Static read tracks the slow pair: pair 0 reads at 2 + 10 = 12
-        // MB/s (slow replica + healthy replica), so throughput is 4*12.
-        assert!(
-            (static_read.throughput / (48.0 * MB) - 1.0).abs() < 0.01,
-            "{}",
-            static_read.throughput
-        );
-        // Adaptive: 3*20 + 12 = 72 MB/s available.
-        assert!(adaptive_read.throughput > 69.0 * MB, "{}", adaptive_read.throughput);
-    }
-
-    #[test]
-    fn degraded_pair_reads_at_survivor_rate() {
-        let dead = SlowdownProfile::nominal().with_failure_at(SimTime::ZERO);
-        let pair = MirrorPair::new(VDisk::new(10.0 * MB).with_profile(dead), VDisk::new(10.0 * MB));
-        assert_eq!(pair.read_rate_at(SimTime::from_secs(1)), 10.0 * MB);
-        let array = Raid10::new(vec![pair, MirrorPair::healthy(10.0 * MB)], HOUR);
-        let out = array.read_static(Workload::new(1_024, 65_536), SimTime::ZERO).expect("alive");
-        // Pair 0 at 10, pair 1 at 20: static tracks pair 0 → 2*10.
-        assert!((out.throughput / (20.0 * MB) - 1.0).abs() < 0.01, "{}", out.throughput);
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //!   (scenario 1, throughput `N·b`), proportional-static (scenario 2,
 //!   `(N−1)·B + b`), and adaptive chunk-pulling with a block map
 //!   (scenario 3, ≈ full available bandwidth).
-//! * [`model`] — the paper's closed-form predictions, used as oracles.
-//! * [`spare`] — hot spares and reconstruction, itself a stutter source.
+//! * [`model`] — the paper's closed-form predictions, which [`oracle`]
+//!   turns into tolerance-banded checks.
+//! * [`mech`] — the same three designs over mechanical disks.
+//! * [`wind`] — a WiND-style self-managing array (§5): monitoring, failure
+//!   prediction, and reconstruction to a hot spare, which is itself a
+//!   stutter source while it runs.
 //!
 //! # Examples
 //!
@@ -41,8 +45,6 @@ pub mod controller;
 pub mod mech;
 pub mod model;
 pub mod oracle;
-pub mod reads;
-pub mod spare;
 pub mod vdisk;
 pub mod wind;
 
@@ -54,8 +56,6 @@ pub mod prelude {
         scenario1_throughput, scenario1_waste, scenario2_throughput, scenario3_throughput,
     };
     pub use crate::oracle::{Band, Violation};
-    pub use crate::reads::{read_workload, ReadOutcome, ReadPolicy};
-    pub use crate::spare::{rebuild_to_spare, RebuildOutcome, RebuildPolicy};
     pub use crate::vdisk::{MirrorPair, VDisk};
     pub use crate::wind::{run_wind, Management, WindConfig, WindEvent, WindOutcome};
 }

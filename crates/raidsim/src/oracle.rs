@@ -61,21 +61,15 @@ pub struct Violation {
     pub detail: String,
 }
 
-impl Violation {
-    fn band(oracle: &'static str, measured: f64, band: Band) -> Violation {
-        Violation {
-            oracle,
-            detail: format!("measured {measured:.6e} outside [{:.6e}, {:.6e}]", band.lo, band.hi),
-        }
-    }
-}
-
 /// Checks a measured value against a band under a named oracle.
-pub fn check_band(oracle: &'static str, measured: f64, band: Band) -> Result<(), Violation> {
+fn check_band(oracle: &'static str, measured: f64, band: Band) -> Result<(), Violation> {
     if band.contains(measured) {
         Ok(())
     } else {
-        Err(Violation::band(oracle, measured, band))
+        Err(Violation {
+            oracle,
+            detail: format!("measured {measured:.6e} outside [{:.6e}, {:.6e}]", band.lo, band.hi),
+        })
     }
 }
 

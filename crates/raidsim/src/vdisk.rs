@@ -105,29 +105,9 @@ impl MirrorPair {
         }
     }
 
-    /// Effective *read* rate at `t`: both replicas can serve different
-    /// blocks concurrently, so a healthy pair reads at the *sum* of its
-    /// replicas' rates.
-    pub fn read_rate_at(&self, t: SimTime) -> f64 {
-        self.a.rate_at(t) + self.b.rate_at(t)
-    }
-
-    /// Builds the pair's read-rate profile over `[0, horizon]`.
-    pub fn read_rate_profile(&self, horizon: SimDuration) -> RateProfile {
-        self.rate_profile_by(horizon, |p, t| p.read_rate_at(t))
-    }
-
     /// Builds the pair's write-rate profile over `[0, horizon]` by merging
     /// both disks' breakpoints.
     pub fn write_rate_profile(&self, horizon: SimDuration) -> RateProfile {
-        self.rate_profile_by(horizon, |p, t| p.write_rate_at(t))
-    }
-
-    fn rate_profile_by(
-        &self,
-        horizon: SimDuration,
-        rate: impl Fn(&Self, SimTime) -> f64,
-    ) -> RateProfile {
         let mut times: Vec<SimTime> = vec![SimTime::ZERO];
         let end = SimTime::ZERO + horizon;
         for d in [&self.a, &self.b] {
@@ -144,7 +124,8 @@ impl MirrorPair {
         }
         times.sort_unstable();
         times.dedup();
-        let bps: Vec<(SimTime, f64)> = times.into_iter().map(|t| (t, rate(self, t))).collect();
+        let bps: Vec<(SimTime, f64)> =
+            times.into_iter().map(|t| (t, self.write_rate_at(t))).collect();
         RateProfile::from_breakpoints(bps)
     }
 

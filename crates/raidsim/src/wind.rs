@@ -16,7 +16,8 @@
 //!    rebuild onto a hot spare, which consumes part of the pair's
 //!    bandwidth while it runs;
 //! 4. when the rebuild completes, the spare replaces the sick replica and
-//!    the pair returns to nominal performance.
+//!    the pair returns to nominal performance; if the pair absolutely
+//!    fails first, the rebuild has lost its source and the pair is lost.
 //!
 //! In *unmanaged* (fail-stop) mode, work is split evenly, nothing is
 //! monitored, and a failed pair's share of the stream simply stalls until
@@ -100,7 +101,8 @@ pub enum WindEvent {
         /// Which pair.
         pair: usize,
     },
-    /// A pair absolutely failed with no spare available.
+    /// A pair absolutely failed with no spare available, or before its
+    /// rebuild completed.
     PairLost {
         /// When.
         at: SimTime,
@@ -130,7 +132,8 @@ enum PairState {
     Rebuilding(SimTime),
     /// Replaced by a spare: healthy and nominal from here on.
     Replaced,
-    /// Absolutely failed with no spare: contributes nothing.
+    /// Absolutely failed, with no spare or before its rebuild completed:
+    /// contributes nothing.
     Lost,
 }
 
@@ -182,7 +185,13 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
                 PairState::Replaced => config.nominal_rate,
                 PairState::Lost => 0.0,
                 PairState::Rebuilding(done) => {
-                    if t >= done {
+                    if pairs[i].failed_at(t.min(done)) {
+                        // Both replicas died before the spare held a full
+                        // copy: the rebuild has no source and the data is gone.
+                        state[i] = PairState::Lost;
+                        events.push(WindEvent::PairLost { at: t, pair: i });
+                        0.0
+                    } else if t >= done {
                         state[i] = PairState::Replaced;
                         events.push(WindEvent::RebuildCompleted { at: t, pair: i });
                         config.nominal_rate
@@ -337,6 +346,46 @@ mod tests {
             .any(|e| matches!(e, WindEvent::RebuildCompleted { pair: 1, .. })));
         // No pair was lost under management.
         assert!(!managed.events.iter().any(|e| matches!(e, WindEvent::PairLost { .. })));
+    }
+
+    #[test]
+    fn a_pair_that_dies_mid_rebuild_is_lost() {
+        // The prediction fires early in the ramp, but the pair fail-stops
+        // at 1,200 s, long before a rebuild at the degraded read rate can
+        // copy everything onto the spare.
+        let inj = Injector::Wearout {
+            onset: SimTime::from_secs(900),
+            ramp: SimDuration::from_secs(300),
+            floor: 0.2,
+            fail_after: Some(SimDuration::ZERO),
+        };
+        let p = inj.timeline(SimDuration::from_secs(7_200), &mut Stream::from_seed(3));
+        let dies = p.fail_at().expect("wears out");
+        let mut pairs = healthy_pairs(4);
+        pairs[1] = MirrorPair::new(
+            VDisk::new(10.0 * MB).with_profile(p.clone()),
+            VDisk::new(10.0 * MB).with_profile(p),
+        );
+        let out = run_wind(&pairs, WindConfig::default(), Management::Managed { hot_spares: 1 });
+        let started = out
+            .events
+            .iter()
+            .find_map(|e| match e {
+                WindEvent::RebuildStarted { at, pair: 1 } => Some(*at),
+                _ => None,
+            })
+            .expect("the prediction starts a rebuild");
+        assert!(started < dies);
+        let lost = out
+            .events
+            .iter()
+            .find_map(|e| match e {
+                WindEvent::PairLost { at, pair: 1 } => Some(*at),
+                _ => None,
+            })
+            .expect("the pair's data dies with it");
+        assert!(lost >= dies && lost <= dies + WindConfig::default().epoch, "lost at {lost}");
+        assert!(!out.events.iter().any(|e| matches!(e, WindEvent::RebuildCompleted { .. })));
     }
 
     #[test]

@@ -107,21 +107,4 @@ proptest! {
         let ratio = s3.elapsed.as_secs_f64() / s1.elapsed.as_secs_f64();
         prop_assert!(ratio < 1.25, "adaptive {ratio}x static on healthy metal");
     }
-
-    /// Array read throughput is at least write throughput for any static
-    /// speed mix (reads use both replicas).
-    #[test]
-    fn reads_never_slower_than_writes(
-        factors in proptest::collection::vec(0.2f64..1.0, 2..6)
-    ) {
-        let pairs = pairs_with_factors(&factors);
-        let array = Raid10::new(pairs, SimDuration::from_secs(100_000));
-        let w = Workload::new(4_096, 65_536);
-        let writes = array.write_static(w, SimTime::ZERO).expect("alive");
-        let reads = array.read_static(w, SimTime::ZERO).expect("alive");
-        prop_assert!(reads.throughput >= writes.throughput * 0.999);
-        let aw = array.write_adaptive(w, SimTime::ZERO, 32).expect("alive");
-        let ar = array.read_adaptive(w, SimTime::ZERO, 32).expect("alive");
-        prop_assert!(ar.throughput >= aw.throughput * 0.999);
-    }
 }

@@ -14,7 +14,6 @@
 //! utilizing performance-faulty components" (§3.1).
 
 use core::fmt;
-use simcore::time::{SimDuration, SimTime};
 
 /// Identifies a component within a system (disk, link, node, ...).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,70 +22,6 @@ pub struct ComponentId(pub u32);
 impl fmt::Display for ComponentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}", self.0)
-    }
-}
-
-/// The kind of fault a component exhibits.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultKind {
-    /// Fail-stop: the component has stopped and other components can detect
-    /// that it stopped.
-    Correctness,
-    /// Fail-stutter: the component works correctly but delivers only
-    /// `severity` (in `(0, 1)`) of its specified performance.
-    Performance {
-        /// Fraction of specified performance actually delivered.
-        severity: f64,
-    },
-}
-
-impl FaultKind {
-    /// Creates a performance fault delivering `severity` of spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `severity` is not within `(0.0, 1.0)` — zero delivered
-    /// performance is indistinguishable from a stop and must be modelled as
-    /// [`FaultKind::Correctness`].
-    pub fn performance(severity: f64) -> Self {
-        assert!(
-            severity > 0.0 && severity < 1.0,
-            "performance-fault severity must be in (0,1), got {severity}"
-        );
-        FaultKind::Performance { severity }
-    }
-
-    /// True for correctness (fail-stop) faults.
-    pub fn is_correctness(&self) -> bool {
-        matches!(self, FaultKind::Correctness)
-    }
-}
-
-/// A fault occurrence on a component's timeline.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultEvent {
-    /// The component affected.
-    pub component: ComponentId,
-    /// When the fault begins.
-    pub at: SimTime,
-    /// How long it lasts; `None` means permanent.
-    pub duration: Option<SimDuration>,
-    /// What kind of fault it is.
-    pub kind: FaultKind,
-}
-
-impl FaultEvent {
-    /// When the fault ends, or `SimTime::MAX` if permanent.
-    pub fn end(&self) -> SimTime {
-        match self.duration {
-            Some(d) => self.at + d,
-            None => SimTime::MAX,
-        }
-    }
-
-    /// True if the fault is in force at `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
-        t >= self.at && t < self.end()
     }
 }
 
@@ -149,53 +84,6 @@ impl fmt::Display for HealthState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn performance_severity_validated() {
-        let f = FaultKind::performance(0.5);
-        assert_eq!(f, FaultKind::Performance { severity: 0.5 });
-        assert!(!f.is_correctness());
-        assert!(FaultKind::Correctness.is_correctness());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_severity_rejected() {
-        let _ = FaultKind::performance(0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn full_severity_rejected() {
-        let _ = FaultKind::performance(1.0);
-    }
-
-    #[test]
-    fn fault_event_activity_window() {
-        let e = FaultEvent {
-            component: ComponentId(1),
-            at: SimTime::from_secs(10),
-            duration: Some(SimDuration::from_secs(5)),
-            kind: FaultKind::Correctness,
-        };
-        assert!(!e.active_at(SimTime::from_secs(9)));
-        assert!(e.active_at(SimTime::from_secs(10)));
-        assert!(e.active_at(SimTime::from_secs(14)));
-        assert!(!e.active_at(SimTime::from_secs(15)));
-        assert_eq!(e.end(), SimTime::from_secs(15));
-    }
-
-    #[test]
-    fn permanent_fault_never_ends() {
-        let e = FaultEvent {
-            component: ComponentId(0),
-            at: SimTime::ZERO,
-            duration: None,
-            kind: FaultKind::Correctness,
-        };
-        assert_eq!(e.end(), SimTime::MAX);
-        assert!(e.active_at(SimTime::from_secs(1_000_000)));
-    }
 
     #[test]
     fn health_state_fractions() {

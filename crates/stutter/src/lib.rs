@@ -56,7 +56,6 @@
 
 pub mod catalog;
 pub mod detect;
-pub mod events;
 pub mod fault;
 pub mod injector;
 pub mod monitor;
@@ -68,10 +67,9 @@ pub mod spec;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::detect::{EwmaDetector, PeerRelativeDetector, ThresholdDetector};
-    pub use crate::events::{events_from_profile, fail_stop, perf_fault, profile_from_events};
-    pub use crate::fault::{ComponentId, FaultEvent, FaultKind, HealthState};
+    pub use crate::fault::{ComponentId, HealthState};
     pub use crate::injector::{DurationDist, FactorDist, Injector, SlowdownProfile};
-    pub use crate::monitor::{fit_spec, Monitor, MonitorEvent, SpecFidelity};
+    pub use crate::monitor::{Monitor, MonitorEvent};
     pub use crate::oracle::{check_export_agreement, predict_export, ExportPrediction};
     pub use crate::predict::{FailurePredictor, Prediction, PredictorConfig, Trend};
     pub use crate::registry::{Notification, Registry};

@@ -7,10 +7,6 @@
 //! the piece the paper's §3.1 sketches as "allowing agents within the
 //! system to readily learn of and react to these performance-faulty
 //! constituents".
-//!
-//! [`fit_spec`] addresses the other §3.1 question — where do
-//! performance specifications come from? — by fitting each spec fidelity
-//! to a calibration sample (e.g. gauged at installation).
 
 use crate::detect::EwmaDetector;
 use crate::fault::{ComponentId, HealthState};
@@ -86,44 +82,6 @@ impl Monitor {
     /// The failure prediction, if one has fired.
     pub fn prediction(&self) -> Option<Prediction> {
         self.predictor.prediction()
-    }
-}
-
-/// Fits a [`PerfSpec`] of the requested fidelity to calibration samples.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpecFidelity {
-    /// `Constant`: the sample mean with a tolerance band.
-    Constant,
-    /// `Distribution`: sample mean and coefficient of variation.
-    Distribution,
-    /// `Envelope`: the sample min–max band.
-    Envelope,
-}
-
-/// Fits a spec from observed rates.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or contains a non-positive rate (calibrate
-/// against a working component).
-pub fn fit_spec(samples: &[f64], fidelity: SpecFidelity) -> PerfSpec {
-    assert!(!samples.is_empty(), "cannot fit a spec to no data");
-    assert!(samples.iter().all(|&s| s > 0.0), "calibration samples must be positive");
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    match fidelity {
-        SpecFidelity::Constant => PerfSpec::constant(mean),
-        SpecFidelity::Distribution => {
-            let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-            let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-            // Guard against a zero-variance calibration run.
-            PerfSpec::distribution(mean, cv.max(0.01), 3.0)
-        }
-        SpecFidelity::Envelope => {
-            let min = samples.iter().copied().min_by(f64::total_cmp).unwrap_or(f64::INFINITY);
-            let max = samples.iter().copied().max_by(f64::total_cmp).unwrap_or(f64::NEG_INFINITY);
-            PerfSpec::envelope(min, max)
-        }
     }
 }
 
@@ -216,50 +174,5 @@ mod tests {
             assert!(e.prediction.is_none());
         }
         assert_eq!(m.observations(), 600);
-    }
-
-    #[test]
-    fn fit_spec_constant_and_envelope() {
-        let samples = vec![9.0, 10.0, 11.0, 10.0];
-        let c = fit_spec(&samples, SpecFidelity::Constant);
-        assert!((c.expected_rate() - 10.0).abs() < 1e-9);
-        let e = fit_spec(&samples, SpecFidelity::Envelope);
-        assert!(e.is_within(9.0));
-        assert!(!e.is_within(8.9));
-    }
-
-    #[test]
-    fn fit_spec_distribution_tracks_cv() {
-        // Noisy calibration → wide band; quiet calibration → tight band.
-        let noisy = vec![5.0, 15.0, 5.0, 15.0];
-        let quiet = vec![9.9, 10.1, 9.9, 10.1];
-        let sn = fit_spec(&noisy, SpecFidelity::Distribution);
-        let sq = fit_spec(&quiet, SpecFidelity::Distribution);
-        assert!(sn.fault_floor() < sq.fault_floor());
-        assert!(sq.is_within(9.8));
-    }
-
-    #[test]
-    fn fitted_constant_spec_is_strictest() {
-        // The paper's trade-off, via fitting: the naive constant spec has
-        // the highest fault floor on a spread-out calibration — it will
-        // flag behaviour the richer specs accept.
-        let samples = vec![6.0, 8.0, 10.0, 12.0];
-        let c = fit_spec(&samples, SpecFidelity::Constant);
-        let d = fit_spec(&samples, SpecFidelity::Distribution);
-        let e = fit_spec(&samples, SpecFidelity::Envelope);
-        assert!(c.fault_floor() >= e.fault_floor() - 1e-9);
-        assert!(c.fault_floor() >= d.fault_floor() - 1e-9);
-        // Both fitted rich specs accept the calibration minimum; the
-        // constant spec rejects it.
-        assert!(e.is_within(6.0));
-        assert!(d.is_within(6.0));
-        assert!(!c.is_within(6.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn fit_spec_rejects_empty() {
-        let _ = fit_spec(&[], SpecFidelity::Constant);
     }
 }

@@ -50,7 +50,7 @@ fn main() {
                     println!("  [{at}] rebuild of pair {pair} completed; pair nominal again")
                 }
                 WindEvent::PairLost { at, pair } => {
-                    println!("  [{at}] PAIR {pair} LOST (no spare)")
+                    println!("  [{at}] PAIR {pair} LOST")
                 }
             }
         }

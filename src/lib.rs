@@ -16,12 +16,12 @@
 //! | [`simcore`] | deterministic simulation kernel: integer time, seed-tree RNG, distributions, a `(time, seq)` event queue, timeline resources |
 //! | [`stutter`] | **the fault model**: taxonomy, specs, injectors, detectors, notification, prediction |
 //! | [`blockdev`] | disk substrate: zones, bad-block remapping, SCSI chains, file-system aging |
-//! | [`netsim`] | network substrate: unfair switches, deadlock watchdogs, flow-control collapse |
+//! | [`netsim`] | network substrate: unfair switches, deadlock watchdogs, flow-control collapse, AIMD transfers |
 //! | [`cpusim`] | processor substrate: masked caches, nondeterministic TLBs, hogs, predictor aliasing |
-//! | [`raidsim`] | the paper's §3.2 RAID-10 example: three controller designs |
-//! | [`adapt`] | adaptive mechanisms: AIMD, distributed queues, hedging, availability |
+//! | [`raidsim`] | the paper's §3.2 RAID-10 example: three controller designs, the §5 WiND self-managing array |
+//! | [`adapt`] | adaptive mechanisms: distributed queues, hedging, availability |
 //! | [`cluster`] | parallel workloads: NOW-Sort-style sort, replicated hash table |
-//! | [`perfplane`] | cluster-wide performance-state plane: gossip, staleness-aware views, consumers |
+//! | [`perfplane`] | cluster-wide performance-state plane: gossip, staleness-aware views, oracles |
 //! | [`metastable`] | closed-loop client populations: retry storms, metastable collapse, mitigation policies |
 //!
 //! # Quickstart

@@ -91,52 +91,6 @@ fn mechanical_gauging_feeds_proportional_striping() {
     );
 }
 
-/// Wear-out on a mirror pair: the predictor fires, the rebuild to a hot
-/// spare completes before the dying replica fail-stops.
-#[test]
-fn predict_then_rebuild_before_failure() {
-    let wearout = Injector::Wearout {
-        onset: SimTime::from_secs(600),
-        ramp: SimDuration::from_secs(1_200),
-        floor: 0.3,
-        fail_after: Some(SimDuration::from_secs(1_800)),
-    };
-    let profile = wearout.timeline(SimDuration::from_secs(7_200), &mut Stream::from_seed(5));
-    let fail_at = profile.fail_at().expect("wearout fails");
-    let pair = MirrorPair::new(VDisk::new(10e6).with_profile(profile.clone()), VDisk::new(10e6));
-
-    // Watch the dying replica.
-    let mut predictor = FailurePredictor::new(PredictorConfig::default());
-    let mut predicted_at = None;
-    let mut t = SimTime::ZERO;
-    while t < fail_at && predicted_at.is_none() {
-        if predictor.observe(t, profile.multiplier_at(t)).is_some() {
-            predicted_at = Some(t);
-        }
-        t += SimDuration::from_secs(30);
-    }
-    let predicted_at = predicted_at.expect("prediction must fire before failure");
-    assert!(predicted_at < fail_at);
-
-    // React: copy the pair's data off the *healthy* replica onto a spare,
-    // starting at prediction time. 10 GB at 30% of 10 MB/s ≈ 3333 s.
-    let outcome = rebuild_to_spare(
-        &pair,
-        false, // survivor is replica b (the healthy one)
-        10e9,
-        20e6,
-        RebuildPolicy::default(),
-        predicted_at,
-        SimDuration::from_secs(100_000),
-    )
-    .expect("healthy replica survives");
-    assert!(
-        outcome.completed < fail_at + SimDuration::from_secs(3600),
-        "rebuild finished at {} (failure at {fail_at})",
-        outcome.completed
-    );
-}
-
 /// A hogged cluster node slows the sort; hedging the same workload as a
 /// task batch bounds the tail.
 #[test]
@@ -220,14 +174,11 @@ fn whole_stack_determinism() {
     assert_eq!(run(), run());
 }
 
-/// Two independent early-warning channels agree on a dying disk: the
-/// rate-based predictor (stutter) and the event-based SMART advisory
-/// (blockdev) both fire before the fail-stop, and the WiND manager turns
-/// the warning into a completed rebuild.
+/// The rate-based predictor (stutter) warns before a dying disk
+/// fail-stops, and the WiND manager turns the warning into a completed
+/// rebuild.
 #[test]
-fn smart_and_predictor_agree_then_wind_rescues() {
-    use fail_stutter::blockdev::smart::{SmartConfig, SmartEvent, SmartLog};
-
+fn predictor_warns_then_wind_rescues() {
     let horizon = SimDuration::from_secs(14_400);
     let wear = Injector::Wearout {
         onset: SimTime::from_secs(3_600),
@@ -238,7 +189,7 @@ fn smart_and_predictor_agree_then_wind_rescues() {
     let profile = wear.timeline(horizon, &mut Stream::from_seed(123));
     let fail_at = profile.fail_at().expect("dies");
 
-    // Channel 1: delivered-rate trend.
+    // The warning: a delivered-rate trend.
     let mut predictor = FailurePredictor::new(PredictorConfig::default());
     let mut rate_warning = None;
     let mut t = SimTime::ZERO;
@@ -250,45 +201,8 @@ fn smart_and_predictor_agree_then_wind_rescues() {
         }
         t += SimDuration::from_secs(30);
     }
-
-    // Channel 2: error events accelerating as the medium degrades. Model
-    // the reallocation rate as inversely proportional to health: one event
-    // per day while healthy, one per ~40 minutes at 25% health.
-    let mut smart = SmartLog::new(SmartConfig {
-        window: SimDuration::from_secs(3_600),
-        factor: 4.0,
-        min_events: 6,
-    });
-    let mut smart_warning = None;
-    // Pre-history: a quiet month before the simulated window.
-    let mut now = SimTime::ZERO;
-    for d in 0..30u64 {
-        smart.record(SimTime::from_secs(d * 86_400), SmartEvent::Reallocated);
-        now = SimTime::from_secs(d * 86_400);
-    }
-    let base = now + SimDuration::from_secs(86_400);
-    // Sample every minute; the event rate is one per hour while healthy,
-    // rising as the square of the health deficit (deterministic
-    // accumulator, no extra randomness needed).
-    let mut t = SimTime::ZERO;
-    let mut acc = 0.0f64;
-    while t < fail_at {
-        let health = profile.multiplier_at(t);
-        let every_secs = (3_600.0 * health * health).max(120.0);
-        acc += 60.0 / every_secs;
-        if acc >= 1.0 {
-            acc -= 1.0;
-            if let Some(a) = smart.record(base + (t - SimTime::ZERO), SmartEvent::Reallocated) {
-                smart_warning = Some(a.at);
-            }
-        }
-        t += SimDuration::from_secs(60);
-    }
-
     let rate_at = rate_warning.expect("rate-based predictor fires");
     assert!(rate_at < fail_at);
-    let smart_at = smart_warning.expect("SMART advisory fires");
-    assert!(smart_at < base + (fail_at - SimTime::ZERO));
 
     // The manager acts on the warning: WiND with a spare rides through.
     let pair = MirrorPair::new(

@@ -148,38 +148,6 @@ proptest! {
 }
 
 proptest! {
-    /// Compiling random bounded performance-fault events into a profile
-    /// keeps multipliers within `[0, 1]` and recovers after every fault.
-    #[test]
-    fn event_compilation_is_bounded(
-        faults in proptest::collection::vec(
-            (0u64..1_000, 1u64..200, 0.01f64..0.99),
-            1..8
-        )
-    ) {
-        use fail_stutter::stutter::events::{perf_fault, profile_from_events};
-        let events: Vec<FaultEvent> = faults
-            .iter()
-            .map(|&(at, dur, sev)| {
-                perf_fault(
-                    ComponentId(0),
-                    SimTime::from_secs(at),
-                    Some(SimDuration::from_secs(dur)),
-                    sev,
-                )
-            })
-            .collect();
-        let p = profile_from_events(&events);
-        for s in (0..1_500).step_by(7) {
-            let m = p.multiplier_at(SimTime::from_secs(s));
-            prop_assert!((0.0..=1.0).contains(&m));
-        }
-        // After every fault window closes, the profile is nominal again.
-        let last_end = faults.iter().map(|&(at, dur, _)| at + dur).max().expect("non-empty");
-        prop_assert_eq!(p.multiplier_at(SimTime::from_secs(last_end + 1)), 1.0);
-        prop_assert_eq!(p.fail_at(), None);
-    }
-
     /// The catalog generates valid, deterministic timelines for any seed.
     #[test]
     fn catalog_timelines_valid_for_any_seed(seed in any::<u64>()) {
