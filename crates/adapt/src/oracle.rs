@@ -8,14 +8,7 @@ use crate::hedge::HedgeOutcome;
 use crate::queue::DistributeOutcome;
 use simcore::time::SimDuration;
 
-/// A failed oracle check: which oracle, and what it saw.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Stable identifier of the oracle that fired.
-    pub oracle: &'static str,
-    /// Human-readable account of expected vs measured.
-    pub detail: String,
-}
+pub use stutter::oracle::Violation;
 
 /// Every item offered must be consumed by exactly one consumer.
 pub fn check_queue_conservation(out: &DistributeOutcome, items: u64) -> Result<(), Violation> {

@@ -7,67 +7,83 @@
 //! fs-experiments e01 e11        # a subset by id
 //! fs-experiments --list         # list experiment ids and titles
 //! fs-experiments --markdown     # tables as Markdown
-//! fs-experiments --csv DIR      # additionally dump every table as CSV
 //! fs-experiments --json DIR     # additionally write BENCH_<slug>.json
 //! ```
+//!
+//! Every id and flag is resolved before anything runs or is written: bad
+//! input exits 2 with a one-line error. Exit status is 1 when a finding
+//! fails.
 
-use fs_bench::experiments;
+use std::process::ExitCode;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+use fs_bench::experiments::{self, Experiment};
+
+struct Args {
+    list: bool,
+    markdown: bool,
+    json_dir: Option<String>,
+    selected: Vec<Experiment>,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args { list: false, markdown: false, json_dir: None, selected: Vec::new() };
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--list" => args.list = true,
+            "--markdown" => args.markdown = true,
+            "--json" => args.json_dir = Some(it.next().ok_or("--json needs a directory argument")?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            id => args
+                .selected
+                .push(experiments::by_id(id).ok_or_else(|| format!("unknown experiment id {id}"))?),
+        }
+    }
+    if args.selected.is_empty() {
+        args.selected = experiments::all();
+    }
+    Ok(args)
+}
+
+/// Writes `BENCH_<slug>.json` into `dir` for each selected experiment.
+fn write_json(dir: &str, selected: &[Experiment]) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    for e in selected {
+        let report = (e.run)();
+        let path = format!("{dir}/BENCH_{}.json", e.slug);
+        std::fs::write(&path, report.render_json(e.id, e.slug, e.title, e.source))
+            .map_err(|err| format!("cannot write {path}: {err}"))?;
+        eprintln!("wrote {path}");
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("fs-experiments: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if args.list {
         for e in experiments::all() {
             println!("{}  {}  ({})", e.id, e.title, e.source);
         }
-        return;
+        return ExitCode::SUCCESS;
     }
-    let markdown = args.iter().any(|a| a == "--markdown");
-    args.retain(|a| a != "--markdown");
-    let mut dir_flag = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            let dir = args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a directory argument");
-                std::process::exit(2);
-            });
-            args.drain(i..=i + 1);
-            dir
-        })
-    };
-    let csv_dir = dir_flag("--csv");
-    let json_dir = dir_flag("--json");
-
-    if csv_dir.is_some() || json_dir.is_some() {
-        let ids: Vec<String> = if args.is_empty() {
-            experiments::all().iter().map(|e| e.id.to_string()).collect()
-        } else {
-            args.clone()
-        };
-        for dir in [&csv_dir, &json_dir].into_iter().flatten() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        for id in &ids {
-            let e = experiments::by_id(id).unwrap_or_else(|| panic!("unknown experiment id {id}"));
-            let report = (e.run)();
-            if let Some(dir) = &csv_dir {
-                for (i, t) in report.tables.iter().enumerate() {
-                    let path = format!("{dir}/{}-{}.csv", e.id, i);
-                    std::fs::write(&path, t.render_csv()).expect("write csv");
-                    eprintln!("wrote {path}");
-                }
-            }
-            if let Some(dir) = &json_dir {
-                let path = format!("{dir}/BENCH_{}.json", e.slug);
-                std::fs::write(&path, report.render_json(e.id, e.slug, e.title, e.source))
-                    .expect("write json");
-                eprintln!("wrote {path}");
-            }
+    if let Some(dir) = &args.json_dir {
+        if let Err(e) = write_json(dir, &args.selected) {
+            eprintln!("fs-experiments: {e}");
+            return ExitCode::FAILURE;
         }
     }
 
-    let (text, all_pass) = fs_bench::run_and_render(&args, markdown);
+    let (text, all_pass) = fs_bench::run_and_render(&args.selected, args.markdown);
     println!("{text}");
     if !all_pass {
         eprintln!("some findings FAILED");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

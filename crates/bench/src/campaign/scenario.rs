@@ -214,29 +214,9 @@ pub fn enumerate(cfg: &CampaignConfig) -> Vec<Scenario> {
     out
 }
 
-fn chk_raid(checks: &mut Vec<CheckResult>, name: &'static str, r: Result<(), roracle::Violation>) {
-    match r {
-        Ok(()) => {
-            checks.push(CheckResult { oracle: name.into(), passed: true, detail: String::new() })
-        }
-        Err(v) => {
-            checks.push(CheckResult { oracle: v.oracle.into(), passed: false, detail: v.detail })
-        }
-    }
-}
-
-fn chk_adapt(checks: &mut Vec<CheckResult>, name: &'static str, r: Result<(), qoracle::Violation>) {
-    match r {
-        Ok(()) => {
-            checks.push(CheckResult { oracle: name.into(), passed: true, detail: String::new() })
-        }
-        Err(v) => {
-            checks.push(CheckResult { oracle: v.oracle.into(), passed: false, detail: v.detail })
-        }
-    }
-}
-
-fn chk_stut(checks: &mut Vec<CheckResult>, name: &'static str, r: Result<(), soracle::Violation>) {
+/// Records one oracle verdict: a pass under the check's `name`, a failure
+/// under the name of the oracle that fired.
+fn chk(checks: &mut Vec<CheckResult>, name: &'static str, r: Result<(), soracle::Violation>) {
     match r {
         Ok(()) => {
             checks.push(CheckResult { oracle: name.into(), passed: true, detail: String::new() })
@@ -337,18 +317,18 @@ fn run_raid(
     metrics
         .push(("s3_map_entries", Metric::U64(s3.block_map.as_ref().map_or(0, |m| m.len() as u64))));
 
-    chk_raid(checks, "raid/conservation", roracle::check_conservation(s1, w));
-    chk_raid(checks, "raid/conservation", roracle::check_conservation(s2, w));
-    chk_raid(checks, "raid/conservation", roracle::check_conservation(s3, w));
-    chk_raid(checks, "raid/block-map", roracle::check_block_map_partition(s3, w));
+    chk(checks, "raid/conservation", roracle::check_conservation(s1, w));
+    chk(checks, "raid/conservation", roracle::check_conservation(s2, w));
+    chk(checks, "raid/conservation", roracle::check_conservation(s3, w));
+    chk(checks, "raid/block-map", roracle::check_block_map_partition(s3, w));
     for out in [s1, s2, s3] {
-        chk_raid(
+        chk(
             checks,
             "raid/fault-never-helps",
             roracle::check_fault_never_helps(out, n, nominal, 1e-6),
         );
     }
-    chk_raid(
+    chk(
         checks,
         "raid/ordering",
         roracle::check_ordering(s1.throughput, s2.throughput, s3.throughput, 0.05),
@@ -356,17 +336,17 @@ fn run_raid(
 
     if profile_is_constant(profile) {
         let b = nominal * profile.multiplier_at(SimTime::ZERO);
-        chk_raid(
+        chk(
             checks,
             "raid/scenario1-closed-form",
             roracle::check_scenario1(s1, n, nominal, b, 0.02),
         );
-        chk_raid(
+        chk(
             checks,
             "raid/scenario2-closed-form",
             roracle::check_scenario2(s2, n, nominal, b, 0.02),
         );
-        chk_raid(
+        chk(
             checks,
             "raid/scenario3-closed-form",
             roracle::check_scenario3(s3, n, nominal, b, 0.05),
@@ -444,7 +424,7 @@ fn run_detection(
     metrics.push(("detect_notifications", Metric::U64(registry.notifications().len() as u64)));
     metrics.push(("detect_suppressed", Metric::U64(registry.suppressed())));
 
-    chk_stut(
+    chk(
         checks,
         "stutter/export-agreement",
         soracle::check_export_agreement(prediction, published_faulty),
@@ -521,24 +501,16 @@ fn run_queue(
         }
     }
 
-    chk_adapt(checks, "queue/conservation", qoracle::check_queue_conservation(&pull, cfg.items));
+    chk(checks, "queue/conservation", qoracle::check_queue_conservation(&pull, cfg.items));
     let floor = qoracle::aggregate_floor(cfg.items, cfg.item_units, cfg.nominal * n as f64);
-    chk_adapt(checks, "queue/aggregate-floor", qoracle::check_aggregate_floor(&pull, floor, 1e-6));
+    chk(checks, "queue/aggregate-floor", qoracle::check_aggregate_floor(&pull, floor, 1e-6));
 
     if let Ok(push) = push {
-        chk_adapt(
-            checks,
-            "queue/conservation",
-            qoracle::check_queue_conservation(&push, cfg.items),
-        );
-        chk_adapt(
-            checks,
-            "queue/aggregate-floor",
-            qoracle::check_aggregate_floor(&push, floor, 1e-6),
-        );
+        chk(checks, "queue/conservation", qoracle::check_queue_conservation(&push, cfg.items));
+        chk(checks, "queue/aggregate-floor", qoracle::check_aggregate_floor(&push, floor, 1e-6));
         let window = push.makespan + SimDuration::from_secs(60);
         let slack = pull_slack(profile, cfg, window);
-        chk_adapt(
+        chk(
             checks,
             "queue/pull-competitive",
             qoracle::check_pull_competitive(&pull, &push, slack, 0.05),
@@ -585,12 +557,8 @@ fn run_hedge(
         "blocking run stuck although no worker failed".to_string(),
     );
     if let Some(blocking) = &blocking {
-        chk_adapt(checks, "hedge/sanity", qoracle::check_hedge_sanity(blocking, cfg.tasks, n));
-        chk_adapt(
-            checks,
-            "hedge/blocking-no-waste",
-            qoracle::check_blocking_spends_everything(blocking),
-        );
+        chk(checks, "hedge/sanity", qoracle::check_hedge_sanity(blocking, cfg.tasks, n));
+        chk(checks, "hedge/blocking-no-waste", qoracle::check_blocking_spends_everything(blocking));
     }
 
     // With n−1 healthy workers, duplicate issue always rescues the batch.
@@ -618,7 +586,7 @@ fn run_hedge(
         Metric::U64(hedged.tasks.iter().filter(|t| t.hedged).count() as u64),
     ));
 
-    chk_adapt(checks, "hedge/sanity", qoracle::check_hedge_sanity(&hedged, cfg.tasks, n));
+    chk(checks, "hedge/sanity", qoracle::check_hedge_sanity(&hedged, cfg.tasks, n));
     // Every committed task moved task_units through a worker no faster
     // than nominal, so total busy time has a hard floor.
     let spent_floor = cfg.tasks as f64 * cfg.task_units / cfg.nominal;
@@ -731,8 +699,8 @@ fn run_plane_cell(
     metrics.push(("omniscient_throughput", Metric::F64(omniscient.throughput)));
     metrics.push(("static_throughput", Metric::F64(blind.throughput)));
 
-    chk_raid(checks, "raid/conservation", roracle::check_conservation(&planned, w));
-    chk_raid(checks, "raid/block-map", roracle::check_block_map_partition(&planned, w));
+    chk(checks, "raid/conservation", roracle::check_conservation(&planned, w));
+    chk(checks, "raid/block-map", roracle::check_block_map_partition(&planned, w));
 
     // Estimates cannot beat the truth: the planned write never exceeds the
     // omniscient scenario-3 controller (tiny slack for tie-breaks).
@@ -773,17 +741,6 @@ fn run_plane_cell(
     }
     chk_plane(checks, "plane/no-false-fail-stop", &poracle::check_no_false_failstop(&fresh));
     chk_plane(checks, "plane/monotone-staleness", &poracle::check_monotone(&fresh));
-}
-
-fn chk_meta(checks: &mut Vec<CheckResult>, name: &'static str, r: Result<(), moracle::Violation>) {
-    match r {
-        Ok(()) => {
-            checks.push(CheckResult { oracle: name.into(), passed: true, detail: String::new() })
-        }
-        Err(v) => {
-            checks.push(CheckResult { oracle: v.oracle.into(), passed: false, detail: v.detail })
-        }
-    }
 }
 
 /// The metastable cell: a closed-loop client population (13k clients,
@@ -843,16 +800,16 @@ fn run_metastable(
     metrics.push(("meta_breaker_goodput", Metric::U64(br_tr.total_goodput())));
     metrics.push(("meta_breaker_recovery_s", Metric::U64(br_a.recovery_secs.unwrap_or(u64::MAX))));
 
-    chk_meta(checks, "meta/conservation", moracle::check_conservation(&mcfg, &un_tr));
-    chk_meta(checks, "meta/conservation", moracle::check_conservation(&mcfg, &sh_tr));
-    chk_meta(checks, "meta/conservation", moracle::check_conservation(&mcfg, &br_tr));
-    chk_meta(checks, "meta/capacity", moracle::check_capacity(&un_tr));
-    chk_meta(checks, "meta/capacity", moracle::check_capacity(&sh_tr));
-    chk_meta(checks, "meta/capacity", moracle::check_capacity(&br_tr));
-    chk_meta(checks, "meta/no-trigger-stable", moracle::check_no_trigger_stable(&un_a));
-    chk_meta(checks, "meta/prediction", moracle::check_prediction(&un_a));
-    chk_meta(checks, "meta/shed-recovers", moracle::check_mitigation_recovers(&sh_a, &params));
-    chk_meta(checks, "meta/breaker-recovers", moracle::check_mitigation_recovers(&br_a, &params));
-    chk_meta(checks, "meta/shed-breaks-loop", moracle::check_mitigation_effective(&un_a, &sh_a));
-    chk_meta(checks, "meta/breaker-breaks-loop", moracle::check_mitigation_effective(&un_a, &br_a));
+    chk(checks, "meta/conservation", moracle::check_conservation(&mcfg, &un_tr));
+    chk(checks, "meta/conservation", moracle::check_conservation(&mcfg, &sh_tr));
+    chk(checks, "meta/conservation", moracle::check_conservation(&mcfg, &br_tr));
+    chk(checks, "meta/capacity", moracle::check_capacity(&un_tr));
+    chk(checks, "meta/capacity", moracle::check_capacity(&sh_tr));
+    chk(checks, "meta/capacity", moracle::check_capacity(&br_tr));
+    chk(checks, "meta/no-trigger-stable", moracle::check_no_trigger_stable(&un_a));
+    chk(checks, "meta/prediction", moracle::check_prediction(&un_a));
+    chk(checks, "meta/shed-recovers", moracle::check_mitigation_recovers(&sh_a, &params));
+    chk(checks, "meta/breaker-recovers", moracle::check_mitigation_recovers(&br_a, &params));
+    chk(checks, "meta/shed-breaks-loop", moracle::check_mitigation_effective(&un_a, &sh_a));
+    chk(checks, "meta/breaker-breaks-loop", moracle::check_mitigation_effective(&un_a, &br_a));
 }

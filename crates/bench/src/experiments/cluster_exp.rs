@@ -11,10 +11,8 @@ use crate::report::{pct, ratio, Finding, Report, Table};
 /// et al.'s DDS).
 pub fn e14_gc_mirror() -> Report {
     let mut report = Report::new();
-    let config = DdsConfig::default();
-
     let healthy: Vec<Brick> = (0..8).map(|_| Brick::new(2_000.0)).collect();
-    let clean = run_dds(&healthy, config);
+    let clean = run_dds(&healthy);
 
     let gc = Injector::Blackouts {
         interarrival: DurationDist::Exp { mean: SimDuration::from_secs(10) },
@@ -23,7 +21,7 @@ pub fn e14_gc_mirror() -> Report {
     .timeline(SimDuration::from_secs(120), &mut Stream::from_seed(43));
     let mut bricks: Vec<Brick> = (0..8).map(|_| Brick::new(2_000.0)).collect();
     bricks[2] = Brick::new(2_000.0).with_profile(gc);
-    let gced = run_dds(&bricks, config);
+    let gced = run_dds(&bricks);
 
     let mut table = Table::new(
         "Replicated hash table: one brick with 2 s GC pauses every ~10 s",

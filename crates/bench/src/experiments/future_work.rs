@@ -27,9 +27,8 @@ pub fn e27_wind() -> Report {
     pairs[1] =
         MirrorPair::new(VDisk::new(10e6).with_profile(p.clone()), VDisk::new(10e6).with_profile(p));
 
-    let cfg = WindConfig::default();
-    let unmanaged = run_wind(&pairs, cfg, Management::Unmanaged);
-    let managed = run_wind(&pairs, cfg, Management::Managed { hot_spares: 1 });
+    let unmanaged = run_wind(&pairs, Management::Unmanaged);
+    let managed = run_wind(&pairs, Management::Managed { hot_spares: 1 });
 
     let mut table = Table::new(
         "Two hours of a 25 MB/s write stream over 4 pairs, pair 1 wearing out then failing",
@@ -79,9 +78,8 @@ pub fn e28_bimodal() -> Report {
     let mut members: Vec<Member> = (0..12).map(|_| Member::new(1_000.0)).collect();
     members[4] = Member::new(1_000.0).with_profile(slow);
 
-    let cfg = McastConfig::default();
-    let atomic = run_multicast(&members, cfg, McastProtocol::Atomic);
-    let bimodal = run_multicast(&members, cfg, McastProtocol::Bimodal);
+    let atomic = run_multicast(&members, McastProtocol::Atomic);
+    let bimodal = run_multicast(&members, McastProtocol::Bimodal);
 
     let mut table = Table::new(
         "12-member group, 900 msg/s offered, one member at half speed",

@@ -23,7 +23,7 @@ pub struct Experiment {
     /// Stable identifier (`e01` ... `e36`).
     pub id: &'static str,
     /// Stable kebab-case slug used for artifact filenames
-    /// (`BENCH_<slug>.json`, CSV stems).
+    /// (`BENCH_<slug>.json`).
     pub slug: &'static str,
     /// Short title.
     pub title: &'static str,

@@ -1,6 +1,7 @@
 //! Experiments E09–E11: the §2.1.3 network phenomena.
 
 use netsim::prelude::*;
+use netsim::transpose::{FABRIC_BUFFER, NODES};
 use simcore::prelude::*;
 
 use crate::report::{pct, ratio, Finding, Report, Table};
@@ -15,7 +16,7 @@ pub fn e09_deadlock() -> Report {
     let mut below_cliff = 0.0f64;
     let mut above_cliff = 0.0f64;
     for &gap_ms in &[0u64, 10, 25, 40, 49, 50, 60, 100] {
-        let mut fabric = WormholeFabric::new(100e6, WatchdogConfig::default());
+        let mut fabric = WormholeFabric::new(100e6);
         let out = fabric.send_message(SimTime::ZERO, 50, 10_000, SimDuration::from_millis(gap_ms));
         let secs = (out.finished - SimTime::ZERO).as_secs_f64();
         if gap_ms == 49 {
@@ -41,7 +42,7 @@ pub fn e09_deadlock() -> Report {
     ));
 
     // Innocent-bystander check: traffic during a recovery stalls.
-    let mut fabric = WormholeFabric::new(100e6, WatchdogConfig::default());
+    let mut fabric = WormholeFabric::new(100e6);
     fabric.send_message(SimTime::ZERO, 2, 1_000, SimDuration::from_millis(60));
     let innocent = fabric.send_message(SimTime::from_millis(100), 1, 1_000, SimDuration::ZERO);
     report.findings.push(Finding::new(
@@ -112,9 +113,8 @@ pub fn e10_unfairness() -> Report {
     // data transfer* over the same port is materially slower when the
     // arbitration is unfair, because the controller collapses the
     // disfavoured route and pays timeouts plus a cold restart.
-    let cfg = TransferConfig::default();
-    let fair_t = run_adaptive_transfer(&cfg, PortArbitration::Fair);
-    let unfair_t = run_adaptive_transfer(&cfg, PortArbitration::Priority);
+    let fair_t = run_adaptive_transfer(PortArbitration::Fair);
+    let unfair_t = run_adaptive_transfer(PortArbitration::Priority);
     let slowdown = unfair_t.elapsed.as_secs_f64() / fair_t.elapsed.as_secs_f64();
     let mut t2 = Table::new(
         "Global adaptive transfer (2 GB over 2 routes, AIMD per route)",
@@ -148,20 +148,19 @@ pub fn e10_unfairness() -> Report {
 /// E11 — CM-5 transpose collapse under slow receivers.
 pub fn e11_transpose() -> Report {
     let mut report = Report::new();
-    let cfg = TransposeConfig::default();
-    let healthy = healthy_baseline(&cfg);
+    let healthy = healthy_baseline();
     let mut table = Table::new(
         "All-to-all transpose time vs one slow receiver (16 nodes, shared-buffer fabric)",
         &["slow receiver speed", "fluid model", "slowdown", "barrier model slowdown"],
     );
     let mut headline = 0.0f64;
     for &speed in &[1.0, 0.5, 1.0 / 3.0, 0.2] {
-        let mut mult = vec![1.0; cfg.nodes];
+        let mut mult = vec![1.0; NODES];
         mult[5] = speed;
-        let out = run_transpose(&cfg, &mult);
+        let out = run_transpose(&mult);
         let slowdown = out.elapsed.as_secs_f64() / healthy.elapsed.as_secs_f64();
-        let barrier = barrier_transpose_time(&cfg, &mult).as_secs_f64()
-            / barrier_transpose_time(&cfg, &vec![1.0; cfg.nodes]).as_secs_f64();
+        let barrier = barrier_transpose_time(&mult).as_secs_f64()
+            / barrier_transpose_time(&[1.0; NODES]).as_secs_f64();
         if (speed - 1.0 / 3.0).abs() < 1e-9 {
             headline = slowdown;
         }
@@ -182,14 +181,14 @@ pub fn e11_transpose() -> Report {
     ));
 
     // The congestion signature: the fabric buffer fills.
-    let mut mult = vec![1.0; cfg.nodes];
+    let mut mult = vec![1.0; NODES];
     mult[5] = 0.2;
-    let out = run_transpose(&cfg, &mult);
+    let out = run_transpose(&mult);
     report.findings.push(Finding::new(
         "messages accumulate in the network",
         "once a receiver falls behind, messages accumulate",
-        format!("peak fabric occupancy {} of {} bytes", out.peak_occupancy, cfg.fabric_buffer),
-        out.peak_occupancy > cfg.fabric_buffer / 2,
+        format!("peak fabric occupancy {} of {} bytes", out.peak_occupancy, FABRIC_BUFFER),
+        out.peak_occupancy > FABRIC_BUFFER / 2,
     ));
     report
 }

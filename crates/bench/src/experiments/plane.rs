@@ -36,12 +36,8 @@ fn drift() -> SlowdownProfile {
 fn planned_throughput(gossip_s: u64, stale_s: u64, array: &Raid10, w: Workload) -> f64 {
     let cfg = PlaneConfig {
         gossip_interval: SimDuration::from_secs(gossip_s),
+        stale_after: SimDuration::from_secs(stale_s),
         horizon: SimDuration::from_secs(180),
-        staleness: StalenessConfig {
-            stale_after: SimDuration::from_secs(stale_s),
-            ..StalenessConfig::default()
-        },
-        ..PlaneConfig::default()
     };
     let mut spec = PlaneSpec::homogeneous(cfg, N, NOMINAL);
     spec.components[0].profile = drift();

@@ -22,18 +22,9 @@ pub mod report;
 
 use std::fmt::Write as _;
 
-/// Runs a set of experiments and renders a full text report; returns the
+/// Runs `selected` in order and renders a full text report; returns the
 /// rendered text and whether every finding passed.
-pub fn run_and_render(ids: &[String], markdown: bool) -> (String, bool) {
-    let selected: Vec<experiments::Experiment> = if ids.is_empty() {
-        experiments::all()
-    } else {
-        ids.iter()
-            .map(|id| {
-                experiments::by_id(id).unwrap_or_else(|| panic!("unknown experiment id {id}"))
-            })
-            .collect()
-    };
+pub fn run_and_render(selected: &[experiments::Experiment], markdown: bool) -> (String, bool) {
     let mut out = String::new();
     let mut all_pass = true;
     for e in selected {

@@ -42,26 +42,12 @@ impl Brick {
     }
 }
 
-/// Configuration of the replicated hash-table run.
-#[derive(Clone, Copy, Debug)]
-pub struct DdsConfig {
-    /// Offered write load in operations/second (spread evenly over pairs).
-    pub offered_load: f64,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Time step.
-    pub dt: SimDuration,
-}
-
-impl Default for DdsConfig {
-    fn default() -> Self {
-        DdsConfig {
-            offered_load: 8_000.0,
-            duration: SimDuration::from_secs(60),
-            dt: SimDuration::from_millis(10),
-        }
-    }
-}
+/// Offered write load in operations/second (spread evenly over pairs).
+pub const OFFERED_LOAD: f64 = 8_000.0;
+/// Simulated duration.
+const DURATION: SimDuration = SimDuration::from_secs(60);
+/// Time step.
+const DT: SimDuration = SimDuration::from_millis(10);
 
 /// Result of a DDS run.
 #[derive(Clone, Debug)]
@@ -81,11 +67,11 @@ pub struct DdsOutcome {
 /// # Panics
 ///
 /// Panics if `bricks` is empty or odd-sized (bricks mirror in pairs).
-pub fn run_dds(bricks: &[Brick], config: DdsConfig) -> DdsOutcome {
+pub fn run_dds(bricks: &[Brick]) -> DdsOutcome {
     assert!(!bricks.is_empty() && bricks.len().is_multiple_of(2), "bricks must form pairs");
     let pairs = bricks.len() / 2;
-    let dt = config.dt.as_secs_f64();
-    let per_pair_load = config.offered_load / pairs as f64;
+    let dt = DT.as_secs_f64();
+    let per_pair_load = OFFERED_LOAD / pairs as f64;
 
     // Per-replica backlog of writes accepted but not yet applied.
     let mut backlog = vec![0.0f64; bricks.len()];
@@ -96,7 +82,7 @@ pub fn run_dds(bricks: &[Brick], config: DdsConfig) -> DdsOutcome {
     let mut throughput = Series::new();
     let mut peak_backlog = 0.0f64;
 
-    let steps = (config.duration.as_secs_f64() / dt).round() as u64;
+    let steps = (DURATION.as_secs_f64() / dt).round() as u64;
     let mut t = SimTime::ZERO;
     // Sample throughput every ~100 steps.
     let sample_every = (steps / 600).max(1);
@@ -104,7 +90,7 @@ pub fn run_dds(bricks: &[Brick], config: DdsConfig) -> DdsOutcome {
     let mut last_sample_t = SimTime::ZERO;
 
     for step in 0..steps {
-        t += config.dt;
+        t += DT;
         for p in 0..pairs {
             let (a, b) = (2 * p, 2 * p + 1);
             let incoming = per_pair_load * dt;
@@ -128,7 +114,7 @@ pub fn run_dds(bricks: &[Brick], config: DdsConfig) -> DdsOutcome {
         }
     }
 
-    let mean_throughput = acked_so_far / config.duration.as_secs_f64();
+    let mean_throughput = acked_so_far / DURATION.as_secs_f64();
     DdsOutcome { throughput, peak_backlog, acked: acked_so_far, mean_throughput }
 }
 
@@ -154,7 +140,7 @@ mod tests {
 
     #[test]
     fn healthy_table_carries_offered_load() {
-        let out = run_dds(&healthy_bricks(), DdsConfig::default());
+        let out = run_dds(&healthy_bricks());
         // Offered 8 kop/s over 8 kop/s aggregate pair capacity.
         assert!((out.mean_throughput / 8_000.0 - 1.0).abs() < 0.02, "{}", out.mean_throughput);
         assert!(out.peak_backlog < 100.0, "backlog {}", out.peak_backlog);
@@ -164,7 +150,7 @@ mod tests {
     fn gc_pauses_stall_acknowledgements_and_grow_backlog() {
         let mut bricks = healthy_bricks();
         bricks[2] = Brick::new(2_000.0).with_profile(gc_profile(1));
-        let out = run_dds(&bricks, DdsConfig::default());
+        let out = run_dds(&bricks);
         // During each 2 s pause the paused replica accumulates ~2 s of its
         // pair's load.
         assert!(out.peak_backlog > 2_000.0, "backlog {}", out.peak_backlog);
@@ -183,7 +169,7 @@ mod tests {
         let mut bricks = healthy_bricks();
         // Give the GC'd brick headroom so over-saturation is visible.
         bricks[2] = Brick::new(3_000.0).with_profile(gc_profile(2));
-        let out = run_dds(&bricks, DdsConfig::default());
+        let out = run_dds(&bricks);
         let max_rate = out.throughput.max();
         assert!(max_rate > 8_100.0, "max sampled rate {max_rate}");
     }
@@ -197,7 +183,7 @@ mod tests {
             Injector::StaticSlowdown { factor: 0.25 }
                 .timeline(SimDuration::from_secs(120), &mut Stream::from_seed(3)),
         );
-        let out = run_dds(&bricks, DdsConfig::default());
+        let out = run_dds(&bricks);
         // Pair 0 delivers 25% of its 2 kop/s share; others full: ~6.5 kop/s.
         assert!((out.mean_throughput / 6_500.0 - 1.0).abs() < 0.05, "{}", out.mean_throughput);
     }
@@ -206,6 +192,6 @@ mod tests {
     #[should_panic]
     fn odd_brick_count_rejected() {
         let bricks = vec![Brick::new(1.0); 3];
-        let _ = run_dds(&bricks, DdsConfig::default());
+        let _ = run_dds(&bricks);
     }
 }

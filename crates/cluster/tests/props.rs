@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use cluster::dds::OFFERED_LOAD;
 use cluster::prelude::*;
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
@@ -65,20 +66,18 @@ proptest! {
     /// The replicated hash table never acknowledges more than it was
     /// offered, and throughput samples are non-negative.
     #[test]
-    fn dds_conservation(pairs in 1usize..5, load in 100.0f64..5_000.0, slow in 0.1f64..1.0) {
+    fn dds_conservation(pairs in 1usize..5, slow in 0.1f64..1.0) {
         let mut bricks: Vec<Brick> = (0..2 * pairs).map(|_| Brick::new(2_000.0)).collect();
         bricks[0] = Brick::new(2_000.0).with_profile(
             Injector::StaticSlowdown { factor: slow }
                 .timeline(SimDuration::from_secs(120), &mut Stream::from_seed(1)),
         );
-        let cfg = DdsConfig {
-            offered_load: load,
-            duration: SimDuration::from_secs(20),
-            dt: SimDuration::from_millis(10),
-        };
-        let out = run_dds(&bricks, cfg);
-        let offered = load * 20.0;
-        prop_assert!(out.acked <= offered * 1.001, "acked {} offered {offered}", out.acked);
+        let out = run_dds(&bricks);
+        prop_assert!(
+            out.mean_throughput <= OFFERED_LOAD * 1.001,
+            "acked {} op/s, offered {OFFERED_LOAD} op/s",
+            out.mean_throughput
+        );
         for &(_, v) in out.throughput.points() {
             prop_assert!(v >= -1e-9);
         }

@@ -11,32 +11,24 @@
 
 use simcore::time::SimDuration;
 
-/// Delay schedule between a failed attempt and the retry that follows it.
+/// Delay schedule between a failed attempt and the retry that follows
+/// it: `base × 2^(attempt-1)`, saturating at `cap`. With `base == cap`
+/// every retry waits the same fixed delay.
 #[derive(Clone, Copy, Debug)]
-pub enum Backoff {
-    /// The same delay after every failed attempt.
-    Fixed(SimDuration),
-    /// `base × 2^(attempt-1)`, saturating at `cap`.
-    Exponential {
-        /// Delay after the first failed attempt.
-        base: SimDuration,
-        /// Upper bound on the computed delay.
-        cap: SimDuration,
-    },
+pub struct Backoff {
+    /// Delay after the first failed attempt.
+    pub base: SimDuration,
+    /// Upper bound on the computed delay.
+    pub cap: SimDuration,
 }
 
 impl Backoff {
     /// Delay before the retry that follows failed attempt `attempt`
     /// (1-based: `attempt = 1` is the first try).
     pub fn delay(self, attempt: u32) -> SimDuration {
-        match self {
-            Backoff::Fixed(d) => d,
-            Backoff::Exponential { base, cap } => {
-                let shift = attempt.saturating_sub(1).min(32);
-                let nanos = base.as_nanos().saturating_mul(1u64 << shift);
-                SimDuration::from_nanos(nanos).min(cap)
-            }
-        }
+        let shift = attempt.saturating_sub(1).min(32);
+        let nanos = self.base.as_nanos().saturating_mul(1u64 << shift);
+        SimDuration::from_nanos(nanos).min(self.cap)
     }
 }
 
@@ -127,10 +119,7 @@ mod tests {
 
     #[test]
     fn exponential_backoff_doubles_and_caps() {
-        let b = Backoff::Exponential {
-            base: SimDuration::from_millis(500),
-            cap: SimDuration::from_secs(2),
-        };
+        let b = Backoff { base: SimDuration::from_millis(500), cap: SimDuration::from_secs(2) };
         assert_eq!(b.delay(1), SimDuration::from_millis(500));
         assert_eq!(b.delay(2), SimDuration::from_secs(1));
         assert_eq!(b.delay(3), SimDuration::from_secs(2));

@@ -77,7 +77,7 @@ impl Config {
             policy: RetryPolicy {
                 timeout: SimDuration::from_secs(1),
                 max_attempts: 3,
-                backoff: Backoff::Exponential {
+                backoff: Backoff {
                     base: SimDuration::from_millis(500),
                     cap: SimDuration::from_secs(2),
                 },
@@ -633,7 +633,10 @@ mod tests {
             policy: RetryPolicy {
                 timeout: SimDuration::from_secs(1),
                 max_attempts: 3,
-                backoff: Backoff::Fixed(SimDuration::from_millis(500)),
+                backoff: Backoff {
+                    base: SimDuration::from_millis(500),
+                    cap: SimDuration::from_millis(500),
+                },
             },
             budget: None,
             service_rate: 60.0,
@@ -692,7 +695,8 @@ mod tests {
         cfg.policy.max_attempts = u32::MAX;
         assert!(cfg.validate().unwrap_err().contains("policy.max_attempts"));
         let mut cfg = small();
-        cfg.policy.backoff = Backoff::Fixed(SimDuration::from_secs(60_000));
+        let fixed = SimDuration::from_secs(60_000);
+        cfg.policy.backoff = Backoff { base: fixed, cap: fixed };
         assert!(cfg.validate().unwrap_err().contains("policy.backoff"));
         // A wheel of exactly the cap is still a valid configuration.
         let mut cfg = small();

@@ -16,20 +16,7 @@ use simcore::time::SimDuration;
 
 use crate::engine::{Config, RunTrace};
 
-/// A failed oracle check.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// Which oracle flagged.
-    pub oracle: &'static str,
-    /// Human-readable evidence.
-    pub detail: String,
-}
-
-impl Violation {
-    fn new(oracle: &'static str, detail: String) -> Self {
-        Violation { oracle, detail }
-    }
-}
+pub use stutter::oracle::Violation;
 
 /// Observed/predicted regime of one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,10 +192,10 @@ pub fn check_conservation(cfg: &Config, trace: &RunTrace) -> Result<(), Violatio
     let issued = t.issued_fresh + t.issued_retry + t.issued_open;
     let rejected = t.rejected_breaker + t.rejected_shed + t.rejected_cap;
     if issued != t.admitted + rejected {
-        return Err(Violation::new(
-            "meta-conservation",
-            format!("issued {issued} != admitted {} + rejected {rejected}", t.admitted),
-        ));
+        return Err(Violation {
+            oracle: "meta-conservation",
+            detail: format!("issued {issued} != admitted {} + rejected {rejected}", t.admitted),
+        });
     }
     let drained = t.served_live
         + t.served_open
@@ -218,36 +205,36 @@ pub fn check_conservation(cfg: &Config, trace: &RunTrace) -> Result<(), Violatio
         + t.queue_open_end
         + t.queue_orphan_end;
     if t.admitted != drained {
-        return Err(Violation::new(
-            "meta-conservation",
-            format!("admitted {} != dispositions {drained}", t.admitted),
-        ));
+        return Err(Violation {
+            oracle: "meta-conservation",
+            detail: format!("admitted {} != dispositions {drained}", t.admitted),
+        });
     }
     let orphans = t.served_orphan + t.dropped_expired + t.queue_orphan_end;
     if t.timeouts + t.open_timeouts != orphans {
-        return Err(Violation::new(
-            "meta-conservation",
-            format!(
+        return Err(Violation {
+            oracle: "meta-conservation",
+            detail: format!(
                 "timeouts {} + open {} != orphan dispositions {orphans}",
                 t.timeouts, t.open_timeouts
             ),
-        ));
+        });
     }
     if t.retries_scheduled != t.issued_retry + t.backoff_end {
-        return Err(Violation::new(
-            "meta-conservation",
-            format!(
+        return Err(Violation {
+            oracle: "meta-conservation",
+            detail: format!(
                 "retries scheduled {} != issued {} + pending {}",
                 t.retries_scheduled, t.issued_retry, t.backoff_end
             ),
-        ));
+        });
     }
     let clients = t.queue_live_end + t.backoff_end + t.think_end;
     if cfg.population != clients {
-        return Err(Violation::new(
-            "meta-conservation",
-            format!("population {} != accounted clients {clients}", cfg.population),
-        ));
+        return Err(Violation {
+            oracle: "meta-conservation",
+            detail: format!("population {} != accounted clients {clients}", cfg.population),
+        });
     }
     Ok(())
 }
@@ -257,10 +244,13 @@ pub fn check_capacity(trace: &RunTrace) -> Result<(), Violation> {
     let t = &trace.totals;
     let served = (t.served_live + t.served_open + t.served_orphan) as f64;
     if served > t.capacity_credit + 1.0 {
-        return Err(Violation::new(
-            "meta-capacity",
-            format!("served {served} requests with only {:.1} credit accrued", t.capacity_credit),
-        ));
+        return Err(Violation {
+            oracle: "meta-capacity",
+            detail: format!(
+                "served {served} requests with only {:.1} credit accrued",
+                t.capacity_credit
+            ),
+        });
     }
     Ok(())
 }
@@ -270,10 +260,10 @@ pub fn check_capacity(trace: &RunTrace) -> Result<(), Violation> {
 /// leaks demand).
 pub fn check_no_trigger_stable(a: &Assessment) -> Result<(), Violation> {
     if a.trigger_secs.is_none() && (a.regime == Regime::Metastable || a.collapsed_secs_post > 0) {
-        return Err(Violation::new(
-            "meta-no-trigger-stable",
-            format!("collapse with no trigger: {a:?}"),
-        ));
+        return Err(Violation {
+            oracle: "meta-no-trigger-stable",
+            detail: format!("collapse with no trigger: {a:?}"),
+        });
     }
     Ok(())
 }
@@ -282,14 +272,14 @@ pub fn check_no_trigger_stable(a: &Assessment) -> Result<(), Violation> {
 /// must have been predicted possible.
 pub fn check_prediction(a: &Assessment) -> Result<(), Violation> {
     if a.regime == Regime::Metastable && !a.predicted_vulnerable {
-        return Err(Violation::new(
-            "meta-prediction",
-            format!(
+        return Err(Violation {
+            oracle: "meta-prediction",
+            detail: format!(
                 "sustained collapse in a configuration predicted invulnerable \
                  (baseline {:.1}/s, collapsed {} s post-trigger)",
                 a.baseline_per_sec, a.collapsed_secs_post
             ),
-        ));
+        });
     }
     Ok(())
 }
@@ -304,10 +294,12 @@ pub fn check_mitigation_recovers(a: &Assessment, params: &OracleParams) -> Resul
     let deadline = params.recovery_deadline.as_secs_f64();
     match a.recovery_secs {
         Some(r) if (r as f64) <= deadline => Ok(()),
-        got => Err(Violation::new(
-            "meta-recovery",
-            format!("mitigated run recovered at {got:?} s post-trigger, deadline {deadline} s"),
-        )),
+        got => Err(Violation {
+            oracle: "meta-recovery",
+            detail: format!(
+                "mitigated run recovered at {got:?} s post-trigger, deadline {deadline} s"
+            ),
+        }),
     }
 }
 
@@ -318,13 +310,13 @@ pub fn check_mitigation_effective(
     mitigated: &Assessment,
 ) -> Result<(), Violation> {
     if unmitigated.regime == Regime::Metastable && mitigated.regime == Regime::Metastable {
-        return Err(Violation::new(
-            "meta-mitigation",
-            format!(
+        return Err(Violation {
+            oracle: "meta-mitigation",
+            detail: format!(
                 "mitigation failed to break the loop: unmitigated {unmitigated:?} vs \
                  mitigated {mitigated:?}"
             ),
-        ));
+        });
     }
     Ok(())
 }
@@ -347,7 +339,7 @@ mod tests {
             policy: RetryPolicy {
                 timeout: SimDuration::from_secs(1),
                 max_attempts: 3,
-                backoff: Backoff::Exponential {
+                backoff: Backoff {
                     base: SimDuration::from_millis(500),
                     cap: SimDuration::from_secs(2),
                 },

@@ -25,35 +25,18 @@ pub enum PortArbitration {
     Priority,
 }
 
-/// Configuration of the adaptive transfer.
-#[derive(Clone, Copy, Debug)]
-pub struct TransferConfig {
-    /// Number of routes (destinations) the transfer spans.
-    pub routes: usize,
-    /// Bytes that must be delivered on each route.
-    pub bytes_per_route: f64,
-    /// Shared port capacity, bytes/second.
-    pub capacity: f64,
-    /// Controller epoch length.
-    pub epoch: SimDuration,
-    /// Additive increase per epoch, bytes/second.
-    pub increase: f64,
-    /// Multiplicative decrease on congestion.
-    pub decrease: f64,
-}
-
-impl Default for TransferConfig {
-    fn default() -> Self {
-        TransferConfig {
-            routes: 2,
-            bytes_per_route: 1e9,
-            capacity: 100e6,
-            epoch: SimDuration::from_millis(100),
-            increase: 1e6,
-            decrease: 0.5,
-        }
-    }
-}
+/// Number of routes (destinations) the transfer spans.
+const ROUTES: usize = 2;
+/// Bytes that must be delivered on each route.
+const BYTES_PER_ROUTE: f64 = 1e9;
+/// Shared port capacity, bytes/second.
+const CAPACITY: f64 = 100e6;
+/// Controller epoch length.
+const EPOCH: SimDuration = SimDuration::from_millis(100);
+/// Additive increase per epoch, bytes/second.
+const INCREASE: f64 = 1e6;
+/// Multiplicative decrease on congestion.
+const DECREASE: f64 = 0.5;
 
 /// Result of one transfer run.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,28 +50,27 @@ pub struct TransferOutcome {
 }
 
 /// Runs the adaptive transfer to completion (bounded at 10⁶ epochs).
-pub fn run_adaptive_transfer(config: &TransferConfig, arb: PortArbitration) -> TransferOutcome {
-    assert!(config.routes >= 1, "need at least one route");
-    let dt = config.epoch.as_secs_f64();
-    let floor = config.increase; // rates never fall below one increment
-    let mut rate = vec![floor; config.routes];
-    let mut remaining = vec![config.bytes_per_route; config.routes];
+pub fn run_adaptive_transfer(arb: PortArbitration) -> TransferOutcome {
+    let dt = EPOCH.as_secs_f64();
+    let floor = INCREASE; // rates never fall below one increment
+    let mut rate = [floor; ROUTES];
+    let mut remaining = [BYTES_PER_ROUTE; ROUTES];
     // Per-route port queue: congestion is signalled by standing backlog,
     // which keeps the port busy through AIMD sawteeth (as real buffers do).
-    let mut queue = vec![0.0f64; config.routes];
-    let queue_threshold = config.capacity * dt; // one epoch of data
-    let mut finish = vec![None::<u64>; config.routes];
+    let mut queue = [0.0f64; ROUTES];
+    let queue_threshold = CAPACITY * dt; // one epoch of data
+    let mut finish = [None::<u64>; ROUTES];
     // Retransmission-timeout state: a starved route backs off
     // exponentially before probing again (capped at 32 epochs).
-    let mut backoff_exp = vec![0u32; config.routes];
-    let mut backoff_until = vec![0u64; config.routes];
+    let mut backoff_exp = [0u32; ROUTES];
+    let mut backoff_until = [0u64; ROUTES];
     let mut epoch = 0u64;
 
     while remaining.iter().any(|&r| r > 0.0) || queue.iter().any(|&q| q > 0.0) {
         epoch += 1;
         assert!(epoch < 1_000_000, "transfer failed to converge");
         // Enqueue this epoch's offered load (routes in timeout stay quiet).
-        for i in 0..config.routes {
+        for i in 0..ROUTES {
             if epoch < backoff_until[i] {
                 continue;
             }
@@ -97,7 +79,7 @@ pub fn run_adaptive_transfer(config: &TransferConfig, arb: PortArbitration) -> T
             remaining[i] -= offer;
         }
         // Arbitrate the shared port over the queues.
-        let budget = config.capacity * dt;
+        let budget = CAPACITY * dt;
         let served: Vec<f64> = match arb {
             PortArbitration::Fair => max_min_share(&queue, budget),
             PortArbitration::Priority => {
@@ -113,7 +95,7 @@ pub fn run_adaptive_transfer(config: &TransferConfig, arb: PortArbitration) -> T
             }
         };
         // Deliver and adapt.
-        for i in 0..config.routes {
+        for i in 0..ROUTES {
             queue[i] -= served[i];
             if remaining[i] <= 0.0 && queue[i] <= 1e-9 && finish[i].is_none() {
                 finish[i] = Some(epoch);
@@ -133,18 +115,18 @@ pub fn run_adaptive_transfer(config: &TransferConfig, arb: PortArbitration) -> T
             } else if queue[i] > queue_threshold {
                 // Standing backlog: this route is congested — back off.
                 backoff_exp[i] = 0;
-                rate[i] = (rate[i] * config.decrease).max(floor);
+                rate[i] = (rate[i] * DECREASE).max(floor);
             } else {
                 backoff_exp[i] = 0;
-                rate[i] = (rate[i] + config.increase).min(config.capacity);
+                rate[i] = (rate[i] + INCREASE).min(CAPACITY);
             }
         }
     }
 
     let route_finish: Vec<SimDuration> =
-        finish.iter().map(|f| config.epoch * f.expect("all routes finished")).collect();
+        finish.iter().map(|f| EPOCH * f.expect("all routes finished")).collect();
     let elapsed = route_finish.iter().copied().max().expect("non-empty");
-    let total = config.bytes_per_route * config.routes as f64;
+    let total = BYTES_PER_ROUTE * ROUTES as f64;
     TransferOutcome { elapsed, goodput: total / elapsed.as_secs_f64(), route_finish }
 }
 
@@ -197,8 +179,7 @@ mod tests {
 
     #[test]
     fn fair_arbitration_reaches_near_capacity() {
-        let cfg = TransferConfig::default();
-        let out = run_adaptive_transfer(&cfg, PortArbitration::Fair);
+        let out = run_adaptive_transfer(PortArbitration::Fair);
         // 2 GB at up to 100 MB/s: ideal 20 s; AIMD sawtooth costs some.
         let ideal = 2e9 / 100e6;
         let ratio = out.elapsed.as_secs_f64() / ideal;
@@ -214,32 +195,28 @@ mod tests {
         // measured 50%; our AIMD recovers from starvation faster than its
         // transport did, so the penalty lands lower but on the same
         // mechanism.)
-        let cfg = TransferConfig::default();
-        let fair = run_adaptive_transfer(&cfg, PortArbitration::Fair);
-        let unfair = run_adaptive_transfer(&cfg, PortArbitration::Priority);
+        let fair = run_adaptive_transfer(PortArbitration::Fair);
+        let unfair = run_adaptive_transfer(PortArbitration::Priority);
         let slowdown = unfair.elapsed.as_secs_f64() / fair.elapsed.as_secs_f64();
         assert!((1.15..2.0).contains(&slowdown), "slowdown {slowdown}");
     }
 
     #[test]
     fn disfavoured_route_finishes_last_under_priority() {
-        let cfg = TransferConfig::default();
-        let out = run_adaptive_transfer(&cfg, PortArbitration::Priority);
+        let out = run_adaptive_transfer(PortArbitration::Priority);
         assert!(out.route_finish[1] > out.route_finish[0]);
     }
 
     #[test]
     fn fair_routes_finish_together() {
-        let cfg = TransferConfig::default();
-        let out = run_adaptive_transfer(&cfg, PortArbitration::Fair);
+        let out = run_adaptive_transfer(PortArbitration::Fair);
         let diff = (out.route_finish[0].as_secs_f64() - out.route_finish[1].as_secs_f64()).abs();
         assert!(diff < 1.0, "finish gap {diff}");
     }
 
     #[test]
     fn goodput_consistent_with_elapsed() {
-        let cfg = TransferConfig::default();
-        let out = run_adaptive_transfer(&cfg, PortArbitration::Fair);
+        let out = run_adaptive_transfer(PortArbitration::Fair);
         let recomputed = 2e9 / out.elapsed.as_secs_f64();
         assert!((recomputed / out.goodput - 1.0).abs() < 1e-9);
     }

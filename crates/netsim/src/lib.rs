@@ -17,13 +17,12 @@
 //! # Examples
 //!
 //! ```
-//! use netsim::transpose::{healthy_baseline, run_transpose, TransposeConfig};
+//! use netsim::transpose::{healthy_baseline, run_transpose, NODES};
 //!
-//! let cfg = TransposeConfig::default();
-//! let healthy = healthy_baseline(&cfg);
-//! let mut mult = vec![1.0; cfg.nodes];
+//! let healthy = healthy_baseline();
+//! let mut mult = vec![1.0; NODES];
 //! mult[0] = 1.0 / 3.0; // one receiver at a third of its speed
-//! let degraded = run_transpose(&cfg, &mult);
+//! let degraded = run_transpose(&mult);
 //! let slowdown = degraded.elapsed.as_secs_f64() / healthy.elapsed.as_secs_f64();
 //! assert!(slowdown > 2.0);
 //! ```
@@ -41,15 +40,13 @@ pub mod wormhole;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::adaptive_transfer::{
-        run_adaptive_transfer, PortArbitration, TransferConfig, TransferOutcome,
-    };
+    pub use crate::adaptive_transfer::{run_adaptive_transfer, PortArbitration, TransferOutcome};
     pub use crate::link::{Delivery, Link};
     pub use crate::mesh::Mesh;
-    pub use crate::multicast::{run_multicast, McastConfig, McastOutcome, McastProtocol, Member};
+    pub use crate::multicast::{run_multicast, McastOutcome, McastProtocol, Member};
     pub use crate::switch::{Arbitration, Forwarded, Packet, Switch};
     pub use crate::transpose::{
-        barrier_transpose_time, healthy_baseline, run_transpose, TransposeConfig, TransposeResult,
+        barrier_transpose_time, healthy_baseline, run_transpose, TransposeResult,
     };
-    pub use crate::wormhole::{MessageOutcome, WatchdogConfig, WormholeFabric};
+    pub use crate::wormhole::{MessageOutcome, WormholeFabric};
 }

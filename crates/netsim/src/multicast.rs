@@ -55,26 +55,12 @@ impl Member {
     }
 }
 
-/// Configuration of a multicast run.
-#[derive(Clone, Copy, Debug)]
-pub struct McastConfig {
-    /// Offered message rate from the sender, messages/second.
-    pub offered_rate: f64,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Time step.
-    pub dt: SimDuration,
-}
-
-impl Default for McastConfig {
-    fn default() -> Self {
-        McastConfig {
-            offered_rate: 900.0,
-            duration: SimDuration::from_secs(120),
-            dt: SimDuration::from_millis(10),
-        }
-    }
-}
+/// Offered message rate from the sender, messages/second.
+const OFFERED_RATE: f64 = 900.0;
+/// Simulated duration.
+const DURATION: SimDuration = SimDuration::from_secs(120);
+/// Time step.
+const DT: SimDuration = SimDuration::from_millis(10);
 
 /// The outcome of a multicast run.
 #[derive(Clone, Debug)]
@@ -90,14 +76,10 @@ pub struct McastOutcome {
 }
 
 /// Runs the group under the chosen protocol.
-pub fn run_multicast(
-    members: &[Member],
-    config: McastConfig,
-    protocol: McastProtocol,
-) -> McastOutcome {
+pub fn run_multicast(members: &[Member], protocol: McastProtocol) -> McastOutcome {
     assert!(members.len() >= 2, "a group needs at least two members");
-    let dt = config.dt.as_secs_f64();
-    let steps = (config.duration.as_secs_f64() / dt).round() as u64;
+    let dt = DT.as_secs_f64();
+    let steps = (DURATION.as_secs_f64() / dt).round() as u64;
     let sample_every = (steps / 600).max(1);
 
     // Messages the group has delivered, and each member's applied count.
@@ -110,8 +92,8 @@ pub fn run_multicast(
     let mut offered = 0.0f64;
 
     for step in 0..steps {
-        t += config.dt;
-        offered += config.offered_rate * dt;
+        t += DT;
+        offered += OFFERED_RATE * dt;
         // Each member applies at its own pace, bounded by what exists.
         for (i, m) in members.iter().enumerate() {
             let capacity = m.rate_at(t) * dt;
@@ -139,7 +121,7 @@ pub fn run_multicast(
 
     let min_applied = applied.iter().copied().min_by(f64::total_cmp).unwrap_or(f64::INFINITY);
     McastOutcome {
-        mean_delivery: group_delivered / config.duration.as_secs_f64(),
+        mean_delivery: group_delivered / DURATION.as_secs_f64(),
         peak_lag,
         final_lag: group_delivered - min_applied,
         delivery_rate: series,
@@ -167,7 +149,7 @@ mod tests {
     fn healthy_group_delivers_offered_rate_both_ways() {
         let members: Vec<Member> = (0..8).map(|_| Member::new(1_000.0)).collect();
         for p in [McastProtocol::Atomic, McastProtocol::Bimodal] {
-            let out = run_multicast(&members, McastConfig::default(), p);
+            let out = run_multicast(&members, p);
             assert!((out.mean_delivery / 900.0 - 1.0).abs() < 0.02, "{p:?}: {}", out.mean_delivery);
             assert!(out.peak_lag < 50.0, "{p:?}: lag {}", out.peak_lag);
         }
@@ -176,7 +158,7 @@ mod tests {
     #[test]
     fn atomic_multicast_stalls_with_the_stutterer() {
         let members = group_with_stutterer(8, 1);
-        let out = run_multicast(&members, McastConfig::default(), McastProtocol::Atomic);
+        let out = run_multicast(&members, McastProtocol::Atomic);
         // Repeated 2 s pauses leave the laggard's applied total short of
         // the offered stream → delivery drops below offered.
         assert!(out.mean_delivery < 850.0, "{}", out.mean_delivery);
@@ -194,7 +176,7 @@ mod tests {
         ]);
         let mut members: Vec<Member> = (0..8).map(|_| Member::new(1_000.0)).collect();
         members[1] = Member::new(1_000.0).with_profile(pause);
-        let out = run_multicast(&members, McastConfig::default(), McastProtocol::Bimodal);
+        let out = run_multicast(&members, McastProtocol::Bimodal);
         assert!((out.mean_delivery / 900.0 - 1.0).abs() < 0.02, "{}", out.mean_delivery);
         // The pausing member lags ~4500 messages during the pause...
         assert!(out.peak_lag > 4_000.0, "peak lag {}", out.peak_lag);
@@ -210,8 +192,8 @@ mod tests {
             .timeline(SimDuration::from_secs(240), &mut Stream::from_seed(3));
         let mut members: Vec<Member> = (0..12).map(|_| Member::new(1_000.0)).collect();
         members[4] = Member::new(1_000.0).with_profile(slow);
-        let atomic = run_multicast(&members, McastConfig::default(), McastProtocol::Atomic);
-        let bimodal = run_multicast(&members, McastConfig::default(), McastProtocol::Bimodal);
+        let atomic = run_multicast(&members, McastProtocol::Atomic);
+        let bimodal = run_multicast(&members, McastProtocol::Bimodal);
         assert!((atomic.mean_delivery / 500.0 - 1.0).abs() < 0.05, "{}", atomic.mean_delivery);
         assert!((bimodal.mean_delivery / 900.0 - 1.0).abs() < 0.02, "{}", bimodal.mean_delivery);
     }
@@ -221,8 +203,8 @@ mod tests {
         let mut members: Vec<Member> = (0..4).map(|_| Member::new(1_000.0)).collect();
         members[2] = Member::new(1_000.0)
             .with_profile(SlowdownProfile::nominal().with_failure_at(SimTime::from_secs(10)));
-        let atomic = run_multicast(&members, McastConfig::default(), McastProtocol::Atomic);
-        let bimodal = run_multicast(&members, McastConfig::default(), McastProtocol::Bimodal);
+        let atomic = run_multicast(&members, McastProtocol::Atomic);
+        let bimodal = run_multicast(&members, McastProtocol::Bimodal);
         // Atomic delivery freezes at the failure point: ~10 s of 120 s.
         assert!(atomic.mean_delivery < 100.0, "{}", atomic.mean_delivery);
         // Bimodal keeps the living majority going; the dead member's gap

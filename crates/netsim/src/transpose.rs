@@ -18,35 +18,18 @@
 
 use simcore::time::SimDuration;
 
-/// Parameters of the fluid transpose model.
-#[derive(Clone, Copy, Debug)]
-pub struct TransposeConfig {
-    /// Number of nodes (senders = receivers).
-    pub nodes: usize,
-    /// Bytes each sender must deliver to each receiver.
-    pub bytes_per_pair: u64,
-    /// Per-node injection rate, bytes/second.
-    pub inject_rate: f64,
-    /// Per-node drain (receive) rate at nominal speed, bytes/second.
-    pub drain_rate: f64,
-    /// Shared fabric buffer capacity in bytes.
-    pub fabric_buffer: u64,
-    /// Simulation time step.
-    pub dt: SimDuration,
-}
-
-impl Default for TransposeConfig {
-    fn default() -> Self {
-        TransposeConfig {
-            nodes: 16,
-            bytes_per_pair: 1 << 20,
-            inject_rate: 20e6,
-            drain_rate: 20e6,
-            fabric_buffer: 4 << 20,
-            dt: SimDuration::from_millis(1),
-        }
-    }
-}
+/// Number of nodes (senders = receivers).
+pub const NODES: usize = 16;
+/// Bytes each sender must deliver to each receiver.
+pub const BYTES_PER_PAIR: u64 = 1 << 20;
+/// Per-node injection rate, bytes/second.
+const INJECT_RATE: f64 = 20e6;
+/// Per-node drain (receive) rate at nominal speed, bytes/second.
+const DRAIN_RATE: f64 = 20e6;
+/// Shared fabric buffer capacity in bytes.
+pub const FABRIC_BUFFER: u64 = 4 << 20;
+/// Simulation time step.
+const DT: SimDuration = SimDuration::from_millis(1);
 
 /// The result of one transpose run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,11 +46,11 @@ pub struct TransposeResult {
 ///
 /// `drain_multipliers[r]` scales receiver `r`'s drain rate (1.0 = nominal);
 /// use e.g. `1/3` to reproduce the CM-5 slow-receiver experiment.
-pub fn run_transpose(config: &TransposeConfig, drain_multipliers: &[f64]) -> TransposeResult {
-    assert_eq!(drain_multipliers.len(), config.nodes, "one multiplier per node");
-    let n = config.nodes;
-    let dt = config.dt.as_secs_f64();
-    let total_per_receiver = config.bytes_per_pair as f64 * n as f64;
+pub fn run_transpose(drain_multipliers: &[f64]) -> TransposeResult {
+    assert_eq!(drain_multipliers.len(), NODES, "one multiplier per node");
+    let n = NODES;
+    let dt = DT.as_secs_f64();
+    let total_per_receiver = BYTES_PER_PAIR as f64 * n as f64;
 
     // Remaining bytes to inject for, and in-fabric backlog of, each receiver.
     let mut to_send = vec![total_per_receiver; n];
@@ -77,22 +60,22 @@ pub fn run_transpose(config: &TransposeConfig, drain_multipliers: &[f64]) -> Tra
     let mut t = 0.0f64;
     let total_bytes = total_per_receiver * n as f64;
     // Hard stop so a zero-drain receiver cannot loop forever.
-    let max_time = 1000.0 * total_bytes / (config.drain_rate * n as f64);
+    let max_time = 1000.0 * total_bytes / (DRAIN_RATE * n as f64);
 
     while received.iter().sum::<f64>() < total_bytes - 0.5 && t < max_time {
         t += dt;
         let occupancy: f64 = backlog.iter().sum();
         peak = peak.max(occupancy);
-        let free = (config.fabric_buffer as f64 - occupancy).max(0.0);
+        let free = (FABRIC_BUFFER as f64 - occupancy).max(0.0);
 
         // Injection: every sender sprays all receivers equally, so the
-        // aggregate offered injection to receiver r is `inject_rate` (n
+        // aggregate offered injection to receiver r is `INJECT_RATE` (n
         // senders × rate/n each), limited by remaining data and by free
         // buffer shared proportionally to demand.
         let mut demand = vec![0.0f64; n];
         let mut total_demand = 0.0;
         for r in 0..n {
-            let want = (config.inject_rate * dt).min(to_send[r]);
+            let want = (INJECT_RATE * dt).min(to_send[r]);
             demand[r] = want;
             total_demand += want;
         }
@@ -110,7 +93,7 @@ pub fn run_transpose(config: &TransposeConfig, drain_multipliers: &[f64]) -> Tra
         // drain fine). One lagging receiver thereby slows everyone —
         // the CM-5 observation.
         let occupancy_after: f64 = backlog.iter().sum();
-        let congestion = occupancy_after / config.fabric_buffer as f64;
+        let congestion = occupancy_after / FABRIC_BUFFER as f64;
         const KNEE: f64 = 0.7;
         let pressure = ((congestion - KNEE) / (1.0 - KNEE)).clamp(0.0, 1.0);
         for r in 0..n {
@@ -120,7 +103,7 @@ pub fn run_transpose(config: &TransposeConfig, drain_multipliers: &[f64]) -> Tra
                 0.0
             };
             let hol = (1.0 - pressure * foreign_frac).clamp(0.35, 1.0);
-            let rate = config.drain_rate * drain_multipliers[r] * hol;
+            let rate = DRAIN_RATE * drain_multipliers[r] * hol;
             let pulled = (rate * dt).min(backlog[r]);
             backlog[r] -= pulled;
             received[r] += pulled;
@@ -133,18 +116,17 @@ pub fn run_transpose(config: &TransposeConfig, drain_multipliers: &[f64]) -> Tra
 
 /// Completion time of a barrier-synchronised transpose: `n` phases, each
 /// gated by its slowest receiver — the static-parallelism reference model.
-pub fn barrier_transpose_time(config: &TransposeConfig, drain_multipliers: &[f64]) -> SimDuration {
-    assert_eq!(drain_multipliers.len(), config.nodes, "one multiplier per node");
+pub fn barrier_transpose_time(drain_multipliers: &[f64]) -> SimDuration {
+    assert_eq!(drain_multipliers.len(), NODES, "one multiplier per node");
     let slowest = drain_multipliers.iter().copied().min_by(f64::total_cmp).unwrap_or(f64::INFINITY);
     assert!(slowest > 0.0, "a zero-rate receiver never finishes");
-    let phase =
-        config.bytes_per_pair as f64 / (config.drain_rate * slowest).min(config.inject_rate);
-    SimDuration::from_secs_f64(phase * config.nodes as f64)
+    let phase = BYTES_PER_PAIR as f64 / (DRAIN_RATE * slowest).min(INJECT_RATE);
+    SimDuration::from_secs_f64(phase * NODES as f64)
 }
 
 /// Convenience: elapsed time of a fully healthy transpose.
-pub fn healthy_baseline(config: &TransposeConfig) -> TransposeResult {
-    run_transpose(config, &vec![1.0; config.nodes])
+pub fn healthy_baseline() -> TransposeResult {
+    run_transpose(&[1.0; NODES])
 }
 
 #[cfg(test)]
@@ -153,11 +135,10 @@ mod tests {
 
     #[test]
     fn healthy_transpose_hits_wire_speed() {
-        let cfg = TransposeConfig::default();
-        let r = healthy_baseline(&cfg);
+        let r = healthy_baseline();
         // 16 nodes × 16 MB at an aggregate 320 MB/s ≈ 0.8 s.
-        let ideal = (cfg.bytes_per_pair * cfg.nodes as u64 * cfg.nodes as u64) as f64
-            / (cfg.drain_rate * cfg.nodes as f64);
+        let ideal =
+            (BYTES_PER_PAIR * NODES as u64 * NODES as u64) as f64 / (DRAIN_RATE * NODES as f64);
         let ratio = r.elapsed.as_secs_f64() / ideal;
         assert!((1.0..1.3).contains(&ratio), "ratio {ratio}");
     }
@@ -166,11 +147,10 @@ mod tests {
     fn one_slow_receiver_collapses_global_throughput() {
         // The headline CM-5 result: a receiver at 1/3 speed costs the whole
         // transpose close to 3x.
-        let cfg = TransposeConfig::default();
-        let healthy = healthy_baseline(&cfg);
-        let mut mult = vec![1.0; cfg.nodes];
+        let healthy = healthy_baseline();
+        let mut mult = vec![1.0; NODES];
         mult[5] = 1.0 / 3.0;
-        let degraded = run_transpose(&cfg, &mult);
+        let degraded = run_transpose(&mult);
         let slowdown = degraded.elapsed.as_secs_f64() / healthy.elapsed.as_secs_f64();
         assert!(slowdown > 2.0, "slowdown {slowdown}");
         assert!(slowdown < 4.5, "slowdown {slowdown}");
@@ -178,45 +158,31 @@ mod tests {
 
     #[test]
     fn slow_receiver_fills_the_fabric() {
-        let cfg = TransposeConfig::default();
-        let mut mult = vec![1.0; cfg.nodes];
+        let mut mult = vec![1.0; NODES];
         mult[0] = 0.2;
-        let r = run_transpose(&cfg, &mult);
+        let r = run_transpose(&mult);
         assert!(
-            r.peak_occupancy > cfg.fabric_buffer / 2,
+            r.peak_occupancy > FABRIC_BUFFER / 2,
             "peak {} of {}",
             r.peak_occupancy,
-            cfg.fabric_buffer
+            FABRIC_BUFFER
         );
     }
 
     #[test]
-    fn bigger_buffers_absorb_more_stutter() {
-        let small = TransposeConfig { fabric_buffer: 1 << 20, ..Default::default() };
-        let large = TransposeConfig { fabric_buffer: 64 << 20, ..Default::default() };
-        let mut mult = vec![1.0; small.nodes];
-        mult[3] = 0.5;
-        let t_small = run_transpose(&small, &mult).elapsed;
-        let t_large = run_transpose(&large, &mult).elapsed;
-        assert!(t_large < t_small, "large {t_large} vs small {t_small}");
-    }
-
-    #[test]
     fn barrier_model_tracks_slowest() {
-        let cfg = TransposeConfig::default();
-        let healthy = barrier_transpose_time(&cfg, &vec![1.0; cfg.nodes]);
-        let mut mult = vec![1.0; cfg.nodes];
+        let healthy = barrier_transpose_time(&[1.0; NODES]);
+        let mut mult = vec![1.0; NODES];
         mult[0] = 0.5;
-        let degraded = barrier_transpose_time(&cfg, &mult);
+        let degraded = barrier_transpose_time(&mult);
         let ratio = degraded.as_secs_f64() / healthy.as_secs_f64();
         assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
     }
 
     #[test]
     fn goodput_is_consistent_with_elapsed() {
-        let cfg = TransposeConfig::default();
-        let r = healthy_baseline(&cfg);
-        let total = (cfg.bytes_per_pair * (cfg.nodes * cfg.nodes) as u64) as f64;
+        let r = healthy_baseline();
+        let total = (BYTES_PER_PAIR * (NODES * NODES) as u64) as f64;
         let recomputed = total / r.elapsed.as_secs_f64();
         assert!((recomputed / r.goodput - 1.0).abs() < 1e-9);
     }

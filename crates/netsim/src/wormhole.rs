@@ -14,23 +14,10 @@
 
 use simcore::time::{SimDuration, SimTime};
 
-/// Configuration of the fabric's deadlock watchdog.
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// Gap between packets of one message that triggers deadlock detection.
-    pub threshold: SimDuration,
-    /// How long deadlock recovery halts all traffic (Myrinet: two seconds).
-    pub recovery: SimDuration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            threshold: SimDuration::from_millis(50),
-            recovery: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Gap between packets of one message that triggers deadlock detection.
+const THRESHOLD: SimDuration = SimDuration::from_millis(50);
+/// How long deadlock recovery halts all traffic (Myrinet: two seconds).
+const RECOVERY: SimDuration = SimDuration::from_secs(2);
 
 /// Outcome of sending one message.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,7 +32,6 @@ pub struct MessageOutcome {
 #[derive(Clone, Debug)]
 pub struct WormholeFabric {
     rate: f64,
-    config: WatchdogConfig,
     // No traffic moves before this instant (recovery in progress).
     halted_until: SimTime,
     deadlocks: u64,
@@ -54,15 +40,9 @@ pub struct WormholeFabric {
 
 impl WormholeFabric {
     /// Creates a fabric draining `rate` bytes/second per route.
-    pub fn new(rate: f64, config: WatchdogConfig) -> Self {
+    pub fn new(rate: f64) -> Self {
         assert!(rate > 0.0, "rate must be positive");
-        WormholeFabric {
-            rate,
-            config,
-            halted_until: SimTime::ZERO,
-            deadlocks: 0,
-            bytes_delivered: 0,
-        }
+        WormholeFabric { rate, halted_until: SimTime::ZERO, deadlocks: 0, bytes_delivered: 0 }
     }
 
     /// Sends one logical message of `packets` packets of `packet_bytes`
@@ -86,12 +66,12 @@ impl WormholeFabric {
             if i > 0 {
                 // The route sits open and idle during the gap; the watchdog
                 // measures exactly this idleness.
-                if gap >= self.config.threshold {
+                if gap >= THRESHOLD {
                     // Deadlock detected mid-gap: recovery halts everything,
                     // the message's route is torn down and re-established,
                     // and only then does the next packet flow.
-                    let detect_at = t + self.config.threshold;
-                    self.halted_until = detect_at + self.config.recovery;
+                    let detect_at = t + THRESHOLD;
+                    self.halted_until = detect_at + RECOVERY;
                     self.deadlocks += 1;
                     deadlocks_triggered += 1;
                     t = self.halted_until.max(t + gap);
@@ -128,7 +108,7 @@ mod tests {
 
     fn fabric() -> WormholeFabric {
         // 100 MB/s fabric, 50 ms watchdog, 2 s recovery.
-        WormholeFabric::new(100e6, WatchdogConfig::default())
+        WormholeFabric::new(100e6)
     }
 
     #[test]

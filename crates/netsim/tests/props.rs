@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use netsim::prelude::*;
+use netsim::transpose::{BYTES_PER_PAIR, NODES};
 use simcore::time::{SimDuration, SimTime};
 
 proptest! {
@@ -58,8 +59,7 @@ proptest! {
         packets in 2u32..20,
         gap_ms in 0u64..200
     ) {
-        let cfg = WatchdogConfig::default();
-        let mut f = WormholeFabric::new(100e6, cfg);
+        let mut f = WormholeFabric::new(100e6);
         let out = f.send_message(SimTime::ZERO, packets, 1_000, SimDuration::from_millis(gap_ms));
         let expect_deadlocks = gap_ms >= 50;
         prop_assert_eq!(out.deadlocks_triggered > 0, expect_deadlocks);
@@ -67,7 +67,7 @@ proptest! {
             prop_assert_eq!(out.deadlocks_triggered, packets - 1);
         }
 
-        let mut slower = WormholeFabric::new(100e6, cfg);
+        let mut slower = WormholeFabric::new(100e6);
         let out2 = slower.send_message(
             SimTime::ZERO,
             packets,
@@ -80,32 +80,15 @@ proptest! {
     /// The transpose delivers every byte: goodput × elapsed = total.
     #[test]
     fn transpose_conserves_bytes(slow in 0.1f64..1.0, which in 0usize..16) {
-        let cfg = TransposeConfig::default();
-        let mut mult = vec![1.0; cfg.nodes];
+        let mut mult = vec![1.0; NODES];
         mult[which] = slow;
-        let out = run_transpose(&cfg, &mult);
-        let total = (cfg.bytes_per_pair * (cfg.nodes * cfg.nodes) as u64) as f64;
+        let out = run_transpose(&mult);
+        let total = (BYTES_PER_PAIR * (NODES * NODES) as u64) as f64;
         let implied = out.goodput * out.elapsed.as_secs_f64();
         prop_assert!((implied / total - 1.0).abs() < 1e-6);
         // A slow receiver never makes the transpose faster than healthy.
-        let healthy = healthy_baseline(&cfg);
+        let healthy = healthy_baseline();
         prop_assert!(out.elapsed >= healthy.elapsed);
-    }
-
-    /// The adaptive transfer under fair arbitration finishes, conserves
-    /// bytes, and unfairness never speeds it up.
-    #[test]
-    fn adaptive_transfer_sane(routes in 2usize..4, mb_per_route in 50u64..300) {
-        let cfg = TransferConfig {
-            routes,
-            bytes_per_route: mb_per_route as f64 * 1e6,
-            ..TransferConfig::default()
-        };
-        let fair = run_adaptive_transfer(&cfg, PortArbitration::Fair);
-        let unfair = run_adaptive_transfer(&cfg, PortArbitration::Priority);
-        prop_assert!(fair.goodput > 0.0);
-        prop_assert!(unfair.elapsed.as_secs_f64() >= 0.95 * fair.elapsed.as_secs_f64());
-        prop_assert_eq!(fair.route_finish.len(), routes);
     }
 
     /// Links serialise: a batch of sends occupies the link for exactly the
@@ -143,13 +126,8 @@ proptest! {
             .timeline(SimDuration::from_secs(240), &mut Stream::from_seed(1));
         let mut members: Vec<Member> = (0..n).map(|_| Member::new(1_000.0)).collect();
         members[which] = Member::new(1_000.0).with_profile(profile);
-        let cfg = McastConfig {
-            offered_rate: 900.0,
-            duration: SimDuration::from_secs(30),
-            dt: SimDuration::from_millis(10),
-        };
-        let atomic = run_multicast(&members, cfg, McastProtocol::Atomic);
-        let bimodal = run_multicast(&members, cfg, McastProtocol::Bimodal);
+        let atomic = run_multicast(&members, McastProtocol::Atomic);
+        let bimodal = run_multicast(&members, McastProtocol::Bimodal);
         prop_assert!(atomic.mean_delivery <= 900.0 * 1.001);
         prop_assert!(bimodal.mean_delivery <= 900.0 * 1.001);
         prop_assert!(bimodal.mean_delivery + 1e-6 >= atomic.mean_delivery,

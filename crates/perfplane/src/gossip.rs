@@ -10,7 +10,7 @@
 //! new versioned entries; a heartbeat republish keeps ages bounded.
 //!
 //! Dissemination is classic push-pull gossip: every `gossip_interval` each
-//! node pushes its full digest to `fanout` random peers over
+//! node pushes its full digest to two random peers over
 //! [`netsim::mesh::Mesh`] links; a receiver merges what is fresher and
 //! replies with what *it* knows that the sender does not. Because the
 //! carrier is made of ordinary [`netsim::link::Link`]s, the plane itself
@@ -18,11 +18,11 @@
 //! and the oracles in [`crate::oracle`] pin down exactly what consumers
 //! may still assume.
 //!
-//! The absolute-failure rule is the paper's threshold `T`
-//! ([`PlaneConfig::fail_threshold`]): only a component observed at zero
-//! rate continuously for `T` is declared failed and tombstoned. A slow or
-//! black-holed *link* can therefore never fabricate a fail-stop — the
-//! no-false-fail-stop oracle holds by construction.
+//! The absolute-failure rule is the paper's threshold `T` (30 s): only a
+//! component observed at zero rate continuously for `T` is declared failed
+//! and tombstoned. A slow or black-holed *link* can therefore never
+//! fabricate a fail-stop — the no-false-fail-stop oracle holds by
+//! construction.
 
 use std::rc::Rc;
 
@@ -39,68 +39,51 @@ use netsim::mesh::Mesh;
 
 use crate::entry::{HealthEntry, NodeId, Store};
 use crate::oracle::longest_outage;
-use crate::view::{StalenessConfig, StalenessView};
+use crate::view::StalenessView;
+
+/// Peers each node pushes to per gossip round.
+const FANOUT: usize = 2;
+/// Time between local rate observations.
+const OBSERVE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Heartbeat republish period: bounds entry age while healthy.
+pub const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// The paper's threshold `T`: a component at zero rate for this long is
+/// absolutely failed and tombstoned.
+const FAIL_THRESHOLD: SimDuration = SimDuration::from_secs(30);
+/// Registry persistence window for class-change exports.
+pub const PERSISTENCE: SimDuration = SimDuration::from_secs(5);
+/// Peer-relative fault fraction (below `fraction · median` is faulty).
+const PEER_FRACTION: f64 = 0.75;
+/// EWMA smoothing factor for local observations.
+const EWMA_ALPHA: f64 = 0.3;
+/// Gossip carrier link rate, bytes/second.
+const LINK_RATE: f64 = 1e6;
+/// Gossip carrier propagation latency.
+const LINK_LATENCY: SimDuration = SimDuration::from_millis(1);
+/// Serialised bytes per digest entry (plus a fixed 64-byte header).
+const ENTRY_BYTES: u64 = 64;
 
 /// Tunables of one plane deployment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlaneConfig {
-    /// Peers each node pushes to per gossip round.
-    pub fanout: usize,
     /// Time between gossip rounds.
     pub gossip_interval: SimDuration,
-    /// Time between local rate observations.
-    pub observe_interval: SimDuration,
-    /// Heartbeat republish period: bounds entry age while healthy.
-    pub refresh_interval: SimDuration,
-    /// The paper's threshold `T`: a component at zero rate for this long
-    /// is absolutely failed and tombstoned.
-    pub fail_threshold: SimDuration,
-    /// Registry persistence window for class-change exports.
-    pub persistence: SimDuration,
-    /// Peer-relative fault fraction (below `fraction · median` is faulty).
-    pub peer_fraction: f64,
-    /// EWMA smoothing factor for local observations.
-    pub ewma_alpha: f64,
-    /// Gossip carrier link rate, bytes/second.
-    pub link_rate: f64,
-    /// Gossip carrier propagation latency.
-    pub link_latency: SimDuration,
-    /// Serialised bytes per digest entry (plus a fixed 64-byte header).
-    pub entry_bytes: u64,
+    /// Entries older than this demote to
+    /// [`PlaneState::Unknown`](crate::view::PlaneState::Unknown) in
+    /// consumer views (tombstones excepted).
+    pub stale_after: SimDuration,
     /// How long the plane runs.
     pub horizon: SimDuration,
-    /// Staleness policy handed to consumer views.
-    pub staleness: StalenessConfig,
 }
 
 impl PlaneConfig {
-    /// Checks the constraints [`run_plane`] relies on; the error names the
-    /// offending field. A zero interval would re-arm its periodic event
-    /// at the same instant forever, so the run would never reach its
-    /// horizon; a bad smoothing factor, peer fraction or link rate would
-    /// panic inside the EWMA, detector or link constructor.
+    /// Checks the constraint [`run_plane`] relies on; the error names the
+    /// offending field. A zero gossip interval would re-arm its periodic
+    /// event at the same instant forever, so the run would never reach its
+    /// horizon.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, interval) in [
-            ("observe_interval", self.observe_interval),
-            ("refresh_interval", self.refresh_interval),
-            ("gossip_interval", self.gossip_interval),
-        ] {
-            if interval.is_zero() {
-                return Err(format!("{name} must be positive"));
-            }
-        }
-        if self.fanout < 1 {
-            return Err("fanout must be at least 1".to_string());
-        }
-        for (name, fraction) in
-            [("ewma_alpha", self.ewma_alpha), ("peer_fraction", self.peer_fraction)]
-        {
-            if fraction.is_nan() || fraction <= 0.0 || fraction > 1.0 {
-                return Err(format!("{name} must be in (0, 1], got {fraction}"));
-            }
-        }
-        if self.link_rate.is_nan() || self.link_rate <= 0.0 {
-            return Err(format!("link_rate must be positive, got {}", self.link_rate));
+        if self.gossip_interval.is_zero() {
+            return Err("gossip_interval must be positive".to_string());
         }
         Ok(())
     }
@@ -109,19 +92,9 @@ impl PlaneConfig {
 impl Default for PlaneConfig {
     fn default() -> Self {
         PlaneConfig {
-            fanout: 2,
             gossip_interval: SimDuration::from_secs(2),
-            observe_interval: SimDuration::from_secs(1),
-            refresh_interval: SimDuration::from_secs(10),
-            fail_threshold: SimDuration::from_secs(30),
-            persistence: SimDuration::from_secs(5),
-            peer_fraction: 0.75,
-            ewma_alpha: 0.3,
-            link_rate: 1e6,
-            link_latency: SimDuration::from_millis(1),
-            entry_bytes: 64,
+            stale_after: SimDuration::from_secs(60),
             horizon: SimDuration::from_secs(600),
-            staleness: StalenessConfig::default(),
         }
     }
 }
@@ -231,7 +204,7 @@ pub struct PlaneRun {
     /// Config echo (oracles derive the convergence allowance from it).
     pub config: PlaneConfig,
     /// Ground truth per component: did its profile actually fail-stop
-    /// (zero rate for ≥ `fail_threshold`, or an absolute failure) within
+    /// (zero rate for ≥ the threshold `T`, or an absolute failure) within
     /// the horizon?
     pub truly_failed: Vec<bool>,
     /// End of the simulated window (`SimTime::ZERO + config.horizon`).
@@ -247,11 +220,11 @@ impl PlaneRun {
 
 /// One event of the plane's dispatch loop.
 enum Event {
-    /// Node `i` samples its component; re-arms every `observe_interval`.
+    /// Node `i` samples its component; re-arms every `OBSERVE_INTERVAL`.
     Observe(usize),
-    /// Node `i` republishes its heartbeat; re-arms every `refresh_interval`.
+    /// Node `i` republishes its heartbeat; re-arms every `REFRESH_INTERVAL`.
     Refresh(usize),
-    /// Node `i` pushes its digest to `fanout` peers; re-arms every
+    /// Node `i` pushes its digest to `FANOUT` peers; re-arms every
     /// `gossip_interval`.
     Gossip(usize),
     /// A push digest from `from` arrives at `to`.
@@ -271,7 +244,6 @@ struct NodeState {
 }
 
 struct SimState {
-    cfg: PlaneConfig,
     components: Vec<ObservedComponent>,
     detector: PeerRelativeDetector,
     mesh: Mesh,
@@ -317,7 +289,7 @@ impl SimState {
             // Below the threshold `T` a silent device is still only
             // *suspect*; at `T` it is absolutely failed (paper §3.1).
             let since = *self.nodes[i].zero_since.get_or_insert(now);
-            (now.saturating_since(since) >= self.cfg.fail_threshold).then_some(HealthState::Failed)
+            (now.saturating_since(since) >= FAIL_THRESHOLD).then_some(HealthState::Failed)
         } else {
             self.nodes[i].zero_since = None;
             (smoothed > 0.0).then(|| {
@@ -356,10 +328,10 @@ impl SimState {
         self.publish(i, now, state, smoothed);
     }
 
-    /// Fills `peers` with `fanout` distinct random peers of node `i`.
+    /// Fills `peers` with `FANOUT` distinct random peers of node `i`.
     fn pick_peers(&mut self, i: usize) {
         let n = self.nodes.len();
-        let k = self.cfg.fanout.min(n - 1);
+        let k = FANOUT.min(n - 1);
         let peers = &mut self.peers;
         peers.clear();
         while peers.len() < k {
@@ -373,8 +345,8 @@ impl SimState {
         }
     }
 
-    fn payload_bytes(&self, entries: usize) -> u64 {
-        64 + self.cfg.entry_bytes * entries as u64
+    fn payload_bytes(entries: usize) -> u64 {
+        64 + ENTRY_BYTES * entries as u64
     }
 
     fn gossip_round(&mut self, i: usize, now: SimTime, queue: &mut EventQueue<Event>) {
@@ -382,7 +354,7 @@ impl SimState {
         if digest.is_empty() {
             return;
         }
-        let bytes = self.payload_bytes(digest.len());
+        let bytes = Self::payload_bytes(digest.len());
         self.pick_peers(i);
         for &to in &self.peers {
             self.stats.pushes_sent += 1;
@@ -411,7 +383,7 @@ impl SimState {
         if reply.is_empty() {
             return;
         }
-        let bytes = self.payload_bytes(reply.len());
+        let bytes = Self::payload_bytes(reply.len());
         self.stats.replies_sent += 1;
         if let Some(d) = self.mesh.send(to, from, now, bytes) {
             queue.schedule_at(d.arrive, Event::Reply { to: from, entries: reply });
@@ -430,7 +402,7 @@ impl SimState {
 }
 
 /// Ground truth: did the component's profile absolutely fail within the
-/// horizon, under the threshold rule `T = fail_threshold`?
+/// horizon, under the threshold rule `T = FAIL_THRESHOLD`?
 fn profile_fails(profile: &SlowdownProfile, threshold: SimDuration, horizon: SimDuration) -> bool {
     longest_outage(profile, horizon) >= threshold
 }
@@ -441,11 +413,11 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
     let n = spec.nodes();
     assert!(n >= 2, "a plane needs at least two nodes, got {n}");
     assert_eq!(spec.link_profiles.len(), n * n, "link profile matrix must be n*n");
-    let cfg = spec.config.clone();
+    let cfg = spec.config;
     let checked = cfg.validate();
     assert!(checked.is_ok(), "invalid plane config: {checked:?}");
 
-    let mut mesh = Mesh::homogeneous(n, cfg.link_rate, cfg.link_latency);
+    let mut mesh = Mesh::homogeneous(n, LINK_RATE, LINK_LATENCY);
     for from in 0..n {
         for to in 0..n {
             if from == to {
@@ -461,8 +433,8 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
     let nodes = (0..n)
         .map(|i| NodeState {
             store: Store::new(),
-            ewma: Ewma::new(cfg.ewma_alpha),
-            registry: Registry::new(cfg.persistence),
+            ewma: Ewma::new(EWMA_ALPHA),
+            registry: Registry::new(PERSISTENCE),
             rng: rng.derive_index(i as u64),
             zero_since: None,
             next_seq: 0,
@@ -473,26 +445,25 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
     let truly_failed = spec
         .components
         .iter()
-        .map(|c| profile_fails(&c.profile, cfg.fail_threshold, cfg.horizon))
+        .map(|c| profile_fails(&c.profile, FAIL_THRESHOLD, cfg.horizon))
         .collect();
 
     let mut state = SimState {
-        cfg: cfg.clone(),
         components: spec.components.clone(),
-        detector: PeerRelativeDetector::new(cfg.peer_fraction),
+        detector: PeerRelativeDetector::new(PEER_FRACTION),
         mesh,
         nodes,
         stats: PlaneStats::default(),
         rates: Vec::with_capacity(n),
-        peers: Vec::with_capacity(cfg.fanout.min(n - 1)),
+        peers: Vec::with_capacity(FANOUT.min(n - 1)),
     };
 
     // Each periodic event re-arms after its handler has scheduled its
     // deliveries, so the re-arm takes the later sequence number.
     let mut queue = EventQueue::new();
     for i in 0..n {
-        queue.schedule_at(SimTime::ZERO + cfg.observe_interval, Event::Observe(i));
-        queue.schedule_at(SimTime::ZERO + cfg.refresh_interval, Event::Refresh(i));
+        queue.schedule_at(SimTime::ZERO + OBSERVE_INTERVAL, Event::Observe(i));
+        queue.schedule_at(SimTime::ZERO + REFRESH_INTERVAL, Event::Refresh(i));
         queue.schedule_at(SimTime::ZERO + cfg.gossip_interval, Event::Gossip(i));
     }
     let end = SimTime::ZERO + cfg.horizon;
@@ -501,11 +472,11 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
         match event {
             Event::Observe(i) => {
                 state.observe(i, now);
-                queue.schedule_at(now + cfg.observe_interval, Event::Observe(i));
+                queue.schedule_at(now + OBSERVE_INTERVAL, Event::Observe(i));
             }
             Event::Refresh(i) => {
                 state.heartbeat(i, now);
-                queue.schedule_at(now + cfg.refresh_interval, Event::Refresh(i));
+                queue.schedule_at(now + REFRESH_INTERVAL, Event::Refresh(i));
             }
             Event::Gossip(i) => {
                 state.gossip_round(i, now, &mut queue);
@@ -523,7 +494,7 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
     let views = state
         .nodes
         .into_iter()
-        .map(|node| StalenessView::new(node.store.into_history(), cfg.staleness))
+        .map(|node| StalenessView::new(node.store.into_history(), cfg.stale_after))
         .collect();
 
     PlaneRun { views, stats, config: cfg, truly_failed, end }
@@ -629,60 +600,13 @@ mod tests {
         assert!(run.stats.pushes_dropped > 0);
     }
 
-    /// The default config with one edit applied, which must be rejected.
-    fn rejected(edit: impl FnOnce(&mut PlaneConfig)) -> String {
-        let mut cfg = PlaneConfig::default();
-        assert_eq!(cfg.validate(), Ok(()));
-        edit(&mut cfg);
-        cfg.validate().expect_err("the edited config must be rejected")
-    }
-
-    #[test]
-    fn validate_rejects_zero_observe_interval() {
-        let err = rejected(|c| c.observe_interval = SimDuration::ZERO);
-        assert!(err.contains("observe_interval"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_zero_refresh_interval() {
-        let err = rejected(|c| c.refresh_interval = SimDuration::ZERO);
-        assert!(err.contains("refresh_interval"), "{err}");
-    }
-
     #[test]
     fn validate_rejects_zero_gossip_interval() {
-        let err = rejected(|c| c.gossip_interval = SimDuration::ZERO);
+        let mut cfg = PlaneConfig::default();
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.gossip_interval = SimDuration::ZERO;
+        let err = cfg.validate().expect_err("a zero gossip interval must be rejected");
         assert!(err.contains("gossip_interval"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_zero_fanout() {
-        let err = rejected(|c| c.fanout = 0);
-        assert!(err.contains("fanout"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_ewma_alpha_outside_the_unit_interval() {
-        for alpha in [0.0, -0.3, 1.5, f64::NAN] {
-            let err = rejected(|c| c.ewma_alpha = alpha);
-            assert!(err.contains("ewma_alpha"), "{err}");
-        }
-    }
-
-    #[test]
-    fn validate_rejects_peer_fraction_outside_the_unit_interval() {
-        for fraction in [0.0, -0.75, 1.25, f64::NAN] {
-            let err = rejected(|c| c.peer_fraction = fraction);
-            assert!(err.contains("peer_fraction"), "{err}");
-        }
-    }
-
-    #[test]
-    fn validate_rejects_a_non_positive_link_rate() {
-        for rate in [0.0, -1e6, f64::NAN] {
-            let err = rejected(|c| c.link_rate = rate);
-            assert!(err.contains("link_rate"), "{err}");
-        }
     }
 
     #[test]

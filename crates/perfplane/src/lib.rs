@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::gossip::{
         run_plane, ObservedComponent, PlaneConfig, PlaneRun, PlaneSpec, PlaneStats,
     };
-    pub use crate::view::{PlaneState, PlaneView, StalenessConfig, StalenessView};
+    pub use crate::view::{PlaneState, PlaneView, StalenessView};
     pub use stutter::fault::{ComponentId, HealthState};
     pub use stutter::injector::SlowdownProfile;
 }

@@ -21,23 +21,10 @@ use simcore::time::{SimDuration, SimTime};
 use stutter::fault::HealthState;
 use stutter::injector::SlowdownProfile;
 
-use crate::gossip::PlaneRun;
-use crate::view::StalenessConfig;
+use crate::gossip::{PlaneRun, PERSISTENCE, REFRESH_INTERVAL};
+use crate::view::confidence_at;
 
-/// One oracle violation: which oracle fired and why.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// Name of the oracle that fired.
-    pub oracle: &'static str,
-    /// Human-readable evidence.
-    pub detail: String,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.oracle, self.detail)
-    }
-}
+pub use stutter::oracle::Violation;
 
 fn same_class(a: HealthState, b: HealthState) -> bool {
     matches!(
@@ -98,10 +85,7 @@ fn log2_ceil(n: usize) -> u64 {
 /// link profiles).
 pub fn convergence_allowance(run: &PlaneRun, link_slack: SimDuration) -> SimDuration {
     let rounds = 2 * (log2_ceil(run.nodes()) + 3);
-    run.config.gossip_interval * rounds
-        + run.config.refresh_interval
-        + run.config.persistence
-        + link_slack
+    run.config.gossip_interval * rounds + REFRESH_INTERVAL + PERSISTENCE + link_slack
 }
 
 /// The largest [`longest_outage`] across a spec's link timelines, or
@@ -125,7 +109,7 @@ pub fn link_slack(
 /// Eventual convergence: for every component whose origin's exported class
 /// was quiescent for at least `allowance` before the horizon, every node
 /// must (a) hold an entry of that final class and (b) hold it at age at
-/// most `refresh_interval + allowance`.
+/// most one heartbeat period ([`REFRESH_INTERVAL`]) plus `allowance`.
 ///
 /// Callers must gate this on a carrier with no permanent link failures
 /// (see [`link_slack`]); a partitioned plane legitimately diverges.
@@ -164,7 +148,7 @@ pub fn check_convergence(run: &PlaneRun, allowance: SimDuration) -> Vec<Violatio
                         });
                     }
                     let age = run.end.saturating_since(e.observed_at);
-                    let bound = run.config.refresh_interval + allowance;
+                    let bound = REFRESH_INTERVAL + allowance;
                     if !e.is_tombstone() && age > bound {
                         violations.push(Violation {
                             oracle: "plane/convergence",
@@ -246,15 +230,15 @@ pub fn check_monotone(run: &PlaneRun) -> Vec<Violation> {
             }
         }
     }
-    violations.extend(check_confidence_decay(run.config.staleness));
+    violations.extend(check_confidence_decay());
     violations
 }
 
-fn check_confidence_decay(staleness: StalenessConfig) -> Vec<Violation> {
+fn check_confidence_decay() -> Vec<Violation> {
     let ages: Vec<SimDuration> = (0..=8).map(|k| SimDuration::from_secs(k * 15)).collect();
     let mut violations = Vec::new();
     for w in ages.windows(2) {
-        let (c0, c1) = (staleness.confidence_at(w[0]), staleness.confidence_at(w[1]));
+        let (c0, c1) = (confidence_at(w[0]), confidence_at(w[1]));
         if c1 > c0 || !c0.is_finite() || !(0.0..=1.0).contains(&c0) {
             violations.push(Violation {
                 oracle: "plane/monotone-staleness",
@@ -343,7 +327,7 @@ mod tests {
         let spec = drifting_spec(4);
         let mut run = run_plane(&spec, &mut Stream::from_seed(3));
         // Forge a node that never heard about component 0.
-        run.views[2] = crate::view::StalenessView::new(Default::default(), spec.config.staleness);
+        run.views[2] = crate::view::StalenessView::new(Default::default(), spec.config.stale_after);
         let allowance = convergence_allowance(&run, SimDuration::ZERO);
         let v = check_convergence(&run, allowance);
         assert!(v.iter().any(|v| v.detail.contains("never heard")), "{v:?}");

@@ -16,35 +16,13 @@ use crate::entry::HealthEntry;
 
 use std::collections::BTreeMap;
 
-/// How a view translates entry age into trust.
-#[derive(Clone, Copy, Debug)]
-pub struct StalenessConfig {
-    /// Entries older than this demote to [`PlaneState::Unknown`]
-    /// (tombstones excepted).
-    pub stale_after: SimDuration,
-    /// Confidence halves every `half_life` of age.
-    pub half_life: SimDuration,
-}
+/// Confidence halves every `HALF_LIFE` of age.
+const HALF_LIFE: SimDuration = SimDuration::from_secs(30);
 
-impl Default for StalenessConfig {
-    fn default() -> Self {
-        StalenessConfig {
-            stale_after: SimDuration::from_secs(60),
-            half_life: SimDuration::from_secs(30),
-        }
-    }
-}
-
-impl StalenessConfig {
-    /// The confidence assigned to an entry of the given age: `0.5^(age /
-    /// half_life)`, monotone non-increasing in age, 1.0 at age zero.
-    pub fn confidence_at(&self, age: SimDuration) -> f64 {
-        let h = self.half_life.as_secs_f64();
-        if h <= 0.0 {
-            return if age == SimDuration::ZERO { 1.0 } else { 0.0 };
-        }
-        0.5f64.powf(age.as_secs_f64() / h)
-    }
+/// The confidence assigned to an entry of the given age: `0.5^(age /
+/// HALF_LIFE)`, monotone non-increasing in age, 1.0 at age zero.
+pub(crate) fn confidence_at(age: SimDuration) -> f64 {
+    0.5f64.powf(age.as_secs_f64() / HALF_LIFE.as_secs_f64())
 }
 
 /// What a consumer knows about a component's health.
@@ -67,8 +45,8 @@ pub struct PlaneView {
     /// (propagation delay included). `SimDuration::MAX` when nothing has
     /// ever arrived.
     pub age: SimDuration,
-    /// `0.5^(age/half_life)` for known entries, 0.0 for never-heard-of,
-    /// 1.0 for tombstones.
+    /// `0.5^(age / 30 s)` for known entries, 0.0 for never-heard-of, 1.0
+    /// for tombstones.
     pub confidence: f64,
     /// The origin's observed rate, when a fresh entry is known.
     pub rate: Option<f64>,
@@ -89,17 +67,18 @@ impl PlaneView {
 #[derive(Clone, Debug)]
 pub struct StalenessView {
     histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
-    staleness: StalenessConfig,
+    stale_after: SimDuration,
 }
 
 impl StalenessView {
-    /// Wraps an accepted-update history under a staleness policy. Each
+    /// Wraps an accepted-update history; entries older than `stale_after`
+    /// demote to [`PlaneState::Unknown`] (tombstones excepted). Each
     /// history must be in non-decreasing arrival order.
     pub(crate) fn new(
         histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
-        staleness: StalenessConfig,
+        stale_after: SimDuration,
     ) -> Self {
-        StalenessView { histories, staleness }
+        StalenessView { histories, stale_after }
     }
 
     /// The raw freshest entry that had arrived by `now`, if any.
@@ -134,8 +113,8 @@ impl StalenessView {
                 rate: Some(0.0),
             };
         }
-        let confidence = self.staleness.confidence_at(age);
-        if age > self.staleness.stale_after {
+        let confidence = confidence_at(age);
+        if age > self.stale_after {
             return PlaneView::unknown(age, confidence);
         }
         PlaneView { state: PlaneState::Known(e.state), age, confidence, rate: Some(e.rate) }
@@ -148,7 +127,7 @@ impl StalenessView {
     pub fn estimated_rate(&self, component: ComponentId, now: SimTime, fallback: f64) -> f64 {
         match self.entry_at(component, now) {
             Some(e) if e.is_tombstone() => 0.0,
-            Some(e) if now.saturating_since(e.observed_at) <= self.staleness.stale_after => e.rate,
+            Some(e) if now.saturating_since(e.observed_at) <= self.stale_after => e.rate,
             _ => fallback,
         }
     }
@@ -174,13 +153,7 @@ mod tests {
     fn view(history: Vec<(SimTime, HealthEntry)>) -> StalenessView {
         let mut m = BTreeMap::new();
         m.insert(ComponentId(0), history);
-        StalenessView::new(
-            m,
-            StalenessConfig {
-                stale_after: SimDuration::from_secs(60),
-                half_life: SimDuration::from_secs(30),
-            },
-        )
+        StalenessView::new(m, SimDuration::from_secs(60))
     }
 
     #[test]
@@ -305,16 +278,16 @@ mod tests {
             histories in (history(0), history(1), history(2))
         ) {
             let (h0, h1, h2) = histories;
-            let staleness = StalenessConfig::default();
+            let stale_after = SimDuration::from_secs(60);
             let histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>> = [h0, h1, h2]
                 .into_iter()
                 .filter(|h| !h.is_empty())
                 .map(|h| (h[0].1.component, h))
                 .collect();
-            let v = StalenessView::new(histories.clone(), staleness);
+            let v = StalenessView::new(histories.clone(), stale_after);
             let mut probes = vec![SimTime::ZERO, SimTime::from_secs(10_000)];
             for (arrival, e) in histories.values().flatten() {
-                let bound = e.observed_at + staleness.stale_after;
+                let bound = e.observed_at + stale_after;
                 let ns = SimDuration::from_nanos(1);
                 probes.extend([*arrival - ns, *arrival, *arrival + ns, bound, bound + ns]);
             }

@@ -57,5 +57,5 @@ pub mod prelude {
     };
     pub use crate::oracle::{Band, Violation};
     pub use crate::vdisk::{MirrorPair, VDisk};
-    pub use crate::wind::{run_wind, Management, WindConfig, WindEvent, WindOutcome};
+    pub use crate::wind::{run_wind, Management, WindEvent, WindOutcome};
 }

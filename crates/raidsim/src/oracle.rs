@@ -21,6 +21,8 @@
 use crate::controller::{Workload, WriteOutcome};
 use crate::model;
 
+pub use stutter::oracle::Violation;
+
 /// An inclusive acceptance interval for a measured scalar.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Band {
@@ -50,15 +52,6 @@ impl Band {
     pub fn contains(&self, x: f64) -> bool {
         x >= self.lo && x <= self.hi
     }
-}
-
-/// A failed oracle check: which oracle, and what it saw.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Stable identifier of the oracle that fired.
-    pub oracle: &'static str,
-    /// Human-readable account of expected vs measured.
-    pub detail: String,
 }
 
 /// Checks a measured value against a band under a named oracle.

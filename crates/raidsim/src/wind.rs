@@ -45,35 +45,17 @@ pub enum Management {
     },
 }
 
-/// Configuration of a WiND run.
-#[derive(Clone, Copy, Debug)]
-pub struct WindConfig {
-    /// Offered write load, bytes/second (must be under nominal aggregate).
-    pub offered_load: f64,
-    /// Nominal per-pair rate, bytes/second.
-    pub nominal_rate: f64,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Control/sampling epoch.
-    pub epoch: SimDuration,
-    /// Data a rebuild must copy, bytes.
-    pub rebuild_bytes: f64,
-    /// Fraction of a pair's bandwidth a running rebuild consumes.
-    pub rebuild_share: f64,
-}
-
-impl Default for WindConfig {
-    fn default() -> Self {
-        WindConfig {
-            offered_load: 25e6,
-            nominal_rate: 10e6,
-            duration: SimDuration::from_secs(7_200),
-            epoch: SimDuration::from_secs(1),
-            rebuild_bytes: 2e9,
-            rebuild_share: 0.3,
-        }
-    }
-}
+/// Offered write load, bytes/second (under the nominal aggregate of the
+/// arrays the experiments run).
+pub const OFFERED_LOAD: f64 = 25e6;
+/// Simulated duration of a run.
+const DURATION: SimDuration = SimDuration::from_secs(7_200);
+/// Control/sampling epoch.
+pub const EPOCH: SimDuration = SimDuration::from_secs(1);
+/// Data a rebuild must copy, bytes.
+const REBUILD_BYTES: f64 = 2e9;
+/// Fraction of a pair's bandwidth a running rebuild consumes.
+const REBUILD_SHARE: f64 = 0.3;
 
 /// A notable event during the run.
 #[derive(Clone, Debug, PartialEq)]
@@ -137,18 +119,20 @@ enum PairState {
     Lost,
 }
 
-/// Runs the array against its fault timelines.
-pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management) -> WindOutcome {
+/// Runs the array against its fault timelines. Each pair is judged
+/// against its own nominal rate, the slower of its two disks' nominals
+/// (paper §3.1: each component has its own performance specification).
+pub fn run_wind(pairs: &[MirrorPair], management: Management) -> WindOutcome {
     assert!(!pairs.is_empty(), "need at least one pair");
     let n = pairs.len();
-    let dt = config.epoch.as_secs_f64();
+    let dt = EPOCH.as_secs_f64();
     let managed = matches!(management, Management::Managed { .. });
     let mut spares_left = match management {
         Management::Managed { hot_spares } => hot_spares,
         Management::Unmanaged => 0,
     };
 
-    let spec = PerfSpec::constant(config.nominal_rate);
+    let nominal: Vec<f64> = pairs.iter().map(|p| p.a.nominal().min(p.b.nominal())).collect();
     let predictor = PredictorConfig {
         window: SimDuration::from_secs(300),
         min_samples: 8,
@@ -156,8 +140,12 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
         slope_threshold: 0.05,
         consecutive_below: 4,
     };
-    let mut monitors: Vec<Monitor> =
-        (0..n).map(|i| Monitor::new(ComponentId(i as u32), spec.clone(), 0.3, predictor)).collect();
+    let mut monitors: Vec<Monitor> = (0..n)
+        .map(|i| {
+            let spec = PerfSpec::constant(nominal[i]);
+            Monitor::new(ComponentId(i as u32), spec, 0.3, predictor)
+        })
+        .collect();
     let mut registry = Registry::new(SimDuration::from_secs(60));
     let mut state = vec![PairState::Stuttering; n];
     let mut events = Vec::new();
@@ -167,7 +155,7 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
     let mut epochs = 0u64;
 
     let mut t = SimTime::ZERO;
-    let end = SimTime::ZERO + config.duration;
+    let end = SimTime::ZERO + DURATION;
     // Backlog carried when the array cannot keep up: one shared queue
     // under management (work is relocatable), one queue per pair under
     // static striping (each pair's blocks are pinned to it).
@@ -175,14 +163,14 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
     let mut pinned_backlog = vec![0.0f64; n];
 
     while t < end {
-        t += config.epoch;
+        t += EPOCH;
         epochs += 1;
 
         // Current effective rate of each pair.
         let mut rates = vec![0.0f64; n];
         for i in 0..n {
             rates[i] = match state[i] {
-                PairState::Replaced => config.nominal_rate,
+                PairState::Replaced => nominal[i],
                 PairState::Lost => 0.0,
                 PairState::Rebuilding(done) => {
                     if pairs[i].failed_at(t.min(done)) {
@@ -194,9 +182,9 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
                     } else if t >= done {
                         state[i] = PairState::Replaced;
                         events.push(WindEvent::RebuildCompleted { at: t, pair: i });
-                        config.nominal_rate
+                        nominal[i]
                     } else {
-                        pairs[i].write_rate_at(t) * (1.0 - config.rebuild_share)
+                        pairs[i].write_rate_at(t) * (1.0 - REBUILD_SHARE)
                     }
                 }
                 PairState::Stuttering => pairs[i].write_rate_at(t),
@@ -221,12 +209,10 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
                 if must_rebuild {
                     if spares_left > 0 {
                         spares_left -= 1;
-                        // Rebuild reads from the pair's survivor at the
-                        // configured share of whatever it still delivers.
-                        let read_rate =
-                            (rates[i] * config.rebuild_share).max(0.05 * config.nominal_rate);
-                        let rebuild_time =
-                            SimDuration::from_secs_f64(config.rebuild_bytes / read_rate);
+                        // Rebuild reads from the pair's survivor at
+                        // `REBUILD_SHARE` of whatever it still delivers.
+                        let read_rate = (rates[i] * REBUILD_SHARE).max(0.05 * nominal[i]);
+                        let rebuild_time = SimDuration::from_secs_f64(REBUILD_BYTES / read_rate);
                         state[i] = PairState::Rebuilding(t + rebuild_time);
                         events.push(WindEvent::RebuildStarted { at: t, pair: i });
                     } else if pairs[i].failed_at(t) {
@@ -250,7 +236,7 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
         if managed {
             // Pull-style: the aggregate of current rates is usable and
             // backed-up work can go anywhere.
-            let incoming = config.offered_load * dt + backlog;
+            let incoming = OFFERED_LOAD * dt + backlog;
             let capacity: f64 = rates.iter().sum::<f64>() * dt;
             served = incoming.min(capacity);
             backlog = (incoming - served).max(0.0);
@@ -258,7 +244,7 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
         } else {
             // Static equal shares: each pair is offered 1/n of the load
             // and its unserved share stays pinned to it.
-            let share = config.offered_load * dt / n as f64;
+            let share = OFFERED_LOAD * dt / n as f64;
             let mut s = 0.0;
             for i in 0..n {
                 pinned_backlog[i] += share;
@@ -277,7 +263,7 @@ pub fn run_wind(pairs: &[MirrorPair], config: WindConfig, management: Management
     }
 
     WindOutcome {
-        mean_throughput: delivered_total / config.duration.as_secs_f64(),
+        mean_throughput: delivered_total / DURATION.as_secs_f64(),
         availability: ok_epochs as f64 / epochs as f64,
         throughput,
         events,
@@ -298,6 +284,12 @@ mod tests {
     }
 
     fn wearing_pair(seed: u64) -> MirrorPair {
+        wearing_pair_at(seed, 10.0 * MB)
+    }
+
+    /// Both replicas wear out together: linearly from 900 s to 20% of
+    /// `nominal` at 2,100 s, then fail-stop at 2,700 s.
+    fn wearing_pair_at(seed: u64, nominal: f64) -> MirrorPair {
         let inj = Injector::Wearout {
             onset: SimTime::from_secs(900),
             ramp: SimDuration::from_secs(1_200),
@@ -306,18 +298,25 @@ mod tests {
         };
         let p = inj.timeline(SimDuration::from_secs(7_200), &mut Stream::from_seed(seed));
         MirrorPair::new(
-            VDisk::new(10.0 * MB).with_profile(p.clone()),
-            VDisk::new(10.0 * MB).with_profile(p),
+            VDisk::new(nominal).with_profile(p.clone()),
+            VDisk::new(nominal).with_profile(p),
         )
+    }
+
+    fn rebuild_start(out: &WindOutcome, pair: usize) -> Option<SimTime> {
+        out.events.iter().find_map(|e| match e {
+            WindEvent::RebuildStarted { at, pair: p } if *p == pair => Some(*at),
+            _ => None,
+        })
     }
 
     #[test]
     fn healthy_array_serves_everything_either_way() {
         let pairs = healthy_pairs(4);
         for mode in [Management::Unmanaged, Management::Managed { hot_spares: 1 }] {
-            let out = run_wind(&pairs, WindConfig::default(), mode);
+            let out = run_wind(&pairs, mode);
             assert!((out.availability - 1.0).abs() < 1e-9, "{mode:?}: {}", out.availability);
-            assert!((out.mean_throughput / 25e6 - 1.0).abs() < 0.01);
+            assert!((out.mean_throughput / OFFERED_LOAD - 1.0).abs() < 0.01);
         }
     }
 
@@ -325,9 +324,8 @@ mod tests {
     fn managed_array_survives_wearout_with_a_spare() {
         let mut pairs = healthy_pairs(4);
         pairs[1] = wearing_pair(3);
-        let managed =
-            run_wind(&pairs, WindConfig::default(), Management::Managed { hot_spares: 1 });
-        let unmanaged = run_wind(&pairs, WindConfig::default(), Management::Unmanaged);
+        let managed = run_wind(&pairs, Management::Managed { hot_spares: 1 });
+        let unmanaged = run_wind(&pairs, Management::Unmanaged);
         assert!(managed.availability > 0.9, "managed availability {}", managed.availability);
         assert!(
             unmanaged.availability < managed.availability,
@@ -366,15 +364,8 @@ mod tests {
             VDisk::new(10.0 * MB).with_profile(p.clone()),
             VDisk::new(10.0 * MB).with_profile(p),
         );
-        let out = run_wind(&pairs, WindConfig::default(), Management::Managed { hot_spares: 1 });
-        let started = out
-            .events
-            .iter()
-            .find_map(|e| match e {
-                WindEvent::RebuildStarted { at, pair: 1 } => Some(*at),
-                _ => None,
-            })
-            .expect("the prediction starts a rebuild");
+        let out = run_wind(&pairs, Management::Managed { hot_spares: 1 });
+        let started = rebuild_start(&out, 1).expect("the prediction starts a rebuild");
         assert!(started < dies);
         let lost = out
             .events
@@ -384,7 +375,7 @@ mod tests {
                 _ => None,
             })
             .expect("the pair's data dies with it");
-        assert!(lost >= dies && lost <= dies + WindConfig::default().epoch, "lost at {lost}");
+        assert!(lost >= dies && lost <= dies + EPOCH, "lost at {lost}");
         assert!(!out.events.iter().any(|e| matches!(e, WindEvent::RebuildCompleted { .. })));
     }
 
@@ -392,7 +383,7 @@ mod tests {
     fn unmanaged_array_loses_the_failed_pair() {
         let mut pairs = healthy_pairs(4);
         pairs[2] = wearing_pair(5);
-        let out = run_wind(&pairs, WindConfig::default(), Management::Unmanaged);
+        let out = run_wind(&pairs, Management::Unmanaged);
         assert!(out.events.iter().any(|e| matches!(e, WindEvent::PairLost { pair: 2, .. })));
         // A quarter of the offered load backs up forever after the loss:
         // availability collapses.
@@ -409,7 +400,7 @@ mod tests {
         let mut pairs = healthy_pairs(4);
         let p = inj.timeline(SimDuration::from_secs(7_200), &mut Stream::from_seed(9));
         pairs[0] = MirrorPair::new(VDisk::new(10.0 * MB).with_profile(p), VDisk::new(10.0 * MB));
-        let out = run_wind(&pairs, WindConfig::default(), Management::Managed { hot_spares: 0 });
+        let out = run_wind(&pairs, Management::Managed { hot_spares: 0 });
         // Aggregate capacity dips to 33 MB/s during episodes — still above
         // the 25 MB/s offered load, so pull-style distribution rides
         // through with barely any backlog.
@@ -425,13 +416,13 @@ mod tests {
             .timeline(SimDuration::from_secs(7_200), &mut Stream::from_seed(11));
         let mut pairs = healthy_pairs(4);
         pairs[3] = MirrorPair::new(VDisk::new(10.0 * MB).with_profile(slow), VDisk::new(10.0 * MB));
-        let cfg = WindConfig { offered_load: 30e6, ..WindConfig::default() };
-        let unmanaged = run_wind(&pairs, cfg, Management::Unmanaged);
-        let managed = run_wind(&pairs, cfg, Management::Managed { hot_spares: 0 });
-        // Unmanaged: pair 3 serves 3 of its 7.5 MB/s share; the array
-        // delivers ~25.5 of 30 MB/s. Managed: aggregate 33 > 30 — fine.
-        assert!(unmanaged.mean_throughput < 27e6, "{}", unmanaged.mean_throughput);
-        assert!(managed.mean_throughput > 29.5e6, "{}", managed.mean_throughput);
+        let unmanaged = run_wind(&pairs, Management::Unmanaged);
+        let managed = run_wind(&pairs, Management::Managed { hot_spares: 0 });
+        // Unmanaged: pair 3 serves 3 of its 6.25 MB/s share; the array
+        // delivers 3 × 6.25 + 3 = 21.75 of 25 MB/s. Managed: aggregate
+        // 33 > 25 — fine.
+        assert!(unmanaged.mean_throughput < 23e6, "{}", unmanaged.mean_throughput);
+        assert!(managed.mean_throughput > 24.5e6, "{}", managed.mean_throughput);
         assert!(unmanaged.availability < 0.1);
         assert!(managed.availability > 0.95);
     }
@@ -441,10 +432,28 @@ mod tests {
         let mut pairs = healthy_pairs(6);
         pairs[0] = wearing_pair(21);
         pairs[4] = wearing_pair(22);
-        let out = run_wind(&pairs, WindConfig::default(), Management::Managed { hot_spares: 2 });
+        let out = run_wind(&pairs, Management::Managed { hot_spares: 2 });
         let rebuilds =
             out.events.iter().filter(|e| matches!(e, WindEvent::RebuildStarted { .. })).count();
         assert_eq!(rebuilds, 2);
         assert!(out.availability > 0.9, "{}", out.availability);
+    }
+
+    #[test]
+    fn prediction_is_relative_to_each_pairs_own_rate() {
+        // The same wear-out ramp, in an array of 10 MB/s pairs and in one
+        // of 20 MB/s pairs: each pair is judged against its own nominal
+        // rate, so the prediction fires at the same point on the ramp.
+        for nominal in [10.0 * MB, 20.0 * MB] {
+            let mut pairs: Vec<MirrorPair> = (0..4).map(|_| MirrorPair::healthy(nominal)).collect();
+            pairs[1] = wearing_pair_at(3, nominal);
+            let out = run_wind(&pairs, Management::Managed { hot_spares: 1 });
+            assert_eq!(
+                rebuild_start(&out, 1),
+                Some(SimTime::from_secs(1_053)),
+                "{} MB/s pairs",
+                nominal / MB
+            );
+        }
     }
 }

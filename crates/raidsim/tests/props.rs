@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use blockdev::disk::Disk;
 use blockdev::geometry::Geometry;
 use raidsim::prelude::*;
+use raidsim::wind::OFFERED_LOAD;
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
 use stutter::injector::Injector;
@@ -34,20 +35,14 @@ proptest! {
     #[test]
     fn wind_metrics_well_formed(
         factors in proptest::collection::vec(0.2f64..1.0, 2..6),
-        offered_frac in 0.3f64..0.95,
         managed in any::<bool>()
     ) {
         let pairs = pairs_with_factors(&factors);
-        let cfg = WindConfig {
-            offered_load: offered_frac * 10e6 * factors.len() as f64,
-            duration: SimDuration::from_secs(600),
-            ..WindConfig::default()
-        };
         let mode = if managed { Management::Managed { hot_spares: 1 } } else { Management::Unmanaged };
-        let a = run_wind(&pairs, cfg, mode);
-        let b = run_wind(&pairs, cfg, mode);
+        let a = run_wind(&pairs, mode);
+        let b = run_wind(&pairs, mode);
         prop_assert!((0.0..=1.0).contains(&a.availability));
-        prop_assert!(a.mean_throughput <= cfg.offered_load * 1.001);
+        prop_assert!(a.mean_throughput <= OFFERED_LOAD * 1.001);
         prop_assert_eq!(a.mean_throughput, b.mean_throughput);
         prop_assert_eq!(a.availability, b.availability);
         prop_assert_eq!(a.events.len(), b.events.len());
@@ -56,18 +51,10 @@ proptest! {
     /// Managed WiND never delivers less than unmanaged on the same
     /// hardware (pull beats pinned static shares).
     #[test]
-    fn managed_never_worse(
-        factors in proptest::collection::vec(0.2f64..1.0, 2..6),
-        offered_frac in 0.3f64..0.95
-    ) {
+    fn managed_never_worse(factors in proptest::collection::vec(0.2f64..1.0, 2..6)) {
         let pairs = pairs_with_factors(&factors);
-        let cfg = WindConfig {
-            offered_load: offered_frac * 10e6 * factors.len() as f64,
-            duration: SimDuration::from_secs(600),
-            ..WindConfig::default()
-        };
-        let unmanaged = run_wind(&pairs, cfg, Management::Unmanaged);
-        let managed = run_wind(&pairs, cfg, Management::Managed { hot_spares: 0 });
+        let unmanaged = run_wind(&pairs, Management::Unmanaged);
+        let managed = run_wind(&pairs, Management::Managed { hot_spares: 0 });
         prop_assert!(
             managed.mean_throughput >= unmanaged.mean_throughput * 0.999,
             "managed {} vs unmanaged {}",

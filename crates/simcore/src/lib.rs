@@ -51,8 +51,7 @@ pub mod time;
 /// Convenience re-exports of the items nearly every model needs.
 pub mod prelude {
     pub use crate::dist::{
-        Distribution, Exponential, LogNormal, Normal, Pareto, TwoPoint, Uniform, Weibull,
-        WeightedIndex,
+        Distribution, Exponential, LogNormal, Normal, TwoPoint, Uniform, WeightedIndex,
     };
     pub use crate::resource::{FcfsServer, Grant, RateProfile};
     pub use crate::rng::Stream;

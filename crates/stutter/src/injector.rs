@@ -18,7 +18,7 @@
 //! Profiles are sampled against a deterministic [`Stream`], so a given seed
 //! always produces the same fault timeline.
 
-use simcore::dist::{Distribution, Exponential, LogNormal, Pareto, TwoPoint, Uniform, Weibull};
+use simcore::dist::{Distribution, Exponential, TwoPoint, Uniform};
 use simcore::resource::RateProfile;
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
@@ -40,28 +40,6 @@ pub enum DurationDist {
         /// Exclusive upper bound.
         hi: SimDuration,
     },
-    /// Log-normal with the given median and shape.
-    LogNormal {
-        /// Median duration.
-        median: SimDuration,
-        /// Shape (sigma of the underlying normal).
-        sigma: f64,
-    },
-    /// Pareto with minimum duration and tail index.
-    Pareto {
-        /// Minimum duration.
-        min: SimDuration,
-        /// Tail index (smaller = heavier tail).
-        alpha: f64,
-    },
-    /// Weibull with characteristic life `scale` and shape `k` — the
-    /// classical lifetime model (k > 1 = wear-out).
-    Weibull {
-        /// Characteristic life.
-        scale: SimDuration,
-        /// Shape parameter.
-        k: f64,
-    },
 }
 
 impl DurationDist {
@@ -73,42 +51,14 @@ impl DurationDist {
             DurationDist::Uniform { lo, hi } => {
                 Uniform::new(lo.as_secs_f64(), hi.as_secs_f64()).sample(rng)
             }
-            DurationDist::LogNormal { median, sigma } => {
-                LogNormal::with_median(median.as_secs_f64(), sigma).sample(rng)
-            }
-            DurationDist::Pareto { min, alpha } => {
-                Pareto::new(min.as_secs_f64(), alpha).sample(rng)
-            }
-            DurationDist::Weibull { scale, k } => Weibull::new(scale.as_secs_f64(), k).sample(rng),
         };
         SimDuration::from_secs_f64(secs.max(0.0))
-    }
-
-    /// The distribution mean (infinite Pareto means saturate).
-    pub fn mean(&self) -> SimDuration {
-        let secs = match *self {
-            DurationDist::Const(d) => return d,
-            DurationDist::Exp { mean } => mean.as_secs_f64(),
-            DurationDist::Uniform { lo, hi } => (lo.as_secs_f64() + hi.as_secs_f64()) / 2.0,
-            DurationDist::LogNormal { median, sigma } => {
-                LogNormal::with_median(median.as_secs_f64(), sigma).mean()
-            }
-            DurationDist::Pareto { min, alpha } => Pareto::new(min.as_secs_f64(), alpha).mean(),
-            DurationDist::Weibull { scale, k } => Weibull::new(scale.as_secs_f64(), k).mean(),
-        };
-        if secs.is_finite() {
-            SimDuration::from_secs_f64(secs)
-        } else {
-            SimDuration::MAX
-        }
     }
 }
 
 /// A distribution over slowdown multipliers in `[0, 1]`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FactorDist {
-    /// Always the same multiplier.
-    Const(f64),
     /// Uniform over `[lo, hi)`.
     Uniform {
         /// Inclusive lower bound.
@@ -131,7 +81,6 @@ impl FactorDist {
     /// Draws one multiplier, clamped into `[0, 1]`.
     pub fn sample(&self, rng: &mut Stream) -> f64 {
         let x = match *self {
-            FactorDist::Const(v) => v,
             FactorDist::Uniform { lo, hi } => Uniform::new(lo, hi).sample(rng),
             FactorDist::TwoPoint { p, a, b } => TwoPoint { p, a, b }.sample(rng),
         };
@@ -393,23 +342,7 @@ impl Injector {
                 SlowdownProfile::from_breakpoints(vec![(SimTime::ZERO, *factor)])
             }
             Injector::Blackouts { interarrival, duration } => {
-                let mut bps = vec![(SimTime::ZERO, 1.0)];
-                let mut t = SimTime::ZERO;
-                loop {
-                    let gap = interarrival.sample(rng).max(SimDuration::from_nanos(1));
-                    t += gap;
-                    if t >= end {
-                        break;
-                    }
-                    let d = duration.sample(rng).max(SimDuration::from_nanos(1));
-                    bps.push((t, 0.0));
-                    t += d;
-                    bps.push((t, 1.0));
-                    if t >= end {
-                        break;
-                    }
-                }
-                SlowdownProfile::from_breakpoints(bps)
+                episodes(interarrival, duration, 0.0, end, rng)
             }
             Injector::Stutter { hold, factor } => {
                 let mut bps = vec![(SimTime::ZERO, factor.sample(rng))];
@@ -425,22 +358,7 @@ impl Injector {
             }
             Injector::Episodes { interarrival, duration, factor } => {
                 assert!((0.0..1.0).contains(factor), "episode factor {factor} out of [0,1)");
-                let mut bps = vec![(SimTime::ZERO, 1.0)];
-                let mut t = SimTime::ZERO;
-                loop {
-                    t += interarrival.sample(rng).max(SimDuration::from_nanos(1));
-                    if t >= end {
-                        break;
-                    }
-                    let d = duration.sample(rng).max(SimDuration::from_nanos(1));
-                    bps.push((t, *factor));
-                    t += d;
-                    bps.push((t, 1.0));
-                    if t >= end {
-                        break;
-                    }
-                }
-                SlowdownProfile::from_breakpoints(bps)
+                episodes(interarrival, duration, *factor, end, rng)
             }
             Injector::Wearout { onset, ramp, floor, fail_after } => {
                 assert!((0.0..=1.0).contains(floor), "floor {floor} out of [0,1]");
@@ -478,6 +396,34 @@ impl Injector {
             }
         }
     }
+}
+
+/// Nominal speed broken by episodes at `factor`: a gap drawn from
+/// `interarrival`, then an episode drawn from `duration`, and again, until
+/// the horizon `end`. Blackouts are the `factor = 0` case.
+fn episodes(
+    interarrival: &DurationDist,
+    duration: &DurationDist,
+    factor: f64,
+    end: SimTime,
+    rng: &mut Stream,
+) -> SlowdownProfile {
+    let mut bps = vec![(SimTime::ZERO, 1.0)];
+    let mut t = SimTime::ZERO;
+    loop {
+        t += interarrival.sample(rng).max(SimDuration::from_nanos(1));
+        if t >= end {
+            break;
+        }
+        let d = duration.sample(rng).max(SimDuration::from_nanos(1));
+        bps.push((t, factor));
+        t += d;
+        bps.push((t, 1.0));
+        if t >= end {
+            break;
+        }
+    }
+    SlowdownProfile::from_breakpoints(bps)
 }
 
 #[cfg(test)]
@@ -633,34 +579,11 @@ mod tests {
     }
 
     #[test]
-    fn duration_dist_means() {
-        assert_eq!(
-            DurationDist::Const(SimDuration::from_secs(5)).mean(),
-            SimDuration::from_secs(5)
-        );
-        assert_eq!(
-            DurationDist::Exp { mean: SimDuration::from_secs(5) }.mean(),
-            SimDuration::from_secs(5)
-        );
-        let m =
-            DurationDist::Uniform { lo: SimDuration::from_secs(2), hi: SimDuration::from_secs(4) }
-                .mean();
-        assert_eq!(m, SimDuration::from_secs(3));
-        // Heavy Pareto saturates.
-        assert_eq!(
-            DurationDist::Pareto { min: SimDuration::from_secs(1), alpha: 0.5 }.mean(),
-            SimDuration::MAX
-        );
-    }
-
-    #[test]
     fn duration_dist_samples_are_positive() {
         let mut r = rng();
         for d in [
             DurationDist::Exp { mean: SimDuration::from_secs(1) },
-            DurationDist::LogNormal { median: SimDuration::from_secs(1), sigma: 1.0 },
-            DurationDist::Pareto { min: SimDuration::from_secs(1), alpha: 1.5 },
-            DurationDist::Weibull { scale: SimDuration::from_secs(1), k: 2.5 },
+            DurationDist::Uniform { lo: SimDuration::ZERO, hi: SimDuration::from_secs(1) },
         ] {
             for _ in 0..100 {
                 assert!(d.sample(&mut r) >= SimDuration::ZERO);

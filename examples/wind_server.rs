@@ -28,13 +28,12 @@ fn main() {
         VDisk::new(10e6).with_profile(profile),
     );
 
-    let cfg = WindConfig::default();
     println!("Two hours, 25 MB/s offered, pair 1 wearing out then failing.\n");
     for (name, mode) in [
         ("unmanaged (fail-stop)", Management::Unmanaged),
         ("managed (fail-stutter)", Management::Managed { hot_spares: 1 }),
     ] {
-        let out = run_wind(&pairs, cfg, mode);
+        let out = run_wind(&pairs, mode);
         println!("{name}:");
         println!("  mean throughput: {:6.2} MB/s", out.mean_throughput / 1e6);
         println!("  availability:    {:6.1}%", out.availability * 100.0);

@@ -212,7 +212,7 @@ fn predictor_warns_then_wind_rescues() {
     let mut pairs =
         vec![MirrorPair::healthy(10e6), MirrorPair::healthy(10e6), MirrorPair::healthy(10e6)];
     pairs.insert(1, pair);
-    let out = run_wind(&pairs, WindConfig::default(), Management::Managed { hot_spares: 1 });
+    let out = run_wind(&pairs, Management::Managed { hot_spares: 1 });
     assert!(out.availability > 0.9, "{}", out.availability);
     assert!(out.events.iter().any(|e| matches!(e, WindEvent::RebuildCompleted { pair: 1, .. })));
 }
