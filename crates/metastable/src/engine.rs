@@ -18,7 +18,7 @@
 
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime, NANOS_PER_SEC};
-use stutter::injector::SlowdownProfile;
+use stutter::injector::{Cursor, SlowdownProfile};
 use stutter::predict::FailurePredictor;
 
 use crate::client::{Backoff, BudgetConfig, RetryBudget, RetryPolicy};
@@ -26,7 +26,9 @@ use crate::policy::{CircuitBreaker, Mitigation, ShedConfig};
 use crate::server::{Cohort, ServerQueue};
 
 /// Most counters either tick wheel may hold; [`Config::validate`]
-/// rejects a configuration whose think or backoff wheel would need more.
+/// rejects a configuration whose think or backoff wheel would need more
+/// once its ring is rounded up to a power of two. The cap is a power of
+/// two itself, so rounding never pushes a one-column ring past it.
 pub(crate) const MAX_WHEEL_SLOTS: u64 = 1 << 20;
 
 /// Ticks over which one batch of clients' next fresh issues is spread.
@@ -115,7 +117,7 @@ impl Config {
                 self.dt.as_nanos()
             ));
         }
-        let think_slots = self.think_wheel_ticks();
+        let think_slots = TickWheel::slots(self.think_wheel_ticks(), 1);
         if think_slots > MAX_WHEEL_SLOTS {
             return Err(format!(
                 "think = {} ns needs a {think_slots}-slot think wheel at dt = {} ns; \
@@ -133,7 +135,7 @@ impl Config {
             ));
         }
         let backoff_ticks = self.backoff_wheel_ticks();
-        let backoff_slots = backoff_ticks.saturating_mul(retry_columns);
+        let backoff_slots = TickWheel::slots(backoff_ticks, retry_columns);
         if backoff_slots > MAX_WHEEL_SLOTS {
             return Err(format!(
                 "policy.backoff delays up to {} ticks over policy.max_attempts = {} need a \
@@ -182,29 +184,43 @@ impl Config {
     }
 }
 
-/// A ring of per-tick client counters, `width` of them per tick, indexed
-/// by tick modulo the ring length. It stands in for a tick-keyed map as
-/// long as no count is added more than `len - 1` ticks ahead of the
-/// tick being drained.
+/// A ring of per-tick client counters, `width` of them per tick. It
+/// stands in for a `BTreeMap<(tick, column), count>` as long as no count
+/// is added more than `len - 1` ticks ahead of the tick being drained.
+/// The ring rounds `len` up to a power of two, so a tick's row is its low
+/// bits (`tick & mask`), not a division.
 struct TickWheel {
     counts: Vec<u64>,
     width: usize,
-    len: u64,
+    mask: u64,
 }
 
 impl TickWheel {
+    /// Counters a wheel of `len` ticks and `width` columns allocates.
+    fn slots(len: u64, width: u64) -> u64 {
+        len.checked_next_power_of_two().map_or(u64::MAX, |rows| rows.saturating_mul(width))
+    }
+
     fn new(len: u64, width: usize) -> Self {
-        TickWheel { counts: vec![0; len as usize * width], width, len }
+        let rows = len.next_power_of_two();
+        TickWheel { counts: vec![0; rows as usize * width], width, mask: rows - 1 }
+    }
+
+    fn slot(&self, tick: u64, col: usize) -> usize {
+        debug_assert!(col < self.width, "column {col} of a {}-column wheel", self.width);
+        (tick & self.mask) as usize * self.width + col
     }
 
     fn add(&mut self, tick: u64, col: usize, n: u64) {
-        let at = (tick % self.len) as usize * self.width + col;
-        self.counts[at] += n;
+        let at = self.slot(tick, col);
+        if let Some(count) = self.counts.get_mut(at) {
+            *count += n;
+        }
     }
 
     fn take(&mut self, tick: u64, col: usize) -> u64 {
-        let at = (tick % self.len) as usize * self.width + col;
-        std::mem::take(&mut self.counts[at])
+        let at = self.slot(tick, col);
+        self.counts.get_mut(at).map_or(0, std::mem::take)
     }
 }
 
@@ -297,9 +313,11 @@ impl RunTrace {
     }
 }
 
-struct Engine {
+struct Engine<'a> {
     cfg: Config,
-    trigger: SlowdownProfile,
+    trigger: &'a SlowdownProfile,
+    /// Where the last tick read the trigger; ticks read it in time order.
+    trigger_at: Cursor,
     queue: ServerQueue,
     budget: Option<RetryBudget>,
     breaker: Option<CircuitBreaker>,
@@ -325,10 +343,10 @@ struct Engine {
     trace: RunTrace,
 }
 
-impl Engine {
+impl<'a> Engine<'a> {
     fn new(
         cfg: Config,
-        trigger: SlowdownProfile,
+        trigger: &'a SlowdownProfile,
         mitigation: Mitigation,
         rng: &mut Stream,
     ) -> Self {
@@ -365,6 +383,7 @@ impl Engine {
         Engine {
             cfg,
             trigger,
+            trigger_at: Cursor::default(),
             queue: ServerQueue::new(cfg.queue_cap),
             budget: cfg.budget.map(RetryBudget::new),
             breaker,
@@ -502,7 +521,7 @@ impl Engine {
     /// One engine tick: serve, expire, issue, record.
     fn step(&mut self, now: SimTime) {
         let t = self.tick;
-        let mult = self.trigger.multiplier_at(now);
+        let mult = self.trigger.multiplier_from(&mut self.trigger_at, now);
         if mult < 1.0 - 1e-9 {
             if self.trace.first_degraded.is_none() {
                 self.trace.first_degraded = Some(t);
@@ -612,7 +631,7 @@ pub fn run(
     mitigation: Mitigation,
     rng: &mut Stream,
 ) -> RunTrace {
-    let mut engine = Engine::new(*cfg, trigger.clone(), mitigation, rng);
+    let mut engine = Engine::new(*cfg, trigger, mitigation, rng);
     let mut now = SimTime::ZERO;
     for _ in 0..engine.trace.ticks {
         engine.step(now);
@@ -625,6 +644,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::server::trigger_window;
+    use std::collections::BTreeMap;
 
     fn small() -> Config {
         Config {
@@ -698,10 +718,54 @@ mod tests {
         let fixed = SimDuration::from_secs(60_000);
         cfg.policy.backoff = Backoff { base: fixed, cap: fixed };
         assert!(cfg.validate().unwrap_err().contains("policy.backoff"));
-        // A wheel of exactly the cap is still a valid configuration.
+        // A wheel of exactly the cap is still a valid configuration, and
+        // rounding its ring up to a power of two allocates no more.
         let mut cfg = small();
         cfg.think = cfg.dt.mul_f64((MAX_WHEEL_SLOTS - THINK_SPREAD) as f64);
         assert!(cfg.validate().is_ok());
+        let think = TickWheel::new(cfg.think_wheel_ticks(), 1);
+        assert!(think.counts.len() as u64 <= MAX_WHEEL_SLOTS);
+        // Two backoff columns of half the cap each.
+        let mut cfg = small();
+        let longest = cfg.dt.mul_f64((MAX_WHEEL_SLOTS / 2 - 1) as f64);
+        cfg.policy.backoff = Backoff { base: longest, cap: longest };
+        assert!(cfg.validate().is_ok());
+        let backoff = TickWheel::new(cfg.backoff_wheel_ticks(), 2);
+        assert!(backoff.counts.len() as u64 <= MAX_WHEEL_SLOTS);
+        // Three columns of 2^18 + 1 ticks ask for fewer slots than the
+        // cap, but their ring rounds up to 2^19 rows: refused.
+        let mut cfg = small();
+        cfg.policy.max_attempts = 4;
+        let longest = cfg.dt.mul_f64((MAX_WHEEL_SLOTS / 4) as f64);
+        cfg.policy.backoff = Backoff { base: longest, cap: longest };
+        assert!(3 * cfg.backoff_wheel_ticks() < MAX_WHEEL_SLOTS);
+        assert!(cfg.validate().unwrap_err().contains("policy.backoff"));
+    }
+
+    #[test]
+    fn tick_wheels_match_the_map_they_stand_in_for() {
+        // The campaign config's backoff wheel (21 ticks, two columns) and
+        // think wheel (204 ticks): neither length is a power of two.
+        let cfg = Config::campaign();
+        assert_eq!((cfg.backoff_wheel_ticks(), cfg.think_wheel_ticks()), (21, 204));
+        for (len, width) in [(21, 2), (204, 1)] {
+            let mut wheel = TickWheel::new(len, width);
+            let mut model: BTreeMap<(u64, usize), u64> = BTreeMap::new();
+            let mut rng = Stream::from_seed(len).derive("tick-wheel-model");
+            for tick in 0..20 * len {
+                for _ in 0..rng.next_below(4) {
+                    let at = tick + rng.next_below(len);
+                    let col = rng.next_below(width as u64) as usize;
+                    let n = 1 + rng.next_below(1_000);
+                    wheel.add(at, col, n);
+                    *model.entry((at, col)).or_default() += n;
+                }
+                for col in 0..width {
+                    let want = model.remove(&(tick, col)).unwrap_or(0);
+                    assert_eq!(wheel.take(tick, col), want, "{len}-tick wheel, tick {tick}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use simcore::resource::FcfsServer;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::SlowdownProfile;
+use stutter::injector::{Cursor, SlowdownProfile};
 
 /// The outcome of a transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,6 +23,9 @@ pub struct Link {
     rate: f64,
     latency: SimDuration,
     profile: SlowdownProfile,
+    /// Where `send` last read the profile; its queue start never moves
+    /// back.
+    cursor: Cursor,
     server: FcfsServer,
     bytes_sent: u64,
 }
@@ -39,6 +42,7 @@ impl Link {
             rate,
             latency,
             profile: SlowdownProfile::nominal(),
+            cursor: Cursor::default(),
             server: FcfsServer::new(),
             bytes_sent: 0,
         }
@@ -47,6 +51,7 @@ impl Link {
     /// Attaches a fail-stutter timeline.
     pub fn with_profile(mut self, profile: SlowdownProfile) -> Self {
         self.profile = profile;
+        self.cursor = Cursor::default();
         self
     }
 
@@ -65,8 +70,8 @@ impl Link {
     /// Returns `None` if the link is permanently down at the queue time.
     pub fn send(&mut self, now: SimTime, bytes: u64) -> Option<Delivery> {
         let queue_start = now.max(self.server.next_free());
-        let start = self.profile.next_active(queue_start)?;
-        let m = self.profile.multiplier_at(start);
+        let start = self.profile.next_active_from(&mut self.cursor, queue_start)?;
+        let m = self.profile.multiplier_from(&mut self.cursor, start);
         let serialisation = SimDuration::from_secs_f64(bytes as f64 / (self.rate * m));
         self.server.block_until(start);
         let grant = self.server.serve(now, serialisation);

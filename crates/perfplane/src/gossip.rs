@@ -32,7 +32,7 @@ use simcore::stats::Ewma;
 use simcore::time::{SimDuration, SimTime};
 use stutter::detect::PeerRelativeDetector;
 use stutter::fault::{ComponentId, HealthState};
-use stutter::injector::SlowdownProfile;
+use stutter::injector::{Cursor, SlowdownProfile};
 use stutter::registry::Registry;
 
 use netsim::mesh::Mesh;
@@ -236,6 +236,8 @@ enum Event {
 struct NodeState {
     store: Store,
     ewma: Ewma,
+    /// Where `observe` last read the node's component profile.
+    reading: Cursor,
     registry: Registry,
     rng: Stream,
     zero_since: Option<SimTime>,
@@ -281,8 +283,9 @@ impl SimState {
             return;
         }
         let comp = &self.components[i];
-        let raw = comp.nominal * comp.profile.multiplier_at(now);
-        self.nodes[i].ewma.observe(raw);
+        let node = &mut self.nodes[i];
+        let raw = comp.nominal * comp.profile.multiplier_from(&mut node.reading, now);
+        node.ewma.observe(raw);
         let smoothed = self.nodes[i].ewma.value_or(0.0);
 
         let verdict = if raw <= 0.0 {
@@ -434,6 +437,7 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
         .map(|i| NodeState {
             store: Store::new(),
             ewma: Ewma::new(EWMA_ALPHA),
+            reading: Cursor::default(),
             registry: Registry::new(PERSISTENCE),
             rng: rng.derive_index(i as u64),
             zero_since: None,

@@ -16,6 +16,7 @@
 //!   to their current rates"), at the cost of a block map recording where
 //!   every block landed — the paper's bookkeeping trade-off.
 
+use simcore::resource::RateProfile;
 use simcore::time::{SimDuration, SimTime};
 
 use crate::vdisk::MirrorPair;
@@ -108,15 +109,19 @@ impl std::error::Error for RaidError {}
 #[derive(Clone, Debug)]
 pub struct Raid10 {
     pairs: Vec<MirrorPair>,
-    horizon: SimDuration,
+    /// Each pair's write-rate profile over the horizon, built once.
+    profiles: Vec<RateProfile>,
 }
 
 impl Raid10 {
-    /// Creates an array. `horizon` bounds profile evaluation and must
-    /// comfortably exceed any write's duration.
+    /// Creates an array, building each pair's write-rate profile over
+    /// `[0, horizon]` once ([`MirrorPair::write_rate_profile`]); every
+    /// write reads these. A profile's last rate holds past `horizon`, so
+    /// `horizon` must comfortably exceed any write's duration.
     pub fn new(pairs: Vec<MirrorPair>, horizon: SimDuration) -> Self {
         assert!(!pairs.is_empty(), "an array needs at least one pair");
-        Raid10 { pairs, horizon }
+        let profiles = pairs.iter().map(|p| p.write_rate_profile(horizon)).collect();
+        Raid10 { pairs, profiles }
     }
 
     /// Number of mirror pairs (the paper's `N`).
@@ -201,7 +206,7 @@ impl Raid10 {
                 continue;
             }
             let bytes = (blocks * w.block_bytes) as f64;
-            match self.pairs[i].write_rate_profile(self.horizon).time_to_transfer(start, bytes) {
+            match self.profiles[i].time_to_transfer(start, bytes) {
                 Some(t) => elapsed = elapsed.max(t),
                 None => return Err(RaidError::PairFailed { pair: i }),
             }
@@ -223,8 +228,6 @@ impl Raid10 {
         chunk_blocks: u64,
     ) -> Result<WriteOutcome, RaidError> {
         assert!(chunk_blocks > 0, "chunk size must be positive");
-        let profiles: Vec<_> =
-            self.pairs.iter().map(|p| p.write_rate_profile(self.horizon)).collect();
         // Each chunk goes to the pair that would *complete* it earliest —
         // equivalent to pairs pulling work in proportion to their current
         // rates, and free of the straggler tail a naive earliest-available
@@ -244,7 +247,7 @@ impl Raid10 {
                 if dead[i] {
                     continue;
                 }
-                match profiles[i].time_to_transfer(avail[i], bytes) {
+                match self.profiles[i].time_to_transfer(avail[i], bytes) {
                     Some(dt) => {
                         let done = avail[i] + dt;
                         if best.is_none_or(|(b, _)| done < b) {
@@ -298,8 +301,6 @@ impl Raid10 {
         estimate: &mut dyn FnMut(usize, SimTime) -> f64,
     ) -> Result<WriteOutcome, RaidError> {
         assert!(chunk_blocks > 0, "chunk size must be positive");
-        let profiles: Vec<_> =
-            self.pairs.iter().map(|p| p.write_rate_profile(self.horizon)).collect();
         // Believed busy-time per pair (seconds past `start`) vs the true
         // availability the planner never sees.
         let mut believed = vec![0.0f64; self.n()];
@@ -337,7 +338,7 @@ impl Raid10 {
                 (None, None) => return Err(RaidError::NoUsablePairs),
             };
             let i = chosen;
-            match profiles[i].time_to_transfer(true_avail[i], bytes) {
+            match self.profiles[i].time_to_transfer(true_avail[i], bytes) {
                 Some(dt) => {
                     true_avail[i] += dt;
                     finish = finish.max(true_avail[i]);

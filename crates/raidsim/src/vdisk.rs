@@ -14,7 +14,7 @@
 
 use simcore::resource::RateProfile;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::SlowdownProfile;
+use stutter::injector::{Cursor, SlowdownProfile};
 
 /// A disk modelled as a rate source with a fail-stutter timeline.
 #[derive(Clone, Debug)]
@@ -46,9 +46,17 @@ impl VDisk {
         &self.profile
     }
 
-    /// Effective rate at `t` (0 during blackouts and after failure).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        self.nominal * self.profile.multiplier_at(t)
+    /// Effective rate at `t` (0 during blackouts and after failure), read
+    /// through `cursor`.
+    fn rate_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
+        self.nominal * self.profile.multiplier_from(cursor, t)
+    }
+
+    /// The instants at which the disk's rate can change, up to `end`:
+    /// its segment starts and its fail-stop instant, ascending.
+    fn changes(&self, end: SimTime) -> impl Iterator<Item = SimTime> + '_ {
+        let starts = self.profile.segments().iter().map(|&(t, _)| t);
+        union(starts, self.fail_at().into_iter()).take_while(move |&t| t <= end)
     }
 
     /// True once the disk has fail-stopped.
@@ -84,10 +92,16 @@ impl MirrorPair {
 
     /// Effective *write* rate at `t` under RAID-1 semantics.
     pub fn write_rate_at(&self, t: SimTime) -> f64 {
+        self.write_rate_from(&mut [Cursor::default(); 2], t)
+    }
+
+    /// [`MirrorPair::write_rate_at`] for a caller reading in time order,
+    /// with one cursor per replica.
+    fn write_rate_from(&self, [a, b]: &mut [Cursor; 2], t: SimTime) -> f64 {
         match (self.a.failed_at(t), self.b.failed_at(t)) {
-            (false, false) => self.a.rate_at(t).min(self.b.rate_at(t)),
-            (true, false) => self.b.rate_at(t),
-            (false, true) => self.a.rate_at(t),
+            (false, false) => self.a.rate_from(a, t).min(self.b.rate_from(b, t)),
+            (true, false) => self.b.rate_from(b, t),
+            (false, true) => self.a.rate_from(a, t),
             (true, true) => 0.0,
         }
     }
@@ -105,27 +119,16 @@ impl MirrorPair {
         }
     }
 
-    /// Builds the pair's write-rate profile over `[0, horizon]` by merging
-    /// both disks' breakpoints.
+    /// Builds the pair's write-rate profile over `[0, horizon]`: a
+    /// breakpoint wherever either disk's rate can change (a segment start
+    /// or a fail-stop instant). It walks both disks' timelines forward
+    /// once, merging their instants in order.
     pub fn write_rate_profile(&self, horizon: SimDuration) -> RateProfile {
-        let mut times: Vec<SimTime> = vec![SimTime::ZERO];
         let end = SimTime::ZERO + horizon;
-        for d in [&self.a, &self.b] {
-            for &(t, _) in d.profile().segments() {
-                if t <= end {
-                    times.push(t);
-                }
-            }
-            if let Some(f) = d.fail_at() {
-                if f <= end {
-                    times.push(f);
-                }
-            }
-        }
-        times.sort_unstable();
-        times.dedup();
-        let bps: Vec<(SimTime, f64)> =
-            times.into_iter().map(|t| (t, self.write_rate_at(t))).collect();
+        let mut cursors = [Cursor::default(); 2];
+        let bps = union(self.a.changes(end), self.b.changes(end))
+            .map(|t| (t, self.write_rate_from(&mut cursors, t)))
+            .collect();
         RateProfile::from_breakpoints(bps)
     }
 
@@ -139,6 +142,25 @@ impl MirrorPair {
     ) -> Option<SimDuration> {
         self.write_rate_profile(horizon).time_to_transfer(start, bytes)
     }
+}
+
+/// The instants of two ascending sequences, ascending, each once.
+fn union(
+    a: impl Iterator<Item = SimTime>,
+    b: impl Iterator<Item = SimTime>,
+) -> impl Iterator<Item = SimTime> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => return None,
+        };
+        a.next_if_eq(&next);
+        b.next_if_eq(&next);
+        Some(next)
+    })
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@ use blockdev::disk::Disk;
 use blockdev::geometry::Geometry;
 use raidsim::prelude::*;
 use raidsim::wind::OFFERED_LOAD;
+use simcore::resource::RateProfile;
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::Injector;
+use stutter::injector::{Injector, SlowdownProfile};
 
 fn pairs_with_factors(factors: &[f64]) -> Vec<MirrorPair> {
     factors
@@ -25,6 +26,99 @@ fn pairs_with_factors(factors: &[f64]) -> Vec<MirrorPair> {
             }
         })
         .collect()
+}
+
+/// A replica at `nominal` whose breakpoints are the grid instants (in ms)
+/// that `bits` selects, at `levels`. It fails where `fail_kind` says:
+/// never, on a grid instant, strictly between two, or after `horizon_ms`.
+fn replica(
+    nominal: f64,
+    grid: &[u64],
+    bits: u64,
+    levels: &[f64],
+    (fail_kind, pick): (u64, u64),
+    horizon_ms: u64,
+) -> VDisk {
+    let mut bps = vec![(SimTime::ZERO, levels[0])];
+    for (k, &t) in grid.iter().enumerate() {
+        if (bits >> k) & 1 == 1 {
+            bps.push((SimTime::from_millis(t), levels[k + 1]));
+        }
+    }
+    let k = (pick % grid.len() as u64) as usize;
+    let gap = grid.get(k + 1).map_or(2, |&next| next - grid[k]);
+    let fail = match fail_kind {
+        0 => None,
+        1 => Some(grid[k]),
+        2 => Some(grid[k] + 1 + pick % (gap - 1).max(1)),
+        _ => Some(horizon_ms + 1 + pick % 100_000),
+    };
+    let mut profile = SlowdownProfile::from_breakpoints(bps);
+    if let Some(f) = fail {
+        profile = profile.with_failure_at(SimTime::from_millis(f));
+    }
+    VDisk::new(nominal).with_profile(profile)
+}
+
+/// The pair's write-rate profile as the parent construction built it on
+/// every write: collect every instant either replica can change rate at,
+/// sort, dedup, and read the RAID-1 write rate at each.
+fn collected_write_rate_profile(pair: &MirrorPair, horizon: SimDuration) -> RateProfile {
+    let mut times: Vec<SimTime> = vec![SimTime::ZERO];
+    let end = SimTime::ZERO + horizon;
+    for d in [&pair.a, &pair.b] {
+        for &(t, _) in d.profile().segments() {
+            if t <= end {
+                times.push(t);
+            }
+        }
+        if let Some(f) = d.fail_at() {
+            if f <= end {
+                times.push(f);
+            }
+        }
+    }
+    times.sort_unstable();
+    times.dedup();
+    RateProfile::from_breakpoints(times.into_iter().map(|t| (t, pair.write_rate_at(t))).collect())
+}
+
+proptest! {
+    /// The write-rate profile merged forward from both replicas' timelines
+    /// equals the collect-sort-dedup construction: the same breakpoints,
+    /// coincident ones once, with bit-identical rates, through failures
+    /// on a breakpoint, between two and past the horizon.
+    #[test]
+    fn write_rate_profile_matches_the_collected_construction(
+        gaps in proptest::collection::vec(prop_oneof![Just(1u64), 2u64..90_000], 1..64),
+        bits in (any::<u64>(), any::<u64>()),
+        levels_a in proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0], 65),
+        levels_b in proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0], 65),
+        fail_a in (0u64..4, any::<u64>()),
+        fail_b in (0u64..4, any::<u64>()),
+        horizon_pick in any::<u64>(),
+    ) {
+        let mut grid = Vec::new();
+        let mut t = 0;
+        for g in &gaps {
+            t += g;
+            grid.push(t);
+        }
+        // On a grid instant, or strictly inside the grid's span.
+        let horizon_ms = if horizon_pick % 2 == 0 {
+            grid[(horizon_pick / 2 % grid.len() as u64) as usize]
+        } else {
+            1 + horizon_pick % t
+        };
+        // Both replicas share the odd grid instants, so breakpoints coincide.
+        let shared = 0xAAAA_AAAA_AAAA_AAAA;
+        let a = replica(10e6, &grid, bits.0 | shared, &levels_a, fail_a, horizon_ms);
+        let b = replica(8e6, &grid, bits.1 | shared, &levels_b, fail_b, horizon_ms);
+        let pair = MirrorPair::new(a, b);
+        let horizon = SimDuration::from_millis(horizon_ms);
+        let collected = collected_write_rate_profile(&pair, horizon);
+        prop_assert_eq!(pair.write_rate_profile(horizon), collected);
+    }
 }
 
 proptest! {

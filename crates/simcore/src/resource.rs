@@ -85,7 +85,7 @@ impl FcfsServer {
 /// Breakpoints partition time into segments; the rate of the final segment
 /// extends to infinity. Supports exact "transfer time" integration, which is
 /// how time-varying disk and link bandwidths are modelled.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RateProfile {
     // (segment start, rate). Sorted by start; first entry starts at ZERO.
     segments: Vec<(SimTime, f64)>,
@@ -133,7 +133,7 @@ impl RateProfile {
     /// The instantaneous rate at time `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
         let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        // fslint: allow(panic-path) — the first segment starts at SimTime::ZERO <= t, so partition_point >= 1
+        // The first segment starts at SimTime::ZERO <= t, so idx >= 1.
         self.segments[idx - 1].1
     }
 

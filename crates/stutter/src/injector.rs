@@ -97,6 +97,27 @@ pub struct SlowdownProfile {
     fail_at: Option<SimTime>,
 }
 
+/// Where a forward reader of a [`SlowdownProfile`] left off.
+///
+/// A caller that reads one profile in time order keeps a cursor and hands
+/// it to [`SlowdownProfile::multiplier_from`] or
+/// [`SlowdownProfile::next_active_from`]. Each read then steps forward
+/// from the segment the previous read landed in, instead of searching the
+/// whole timeline again. Any cursor reads correctly at any instant: a read
+/// behind the cursor, or with a cursor carried over from another profile,
+/// costs a search, never a wrong answer. A new cursor has no position yet,
+/// so its first read searches.
+#[derive(Clone, Copy, Debug)]
+pub struct Cursor {
+    segment: usize,
+}
+
+impl Default for Cursor {
+    fn default() -> Self {
+        Cursor { segment: usize::MAX }
+    }
+}
+
 impl SlowdownProfile {
     /// A profile that always runs at full speed.
     pub fn nominal() -> Self {
@@ -142,12 +163,17 @@ impl SlowdownProfile {
 
     /// The speed multiplier at `t` (0 once failed).
     pub fn multiplier_at(&self, t: SimTime) -> f64 {
+        self.multiplier_from(&mut Cursor::default(), t)
+    }
+
+    /// [`SlowdownProfile::multiplier_at`] for a caller reading in time
+    /// order: the search for `t` starts at `cursor`, which moves to the
+    /// segment holding `t`.
+    pub fn multiplier_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
         if self.failed_at(t) {
             return 0.0;
         }
-        let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        // fslint: allow(panic-path) — the first segment starts at SimTime::ZERO <= t, so partition_point >= 1
-        self.segments[idx - 1].1
+        self.raw_multiplier_from(cursor, t)
     }
 
     /// The raw segments (excluding the failure cut-off).
@@ -159,22 +185,68 @@ impl SlowdownProfile {
     /// (i.e. when a blacked-out component next makes progress), or `None`
     /// if it never runs again.
     pub fn next_active(&self, t: SimTime) -> Option<SimTime> {
+        self.next_active_from(&mut Cursor::default(), t)
+    }
+
+    /// [`SlowdownProfile::next_active`] for a caller reading in time
+    /// order: the search for `t` starts at `cursor`, which moves to the
+    /// segment holding the returned instant.
+    pub fn next_active_from(&self, cursor: &mut Cursor, t: SimTime) -> Option<SimTime> {
         if self.failed_at(t) {
             return None;
         }
-        if self.multiplier_at(t) > 0.0 {
+        if self.raw_multiplier_from(cursor, t) > 0.0 {
             return Some(t);
         }
-        let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        for &(start, m) in &self.segments[idx..] {
+        let later = self.segments.get(cursor.segment + 1..).unwrap_or_default();
+        for (ahead, &(start, m)) in later.iter().enumerate() {
             if self.failed_at(start) {
                 return None;
             }
             if m > 0.0 {
+                cursor.segment += ahead + 1;
                 return Some(start);
             }
         }
         None
+    }
+
+    /// The multiplier of the segment holding `t`, ignoring the failure
+    /// cut-off; `cursor` moves to that segment.
+    fn raw_multiplier_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
+        cursor.segment = self.seek(cursor.segment, t);
+        self.segments.get(cursor.segment).map_or(0.0, |&(_, m)| m)
+    }
+
+    /// The segment holding `t`: the index of the last breakpoint at or
+    /// before it. The first segment starts at time zero, so there always
+    /// is one.
+    ///
+    /// The search starts at segment `from`. If that segment starts after
+    /// `t`, or `from` is past the end, it binary-searches the whole list.
+    /// Otherwise it gallops forward: it probes 1, 2, 4, … segments further
+    /// on until a breakpoint lies past `t`, then binary-searches the last
+    /// stride. A read that stays in the segment it started from costs two
+    /// comparisons, and a read `d` segments on costs O(log d).
+    fn seek(&self, from: usize, t: SimTime) -> usize {
+        let segs = &self.segments;
+        let mut at = match segs.get(from) {
+            Some(&(start, _)) if start <= t => from,
+            _ => return segs.partition_point(|&(s, _)| s <= t).saturating_sub(1),
+        };
+        let mut stride = 1;
+        while segs.get(at + stride).is_some_and(|&(s, _)| s <= t) {
+            at += stride;
+            stride *= 2;
+        }
+        if stride == 1 {
+            return at; // still in the segment the search started from
+        }
+        // Now segs[at] starts at or before t, and segs[at + stride] (if
+        // any) after it.
+        let stride_end = segs.len().min(at + stride);
+        let within = segs.get(at + 1..stride_end).unwrap_or_default();
+        at + within.partition_point(|&(s, _)| s <= t)
     }
 
     /// Converts to an absolute [`RateProfile`] for a component whose
@@ -212,21 +284,19 @@ impl SlowdownProfile {
             .collect();
         times.sort_unstable();
         times.dedup();
+        let (mut mine, mut theirs) = (Cursor::default(), Cursor::default());
         let segments = times
             .into_iter()
-            .map(|t| (t, self.raw_multiplier_at(t) * other.raw_multiplier_at(t)))
+            .map(|t| {
+                let m = self.raw_multiplier_from(&mut mine, t);
+                (t, m * other.raw_multiplier_from(&mut theirs, t))
+            })
             .collect();
         let fail_at = match (self.fail_at, other.fail_at) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
         SlowdownProfile { segments, fail_at }
-    }
-
-    fn raw_multiplier_at(&self, t: SimTime) -> f64 {
-        let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        // fslint: allow(panic-path) — the first segment starts at SimTime::ZERO <= t, so partition_point >= 1
-        self.segments[idx - 1].1
     }
 
     /// The time-average multiplier over `[ZERO, horizon]` (failure counts
@@ -522,6 +592,41 @@ mod tests {
         assert_eq!(p.next_active(SimTime::from_secs(15)), Some(SimTime::from_secs(20)));
         let failed = p.clone().with_failure_at(SimTime::from_secs(12));
         assert_eq!(failed.next_active(SimTime::from_secs(15)), None);
+    }
+
+    #[test]
+    fn cursor_reads_agree_with_the_timeline_in_any_order() {
+        // Half speed in odd seconds, stopped every tenth, failed from 90 s.
+        let level = |s: u64| match s {
+            90.. => 0.0,
+            _ if s % 10 == 5 => 0.0,
+            _ if s % 2 == 1 => 0.5,
+            _ => 1.0,
+        };
+        let p = SlowdownProfile::from_breakpoints(
+            (0..100).map(|s| (SimTime::from_secs(s), level(s))).collect(),
+        )
+        .with_failure_at(SimTime::from_secs(90));
+        let mut cursor = Cursor::default();
+        // Forward: repeated, one step, 2, 3 and 4 steps, far jumps; then
+        // backwards and past the end.
+        for s in [0, 0, 1, 2, 3, 4, 6, 9, 13, 40, 41, 39, 2, 70, 89, 90, 60, 100, 250] {
+            let t = SimTime::from_secs(s);
+            assert_eq!(p.multiplier_from(&mut cursor, t), level(s), "multiplier at {s} s");
+        }
+        let mut cursor = Cursor::default();
+        for (s, next) in
+            [(4, Some(4)), (5, Some(6)), (15, Some(16)), (85, Some(86)), (89, Some(89))]
+        {
+            let t = SimTime::from_secs(s);
+            assert_eq!(p.next_active_from(&mut cursor, t), next.map(SimTime::from_secs));
+            assert_eq!(p.next_active(t), next.map(SimTime::from_secs));
+        }
+        assert_eq!(p.next_active_from(&mut cursor, SimTime::from_secs(90)), None);
+        assert_eq!(
+            p.next_active_from(&mut cursor, SimTime::from_secs(25)),
+            Some(SimTime::from_secs(26))
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   registry's persistence window, so a notification is mandatory.
 //! * `Unconstrained` — anything else; the run is not judged.
 
-use crate::injector::SlowdownProfile;
+use crate::injector::{Cursor, SlowdownProfile};
 use simcore::time::{SimDuration, SimTime};
 
 /// What the notification pipeline is required to do for one timeline.
@@ -58,10 +58,11 @@ pub fn sample_multipliers(
 ) -> Vec<f64> {
     assert!(step > SimDuration::ZERO, "sampling step must be positive");
     let mut out = Vec::new();
+    let mut cursor = Cursor::default();
     let mut t = SimTime::ZERO;
     let end = SimTime::ZERO + horizon;
     while t <= end {
-        out.push(profile.multiplier_at(t));
+        out.push(profile.multiplier_from(&mut cursor, t));
         t += step;
     }
     out

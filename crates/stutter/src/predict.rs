@@ -103,16 +103,17 @@ impl FailurePredictor {
                 break;
             }
         }
-        if self.fired.is_some() || self.samples.len() < self.config.min_samples {
+        // A prediction needs the streak, so skip the fit until it holds.
+        if self.fired.is_some()
+            || self.samples.len() < self.config.min_samples
+            || self.below_streak < self.config.consecutive_below
+        {
             return None;
         }
 
         let (level, slope_per_sec) = self.fit();
         let decline = -slope_per_sec * self.config.window.as_secs_f64();
-        if self.below_streak >= self.config.consecutive_below
-            && level < self.config.level_threshold
-            && decline >= self.config.slope_threshold
-        {
+        if level < self.config.level_threshold && decline >= self.config.slope_threshold {
             let p = Prediction { at, level, decline_per_window: decline };
             self.fired = Some(p);
             return Some(p);
@@ -129,14 +130,13 @@ impl FailurePredictor {
             return (1.0, 0.0);
         };
         let n = self.samples.len() as f64;
-        let xs: Vec<f64> = self.samples.iter().map(|&(t, _)| (t - t0).as_secs_f64()).collect();
-        let ys: Vec<f64> = self.samples.iter().map(|&(_, y)| y).collect();
-        let mean_x = xs.iter().sum::<f64>() / n;
-        let mean_y = ys.iter().sum::<f64>() / n;
-        let sxx: f64 = xs.iter().map(|x| (x - mean_x).powi(2)).sum();
-        let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mean_x) * (y - mean_y)).sum();
+        let x = |t: SimTime| (t - t0).as_secs_f64();
+        let mean_x = self.samples.iter().map(|&(t, _)| x(t)).sum::<f64>() / n;
+        let mean_y = self.samples.iter().map(|&(_, y)| y).sum::<f64>() / n;
+        let sxx: f64 = self.samples.iter().map(|&(t, _)| (x(t) - mean_x).powi(2)).sum();
+        let sxy: f64 = self.samples.iter().map(|&(t, y)| (x(t) - mean_x) * (y - mean_y)).sum();
         let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-        let latest_x = xs.last().copied().unwrap_or(0.0);
+        let latest_x = self.samples.back().map_or(0.0, |&(t, _)| x(t));
         let level = mean_y + slope * (latest_x - mean_x);
         (level, slope)
     }

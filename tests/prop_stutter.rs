@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use fail_stutter::simcore::prelude::*;
+use fail_stutter::stutter::injector::Cursor;
 use fail_stutter::stutter::prelude::*;
 
 /// Strategy producing an arbitrary injector from the §2 catalog.
@@ -158,6 +159,86 @@ proptest! {
             prop_assert_eq!(&a, &b, "{} not deterministic", name);
             let mean = a.mean_multiplier(SimDuration::from_secs(600));
             prop_assert!((0.0..=1.0 + 1e-9).contains(&mean), "{name}: {mean}");
+        }
+    }
+}
+
+/// Where a random profile fails: never, on a breakpoint, 1 ns before one,
+/// strictly between two, or past the last one.
+fn fail_instant(kind: u64, pick: u64, starts: &[u64]) -> Option<u64> {
+    let k = (pick % starts.len() as u64) as usize;
+    let next = starts.get(k + 1).copied();
+    match kind {
+        0 => None,
+        1 => Some(starts[k]),
+        2 => Some(starts[k].max(1) - 1),
+        3 => {
+            next.filter(|&n| n > starts[k] + 1).map(|n| starts[k] + 1 + pick % (n - starts[k] - 1))
+        }
+        _ => Some(starts[starts.len() - 1] + 1 + pick % 5_000_000_000),
+    }
+}
+
+proptest! {
+    /// Reads through a caller-held cursor equal the random-access reads at
+    /// the same instant: forward in time with repeats and long jumps,
+    /// through one cursor shared by both reads (as a link's sends use it),
+    /// and with the same cursors reused backwards.
+    #[test]
+    fn forward_reads_equal_random_access(
+        gaps in proptest::collection::vec(prop_oneof![1u64..3, 1u64..4_000_000_000], 0..200),
+        levels in proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0], 200),
+        fail_kind in 0u64..5,
+        fail_pick in any::<u64>(),
+        moves in proptest::collection::vec(0usize..50, 1_500),
+    ) {
+        let mut starts = vec![0u64];
+        for g in &gaps {
+            starts.push(starts[starts.len() - 1] + g);
+        }
+        let bps = starts.iter().zip(&levels).map(|(&s, &m)| (SimTime::from_nanos(s), m)).collect();
+        let mut profile = SlowdownProfile::from_breakpoints(bps);
+        let fail = fail_instant(fail_kind, fail_pick, &starts);
+        if let Some(f) = fail {
+            profile = profile.with_failure_at(SimTime::from_nanos(f));
+        }
+        // Every breakpoint and the failure, exactly and 1 ns either side,
+        // then instants past both ends.
+        let mut probes: Vec<u64> =
+            starts.iter().chain(&fail).flat_map(|&s| [s.max(1) - 1, s, s + 1]).collect();
+        let last = starts[starts.len() - 1].max(fail.unwrap_or(0));
+        probes.extend([last + 1_000, last + 7_000_000_000]);
+        probes.sort_unstable();
+        // Walk them in order: repeat an instant, step to the next probe,
+        // or jump 2 to 25 probes (about 1 to 8 breakpoints), 60 or 300.
+        let mut queries = Vec::new();
+        let mut i = 0;
+        for &m in &moves {
+            let Some(&t) = probes.get(i) else { break };
+            queries.push(SimTime::from_nanos(t));
+            i += match m {
+                0 => 0,
+                1..=23 => 1,
+                24..=47 => m - 22,
+                48 => 60,
+                _ => 300,
+            };
+        }
+        let [mut reading, mut active, mut shared] = [Cursor::default(); 3];
+        for &t in &queries {
+            let want = profile.multiplier_at(t);
+            prop_assert_eq!(profile.multiplier_from(&mut reading, t), want, "at {:?}", t);
+            let next = profile.next_active(t);
+            prop_assert_eq!(profile.next_active_from(&mut active, t), next, "at {:?}", t);
+            prop_assert_eq!(profile.next_active_from(&mut shared, t), next, "at {:?}", t);
+            if let Some(n) = next {
+                let at_next = profile.multiplier_at(n);
+                prop_assert_eq!(profile.multiplier_from(&mut shared, n), at_next, "at {:?}", n);
+            }
+        }
+        for &t in queries.iter().rev() {
+            prop_assert_eq!(profile.multiplier_from(&mut reading, t), profile.multiplier_at(t));
+            prop_assert_eq!(profile.next_active_from(&mut active, t), profile.next_active(t));
         }
     }
 }
