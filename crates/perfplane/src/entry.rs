@@ -15,10 +15,6 @@
 use simcore::time::SimTime;
 use stutter::fault::{ComponentId, HealthState};
 
-use std::cell::OnceCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
-
 /// Identifies a plane node (an observer/consumer of performance state).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -58,19 +54,19 @@ impl HealthEntry {
 /// A node's local copy of the plane: latest entry per component, plus the
 /// full accepted-update history (arrival time, entry) that staleness views
 /// replay.
-#[derive(Clone, Debug, Default)]
+///
+/// A plane's components are its node indices, so both tables are indexed
+/// by component id and sized once for the `n` components of the plane.
+#[derive(Clone, Debug)]
 pub struct Store {
-    entries: BTreeMap<ComponentId, HealthEntry>,
-    history: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
-    /// The gossip digest of `entries`, built on first use and dropped by
-    /// every accepted merge.
-    digest: OnceCell<Rc<[HealthEntry]>>,
+    entries: Vec<Option<HealthEntry>>,
+    history: Vec<Vec<(SimTime, HealthEntry)>>,
 }
 
 impl Store {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Store::default()
+    /// Creates an empty store for components `0..n`.
+    pub fn new(n: usize) -> Self {
+        Store { entries: vec![None; n], history: vec![Vec::new(); n] }
     }
 
     /// Merges one entry received (or locally produced) at `now`.
@@ -79,55 +75,52 @@ impl Store {
     /// holds; tombstones are terminal — once a component is failed no
     /// entry replaces it (single-writer sequencing makes a fresher
     /// non-failed entry after a tombstone impossible, and this guards the
-    /// invariant against any buggy sender). Returns whether the entry was
-    /// accepted.
+    /// invariant against any buggy sender). An entry for a component
+    /// outside the store's `0..n` is refused. Returns whether the entry
+    /// was accepted.
     pub fn merge(&mut self, now: SimTime, entry: HealthEntry) -> bool {
-        match self.entries.get(&entry.component) {
+        let c = entry.component.0 as usize;
+        let Some(slot) = self.entries.get_mut(c) else { return false };
+        match slot {
             Some(existing) if existing.is_tombstone() => return false,
             Some(existing) if entry.seq <= existing.seq => return false,
             _ => {}
         }
-        self.entries.insert(entry.component, entry);
-        self.history.entry(entry.component).or_default().push((now, entry));
-        self.digest.take();
+        *slot = Some(entry);
+        self.history[c].push((now, entry));
         true
     }
 
     /// The freshest entry for a component, if any version has arrived.
     pub fn get(&self, component: ComponentId) -> Option<&HealthEntry> {
-        self.entries.get(&component)
+        self.entries.get(component.0 as usize)?.as_ref()
     }
 
-    /// All freshest entries, ordered by component — the gossip payload.
-    /// Shared, so pushes carry one copy until a merge accepts an entry.
-    pub fn snapshot(&self) -> Rc<[HealthEntry]> {
-        Rc::clone(self.digest.get_or_init(|| self.entries.values().copied().collect()))
-    }
-
-    /// The freshest entries, ordered by component, without copying them.
+    /// The freshest entries, ordered by component — the gossip payload.
     pub(crate) fn latest(&self) -> impl Iterator<Item = &HealthEntry> + '_ {
-        self.entries.values()
+        self.entries.iter().flatten()
     }
 
-    /// Entries strictly fresher here than in `theirs` (or absent there) —
-    /// the pull half of a push-pull exchange.
+    /// Entries strictly fresher here than in `theirs` (or absent there),
+    /// ordered by component — the pull half of a push-pull exchange.
     ///
     /// `theirs` is a digest, in any order, with at most one entry per
     /// component. Digests are a few entries long, so each lookup is a
     /// linear scan.
-    pub fn fresher_than(&self, theirs: &[HealthEntry]) -> Vec<HealthEntry> {
-        self.entries
-            .values()
+    pub fn fresher_than<'a>(
+        &'a self,
+        theirs: &'a [HealthEntry],
+    ) -> impl Iterator<Item = HealthEntry> + 'a {
+        self.latest()
             .filter(|e| {
                 theirs.iter().find(|t| t.component == e.component).is_none_or(|t| e.seq > t.seq)
             })
             .copied()
-            .collect()
     }
 
-    /// Moves the history out of the store (for building a view). Each
-    /// component's history is in arrival order.
-    pub(crate) fn into_history(self) -> BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>> {
+    /// Moves the history out of the store (for building a view): one
+    /// arrival-ordered history per component, indexed by component id.
+    pub(crate) fn into_history(self) -> Vec<Vec<(SimTime, HealthEntry)>> {
         self.history
     }
 }
@@ -150,18 +143,18 @@ mod tests {
 
     #[test]
     fn merge_keeps_only_fresher_versions() {
-        let mut s = Store::new();
+        let mut s = Store::new(1);
         assert!(s.merge(SimTime::ZERO, entry(2, HealthState::Healthy)));
         assert!(!s.merge(SimTime::ZERO, entry(2, HealthState::Healthy)), "equal seq rejected");
         assert!(!s.merge(SimTime::ZERO, entry(1, HealthState::Healthy)), "stale rejected");
         assert!(s.merge(SimTime::ZERO, entry(3, HealthState::PerfFaulty { severity: 0.5 })));
         assert_eq!(s.get(ComponentId(0)).unwrap().seq, 3);
-        assert_eq!(s.into_history()[&ComponentId(0)].len(), 2);
+        assert_eq!(s.into_history()[0].len(), 2);
     }
 
     #[test]
     fn tombstones_are_terminal() {
-        let mut s = Store::new();
+        let mut s = Store::new(1);
         assert!(s.merge(SimTime::ZERO, entry(5, HealthState::Failed)));
         assert!(!s.merge(SimTime::ZERO, entry(9, HealthState::Healthy)));
         assert!(s.get(ComponentId(0)).unwrap().is_tombstone());
@@ -169,46 +162,35 @@ mod tests {
 
     #[test]
     fn fresher_than_implements_the_pull_half() {
-        let mut a = Store::new();
-        let mut b = Store::new();
+        let mut a = Store::new(2);
+        let mut b = Store::new(2);
         a.merge(SimTime::ZERO, entry(3, HealthState::Healthy));
         b.merge(SimTime::ZERO, entry(1, HealthState::Healthy));
         let mut other = entry(7, HealthState::Healthy);
         other.component = ComponentId(1);
         a.merge(SimTime::ZERO, other);
 
-        let reply = a.fresher_than(&b.snapshot());
+        let theirs: Vec<HealthEntry> = b.latest().copied().collect();
+        let reply: Vec<HealthEntry> = a.fresher_than(&theirs).collect();
         assert_eq!(reply.len(), 2, "newer version and unknown component");
-        assert!(a.fresher_than(&a.snapshot()).is_empty());
+        let mine: Vec<HealthEntry> = a.latest().copied().collect();
+        assert_eq!(a.fresher_than(&mine).count(), 0);
     }
 
     #[test]
-    fn the_cached_digest_tracks_every_merge() {
-        let on = |component: u32, seq: u64, state: HealthState| HealthEntry {
-            component: ComponentId(component),
-            ..entry(seq, state)
-        };
-        let merges = [
-            (on(1, 4, HealthState::Healthy), true),
-            (on(0, 2, HealthState::Healthy), true),
-            (on(1, 3, HealthState::Healthy), false), // stale
-            (on(0, 2, HealthState::PerfFaulty { severity: 0.5 }), false), // equal seq
-            (on(1, 5, HealthState::PerfFaulty { severity: 0.5 }), true),
-            (on(0, 6, HealthState::Failed), true),
-            (on(0, 9, HealthState::Healthy), false), // after the tombstone
-            (on(2, 1, HealthState::Healthy), true),
-        ];
-        let mut s = Store::new();
-        for (at, (e, accepted)) in merges.into_iter().enumerate() {
-            let before = s.snapshot();
-            assert_eq!(s.merge(SimTime::from_secs(at as u64), e), accepted, "{e:?}");
-            let after = s.snapshot();
-            let rebuilt: Vec<HealthEntry> =
-                (0..3).filter_map(|c| s.get(ComponentId(c)).copied()).collect();
-            assert_eq!(*after, *rebuilt, "after merging {e:?}");
-            // One digest is shared until a merge accepts an entry.
-            assert!(Rc::ptr_eq(&after, &s.snapshot()), "{e:?}");
-            assert_eq!(Rc::ptr_eq(&before, &after), !accepted, "{e:?}");
+    fn components_outside_the_plane_are_refused() {
+        let n = 3;
+        let mut s = Store::new(n);
+        assert!(s.merge(SimTime::ZERO, entry(1, HealthState::Healthy)));
+        for c in [n as u32, u32::MAX] {
+            let e = HealthEntry { component: ComponentId(c), ..entry(2, HealthState::Failed) };
+            assert!(!s.merge(SimTime::from_secs(1), e), "component {c} merged into {n}");
+            assert_eq!(s.get(ComponentId(c)), None);
         }
+        assert_eq!(s.latest().count(), 1);
+        let history = s.into_history();
+        assert_eq!(history.len(), n, "a refused merge grows no table");
+        assert_eq!(history[0].len(), 1);
+        assert!(history[1..].iter().all(|h| h.capacity() == 0), "nothing allocated");
     }
 }

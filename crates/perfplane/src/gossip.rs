@@ -24,8 +24,6 @@
 //! fabricate a fail-stop — the no-false-fail-stop oracle holds by
 //! construction.
 
-use std::rc::Rc;
-
 use simcore::rng::Stream;
 use simcore::sim::EventQueue;
 use simcore::stats::Ewma;
@@ -219,18 +217,47 @@ impl PlaneRun {
 }
 
 /// One event of the plane's dispatch loop.
+///
+/// The periodic kinds are rounds: each handles every node in index order,
+/// then re-arms once.
 enum Event {
-    /// Node `i` samples its component; re-arms every `OBSERVE_INTERVAL`.
-    Observe(usize),
-    /// Node `i` republishes its heartbeat; re-arms every `REFRESH_INTERVAL`.
-    Refresh(usize),
-    /// Node `i` pushes its digest to `FANOUT` peers; re-arms every
+    /// Every node samples its component; re-arms every `OBSERVE_INTERVAL`.
+    Observe,
+    /// Every node republishes its heartbeat; re-arms every
+    /// `REFRESH_INTERVAL`.
+    Refresh,
+    /// Every node pushes its digest to `FANOUT` peers; re-arms every
     /// `gossip_interval`.
-    Gossip(usize),
-    /// A push digest from `from` arrives at `to`.
-    Push { from: usize, to: usize, entries: Rc<[HealthEntry]> },
-    /// The pull reply to a push arrives back at its sender `to`.
-    Reply { to: usize, entries: Vec<HealthEntry> },
+    Gossip,
+    /// The push digest in payload `slot` arrives from `from` at `to`.
+    Push { from: usize, to: usize, slot: usize },
+    /// The pull reply in payload `slot` arrives back at its sender `to`.
+    Reply { to: usize, slot: usize },
+}
+
+/// The entries of in-flight pushes and replies, one buffer per message,
+/// indexed by the slot its event carries. A delivered message's buffer is
+/// cleared and recycled through the free list.
+#[derive(Default)]
+struct Payloads {
+    buffers: Vec<Vec<HealthEntry>>,
+    free: Vec<usize>,
+}
+
+impl Payloads {
+    /// The slot of an empty buffer no message holds.
+    fn acquire(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.buffers.push(Vec::new());
+            self.buffers.len() - 1
+        })
+    }
+
+    /// Empties `slot`'s buffer and frees the slot.
+    fn release(&mut self, slot: usize) {
+        self.buffers[slot].clear();
+        self.free.push(slot);
+    }
 }
 
 struct NodeState {
@@ -251,6 +278,7 @@ struct SimState {
     mesh: Mesh,
     nodes: Vec<NodeState>,
     stats: PlaneStats,
+    payloads: Payloads,
     /// `observe`'s peer-relative round, reused across calls.
     rates: Vec<f64>,
     /// `gossip_round`'s push targets, reused across calls.
@@ -258,6 +286,76 @@ struct SimState {
 }
 
 impl SimState {
+    /// The plane of `spec` at time zero: its carrier mesh and one fresh
+    /// node per component, each with its own stream derived from `rng`.
+    fn new(spec: &PlaneSpec, rng: &mut Stream) -> Self {
+        let n = spec.nodes();
+        assert!(n >= 2, "a plane needs at least two nodes, got {n}");
+        assert_eq!(spec.link_profiles.len(), n * n, "link profile matrix must be n*n");
+        let checked = spec.config.validate();
+        assert!(checked.is_ok(), "invalid plane config: {checked:?}");
+
+        let mut mesh = Mesh::homogeneous(n, LINK_RATE, LINK_LATENCY);
+        for from in 0..n {
+            for to in 0..n {
+                if from == to {
+                    continue; // the diagonal carries nothing
+                }
+                let idx = from * n + to;
+                if let Some(p) = &spec.link_profiles[idx] {
+                    mesh.set_profile(from, to, p.clone());
+                }
+            }
+        }
+
+        let nodes = (0..n)
+            .map(|i| NodeState {
+                store: Store::new(n),
+                ewma: Ewma::new(EWMA_ALPHA),
+                reading: Cursor::default(),
+                registry: Registry::new(PERSISTENCE),
+                rng: rng.derive_index(i as u64),
+                zero_since: None,
+                next_seq: 0,
+                tombstoned: false,
+            })
+            .collect();
+
+        SimState {
+            components: spec.components.clone(),
+            detector: PeerRelativeDetector::new(PEER_FRACTION),
+            mesh,
+            nodes,
+            stats: PlaneStats::default(),
+            payloads: Payloads::default(),
+            rates: Vec::with_capacity(n),
+            peers: Vec::with_capacity(FANOUT.min(n - 1)),
+        }
+    }
+
+    /// Ends the run: per-node views, final counters and the ground truth.
+    fn finish(mut self, spec: &PlaneSpec) -> PlaneRun {
+        let cfg = spec.config;
+        self.stats.carrier_bytes = self.mesh.bytes_sent();
+        let views = self
+            .nodes
+            .into_iter()
+            .map(|node| StalenessView::new(node.store.into_history(), cfg.stale_after))
+            .collect();
+        let truly_failed = spec
+            .components
+            .iter()
+            .map(|c| profile_fails(&c.profile, FAIL_THRESHOLD, cfg.horizon))
+            .collect();
+        PlaneRun {
+            views,
+            stats: self.stats,
+            config: cfg,
+            truly_failed,
+            end: SimTime::ZERO + cfg.horizon,
+        }
+    }
+
     fn publish(&mut self, i: usize, now: SimTime, state: HealthState, rate: f64) {
         let node = &mut self.nodes[i];
         node.next_seq += 1;
@@ -352,19 +450,21 @@ impl SimState {
         64 + ENTRY_BYTES * entries as u64
     }
 
+    /// Node `i` pushes a copy of its freshest entries to each of its peers.
     fn gossip_round(&mut self, i: usize, now: SimTime, queue: &mut EventQueue<Event>) {
-        let digest = self.nodes[i].store.snapshot();
-        if digest.is_empty() {
+        let entries = self.nodes[i].store.latest().count();
+        if entries == 0 {
             return;
         }
-        let bytes = Self::payload_bytes(digest.len());
+        let bytes = Self::payload_bytes(entries);
         self.pick_peers(i);
         for &to in &self.peers {
             self.stats.pushes_sent += 1;
             match self.mesh.send(i, to, now, bytes) {
                 Some(d) => {
-                    let entries = Rc::clone(&digest);
-                    queue.schedule_at(d.arrive, Event::Push { from: i, to, entries });
+                    let slot = self.payloads.acquire();
+                    self.payloads.buffers[slot].extend(self.nodes[i].store.latest());
+                    queue.schedule_at(d.arrive, Event::Push { from: i, to, slot });
                 }
                 None => self.stats.pushes_dropped += 1,
             }
@@ -375,31 +475,50 @@ impl SimState {
         &mut self,
         from: usize,
         to: usize,
-        entries: &[HealthEntry],
+        slot: usize,
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
         // Pull half first, against the digest as sent: everything the
         // receiver holds that is fresher than the sender's view.
-        let reply = self.nodes[to].store.fresher_than(entries);
-        self.deliver(to, entries, now);
-        if reply.is_empty() {
+        let reply = self.payloads.acquire();
+        let mut fresher = std::mem::take(&mut self.payloads.buffers[reply]);
+        fresher.extend(self.nodes[to].store.fresher_than(&self.payloads.buffers[slot]));
+        let entries = fresher.len();
+        self.payloads.buffers[reply] = fresher;
+        self.deliver(to, slot, now);
+        if entries == 0 {
+            self.payloads.release(reply);
             return;
         }
-        let bytes = Self::payload_bytes(reply.len());
         self.stats.replies_sent += 1;
-        if let Some(d) = self.mesh.send(to, from, now, bytes) {
-            queue.schedule_at(d.arrive, Event::Reply { to: from, entries: reply });
+        match self.mesh.send(to, from, now, Self::payload_bytes(entries)) {
+            Some(d) => queue.schedule_at(d.arrive, Event::Reply { to: from, slot: reply }),
+            None => self.payloads.release(reply),
         }
     }
 
-    /// Merges a delivered digest (push or reply) into node `to`'s store.
-    fn deliver(&mut self, to: usize, entries: &[HealthEntry], now: SimTime) {
-        self.stats.delivered += 1;
-        for &e in entries {
-            if self.nodes[to].store.merge(now, e) {
-                self.stats.merges += 1;
-            }
+    /// Merges the delivered message in `slot` (push or reply) into node
+    /// `to`'s store, then recycles its buffer.
+    fn deliver(&mut self, to: usize, slot: usize, now: SimTime) {
+        let entries = &self.payloads.buffers[slot];
+        merge_delivered(&mut self.nodes[to].store, &mut self.stats, entries, now);
+        self.payloads.release(slot);
+    }
+}
+
+/// Merges one delivered digest into `store`, counting the delivery and
+/// every entry it accepts.
+fn merge_delivered(
+    store: &mut Store,
+    stats: &mut PlaneStats,
+    entries: &[HealthEntry],
+    now: SimTime,
+) {
+    stats.delivered += 1;
+    for &e in entries {
+        if store.merge(now, e) {
+            stats.merges += 1;
         }
     }
 }
@@ -412,102 +531,57 @@ fn profile_fails(profile: &SlowdownProfile, threshold: SimDuration, horizon: Sim
 
 /// Runs one plane deployment to its horizon and returns the per-node
 /// views. Pure: the result is a function of `spec` and `rng` alone.
+///
+/// The three periodic kinds run as rounds over all nodes. This dispatches
+/// as one timer per node and kind would: the rounds are armed at time
+/// zero in the order `Observe`, `Refresh`, `Gossip`, so wherever periods
+/// coincide each node's kinds keep their relative order; handlers of
+/// different nodes at one instant touch disjoint state (the node's store,
+/// EWMA, registry, stream and outgoing links); and a `Gossip` round
+/// schedules its pushes in node order, so every message keeps its
+/// relative sequence number. The one case that could differ is a message
+/// arriving on the exact nanosecond of a round: per-node timers could
+/// dispatch it between two nodes' handlers, while a round runs whole on
+/// one side of it.
 pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
+    let mut state = SimState::new(spec, rng);
     let n = spec.nodes();
-    assert!(n >= 2, "a plane needs at least two nodes, got {n}");
-    assert_eq!(spec.link_profiles.len(), n * n, "link profile matrix must be n*n");
     let cfg = spec.config;
-    let checked = cfg.validate();
-    assert!(checked.is_ok(), "invalid plane config: {checked:?}");
 
-    let mut mesh = Mesh::homogeneous(n, LINK_RATE, LINK_LATENCY);
-    for from in 0..n {
-        for to in 0..n {
-            if from == to {
-                continue; // the diagonal carries nothing
-            }
-            let idx = from * n + to;
-            if let Some(p) = &spec.link_profiles[idx] {
-                mesh.set_profile(from, to, p.clone());
-            }
-        }
-    }
-
-    let nodes = (0..n)
-        .map(|i| NodeState {
-            store: Store::new(),
-            ewma: Ewma::new(EWMA_ALPHA),
-            reading: Cursor::default(),
-            registry: Registry::new(PERSISTENCE),
-            rng: rng.derive_index(i as u64),
-            zero_since: None,
-            next_seq: 0,
-            tombstoned: false,
-        })
-        .collect();
-
-    let truly_failed = spec
-        .components
-        .iter()
-        .map(|c| profile_fails(&c.profile, FAIL_THRESHOLD, cfg.horizon))
-        .collect();
-
-    let mut state = SimState {
-        components: spec.components.clone(),
-        detector: PeerRelativeDetector::new(PEER_FRACTION),
-        mesh,
-        nodes,
-        stats: PlaneStats::default(),
-        rates: Vec::with_capacity(n),
-        peers: Vec::with_capacity(FANOUT.min(n - 1)),
-    };
-
-    // Each periodic event re-arms after its handler has scheduled its
+    // Each round re-arms after its handlers have scheduled their
     // deliveries, so the re-arm takes the later sequence number.
     let mut queue = EventQueue::new();
-    for i in 0..n {
-        queue.schedule_at(SimTime::ZERO + OBSERVE_INTERVAL, Event::Observe(i));
-        queue.schedule_at(SimTime::ZERO + REFRESH_INTERVAL, Event::Refresh(i));
-        queue.schedule_at(SimTime::ZERO + cfg.gossip_interval, Event::Gossip(i));
-    }
+    queue.schedule_at(SimTime::ZERO + OBSERVE_INTERVAL, Event::Observe);
+    queue.schedule_at(SimTime::ZERO + REFRESH_INTERVAL, Event::Refresh);
+    queue.schedule_at(SimTime::ZERO + cfg.gossip_interval, Event::Gossip);
     let end = SimTime::ZERO + cfg.horizon;
     while let Some(event) = queue.pop_until(end) {
         let now = queue.now();
         match event {
-            Event::Observe(i) => {
-                state.observe(i, now);
-                queue.schedule_at(now + OBSERVE_INTERVAL, Event::Observe(i));
+            Event::Observe => {
+                (0..n).for_each(|i| state.observe(i, now));
+                queue.schedule_at(now + OBSERVE_INTERVAL, Event::Observe);
             }
-            Event::Refresh(i) => {
-                state.heartbeat(i, now);
-                queue.schedule_at(now + REFRESH_INTERVAL, Event::Refresh(i));
+            Event::Refresh => {
+                (0..n).for_each(|i| state.heartbeat(i, now));
+                queue.schedule_at(now + REFRESH_INTERVAL, Event::Refresh);
             }
-            Event::Gossip(i) => {
-                state.gossip_round(i, now, &mut queue);
-                queue.schedule_at(now + cfg.gossip_interval, Event::Gossip(i));
+            Event::Gossip => {
+                (0..n).for_each(|i| state.gossip_round(i, now, &mut queue));
+                queue.schedule_at(now + cfg.gossip_interval, Event::Gossip);
             }
-            Event::Push { from, to, entries } => {
-                state.receive_push(from, to, &entries, now, &mut queue);
-            }
-            Event::Reply { to, entries } => state.deliver(to, &entries, now),
+            Event::Push { from, to, slot } => state.receive_push(from, to, slot, now, &mut queue),
+            Event::Reply { to, slot } => state.deliver(to, slot, now),
         }
     }
-
-    state.stats.carrier_bytes = state.mesh.bytes_sent();
-    let stats = state.stats;
-    let views = state
-        .nodes
-        .into_iter()
-        .map(|node| StalenessView::new(node.store.into_history(), cfg.stale_after))
-        .collect();
-
-    PlaneRun { views, stats, config: cfg, truly_failed, end }
+    state.finish(spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::view::PlaneState;
+    use proptest::prelude::*;
 
     fn drift_at(t: SimTime, factor: f64) -> SlowdownProfile {
         SlowdownProfile::from_breakpoints(vec![(SimTime::ZERO, 1.0), (t, factor)])
@@ -630,6 +704,156 @@ mod tests {
         for (va, vb) in a.views.iter().zip(&b.views) {
             for c in 0..5u32 {
                 assert_eq!(va.history(ComponentId(c)), vb.history(ComponentId(c)));
+            }
+        }
+    }
+
+    /// One event of the reference dispatch: a timer per node and kind, and
+    /// messages that own their entries.
+    enum PerNode {
+        Observe(usize),
+        Refresh(usize),
+        Gossip(usize),
+        Push { from: usize, to: usize, entries: Vec<HealthEntry> },
+        Reply { to: usize, entries: Vec<HealthEntry> },
+    }
+
+    /// `run_plane` with one periodic timer per node and kind, armed at
+    /// time zero node by node, and owned message payloads; it calls the
+    /// same observe, heartbeat and merge code.
+    fn run_per_node(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
+        let mut state = SimState::new(spec, rng);
+        let gossip = spec.config.gossip_interval;
+        let mut queue = EventQueue::new();
+        for i in 0..spec.nodes() {
+            queue.schedule_at(SimTime::ZERO + OBSERVE_INTERVAL, PerNode::Observe(i));
+            queue.schedule_at(SimTime::ZERO + REFRESH_INTERVAL, PerNode::Refresh(i));
+            queue.schedule_at(SimTime::ZERO + gossip, PerNode::Gossip(i));
+        }
+        let end = SimTime::ZERO + spec.config.horizon;
+        while let Some(event) = queue.pop_until(end) {
+            let now = queue.now();
+            match event {
+                PerNode::Observe(i) => {
+                    state.observe(i, now);
+                    queue.schedule_at(now + OBSERVE_INTERVAL, PerNode::Observe(i));
+                }
+                PerNode::Refresh(i) => {
+                    state.heartbeat(i, now);
+                    queue.schedule_at(now + REFRESH_INTERVAL, PerNode::Refresh(i));
+                }
+                PerNode::Gossip(i) => {
+                    let digest: Vec<HealthEntry> = state.nodes[i].store.latest().copied().collect();
+                    if !digest.is_empty() {
+                        let bytes = SimState::payload_bytes(digest.len());
+                        state.pick_peers(i);
+                        for &to in &state.peers {
+                            state.stats.pushes_sent += 1;
+                            match state.mesh.send(i, to, now, bytes) {
+                                Some(d) => {
+                                    let entries = digest.clone();
+                                    queue.schedule_at(
+                                        d.arrive,
+                                        PerNode::Push { from: i, to, entries },
+                                    );
+                                }
+                                None => state.stats.pushes_dropped += 1,
+                            }
+                        }
+                    }
+                    queue.schedule_at(now + gossip, PerNode::Gossip(i));
+                }
+                PerNode::Push { from, to, entries } => {
+                    let node = &mut state.nodes[to];
+                    let reply: Vec<HealthEntry> = node.store.fresher_than(&entries).collect();
+                    merge_delivered(&mut node.store, &mut state.stats, &entries, now);
+                    if !reply.is_empty() {
+                        state.stats.replies_sent += 1;
+                        let bytes = SimState::payload_bytes(reply.len());
+                        if let Some(d) = state.mesh.send(to, from, now, bytes) {
+                            queue
+                                .schedule_at(d.arrive, PerNode::Reply { to: from, entries: reply });
+                        }
+                    }
+                }
+                PerNode::Reply { to, entries } => {
+                    merge_delivered(&mut state.nodes[to].store, &mut state.stats, &entries, now);
+                }
+            }
+        }
+        state.finish(spec)
+    }
+
+    /// An instant in `(0, horizon]`, on the nanosecond grid.
+    fn instant(rng: &mut Stream, horizon: SimDuration) -> SimTime {
+        SimTime::from_nanos(1 + rng.next_below(horizon.as_nanos()))
+    }
+
+    /// A plane of `n` nodes whose carrier links run catalog timelines or
+    /// die, and whose components drift, black out briefly or fail-stop.
+    fn random_spec(n: usize, gossip_secs: u64, horizon_secs: u64, seed: u64) -> PlaneSpec {
+        let config = PlaneConfig {
+            gossip_interval: SimDuration::from_secs(gossip_secs),
+            horizon: SimDuration::from_secs(horizon_secs),
+            ..PlaneConfig::default()
+        };
+        let horizon = config.horizon;
+        let mut spec = PlaneSpec::homogeneous(config, n, 10e6);
+        let mut rng = Stream::from_seed(seed);
+        let injectors = stutter::catalog::all();
+        for from in 0..n {
+            for to in (0..n).filter(|&to| to != from) {
+                let profile = match rng.next_below(8) {
+                    0..=2 => continue,
+                    3 => SlowdownProfile::nominal().with_failure_at(instant(&mut rng, horizon)),
+                    _ => {
+                        let pick = rng.next_below(injectors.len() as u64) as usize;
+                        injectors[pick].1.timeline(horizon, &mut rng)
+                    }
+                };
+                spec.set_link_profile(from, to, profile);
+            }
+        }
+        for c in &mut spec.components {
+            let at = instant(&mut rng, horizon);
+            c.profile = match rng.next_below(4) {
+                0 => SlowdownProfile::nominal(),
+                1 => drift_at(at, rng.next_f64_range(0.1, 0.9)),
+                2 => SlowdownProfile::from_breakpoints(vec![
+                    (SimTime::ZERO, 1.0),
+                    (at, 0.0),
+                    (at + SimDuration::from_secs(1 + rng.next_below(59)), 1.0),
+                ]),
+                _ => SlowdownProfile::nominal().with_failure_at(at),
+            };
+        }
+        spec
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Batched rounds and pooled payloads dispatch exactly as per-node
+        /// timers with owned payloads: equal counters, and every node's
+        /// history of every component equal entry for entry. Gossip
+        /// intervals of 1 s and 10 s coincide with the observe and refresh
+        /// periods, so the time-zero arming order is exercised too.
+        #[test]
+        fn batched_rounds_match_per_node_dispatch(
+            n in 2usize..9,
+            gossip in 0usize..7,
+            horizon in 60u64..601,
+            seed in any::<u64>()
+        ) {
+            let gossip_secs = [1, 2, 3, 5, 10, 20, 30][gossip];
+            let spec = random_spec(n, gossip_secs, horizon, seed);
+            let batched = run_plane(&spec, &mut Stream::from_seed(seed));
+            let per_node = run_per_node(&spec, &mut Stream::from_seed(seed));
+            prop_assert_eq!(batched.stats, per_node.stats);
+            for (i, (a, b)) in batched.views.iter().zip(&per_node.views).enumerate() {
+                for c in (0..n as u32).map(ComponentId) {
+                    prop_assert_eq!(a.history(c), b.history(c), "node {} component {}", i, c);
+                }
             }
         }
     }

@@ -14,8 +14,6 @@ use stutter::fault::{ComponentId, HealthState};
 
 use crate::entry::HealthEntry;
 
-use std::collections::BTreeMap;
-
 /// Confidence halves every `HALF_LIFE` of age.
 const HALF_LIFE: SimDuration = SimDuration::from_secs(30);
 
@@ -62,20 +60,22 @@ impl PlaneView {
 ///
 /// Built from a [`crate::entry::Store`] after a gossip run; `query` is a
 /// pure function of `(component, now)`, so consumers can replay any
-/// decision instant. Lookups binary-search each history, which the store
-/// appended in non-decreasing arrival order.
+/// decision instant. Histories are indexed by component id; lookups
+/// binary-search each one, which the store appended in non-decreasing
+/// arrival order.
 #[derive(Clone, Debug)]
 pub struct StalenessView {
-    histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
+    histories: Vec<Vec<(SimTime, HealthEntry)>>,
     stale_after: SimDuration,
 }
 
 impl StalenessView {
-    /// Wraps an accepted-update history; entries older than `stale_after`
-    /// demote to [`PlaneState::Unknown`] (tombstones excepted). Each
-    /// history must be in non-decreasing arrival order.
+    /// Wraps the accepted-update histories, one per component id;
+    /// entries older than `stale_after` demote to [`PlaneState::Unknown`]
+    /// (tombstones excepted). Each history must be in non-decreasing
+    /// arrival order.
     pub(crate) fn new(
-        histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>>,
+        histories: Vec<Vec<(SimTime, HealthEntry)>>,
         stale_after: SimDuration,
     ) -> Self {
         StalenessView { histories, stale_after }
@@ -83,19 +83,19 @@ impl StalenessView {
 
     /// The raw freshest entry that had arrived by `now`, if any.
     pub fn entry_at(&self, component: ComponentId, now: SimTime) -> Option<&HealthEntry> {
-        let h = self.histories.get(&component)?;
+        let h = self.history(component);
         let arrived = h.partition_point(|(arrival, _)| *arrival <= now);
         h[..arrived].last().map(|(_, e)| e)
     }
 
     /// The full accepted-update history for a component.
     pub fn history(&self, component: ComponentId) -> &[(SimTime, HealthEntry)] {
-        self.histories.get(&component).map_or(&[], Vec::as_slice)
+        self.histories.get(component.0 as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// Components this node has ever heard about.
+    /// Components this node has ever heard about, ascending.
     pub fn components(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        self.histories.keys().copied()
+        (0u32..).zip(&self.histories).filter(|(_, h)| !h.is_empty()).map(|(c, _)| ComponentId(c))
     }
 
     /// What this node believed about `component` at instant `now`.
@@ -138,6 +138,7 @@ mod tests {
     use super::*;
     use crate::entry::NodeId;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn entry(seq: u64, state: HealthState, observed_at: SimTime) -> HealthEntry {
         HealthEntry {
@@ -151,9 +152,7 @@ mod tests {
     }
 
     fn view(history: Vec<(SimTime, HealthEntry)>) -> StalenessView {
-        let mut m = BTreeMap::new();
-        m.insert(ComponentId(0), history);
-        StalenessView::new(m, SimDuration::from_secs(60))
+        StalenessView::new(vec![history], SimDuration::from_secs(60))
     }
 
     #[test]
@@ -279,12 +278,13 @@ mod tests {
         ) {
             let (h0, h1, h2) = histories;
             let stale_after = SimDuration::from_secs(60);
+            let v = StalenessView::new(vec![h0.clone(), h1.clone(), h2.clone()], stale_after);
             let histories: BTreeMap<ComponentId, Vec<(SimTime, HealthEntry)>> = [h0, h1, h2]
                 .into_iter()
                 .filter(|h| !h.is_empty())
                 .map(|h| (h[0].1.component, h))
                 .collect();
-            let v = StalenessView::new(histories.clone(), stale_after);
+            prop_assert!(v.components().eq(histories.keys().copied()));
             let mut probes = vec![SimTime::ZERO, SimTime::from_secs(10_000)];
             for (arrival, e) in histories.values().flatten() {
                 let bound = e.observed_at + stale_after;

@@ -34,7 +34,7 @@ proptest! {
         digest in proptest::collection::vec(proptest::option::of(0u64..6), COMPONENTS),
         seed in any::<u64>()
     ) {
-        let mut store = Store::new();
+        let mut store = Store::new(COMPONENTS);
         for &(c, seq, tombstone) in &merges {
             store.merge(SimTime::ZERO, entry(c, seq, tombstone));
         }
@@ -49,6 +49,6 @@ proptest! {
             .filter_map(|c| store.get(ComponentId(c as u32)).copied())
             .filter(|mine| digest[mine.component.0 as usize].is_none_or(|s| mine.seq > s))
             .collect();
-        prop_assert_eq!(store.fresher_than(&theirs), want);
+        prop_assert_eq!(store.fresher_than(&theirs).collect::<Vec<_>>(), want);
     }
 }

@@ -131,7 +131,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "duration must be finite and non-negative, got {secs}"
         );
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Returns the duration in nanoseconds.
@@ -161,7 +161,7 @@ impl SimDuration {
         if scaled >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(scaled.round() as u64)
+            SimDuration(round_to_u64(scaled))
         }
     }
 
@@ -294,6 +294,19 @@ fn format_nanos(n: u64) -> String {
     }
 }
 
+/// `x.round() as u64` for finite `x >= 0`, without a libm call: rounds
+/// half away from zero and saturates at `u64::MAX`.
+///
+/// The remainder `x - n` is exact: below 1 it is `x` itself, and from 1
+/// up to 2^64 `n = floor(x)` lies within a factor of two of `x`
+/// (Sterbenz's lemma). From 2^64 on the cast saturates, and so does the
+/// result. The round-up is added, not branched on: sampled durations
+/// have random fractions, which would mispredict a branch half the time.
+fn round_to_u64(x: f64) -> u64 {
+    let n = x as u64;
+    n.saturating_add(u64::from(x - n as f64 >= 0.5))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +352,55 @@ mod tests {
     #[should_panic]
     fn from_secs_f64_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    /// `round_to_u64`'s reference: libm's `round`, then a saturating cast.
+    fn libm_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    /// `x` and its neighbours up to `ulps` representable values away on
+    /// either side, kept where finite and non-negative.
+    fn around(x: f64, ulps: u64) -> impl Iterator<Item = f64> {
+        let bits = x.to_bits();
+        (bits.saturating_sub(ulps)..=bits.saturating_add(ulps))
+            .map(f64::from_bits)
+            .filter(|y| y.is_finite() && *y >= 0.0)
+    }
+
+    #[test]
+    fn round_to_u64_matches_libm_round_on_the_edge_classes() {
+        let mut xs = vec![0.0, 0.49999999999999994, 0.5, 1.5, 2.5, f64::MAX, 2f64.powi(64)];
+        // Every power of two ±64 ulps, from the subnormals up to 2^70.
+        let subnormal = (0..52).map(|k| 1u64 << k);
+        let normal = (1..=1023 + 70).map(|biased: u64| biased << 52);
+        for bits in subnormal.chain(normal) {
+            xs.extend(around(f64::from_bits(bits), 64));
+        }
+        // Halfway points and their neighbours.
+        for k in (0..10_000_000u64).step_by(9_973).chain(0..1_000) {
+            xs.extend(around(k as f64 + 0.5, 2));
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), libm_round(x), "x = {x:e} ({:#x})", x.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Random finite non-negative bit patterns, and halfway points
+        /// `k + 0.5` for `k < 10^7` with their neighbours.
+        #[test]
+        fn round_to_u64_matches_libm_round(bits in proptest::prelude::any::<u64>(), k in 0u64..10_000_000) {
+            let x = f64::from_bits(bits >> 1);
+            if x.is_finite() {
+                proptest::prop_assert_eq!(round_to_u64(x), libm_round(x), "x = {:e}", x);
+            }
+            for y in around(k as f64 + 0.5, 1) {
+                proptest::prop_assert_eq!(round_to_u64(y), libm_round(y), "y = {:e}", y);
+            }
+        }
     }
 
     #[test]
