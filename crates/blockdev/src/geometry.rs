@@ -134,11 +134,6 @@ impl Geometry {
         }
         SimDuration::from_secs_f64(total)
     }
-
-    /// Disk capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.blocks * self.block_bytes as u64
-    }
 }
 
 #[cfg(test)]
@@ -227,11 +222,5 @@ mod tests {
             g.cylinder_of(g.blocks - 1) == g.cylinders - 1
                 || g.cylinder_of(g.blocks - 1) == g.cylinders
         );
-    }
-
-    #[test]
-    fn capacity_is_blocks_times_block_size() {
-        let g = Geometry::hawk_5400();
-        assert_eq!(g.capacity_bytes(), g.blocks * 512);
     }
 }

@@ -52,7 +52,7 @@
 //! `workspace_clean` keeps the whole tree finding-free.
 
 use crate::graph::{bfs, FileUnit, Graph};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse::{is_keyword, FnSig, Param, Receiver};
 use crate::rules::{id, Finding};
 use crate::summary::call_args;
@@ -249,7 +249,7 @@ impl<'a> Effects<'a> {
             {
                 let written = toks[i + 1].text.to_string();
                 let line = toks[i + 1].line;
-                let (root, hop) = receiver_root(toks, i);
+                let (root, hop) = receiver_root(&u.lexed, i);
                 let Some(root) = root else { continue };
                 let place = hop.unwrap_or_else(|| written.clone());
                 if root == "self" {
@@ -302,7 +302,7 @@ impl<'a> Effects<'a> {
             if !is_mut && !is_int {
                 continue;
             }
-            let (root, hop) = receiver_root(toks, c.dot);
+            let (root, hop) = receiver_root(&u.lexed, c.dot);
             let Some(root) = root else { continue };
             if root == "self" {
                 // A bare `self.push()` is a call on a workspace method —
@@ -661,13 +661,12 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bo
     }
     let node = &graph.nodes[n];
     let u = &units[node.file];
-    let toks = &u.lexed.tokens;
     let (b0, b1) = node.body;
     let sig = sig_of(units, graph, n);
     let mut saw = false;
     for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
         saw = true;
-        let (root, _) = receiver_root(toks, c.dot);
+        let (root, _) = receiver_root(&u.lexed, c.dot);
         let Some(root) = root else { return false };
         if root == "self" || is_screaming(&root) || param(sig, &root).is_some() {
             return false;
@@ -720,7 +719,7 @@ fn mut_args_stay_local(units: &[FileUnit], graph: &Graph, n: usize, m: usize) ->
     }
     for c in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called && c.name == callee.name) {
         saw = true;
-        let Some((open, close)) = call_args(toks, c.tok) else { return false };
+        let Some((open, close)) = call_args(&u.lexed, c.tok) else { return false };
         if !span_ok(open, close) {
             return false;
         }
@@ -761,35 +760,13 @@ fn deref_position(prev: &Token) -> bool {
     }
 }
 
-/// Finds the matching open delimiter for the closer at `close`, scanning
-/// backward over all three bracket kinds together.
-fn backward_match(toks: &[Token], close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = close;
-    loop {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                ")" | "]" | "}" => depth += 1,
-                "(" | "[" | "{" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(i);
-                    }
-                }
-                _ => {}
-            }
-        }
-        i = i.checked_sub(1)?;
-    }
-}
-
 /// Walks a receiver chain leftward from the `.` at `dot`, returning the
 /// chain's root identifier and the first hop after it:
 /// `self.ring.push_back(..)` → `(Some("self"), Some("ring"))`,
 /// `srv.depth = 0` → `(Some("srv"), None)`. Call and index groups are
 /// skipped backward; a chain starting at an operator has no root.
-fn receiver_root(toks: &[Token], dot: usize) -> (Option<String>, Option<String>) {
+fn receiver_root(lexed: &Lexed, dot: usize) -> (Option<String>, Option<String>) {
+    let toks = &lexed.tokens;
     let mut root: Option<String> = None;
     let mut hop: Option<String> = None;
     let mut i = dot;
@@ -801,7 +778,7 @@ fn receiver_root(toks: &[Token], dot: usize) -> (Option<String>, Option<String>)
         }
         let t = &toks[j];
         if t.is_punct(')') || t.is_punct(']') {
-            let Some(open) = backward_match(toks, j) else { return (None, None) };
+            let Some(open) = lexed.partner(j) else { return (None, None) };
             i = open;
             continue;
         }
@@ -861,7 +838,7 @@ mod tests {
                 .iter()
                 .find(|&&i| toks[i + 1].text == method)
                 .unwrap_or_else(|| panic!("no .{method}"));
-            receiver_root(toks, d)
+            receiver_root(&u.lexed, d)
         };
         assert_eq!(root_for("push_back"), (Some("self".into()), Some("ring".into())));
         assert_eq!(root_for("depth"), (Some("srv".into()), None));

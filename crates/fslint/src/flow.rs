@@ -53,7 +53,7 @@
 
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
-use crate::parse::{self, FnItem};
+use crate::parse::FnItem;
 use crate::rules::{id, Finding};
 use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
 use std::collections::{BTreeMap, BTreeSet};
@@ -318,7 +318,7 @@ impl<'a> Flow<'a> {
                 sorted += 1;
             }
         };
-        summary::walk_bindings(toks, f.body, &mut locals, |locals, b| {
+        summary::walk_bindings(&u.lexed, f.body, &mut locals, |locals, b| {
             sort_before(locals, b.at);
             // The scan starts at a type ascription (`: HashMap<..>` taints
             // too), never at the names a `let` binds: `let t = 7;` does
@@ -510,7 +510,7 @@ impl<'a> Flow<'a> {
                 if !toks.get(open).is_some_and(|t| t.is_punct('(')) {
                     continue;
                 }
-                let close = parse::match_delim(toks, open);
+                let close = u.lexed.close_of(open);
                 let named_golden = toks[open..=close]
                     .iter()
                     .any(|t| t.kind == TokKind::Ident && t.text.starts_with("GOLDEN"));
@@ -537,7 +537,7 @@ impl<'a> Flow<'a> {
                     && fc.called
                     && fc.qual.last().map(String::as_str) == Some("Finding")
                 {
-                    if let Some(args) = call_args(toks, fc.tok) {
+                    if let Some(args) = call_args(&u.lexed, fc.tok) {
                         check(
                             self,
                             fc.tok,
@@ -583,7 +583,7 @@ impl<'a> Flow<'a> {
                 if !qual_oracle && !file_uses_oracle {
                     continue;
                 }
-                if let Some(args) = call_args(toks, fc.tok) {
+                if let Some(args) = call_args(&u.lexed, fc.tok) {
                     check(
                         self,
                         fc.tok,
@@ -617,7 +617,7 @@ impl<'a> Flow<'a> {
                 {
                     continue;
                 }
-                let Some((open, close)) = call_args(toks, fc.tok) else { continue };
+                let Some((open, close)) = call_args(&u.lexed, fc.tok) else { continue };
                 let rooted = toks[open + 1..close].iter().any(|t| {
                     t.kind == TokKind::Num
                         || (t.kind == TokKind::Ident
@@ -647,52 +647,64 @@ impl<'a> Flow<'a> {
     }
 }
 
+/// True when the identifier at `i` is the last segment of `head::name`.
+fn prefixed(toks: &[Token], i: usize, head: &str) -> bool {
+    i >= 3 && toks[i - 3].is_ident(head) && toks[i - 2].is_punct(':') && toks[i - 1].is_punct(':')
+}
+
+/// The wall-clock, ambient-RNG or unordered-collection source the
+/// identifier at `i` names, if any: its kind ([`K_WALL`], [`K_RNG`] or
+/// [`K_UNORD`]) and the name a message quotes (`thread::sleep` for
+/// `thread::sleep_ms` too). The taint pass roots on these names, and the
+/// `no-wall-clock`, `no-ambient-rng` and `no-unordered-collections` rules
+/// flag every one.
+pub(crate) fn named_source(toks: &[Token], i: usize) -> Option<(&'static str, &str)> {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    let kind = match &*t.text {
+        "Instant" | "SystemTime" => K_WALL,
+        "sleep" | "sleep_ms" if prefixed(toks, i, "thread") => {
+            return Some((K_WALL, "thread::sleep"))
+        }
+        "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => K_RNG,
+        "random" if prefixed(toks, i, "rand") => return Some((K_RNG, "rand::random")),
+        "HashMap" | "HashSet" => K_UNORD,
+        _ => return None,
+    };
+    Some((kind, &t.text))
+}
+
 /// A direct nondeterminism source at token `i`, if one starts here.
 fn lexical_source(toks: &[Token], i: usize) -> Option<Src> {
     let t = &toks[i];
-    let prefixed = |head: &str| {
-        i >= 3
-            && toks[i - 3].is_ident(head)
-            && toks[i - 2].is_punct(':')
-            && toks[i - 1].is_punct(':')
-    };
-    match t.kind {
-        TokKind::Ident => {
-            let (kind, desc) = match &*t.text {
-                "Instant" | "SystemTime" => (K_WALL, format!("`{}` wall-clock read", t.text)),
-                "sleep" | "sleep_ms" if prefixed("thread") => {
-                    (K_WALL, "`thread::sleep` wall-clock wait".to_string())
-                }
-                "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => {
-                    (K_RNG, format!("ambient RNG `{}`", t.text))
-                }
-                "random" if prefixed("rand") => (K_RNG, "ambient RNG `rand::random`".to_string()),
-                "HashMap" | "HashSet" => {
-                    (K_UNORD, format!("`{}` unordered iteration order", t.text))
-                }
-                "addr_of" | "addr_of_mut" => (K_PTR, format!("raw address `ptr::{}`", t.text)),
-                "current" if prefixed("thread") => {
-                    (K_TID, "`thread::current()` identity".to_string())
-                }
-                "var" | "var_os" | "vars" if prefixed("env") => {
-                    (K_ENV, format!("environment read `env::{}`", t.text))
-                }
-                _ => return None,
-            };
-            Some(Src { kind, tok: i, line: t.line, desc })
+    let (kind, desc) = match (named_source(toks, i), t.kind) {
+        (Some((K_WALL, "thread::sleep")), _) => {
+            (K_WALL, "`thread::sleep` wall-clock wait".to_string())
         }
+        (Some((K_WALL, name)), _) => (K_WALL, format!("`{name}` wall-clock read")),
+        (Some((K_RNG, name)), _) => (K_RNG, format!("ambient RNG `{name}`")),
+        (Some((kind, name)), _) => (kind, format!("`{name}` unordered iteration order")),
+        (None, TokKind::Ident) => match &*t.text {
+            "addr_of" | "addr_of_mut" => (K_PTR, format!("raw address `ptr::{}`", t.text)),
+            "current" if prefixed(toks, i, "thread") => {
+                (K_TID, "`thread::current()` identity".to_string())
+            }
+            "var" | "var_os" | "vars" if prefixed(toks, i, "env") => {
+                (K_ENV, format!("environment read `env::{}`", t.text))
+            }
+            _ => return None,
+        },
         // The needle is assembled with `concat!` so this file's own string
         // literal does not register as a pointer-format source when
-        // fs-lint lints itself.
-        TokKind::Str if t.text.contains(concat!(":", "p}")) => Some(Src {
-            kind: K_PTR,
-            tok: i,
-            line: t.line,
-            // Same concat! dodge as the needle above.
-            desc: concat!("`{", ":", "p}` pointer formatting").to_string(),
-        }),
-        _ => None,
-    }
+        // fs-lint lints itself; the description dodges the same way.
+        (None, TokKind::Str) if t.text.contains(concat!(":", "p}")) => {
+            (K_PTR, concat!("`{", ":", "p}` pointer formatting").to_string())
+        }
+        _ => return None,
+    };
+    Some(Src { kind, tok: i, line: t.line, desc })
 }
 
 /// NaN-sensitive float folds in one file: `fold`/`reduce` whose argument

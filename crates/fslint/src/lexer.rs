@@ -14,6 +14,11 @@
 //! once. A token whose text is one printable ASCII character (all
 //! punctuation) or a keyword borrows static text, so most tokens
 //! allocate nothing.
+//!
+//! Brackets are paired once per file, by one stack pass after lexing: the
+//! *pair table* beside the tokens gives each bracket its partner, so the
+//! parser and the analyses jump over a group, or walk one bracket level,
+//! by lookup instead of counting depth.
 
 use std::borrow::Cow;
 
@@ -65,6 +70,62 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Comments in source order.
     pub comments: Vec<Comment>,
+    /// The pair table: each bracket token's partner index, `UNPAIRED`
+    /// for every other token. Kept beside the tokens rather than in
+    /// `Token`, whose size it would grow by a quarter.
+    pairs: Vec<u32>,
+}
+
+/// A pair-table entry for a token that pairs with nothing.
+const UNPAIRED: u32 = u32::MAX;
+
+impl Lexed {
+    /// The bracket paired with the bracket at `i`: an opener's closer (the
+    /// last token when it never closes) or a closer's opener. `None` for a
+    /// token that is no bracket and for a closer with nothing open.
+    pub(crate) fn partner(&self, i: usize) -> Option<usize> {
+        let p = self.pairs[i];
+        (p != UNPAIRED).then_some(p as usize)
+    }
+
+    /// The closer of the group the bracket at `open` opens; the last token
+    /// when the group never closes.
+    pub(crate) fn close_of(&self, open: usize) -> usize {
+        let close = self.partner(open);
+        debug_assert!(close.is_some_and(|c| c >= open), "token {open} opens no group");
+        close.unwrap_or(open)
+    }
+
+    /// The next token at `i`'s bracket level: past the whole group when
+    /// `i` opens one.
+    pub(crate) fn step(&self, i: usize) -> usize {
+        match self.partner(i) {
+            Some(close) if close >= i => close + 1,
+            _ => i + 1,
+        }
+    }
+
+    /// The previous token at `i`'s bracket level: before the whole group
+    /// when `i` closes one; `None` past the first token.
+    pub(crate) fn step_back(&self, i: usize) -> Option<usize> {
+        match self.partner(i) {
+            Some(open) if open < i => open.checked_sub(1),
+            _ => i.checked_sub(1),
+        }
+    }
+
+    /// The tokens from `from` to the end at `from`'s bracket level, by
+    /// [`step`](Self::step): a group shows as its opener.
+    pub(crate) fn level(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let in_range = move |i: usize| (i < self.tokens.len()).then_some(i);
+        std::iter::successors(in_range(from), move |&i| in_range(self.step(i)))
+    }
+
+    /// The tokens from `from` back to the start at `from`'s bracket level,
+    /// by [`step_back`](Self::step_back): a group shows as its closer.
+    pub(crate) fn level_back(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(from), move |&i| self.step_back(i))
+    }
 }
 
 impl Token {
@@ -247,7 +308,37 @@ pub fn lex(src: &str) -> Lexed {
             }
         }
     }
+    out.pairs = pair_brackets(&out.tokens);
     out
+}
+
+/// The pair table of `tokens`. The three bracket kinds nest as one depth,
+/// so a closer pairs with the innermost open bracket of any kind; an
+/// opener that never closes pairs with the last token, and a closer with
+/// nothing open pairs with nothing. Only punctuation tokens are brackets.
+fn pair_brackets(tokens: &[Token]) -> Vec<u32> {
+    // Each token takes a source byte or more, so this holds for any file
+    // that fits in memory, and every index below converts losslessly.
+    assert!(tokens.len() < UNPAIRED as usize, "{} tokens overflow the pair table", tokens.len());
+    let mut pairs = vec![UNPAIRED; tokens.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (i, t) in tokens.iter().enumerate().filter(|(_, t)| t.kind == TokKind::Punct) {
+        match t.text.as_bytes() {
+            b"(" | b"[" | b"{" => open.push(i),
+            b")" | b"]" | b"}" => {
+                if let Some(o) = open.pop() {
+                    pairs[o] = i as u32;
+                    pairs[i] = o as u32;
+                }
+            }
+            _ => {}
+        }
+    }
+    let last = tokens.len().saturating_sub(1) as u32;
+    for o in open {
+        pairs[o] = last;
+    }
+    pairs
 }
 
 /// Scans a block comment from `from`, just past its opening `/*`, with
@@ -485,6 +576,177 @@ mod tests {
         ];
         let got: Vec<(TokKind, &str)> = t.iter().map(|(k, s, _)| (*k, s.as_str())).collect();
         assert_eq!(got, want);
+    }
+
+    /// The forward scan the pair table replaced: the close delimiter
+    /// matching the opener at `open`, all three kinds as one depth, or the
+    /// last token on unbalanced input.
+    fn match_delim(toks: &[Token], open: usize) -> usize {
+        let mut depth = 0usize;
+        for (i, t) in toks.iter().enumerate().skip(open) {
+            if t.kind == TokKind::Punct {
+                match &*t.text {
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => {
+                        depth = depth.saturating_sub(1);
+                        if depth == 0 {
+                            return i;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        toks.len().saturating_sub(1)
+    }
+
+    /// The backward scan the pair table replaced: the open delimiter
+    /// matching the closer at `close`, all three kinds as one depth.
+    fn backward_match(toks: &[Token], close: usize) -> Option<usize> {
+        let mut depth = 0i32;
+        let mut i = close;
+        loop {
+            let t = &toks[i];
+            if t.kind == TokKind::Punct {
+                match &*t.text {
+                    ")" | "]" | "}" => depth += 1,
+                    "(" | "[" | "{" => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Some(i);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            i = i.checked_sub(1)?;
+        }
+    }
+
+    /// Source pieces: the six brackets, then non-brackets, among them a
+    /// string and a char literal spelled as a bracket.
+    const PIECES: [&str; 10] = ["(", ")", "[", "]", "{", "}", "x", ",", "\"{\"", "')'"];
+
+    /// The source `choices` spell. Balanced, each opener pushes its closer
+    /// and each closer piece pops the innermost one (or is left out), and
+    /// every group still open at the end is closed.
+    fn source(choices: &[usize], balanced: bool) -> String {
+        let mut out: Vec<&str> = Vec::new();
+        let mut open: Vec<&str> = Vec::new();
+        for &c in choices {
+            match (balanced, c) {
+                (true, 0 | 2 | 4) => {
+                    out.push(PIECES[c]);
+                    open.push(PIECES[c + 1]);
+                }
+                (true, 1 | 3 | 5) => out.extend(open.pop()),
+                _ => out.push(PIECES[c]),
+            }
+        }
+        out.extend(open.into_iter().rev());
+        out.join(" ")
+    }
+
+    fn is_open(t: &Token) -> bool {
+        t.kind == TokKind::Punct && matches!(&*t.text, "(" | "[" | "{")
+    }
+
+    fn is_close(t: &Token) -> bool {
+        t.kind == TokKind::Punct && matches!(&*t.text, ")" | "]" | "}")
+    }
+
+    /// The tokens of `[lo, hi)` a depth counter starting at `lo` puts at
+    /// depth 0: before each token when `forward`, after it otherwise.
+    fn depth_zero(toks: &[Token], lo: usize, hi: usize, forward: bool) -> Vec<usize> {
+        let mut depth = 0i32;
+        let mut out = Vec::new();
+        for (i, t) in toks.iter().enumerate().take(hi).skip(lo) {
+            let before = depth;
+            depth += i32::from(is_open(t)) - i32::from(is_close(t));
+            if (if forward { before } else { depth }) == 0 {
+                out.push(i);
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// On any stream, the table agrees with the forward scan on every
+        /// opener and with the backward scan on every closer.
+        #[test]
+        fn the_pair_table_agrees_with_the_depth_scans(
+            choices in proptest::collection::vec(0usize..PIECES.len(), 0..64),
+            balanced in 0u8..2,
+        ) {
+            let lexed = lex(&source(&choices, balanced == 1));
+            let toks = &lexed.tokens;
+            for (i, t) in toks.iter().enumerate() {
+                if is_open(t) {
+                    proptest::prop_assert_eq!(lexed.close_of(i), match_delim(toks, i));
+                } else if is_close(t) {
+                    proptest::prop_assert_eq!(lexed.partner(i), backward_match(toks, i));
+                } else {
+                    proptest::prop_assert_eq!(lexed.partner(i), None);
+                }
+            }
+        }
+
+        /// On balanced spans (a whole balanced stream and each group's
+        /// inside), `step` visits the tokens at depth 0 before them and
+        /// `step_back` the tokens at depth 0 after them.
+        #[test]
+        fn level_walks_visit_the_depth_zero_tokens(
+            choices in proptest::collection::vec(0usize..PIECES.len(), 0..64),
+        ) {
+            let lexed = lex(&source(&choices, true));
+            let toks = &lexed.tokens;
+            let mut spans = vec![(0, toks.len())];
+            spans.extend((0..toks.len()).filter(|&i| is_open(&toks[i])).map(|i| (i + 1, lexed.close_of(i))));
+            for (lo, hi) in spans {
+                let mut forward = Vec::new();
+                let mut i = lo;
+                while i < hi {
+                    forward.push(i);
+                    i = lexed.step(i);
+                }
+                proptest::prop_assert_eq!(i, hi);
+                proptest::prop_assert_eq!(forward, depth_zero(toks, lo, hi, true));
+                let mut backward = Vec::new();
+                let mut i = hi.checked_sub(1);
+                while let Some(j) = i.filter(|&j| j >= lo) {
+                    backward.push(j);
+                    i = lexed.step_back(j);
+                }
+                backward.reverse();
+                proptest::prop_assert_eq!(backward, depth_zero(toks, lo, hi, false));
+            }
+        }
+    }
+
+    #[test]
+    fn brackets_in_literals_pair_with_nothing() {
+        let l = lex("f(\"(\", ']') [ ) }");
+        let pairs: Vec<Option<usize>> = (0..l.tokens.len()).map(|i| l.partner(i)).collect();
+        // f ( "(" , ']' ) [ ) }
+        assert_eq!(pairs, [None, Some(5), None, None, None, Some(1), Some(7), Some(6), None]);
+        assert_eq!((l.step(1), l.step(6), l.step(8)), (6, 8, 9));
+        assert_eq!((l.step_back(5), l.step_back(7), l.step_back(0)), (Some(0), Some(5), None));
+        let unclosed = lex("a ( b [ c");
+        assert_eq!((unclosed.close_of(1), unclosed.close_of(3)), (4, 4));
+        assert_eq!(unclosed.step(1), 5);
+    }
+
+    #[test]
+    fn level_walks_end_at_the_ends_of_the_file() {
+        let l = lex("a ( b ) c [ d");
+        assert_eq!(l.level(0).collect::<Vec<_>>(), [0, 1, 4, 5]);
+        assert_eq!(l.level(5).collect::<Vec<_>>(), [5]);
+        assert_eq!(l.level(7).count(), 0);
+        assert_eq!(l.level_back(4).collect::<Vec<_>>(), [4, 3, 0]);
+        assert_eq!(l.level_back(6).collect::<Vec<_>>(), [6, 5, 4, 3, 0]);
+        assert_eq!(lex("").level(0).count(), 0);
     }
 
     #[test]

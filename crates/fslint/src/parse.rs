@@ -343,31 +343,6 @@ impl FileModel {
     }
 }
 
-/// Finds the matching close delimiter for the opener at `open`, tracking
-/// all three bracket kinds together. Returns the close index, or the last
-/// token on unbalanced input.
-pub(crate) fn match_delim(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i;
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
 /// Skips a generic argument list starting at the `<` at `open`, returning
 /// the index of the matching `>`. Understands nested angles, the two-token
 /// `->` arrow, and stops sanely on unbalanced input.
@@ -406,12 +381,12 @@ pub fn parse(lexed: &Lexed) -> FileModel {
     let toks = &lexed.tokens;
     let mut model = FileModel::default();
 
-    collect_test_spans(toks, &mut model);
-    collect_fns(toks, &mut model);
-    collect_ord_impls(toks, &mut model);
-    collect_impls(toks, &mut model);
-    collect_structs(toks, &mut model);
-    let use_spans = collect_uses(toks, &mut model);
+    collect_test_spans(lexed, &mut model);
+    collect_fns(lexed, &mut model);
+    collect_ord_impls(lexed, &mut model);
+    collect_impls(lexed, &mut model);
+    collect_structs(lexed, &mut model);
+    let use_spans = collect_uses(lexed, &mut model);
     collect_free_calls(toks, &use_spans, &mut model);
 
     let mut i = 0usize;
@@ -419,16 +394,16 @@ pub fn parse(lexed: &Lexed) -> FileModel {
         let t = &toks[i];
         match t.kind {
             TokKind::Punct if t.text == "." => {
-                if let Some(call) = parse_method_call(toks, i) {
+                if let Some(call) = parse_method_call(lexed, i) {
                     model.calls.push(call);
-                } else if let Some(rhs_end) = field_write_rhs_end(toks, i) {
+                } else if let Some(rhs_end) = field_write_rhs_end(lexed, i) {
                     model.field_writes.push(FieldWrite { dot: i, rhs_end });
                 }
                 i += 1;
             }
             TokKind::Punct if t.text == "[" => {
                 if is_index_open(toks, i) {
-                    let close = match_delim(toks, i);
+                    let close = lexed.close_of(i);
                     model.indexings.push(IndexExpr { line: t.line, brackets: (i, close) });
                 }
                 i += 1;
@@ -463,58 +438,45 @@ pub fn parse(lexed: &Lexed) -> FileModel {
 /// The right-hand side's last token when the `.` at `dot` starts a
 /// `.field = RHS` assignment (a plain `=`, not `==`) whose RHS is
 /// non-empty.
-fn field_write_rhs_end(toks: &[Token], dot: usize) -> Option<usize> {
+fn field_write_rhs_end(lexed: &Lexed, dot: usize) -> Option<usize> {
+    let toks = &lexed.tokens;
     let assigns = toks.get(dot + 1).is_some_and(|t| t.kind == TokKind::Ident)
         && punct_at(toks, dot + 2, '=')
         && !punct_at(toks, dot + 3, '=');
     if assigns {
-        rhs_end(toks, dot + 3)
+        rhs_end(lexed, dot + 3)
     } else {
         None
     }
 }
 
 /// Token end of an assignment RHS starting at `from`: the last token
-/// before the depth-0 `;`, `,`, or closing delimiter.
-pub(crate) fn rhs_end(toks: &[Token], from: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        return if j > from { Some(j - 1) } else { None };
-                    }
-                    depth -= 1;
-                }
-                ";" | "," if depth == 0 => {
-                    return if j > from { Some(j - 1) } else { None };
-                }
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    None
+/// before the `;`, `,` or closing delimiter at `from`'s bracket level.
+pub(crate) fn rhs_end(lexed: &Lexed, from: usize) -> Option<usize> {
+    let ends =
+        |t: &Token| t.kind == TokKind::Punct && matches!(&*t.text, ";" | "," | ")" | "]" | "}");
+    let end = lexed.level(from).find(|&j| ends(&lexed.tokens[j]))?;
+    (end > from).then(|| end - 1)
 }
 
 /// Records the body spans of `#[cfg(test)] mod … { … }` items.
-fn collect_test_spans(toks: &[Token], model: &mut FileModel) {
+fn collect_test_spans(lexed: &Lexed, model: &mut FileModel) {
+    let toks = &lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if punct_at(toks, i, '#') && punct_at(toks, i + 1, '[') {
-            let close = match_delim(toks, i + 1);
-            let attr_is_cfg_test = toks[i + 2..close]
+            let close = lexed.close_of(i + 1);
+            // A `#[` that ends the file closes on its own `[`.
+            let attr_is_cfg_test = toks
+                .get(i + 2..close)
+                .unwrap_or_default()
                 .windows(3)
                 .any(|w| w[0].is_ident("cfg") && w[1].is_punct('(') && w[2].is_ident("test"));
             if attr_is_cfg_test {
                 // Skip further attributes/doc markers to the item keyword.
                 let mut j = close + 1;
                 while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
-                    j = match_delim(toks, j + 1) + 1;
+                    j = lexed.close_of(j + 1) + 1;
                 }
                 if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
                     j += 1;
@@ -526,7 +488,7 @@ fn collect_test_spans(toks: &[Token], model: &mut FileModel) {
                         k += 1;
                     }
                     if punct_at(toks, k, '{') {
-                        model.test_spans.push((k, match_delim(toks, k)));
+                        model.test_spans.push((k, lexed.close_of(k)));
                     }
                 }
             }
@@ -538,7 +500,8 @@ fn collect_test_spans(toks: &[Token], model: &mut FileModel) {
 }
 
 /// Records every `fn` item with its local analysis.
-fn collect_fns(toks: &[Token], model: &mut FileModel) {
+fn collect_fns(lexed: &Lexed, model: &mut FileModel) {
+    let toks = &lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if !toks[i].is_ident("fn") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
@@ -547,34 +510,18 @@ fn collect_fns(toks: &[Token], model: &mut FileModel) {
         }
         let name = toks[i + 1].text.to_string();
         let line = toks[i].line;
-        // The body is the first `{` past the signature at bracket depth 0.
+        // The body is the first `{` past the signature at the `fn`'s
+        // bracket level; a `;` there ends a trait method declaration.
         // Generic params and return types never contain braces.
-        let mut j = i + 2;
-        let mut depth = 0i32;
-        let mut body_open = None;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.kind == TokKind::Punct {
-                match &*t.text {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "{" if depth == 0 => {
-                        body_open = Some(j);
-                        break;
-                    }
-                    ";" if depth == 0 => break, // trait method declaration
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        let Some(open) = body_open else {
+        let body_or_semi =
+            lexed.level(i + 2).find(|&j| punct_at(toks, j, '{') || punct_at(toks, j, ';'));
+        let Some(open) = body_or_semi.filter(|&j| punct_at(toks, j, '{')) else {
             i += 2;
             continue;
         };
-        let close = match_delim(toks, open);
-        let in_test = has_test_attr(toks, i) || model.in_test_span(i);
-        let sig = parse_sig(toks, i, open);
+        let close = lexed.close_of(open);
+        let in_test = has_test_attr(lexed, i) || model.in_test_span(i);
+        let sig = parse_sig(lexed, i, open);
         let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
         let mut item = FnItem {
             name,
@@ -586,7 +533,7 @@ fn collect_fns(toks: &[Token], model: &mut FileModel) {
             float_vars: BTreeSet::new(),
         };
         // The signature (params) participates in float tracking.
-        analyze_fn(toks, i, close, &mut item);
+        analyze_fn(lexed, i, close, &mut item);
         model.fns.push(item);
         i += 2;
     }
@@ -595,7 +542,8 @@ fn collect_fns(toks: &[Token], model: &mut FileModel) {
 /// True if the `fn` at `at` is directly preceded by a `#[test]`-ish or
 /// `#[cfg(test)]` attribute (scanning back across attributes and the
 /// visibility/`const`/`async` qualifiers).
-fn has_test_attr(toks: &[Token], at: usize) -> bool {
+fn has_test_attr(lexed: &Lexed, at: usize) -> bool {
+    let toks = &lexed.tokens;
     let mut i = at;
     // Walk back over qualifiers to the potential attribute close bracket.
     while i > 0
@@ -605,26 +553,8 @@ fn has_test_attr(toks: &[Token], at: usize) -> bool {
         i -= 1;
     }
     while i >= 2 && toks[i - 1].is_punct(']') {
-        // Find the attribute's opening `[` by scanning back.
         let close = i - 1;
-        let mut depth = 0usize;
-        let mut open = close;
-        loop {
-            match &*toks[open].text {
-                "]" => depth += 1,
-                "[" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            if open == 0 {
-                return false;
-            }
-            open -= 1;
-        }
+        let Some(open) = lexed.partner(close) else { return false };
         if open == 0 || !toks[open - 1].is_punct('#') {
             return false;
         }
@@ -637,7 +567,8 @@ fn has_test_attr(toks: &[Token], at: usize) -> bool {
 }
 
 /// Parses the signature of the `fn` at `at` whose body opens at `body`.
-fn parse_sig(toks: &[Token], at: usize, body: usize) -> FnSig {
+fn parse_sig(lexed: &Lexed, at: usize, body: usize) -> FnSig {
+    let toks = &lexed.tokens;
     let mut sig = FnSig::default();
     let mut j = at + 2;
     if punct_at(toks, j, '<') {
@@ -650,24 +581,19 @@ fn parse_sig(toks: &[Token], at: usize, body: usize) -> FnSig {
     if !punct_at(toks, j, '(') {
         return sig;
     }
-    let close = match_delim(toks, j);
-    // Split the list at depth-0 commas; generic angles hide theirs.
+    let close = lexed.close_of(j);
+    // Split the list at the commas of its own bracket level; generic
+    // angles hide theirs.
     let mut spans: Vec<(usize, usize)> = Vec::new();
-    let (mut start, mut depth, mut k) = (j + 1, 0i32, j + 1);
+    let (mut start, mut k) = (j + 1, j + 1);
     while k < close {
-        if toks[k].kind == TokKind::Punct {
-            match &*toks[k].text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "<" if depth == 0 => k = skip_angles(toks, k),
-                "," if depth == 0 => {
-                    spans.push((start, k));
-                    start = k + 1;
-                }
-                _ => {}
-            }
+        if toks[k].is_punct('<') {
+            k = skip_angles(toks, k);
+        } else if toks[k].is_punct(',') {
+            spans.push((start, k));
+            start = k + 1;
         }
-        k += 1;
+        k = lexed.step(k);
     }
     if start < close {
         spans.push((start, close));
@@ -726,7 +652,8 @@ fn parse_sig(toks: &[Token], at: usize, body: usize) -> FnSig {
 }
 
 /// Fills `bound_vars` and `float_vars` for the token range `[start, end]`.
-fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
+fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
+    let toks = &lexed.tokens;
     let mut i = start;
     while i <= end && i < toks.len() {
         let t = &toks[i];
@@ -758,8 +685,9 @@ fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                 i = j + 1;
             }
             // `let [mut] PATTERN …` — every ident in the pattern (up to the
-            // depth-0 `=`) is bound; a single-name binding also classifies
-            // its initialiser for float tracking.
+            // `=` or `;` at the `let`'s bracket level) is bound; a
+            // single-name binding also classifies its initialiser for float
+            // tracking.
             TokKind::Ident if t.text == "let" => {
                 let mut j = i + 1;
                 if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
@@ -767,25 +695,20 @@ fn analyze_fn(toks: &[Token], start: usize, end: usize, item: &mut FnItem) {
                 }
                 if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident) {
                     let name = toks[j].text.to_string();
-                    if stmt_is_floaty(toks, j + 1, end) {
+                    if stmt_is_floaty(lexed, j + 1, end) {
                         item.float_vars.insert(name);
                     }
                 }
-                let mut depth = 0i32;
-                let mut k = i + 1;
-                while k <= end && k < toks.len() {
-                    let t = &toks[k];
-                    if t.kind == TokKind::Punct {
-                        match &*t.text {
-                            "(" | "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            "=" | ";" if depth == 0 => break,
-                            _ => {}
-                        }
-                    } else if t.kind == TokKind::Ident && !is_keyword(&t.text) {
+                let limit = toks.len().min(end + 1);
+                let k = lexed
+                    .level(i + 1)
+                    .take_while(|&k| k < limit)
+                    .find(|&k| punct_at(toks, k, '=') || punct_at(toks, k, ';'))
+                    .unwrap_or(limit);
+                for t in &toks[i + 1..k] {
+                    if t.kind == TokKind::Ident && !is_keyword(&t.text) {
                         item.bound_vars.insert(t.text.to_string());
                     }
-                    k += 1;
                 }
                 i = k;
             }
@@ -816,42 +739,23 @@ fn closure_opens_here(toks: &[Token], i: usize) -> bool {
 }
 
 /// True when the statement tokens after a `let NAME` mark a float binding:
-/// `: f64`, a float literal initialiser, or a trailing `as f64` cast.
-fn stmt_is_floaty(toks: &[Token], from: usize, end: usize) -> bool {
-    let mut i = from;
-    let mut depth = 0i32;
-    while i <= end && i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    if depth == 0 {
-                        return false;
-                    }
-                    depth -= 1;
-                }
-                ";" if depth == 0 => return false,
-                _ => {}
-            }
-        }
-        let floaty = match t.kind {
-            TokKind::Ident => matches!(&*t.text, "f64" | "f32"),
-            TokKind::Num => {
-                t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32")
-            }
-            _ => false,
-        };
-        if floaty {
-            return true;
-        }
-        i += 1;
-    }
-    false
+/// `: f64`, a float literal initialiser, or a trailing `as f64` cast. The
+/// statement ends at the `;` or closing delimiter of its bracket level.
+fn stmt_is_floaty(lexed: &Lexed, from: usize, end: usize) -> bool {
+    let toks = &lexed.tokens;
+    let limit = toks.len().min(end + 1);
+    let ends = |t: &Token| t.kind == TokKind::Punct && matches!(&*t.text, ";" | ")" | "]" | "}");
+    let stop = lexed.level(from).take_while(|&i| i < limit).find(|&i| ends(&toks[i]));
+    toks[from..stop.unwrap_or(limit)].iter().any(|t| match t.kind {
+        TokKind::Ident => matches!(&*t.text, "f64" | "f32"),
+        TokKind::Num => t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32"),
+        _ => false,
+    })
 }
 
 /// Parses a method call whose `.` sits at `dot`, tolerating turbofish.
-fn parse_method_call(toks: &[Token], dot: usize) -> Option<MethodCall> {
+fn parse_method_call(lexed: &Lexed, dot: usize) -> Option<MethodCall> {
+    let toks = &lexed.tokens;
     let name_tok = toks.get(dot + 1)?;
     if name_tok.kind != TokKind::Ident {
         return None;
@@ -868,7 +772,7 @@ fn parse_method_call(toks: &[Token], dot: usize) -> Option<MethodCall> {
     if !punct_at(toks, j, '(') {
         return None;
     }
-    let close = match_delim(toks, j);
+    let close = lexed.close_of(j);
     let chained = if punct_at(toks, close + 1, '.')
         && toks.get(close + 2).is_some_and(|t| t.kind == TokKind::Ident)
     {
@@ -903,7 +807,8 @@ fn is_index_open(toks: &[Token], i: usize) -> bool {
 }
 
 /// Records every `impl Ord for T` / `impl PartialOrd for T` block.
-fn collect_ord_impls(toks: &[Token], model: &mut FileModel) {
+fn collect_ord_impls(lexed: &Lexed, model: &mut FileModel) {
+    let toks = &lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if !toks[i].is_ident("impl") {
@@ -936,7 +841,7 @@ fn collect_ord_impls(toks: &[Token], model: &mut FileModel) {
                         trait_name: trait_tok.text.to_string(),
                         type_name: ty.text.to_string(),
                         line: toks[i].line,
-                        body: (k, match_delim(toks, k)),
+                        body: (k, lexed.close_of(k)),
                     });
                 }
             }
@@ -985,7 +890,8 @@ fn read_path(toks: &[Token], mut j: usize) -> Option<(String, usize)> {
 }
 
 /// Records every `impl` block (inherent or trait) at item position.
-fn collect_impls(toks: &[Token], model: &mut FileModel) {
+fn collect_impls(lexed: &Lexed, model: &mut FileModel) {
+    let toks = &lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if !toks[i].is_ident("impl") || !at_item_position(toks, i) {
@@ -1032,7 +938,7 @@ fn collect_impls(toks: &[Token], model: &mut FileModel) {
             j += 1;
         }
         if punct_at(toks, j, '{') {
-            let close = match_delim(toks, j);
+            let close = lexed.close_of(j);
             model.impls.push(ImplBlock { trait_name, type_name, line, body: (j, close) });
         }
         i = j + 1;
@@ -1040,7 +946,8 @@ fn collect_impls(toks: &[Token], model: &mut FileModel) {
 }
 
 /// Records every `struct` definition that has a body (`{…}` or `(…)`).
-fn collect_structs(toks: &[Token], model: &mut FileModel) {
+fn collect_structs(lexed: &Lexed, model: &mut FileModel) {
+    let toks = &lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if !toks[i].is_ident("struct") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
@@ -1066,7 +973,7 @@ fn collect_structs(toks: &[Token], model: &mut FileModel) {
             }
         }
         if punct_at(toks, j, '{') || punct_at(toks, j, '(') {
-            model.structs.push(StructDef { name, line, body: (j, match_delim(toks, j)) });
+            model.structs.push(StructDef { name, line, body: (j, lexed.close_of(j)) });
         }
         i = j + 1;
     }
@@ -1074,7 +981,8 @@ fn collect_structs(toks: &[Token], model: &mut FileModel) {
 
 /// Records every `use` item (flattened) and returns their token spans so
 /// the free-call collector can skip the paths inside them.
-fn collect_uses(toks: &[Token], model: &mut FileModel) -> Vec<(usize, usize)> {
+fn collect_uses(lexed: &Lexed, model: &mut FileModel) -> Vec<(usize, usize)> {
+    let toks = &lexed.tokens;
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -1082,9 +990,9 @@ fn collect_uses(toks: &[Token], model: &mut FileModel) -> Vec<(usize, usize)> {
             i += 1;
             continue;
         }
-        let is_pub = use_is_pub(toks, i);
+        let is_pub = use_is_pub(lexed, i);
         let line = toks[i].line;
-        let end = use_tree(toks, i + 1, &[], is_pub, line, &mut model.uses);
+        let end = use_tree(lexed, i + 1, &[], is_pub, line, &mut model.uses);
         spans.push((i, end));
         i = end.max(i + 1);
     }
@@ -1103,24 +1011,14 @@ fn at_item_position_for_use(toks: &[Token], i: usize) -> bool {
 }
 
 /// True when the `use` at `i` is a `pub use` / `pub(crate) use` re-export.
-fn use_is_pub(toks: &[Token], i: usize) -> bool {
+fn use_is_pub(lexed: &Lexed, i: usize) -> bool {
+    let toks = &lexed.tokens;
     let Some(mut k) = i.checked_sub(1) else { return false };
     if toks[k].is_punct(')') {
-        // Walk back over the `(crate)`/`(super)` restriction.
-        let mut depth = 0i32;
-        loop {
-            if toks[k].is_punct(')') {
-                depth += 1;
-            } else if toks[k].is_punct('(') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            let Some(prev) = k.checked_sub(1) else { return false };
-            k = prev;
-        }
-        let Some(prev) = k.checked_sub(1) else { return false };
+        // Step back over the `(crate)`/`(super)` restriction.
+        let Some(prev) = lexed.partner(k).and_then(|open| open.checked_sub(1)) else {
+            return false;
+        };
         k = prev;
     }
     toks[k].is_ident("pub")
@@ -1129,13 +1027,14 @@ fn use_is_pub(toks: &[Token], i: usize) -> bool {
 /// Parses one use tree at `j` with `prefix` segments already read; emits
 /// flattened [`UseDecl`]s and returns the index just past the tree.
 fn use_tree(
-    toks: &[Token],
+    lexed: &Lexed,
     mut j: usize,
     prefix: &[String],
     is_pub: bool,
     line: u32,
     out: &mut Vec<UseDecl>,
 ) -> usize {
+    let toks = &lexed.tokens;
     let mut segs = prefix.to_vec();
     loop {
         match toks.get(j) {
@@ -1149,10 +1048,10 @@ fn use_tree(
                 break;
             }
             Some(t) if t.is_punct('{') => {
-                let close = match_delim(toks, j);
+                let close = lexed.close_of(j);
                 let mut k = j + 1;
                 while k < close {
-                    let next = use_tree(toks, k, &segs, is_pub, line, out);
+                    let next = use_tree(lexed, k, &segs, is_pub, line, out);
                     k = next.max(k + 1);
                     if punct_at(toks, k, ',') {
                         k += 1;
@@ -1285,6 +1184,14 @@ mod tests {
         assert!(!by_name("lib").in_test);
         assert!(by_name("helper").in_test);
         assert!(by_name("t").in_test);
+    }
+
+    #[test]
+    fn an_attribute_left_open_at_the_end_of_the_file_parses() {
+        for src in ["#[", "fn a() {}\n#[", "#[cfg(test)] mod t { #["] {
+            let m = model(src);
+            assert!(m.test_spans.iter().all(|&(lo, hi)| lo <= hi), "{src}: {:?}", m.test_spans);
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! to. Rules match on lexed identifier tokens ([`crate::lexer`]), so
 //! forbidden names inside strings, comments, and doc examples never fire.
 
-use crate::lexer::{Lexed, TokKind, Token};
+use crate::flow::{self, K_RNG, K_WALL};
+use crate::lexer::{Lexed, TokKind};
 use std::collections::BTreeMap;
 
 /// Stable rule identifiers.
@@ -249,23 +250,9 @@ impl FileCtx<'_> {
     }
 }
 
-fn tok<'a>(ctx: &'a FileCtx<'_>, i: usize) -> Option<&'a Token> {
-    ctx.lexed.tokens.get(i)
-}
-
-/// True if tokens at `i` spell the path `a::b`.
-fn is_path_pair(ctx: &FileCtx<'_>, i: usize, a: &str, b: &str) -> bool {
-    tok(ctx, i).is_some_and(|t| t.is_ident(a))
-        && tok(ctx, i + 1).is_some_and(|t| t.is_punct(':'))
-        && tok(ctx, i + 2).is_some_and(|t| t.is_punct(':'))
-        && tok(ctx, i + 3).is_some_and(|t| t.is_ident(b))
-}
-
 /// Runs all single-file rules over one file.
 pub fn check_file(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    no_wall_clock(ctx, findings);
-    no_unordered_collections(ctx, findings);
-    no_ambient_rng(ctx, findings);
+    named_sources(ctx, findings);
     forbid_unsafe_everywhere(ctx, findings);
     golden_regen_note(ctx, findings);
 }
@@ -280,86 +267,41 @@ fn push(
     findings.push(Finding { path: ctx.path.clone(), line, rule, message: msg });
 }
 
-fn no_wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if ctx.is_bench() {
-        // crates/bench may wall-time real executions (Criterion-style);
-        // everything it *simulates* still runs on SimTime.
-        return;
-    }
-    for (i, t) in ctx.lexed.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let named = match &*t.text {
-            "Instant" | "SystemTime" => Some(&*t.text),
-            "sleep" | "sleep_ms" if i >= 3 && is_path_pair(ctx, i - 3, "thread", &t.text) => {
-                Some("thread::sleep")
-            }
-            _ => None,
-        };
-        if let Some(name) = named {
-            push(
-                findings,
-                ctx,
-                t.line,
+/// `no-wall-clock`, `no-ambient-rng` and `no-unordered-collections`: one
+/// finding per source name the taint pass roots on
+/// ([`flow::named_source`]), wall-clock names outside `crates/bench` only.
+fn named_sources(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+    let toks = &ctx.lexed.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        let Some((kind, name)) = flow::named_source(toks, i) else { continue };
+        let (rule, message) = match kind {
+            // crates/bench may wall-time real executions (Criterion-style);
+            // everything it *simulates* still runs on SimTime.
+            K_WALL if ctx.is_bench() => continue,
+            K_WALL => (
                 id::NO_WALL_CLOCK,
                 format!(
                     "`{name}` reads or waits on the wall clock; the simulation is \
                      integer-SimTime only (wall timing is allowed only under crates/bench)"
                 ),
-            );
-        }
-    }
-}
-
-fn no_unordered_collections(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for t in &ctx.lexed.tokens {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let replacement = match &*t.text {
-            "HashMap" => "BTreeMap",
-            "HashSet" => "BTreeSet",
-            _ => continue,
-        };
-        push(
-            findings,
-            ctx,
-            t.line,
-            id::NO_UNORDERED_COLLECTIONS,
-            format!(
-                "`{}` iterates in randomized order, which leaks into digests and goldens; \
-                 use `{replacement}`",
-                t.text
             ),
-        );
-    }
-}
-
-fn no_ambient_rng(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.lexed.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let named = match &*t.text {
-            "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => Some(&*t.text),
-            "random" if i >= 3 && is_path_pair(ctx, i - 3, "rand", "random") => {
-                Some("rand::random")
-            }
-            _ => None,
-        };
-        if let Some(name) = named {
-            push(
-                findings,
-                ctx,
-                t.line,
+            K_RNG => (
                 id::NO_AMBIENT_RNG,
                 format!(
                     "`{name}` draws ambient entropy; all randomness must be a labelled \
                      child of the master seed via simcore::rng::Stream::derive"
                 ),
-            );
-        }
+            ),
+            _ => (
+                id::NO_UNORDERED_COLLECTIONS,
+                format!(
+                    "`{name}` iterates in randomized order, which leaks into digests and \
+                     goldens; use `{}`",
+                    name.replace("Hash", "BTree")
+                ),
+            ),
+        };
+        push(findings, ctx, t.line, rule, message);
     }
 }
 

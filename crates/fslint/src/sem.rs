@@ -49,8 +49,8 @@
 //! handled or carry a written `fslint: allow(panic-path)` reason.
 
 use crate::graph::FileScope;
-use crate::lexer::{TokKind, Token};
-use crate::parse::{self, FileModel, MethodCall};
+use crate::lexer::{Lexed, TokKind, Token};
+use crate::parse::{FileModel, MethodCall};
 use crate::rules::{id, FileCtx, Finding};
 
 /// Identifier names a comparator key may end with that mark it as "the
@@ -100,7 +100,7 @@ fn stable_tiebreak(
         if KEYED.contains(&call.name.as_str()) {
             let Some(body) = closure_body(toks, call) else { continue };
             if scope.in_sched(call.dot) {
-                if !is_tuple_expr(toks, body) {
+                if !is_tuple_expr(ctx.lexed, body) {
                     push(
                         findings,
                         ctx,
@@ -211,7 +211,7 @@ fn check_comparator_body(
         if c.dot < body.0 || c.dot > body.1 {
             continue;
         }
-        if receiver_is_tuple(toks, c.dot) {
+        if receiver_is_tuple(ctx.lexed, c.dot) {
             continue;
         }
         if let Some(last) = receiver_tail_ident(toks, c.dot) {
@@ -429,33 +429,19 @@ fn closure_body(toks: &[Token], call: &MethodCall) -> Option<(usize, usize)> {
 /// True when a span is a parenthesised tuple: `( … , … )` with the comma at
 /// depth 1. A block body `{ …; (a, b) }` counts through its trailing tuple
 /// expression — the value the block evaluates to.
-fn is_tuple_expr(toks: &[Token], (start, end): (usize, usize)) -> bool {
-    if toks[start].is_punct('(') && parse::match_delim(toks, start) == end {
+fn is_tuple_expr(lexed: &Lexed, (start, end): (usize, usize)) -> bool {
+    let toks = &lexed.tokens;
+    if toks[start].is_punct('(') && lexed.close_of(start) == end {
         return has_toplevel_comma(toks, (start, end));
     }
     if toks[start].is_punct('{')
-        && parse::match_delim(toks, start) == end
+        && lexed.close_of(start) == end
         && end >= 2
         && toks[end - 1].is_punct(')')
     {
-        // Scan back to the `(` matching the block's last token.
-        let mut depth = 0i32;
-        let mut i = end - 1;
-        loop {
-            if toks[i].is_punct(')') {
-                depth += 1;
-            } else if toks[i].is_punct('(') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            if i <= start {
-                return false;
-            }
-            i -= 1;
-        }
-        // It must open an expression statement, not a call's argument list.
+        // The `(` matching the block's last token must open an expression
+        // statement, not a call's argument list.
+        let Some(i) = lexed.partner(end - 1) else { return false };
         let opens_expr = i == start + 1 || toks[i - 1].is_punct(';') || toks[i - 1].is_punct('{');
         return opens_expr && has_toplevel_comma(toks, (i, end - 1));
     }
@@ -480,29 +466,11 @@ fn has_toplevel_comma(toks: &[Token], (start, end): (usize, usize)) -> bool {
 }
 
 /// True when the receiver of the `.` at `dot` is a parenthesised tuple.
-fn receiver_is_tuple(toks: &[Token], dot: usize) -> bool {
-    if dot == 0 || !toks[dot - 1].is_punct(')') {
-        return false;
-    }
-    // Scan back to the matching `(`.
-    let mut depth = 0i32;
-    let mut i = dot - 1;
-    loop {
-        match &*toks[i].text {
-            ")" if toks[i].kind == TokKind::Punct => depth += 1,
-            "(" if toks[i].kind == TokKind::Punct => {
-                depth -= 1;
-                if depth == 0 {
-                    return has_toplevel_comma(toks, (i, dot - 1));
-                }
-            }
-            _ => {}
-        }
-        if i == 0 {
-            return false;
-        }
-        i -= 1;
-    }
+fn receiver_is_tuple(lexed: &Lexed, dot: usize) -> bool {
+    let toks = &lexed.tokens;
+    let close = dot.checked_sub(1).filter(|&c| toks[c].is_punct(')'));
+    let open = close.and_then(|c| lexed.partner(c));
+    open.is_some_and(|open| has_toplevel_comma(toks, (open, dot - 1)))
 }
 
 /// The last identifier of the receiver chain ending just before `dot`
@@ -538,7 +506,7 @@ mod tests {
     fn run(path: &str, src: &str) -> Vec<Finding> {
         let lexed = lex(src);
         let ctx = FileCtx { path: path.to_string(), lexed: &lexed };
-        let model = parse::parse(&lexed);
+        let model = crate::parse::parse(&lexed);
         let mut findings = Vec::new();
         // These unit tests exercise the rule bodies, not the graph (that
         // is tests/graph.rs territory), so the path picks a whole-file

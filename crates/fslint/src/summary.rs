@@ -16,12 +16,15 @@
 //!   shadowing;
 //! * the `.field = RHS` learner that teaches struct fields by name, over
 //!   the assignment sites [`parse`] records once per file;
-//! * the token helpers those scans are built from.
+//! * the token helpers those scans are built from. They find a
+//!   statement's `=`/`;`, a pattern's `:` or a loop's `{` by walking one
+//!   bracket level of the lexer's pair table ([`Lexed::level`]), and a
+//!   call's argument parens by one lookup; none counts bracket depth.
 //!
 //! Each pass keeps only its seeds, its transfer function and its rules.
 
 use crate::graph::{FileUnit, Graph};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse;
 use std::collections::BTreeMap;
 
@@ -207,22 +210,23 @@ pub(crate) struct Binding {
 /// `let`'s `;` (or the loop body's `{`) on. A `let` rebinding ends the
 /// old local's range whether or not the new one has a value.
 pub(crate) fn walk_bindings<T>(
-    toks: &[Token],
+    lexed: &Lexed,
     body: (usize, usize),
     locals: &mut Locals<T>,
     mut bind: impl FnMut(&mut Locals<T>, &Binding) -> Vec<(String, T)>,
 ) {
+    let toks = &lexed.tokens;
     let (b0, b1) = body;
     let mut i = b0;
     while i <= b1 && i < toks.len() {
         if toks[i].is_ident("let") {
-            let (eq, semi) = let_bounds(toks, i + 1, b1);
+            let (eq, semi) = let_bounds(lexed, i + 1, b1);
             let Some(semi) = semi else {
                 i += 1;
                 continue;
             };
             if let Some(eq) = eq {
-                let (names, ty) = pattern_names(toks, i + 1, eq);
+                let (names, ty) = pattern_names(lexed, i + 1, eq);
                 if !names.is_empty() {
                     let b = Binding { at: i, is_let: true, names, ty, rhs: (eq + 1, semi - 1) };
                     let vals = bind(locals, &b);
@@ -236,7 +240,7 @@ pub(crate) fn walk_bindings<T>(
             }
             i = semi + 1;
         } else if let Some((names, expr_end, brace)) =
-            toks[i].is_ident("for").then(|| for_binding(toks, i, b1)).flatten()
+            toks[i].is_ident("for").then(|| for_binding(lexed, i, b1)).flatten()
         {
             let b = Binding { at: i, is_let: false, names, ty: None, rhs: (i + 1, expr_end) };
             for (name, val) in bind(locals, &b) {
@@ -301,7 +305,8 @@ pub(crate) fn field_read_shape(toks: &[Token], i: usize) -> bool {
 
 /// The argument parens of the call whose name token is `tok`, skipping a
 /// turbofish; `None` for bare references.
-pub(crate) fn call_args(toks: &[Token], tok: usize) -> Option<(usize, usize)> {
+pub(crate) fn call_args(lexed: &Lexed, tok: usize) -> Option<(usize, usize)> {
+    let toks = &lexed.tokens;
     let mut k = tok + 1;
     if toks.get(k).is_some_and(|t| t.is_punct(':'))
         && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
@@ -316,26 +321,26 @@ pub(crate) fn call_args(toks: &[Token], tok: usize) -> Option<(usize, usize)> {
     if !toks.get(k).is_some_and(|t| t.is_punct('(')) {
         return None;
     }
-    Some((k, parse::match_delim(toks, k)))
+    Some((k, lexed.close_of(k)))
 }
 
-/// The bounds of a `let` statement starting after the `let` at `from-1`:
-/// the depth-0 `=` (skipping `==`/compound operators) and the depth-0 `;`.
+/// The bounds of a `let` statement starting after the `let` at `from-1`,
+/// at the `let`'s bracket level: the first `=` (skipping `==`/compound
+/// operators) and the `;`. A closing delimiter ends the search: a `let`
+/// (an `if let`) whose block closes first has no `;`.
 pub(crate) fn let_bounds(
-    toks: &[Token],
+    lexed: &Lexed,
     from: usize,
     limit: usize,
 ) -> (Option<usize>, Option<usize>) {
-    let mut depth = 0i32;
+    let toks = &lexed.tokens;
     let mut eq = None;
-    let mut i = from;
-    while i <= limit && i < toks.len() {
+    for i in lexed.level(from).take_while(|&i| i <= limit) {
         let t = &toks[i];
         if t.kind == TokKind::Punct {
             match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "=" if depth == 0 && eq.is_none() => {
+                ")" | "]" | "}" => break,
+                "=" if eq.is_none() => {
                     // `>` is NOT compound here: before a let's binding `=`
                     // it can only be a generic close (`let k: Vec<u64> =`) —
                     // a real `>=` cannot appear in pattern/type position.
@@ -350,39 +355,24 @@ pub(crate) fn let_bounds(
                         eq = Some(i);
                     }
                 }
-                ";" if depth == 0 => return (eq, Some(i)),
+                ";" => return (eq, Some(i)),
                 _ => {}
             }
         }
-        i += 1;
     }
     (eq, None)
 }
 
 /// Lower-case identifiers bound by the pattern between `from` and the
-/// `=` at `eq`, stopping at a depth-0 `:` (type ascription), which is
-/// returned too. CamelCase names are enum/struct constructors, not
-/// bindings.
-pub(crate) fn pattern_names(
-    toks: &[Token],
-    from: usize,
-    eq: usize,
-) -> (Vec<String>, Option<usize>) {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().take(eq.min(toks.len())).skip(from) {
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ":" if depth == 0 => return (out, Some(j)),
-                _ => {}
-            }
-        } else if binding_name(t) {
-            out.push(t.text.to_string());
-        }
-    }
-    (out, None)
+/// `=` at `eq`, stopping at a `:` (type ascription) at the pattern's
+/// bracket level, which is returned too. CamelCase names are enum/struct
+/// constructors, not bindings.
+pub(crate) fn pattern_names(lexed: &Lexed, from: usize, eq: usize) -> (Vec<String>, Option<usize>) {
+    let toks = &lexed.tokens;
+    let end = eq.min(toks.len());
+    let colon = lexed.level(from).take_while(|&j| j < end).find(|&j| toks[j].is_punct(':'));
+    let names = toks[from..colon.unwrap_or(end)].iter().filter(|t| binding_name(t));
+    (names.map(|t| t.text.to_string()).collect(), colon)
 }
 
 /// True for a lower-case, non-keyword identifier: a pattern binding.
@@ -395,10 +385,11 @@ fn binding_name(t: &Token) -> bool {
 /// `for PAT in EXPR {` starting at the `for` at `i`: the bound names,
 /// the last token of EXPR, and the index of the opening `{`.
 pub(crate) fn for_binding(
-    toks: &[Token],
+    lexed: &Lexed,
     i: usize,
     limit: usize,
 ) -> Option<(Vec<String>, usize, usize)> {
+    let toks = &lexed.tokens;
     let mut j = i + 1;
     let mut names = Vec::new();
     while j <= limit && j < i + 24 && j < toks.len() {
@@ -417,24 +408,43 @@ pub(crate) fn for_binding(
     if !toks.get(j).is_some_and(|t| t.is_ident("in")) {
         return None;
     }
-    let mut k = j + 1;
-    let mut depth = 0i32;
-    while k <= limit && k < toks.len() {
-        let t = &toks[k];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => {
-                    if k > j + 1 {
-                        return Some((names, k - 1, k));
-                    }
-                    return None;
-                }
-                _ => {}
-            }
-        }
-        k += 1;
+    let brace = lexed.level(j + 1).take_while(|&k| k <= limit).find(|&k| toks[k].is_punct('{'))?;
+    (brace > j + 1).then_some((names, brace - 1, brace))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    /// The first and the last index of a token spelled `text`.
+    fn first_last(l: &Lexed, text: &str) -> (usize, usize) {
+        let at = |t: &Token| t.text == text;
+        (l.tokens.iter().position(at).unwrap(), l.tokens.iter().rposition(at).unwrap())
     }
-    None
+
+    #[test]
+    fn binding_scans_stay_at_their_bracket_level() {
+        let l = lex("{ let (a, Pair(b, c)): (u8, [u8; 2]) = f(x == y, z); }");
+        let (let_at, end) = (first_last(&l, "let").0, l.tokens.len() - 1);
+        let (eq, semi) = (first_last(&l, "=").0, first_last(&l, ";").1);
+        assert_eq!(let_bounds(&l, let_at + 1, end), (Some(eq), Some(semi)));
+        let colon = first_last(&l, ":").0;
+        let names = ["a", "b", "c"].map(String::from).to_vec();
+        assert_eq!(pattern_names(&l, let_at + 1, eq), (names, Some(colon)));
+
+        // An `if let` that ends its block has no `;` of its own, however
+        // many statements a later block holds.
+        let l = lex("{ if c { if let Some(x) = y { a } } if d { b; } }");
+        let let_at = first_last(&l, "let").0;
+        let eq = first_last(&l, "=").0;
+        assert_eq!(let_bounds(&l, let_at + 1, l.tokens.len() - 1), (Some(eq), None));
+
+        // The loop body is the first `{` at the `for`'s level: the
+        // closure's block sits inside the call's parens.
+        let l = lex("{ for (i, v) in xs.iter().map(|p| { p }).enumerate() { s += v; } }");
+        let body = first_last(&l, "s").0 - 1;
+        let got = for_binding(&l, first_last(&l, "for").0, l.tokens.len() - 1);
+        assert_eq!(got, Some((vec!["i".into(), "v".into()], body - 1, body)));
+    }
 }

@@ -55,7 +55,7 @@
 //! operand's unit without checking the right.
 
 use crate::graph::{FileUnit, Graph};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse::{self, rhs_end};
 use crate::rules::{id, Finding};
 use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
@@ -510,7 +510,7 @@ impl<'a> Units<'a> {
         let locals = self.locals_for(node.file, node.fn_idx);
         let mut joined = Unit::Unknown;
         let mut first: Option<Inferred> = None;
-        for (lo, hi) in return_spans(&self.units[node.file].lexed.tokens, node.body) {
+        for (lo, hi) in return_spans(&self.units[node.file].lexed, node.body) {
             let inf = self.eval_span(node.file, lo, hi, &locals);
             if matches!(inf.unit, Unit::Of(_)) && first.is_none() {
                 first = Some(inf.clone());
@@ -562,7 +562,7 @@ impl<'a> Units<'a> {
                 locals.bind(name.to_string(), body.0, (d.clone(), chain));
             }
         }
-        summary::walk_bindings(&u.lexed.tokens, body, &mut locals, |locals, b| {
+        summary::walk_bindings(&u.lexed, body, &mut locals, |locals, b| {
             let rhs = self.eval_span(file, b.rhs.0, b.rhs.1, locals);
             let (kind, via) = if b.is_let { ("local", "local") } else { ("loop", "loop local") };
             let line = u.lexed.tokens[b.at].line;
@@ -586,15 +586,16 @@ impl<'a> Units<'a> {
         locals
     }
 
-    /// The unit of the token span `[lo, hi]`: depth-0 binary `+`/`-`
-    /// split the span into terms whose units are joined (mixed terms are
-    /// the site scan's business, so a disagreement here degrades to
-    /// `Unknown` rather than firing twice); within a term, depth-0
-    /// `*`/`/` factors compose through the lattice. Evaluation stops at
-    /// a depth-0 `%` (the remainder keeps the left unit, the right side
-    /// is a modulus).
+    /// The unit of the token span `[lo, hi]`: binary `+`/`-` at the
+    /// span's bracket level split it into terms whose units are joined
+    /// (mixed terms are the site scan's business, so a disagreement here
+    /// degrades to `Unknown` rather than firing twice); within a term,
+    /// `*`/`/` factors at that level compose through the lattice.
+    /// Evaluation stops at a `%` at that level (the remainder keeps the
+    /// left unit, the right side is a modulus).
     fn eval_span(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
-        let toks = &self.units[file].lexed.tokens;
+        let lexed = &self.units[file].lexed;
+        let toks = &lexed.tokens;
         if toks.is_empty() || lo > hi || lo >= toks.len() {
             return Inferred::unknown();
         }
@@ -606,24 +607,22 @@ impl<'a> Units<'a> {
                     || toks[i - 1].is_punct(')')
                     || toks[i - 1].is_punct(']'))
         };
-        // Term boundaries at depth-0 binary `+` / `-` (and the `%` stop).
+        // Term boundaries at binary `+` / `-` (and the `%` stop).
         let mut term_cuts: Vec<usize> = Vec::new();
-        let mut depth = 0i32;
-        for i in lo..=hi {
+        let last = hi;
+        for i in lexed.level(lo).take_while(|&i| i <= last) {
             let t = &toks[i];
             if t.kind != TokKind::Punct {
                 continue;
             }
             match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "+" | "-" if depth == 0 => {
+                "+" | "-" => {
                     let arrow = t.text == "-" && toks.get(i + 1).is_some_and(|n| n.is_punct('>'));
                     if is_value(i) && !arrow {
                         term_cuts.push(i);
                     }
                 }
-                "%" if depth == 0 => {
+                "%" => {
                     hi = i.saturating_sub(1);
                     break;
                 }
@@ -656,31 +655,23 @@ impl<'a> Units<'a> {
         joined.unwrap_or_else(Inferred::unknown)
     }
 
-    /// The unit of one additive term: depth-0 `*`/`/` factors composed
-    /// left to right.
+    /// The unit of one additive term: `*`/`/` factors at the term's
+    /// bracket level composed left to right.
     fn eval_term(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
-        let toks = &self.units[file].lexed.tokens;
+        let lexed = &self.units[file].lexed;
+        let toks = &lexed.tokens;
         let mut cuts: Vec<(usize, char)> = Vec::new();
-        let mut depth = 0i32;
-        for i in lo..=hi {
+        for i in lexed.level(lo).take_while(|&i| i <= hi) {
             let t = &toks[i];
-            if t.kind != TokKind::Punct {
-                continue;
-            }
-            match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "*" | "/" if depth == 0 => {
-                    let binary = i > lo
-                        && (toks[i - 1].kind == TokKind::Ident
-                            || toks[i - 1].kind == TokKind::Num
-                            || toks[i - 1].is_punct(')')
-                            || toks[i - 1].is_punct(']'));
-                    if binary {
-                        cuts.push((i, t.text.chars().next().unwrap_or('*')));
-                    }
+            if t.is_punct('*') || t.is_punct('/') {
+                let binary = i > lo
+                    && (toks[i - 1].kind == TokKind::Ident
+                        || toks[i - 1].kind == TokKind::Num
+                        || toks[i - 1].is_punct(')')
+                        || toks[i - 1].is_punct(']'));
+                if binary {
+                    cuts.push((i, t.text.chars().next().unwrap_or('*')));
                 }
-                _ => {}
             }
         }
         let mut result = Inferred::scalar();
@@ -697,7 +688,8 @@ impl<'a> Units<'a> {
         result
     }
 
-    /// The unit of one factor (no depth-0 `*`/`/` inside). Precedence:
+    /// The unit of one factor (no `*`/`/` at its own bracket level).
+    /// Precedence:
     /// poison (unresolvable call, macro, conversion literal) beats
     /// everything; then call evidence — a call whose argument parens
     /// enclose the other candidate wins (the wrapping transform for
@@ -801,7 +793,7 @@ impl<'a> Units<'a> {
                         tok: fc.tok,
                         line: fc.line,
                     },
-                    call_args(toks, fc.tok),
+                    call_args(&u.lexed, fc.tok),
                     &mut call_ev,
                 );
             } else if let Some((d, label)) = name_dim(&fc.name) {
@@ -813,7 +805,7 @@ impl<'a> Units<'a> {
                         tok: fc.tok,
                         line: fc.line,
                     },
-                    call_args(toks, fc.tok),
+                    call_args(&u.lexed, fc.tok),
                     &mut call_ev,
                 );
             } else if let Some(n) = summary::resolve_free(
@@ -834,7 +826,7 @@ impl<'a> Units<'a> {
                             tok: fc.tok,
                             line: fc.line,
                         },
-                        call_args(toks, fc.tok),
+                        call_args(&u.lexed, fc.tok),
                         &mut call_ev,
                     );
                 }
@@ -1010,8 +1002,8 @@ impl<'a> Units<'a> {
                 i += 1;
                 continue;
             };
-            let left = operand_back(toks, i.saturating_sub(1), b0);
-            let right = operand_fwd(toks, rhs_from, b1);
+            let left = operand_back(&u.lexed, i.saturating_sub(1), b0);
+            let right = operand_fwd(&u.lexed, rhs_from, b1);
             if let (Some((ll, lh)), Some((rl, rh))) = (left, right) {
                 let l = self.eval_span(file, ll, lh, locals);
                 let r = self.eval_span(file, rl, rh, locals);
@@ -1108,7 +1100,7 @@ impl<'a> Units<'a> {
         let toks = &u.lexed.tokens;
         let (b0, b1) = body;
         for fc in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called) {
-            let Some((open, close)) = call_args(toks, fc.tok) else { continue };
+            let Some((open, close)) = call_args(&u.lexed, fc.tok) else { continue };
             if close <= open + 1 {
                 continue;
             }
@@ -1152,7 +1144,7 @@ impl<'a> Units<'a> {
             if callee_params.iter().all(|(_, d)| d.is_none()) {
                 continue;
             }
-            for (k, (alo, ahi)) in split_args(toks, open, close).into_iter().enumerate() {
+            for (k, (alo, ahi)) in split_args(&u.lexed, open, close).into_iter().enumerate() {
                 let Some((pname, Some(pd))) = callee_params.get(k) else { continue };
                 let a = self.eval_span(file, alo, ahi, locals);
                 if let Unit::Of(ad) = &a.unit {
@@ -1244,32 +1236,22 @@ fn combine(acc: Inferred, f: Inferred, op: char) -> Inferred {
 }
 
 /// The `return EXPR;` spans plus the trailing expression of a body.
-fn return_spans(toks: &[Token], body: (usize, usize)) -> Vec<(usize, usize)> {
+fn return_spans(lexed: &Lexed, body: (usize, usize)) -> Vec<(usize, usize)> {
+    let toks = &lexed.tokens;
     let (b0, b1) = body;
     let mut spans = Vec::new();
     let last = b1.min(toks.len().saturating_sub(1));
-    for i in (b0 + 1)..last {
-        if toks[i].is_ident("return") {
-            if let Some(end) = rhs_end(toks, i + 1) {
-                if end > i + 1 {
-                    spans.push((i + 1, end - 1));
-                }
-            }
-        }
-    }
-    // Trailing expression: whatever follows the last depth-0 `;`.
-    let mut depth = 0i32;
-    let mut start = b0 + 1;
     for (i, t) in toks.iter().enumerate().take(last).skip(b0 + 1) {
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => start = i + 1,
-                _ => {}
+        if t.is_ident("return") {
+            // `rhs_end` returns the expression's last token.
+            if let Some(end) = rhs_end(lexed, i + 1) {
+                spans.push((i + 1, end));
             }
         }
     }
+    // Trailing expression: whatever follows the body's last `;`.
+    let semis = lexed.level(b0 + 1).take_while(|&i| i < last).filter(|&i| toks[i].is_punct(';'));
+    let start = semis.last().map_or(b0 + 1, |semi| semi + 1);
     if start < last
         && !toks[start].is_ident("for")
         && !toks[start].is_ident("while")
@@ -1338,123 +1320,71 @@ fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
     }
 }
 
-/// Walks backward from `from` to find the left operand span, stopping at
-/// a depth-0 expression boundary. Returns `(lo, hi)` inclusive.
-fn operand_back(toks: &[Token], from: usize, floor: usize) -> Option<(usize, usize)> {
-    if from < floor || from >= toks.len() {
+/// True when token `j`, met walking an operand's bracket level (`back`
+/// toward its start, else toward its end), is an expression boundary:
+/// the operand lies strictly on this side of it.
+fn ends_operand(toks: &[Token], j: usize, back: bool) -> bool {
+    let t = &toks[j];
+    match t.kind {
+        TokKind::Punct => match &*t.text {
+            ";" | "," | "=" | "<" | ">" | "+" | "-" | "&" | "|" | "?" | ":" => true,
+            // Behind, the enclosing group's opener (or a `!`); ahead, its
+            // closer. A `{` ends either walk: behind, it opens the
+            // enclosing block; ahead, a block or struct body.
+            "(" | "[" | "!" => back,
+            ")" | "]" | "}" => !back,
+            "{" => true,
+            // A `..` range.
+            "." => {
+                toks.get(j + 1).is_some_and(|n| n.is_punct('.'))
+                    || (j > 0 && toks[j - 1].is_punct('.'))
+            }
+            _ => false,
+        },
+        TokKind::Ident => matches!(
+            &*t.text,
+            "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
+        ),
+        _ => false,
+    }
+}
+
+/// Walks backward from `from`, at its bracket level, to find the left
+/// operand span, stopping at an expression boundary or at `floor`.
+/// Returns `(lo, hi)` inclusive.
+fn operand_back(lexed: &Lexed, from: usize, floor: usize) -> Option<(usize, usize)> {
+    if from < floor || from >= lexed.tokens.len() {
         return None;
     }
-    let mut depth = 0i32;
-    let mut j = from as isize;
-    let floor = floor as isize;
-    while j >= floor {
-        let t = &toks[j as usize];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                ")" | "]" | "}" => depth += 1,
-                "(" | "[" | "{" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                ";" | "," | "=" | "<" | ">" | "+" | "-" | "&" | "|" | "!" | "?" | ":"
-                    if depth == 0 =>
-                {
-                    break;
-                }
-                "." if depth == 0
-                    && (toks.get(j as usize + 1).is_some_and(|n| n.is_punct('.'))
-                        || (j > 0 && toks[j as usize - 1].is_punct('.'))) =>
-                {
-                    break;
-                }
-                _ => {}
-            }
-        } else if t.kind == TokKind::Ident
-            && depth == 0
-            && matches!(
-                &*t.text,
-                "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
-            )
-        {
-            break;
-        }
-        j -= 1;
-    }
-    let lo = (j + 1) as usize;
+    let mut walk = lexed.level_back(from).take_while(|&j| j >= floor);
+    let lo = walk.find(|&j| ends_operand(&lexed.tokens, j, true)).map_or(floor, |j| j + 1);
     (lo <= from).then_some((lo, from))
 }
 
-/// Walks forward from `from` to find the right operand span, stopping at
-/// a depth-0 expression boundary. Returns `(lo, hi)` inclusive.
-fn operand_fwd(toks: &[Token], from: usize, ceil: usize) -> Option<(usize, usize)> {
+/// Walks forward from `from`, at its bracket level, to find the right
+/// operand span, stopping at an expression boundary or past `ceil`.
+/// Returns `(lo, hi)` inclusive.
+fn operand_fwd(lexed: &Lexed, from: usize, ceil: usize) -> Option<(usize, usize)> {
+    let toks = &lexed.tokens;
     if from >= toks.len() || from > ceil {
         return None;
     }
-    let mut depth = 0i32;
-    let mut j = from;
     let ceil = ceil.min(toks.len() - 1);
-    while j <= ceil {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                // A depth-0 `{` opens a block/struct body, not part of
-                // this operand.
-                "{" if depth == 0 => break,
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                ";" | "," | "=" | "<" | ">" | "+" | "-" | "&" | "|" | "?" | ":" if depth == 0 => {
-                    break;
-                }
-                "." if depth == 0
-                    && (toks.get(j + 1).is_some_and(|n| n.is_punct('.'))
-                        || (j > 0 && toks[j - 1].is_punct('.'))) =>
-                {
-                    break;
-                }
-                _ => {}
-            }
-        } else if t.kind == TokKind::Ident
-            && depth == 0
-            && matches!(
-                &*t.text,
-                "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
-            )
-        {
-            break;
-        }
-        j += 1;
-    }
-    let hi = j.saturating_sub(1);
-    (hi >= from && j > from).then_some((from, hi))
+    let mut walk = lexed.level(from).take_while(|&j| j <= ceil);
+    let j = walk.find(|&j| ends_operand(toks, j, false)).unwrap_or(ceil + 1);
+    (j > from).then_some((from, j - 1))
 }
 
-/// Splits a call's argument list at depth-0 commas into spans.
-fn split_args(toks: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> {
+/// Splits a call's argument list at the commas of its own bracket level.
+fn split_args(lexed: &Lexed, open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    let mut depth = 0i32;
     let mut start = open + 1;
-    for (i, t) in toks.iter().enumerate().take(close).skip(open + 1) {
-        if t.kind != TokKind::Punct {
-            continue;
+    let commas = lexed.level(open + 1).take_while(|&i| i < close);
+    for i in commas.filter(|&i| lexed.tokens[i].is_punct(',')) {
+        if i > start {
+            out.push((start, i - 1));
         }
-        match &*t.text {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 0 => {
-                if i > start {
-                    out.push((start, i - 1));
-                }
-                start = i + 1;
-            }
-            _ => {}
-        }
+        start = i + 1;
     }
     if close > start {
         out.push((start, close - 1));

@@ -1,4 +1,5 @@
-//! Pins over the frozen benchmark corpus (`benchmark/corpus`, read only).
+//! Pins over the frozen benchmark corpus (`benchmark/corpus`, read only)
+//! and over the lint fixtures (`tests/fixtures`).
 //!
 //! * The lex pin digests every token `(kind, line, text)` and every
 //!   comment `(line, end_line, text)` the lexer produces, file by file in
@@ -8,16 +9,22 @@
 //!   node's edges and its taint, unit and effect summary with the `via`
 //!   hop it arrived through, so a reordered field learning round or
 //!   fixpoint round moves it even when no finding changes.
+//! * The fixture pin digests the text report, the JSON report and the
+//!   `--graph-out` export of every fixture file linted alone (from the
+//!   workspace root, as `fs-lint FILE` does) and of every fixture
+//!   directory linted as a root (as `fs-lint --root DIR` does). The
+//!   fixture tests assert chosen findings; this pin sees every byte.
 //!
-//! Both are FNV-1a 64. The graph pin equals the digest of the file that
-//! `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
-//! regenerate after an intentional change to the lexer or to an
-//! analysis, run `cargo test -p fslint --test corpus_pin` and copy each
-//! `got` value from the failure message into its constant.
+//! All three are FNV-1a 64. The graph pin equals the digest of the file
+//! that `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
+//! regenerate after an intentional change to the lexer, to an analysis
+//! or to a fixture, run `cargo test -p fslint --test corpus_pin` and copy
+//! each `got` value from the failure message into its constant.
 
+use fslint::engine::{render_json, render_text};
 use fslint::lexer::lex;
-use fslint::{collect_workspace_files, lint_workspace, Config};
-use std::path::PathBuf;
+use fslint::{collect_workspace_files, lint_paths, lint_workspace, Config};
+use std::path::{Path, PathBuf};
 
 /// Digest of every token and comment of the corpus.
 const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
@@ -25,6 +32,10 @@ const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
 const GOLDEN_CORPUS_GRAPH: u64 = 0x97a3_684f_362b_7764;
 /// Files the corpus holds.
 const CORPUS_FILES: usize = 151;
+/// Digest of every fixture file's and fixture directory's lint outputs.
+const GOLDEN_FIXTURE_OUTPUTS: u64 = 0x600f_9195_fd0a_2e9c;
+/// Fixture files and fixture directories (the fixtures root included).
+const FIXTURE_TREE: (usize, usize) = (84, 194);
 
 fn corpus() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/corpus")
@@ -74,4 +85,42 @@ fn corpus_graph_export_is_pinned_at_any_job_count() {
         let h = fnv1a(FNV_START, doc.as_bytes());
         assert_eq!(h, GOLDEN_CORPUS_GRAPH, "jobs {jobs:?}: got {h:#018x} ({} bytes)", doc.len());
     }
+}
+
+/// Collects the files and directories under `dir` in sorted order, `dir`
+/// itself first.
+fn tree(dir: &Path, files: &mut Vec<PathBuf>, dirs: &mut Vec<PathBuf>) {
+    dirs.push(dir.to_path_buf());
+    let entries = std::fs::read_dir(dir).expect("fixture directory is readable");
+    let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("fixture entry").path()).collect();
+    paths.sort();
+    for path in paths {
+        if path.is_dir() {
+            tree(&path, files, dirs);
+        } else {
+            files.push(path);
+        }
+    }
+}
+
+#[test]
+fn fixture_outputs_are_pinned() {
+    let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let fixtures = workspace.join("crates/fslint/tests/fixtures");
+    let (mut files, mut dirs) = (Vec::new(), Vec::new());
+    tree(&fixtures, &mut files, &mut dirs);
+    assert_eq!((files.len(), dirs.len()), FIXTURE_TREE);
+    let cfg = Config { graph_json: true, jobs: Some(1), ..Config::default() };
+    let alone = files.iter().map(|f| (f, lint_paths(&workspace, std::slice::from_ref(f), &cfg)));
+    let as_root = dirs.iter().map(|d| (d, lint_workspace(d, &cfg)));
+    let mut h = FNV_START;
+    for (input, report) in alone.chain(as_root) {
+        let name = input.strip_prefix(&fixtures).expect("a fixture path").to_string_lossy();
+        let graph = report.graph_json.as_deref().expect("the export was requested");
+        for part in [&*name, &render_text(&report), &render_json(&report), graph] {
+            h = fnv1a(h, part.as_bytes());
+            h = fnv1a(h, &[0x1e]);
+        }
+    }
+    assert_eq!(h, GOLDEN_FIXTURE_OUTPUTS, "got {h:#018x}");
 }

@@ -65,6 +65,14 @@ fn label_rooted_rng_is_clean() {
 }
 
 #[test]
+fn a_string_spelled_as_a_bracket_hides_no_test_attribute() {
+    // `#[test] #[doc = "["] fn sweep()`: the attribute scan pairs only
+    // punctuation, so the string neither ends it nor hides the `#[test]`.
+    let findings = flow_findings("rng_test_attr_neg");
+    assert!(findings.is_empty(), "test code may seed from a loop index: {findings:?}");
+}
+
+#[test]
 fn loop_index_seed_fires_rng_lineage() {
     let findings = flow_findings("rng_pos");
     assert_eq!(findings.len(), 1, "{findings:?}");

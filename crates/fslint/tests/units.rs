@@ -121,6 +121,17 @@ fn one_token_field_assignment_teaches_the_field() {
 }
 
 #[test]
+fn a_one_token_return_carries_its_unit() {
+    // `return a_ms;`: the returned expression is its last token too, so
+    // `pick` returns millis and its comparison with seconds fires.
+    let findings = unit_findings("return_ident");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!((f.rule, f.line), ("unit-mismatch", 17));
+    assert!(f.message.contains("a_ms") && f.message.contains("deadline_secs"), "{}", f.message);
+}
+
+#[test]
 fn a_shadowing_let_ends_the_old_unit() {
     // `d` is rebound to a value of unknown unit: the nanos binding ends
     // there, so the sum compares nothing.
