@@ -11,7 +11,7 @@ use crate::report::{pct, ratio, Finding, Report, Table};
 /// et al.'s DDS).
 pub fn e14_gc_mirror() -> Report {
     let mut report = Report::new();
-    let healthy: Vec<Brick> = (0..8).map(|_| Brick::new(2_000.0)).collect();
+    let healthy: Vec<Component> = (0..8).map(|_| Component::new(2_000.0)).collect();
     let clean = run_dds(&healthy);
 
     let gc = Injector::Blackouts {
@@ -19,8 +19,8 @@ pub fn e14_gc_mirror() -> Report {
         duration: DurationDist::Const(SimDuration::from_secs(2)),
     }
     .timeline(SimDuration::from_secs(120), &mut Stream::from_seed(43));
-    let mut bricks: Vec<Brick> = (0..8).map(|_| Brick::new(2_000.0)).collect();
-    bricks[2] = Brick::new(2_000.0).with_profile(gc);
+    let mut bricks: Vec<Component> = (0..8).map(|_| Component::new(2_000.0)).collect();
+    bricks[2] = Component::new(2_000.0).with_profile(gc);
     let gced = run_dds(&bricks);
 
     let mut table = Table::new(

@@ -75,8 +75,8 @@ pub fn e28_bimodal() -> Report {
     let mut report = Report::new();
     let slow = Injector::StaticSlowdown { factor: 0.5 }
         .timeline(SimDuration::from_secs(240), &mut Stream::from_seed(67));
-    let mut members: Vec<Member> = (0..12).map(|_| Member::new(1_000.0)).collect();
-    members[4] = Member::new(1_000.0).with_profile(slow);
+    let mut members: Vec<Component> = (0..12).map(|_| Component::new(1_000.0)).collect();
+    members[4] = Component::new(1_000.0).with_profile(slow);
 
     let atomic = run_multicast(&members, McastProtocol::Atomic);
     let bimodal = run_multicast(&members, McastProtocol::Bimodal);

@@ -14,7 +14,7 @@
 use simcore::resource::{FcfsServer, Grant};
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::SlowdownProfile;
+use stutter::injector::{Cursor, SlowdownProfile};
 
 use crate::geometry::Geometry;
 use crate::remap::RemapTable;
@@ -49,6 +49,7 @@ pub struct Disk {
     geom: Geometry,
     remap: RemapTable,
     profile: SlowdownProfile,
+    cursor: Cursor,
     server: FcfsServer,
     head_cyl: u32,
     // The LBA immediately after the last transfer: a request starting here
@@ -66,6 +67,7 @@ impl Disk {
             remap: RemapTable::new(geom.blocks, spare),
             geom,
             profile: SlowdownProfile::nominal(),
+            cursor: Cursor::default(),
             server: FcfsServer::new(),
             head_cyl: 0,
             next_lba: 0,
@@ -135,56 +137,46 @@ impl Disk {
         if self.profile.failed_at(now) {
             return Err(DiskError::Failed);
         }
-        // When does the head actually pick this request up?
-        let queue_start = now.max(self.server.next_free());
-        let start = match self.profile.next_active(queue_start) {
-            Some(t) => t,
-            None => {
-                return if self.profile.failed_at(queue_start) {
-                    Err(DiskError::Failed)
-                } else {
-                    Err(DiskError::NeverActive)
-                }
+        // The head picks the request up once the queue frees and the
+        // timeline is active. The mechanical time is drawn only for a
+        // request that starts, and the multiplier at that instant scales
+        // the whole mechanism.
+        let grant = self.profile.serve(&mut self.cursor, &mut self.server, now, |m| {
+            let target_cyl = self.geom.cylinder_of(lba);
+            let mut t = self.geom.seek_time(self.head_cyl, target_cyl);
+            if lba != self.next_lba {
+                // Any discontiguous access re-synchronises with the
+                // platter: a uniformly random rotational delay, even on the
+                // same cylinder. Back-to-back sequential transfers stream
+                // for free.
+                let frac = self.rng.next_f64();
+                t += self.geom.rotation_time().mul_f64(frac);
             }
-        };
+            t += self.geom.transfer_time(lba, nblocks);
 
-        let service = self.service_time(start, lba, nblocks);
-        // Account the queueing delay imposed by a blackout as blocked time.
-        self.server.block_until(start);
-        let grant = self.server.serve(now, service);
+            // Each remapped block costs a round trip to the spare area and
+            // back: two long seeks plus half a rotation each way on average.
+            let remapped = self.remap.remapped_in_range(lba, nblocks);
+            if remapped > 0 {
+                let spare_cyl = self.geom.cylinders - 1;
+                let round_trip =
+                    self.geom.seek_time(target_cyl, spare_cyl) * 2 + self.geom.rotation_time();
+                t += round_trip * remapped;
+            }
+            SimDuration::from_secs_f64(t.as_secs_f64() / m)
+        });
+        let Some(grant) = grant else {
+            let queue_start = now.max(self.server.next_free());
+            return Err(if self.profile.failed_at(queue_start) {
+                DiskError::Failed
+            } else {
+                DiskError::NeverActive
+            });
+        };
         self.head_cyl = self.geom.cylinder_of(lba + nblocks - 1);
         self.next_lba = lba + nblocks;
         self.bytes_moved += nblocks * self.geom.block_bytes as u64;
         Ok(grant)
-    }
-
-    /// Mechanical service time for one request beginning at `start`.
-    fn service_time(&mut self, start: SimTime, lba: u64, nblocks: u64) -> SimDuration {
-        let target_cyl = self.geom.cylinder_of(lba);
-        let mut t = self.geom.seek_time(self.head_cyl, target_cyl);
-        if lba != self.next_lba {
-            // Any discontiguous access re-synchronises with the platter:
-            // a uniformly random rotational delay, even on the same
-            // cylinder. Back-to-back sequential transfers stream for free.
-            let frac = self.rng.next_f64();
-            t += self.geom.rotation_time().mul_f64(frac);
-        }
-        t += self.geom.transfer_time(lba, nblocks);
-
-        // Each remapped block costs a round trip to the spare area and back:
-        // two long seeks plus half a rotation each way on average.
-        let remapped = self.remap.remapped_in_range(lba, nblocks);
-        if remapped > 0 {
-            let spare_cyl = self.geom.cylinders - 1;
-            let round_trip =
-                self.geom.seek_time(target_cyl, spare_cyl) * 2 + self.geom.rotation_time();
-            t += round_trip * remapped;
-        }
-
-        // The stutter multiplier scales the whole mechanism.
-        let m = self.profile.multiplier_at(start);
-        debug_assert!(m > 0.0, "service must start in an active segment");
-        SimDuration::from_secs_f64(t.as_secs_f64() / m)
     }
 }
 

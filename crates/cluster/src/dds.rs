@@ -14,33 +14,7 @@
 
 use simcore::stats::Series;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::SlowdownProfile;
-
-/// One storage brick: an apply-rate source with a stutter timeline.
-#[derive(Clone, Debug)]
-pub struct Brick {
-    rate: f64,
-    profile: SlowdownProfile,
-}
-
-impl Brick {
-    /// Creates a brick applying `rate` operations/second when healthy.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Brick { rate, profile: SlowdownProfile::nominal() }
-    }
-
-    /// Attaches a stutter timeline (e.g. GC pauses).
-    pub fn with_profile(mut self, profile: SlowdownProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Effective apply rate at `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        self.rate * self.profile.multiplier_at(t)
-    }
-}
+use stutter::component::Component;
 
 /// Offered write load in operations/second (spread evenly over pairs).
 pub const OFFERED_LOAD: f64 = 8_000.0;
@@ -62,12 +36,13 @@ pub struct DdsOutcome {
     pub mean_throughput: f64,
 }
 
-/// Runs the replicated hash table over mirror pairs of bricks.
+/// Runs the replicated hash table over mirror pairs of bricks, each a
+/// [`Component`] applying operations/second under its own timeline.
 ///
 /// # Panics
 ///
 /// Panics if `bricks` is empty or odd-sized (bricks mirror in pairs).
-pub fn run_dds(bricks: &[Brick]) -> DdsOutcome {
+pub fn run_dds(bricks: &[Component]) -> DdsOutcome {
     assert!(!bricks.is_empty() && bricks.len().is_multiple_of(2), "bricks must form pairs");
     let pairs = bricks.len() / 2;
     let dt = DT.as_secs_f64();
@@ -122,11 +97,11 @@ pub fn run_dds(bricks: &[Brick]) -> DdsOutcome {
 mod tests {
     use super::*;
     use simcore::rng::Stream;
-    use stutter::injector::{DurationDist, Injector};
+    use stutter::injector::{DurationDist, Injector, SlowdownProfile};
 
     /// Four pairs of 2 kop/s bricks.
-    fn healthy_bricks() -> Vec<Brick> {
-        (0..8).map(|_| Brick::new(2_000.0)).collect()
+    fn healthy_bricks() -> Vec<Component> {
+        (0..8).map(|_| Component::new(2_000.0)).collect()
     }
 
     fn gc_profile(seed: u64) -> SlowdownProfile {
@@ -149,7 +124,7 @@ mod tests {
     #[test]
     fn gc_pauses_stall_acknowledgements_and_grow_backlog() {
         let mut bricks = healthy_bricks();
-        bricks[2] = Brick::new(2_000.0).with_profile(gc_profile(1));
+        bricks[2] = Component::new(2_000.0).with_profile(gc_profile(1));
         let out = run_dds(&bricks);
         // During each 2 s pause the paused replica accumulates ~2 s of its
         // pair's load.
@@ -168,7 +143,7 @@ mod tests {
         // offered per-pair load.
         let mut bricks = healthy_bricks();
         // Give the GC'd brick headroom so over-saturation is visible.
-        bricks[2] = Brick::new(3_000.0).with_profile(gc_profile(2));
+        bricks[2] = Component::new(3_000.0).with_profile(gc_profile(2));
         let out = run_dds(&bricks);
         let max_rate = out.throughput.max();
         assert!(max_rate > 8_100.0, "max sampled rate {max_rate}");
@@ -179,7 +154,7 @@ mod tests {
         // Unlike the transpose, a partitioned hash table localises the
         // stutter: other pairs keep serving their shares.
         let mut bricks = healthy_bricks();
-        bricks[0] = Brick::new(2_000.0).with_profile(
+        bricks[0] = Component::new(2_000.0).with_profile(
             Injector::StaticSlowdown { factor: 0.25 }
                 .timeline(SimDuration::from_secs(120), &mut Stream::from_seed(3)),
         );
@@ -191,7 +166,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn odd_brick_count_rejected() {
-        let bricks = vec![Brick::new(1.0); 3];
+        let bricks = vec![Component::new(1.0); 3];
         let _ = run_dds(&bricks);
     }
 }

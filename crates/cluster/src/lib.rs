@@ -33,7 +33,7 @@ pub mod sort;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::dds::{run_dds, Brick, DdsOutcome};
+    pub use crate::dds::{run_dds, DdsOutcome};
     pub use crate::node::Node;
     pub use crate::service::{run_service, Partition, ResponsePolicy, ServiceOutcome};
     pub use crate::sort::{run_sort, Placement, SortJob, SortOutcome};

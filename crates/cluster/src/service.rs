@@ -15,38 +15,41 @@
 use simcore::resource::FcfsServer;
 use simcore::stats::Histogram;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::SlowdownProfile;
+use stutter::component::Component;
+use stutter::injector::{Cursor, SlowdownProfile};
 
 /// One index partition server.
 #[derive(Clone, Debug)]
 pub struct Partition {
-    rate: f64,
-    profile: SlowdownProfile,
+    component: Component,
+    cursor: Cursor,
     server: FcfsServer,
 }
 
 impl Partition {
     /// A partition serving `rate` queries/second when healthy.
     pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Partition { rate, profile: SlowdownProfile::nominal(), server: FcfsServer::new() }
+        Partition {
+            component: Component::new(rate),
+            cursor: Cursor::default(),
+            server: FcfsServer::new(),
+        }
     }
 
     /// Attaches a stutter timeline.
     pub fn with_profile(mut self, profile: SlowdownProfile) -> Self {
-        self.profile = profile;
+        self.component.profile = profile;
         self
     }
 
     /// Serves one query arriving at `now`; returns the completion time, or
     /// `None` if the partition has fail-stopped.
     fn serve(&mut self, now: SimTime) -> Option<SimTime> {
-        let queue_start = now.max(self.server.next_free());
-        let start = self.profile.next_active(queue_start)?;
-        let m = self.profile.multiplier_at(start);
-        let service = SimDuration::from_secs_f64(1.0 / (self.rate * m));
-        self.server.block_until(start);
-        Some(self.server.serve(now, service).finish)
+        let rate = self.component.nominal;
+        let grant = self.component.profile.serve(&mut self.cursor, &mut self.server, now, |m| {
+            SimDuration::from_secs_f64(1.0 / (rate * m))
+        });
+        grant.map(|g| g.finish)
     }
 }
 

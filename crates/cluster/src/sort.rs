@@ -13,6 +13,7 @@
 //! [`Placement::Adaptive`], record counts are proportional to measured node
 //! speed (the fail-stutter-tolerant variant).
 
+use simcore::resource::apportion;
 use simcore::time::{SimDuration, SimTime};
 
 use crate::node::Node;
@@ -77,8 +78,8 @@ pub fn run_sort(nodes: &[Node], job: SortJob, placement: Placement, start: SimTi
             let speeds: Vec<f64> = nodes
                 .iter()
                 .map(|node| {
-                    let disk = node.disk_rate_at(start) / job.record_bytes as f64;
-                    let cpu = node.cpu_rate_at(start);
+                    let disk = node.disk.rate_at(start) / job.record_bytes as f64;
+                    let cpu = node.cpu.rate_at(start);
                     if disk <= 0.0 || cpu <= 0.0 {
                         0.0
                     } else {
@@ -103,7 +104,7 @@ fn run_phases(nodes: &[Node], job: SortJob, per_node: Vec<u64>, start: SimTime) 
             continue;
         }
         let bytes = (recs * job.record_bytes) as f64;
-        let dt = node.disk_rate_profile(horizon).time_to_transfer(start, bytes).unwrap_or(horizon);
+        let dt = node.disk.rate_profile().time_to_transfer(start, bytes).unwrap_or(horizon);
         t_read = t_read.max(dt);
     }
     let after_read = start + t_read;
@@ -114,10 +115,8 @@ fn run_phases(nodes: &[Node], job: SortJob, per_node: Vec<u64>, start: SimTime) 
         if recs == 0 {
             continue;
         }
-        let dt = node
-            .cpu_rate_profile(horizon)
-            .time_to_transfer(after_read, recs as f64)
-            .unwrap_or(horizon);
+        let dt =
+            node.cpu.rate_profile().time_to_transfer(after_read, recs as f64).unwrap_or(horizon);
         t_sort = t_sort.max(dt);
     }
     let after_sort = after_read + t_sort;
@@ -129,8 +128,7 @@ fn run_phases(nodes: &[Node], job: SortJob, per_node: Vec<u64>, start: SimTime) 
             continue;
         }
         let bytes = (recs * job.record_bytes) as f64;
-        let dt =
-            node.disk_rate_profile(horizon).time_to_transfer(after_sort, bytes).unwrap_or(horizon);
+        let dt = node.disk.rate_profile().time_to_transfer(after_sort, bytes).unwrap_or(horizon);
         t_write = t_write.max(dt);
     }
 
@@ -141,29 +139,6 @@ fn run_phases(nodes: &[Node], job: SortJob, per_node: Vec<u64>, start: SimTime) 
         total: t_read + t_sort + t_write,
         per_node,
     }
-}
-
-/// Largest-remainder apportionment of `total` items by `weights`.
-fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
-    let sum: f64 = weights.iter().sum();
-    assert!(sum > 0.0, "no usable nodes");
-    let quotas: Vec<f64> = weights.iter().map(|w| total as f64 * w / sum).collect();
-    let mut out: Vec<u64> = quotas.iter().map(|q| q.floor() as u64).collect();
-    let mut left = total - out.iter().sum::<u64>();
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&i, &j| {
-        let fi = quotas[i] - quotas[i].floor();
-        let fj = quotas[j] - quotas[j].floor();
-        fj.total_cmp(&fi)
-    });
-    for &i in &order {
-        if left == 0 {
-            break;
-        }
-        out[i] += 1;
-        left -= 1;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use cluster::dds::OFFERED_LOAD;
 use cluster::prelude::*;
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
+use stutter::component::Component;
 use stutter::injector::Injector;
 
 proptest! {
@@ -67,8 +68,8 @@ proptest! {
     /// offered, and throughput samples are non-negative.
     #[test]
     fn dds_conservation(pairs in 1usize..5, slow in 0.1f64..1.0) {
-        let mut bricks: Vec<Brick> = (0..2 * pairs).map(|_| Brick::new(2_000.0)).collect();
-        bricks[0] = Brick::new(2_000.0).with_profile(
+        let mut bricks: Vec<Component> = (0..2 * pairs).map(|_| Component::new(2_000.0)).collect();
+        bricks[0] = Component::new(2_000.0).with_profile(
             Injector::StaticSlowdown { factor: slow }
                 .timeline(SimDuration::from_secs(120), &mut Stream::from_seed(1)),
         );
@@ -82,15 +83,5 @@ proptest! {
             prop_assert!(v >= -1e-9);
         }
         prop_assert!(out.peak_backlog >= 0.0);
-    }
-
-    /// Node rate profiles agree with point queries.
-    #[test]
-    fn node_profile_consistency(cpu in 0.1f64..10.0, disk in 0.1f64..10.0, t in 0u64..1_000) {
-        let n = Node::new(cpu * 1e6, disk * 1e6);
-        let at = SimTime::from_secs(t);
-        let horizon = SimDuration::from_secs(2_000);
-        prop_assert_eq!(n.cpu_rate_at(at), n.cpu_rate_profile(horizon).rate_at(at));
-        prop_assert_eq!(n.disk_rate_at(at), n.disk_rate_profile(horizon).rate_at(at));
     }
 }

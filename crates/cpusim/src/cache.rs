@@ -6,10 +6,10 @@
 //! 4-way specification, and the measured application spread across
 //! "identical" Viking processors reached 40%.
 //!
-//! [`Cache`] simulates an LRU set-associative cache in which individual
-//! ways can be *masked out* (disabled to hide manufacturing defects —
-//! the Vax-11/780 turned off a set, the PA-RISC maps out bad lines). A
-//! masked cache is architecturally identical and silently smaller.
+//! [`Cache`] simulates an LRU set-associative cache in which whole ways
+//! can be *masked out* (disabled to hide manufacturing defects — the
+//! Vax-11/780 turned off a set). A masked cache is architecturally
+//! identical and silently smaller.
 
 /// Configuration of a set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,8 +68,6 @@ pub struct Cache {
     tags: Vec<Option<u64>>,
     // Smaller value = more recently used.
     stamps: Vec<u64>,
-    // Individually masked-out (defective) ways, PA-RISC style.
-    dead: Vec<bool>,
     tick: u64,
     stats: CacheStats,
 }
@@ -89,7 +87,6 @@ impl Cache {
             enabled_ways: config.ways,
             tags: vec![None; slots],
             stamps: vec![0; slots],
-            dead: vec![false; slots],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -109,46 +106,11 @@ impl Cache {
         self.enabled_ways = remaining_ways;
         self.tags.fill(None);
         self.stamps.fill(0);
-        self.dead.fill(false);
-    }
-
-    /// Masks out individual lines scattered over the cache — the PA-RISC
-    /// mechanism ("the HP cache mechanism maps out certain 'bad' lines to
-    /// improve yield"). `fraction` of all ways are disabled, chosen
-    /// pseudo-randomly from `seed`. Masking flushes the cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `[0, 1)`.
-    pub fn mask_random_lines(&mut self, fraction: f64, seed: u64) {
-        assert!((0.0..1.0).contains(&fraction), "fraction {fraction} out of [0,1)");
-        let max_frac = (self.config.ways - 1) as f64 / self.config.ways as f64;
-        assert!(fraction <= max_frac, "fraction {fraction} would kill whole sets (max {max_frac})");
-        self.tags.fill(None);
-        self.stamps.fill(0);
-        self.dead.fill(false);
-        let total = self.tags.len() as u64;
-        let target = (fraction * total as f64).round() as u64;
-        let mut rng = simcore::rng::Stream::from_seed(seed);
-        let mut disabled = 0;
-        while disabled < target {
-            let slot = rng.next_below(total) as usize;
-            // Never disable the last live way of a set: real parts that
-            // lose a whole set shut the set off, which `mask_ways` models.
-            let set = slot / self.config.ways as usize;
-            let base = set * self.config.ways as usize;
-            let live = (0..self.config.ways as usize).filter(|&w| !self.dead[base + w]).count();
-            if !self.dead[slot] && live > 1 {
-                self.dead[slot] = true;
-                disabled += 1;
-            }
-        }
     }
 
     /// The effective capacity after masking, in bytes.
     pub fn effective_capacity(&self) -> u32 {
-        let dead = self.dead.iter().filter(|&&d| d).count() as u32;
-        self.config.sets() * self.config.line * self.enabled_ways - dead * self.config.line
+        self.config.sets() * self.config.line * self.enabled_ways
     }
 
     /// Performs one access; returns true on hit.
@@ -161,17 +123,16 @@ impl Cache {
         let ways = self.enabled_ways as usize;
 
         for w in 0..ways {
-            if !self.dead[base + w] && self.tags[base + w] == Some(tag) {
+            if self.tags[base + w] == Some(tag) {
                 self.stamps[base + w] = self.tick;
                 self.stats.hits += 1;
                 return true;
             }
         }
-        // Miss: fill the LRU way among the enabled, non-defective ones.
+        // Miss: fill the LRU way among the enabled ones.
         let victim = (0..ways)
-            .filter(|&w| !self.dead[base + w])
             .min_by_key(|&w| self.stamps[base + w])
-            .expect("at least one live way per set");
+            .expect("mask_ways keeps at least one way");
         self.tags[base + victim] = Some(tag);
         self.stamps[base + victim] = self.tick;
         self.stats.misses += 1;
@@ -289,39 +250,6 @@ mod tests {
         assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
         c.reset_stats();
         assert_eq!(c.stats().accesses(), 0);
-    }
-
-    #[test]
-    fn line_masking_reduces_capacity_and_hits() {
-        let mut c = Cache::new(CacheConfig::viking_spec());
-        c.mask_random_lines(0.25, 7);
-        assert_eq!(c.effective_capacity(), 12 * 1024);
-        // A working set that fits the full cache now conflicts somewhere.
-        run_working_set(&mut c, 16 * 1024, 32, 1);
-        let masked = run_working_set(&mut c, 16 * 1024, 32, 4);
-        let mut full = Cache::new(CacheConfig::viking_spec());
-        run_working_set(&mut full, 16 * 1024, 32, 1);
-        let clean = run_working_set(&mut full, 16 * 1024, 32, 4);
-        assert_eq!(clean.misses, 0);
-        assert!(masked.miss_ratio() > 0.05, "{masked:?}");
-    }
-
-    #[test]
-    fn line_masking_never_kills_a_whole_set() {
-        let mut c = Cache::new(CacheConfig::viking_spec());
-        c.mask_random_lines(0.7, 3);
-        // Every access still has a live way to land in.
-        for i in 0..4_096u64 {
-            c.access(i * 32);
-        }
-        assert_eq!(c.stats().accesses(), 4_096);
-    }
-
-    #[test]
-    #[should_panic]
-    fn line_masking_rejects_set_killing_fraction() {
-        let mut c = Cache::new(CacheConfig::viking_spec());
-        c.mask_random_lines(0.8, 1);
     }
 
     #[test]

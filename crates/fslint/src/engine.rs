@@ -182,22 +182,16 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
         }
     });
     let mut units: Vec<FileUnit> = Vec::with_capacity(files.len());
-    for slot in slots.into_inner().unwrap_or_else(|p| p.into_inner()) {
+    // Every slot is filled: a worker that panics mid-file takes the run
+    // down with it, because the scope re-raises the panic on join.
+    for slot in slots.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten() {
         match slot {
-            Some(Ok(unit)) => units.push(unit),
-            Some(Err((path, message))) => findings.push(Finding {
+            Ok(unit) => units.push(unit),
+            Err((path, message)) => findings.push(Finding {
                 path,
                 line: 0,
                 rule: rules::id::MALFORMED_SUPPRESSION,
                 message,
-            }),
-            // A worker died mid-file (its panic was contained by the
-            // scope); surface the gap rather than silently under-linting.
-            None => findings.push(Finding {
-                path: String::new(),
-                line: 0,
-                rule: rules::id::MALFORMED_SUPPRESSION,
-                message: "internal: a scan shard dropped a file".to_string(),
             }),
         }
     }

@@ -365,12 +365,18 @@ pub(crate) fn let_bounds(
 
 /// Lower-case identifiers bound by the pattern between `from` and the
 /// `=` at `eq`, stopping at a `:` (type ascription) at the pattern's
-/// bracket level, which is returned too. CamelCase names are enum/struct
+/// bracket level, which is returned too. A path's `::` lexes as two
+/// colons, so the ascription is the first colon of a run of odd length
+/// (`x: ::std::…` opens with one). CamelCase names are enum/struct
 /// constructors, not bindings.
 pub(crate) fn pattern_names(lexed: &Lexed, from: usize, eq: usize) -> (Vec<String>, Option<usize>) {
     let toks = &lexed.tokens;
     let end = eq.min(toks.len());
-    let colon = lexed.level(from).take_while(|&j| j < end).find(|&j| toks[j].is_punct(':'));
+    let ascription = |j: usize| {
+        let run = toks[j..end].iter().take_while(|t| t.is_punct(':')).count();
+        run % 2 == 1 && !toks[j - 1].is_punct(':')
+    };
+    let colon = lexed.level(from).take_while(|&j| j < end).find(|&j| ascription(j));
     let names = toks[from..colon.unwrap_or(end)].iter().filter(|t| binding_name(t));
     (names.map(|t| t.text.to_string()).collect(), colon)
 }
@@ -432,6 +438,25 @@ mod tests {
         let colon = first_last(&l, ":").0;
         let names = ["a", "b", "c"].map(String::from).to_vec();
         assert_eq!(pattern_names(&l, let_at + 1, eq), (names, Some(colon)));
+
+        // A path's `::` is no type ascription; the ascription is the
+        // lone colon, or the first of `: ::` before a global path.
+        for (src, names, colon) in [
+            ("{ let Wrap::A(t) = x; }", vec!["t"], None),
+            ("{ let Shape::Rect { w, h }: Shape = x; }", vec!["w", "h"], Some(2)),
+            ("{ let e: ::std::string::String = x; }", vec!["e"], Some(0)),
+        ] {
+            let l = lex(src);
+            let (let_at, eq) = (first_last(&l, "let").0, first_last(&l, "=").0);
+            let colons: Vec<usize> =
+                (0..l.tokens.len()).filter(|&i| l.tokens[i].is_punct(':')).collect();
+            let names = names.into_iter().map(String::from).collect();
+            assert_eq!(
+                pattern_names(&l, let_at + 1, eq),
+                (names, colon.map(|k| colons[k])),
+                "{src}"
+            );
+        }
 
         // An `if let` that ends its block has no `;` of its own, however
         // many statements a later block holds.

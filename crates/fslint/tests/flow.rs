@@ -120,6 +120,18 @@ fn a_let_rebinding_ends_the_old_taint() {
 }
 
 #[test]
+fn a_path_pattern_binds_its_names() {
+    // `let Wrap::A(t) = …` binds `t`: the `::` of the path is no type
+    // ascription, so the local carries its value's taint.
+    let findings = flow_findings("path_pattern_neg");
+    assert!(findings.is_empty(), "the folded `t` is a constant: {findings:?}");
+    let findings = flow_findings("path_pattern_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "digest-taint");
+    assert!(findings[0].message.contains("local `t`"), "{}", findings[0].message);
+}
+
+#[test]
 fn method_taint_resolves_only_through_a_named_owner() {
     let findings = flow_findings("gate_neg");
     assert!(findings.is_empty(), "a std `load` is not `Vm::load`: {findings:?}");

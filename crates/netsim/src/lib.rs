@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::adaptive_transfer::{run_adaptive_transfer, PortArbitration, TransferOutcome};
     pub use crate::link::{Delivery, Link};
     pub use crate::mesh::Mesh;
-    pub use crate::multicast::{run_multicast, McastOutcome, McastProtocol, Member};
+    pub use crate::multicast::{run_multicast, McastOutcome, McastProtocol};
     pub use crate::switch::{Arbitration, Forwarded, Packet, Switch};
     pub use crate::transpose::{
         barrier_transpose_time, healthy_baseline, run_transpose, TransposeResult,

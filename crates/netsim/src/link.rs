@@ -6,6 +6,7 @@
 
 use simcore::resource::FcfsServer;
 use simcore::time::{SimDuration, SimTime};
+use stutter::component::Component;
 use stutter::injector::{Cursor, SlowdownProfile};
 
 /// The outcome of a transmission.
@@ -20,10 +21,10 @@ pub struct Delivery {
 /// A serialising link with bandwidth, latency, and a stutter timeline.
 #[derive(Clone, Debug)]
 pub struct Link {
-    rate: f64,
+    /// Bandwidth in bytes/second under the link's timeline.
+    component: Component,
     latency: SimDuration,
-    profile: SlowdownProfile,
-    /// Where `send` last read the profile; its queue start never moves
+    /// Where `send` last read the timeline; its queue start never moves
     /// back.
     cursor: Cursor,
     server: FcfsServer,
@@ -37,11 +38,9 @@ impl Link {
     ///
     /// Panics if `rate` is not positive.
     pub fn new(rate: f64, latency: SimDuration) -> Self {
-        assert!(rate > 0.0, "link rate must be positive, got {rate}");
         Link {
-            rate,
+            component: Component::new(rate),
             latency,
-            profile: SlowdownProfile::nominal(),
             cursor: Cursor::default(),
             server: FcfsServer::new(),
             bytes_sent: 0,
@@ -50,43 +49,20 @@ impl Link {
 
     /// Attaches a fail-stutter timeline.
     pub fn with_profile(mut self, profile: SlowdownProfile) -> Self {
-        self.profile = profile;
-        self.cursor = Cursor::default();
+        self.component.profile = profile;
         self
-    }
-
-    /// Nominal rate in bytes/second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The effective rate at `t` under the stutter timeline.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        self.rate * self.profile.multiplier_at(t)
     }
 
     /// Transmits `bytes`, queueing behind earlier transmissions.
     ///
     /// Returns `None` if the link is permanently down at the queue time.
     pub fn send(&mut self, now: SimTime, bytes: u64) -> Option<Delivery> {
-        let queue_start = now.max(self.server.next_free());
-        let start = self.profile.next_active_from(&mut self.cursor, queue_start)?;
-        let m = self.profile.multiplier_from(&mut self.cursor, start);
-        let serialisation = SimDuration::from_secs_f64(bytes as f64 / (self.rate * m));
-        self.server.block_until(start);
-        let grant = self.server.serve(now, serialisation);
+        let rate = self.component.nominal;
+        let grant = self.component.profile.serve(&mut self.cursor, &mut self.server, now, |m| {
+            SimDuration::from_secs_f64(bytes as f64 / (rate * m))
+        })?;
         self.bytes_sent += bytes;
         Some(Delivery { depart: grant.start, arrive: grant.finish + self.latency })
-    }
-
-    /// Stalls the link until `t` (e.g. a switch-wide deadlock recovery).
-    pub fn block_until(&mut self, t: SimTime) {
-        self.server.block_until(t);
-    }
-
-    /// The earliest instant a new transmission could begin.
-    pub fn next_free(&self) -> SimTime {
-        self.server.next_free()
     }
 
     /// Total payload bytes accepted.
@@ -127,7 +103,6 @@ mod tests {
         let mut l = Link::new(1e6, SimDuration::ZERO).with_profile(profile);
         let d = l.send(SimTime::ZERO, 1_000_000).expect("up");
         assert_eq!(d.arrive, SimTime::from_secs(2));
-        assert_eq!(l.rate_at(SimTime::ZERO), 0.5e6);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use simcore::stats::Series;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::SlowdownProfile;
+use stutter::component::Component;
 
 /// Multicast semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,32 +27,6 @@ pub enum McastProtocol {
     Atomic,
     /// Deliver at the majority's pace; laggards gossip-repair.
     Bimodal,
-}
-
-/// One group member.
-#[derive(Clone, Debug)]
-pub struct Member {
-    rate: f64,
-    profile: SlowdownProfile,
-}
-
-impl Member {
-    /// A member applying `rate` messages/second when healthy.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Member { rate, profile: SlowdownProfile::nominal() }
-    }
-
-    /// Attaches a stutter timeline.
-    pub fn with_profile(mut self, profile: SlowdownProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Effective apply rate at `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        self.rate * self.profile.multiplier_at(t)
-    }
 }
 
 /// Offered message rate from the sender, messages/second.
@@ -75,8 +49,9 @@ pub struct McastOutcome {
     pub final_lag: f64,
 }
 
-/// Runs the group under the chosen protocol.
-pub fn run_multicast(members: &[Member], protocol: McastProtocol) -> McastOutcome {
+/// Runs the group under the chosen protocol; each member is a
+/// [`Component`] applying messages/second under its own timeline.
+pub fn run_multicast(members: &[Component], protocol: McastProtocol) -> McastOutcome {
     assert!(members.len() >= 2, "a group needs at least two members");
     let dt = DT.as_secs_f64();
     let steps = (DURATION.as_secs_f64() / dt).round() as u64;
@@ -132,22 +107,22 @@ pub fn run_multicast(members: &[Member], protocol: McastProtocol) -> McastOutcom
 mod tests {
     use super::*;
     use simcore::rng::Stream;
-    use stutter::injector::{DurationDist, Injector};
+    use stutter::injector::{DurationDist, Injector, SlowdownProfile};
 
-    fn group_with_stutterer(n: usize, seed: u64) -> Vec<Member> {
+    fn group_with_stutterer(n: usize, seed: u64) -> Vec<Component> {
         let gc = Injector::Blackouts {
             interarrival: DurationDist::Exp { mean: SimDuration::from_secs(10) },
             duration: DurationDist::Const(SimDuration::from_secs(2)),
         };
-        let mut members: Vec<Member> = (0..n).map(|_| Member::new(1_000.0)).collect();
-        members[1] = Member::new(1_000.0)
+        let mut members: Vec<Component> = (0..n).map(|_| Component::new(1_000.0)).collect();
+        members[1] = Component::new(1_000.0)
             .with_profile(gc.timeline(SimDuration::from_secs(240), &mut Stream::from_seed(seed)));
         members
     }
 
     #[test]
     fn healthy_group_delivers_offered_rate_both_ways() {
-        let members: Vec<Member> = (0..8).map(|_| Member::new(1_000.0)).collect();
+        let members: Vec<Component> = (0..8).map(|_| Component::new(1_000.0)).collect();
         for p in [McastProtocol::Atomic, McastProtocol::Bimodal] {
             let out = run_multicast(&members, p);
             assert!((out.mean_delivery / 900.0 - 1.0).abs() < 0.02, "{p:?}: {}", out.mean_delivery);
@@ -174,8 +149,8 @@ mod tests {
             (SimTime::from_secs(30), 0.0),
             (SimTime::from_secs(35), 1.0),
         ]);
-        let mut members: Vec<Member> = (0..8).map(|_| Member::new(1_000.0)).collect();
-        members[1] = Member::new(1_000.0).with_profile(pause);
+        let mut members: Vec<Component> = (0..8).map(|_| Component::new(1_000.0)).collect();
+        members[1] = Component::new(1_000.0).with_profile(pause);
         let out = run_multicast(&members, McastProtocol::Bimodal);
         assert!((out.mean_delivery / 900.0 - 1.0).abs() < 0.02, "{}", out.mean_delivery);
         // The pausing member lags ~4500 messages during the pause...
@@ -190,8 +165,8 @@ mod tests {
         // not — "gracefully degrade when nodes begin to perform poorly."
         let slow = Injector::StaticSlowdown { factor: 0.5 }
             .timeline(SimDuration::from_secs(240), &mut Stream::from_seed(3));
-        let mut members: Vec<Member> = (0..12).map(|_| Member::new(1_000.0)).collect();
-        members[4] = Member::new(1_000.0).with_profile(slow);
+        let mut members: Vec<Component> = (0..12).map(|_| Component::new(1_000.0)).collect();
+        members[4] = Component::new(1_000.0).with_profile(slow);
         let atomic = run_multicast(&members, McastProtocol::Atomic);
         let bimodal = run_multicast(&members, McastProtocol::Bimodal);
         assert!((atomic.mean_delivery / 500.0 - 1.0).abs() < 0.05, "{}", atomic.mean_delivery);
@@ -200,8 +175,8 @@ mod tests {
 
     #[test]
     fn permanently_failed_member_blocks_atomic_forever() {
-        let mut members: Vec<Member> = (0..4).map(|_| Member::new(1_000.0)).collect();
-        members[2] = Member::new(1_000.0)
+        let mut members: Vec<Component> = (0..4).map(|_| Component::new(1_000.0)).collect();
+        members[2] = Component::new(1_000.0)
             .with_profile(SlowdownProfile::nominal().with_failure_at(SimTime::from_secs(10)));
         let atomic = run_multicast(&members, McastProtocol::Atomic);
         let bimodal = run_multicast(&members, McastProtocol::Bimodal);

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use netsim::prelude::*;
 use netsim::transpose::{BYTES_PER_PAIR, NODES};
 use simcore::time::{SimDuration, SimTime};
+use stutter::component::Component;
 
 proptest! {
     /// The switch conserves bytes: everything enqueued is either delivered
@@ -124,8 +125,8 @@ proptest! {
         let which = which % n;
         let profile = Injector::StaticSlowdown { factor: slow }
             .timeline(SimDuration::from_secs(240), &mut Stream::from_seed(1));
-        let mut members: Vec<Member> = (0..n).map(|_| Member::new(1_000.0)).collect();
-        members[which] = Member::new(1_000.0).with_profile(profile);
+        let mut members: Vec<Component> = (0..n).map(|_| Component::new(1_000.0)).collect();
+        members[which] = Component::new(1_000.0).with_profile(profile);
         let atomic = run_multicast(&members, McastProtocol::Atomic);
         let bimodal = run_multicast(&members, McastProtocol::Bimodal);
         prop_assert!(atomic.mean_delivery <= 900.0 * 1.001);

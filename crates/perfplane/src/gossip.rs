@@ -28,6 +28,7 @@ use simcore::rng::Stream;
 use simcore::sim::EventQueue;
 use simcore::stats::Ewma;
 use simcore::time::{SimDuration, SimTime};
+use stutter::component::Component;
 use stutter::detect::PeerRelativeDetector;
 use stutter::fault::{ComponentId, HealthState};
 use stutter::injector::{Cursor, SlowdownProfile};
@@ -97,22 +98,14 @@ impl Default for PlaneConfig {
     }
 }
 
-/// One component under observation: node `i` watches component `i`.
-#[derive(Clone, Debug)]
-pub struct ObservedComponent {
-    /// Nominal (spec) rate in units/second.
-    pub nominal: f64,
-    /// The injected truth the node samples.
-    pub profile: SlowdownProfile,
-}
-
 /// A full plane deployment: config, observed truth, carrier timelines.
 #[derive(Clone, Debug)]
 pub struct PlaneSpec {
     /// Plane tunables.
     pub config: PlaneConfig,
-    /// One observed component per node.
-    pub components: Vec<ObservedComponent>,
+    /// One observed component per node: node `i` samples the injected
+    /// truth of component `i`.
+    pub components: Vec<Component>,
     /// Optional fail-stutter timeline per directed link, indexed
     /// `from * n + to`.
     pub link_profiles: Vec<Option<SlowdownProfile>>,
@@ -125,9 +118,7 @@ impl PlaneSpec {
         assert!(n >= 2, "a plane needs at least two nodes, got {n}");
         PlaneSpec {
             config,
-            components: (0..n)
-                .map(|_| ObservedComponent { nominal, profile: SlowdownProfile::nominal() })
-                .collect(),
+            components: vec![Component::new(nominal); n],
             link_profiles: vec![None; n * n],
         }
     }
@@ -273,7 +264,7 @@ struct NodeState {
 }
 
 struct SimState {
-    components: Vec<ObservedComponent>,
+    components: Vec<Component>,
     detector: PeerRelativeDetector,
     mesh: Mesh,
     nodes: Vec<NodeState>,
@@ -382,7 +373,7 @@ impl SimState {
         }
         let comp = &self.components[i];
         let node = &mut self.nodes[i];
-        let raw = comp.nominal * comp.profile.multiplier_from(&mut node.reading, now);
+        let raw = comp.rate_from(&mut node.reading, now);
         node.ewma.observe(raw);
         let smoothed = self.nodes[i].ewma.value_or(0.0);
 

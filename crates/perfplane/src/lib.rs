@@ -58,9 +58,7 @@ pub mod view;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::entry::{HealthEntry, NodeId, Store};
-    pub use crate::gossip::{
-        run_plane, ObservedComponent, PlaneConfig, PlaneRun, PlaneSpec, PlaneStats,
-    };
+    pub use crate::gossip::{run_plane, PlaneConfig, PlaneRun, PlaneSpec, PlaneStats};
     pub use crate::view::{PlaneState, PlaneView, StalenessView};
     pub use stutter::fault::{ComponentId, HealthState};
     pub use stutter::injector::SlowdownProfile;

@@ -16,7 +16,7 @@
 //!   to their current rates"), at the cost of a block map recording where
 //!   every block landed — the paper's bookkeeping trade-off.
 
-use simcore::resource::RateProfile;
+use simcore::resource::{apportion, RateProfile};
 use simcore::time::{SimDuration, SimTime};
 
 use crate::vdisk::MirrorPair;
@@ -173,24 +173,7 @@ impl Raid10 {
         if total <= 0.0 {
             return Err(RaidError::NoUsablePairs);
         }
-        // Largest-remainder apportionment so the assignment sums to D.
-        let quotas: Vec<f64> = rates.iter().map(|r| w.blocks as f64 * r / total).collect();
-        let mut per_pair: Vec<u64> = quotas.iter().map(|q| q.floor() as u64).collect();
-        let mut leftover = w.blocks - per_pair.iter().sum::<u64>();
-        let mut order: Vec<usize> = (0..self.n()).collect();
-        order.sort_by(|&i, &j| {
-            let fi = quotas[i] - quotas[i].floor();
-            let fj = quotas[j] - quotas[j].floor();
-            fj.total_cmp(&fi)
-        });
-        for &i in &order {
-            if leftover == 0 {
-                break;
-            }
-            per_pair[i] += 1;
-            leftover -= 1;
-        }
-        self.run_static_assignment(w, start, per_pair)
+        self.run_static_assignment(w, start, apportion(w.blocks, &rates))
     }
 
     fn run_static_assignment(

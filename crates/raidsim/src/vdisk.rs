@@ -14,60 +14,18 @@
 
 use simcore::resource::RateProfile;
 use simcore::time::{SimDuration, SimTime};
-use stutter::injector::{Cursor, SlowdownProfile};
+use stutter::component::Component;
+use stutter::injector::Cursor;
 
-/// A disk modelled as a rate source with a fail-stutter timeline.
-#[derive(Clone, Debug)]
-pub struct VDisk {
-    nominal: f64,
-    profile: SlowdownProfile,
-}
+/// A disk modelled as a rate source with a fail-stutter timeline: the
+/// paper's component, in bytes/second.
+pub type VDisk = Component;
 
-impl VDisk {
-    /// Creates a disk with `nominal` bytes/second and a nominal timeline.
-    pub fn new(nominal: f64) -> Self {
-        assert!(nominal > 0.0, "nominal rate must be positive");
-        VDisk { nominal, profile: SlowdownProfile::nominal() }
-    }
-
-    /// Attaches a fail-stutter timeline.
-    pub fn with_profile(mut self, profile: SlowdownProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Nominal rate in bytes/second.
-    pub fn nominal(&self) -> f64 {
-        self.nominal
-    }
-
-    /// The timeline.
-    pub fn profile(&self) -> &SlowdownProfile {
-        &self.profile
-    }
-
-    /// Effective rate at `t` (0 during blackouts and after failure), read
-    /// through `cursor`.
-    fn rate_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
-        self.nominal * self.profile.multiplier_from(cursor, t)
-    }
-
-    /// The instants at which the disk's rate can change, up to `end`:
-    /// its segment starts and its fail-stop instant, ascending.
-    fn changes(&self, end: SimTime) -> impl Iterator<Item = SimTime> + '_ {
-        let starts = self.profile.segments().iter().map(|&(t, _)| t);
-        union(starts, self.fail_at().into_iter()).take_while(move |&t| t <= end)
-    }
-
-    /// True once the disk has fail-stopped.
-    pub fn failed_at(&self, t: SimTime) -> bool {
-        self.profile.failed_at(t)
-    }
-
-    /// The fail-stop instant, if any.
-    pub fn fail_at(&self) -> Option<SimTime> {
-        self.profile.fail_at()
-    }
+/// The instants at which `disk`'s rate can change, up to `end`: its
+/// segment starts and its fail-stop instant, ascending.
+fn changes(disk: &VDisk, end: SimTime) -> impl Iterator<Item = SimTime> + '_ {
+    let starts = disk.profile.segments().iter().map(|&(t, _)| t);
+    union(starts, disk.profile.fail_at().into_iter()).take_while(move |&t| t <= end)
 }
 
 /// A RAID-1 mirror pair.
@@ -98,7 +56,7 @@ impl MirrorPair {
     /// [`MirrorPair::write_rate_at`] for a caller reading in time order,
     /// with one cursor per replica.
     fn write_rate_from(&self, [a, b]: &mut [Cursor; 2], t: SimTime) -> f64 {
-        match (self.a.failed_at(t), self.b.failed_at(t)) {
+        match (self.a.profile.failed_at(t), self.b.profile.failed_at(t)) {
             (false, false) => self.a.rate_from(a, t).min(self.b.rate_from(b, t)),
             (true, false) => self.b.rate_from(b, t),
             (false, true) => self.a.rate_from(a, t),
@@ -108,12 +66,12 @@ impl MirrorPair {
 
     /// True once both replicas have failed (pair absolutely failed).
     pub fn failed_at(&self, t: SimTime) -> bool {
-        self.a.failed_at(t) && self.b.failed_at(t)
+        self.a.profile.failed_at(t) && self.b.profile.failed_at(t)
     }
 
     /// The instant the pair absolutely fails (both replicas down), if ever.
     pub fn pair_fail_at(&self) -> Option<SimTime> {
-        match (self.a.fail_at(), self.b.fail_at()) {
+        match (self.a.profile.fail_at(), self.b.profile.fail_at()) {
             (Some(x), Some(y)) => Some(x.max(y)),
             _ => None,
         }
@@ -126,21 +84,10 @@ impl MirrorPair {
     pub fn write_rate_profile(&self, horizon: SimDuration) -> RateProfile {
         let end = SimTime::ZERO + horizon;
         let mut cursors = [Cursor::default(); 2];
-        let bps = union(self.a.changes(end), self.b.changes(end))
+        let bps = union(changes(&self.a, end), changes(&self.b, end))
             .map(|t| (t, self.write_rate_from(&mut cursors, t)))
             .collect();
         RateProfile::from_breakpoints(bps)
-    }
-
-    /// Time to write `bytes` starting at `start`, or `None` if the pair
-    /// never completes (absolute failure).
-    pub fn time_to_write(
-        &self,
-        start: SimTime,
-        bytes: f64,
-        horizon: SimDuration,
-    ) -> Option<SimDuration> {
-        self.write_rate_profile(horizon).time_to_transfer(start, bytes)
     }
 }
 
@@ -167,7 +114,7 @@ fn union(
 mod tests {
     use super::*;
     use simcore::rng::Stream;
-    use stutter::injector::Injector;
+    use stutter::injector::{Injector, SlowdownProfile};
 
     const MB: f64 = 1e6;
     const HOUR: SimDuration = SimDuration::from_secs(3600);
@@ -176,7 +123,8 @@ mod tests {
     fn healthy_pair_runs_at_disk_rate() {
         let p = MirrorPair::healthy(10.0 * MB);
         assert_eq!(p.write_rate_at(SimTime::ZERO), 10.0 * MB);
-        let t = p.time_to_write(SimTime::ZERO, 100.0 * MB, HOUR).expect("alive");
+        let t = p.write_rate_profile(HOUR).time_to_transfer(SimTime::ZERO, 100.0 * MB);
+        let t = t.expect("alive");
         assert_eq!(t, SimDuration::from_secs(10));
     }
 
@@ -213,7 +161,7 @@ mod tests {
         assert!(p.failed_at(SimTime::from_secs(20)));
         assert_eq!(p.pair_fail_at(), Some(SimTime::from_secs(20)));
         // A large write never finishes.
-        assert_eq!(p.time_to_write(SimTime::ZERO, 1e9, HOUR), None);
+        assert_eq!(p.write_rate_profile(HOUR).time_to_transfer(SimTime::ZERO, 1e9), None);
     }
 
     #[test]
@@ -225,7 +173,8 @@ mod tests {
         ]);
         let p = MirrorPair::new(VDisk::new(10.0 * MB), VDisk::new(10.0 * MB).with_profile(stepped));
         // 75 MB: 50 MB in the first 5 s, then 25 MB at 5 MB/s = 5 s more.
-        let t = p.time_to_write(SimTime::ZERO, 75.0 * MB, HOUR).expect("alive");
+        let t = p.write_rate_profile(HOUR).time_to_transfer(SimTime::ZERO, 75.0 * MB);
+        let t = t.expect("alive");
         assert_eq!(t, SimDuration::from_secs(10));
     }
 

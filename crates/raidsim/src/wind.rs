@@ -10,7 +10,10 @@
 //! a long horizon while its pairs live through injected fault timelines.
 //! In *managed* mode the array runs the full fail-stutter pipeline:
 //!
-//! 1. every pair has a [`stutter::monitor::Monitor`] sampling its rate;
+//! 1. every pair's rate is sampled each epoch: an EWMA detector judges it
+//!    against the pair's spec (a rate of zero is an outright failure), the
+//!    shared [`Registry`] exports persistent changes, and a
+//!    [`FailurePredictor`] watches for the wear-out signature;
 //! 2. work is distributed pull-style in proportion to current rates;
 //! 3. a wear-out prediction or an absolute replica failure triggers a
 //!    rebuild onto a hot spare, which consumes part of the pair's
@@ -25,9 +28,9 @@
 
 use simcore::stats::Series;
 use simcore::time::{SimDuration, SimTime};
-use stutter::fault::ComponentId;
-use stutter::monitor::{Monitor, MonitorEvent};
-use stutter::predict::PredictorConfig;
+use stutter::detect::EwmaDetector;
+use stutter::fault::{ComponentId, HealthState};
+use stutter::predict::{FailurePredictor, PredictorConfig};
 use stutter::registry::Registry;
 use stutter::spec::PerfSpec;
 
@@ -132,20 +135,17 @@ pub fn run_wind(pairs: &[MirrorPair], management: Management) -> WindOutcome {
         Management::Unmanaged => 0,
     };
 
-    let nominal: Vec<f64> = pairs.iter().map(|p| p.a.nominal().min(p.b.nominal())).collect();
-    let predictor = PredictorConfig {
+    let nominal: Vec<f64> = pairs.iter().map(|p| p.a.nominal.min(p.b.nominal)).collect();
+    let mut detectors: Vec<EwmaDetector> =
+        nominal.iter().map(|&r| EwmaDetector::new(PerfSpec::constant(r), 0.3)).collect();
+    let predictor = FailurePredictor::new(PredictorConfig {
         window: SimDuration::from_secs(300),
         min_samples: 8,
         level_threshold: 0.9,
         slope_threshold: 0.05,
         consecutive_below: 4,
-    };
-    let mut monitors: Vec<Monitor> = (0..n)
-        .map(|i| {
-            let spec = PerfSpec::constant(nominal[i]);
-            Monitor::new(ComponentId(i as u32), spec, 0.3, predictor)
-        })
-        .collect();
+    });
+    let mut predictors = vec![predictor; n];
     let mut registry = Registry::new(SimDuration::from_secs(60));
     let mut state = vec![PairState::Stuttering; n];
     let mut events = Vec::new();
@@ -197,15 +197,22 @@ pub fn run_wind(pairs: &[MirrorPair], management: Management) -> WindOutcome {
                 if !matches!(state[i], PairState::Stuttering) {
                     continue;
                 }
-                let e: MonitorEvent = monitors[i].observe(t, rates[i], &mut registry);
-                if let Some(notice) = e.exported {
+                // A pair delivering nothing has failed outright; the
+                // registry exports that at once, bypassing persistence.
+                let verdict = if rates[i] <= 0.0 {
+                    HealthState::Failed
+                } else {
+                    detectors[i].observe(rates[i])
+                };
+                if let Some(notice) = registry.report(ComponentId(i as u32), t, verdict) {
                     events.push(WindEvent::Exported {
                         at: t,
                         pair: i,
                         state: notice.state.to_string(),
                     });
                 }
-                let must_rebuild = e.prediction.is_some() || pairs[i].failed_at(t);
+                let prediction = predictors[i].observe(t, rates[i] / nominal[i]);
+                let must_rebuild = prediction.is_some() || pairs[i].failed_at(t);
                 if must_rebuild {
                     if spares_left > 0 {
                         spares_left -= 1;
@@ -275,7 +282,7 @@ mod tests {
     use super::*;
     use crate::vdisk::VDisk;
     use simcore::rng::Stream;
-    use stutter::injector::{DurationDist, Injector};
+    use stutter::injector::{DurationDist, Injector, SlowdownProfile};
 
     const MB: f64 = 1e6;
 
@@ -318,6 +325,30 @@ mod tests {
             assert!((out.availability - 1.0).abs() < 1e-9, "{mode:?}: {}", out.availability);
             assert!((out.mean_throughput / OFFERED_LOAD - 1.0).abs() < 0.01);
         }
+    }
+
+    #[test]
+    fn healthy_array_stays_quiet() {
+        // Every pair at its spec: no export, no prediction, no rebuild.
+        let out = run_wind(&healthy_pairs(4), Management::Managed { hot_spares: 1 });
+        assert!(out.events.is_empty(), "{:?}", out.events);
+    }
+
+    #[test]
+    fn a_fail_stop_is_exported_at_once() {
+        // Pair 2 fail-stops at 100 s without warning. Its zero rate is
+        // judged failed and exported in that epoch, although the
+        // registry's persistence window is 60 s.
+        let dead = SlowdownProfile::nominal().with_failure_at(SimTime::from_secs(100));
+        let mut pairs = healthy_pairs(4);
+        pairs[2] = MirrorPair::new(
+            VDisk::new(10.0 * MB).with_profile(dead.clone()),
+            VDisk::new(10.0 * MB).with_profile(dead),
+        );
+        let out = run_wind(&pairs, Management::Managed { hot_spares: 0 });
+        let at = SimTime::from_secs(100);
+        let failed = WindEvent::Exported { at, pair: 2, state: "failed".to_string() };
+        assert_eq!(out.events, vec![failed, WindEvent::PairLost { at, pair: 2 }]);
     }
 
     #[test]

@@ -67,12 +67,12 @@ fn collected_write_rate_profile(pair: &MirrorPair, horizon: SimDuration) -> Rate
     let mut times: Vec<SimTime> = vec![SimTime::ZERO];
     let end = SimTime::ZERO + horizon;
     for d in [&pair.a, &pair.b] {
-        for &(t, _) in d.profile().segments() {
+        for &(t, _) in d.profile.segments() {
             if t <= end {
                 times.push(t);
             }
         }
-        if let Some(f) = d.fail_at() {
+        if let Some(f) = d.profile.fail_at() {
             if f <= end {
                 times.push(f);
             }

@@ -9,6 +9,8 @@
 //! * [`RateProfile`] — a piecewise-constant rate (units/second) over time,
 //!   with exact integration: "how long does it take to move `u` units
 //!   starting at `t`?".
+//! * [`apportion`] — largest-remainder division of work in proportion to
+//!   rates.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -120,16 +122,6 @@ impl RateProfile {
         RateProfile { segments: breakpoints }
     }
 
-    /// Appends a rate change at `start` (must be after every existing
-    /// breakpoint).
-    pub fn push(&mut self, start: SimTime, rate: f64) {
-        assert!(rate.is_finite() && rate >= 0.0, "invalid rate {rate}");
-        // fslint: allow(panic-path) — every RateProfile constructor seeds at least one segment
-        let last = self.segments.last().expect("non-empty").0;
-        assert!(start > last, "breakpoints must be strictly increasing");
-        self.segments.push((start, rate));
-    }
-
     /// The instantaneous rate at time `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
         let idx = self.segments.partition_point(|&(s, _)| s <= t);
@@ -188,6 +180,36 @@ impl RateProfile {
             }
         }
     }
+}
+
+/// Splits `total` work items over servers in proportion to `weights`
+/// (their rates), by largest remainder: each server gets the floor of its
+/// quota, and the items left over go one each to the largest fractional
+/// parts, so the shares sum to `total`.
+///
+/// # Panics
+///
+/// Panics unless the weights sum to a positive value.
+pub fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
+    let sum: f64 = weights.iter().sum();
+    assert!(sum > 0.0, "no server has a positive weight");
+    let quotas: Vec<f64> = weights.iter().map(|w| total as f64 * w / sum).collect();
+    let mut out: Vec<u64> = quotas.iter().map(|q| q.floor() as u64).collect();
+    let mut left = total - out.iter().sum::<u64>();
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&i, &j| {
+        let fi = quotas[i] - quotas[i].floor();
+        let fj = quotas[j] - quotas[j].floor();
+        fj.total_cmp(&fi)
+    });
+    for &i in &order {
+        if left == 0 {
+            break;
+        }
+        out[i] += 1;
+        left -= 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -257,6 +279,22 @@ mod tests {
         ]);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 100.0), None);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 10.0), Some(SimDuration::from_secs(1)));
+    }
+
+    #[test]
+    fn apportionment_sums_to_the_total_and_follows_the_remainders() {
+        // Quotas 3.5, 3.5, 3.0: the two halves tie, and the stable sort
+        // hands the one leftover item to the first of them.
+        assert_eq!(apportion(10, &[3.5, 3.5, 3.0]), vec![4, 3, 3]);
+        // Quotas 1.6, 3.2, 5.2: the 0.6 remainder wins the leftover item.
+        assert_eq!(apportion(10, &[1.0, 2.0, 3.25]), vec![2, 3, 5]);
+        assert_eq!(apportion(7, &[0.0, 1.0]), vec![0, 7]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn apportionment_needs_a_positive_weight() {
+        let _ = apportion(3, &[0.0, 0.0]);
     }
 
     #[test]

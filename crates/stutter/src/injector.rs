@@ -19,7 +19,7 @@
 //! always produces the same fault timeline.
 
 use simcore::dist::{Distribution, Exponential, TwoPoint, Uniform};
-use simcore::resource::RateProfile;
+use simcore::resource::{FcfsServer, Grant, RateProfile};
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
 
@@ -100,10 +100,10 @@ pub struct SlowdownProfile {
 /// Where a forward reader of a [`SlowdownProfile`] left off.
 ///
 /// A caller that reads one profile in time order keeps a cursor and hands
-/// it to [`SlowdownProfile::multiplier_from`] or
-/// [`SlowdownProfile::next_active_from`]. Each read then steps forward
-/// from the segment the previous read landed in, instead of searching the
-/// whole timeline again. Any cursor reads correctly at any instant: a read
+/// it to [`SlowdownProfile::multiplier_from`],
+/// [`SlowdownProfile::next_active_from`] or [`SlowdownProfile::serve`].
+/// Each read then steps forward from the segment the previous read landed
+/// in, instead of searching the whole timeline again. Any cursor reads correctly at any instant: a read
 /// behind the cursor, or with a cursor carried over from another profile,
 /// costs a search, never a wrong answer. A new cursor has no position yet,
 /// so its first read searches.
@@ -209,6 +209,35 @@ impl SlowdownProfile {
             }
         }
         None
+    }
+
+    /// The stuttering-FIFO service rule: serves a request arriving at
+    /// `now` at `server`, the FIFO queue in front of the component this
+    /// timeline shapes.
+    ///
+    /// Service waits for the timeline's first active instant once the
+    /// FIFO frees, and runs at the multiplier of that instant: `service`
+    /// gets that multiplier (always positive) and returns the request's
+    /// service time. It is called only for a request that starts. Returns
+    /// `None`, leaving `server` untouched, if the component never runs
+    /// again. Reads go through `cursor`, so arrivals in time order step
+    /// forward through the timeline.
+    // Inlined into each caller: every gossip delivery runs it, and
+    // campaign-plane read about 2.5% slower with it out of line.
+    #[inline]
+    pub fn serve(
+        &self,
+        cursor: &mut Cursor,
+        server: &mut FcfsServer,
+        now: SimTime,
+        service: impl FnOnce(f64) -> SimDuration,
+    ) -> Option<Grant> {
+        let queue_start = now.max(server.next_free());
+        let start = self.next_active_from(cursor, queue_start)?;
+        let m = self.multiplier_from(cursor, start);
+        debug_assert!(m > 0.0, "service must start in an active segment");
+        server.block_until(start);
+        Some(server.serve(now, service(m)))
     }
 
     /// The multiplier of the segment holding `t`, ignoring the failure

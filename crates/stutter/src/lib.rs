@@ -14,9 +14,13 @@
 //!   three-valued [`fault::HealthState`].
 //! * [`spec`] — performance specifications at three fidelities; the
 //!   designer's trade-off between simple specs and frequent "faults".
+//! * [`component`] — the component itself: a nominal rate under a fault
+//!   timeline.
 //! * [`injector`] — generators for every performance-fault phenomenon class
 //!   surveyed in the paper's §2 (fault masking, blackouts, erratic stutter,
-//!   interference episodes, wear-out), composable and deterministic.
+//!   interference episodes, wear-out), composable and deterministic, and
+//!   the one rule for serving a FIFO queue under such a timeline
+//!   ([`injector::SlowdownProfile::serve`]).
 //! * [`detect`] — online detectors, including the paper's threshold rule
 //!   `T` that separates "very slow" from "absolutely failed".
 //! * [`registry`] — the notification rule: only *persistent* performance
@@ -55,10 +59,10 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
+pub mod component;
 pub mod detect;
 pub mod fault;
 pub mod injector;
-pub mod monitor;
 pub mod oracle;
 pub mod predict;
 pub mod registry;
@@ -66,10 +70,10 @@ pub mod spec;
 
 /// Convenience re-exports.
 pub mod prelude {
+    pub use crate::component::Component;
     pub use crate::detect::{EwmaDetector, PeerRelativeDetector, ThresholdDetector};
     pub use crate::fault::{ComponentId, HealthState};
     pub use crate::injector::{DurationDist, FactorDist, Injector, SlowdownProfile};
-    pub use crate::monitor::{Monitor, MonitorEvent};
     pub use crate::oracle::{check_export_agreement, predict_export, ExportPrediction};
     pub use crate::predict::{FailurePredictor, Prediction, PredictorConfig, Trend};
     pub use crate::registry::{Notification, Registry};

@@ -1,9 +1,13 @@
 //! Property tests for the §3.1 detection rules: the threshold rule `T`
 //! separating "very slow" from "absolutely failed", and the persistence
-//! filter that keeps transient stutters out of the exported state.
+//! filter that keeps transient stutters out of the exported state. Also
+//! the component's rate reads and its stuttering-FIFO service rule.
 
 use proptest::prelude::*;
+use simcore::resource::{FcfsServer, Grant};
+use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
+use stutter::injector::Cursor;
 use stutter::prelude::*;
 
 const C: ComponentId = ComponentId(0);
@@ -188,5 +192,101 @@ proptest! {
             }
         }
         prop_assert!(published <= 1, "{published} notifications on constant input");
+    }
+}
+
+/// Blackouts, interference episodes and wear-out (down to a floor of zero,
+/// where the component never runs again) on a scale of seconds.
+fn arb_stutter() -> impl Strategy<Value = Injector> {
+    prop_oneof![
+        (1u64..20, 1u64..10).prop_map(|(gap, dur)| Injector::Blackouts {
+            interarrival: DurationDist::Exp { mean: SimDuration::from_secs(gap) },
+            duration: DurationDist::Exp { mean: SimDuration::from_secs(dur) },
+        }),
+        (1u64..20, 1u64..10, 0.0f64..0.9).prop_map(|(gap, dur, factor)| Injector::Episodes {
+            interarrival: DurationDist::Exp { mean: SimDuration::from_secs(gap) },
+            duration: DurationDist::Exp { mean: SimDuration::from_secs(dur) },
+            factor,
+        }),
+        (0u64..100, 1u64..200, prop_oneof![Just(0.0), 0.0f64..1.0]).prop_map(
+            |(onset, ramp, floor)| Injector::Wearout {
+                onset: SimTime::from_secs(onset),
+                ramp: SimDuration::from_secs(ramp),
+                floor,
+                fail_after: None,
+            }
+        ),
+    ]
+}
+
+/// A partition's FIFO service as it read before the rule was shared:
+/// every read searches the whole timeline.
+fn serve_at_random(c: &Component, server: &mut FcfsServer, now: SimTime) -> Option<Grant> {
+    let queue_start = now.max(server.next_free());
+    let start = c.profile.next_active(queue_start)?;
+    let m = c.profile.multiplier_at(start);
+    let service = SimDuration::from_secs_f64(1.0 / (c.nominal * m));
+    server.block_until(start);
+    Some(server.serve(now, service))
+}
+
+proptest! {
+    /// The stuttering-FIFO rule grants what the random-access rule grants
+    /// to every arrival in time order, and `None` from the first arrival
+    /// that can never start on. A rate read through any cursor (fresh,
+    /// walked forward, left behind by the rule, or carried over from
+    /// another timeline) equals the random-access rate and the absolute
+    /// rate profile.
+    #[test]
+    fn fifo_service_matches_the_random_access_rule(
+        inj in arb_stutter(),
+        other in arb_stutter(),
+        seed in any::<u64>(),
+        fail_s in proptest::option::of(0u64..400),
+        rate in 0.5f64..5.0,
+        gaps_ms in proptest::collection::vec(0u64..3_000, 1..300),
+    ) {
+        let horizon = SimDuration::from_secs(400);
+        let mut profile = inj.timeline(horizon, &mut Stream::from_seed(seed));
+        if let Some(f) = fail_s {
+            profile = profile.with_failure_at(SimTime::from_secs(f));
+        }
+        let c = Component::new(rate).with_profile(profile);
+        let (mut server, mut reference, mut served) =
+            (FcfsServer::new(), FcfsServer::new(), Cursor::default());
+        let mut arrivals = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut stopped = false;
+        for &g in &gaps_ms {
+            now += SimDuration::from_millis(g);
+            arrivals.push(now);
+            let got = c.profile.serve(&mut served, &mut server, now, |m| {
+                SimDuration::from_secs_f64(1.0 / (rate * m))
+            });
+            prop_assert_eq!(got, serve_at_random(&c, &mut reference, now), "arrival at {:?}", now);
+            prop_assert!(!(stopped && got.is_some()), "served at {:?} after a refusal", now);
+            stopped |= got.is_none();
+        }
+
+        let mut probes: Vec<SimTime> = c.profile.segments().iter().map(|&(t, _)| t).collect();
+        probes.extend(c.profile.fail_at());
+        probes.extend(arrivals);
+        probes.sort_unstable();
+        let rates = c.rate_profile();
+        let mut foreign = Cursor::default();
+        let elsewhere = other.timeline(horizon, &mut Stream::from_seed(!seed));
+        elsewhere.multiplier_from(&mut foreign, SimTime::from_secs(seed % 400));
+        let mut forward = Cursor::default();
+        for &t in &probes {
+            let want = c.rate_at(t);
+            prop_assert_eq!(rates.rate_at(t), want, "profile at {:?}", t);
+            prop_assert_eq!(c.rate_from(&mut Cursor::default(), t), want, "fresh at {:?}", t);
+            prop_assert_eq!(c.rate_from(&mut forward, t), want, "forward at {:?}", t);
+            prop_assert_eq!(c.rate_from(&mut served.clone(), t), want, "left at {:?}", t);
+            prop_assert_eq!(c.rate_from(&mut foreign.clone(), t), want, "foreign at {:?}", t);
+        }
+        for &t in probes.iter().rev() {
+            prop_assert_eq!(c.rate_from(&mut forward, t), c.rate_at(t), "backward at {:?}", t);
+        }
     }
 }

@@ -105,7 +105,7 @@ fn sort_and_hedging_agree_on_the_straggler() {
     assert!(adaptive_out.total < static_out.total);
 
     // The same nodes as hedged task workers.
-    let rates: Vec<RateProfile> = nodes.iter().map(|n| n.cpu_rate_profile(HOUR)).collect();
+    let rates: Vec<RateProfile> = nodes.iter().map(|n| n.cpu.rate_profile()).collect();
     let blocking = run_hedged(&rates, 32, 1e6, HedgeConfig { hedge_after: None }, SimTime::ZERO)
         .expect("alive");
     let hedged = run_hedged(
