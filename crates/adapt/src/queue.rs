@@ -9,7 +9,7 @@
 //! against consumers with arbitrary time-varying rates, making the
 //! static-parallelism penalty directly measurable.
 
-use simcore::resource::RateProfile;
+use simcore::resource::{barrier, equal_shares, RateProfile};
 use simcore::time::{SimDuration, SimTime};
 
 /// A work-distribution strategy.
@@ -72,20 +72,9 @@ fn push(
     item_units: f64,
     start: SimTime,
 ) -> Result<DistributeOutcome, QueueError> {
-    let n = rates.len() as u64;
-    let mut per_consumer = vec![0u64; rates.len()];
-    let mut makespan = SimDuration::ZERO;
-    for (i, profile) in rates.iter().enumerate() {
-        let assigned = items / n + u64::from((i as u64) < items % n);
-        per_consumer[i] = assigned;
-        if assigned == 0 {
-            continue;
-        }
-        match profile.time_to_transfer(start, assigned as f64 * item_units) {
-            Some(t) => makespan = makespan.max(t),
-            None => return Err(QueueError::StarvedForever),
-        }
-    }
+    let per_consumer = equal_shares(items, rates.len());
+    let makespan =
+        barrier(rates, &per_consumer, item_units, start).map_err(|_| QueueError::StarvedForever)?;
     Ok(DistributeOutcome { makespan, per_consumer })
 }
 

@@ -17,6 +17,7 @@
 use std::process::ExitCode;
 
 use fs_bench::experiments::{self, Experiment};
+use fs_bench::report::Report;
 
 struct Args {
     list: bool,
@@ -45,11 +46,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Writes `BENCH_<slug>.json` into `dir` for each selected experiment.
-fn write_json(dir: &str, selected: &[Experiment]) -> Result<(), String> {
+/// Writes `BENCH_<slug>.json` into `dir` for each experiment run.
+fn write_json(dir: &str, runs: &[(Experiment, Report)]) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    for e in selected {
-        let report = (e.run)();
+    for (e, report) in runs {
         let path = format!("{dir}/BENCH_{}.json", e.slug);
         std::fs::write(&path, report.render_json(e.id, e.slug, e.title, e.source))
             .map_err(|err| format!("cannot write {path}: {err}"))?;
@@ -72,14 +72,16 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
+    // Each experiment runs once; the JSON and the text render its report.
+    let runs: Vec<(Experiment, Report)> = args.selected.iter().map(|&e| (e, (e.run)())).collect();
     if let Some(dir) = &args.json_dir {
-        if let Err(e) = write_json(dir, &args.selected) {
+        if let Err(e) = write_json(dir, &runs) {
             eprintln!("fs-experiments: {e}");
             return ExitCode::FAILURE;
         }
     }
 
-    let (text, all_pass) = fs_bench::run_and_render(&args.selected, args.markdown);
+    let (text, all_pass) = fs_bench::render(&runs, args.markdown);
     println!("{text}");
     if !all_pass {
         eprintln!("some findings FAILED");

@@ -18,7 +18,7 @@ pub mod raid;
 use crate::report::Report;
 
 /// A registered experiment.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct Experiment {
     /// Stable identifier (`e01` ... `e36`).
     pub id: &'static str,

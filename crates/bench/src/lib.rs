@@ -22,13 +22,15 @@ pub mod report;
 
 use std::fmt::Write as _;
 
-/// Runs `selected` in order and renders a full text report; returns the
-/// rendered text and whether every finding passed.
-pub fn run_and_render(selected: &[experiments::Experiment], markdown: bool) -> (String, bool) {
+/// Renders the reports of a run, in order, as a full text report;
+/// returns the rendered text and whether every finding passed.
+pub fn render(
+    runs: &[(experiments::Experiment, report::Report)],
+    markdown: bool,
+) -> (String, bool) {
     let mut out = String::new();
     let mut all_pass = true;
-    for e in selected {
-        let report = (e.run)();
+    for (e, report) in runs {
         let status = if report.all_pass() { "PASS" } else { "FAIL" };
         all_pass &= report.all_pass();
         let _ =

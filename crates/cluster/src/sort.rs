@@ -13,7 +13,7 @@
 //! [`Placement::Adaptive`], record counts are proportional to measured node
 //! speed (the fail-stutter-tolerant variant).
 
-use simcore::resource::apportion;
+use simcore::resource::{apportion, barrier, equal_shares, RateProfile};
 use simcore::time::{SimDuration, SimTime};
 
 use crate::node::Node;
@@ -66,12 +66,8 @@ pub struct SortOutcome {
 /// parallel sorts so sensitive to one perturbed machine.
 pub fn run_sort(nodes: &[Node], job: SortJob, placement: Placement, start: SimTime) -> SortOutcome {
     assert!(!nodes.is_empty(), "need at least one node");
-    let n = nodes.len() as u64;
-
     let per_node: Vec<u64> = match placement {
-        Placement::Static => (0..nodes.len())
-            .map(|i| job.records / n + u64::from((i as u64) < job.records % n))
-            .collect(),
+        Placement::Static => equal_shares(job.records, nodes.len()),
         Placement::Adaptive => {
             // Gauge each node's end-to-end records/second at sort start:
             // the harmonic composition of disk (2 passes) and CPU (1 pass).
@@ -93,44 +89,20 @@ pub fn run_sort(nodes: &[Node], job: SortJob, placement: Placement, start: SimTi
     run_phases(nodes, job, per_node, start)
 }
 
-/// The three barrier-separated phases over a fixed record assignment.
+/// The three barrier-separated phases over a fixed record assignment. A
+/// node that never finishes its share holds its phase for 2^20 s.
 fn run_phases(nodes: &[Node], job: SortJob, per_node: Vec<u64>, start: SimTime) -> SortOutcome {
     let horizon = SimDuration::from_secs(1 << 20);
-
-    // Phase 1: read + partition (disk).
-    let mut t_read = SimDuration::ZERO;
-    for (node, &recs) in nodes.iter().zip(&per_node) {
-        if recs == 0 {
-            continue;
-        }
-        let bytes = (recs * job.record_bytes) as f64;
-        let dt = node.disk.rate_profile().time_to_transfer(start, bytes).unwrap_or(horizon);
-        t_read = t_read.max(dt);
-    }
-    let after_read = start + t_read;
-
-    // Phase 2: sort (CPU).
-    let mut t_sort = SimDuration::ZERO;
-    for (node, &recs) in nodes.iter().zip(&per_node) {
-        if recs == 0 {
-            continue;
-        }
-        let dt =
-            node.cpu.rate_profile().time_to_transfer(after_read, recs as f64).unwrap_or(horizon);
-        t_sort = t_sort.max(dt);
-    }
-    let after_sort = after_read + t_sort;
-
-    // Phase 3: write (disk).
-    let mut t_write = SimDuration::ZERO;
-    for (node, &recs) in nodes.iter().zip(&per_node) {
-        if recs == 0 {
-            continue;
-        }
-        let bytes = (recs * job.record_bytes) as f64;
-        let dt = node.disk.rate_profile().time_to_transfer(after_sort, bytes).unwrap_or(horizon);
-        t_write = t_write.max(dt);
-    }
+    let disks: Vec<RateProfile> = nodes.iter().map(|node| node.disk.rate_profile()).collect();
+    let cpus: Vec<RateProfile> = nodes.iter().map(|node| node.cpu.rate_profile()).collect();
+    let phase = |profiles: &[RateProfile], unit: f64, at: SimTime| {
+        barrier(profiles, &per_node, unit, at).unwrap_or(horizon)
+    };
+    let record_bytes = job.record_bytes as f64;
+    // Read + partition (disk), sort (CPU), write (disk).
+    let t_read = phase(&disks, record_bytes, start);
+    let t_sort = phase(&cpus, 1.0, start + t_read);
+    let t_write = phase(&disks, record_bytes, start + t_read + t_sort);
 
     SortOutcome {
         read_phase: t_read,

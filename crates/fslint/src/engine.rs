@@ -8,9 +8,9 @@
 //! every downstream id and finding) is identical to a sequential scan.
 //! Phase two builds the workspace call graph ([`crate::graph`]) over the
 //! whole set, then runs the per-file rules with graph-derived scopes, the
-//! whole-program rules (`oracle-coverage`, `dead-scenario`), the
-//! interprocedural taint analysis ([`crate::flow`]: `digest-taint`,
-//! `rng-lineage`, `oracle-taint`), and inline suppressions — reporting any
+//! whole-program rules (`oracle-coverage`, `dead-scenario`), the taint,
+//! unit and effect passes ([`crate::flow`], [`crate::units`],
+//! [`crate::effects`]), and inline suppressions — reporting any
 //! suppression that no longer silences a finding as `suppression-stale`.
 //! Output is deterministic regardless of sharding: units keep the sorted
 //! file order and findings are sorted by (path, line, rule) before emit.
@@ -213,7 +213,7 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
     let (unit_findings, usum) = crate::units::analyze(&units, &graph);
     phases.units_ms = timer.lap();
     // And the effect pass: write/interior/static/RNG/sched summaries to a
-    // fixpoint, then the purity and commutativity rules over them.
+    // fixpoint, then `oracle-pure`, `injection-scoped`, `mitigation-effect`.
     let (effect_findings, esum) = crate::effects::analyze(&units, &graph);
     phases.effects_ms = timer.lap();
     let graph_json = cfg.graph_json.then(|| graph.render_json(&units, &taint, &usum, &esum));

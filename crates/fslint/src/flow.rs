@@ -712,31 +712,15 @@ fn lexical_source(toks: &[Token], i: usize) -> Option<Src> {
 /// depends on NaN placement, which depends on evaluation order.
 fn nan_fold_sources(u: &FileUnit) -> Vec<Src> {
     let toks = &u.lexed.tokens;
-    let mut out = Vec::new();
-    for mc in &u.model.calls {
-        if mc.name != "fold" && mc.name != "reduce" {
-            continue;
-        }
-        let (a0, a1) = mc.args;
-        if a1 <= a0 + 3 || a1 >= toks.len() {
-            continue;
-        }
-        let nan_prone = toks[a0..=a1].windows(4).any(|w| {
-            (w[0].is_ident("f64") || w[0].is_ident("f32"))
-                && w[1].is_punct(':')
-                && w[2].is_punct(':')
-                && (w[3].is_ident("min") || w[3].is_ident("max"))
-        });
-        if nan_prone {
-            out.push(Src {
-                kind: K_NAN,
-                tok: mc.dot,
-                line: mc.line,
-                desc: format!("NaN-sensitive `{}` over float min/max", mc.name),
-            });
-        }
-    }
-    out
+    let folds = u.model.calls.iter().filter(|mc| mc.nan_absorbing(toks).is_some());
+    folds
+        .map(|mc| Src {
+            kind: K_NAN,
+            tok: mc.dot,
+            line: mc.line,
+            desc: format!("NaN-sensitive `{}` over float min/max", mc.name),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -149,6 +149,23 @@ pub struct MethodCall {
     pub chained: Option<String>,
 }
 
+impl MethodCall {
+    /// For a `fold`/`reduce` call whose arguments mention `f64::min`,
+    /// `f64::max` (or `f32`), that path's four tokens: such a fold
+    /// silently absorbs NaN, so its value depends on where NaN falls.
+    pub(crate) fn nan_absorbing<'t>(&self, toks: &'t [Token]) -> Option<&'t [Token]> {
+        if self.name != "fold" && self.name != "reduce" {
+            return None;
+        }
+        toks.get(self.args.0..=self.args.1)?.windows(4).find(|w| {
+            (w[0].is_ident("f64") || w[0].is_ident("f32"))
+                && w[1].is_punct(':')
+                && w[2].is_punct(':')
+                && (w[3].is_ident("min") || w[3].is_ident("max"))
+        })
+    }
+}
+
 /// One `impl` block, inherent (`impl T { … }`) or trait
 /// (`impl Trait for T { … }`).
 #[derive(Debug)]

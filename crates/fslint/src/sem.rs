@@ -286,28 +286,19 @@ fn float_total_order(ctx: &FileCtx<'_>, model: &FileModel, findings: &mut Vec<Fi
                          impossible with `fslint: allow(float-total-order)`"
                 ),
             );
-        } else if matches!(call.name.as_str(), "fold" | "reduce") {
-            let (open, close) = call.args;
-            let absorbing = toks[open..=close].windows(4).find(|w| {
-                (w[0].is_ident("f64") || w[0].is_ident("f32"))
-                    && w[1].is_punct(':')
-                    && w[2].is_punct(':')
-                    && (w[3].is_ident("max") || w[3].is_ident("min"))
-            });
-            if let Some(w) = absorbing {
-                push(
-                    findings,
-                    ctx,
-                    call.line,
-                    id::FLOAT_TOTAL_ORDER,
-                    format!(
-                        "`{}::{}` inside a `{}` silently absorbs NaN (IEEE minNum/maxNum), so \
-                         a poisoned measurement vanishes from the digest; reduce with \
-                         `min_by`/`max_by` + `total_cmp`, or give a written reason",
-                        w[0].text, w[3].text, call.name
-                    ),
-                );
-            }
+        } else if let Some(w) = call.nan_absorbing(toks) {
+            push(
+                findings,
+                ctx,
+                call.line,
+                id::FLOAT_TOTAL_ORDER,
+                format!(
+                    "`{}::{}` inside a `{}` silently absorbs NaN (IEEE minNum/maxNum), so a \
+                     poisoned measurement vanishes from the digest; reduce with \
+                     `min_by`/`max_by` + `total_cmp`, or give a written reason",
+                    w[0].text, w[3].text, call.name
+                ),
+            );
         }
     }
 }

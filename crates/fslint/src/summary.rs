@@ -207,8 +207,9 @@ pub(crate) struct Binding {
 
 /// Walks the `let`/`for` bindings of `body` in textual order. `bind`
 /// returns the values the binding's names take; each is bound from the
-/// `let`'s `;` (or the loop body's `{`) on. A `let` rebinding ends the
-/// old local's range whether or not the new one has a value.
+/// `let`'s `;` (or the loop body's `{`) on, and an `if let`'s or `while
+/// let`'s only inside its block. A `let` rebinding ends the old local's
+/// range whether or not the new one has a value.
 pub(crate) fn walk_bindings<T>(
     lexed: &Lexed,
     body: (usize, usize),
@@ -220,25 +221,32 @@ pub(crate) fn walk_bindings<T>(
     let mut i = b0;
     while i <= b1 && i < toks.len() {
         if toks[i].is_ident("let") {
+            let scoped = i > 0 && (toks[i - 1].is_ident("if") || toks[i - 1].is_ident("while"));
             let (eq, semi) = let_bounds(lexed, i + 1, b1);
-            let Some(semi) = semi else {
+            let block = |eq: usize| {
+                lexed.level(eq + 1).take_while(|&k| k <= b1).find(|&k| toks[k].is_punct('{'))
+            };
+            let Some(from) = (if scoped { eq.and_then(block) } else { semi }) else {
                 i += 1;
                 continue;
             };
+            let until = if scoped { lexed.close_of(from) } else { usize::MAX };
             if let Some(eq) = eq {
                 let (names, ty) = pattern_names(lexed, i + 1, eq);
                 if !names.is_empty() {
-                    let b = Binding { at: i, is_let: true, names, ty, rhs: (eq + 1, semi - 1) };
+                    let b = Binding { at: i, is_let: true, names, ty, rhs: (eq + 1, from - 1) };
                     let vals = bind(locals, &b);
-                    for name in &b.names {
-                        locals.end(name, semi, |_| false);
+                    if !scoped {
+                        for name in &b.names {
+                            locals.end(name, from, |_| false);
+                        }
                     }
                     for (name, val) in vals {
-                        locals.bind(name, semi, val);
+                        locals.0.push(Local { name, from, until, val });
                     }
                 }
             }
-            i = semi + 1;
+            i = if scoped { i + 1 } else { from + 1 };
         } else if let Some((names, expr_end, brace)) =
             toks[i].is_ident("for").then(|| for_binding(lexed, i, b1)).flatten()
         {
@@ -464,6 +472,24 @@ mod tests {
         let let_at = first_last(&l, "let").0;
         let eq = first_last(&l, "=").0;
         assert_eq!(let_bounds(&l, let_at + 1, l.tokens.len() - 1), (Some(eq), None));
+
+        // An `if let` or `while let` binds its names inside its block
+        // only, though a `let` statement follows the block.
+        for src in [
+            "{ let t = 1; if let Some(t) = x { a; } let z = 2; f(t); }",
+            "{ let t = 1; while let Some(t) = x { a; } let z = 2; f(t); }",
+        ] {
+            let l = lex(src);
+            let (block, close) = (first_last(&l, "{").1, first_last(&l, "}").0);
+            let mut locals = Locals::new();
+            walk_bindings(&l, (0, l.tokens.len() - 1), &mut locals, |_, b| {
+                b.names.iter().map(|n| (n.clone(), b.at)).collect()
+            });
+            let at = |text| first_last(&l, text).1;
+            let outer = first_last(&l, "let").0;
+            assert_eq!(locals.find("t", at("f") + 2).map(|t| t.val), Some(outer), "{src}");
+            assert_eq!(locals.find("t", at("a")).map(|t| (t.from, t.until)), Some((block, close)));
+        }
 
         // The loop body is the first `{` at the `for`'s level: the
         // closure's block sits inside the call's parens.

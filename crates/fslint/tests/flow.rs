@@ -120,6 +120,18 @@ fn a_let_rebinding_ends_the_old_taint() {
 }
 
 #[test]
+fn an_if_let_binds_its_names_inside_its_block_only() {
+    // A statement after the block used to make the `if let` read as a
+    // `let` ending at that statement's `;`, rebinding `t` from there on.
+    let findings = flow_findings("if_let_shadow_neg");
+    assert!(findings.is_empty(), "the folded `t` is the outer constant: {findings:?}");
+    let findings = flow_findings("if_let_shadow_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "digest-taint");
+    assert!(findings[0].message.contains("local `t`"), "{}", findings[0].message);
+}
+
+#[test]
 fn a_path_pattern_binds_its_names() {
     // `let Wrap::A(t) = …` binds `t`: the `::` of the path is no type
     // ascription, so the local carries its value's taint.

@@ -16,7 +16,7 @@
 //!   to their current rates"), at the cost of a block map recording where
 //!   every block landed — the paper's bookkeeping trade-off.
 
-use simcore::resource::{apportion, RateProfile};
+use simcore::resource::{apportion, barrier, equal_shares, RateProfile};
 use simcore::time::{SimDuration, SimTime};
 
 use crate::vdisk::MirrorPair;
@@ -54,7 +54,7 @@ pub struct MapEntry {
     pub pair: usize,
 }
 
-/// The outcome of a completed array write.
+/// The outcome of a completed array write, fluid or mechanical.
 #[derive(Clone, Debug)]
 pub struct WriteOutcome {
     /// Time from issue to the last pair finishing.
@@ -63,8 +63,21 @@ pub struct WriteOutcome {
     pub throughput: f64,
     /// Blocks assigned to each pair.
     pub per_pair_blocks: Vec<u64>,
-    /// Where every block landed (adaptive controller only).
+    /// Where every block landed (the fluid adaptive controllers only).
     pub block_map: Option<Vec<MapEntry>>,
+}
+
+impl WriteOutcome {
+    /// The outcome of writing `w` in `elapsed`.
+    pub(crate) fn new(
+        w: Workload,
+        elapsed: SimDuration,
+        per_pair_blocks: Vec<u64>,
+        block_map: Option<Vec<MapEntry>>,
+    ) -> Self {
+        let throughput = w.total_bytes() as f64 / elapsed.as_secs_f64().max(1e-12);
+        WriteOutcome { elapsed, throughput, per_pair_blocks, block_map }
+    }
 }
 
 /// Errors an array write can hit.
@@ -134,27 +147,13 @@ impl Raid10 {
         &self.pairs
     }
 
-    fn outcome(
-        &self,
-        w: Workload,
-        elapsed: SimDuration,
-        per_pair_blocks: Vec<u64>,
-        block_map: Option<Vec<MapEntry>>,
-    ) -> WriteOutcome {
-        let throughput = w.total_bytes() as f64 / elapsed.as_secs_f64().max(1e-12);
-        WriteOutcome { elapsed, throughput, per_pair_blocks, block_map }
-    }
-
     /// Scenario 1: equal static striping (fail-stop design).
     ///
     /// Blocks split evenly; the write completes when the slowest pair
     /// finishes. A pair that absolutely fails before finishing halts the
     /// operation with [`RaidError::PairFailed`].
     pub fn write_static(&self, w: Workload, start: SimTime) -> Result<WriteOutcome, RaidError> {
-        let n = self.n() as u64;
-        let per_pair: Vec<u64> =
-            (0..n).map(|i| w.blocks / n + u64::from(i < w.blocks % n)).collect();
-        self.run_static_assignment(w, start, per_pair)
+        self.run_static_assignment(w, start, equal_shares(w.blocks, self.n()))
     }
 
     /// Scenario 2: proportional static striping.
@@ -183,18 +182,9 @@ impl Raid10 {
         per_pair: Vec<u64>,
     ) -> Result<WriteOutcome, RaidError> {
         debug_assert_eq!(per_pair.iter().sum::<u64>(), w.blocks);
-        let mut elapsed = SimDuration::ZERO;
-        for (i, &blocks) in per_pair.iter().enumerate() {
-            if blocks == 0 {
-                continue;
-            }
-            let bytes = (blocks * w.block_bytes) as f64;
-            match self.profiles[i].time_to_transfer(start, bytes) {
-                Some(t) => elapsed = elapsed.max(t),
-                None => return Err(RaidError::PairFailed { pair: i }),
-            }
-        }
-        Ok(self.outcome(w, elapsed, per_pair, None))
+        let elapsed = barrier(&self.profiles, &per_pair, w.block_bytes as f64, start)
+            .map_err(|pair| RaidError::PairFailed { pair })?;
+        Ok(WriteOutcome::new(w, elapsed, per_pair, None))
     }
 
     /// Scenario 3: adaptive chunked striping with a block map.
@@ -250,7 +240,7 @@ impl Raid10 {
             next_block += chunk_len;
         }
         map.sort_by_key(|e| (e.start, e.pair));
-        Ok(self.outcome(w, finish - start, per_pair_blocks, Some(map)))
+        Ok(WriteOutcome::new(w, finish - start, per_pair_blocks, Some(map)))
     }
 
     /// Scenario 3bis: adaptive chunked striping steered by an external
@@ -335,7 +325,7 @@ impl Raid10 {
             }
         }
         map.sort_by_key(|e| (e.start, e.pair));
-        Ok(self.outcome(w, finish - start, per_pair_blocks, Some(map)))
+        Ok(WriteOutcome::new(w, finish - start, per_pair_blocks, Some(map)))
     }
 }
 

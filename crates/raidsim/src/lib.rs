@@ -51,7 +51,7 @@ pub mod wind;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::controller::{MapEntry, Raid10, RaidError, Workload, WriteOutcome};
-    pub use crate::mech::{MechOutcome, MechPair, MechRaid10};
+    pub use crate::mech::{MechPair, MechRaid10};
     pub use crate::model::{
         scenario1_throughput, scenario1_waste, scenario2_throughput, scenario3_throughput,
     };

@@ -12,9 +12,9 @@
 //! both replicas dead halts the pair.
 
 use blockdev::disk::{Disk, DiskError};
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 
-use crate::controller::{RaidError, Workload};
+use crate::controller::{RaidError, Workload, WriteOutcome};
 
 /// A mirror pair of mechanical disks.
 #[derive(Clone, Debug)]
@@ -60,17 +60,6 @@ impl MechPair {
     }
 }
 
-/// The outcome of a mechanical array write.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MechOutcome {
-    /// Completion time of the whole write.
-    pub elapsed: SimDuration,
-    /// Aggregate throughput, bytes/second.
-    pub throughput: f64,
-    /// Blocks written to each pair.
-    pub per_pair_blocks: Vec<u64>,
-}
-
 /// A RAID-10 array of mechanical mirror pairs.
 #[derive(Clone, Debug)]
 pub struct MechRaid10 {
@@ -96,7 +85,7 @@ impl MechRaid10 {
         w: Workload,
         start: SimTime,
         chunk_blocks: u64,
-    ) -> Result<MechOutcome, RaidError> {
+    ) -> Result<WriteOutcome, RaidError> {
         let mut per_pair = vec![0u64; self.pairs.len()];
         let mut finish = start;
         let mut issued = 0u64;
@@ -112,7 +101,7 @@ impl MechRaid10 {
             issued += len;
             i = (i + 1) % self.pairs.len();
         }
-        Ok(outcome(w, start, finish, per_pair))
+        Ok(WriteOutcome::new(w, finish - start, per_pair, None))
     }
 
     /// Scenario 3 on metal: each chunk goes to the pair that frees up
@@ -122,7 +111,7 @@ impl MechRaid10 {
         w: Workload,
         start: SimTime,
         chunk_blocks: u64,
-    ) -> Result<MechOutcome, RaidError> {
+    ) -> Result<WriteOutcome, RaidError> {
         let mut per_pair = vec![0u64; self.pairs.len()];
         let mut finish = start;
         let mut issued = 0u64;
@@ -149,16 +138,7 @@ impl MechRaid10 {
                 }
             }
         }
-        Ok(outcome(w, start, finish, per_pair))
-    }
-}
-
-fn outcome(w: Workload, start: SimTime, finish: SimTime, per_pair: Vec<u64>) -> MechOutcome {
-    let elapsed = finish - start;
-    MechOutcome {
-        elapsed,
-        throughput: w.total_bytes() as f64 / elapsed.as_secs_f64().max(1e-12),
-        per_pair_blocks: per_pair,
+        Ok(WriteOutcome::new(w, finish - start, per_pair, None))
     }
 }
 
@@ -167,6 +147,7 @@ mod tests {
     use super::*;
     use blockdev::geometry::Geometry;
     use simcore::rng::Stream;
+    use simcore::time::SimDuration;
     use stutter::injector::Injector;
 
     fn pair(seed: u64, slow_factor: Option<f64>) -> MechPair {

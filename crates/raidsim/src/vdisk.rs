@@ -12,7 +12,7 @@
 //!   at the survivor's rate (degraded but correct);
 //! * both disks failed → the pair has absolutely failed.
 
-use simcore::resource::RateProfile;
+use simcore::resource::{union, RateProfile};
 use simcore::time::{SimDuration, SimTime};
 use stutter::component::Component;
 use stutter::injector::Cursor;
@@ -89,25 +89,6 @@ impl MirrorPair {
             .collect();
         RateProfile::from_breakpoints(bps)
     }
-}
-
-/// The instants of two ascending sequences, ascending, each once.
-fn union(
-    a: impl Iterator<Item = SimTime>,
-    b: impl Iterator<Item = SimTime>,
-) -> impl Iterator<Item = SimTime> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || {
-        let next = match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => return None,
-        };
-        a.next_if_eq(&next);
-        b.next_if_eq(&next);
-        Some(next)
-    })
 }
 
 #[cfg(test)]

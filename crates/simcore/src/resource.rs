@@ -8,9 +8,11 @@
 //!   blackout support (e.g. a SCSI bus reset stalls every disk on the chain).
 //! * [`RateProfile`] — a piecewise-constant rate (units/second) over time,
 //!   with exact integration: "how long does it take to move `u` units
-//!   starting at `t`?".
-//! * [`apportion`] — largest-remainder division of work in proportion to
-//!   rates.
+//!   starting at `t`?". A [`Cursor`] reads it forward, and [`union`]
+//!   merges two timelines' instants.
+//! * The §3.2 static placement: [`equal_shares`] and [`apportion`] fix
+//!   each server's share of the work up front, and [`barrier`] ends the
+//!   run when the slowest share finishes.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -82,15 +84,37 @@ impl FcfsServer {
     }
 }
 
-/// A piecewise-constant rate over time, in units per second.
+/// A piecewise-constant rate over time, in units per second: the one
+/// step timeline of the workspace.
 ///
 /// Breakpoints partition time into segments; the rate of the final segment
 /// extends to infinity. Supports exact "transfer time" integration, which is
-/// how time-varying disk and link bandwidths are modelled.
+/// how time-varying disk and link bandwidths are modelled. A fail-stutter
+/// timeline (`stutter`'s `SlowdownProfile`) keeps its multipliers here too.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RateProfile {
     // (segment start, rate). Sorted by start; first entry starts at ZERO.
     segments: Vec<(SimTime, f64)>,
+}
+
+/// Where a forward reader of a [`RateProfile`] left off.
+///
+/// A caller that reads one profile in time order keeps a cursor and hands
+/// it to [`RateProfile::rate_from`] or [`RateProfile::active_from`]. Each
+/// read then steps forward from the segment the previous read landed in,
+/// instead of searching the whole timeline again. Any cursor reads
+/// correctly at any instant: a read behind the cursor, or with a cursor
+/// carried over from another profile, costs a search, never a wrong
+/// answer. A new cursor has no position yet, so its first read searches.
+#[derive(Clone, Copy, Debug)]
+pub struct Cursor {
+    segment: usize,
+}
+
+impl Default for Cursor {
+    fn default() -> Self {
+        Cursor { segment: usize::MAX }
+    }
 }
 
 impl RateProfile {
@@ -100,8 +124,7 @@ impl RateProfile {
     ///
     /// Panics if `rate` is negative or not finite.
     pub fn constant(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate >= 0.0, "invalid rate {rate}");
-        RateProfile { segments: vec![(SimTime::ZERO, rate)] }
+        RateProfile::from_breakpoints(vec![(SimTime::ZERO, rate)])
     }
 
     /// Creates a profile from `(start, rate)` breakpoints.
@@ -122,11 +145,39 @@ impl RateProfile {
         RateProfile { segments: breakpoints }
     }
 
+    /// The `(start, rate)` breakpoints, ascending, the first at time zero.
+    pub fn segments(&self) -> &[(SimTime, f64)] {
+        &self.segments
+    }
+
     /// The instantaneous rate at time `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
-        let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        // The first segment starts at SimTime::ZERO <= t, so idx >= 1.
-        self.segments[idx - 1].1
+        self.rate_from(&mut Cursor::default(), t)
+    }
+
+    /// [`RateProfile::rate_at`] for a caller reading in time order: the
+    /// search for `t` starts at `cursor`, which moves to the segment
+    /// holding `t`.
+    // Inlined into each caller across crates: the metastable trigger,
+    // every link send and every plane observation read through it.
+    #[inline]
+    pub fn rate_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
+        cursor.segment = self.seek(cursor.segment, t);
+        self.segments.get(cursor.segment).map_or(0.0, |&(_, r)| r)
+    }
+
+    /// The earliest instant at or after `t` with a positive rate, or
+    /// `None` if the rate stays zero from `t` on; `cursor` moves to the
+    /// segment holding the returned instant.
+    #[inline]
+    pub fn active_from(&self, cursor: &mut Cursor, t: SimTime) -> Option<SimTime> {
+        if self.rate_from(cursor, t) > 0.0 {
+            return Some(t);
+        }
+        let later = self.segments.get(cursor.segment + 1..).unwrap_or_default();
+        let ahead = later.iter().position(|&(_, r)| r > 0.0)?;
+        cursor.segment += ahead + 1;
+        Some(later[ahead].0)
     }
 
     /// Units transferred over `[from, to]`.
@@ -134,7 +185,7 @@ impl RateProfile {
         assert!(to >= from, "integration bounds out of order");
         let mut total = 0.0;
         let mut cursor = from;
-        let mut idx = self.segments.partition_point(|&(s, _)| s <= from) - 1;
+        let mut idx = self.seek(usize::MAX, from);
         while cursor < to {
             let seg_end = self.segments.get(idx + 1).map_or(SimTime::MAX, |&(s, _)| s).min(to);
             total += self.segments[idx].1 * (seg_end - cursor).as_secs_f64();
@@ -154,7 +205,7 @@ impl RateProfile {
         }
         let mut remaining = units;
         let mut cursor = start;
-        let mut idx = self.segments.partition_point(|&(s, _)| s <= start) - 1;
+        let mut idx = self.seek(usize::MAX, start);
         loop {
             let rate = self.segments[idx].1;
             let seg_end = self.segments.get(idx + 1).map(|&(s, _)| s);
@@ -180,6 +231,57 @@ impl RateProfile {
             }
         }
     }
+
+    /// The segment holding `t`: the index of the last breakpoint at or
+    /// before it. The first segment starts at time zero, so there always
+    /// is one.
+    ///
+    /// The search starts at segment `from`. If that segment starts after
+    /// `t`, or `from` is past the end, it binary-searches the whole list.
+    /// Otherwise it gallops forward: it probes 1, 2, 4, … segments further
+    /// on until a breakpoint lies past `t`, then binary-searches the last
+    /// stride. A read that stays in the segment it started from costs two
+    /// comparisons, and a read `d` segments on costs O(log d).
+    #[inline]
+    fn seek(&self, from: usize, t: SimTime) -> usize {
+        let segs = &self.segments;
+        let mut at = match segs.get(from) {
+            Some(&(start, _)) if start <= t => from,
+            _ => return segs.partition_point(|&(s, _)| s <= t).saturating_sub(1),
+        };
+        let mut stride = 1;
+        while segs.get(at + stride).is_some_and(|&(s, _)| s <= t) {
+            at += stride;
+            stride *= 2;
+        }
+        if stride == 1 {
+            return at; // still in the segment the search started from
+        }
+        // Now segs[at] starts at or before t, and segs[at + stride] (if
+        // any) after it.
+        let stride_end = segs.len().min(at + stride);
+        let within = segs.get(at + 1..stride_end).unwrap_or_default();
+        at + within.partition_point(|&(s, _)| s <= t)
+    }
+}
+
+/// The instants of two ascending sequences, ascending, each once.
+pub fn union(
+    a: impl Iterator<Item = SimTime>,
+    b: impl Iterator<Item = SimTime>,
+) -> impl Iterator<Item = SimTime> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => return None,
+        };
+        a.next_if_eq(&next);
+        b.next_if_eq(&next);
+        Some(next)
+    })
 }
 
 /// Splits `total` work items over servers in proportion to `weights`
@@ -210,6 +312,33 @@ pub fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
         left -= 1;
     }
     out
+}
+
+/// Splits `total` work items equally over `n` servers: each gets
+/// `total / n`, and the first `total % n` servers one more.
+pub fn equal_shares(total: u64, n: usize) -> Vec<u64> {
+    let n = n as u64;
+    (0..n).map(|i| total / n + u64::from(i < total % n)).collect()
+}
+
+/// Runs a static placement to its barrier: server `i` moves
+/// `shares[i] · unit` units on `profiles[i]` from `start`, and the run
+/// lasts until the slowest share finishes. A server with no share is
+/// skipped. Returns that duration, or the index of the first server
+/// whose share never finishes.
+pub fn barrier(
+    profiles: &[RateProfile],
+    shares: &[u64],
+    unit: f64,
+    start: SimTime,
+) -> Result<SimDuration, usize> {
+    let mut slowest = SimDuration::ZERO;
+    for (i, (profile, &share)) in profiles.iter().zip(shares).enumerate() {
+        if share > 0 {
+            slowest = slowest.max(profile.time_to_transfer(start, share as f64 * unit).ok_or(i)?);
+        }
+    }
+    Ok(slowest)
 }
 
 #[cfg(test)]
@@ -279,6 +408,20 @@ mod tests {
         ]);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 100.0), None);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 10.0), Some(SimDuration::from_secs(1)));
+    }
+
+    #[test]
+    fn cursor_reads_equal_random_access_in_any_order() {
+        // Rate s from second s on: a read d seconds on gallops d segments.
+        let steps = (0..64).map(|s| (SimTime::from_secs(s), s as f64)).collect();
+        let p = RateProfile::from_breakpoints(steps);
+        let mut cursor = Cursor::default();
+        for s in [0, 0, 1, 2, 3, 5, 8, 12, 13, 20, 40, 39, 2, 63, 70, 10] {
+            let t = SimTime::from_secs(s);
+            assert_eq!(p.rate_from(&mut cursor, t), s.min(63) as f64, "at {s} s");
+        }
+        assert_eq!(p.active_from(&mut cursor, SimTime::ZERO), Some(SimTime::from_secs(1)));
+        assert_eq!(p.rate_from(&mut cursor, SimTime::from_secs(1)), 1.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! always produces the same fault timeline.
 
 use simcore::dist::{Distribution, Exponential, TwoPoint, Uniform};
-use simcore::resource::{FcfsServer, Grant, RateProfile};
+use simcore::resource::{union, FcfsServer, Grant, RateProfile};
 use simcore::rng::Stream;
 use simcore::time::{SimDuration, SimTime};
 
@@ -89,39 +89,22 @@ impl FactorDist {
 }
 
 /// A component's performance timeline: a piecewise-constant speed multiplier
-/// plus an optional permanent fail-stop instant.
+/// (a [`RateProfile`] with every rate in `[0, 1]`, read through its
+/// [`Cursor`]) plus an optional permanent fail-stop instant.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlowdownProfile {
-    // (segment start, multiplier); first entry at time zero, starts sorted.
-    segments: Vec<(SimTime, f64)>,
+    steps: RateProfile,
     fail_at: Option<SimTime>,
 }
 
-/// Where a forward reader of a [`SlowdownProfile`] left off.
-///
-/// A caller that reads one profile in time order keeps a cursor and hands
-/// it to [`SlowdownProfile::multiplier_from`],
-/// [`SlowdownProfile::next_active_from`] or [`SlowdownProfile::serve`].
-/// Each read then steps forward from the segment the previous read landed
-/// in, instead of searching the whole timeline again. Any cursor reads correctly at any instant: a read
-/// behind the cursor, or with a cursor carried over from another profile,
-/// costs a search, never a wrong answer. A new cursor has no position yet,
-/// so its first read searches.
-#[derive(Clone, Copy, Debug)]
-pub struct Cursor {
-    segment: usize,
-}
-
-impl Default for Cursor {
-    fn default() -> Self {
-        Cursor { segment: usize::MAX }
-    }
-}
+/// Where a forward reader of a [`SlowdownProfile`] left off: the
+/// [`RateProfile`] cursor over its multipliers.
+pub use simcore::resource::Cursor;
 
 impl SlowdownProfile {
     /// A profile that always runs at full speed.
     pub fn nominal() -> Self {
-        SlowdownProfile { segments: vec![(SimTime::ZERO, 1.0)], fail_at: None }
+        SlowdownProfile { steps: RateProfile::constant(1.0), fail_at: None }
     }
 
     /// Builds a profile from raw `(start, multiplier)` breakpoints.
@@ -131,15 +114,10 @@ impl SlowdownProfile {
     /// Panics if empty, unsorted, not starting at zero, or if a multiplier
     /// is outside `[0, 1]`.
     pub fn from_breakpoints(segments: Vec<(SimTime, f64)>) -> Self {
-        assert!(!segments.is_empty(), "profile needs at least one segment");
-        assert_eq!(segments[0].0, SimTime::ZERO, "first segment must start at zero");
-        for w in segments.windows(2) {
-            assert!(w[0].0 < w[1].0, "breakpoints must be strictly increasing");
-        }
         for &(_, m) in &segments {
             assert!((0.0..=1.0).contains(&m), "multiplier {m} out of [0,1]");
         }
-        SlowdownProfile { segments, fail_at: None }
+        SlowdownProfile { steps: RateProfile::from_breakpoints(segments), fail_at: None }
     }
 
     /// Marks the component as permanently failed from `t` on.
@@ -169,16 +147,17 @@ impl SlowdownProfile {
     /// [`SlowdownProfile::multiplier_at`] for a caller reading in time
     /// order: the search for `t` starts at `cursor`, which moves to the
     /// segment holding `t`.
+    #[inline]
     pub fn multiplier_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
         if self.failed_at(t) {
             return 0.0;
         }
-        self.raw_multiplier_from(cursor, t)
+        self.steps.rate_from(cursor, t)
     }
 
     /// The raw segments (excluding the failure cut-off).
     pub fn segments(&self) -> &[(SimTime, f64)] {
-        &self.segments
+        self.steps.segments()
     }
 
     /// The earliest instant at or after `t` with a positive multiplier
@@ -191,24 +170,12 @@ impl SlowdownProfile {
     /// [`SlowdownProfile::next_active`] for a caller reading in time
     /// order: the search for `t` starts at `cursor`, which moves to the
     /// segment holding the returned instant.
+    #[inline]
     pub fn next_active_from(&self, cursor: &mut Cursor, t: SimTime) -> Option<SimTime> {
         if self.failed_at(t) {
             return None;
         }
-        if self.raw_multiplier_from(cursor, t) > 0.0 {
-            return Some(t);
-        }
-        let later = self.segments.get(cursor.segment + 1..).unwrap_or_default();
-        for (ahead, &(start, m)) in later.iter().enumerate() {
-            if self.failed_at(start) {
-                return None;
-            }
-            if m > 0.0 {
-                cursor.segment += ahead + 1;
-                return Some(start);
-            }
-        }
-        None
+        self.steps.active_from(cursor, t).filter(|&at| !self.failed_at(at))
     }
 
     /// The stuttering-FIFO service rule: serves a request arriving at
@@ -240,122 +207,40 @@ impl SlowdownProfile {
         Some(server.serve(now, service(m)))
     }
 
-    /// The multiplier of the segment holding `t`, ignoring the failure
-    /// cut-off; `cursor` moves to that segment.
-    fn raw_multiplier_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
-        cursor.segment = self.seek(cursor.segment, t);
-        self.segments.get(cursor.segment).map_or(0.0, |&(_, m)| m)
-    }
-
-    /// The segment holding `t`: the index of the last breakpoint at or
-    /// before it. The first segment starts at time zero, so there always
-    /// is one.
-    ///
-    /// The search starts at segment `from`. If that segment starts after
-    /// `t`, or `from` is past the end, it binary-searches the whole list.
-    /// Otherwise it gallops forward: it probes 1, 2, 4, … segments further
-    /// on until a breakpoint lies past `t`, then binary-searches the last
-    /// stride. A read that stays in the segment it started from costs two
-    /// comparisons, and a read `d` segments on costs O(log d).
-    fn seek(&self, from: usize, t: SimTime) -> usize {
-        let segs = &self.segments;
-        let mut at = match segs.get(from) {
-            Some(&(start, _)) if start <= t => from,
-            _ => return segs.partition_point(|&(s, _)| s <= t).saturating_sub(1),
-        };
-        let mut stride = 1;
-        while segs.get(at + stride).is_some_and(|&(s, _)| s <= t) {
-            at += stride;
-            stride *= 2;
-        }
-        if stride == 1 {
-            return at; // still in the segment the search started from
-        }
-        // Now segs[at] starts at or before t, and segs[at + stride] (if
-        // any) after it.
-        let stride_end = segs.len().min(at + stride);
-        let within = segs.get(at + 1..stride_end).unwrap_or_default();
-        at + within.partition_point(|&(s, _)| s <= t)
-    }
-
     /// Converts to an absolute [`RateProfile`] for a component whose
     /// nominal speed is `nominal` units/second. A permanent failure becomes
     /// a zero-rate tail.
     pub fn to_rate_profile(&self, nominal: f64) -> RateProfile {
-        let mut bps: Vec<(SimTime, f64)> = Vec::new();
-        for &(start, m) in &self.segments {
-            if let Some(f) = self.fail_at {
-                if start >= f {
-                    break;
-                }
-            }
-            bps.push((start, nominal * m));
-        }
-        if let Some(f) = self.fail_at {
-            match bps.last() {
-                Some(&(last, _)) if last == f => {
-                    let i = bps.len() - 1;
-                    bps[i].1 = 0.0;
-                }
-                _ => bps.push((f, 0.0)),
-            }
-        }
+        let fail = self.fail_at.unwrap_or(SimTime::MAX);
+        let live = self.segments().iter().take_while(|&&(start, _)| start < fail);
+        let mut bps: Vec<(SimTime, f64)> = live.map(|&(start, m)| (start, nominal * m)).collect();
+        bps.extend(self.fail_at.map(|f| (f, 0.0)));
         RateProfile::from_breakpoints(bps)
     }
 
     /// Pointwise product of two profiles (a component subject to both).
     pub fn compose(&self, other: &SlowdownProfile) -> SlowdownProfile {
-        let mut times: Vec<SimTime> = self
-            .segments
-            .iter()
-            .map(|&(t, _)| t)
-            .chain(other.segments.iter().map(|&(t, _)| t))
-            .collect();
-        times.sort_unstable();
-        times.dedup();
+        let (a, b) = (self.segments().iter(), other.segments().iter());
         let (mut mine, mut theirs) = (Cursor::default(), Cursor::default());
-        let segments = times
-            .into_iter()
+        let segments = union(a.map(|&(t, _)| t), b.map(|&(t, _)| t))
             .map(|t| {
-                let m = self.raw_multiplier_from(&mut mine, t);
-                (t, m * other.raw_multiplier_from(&mut theirs, t))
+                let m = self.steps.rate_from(&mut mine, t);
+                (t, m * other.steps.rate_from(&mut theirs, t))
             })
             .collect();
         let fail_at = match (self.fail_at, other.fail_at) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        SlowdownProfile { segments, fail_at }
+        SlowdownProfile { steps: RateProfile::from_breakpoints(segments), fail_at }
     }
 
     /// The time-average multiplier over `[ZERO, horizon]` (failure counts
     /// as zero speed).
     pub fn mean_multiplier(&self, horizon: SimDuration) -> f64 {
         let end = SimTime::ZERO + horizon;
-        let mut total = 0.0;
-        let mut cursor = SimTime::ZERO;
-        for i in 0..self.segments.len() {
-            let seg_start = self.segments[i].0;
-            if seg_start >= end {
-                break;
-            }
-            let seg_end = self.segments.get(i + 1).map_or(end, |&(s, _)| s.min(end));
-            let mut a = seg_start.max(cursor);
-            let mut m = self.segments[i].1;
-            // Split the segment at the failure instant if it falls inside.
-            if let Some(f) = self.fail_at {
-                if f <= a {
-                    m = 0.0;
-                } else if f < seg_end {
-                    total += m * (f - a).as_secs_f64();
-                    a = f;
-                    m = 0.0;
-                }
-            }
-            total += m * (seg_end - a).as_secs_f64();
-            cursor = seg_end;
-        }
-        total / horizon.as_secs_f64()
+        let running = self.fail_at.map_or(end, |f| f.min(end));
+        self.steps.integrate(SimTime::ZERO, running) / horizon.as_secs_f64()
     }
 }
 
