@@ -18,7 +18,7 @@ use perfplane::prelude::*;
 use raidsim::oracle as roracle;
 use raidsim::prelude::*;
 use simcore::prelude::*;
-use simcore::resource::RateProfile;
+use simcore::resource::{Cursor, RateProfile};
 use stutter::catalog;
 use stutter::oracle as soracle;
 use stutter::prelude::*;
@@ -435,25 +435,8 @@ fn run_detection(
 /// may land on the faulty consumer just as its worst stall begins, so allow
 /// one longest stall plus one item at the slowest positive rate.
 fn pull_slack(profile: &SlowdownProfile, cfg: &CampaignConfig, window: SimDuration) -> SimDuration {
-    let end = SimTime::ZERO + window;
-    let segs = profile.segments();
-    let mut longest_zero = SimDuration::ZERO;
-    let mut zero_run_start: Option<SimTime> = None;
-    let mut min_pos = 1.0f64;
-    for (i, &(start, m)) in segs.iter().enumerate() {
-        if start > end {
-            break;
-        }
-        let seg_end = segs.get(i + 1).map_or(end, |&(s, _)| s).min(end);
-        if m <= 0.0 {
-            let run_start = *zero_run_start.get_or_insert(start);
-            longest_zero = longest_zero.max(seg_end.saturating_since(run_start));
-        } else {
-            zero_run_start = None;
-            min_pos = min_pos.min(m);
-        }
-    }
-    let item_secs = cfg.item_units / (cfg.nominal * min_pos);
+    let (longest_zero, slowest) = profile.zero_runs_before(SimTime::ZERO + window);
+    let item_secs = cfg.item_units / (cfg.nominal * slowest.unwrap_or(1.0));
     longest_zero + SimDuration::from_secs_f64(item_secs)
 }
 
@@ -669,13 +652,18 @@ fn run_plane_cell(
 
     // fslint: allow(panic-path) — run_plane asserts n >= 2 and returns exactly one view per node
     let consumer = &fresh.views[n - 1];
-    let mut est =
-        |i: usize, at: SimTime| consumer.estimated_rate(ComponentId(i as u32), at, nominal);
+    // The planner asks each pair's rate at instants that never decrease,
+    // so one cursor per pair reads its history forward.
+    let mut cursors = vec![Cursor::default(); n];
+    let mut est = |i: usize, at: SimTime| {
+        consumer.estimated_rate_from(&mut cursors[i], ComponentId(i as u32), at, nominal)
+    };
     let planned = array.write_estimated(w, write_at, cfg.chunk_blocks, &mut est);
     // fslint: allow(panic-path) — run_plane asserts n >= 2 and returns exactly one view per node
     let degraded_consumer = &degraded.views[n - 1];
+    let mut cursors = vec![Cursor::default(); n];
     let mut est_deg = |i: usize, at: SimTime| {
-        degraded_consumer.estimated_rate(ComponentId(i as u32), at, nominal)
+        degraded_consumer.estimated_rate_from(&mut cursors[i], ComponentId(i as u32), at, nominal)
     };
     let planned_degraded = array.write_estimated(w, write_at, cfg.chunk_blocks, &mut est_deg);
     let omniscient = array.write_adaptive(w, write_at, cfg.chunk_blocks);

@@ -183,6 +183,24 @@ impl<T> Locals<T> {
         }
     }
 
+    /// Hides every binding of `name` live across token `from` for the
+    /// tokens `from..until`: the binding ends at `from`, and a copy of it
+    /// resumes at `until`.
+    pub fn hide(&mut self, name: &str, from: usize, until: usize)
+    where
+        T: Clone,
+    {
+        let mut resumed = Vec::new();
+        for l in self.0.iter_mut().filter(|l| l.name == name && l.from < from && from < l.until) {
+            if until < l.until {
+                let (name, val) = (l.name.clone(), l.val.clone());
+                resumed.push(Local { name, from: until, until: l.until, val });
+            }
+            l.until = from;
+        }
+        self.0.extend(resumed);
+    }
+
     /// The latest binding of `name` live at token `at`.
     pub fn find(&self, name: &str, at: usize) -> Option<&Local<T>> {
         self.0.iter().rev().find(|l| l.name == name && l.from <= at && at <= l.until)
@@ -209,8 +227,9 @@ pub(crate) struct Binding {
 /// returns the values the binding's names take; each is bound from the
 /// `let`'s `;` (or the loop body's `{`) on, and an `if let`'s or `while
 /// let`'s only inside its block. A `let` rebinding ends the old local's
-/// range whether or not the new one has a value.
-pub(crate) fn walk_bindings<T>(
+/// range, and an `if let`'s or `while let`'s names hide it inside the
+/// block, whether or not the new binding has a value.
+pub(crate) fn walk_bindings<T: Clone>(
     lexed: &Lexed,
     body: (usize, usize),
     locals: &mut Locals<T>,
@@ -236,8 +255,10 @@ pub(crate) fn walk_bindings<T>(
                 if !names.is_empty() {
                     let b = Binding { at: i, is_let: true, names, ty, rhs: (eq + 1, from - 1) };
                     let vals = bind(locals, &b);
-                    if !scoped {
-                        for name in &b.names {
+                    for name in &b.names {
+                        if scoped {
+                            locals.hide(name, from, until);
+                        } else {
                             locals.end(name, from, |_| false);
                         }
                     }

@@ -12,8 +12,11 @@
 //! * The fixture pin digests the text report, the JSON report and the
 //!   `--graph-out` export of every fixture file linted alone (from the
 //!   workspace root, as `fs-lint FILE` does) and of every fixture
-//!   directory linted as a root (as `fs-lint --root DIR` does). The
-//!   fixture tests assert chosen findings; this pin sees every byte.
+//!   directory that scans a file when linted as a root (as `fs-lint
+//!   --root DIR` does). A directory with no `crates/`, `src/`, `tests/`
+//!   or `examples/` under it scans nothing, and every such one reports
+//!   the same empty scan, so the pin skips them. The fixture tests assert
+//!   chosen findings; this pin sees every byte.
 //!
 //! All three are FNV-1a 64. The graph pin equals the digest of the file
 //! that `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
@@ -33,9 +36,11 @@ const GOLDEN_CORPUS_GRAPH: u64 = 0x97a3_684f_362b_7764;
 /// Files the corpus holds.
 const CORPUS_FILES: usize = 151;
 /// Digest of every fixture file's and fixture directory's lint outputs.
-const GOLDEN_FIXTURE_OUTPUTS: u64 = 0x1126_fc72_dac5_9aea;
+const GOLDEN_FIXTURE_OUTPUTS: u64 = 0xe3e8_bfe8_d669_4b24;
 /// Fixture files and fixture directories (the fixtures root included).
-const FIXTURE_TREE: (usize, usize) = (88, 210);
+const FIXTURE_TREE: (usize, usize) = (90, 218);
+/// Fixture directories that scan at least one file as a root.
+const FIXTURE_ROOTS_SCANNING: usize = 106;
 
 fn corpus() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/corpus")
@@ -112,7 +117,12 @@ fn fixture_outputs_are_pinned() {
     assert_eq!((files.len(), dirs.len()), FIXTURE_TREE);
     let cfg = Config { graph_json: true, jobs: Some(1), ..Config::default() };
     let alone = files.iter().map(|f| (f, lint_paths(&workspace, std::slice::from_ref(f), &cfg)));
-    let as_root = dirs.iter().map(|d| (d, lint_workspace(d, &cfg)));
+    let as_root: Vec<_> = dirs
+        .iter()
+        .map(|d| (d, lint_workspace(d, &cfg)))
+        .filter(|(_, report)| report.files_scanned > 0)
+        .collect();
+    assert_eq!(as_root.len(), FIXTURE_ROOTS_SCANNING);
     let mut h = FNV_START;
     for (input, report) in alone.chain(as_root) {
         let name = input.strip_prefix(&fixtures).expect("a fixture path").to_string_lossy();

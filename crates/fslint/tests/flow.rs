@@ -132,6 +132,18 @@ fn an_if_let_binds_its_names_inside_its_block_only() {
 }
 
 #[test]
+fn an_if_let_name_hides_the_outer_local_even_without_taint() {
+    // The `if let` binds `t` to an untainted constant: inside its block
+    // the name is that constant, though it carries no taint to record.
+    let findings = flow_findings("if_let_untainted_shadow_neg");
+    assert!(findings.is_empty(), "the folded `t` is the `if let`'s constant: {findings:?}");
+    let findings = flow_findings("if_let_untainted_shadow_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "digest-taint");
+    assert!(findings[0].message.contains("local `t`"), "{}", findings[0].message);
+}
+
+#[test]
 fn a_path_pattern_binds_its_names() {
     // `let Wrap::A(t) = …` binds `t`: the `::` of the path is no type
     // ascription, so the local carries its value's taint.

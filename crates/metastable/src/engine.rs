@@ -54,9 +54,6 @@ pub struct Config {
     pub dt: SimDuration,
     /// Run length.
     pub horizon: SimDuration,
-    /// Extra open-arrival requests/second (timeout applies, but no
-    /// retries and no think loop).
-    pub open_per_sec: f64,
     /// Start collapsed: every client issues at t = 0 instead of being
     /// staggered over one think time — the recovery side of the
     /// hysteresis sweep.
@@ -89,7 +86,6 @@ impl Config {
             queue_cap: 20_000,
             dt: SimDuration::from_millis(50),
             horizon: SimDuration::from_secs(450),
-            open_per_sec: 0.0,
             initial_burst: false,
         }
     }
@@ -231,7 +227,8 @@ pub struct Totals {
     pub issued_fresh: u64,
     /// Retry attempts issued by closed-loop clients.
     pub issued_retry: u64,
-    /// Open-arrival requests issued.
+    /// Always 0: the engine has no open-arrival stream. Kept because
+    /// the benchmark's replay adds it to the attempt count.
     pub issued_open: u64,
     /// Requests fast-failed by the circuit breaker.
     pub rejected_breaker: u64,
@@ -243,24 +240,18 @@ pub struct Totals {
     pub admitted: u64,
     /// Closed-loop requests served before their issuer's deadline.
     pub served_live: u64,
-    /// Open-arrival requests served before their deadline.
-    pub served_open: u64,
     /// Requests served after their issuer gave up (wasted work).
     pub served_orphan: u64,
     /// Orphaned requests discarded unserved by age shedding.
     pub dropped_expired: u64,
     /// Closed-loop requests whose issuer timed out waiting.
     pub timeouts: u64,
-    /// Open-arrival requests that timed out waiting.
-    pub open_timeouts: u64,
     /// Retries granted and scheduled (after budget clamping).
     pub retries_scheduled: u64,
     /// Operations abandoned (retries exhausted or budget-refused).
     pub gave_up: u64,
     /// Live closed-loop requests still queued at the horizon.
     pub queue_live_end: u64,
-    /// Live open-arrival requests still queued at the horizon.
-    pub queue_open_end: u64,
     /// Orphaned requests still queued at the horizon.
     pub queue_orphan_end: u64,
     /// Clients still waiting out a backoff at the horizon.
@@ -300,7 +291,7 @@ impl RunTrace {
 
     /// Total live requests served.
     pub fn total_goodput(&self) -> u64 {
-        self.totals.served_live + self.totals.served_open
+        self.totals.served_live
     }
 
     /// Degraded (trigger) span in whole seconds `(first, last)`, if the
@@ -331,7 +322,6 @@ struct Engine<'a> {
     backoff_wheel: TickWheel,
     jitter: Stream,
     credit: f64,
-    open_acc: f64,
     tick: u64,
     timeout_ticks: u64,
     think_ticks: u64,
@@ -394,7 +384,6 @@ impl<'a> Engine<'a> {
             backoff_wheel: TickWheel::new(cfg.backoff_wheel_ticks(), retry_columns),
             jitter: rng.derive("meta-jitter"),
             credit: 0.0,
-            open_acc: 0.0,
             tick: 0,
             timeout_ticks,
             think_ticks,
@@ -418,6 +407,8 @@ impl<'a> Engine<'a> {
     /// Spreads `n` clients' next fresh issues over a few ticks starting
     /// one think time after `t` (a seeded phase picks the remainder slot
     /// so lockstep cohorts de-correlate across replicates).
+    // Inlined into `step`: every tick schedules its served clients' thinks.
+    #[inline]
     fn schedule_think(&mut self, t: u64, n: u64) {
         if n == 0 {
             return;
@@ -456,20 +447,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Admits one issuing batch through breaker → shed → capacity, in
-    /// that order, routing rejected closed-loop clients to the retry
-    /// path.
+    /// that order, routing rejected clients to the retry path.
     fn admit(
         &mut self,
         t: u64,
         attempt: u32,
         n: u64,
-        open: bool,
         shed: Option<ShedConfig>,
         admit_left: &mut Option<u64>,
     ) {
-        if open {
-            self.totals.issued_open += n;
-        } else if attempt > 1 {
+        if attempt > 1 {
             self.totals.issued_retry += n;
         } else {
             self.totals.issued_fresh += n;
@@ -503,17 +490,10 @@ impl<'a> Engine<'a> {
         }
         if remaining > 0 {
             self.totals.admitted += remaining;
-            self.queue.push(Cohort {
-                deadline_tick: t + self.timeout_ticks,
-                attempt,
-                remaining,
-                open,
-            });
-            if !open {
-                self.waiting += remaining;
-            }
+            self.queue.push(Cohort { deadline_tick: t + self.timeout_ticks, attempt, remaining });
+            self.waiting += remaining;
         }
-        if rejected > 0 && !open {
+        if rejected > 0 {
             self.fail_path(t, attempt, rejected);
         }
     }
@@ -551,56 +531,45 @@ impl<'a> Engine<'a> {
         if self.queue.depth() == 0 {
             self.credit = self.credit.min(1.0);
         }
-        self.totals.served_live += served.live_closed;
-        self.totals.served_open += served.live_open;
+        self.totals.served_live += served.live;
         self.totals.served_orphan += served.orphan;
         self.totals.dropped_expired += served.dropped_expired;
         if let Some(b) = &mut self.breaker {
-            b.record(served.live_closed + served.live_open, 0);
+            b.record(served.live, 0);
         }
         if let Some(bud) = &mut self.budget {
-            bud.deposit(served.live_closed);
+            bud.deposit(served.live);
         }
-        self.waiting -= served.live_closed;
-        self.schedule_think(t, served.live_closed);
+        self.waiting -= served.live;
+        self.schedule_think(t, served.live);
 
         // Timeouts: unserved remainders orphan, issuers retry or give up.
         while let Some(e) = self.queue.expire_next(t) {
             if let Some(b) = &mut self.breaker {
                 b.record(0, e.count);
             }
-            if e.open {
-                self.totals.open_timeouts += e.count;
-            } else {
-                self.totals.timeouts += e.count;
-                self.waiting -= e.count;
-                self.fail_path(t, e.attempt, e.count);
-            }
+            self.totals.timeouts += e.count;
+            self.waiting -= e.count;
+            self.fail_path(t, e.attempt, e.count);
         }
 
-        // Issue: retries (ascending attempt), then fresh, then open.
+        // Issue: retries (ascending attempt), then fresh.
         let mut admit_left = self.breaker.as_ref().and_then(|b| b.admit_limit());
         for attempt in 2..=self.cfg.policy.max_attempts {
             let count = self.backoff_wheel.take(t, attempt as usize - 2);
             if count > 0 {
                 self.in_backoff -= count;
-                self.admit(t, attempt, count, false, shed, &mut admit_left);
+                self.admit(t, attempt, count, shed, &mut admit_left);
             }
         }
         let fresh = self.think_wheel.take(t, 0);
         if fresh > 0 {
             self.in_think -= fresh;
-            self.admit(t, 1, fresh, false, shed, &mut admit_left);
-        }
-        self.open_acc += self.cfg.open_per_sec * self.dt_secs;
-        let n_open = self.open_acc as u64;
-        if n_open > 0 {
-            self.open_acc -= n_open as f64;
-            self.admit(t, 1, n_open, true, shed, &mut admit_left);
+            self.admit(t, 1, fresh, shed, &mut admit_left);
         }
 
         // Record.
-        self.trace.goodput.push(served.live_closed + served.live_open);
+        self.trace.goodput.push(served.live);
         assert!(
             self.waiting + self.in_backoff + self.in_think == self.cfg.population,
             "client conservation broken at tick {t}"
@@ -609,10 +578,9 @@ impl<'a> Engine<'a> {
     }
 
     fn finish(mut self) -> RunTrace {
-        let (live, open, orphan) = self.queue.census();
+        let (live, orphan) = self.queue.census();
         debug_assert_eq!(self.waiting, live, "waiting clients must equal live queued requests");
         self.totals.queue_live_end = live;
-        self.totals.queue_open_end = open;
         self.totals.queue_orphan_end = orphan;
         self.totals.backoff_end = self.in_backoff;
         self.totals.think_end = self.in_think;
@@ -663,7 +631,6 @@ mod tests {
             queue_cap: 600,
             dt: SimDuration::from_millis(50),
             horizon: SimDuration::from_secs(120),
-            open_per_sec: 0.0,
             initial_burst: false,
         }
     }
@@ -809,8 +776,7 @@ mod tests {
         let mut rng = Stream::from_seed(7).derive("meta-engine-test-capacity");
         let cfg = small();
         let tr = run(&cfg, &outage(30, 10), Mitigation::None, &mut rng);
-        let served =
-            (tr.totals.served_live + tr.totals.served_open + tr.totals.served_orphan) as f64;
+        let served = (tr.totals.served_live + tr.totals.served_orphan) as f64;
         assert!(served <= tr.totals.capacity_credit + 1.0);
     }
 

@@ -113,7 +113,7 @@ pub fn predict_vulnerable(cfg: &Config) -> bool {
         cfg.population as f64 * attempts / cycle
     } else {
         cfg.population as f64 / (timeout + think)
-    } + cfg.open_per_sec;
+    };
     let deep_enough = cfg.queue_cap as f64 > cfg.service_rate * timeout;
     collapsed_rate >= cfg.service_rate && deep_enough
 }
@@ -189,7 +189,7 @@ pub fn assess(cfg: &Config, trace: &RunTrace, params: &OracleParams) -> Assessme
 /// Request- and client-conservation audit over the run totals.
 pub fn check_conservation(cfg: &Config, trace: &RunTrace) -> Result<(), Violation> {
     let t = &trace.totals;
-    let issued = t.issued_fresh + t.issued_retry + t.issued_open;
+    let issued = t.issued_fresh + t.issued_retry;
     let rejected = t.rejected_breaker + t.rejected_shed + t.rejected_cap;
     if issued != t.admitted + rejected {
         return Err(Violation {
@@ -197,13 +197,8 @@ pub fn check_conservation(cfg: &Config, trace: &RunTrace) -> Result<(), Violatio
             detail: format!("issued {issued} != admitted {} + rejected {rejected}", t.admitted),
         });
     }
-    let drained = t.served_live
-        + t.served_open
-        + t.served_orphan
-        + t.dropped_expired
-        + t.queue_live_end
-        + t.queue_open_end
-        + t.queue_orphan_end;
+    let drained =
+        t.served_live + t.served_orphan + t.dropped_expired + t.queue_live_end + t.queue_orphan_end;
     if t.admitted != drained {
         return Err(Violation {
             oracle: "meta-conservation",
@@ -211,13 +206,10 @@ pub fn check_conservation(cfg: &Config, trace: &RunTrace) -> Result<(), Violatio
         });
     }
     let orphans = t.served_orphan + t.dropped_expired + t.queue_orphan_end;
-    if t.timeouts + t.open_timeouts != orphans {
+    if t.timeouts != orphans {
         return Err(Violation {
             oracle: "meta-conservation",
-            detail: format!(
-                "timeouts {} + open {} != orphan dispositions {orphans}",
-                t.timeouts, t.open_timeouts
-            ),
+            detail: format!("timeouts {} != orphan dispositions {orphans}", t.timeouts),
         });
     }
     if t.retries_scheduled != t.issued_retry + t.backoff_end {
@@ -242,7 +234,7 @@ pub fn check_conservation(cfg: &Config, trace: &RunTrace) -> Result<(), Violatio
 /// Served work never exceeds the capacity that was actually available.
 pub fn check_capacity(trace: &RunTrace) -> Result<(), Violation> {
     let t = &trace.totals;
-    let served = (t.served_live + t.served_open + t.served_orphan) as f64;
+    let served = (t.served_live + t.served_orphan) as f64;
     if served > t.capacity_credit + 1.0 {
         return Err(Violation {
             oracle: "meta-capacity",
@@ -349,7 +341,6 @@ mod tests {
             queue_cap: 2_000,
             dt: SimDuration::from_millis(50),
             horizon: SimDuration::from_secs(450),
-            open_per_sec: 0.0,
             initial_burst: false,
         }
     }

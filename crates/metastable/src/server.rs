@@ -22,17 +22,13 @@ pub struct Cohort {
     pub attempt: u32,
     /// Requests of the batch still queued.
     pub remaining: u64,
-    /// Whether the batch came from the open-arrival stream.
-    pub open: bool,
 }
 
 /// One tick of service, split by request disposition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Served {
-    /// Closed-loop requests served before their issuer's deadline.
-    pub live_closed: u64,
-    /// Open-arrival requests served before their deadline.
-    pub live_open: u64,
+    /// Requests served before their issuer's deadline.
+    pub live: u64,
     /// Orphaned requests served after their issuer gave up (pure waste).
     pub orphan: u64,
     /// Orphaned requests discarded unserved by age-based shedding.
@@ -46,8 +42,6 @@ pub struct Expired {
     pub attempt: u32,
     /// How many requests timed out.
     pub count: u64,
-    /// Whether the cohort came from the open-arrival stream.
-    pub open: bool,
 }
 
 /// Bounded FIFO queue of request cohorts.
@@ -102,6 +96,9 @@ impl ServerQueue {
     /// With `drop_expired`, orphaned cohorts at the head are discarded
     /// without consuming credit (age-based shedding: a request whose
     /// issuer already gave up is pure waste, and rejecting is cheap).
+    // Inlined into the metastable tick, which runs it once per tick; out
+    // of line it also returned its `Served` through the stack.
+    #[inline]
     pub fn serve(&mut self, credit: &mut f64, drop_expired: bool) -> Served {
         let mut out = Served::default();
         while let Some(c) = self.cohorts.front_mut() {
@@ -122,10 +119,8 @@ impl ServerQueue {
             self.depth -= k;
             if orphan {
                 out.orphan += k;
-            } else if c.open {
-                out.live_open += k;
             } else {
-                out.live_closed += k;
+                out.live += k;
             }
             if c.remaining > 0 {
                 break; // credit exhausted mid-cohort
@@ -145,27 +140,22 @@ impl ServerQueue {
     /// cohort is due. Call it until `None` each tick; cohorts fully
     /// served before their deadline have left the queue and produce
     /// nothing.
+    // Inlined into the metastable tick, which calls it until `None` on
+    // every tick.
+    #[inline]
     pub fn expire_next(&mut self, tick: u64) -> Option<Expired> {
         let c = self.cohorts.get(self.orphaned)?;
         if c.deadline_tick > tick {
             return None;
         }
         self.orphaned += 1;
-        Some(Expired { attempt: c.attempt, count: c.remaining, open: c.open })
+        Some(Expired { attempt: c.attempt, count: c.remaining })
     }
 
-    /// Final queue census: (live closed, live open, orphaned) requests.
-    pub fn census(&self) -> (u64, u64, u64) {
+    /// Final queue census: (live, orphaned) requests.
+    pub fn census(&self) -> (u64, u64) {
         let orphan = self.cohorts.iter().take(self.orphaned).map(|c| c.remaining).sum();
-        let (mut live_closed, mut live_open) = (0, 0);
-        for c in self.cohorts.iter().skip(self.orphaned) {
-            if c.open {
-                live_open += c.remaining;
-            } else {
-                live_closed += c.remaining;
-            }
-        }
-        (live_closed, live_open, orphan)
+        (self.depth - orphan, orphan)
     }
 }
 
@@ -219,7 +209,7 @@ mod tests {
     use super::*;
 
     fn cohort(deadline: u64, n: u64, attempt: u32) -> Cohort {
-        Cohort { deadline_tick: deadline, attempt, remaining: n, open: false }
+        Cohort { deadline_tick: deadline, attempt, remaining: n }
     }
 
     fn expire(q: &mut ServerQueue, tick: u64) -> Vec<Expired> {
@@ -233,15 +223,15 @@ mod tests {
         q.push(cohort(7, 4, 2));
         let mut credit = 6.0;
         let s = q.serve(&mut credit, false);
-        assert_eq!(s.live_closed, 6);
+        assert_eq!(s.live, 6);
         assert_eq!(q.depth(), 8);
         let expired = expire(&mut q, 5);
-        assert_eq!(expired, [Expired { attempt: 1, count: 4, open: false }]);
+        assert_eq!(expired, [Expired { attempt: 1, count: 4 }]);
         // orphaned head now served as waste
         let mut credit = 10.0;
         let s = q.serve(&mut credit, false);
         assert_eq!(s.orphan, 4);
-        assert_eq!(s.live_closed, 4);
+        assert_eq!(s.live, 4);
         assert_eq!(q.depth(), 0);
         // a cohort served in full before its deadline never times out
         assert!(expire(&mut q, 7).is_empty());
@@ -256,7 +246,7 @@ mod tests {
         let mut credit = 3.0;
         let s = q.serve(&mut credit, true);
         assert_eq!(s.dropped_expired, 9);
-        assert_eq!(s.live_closed, 3);
+        assert_eq!(s.live, 3);
         assert_eq!(credit, 0.0);
     }
 
@@ -264,9 +254,9 @@ mod tests {
     fn census_splits_dispositions() {
         let mut q = ServerQueue::new(100);
         q.push(cohort(1, 5, 1));
-        q.push(Cohort { open: true, ..cohort(9, 2, 1) });
+        q.push(cohort(9, 2, 1));
         expire(&mut q, 1);
-        assert_eq!(q.census(), (0, 2, 5));
+        assert_eq!(q.census(), (2, 5));
     }
 
     #[test]

@@ -49,10 +49,10 @@ impl NaiveQueue {
             let k = can.min(c.remaining);
             *credit -= k as f64;
             c.remaining -= k;
-            match (*live, c.open) {
-                (false, _) => out.orphan += k,
-                (true, true) => out.live_open += k,
-                (true, false) => out.live_closed += k,
+            if *live {
+                out.live += k;
+            } else {
+                out.orphan += k;
             }
             if c.remaining > 0 {
                 break;
@@ -65,20 +65,20 @@ impl NaiveQueue {
         let mut out = Vec::new();
         for (c, live) in self.cohorts.iter_mut().filter(|(c, _)| c.deadline_tick == tick) {
             if *live && c.remaining > 0 {
-                out.push(Expired { attempt: c.attempt, count: c.remaining, open: c.open });
+                out.push(Expired { attempt: c.attempt, count: c.remaining });
             }
             *live = false;
         }
         out
     }
 
-    fn census(&self) -> (u64, u64, u64) {
-        let mut census = (0, 0, 0);
+    fn census(&self) -> (u64, u64) {
+        let mut census = (0, 0);
         for (c, live) in &self.cohorts {
-            match (*live, c.open) {
-                (false, _) => census.2 += c.remaining,
-                (true, true) => census.1 += c.remaining,
-                (true, false) => census.0 += c.remaining,
+            if *live {
+                census.0 += c.remaining;
+            } else {
+                census.1 += c.remaining;
             }
         }
         census
@@ -218,7 +218,7 @@ proptest! {
             (
                 0u64..400,
                 any::<bool>(),
-                proptest::collection::vec((0u64..3, 0u64..120, 1u32..4, any::<bool>()), 0..4),
+                proptest::collection::vec((0u64..3, 0u64..120, 1u32..4), 0..4),
             ),
             1..60,
         )
@@ -234,10 +234,10 @@ proptest! {
             prop_assert_eq!(credit, model_credit);
             let expired: Vec<Expired> = std::iter::from_fn(|| queue.expire_next(t)).collect();
             prop_assert_eq!(expired, model.expire(t));
-            for &(gap, n, attempt, open) in pushes {
+            for &(gap, n, attempt) in pushes {
                 deadline = deadline.max(t + 1) + gap;
                 let remaining = n.min(queue.free_slots());
-                let c = Cohort { deadline_tick: deadline, attempt, remaining, open };
+                let c = Cohort { deadline_tick: deadline, attempt, remaining };
                 queue.push(c);
                 model.push(c);
             }

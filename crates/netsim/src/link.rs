@@ -56,6 +56,9 @@ impl Link {
     /// Transmits `bytes`, queueing behind earlier transmissions.
     ///
     /// Returns `None` if the link is permanently down at the queue time.
+    // Inlined into each caller across crates: every gossip push and reply
+    // is one send.
+    #[inline]
     pub fn send(&mut self, now: SimTime, bytes: u64) -> Option<Delivery> {
         let rate = self.component.nominal;
         let grant = self.component.profile.serve(&mut self.cursor, &mut self.server, now, |m| {

@@ -40,6 +40,8 @@ impl Mesh {
         self.n
     }
 
+    // Inlined with `send`, which calls it on every message.
+    #[inline]
     fn idx(&self, from: usize, to: usize) -> usize {
         assert!(from < self.n && to < self.n && from != to, "bad link ({from} -> {to})");
         from * self.n + to
@@ -59,6 +61,9 @@ impl Mesh {
     /// Transmits `bytes` over the directed link `from → to`, queueing
     /// behind earlier transmissions. Returns `None` if that link is
     /// permanently down (the message is lost).
+    // Inlined into each caller across crates: every gossip push and reply
+    // is one send.
+    #[inline]
     pub fn send(&mut self, from: usize, to: usize, now: SimTime, bytes: u64) -> Option<Delivery> {
         let i = self.idx(from, to);
         self.links[i].send(now, bytes)

@@ -210,7 +210,8 @@ impl PlaneRun {
 /// One event of the plane's dispatch loop.
 ///
 /// The periodic kinds are rounds: each handles every node in index order,
-/// then re-arms once.
+/// then re-arms once. Messages carry node indices and payload slots as
+/// `u32`, so a queued event (key and event) takes 32 bytes, not 48.
 enum Event {
     /// Every node samples its component; re-arms every `OBSERVE_INTERVAL`.
     Observe,
@@ -221,9 +222,18 @@ enum Event {
     /// `gossip_interval`.
     Gossip,
     /// The push digest in payload `slot` arrives from `from` at `to`.
-    Push { from: usize, to: usize, slot: usize },
+    Push { from: u32, to: u32, slot: u32 },
     /// The pull reply in payload `slot` arrives back at its sender `to`.
-    Reply { to: usize, slot: usize },
+    Reply { to: u32, slot: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+/// A node index or payload slot as a message carries it. Planes have a
+/// handful of nodes and in-flight messages, far below `u32::MAX`.
+fn wire(index: usize) -> u32 {
+    debug_assert!(u32::try_from(index).is_ok(), "index {index} overflows a message field");
+    index as u32
 }
 
 /// The entries of in-flight pushes and replies, one buffer per message,
@@ -455,7 +465,8 @@ impl SimState {
                 Some(d) => {
                     let slot = self.payloads.acquire();
                     self.payloads.buffers[slot].extend(self.nodes[i].store.latest());
-                    queue.schedule_at(d.arrive, Event::Push { from: i, to, slot });
+                    let push = Event::Push { from: wire(i), to: wire(to), slot: wire(slot) };
+                    queue.schedule_at(d.arrive, push);
                 }
                 None => self.stats.pushes_dropped += 1,
             }
@@ -484,13 +495,18 @@ impl SimState {
         }
         self.stats.replies_sent += 1;
         match self.mesh.send(to, from, now, Self::payload_bytes(entries)) {
-            Some(d) => queue.schedule_at(d.arrive, Event::Reply { to: from, slot: reply }),
+            Some(d) => {
+                queue.schedule_at(d.arrive, Event::Reply { to: wire(from), slot: wire(reply) })
+            }
             None => self.payloads.release(reply),
         }
     }
 
     /// Merges the delivered message in `slot` (push or reply) into node
     /// `to`'s store, then recycles its buffer.
+    // Inlined into the dispatch loop and `receive_push`: every delivery
+    // runs it.
+    #[inline]
     fn deliver(&mut self, to: usize, slot: usize, now: SimTime) {
         let entries = &self.payloads.buffers[slot];
         merge_delivered(&mut self.nodes[to].store, &mut self.stats, entries, now);
@@ -561,8 +577,10 @@ pub fn run_plane(spec: &PlaneSpec, rng: &mut Stream) -> PlaneRun {
                 (0..n).for_each(|i| state.gossip_round(i, now, &mut queue));
                 queue.schedule_at(now + cfg.gossip_interval, Event::Gossip);
             }
-            Event::Push { from, to, slot } => state.receive_push(from, to, slot, now, &mut queue),
-            Event::Reply { to, slot } => state.deliver(to, slot, now),
+            Event::Push { from, to, slot } => {
+                state.receive_push(from as usize, to as usize, slot as usize, now, &mut queue)
+            }
+            Event::Reply { to, slot } => state.deliver(to as usize, slot as usize, now),
         }
     }
     state.finish(spec)

@@ -51,22 +51,7 @@ pub fn longest_outage(profile: &SlowdownProfile, horizon: SimDuration) -> SimDur
     if profile.fail_at().is_some_and(|f| f <= end) {
         return SimDuration::MAX;
     }
-    let segs = profile.segments();
-    let mut longest = SimDuration::ZERO;
-    let mut zero_start: Option<SimTime> = None;
-    for (idx, &(start, m)) in segs.iter().enumerate() {
-        if start >= end {
-            break;
-        }
-        let seg_end = segs.get(idx + 1).map_or(end, |&(s, _)| s.min(end));
-        if m <= 0.0 {
-            let since = *zero_start.get_or_insert(start);
-            longest = longest.max(seg_end.saturating_since(since));
-        } else {
-            zero_start = None;
-        }
-    }
-    longest
+    profile.zero_runs_before(end).0
 }
 
 /// Ceil(log2 n) for n ≥ 1.
@@ -297,11 +282,14 @@ mod tests {
             (SimTime::from_secs(45), 1.0),
         ]);
         assert_eq!(longest_outage(&p, SimDuration::from_secs(600)), SimDuration::from_secs(15));
-        // Truncated by the horizon.
+        // A zero run still open at the horizon is cut there.
         assert_eq!(longest_outage(&p, SimDuration::from_secs(20)), SimDuration::from_secs(10));
-        // Absolute failure dominates everything.
+        // Absolute failure dominates everything, inside the window or on
+        // its end; after it, the segments decide.
         let dead = SlowdownProfile::nominal().with_failure_at(SimTime::from_secs(5));
         assert_eq!(longest_outage(&dead, SimDuration::from_secs(600)), SimDuration::MAX);
+        assert_eq!(longest_outage(&dead, SimDuration::from_secs(5)), SimDuration::MAX);
+        assert_eq!(longest_outage(&dead, SimDuration::from_secs(4)), SimDuration::ZERO);
         assert_eq!(
             longest_outage(&SlowdownProfile::nominal(), SimDuration::from_secs(600)),
             SimDuration::ZERO

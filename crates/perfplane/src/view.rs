@@ -9,6 +9,7 @@
 //! the hard cutoff. Fail-stop tombstones never decay — a component that
 //! absolutely failed stays failed (paper §3.1).
 
+use simcore::resource::Cursor;
 use simcore::time::{SimDuration, SimTime};
 use stutter::fault::{ComponentId, HealthState};
 
@@ -60,9 +61,10 @@ impl PlaneView {
 ///
 /// Built from a [`crate::entry::Store`] after a gossip run; `query` is a
 /// pure function of `(component, now)`, so consumers can replay any
-/// decision instant. Histories are indexed by component id; lookups
-/// binary-search each one, which the store appended in non-decreasing
-/// arrival order.
+/// decision instant. Histories are indexed by component id, each in the
+/// non-decreasing arrival order the store appended it; a lookup searches
+/// one with a [`Cursor`], so a consumer reading in time order steps
+/// forward instead of searching again.
 #[derive(Clone, Debug)]
 pub struct StalenessView {
     histories: Vec<Vec<(SimTime, HealthEntry)>>,
@@ -84,8 +86,7 @@ impl StalenessView {
     /// The raw freshest entry that had arrived by `now`, if any.
     pub fn entry_at(&self, component: ComponentId, now: SimTime) -> Option<&HealthEntry> {
         let h = self.history(component);
-        let arrived = h.partition_point(|(arrival, _)| *arrival <= now);
-        h[..arrived].last().map(|(_, e)| e)
+        Cursor::default().seek(h, now, arrival).map(|k| &h[k].1)
     }
 
     /// The full accepted-update history for a component.
@@ -125,12 +126,33 @@ impl StalenessView {
     /// component's nominal spec rate) when unknown or aged out. The same
     /// answer [`Self::query`] implies, without computing its confidence.
     pub fn estimated_rate(&self, component: ComponentId, now: SimTime, fallback: f64) -> f64 {
-        match self.entry_at(component, now) {
+        self.estimated_rate_from(&mut Cursor::default(), component, now, fallback)
+    }
+
+    /// [`Self::estimated_rate`] for a consumer reading one component in
+    /// time order: the search for `now` starts at `cursor`, which moves to
+    /// the entry found. As with [`RateProfile`](simcore::resource::RateProfile)'s
+    /// cursor, any cursor reads correctly at any instant; a read behind it
+    /// searches again.
+    pub fn estimated_rate_from(
+        &self,
+        cursor: &mut Cursor,
+        component: ComponentId,
+        now: SimTime,
+        fallback: f64,
+    ) -> f64 {
+        let h = self.history(component);
+        match cursor.seek(h, now, arrival).map(|k| &h[k].1) {
             Some(e) if e.is_tombstone() => 0.0,
             Some(e) if now.saturating_since(e.observed_at) <= self.stale_after => e.rate,
             _ => fallback,
         }
     }
+}
+
+/// The instant a history item arrived: the key its lookups search by.
+fn arrival(item: &(SimTime, HealthEntry)) -> SimTime {
+    item.0
 }
 
 #[cfg(test)]
@@ -271,7 +293,9 @@ mod tests {
         /// Probed before the first arrival, 1 ns around and exactly at
         /// every arrival, at and just past every entry's staleness bound,
         /// and after the last arrival: `entry_at` agrees with the linear
-        /// scan and `estimated_rate` with `query`.
+        /// scan and `estimated_rate` with `query`. Read through a cursor —
+        /// probes in time order, each twice, backwards, and with one cursor
+        /// carried from component to component — they agree too.
         #[test]
         fn lookups_match_the_linear_scan_and_query(
             histories in (history(0), history(1), history(2))
@@ -300,6 +324,28 @@ mod tests {
                         rate_via_query(&v, c, now, 42.0).to_bits(),
                         "{} at {:?}", c, now
                     );
+                }
+            }
+            probes.sort();
+            let twice: Vec<SimTime> = probes.iter().flat_map(|&t| [t, t]).collect();
+            let backwards: Vec<SimTime> = probes.iter().rev().copied().collect();
+            let mut carried = Cursor::default();
+            for c in (0..4).map(ComponentId) {
+                for order in [&probes, &twice, &backwards] {
+                    let mut cursor = Cursor::default();
+                    for &now in order {
+                        let want = rate_via_query(&v, c, now, 42.0).to_bits();
+                        prop_assert_eq!(
+                            v.estimated_rate_from(&mut cursor, c, now, 42.0).to_bits(),
+                            want,
+                            "{} at {:?}", c, now
+                        );
+                        prop_assert_eq!(
+                            v.estimated_rate_from(&mut carried, c, now, 42.0).to_bits(),
+                            want,
+                            "{} at {:?}", c, now
+                        );
+                    }
                 }
             }
         }

@@ -65,6 +65,9 @@ impl FcfsServer {
     /// Serves a request arriving at `arrival` needing `service` time.
     ///
     /// Returns the granted `[start, finish]` span and advances the server.
+    // Inlined into each caller across crates: every link send serves
+    // through it.
+    #[inline]
     pub fn serve(&mut self, arrival: SimTime, service: SimDuration) -> Grant {
         let start = arrival.max(self.next_free);
         let finish = start + service;
@@ -74,11 +77,15 @@ impl FcfsServer {
 
     /// Prevents any service before `t` (extends the current blackout if one
     /// is already in force).
+    // Inlined like `serve`, which every link send calls it beside.
+    #[inline]
     pub fn block_until(&mut self, t: SimTime) {
         self.next_free = self.next_free.max(t);
     }
 
     /// The earliest instant a new request could begin service.
+    // Inlined like `serve`: every link send reads it first.
+    #[inline]
     pub fn next_free(&self) -> SimTime {
         self.next_free
     }
@@ -97,7 +104,8 @@ pub struct RateProfile {
     segments: Vec<(SimTime, f64)>,
 }
 
-/// Where a forward reader of a [`RateProfile`] left off.
+/// Where a forward reader of a [`RateProfile`], or of any list of
+/// timestamped items, left off.
 ///
 /// A caller that reads one profile in time order keeps a cursor and hands
 /// it to [`RateProfile::rate_from`] or [`RateProfile::active_from`]. Each
@@ -114,6 +122,49 @@ pub struct Cursor {
 impl Default for Cursor {
     fn default() -> Self {
         Cursor { segment: usize::MAX }
+    }
+}
+
+impl Cursor {
+    /// The last of `items` that starts at or before `t`, or `None` if
+    /// every item starts after it; the cursor moves there. `items` must be
+    /// sorted by `start`, ties allowed.
+    ///
+    /// The search starts at the cursor's item. If that item starts after
+    /// `t`, or the cursor has no position, it binary-searches the whole
+    /// list. Otherwise it gallops forward: it probes 1, 2, 4, … items
+    /// further on until one starts past `t`, then binary-searches the last
+    /// stride. A read that stays at the item it started from costs two
+    /// comparisons, and a read `d` items on costs O(log d).
+    #[inline]
+    pub fn seek<T>(
+        &mut self,
+        items: &[T],
+        t: SimTime,
+        start: impl Fn(&T) -> SimTime,
+    ) -> Option<usize> {
+        let mut at = match items.get(self.segment) {
+            Some(item) if start(item) <= t => self.segment,
+            _ => {
+                let found = items.partition_point(|x| start(x) <= t).checked_sub(1);
+                self.segment = found.unwrap_or(usize::MAX);
+                return found;
+            }
+        };
+        let mut stride = 1;
+        while items.get(at + stride).is_some_and(|x| start(x) <= t) {
+            at += stride;
+            stride *= 2;
+        }
+        if stride > 1 {
+            // Now items[at] starts at or before t, and items[at + stride]
+            // (if any) after it.
+            let stride_end = items.len().min(at + stride);
+            let within = items.get(at + 1..stride_end).unwrap_or_default();
+            at += within.partition_point(|x| start(x) <= t);
+        }
+        self.segment = at;
+        Some(at)
     }
 }
 
@@ -162,8 +213,8 @@ impl RateProfile {
     // every link send and every plane observation read through it.
     #[inline]
     pub fn rate_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
-        cursor.segment = self.seek(cursor.segment, t);
-        self.segments.get(cursor.segment).map_or(0.0, |&(_, r)| r)
+        let k = cursor.seek(&self.segments, t, segment_start);
+        k.and_then(|k| self.segments.get(k)).map_or(0.0, |&(_, r)| r)
     }
 
     /// The earliest instant at or after `t` with a positive rate, or
@@ -185,7 +236,7 @@ impl RateProfile {
         assert!(to >= from, "integration bounds out of order");
         let mut total = 0.0;
         let mut cursor = from;
-        let mut idx = self.seek(usize::MAX, from);
+        let mut idx = Cursor::default().seek(&self.segments, from, segment_start).unwrap_or(0);
         while cursor < to {
             let seg_end = self.segments.get(idx + 1).map_or(SimTime::MAX, |&(s, _)| s).min(to);
             total += self.segments[idx].1 * (seg_end - cursor).as_secs_f64();
@@ -198,6 +249,9 @@ impl RateProfile {
     /// The time needed to transfer `units` starting at `start`, or `None`
     /// if the profile's remaining capacity never reaches `units` (e.g. rate
     /// drops to zero forever).
+    // Inlined into each caller across crates: the RAID planners call it
+    // once per planned chunk.
+    #[inline]
     pub fn time_to_transfer(&self, start: SimTime, units: f64) -> Option<SimDuration> {
         assert!(units >= 0.0, "units must be non-negative");
         if units == 0.0 {
@@ -205,7 +259,7 @@ impl RateProfile {
         }
         let mut remaining = units;
         let mut cursor = start;
-        let mut idx = self.seek(usize::MAX, start);
+        let mut idx = Cursor::default().seek(&self.segments, start, segment_start).unwrap_or(0);
         loop {
             let rate = self.segments[idx].1;
             let seg_end = self.segments.get(idx + 1).map(|&(s, _)| s);
@@ -232,37 +286,34 @@ impl RateProfile {
         }
     }
 
-    /// The segment holding `t`: the index of the last breakpoint at or
-    /// before it. The first segment starts at time zero, so there always
-    /// is one.
-    ///
-    /// The search starts at segment `from`. If that segment starts after
-    /// `t`, or `from` is past the end, it binary-searches the whole list.
-    /// Otherwise it gallops forward: it probes 1, 2, 4, … segments further
-    /// on until a breakpoint lies past `t`, then binary-searches the last
-    /// stride. A read that stays in the segment it started from costs two
-    /// comparisons, and a read `d` segments on costs O(log d).
-    #[inline]
-    fn seek(&self, from: usize, t: SimTime) -> usize {
+    /// The longest run of zero-rate segments within `[0, end)`, and the
+    /// lowest positive rate of a segment that starts before `end` (`None`
+    /// if every such segment is at zero). A segment starting at `end` or
+    /// later does not count, and a run still at zero at `end` is cut
+    /// there.
+    pub fn zero_runs_before(&self, end: SimTime) -> (SimDuration, Option<f64>) {
         let segs = &self.segments;
-        let mut at = match segs.get(from) {
-            Some(&(start, _)) if start <= t => from,
-            _ => return segs.partition_point(|&(s, _)| s <= t).saturating_sub(1),
-        };
-        let mut stride = 1;
-        while segs.get(at + stride).is_some_and(|&(s, _)| s <= t) {
-            at += stride;
-            stride *= 2;
+        let mut longest = SimDuration::ZERO;
+        let mut zero_since: Option<SimTime> = None;
+        let mut slowest: Option<f64> = None;
+        for (k, &(start, rate)) in segs.iter().enumerate().take_while(|(_, &(s, _))| s < end) {
+            if rate <= 0.0 {
+                let seg_end = segs.get(k + 1).map_or(end, |&(s, _)| s.min(end));
+                let since = *zero_since.get_or_insert(start);
+                longest = longest.max(seg_end.saturating_since(since));
+            } else {
+                zero_since = None;
+                slowest = Some(slowest.map_or(rate, |m| m.min(rate)));
+            }
         }
-        if stride == 1 {
-            return at; // still in the segment the search started from
-        }
-        // Now segs[at] starts at or before t, and segs[at + stride] (if
-        // any) after it.
-        let stride_end = segs.len().min(at + stride);
-        let within = segs.get(at + 1..stride_end).unwrap_or_default();
-        at + within.partition_point(|&(s, _)| s <= t)
+        (longest, slowest)
     }
+}
+
+/// The instant a segment starts: the key cursor reads search by. The
+/// first segment starts at time zero, so every read finds a segment.
+fn segment_start(segment: &(SimTime, f64)) -> SimTime {
+    segment.0
 }
 
 /// The instants of two ascending sequences, ascending, each once.
@@ -408,6 +459,27 @@ mod tests {
         ]);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 100.0), None);
         assert_eq!(p.time_to_transfer(SimTime::ZERO, 10.0), Some(SimDuration::from_secs(1)));
+    }
+
+    #[test]
+    fn zero_runs_stop_before_the_end() {
+        let p = RateProfile::from_breakpoints(vec![
+            (SimTime::ZERO, 4.0),
+            (SimTime::from_secs(10), 0.0),
+            (SimTime::from_secs(20), 2.0),
+            (SimTime::from_secs(30), 0.0),
+            (SimTime::from_secs(50), 1.0),
+        ]);
+        let (at, secs) = (SimTime::from_secs, SimDuration::from_secs);
+        assert_eq!(p.zero_runs_before(at(100)), (secs(20), Some(1.0)));
+        // The segment starting exactly at the end does not count.
+        assert_eq!(p.zero_runs_before(at(50)), (secs(20), Some(2.0)));
+        // A zero run still open at the end is cut there.
+        assert_eq!(p.zero_runs_before(at(42)), (secs(12), Some(2.0)));
+        assert_eq!(p.zero_runs_before(at(35)), (secs(10), Some(2.0)));
+        let dead = RateProfile::constant(0.0);
+        assert_eq!(dead.zero_runs_before(at(5)), (secs(5), None));
+        assert_eq!(dead.zero_runs_before(SimTime::ZERO), (SimDuration::ZERO, None));
     }
 
     #[test]

@@ -77,6 +77,9 @@ impl Stream {
     }
 
     /// Returns the next raw 64-bit output.
+    // Inlined into each caller across crates: the metastable tick's think
+    // spread and the gossip plane's peer picks draw through it.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -99,6 +102,9 @@ impl Stream {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    // Inlined into each caller across crates: the metastable tick draws
+    // its think phase through it on every tick.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Debiased multiply-shift (Lemire 2019).

@@ -34,6 +34,9 @@ impl Ewma {
     }
 
     /// Feeds one observation and returns the updated average.
+    // Inlined into each caller across crates: every plane observation
+    // smooths through it.
+    #[inline]
     pub fn observe(&mut self, x: f64) -> f64 {
         let v = match self.value {
             None => x,

@@ -47,6 +47,9 @@ impl Component {
     /// [`Component::rate_at`] for a caller reading in time order: the
     /// search for `t` starts at `cursor`, which moves to the segment
     /// holding `t`.
+    // Inlined into each caller across crates: every plane observation
+    // reads its component through it.
+    #[inline]
     pub fn rate_from(&self, cursor: &mut Cursor, t: SimTime) -> f64 {
         self.nominal * self.profile.multiplier_from(cursor, t)
     }

@@ -142,10 +142,16 @@ impl PeerRelativeDetector {
     /// round's non-zero rates; with fewer than three of them it is too
     /// fragile, so every non-zero rate is reported healthy. `round` is
     /// scratch space: the call reorders it in place instead of allocating.
+    /// It sorts the live rates by insertion: a round holds one rate per
+    /// component of a plane, a handful, where a generic selection costs
+    /// more than the sort.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds for `round`.
+    // Inlined into each caller across crates: every plane observation
+    // classifies through it.
+    #[inline]
     pub fn classify(&self, round: &mut [f64], i: usize) -> HealthState {
         let r = round[i];
         if r <= 0.0 {
@@ -163,7 +169,22 @@ impl PeerRelativeDetector {
         if live < 3 {
             return HealthState::Healthy;
         }
-        let (_, &mut median, _) = round[..live].select_nth_unstable_by(live / 2, f64::total_cmp);
+        let live = &mut round[..live];
+        for k in 1..live.len() {
+            let x = live[k];
+            let mut j = k;
+            while j > 0 {
+                let prev = j - 1;
+                if live[prev] <= x {
+                    break;
+                }
+                live[j] = live[prev];
+                j = prev;
+            }
+            live[j] = x;
+        }
+        let mid = live.len() / 2;
+        let median = live[mid];
         if r < self.fraction * median {
             HealthState::PerfFaulty { severity: (r / median).clamp(f64::MIN_POSITIVE, 0.999_999) }
         } else {

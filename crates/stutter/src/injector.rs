@@ -160,6 +160,14 @@ impl SlowdownProfile {
         self.steps.segments()
     }
 
+    /// [`RateProfile::zero_runs_before`] over the raw multipliers: the
+    /// longest zero run within `[0, end)` and the slowest positive
+    /// multiplier of a segment starting before `end`. The fail instant is
+    /// the caller's to handle.
+    pub fn zero_runs_before(&self, end: SimTime) -> (SimDuration, Option<f64>) {
+        self.steps.zero_runs_before(end)
+    }
+
     /// The earliest instant at or after `t` with a positive multiplier
     /// (i.e. when a blacked-out component next makes progress), or `None`
     /// if it never runs again.

@@ -63,6 +63,9 @@ impl Registry {
     /// state to change (i.e. the verdict class has persisted long enough),
     /// `None` otherwise. Correctness failures are exported immediately —
     /// fail-stop detection must not be delayed by the stutter filter.
+    // Inlined into each caller across crates: every plane observation
+    // reports its verdict through it.
+    #[inline]
     pub fn report(
         &mut self,
         component: ComponentId,
