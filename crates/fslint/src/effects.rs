@@ -21,11 +21,14 @@
 //!   they never escape the frame.
 //! * **Propagation** — a caller inherits its callees' effects over the
 //!   graph edges, each hop recording the callee node id (`via`) and the
-//!   call line, so a finding prints the full caller→…→write chain. One
-//!   precision filter: an effect on the callee's own type does **not**
+//!   call line, so a finding prints the full caller→…→write chain. Two
+//!   precision filters: an effect on the callee's own type does **not**
 //!   propagate when every call site's receiver is a caller-local value
 //!   (a locally constructed digest or detector is caller-owned state;
-//!   mutating it perturbs nothing outside the frame).
+//!   mutating it perturbs nothing outside the frame), and a write
+//!   through a callee's `&mut` parameter does not propagate when no
+//!   argument can carry a mutable borrow of outside state into it
+//!   (`&mut Cursor::default()` beside by-value parameters).
 //! * **Export** — per-node effect summaries ride along in `--graph-out`
 //!   next to the taint and unit summaries.
 //!
@@ -247,22 +250,22 @@ impl<'a> Effects<'a> {
                 && toks.get(i + 1).is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Num))
                 && assign_after(toks, i + 2)
             {
-                let written = toks[i + 1].text.to_string();
+                let written = &*toks[i + 1].text;
                 let line = toks[i + 1].line;
                 let (root, hop) = receiver_root(&u.lexed, i);
                 let Some(root) = root else { continue };
-                let place = hop.unwrap_or_else(|| written.clone());
+                let place = hop.unwrap_or(written);
                 if root == "self" {
                     if sig.receiver == Receiver::RefMut {
-                        if let Some(owner) = &node.owner {
-                            out.push(write_effect(E_WRITE, owner.clone(), place, line));
+                        if let Some(owner) = node.owner {
+                            out.push(write_effect(E_WRITE, owner, place, line));
                         }
                     }
-                } else if is_screaming(&root) {
+                } else if is_screaming(root) {
                     out.push(write_effect(E_STATIC, root, written, line));
-                } else if let Some(p) = param(sig, &root) {
+                } else if let Some(p) = param(sig, root) {
                     if p.mut_ref {
-                        out.push(write_effect(E_WRITE, p.ty_name.clone(), place, line));
+                        out.push(write_effect(E_WRITE, &p.ty_name, place, line));
                     }
                 }
             }
@@ -273,8 +276,7 @@ impl<'a> Effects<'a> {
                 && assign_after(toks, i + 2)
             {
                 if let Some(p) = param(sig, &toks[i + 1].text).filter(|p| p.mut_ref) {
-                    let line = toks[i + 1].line;
-                    out.push(write_effect(E_WRITE, p.ty_name.clone(), "*".to_string(), line));
+                    out.push(write_effect(E_WRITE, &p.ty_name, "*", toks[i + 1].line));
                 }
             }
         }
@@ -310,26 +312,21 @@ impl<'a> Effects<'a> {
                 // receiver (`self.ring.push(..)`) is a std-container
                 // write here.
                 let Some(h) = hop else { continue };
-                if let Some(owner) = &node.owner {
+                if let Some(owner) = node.owner {
                     if is_int {
-                        out.push(write_effect(E_INTERIOR, owner.clone(), h, c.line));
+                        out.push(write_effect(E_INTERIOR, owner, h, c.line));
                     } else if sig.receiver == Receiver::RefMut {
-                        out.push(write_effect(E_WRITE, owner.clone(), h, c.line));
+                        out.push(write_effect(E_WRITE, owner, h, c.line));
                     }
                 }
-            } else if is_screaming(&root) {
-                out.push(write_effect(
-                    E_STATIC,
-                    root,
-                    hop.unwrap_or_else(|| "*".to_string()),
-                    c.line,
-                ));
-            } else if let Some(p) = param(sig, &root) {
-                let place = hop.unwrap_or_else(|| "*".to_string());
+            } else if is_screaming(root) {
+                out.push(write_effect(E_STATIC, root, hop.unwrap_or("*"), c.line));
+            } else if let Some(p) = param(sig, root) {
+                let place = hop.unwrap_or("*");
                 if is_int {
-                    out.push(write_effect(E_INTERIOR, p.ty_name.clone(), place, c.line));
+                    out.push(write_effect(E_INTERIOR, &p.ty_name, place, c.line));
                 } else if p.mut_ref {
-                    out.push(write_effect(E_WRITE, p.ty_name.clone(), place, c.line));
+                    out.push(write_effect(E_WRITE, &p.ty_name, place, c.line));
                 }
             }
         }
@@ -370,7 +367,7 @@ impl<'a> Effects<'a> {
                     let args_stay = *arg_local
                         .entry((n, m))
                         .or_insert_with(|| mut_args_stay_local(self.units, self.graph, n, m));
-                    let callee_owner = self.graph.nodes[m].owner.as_deref();
+                    let callee_owner = self.graph.nodes[m].owner;
                     for k in 0..self.summaries[m].len() {
                         let e = &self.summaries[m][k];
                         // The precision filter: a write to the callee's
@@ -485,7 +482,7 @@ impl<'a> Effects<'a> {
             }
             let is_oracle_fn =
                 node.owner.is_none() && node.abs_module.iter().skip(1).any(|m| m == "oracle");
-            let is_verdict_method = node.owner.as_deref().is_some_and(|t| t.ends_with("Detector"))
+            let is_verdict_method = node.owner.is_some_and(|t| t.ends_with("Detector"))
                 && matches!(
                     sig_of(self.units, self.graph, n).receiver,
                     Receiver::Value | Receiver::Ref
@@ -522,7 +519,7 @@ impl<'a> Effects<'a> {
             if node.in_test {
                 continue;
             }
-            let Some(owner) = node.owner.as_deref() else { continue };
+            let Some(owner) = node.owner else { continue };
             if owner != "Injector" && !owner.ends_with("Injector") {
                 continue;
             }
@@ -590,7 +587,7 @@ impl<'a> Effects<'a> {
             if node.in_test {
                 continue;
             }
-            let scoped = match &node.owner {
+            let scoped = match node.owner {
                 Some(t) => policy_types.contains(t),
                 None => node.abs_module.iter().skip(1).any(|m| m == "policy"),
             };
@@ -628,13 +625,13 @@ fn sig_of<'u>(units: &'u [FileUnit], graph: &Graph, n: usize) -> &'u FnSig {
 }
 
 /// A direct write/interior/static effect record.
-fn write_effect(kind: &'static str, owner: String, field: String, line: u32) -> Effect {
+fn write_effect(kind: &'static str, owner: &str, field: &str, line: u32) -> Effect {
     let what = match kind {
         k if k == E_INTERIOR => format!("interior-mutates `{owner}.{field}`"),
         k if k == E_STATIC => format!("writes static `{owner}`"),
         _ => format!("writes `{owner}.{field}`"),
     };
-    Effect { kind, owner, field, line, via: None, what }
+    Effect { kind, owner: owner.to_string(), field: field.to_string(), line, via: None, what }
 }
 
 /// A scheduler-primitive effect record.
@@ -668,7 +665,7 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bo
         saw = true;
         let (root, _) = receiver_root(&u.lexed, c.dot);
         let Some(root) = root else { return false };
-        if root == "self" || is_screaming(&root) || param(sig, &root).is_some() {
+        if root == "self" || is_screaming(root) || param(sig, root).is_some() {
             return false;
         }
     }
@@ -678,14 +675,20 @@ fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bo
     saw
 }
 
-/// True when every root identifier caller `n` passes in an argument list
-/// to callee `m` is a caller-local: not `self`, not one of `n`'s
-/// parameters, not a static. Then whatever `m` writes through its `&mut`
-/// params lands in `n`'s own stack slots (`splitmix64(&mut sm)`) and is
-/// not an external effect of `n`. A bare `mid(srv)` reborrow of `n`'s
-/// own `&mut` parameter fails the check, so those writes still
-/// propagate. Conservative: any param mention in any argument position
-/// (even read-only) defeats containment.
+/// True when no argument caller `n` passes to callee `m` can carry a
+/// mutable borrow of state `n` does not own. Then whatever `m` writes
+/// through its `&mut` params lands in `n`'s own stack slots
+/// (`splitmix64(&mut sm)`, `entry_from(&mut Cursor::default(), at)`) and
+/// is not an external effect of `n`. Each argument is judged by its
+/// shape:
+///
+/// * `&mut expr` carries one when a root of `expr` is not a caller-local
+///   (it is `self`, one of `n`'s parameters, or a static);
+/// * a bare root carries one when it is a `&mut` parameter (a `mid(srv)`
+///   reborrow), `self` under a `&mut self` receiver, or a static; a
+///   by-value or shared parameter carries none;
+/// * any other shape is judged conservatively: any root that is not a
+///   caller-local counts.
 fn mut_args_stay_local(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bool {
     let callee = &graph.nodes[m];
     let node = &graph.nodes[n];
@@ -695,17 +698,38 @@ fn mut_args_stay_local(units: &[FileUnit], graph: &Graph, n: usize, m: usize) ->
     let sig = sig_of(units, graph, n);
     let root_is_local =
         |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
+    // The tokens `lo..hi` hold only caller-local roots. Only chain roots
+    // count: `x` in `x.len()` does, `len` does not, and path segments
+    // after `:` are not value roots either.
+    let roots_local = |lo: usize, hi: usize| {
+        (lo..hi).all(|i| {
+            toks[i].kind != TokKind::Ident
+                || toks[i - 1].is_punct('.')
+                || toks[i - 1].is_punct(':')
+                || (toks[i].text != "self" && is_keyword(&toks[i].text))
+                || root_is_local(&toks[i].text)
+        })
+    };
+    // The argument `lo..hi` carries no mutable borrow in from outside.
+    let arg_ok = |lo: usize, hi: usize| {
+        if hi == lo + 1 && toks[lo].kind == TokKind::Ident {
+            let root = &*toks[lo].text;
+            let mut_self = root == "self" && sig.receiver == Receiver::RefMut;
+            let mut_param = param(sig, root).is_some_and(|p| p.mut_ref);
+            return !(mut_self || mut_param || is_screaming(root));
+        }
+        let mut_borrow =
+            toks[lo].is_punct('&') && toks.get(lo + 1).is_some_and(|t| t.is_ident("mut"));
+        roots_local(if mut_borrow { lo + 2 } else { lo }, hi)
+    };
     let span_ok = |open: usize, close: usize| {
-        for i in open + 1..close {
-            // Only chain roots: `x` in `x.len()` counts, `len` does not,
-            // and path segments after `:` are not value roots either.
-            if toks[i].kind == TokKind::Ident
-                && !toks[i - 1].is_punct('.')
-                && !toks[i - 1].is_punct(':')
-                && (toks[i].text == "self" || !is_keyword(&toks[i].text))
-                && !root_is_local(&toks[i].text)
-            {
-                return false;
+        let mut start = open + 1;
+        for i in u.lexed.level(open + 1).take_while(|&i| i <= close) {
+            if i == close || toks[i].is_punct(',') {
+                if i > start && !arg_ok(start, i) {
+                    return false;
+                }
+                start = i + 1;
             }
         }
         true
@@ -761,14 +785,15 @@ fn deref_position(prev: &Token) -> bool {
 }
 
 /// Walks a receiver chain leftward from the `.` at `dot`, returning the
-/// chain's root identifier and the first hop after it:
-/// `self.ring.push_back(..)` → `(Some("self"), Some("ring"))`,
-/// `srv.depth = 0` → `(Some("srv"), None)`. Call and index groups are
-/// skipped backward; a chain starting at an operator has no root.
-fn receiver_root(lexed: &Lexed, dot: usize) -> (Option<String>, Option<String>) {
+/// chain's root identifier and the first hop after it, as the tokens
+/// spell them: `self.ring.push_back(..)` → `(Some("self"),
+/// Some("ring"))`, `srv.depth = 0` → `(Some("srv"), None)`. Call and
+/// index groups are skipped backward; a chain starting at an operator has
+/// no root.
+fn receiver_root(lexed: &Lexed, dot: usize) -> (Option<&str>, Option<&str>) {
     let toks = &lexed.tokens;
-    let mut root: Option<String> = None;
-    let mut hop: Option<String> = None;
+    let mut root: Option<&str> = None;
+    let mut hop: Option<&str> = None;
     let mut i = dot;
     loop {
         let Some(mut j) = i.checked_sub(1) else { return (root, hop) };
@@ -787,7 +812,7 @@ fn receiver_root(lexed: &Lexed, dot: usize) -> (Option<String>, Option<String>) 
                 return (root, hop);
             }
             hop = root.take();
-            root = Some(t.text.to_string());
+            root = Some(&t.text);
             if j >= 1 && toks[j - 1].is_punct('.') {
                 i = j - 1;
                 continue;
@@ -840,11 +865,11 @@ mod tests {
                 .unwrap_or_else(|| panic!("no .{method}"));
             receiver_root(&u.lexed, d)
         };
-        assert_eq!(root_for("push_back"), (Some("self".into()), Some("ring".into())));
-        assert_eq!(root_for("depth"), (Some("srv".into()), None));
-        assert_eq!(root_for("clear"), (Some("self".into()), Some("items".into())));
-        assert_eq!(root_for("store"), (Some("GLOBAL".into()), None));
-        assert_eq!(root_for("reverse"), (Some("make".into()), None));
+        assert_eq!(root_for("push_back"), (Some("self"), Some("ring")));
+        assert_eq!(root_for("depth"), (Some("srv"), None));
+        assert_eq!(root_for("clear"), (Some("self"), Some("items")));
+        assert_eq!(root_for("store"), (Some("GLOBAL"), None));
+        assert_eq!(root_for("reverse"), (Some("make"), None));
     }
 
     #[test]
@@ -914,6 +939,40 @@ mod tests {
             leak.iter().any(|e| e.kind == E_WRITE && e.owner == "Fnv64"),
             "a &mut-param receiver escapes: {leak:?}"
         );
+    }
+
+    #[test]
+    fn only_arguments_that_can_carry_a_mut_borrow_export_a_callee_write() {
+        let units = [unit(
+            "crates/a/src/lib.rs",
+            "pub struct Cur { pub seg: u64 } \
+             pub static GLOBAL: Cur = Cur { seg: 0 }; \
+             pub fn step(c: &mut Cur, at: u64) { c.seg = at; } \
+             pub fn fresh(at: u64, by: &u64) { step(&mut Cur::default(), at + *by); } \
+             pub fn by_value(at: u64) { step(&mut Cur::default(), at); } \
+             pub fn through(c: &mut Cur, at: u64) { step(c, at); } \
+             pub fn reborrow(c: &mut Cur) { step(&mut *c, 1); } \
+             pub fn field(c: &mut Cur) { step(&mut Cur::default(), c.seg); } \
+             pub fn global() { step(GLOBAL, 2); } \
+             impl Cur { pub fn again(&mut self) { step(self, 3); } \
+                        pub fn look(&self) { step(&mut Cur::default(), 4); } }",
+        )];
+        let g = Graph::build(&units);
+        let (_, sums) = analyze(&units, &g);
+        let writes = |name: &str| {
+            effects_of(&sums, &g, name).iter().any(|e| e.kind == E_WRITE && e.owner == "Cur")
+        };
+        for name in ["by_value", "look"] {
+            assert!(!writes(name), "`{name}` passes only a temporary and plain values");
+        }
+        for name in ["through", "reborrow", "global", "again"] {
+            assert!(writes(name), "`{name}` passes a `&mut` borrow it does not own");
+        }
+        // Shapes that are neither `&mut expr` nor a bare root stay
+        // conservative: a parameter anywhere in them counts.
+        for name in ["fresh", "field"] {
+            assert!(writes(name), "`{name}` is judged conservatively");
+        }
     }
 
     #[test]

@@ -100,20 +100,20 @@ struct Src {
 
 /// Why an expression is tainted.
 #[derive(Debug, Clone)]
-enum Cause {
+enum Cause<'a> {
     /// A source token inside the expression itself.
     Direct(Src),
     /// A call to a tainted function.
     Call { node: usize },
     /// A read of a struct field a tainted value was assigned into.
-    Field { name: String },
+    Field { name: &'a str },
 }
 
 /// An expression's taint: the cause plus the locals it flowed through.
 #[derive(Debug, Clone)]
-struct Taint {
-    cause: Cause,
-    via_locals: Vec<String>,
+struct Taint<'a> {
+    cause: Cause<'a>,
+    via_locals: Vec<&'a str>,
 }
 
 /// What a tainted struct field carries.
@@ -150,7 +150,7 @@ struct Flow<'a> {
     /// Tainted node ids by function name (rebuilt each round).
     by_name: ByName<'a>,
     /// Tainted struct fields by field name (global, name-based).
-    fields: BTreeMap<String, FieldTaint>,
+    fields: BTreeMap<&'a str, FieldTaint>,
 }
 
 impl<'a> Flow<'a> {
@@ -210,14 +210,14 @@ impl<'a> Flow<'a> {
             });
         }
         let (fname, line) = self.body_field_read(n)?;
-        let ft = &self.fields[&fname];
+        let ft = &self.fields[fname];
         let what = format!("reads tainted field `.{fname}` ({})", ft.desc);
         Some(TaintSummary { kind: ft.kind, line, via: None, what })
     }
 
     /// A read of a tainted field inside node `n`'s body (`.f` not
     /// followed by `(` or `=`), if any.
-    fn body_field_read(&self, n: usize) -> Option<(String, u32)> {
+    fn body_field_read(&self, n: usize) -> Option<(&'a str, u32)> {
         if self.fields.is_empty() {
             return None;
         }
@@ -233,7 +233,7 @@ impl<'a> Flow<'a> {
                 continue;
             }
             if field_read_shape(toks, i) {
-                return Some((nt.text.to_string(), nt.line));
+                return Some((&nt.text, nt.line));
             }
         }
         None
@@ -260,19 +260,19 @@ impl<'a> Flow<'a> {
     }
 
     /// The root source kind behind a cause.
-    fn root_kind(&self, c: &Cause) -> &'static str {
+    fn root_kind(&self, c: &Cause<'a>) -> &'static str {
         match c {
             Cause::Direct(s) => s.kind,
             Cause::Call { node } => {
                 self.summaries[*node].as_ref().map(|s| s.kind).unwrap_or(K_WALL)
             }
-            Cause::Field { name } => self.fields.get(name).map(|f| f.kind).unwrap_or(K_WALL),
+            Cause::Field { name } => self.fields.get(*name).map(|f| f.kind).unwrap_or(K_WALL),
         }
     }
 
     /// Tainted parameters and `let`/`for` bindings of `fns[fk]` in
     /// `file`, with `sort*()` sanitisation applied in textual order.
-    fn locals_for(&self, file: usize, fk: usize) -> Locals<Taint> {
+    fn locals_for(&self, file: usize, fk: usize) -> Locals<'a, Taint<'a>> {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
         let f = &u.model.fns[fk];
@@ -292,11 +292,7 @@ impl<'a> Flow<'a> {
             };
             let desc = format!("`{}`-typed parameter `{}`", toks[j].text, p.name);
             let src = Src { kind: K_UNORD, tok: j, line: toks[j].line, desc };
-            locals.bind(
-                p.name.clone(),
-                b0,
-                Taint { cause: Cause::Direct(src), via_locals: Vec::new() },
-            );
+            locals.bind(&p.name, b0, Taint { cause: Cause::Direct(src), via_locals: Vec::new() });
         }
         // `recv.sort*()` sites re-establish a deterministic order on an
         // unordered-iteration local, killing its taint from that point;
@@ -318,14 +314,15 @@ impl<'a> Flow<'a> {
                 sorted += 1;
             }
         };
-        summary::walk_bindings(&u.lexed, f.body, &mut locals, |locals, b| {
+        summary::walk_bindings(&u.lexed, f.body, &mut locals, |locals, b, vals| {
             sort_before(locals, b.at);
             // The scan starts at a type ascription (`: HashMap<..>` taints
             // too), never at the names a `let` binds: `let t = 7;` does
             // not re-read an older `t`.
             let lo = b.ty.unwrap_or(b.rhs.0);
-            let Some(t) = self.taint_in(file, lo, b.rhs.1, locals) else { return Vec::new() };
-            b.names.iter().map(|n| (n.clone(), t.clone())).collect()
+            if let Some(t) = self.taint_in(file, lo, b.rhs.1, locals) {
+                vals.extend(b.names.iter().map(|&n| (n, t.clone())));
+            }
         });
         sort_before(&mut locals, usize::MAX);
         locals
@@ -334,7 +331,13 @@ impl<'a> Flow<'a> {
     /// The earliest taint inside the token span `[lo, hi]`: a direct
     /// source, a tainted local mention, a tainted field read, or a call
     /// to a tainted function.
-    fn taint_in(&self, file: usize, lo: usize, hi: usize, locals: &Locals<Taint>) -> Option<Taint> {
+    fn taint_in(
+        &self,
+        file: usize,
+        lo: usize,
+        hi: usize,
+        locals: &Locals<'a, Taint<'a>>,
+    ) -> Option<Taint<'a>> {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
         if toks.is_empty() || lo > hi {
@@ -342,7 +345,7 @@ impl<'a> Flow<'a> {
         }
         let hi = hi.min(toks.len() - 1);
         let mut best: Option<(usize, Taint)> = None;
-        let consider = |tok: usize, t: Taint, best: &mut Option<(usize, Taint)>| {
+        let consider = |tok: usize, t: Taint<'a>, best: &mut Option<(usize, Taint<'a>)>| {
             if best.as_ref().is_none_or(|(b, _)| tok < *b) {
                 *best = Some((tok, t));
             }
@@ -362,7 +365,7 @@ impl<'a> Flow<'a> {
                     if let Some(l) = locals.find(&t.text, i) {
                         let mut via = l.val.via_locals.clone();
                         if via.last() != Some(&l.name) {
-                            via.push(l.name.clone());
+                            via.push(l.name);
                         }
                         consider(
                             i,
@@ -381,7 +384,7 @@ impl<'a> Flow<'a> {
                         consider(
                             i,
                             Taint {
-                                cause: Cause::Field { name: nt.text.to_string() },
+                                cause: Cause::Field { name: &nt.text },
                                 via_locals: Vec::new(),
                             },
                             &mut best,
@@ -413,14 +416,14 @@ impl<'a> Flow<'a> {
     }
 
     /// The human-readable source→here path for a taint.
-    fn describe(&self, file: usize, t: &Taint) -> String {
+    fn describe(&self, file: usize, t: &Taint<'a>) -> String {
         let mut parts: Vec<String> = Vec::new();
         match &t.cause {
             Cause::Direct(s) => {
                 parts.push(format!("{} ({}:{})", s.desc, self.units[file].path, s.line));
             }
             Cause::Field { name } => {
-                let desc = self.fields.get(name).map(|f| f.desc.as_str()).unwrap_or("?");
+                let desc = self.fields.get(*name).map(|f| f.desc.as_str()).unwrap_or("?");
                 parts.push(format!("{desc} -> field `.{name}`"));
             }
             Cause::Call { node } => {
@@ -444,18 +447,18 @@ impl<'a> Flow<'a> {
             .nodes
             .iter()
             .filter(|n| n.owner.is_none() && n.abs_module.iter().skip(1).any(|m| m == "oracle"))
-            .map(|n| n.name.as_str())
+            .map(|n| n.name)
             .collect();
         for (file, u) in self.units.iter().enumerate() {
             let toks = &u.lexed.tokens;
-            let mut locals_cache: BTreeMap<Option<usize>, Locals<Taint>> = BTreeMap::new();
+            let mut locals_cache: BTreeMap<Option<usize>, Locals<Taint<'a>>> = BTreeMap::new();
             let check = |flow: &Self,
                          site_tok: usize,
                          line: u32,
                          args: (usize, usize),
                          rule: &'static str,
                          sink: String,
-                         cache: &mut BTreeMap<Option<usize>, Locals<Taint>>,
+                         cache: &mut BTreeMap<Option<usize>, Locals<'a, Taint<'a>>>,
                          out: &mut Vec<Finding>| {
                 let (a0, a1) = args;
                 if a1 <= a0 {

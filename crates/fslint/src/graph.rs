@@ -10,7 +10,8 @@
 //!
 //! * **Nodes** are `fn` items keyed by *(crate, module path, name)*, with
 //!   their owning `impl` type recovered by span containment
-//!   ([`crate::parse`]).
+//!   ([`crate::parse`]). A node borrows its names and module path from
+//!   the file it was parsed from.
 //! * **Edges** come from method-call chains and free-function calls.
 //!   Method calls dispatch *by name* to every method with that name in the
 //!   workspace — a superset of real dispatch that subsumes trait objects
@@ -20,12 +21,15 @@
 //!   anywhere (import, construction, annotation, impl). The gate prunes
 //!   pure name collisions: `atomic.load(..)` does not edge into an
 //!   unrelated `Vm::load`, because a file that really calls a workspace
-//!   method has to name its type or trait to get a value of it. Free
-//!   calls resolve through
-//!   per-crate module resolution, imports, and `pub use` re-exports
-//!   ([`crate::resolve`]); a `Self::helper()` call resolves against the
-//!   enclosing impl. Paths that cannot be resolved (std, unknown crates)
-//!   contribute no edge.
+//!   method has to name its type or trait to get a value of it. The
+//!   mention index records, per file, only the names some gate asks
+//!   about: every impl owner and trait, plus the few gate types the
+//!   scheduling set and the summary passes name (`Fnv64`, `Stream`, …).
+//!   Free calls resolve through per-crate module resolution, imports, and
+//!   `pub use` re-exports ([`crate::resolve`]); a `Self::helper()` call
+//!   resolves against the enclosing impl. Paths that cannot be resolved
+//!   (std, unknown crates) contribute no edge, and a call whose name no
+//!   free fn or `use` alias carries skips the path lookups.
 //! * **Injector-reachable set `R`**: the fixpoint from the real entry
 //!   points — methods of `Injector` and `*Detector` impls, the simcore
 //!   `Simulation`/`Scheduler` surface (scheduler callbacks run under
@@ -60,7 +64,7 @@
 
 use crate::lexer::{Lexed, TokKind};
 use crate::parse::{self, FileModel};
-use crate::resolve::{self, ImportMap, ModPath, Resolver};
+use crate::resolve::{self, ModPath, Resolver};
 use crate::rules::{id, Finding};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -86,21 +90,21 @@ impl FileUnit {
     }
 }
 
-/// One function or method node.
+/// One function or method node, borrowing its names from its file.
 #[derive(Debug)]
-pub struct FnNode {
+pub struct FnNode<'a> {
     /// Index of the owning [`FileUnit`].
     pub file: usize,
     /// Index into the file's `model.fns`.
     pub fn_idx: usize,
     /// The function's name.
-    pub name: String,
+    pub name: &'a str,
     /// The owning impl's type name, `None` for free functions.
-    pub owner: Option<String>,
+    pub owner: Option<&'a str>,
     /// The owning impl's trait name, if it is a trait impl.
-    pub trait_name: Option<String>,
+    pub trait_name: Option<&'a str>,
     /// Absolute module path `[krate, modules…]`.
-    pub abs_module: Vec<String>,
+    pub abs_module: &'a [String],
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token span of the body, braces included.
@@ -130,10 +134,17 @@ const ENTRY_TYPES: &[&str] = &["Injector", "Simulation", "Scheduler"];
 /// and the runner's pool loop (scheduler callbacks hang off these).
 const ENTRY_FNS: &[&str] = &["run_scenario", "run_all"];
 
+/// The type names the analyses gate on besides impl owners and traits,
+/// sorted: the two queue markers this module's scheduling set scans for,
+/// the digest and bench-table types the taint pass's sinks need, and the
+/// scheduler surface and RNG stream the effect pass needs.
+const MENTION_GATES: &[&str] =
+    &["BinaryHeap", QUEUE_KEY_TYPE, "Fnv64", "Scheduler", "Simulation", "Stream", "Table"];
+
 /// The workspace call graph with its reachability fixpoints.
 pub struct Graph<'a> {
     /// Every function node, in (file, source) order.
-    pub nodes: Vec<FnNode>,
+    pub nodes: Vec<FnNode<'a>>,
     /// Adjacency: `edges[n]` is the set of callee node ids of `n`.
     pub edges: Vec<BTreeSet<usize>>,
     /// Entry-point node ids.
@@ -144,35 +155,94 @@ pub struct Graph<'a> {
     pub sched: Vec<bool>,
     /// Type names appearing inside `BinaryHeap<…>` element types.
     pub heap_elem_types: BTreeSet<String>,
-    /// Every identifier each file mentions anywhere: the owner/trait
-    /// mention gate for method calls.
-    idents: Vec<BTreeSet<&'a str>>,
+    /// Which file mentions which gated name.
+    mentions: Mentions<'a>,
     /// Node id of each file's first `fn`; its `fn_idx`-th is
-    /// `file_start[file] + fn_idx`.
+    /// `file_start[file] + fn_idx`, and its nodes end where the next
+    /// file's start (one entry past the last file).
     file_start: Vec<usize>,
+}
+
+/// The names some gate asks about, and which files mention each as an
+/// identifier token anywhere (import, construction, annotation, impl).
+struct Mentions<'a> {
+    /// The gated names, sorted and distinct: every impl owner and trait,
+    /// and [`MENTION_GATES`].
+    names: Vec<&'a str>,
+    /// `hit[file * names.len() + k]`: the file mentions `names[k]`.
+    hit: Vec<bool>,
+    /// Per node, the indices of its owner's and its trait's names.
+    owners: Vec<[Option<usize>; 2]>,
+}
+
+impl<'a> Mentions<'a> {
+    /// Indexes `units` for the names `nodes` and the gates ask about. A
+    /// token is looked up only among the names that share its first
+    /// byte, and only when one of those has its length (lengths from 63
+    /// on share one bit).
+    fn index(units: &[FileUnit], nodes: &[FnNode<'a>]) -> Mentions<'a> {
+        let owned = nodes.iter().flat_map(|n| [n.owner, n.trait_name]).flatten();
+        let mut names: Vec<&str> = owned.chain(MENTION_GATES.iter().copied()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let first = |name: &str| usize::from(name.as_bytes().first().copied().unwrap_or(0));
+        let len_bit = |name: &str| 1u64 << name.len().min(63);
+        // Per first byte: the names' range in sorted order, and their
+        // lengths.
+        let mut range = [(0usize, 0usize); 256];
+        let mut lens = [0u64; 256];
+        for (k, name) in names.iter().enumerate() {
+            let b = first(name);
+            range[b] = if lens[b] == 0 { (k, k + 1) } else { (range[b].0, k + 1) };
+            lens[b] |= len_bit(name);
+        }
+        let mut hit = vec![false; units.len() * names.len()];
+        for (row, u) in hit.chunks_mut(names.len().max(1)).zip(units) {
+            for t in u.lexed.tokens.iter().filter(|t| t.kind == TokKind::Ident) {
+                let (b, text) = (first(&t.text), &*t.text);
+                if lens[b] & len_bit(text) == 0 {
+                    continue;
+                }
+                let (lo, hi) = range[b];
+                if let Ok(k) = names[lo..hi].binary_search(&text) {
+                    row[lo + k] = true;
+                }
+            }
+        }
+        let find = |name: &str| names.binary_search(&name).ok();
+        let owners =
+            nodes.iter().map(|n| [n.owner, n.trait_name].map(|t| t.and_then(find))).collect();
+        Mentions { names, hit, owners }
+    }
+
+    /// True when `file` mentions the gated name `name`.
+    fn mentions(&self, file: usize, name: &str) -> bool {
+        let k = self.names.binary_search(&name);
+        debug_assert!(k.is_ok(), "`{name}` is not a gated name");
+        k.is_ok_and(|k| self.hit[file * self.names.len() + k])
+    }
+
+    /// True when `file` mentions node `n`'s owner type or trait.
+    fn names_owner_of(&self, file: usize, n: usize) -> bool {
+        self.owners[n].iter().flatten().any(|&k| self.hit[file * self.names.len() + k])
+    }
 }
 
 impl<'a> Graph<'a> {
     /// Builds the graph over the scanned files.
     pub fn build(units: &'a [FileUnit]) -> Graph<'a> {
         let mut nodes = Vec::new();
-        let mut file_start = Vec::with_capacity(units.len());
+        let mut file_start = Vec::with_capacity(units.len() + 1);
         for (file, u) in units.iter().enumerate() {
             file_start.push(nodes.len());
             for (fn_idx, f) in u.model.fns.iter().enumerate() {
-                let (owner, trait_name) = match u.model.owning_impl(f.body) {
-                    Some(k) => {
-                        let im = &u.model.impls[k];
-                        (Some(im.type_name.clone()), im.trait_name.clone())
-                    }
-                    None => (None, None),
-                };
+                let im = u.model.owning_impl(f.body).map(|k| &u.model.impls[k]);
                 nodes.push(FnNode {
                     file,
                     fn_idx,
-                    name: f.name.clone(),
-                    owner,
-                    trait_name,
+                    name: &f.name,
+                    owner: im.map(|im| im.type_name.as_str()),
+                    trait_name: im.and_then(|im| im.trait_name.as_deref()),
                     abs_module: u.mp.abs(),
                     line: f.line,
                     body: f.body,
@@ -180,62 +250,64 @@ impl<'a> Graph<'a> {
                 });
             }
         }
+        file_start.push(nodes.len());
 
-        let mod_paths: Vec<ModPath> = units.iter().map(|u| u.mp.clone()).collect();
-        let resolver = Resolver::from_mod_paths(&mod_paths);
-        let imports: Vec<ImportMap> =
+        let resolver = Resolver::from_mod_paths(units.iter().map(|u| &u.mp));
+        let imports: Vec<_> =
             units.iter().map(|u| resolve::import_map(&u.model.uses, &resolver, &u.mp)).collect();
 
         // Lookup tables.
-        let mut free_fns: BTreeMap<Vec<String>, Vec<usize>> = BTreeMap::new();
+        let mut free_fns: BTreeMap<Vec<&str>, Vec<usize>> = BTreeMap::new();
         let mut methods_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut methods_by_type: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         for (n, node) in nodes.iter().enumerate() {
-            match &node.owner {
+            match node.owner {
                 None => {
-                    let mut key = node.abs_module.clone();
-                    key.push(node.name.clone());
-                    free_fns.entry(key).or_default().push(n);
+                    let module = node.abs_module.iter().map(String::as_str);
+                    free_fns.entry(module.chain([node.name]).collect()).or_default().push(n);
                 }
                 Some(ty) => {
-                    methods_by_name.entry(&node.name).or_default().push(n);
-                    methods_by_type.entry((ty, &node.name)).or_default().push(n);
+                    methods_by_name.entry(node.name).or_default().push(n);
+                    methods_by_type.entry((ty, node.name)).or_default().push(n);
                 }
             }
         }
         // `pub use` re-exports per module: (visible name or None-for-glob,
         // canonical target).
         let mut reexports: ReexportMap = BTreeMap::new();
+        let mut key: Vec<&str> = Vec::new();
         for u in units {
             for d in u.model.uses.iter().filter(|d| d.is_pub) {
-                let Some(target) = resolver.canon(&u.mp, &d.segs) else { continue };
-                let vis =
-                    if d.glob { None } else { d.alias.clone().or_else(|| d.segs.last().cloned()) };
-                reexports.entry(u.mp.abs()).or_default().push((vis, target));
+                if !resolver.canon(&u.mp, d.segs.iter().map(String::as_str), &mut key) {
+                    continue;
+                }
+                let vis = if d.glob {
+                    None
+                } else {
+                    d.alias.as_deref().or(d.segs.last().map(String::as_str))
+                };
+                let module = u.mp.abs().iter().map(String::as_str).collect();
+                reexports.entry(module).or_default().push((vis, key.clone()));
             }
         }
         let lookup = FnLookup { free_fns, reexports };
+        // A path lookup can only reach a free fn by its own name or by an
+        // alias a `use` gives it: a free call by any other name (`Some`,
+        // a tuple struct, a std function) skips the path lookups.
+        let aliases =
+            units.iter().flat_map(|u| u.model.uses.iter().filter_map(|d| d.alias.as_deref()));
+        let resolvable: BTreeSet<&str> =
+            nodes.iter().filter(|n| n.owner.is_none()).map(|n| n.name).chain(aliases).collect();
 
-        // Every identifier each file mentions anywhere: the receiver-type
-        // gate for method edges below.
-        let idents: Vec<BTreeSet<&str>> = units
-            .iter()
-            .map(|u| {
-                u.lexed
-                    .tokens
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| &*t.text)
-                    .collect()
-            })
-            .collect();
+        // The mention gate for method edges below and for the passes.
+        let mentions = Mentions::index(units, &nodes);
 
-        // Edges.
+        // Edges. `key` and `targets` are reused for every call: resolving
+        // one copies no name.
         let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
+        let mut targets: Vec<usize> = Vec::new();
         for (file, u) in units.iter().enumerate() {
             let src_of = |tok: usize| u.model.enclosing_fn_idx(tok).map(|k| file_start[file] + k);
-            let mentions =
-                |name: &Option<String>| name.as_deref().is_some_and(|n| idents[file].contains(n));
             for call in &u.model.calls {
                 let Some(src) = src_of(call.dot) else { continue };
                 if let Some(tgts) = methods_by_name.get(call.name.as_str()) {
@@ -245,66 +317,73 @@ impl<'a> Graph<'a> {
                     // dispatch). A bare name match against a std method
                     // (`atomic.load`, `vec.push`) mentions neither and
                     // contributes no edge.
-                    edges[src].extend(
-                        tgts.iter().copied().filter(|&t| {
-                            mentions(&nodes[t].owner) || mentions(&nodes[t].trait_name)
-                        }),
-                    );
+                    let gated = tgts.iter().copied().filter(|&t| mentions.names_owner_of(file, t));
+                    edges[src].extend(gated);
                 }
             }
+            let module = || u.mp.abs().iter().map(String::as_str);
             for fc in &u.model.free_calls {
                 let Some(src) = src_of(fc.tok) else { continue };
-                let mut targets: Vec<usize> = Vec::new();
-                if fc.qual.first().is_some_and(|q| q == "Self") && fc.qual.len() == 1 {
-                    // Resolve against the enclosing impl's type.
-                    if let Some(k) = u.model.owning_impl((fc.tok, fc.tok)) {
-                        let ty = u.model.impls[k].type_name.as_str();
-                        if let Some(ts) = methods_by_type.get(&(ty, fc.name.as_str())) {
-                            targets.extend(ts.iter().copied());
-                        }
-                    }
-                } else if fc.qual.is_empty() {
-                    if fc.called {
-                        // Same module, then named import, then glob imports.
-                        let mut key = u.mp.abs();
-                        key.push(fc.name.clone());
-                        targets.extend(lookup.find(&key, 0));
-                        if targets.is_empty() {
-                            if let Some(t) = imports[file].named.get(&fc.name) {
-                                targets.extend(lookup.find(t, 0));
-                            }
-                        }
-                        if targets.is_empty() {
-                            for g in &imports[file].globs {
-                                let mut key = g.clone();
-                                key.push(fc.name.clone());
-                                targets.extend(lookup.find(&key, 0));
+                let name = fc.name.as_str();
+                targets.clear();
+                match fc.qual.as_slice() {
+                    [q] if q == "Self" => {
+                        // Resolve against the enclosing impl's type.
+                        if let Some(k) = u.model.owning_impl((fc.tok, fc.tok)) {
+                            let ty = u.model.impls[k].type_name.as_str();
+                            if let Some(ts) = methods_by_type.get(&(ty, name)) {
+                                targets.extend(ts);
                             }
                         }
                     }
-                } else {
-                    // A type-qualified associated call (`Fnv64::new()`), by
-                    // the last qualifier segment.
-                    if let Some(last) = fc.qual.last() {
-                        if let Some(ts) = methods_by_type.get(&(last.as_str(), fc.name.as_str())) {
-                            targets.extend(ts.iter().copied());
+                    [] => {
+                        if fc.called && resolvable.contains(name) {
+                            // Same module, then named import, then glob
+                            // imports.
+                            key.clear();
+                            key.extend(module().chain([name]));
+                            lookup.find(&key, 0, &mut targets);
+                            if targets.is_empty() {
+                                if let Some(t) = imports[file].named.get(name) {
+                                    lookup.find(t, 0, &mut targets);
+                                }
+                            }
+                            if targets.is_empty() {
+                                for g in &imports[file].globs {
+                                    key.clear();
+                                    key.extend(g.iter().copied().chain([name]));
+                                    lookup.find(&key, 0, &mut targets);
+                                }
+                            }
                         }
                     }
-                    // A module-qualified free call, with the head segment
-                    // substituted through the import map when it names an
-                    // imported module (`use adapt::oracle as qoracle`).
-                    let mut segs = fc.qual.clone();
-                    segs.push(fc.name.clone());
-                    if let Some(head_target) = imports[file].named.get(&fc.qual[0]) {
-                        let mut key = head_target.clone();
-                        key.extend(segs[1..].iter().cloned());
-                        targets.extend(lookup.find(&key, 0));
-                    }
-                    if let Some(abs) = resolver.canon(&u.mp, &segs) {
-                        targets.extend(lookup.find(&abs, 0));
+                    qual => {
+                        // A type-qualified associated call (`Fnv64::new()`),
+                        // by the last qualifier segment.
+                        if let Some(last) = qual.last() {
+                            if let Some(ts) = methods_by_type.get(&(last.as_str(), name)) {
+                                targets.extend(ts);
+                            }
+                        }
+                        // A module-qualified free call, with the head
+                        // segment substituted through the import map when
+                        // it names an imported module (`use adapt::oracle
+                        // as qoracle`).
+                        if resolvable.contains(name) {
+                            let rest = || qual[1..].iter().map(String::as_str).chain([name]);
+                            if let Some(head_target) = imports[file].named.get(qual[0].as_str()) {
+                                key.clear();
+                                key.extend(head_target.iter().copied().chain(rest()));
+                                lookup.find(&key, 0, &mut targets);
+                            }
+                            let segs = qual.iter().map(String::as_str).chain([name]);
+                            if resolver.canon(&u.mp, segs, &mut key) {
+                                lookup.find(&key, 0, &mut targets);
+                            }
+                        }
                     }
                 }
-                edges[src].extend(targets);
+                edges[src].extend(targets.iter().copied());
             }
         }
 
@@ -318,10 +397,16 @@ impl<'a> Graph<'a> {
         let reachable = bfs(&edges, entries.iter().copied());
 
         // The scheduling set and heap element types. "Queue structs" are
-        // event-queue owners: a `BinaryHeap` or `EventKey` field.
+        // event-queue owners: a `BinaryHeap` or `EventKey` field. Only a
+        // file that mentions one of the two holds either.
+        let queue_marked =
+            |file: usize| ["BinaryHeap", QUEUE_KEY_TYPE].iter().any(|m| mentions.mentions(file, m));
         let mut queue_structs: BTreeSet<&str> = BTreeSet::new();
         let mut heap_elem_types: BTreeSet<String> = BTreeSet::new();
-        for u in units {
+        for (file, u) in units.iter().enumerate() {
+            if !queue_marked(file) {
+                continue;
+            }
             for s in &u.model.structs {
                 let (b0, b1) = s.body;
                 if u.lexed.tokens[b0..=b1]
@@ -345,16 +430,17 @@ impl<'a> Graph<'a> {
         }
         let mut sched = vec![false; nodes.len()];
         for (n, node) in nodes.iter().enumerate() {
-            if node.owner.as_deref().is_some_and(|t| queue_structs.contains(t)) {
+            if node.owner.is_some_and(|t| queue_structs.contains(t)) {
                 sched[n] = true;
                 continue;
             }
             let u = &units[node.file];
             let (b0, b1) = node.body;
-            let touches_heap = u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
-                || u.lexed.tokens[b0..=b1]
-                    .iter()
-                    .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE));
+            let touches_heap = queue_marked(node.file)
+                && (u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
+                    || u.lexed.tokens[b0..=b1]
+                        .iter()
+                        .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE)));
             let calls_sched =
                 u.model.calls_in(b0, b1).iter().any(|c| SCHED_METHODS.contains(&c.name.as_str()))
                     || u.model
@@ -364,7 +450,7 @@ impl<'a> Graph<'a> {
             sched[n] = touches_heap || calls_sched;
         }
 
-        Graph { nodes, edges, entries, reachable, sched, heap_elem_types, idents, file_start }
+        Graph { nodes, edges, entries, reachable, sched, heap_elem_types, mentions, file_start }
     }
 
     /// The node of `units[file].model.fns[fn_idx]`.
@@ -373,8 +459,16 @@ impl<'a> Graph<'a> {
     }
 
     /// True when `units[file]` mentions the identifier `name` anywhere.
+    /// `name` must be one the index records: an impl owner or trait, or
+    /// one of [`MENTION_GATES`].
     pub(crate) fn mentions(&self, file: usize, name: &str) -> bool {
-        self.idents[file].contains(name)
+        self.mentions.mentions(file, name)
+    }
+
+    /// True when `units[file]` mentions node `n`'s owner type or trait:
+    /// the gate a method call there passes to reach `n`.
+    pub(crate) fn names_owner_of(&self, file: usize, n: usize) -> bool {
+        self.mentions.names_owner_of(file, n)
     }
 
     /// The line of node `n`'s first call, by name, to node `m`; `n`'s
@@ -402,11 +496,12 @@ impl<'a> Graph<'a> {
     pub fn scope_for(&self, file: usize) -> FileScope {
         let mut sched_spans = Vec::new();
         let mut reach_spans = Vec::new();
-        for (n, node) in self.nodes.iter().enumerate() {
+        for n in self.file_start[file]..self.file_start[file + 1] {
+            let node = &self.nodes[n];
             // Test code is exempt from both rule families: a test that
             // panics is a test that fails, and a test's private sort is
             // not the scheduler's.
-            if node.file != file || node.in_test {
+            if node.in_test {
                 continue;
             }
             if self.sched[n] {
@@ -617,8 +712,8 @@ impl<'a> Graph<'a> {
                  \"effects\": {}}}",
                 json_str(&n.abs_module[0]),
                 json_str(&module),
-                json_str(&n.name),
-                n.owner.as_deref().map_or("null".to_string(), json_str),
+                json_str(n.name),
+                n.owner.map_or("null".to_string(), json_str),
                 json_str(&units[n.file].path),
                 n.line,
                 n.in_test,
@@ -655,11 +750,10 @@ impl<'a> Graph<'a> {
 /// True when a node is an injector-reachability entry point.
 fn is_entry(n: &FnNode) -> bool {
     let type_entry = |name: &str| ENTRY_TYPES.contains(&name) || name.ends_with("Detector");
-    if n.owner.as_deref().is_some_and(type_entry) || n.trait_name.as_deref().is_some_and(type_entry)
-    {
+    if n.owner.is_some_and(type_entry) || n.trait_name.is_some_and(type_entry) {
         return true;
     }
-    n.owner.is_none() && ENTRY_FNS.contains(&n.name.as_str())
+    n.owner.is_none() && ENTRY_FNS.contains(&n.name)
 }
 
 /// Breadth-first reachability over the adjacency sets.
@@ -685,40 +779,38 @@ pub(crate) fn bfs(edges: &[BTreeSet<usize>], roots: impl Iterator<Item = usize>)
 
 /// Per-module `pub use` re-exports: module path → (visible name, or
 /// `None` for a glob; canonical target path).
-type ReexportMap = BTreeMap<Vec<String>, Vec<(Option<String>, Vec<String>)>>;
+type ReexportMap<'a> = BTreeMap<Vec<&'a str>, Vec<(Option<&'a str>, Vec<&'a str>)>>;
 
 /// Free-function lookup with `pub use` re-export following.
-struct FnLookup {
-    free_fns: BTreeMap<Vec<String>, Vec<usize>>,
-    reexports: ReexportMap,
+struct FnLookup<'a> {
+    free_fns: BTreeMap<Vec<&'a str>, Vec<usize>>,
+    reexports: ReexportMap<'a>,
 }
 
-impl FnLookup {
-    /// Node ids for the absolute path `abs` = `[krate, modules…, name]`,
-    /// following re-exports to a small depth (cycles terminate there).
-    fn find(&self, abs: &[String], depth: usize) -> Vec<usize> {
+impl FnLookup<'_> {
+    /// Adds to `out` the node ids for the absolute path `abs` = `[krate,
+    /// modules…, name]`, following re-exports to a small depth (cycles
+    /// terminate there).
+    fn find(&self, abs: &[&str], depth: usize, out: &mut Vec<usize>) {
         if depth > 4 {
-            return Vec::new();
+            return;
         }
         if let Some(ids) = self.free_fns.get(abs) {
-            return ids.clone();
+            out.extend(ids);
+            return;
         }
-        let Some((name, parent)) = abs.split_last() else { return Vec::new() };
-        let mut out = Vec::new();
-        if let Some(rx) = self.reexports.get(parent) {
-            for (vis, target) in rx {
-                match vis {
-                    Some(v) if v == name => out.extend(self.find(target, depth + 1)),
-                    None => {
-                        let mut key = target.clone();
-                        key.push(name.clone());
-                        out.extend(self.find(&key, depth + 1));
-                    }
-                    _ => {}
+        let Some((&name, parent)) = abs.split_last() else { return };
+        let Some(rx) = self.reexports.get(parent) else { return };
+        for (vis, target) in rx {
+            match *vis {
+                Some(v) if v == name => self.find(target, depth + 1, out),
+                None => {
+                    let key: Vec<&str> = target.iter().copied().chain([name]).collect();
+                    self.find(&key, depth + 1, out);
                 }
+                _ => {}
             }
         }
-        out
     }
 }
 
@@ -844,6 +936,29 @@ mod tests {
         ];
         let g = Graph::build(&units);
         assert!(g.reachable[node_id(&g, "dispatch")], "re-exported fn resolves");
+    }
+
+    #[test]
+    fn calls_through_use_aliases_resolve() {
+        // `go` and `run` name no fn: only the aliases the re-export and
+        // the import give `dispatch` resolve them.
+        let units = [
+            unit(
+                "crates/alpha/src/lib.rs",
+                "pub mod eng; pub use eng::dispatch as go; \
+                 pub fn relay() { go(); } pub fn qualified() { crate::go(); }",
+            ),
+            unit("crates/alpha/src/eng.rs", "pub fn dispatch() {}"),
+            unit(
+                "crates/beta/src/lib.rs",
+                "use alpha::eng::dispatch as run; pub fn imported() { run(); }",
+            ),
+        ];
+        let g = Graph::build(&units);
+        let dispatch = node_id(&g, "dispatch");
+        for caller in ["relay", "qualified", "imported"] {
+            assert!(g.edges[node_id(&g, caller)].contains(&dispatch), "{caller}: {:?}", g.edges);
+        }
     }
 
     #[test]

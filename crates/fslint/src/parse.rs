@@ -36,12 +36,15 @@
 //!   round without scanning the tokens again.
 //!
 //! Everything is spans of token indices into the original
-//! [`Lexed::tokens`](crate::lexer::Lexed) vector; the parser allocates no
-//! token copies. Method calls, free calls and macros are recorded in token
-//! order, so the calls inside a token span are found by binary search
-//! (`FileModel::calls_in` and its siblings) rather than by filtering the
-//! whole list. Like the lexer, the parser never fails: unparsable
-//! stretches are skipped, because a linter must report what it *can* see.
+//! [`Lexed::tokens`](crate::lexer::Lexed) vector. The walks read names
+//! and path segments by token index and copy a token's text only into an
+//! item they record: a path that turns out not to be a call, or a name
+//! already bound, costs no allocation. Method calls, free calls and
+//! macros are recorded in token order, so the calls inside a token span
+//! are found by binary search (`FileModel::calls_in` and its siblings)
+//! rather than by filtering the whole list. Like the lexer, the parser
+//! never fails: unparsable stretches are skipped, because a linter must
+//! report what it *can* see.
 
 use crate::lexer::{Lexed, TokKind, Token};
 use std::collections::BTreeSet;
@@ -525,7 +528,6 @@ fn collect_fns(lexed: &Lexed, model: &mut FileModel) {
             i += 1;
             continue;
         }
-        let name = toks[i + 1].text.to_string();
         let line = toks[i].line;
         // The body is the first `{` past the signature at the `fn`'s
         // bracket level; a `;` there ends a trait method declaration.
@@ -541,7 +543,7 @@ fn collect_fns(lexed: &Lexed, model: &mut FileModel) {
         let sig = parse_sig(lexed, i, open);
         let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
         let mut item = FnItem {
-            name,
+            name: toks[i + 1].text.to_string(),
             line,
             body: (open, close),
             sig,
@@ -601,64 +603,18 @@ fn parse_sig(lexed: &Lexed, at: usize, body: usize) -> FnSig {
     let close = lexed.close_of(j);
     // Split the list at the commas of its own bracket level; generic
     // angles hide theirs.
-    let mut spans: Vec<(usize, usize)> = Vec::new();
     let (mut start, mut k) = (j + 1, j + 1);
     while k < close {
         if toks[k].is_punct('<') {
             k = skip_angles(toks, k);
         } else if toks[k].is_punct(',') {
-            spans.push((start, k));
+            sig_param(toks, (start, k), &mut sig);
             start = k + 1;
         }
         k = lexed.step(k);
     }
     if start < close {
-        spans.push((start, close));
-    }
-    for (s, e) in spans {
-        let span = &toks[s..e];
-        let colon = span.iter().position(|t| t.is_punct(':'));
-        if colon.is_none() && span.iter().any(|t| t.is_ident("self")) {
-            let by_ref = span.iter().any(|t| t.is_punct('&'));
-            sig.receiver = match (by_ref, span.iter().any(|t| t.is_ident("mut"))) {
-                (false, _) => Receiver::Value,
-                (true, false) => Receiver::Ref,
-                (true, true) => Receiver::RefMut,
-            };
-            continue;
-        }
-        // `name: Type`; a `::` path (a proptest `x in strategy`) is no
-        // parameter type.
-        let Some(colon) =
-            colon.filter(|&c| c > 0 && !span.get(c + 1).is_some_and(|t| t.is_punct(':')))
-        else {
-            continue;
-        };
-        let nt = &span[colon - 1];
-        if nt.kind != TokKind::Ident || is_keyword(&nt.text) {
-            continue;
-        }
-        // The type: skip refs and lifetimes, note `mut`, then take the
-        // first real type path by its last segment.
-        let mut t = colon + 1;
-        let mut saw_ref = false;
-        while t < span.len() && (span[t].is_punct('&') || span[t].kind == TokKind::Lifetime) {
-            saw_ref |= span[t].is_punct('&');
-            t += 1;
-        }
-        let mut_ref = saw_ref && t < span.len() && span[t].is_ident("mut");
-        let ty_name = span[t..]
-            .iter()
-            .position(|x| x.kind == TokKind::Ident && !is_keyword(&x.text))
-            .and_then(|p| read_path(toks, s + t + p))
-            .map(|(last, _)| last)
-            .unwrap_or_default();
-        sig.params.push(Param {
-            name: nt.text.to_string(),
-            ty: (s + colon + 1, e - 1),
-            ty_name,
-            mut_ref,
-        });
+        sig_param(toks, (start, close), &mut sig);
     }
     if punct_at(toks, close + 1, '-') && punct_at(toks, close + 2, '>') {
         let start = close + 3;
@@ -666,6 +622,53 @@ fn parse_sig(lexed: &Lexed, at: usize, body: usize) -> FnSig {
         sig.ret = (start <= end).then_some((start, end));
     }
     sig
+}
+
+/// Reads one parameter, the tokens `s..e` between two commas of a
+/// signature: the receiver, or a named parameter with its type.
+fn sig_param(toks: &[Token], (s, e): (usize, usize), sig: &mut FnSig) {
+    let span = &toks[s..e];
+    let colon = span.iter().position(|t| t.is_punct(':'));
+    if colon.is_none() && span.iter().any(|t| t.is_ident("self")) {
+        let by_ref = span.iter().any(|t| t.is_punct('&'));
+        sig.receiver = match (by_ref, span.iter().any(|t| t.is_ident("mut"))) {
+            (false, _) => Receiver::Value,
+            (true, false) => Receiver::Ref,
+            (true, true) => Receiver::RefMut,
+        };
+        return;
+    }
+    // `name: Type`; a `::` path (a proptest `x in strategy`) is no
+    // parameter type.
+    let Some(colon) = colon.filter(|&c| c > 0 && !span.get(c + 1).is_some_and(|t| t.is_punct(':')))
+    else {
+        return;
+    };
+    let nt = &span[colon - 1];
+    if nt.kind != TokKind::Ident || is_keyword(&nt.text) {
+        return;
+    }
+    // The type: skip refs and lifetimes, note `mut`, then take the
+    // first real type path by its last segment.
+    let mut t = colon + 1;
+    let mut saw_ref = false;
+    while t < span.len() && (span[t].is_punct('&') || span[t].kind == TokKind::Lifetime) {
+        saw_ref |= span[t].is_punct('&');
+        t += 1;
+    }
+    let mut_ref = saw_ref && t < span.len() && span[t].is_ident("mut");
+    let ty_name = span[t..]
+        .iter()
+        .position(|x| x.kind == TokKind::Ident && !is_keyword(&x.text))
+        .and_then(|p| read_path(toks, s + t + p))
+        .map(|(last, _)| toks[last].text.to_string())
+        .unwrap_or_default();
+    sig.params.push(Param {
+        name: nt.text.to_string(),
+        ty: (s + colon + 1, e - 1),
+        ty_name,
+        mut_ref,
+    });
 }
 
 /// Fills `bound_vars` and `float_vars` for the token range `[start, end]`.
@@ -680,7 +683,7 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 let mut j = i + 1;
                 while j <= end && !toks[j].is_ident("in") && !punct_at(toks, j, '{') {
                     if toks[j].kind == TokKind::Ident && !is_keyword(&toks[j].text) {
-                        item.bound_vars.insert(toks[j].text.to_string());
+                        record(&mut item.bound_vars, &toks[j].text);
                     }
                     j += 1;
                 }
@@ -694,7 +697,7 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                         // Skip type-ascription idents: `|x: usize|` binds `x`.
                         let ascribed = j > 0 && punct_at(toks, j - 1, ':');
                         if !ascribed {
-                            item.bound_vars.insert(toks[j].text.to_string());
+                            record(&mut item.bound_vars, &toks[j].text);
                         }
                     }
                     j += 1;
@@ -710,11 +713,10 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
                     j += 1;
                 }
-                if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident) {
-                    let name = toks[j].text.to_string();
-                    if stmt_is_floaty(lexed, j + 1, end) {
-                        item.float_vars.insert(name);
-                    }
+                if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident)
+                    && stmt_is_floaty(lexed, j + 1, end)
+                {
+                    record(&mut item.float_vars, &toks[j].text);
                 }
                 let limit = toks.len().min(end + 1);
                 let k = lexed
@@ -724,7 +726,7 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                     .unwrap_or(limit);
                 for t in &toks[i + 1..k] {
                     if t.kind == TokKind::Ident && !is_keyword(&t.text) {
-                        item.bound_vars.insert(t.text.to_string());
+                        record(&mut item.bound_vars, &t.text);
                     }
                 }
                 i = k;
@@ -732,12 +734,19 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
             // Bare ascriptions `name: f64` (params, struct literals).
             TokKind::Ident if matches!(&*t.text, "f64" | "f32") => {
                 if i >= 2 && punct_at(toks, i - 1, ':') && toks[i - 2].kind == TokKind::Ident {
-                    item.float_vars.insert(toks[i - 2].text.to_string());
+                    record(&mut item.float_vars, &toks[i - 2].text);
                 }
                 i += 1;
             }
             _ => i += 1,
         }
+    }
+}
+
+/// Adds `name` to `set`, copying it only when it is new.
+fn record(set: &mut BTreeSet<String>, name: &str) {
+    if !set.contains(name) {
+        set.insert(name.to_string());
     }
 }
 
@@ -882,19 +891,20 @@ fn at_item_position(toks: &[Token], i: usize) -> bool {
 }
 
 /// Reads a type/trait path at `j` (`a::b::C`, optional trailing generics),
-/// returning the final segment and the index just past it.
-fn read_path(toks: &[Token], mut j: usize) -> Option<(String, usize)> {
+/// returning the final segment's token index and the index just past the
+/// path.
+fn read_path(toks: &[Token], mut j: usize) -> Option<(usize, usize)> {
     let t = toks.get(j)?;
     if t.kind != TokKind::Ident || (is_keyword(&t.text) && t.text != "Self") {
         return None;
     }
-    let mut last = t.text.to_string();
+    let mut last = j;
     j += 1;
     while punct_at(toks, j, ':')
         && punct_at(toks, j + 1, ':')
         && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
     {
-        last = toks[j + 2].text.to_string();
+        last = j + 2;
         j += 3;
     }
     if punct_at(toks, j, '<') {
@@ -950,13 +960,19 @@ fn collect_impls(lexed: &Lexed, model: &mut FileModel) {
         } else {
             (None, first)
         };
+        let name = |k: usize| toks[k].text.to_string();
         // Scan across any `where` clause (it contains no braces) to the body.
         while j < toks.len() && !punct_at(toks, j, '{') && !punct_at(toks, j, ';') {
             j += 1;
         }
         if punct_at(toks, j, '{') {
             let close = lexed.close_of(j);
-            model.impls.push(ImplBlock { trait_name, type_name, line, body: (j, close) });
+            model.impls.push(ImplBlock {
+                trait_name: trait_name.map(name),
+                type_name: name(type_name),
+                line,
+                body: (j, close),
+            });
         }
         i = j + 1;
     }
@@ -972,7 +988,6 @@ fn collect_structs(lexed: &Lexed, model: &mut FileModel) {
             i += 1;
             continue;
         }
-        let name = toks[i + 1].text.to_string();
         let line = toks[i].line;
         let mut j = i + 2;
         if punct_at(toks, j, '<') {
@@ -990,6 +1005,7 @@ fn collect_structs(lexed: &Lexed, model: &mut FileModel) {
             }
         }
         if punct_at(toks, j, '{') || punct_at(toks, j, '(') {
+            let name = toks[i + 1].text.to_string();
             model.structs.push(StructDef { name, line, body: (j, lexed.close_of(j)) });
         }
         i = j + 1;
@@ -1001,6 +1017,7 @@ fn collect_structs(lexed: &Lexed, model: &mut FileModel) {
 fn collect_uses(lexed: &Lexed, model: &mut FileModel) -> Vec<(usize, usize)> {
     let toks = &lexed.tokens;
     let mut spans = Vec::new();
+    let mut segs = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
         if !toks[i].is_ident("use") || !at_item_position_for_use(toks, i) {
@@ -1009,7 +1026,7 @@ fn collect_uses(lexed: &Lexed, model: &mut FileModel) -> Vec<(usize, usize)> {
         }
         let is_pub = use_is_pub(lexed, i);
         let line = toks[i].line;
-        let end = use_tree(lexed, i + 1, &[], is_pub, line, &mut model.uses);
+        let end = use_tree(lexed, i + 1, &mut segs, is_pub, line, &mut model.uses);
         spans.push((i, end));
         i = end.max(i + 1);
     }
@@ -1041,34 +1058,45 @@ fn use_is_pub(lexed: &Lexed, i: usize) -> bool {
     toks[k].is_ident("pub")
 }
 
-/// Parses one use tree at `j` with `prefix` segments already read; emits
+/// Parses one use tree at `j` below the `segs` already read; emits
 /// flattened [`UseDecl`]s and returns the index just past the tree.
-fn use_tree(
-    lexed: &Lexed,
+/// `segs` borrows the token texts and is restored on return; a
+/// [`UseDecl`] copies them.
+fn use_tree<'t>(
+    lexed: &'t Lexed,
     mut j: usize,
-    prefix: &[String],
+    segs: &mut Vec<&'t str>,
     is_pub: bool,
     line: u32,
     out: &mut Vec<UseDecl>,
 ) -> usize {
     let toks = &lexed.tokens;
-    let mut segs = prefix.to_vec();
-    loop {
+    let prefix = segs.len();
+    let owned = |segs: &[&str]| segs.iter().map(|s| s.to_string()).collect();
+    let end = loop {
         match toks.get(j) {
             Some(t) if t.kind == TokKind::Ident && t.text != "as" => {
-                segs.push(t.text.to_string());
+                segs.push(&t.text);
                 j += 1;
                 if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
                     j += 2;
                     continue;
                 }
-                break;
+                let alias = if toks.get(j).is_some_and(|t| t.is_ident("as")) {
+                    let a = toks.get(j + 1).map(|t| t.text.to_string());
+                    j += 2;
+                    a
+                } else {
+                    None
+                };
+                out.push(UseDecl { segs: owned(segs), alias, glob: false, is_pub, line });
+                break j;
             }
             Some(t) if t.is_punct('{') => {
                 let close = lexed.close_of(j);
                 let mut k = j + 1;
                 while k < close {
-                    let next = use_tree(lexed, k, &segs, is_pub, line, out);
+                    let next = use_tree(lexed, k, segs, is_pub, line, out);
                     k = next.max(k + 1);
                     if punct_at(toks, k, ',') {
                         k += 1;
@@ -1076,26 +1104,17 @@ fn use_tree(
                         break;
                     }
                 }
-                return close + 1;
+                break close + 1;
             }
             Some(t) if t.is_punct('*') => {
-                out.push(UseDecl { segs, alias: None, glob: true, is_pub, line });
-                return j + 1;
+                out.push(UseDecl { segs: owned(segs), alias: None, glob: true, is_pub, line });
+                break j + 1;
             }
-            _ => return j,
+            _ => break j,
         }
-    }
-    let alias = if toks.get(j).is_some_and(|t| t.is_ident("as")) {
-        let a = toks.get(j + 1).map(|t| t.text.to_string());
-        j += 2;
-        a
-    } else {
-        None
     };
-    if segs.len() > prefix.len() {
-        out.push(UseDecl { segs, alias, glob: false, is_pub, line });
-    }
-    j
+    segs.truncate(prefix);
+    end
 }
 
 /// Path heads that are keywords but still begin a callable path.
@@ -1108,7 +1127,12 @@ fn is_path_head_keyword(word: &str) -> bool {
 /// `.`), definitions (preceded by `fn` etc.), macros (followed by `!`), and
 /// paths inside `use` items never match.
 fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut FileModel) {
-    let in_use = |i: usize| use_spans.iter().any(|&(s, e)| i >= s && i <= e);
+    // The spans are disjoint and in token order: the one that could hold
+    // `i` is the last that starts at or before it.
+    let in_use = |i: usize| {
+        let k = use_spans.partition_point(|&(s, _)| s <= i);
+        k > 0 && i <= use_spans[k - 1].1
+    };
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
@@ -1135,15 +1159,14 @@ fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut 
                 continue;
             }
         }
-        // Read the full chain.
-        let mut segs = vec![t.text.to_string()];
+        // Read the full chain by token index: its segments sit three
+        // tokens apart, from the head at `i` to the name at `name_tok`.
         let mut j = i + 1;
         let mut name_tok = i;
         while punct_at(toks, j, ':')
             && punct_at(toks, j + 1, ':')
             && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
         {
-            segs.push(toks[j + 2].text.to_string());
             name_tok = j + 2;
             j += 3;
         }
@@ -1156,21 +1179,21 @@ fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut 
             }
         }
         let called = punct_at(toks, k, '(');
-        if toks[i].is_ident("self") && segs.len() == 1 {
+        let qualified = name_tok > i;
+        if toks[i].is_ident("self") && !qualified {
             // Bare `self` is a receiver, never a call.
             i = j;
             continue;
         }
-        if called || segs.len() > 1 {
-            if let Some(name) = segs.pop() {
-                model.free_calls.push(FreeCall {
-                    qual: segs,
-                    name,
-                    line: toks[name_tok].line,
-                    tok: name_tok,
-                    called,
-                });
-            }
+        if called || qualified {
+            let qual = (i..name_tok).step_by(3).map(|k| toks[k].text.to_string()).collect();
+            model.free_calls.push(FreeCall {
+                qual,
+                name: toks[name_tok].text.to_string(),
+                line: toks[name_tok].line,
+                tok: name_tok,
+                called,
+            });
         }
         i = j;
     }

@@ -22,31 +22,47 @@
 //!
 //! Everything here is a conservative approximation: a path that cannot be
 //! canonicalised (std, vendored names, macro-generated modules) resolves
-//! to `None` and simply contributes no call-graph edge. Inline `mod m {}`
+//! to nothing and simply contributes no call-graph edge. Inline `mod m {}`
 //! blocks share their file's module path.
+//!
+//! Paths are resolved as borrowed segments: the resolver's tables and an
+//! [`ImportMap`] hold `&str`s that point into the scanned files' module
+//! paths and `use` items, and [`Resolver::canon`] writes into a buffer
+//! its caller reuses, so resolving a call copies no name.
 
 use crate::parse::UseDecl;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A file's module coordinates: which crate it belongs to and the module
-/// path within that crate.
+/// path within that crate, stored once in the absolute form `[krate,
+/// modules…]` that the call graph keys on and borrows.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ModPath {
-    /// Canonical crate key (the directory name under `crates/`, or
-    /// `fail_stutter` for the root package, or a standalone-file key).
-    pub krate: String,
-    /// Module segments within the crate (`[]` for the crate root;
-    /// `["bin", "fs-campaign"]` for a binary root).
-    pub modules: Vec<String>,
+    abs: Vec<String>,
 }
 
 impl ModPath {
+    /// Canonical crate key (the directory name under `crates/`, or
+    /// `fail_stutter` for the root package, or a standalone-file key).
+    pub fn krate(&self) -> &str {
+        &self.abs[0]
+    }
+
+    /// Module segments within the crate (`[]` for the crate root;
+    /// `["bin", "fs-campaign"]` for a binary root).
+    pub fn modules(&self) -> &[String] {
+        &self.abs[1..]
+    }
+
     /// The absolute form `[krate, modules…]` used as a lookup key.
-    pub fn abs(&self) -> Vec<String> {
-        let mut v = Vec::with_capacity(1 + self.modules.len());
-        v.push(self.krate.clone());
-        v.extend(self.modules.iter().cloned());
-        v
+    pub fn abs(&self) -> &[String] {
+        &self.abs
+    }
+
+    fn new(krate: &str, modules: Vec<String>) -> ModPath {
+        let mut abs = modules;
+        abs.insert(0, krate.to_string());
+        ModPath { abs }
     }
 }
 
@@ -61,14 +77,14 @@ pub(crate) fn module_path(path: &str) -> ModPath {
         .rev()
         .find(|&i| comps[i] == "crates" && i + 2 < comps.len() && comps[i + 2] == "src");
     if let Some(i) = hit {
-        return ModPath { krate: comps[i + 1].to_string(), modules: file_modules(&comps[i + 3..]) };
+        return ModPath::new(comps[i + 1], file_modules(&comps[i + 3..]));
     }
     // The root package's `src/` tree (workspace-relative paths only).
     if comps.first() == Some(&"src") && comps.len() > 1 {
-        return ModPath { krate: "fail_stutter".to_string(), modules: file_modules(&comps[1..]) };
+        return ModPath::new("fail_stutter", file_modules(&comps[1..]));
     }
     // Standalone root: integration tests, examples, unmatched files.
-    ModPath { krate: path.trim_end_matches(".rs").to_string(), modules: Vec::new() }
+    ModPath::new(path.trim_end_matches(".rs"), Vec::new())
 }
 
 /// Module segments for the path components below a `src/` root.
@@ -87,84 +103,87 @@ fn file_modules(comps: &[&str]) -> Vec<String> {
     mods
 }
 
-/// Workspace-level name tables the canonicaliser consults.
+/// Workspace-level name tables the canonicaliser consults, borrowing the
+/// scanned files' [`ModPath`]s.
 #[derive(Debug, Default)]
-pub struct Resolver {
+pub struct Resolver<'a> {
     /// Importable crate name → canonical crate key.
-    pub aliases: BTreeMap<String, String>,
+    pub aliases: BTreeMap<String, &'a str>,
     /// Every known absolute module path `[krate, modules…]`.
-    pub modules: BTreeSet<Vec<String>>,
+    pub modules: BTreeSet<Vec<&'a str>>,
 }
 
-impl Resolver {
+impl<'a> Resolver<'a> {
     /// Builds the alias and module tables from the scanned files'
     /// [`ModPath`]s.
-    pub fn from_mod_paths(mod_paths: &[ModPath]) -> Resolver {
+    pub fn from_mod_paths(mod_paths: impl IntoIterator<Item = &'a ModPath>) -> Resolver<'a> {
         let mut res = Resolver::default();
         for mp in mod_paths {
-            for alias in crate_aliases(&mp.krate) {
-                res.aliases.insert(alias, mp.krate.clone());
+            for alias in crate_aliases(mp.krate()) {
+                res.aliases.insert(alias, mp.krate());
             }
             // Register the module and every prefix of it.
-            let abs = mp.abs();
+            let abs: Vec<&str> = mp.abs().iter().map(String::as_str).collect();
             for end in 1..=abs.len() {
-                res.modules.insert(abs[..end].to_vec());
+                if !res.modules.contains(&abs[..end]) {
+                    res.modules.insert(abs[..end].to_vec());
+                }
             }
         }
         res
     }
 
     /// Canonicalises a path written at `at` into absolute
-    /// `[krate, modules…, item…]` segments. `None` when the head is not
+    /// `[krate, modules…, item…]` segments, written into `out`. False
+    /// (with `out` unspecified) when the path is empty or its head is not
     /// addressable in the scanned workspace (std, unknown crates).
-    pub fn canon(&self, at: &ModPath, segs: &[String]) -> Option<Vec<String>> {
-        let head = segs.first()?;
-        let mut out: Vec<String>;
-        let mut rest = segs;
-        match head.as_str() {
-            "crate" => {
-                out = vec![at.krate.clone()];
-                rest = &rest[1..];
-            }
-            "self" => {
-                out = at.abs();
-                rest = &rest[1..];
-            }
+    pub fn canon(
+        &self,
+        at: &'a ModPath,
+        segs: impl IntoIterator<Item = &'a str>,
+        out: &mut Vec<&'a str>,
+    ) -> bool {
+        out.clear();
+        let mut segs = segs.into_iter().peekable();
+        let Some(head) = segs.next() else { return false };
+        let abs = at.abs().iter().map(String::as_str);
+        match head {
+            "crate" => out.push(at.krate()),
+            "self" => out.extend(abs),
             "super" => {
-                out = at.abs();
-                while rest.first().is_some_and(|s| s == "super") {
-                    // Popping past the crate root is unresolvable.
+                out.extend(abs);
+                // Each leading `super`, this one included, pops a module;
+                // popping past the crate root is unresolvable.
+                loop {
                     if out.len() <= 1 {
-                        return None;
+                        return false;
                     }
                     out.pop();
-                    rest = &rest[1..];
+                    if segs.next_if_eq(&"super").is_none() {
+                        break;
+                    }
                 }
             }
             name => {
                 if let Some(k) = self.aliases.get(name) {
-                    out = vec![k.clone()];
+                    out.push(k);
                 } else {
                     // A submodule of the current module, else a root module
                     // of the current crate.
-                    let mut sub = at.abs();
-                    sub.push(name.to_string());
-                    if self.modules.contains(&sub) {
-                        out = sub;
-                    } else {
-                        let root = vec![at.krate.clone(), name.to_string()];
-                        if self.modules.contains(&root) {
-                            out = root;
-                        } else {
-                            return None;
+                    out.extend(abs);
+                    out.push(name);
+                    if !self.modules.contains(&out[..]) {
+                        out.clear();
+                        out.extend([at.krate(), name]);
+                        if !self.modules.contains(&out[..]) {
+                            return false;
                         }
                     }
                 }
-                rest = &rest[1..];
             }
         }
-        out.extend(rest.iter().cloned());
-        Some(out)
+        out.extend(segs);
+        true
     }
 }
 
@@ -178,23 +197,31 @@ fn crate_aliases(key: &str) -> Vec<String> {
 
 /// One file's imports, with targets already canonicalised.
 #[derive(Debug, Default)]
-pub struct ImportMap {
+pub struct ImportMap<'a> {
     /// Visible name → absolute target segments.
-    pub named: BTreeMap<String, Vec<String>>,
+    pub named: BTreeMap<&'a str, Vec<&'a str>>,
     /// Absolute module prefixes imported wholesale (`use m::*`).
-    pub globs: Vec<Vec<String>>,
+    pub globs: Vec<Vec<&'a str>>,
 }
 
 /// Builds a file's [`ImportMap`] from its flattened `use` items.
-pub(crate) fn import_map(uses: &[UseDecl], res: &Resolver, at: &ModPath) -> ImportMap {
+pub(crate) fn import_map<'a>(
+    uses: &'a [UseDecl],
+    res: &Resolver<'a>,
+    at: &'a ModPath,
+) -> ImportMap<'a> {
     let mut map = ImportMap::default();
+    let mut abs = Vec::new();
     for u in uses {
-        let Some(abs) = res.canon(at, &u.segs) else { continue };
+        if !res.canon(at, u.segs.iter().map(String::as_str), &mut abs) {
+            continue;
+        }
         if u.glob {
-            map.globs.push(abs);
-        } else if let Some(name) = u.alias.clone().or_else(|| u.segs.last().cloned()) {
+            map.globs.push(abs.clone());
+        } else if let Some(name) = u.alias.as_deref().or_else(|| u.segs.last().map(String::as_str))
+        {
             if name != "_" {
-                map.named.insert(name, abs);
+                map.named.insert(name, abs.clone());
             }
         }
     }
@@ -206,10 +233,13 @@ mod tests {
     use super::*;
 
     fn mp(krate: &str, modules: &[&str]) -> ModPath {
-        ModPath {
-            krate: krate.to_string(),
-            modules: modules.iter().map(|m| m.to_string()).collect(),
-        }
+        ModPath::new(krate, modules.iter().map(|m| m.to_string()).collect())
+    }
+
+    /// `segs` written at `at`, canonicalised; `None` when unresolvable.
+    fn canon<'a>(res: &Resolver<'a>, at: &'a ModPath, segs: &[&'a str]) -> Option<String> {
+        let mut out = Vec::new();
+        res.canon(at, segs.iter().copied(), &mut out).then(|| out.join("::"))
     }
 
     #[test]
@@ -233,67 +263,68 @@ mod tests {
     #[test]
     fn unmatched_files_are_standalone_roots() {
         let got = module_path("tests/campaign_smoke.rs");
-        assert!(got.modules.is_empty());
-        assert_eq!(got.krate, "tests/campaign_smoke");
+        assert!(got.modules().is_empty());
+        assert_eq!(got.krate(), "tests/campaign_smoke");
     }
 
-    fn resolver() -> Resolver {
-        Resolver::from_mod_paths(&[
+    fn mod_paths() -> [ModPath; 3] {
+        [
             mp("bench", &["campaign", "scenario"]),
             mp("adapt", &["oracle"]),
             mp("simcore", &["prelude"]),
-        ])
+        ]
     }
 
     #[test]
     fn crate_aliases_cover_dash_and_fs_prefix_forms() {
-        let res = resolver();
+        let mps = mod_paths();
+        let res = Resolver::from_mod_paths(&mps);
         for alias in ["bench", "fs_bench"] {
-            assert_eq!(res.aliases.get(alias).map(String::as_str), Some("bench"), "{alias}");
+            assert_eq!(res.aliases.get(alias).copied(), Some("bench"), "{alias}");
         }
     }
 
     #[test]
     fn canon_resolves_crate_self_super_and_cross_crate_heads() {
-        let res = resolver();
+        let mps = mod_paths();
+        let res = Resolver::from_mod_paths(&mps);
         let at = mp("bench", &["campaign", "scenario"]);
-        let seg = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let got = |segs: &[&'static str]| canon(&res, &at, segs);
         assert_eq!(
-            res.canon(&at, &seg(&["crate", "campaign", "run_all"])),
-            Some(seg(&["bench", "campaign", "run_all"]))
+            got(&["crate", "campaign", "run_all"]).as_deref(),
+            Some("bench::campaign::run_all")
         );
+        assert_eq!(got(&["self", "helper"]).as_deref(), Some("bench::campaign::scenario::helper"));
         assert_eq!(
-            res.canon(&at, &seg(&["self", "helper"])),
-            Some(seg(&["bench", "campaign", "scenario", "helper"]))
+            got(&["super", "runner", "run_all"]).as_deref(),
+            Some("bench::campaign::runner::run_all")
         );
-        assert_eq!(
-            res.canon(&at, &seg(&["super", "runner", "run_all"])),
-            Some(seg(&["bench", "campaign", "runner", "run_all"]))
-        );
-        assert_eq!(
-            res.canon(&at, &seg(&["adapt", "oracle", "check"])),
-            Some(seg(&["adapt", "oracle", "check"]))
-        );
-        assert_eq!(res.canon(&at, &seg(&["std", "mem", "take"])), None);
+        assert_eq!(got(&["super", "super", "x"]).as_deref(), Some("bench::x"));
+        assert_eq!(got(&["super", "super", "super", "x"]), None, "past the crate root");
+        assert_eq!(got(&["adapt", "oracle", "check"]).as_deref(), Some("adapt::oracle::check"));
+        assert_eq!(got(&["std", "mem", "take"]), None);
+        assert_eq!(got(&[]), None);
     }
 
     #[test]
     fn canon_resolves_sibling_and_root_modules() {
-        let res = resolver();
+        let mps = [mp("bench", &["campaign", "scenario"]), mp("adapt", &["oracle"])];
+        let res = Resolver::from_mod_paths(&mps);
         // From the campaign root, `scenario::run` names the submodule.
         let at = mp("bench", &["campaign"]);
-        let got = res.canon(&at, &["scenario".to_string(), "run".to_string()]);
-        assert_eq!(got.map(|v| v.join("::")), Some("bench::campaign::scenario::run".into()));
+        let got = canon(&res, &at, &["scenario", "run"]);
+        assert_eq!(got.as_deref(), Some("bench::campaign::scenario::run"));
         // From a leaf module, a crate-root module still resolves.
         let at = mp("adapt", &["hedge"]);
-        let got = res.canon(&at, &["oracle".to_string(), "check".to_string()]);
-        assert_eq!(got.map(|v| v.join("::")), Some("adapt::oracle::check".into()));
+        let got = canon(&res, &at, &["oracle", "check"]);
+        assert_eq!(got.as_deref(), Some("adapt::oracle::check"));
     }
 
     #[test]
     fn import_map_flattens_names_aliases_and_globs() {
         use crate::parse::UseDecl;
-        let res = resolver();
+        let mps = mod_paths();
+        let res = Resolver::from_mod_paths(&mps);
         let at = mp("bench", &["campaign", "scenario"]);
         let d = |segs: &[&str], alias: Option<&str>, glob: bool| UseDecl {
             segs: segs.iter().map(|s| s.to_string()).collect(),

@@ -35,7 +35,7 @@ pub(crate) type ByName<'a> = BTreeMap<&'a str, Vec<usize>>;
 pub(crate) fn by_name<'a>(graph: &'a Graph, keep: impl Fn(usize) -> bool) -> ByName<'a> {
     let mut index: ByName = BTreeMap::new();
     for (n, node) in graph.nodes.iter().enumerate().filter(|&(n, _)| keep(n)) {
-        index.entry(node.name.as_str()).or_default().push(n);
+        index.entry(node.name).or_default().push(n);
     }
     index
 }
@@ -48,13 +48,11 @@ pub(crate) fn resolve_method(
     file: usize,
     name: &str,
 ) -> Option<usize> {
-    index.get(name)?.iter().copied().find(|&n| {
-        let node = &graph.nodes[n];
-        node.owner.is_some()
-            && [&node.owner, &node.trait_name]
-                .into_iter()
-                .any(|t| t.as_deref().is_some_and(|t| graph.mentions(file, t)))
-    })
+    index
+        .get(name)?
+        .iter()
+        .copied()
+        .find(|&n| graph.nodes[n].owner.is_some() && graph.names_owner_of(file, n))
 }
 
 /// Resolves a free call in `file` to the first indexed node it can name:
@@ -70,17 +68,14 @@ pub(crate) fn resolve_free(
     qual: &[String],
     name: &str,
 ) -> Option<usize> {
-    let mp = &units[file].mp;
+    let module = units[file].mp.abs();
     index.get(name)?.iter().copied().find(|&n| {
         let node = &graph.nodes[n];
         match qual.last() {
-            None => {
-                node.owner.is_none()
-                    && node.abs_module.split_first() == Some((&mp.krate, &mp.modules[..]))
-            }
+            None => node.owner.is_none() && node.abs_module == module,
             Some(q) => {
                 (node.owner.is_none() && node.abs_module.last() == Some(q))
-                    || node.owner.as_ref() == Some(q)
+                    || node.owner == Some(q.as_str())
             }
         }
     })
@@ -145,11 +140,12 @@ pub(crate) fn chain<'s>(
     hops
 }
 
-/// One local binding, live on the token range `[from, until]`.
+/// One local binding, live on the token range `[from, until]`. Its name
+/// borrows the token that binds it.
 #[derive(Debug)]
-pub(crate) struct Local<T> {
+pub(crate) struct Local<'t, T> {
     /// The bound name.
-    pub name: String,
+    pub name: &'t str,
     /// First token the binding is live at.
     pub from: usize,
     /// Last token the binding is live at.
@@ -160,16 +156,16 @@ pub(crate) struct Local<T> {
 
 /// A function's local bindings as token ranges, in binding order.
 #[derive(Debug)]
-pub(crate) struct Locals<T>(Vec<Local<T>>);
+pub(crate) struct Locals<'t, T>(Vec<Local<'t, T>>);
 
-impl<T> Locals<T> {
+impl<'t, T> Locals<'t, T> {
     /// No bindings.
-    pub fn new() -> Locals<T> {
+    pub fn new() -> Locals<'t, T> {
         Locals(Vec::new())
     }
 
     /// Binds `name` to `val` from token `from` on.
-    pub fn bind(&mut self, name: String, from: usize, val: T) {
+    pub fn bind(&mut self, name: &'t str, from: usize, val: T) {
         self.0.push(Local { name, from, until: usize::MAX, val });
     }
 
@@ -193,50 +189,80 @@ impl<T> Locals<T> {
         let mut resumed = Vec::new();
         for l in self.0.iter_mut().filter(|l| l.name == name && l.from < from && from < l.until) {
             if until < l.until {
-                let (name, val) = (l.name.clone(), l.val.clone());
-                resumed.push(Local { name, from: until, until: l.until, val });
+                resumed.push(Local {
+                    name: l.name,
+                    from: until,
+                    until: l.until,
+                    val: l.val.clone(),
+                });
             }
             l.until = from;
         }
         self.0.extend(resumed);
     }
 
+    /// Binds each of `vals` on the token range `[from, until]`, after the
+    /// pattern's `names` end every outer binding of the same name live at
+    /// `from` (a `let` statement) or, for a block's binding (`block`: an
+    /// `if let`, a `while let` or a `for`), hide it inside the block.
+    pub fn rebind(
+        &mut self,
+        names: &[&'t str],
+        vals: &mut Vec<(&'t str, T)>,
+        (from, until): (usize, usize),
+        block: bool,
+    ) where
+        T: Clone,
+    {
+        for name in names {
+            if block {
+                self.hide(name, from, until);
+            } else {
+                self.end(name, from, |_| false);
+            }
+        }
+        self.0.extend(vals.drain(..).map(|(name, val)| Local { name, from, until, val }));
+    }
+
     /// The latest binding of `name` live at token `at`.
-    pub fn find(&self, name: &str, at: usize) -> Option<&Local<T>> {
+    pub fn find(&self, name: &str, at: usize) -> Option<&Local<'t, T>> {
         self.0.iter().rev().find(|l| l.name == name && l.from <= at && at <= l.until)
     }
 }
 
 /// One `let` or `for` binding site.
-#[derive(Debug)]
-pub(crate) struct Binding {
+#[derive(Debug, Default)]
+pub(crate) struct Binding<'t> {
     /// Token index of the `let` / `for` keyword.
     pub at: usize,
     /// True for `let`, false for `for`.
     pub is_let: bool,
     /// The lower-case names the pattern binds.
-    pub names: Vec<String>,
+    pub names: Vec<&'t str>,
     /// The `:` of a `let`'s type ascription, if it has one.
     pub ty: Option<usize>,
     /// The value's token span: a `let`'s right-hand side, or a `for`'s
-    /// pattern and iterated expression.
+    /// iterated expression.
     pub rhs: (usize, usize),
 }
 
 /// Walks the `let`/`for` bindings of `body` in textual order. `bind`
-/// returns the values the binding's names take; each is bound from the
-/// `let`'s `;` (or the loop body's `{`) on, and an `if let`'s or `while
-/// let`'s only inside its block. A `let` rebinding ends the old local's
-/// range, and an `if let`'s or `while let`'s names hide it inside the
-/// block, whether or not the new binding has a value.
-pub(crate) fn walk_bindings<T: Clone>(
-    lexed: &Lexed,
+/// adds to its last argument the values the binding's names take; each
+/// is bound from the `let`'s `;` on, and a `for`'s, an `if let`'s or a
+/// `while let`'s only inside its block. A `let` rebinding ends the old
+/// local's range, and the names of a `for`, an `if let` or a `while let`
+/// hide it inside the block, whether or not the new binding has a value.
+/// The binding and value buffers are reused from binding to binding.
+pub(crate) fn walk_bindings<'t, T: Clone>(
+    lexed: &'t Lexed,
     body: (usize, usize),
-    locals: &mut Locals<T>,
-    mut bind: impl FnMut(&mut Locals<T>, &Binding) -> Vec<(String, T)>,
+    locals: &mut Locals<'t, T>,
+    mut bind: impl FnMut(&mut Locals<'t, T>, &Binding<'t>, &mut Vec<(&'t str, T)>),
 ) {
     let toks = &lexed.tokens;
     let (b0, b1) = body;
+    let mut b = Binding::default();
+    let mut vals = Vec::new();
     let mut i = b0;
     while i <= b1 && i < toks.len() {
         if toks[i].is_ident("let") {
@@ -251,30 +277,20 @@ pub(crate) fn walk_bindings<T: Clone>(
             };
             let until = if scoped { lexed.close_of(from) } else { usize::MAX };
             if let Some(eq) = eq {
-                let (names, ty) = pattern_names(lexed, i + 1, eq);
-                if !names.is_empty() {
-                    let b = Binding { at: i, is_let: true, names, ty, rhs: (eq + 1, from - 1) };
-                    let vals = bind(locals, &b);
-                    for name in &b.names {
-                        if scoped {
-                            locals.hide(name, from, until);
-                        } else {
-                            locals.end(name, from, |_| false);
-                        }
-                    }
-                    for (name, val) in vals {
-                        locals.0.push(Local { name, from, until, val });
-                    }
+                b.ty = pattern_names(lexed, i + 1, eq, &mut b.names);
+                if !b.names.is_empty() {
+                    (b.at, b.is_let, b.rhs) = (i, true, (eq + 1, from - 1));
+                    bind(locals, &b, &mut vals);
+                    locals.rebind(&b.names, &mut vals, (from, until), scoped);
                 }
             }
             i = if scoped { i + 1 } else { from + 1 };
-        } else if let Some((names, expr_end, brace)) =
-            toks[i].is_ident("for").then(|| for_binding(lexed, i, b1)).flatten()
+        } else if let Some((expr, brace)) =
+            toks[i].is_ident("for").then(|| for_binding(lexed, i, b1, &mut b.names)).flatten()
         {
-            let b = Binding { at: i, is_let: false, names, ty: None, rhs: (i + 1, expr_end) };
-            for (name, val) in bind(locals, &b) {
-                locals.bind(name, brace, val);
-            }
+            (b.at, b.is_let, b.ty, b.rhs) = (i, false, None, expr);
+            bind(locals, &b, &mut vals);
+            locals.rebind(&b.names, &mut vals, (brace, lexed.close_of(brace)), true);
             i = brace.max(i + 1);
         } else {
             i += 1;
@@ -288,19 +304,19 @@ pub(crate) fn walk_bindings<T: Clone>(
 /// locals from `locals_for(file, fn_idx)`, teaches the field — by name,
 /// workspace-wide. Fields `known` names are skipped, and a field's first
 /// valued assignment wins.
-pub(crate) fn learn_fields<T, V>(
-    units: &[FileUnit],
+pub(crate) fn learn_fields<'a, T, V>(
+    units: &'a [FileUnit],
     known: impl Fn(&str) -> bool,
-    mut locals_for: impl FnMut(usize, usize) -> Locals<T>,
-    mut eval: impl FnMut(usize, (usize, usize), &Locals<T>) -> Option<V>,
-) -> Vec<(String, V)> {
-    let mut learned: Vec<(String, V)> = Vec::new();
+    mut locals_for: impl FnMut(usize, usize) -> Locals<'a, T>,
+    mut eval: impl FnMut(usize, (usize, usize), &Locals<'a, T>) -> Option<V>,
+) -> Vec<(&'a str, V)> {
+    let mut learned: Vec<(&str, V)> = Vec::new();
     let none = Locals::new();
     for (file, u) in units.iter().enumerate() {
         let mut cache: BTreeMap<usize, Locals<T>> = BTreeMap::new();
         for w in &u.model.field_writes {
             let fname = &*u.lexed.tokens[w.dot + 1].text;
-            if known(fname) || learned.iter().any(|(n, _)| n == fname) {
+            if known(fname) || learned.iter().any(|&(n, _)| n == fname) {
                 continue;
             }
             let locals = match u.model.enclosing_fn_idx(w.dot) {
@@ -308,7 +324,7 @@ pub(crate) fn learn_fields<T, V>(
                 None => &none,
             };
             if let Some(v) = eval(file, (w.dot + 3, w.rhs_end), locals) {
-                learned.push((fname.to_string(), v));
+                learned.push((fname, v));
             }
         }
     }
@@ -393,12 +409,17 @@ pub(crate) fn let_bounds(
 }
 
 /// Lower-case identifiers bound by the pattern between `from` and the
-/// `=` at `eq`, stopping at a `:` (type ascription) at the pattern's
-/// bracket level, which is returned too. A path's `::` lexes as two
-/// colons, so the ascription is the first colon of a run of odd length
-/// (`x: ::std::…` opens with one). CamelCase names are enum/struct
+/// `=` at `eq`, written into `names`, stopping at a `:` (type ascription)
+/// at the pattern's bracket level, which is returned. A path's `::` lexes
+/// as two colons, so the ascription is the first colon of a run of odd
+/// length (`x: ::std::…` opens with one). CamelCase names are enum/struct
 /// constructors, not bindings.
-pub(crate) fn pattern_names(lexed: &Lexed, from: usize, eq: usize) -> (Vec<String>, Option<usize>) {
+pub(crate) fn pattern_names<'t>(
+    lexed: &'t Lexed,
+    from: usize,
+    eq: usize,
+    names: &mut Vec<&'t str>,
+) -> Option<usize> {
     let toks = &lexed.tokens;
     let end = eq.min(toks.len());
     let ascription = |j: usize| {
@@ -406,8 +427,11 @@ pub(crate) fn pattern_names(lexed: &Lexed, from: usize, eq: usize) -> (Vec<Strin
         run % 2 == 1 && !toks[j - 1].is_punct(':')
     };
     let colon = lexed.level(from).take_while(|&j| j < end).find(|&j| ascription(j));
-    let names = toks[from..colon.unwrap_or(end)].iter().filter(|t| binding_name(t));
-    (names.map(|t| t.text.to_string()).collect(), colon)
+    names.clear();
+    names.extend(
+        toks[from..colon.unwrap_or(end)].iter().filter(|t| binding_name(t)).map(|t| &*t.text),
+    );
+    colon
 }
 
 /// True for a lower-case, non-keyword identifier: a pattern binding.
@@ -418,15 +442,17 @@ fn binding_name(t: &Token) -> bool {
 }
 
 /// `for PAT in EXPR {` starting at the `for` at `i`: the bound names,
-/// the last token of EXPR, and the index of the opening `{`.
-pub(crate) fn for_binding(
-    lexed: &Lexed,
+/// written into `names`, then EXPR's token span and the index of the
+/// opening `{`.
+pub(crate) fn for_binding<'t>(
+    lexed: &'t Lexed,
     i: usize,
     limit: usize,
-) -> Option<(Vec<String>, usize, usize)> {
+    names: &mut Vec<&'t str>,
+) -> Option<((usize, usize), usize)> {
     let toks = &lexed.tokens;
     let mut j = i + 1;
-    let mut names = Vec::new();
+    names.clear();
     while j <= limit && j < i + 24 && j < toks.len() {
         let t = &toks[j];
         if t.is_ident("in") {
@@ -436,7 +462,7 @@ pub(crate) fn for_binding(
             return None;
         }
         if binding_name(t) {
-            names.push(t.text.to_string());
+            names.push(&t.text);
         }
         j += 1;
     }
@@ -444,7 +470,7 @@ pub(crate) fn for_binding(
         return None;
     }
     let brace = lexed.level(j + 1).take_while(|&k| k <= limit).find(|&k| toks[k].is_punct('{'))?;
-    (brace > j + 1).then_some((names, brace - 1, brace))
+    (brace > j + 1).then_some(((j + 1, brace - 1), brace))
 }
 
 #[cfg(test)]
@@ -465,8 +491,9 @@ mod tests {
         let (eq, semi) = (first_last(&l, "=").0, first_last(&l, ";").1);
         assert_eq!(let_bounds(&l, let_at + 1, end), (Some(eq), Some(semi)));
         let colon = first_last(&l, ":").0;
-        let names = ["a", "b", "c"].map(String::from).to_vec();
-        assert_eq!(pattern_names(&l, let_at + 1, eq), (names, Some(colon)));
+        let mut names = Vec::new();
+        assert_eq!(pattern_names(&l, let_at + 1, eq, &mut names), Some(colon));
+        assert_eq!(names, ["a", "b", "c"]);
 
         // A path's `::` is no type ascription; the ascription is the
         // lone colon, or the first of `: ::` before a global path.
@@ -479,12 +506,9 @@ mod tests {
             let (let_at, eq) = (first_last(&l, "let").0, first_last(&l, "=").0);
             let colons: Vec<usize> =
                 (0..l.tokens.len()).filter(|&i| l.tokens[i].is_punct(':')).collect();
-            let names = names.into_iter().map(String::from).collect();
-            assert_eq!(
-                pattern_names(&l, let_at + 1, eq),
-                (names, colon.map(|k| colons[k])),
-                "{src}"
-            );
+            let mut got = Vec::new();
+            let ascription = pattern_names(&l, let_at + 1, eq, &mut got);
+            assert_eq!((got, ascription), (names, colon.map(|k| colons[k])), "{src}");
         }
 
         // An `if let` that ends its block has no `;` of its own, however
@@ -494,17 +518,18 @@ mod tests {
         let eq = first_last(&l, "=").0;
         assert_eq!(let_bounds(&l, let_at + 1, l.tokens.len() - 1), (Some(eq), None));
 
-        // An `if let` or `while let` binds its names inside its block
-        // only, though a `let` statement follows the block.
+        // An `if let`, a `while let` or a `for` binds its names inside
+        // its block only, though a `let` statement follows the block.
         for src in [
             "{ let t = 1; if let Some(t) = x { a; } let z = 2; f(t); }",
             "{ let t = 1; while let Some(t) = x { a; } let z = 2; f(t); }",
+            "{ let t = 1; for t in x { a; } let z = 2; f(t); }",
         ] {
             let l = lex(src);
             let (block, close) = (first_last(&l, "{").1, first_last(&l, "}").0);
             let mut locals = Locals::new();
-            walk_bindings(&l, (0, l.tokens.len() - 1), &mut locals, |_, b| {
-                b.names.iter().map(|n| (n.clone(), b.at)).collect()
+            walk_bindings(&l, (0, l.tokens.len() - 1), &mut locals, |_, b, vals| {
+                vals.extend(b.names.iter().map(|&n| (n, b.at)));
             });
             let at = |text| first_last(&l, text).1;
             let outer = first_last(&l, "let").0;
@@ -516,7 +541,9 @@ mod tests {
         // closure's block sits inside the call's parens.
         let l = lex("{ for (i, v) in xs.iter().map(|p| { p }).enumerate() { s += v; } }");
         let body = first_last(&l, "s").0 - 1;
-        let got = for_binding(&l, first_last(&l, "for").0, l.tokens.len() - 1);
-        assert_eq!(got, Some((vec!["i".into(), "v".into()], body - 1, body)));
+        let expr = first_last(&l, "in").0 + 1;
+        let mut names = Vec::new();
+        let got = for_binding(&l, first_last(&l, "for").0, l.tokens.len() - 1, &mut names);
+        assert_eq!((names, got), (vec!["i", "v"], Some(((expr, body - 1), body))));
     }
 }

@@ -56,40 +56,42 @@
 
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::parse::{self, rhs_end};
+use crate::parse::{self, rhs_end, FreeCall};
 use crate::rules::{id, Finding};
 use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-/// A dimension: signed exponents over the unit bases, zero entries
-/// never stored. `{nanos: 1, secs: -1}` renders as `nanos/secs`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Dim(BTreeMap<&'static str, i32>);
+/// The unit bases, in the order a [`Dim`] renders them.
+const BASES: [&str; 7] = ["blocks", "bytes", "micros", "millis", "nanos", "secs", "ticks"];
+
+/// A dimension: one signed exponent per unit base (blocks, bytes,
+/// micros, millis, nanos, secs, ticks), so building and combining
+/// dimensions allocates nothing. `{nanos: 1, secs: -1}` renders as
+/// `nanos/secs`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Dim([i32; BASES.len()]);
 
 impl Dim {
-    /// The dimension of one base unit.
+    /// The dimension of one base unit, by its name (`"nanos"`).
     pub fn base(name: &'static str) -> Dim {
-        let mut m = BTreeMap::new();
-        m.insert(name, 1);
-        Dim(m)
+        let mut exps = [0; BASES.len()];
+        let k = BASES.iter().position(|&b| b == name);
+        debug_assert!(k.is_some(), "`{name}` is no unit base");
+        if let Some(k) = k {
+            exps[k] = 1;
+        }
+        Dim(exps)
     }
 
     /// The reciprocal dimension (all exponents negated).
     pub fn inv(&self) -> Dim {
-        Dim(self.0.iter().map(|(k, v)| (*k, -v)).collect())
+        Dim(self.0.map(|e| -e))
     }
 
-    /// Dimension product: exponents add, zeros vanish.
+    /// Dimension product: exponents add.
     pub fn mul(&self, other: &Dim) -> Dim {
-        let mut m = self.0.clone();
-        for (k, v) in &other.0 {
-            let e = m.entry(k).or_insert(0);
-            *e += v;
-            if *e == 0 {
-                m.remove(k);
-            }
-        }
-        Dim(m)
+        Dim(std::array::from_fn(|k| self.0[k] + other.0[k]))
     }
 
     /// Dimension quotient: same-dimension division is dimensionless.
@@ -97,14 +99,14 @@ impl Dim {
         self.mul(&other.inv())
     }
 
-    /// True for the dimensionless (empty) vector.
+    /// True for the dimensionless (all-zero) vector.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.iter().all(|&e| e == 0)
     }
 
     /// True when any exponent is negative — the quantity is a rate.
     pub fn is_rate(&self) -> bool {
-        self.0.values().any(|&v| v < 0)
+        self.0.iter().any(|&e| e < 0)
     }
 
     /// ASCII rendering: `nanos`, `nanos/secs`, `1/secs`, `nanos^2`.
@@ -116,10 +118,9 @@ impl Dim {
                 format!("{name}^{e}")
             }
         };
-        let num: Vec<String> =
-            self.0.iter().filter(|&(_, &v)| v > 0).map(|(k, &v)| part(v, k)).collect();
-        let den: Vec<String> =
-            self.0.iter().filter(|&(_, &v)| v < 0).map(|(k, &v)| part(-v, k)).collect();
+        let exps = || BASES.iter().zip(self.0);
+        let num: Vec<String> = exps().filter(|&(_, v)| v > 0).map(|(k, v)| part(v, k)).collect();
+        let den: Vec<String> = exps().filter(|&(_, v)| v < 0).map(|(k, v)| part(-v, k)).collect();
         match (num.is_empty(), den.is_empty()) {
             (true, true) => "dimensionless".to_string(),
             (false, true) => num.join("*"),
@@ -130,7 +131,7 @@ impl Dim {
 }
 
 /// The unit lattice: `Unknown ⊑ Scalar ⊑ Of(d) ⊑ Conflict`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Unit {
     /// No information — poisons arithmetic, never fires a rule.
     Unknown,
@@ -147,9 +148,9 @@ impl Unit {
     pub fn join(&self, other: &Unit) -> Unit {
         match (self, other) {
             (Unit::Conflict, _) | (_, Unit::Conflict) => Unit::Conflict,
-            (Unit::Unknown, u) | (u, Unit::Unknown) => u.clone(),
-            (Unit::Scalar, u) | (u, Unit::Scalar) => u.clone(),
-            (Unit::Of(a), Unit::Of(b)) if a == b => Unit::Of(a.clone()),
+            (Unit::Unknown, u) | (u, Unit::Unknown) => *u,
+            (Unit::Scalar, u) | (u, Unit::Scalar) => *u,
+            (Unit::Of(a), Unit::Of(b)) if a == b => Unit::Of(*a),
             _ => Unit::Conflict,
         }
     }
@@ -161,7 +162,7 @@ impl Unit {
             (Unit::Unknown | Unit::Conflict, _) | (_, Unit::Unknown | Unit::Conflict) => {
                 Unit::Unknown
             }
-            (Unit::Scalar, u) | (u, Unit::Scalar) => u.clone(),
+            (Unit::Scalar, u) | (u, Unit::Scalar) => *u,
             (Unit::Of(a), Unit::Of(b)) => {
                 let d = a.mul(b);
                 if d.is_empty() {
@@ -261,54 +262,87 @@ const NUM_TYPES: &[&str] = &[
     "f64", "bool", "char",
 ];
 
-/// Maps one lower-case name segment to its unit base.
+/// Maps one name segment, in any ASCII case, to its unit base.
 fn base_word(w: &str) -> Option<&'static str> {
-    match w {
-        "nanos" | "nano" | "nanosecond" | "nanoseconds" | "ns" => Some("nanos"),
-        "micros" | "micro" | "us" => Some("micros"),
-        "millis" | "milli" | "ms" => Some("millis"),
-        "secs" | "sec" | "second" | "seconds" => Some("secs"),
-        "ticks" | "tick" => Some("ticks"),
-        "lba" | "lbas" | "block" | "blocks" | "nblocks" => Some("blocks"),
-        "bytes" | "byte" | "nbytes" => Some("bytes"),
+    // No unit word is longer than `nanoseconds`: lower-case on the stack.
+    let mut buf = [0u8; 11];
+    let lower = buf.get_mut(..w.len())?;
+    lower.copy_from_slice(w.as_bytes());
+    lower.make_ascii_lowercase();
+    match &*lower {
+        b"nanos" | b"nano" | b"nanosecond" | b"nanoseconds" | b"ns" => Some("nanos"),
+        b"micros" | b"micro" | b"us" => Some("micros"),
+        b"millis" | b"milli" | b"ms" => Some("millis"),
+        b"secs" | b"sec" | b"second" | b"seconds" => Some("secs"),
+        b"ticks" | b"tick" => Some("ticks"),
+        b"lba" | b"lbas" | b"block" | b"blocks" | b"nblocks" => Some("blocks"),
+        b"bytes" | b"byte" | b"nbytes" => Some("bytes"),
         _ => None,
     }
 }
 
-/// The dimension an identifier's *name* declares, with a human label.
-/// `dt` is the simulation step (sim time in nanos); `a_per_b` names are
-/// rates (`ticks_per_sec` is ticks/secs, `open_per_sec` with an
+/// How an identifier's *name* declares its dimension: by a `per_`
+/// prefix, a `_per_` infix or a unit suffix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum NameShape {
+    PerPrefix,
+    PerInfix,
+    Suffix,
+}
+
+/// The dimension an identifier's *name* declares, with the facts its
+/// label quotes: the shape, and the name's unit word as written.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct NameDim<'n> {
+    dim: Dim,
+    shape: NameShape,
+    word: &'n str,
+}
+
+impl NameDim<'_> {
+    /// The human label: ``suffixed `*_ms` (millis)``.
+    fn label(&self) -> String {
+        let w = self.word.to_ascii_lowercase();
+        let base = base_word(&w).unwrap_or("?");
+        match self.shape {
+            NameShape::PerPrefix => format!("named `per_{w}` (a per-{base} rate)"),
+            NameShape::PerInfix => format!("named `*_per_{w}` (a {} rate)", self.dim.render()),
+            NameShape::Suffix => format!("suffixed `*_{w}` ({base})"),
+        }
+    }
+}
+
+/// The dimension an identifier's *name* declares, matched in any ASCII
+/// case. `dt` is the simulation step (sim time in nanos); `a_per_b` names
+/// are rates (`ticks_per_sec` is ticks/secs, `open_per_sec` with an
 /// unresolvable numerator is a bare per-sec count rate); otherwise the
 /// last `_`-segment is tried as a unit suffix.
-pub(crate) fn name_dim(name: &str) -> Option<(Dim, String)> {
+pub(crate) fn name_dim(name: &str) -> Option<NameDim<'_>> {
     // Note `dt` itself carries no name-declared unit: a `dt: SimDuration`
     // is nanos via its type, while `let dt = step.as_secs_f64()` is secs
     // via its binding — both idioms live in this workspace.
-    let lower = name.to_ascii_lowercase();
-    if let Some(rest) = lower.strip_prefix("per_") {
-        let den_word = rest.split('_').next().unwrap_or(rest);
-        let den = base_word(den_word)?;
-        return Some((Dim::base(den).inv(), format!("named `per_{den_word}` (a per-{den} rate)")));
+    fn first(s: &str) -> &str {
+        s.split('_').next().unwrap_or(s)
     }
-    if let Some(pos) = lower.rfind("_per_") {
-        let num_word = lower[..pos].rsplit('_').next().unwrap_or(&lower[..pos]);
-        let rest = &lower[pos + 5..];
-        let den_word = rest.split('_').next().unwrap_or(rest);
-        let den = base_word(den_word)?;
+    if name.get(..4).is_some_and(|p| p.eq_ignore_ascii_case("per_")) {
+        let word = first(&name[4..]);
+        let dim = Dim::base(base_word(word)?).inv();
+        return Some(NameDim { dim, shape: NameShape::PerPrefix, word });
+    }
+    // `_per_` is ASCII, so a byte match sits on char boundaries.
+    if let Some(pos) = name.as_bytes().windows(5).rposition(|w| w.eq_ignore_ascii_case(b"_per_")) {
+        let num_word = name[..pos].rsplit('_').next().unwrap_or(&name[..pos]);
+        let word = first(&name[pos + 5..]);
+        let den = base_word(word)?;
         let dim = match base_word(num_word) {
             Some(num) => Dim::base(num).div(&Dim::base(den)),
             None => Dim::base(den).inv(),
         };
-        let label = format!("named `*_per_{den_word}` (a {} rate)", dim_label(&dim));
-        return Some((dim, label));
+        return Some(NameDim { dim, shape: NameShape::PerInfix, word });
     }
-    let last = lower.rsplit('_').next().unwrap_or(&lower);
-    let b = base_word(last)?;
-    Some((Dim::base(b), format!("suffixed `*_{last}` ({b})")))
-}
-
-fn dim_label(d: &Dim) -> String {
-    d.render()
+    let word = name.rsplit('_').next().unwrap_or(name);
+    let dim = Dim::base(base_word(word)?);
+    Some(NameDim { dim, shape: NameShape::Suffix, word })
 }
 
 /// Normalizes a numeric literal: underscores stripped, lower-cased,
@@ -353,11 +387,11 @@ fn raw_conversion_int(text: &str) -> bool {
 }
 
 /// An inferred unit with its evidence trail.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Inferred {
     unit: Unit,
-    /// Root-first hops, ready to join with `" -> "`.
-    chain: Vec<String>,
+    /// The hops that led here, rendered root first by [`Units::render`].
+    chain: Chain,
     /// Summarized callee node the unit arrived through, if any.
     via: Option<usize>,
     /// Token index of the decisive evidence.
@@ -368,22 +402,74 @@ struct Inferred {
 
 impl Inferred {
     fn unknown() -> Inferred {
-        Inferred { unit: Unit::Unknown, chain: Vec::new(), via: None, tok: 0, line: 0 }
+        Inferred { unit: Unit::Unknown, chain: Chain::EMPTY, via: None, tok: 0, line: 0 }
     }
 
     fn scalar() -> Inferred {
-        Inferred { unit: Unit::Scalar, chain: Vec::new(), via: None, tok: 0, line: 0 }
+        Inferred { unit: Unit::Scalar, chain: Chain::EMPTY, via: None, tok: 0, line: 0 }
     }
 }
 
+/// An inference chain: the index of its last hop in the pass's hop arena
+/// ([`Units::hops`]), each hop linking back toward the root evidence.
+/// Copying a chain or extending it by a hop allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Chain(Option<u32>);
+
+impl Chain {
+    const EMPTY: Chain = Chain(None);
+}
+
+/// One hop of an inference chain, kept as the facts its text quotes; the
+/// text is rendered only where a finding or a summary prints it.
+#[derive(Debug, Clone, Copy)]
+enum Hop<'a> {
+    /// `.name()` reads `base` off a time value.
+    Reads { name: &'a str, base: &'static str, at: Site },
+    /// A call, field, value or binding whose name declares its unit.
+    Named { kind: Named, name: &'a str, at: Site },
+    /// A call to summarized node `n`: the hops of its summary.
+    Callee(usize),
+    /// `qual::name(..)` constructs sim time.
+    TimeCtor { qual: &'a str, name: &'a str, at: Site },
+    /// A mention of a sim-time type.
+    TimeValue { name: &'a str, at: Site },
+    /// A read of the field `name`, whose unit an assignment taught.
+    Field { name: &'a str },
+    /// A parameter whose name or type declares its unit.
+    Param { name: &'a str, dim: Dim, file: usize },
+    /// A binding the value so far flowed into.
+    Local { is_let: bool, name: &'a str },
+    /// A factor that scaled (or divided) the value: the last hop of its
+    /// chain.
+    Scaled { div: bool, by: Chain },
+}
+
+/// Where a hop's evidence sits.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    file: usize,
+    line: u32,
+}
+
+/// What the name of a [`Hop::Named`] belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Named {
+    Method,
+    Free,
+    Field,
+    Value,
+    Binding { is_let: bool },
+}
+
 /// Unit-carrying locals: each binding's dimension and inference chain.
-type ULocals = Locals<(Dim, Vec<String>)>;
+type ULocals<'a> = Locals<'a, (Dim, Chain)>;
 
 /// What a unit-carrying struct field was learned to hold.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct FieldUnit {
     dim: Dim,
-    desc: String,
+    desc: Chain,
 }
 
 /// Runs the unit analysis: `unit-mismatch` / `raw-unit-conversion` /
@@ -412,7 +498,10 @@ struct Units<'a> {
     /// suffix, else a `SimTime`/`SimDuration` type.
     params: Vec<Vec<(&'a str, Option<Dim>)>>,
     /// Unit-carrying struct fields by field name (global, name-based).
-    fields: BTreeMap<String, FieldUnit>,
+    fields: BTreeMap<&'a str, FieldUnit>,
+    /// The hop arena every [`Chain`] points into: each hop with the chain
+    /// it extends. It only grows during the pass.
+    hops: RefCell<Vec<(Chain, Hop<'a>)>>,
 }
 
 impl<'a> Units<'a> {
@@ -433,7 +522,7 @@ impl<'a> Units<'a> {
                     .iter()
                     .map(|p| {
                         let dim = name_dim(&p.name)
-                            .map(|(d, _)| d)
+                            .map(|n| n.dim)
                             .or_else(|| time(p.ty).then(|| Dim::base("nanos")));
                         (p.name.as_str(), dim)
                     })
@@ -448,6 +537,7 @@ impl<'a> Units<'a> {
             all_by_name: summary::by_name(graph, |_| true),
             params,
             fields: BTreeMap::new(),
+            hops: RefCell::new(Vec::new()),
         };
         for n in 0..graph.nodes.len() {
             u.summaries[n] = u.seed_summary(n);
@@ -464,12 +554,12 @@ impl<'a> Units<'a> {
         let node = &self.graph.nodes[n];
         let toks = &self.units[node.file].lexed.tokens;
         let ret = self.unit_return(n)?;
-        if let Some((dim, label)) = name_dim(&node.name) {
+        if let Some(named) = name_dim(node.name) {
             return Some(UnitSummary {
-                dim,
+                dim: named.dim,
                 line: node.line,
                 via: None,
-                what: format!("`{}` is {label}", node.name),
+                what: format!("`{}` is {}", node.name, named.label()),
             });
         }
         for t in &toks[ret.0..=ret.1] {
@@ -513,14 +603,14 @@ impl<'a> Units<'a> {
         for (lo, hi) in return_spans(&self.units[node.file].lexed, node.body) {
             let inf = self.eval_span(node.file, lo, hi, &locals);
             if matches!(inf.unit, Unit::Of(_)) && first.is_none() {
-                first = Some(inf.clone());
+                first = Some(inf);
             }
             joined = joined.join(&inf.unit);
         }
         let (Unit::Of(dim), Some(inf)) = (joined, first) else { return None };
         let what = match inf.via {
             Some(v) => format!("calls `{}`", self.graph.nodes[v].name),
-            None => inf.chain.first().cloned().unwrap_or_else(|| "inferred".into()),
+            None => self.render(inf.chain).into_iter().next().unwrap_or_else(|| "inferred".into()),
         };
         Some(UnitSummary { dim, line: inf.line, via: inf.via, what })
     }
@@ -538,9 +628,7 @@ impl<'a> Units<'a> {
             |f| name_dim(f).is_some() || self.fields.contains_key(f),
             |file, fk| self.locals_for(file, fk),
             |file, (lo, hi), locals| match self.eval_span(file, lo, hi, locals) {
-                Inferred { unit: Unit::Of(dim), chain, .. } => {
-                    Some(FieldUnit { dim, desc: chain.join(" -> ") })
-                }
+                Inferred { unit: Unit::Of(dim), chain, .. } => Some(FieldUnit { dim, desc: chain }),
                 _ => None,
             },
         );
@@ -552,38 +640,108 @@ impl<'a> Units<'a> {
     /// Unit-carrying parameters and `let`/`for` bindings of `fns[fk]` in
     /// `file`. A name's own suffix is authoritative; an un-suffixed
     /// binding takes its right-hand side's inferred unit.
-    fn locals_for(&self, file: usize, fk: usize) -> ULocals {
+    fn locals_for(&self, file: usize, fk: usize) -> ULocals<'a> {
         let u = &self.units[file];
         let body = u.model.fns[fk].body;
         let mut locals = Locals::new();
-        for (name, dim) in &self.params[self.graph.node_of(file, fk)] {
-            if let Some(d) = dim {
-                let chain = vec![format!("parameter `{name}` ({}, {})", d.render(), u.path)];
-                locals.bind(name.to_string(), body.0, (d.clone(), chain));
+        for &(name, dim) in &self.params[self.graph.node_of(file, fk)] {
+            if let Some(dim) = dim {
+                let chain = self.hop(Chain::EMPTY, Hop::Param { name, dim, file });
+                locals.bind(name, body.0, (dim, chain));
             }
         }
-        summary::walk_bindings(&u.lexed, body, &mut locals, |locals, b| {
+        summary::walk_bindings(&u.lexed, body, &mut locals, |locals, b, vals| {
             let rhs = self.eval_span(file, b.rhs.0, b.rhs.1, locals);
-            let (kind, via) = if b.is_let { ("local", "local") } else { ("loop", "loop local") };
-            let line = u.lexed.tokens[b.at].line;
-            let mut out = Vec::new();
-            for name in &b.names {
-                let bound = match (name_dim(name), &rhs.unit) {
-                    (Some((d, label)), _) => {
-                        (d, vec![format!("{kind} `{name}` {label} ({}:{line})", u.path)])
+            let at = Site { file, line: u.lexed.tokens[b.at].line };
+            let is_let = b.is_let;
+            for &name in &b.names {
+                let bound = match (name_dim(name), rhs.unit) {
+                    (Some(named), _) => {
+                        let hop = Hop::Named { kind: Named::Binding { is_let }, name, at };
+                        (named.dim, self.hop(Chain::EMPTY, hop))
                     }
-                    (None, Unit::Of(d)) => {
-                        let mut chain = rhs.chain.clone();
-                        chain.push(format!("{via} `{name}`"));
-                        (d.clone(), chain)
-                    }
+                    (None, Unit::Of(d)) => (d, self.hop(rhs.chain, Hop::Local { is_let, name })),
                     _ => continue,
                 };
-                out.push((name.clone(), bound));
+                vals.push((name, bound));
             }
-            out
         });
         locals
+    }
+
+    /// Extends `chain` by `hop`.
+    fn hop(&self, chain: Chain, hop: Hop<'a>) -> Chain {
+        let mut hops = self.hops.borrow_mut();
+        hops.push((chain, hop));
+        Chain(Some((hops.len() - 1) as u32))
+    }
+
+    /// The chain's hops as text, root first: what a finding joins with
+    /// `" -> "`.
+    fn render(&self, chain: Chain) -> Vec<String> {
+        let mut hops = Vec::new();
+        let mut cur = chain;
+        while let Chain(Some(k)) = cur {
+            let (prev, hop) = self.hops.borrow()[k as usize];
+            hops.push(hop);
+            cur = prev;
+        }
+        let mut out = Vec::new();
+        for hop in hops.into_iter().rev() {
+            self.render_hop(hop, &mut out);
+        }
+        out
+    }
+
+    /// Appends one hop's text (a callee's is its summary's hops).
+    fn render_hop(&self, hop: Hop<'a>, out: &mut Vec<String>) {
+        let path = |at: Site| &self.units[at.file].path;
+        let label = |name: &str| name_dim(name).map(|n| n.label()).unwrap_or_default();
+        out.push(match hop {
+            Hop::Reads { name, base, at } => {
+                format!("`.{name}()` reads {base} ({}:{})", path(at), at.line)
+            }
+            Hop::Named { kind, name, at } => {
+                let (l, p, line) = (label(name), path(at), at.line);
+                match kind {
+                    Named::Method => format!("`.{name}()` {l} ({p}:{line})"),
+                    Named::Free => format!("`{name}(..)` {l} ({p}:{line})"),
+                    Named::Field => format!("field `.{name}` {l} ({p}:{line})"),
+                    Named::Value => format!("`{name}` {l} ({p}:{line})"),
+                    Named::Binding { is_let } => {
+                        let kind = if is_let { "local" } else { "loop" };
+                        format!("{kind} `{name}` {l} ({p}:{line})")
+                    }
+                }
+            }
+            Hop::Callee(n) => {
+                let hop = |m: usize| self.summaries[m].as_ref().map(|s| (s.via, &*s.what, s.line));
+                out.extend(summary::chain(self.graph, self.units, n, hop));
+                return;
+            }
+            Hop::TimeCtor { qual, name, at } => format!(
+                "`{qual}::{name}(..)` constructs sim time in nanos ({}:{})",
+                path(at),
+                at.line
+            ),
+            Hop::TimeValue { name, at } => {
+                format!("`{name}` value (sim time in nanos, {}:{})", path(at), at.line)
+            }
+            Hop::Field { name } => {
+                let desc = self.fields.get(name).map(|f| self.render(f.desc).join(" -> "));
+                format!("{} -> field `.{name}`", desc.unwrap_or_default())
+            }
+            Hop::Param { name, dim, file } => {
+                format!("parameter `{name}` ({}, {})", dim.render(), self.units[file].path)
+            }
+            Hop::Local { is_let, name } => {
+                format!("{} `{name}`", if is_let { "local" } else { "loop local" })
+            }
+            Hop::Scaled { div, by } => {
+                let Some(last) = self.render(by).pop() else { return };
+                format!("{} {last}", if div { "divided by" } else { "scaled by" })
+            }
+        });
     }
 
     /// The unit of the token span `[lo, hi]`: binary `+`/`-` at the
@@ -593,7 +751,7 @@ impl<'a> Units<'a> {
     /// `*`/`/` factors at that level compose through the lattice.
     /// Evaluation stops at a `%` at that level (the remainder keeps the
     /// left unit, the right side is a modulus).
-    fn eval_span(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
+    fn eval_span(&self, file: usize, lo: usize, hi: usize, locals: &ULocals<'a>) -> Inferred {
         let lexed = &self.units[file].lexed;
         let toks = &lexed.tokens;
         if toks.is_empty() || lo > hi || lo >= toks.len() {
@@ -657,7 +815,7 @@ impl<'a> Units<'a> {
 
     /// The unit of one additive term: `*`/`/` factors at the term's
     /// bracket level composed left to right.
-    fn eval_term(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
+    fn eval_term(&self, file: usize, lo: usize, hi: usize, locals: &ULocals<'a>) -> Inferred {
         let lexed = &self.units[file].lexed;
         let toks = &lexed.tokens;
         let mut cuts: Vec<(usize, char)> = Vec::new();
@@ -680,7 +838,7 @@ impl<'a> Units<'a> {
         for (cut, op) in cuts.into_iter().chain(std::iter::once((hi + 1, '*'))) {
             if cut > start {
                 let f = self.eval_factor(file, start, cut.min(hi + 1) - 1, locals);
-                result = combine(result, f, pending_op);
+                result = self.combine(result, f, pending_op);
             }
             start = cut + 1;
             pending_op = op;
@@ -698,16 +856,20 @@ impl<'a> Units<'a> {
     /// (local, parameter, field, suffix, time-type mention); a left-over
     /// unresolved identifier means `Unknown`, a literal-only factor is
     /// `Scalar`.
-    fn eval_factor(&self, file: usize, lo: usize, hi: usize, locals: &ULocals) -> Inferred {
+    fn eval_factor(&self, file: usize, lo: usize, hi: usize, locals: &ULocals<'a>) -> Inferred {
         let u = &self.units[file];
         let toks = &u.lexed.tokens;
         if lo > hi || lo >= toks.len() {
             return Inferred::unknown();
         }
         let hi = hi.min(toks.len() - 1);
-        let chain = |n: usize| {
-            let hop = |m: usize| self.summaries[m].as_ref().map(|s| (s.via, &*s.what, s.line));
-            summary::chain(self.graph, self.units, n, hop)
+        let leaf = |hop: Hop<'a>| self.hop(Chain::EMPTY, hop);
+        let found = |dim: Dim, chain: Chain, via: Option<usize>, tok: usize, line: u32| Inferred {
+            unit: Unit::Of(dim),
+            chain,
+            via,
+            tok,
+            line,
         };
         type CallEv = Option<(Inferred, Option<(usize, usize)>)>;
         let mut call_ev: CallEv = None;
@@ -726,47 +888,26 @@ impl<'a> Units<'a> {
             }
         };
         for mc in u.model.calls_in(lo, hi) {
-            if let Some(b) = method_dim(&mc.name) {
+            let (name, at) = (mc.name.as_str(), Site { file, line: mc.line });
+            if let Some(base) = method_dim(name) {
+                let chain = leaf(Hop::Reads { name, base, at });
                 keep(
-                    Inferred {
-                        unit: Unit::Of(Dim::base(b)),
-                        chain: vec![format!("`.{}()` reads {b} ({}:{})", mc.name, u.path, mc.line)],
-                        via: None,
-                        tok: mc.dot,
-                        line: mc.line,
-                    },
+                    found(Dim::base(base), chain, None, mc.dot, mc.line),
                     Some(mc.args),
                     &mut call_ev,
                 );
-            } else if let Some((d, label)) = name_dim(&mc.name) {
-                keep(
-                    Inferred {
-                        unit: Unit::Of(d),
-                        chain: vec![format!("`.{}()` {label} ({}:{})", mc.name, u.path, mc.line)],
-                        via: None,
-                        tok: mc.dot,
-                        line: mc.line,
-                    },
-                    Some(mc.args),
-                    &mut call_ev,
-                );
-            } else if PRESERVE_METHODS.contains(&mc.name.as_str()) {
+            } else if let Some(named) = name_dim(name) {
+                let chain = leaf(Hop::Named { kind: Named::Method, name, at });
+                keep(found(named.dim, chain, None, mc.dot, mc.line), Some(mc.args), &mut call_ev);
+            } else if PRESERVE_METHODS.contains(&name) {
                 // Receiver-transparent: the receiver's own token evidence
                 // carries the unit through (even when a `SimTime::max`-style
                 // summary would match by name).
-            } else if let Some(n) =
-                summary::resolve_method(self.graph, &self.by_name, file, &mc.name)
-            {
-                let dim = self.summaries[n].as_ref().map(|s| s.dim.clone());
-                if let Some(dim) = dim {
+            } else if let Some(n) = summary::resolve_method(self.graph, &self.by_name, file, name) {
+                if let Some(s) = &self.summaries[n] {
+                    let chain = leaf(Hop::Callee(n));
                     keep(
-                        Inferred {
-                            unit: Unit::Of(dim),
-                            chain: chain(n),
-                            via: Some(n),
-                            tok: mc.dot,
-                            line: mc.line,
-                        },
+                        found(s.dim, chain, Some(n), mc.dot, mc.line),
                         Some(mc.args),
                         &mut call_ev,
                     );
@@ -776,61 +917,22 @@ impl<'a> Units<'a> {
             }
         }
         for fc in u.model.free_calls_in(lo, hi).iter().filter(|c| c.called) {
-            let time_ctor = TIME_CTORS
-                .iter()
-                .find(|(n, _)| *n == fc.name)
-                .filter(|_| fc.qual.last().is_some_and(|q| TIME_TYPES.contains(&q.as_str())));
-            if time_ctor.is_some() {
-                let q = fc.qual.last().map(String::as_str).unwrap_or("");
-                keep(
-                    Inferred {
-                        unit: Unit::Of(Dim::base("nanos")),
-                        chain: vec![format!(
-                            "`{q}::{}(..)` constructs sim time in nanos ({}:{})",
-                            fc.name, u.path, fc.line
-                        )],
-                        via: None,
-                        tok: fc.tok,
-                        line: fc.line,
-                    },
-                    call_args(&u.lexed, fc.tok),
-                    &mut call_ev,
-                );
-            } else if let Some((d, label)) = name_dim(&fc.name) {
-                keep(
-                    Inferred {
-                        unit: Unit::Of(d),
-                        chain: vec![format!("`{}(..)` {label} ({}:{})", fc.name, u.path, fc.line)],
-                        via: None,
-                        tok: fc.tok,
-                        line: fc.line,
-                    },
-                    call_args(&u.lexed, fc.tok),
-                    &mut call_ev,
-                );
-            } else if let Some(n) = summary::resolve_free(
-                self.graph,
-                self.units,
-                &self.by_name,
-                file,
-                &fc.qual,
-                &fc.name,
-            ) {
-                let dim = self.summaries[n].as_ref().map(|s| s.dim.clone());
-                if let Some(dim) = dim {
-                    keep(
-                        Inferred {
-                            unit: Unit::Of(dim),
-                            chain: chain(n),
-                            via: Some(n),
-                            tok: fc.tok,
-                            line: fc.line,
-                        },
-                        call_args(&u.lexed, fc.tok),
-                        &mut call_ev,
-                    );
+            let (name, at) = (fc.name.as_str(), Site { file, line: fc.line });
+            let args = call_args(&u.lexed, fc.tok);
+            if let Some(qual) = time_ctor(fc).map(|_| fc.qual.last().map_or("", String::as_str)) {
+                let chain = leaf(Hop::TimeCtor { qual, name, at });
+                keep(found(Dim::base("nanos"), chain, None, fc.tok, fc.line), args, &mut call_ev);
+            } else if let Some(named) = name_dim(name) {
+                let chain = leaf(Hop::Named { kind: Named::Free, name, at });
+                keep(found(named.dim, chain, None, fc.tok, fc.line), args, &mut call_ev);
+            } else if let Some(n) =
+                summary::resolve_free(self.graph, self.units, &self.by_name, file, &fc.qual, name)
+            {
+                if let Some(s) = &self.summaries[n] {
+                    let chain = leaf(Hop::Callee(n));
+                    keep(found(s.dim, chain, Some(n), fc.tok, fc.line), args, &mut call_ev);
                 }
-            } else if fc.name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
+            } else if name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
                 // A lower-case call we cannot see through could convert.
                 // (Upper-case names are tuple/enum constructors, which
                 // pass their payload through.)
@@ -846,14 +948,8 @@ impl<'a> Units<'a> {
         if let Some((ev, _)) = call_ev {
             return ev;
         }
-        // Token evidence: earliest wins.
-        let mut best: Option<Inferred> = None;
+        // Token evidence: the earliest wins.
         let mut unresolved = false;
-        let consider = |cand: Inferred, best: &mut Option<Inferred>| {
-            if best.as_ref().is_none_or(|b| cand.tok < b.tok) {
-                *best = Some(cand);
-            }
-        };
         for i in lo..=hi {
             let t = &toks[i];
             if t.kind != TokKind::Ident || parse::is_keyword(&t.text) {
@@ -862,38 +958,19 @@ impl<'a> Units<'a> {
             if NUM_TYPES.contains(&&*t.text) || t.text == "None" {
                 continue;
             }
+            let (name, at) = (&*t.text, Site { file, line: t.line });
+            let hit = |dim: Dim, hop: Hop<'a>| found(dim, leaf(hop), None, i, t.line);
             let after_dot = i > 0 && toks[i - 1].is_punct('.');
             let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
             if after_dot {
                 if field_read_shape(toks, i - 1) {
-                    if let Some(fu) = self.fields.get(&*t.text) {
-                        consider(
-                            Inferred {
-                                unit: Unit::Of(fu.dim.clone()),
-                                chain: vec![format!("{} -> field `.{}`", fu.desc, t.text)],
-                                via: None,
-                                tok: i,
-                                line: t.line,
-                            },
-                            &mut best,
-                        );
-                    } else if let Some((d, label)) = name_dim(&t.text) {
-                        consider(
-                            Inferred {
-                                unit: Unit::Of(d),
-                                chain: vec![format!(
-                                    "field `.{}` {label} ({}:{})",
-                                    t.text, u.path, t.line
-                                )],
-                                via: None,
-                                tok: i,
-                                line: t.line,
-                            },
-                            &mut best,
-                        );
-                    } else {
-                        unresolved = true;
+                    if let Some(fu) = self.fields.get(name) {
+                        return hit(fu.dim, Hop::Field { name });
                     }
+                    if let Some(named) = name_dim(name) {
+                        return hit(named.dim, Hop::Named { kind: Named::Field, name, at });
+                    }
+                    unresolved = true;
                 }
                 continue;
             }
@@ -901,48 +978,15 @@ impl<'a> Units<'a> {
                 // Path interiors and qualifiers; calls are handled above.
                 continue;
             }
-            if TIME_TYPES.contains(&&*t.text) {
-                consider(
-                    Inferred {
-                        unit: Unit::Of(Dim::base("nanos")),
-                        chain: vec![format!(
-                            "`{}` value (sim time in nanos, {}:{})",
-                            t.text, u.path, t.line
-                        )],
-                        via: None,
-                        tok: i,
-                        line: t.line,
-                    },
-                    &mut best,
-                );
-                continue;
+            if TIME_TYPES.contains(&name) {
+                return hit(Dim::base("nanos"), Hop::TimeValue { name, at });
             }
-            if let Some(l) = locals.find(&t.text, i) {
-                let (dim, chain) = &l.val;
-                consider(
-                    Inferred {
-                        unit: Unit::Of(dim.clone()),
-                        chain: chain.clone(),
-                        via: None,
-                        tok: i,
-                        line: t.line,
-                    },
-                    &mut best,
-                );
-                continue;
+            if let Some(l) = locals.find(name, i) {
+                let (dim, chain) = l.val;
+                return found(dim, chain, None, i, t.line);
             }
-            if let Some((d, label)) = name_dim(&t.text) {
-                consider(
-                    Inferred {
-                        unit: Unit::Of(d),
-                        chain: vec![format!("`{}` {label} ({}:{})", t.text, u.path, t.line)],
-                        via: None,
-                        tok: i,
-                        line: t.line,
-                    },
-                    &mut best,
-                );
-                continue;
+            if let Some(named) = name_dim(name) {
+                return hit(named.dim, Hop::Named { kind: Named::Value, name, at });
             }
             if t.text.starts_with(|c: char| c.is_ascii_uppercase()) {
                 // A type/variant mention, not a value.
@@ -959,11 +1003,28 @@ impl<'a> Units<'a> {
             }
             unresolved = true;
         }
-        match best {
-            Some(b) => b,
-            None if unresolved => Inferred::unknown(),
-            None => Inferred::scalar(),
+        if unresolved {
+            Inferred::unknown()
+        } else {
+            Inferred::scalar()
         }
+    }
+
+    /// Composes a factor into the running span result.
+    fn combine(&self, acc: Inferred, f: Inferred, op: char) -> Inferred {
+        let unit = if op == '/' { acc.unit.div(&f.unit) } else { acc.unit.mul(&f.unit) };
+        let mut r = Inferred { unit, ..acc };
+        if matches!(f.unit, Unit::Of(_)) {
+            if acc.chain == Chain::EMPTY {
+                (r.chain, r.via, r.tok, r.line) = (f.chain, f.via, f.tok, f.line);
+            } else {
+                if f.chain != Chain::EMPTY {
+                    r.chain = self.hop(acc.chain, Hop::Scaled { div: op == '/', by: f.chain });
+                }
+                r.via = None;
+            }
+        }
+        r
     }
 
     /// The site scan: walks every fn body for binary add/sub/compare/
@@ -989,7 +1050,7 @@ impl<'a> Units<'a> {
         &self,
         file: usize,
         body: (usize, usize),
-        locals: &ULocals,
+        locals: &ULocals<'a>,
         scope: Option<&crate::graph::FileScope>,
         out: &mut Vec<Finding>,
     ) {
@@ -1042,8 +1103,8 @@ impl<'a> Units<'a> {
         let (rl, rh, r, rd) = right;
         let lt = span_text(toks, ll, lh);
         let rt = span_text(toks, rl, rh);
-        let lc = l.chain.join(" -> ");
-        let rc = r.chain.join(" -> ");
+        let lc = self.render(l.chain).join(" -> ");
+        let rc = self.render(r.chain).join(" -> ");
         let is_cmp = matches!(op_desc, "comparison");
         let mentions_cfg = |lo: usize, hi: usize| {
             toks[lo..=hi.min(toks.len() - 1)].iter().any(|t| {
@@ -1093,7 +1154,7 @@ impl<'a> Units<'a> {
         &self,
         file: usize,
         body: (usize, usize),
-        locals: &ULocals,
+        locals: &ULocals<'a>,
         out: &mut Vec<Finding>,
     ) {
         let u = &self.units[file];
@@ -1104,11 +1165,7 @@ impl<'a> Units<'a> {
             if close <= open + 1 {
                 continue;
             }
-            let time_ctor = TIME_CTORS
-                .iter()
-                .find(|(n, _)| *n == fc.name)
-                .filter(|_| fc.qual.last().is_some_and(|q| TIME_TYPES.contains(&q.as_str())));
-            if let Some((ctor, expect)) = time_ctor {
+            if let Some((ctor, expect)) = time_ctor(fc) {
                 let want = Dim::base(expect);
                 let a = self.eval_span(file, open + 1, close - 1, locals);
                 if let Unit::Of(ad) = &a.unit {
@@ -1124,7 +1181,7 @@ impl<'a> Units<'a> {
                                  value's unit",
                                 span_text(toks, open + 1, close - 1),
                                 ad.render(),
-                                a.chain.join(" -> ")
+                                self.render(a.chain).join(" -> ")
                             ),
                         });
                     }
@@ -1164,7 +1221,7 @@ impl<'a> Units<'a> {
                                 pd.render(),
                                 span_text(toks, alo, ahi),
                                 ad.render(),
-                                a.chain.join(" -> ")
+                                self.render(a.chain).join(" -> ")
                             ),
                         });
                     }
@@ -1211,28 +1268,13 @@ impl<'a> Units<'a> {
     }
 }
 
-/// Composes a factor into the running span result.
-fn combine(acc: Inferred, f: Inferred, op: char) -> Inferred {
-    let unit = if op == '/' { acc.unit.div(&f.unit) } else { acc.unit.mul(&f.unit) };
-    let mut chain = acc.chain;
-    let mut via = acc.via;
-    let mut tok = acc.tok;
-    let mut line = acc.line;
-    if matches!(f.unit, Unit::Of(_)) {
-        if chain.is_empty() {
-            chain = f.chain;
-            via = f.via;
-            tok = f.tok;
-            line = f.line;
-        } else {
-            let word = if op == '/' { "divided by" } else { "scaled by" };
-            if let Some(first) = f.chain.last() {
-                chain.push(format!("{word} {first}"));
-            }
-            via = None;
-        }
-    }
-    Inferred { unit, chain, via, tok, line }
+/// The time constructor a free call names, `(name, unit its argument
+/// takes)`: a `from_*` constructor qualified by a sim-time type.
+fn time_ctor(fc: &FreeCall) -> Option<&'static (&'static str, &'static str)> {
+    TIME_CTORS
+        .iter()
+        .find(|(n, _)| *n == fc.name)
+        .filter(|_| fc.qual.last().is_some_and(|q| TIME_TYPES.contains(&q.as_str())))
 }
 
 /// The `return EXPR;` spans plus the trailing expression of a body.
@@ -1461,21 +1503,29 @@ mod tests {
 
     #[test]
     fn names_declare_dimensions() {
-        assert_eq!(name_dim("limit_ms").unwrap().0, Dim::base("millis"));
-        assert_eq!(name_dim("dt_secs").unwrap().0, Dim::base("secs"));
+        assert_eq!(name_dim("limit_ms").unwrap().dim, Dim::base("millis"));
+        assert_eq!(name_dim("dt_secs").unwrap().dim, Dim::base("secs"));
         assert!(name_dim("dt").is_none(), "dt's unit comes from its type or binding");
         assert_eq!(
-            name_dim("ticks_per_sec").unwrap().0,
+            name_dim("ticks_per_sec").unwrap().dim,
             Dim::base("ticks").div(&Dim::base("secs"))
         );
-        assert_eq!(name_dim("open_per_sec").unwrap().0, Dim::base("secs").inv());
-        assert_eq!(name_dim("lba").unwrap().0, Dim::base("blocks"));
+        assert_eq!(name_dim("open_per_sec").unwrap().dim, Dim::base("secs").inv());
+        assert_eq!(name_dim("lba").unwrap().dim, Dim::base("blocks"));
         assert_eq!(
-            name_dim("NANOS_PER_SEC").unwrap().0,
+            name_dim("NANOS_PER_SEC").unwrap().dim,
             Dim::base("nanos").div(&Dim::base("secs"))
         );
         assert!(name_dim("attempts").is_none());
         assert!(name_dim("rows_per_million").is_none());
+        // Labels quote the unit word lower-cased, whatever the name's case.
+        for (name, label) in [
+            ("NANOS_PER_SEC", "named `*_per_sec` (a nanos/secs rate)"),
+            ("Per_Tick_budget", "named `per_tick` (a per-ticks rate)"),
+            ("limit_MS", "suffixed `*_ms` (millis)"),
+        ] {
+            assert_eq!(name_dim(name).map(|n| n.label()).as_deref(), Some(label), "{name}");
+        }
     }
 
     #[test]
@@ -1490,6 +1540,22 @@ mod tests {
             assert!(!raw_conversion_int(t), "{t}");
         }
         assert!(!conversion_literal("1024"));
+    }
+
+    #[test]
+    fn a_composed_operand_prints_each_factor() {
+        let units = [FileUnit::new(
+            "crates/a/src/lib.rs".to_string(),
+            "pub fn f(a_ms: u64, b_secs: u64, c_ticks: u64) -> bool { a_ms * b_secs < c_ticks } \
+             pub fn g(a_ms: u64, b_secs: u64, c_ticks: u64) -> bool { a_ms / b_secs < c_ticks }",
+        )];
+        let (findings, _) = analyze(&units, &Graph::build(&units));
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        let at = "(millis, crates/a/src/lib.rs) -> ";
+        for (f, word) in findings.iter().zip(["scaled by", "divided by"]) {
+            let chain = format!("parameter `a_ms` {at}{word} parameter `b_secs` (secs, ");
+            assert!(f.message.contains(&chain), "{}", f.message);
+        }
     }
 
     #[test]

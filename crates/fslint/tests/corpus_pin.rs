@@ -4,6 +4,11 @@
 //! * The lex pin digests every token `(kind, line, text)` and every
 //!   comment `(line, end_line, text)` the lexer produces, file by file in
 //!   sorted order.
+//! * The model pin digests the `{:?}` rendering of the parser's
+//!   [`FileModel`](fslint::parse::FileModel) for every corpus file, in
+//!   sorted order: every recorded item with its names, spans and lines,
+//!   so a parser change that records one item differently moves it even
+//!   when no analysis reads that item.
 //! * The graph pin digests the `--graph-out` export of the whole corpus,
 //!   at one scan thread and at the default. The export carries every
 //!   node's edges and its taint, unit and effect summary with the `via`
@@ -18,29 +23,33 @@
 //!   the same empty scan, so the pin skips them. The fixture tests assert
 //!   chosen findings; this pin sees every byte.
 //!
-//! All three are FNV-1a 64. The graph pin equals the digest of the file
+//! All four are FNV-1a 64. The graph pin equals the digest of the file
 //! that `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
-//! regenerate after an intentional change to the lexer, to an analysis
-//! or to a fixture, run `cargo test -p fslint --test corpus_pin` and copy
-//! each `got` value from the failure message into its constant.
+//! regenerate after an intentional change to the lexer, to the parser,
+//! to an analysis or to a fixture, run `cargo test -p fslint --test
+//! corpus_pin` and copy each `got` value from the failure message into
+//! its constant.
 
 use fslint::engine::{render_json, render_text};
 use fslint::lexer::lex;
+use fslint::parse::parse;
 use fslint::{collect_workspace_files, lint_paths, lint_workspace, Config};
 use std::path::{Path, PathBuf};
 
 /// Digest of every token and comment of the corpus.
 const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
+/// Digest of the `{:?}` rendering of every corpus file's parsed model.
+const GOLDEN_CORPUS_MODEL: u64 = 0xd1bb_481b_8160_d8aa;
 /// Digest of the corpus's `--graph-out` export.
-const GOLDEN_CORPUS_GRAPH: u64 = 0x97a3_684f_362b_7764;
+const GOLDEN_CORPUS_GRAPH: u64 = 0x9bf1_8dad_559c_ab7b;
 /// Files the corpus holds.
 const CORPUS_FILES: usize = 151;
 /// Digest of every fixture file's and fixture directory's lint outputs.
-const GOLDEN_FIXTURE_OUTPUTS: u64 = 0xe3e8_bfe8_d669_4b24;
+const GOLDEN_FIXTURE_OUTPUTS: u64 = 0xbda2_cf27_a9f2_5d74;
 /// Fixture files and fixture directories (the fixtures root included).
-const FIXTURE_TREE: (usize, usize) = (90, 218);
+const FIXTURE_TREE: (usize, usize) = (96, 238);
 /// Fixture directories that scan at least one file as a root.
-const FIXTURE_ROOTS_SCANNING: usize = 106;
+const FIXTURE_ROOTS_SCANNING: usize = 116;
 
 fn corpus() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/corpus")
@@ -77,6 +86,19 @@ fn corpus_tokens_and_comments_are_pinned() {
         h = fnv1a(h, &[0x1d]);
     }
     assert_eq!(h, GOLDEN_CORPUS_LEX, "got {h:#018x}");
+}
+
+#[test]
+fn corpus_parse_models_are_pinned() {
+    let files = collect_workspace_files(&corpus());
+    assert_eq!(files.len(), CORPUS_FILES);
+    let mut h = FNV_START;
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("corpus file is readable");
+        h = fnv1a(h, format!("{:?}", parse(&lex(&source))).as_bytes());
+        h = fnv1a(h, &[0x1d]);
+    }
+    assert_eq!(h, GOLDEN_CORPUS_MODEL, "got {h:#018x}");
 }
 
 #[test]

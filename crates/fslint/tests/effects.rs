@@ -81,6 +81,21 @@ fn policy_acting_through_returned_decisions_is_clean() {
 }
 
 #[test]
+fn a_fresh_temporary_passed_by_mut_keeps_the_callee_write_in_the_caller() {
+    // `rate_at` hands `rate_from` a `&mut Cursor::default()` next to its
+    // own by-value parameter: neither carries a mutable borrow in from
+    // outside, so the cursor write stays in `rate_at`'s frame.
+    let findings = effect_findings("mut_temp_arg_neg");
+    assert!(findings.is_empty(), "a by-value parameter beside a temporary: {findings:?}");
+    // Passing the oracle's own `&mut` parameter on does carry the write.
+    let findings = effect_findings("mut_temp_arg_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "oracle-pure");
+    assert!(f.message.contains("`rate_from`") && f.message.contains("Cursor.segment"), "{f:?}");
+}
+
+#[test]
 fn graph_export_carries_effect_summaries() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/effects")

@@ -144,6 +144,19 @@ fn an_if_let_name_hides_the_outer_local_even_without_taint() {
 }
 
 #[test]
+fn a_for_binding_hides_the_outer_local_in_its_body_only() {
+    // Inside the loop `t` is the loop's counter, and a tainted loop `t`
+    // ends at the loop's `}`; neither fold reads the clock.
+    let findings = flow_findings("for_shadow_neg");
+    assert!(findings.is_empty(), "each folded `t` is untainted: {findings:?}");
+    // After the loop the outer clock reading is back in scope.
+    let findings = flow_findings("for_shadow_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "digest-taint");
+    assert!(findings[0].message.contains("local `t`"), "{}", findings[0].message);
+}
+
+#[test]
 fn a_path_pattern_binds_its_names() {
     // `let Wrap::A(t) = …` binds `t`: the `::` of the path is no type
     // ascription, so the local carries its value's taint.
