@@ -493,7 +493,7 @@ impl<'a> Graph<'a> {
     }
 
     /// The scope object for one scanned file under graph-derived scoping.
-    pub fn scope_for(&self, file: usize) -> FileScope {
+    pub fn scope_for(&self, file: usize) -> FileScope<'_> {
         let mut sched_spans = Vec::new();
         let mut reach_spans = Vec::new();
         for n in self.file_start[file]..self.file_start[file + 1] {
@@ -511,12 +511,7 @@ impl<'a> Graph<'a> {
                 reach_spans.push(node.body);
             }
         }
-        FileScope {
-            sched_spans,
-            reach_spans,
-            ord_types: Some(self.heap_elem_types.clone()),
-            heaps: true,
-        }
+        FileScope { sched_spans, reach_spans, ord_types: Some(&self.heap_elem_types), heaps: true }
     }
 
     /// The whole-program rules: `oracle-coverage` and `dead-scenario`.
@@ -819,31 +814,35 @@ impl FnLookup<'_> {
 // ---------------------------------------------------------------------------
 
 /// One file's semantic-rule scope: the token spans of its `S` and `R`
-/// members, derived from the call graph ([`Graph::scope_for`]).
+/// members, derived from the call graph ([`Graph::scope_for`]), whose
+/// heap-element types it borrows.
 #[derive(Debug)]
-pub struct FileScope {
+pub struct FileScope<'g> {
     /// Body spans of scheduling-set (`S`) functions in this file.
     pub sched_spans: Vec<(usize, usize)>,
     /// Body spans of injector-reachable (`R`) functions in this file.
     pub reach_spans: Vec<(usize, usize)>,
     /// Type names whose `Ord`/`PartialOrd` impls are in tiebreak scope;
     /// `None` means every type (whole-file unit-test scopes only).
-    pub ord_types: Option<BTreeSet<String>>,
+    pub ord_types: Option<&'g BTreeSet<String>>,
     /// Whether `BinaryHeap<…>` declarations are in scope. Graph scopes
     /// always set this: every heap is scheduling infrastructure.
     pub heaps: bool,
 }
 
-impl FileScope {
+/// The heap-element types of a scope that puts no `Ord` impl in scope.
+static NO_TYPES: BTreeSet<String> = BTreeSet::new();
+
+impl FileScope<'_> {
     /// The empty scope, used when the scanned set has no entry points
     /// (single-file runs, fixture subsets): `S` and `R` are empty and no
     /// `Ord` impl or heap declaration is in scope, so only the everywhere
     /// rules (`float-total-order`, the token rules) apply.
-    pub fn unscoped() -> FileScope {
+    pub fn unscoped() -> FileScope<'static> {
         FileScope {
             sched_spans: Vec::new(),
             reach_spans: Vec::new(),
-            ord_types: Some(BTreeSet::new()),
+            ord_types: Some(&NO_TYPES),
             heaps: false,
         }
     }
@@ -853,12 +852,12 @@ impl FileScope {
     /// every `Ord` impl and heap declaration in scope. Stands in for what
     /// the graph would derive once the file sat in a full workspace.
     #[cfg(test)]
-    pub fn whole_file(sched: bool, reach: bool) -> FileScope {
+    pub fn whole_file(sched: bool, reach: bool) -> FileScope<'static> {
         let span = |on: bool| if on { vec![(0, usize::MAX)] } else { Vec::new() };
         FileScope {
             sched_spans: span(sched),
             reach_spans: span(reach),
-            ord_types: if sched { None } else { Some(BTreeSet::new()) },
+            ord_types: if sched { None } else { Some(&NO_TYPES) },
             heaps: sched,
         }
     }
@@ -889,8 +888,8 @@ impl FileScope {
         }
     }
 
-    /// True when `BinaryHeap<…>` element checks apply at token `i`.
-    pub fn heap_in_scope(&self, _i: usize) -> bool {
+    /// True when `BinaryHeap<…>` element checks apply.
+    pub fn heap_in_scope(&self) -> bool {
         self.heaps
     }
 }
@@ -1041,6 +1040,6 @@ mod tests {
         // The scope the engine substitutes has nothing in S or R.
         let s = FileScope::unscoped();
         assert!(!s.in_sched(0) && !s.in_reach(0));
-        assert!(!s.heap_in_scope(0) && !s.ord_in_scope("Ev"));
+        assert!(!s.heap_in_scope() && !s.ord_in_scope("Ev"));
     }
 }

@@ -12,10 +12,10 @@
 //!   types, return type), `for`-loop variables, closure parameters, and a
 //!   per-function set of float-typed locals (`let x: f64`, float
 //!   literals, `as f64`);
-//! * `impl Ord for T` / `impl PartialOrd for T` blocks;
 //! * *every* `impl` block (inherent or trait) with its type and trait
 //!   names, so the call graph ([`crate::graph`]) can attach methods to
-//!   their owners;
+//!   their owners and `stable-tiebreak` can find `impl Ord`/`impl
+//!   PartialOrd` blocks;
 //! * method calls `.name(args)` — including turbofish forms
 //!   `.collect::<Vec<_>>()` — with balanced argument spans and the method
 //!   chained immediately after the call, if any;
@@ -36,10 +36,13 @@
 //!   round without scanning the tokens again.
 //!
 //! Everything is spans of token indices into the original
-//! [`Lexed::tokens`](crate::lexer::Lexed) vector. The walks read names
-//! and path segments by token index and copy a token's text only into an
-//! item they record: a path that turns out not to be a call, or a name
-//! already bound, costs no allocation. Method calls, free calls and
+//! [`Lexed::tokens`](crate::lexer::Lexed) vector, recorded in one walk
+//! over the tokens ([`parse`]). An item's optional `<…>` is read by one
+//! routine, and its body `{` is found at its header's bracket level by
+//! another, so a bracketed type in a header (`[T; 4]`) is stepped over.
+//! Names and path segments are read by token index, and a token's text
+//! is copied only into an item the walk records: a path that turns out
+//! not to be a call costs no allocation. Method calls, free calls and
 //! macros are recorded in token order, so the calls inside a token span
 //! are found by binary search (`FileModel::calls_in` and its siblings)
 //! rather than by filtering the whole list. Like the lexer, the parser
@@ -121,19 +124,6 @@ pub struct FnItem {
     /// Locals and parameters the parser knows are float-typed: `x: f64`
     /// ascriptions, `let x = 1.25`, and `let x = … as f64` initialisers.
     pub float_vars: BTreeSet<String>,
-}
-
-/// One `impl Ord for T` / `impl PartialOrd for T` block.
-#[derive(Debug)]
-pub struct OrdImpl {
-    /// `"Ord"` or `"PartialOrd"`.
-    pub trait_name: String,
-    /// The implementing type's name.
-    pub type_name: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-    /// Token span `[start, end]` of the impl body, braces included.
-    pub body: (usize, usize),
 }
 
 /// One `.name(args)` method call.
@@ -278,8 +268,6 @@ pub(crate) struct FieldWrite {
 pub struct FileModel {
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
-    /// Every `impl Ord`/`impl PartialOrd` block.
-    pub ord_impls: Vec<OrdImpl>,
     /// Every `impl` block, inherent or trait.
     pub impls: Vec<ImplBlock>,
     /// Every free-function call and qualified path reference.
@@ -366,7 +354,7 @@ impl FileModel {
 /// Skips a generic argument list starting at the `<` at `open`, returning
 /// the index of the matching `>`. Understands nested angles, the two-token
 /// `->` arrow, and stops sanely on unbalanced input.
-pub(crate) fn skip_angles(toks: &[Token], open: usize) -> usize {
+fn skip_angles(toks: &[Token], open: usize) -> usize {
     let mut depth = 0i32;
     let mut i = open;
     while i < toks.len() {
@@ -391,62 +379,97 @@ pub(crate) fn skip_angles(toks: &[Token], open: usize) -> usize {
     open
 }
 
+/// The index just past an optional generic list at `j`: `j` itself when
+/// no `<` opens there, `None` when the `<` never closes (a comparison).
+fn past_generics(toks: &[Token], j: usize) -> Option<usize> {
+    if !punct_at(toks, j, '<') {
+        return Some(j);
+    }
+    let close = skip_angles(toks, j);
+    (close > j).then_some(close + 1)
+}
+
+/// The index just past an optional turbofish `::<…>` at `j`: `j` itself
+/// when none starts there, `None` when its `<` never closes.
+pub(crate) fn past_turbofish(toks: &[Token], j: usize) -> Option<usize> {
+    if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, '<') {
+        past_generics(toks, j + 2)
+    } else {
+        Some(j)
+    }
+}
+
+/// The body `{` of the item whose header continues at `from`: the first
+/// `{` at `from`'s bracket level, `None` when a `;` (a declaration) comes
+/// first. A bracketed type in the header (`[T; 4]`, `Fn(u8)`) is one step.
+fn body_open(lexed: &Lexed, from: usize) -> Option<usize> {
+    let toks = &lexed.tokens;
+    lexed
+        .level(from)
+        .find(|&j| punct_at(toks, j, '{') || punct_at(toks, j, ';'))
+        .filter(|&j| punct_at(toks, j, '{'))
+}
+
 /// True if the token at `i` is a punctuation character `c`.
 fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
     toks.get(i).is_some_and(|t| t.is_punct(c))
 }
 
-/// Parses the lexed file into a [`FileModel`].
+/// Parses the lexed file into a [`FileModel`] in one forward walk that
+/// offers each token to every shape that can start there. A shape reads
+/// ahead but never moves the walk on, so none hides another
+/// (`std::collections::BinaryHeap::<u8>::new()` is both a path and a heap
+/// mention); only free-call heads inside a `use` item are passed over. A
+/// `#[cfg(test)] mod` is recorded before the fns inside it, which read its
+/// span.
 pub fn parse(lexed: &Lexed) -> FileModel {
     let toks = &lexed.tokens;
     let mut model = FileModel::default();
-
-    collect_test_spans(lexed, &mut model);
-    collect_fns(lexed, &mut model);
-    collect_ord_impls(lexed, &mut model);
-    collect_impls(lexed, &mut model);
-    collect_structs(lexed, &mut model);
-    let use_spans = collect_uses(lexed, &mut model);
-    collect_free_calls(toks, &use_spans, &mut model);
-
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
+    // The last token of the latest `use` item: a path up to it is an
+    // import, not a free call.
+    let mut use_end = None;
+    let mut segs = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
         match t.kind {
+            TokKind::Punct if t.text == "#" => model.test_spans.extend(test_span(lexed, i)),
             TokKind::Punct if t.text == "." => {
                 if let Some(call) = parse_method_call(lexed, i) {
                     model.calls.push(call);
                 } else if let Some(rhs_end) = field_write_rhs_end(lexed, i) {
                     model.field_writes.push(FieldWrite { dot: i, rhs_end });
                 }
-                i += 1;
             }
-            TokKind::Punct if t.text == "[" => {
-                if is_index_open(toks, i) {
-                    let close = lexed.close_of(i);
-                    model.indexings.push(IndexExpr { line: t.line, brackets: (i, close) });
-                }
-                i += 1;
+            TokKind::Punct if t.text == "[" && is_index_open(toks, i) => {
+                let close = lexed.close_of(i);
+                model.indexings.push(IndexExpr { line: t.line, brackets: (i, close) });
+            }
+            TokKind::Ident if t.text == "fn" => model.fns.extend(fn_item(lexed, i, &model)),
+            TokKind::Ident if t.text == "impl" && at_item_position(toks, i) => {
+                model.impls.extend(impl_block(lexed, i));
+            }
+            TokKind::Ident if t.text == "struct" => model.structs.extend(struct_def(lexed, i)),
+            TokKind::Ident if t.text == "use" && at_item_position(toks, i) => {
+                let is_pub = use_is_pub(lexed, i);
+                use_end = Some(use_tree(lexed, i + 1, &mut segs, is_pub, t.line, &mut model.uses));
             }
             TokKind::Ident if t.text == "BinaryHeap" => {
                 // `BinaryHeap<…>` or `BinaryHeap::<…>`.
-                let mut j = i + 1;
-                if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
-                    j += 2;
+                let j = if punct_at(toks, i + 1, ':') && punct_at(toks, i + 2, ':') {
+                    i + 3
+                } else {
+                    i + 1
+                };
+                if let Some(past) = past_generics(toks, j).filter(|&p| p > j) {
+                    model.heaps.push(HeapType { line: t.line, angles: (j, past - 1) });
                 }
-                if punct_at(toks, j, '<') {
-                    let close = skip_angles(toks, j);
-                    if close > j {
-                        model.heaps.push(HeapType { line: t.line, angles: (j, close) });
-                    }
-                }
-                i += 1;
             }
             TokKind::Ident if punct_at(toks, i + 1, '!') && !is_keyword(&t.text) => {
                 model.macros.push(MacroCall { name: t.text.to_string(), line: t.line, tok: i });
-                i += 1;
             }
-            _ => i += 1,
+            _ => {}
+        }
+        if t.kind == TokKind::Ident && use_end.is_none_or(|end| i > end) {
+            free_call_at(toks, i, &mut model.free_calls);
         }
     }
     debug_assert!(model.calls.windows(2).all(|w| w[0].dot < w[1].dot));
@@ -479,83 +502,61 @@ pub(crate) fn rhs_end(lexed: &Lexed, from: usize) -> Option<usize> {
     (end > from).then(|| end - 1)
 }
 
-/// Records the body spans of `#[cfg(test)] mod … { … }` items.
-fn collect_test_spans(lexed: &Lexed, model: &mut FileModel) {
+/// The body span of the `#[cfg(test)] mod … { … }` whose attribute starts
+/// at the `#` at `i`.
+fn test_span(lexed: &Lexed, i: usize) -> Option<(usize, usize)> {
     let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if punct_at(toks, i, '#') && punct_at(toks, i + 1, '[') {
-            let close = lexed.close_of(i + 1);
-            // A `#[` that ends the file closes on its own `[`.
-            let attr_is_cfg_test = toks
-                .get(i + 2..close)
-                .unwrap_or_default()
-                .windows(3)
-                .any(|w| w[0].is_ident("cfg") && w[1].is_punct('(') && w[2].is_ident("test"));
-            if attr_is_cfg_test {
-                // Skip further attributes/doc markers to the item keyword.
-                let mut j = close + 1;
-                while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
-                    j = lexed.close_of(j + 1) + 1;
-                }
-                if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
-                    j += 1;
-                }
-                if toks.get(j).is_some_and(|t| t.is_ident("mod")) {
-                    // Find the body `{`; a `mod name;` declaration has none.
-                    let mut k = j + 1;
-                    while k < toks.len() && !punct_at(toks, k, '{') && !punct_at(toks, k, ';') {
-                        k += 1;
-                    }
-                    if punct_at(toks, k, '{') {
-                        model.test_spans.push((k, lexed.close_of(k)));
-                    }
-                }
-            }
-            i = close + 1;
-        } else {
-            i += 1;
-        }
+    if !punct_at(toks, i + 1, '[') {
+        return None;
     }
+    let close = lexed.close_of(i + 1);
+    // A `#[` that ends the file closes on its own `[`.
+    let attr_is_cfg_test = toks
+        .get(i + 2..close)
+        .unwrap_or_default()
+        .windows(3)
+        .any(|w| w[0].is_ident("cfg") && w[1].is_punct('(') && w[2].is_ident("test"));
+    if !attr_is_cfg_test {
+        return None;
+    }
+    // Skip further attributes/doc markers to the item keyword.
+    let mut j = close + 1;
+    while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
+        j = lexed.close_of(j + 1) + 1;
+    }
+    if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
+        j += 1;
+    }
+    if !toks.get(j).is_some_and(|t| t.is_ident("mod")) {
+        return None;
+    }
+    // A `mod name;` declaration has no body.
+    let open = body_open(lexed, j + 1)?;
+    Some((open, lexed.close_of(open)))
 }
 
-/// Records every `fn` item with its local analysis.
-fn collect_fns(lexed: &Lexed, model: &mut FileModel) {
+/// The `fn` item at `i` with its local analysis; `None` without a body
+/// (a trait method declaration). A fn inside a `#[cfg(test)] mod` of
+/// `model` is test code.
+fn fn_item(lexed: &Lexed, i: usize, model: &FileModel) -> Option<FnItem> {
     let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("fn") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-            i += 1;
-            continue;
-        }
-        let line = toks[i].line;
-        // The body is the first `{` past the signature at the `fn`'s
-        // bracket level; a `;` there ends a trait method declaration.
-        // Generic params and return types never contain braces.
-        let body_or_semi =
-            lexed.level(i + 2).find(|&j| punct_at(toks, j, '{') || punct_at(toks, j, ';'));
-        let Some(open) = body_or_semi.filter(|&j| punct_at(toks, j, '{')) else {
-            i += 2;
-            continue;
-        };
-        let close = lexed.close_of(open);
-        let in_test = has_test_attr(lexed, i) || model.in_test_span(i);
-        let sig = parse_sig(lexed, i, open);
-        let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
-        let mut item = FnItem {
-            name: toks[i + 1].text.to_string(),
-            line,
-            body: (open, close),
-            sig,
-            in_test,
-            bound_vars,
-            float_vars: BTreeSet::new(),
-        };
-        // The signature (params) participates in float tracking.
-        analyze_fn(lexed, i, close, &mut item);
-        model.fns.push(item);
-        i += 2;
-    }
+    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+    let open = body_open(lexed, i + 2)?;
+    let close = lexed.close_of(open);
+    let sig = parse_sig(lexed, i, open);
+    let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
+    let mut item = FnItem {
+        name: name.text.to_string(),
+        line: toks[i].line,
+        body: (open, close),
+        sig,
+        in_test: has_test_attr(lexed, i) || model.in_test_span(i),
+        bound_vars,
+        float_vars: BTreeSet::new(),
+    };
+    // The signature (params) participates in float tracking.
+    analyze_fn(lexed, i, close, &mut item);
+    Some(item)
 }
 
 /// True if the `fn` at `at` is directly preceded by a `#[test]`-ish or
@@ -589,14 +590,7 @@ fn has_test_attr(lexed: &Lexed, at: usize) -> bool {
 fn parse_sig(lexed: &Lexed, at: usize, body: usize) -> FnSig {
     let toks = &lexed.tokens;
     let mut sig = FnSig::default();
-    let mut j = at + 2;
-    if punct_at(toks, j, '<') {
-        let close = skip_angles(toks, j);
-        if close == j {
-            return sig;
-        }
-        j = close + 1;
-    }
+    let Some(j) = past_generics(toks, at + 2) else { return sig };
     if !punct_at(toks, j, '(') {
         return sig;
     }
@@ -764,6 +758,15 @@ fn closure_opens_here(toks: &[Token], i: usize) -> bool {
     }
 }
 
+/// True for a token that names a float type or is a float literal.
+pub(crate) fn is_float_token(t: &Token) -> bool {
+    match t.kind {
+        TokKind::Ident => matches!(&*t.text, "f64" | "f32"),
+        TokKind::Num => t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32"),
+        _ => false,
+    }
+}
+
 /// True when the statement tokens after a `let NAME` mark a float binding:
 /// `: f64`, a float literal initialiser, or a trailing `as f64` cast. The
 /// statement ends at the `;` or closing delimiter of its bracket level.
@@ -772,29 +775,15 @@ fn stmt_is_floaty(lexed: &Lexed, from: usize, end: usize) -> bool {
     let limit = toks.len().min(end + 1);
     let ends = |t: &Token| t.kind == TokKind::Punct && matches!(&*t.text, ";" | ")" | "]" | "}");
     let stop = lexed.level(from).take_while(|&i| i < limit).find(|&i| ends(&toks[i]));
-    toks[from..stop.unwrap_or(limit)].iter().any(|t| match t.kind {
-        TokKind::Ident => matches!(&*t.text, "f64" | "f32"),
-        TokKind::Num => t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32"),
-        _ => false,
-    })
+    toks[from..stop.unwrap_or(limit)].iter().any(is_float_token)
 }
 
 /// Parses a method call whose `.` sits at `dot`, tolerating turbofish.
 fn parse_method_call(lexed: &Lexed, dot: usize) -> Option<MethodCall> {
     let toks = &lexed.tokens;
-    let name_tok = toks.get(dot + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let mut j = dot + 2;
+    let name_tok = toks.get(dot + 1).filter(|t| t.kind == TokKind::Ident)?;
     // `.collect::<Vec<_>>()` — skip the turbofish.
-    if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, '<') {
-        let close = skip_angles(toks, j + 2);
-        if close == j + 2 {
-            return None;
-        }
-        j = close + 1;
-    }
+    let j = past_turbofish(toks, dot + 2)?;
     if !punct_at(toks, j, '(') {
         return None;
     }
@@ -832,54 +821,10 @@ fn is_index_open(toks: &[Token], i: usize) -> bool {
     }
 }
 
-/// Records every `impl Ord for T` / `impl PartialOrd for T` block.
-fn collect_ord_impls(lexed: &Lexed, model: &mut FileModel) {
-    let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("impl") {
-            i += 1;
-            continue;
-        }
-        // `impl [<…>] TRAIT for TYPE { … }`
-        let mut j = i + 1;
-        if punct_at(toks, j, '<') {
-            let close = skip_angles(toks, j);
-            if close == j {
-                i += 1;
-                continue;
-            }
-            j = close + 1;
-        }
-        let Some(trait_tok) = toks.get(j) else { break };
-        if trait_tok.kind == TokKind::Ident
-            && matches!(&*trait_tok.text, "Ord" | "PartialOrd")
-            && toks.get(j + 1).is_some_and(|t| t.is_ident("for"))
-        {
-            // The type name is the next ident; its generics may follow.
-            if let Some(ty) = toks.get(j + 2).filter(|t| t.kind == TokKind::Ident) {
-                let mut k = j + 3;
-                while k < toks.len() && !punct_at(toks, k, '{') {
-                    k += 1;
-                }
-                if punct_at(toks, k, '{') {
-                    model.ord_impls.push(OrdImpl {
-                        trait_name: trait_tok.text.to_string(),
-                        type_name: ty.text.to_string(),
-                        line: toks[i].line,
-                        body: (k, lexed.close_of(k)),
-                    });
-                }
-            }
-        }
-        i = j + 1;
-    }
-}
-
 /// True if the token before `i` puts `i` at item position: start of file,
-/// after `;`/`}`/`{`, after an attribute's `]`, or after a visibility /
-/// item qualifier keyword. Rejects `-> impl Trait` return types and
-/// `x: impl Fn()` argument positions.
+/// after `;`/`}`/`{`, after an attribute's `]` or a `pub(…)`'s `)`, or
+/// after a visibility / item qualifier keyword. Rejects `-> impl Trait`
+/// return types and `x: impl Fn()` argument positions.
 fn at_item_position(toks: &[Token], i: usize) -> bool {
     let Some(k) = i.checked_sub(1) else { return true };
     let prev = &toks[k];
@@ -893,13 +838,19 @@ fn at_item_position(toks: &[Token], i: usize) -> bool {
 /// Reads a type/trait path at `j` (`a::b::C`, optional trailing generics),
 /// returning the final segment's token index and the index just past the
 /// path.
-fn read_path(toks: &[Token], mut j: usize) -> Option<(usize, usize)> {
+fn read_path(toks: &[Token], j: usize) -> Option<(usize, usize)> {
     let t = toks.get(j)?;
     if t.kind != TokKind::Ident || (is_keyword(&t.text) && t.text != "Self") {
         return None;
     }
-    let mut last = j;
-    j += 1;
+    let (last, past) = chain_end(toks, j);
+    Some((last, past_generics(toks, past).unwrap_or(past)))
+}
+
+/// The last segment of the `a::b::c` chain whose head is at `head`, and
+/// the index just past it: segments sit three tokens apart.
+fn chain_end(toks: &[Token], head: usize) -> (usize, usize) {
+    let (mut last, mut j) = (head, head + 1);
     while punct_at(toks, j, ':')
         && punct_at(toks, j + 1, ':')
         && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
@@ -907,141 +858,51 @@ fn read_path(toks: &[Token], mut j: usize) -> Option<(usize, usize)> {
         last = j + 2;
         j += 3;
     }
-    if punct_at(toks, j, '<') {
-        let close = skip_angles(toks, j);
-        if close > j {
-            j = close + 1;
-        }
-    }
-    Some((last, j))
+    (last, j)
 }
 
-/// Records every `impl` block (inherent or trait) at item position.
-fn collect_impls(lexed: &Lexed, model: &mut FileModel) {
+/// The `impl` block (inherent or trait) at `i`, an item position.
+fn impl_block(lexed: &Lexed, i: usize) -> Option<ImplBlock> {
     let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("impl") || !at_item_position(toks, i) {
-            i += 1;
-            continue;
+    let j = past_generics(toks, i + 1)?;
+    let (first, mut j) = read_path(toks, j)?;
+    let (trait_name, type_name) = if toks.get(j).is_some_and(|t| t.is_ident("for")) {
+        j += 1;
+        // Skip reference/dyn sigils on the implementing type.
+        while toks.get(j).is_some_and(|t| {
+            t.is_punct('&') || t.is_ident("dyn") || t.is_ident("mut") || t.kind == TokKind::Lifetime
+        }) {
+            j += 1;
         }
-        let line = toks[i].line;
-        let mut j = i + 1;
-        if punct_at(toks, j, '<') {
-            let close = skip_angles(toks, j);
-            if close == j {
-                i += 1;
-                continue;
-            }
-            j = close + 1;
-        }
-        let Some((first, after)) = read_path(toks, j) else {
-            i = j.max(i + 1);
-            continue;
-        };
+        let (ty, after) = read_path(toks, j)?;
         j = after;
-        let (trait_name, type_name) = if toks.get(j).is_some_and(|t| t.is_ident("for")) {
-            j += 1;
-            // Skip reference/dyn sigils on the implementing type.
-            while toks.get(j).is_some_and(|t| {
-                t.is_punct('&')
-                    || t.is_ident("dyn")
-                    || t.is_ident("mut")
-                    || t.kind == TokKind::Lifetime
-            }) {
-                j += 1;
-            }
-            let Some((ty, after)) = read_path(toks, j) else {
-                i = j.max(i + 1);
-                continue;
-            };
-            j = after;
-            (Some(first), ty)
-        } else {
-            (None, first)
-        };
-        let name = |k: usize| toks[k].text.to_string();
-        // Scan across any `where` clause (it contains no braces) to the body.
-        while j < toks.len() && !punct_at(toks, j, '{') && !punct_at(toks, j, ';') {
-            j += 1;
-        }
-        if punct_at(toks, j, '{') {
-            let close = lexed.close_of(j);
-            model.impls.push(ImplBlock {
-                trait_name: trait_name.map(name),
-                type_name: name(type_name),
-                line,
-                body: (j, close),
-            });
-        }
-        i = j + 1;
-    }
+        (Some(first), ty)
+    } else {
+        (None, first)
+    };
+    let open = body_open(lexed, j)?;
+    let name = |k: usize| toks[k].text.to_string();
+    Some(ImplBlock {
+        trait_name: trait_name.map(name),
+        type_name: name(type_name),
+        line: toks[i].line,
+        body: (open, lexed.close_of(open)),
+    })
 }
 
-/// Records every `struct` definition that has a body (`{…}` or `(…)`).
-fn collect_structs(lexed: &Lexed, model: &mut FileModel) {
+/// The `struct` at `i` with its body (`{…}` or `(…)`); `None` for a unit
+/// struct.
+fn struct_def(lexed: &Lexed, i: usize) -> Option<StructDef> {
     let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("struct") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            i += 1;
-            continue;
-        }
-        let line = toks[i].line;
-        let mut j = i + 2;
-        if punct_at(toks, j, '<') {
-            let close = skip_angles(toks, j);
-            if close == j {
-                i += 2;
-                continue;
-            }
-            j = close + 1;
-        }
-        // Tuple struct body is immediate; a `where` clause may precede `{`.
-        if !punct_at(toks, j, '(') {
-            while j < toks.len() && !punct_at(toks, j, '{') && !punct_at(toks, j, ';') {
-                j += 1;
-            }
-        }
-        if punct_at(toks, j, '{') || punct_at(toks, j, '(') {
-            let name = toks[i + 1].text.to_string();
-            model.structs.push(StructDef { name, line, body: (j, lexed.close_of(j)) });
-        }
-        i = j + 1;
-    }
-}
-
-/// Records every `use` item (flattened) and returns their token spans so
-/// the free-call collector can skip the paths inside them.
-fn collect_uses(lexed: &Lexed, model: &mut FileModel) -> Vec<(usize, usize)> {
-    let toks = &lexed.tokens;
-    let mut spans = Vec::new();
-    let mut segs = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("use") || !at_item_position_for_use(toks, i) {
-            i += 1;
-            continue;
-        }
-        let is_pub = use_is_pub(lexed, i);
-        let line = toks[i].line;
-        let end = use_tree(lexed, i + 1, &mut segs, is_pub, line, &mut model.uses);
-        spans.push((i, end));
-        i = end.max(i + 1);
-    }
-    spans
-}
-
-/// Like [`at_item_position`], for `use` (also valid right after `pub(…)`).
-fn at_item_position_for_use(toks: &[Token], i: usize) -> bool {
-    let Some(k) = i.checked_sub(1) else { return true };
-    let prev = &toks[k];
-    match prev.kind {
-        TokKind::Punct => matches!(&*prev.text, ";" | "}" | "{" | "]" | ")"),
-        TokKind::Ident => prev.text == "pub",
-        _ => false,
-    }
+    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+    let j = past_generics(toks, i + 2)?;
+    // A tuple struct's body comes first; a `where` clause may precede `{`.
+    let open = if punct_at(toks, j, '(') { j } else { body_open(lexed, j)? };
+    Some(StructDef {
+        name: name.text.to_string(),
+        line: toks[i].line,
+        body: (open, lexed.close_of(open)),
+    })
 }
 
 /// True when the `use` at `i` is a `pub use` / `pub(crate) use` re-export.
@@ -1122,80 +983,43 @@ fn is_path_head_keyword(word: &str) -> bool {
     matches!(word, "crate" | "self" | "super" | "Self")
 }
 
-/// Records free-function calls and qualified path references. A chain
-/// `a::b::name(…)` is recorded once at its head; method names (preceded by
-/// `.`), definitions (preceded by `fn` etc.), macros (followed by `!`), and
-/// paths inside `use` items never match.
-fn collect_free_calls(toks: &[Token], use_spans: &[(usize, usize)], model: &mut FileModel) {
-    // The spans are disjoint and in token order: the one that could hold
-    // `i` is the last that starts at or before it.
-    let in_use = |i: usize| {
-        let k = use_spans.partition_point(|&(s, _)| s <= i);
-        k > 0 && i <= use_spans[k - 1].1
-    };
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        let head_ok = t.kind == TokKind::Ident
-            && (!is_keyword(&t.text) || is_path_head_keyword(&t.text))
-            && !in_use(i);
-        if !head_ok {
-            i += 1;
-            continue;
-        }
-        // Not a path head if preceded by `.` (method), `::` (path interior),
-        // or an item-definition keyword.
-        if i > 0 {
-            let prev = &toks[i - 1];
-            let def_kw = matches!(
-                &*prev.text,
-                "fn" | "mod" | "struct" | "enum" | "trait" | "use" | "impl" | "macro" | "type"
-            ) && prev.kind == TokKind::Ident;
-            if prev.is_punct('.')
-                || def_kw
-                || (prev.is_punct(':') && i > 1 && toks[i - 2].is_punct(':'))
-            {
-                i += 1;
-                continue;
-            }
-        }
-        // Read the full chain by token index: its segments sit three
-        // tokens apart, from the head at `i` to the name at `name_tok`.
-        let mut j = i + 1;
-        let mut name_tok = i;
-        while punct_at(toks, j, ':')
-            && punct_at(toks, j + 1, ':')
-            && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
+/// Records the free call or qualified path reference whose head is the
+/// identifier at `i`. A chain `a::b::name(…)` is recorded once, at its
+/// head, because its later segments follow a `::`; method names (after
+/// `.`), definitions (after `fn` etc.) and macros (before `!`) never match.
+fn free_call_at(toks: &[Token], i: usize, out: &mut Vec<FreeCall>) {
+    let t = &toks[i];
+    if is_keyword(&t.text) && !is_path_head_keyword(&t.text) {
+        return;
+    }
+    // Not a path head if preceded by `.` (method), `::` (path interior),
+    // or an item-definition keyword.
+    if i > 0 {
+        let prev = &toks[i - 1];
+        let def_kw = matches!(
+            &*prev.text,
+            "fn" | "mod" | "struct" | "enum" | "trait" | "use" | "impl" | "macro" | "type"
+        ) && prev.kind == TokKind::Ident;
+        if prev.is_punct('.')
+            || def_kw
+            || (prev.is_punct(':') && i > 1 && toks[i - 2].is_punct(':'))
         {
-            name_tok = j + 2;
-            j += 3;
+            return;
         }
-        // `name::<T>(…)` — skip the turbofish before the argument check.
-        let mut k = j;
-        if punct_at(toks, k, ':') && punct_at(toks, k + 1, ':') && punct_at(toks, k + 2, '<') {
-            let close = skip_angles(toks, k + 2);
-            if close > k + 2 {
-                k = close + 1;
-            }
-        }
-        let called = punct_at(toks, k, '(');
-        let qualified = name_tok > i;
-        if toks[i].is_ident("self") && !qualified {
-            // Bare `self` is a receiver, never a call.
-            i = j;
-            continue;
-        }
-        if called || qualified {
-            let qual = (i..name_tok).step_by(3).map(|k| toks[k].text.to_string()).collect();
-            model.free_calls.push(FreeCall {
-                qual,
-                name: toks[name_tok].text.to_string(),
-                line: toks[name_tok].line,
-                tok: name_tok,
-                called,
-            });
-        }
-        i = j;
+    }
+    let (name_tok, j) = chain_end(toks, i);
+    // `name::<T>(…)` — skip the turbofish before the argument check.
+    let called = punct_at(toks, past_turbofish(toks, j).unwrap_or(j), '(');
+    let qualified = name_tok > i;
+    // Bare `self` is a receiver, never a call.
+    if qualified || (called && !t.is_ident("self")) {
+        out.push(FreeCall {
+            qual: (i..name_tok).step_by(3).map(|k| toks[k].text.to_string()).collect(),
+            name: toks[name_tok].text.to_string(),
+            line: toks[name_tok].line,
+            tok: name_tok,
+            called,
+        });
     }
 }
 
@@ -1305,19 +1129,15 @@ mod tests {
 
     #[test]
     fn heap_generics_are_spanned() {
-        let m =
-            model("fn f() { let h: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new(); }");
-        assert_eq!(m.heaps.len(), 1);
-    }
-
-    #[test]
-    fn ord_impls_are_recovered() {
-        let m = model(
-            "impl Ord for Entry { fn cmp(&self, o: &Self) -> Ordering { self.seq.cmp(&o.seq) } }",
-        );
-        assert_eq!(m.ord_impls.len(), 1);
-        assert_eq!(m.ord_impls[0].trait_name, "Ord");
-        assert_eq!(m.ord_impls[0].type_name, "Entry");
+        let src = "fn f() { let h: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new(); \
+                   let g = std::collections::BinaryHeap::<u8>::new(); }";
+        let (toks, m) = (lex(src).tokens, model(src));
+        let spans: Vec<String> = m
+            .heaps
+            .iter()
+            .map(|h| toks[h.angles.0..=h.angles.1].iter().map(|t| &*t.text).collect())
+            .collect();
+        assert_eq!(spans, ["<Reverse<(SimTime,usize)>>", "<u8>"]);
     }
 
     #[test]
@@ -1341,15 +1161,40 @@ mod tests {
         let m = model(
             "impl Widget { fn new() -> Self { Widget } } \
              impl fmt::Display for Widget<T> { fn fmt(&self) {} } \
-             impl<S: State> Simulation<S> { fn step(&mut self) {} }",
+             impl<S: State> Simulation<S> { fn step(&mut self) {} } \
+             impl Ord for Entry { fn cmp(&self, o: &Self) -> Ordering { self.seq.cmp(&o.seq) } }",
         );
-        assert_eq!(m.impls.len(), 3, "{:?}", m.impls);
+        assert_eq!(m.impls.len(), 4, "{:?}", m.impls);
         assert_eq!(m.impls[0].trait_name, None);
         assert_eq!(m.impls[0].type_name, "Widget");
         assert_eq!(m.impls[1].trait_name.as_deref(), Some("Display"));
         assert_eq!(m.impls[1].type_name, "Widget");
         assert_eq!(m.impls[2].trait_name, None);
         assert_eq!(m.impls[2].type_name, "Simulation");
+        assert_eq!(m.impls[3].trait_name.as_deref(), Some("Ord"));
+        assert_eq!(m.impls[3].type_name, "Entry");
+    }
+
+    #[test]
+    fn a_bracketed_type_in_a_header_keeps_the_item() {
+        let m = model(
+            "struct S<T> where [T; 4]: Sized { t: T } \
+             impl<T> Tr for W<[T; 4]> { fn a(&self) {} } \
+             impl<T> Tr for S<T> where [T; 2]: Copy { fn b(&self) {} }",
+        );
+        let structs: Vec<&str> = m.structs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(structs, ["S"]);
+        let impls: Vec<(Option<&str>, &str)> =
+            m.impls.iter().map(|im| (im.trait_name.as_deref(), im.type_name.as_str())).collect();
+        assert_eq!(impls, [(Some("Tr"), "W"), (Some("Tr"), "S")]);
+        let owners: Vec<(&str, Option<&str>)> = m
+            .fns
+            .iter()
+            .map(|f| {
+                (f.name.as_str(), m.owning_impl(f.body).map(|k| m.impls[k].type_name.as_str()))
+            })
+            .collect();
+        assert_eq!(owners, [("a", Some("W")), ("b", Some("S"))]);
     }
 
     #[test]
@@ -1422,8 +1267,8 @@ mod tests {
 
     #[test]
     fn use_paths_are_not_free_calls() {
-        let m = model("use a::b::c; fn f() { b2::c2(); }");
-        assert!(m.free_calls.iter().all(|c| c.name != "c"), "{:?}", m.free_calls);
+        let m = model("use a::b::c; use x::{y::z, w}; fn f() { b2::c2(); }");
+        assert!(m.free_calls.iter().all(|c| c.name != "c" && c.name != "z"), "{:?}", m.free_calls);
         assert!(m.free_calls.iter().any(|c| c.name == "c2"));
     }
 

@@ -50,7 +50,7 @@
 
 use crate::graph::FileScope;
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::parse::{FileModel, MethodCall};
+use crate::parse::{is_float_token, FileModel, MethodCall};
 use crate::rules::{id, FileCtx, Finding};
 
 /// Identifier names a comparator key may end with that mark it as "the
@@ -141,23 +141,17 @@ fn stable_tiebreak(
     }
     // `impl Ord`/`impl PartialOrd` for heap-element types: the `cmp` body
     // must not order on a bare time field.
-    for im in &model.ord_impls {
+    for im in &model.impls {
+        let Some(tr @ ("Ord" | "PartialOrd")) = im.trait_name.as_deref() else { continue };
         if !scope.ord_in_scope(&im.type_name) {
             continue;
         }
-        check_comparator_body(
-            ctx,
-            model,
-            toks,
-            im.body,
-            im.line,
-            &format!("impl {} for {}", im.trait_name, im.type_name),
-            findings,
-        );
+        let what = format!("impl {tr} for {}", im.type_name);
+        check_comparator_body(ctx, model, toks, im.body, im.line, &what, findings);
     }
     // A heap keyed on bare SimTime pops equal-time entries in heap order.
     for heap in &model.heaps {
-        if !scope.heap_in_scope(heap.angles.0) {
+        if !scope.heap_in_scope() {
             continue;
         }
         let (open, close) = heap.angles;
@@ -194,11 +188,11 @@ fn check_comparator_body(
     let has_then = toks[body.0..=body.1]
         .iter()
         .any(|t| t.is_ident("then") || t.is_ident("then_with") || t.is_ident("then_cmp"));
+    let calls = model.calls_in(body.0, body.1);
     // Any float comparison inside a scheduling comparator is a finding,
     // tiebreak or not: float keys belong outside the scheduler.
-    let float_cmp = model.calls.iter().any(|c| {
-        c.dot >= body.0 && c.dot <= body.1 && matches!(c.name.as_str(), "partial_cmp" | "total_cmp")
-    }) || span_mentions_float(toks, body, model, body.0);
+    let float_cmp = calls.iter().any(|c| matches!(c.name.as_str(), "partial_cmp" | "total_cmp"))
+        || span_mentions_float(toks, body, model, body.0);
     if float_cmp {
         push_float_key(findings, ctx, line, what);
         return;
@@ -207,10 +201,7 @@ fn check_comparator_body(
         return;
     }
     // `X.cmp(&Y)` where X is a non-tuple chain ending in a time name.
-    for c in model.calls.iter().filter(|c| c.name == "cmp") {
-        if c.dot < body.0 || c.dot > body.1 {
-            continue;
-        }
+    for c in calls.iter().filter(|c| c.name == "cmp") {
         if receiver_is_tuple(ctx.lexed, c.dot) {
             continue;
         }
@@ -480,12 +471,9 @@ fn span_mentions_float(
     at: usize,
 ) -> bool {
     let floats = model.enclosing_fn(at).map(|f| &f.float_vars);
-    toks[start..=end].iter().any(|t| match t.kind {
-        TokKind::Ident => {
-            matches!(&*t.text, "f64" | "f32") || floats.is_some_and(|s| s.contains(&*t.text))
-        }
-        TokKind::Num => t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32"),
-        _ => false,
+    toks[start..=end].iter().any(|t| {
+        is_float_token(t)
+            || (t.kind == TokKind::Ident && floats.is_some_and(|s| s.contains(&*t.text)))
     })
 }
 

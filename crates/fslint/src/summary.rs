@@ -351,22 +351,8 @@ pub(crate) fn field_read_shape(toks: &[Token], i: usize) -> bool {
 /// The argument parens of the call whose name token is `tok`, skipping a
 /// turbofish; `None` for bare references.
 pub(crate) fn call_args(lexed: &Lexed, tok: usize) -> Option<(usize, usize)> {
-    let toks = &lexed.tokens;
-    let mut k = tok + 1;
-    if toks.get(k).is_some_and(|t| t.is_punct(':'))
-        && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
-        && toks.get(k + 2).is_some_and(|t| t.is_punct('<'))
-    {
-        let close = parse::skip_angles(toks, k + 2);
-        if close == k + 2 {
-            return None;
-        }
-        k = close + 1;
-    }
-    if !toks.get(k).is_some_and(|t| t.is_punct('(')) {
-        return None;
-    }
-    Some((k, lexed.close_of(k)))
+    let k = parse::past_turbofish(&lexed.tokens, tok + 1)?;
+    lexed.tokens.get(k).is_some_and(|t| t.is_punct('(')).then(|| (k, lexed.close_of(k)))
 }
 
 /// The bounds of a `let` statement starting after the `let` at `from-1`,

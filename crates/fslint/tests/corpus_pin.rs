@@ -4,11 +4,13 @@
 //! * The lex pin digests every token `(kind, line, text)` and every
 //!   comment `(line, end_line, text)` the lexer produces, file by file in
 //!   sorted order.
-//! * The model pin digests the `{:?}` rendering of the parser's
-//!   [`FileModel`](fslint::parse::FileModel) for every corpus file, in
-//!   sorted order: every recorded item with its names, spans and lines,
-//!   so a parser change that records one item differently moves it even
-//!   when no analysis reads that item.
+//! * The model pins digest the `{:?}` rendering of the parser's
+//!   [`FileModel`](fslint::parse::FileModel) for every corpus file, and
+//!   for every `.rs` fixture file, in sorted order: every recorded item
+//!   with its names, spans and lines, so a parser change that records one
+//!   item differently moves them even when no analysis reads that item.
+//!   The fixture model pin sees shapes the corpus lacks, such as `impl
+//!   Ord` blocks.
 //! * The graph pin digests the `--graph-out` export of the whole corpus,
 //!   at one scan thread and at the default. The export carries every
 //!   node's edges and its taint, unit and effect summary with the `via`
@@ -23,7 +25,7 @@
 //!   the same empty scan, so the pin skips them. The fixture tests assert
 //!   chosen findings; this pin sees every byte.
 //!
-//! All four are FNV-1a 64. The graph pin equals the digest of the file
+//! All five are FNV-1a 64. The graph pin equals the digest of the file
 //! that `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
 //! regenerate after an intentional change to the lexer, to the parser,
 //! to an analysis or to a fixture, run `cargo test -p fslint --test
@@ -39,11 +41,14 @@ use std::path::{Path, PathBuf};
 /// Digest of every token and comment of the corpus.
 const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
 /// Digest of the `{:?}` rendering of every corpus file's parsed model.
-const GOLDEN_CORPUS_MODEL: u64 = 0xd1bb_481b_8160_d8aa;
+const GOLDEN_CORPUS_MODEL: u64 = 0x21b1_5b44_9834_b985;
 /// Digest of the corpus's `--graph-out` export.
 const GOLDEN_CORPUS_GRAPH: u64 = 0x9bf1_8dad_559c_ab7b;
 /// Files the corpus holds.
 const CORPUS_FILES: usize = 151;
+/// Digest of the `{:?}` rendering of every `.rs` fixture file's parsed
+/// model.
+const GOLDEN_FIXTURE_MODEL: u64 = 0xaae8_ccd6_9521_c9bc;
 /// Digest of every fixture file's and fixture directory's lint outputs.
 const GOLDEN_FIXTURE_OUTPUTS: u64 = 0xbda2_cf27_a9f2_5d74;
 /// Fixture files and fixture directories (the fixtures root included).
@@ -62,6 +67,16 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 /// The FNV-1a 64 offset basis.
 const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over the `{:?}` rendering of each file's parsed model, in
+/// the order given.
+fn model_digest(files: &[PathBuf]) -> u64 {
+    files.iter().fold(FNV_START, |h, file| {
+        let source = std::fs::read_to_string(file).expect("input file is readable");
+        let h = fnv1a(h, format!("{:?}", parse(&lex(&source))).as_bytes());
+        fnv1a(h, &[0x1d])
+    })
+}
 
 #[test]
 fn corpus_tokens_and_comments_are_pinned() {
@@ -92,12 +107,7 @@ fn corpus_tokens_and_comments_are_pinned() {
 fn corpus_parse_models_are_pinned() {
     let files = collect_workspace_files(&corpus());
     assert_eq!(files.len(), CORPUS_FILES);
-    let mut h = FNV_START;
-    for file in &files {
-        let source = std::fs::read_to_string(file).expect("corpus file is readable");
-        h = fnv1a(h, format!("{:?}", parse(&lex(&source))).as_bytes());
-        h = fnv1a(h, &[0x1d]);
-    }
+    let h = model_digest(&files);
     assert_eq!(h, GOLDEN_CORPUS_MODEL, "got {h:#018x}");
 }
 
@@ -128,6 +138,17 @@ fn tree(dir: &Path, files: &mut Vec<PathBuf>, dirs: &mut Vec<PathBuf>) {
             files.push(path);
         }
     }
+}
+
+#[test]
+fn fixture_parse_models_are_pinned() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let (mut files, mut dirs) = (Vec::new(), Vec::new());
+    tree(&fixtures, &mut files, &mut dirs);
+    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+    assert_eq!(files.len(), FIXTURE_TREE.0);
+    let h = model_digest(&files);
+    assert_eq!(h, GOLDEN_FIXTURE_MODEL, "got {h:#018x}");
 }
 
 #[test]
