@@ -28,11 +28,18 @@
 //!   mutating it perturbs nothing outside the frame), and a write
 //!   through a callee's `&mut` parameter does not propagate when no
 //!   argument can carry a mutable borrow of outside state into it
-//!   (`&mut Cursor::default()` beside by-value parameters).
+//!   (`&mut Cursor::default()` beside by-value parameters). Both filters,
+//!   and the hop's line, come from one `EdgeUse` read per call edge.
+//! * **Facts** — an [`Effect`] is a copyable record whose names borrow
+//!   from the parsed files; its text is rendered by [`Effect::what`] only
+//!   where a finding's chain or the export prints it.
 //! * **Export** — per-node effect summaries ride along in `--graph-out`
 //!   next to the taint and unit summaries.
 //!
-//! Three rules come out of this:
+//! Three rules come out of this, checked in one walk over the non-test
+//! nodes. Each is a scope test and a forbidden-owner test: in scope, a
+//! static write or a scheduler call is always a finding, and a write or
+//! an interior mutation is one when the rule forbids its owner.
 //!
 //! * `oracle-pure` — oracle-module functions and `*Detector` `&self`
 //!   verdict methods reachable from the campaign runners
@@ -58,7 +65,7 @@ use crate::graph::{bfs, FileUnit, Graph};
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse::{is_keyword, FnSig, Param, Receiver};
 use crate::rules::{id, Finding};
-use crate::summary::call_args;
+use crate::summary::{call_args, split_args};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Effect kind: a write to a struct field or through a `&mut` parameter.
@@ -149,41 +156,61 @@ const SCHED_GATE: &[&str] = &["Scheduler", "Simulation"];
 /// locally owned `Fnv64`.
 const ORACLE_EXEMPT: &[&str] = &["Stream", "Fnv64"];
 
-/// One effect in a function's summary.
-#[derive(Debug, Clone)]
-pub struct Effect {
+/// One effect in a function's summary: a fact whose names borrow from
+/// the parsed files.
+#[derive(Debug, Clone, Copy)]
+pub struct Effect<'a> {
     /// Effect kind ([`E_WRITE`], [`E_INTERIOR`], …), propagated unchanged
     /// along call chains.
     pub kind: &'static str,
     /// The written type (`Server`), static (`GLOBAL`), or surface
     /// (`Stream`, `scheduler`) the effect lands on.
-    pub owner: String,
+    pub owner: &'a str,
     /// The written field, `*` for the whole value, or the primitive name
     /// for RNG/scheduler effects.
-    pub field: String,
+    pub field: &'a str,
     /// 1-based line of the write, or of the call that imported it.
     pub line: u32,
     /// The callee node id the effect arrived through, `None` at the root.
     pub via: Option<usize>,
-    /// Human description of this hop.
-    pub what: String,
+}
+
+impl<'a> Effect<'a> {
+    /// A root effect: one the body produces itself.
+    fn at(kind: &'static str, owner: &'a str, field: &'a str, line: u32) -> Effect<'a> {
+        Effect { kind, owner, field, line, via: None }
+    }
+
+    /// True when two effects carry the same (kind, owner, field) key.
+    fn same_key(&self, other: &Effect) -> bool {
+        self.kind == other.kind && self.owner == other.owner && self.field == other.field
+    }
+
+    /// Human description of this hop: the call it arrived through, or the
+    /// root write, draw or scheduler call.
+    pub fn what(&self, graph: &Graph) -> String {
+        let (owner, field) = (self.owner, self.field);
+        match (self.via, self.kind) {
+            (Some(m), _) => format!("calls `{}`", graph.nodes[m].name),
+            (None, E_RNG) => format!("draws RNG (`Stream::{field}`)"),
+            (None, E_SCHED) => format!("calls scheduler primitive `{field}`"),
+            (None, E_INTERIOR) => format!("interior-mutates `{owner}.{field}`"),
+            (None, E_STATIC) => format!("writes static `{owner}`"),
+            (None, _) => format!("writes `{owner}.{field}`"),
+        }
+    }
 }
 
 /// One function's effect summary (only non-empty summaries are exported).
 #[derive(Debug, Clone)]
-pub struct EffectSummary {
+pub struct EffectSummary<'a> {
     /// The effects, deduplicated by (kind, owner, field).
-    pub effects: Vec<Effect>,
-}
-
-/// True when two effects carry the same (kind, owner, field) key.
-fn same_key(a: &Effect, b: &Effect) -> bool {
-    a.kind == b.kind && a.owner == b.owner && a.field == b.field
+    pub effects: Vec<Effect<'a>>,
 }
 
 /// Adds `e` to a summary unless its key is present or the cap is hit.
-fn add(effects: &mut Vec<Effect>, e: Effect) {
-    if effects.len() < MAX_EFFECTS && !effects.iter().any(|x| same_key(x, &e)) {
+fn add<'a>(effects: &mut Vec<Effect<'a>>, e: Effect<'a>) {
+    if effects.len() < MAX_EFFECTS && !effects.iter().any(|x| x.same_key(&e)) {
         effects.push(e);
     }
 }
@@ -198,13 +225,14 @@ fn param<'s>(sig: &'s FnSig, name: &str) -> Option<&'s Param> {
 /// effect summaries, aligned with `graph.nodes` for `--graph-out`. Like
 /// taint and units it needs edges, not entry roots, so fixture subsets
 /// still prove their effect discipline.
-pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<EffectSummary>>) {
-    let mut eff = Effects::new(units, graph);
+pub fn analyze<'a>(
+    units: &'a [FileUnit],
+    graph: &'a Graph<'a>,
+) -> (Vec<Finding>, Vec<Option<EffectSummary<'a>>>) {
+    let summaries = (0..graph.nodes.len()).map(|n| direct_effects(units, graph, n)).collect();
+    let mut eff = Effects { units, graph, summaries };
     eff.fixpoint();
-    let mut findings = Vec::new();
-    eff.oracle_pure(&mut findings);
-    eff.injection_scoped(&mut findings);
-    eff.mitigation_effect(&mut findings);
+    let findings = eff.scoped_writes();
     let summaries = eff
         .summaries
         .into_iter()
@@ -213,144 +241,120 @@ pub fn analyze(units: &[FileUnit], graph: &Graph) -> (Vec<Finding>, Vec<Option<E
     (findings, summaries)
 }
 
+/// The effects node `n`'s body produces directly.
+fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec<Effect<'a>> {
+    let node = &graph.nodes[n];
+    let u = &units[node.file];
+    let toks = &u.lexed.tokens;
+    let (b0, b1) = node.body;
+    let b1 = b1.min(toks.len().saturating_sub(1));
+    let sig = sig_of(units, graph, n);
+    let mut out = Vec::new();
+
+    // Field and static assignments: `.field = …` / `.field op= …` and
+    // deref writes `*param = …` through a `&mut` parameter.
+    for i in b0..=b1 {
+        if toks[i].is_punct('.')
+            && toks.get(i + 1).is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Num))
+            && assign_after(toks, i + 2)
+        {
+            let written = &*toks[i + 1].text;
+            let line = toks[i + 1].line;
+            let (root, hop) = receiver_root(&u.lexed, i);
+            let Some(root) = root else { continue };
+            let place = hop.unwrap_or(written);
+            if root == "self" {
+                if sig.receiver == Receiver::RefMut {
+                    if let Some(owner) = node.owner {
+                        add(&mut out, Effect::at(E_WRITE, owner, place, line));
+                    }
+                }
+            } else if is_screaming(root) {
+                add(&mut out, Effect::at(E_STATIC, root, written, line));
+            } else if let Some(p) = param(sig, root) {
+                if p.mut_ref {
+                    add(&mut out, Effect::at(E_WRITE, &p.ty_name, place, line));
+                }
+            }
+        }
+        // `*param = …`: a whole-value write through a `&mut` parameter.
+        if toks[i].is_punct('*')
+            && (i == b0 || deref_position(&toks[i - 1]))
+            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
+            && assign_after(toks, i + 2)
+        {
+            if let Some(p) = param(sig, &toks[i + 1].text).filter(|p| p.mut_ref) {
+                add(&mut out, Effect::at(E_WRITE, &p.ty_name, "*", toks[i + 1].line));
+            }
+        }
+    }
+
+    // Method calls: std mutators, interior mutability, RNG draws, and
+    // scheduler primitives.
+    let sched_gate = SCHED_GATE.iter().any(|g| graph.mentions(node.file, g));
+    for c in u.model.calls_in(b0, b1) {
+        let name = c.name.as_str();
+        if DRAWS.contains(&name) && graph.mentions(node.file, "Stream") {
+            add(&mut out, Effect::at(E_RNG, "Stream", name, c.line));
+        }
+        if sched_gate && name.starts_with("schedule") {
+            add(&mut out, Effect::at(E_SCHED, "scheduler", name, c.line));
+        }
+        let is_mut = MUTATORS.contains(&name);
+        let is_int = INTERIOR.contains(&name);
+        if !is_mut && !is_int {
+            continue;
+        }
+        let (root, hop) = receiver_root(&u.lexed, c.dot);
+        let Some(root) = root else { continue };
+        if root == "self" {
+            // A bare `self.push()` is a call on a workspace method — the
+            // graph edge carries its effects; only a field receiver
+            // (`self.ring.push(..)`) is a std-container write here.
+            let Some(h) = hop else { continue };
+            if let Some(owner) = node.owner {
+                if is_int {
+                    add(&mut out, Effect::at(E_INTERIOR, owner, h, c.line));
+                } else if sig.receiver == Receiver::RefMut {
+                    add(&mut out, Effect::at(E_WRITE, owner, h, c.line));
+                }
+            }
+        } else if is_screaming(root) {
+            add(&mut out, Effect::at(E_STATIC, root, hop.unwrap_or("*"), c.line));
+        } else if let Some(p) = param(sig, root) {
+            let place = hop.unwrap_or("*");
+            if is_int {
+                add(&mut out, Effect::at(E_INTERIOR, &p.ty_name, place, c.line));
+            } else if p.mut_ref {
+                add(&mut out, Effect::at(E_WRITE, &p.ty_name, place, c.line));
+            }
+        }
+    }
+    // Free-call scheduler primitives (`schedule_event(&mut q, ..)`).
+    if sched_gate {
+        let free = u.model.free_calls_in(b0, b1).iter();
+        for c in free.filter(|c| c.called && c.name.starts_with("schedule")) {
+            add(&mut out, Effect::at(E_SCHED, "scheduler", &c.name, c.line));
+        }
+    }
+    out
+}
+
 /// The analysis state: effect sets grow monotonically to a fixpoint.
 struct Effects<'a> {
     units: &'a [FileUnit],
     graph: &'a Graph<'a>,
     /// Per-node effect sets, aligned with `graph.nodes`.
-    summaries: Vec<Vec<Effect>>,
+    summaries: Vec<Vec<Effect<'a>>>,
 }
 
 impl<'a> Effects<'a> {
-    fn new(units: &'a [FileUnit], graph: &'a Graph<'a>) -> Effects<'a> {
-        let mut eff = Effects { units, graph, summaries: vec![Vec::new(); graph.nodes.len()] };
-        for n in 0..graph.nodes.len() {
-            let direct = eff.direct_effects(n);
-            for e in direct {
-                add(&mut eff.summaries[n], e);
-            }
-        }
-        eff
-    }
-
-    /// The effects node `n`'s body produces directly.
-    fn direct_effects(&self, n: usize) -> Vec<Effect> {
-        let node = &self.graph.nodes[n];
-        let u = &self.units[node.file];
-        let toks = &u.lexed.tokens;
-        let (b0, b1) = node.body;
-        let b1 = b1.min(toks.len().saturating_sub(1));
-        let sig = sig_of(self.units, self.graph, n);
-        let mut out = Vec::new();
-
-        // Field and static assignments: `.field = …` / `.field op= …` and
-        // deref writes `*param = …` through a `&mut` parameter.
-        for i in b0..=b1 {
-            if toks[i].is_punct('.')
-                && toks.get(i + 1).is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Num))
-                && assign_after(toks, i + 2)
-            {
-                let written = &*toks[i + 1].text;
-                let line = toks[i + 1].line;
-                let (root, hop) = receiver_root(&u.lexed, i);
-                let Some(root) = root else { continue };
-                let place = hop.unwrap_or(written);
-                if root == "self" {
-                    if sig.receiver == Receiver::RefMut {
-                        if let Some(owner) = node.owner {
-                            out.push(write_effect(E_WRITE, owner, place, line));
-                        }
-                    }
-                } else if is_screaming(root) {
-                    out.push(write_effect(E_STATIC, root, written, line));
-                } else if let Some(p) = param(sig, root) {
-                    if p.mut_ref {
-                        out.push(write_effect(E_WRITE, &p.ty_name, place, line));
-                    }
-                }
-            }
-            // `*param = …`: a whole-value write through a `&mut` parameter.
-            if toks[i].is_punct('*')
-                && (i == b0 || deref_position(&toks[i - 1]))
-                && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-                && assign_after(toks, i + 2)
-            {
-                if let Some(p) = param(sig, &toks[i + 1].text).filter(|p| p.mut_ref) {
-                    out.push(write_effect(E_WRITE, &p.ty_name, "*", toks[i + 1].line));
-                }
-            }
-        }
-
-        // Method calls: std mutators, interior mutability, RNG draws, and
-        // scheduler primitives.
-        let sched_gate = SCHED_GATE.iter().any(|g| self.graph.mentions(node.file, g));
-        for c in u.model.calls_in(b0, b1) {
-            let name = c.name.as_str();
-            if DRAWS.contains(&name) && self.graph.mentions(node.file, "Stream") {
-                out.push(Effect {
-                    kind: E_RNG,
-                    owner: "Stream".to_string(),
-                    field: c.name.clone(),
-                    line: c.line,
-                    via: None,
-                    what: format!("draws RNG (`Stream::{name}`)"),
-                });
-            }
-            if sched_gate && name.starts_with("schedule") {
-                out.push(sched_effect(c.name.clone(), c.line));
-            }
-            let is_mut = MUTATORS.contains(&name);
-            let is_int = INTERIOR.contains(&name);
-            if !is_mut && !is_int {
-                continue;
-            }
-            let (root, hop) = receiver_root(&u.lexed, c.dot);
-            let Some(root) = root else { continue };
-            if root == "self" {
-                // A bare `self.push()` is a call on a workspace method —
-                // the graph edge carries its effects; only a field
-                // receiver (`self.ring.push(..)`) is a std-container
-                // write here.
-                let Some(h) = hop else { continue };
-                if let Some(owner) = node.owner {
-                    if is_int {
-                        out.push(write_effect(E_INTERIOR, owner, h, c.line));
-                    } else if sig.receiver == Receiver::RefMut {
-                        out.push(write_effect(E_WRITE, owner, h, c.line));
-                    }
-                }
-            } else if is_screaming(root) {
-                out.push(write_effect(E_STATIC, root, hop.unwrap_or("*"), c.line));
-            } else if let Some(p) = param(sig, root) {
-                let place = hop.unwrap_or("*");
-                if is_int {
-                    out.push(write_effect(E_INTERIOR, &p.ty_name, place, c.line));
-                } else if p.mut_ref {
-                    out.push(write_effect(E_WRITE, &p.ty_name, place, c.line));
-                }
-            }
-        }
-        // Free-call scheduler primitives (`schedule_event(&mut q, ..)`).
-        if sched_gate {
-            for c in u
-                .model
-                .free_calls_in(b0, b1)
-                .iter()
-                .filter(|c| c.called && c.name.starts_with("schedule"))
-            {
-                out.push(sched_effect(c.name.clone(), c.line));
-            }
-        }
-        out
-    }
-
     /// Iterates caller-inherits-callee propagation to a fixpoint. Effect
     /// sets only grow and are capped, so this terminates.
     fn fixpoint(&mut self) {
-        let mut contained: BTreeMap<(usize, usize), bool> = BTreeMap::new();
-        let mut arg_local: BTreeMap<(usize, usize), bool> = BTreeMap::new();
+        let mut uses: BTreeMap<(usize, usize), EdgeUse> = BTreeMap::new();
         loop {
-            let mut updates: Vec<(usize, Effect)> = Vec::new();
+            let mut updates: Vec<(usize, Effect<'a>)> = Vec::new();
             for n in 0..self.graph.nodes.len() {
                 if self.summaries[n].len() >= MAX_EFFECTS {
                     continue;
@@ -361,21 +365,18 @@ impl<'a> Effects<'a> {
                     if m == n || self.summaries[m].is_empty() {
                         continue;
                     }
-                    let owned_stays = *contained
+                    let edge = *uses
                         .entry((n, m))
-                        .or_insert_with(|| callee_contained(self.units, self.graph, n, m));
-                    let args_stay = *arg_local
-                        .entry((n, m))
-                        .or_insert_with(|| mut_args_stay_local(self.units, self.graph, n, m));
+                        .or_insert_with(|| EdgeUse::read(self.units, self.graph, n, m));
                     let callee_owner = self.graph.nodes[m].owner;
-                    for k in 0..self.summaries[m].len() {
-                        let e = &self.summaries[m][k];
+                    let callee_params = &sig_of(self.units, self.graph, m).params;
+                    for e in &self.summaries[m] {
                         // The precision filter: a write to the callee's
                         // own type stays put when every call site's
                         // receiver is a caller-local value.
-                        if owned_stays
+                        if edge.owned_stays
                             && (e.kind == E_WRITE || e.kind == E_INTERIOR)
-                            && callee_owner == Some(e.owner.as_str())
+                            && callee_owner == Some(e.owner)
                         {
                             continue;
                         }
@@ -384,31 +385,18 @@ impl<'a> Effects<'a> {
                         // call site passes `&mut <caller-local>` — e.g.
                         // `splitmix64(&mut sm)` mutates only the caller's
                         // own stack slot.
-                        if args_stay
+                        if edge.args_stay
                             && e.kind == E_WRITE
-                            && sig_of(self.units, self.graph, m)
-                                .params
-                                .iter()
-                                .any(|p| p.mut_ref && p.ty_name == e.owner)
+                            && callee_params.iter().any(|p| p.mut_ref && p.ty_name == e.owner)
                         {
                             continue;
                         }
-                        if self.summaries[n].iter().any(|x| same_key(x, e))
-                            || updates[pending..].iter().any(|(_, x)| same_key(x, e))
+                        if self.summaries[n].iter().any(|x| x.same_key(e))
+                            || updates[pending..].iter().any(|(_, x)| x.same_key(e))
                         {
                             continue;
                         }
-                        updates.push((
-                            n,
-                            Effect {
-                                kind: e.kind,
-                                owner: e.owner.clone(),
-                                field: e.field.clone(),
-                                line: self.graph.call_line(self.units, n, m),
-                                via: Some(m),
-                                what: format!("calls `{}`", self.graph.nodes[m].name),
-                            },
-                        ));
+                        updates.push((n, Effect { line: edge.line, via: Some(m), ..*e }));
                     }
                 }
             }
@@ -423,29 +411,125 @@ impl<'a> Effects<'a> {
 
     /// Renders the hop-by-hop chain from node `start`'s effect `e` down
     /// to the root write, caller first.
-    fn chain(&self, start: usize, e: &Effect) -> String {
+    fn chain(&self, start: usize, e: &Effect<'a>) -> String {
         let mut out = String::new();
-        let mut n = start;
-        let mut eff = e.clone();
+        let (mut n, mut eff) = (start, *e);
         for _ in 0..16 {
             let node = &self.graph.nodes[n];
             out.push_str(&format!("`{}` ({}:{})", node.name, self.units[node.file].path, eff.line));
             let Some(m) = eff.via else {
-                out.push_str(&format!(" -> {}", eff.what));
+                out.push_str(&format!(" -> {}", eff.what(self.graph)));
                 break;
             };
             out.push_str(" -> ");
-            let Some(next) = self.summaries[m].iter().find(|x| same_key(x, &eff)) else { break };
-            eff = next.clone();
-            n = m;
+            let Some(next) = self.summaries[m].iter().find(|x| x.same_key(&eff)) else { break };
+            (n, eff) = (m, *next);
         }
         out
     }
 
-    /// `oracle-pure`: oracle-module functions and `*Detector` `&self`
-    /// verdict methods reachable from the campaign runners must not write
-    /// simulation state, touch statics, or call the scheduler.
-    fn oracle_pure(&self, findings: &mut Vec<Finding>) {
+    /// The scoped-write rules in one walk over the non-test nodes. Each
+    /// rule is a scope test (which nodes it checks) and a forbidden-owner
+    /// test (whose writes it forbids there); [`flag`](Self::flag) does the
+    /// rest.
+    ///
+    /// * `oracle-pure`: oracle-module functions and `*Detector` `&self`
+    ///   verdict methods reachable from the campaign runners; simulation
+    ///   state is forbidden.
+    /// * `injection-scoped`: `*Injector` methods; anything outside the
+    ///   injector's declared surface is forbidden.
+    /// * `mitigation-effect`: methods of policy-module types and free
+    ///   functions of policy modules; anything but policy-owned state is
+    ///   forbidden. A scanned set whose `policy` modules declare no type
+    ///   has no policy scope at all.
+    fn scoped_writes(&self) -> Vec<Finding> {
+        let oracle_scope = self.oracle_scope();
+        let sim_state = self.sim_state();
+        let policy_types = self.policy_types();
+        let mut findings = Vec::new();
+        for (n, node) in self.graph.nodes.iter().enumerate().filter(|(_, node)| !node.in_test) {
+            let verdict = match node.owner {
+                None => node.in_module("oracle"),
+                Some(t) => {
+                    t.ends_with("Detector")
+                        && matches!(
+                            sig_of(self.units, self.graph, n).receiver,
+                            Receiver::Value | Receiver::Ref
+                        )
+                }
+            };
+            if verdict && oracle_scope[n] {
+                self.flag(n, id::ORACLE_PURE, |o| sim_state.contains(o), &mut findings);
+            }
+            if let Some(owner) = node.owner.filter(|t| t.ends_with("Injector")) {
+                let surface = self.injector_surface(owner);
+                self.flag(n, id::INJECTION_SCOPED, |o| !surface.contains(o), &mut findings);
+            }
+            let hook =
+                node.owner.map_or_else(|| node.in_module("policy"), |t| policy_types.contains(t));
+            if hook && !policy_types.is_empty() {
+                let forbids = |o: &str| o != "Stream" && !policy_types.contains(o);
+                self.flag(n, id::MITIGATION_EFFECT, forbids, &mut findings);
+            }
+        }
+        findings
+    }
+
+    /// Reports node `n` under `rule` at its first forbidden effect, with
+    /// the chain down to the write. A static write or a scheduler call is
+    /// always forbidden; a write or an interior mutation when `forbids`
+    /// its owner.
+    fn flag(
+        &self,
+        n: usize,
+        rule: &'static str,
+        forbids: impl Fn(&str) -> bool,
+        findings: &mut Vec<Finding>,
+    ) {
+        let Some(e) = self.summaries[n].iter().find(|e| match e.kind {
+            E_STATIC | E_SCHED => true,
+            E_WRITE | E_INTERIOR => forbids(e.owner),
+            _ => false,
+        }) else {
+            return;
+        };
+        let node = &self.graph.nodes[n];
+        let chain = self.chain(n, e);
+        let message = match rule {
+            id::ORACLE_PURE => format!(
+                "oracle/detector verdict path mutates simulation state: {chain} — a probe that \
+                 perturbs the system invalidates its own verdict; read state, never write it \
+                 (route mutations through a handler outside the oracle, or hand the oracle an \
+                 immutable view)"
+            ),
+            id::INJECTION_SCOPED => format!(
+                "injector `{}::{}` writes outside its declared injection surface: {chain} — an \
+                 injector may mutate only its own fields and the types its struct declares; \
+                 inject other state through the simulation's handlers",
+                node.owner.unwrap_or_default(),
+                node.name
+            ),
+            _ => format!(
+                "mitigation policy hook `{}` writes non-policy state: {chain} — a shed/breaker \
+                 that mutates server internals outside its API becomes the sustaining effect \
+                 itself; policies write policy-owned state only and act through returned \
+                 decisions",
+                node.name
+            ),
+        };
+        findings.push(Finding {
+            path: self.units[node.file].path.clone(),
+            line: e.line,
+            rule,
+            message,
+        });
+    }
+
+    /// `oracle-pure`'s reach: the nodes reachable from the campaign
+    /// runners (`run_scenario`/`run_all`). Fixture subsets have no
+    /// campaign runner; every node is in reach there, so single-rule
+    /// fixtures still fire.
+    fn oracle_scope(&self) -> Vec<bool> {
         let roots: Vec<usize> = self
             .graph
             .nodes
@@ -456,165 +540,54 @@ impl<'a> Effects<'a> {
             })
             .map(|(i, _)| i)
             .collect();
-        // Fixture subsets have no campaign runner; check every non-test
-        // oracle/detector there, so single-rule fixtures still fire.
-        let scope: Vec<bool> = if roots.is_empty() {
-            self.graph.nodes.iter().map(|n| !n.in_test).collect()
+        if roots.is_empty() {
+            vec![true; self.graph.nodes.len()]
         } else {
             bfs(&self.graph.edges, roots.into_iter())
-        };
-        let mut sim_state: BTreeSet<String> = BTreeSet::new();
-        for u in self.units {
-            if u.mp.abs().first().is_some_and(|k| k == "simcore") {
-                for s in &u.model.structs {
-                    sim_state.insert(s.name.clone());
-                }
-            }
         }
-        sim_state.insert("Simulation".to_string());
-        sim_state.insert("Scheduler".to_string());
+    }
+
+    /// Simulation state for `oracle-pure`: every struct a `simcore` file
+    /// declares, and the scheduler surface, minus [`ORACLE_EXEMPT`].
+    fn sim_state(&self) -> BTreeSet<&'a str> {
+        let simcore =
+            self.units.iter().filter(|u| u.mp.abs().first().is_some_and(|k| k == "simcore"));
+        let mut sim_state: BTreeSet<&str> =
+            simcore.flat_map(|u| u.model.structs.iter().map(|s| s.name.as_str())).collect();
+        sim_state.extend(["Simulation", "Scheduler"]);
         for ex in ORACLE_EXEMPT {
-            sim_state.remove(*ex);
+            sim_state.remove(ex);
         }
-        for (n, node) in self.graph.nodes.iter().enumerate() {
-            if node.in_test || !scope[n] {
-                continue;
-            }
-            let is_oracle_fn =
-                node.owner.is_none() && node.abs_module.iter().skip(1).any(|m| m == "oracle");
-            let is_verdict_method = node.owner.is_some_and(|t| t.ends_with("Detector"))
-                && matches!(
-                    sig_of(self.units, self.graph, n).receiver,
-                    Receiver::Value | Receiver::Ref
-                );
-            if !is_oracle_fn && !is_verdict_method {
-                continue;
-            }
-            let flagged = self.summaries[n].iter().find(|e| match e.kind {
-                k if k == E_SCHED || k == E_STATIC => true,
-                k if k == E_WRITE || k == E_INTERIOR => sim_state.contains(&e.owner),
-                _ => false,
-            });
-            if let Some(e) = flagged {
-                findings.push(Finding {
-                    path: self.units[node.file].path.clone(),
-                    line: e.line,
-                    rule: id::ORACLE_PURE,
-                    message: format!(
-                        "oracle/detector verdict path mutates simulation state: {} — a probe \
-                         that perturbs the system invalidates its own verdict; read state, \
-                         never write it (route mutations through a handler outside the \
-                         oracle, or hand the oracle an immutable view)",
-                        self.chain(n, e)
-                    ),
-                });
-            }
-        }
+        sim_state
     }
 
-    /// `injection-scoped`: `*Injector` methods write only their own
-    /// fields and the surface types their struct declares.
-    fn injection_scoped(&self, findings: &mut Vec<Finding>) {
-        for (n, node) in self.graph.nodes.iter().enumerate() {
-            if node.in_test {
-                continue;
-            }
-            let Some(owner) = node.owner else { continue };
-            if owner != "Injector" && !owner.ends_with("Injector") {
-                continue;
-            }
-            // The declared injection surface: the injector's own type,
-            // the RNG it draws from, and every type named in its struct
-            // body (its fields *are* its declared surface).
-            let mut allowed: BTreeSet<String> = BTreeSet::new();
-            allowed.insert(owner.to_string());
-            allowed.insert("Stream".to_string());
-            for u in self.units {
-                for s in u.model.structs.iter().filter(|s| s.name == owner) {
-                    let (s0, s1) = s.body;
-                    let toks = &u.lexed.tokens;
-                    for t in &toks[s0..=s1.min(toks.len().saturating_sub(1))] {
-                        if t.kind == TokKind::Ident && t.text.starts_with(char::is_uppercase) {
-                            allowed.insert(t.text.to_string());
-                        }
-                    }
-                }
-            }
-            let flagged = self.summaries[n].iter().find(|e| match e.kind {
-                k if k == E_STATIC || k == E_SCHED => true,
-                k if k == E_WRITE || k == E_INTERIOR => !allowed.contains(&e.owner),
-                _ => false,
-            });
-            if let Some(e) = flagged {
-                findings.push(Finding {
-                    path: self.units[node.file].path.clone(),
-                    line: e.line,
-                    rule: id::INJECTION_SCOPED,
-                    message: format!(
-                        "injector `{owner}::{}` writes outside its declared injection \
-                         surface: {} — an injector may mutate only its own fields and the \
-                         types its struct declares; inject other state through the \
-                         simulation's handlers",
-                        node.name,
-                        self.chain(n, e)
-                    ),
-                });
-            }
-        }
+    /// The types `policy` modules declare: their structs and impl types.
+    fn policy_types(&self) -> BTreeSet<&'a str> {
+        let policy = self.units.iter().filter(|u| u.mp.abs().iter().skip(1).any(|m| m == "policy"));
+        policy
+            .flat_map(|u| {
+                let structs = u.model.structs.iter().map(|s| s.name.as_str());
+                structs.chain(u.model.impls.iter().map(|im| im.type_name.as_str()))
+            })
+            .collect()
     }
 
-    /// `mitigation-effect`: policy-module hooks write policy-owned state
-    /// only.
-    fn mitigation_effect(&self, findings: &mut Vec<Finding>) {
-        let mut policy_types: BTreeSet<String> = BTreeSet::new();
+    /// The injector `owner`'s declared injection surface: its own type,
+    /// the RNG it draws from, and every type named in its struct body
+    /// (its fields *are* its declared surface).
+    fn injector_surface(&self, owner: &'a str) -> BTreeSet<&'a str> {
+        let mut surface = BTreeSet::from([owner, "Stream"]);
         for u in self.units {
-            if !u.mp.abs().iter().skip(1).any(|m| m == "policy") {
-                continue;
-            }
-            for s in &u.model.structs {
-                policy_types.insert(s.name.clone());
-            }
-            for im in &u.model.impls {
-                policy_types.insert(im.type_name.clone());
-            }
-        }
-        if policy_types.is_empty() {
-            return;
-        }
-        let mut allowed = policy_types.clone();
-        allowed.insert("Stream".to_string());
-        for (n, node) in self.graph.nodes.iter().enumerate() {
-            if node.in_test {
-                continue;
-            }
-            let scoped = match node.owner {
-                Some(t) => policy_types.contains(t),
-                None => node.abs_module.iter().skip(1).any(|m| m == "policy"),
-            };
-            if !scoped {
-                continue;
-            }
-            let flagged = self.summaries[n].iter().find(|e| match e.kind {
-                k if k == E_STATIC || k == E_SCHED => true,
-                k if k == E_WRITE || k == E_INTERIOR => !allowed.contains(&e.owner),
-                _ => false,
-            });
-            if let Some(e) = flagged {
-                findings.push(Finding {
-                    path: self.units[node.file].path.clone(),
-                    line: e.line,
-                    rule: id::MITIGATION_EFFECT,
-                    message: format!(
-                        "mitigation policy hook `{}` writes non-policy state: {} — a \
-                         shed/breaker that mutates server internals outside its API becomes \
-                         the sustaining effect itself; policies write policy-owned state \
-                         only and act through returned decisions",
-                        node.name,
-                        self.chain(n, e)
-                    ),
-                });
+            let toks = &u.lexed.tokens;
+            for s in u.model.structs.iter().filter(|s| s.name == owner) {
+                let (s0, s1) = s.body;
+                let body = &toks[s0..=s1.min(toks.len().saturating_sub(1))];
+                let types = body.iter().filter(|t| t.kind == TokKind::Ident);
+                surface
+                    .extend(types.map(|t| &*t.text).filter(|t| t.starts_with(char::is_uppercase)));
             }
         }
+        surface
     }
 }
 
@@ -624,131 +597,98 @@ fn sig_of<'u>(units: &'u [FileUnit], graph: &Graph, n: usize) -> &'u FnSig {
     &units[node.file].model.fns[node.fn_idx].sig
 }
 
-/// A direct write/interior/static effect record.
-fn write_effect(kind: &'static str, owner: &str, field: &str, line: u32) -> Effect {
-    let what = match kind {
-        k if k == E_INTERIOR => format!("interior-mutates `{owner}.{field}`"),
-        k if k == E_STATIC => format!("writes static `{owner}`"),
-        _ => format!("writes `{owner}.{field}`"),
-    };
-    Effect { kind, owner: owner.to_string(), field: field.to_string(), line, via: None, what }
+/// How caller `n` uses callee `m`, read in one walk over `n`'s calls of
+/// `m`'s name: the hop's line and the two precision filters.
+#[derive(Clone, Copy)]
+struct EdgeUse {
+    /// The line of the first call (a method call for a method, a free
+    /// call for a free fn); `n`'s own line when none is found.
+    line: u32,
+    /// The callee's writes to its own type stay inside `n`: every method
+    /// call of its name has a caller-local receiver root (not `self`, not
+    /// a parameter, not a static), there is at least one, and no free
+    /// call (UFCS `Fnv64::write(&mut h, x)`) names it. A locally
+    /// constructed digest or detector is caller-owned — mutating it is
+    /// not an external effect.
+    owned_stays: bool,
+    /// No argument `n` passes to the callee can carry a mutable borrow of
+    /// state `n` does not own, and there is at least one call. Then
+    /// whatever the callee writes through its `&mut` params lands in `n`'s
+    /// own stack slots (`splitmix64(&mut sm)`, `entry_from(&mut
+    /// Cursor::default(), at)`) and is not an external effect of `n`.
+    /// Each argument is judged by its shape:
+    ///
+    /// * `&mut expr` carries one when a root of `expr` is not a
+    ///   caller-local (it is `self`, one of `n`'s parameters, or a static);
+    /// * a bare root carries one when it is a `&mut` parameter (a
+    ///   `mid(srv)` reborrow), `self` under a `&mut self` receiver, or a
+    ///   static; a by-value or shared parameter carries none;
+    /// * any other shape is judged conservatively: any root that is not a
+    ///   caller-local counts.
+    args_stay: bool,
 }
 
-/// A scheduler-primitive effect record.
-fn sched_effect(name: String, line: u32) -> Effect {
-    Effect {
-        kind: E_SCHED,
-        owner: "scheduler".to_string(),
-        what: format!("calls scheduler primitive `{name}`"),
-        field: name,
-        line,
-        via: None,
-    }
-}
-
-/// True when the callee's writes to its own type stay inside caller `n`:
-/// every call site of `m`'s name in `n`'s body has a caller-local
-/// receiver root (not `self`, not a parameter, not a static), and no
-/// UFCS-style free call names it. A locally constructed digest or
-/// detector is caller-owned — mutating it is not an external effect.
-fn callee_contained(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bool {
-    let callee = &graph.nodes[m];
-    if callee.owner.is_none() {
-        return false;
-    }
-    let node = &graph.nodes[n];
-    let u = &units[node.file];
-    let (b0, b1) = node.body;
-    let sig = sig_of(units, graph, n);
-    let mut saw = false;
-    for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
-        saw = true;
-        let (root, _) = receiver_root(&u.lexed, c.dot);
-        let Some(root) = root else { return false };
-        if root == "self" || is_screaming(root) || param(sig, root).is_some() {
-            return false;
+impl EdgeUse {
+    /// Reads how caller `n` uses callee `m`.
+    fn read(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> EdgeUse {
+        let (node, callee) = (&graph.nodes[n], &graph.nodes[m]);
+        let u = &units[node.file];
+        let toks = &u.lexed.tokens;
+        let (b0, b1) = node.body;
+        let sig = sig_of(units, graph, n);
+        let local =
+            |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
+        // The argument `[lo, hi]` carries no mutable borrow in from
+        // outside. Only chain roots count: `x` in `x.len()` does, `len`
+        // does not, and path segments after `:` are not value roots
+        // either.
+        let arg_stays = |(lo, hi): (usize, usize)| {
+            if hi == lo && toks[lo].kind == TokKind::Ident {
+                let root = &*toks[lo].text;
+                let mut_self = root == "self" && sig.receiver == Receiver::RefMut;
+                let mut_param = param(sig, root).is_some_and(|p| p.mut_ref);
+                return !(mut_self || mut_param || is_screaming(root));
+            }
+            let mut_borrow =
+                toks[lo].is_punct('&') && toks.get(lo + 1).is_some_and(|t| t.is_ident("mut"));
+            (if mut_borrow { lo + 2 } else { lo }..=hi).all(|i| {
+                toks[i].kind != TokKind::Ident
+                    || toks[i - 1].is_punct('.')
+                    || toks[i - 1].is_punct(':')
+                    || (toks[i].text != "self" && is_keyword(&toks[i].text))
+                    || local(&toks[i].text)
+            })
+        };
+        let args_stay = |(open, close): (usize, usize)| {
+            split_args(&u.lexed, open, close).into_iter().all(arg_stays)
+        };
+        let mut line = None;
+        let (mut owned_stays, mut args_ok) = (callee.owner.is_some(), true);
+        let (mut saw_method, mut saw_call) = (false, false);
+        for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
+            if callee.owner.is_some() {
+                line.get_or_insert(c.line);
+            }
+            saw_method = true;
+            owned_stays = owned_stays && receiver_root(&u.lexed, c.dot).0.is_some_and(local);
+            args_ok = args_ok && args_stay(c.args);
         }
-    }
-    if u.model.free_calls_in(b0, b1).iter().any(|c| c.name == callee.name) {
-        return false;
-    }
-    saw
-}
-
-/// True when no argument caller `n` passes to callee `m` can carry a
-/// mutable borrow of state `n` does not own. Then whatever `m` writes
-/// through its `&mut` params lands in `n`'s own stack slots
-/// (`splitmix64(&mut sm)`, `entry_from(&mut Cursor::default(), at)`) and
-/// is not an external effect of `n`. Each argument is judged by its
-/// shape:
-///
-/// * `&mut expr` carries one when a root of `expr` is not a caller-local
-///   (it is `self`, one of `n`'s parameters, or a static);
-/// * a bare root carries one when it is a `&mut` parameter (a `mid(srv)`
-///   reborrow), `self` under a `&mut self` receiver, or a static; a
-///   by-value or shared parameter carries none;
-/// * any other shape is judged conservatively: any root that is not a
-///   caller-local counts.
-fn mut_args_stay_local(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> bool {
-    let callee = &graph.nodes[m];
-    let node = &graph.nodes[n];
-    let u = &units[node.file];
-    let toks = &u.lexed.tokens;
-    let (b0, b1) = node.body;
-    let sig = sig_of(units, graph, n);
-    let root_is_local =
-        |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
-    // The tokens `lo..hi` hold only caller-local roots. Only chain roots
-    // count: `x` in `x.len()` does, `len` does not, and path segments
-    // after `:` are not value roots either.
-    let roots_local = |lo: usize, hi: usize| {
-        (lo..hi).all(|i| {
-            toks[i].kind != TokKind::Ident
-                || toks[i - 1].is_punct('.')
-                || toks[i - 1].is_punct(':')
-                || (toks[i].text != "self" && is_keyword(&toks[i].text))
-                || root_is_local(&toks[i].text)
-        })
-    };
-    // The argument `lo..hi` carries no mutable borrow in from outside.
-    let arg_ok = |lo: usize, hi: usize| {
-        if hi == lo + 1 && toks[lo].kind == TokKind::Ident {
-            let root = &*toks[lo].text;
-            let mut_self = root == "self" && sig.receiver == Receiver::RefMut;
-            let mut_param = param(sig, root).is_some_and(|p| p.mut_ref);
-            return !(mut_self || mut_param || is_screaming(root));
-        }
-        let mut_borrow =
-            toks[lo].is_punct('&') && toks.get(lo + 1).is_some_and(|t| t.is_ident("mut"));
-        roots_local(if mut_borrow { lo + 2 } else { lo }, hi)
-    };
-    let span_ok = |open: usize, close: usize| {
-        let mut start = open + 1;
-        for i in u.lexed.level(open + 1).take_while(|&i| i <= close) {
-            if i == close || toks[i].is_punct(',') {
-                if i > start && !arg_ok(start, i) {
-                    return false;
-                }
-                start = i + 1;
+        for c in u.model.free_calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
+            if callee.owner.is_none() {
+                line.get_or_insert(c.line);
+            }
+            owned_stays = false;
+            if c.called {
+                saw_call = true;
+                args_ok = args_ok && call_args(&u.lexed, c.tok).is_some_and(args_stay);
             }
         }
-        true
-    };
-    let mut saw = false;
-    for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
-        saw = true;
-        if !span_ok(c.args.0, c.args.1) {
-            return false;
+        EdgeUse {
+            line: line.unwrap_or(node.line),
+            owned_stays: owned_stays && saw_method,
+            args_stay: args_ok && (saw_method || saw_call),
         }
     }
-    for c in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called && c.name == callee.name) {
-        saw = true;
-        let Some((open, close)) = call_args(&u.lexed, c.tok) else { return false };
-        if !span_ok(open, close) {
-            return false;
-        }
-    }
-    saw
 }
 
 /// True for a `SCREAMING_CASE` static name (`GLOBAL`, `NANOS_PER_SEC`).
@@ -835,11 +775,12 @@ mod tests {
         g.nodes.iter().position(|n| n.name == name).unwrap_or_else(|| panic!("no node {name}"))
     }
 
-    fn effects_of<'a>(sums: &'a [Option<EffectSummary>], g: &Graph, name: &str) -> Vec<&'a Effect> {
-        match &sums[node_id(g, name)] {
-            Some(s) => s.effects.iter().collect(),
-            None => Vec::new(),
-        }
+    fn effects_of<'a>(
+        sums: &[Option<EffectSummary<'a>>],
+        g: &Graph,
+        name: &str,
+    ) -> Vec<Effect<'a>> {
+        sums[node_id(g, name)].as_ref().map_or(Vec::new(), |s| s.effects.clone())
     }
 
     #[test]
@@ -888,13 +829,12 @@ mod tests {
         let g = Graph::build(&units);
         let (_, sums) = analyze(&units, &g);
         let touch = effects_of(&sums, &g, "touch");
-        let key = |e: &Effect| (e.kind, e.owner.clone(), e.field.clone());
-        let keys: Vec<_> = touch.iter().map(|e| key(e)).collect();
-        assert!(keys.contains(&(E_WRITE, "W".into(), "depth".into())), "{keys:?}");
-        assert!(keys.contains(&(E_WRITE, "W".into(), "ring".into())), "{keys:?}");
-        assert!(keys.contains(&(E_WRITE, "Server".into(), "queue".into())), "{keys:?}");
+        let keys: Vec<_> = touch.iter().map(|e| (e.kind, e.owner, e.field)).collect();
+        assert!(keys.contains(&(E_WRITE, "W", "depth")), "{keys:?}");
+        assert!(keys.contains(&(E_WRITE, "W", "ring")), "{keys:?}");
+        assert!(keys.contains(&(E_WRITE, "Server", "queue")), "{keys:?}");
         assert!(
-            !keys.iter().any(|(_, o, _)| o == "Vec" || o == "local"),
+            !keys.iter().any(|&(_, o, _)| o == "Vec" || o == "local"),
             "local mutation is not an effect: {keys:?}"
         );
         assert!(effects_of(&sums, &g, "peek").is_empty(), "reads are not effects");
@@ -915,18 +855,22 @@ mod tests {
         let top = effects_of(&sums, &g, "top");
         assert_eq!(top.len(), 1, "{top:?}");
         assert_eq!(top[0].via, Some(node_id(&g, "mid")), "two-hop chain records the callee");
-        assert_eq!((top[0].kind, top[0].owner.as_str()), (E_WRITE, "Server"));
+        assert_eq!((top[0].kind, top[0].owner), (E_WRITE, "Server"));
     }
 
     #[test]
     fn locally_owned_callee_state_stays_contained() {
+        // `ufcs`'s method call alone has a caller-local receiver; its UFCS
+        // call of the same name is what keeps the write.
         let units = [unit(
             "crates/a/src/lib.rs",
             "pub struct Fnv64 { state: u64 } \
              impl Fnv64 { pub fn write(&mut self, x: u64) { self.state ^= x; } } \
              pub fn digest(xs: &[u64]) -> u64 { \
                let mut h = Fnv64 { state: 0 }; for x in xs { h.write(*x); } h.state } \
-             pub fn leak(h: &mut Fnv64) { h.write(1); }",
+             pub fn leak(h: &mut Fnv64) { h.write(1); } \
+             pub fn ufcs() -> u64 { \
+               let mut h = Fnv64 { state: 0 }; h.write(2); Fnv64::write(&mut h, 1); h.state }",
         )];
         let g = Graph::build(&units);
         let (_, sums) = analyze(&units, &g);
@@ -934,11 +878,14 @@ mod tests {
             effects_of(&sums, &g, "digest").is_empty(),
             "a locally constructed digest is caller-owned"
         );
-        let leak = effects_of(&sums, &g, "leak");
-        assert!(
-            leak.iter().any(|e| e.kind == E_WRITE && e.owner == "Fnv64"),
-            "a &mut-param receiver escapes: {leak:?}"
-        );
+        for name in ["leak", "ufcs"] {
+            let got = effects_of(&sums, &g, name);
+            assert!(
+                got.iter().any(|e| e.kind == E_WRITE && e.owner == "Fnv64"),
+                "a &mut-param receiver escapes, and a free call naming the callee voids \
+                 containment: `{name}` {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -53,7 +53,6 @@
 
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
-use crate::parse::FnItem;
 use crate::rules::{id, Finding};
 use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
 use std::collections::{BTreeMap, BTreeSet};
@@ -125,6 +124,10 @@ struct FieldTaint {
 
 /// Digest-fold method names (gated on the file naming `Fnv64`).
 const DIGEST_METHODS: &[&str] = &["write", "write_u64", "write_f64", "write_str"];
+
+/// One sink site: the token it starts at, its line, its argument span
+/// (brackets included), its rule, and its name in the message.
+type Sink = (usize, u32, (usize, usize), &'static str, String);
 
 /// Runs the flow analysis: the `digest-taint` / `oracle-taint` /
 /// `rng-lineage` findings plus the per-node taint summaries, aligned
@@ -437,74 +440,38 @@ impl<'a> Flow<'a> {
         parts.join(" -> ")
     }
 
-    /// The sink pass: `digest-taint` and `oracle-taint` findings.
+    /// The sink pass: `digest-taint` and `oracle-taint` findings. Each
+    /// file's sites are gathered into one list, in the order the kinds
+    /// are listed here, then checked by one loop: a tainted argument
+    /// span is a finding.
+    ///
+    /// * digest folds (`write*` in files that name `Fnv64`);
+    /// * golden assertions (`assert*!` naming a `GOLDEN_*` constant, or in
+    ///   a `golden*` fn);
+    /// * bench metric emission (`Finding::new`, and `.row(..)` in files
+    ///   that name `Table`);
+    /// * oracle verdicts (calls into free functions of `oracle` modules,
+    ///   through a path qualifier or a `use` with an oracle segment, so
+    ///   shared names elsewhere never match).
     fn sink_findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        // Free functions defined inside `oracle` modules: calling one
-        // constructs a verdict.
         let oracle_fns: BTreeSet<&str> = self
             .graph
             .nodes
             .iter()
-            .filter(|n| n.owner.is_none() && n.abs_module.iter().skip(1).any(|m| m == "oracle"))
+            .filter(|n| n.owner.is_none() && n.in_module("oracle"))
             .map(|n| n.name)
             .collect();
+        let mut sinks: Vec<Sink> = Vec::new();
         for (file, u) in self.units.iter().enumerate() {
             let toks = &u.lexed.tokens;
-            let mut locals_cache: BTreeMap<Option<usize>, Locals<Taint<'a>>> = BTreeMap::new();
-            let check = |flow: &Self,
-                         site_tok: usize,
-                         line: u32,
-                         args: (usize, usize),
-                         rule: &'static str,
-                         sink: String,
-                         cache: &mut BTreeMap<Option<usize>, Locals<'a, Taint<'a>>>,
-                         out: &mut Vec<Finding>| {
-                let (a0, a1) = args;
-                if a1 <= a0 {
-                    return;
-                }
-                let fk = u.model.enclosing_fn_idx(site_tok);
-                let locals = cache.entry(fk).or_insert_with(|| match fk {
-                    Some(k) => flow.locals_for(file, k),
-                    None => Locals::new(),
-                });
-                if let Some(t) = flow.taint_in(file, a0 + 1, a1 - 1, locals) {
-                    let path = flow.describe(file, &t);
-                    let message = if rule == id::DIGEST_TAINT {
-                        format!(
-                            "nondeterministic value flows into {sink}: {path} -> {sink}; every \
-                             byte reaching a digest, golden, or bench artifact must be a pure \
-                             function of the scenario labels — derive it from simulated time or \
-                             a labeled Stream (or suppress citing the invariant that pins it)"
-                        )
-                    } else {
-                        format!(
-                            "nondeterministic value flows into {sink}: {path} -> {sink}; a \
-                             verdict that depends on the host machine verifies nothing"
-                        )
-                    };
-                    out.push(Finding { path: u.path.clone(), line, rule, message });
-                }
-            };
-            // Digest folds, gated on the file naming the digest type.
             if self.graph.mentions(file, "Fnv64") {
-                for mc in &u.model.calls {
-                    if DIGEST_METHODS.contains(&mc.name.as_str()) {
-                        check(
-                            self,
-                            mc.dot,
-                            mc.line,
-                            mc.args,
-                            id::DIGEST_TAINT,
-                            format!("digest fold `{}`", mc.name),
-                            &mut locals_cache,
-                            &mut out,
-                        );
-                    }
-                }
+                let folds = u.model.calls.iter().filter(|mc| DIGEST_METHODS.contains(&&*mc.name));
+                sinks.extend(folds.map(|mc| {
+                    let name = format!("digest fold `{}`", mc.name);
+                    (mc.dot, mc.line, mc.args, id::DIGEST_TAINT, name)
+                }));
             }
-            // Golden assertions.
             for mac in &u.model.macros {
                 if !matches!(mac.name.as_str(), "assert" | "assert_eq" | "assert_ne") {
                     continue;
@@ -517,63 +484,30 @@ impl<'a> Flow<'a> {
                 let named_golden = toks[open..=close]
                     .iter()
                     .any(|t| t.kind == TokKind::Ident && t.text.starts_with("GOLDEN"));
-                let in_golden_fn = u
-                    .model
-                    .enclosing_fn(mac.tok)
-                    .is_some_and(|f: &FnItem| f.name.starts_with("golden"));
+                let in_golden_fn =
+                    u.model.enclosing_fn(mac.tok).is_some_and(|f| f.name.starts_with("golden"));
                 if named_golden || in_golden_fn {
-                    check(
-                        self,
-                        mac.tok,
-                        mac.line,
-                        (open, close),
-                        id::DIGEST_TAINT,
-                        format!("golden assertion `{}!`", mac.name),
-                        &mut locals_cache,
-                        &mut out,
-                    );
+                    let name = format!("golden assertion `{}!`", mac.name);
+                    sinks.push((mac.tok, mac.line, (open, close), id::DIGEST_TAINT, name));
                 }
             }
-            // Bench metric emission.
             for fc in &u.model.free_calls {
                 if fc.name == "new"
                     && fc.called
                     && fc.qual.last().map(String::as_str) == Some("Finding")
                 {
                     if let Some(args) = call_args(&u.lexed, fc.tok) {
-                        check(
-                            self,
-                            fc.tok,
-                            fc.line,
-                            args,
-                            id::DIGEST_TAINT,
-                            "bench metric `Finding::new`".to_string(),
-                            &mut locals_cache,
-                            &mut out,
-                        );
+                        let name = "bench metric `Finding::new`".to_string();
+                        sinks.push((fc.tok, fc.line, args, id::DIGEST_TAINT, name));
                     }
                 }
             }
             if self.graph.mentions(file, "Table") {
-                for mc in &u.model.calls {
-                    if mc.name == "row" {
-                        check(
-                            self,
-                            mc.dot,
-                            mc.line,
-                            mc.args,
-                            id::DIGEST_TAINT,
-                            "bench table `row`".to_string(),
-                            &mut locals_cache,
-                            &mut out,
-                        );
-                    }
-                }
+                sinks.extend(u.model.calls.iter().filter(|mc| mc.name == "row").map(|mc| {
+                    let name = "bench table `row`".to_string();
+                    (mc.dot, mc.line, mc.args, id::DIGEST_TAINT, name)
+                }));
             }
-            // Oracle verdicts: calls into oracle-module functions, gated
-            // on the call actually referencing an oracle module (path
-            // qualifier or a `use` with an oracle segment) so shared
-            // names elsewhere never match.
             let file_uses_oracle = u.model.uses.iter().any(|d| {
                 d.segs.iter().any(|s| s.contains("oracle"))
                     || d.alias.as_deref().is_some_and(|a| a.contains("oracle"))
@@ -587,17 +521,31 @@ impl<'a> Flow<'a> {
                     continue;
                 }
                 if let Some(args) = call_args(&u.lexed, fc.tok) {
-                    check(
-                        self,
-                        fc.tok,
-                        fc.line,
-                        args,
-                        id::ORACLE_TAINT,
-                        format!("oracle check `{}`", fc.name),
-                        &mut locals_cache,
-                        &mut out,
-                    );
+                    let name = format!("oracle check `{}`", fc.name);
+                    sinks.push((fc.tok, fc.line, args, id::ORACLE_TAINT, name));
                 }
+            }
+            let mut locals: BTreeMap<Option<usize>, Locals<Taint<'a>>> = BTreeMap::new();
+            for (tok, line, (a0, a1), rule, sink) in sinks.drain(..) {
+                if a1 <= a0 {
+                    continue;
+                }
+                let fk = u.model.enclosing_fn_idx(tok);
+                let locals = locals
+                    .entry(fk)
+                    .or_insert_with(|| fk.map_or_else(Locals::new, |k| self.locals_for(file, k)));
+                let Some(t) = self.taint_in(file, a0 + 1, a1 - 1, locals) else { continue };
+                let path = self.describe(file, &t);
+                let why = if rule == id::DIGEST_TAINT {
+                    "every byte reaching a digest, golden, or bench artifact must be a pure \
+                     function of the scenario labels — derive it from simulated time or a \
+                     labeled Stream (or suppress citing the invariant that pins it)"
+                } else {
+                    "a verdict that depends on the host machine verifies nothing"
+                };
+                let message =
+                    format!("nondeterministic value flows into {sink}: {path} -> {sink}; {why}");
+                out.push(Finding { path: u.path.clone(), line, rule, message });
             }
         }
         out
@@ -877,6 +825,24 @@ mod tests {
         let digest: Vec<_> = findings.iter().filter(|f| f.rule == id::DIGEST_TAINT).collect();
         assert!(digest.iter().any(|f| f.message.contains("golden assertion")), "{digest:?}");
         assert!(digest.iter().any(|f| f.message.contains("Finding::new")), "{digest:?}");
+
+        // A `.row(..)` is a bench sink only in a file that names `Table`.
+        let emit = |path: &str, ty: &str| {
+            let src = format!(
+                "pub fn emit(t: &mut {ty}) {{ \
+                 let v = std::time::Instant::now().elapsed().as_nanos() as u64; t.row(v); }}"
+            );
+            unit(path, &src)
+        };
+        let units = [
+            emit("crates/alpha/src/table.rs", "Table"),
+            emit("crates/alpha/src/sheet.rs", "Sheet"),
+        ];
+        let (findings, _) = run(&units);
+        let rows: Vec<_> =
+            findings.iter().filter(|f| f.message.contains("bench table `row`")).collect();
+        assert_eq!(rows.len(), 1, "{findings:?}");
+        assert!(rows[0].path.ends_with("table.rs") && rows[0].rule == id::DIGEST_TAINT, "{rows:?}");
     }
 
     #[test]

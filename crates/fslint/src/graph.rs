@@ -113,6 +113,14 @@ pub struct FnNode<'a> {
     pub in_test: bool,
 }
 
+impl FnNode<'_> {
+    /// True when the node is defined inside a module named `name`, at any
+    /// depth below its crate root (`campaign::oracle` is in `oracle`).
+    pub(crate) fn in_module(&self, name: &str) -> bool {
+        self.abs_module.iter().skip(1).any(|m| m == name)
+    }
+}
+
 /// The `(at, seq)` key the event engine queues; owning or touching it
 /// marks a function as scheduling code, like `BinaryHeap`.
 const QUEUE_KEY_TYPE: &str = "EventKey";
@@ -554,9 +562,8 @@ impl<'a> Graph<'a> {
                 .collect();
             for c in callees {
                 let seen = bfs(&self.edges, std::iter::once(c));
-                let covered = seen.iter().enumerate().any(|(n, &s)| {
-                    s && self.nodes[n].abs_module[1..].iter().any(|m| m == "oracle")
-                });
+                let covered =
+                    seen.iter().enumerate().any(|(n, &s)| s && self.nodes[n].in_module("oracle"));
                 if !covered {
                     let node = &self.nodes[c];
                     findings.push(Finding {
@@ -652,7 +659,7 @@ impl<'a> Graph<'a> {
         units: &[FileUnit],
         taint: &[Option<crate::flow::TaintSummary>],
         usum: &[Option<crate::units::UnitSummary>],
-        esum: &[Option<crate::effects::EffectSummary>],
+        esum: &[Option<crate::effects::EffectSummary<'_>>],
     ) -> String {
         use crate::engine::json_str;
         let mut out = String::from("{\n  \"nodes\": [");
@@ -690,9 +697,9 @@ impl<'a> Graph<'a> {
                             format!(
                                 "{{\"kind\": {}, \"owner\": {}, \"field\": {}, {}",
                                 json_str(e.kind),
-                                json_str(&e.owner),
-                                json_str(&e.field),
-                                hop(e.line, e.via, &e.what)
+                                json_str(e.owner),
+                                json_str(e.field),
+                                hop(e.line, e.via, &e.what(self))
                             )
                         })
                         .collect();

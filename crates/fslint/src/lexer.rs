@@ -295,8 +295,17 @@ pub fn lex(src: &str) -> Lexed {
             _ if is_ident_start(c) => lex_word(&mut cur, &mut out, line),
             _ if c.is_ascii_digit() => {
                 cur.eat_ident();
-                // Consume a fractional part, but never a `..` range operator.
-                if cur.byte(0) == Some(b'.') && cur.byte(1).is_some_and(|d| d.is_ascii_digit()) {
+                // Consume a fractional part, but never a `..` range
+                // operator, and not in a tuple index: a number right after
+                // a lone `.` (`p.1.0` is `p`, `.`, `1`, `.`, `0`). The
+                // second dot of a `..` is not lone, so `0..1.5` keeps its
+                // float.
+                let dots = out.tokens.iter().rev().take(2).take_while(|t| t.is_punct('.'));
+                let tuple_index = dots.count() == 1;
+                if !tuple_index
+                    && cur.byte(0) == Some(b'.')
+                    && cur.byte(1).is_some_and(|d| d.is_ascii_digit())
+                {
                     cur.pos += 1;
                     cur.eat_ident();
                 }
@@ -747,6 +756,21 @@ mod tests {
         assert_eq!(l.level_back(4).collect::<Vec<_>>(), [4, 3, 0]);
         assert_eq!(l.level_back(6).collect::<Vec<_>>(), [6, 5, 4, 3, 0]);
         assert_eq!(lex("").level(0).count(), 0);
+    }
+
+    #[test]
+    fn a_number_after_a_lone_dot_is_a_tuple_index() {
+        let nums = |src: &str| -> Vec<String> {
+            let toks = lex(src).tokens.into_iter().filter(|t| t.kind == TokKind::Num);
+            toks.map(|t| t.text.into_owned()).collect()
+        };
+        assert_eq!(nums("let k = p.1.0;"), ["1", "0"]);
+        assert_eq!(nums("|e| (e.0.1, e.1)"), ["0", "1", "1"]);
+        assert_eq!(nums("for x in 0..1.5 {}"), ["0", "1.5"]);
+        assert_eq!(nums("x..1.5"), ["1.5"]);
+        assert_eq!(nums("..=2.5"), ["2.5"]);
+        assert_eq!(nums("1.0.max(2.0)"), ["1.0", "2.0"]);
+        assert_eq!(nums("1..2"), ["1", "2"]);
     }
 
     #[test]

@@ -257,7 +257,8 @@ pub fn check_file(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     golden_regen_note(ctx, findings);
 }
 
-fn push(
+/// Records a finding of `rule` at `line` of `ctx`'s file.
+pub(crate) fn push(
     findings: &mut Vec<Finding>,
     ctx: &FileCtx<'_>,
     line: u32,

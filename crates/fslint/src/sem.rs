@@ -50,8 +50,8 @@
 
 use crate::graph::FileScope;
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::parse::{is_float_token, FileModel, MethodCall};
-use crate::rules::{id, FileCtx, Finding};
+use crate::parse::{is_float_token, past_turbofish, FileModel, MethodCall};
+use crate::rules::{id, push, FileCtx, Finding};
 
 /// Identifier names a comparator key may end with that mark it as "the
 /// event's time": ordering on one of these alone leaves ties to container
@@ -68,16 +68,6 @@ pub fn check_file(
     float_total_order(ctx, model, findings);
     stable_tiebreak(ctx, model, scope, findings);
     panic_path(ctx, model, scope, findings);
-}
-
-fn push(
-    findings: &mut Vec<Finding>,
-    ctx: &FileCtx<'_>,
-    line: u32,
-    rule: &'static str,
-    msg: String,
-) {
-    findings.push(Finding { path: ctx.path.clone(), line, rule, message: msg });
 }
 
 // ---------------------------------------------------------------------------
@@ -414,7 +404,7 @@ fn closure_body(toks: &[Token], call: &MethodCall) -> Option<(usize, usize)> {
 fn is_tuple_expr(lexed: &Lexed, (start, end): (usize, usize)) -> bool {
     let toks = &lexed.tokens;
     if toks[start].is_punct('(') && lexed.close_of(start) == end {
-        return has_toplevel_comma(toks, (start, end));
+        return has_toplevel_comma(lexed, start, end);
     }
     if toks[start].is_punct('{')
         && lexed.close_of(start) == end
@@ -425,24 +415,26 @@ fn is_tuple_expr(lexed: &Lexed, (start, end): (usize, usize)) -> bool {
         // statement, not a call's argument list.
         let Some(i) = lexed.partner(end - 1) else { return false };
         let opens_expr = i == start + 1 || toks[i - 1].is_punct(';') || toks[i - 1].is_punct('{');
-        return opens_expr && has_toplevel_comma(toks, (i, end - 1));
+        return opens_expr && has_toplevel_comma(lexed, i, end - 1);
     }
     false
 }
 
-/// True if the delimited span `[start, end]` contains a comma at depth 1.
-fn has_toplevel_comma(toks: &[Token], (start, end): (usize, usize)) -> bool {
-    let mut depth = 0i32;
-    for t in &toks[start..=end] {
-        if t.kind != TokKind::Punct {
-            continue;
+/// True if the group the bracket at `open` opens, up to its closer at
+/// `close`, holds a comma at its own bracket level. A turbofish `::<…>`
+/// is stepped over, since its commas separate type arguments; any other
+/// `<` or `>` is an operator (`(e.at < cutoff, e.seq)` is a tuple).
+fn has_toplevel_comma(lexed: &Lexed, open: usize, close: usize) -> bool {
+    let toks = &lexed.tokens;
+    let mut i = open + 1;
+    while i < close {
+        if toks[i].is_punct(',') {
+            return true;
         }
-        match &*t.text {
-            "(" | "[" | "{" | "<" => depth += 1,
-            ")" | "]" | "}" | ">" => depth -= 1,
-            "," if depth == 1 => return true,
-            _ => {}
-        }
+        i = match past_turbofish(toks, i) {
+            Some(past) if past > i => past,
+            _ => lexed.step(i),
+        };
     }
     false
 }
@@ -452,7 +444,7 @@ fn receiver_is_tuple(lexed: &Lexed, dot: usize) -> bool {
     let toks = &lexed.tokens;
     let close = dot.checked_sub(1).filter(|&c| toks[c].is_punct(')'));
     let open = close.and_then(|c| lexed.partner(c));
-    open.is_some_and(|open| has_toplevel_comma(toks, (open, dot - 1)))
+    open.is_some_and(|open| has_toplevel_comma(lexed, open, dot - 1))
 }
 
 /// The last identifier of the receiver chain ending just before `dot`
@@ -518,6 +510,23 @@ mod tests {
     #[test]
     fn tuple_key_sort_in_scheduler_is_clean() {
         assert!(run(SCHED, "fn f() { q.sort_by_key(|e| (e.at, e.seq)); }").is_empty());
+    }
+
+    #[test]
+    fn tuple_keys_are_read_at_the_groups_own_level() {
+        for (src, tuple) in [
+            ("(e.at < cutoff, e.seq)", true),
+            ("(e.at << 1, e.seq)", true),
+            ("(f::<A, B>(e))", false),
+            ("e.at", false),
+        ] {
+            let l = lex(src);
+            assert_eq!(is_tuple_expr(&l, (0, l.tokens.len() - 1)), tuple, "{src}");
+        }
+        for key in ["(e.at < cutoff, e.seq)", "(e.0.1, e.1)"] {
+            let src = format!("fn f() {{ q.sort_by_key(|e| {key}); }}");
+            assert!(run(SCHED, &src).is_empty(), "{key}: {:?}", run(SCHED, &src));
+        }
     }
 
     #[test]

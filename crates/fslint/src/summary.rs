@@ -355,6 +355,25 @@ pub(crate) fn call_args(lexed: &Lexed, tok: usize) -> Option<(usize, usize)> {
     lexed.tokens.get(k).is_some_and(|t| t.is_punct('(')).then(|| (k, lexed.close_of(k)))
 }
 
+/// The argument spans `[lo, hi]` of the call whose parens are `open` and
+/// `close`: the call is split at the commas of its own bracket level, and
+/// an empty argument (a trailing comma) yields no span.
+pub(crate) fn split_args(lexed: &Lexed, open: usize, close: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut start = open + 1;
+    let commas = lexed.level(open + 1).take_while(|&i| i < close);
+    for i in commas.filter(|&i| lexed.tokens[i].is_punct(',')) {
+        if i > start {
+            out.push((start, i - 1));
+        }
+        start = i + 1;
+    }
+    if close > start {
+        out.push((start, close - 1));
+    }
+    out
+}
+
 /// The bounds of a `let` statement starting after the `let` at `from-1`,
 /// at the `let`'s bracket level: the first `=` (skipping `==`/compound
 /// operators) and the `;`. A closing delimiter ends the search: a `let`

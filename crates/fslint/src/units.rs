@@ -58,7 +58,7 @@ use crate::graph::{FileUnit, Graph};
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse::{self, rhs_end, FreeCall};
 use crate::rules::{id, Finding};
-use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
+use crate::summary::{self, call_args, field_read_shape, split_args, ByName, Locals};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -1415,23 +1415,6 @@ fn operand_fwd(lexed: &Lexed, from: usize, ceil: usize) -> Option<(usize, usize)
     let mut walk = lexed.level(from).take_while(|&j| j <= ceil);
     let j = walk.find(|&j| ends_operand(toks, j, false)).unwrap_or(ceil + 1);
     (j > from).then_some((from, j - 1))
-}
-
-/// Splits a call's argument list at the commas of its own bracket level.
-fn split_args(lexed: &Lexed, open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = open + 1;
-    let commas = lexed.level(open + 1).take_while(|&i| i < close);
-    for i in commas.filter(|&i| lexed.tokens[i].is_punct(',')) {
-        if i > start {
-            out.push((start, i - 1));
-        }
-        start = i + 1;
-    }
-    if close > start {
-        out.push((start, close - 1));
-    }
-    out
 }
 
 /// A short rendering of a token span for messages.
