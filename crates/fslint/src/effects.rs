@@ -440,8 +440,8 @@ impl<'a> Effects<'a> {
     ///   injector's declared surface is forbidden.
     /// * `mitigation-effect`: methods of policy-module types and free
     ///   functions of policy modules; anything but policy-owned state is
-    ///   forbidden. A scanned set whose `policy` modules declare no type
-    ///   has no policy scope at all.
+    ///   forbidden. A free hook is checked even when no `policy` module
+    ///   declares a type: it then owns no state at all.
     fn scoped_writes(&self) -> Vec<Finding> {
         let oracle_scope = self.oracle_scope();
         let sim_state = self.sim_state();
@@ -467,7 +467,7 @@ impl<'a> Effects<'a> {
             }
             let hook =
                 node.owner.map_or_else(|| node.in_module("policy"), |t| policy_types.contains(t));
-            if hook && !policy_types.is_empty() {
+            if hook {
                 let forbids = |o: &str| o != "Stream" && !policy_types.contains(o);
                 self.flag(n, id::MITIGATION_EFFECT, forbids, &mut findings);
             }
@@ -597,17 +597,18 @@ fn sig_of<'u>(units: &'u [FileUnit], graph: &Graph, n: usize) -> &'u FnSig {
     &units[node.file].model.fns[node.fn_idx].sig
 }
 
-/// How caller `n` uses callee `m`, read in one walk over `n`'s calls of
-/// `m`'s name: the hop's line and the two precision filters.
+/// How caller `n` uses callee `m`, read in one walk over the call sites
+/// in `n`'s body that reach `m`: the hop's line and the two precision
+/// filters.
 #[derive(Clone, Copy)]
 struct EdgeUse {
-    /// The line of the first call (a method call for a method, a free
-    /// call for a free fn); `n`'s own line when none is found.
+    /// The line of the first call site that reaches `m`; `n`'s own line
+    /// when none does.
     line: u32,
     /// The callee's writes to its own type stay inside `n`: every method
-    /// call of its name has a caller-local receiver root (not `self`, not
-    /// a parameter, not a static), there is at least one, and no free
-    /// call (UFCS `Fnv64::write(&mut h, x)`) names it. A locally
+    /// call that reaches it has a caller-local receiver root (not `self`,
+    /// not a parameter, not a static), there is at least one, and no free
+    /// call (UFCS `Fnv64::write(&mut h, x)`) reaches it. A locally
     /// constructed digest or detector is caller-owned — mutating it is
     /// not an external effect.
     owned_stays: bool,
@@ -631,10 +632,9 @@ struct EdgeUse {
 impl EdgeUse {
     /// Reads how caller `n` uses callee `m`.
     fn read(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> EdgeUse {
-        let (node, callee) = (&graph.nodes[n], &graph.nodes[m]);
+        let node = &graph.nodes[n];
         let u = &units[node.file];
         let toks = &u.lexed.tokens;
-        let (b0, b1) = node.body;
         let sig = sig_of(units, graph, n);
         let local =
             |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
@@ -663,24 +663,21 @@ impl EdgeUse {
             split_args(&u.lexed, open, close).into_iter().all(arg_stays)
         };
         let mut line = None;
-        let (mut owned_stays, mut args_ok) = (callee.owner.is_some(), true);
+        let (mut owned_stays, mut args_ok) = (true, true);
         let (mut saw_method, mut saw_call) = (false, false);
-        for c in u.model.calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
-            if callee.owner.is_some() {
-                line.get_or_insert(c.line);
-            }
-            saw_method = true;
-            owned_stays = owned_stays && receiver_root(&u.lexed, c.dot).0.is_some_and(local);
-            args_ok = args_ok && args_stay(c.args);
-        }
-        for c in u.model.free_calls_in(b0, b1).iter().filter(|c| c.name == callee.name) {
-            if callee.owner.is_none() {
-                line.get_or_insert(c.line);
-            }
-            owned_stays = false;
-            if c.called {
-                saw_call = true;
-                args_ok = args_ok && call_args(&u.lexed, c.tok).is_some_and(args_stay);
+        // A site's token is a method call's `.` or a free call's name.
+        for (tok, at) in graph.sites_to(n, m) {
+            line.get_or_insert(at);
+            if let [c] = u.model.calls_in(tok, tok) {
+                saw_method = true;
+                owned_stays = owned_stays && receiver_root(&u.lexed, c.dot).0.is_some_and(local);
+                args_ok = args_ok && args_stay(c.args);
+            } else if let [c] = u.model.free_calls_in(tok, tok) {
+                owned_stays = false;
+                if c.called {
+                    saw_call = true;
+                    args_ok = args_ok && call_args(&u.lexed, c.tok).is_some_and(args_stay);
+                }
             }
         }
         EdgeUse {
@@ -886,6 +883,36 @@ mod tests {
                  containment: `{name}` {got:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_hop_names_the_line_of_the_call_that_reaches_the_callee() {
+        // `a::run` and `b::run` share a name and only `b::run` writes: the
+        // hop, and the chain, cite line 4, the `b::run(..)` call.
+        let units = [
+            unit(
+                "crates/meta/src/lib.rs",
+                "pub mod a; pub mod b; pub mod policy; pub struct Server { pub queue: Vec<u64> }",
+            ),
+            unit("crates/meta/src/a.rs", "pub fn run(n: u64) -> u64 { n + 1 }"),
+            unit("crates/meta/src/b.rs", "pub fn run(s: &mut crate::Server) { s.queue.clear(); }"),
+            unit(
+                "crates/meta/src/policy.rs",
+                "use crate::{a, b};\n\
+                 pub fn shed(srv: &mut crate::Server) -> u64 {\n\
+                 let n = a::run(1);\n\
+                 b::run(srv);\n\
+                 n }",
+            ),
+        ];
+        let g = Graph::build(&units);
+        let (findings, sums) = analyze(&units, &g);
+        let b_run = g.nodes.iter().position(|n| n.name == "run" && n.file == 2);
+        let hops: Vec<_> = effects_of(&sums, &g, "shed").iter().map(|e| (e.via, e.line)).collect();
+        assert_eq!(hops, [(b_run, 4)]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        let chain = "`shed` (crates/meta/src/policy.rs:4) -> `run`";
+        assert!(findings[0].message.contains(chain), "{}", findings[0].message);
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //! `*seed*`-named value, never a loop index or shard id — a stream keyed
 //! on iteration order silently changes when the loop does).
 //!
-//! Like the rest of fs-lint the analysis is conservative and name-based
-//! where resolution is ambiguous: free-call taint matches only within
-//! the same module or through a matching qualifier segment, and method
-//! taint is gated on the caller's file mentioning the owner type or
-//! trait — the same gate the graph uses for dispatch edges. Known
+//! Like the rest of fs-lint the analysis is conservative: a call carries
+//! the taint of the callees the call graph resolved for that call site
+//! (module resolution, imports and re-exports for free calls; the
+//! owner-or-trait mention gate for methods), and an oracle verdict is a
+//! call that reaches a free fn of an `oracle` module. Known
 //! under-approximations: closure-parameter calls are invisible (a
 //! workload closure passed *into* a helper taints the call site's
 //! argument span, not the helper), struct-literal field initialisers do
@@ -54,8 +54,8 @@
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{TokKind, Token};
 use crate::rules::{id, Finding};
-use crate::summary::{self, call_args, field_read_shape, ByName, Locals};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::summary::{self, call_args, field_read_shape, Locals};
+use std::collections::BTreeMap;
 
 /// Root source kind: a wall-clock read (`Instant::now`, `SystemTime`).
 pub const K_WALL: &str = "wall-clock";
@@ -150,8 +150,6 @@ struct Flow<'a> {
     nan_srcs: Vec<Vec<Src>>,
     /// Per-node taint summaries, aligned with `graph.nodes`.
     summaries: Vec<Option<TaintSummary>>,
-    /// Tainted node ids by function name (rebuilt each round).
-    by_name: ByName<'a>,
     /// Tainted struct fields by field name (global, name-based).
     fields: BTreeMap<&'a str, FieldTaint>,
 }
@@ -164,7 +162,6 @@ impl<'a> Flow<'a> {
             graph,
             nan_srcs,
             summaries: vec![None; graph.nodes.len()],
-            by_name: ByName::new(),
             fields: BTreeMap::new(),
         };
         for n in 0..graph.nodes.len() {
@@ -207,7 +204,7 @@ impl<'a> Flow<'a> {
         if let Some(&m) = self.graph.edges[n].iter().find(tainted) {
             return Some(TaintSummary {
                 kind: self.summaries[m].as_ref().map_or(K_WALL, |s| s.kind),
-                line: self.graph.call_line(self.units, n, m),
+                line: self.graph.call_line(n, m),
                 via: Some(m),
                 what: format!("calls `{}`", self.graph.nodes[m].name),
             });
@@ -242,12 +239,10 @@ impl<'a> Flow<'a> {
         None
     }
 
-    /// Starts a fixpoint round: re-indexes the tainted nodes, then runs
-    /// one round of `.field = RHS` discovery — any assignment whose RHS is
-    /// tainted marks the field (by name, workspace-global). Returns true
-    /// when a new field was learned.
+    /// Starts a fixpoint round: one round of `.field = RHS` discovery —
+    /// any assignment whose RHS is tainted marks the field (by name,
+    /// workspace-global). Returns true when a new field was learned.
     fn learn(&mut self) -> bool {
-        self.by_name = summary::by_name(self.graph, |n| self.summaries[n].is_some());
         let learned = summary::learn_fields(
             self.units,
             |f| self.fields.contains_key(f),
@@ -396,23 +391,12 @@ impl<'a> Flow<'a> {
                 }
             }
         }
-        let call = |node| Taint { cause: Cause::Call { node }, via_locals: Vec::new() };
-        for mc in u.model.calls_in(lo, hi) {
-            if let Some(n) = summary::resolve_method(self.graph, &self.by_name, file, &mc.name) {
-                consider(mc.dot, call(n), &mut best);
-            }
-        }
-        for fc in u.model.free_calls_in(lo, hi).iter().filter(|c| c.called) {
-            let resolved = summary::resolve_free(
-                self.graph,
-                self.units,
-                &self.by_name,
-                file,
-                &fc.qual,
-                &fc.name,
-            );
-            if let Some(n) = resolved {
-                consider(fc.tok, call(n), &mut best);
+        let methods = u.model.calls_in(lo, hi).iter().map(|c| c.dot);
+        let free = u.model.free_calls_in(lo, hi).iter().filter(|c| c.called).map(|c| c.tok);
+        for tok in methods.chain(free) {
+            if let Some((node, _)) = summary::summarized(self.graph, &self.summaries, file, tok) {
+                let t = Taint { cause: Cause::Call { node }, via_locals: Vec::new() };
+                consider(tok, t, &mut best);
             }
         }
         best.map(|(_, t)| t)
@@ -450,18 +434,14 @@ impl<'a> Flow<'a> {
     ///   a `golden*` fn);
     /// * bench metric emission (`Finding::new`, and `.row(..)` in files
     ///   that name `Table`);
-    /// * oracle verdicts (calls into free functions of `oracle` modules,
-    ///   through a path qualifier or a `use` with an oracle segment, so
-    ///   shared names elsewhere never match).
+    /// * oracle verdicts (calls that reach a free function of an `oracle`
+    ///   module).
     fn sink_findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        let oracle_fns: BTreeSet<&str> = self
-            .graph
-            .nodes
-            .iter()
-            .filter(|n| n.owner.is_none() && n.in_module("oracle"))
-            .map(|n| n.name)
-            .collect();
+        let oracle_fn = |&n: &usize| {
+            let node = &self.graph.nodes[n];
+            node.owner.is_none() && node.in_module("oracle")
+        };
         let mut sinks: Vec<Sink> = Vec::new();
         for (file, u) in self.units.iter().enumerate() {
             let toks = &u.lexed.tokens;
@@ -508,16 +488,8 @@ impl<'a> Flow<'a> {
                     (mc.dot, mc.line, mc.args, id::DIGEST_TAINT, name)
                 }));
             }
-            let file_uses_oracle = u.model.uses.iter().any(|d| {
-                d.segs.iter().any(|s| s.contains("oracle"))
-                    || d.alias.as_deref().is_some_and(|a| a.contains("oracle"))
-            });
             for fc in &u.model.free_calls {
-                if !fc.called || !oracle_fns.contains(fc.name.as_str()) {
-                    continue;
-                }
-                let qual_oracle = fc.qual.iter().any(|q| q.contains("oracle"));
-                if !qual_oracle && !file_uses_oracle {
+                if !fc.called || !self.graph.callees(file, fc.tok).iter().any(oracle_fn) {
                     continue;
                 }
                 if let Some(args) = call_args(&u.lexed, fc.tok) {

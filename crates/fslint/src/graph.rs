@@ -12,7 +12,12 @@
 //!   their owning `impl` type recovered by span containment
 //!   ([`crate::parse`]). A node borrows its names and module path from
 //!   the file it was parsed from.
-//! * **Edges** come from method-call chains and free-function calls.
+//! * **Call sites and edges.** This module is the only code that maps a
+//!   call to the functions it reaches. It resolves every method call and
+//!   every free call or path reference, inside a `fn` or not, and keeps
+//!   each resolved site's callees (`Graph::callees`); `edges[n]` is the
+//!   union of the sites whose innermost `fn` is `n`. The summary passes
+//!   read a site's callees instead of matching calls by name.
 //!   Method calls dispatch *by name* to every method with that name in the
 //!   workspace — a superset of real dispatch that subsumes trait objects
 //!   and generic bounds (`impl Trait for T` methods get an edge from every
@@ -27,9 +32,10 @@
 //!   scheduling set and the summary passes name (`Fnv64`, `Stream`, …).
 //!   Free calls resolve through per-crate module resolution, imports, and
 //!   `pub use` re-exports ([`crate::resolve`]); a `Self::helper()` call
-//!   resolves against the enclosing impl. Paths that cannot be resolved
-//!   (std, unknown crates) contribute no edge, and a call whose name no
-//!   free fn or `use` alias carries skips the path lookups.
+//!   resolves against the enclosing impl, and `Type::name()` against the
+//!   methods of `Type`. Paths that cannot be resolved (std, unknown
+//!   crates) reach nothing, and a call whose name no free fn or `use`
+//!   alias carries skips the path lookups.
 //! * **Injector-reachable set `R`**: the fixpoint from the real entry
 //!   points — methods of `Injector` and `*Detector` impls, the simcore
 //!   `Simulation`/`Scheduler` surface (scheduler callbacks run under
@@ -169,6 +175,22 @@ pub struct Graph<'a> {
     /// `file_start[file] + fn_idx`, and its nodes end where the next
     /// file's start (one entry past the last file).
     file_start: Vec<usize>,
+    /// Every call site that resolved to a node, file by file and in token
+    /// order within a file.
+    sites: Vec<Site>,
+    /// Index into `sites` of each file's first site, like `file_start`.
+    site_start: Vec<usize>,
+    /// The sites' callee lists, each sorted by node id.
+    callees: Vec<usize>,
+}
+
+/// One resolved call site: the `.` of a method call or the name token of
+/// a free call or path reference, its line, and its callees' range in
+/// [`Graph`]'s callee lists.
+struct Site {
+    tok: usize,
+    line: u32,
+    to: std::ops::Range<usize>,
 }
 
 /// The names some gate asks about, and which files mention each as an
@@ -310,30 +332,41 @@ impl<'a> Graph<'a> {
         // The mention gate for method edges below and for the passes.
         let mentions = Mentions::index(units, &nodes);
 
-        // Edges. `key` and `targets` are reused for every call: resolving
-        // one copies no name.
+        // Call sites, in and outside fns; a site in a fn adds its callees
+        // to the innermost fn's edges. `key` and `targets` are reused for
+        // every call: resolving one copies no name.
         let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
+        let (mut sites, mut site_start, mut callees) = (Vec::new(), Vec::new(), Vec::new());
         let mut targets: Vec<usize> = Vec::new();
         for (file, u) in units.iter().enumerate() {
-            let src_of = |tok: usize| u.model.enclosing_fn_idx(tok).map(|k| file_start[file] + k);
+            site_start.push(sites.len());
+            let mut record = |tok: usize, line: u32, targets: &mut Vec<usize>| {
+                if !targets.is_empty() {
+                    targets.sort_unstable();
+                    targets.dedup();
+                    if let Some(k) = u.model.enclosing_fn_idx(tok) {
+                        edges[file_start[file] + k].extend(targets.iter());
+                    }
+                    let to = callees.len()..callees.len() + targets.len();
+                    sites.push(Site { tok, line, to });
+                    callees.append(targets);
+                }
+            };
             for call in &u.model.calls {
-                let Some(src) = src_of(call.dot) else { continue };
                 if let Some(tgts) = methods_by_name.get(call.name.as_str()) {
                     // By-name dispatch, gated: the caller's file must
                     // mention the candidate's self type (construction,
                     // import, annotation) or its trait (dyn / generic
                     // dispatch). A bare name match against a std method
                     // (`atomic.load`, `vec.push`) mentions neither and
-                    // contributes no edge.
-                    let gated = tgts.iter().copied().filter(|&t| mentions.names_owner_of(file, t));
-                    edges[src].extend(gated);
+                    // resolves to nothing.
+                    targets.extend(tgts.iter().filter(|&&t| mentions.names_owner_of(file, t)));
+                    record(call.dot, call.line, &mut targets);
                 }
             }
             let module = || u.mp.abs().iter().map(String::as_str);
             for fc in &u.model.free_calls {
-                let Some(src) = src_of(fc.tok) else { continue };
                 let name = fc.name.as_str();
-                targets.clear();
                 match fc.qual.as_slice() {
                     [q] if q == "Self" => {
                         // Resolve against the enclosing impl's type.
@@ -391,9 +424,11 @@ impl<'a> Graph<'a> {
                         }
                     }
                 }
-                edges[src].extend(targets.iter().copied());
+                record(fc.tok, fc.line, &mut targets);
             }
+            sites[site_start[file]..].sort_unstable_by_key(|s: &Site| s.tok);
         }
+        site_start.push(sites.len());
 
         // Entry points.
         let entries: Vec<usize> = nodes
@@ -458,7 +493,19 @@ impl<'a> Graph<'a> {
             sched[n] = touches_heap || calls_sched;
         }
 
-        Graph { nodes, edges, entries, reachable, sched, heap_elem_types, mentions, file_start }
+        Graph {
+            nodes,
+            edges,
+            entries,
+            reachable,
+            sched,
+            heap_elem_types,
+            mentions,
+            file_start,
+            sites,
+            site_start,
+            callees,
+        }
     }
 
     /// The node of `units[file].model.fns[fn_idx]`.
@@ -473,25 +520,38 @@ impl<'a> Graph<'a> {
         self.mentions.mentions(file, name)
     }
 
-    /// True when `units[file]` mentions node `n`'s owner type or trait:
-    /// the gate a method call there passes to reach `n`.
-    pub(crate) fn names_owner_of(&self, file: usize, n: usize) -> bool {
-        self.mentions.names_owner_of(file, n)
+    /// The resolved call sites of `units[file]`, in token order.
+    fn sites_of(&self, file: usize) -> &[Site] {
+        &self.sites[self.site_start[file]..self.site_start[file + 1]]
     }
 
-    /// The line of node `n`'s first call, by name, to node `m`; `n`'s
-    /// own line when the call is not found.
-    pub(crate) fn call_line(&self, units: &[FileUnit], n: usize, m: usize) -> u32 {
+    /// The nodes the call site at token `tok` of `units[file]` reaches,
+    /// sorted by node id: `tok` is the `.` of a method call or the name
+    /// token of a free call or path reference. Empty when the site
+    /// resolves to no node.
+    pub(crate) fn callees(&self, file: usize, tok: usize) -> &[usize] {
+        let sites = self.sites_of(file);
+        match sites.binary_search_by_key(&tok, |s| s.tok) {
+            Ok(k) => &self.callees[sites[k].to.clone()],
+            Err(_) => &[],
+        }
+    }
+
+    /// The call sites in node `n`'s body that reach node `m`, in token
+    /// order: each site's token and line.
+    pub(crate) fn sites_to(&self, n: usize, m: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
         let node = &self.nodes[n];
-        let callee = &self.nodes[m];
-        let model = &units[node.file].model;
+        let sites = self.sites_of(node.file);
         let (b0, b1) = node.body;
-        let found = if callee.owner.is_some() {
-            model.calls_in(b0, b1).iter().find(|c| c.name == callee.name).map(|c| c.line)
-        } else {
-            model.free_calls_in(b0, b1).iter().find(|c| c.name == callee.name).map(|c| c.line)
-        };
-        found.unwrap_or(node.line)
+        let in_body = sites[sites.partition_point(|s| s.tok < b0)..].iter();
+        let reaching = in_body.take_while(move |s| s.tok <= b1);
+        reaching.filter(move |s| self.callees[s.to.clone()].contains(&m)).map(|s| (s.tok, s.line))
+    }
+
+    /// The line of the first call site in node `n`'s body that reaches
+    /// node `m`; `n`'s own line when none does.
+    pub(crate) fn call_line(&self, n: usize, m: usize) -> u32 {
+        self.sites_to(n, m).next().map_or(self.nodes[n].line, |(_, line)| line)
     }
 
     /// True when graph-derived scoping is usable: the scanned set contains
@@ -965,6 +1025,44 @@ mod tests {
         for caller in ["relay", "qualified", "imported"] {
             assert!(g.edges[node_id(&g, caller)].contains(&dispatch), "{caller}: {:?}", g.edges);
         }
+    }
+
+    #[test]
+    fn each_call_site_keeps_its_callees() {
+        // An imported call, a `Self::` call, a type-qualified call and a
+        // method call that passes the owner gate each resolve at their own
+        // site; `a.load(..)` names no mentioned owner and resolves nowhere.
+        let units = [
+            unit(
+                "crates/alpha/src/lib.rs",
+                "pub mod util; use util::helper; pub struct W; \
+                 impl W { pub fn new() -> W { W } pub fn step(&self) { Self::inner(); } \
+                          fn inner() {} } \
+                 pub fn drive(w: &W, a: &AtomicU8) { helper(); W::new(); w.step(); a.load(R); }",
+            ),
+            unit("crates/alpha/src/util.rs", "pub fn helper() {}"),
+            unit("crates/beta/src/lib.rs", "pub struct Vm; impl Vm { pub fn load(&self) {} }"),
+        ];
+        let g = Graph::build(&units);
+        let model = &units[0].model;
+        let site = |name: &str| match model.calls.iter().find(|c| c.name == name) {
+            Some(c) => c.dot,
+            None => model.free_calls.iter().find(|c| c.name == name).map_or(0, |c| c.tok),
+        };
+        for name in ["helper", "inner", "new", "step"] {
+            assert_eq!(g.callees(0, site(name)), [node_id(&g, name)], "{name}");
+        }
+        assert!(g.callees(0, site("load")).is_empty());
+        // A node's edges are the union of its own sites' callees.
+        for (n, node) in g.nodes.iter().enumerate() {
+            let m = &units[node.file].model;
+            let toks = m.calls.iter().map(|c| c.dot).chain(m.free_calls.iter().map(|c| c.tok));
+            let own = toks.filter(|&t| m.enclosing_fn_idx(t) == Some(node.fn_idx));
+            let union: BTreeSet<usize> =
+                own.flat_map(|t| g.callees(node.file, t)).copied().collect();
+            assert_eq!(g.edges[n], union, "{}", node.name);
+        }
+        assert_eq!(g.edges[node_id(&g, "drive")].len(), 3);
     }
 
     #[test]

@@ -88,10 +88,11 @@
 //! and rules; the plumbing around them is shared (the crate-private
 //! `summary` module): the signature each [`parse::FnItem`] records once,
 //! the identifier sets and `(file, fn) → node` map [`graph::Graph`]
-//! builds once, one call resolver behind the graph's gates, one
-//! `let`/`for` binding walker with shadowing, one `.field = value`
-//! learner over the assignment sites [`parse`] records, and one
-//! hop-chain printer.
+//! builds once, one call resolver (the graph keeps the callees of every
+//! call site it resolves, and the passes read them instead of matching
+//! calls by name), one `let`/`for` binding walker with shadowing, one
+//! `.field = value` learner over the assignment sites [`parse`]
+//! records, and one hop-chain printer.
 //!
 //! ## Suppressions
 //!

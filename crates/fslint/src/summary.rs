@@ -2,12 +2,11 @@
 //!
 //! [`crate::flow`], [`crate::units`] and [`crate::effects`] each compute
 //! per-function summaries over the call graph, and each needs the same
-//! plumbing around its own transfer function:
+//! plumbing around its own transfer function. None of them resolves a
+//! call: a call site's callees are the ones [`Graph::callees`] recorded
+//! when the graph was built, and [`summarized`] picks the first a pass
+//! has summarized. The plumbing:
 //!
-//! * a by-name index of the summarized nodes and a resolver that maps a
-//!   call site to one of them through the graph's gates (owner/trait
-//!   mention for methods, same module or matching qualifier for free
-//!   calls);
 //! * the round-based fixpoint driver (flow and units; effects grows
 //!   effect sets under its own precision filters);
 //! * the hop-by-hop chain printer that turns `via` links into a
@@ -28,65 +27,24 @@ use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse;
 use std::collections::BTreeMap;
 
-/// Node ids by function name.
-pub(crate) type ByName<'a> = BTreeMap<&'a str, Vec<usize>>;
-
-/// Indexes the nodes for which `keep` holds by function name.
-pub(crate) fn by_name<'a>(graph: &'a Graph, keep: impl Fn(usize) -> bool) -> ByName<'a> {
-    let mut index: ByName = BTreeMap::new();
-    for (n, node) in graph.nodes.iter().enumerate().filter(|&(n, _)| keep(n)) {
-        index.entry(node.name).or_default().push(n);
-    }
-    index
-}
-
-/// Resolves a `.name(..)` call in `file` to the first indexed method
-/// whose owner type or trait the file mentions.
-pub(crate) fn resolve_method(
+/// The first callee of the call site at token `tok` of `units[file]`
+/// that has a summary, with the summary: the graph resolved the site, the
+/// pass's summaries pick among its callees.
+pub(crate) fn summarized<'s, S>(
     graph: &Graph,
-    index: &ByName,
+    summaries: &'s [Option<S>],
     file: usize,
-    name: &str,
-) -> Option<usize> {
-    index
-        .get(name)?
-        .iter()
-        .copied()
-        .find(|&n| graph.nodes[n].owner.is_some() && graph.names_owner_of(file, n))
-}
-
-/// Resolves a free call in `file` to the first indexed node it can name:
-/// an unqualified call only a free fn of the caller's own module (so
-/// `catalog::all()` never matches an unrelated `all()`), a qualified one
-/// a free fn of a module or a method of a type named by the last
-/// qualifier segment.
-pub(crate) fn resolve_free(
-    graph: &Graph,
-    units: &[FileUnit],
-    index: &ByName,
-    file: usize,
-    qual: &[String],
-    name: &str,
-) -> Option<usize> {
-    let module = units[file].mp.abs();
-    index.get(name)?.iter().copied().find(|&n| {
-        let node = &graph.nodes[n];
-        match qual.last() {
-            None => node.owner.is_none() && node.abs_module == module,
-            Some(q) => {
-                (node.owner.is_none() && node.abs_module.last() == Some(q))
-                    || node.owner == Some(q.as_str())
-            }
-        }
-    })
+    tok: usize,
+) -> Option<(usize, &'s S)> {
+    graph.callees(file, tok).iter().find_map(|&n| Some((n, summaries[n].as_ref()?)))
 }
 
 /// Runs a summary pass to its fixpoint. Each round first calls `learn`,
-/// which re-indexes the summarized nodes and learns struct fields (true
-/// when it learned one), then `infer`s each unsummarized node from the
-/// summaries of earlier rounds only — the rule that picks which callee
-/// each `via` hop names. Summaries and fields only grow, so this
-/// terminates.
+/// which learns struct fields (true when it learned one), then `infer`s
+/// each unsummarized node from the summaries of earlier rounds only — the
+/// rule that picks which callee each `via` hop names: a round's updates
+/// are applied after every `infer` of the round. Summaries and fields
+/// only grow, so this terminates.
 pub(crate) fn fixpoint<P, S>(
     pass: &mut P,
     summaries: fn(&mut P) -> &mut Vec<Option<S>>,

@@ -43,22 +43,21 @@
 //! compared against an observation of a different unit in
 //! injector/detector-reachable code).
 //!
-//! Like [`crate::flow`] the analysis is conservative and name-based
-//! where resolution is ambiguous: an unresolvable call, macro, or
-//! conversion literal inside an operand poisons it to `Unknown`, and
-//! `Unknown` operands never fire a rule. Method-call and free-call
-//! resolution share the taint pass's resolver (owner/trait mention for
-//! methods, same-module or matching qualifier for free calls). Known
-//! under-approximations: method-call *arguments* are not checked against
-//! parameter units (only free calls are), tuple patterns bind a unit
-//! only when the name itself carries a suffix, and `%` keeps its left
-//! operand's unit without checking the right.
+//! Like [`crate::flow`] the analysis is conservative: an unresolvable
+//! call, macro, or conversion literal inside an operand poisons it to
+//! `Unknown`, and `Unknown` operands never fire a rule. A call's unit and
+//! its parameters come from the callees the call graph resolved for that
+//! call site, as in the taint pass. Known under-approximations:
+//! method-call *arguments* are not checked against parameter units (only
+//! free calls are), tuple patterns bind a unit only when the name itself
+//! carries a suffix, and `%` keeps its left operand's unit without
+//! checking the right.
 
 use crate::graph::{FileUnit, Graph};
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse::{self, rhs_end, FreeCall};
 use crate::rules::{id, Finding};
-use crate::summary::{self, call_args, field_read_shape, split_args, ByName, Locals};
+use crate::summary::{self, call_args, field_read_shape, split_args, Locals};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -255,11 +254,12 @@ const PRESERVE_METHODS: &[&str] = &[
     "wrapping_sub",
 ];
 
-/// Primitive type names an `as` cast mentions; never unit evidence and
-/// never an unresolved value.
+/// Primitive numeric type names: the only primitives a fn can return
+/// one unit in, and, with `bool` and `char`, the names an `as` cast
+/// mentions, which are never unit evidence and never an unresolved value.
 const NUM_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64", "bool", "char",
+    "f64",
 ];
 
 /// Maps one name segment, in any ASCII case, to its unit base.
@@ -490,10 +490,6 @@ struct Units<'a> {
     graph: &'a Graph<'a>,
     /// Per-node return-unit summaries, aligned with `graph.nodes`.
     summaries: Vec<Option<UnitSummary>>,
-    /// Summarized node ids by function name (rebuilt each round).
-    by_name: ByName<'a>,
-    /// All node ids by function name (for parameter-unit lookups).
-    all_by_name: ByName<'a>,
     /// Per-node parameter units, in declaration order: a name's own
     /// suffix, else a `SimTime`/`SimDuration` type.
     params: Vec<Vec<(&'a str, Option<Dim>)>>,
@@ -533,8 +529,6 @@ impl<'a> Units<'a> {
             units,
             graph,
             summaries: vec![None; graph.nodes.len()],
-            by_name: ByName::new(),
-            all_by_name: summary::by_name(graph, |_| true),
             params,
             fields: BTreeMap::new(),
             hops: RefCell::new(Vec::new()),
@@ -578,7 +572,8 @@ impl<'a> Units<'a> {
     /// Node `n`'s return-type span when it can carry ONE unit: every
     /// identifier in it is a bare numeric primitive or a time type. A
     /// struct/enum return (e.g. `-> Geometry`) aggregates many
-    /// quantities, so its fn never gets a scalar unit summary.
+    /// quantities, so its fn never gets a scalar unit summary, and a
+    /// `bool` or `char` (a comparison's verdict, a tag) holds none.
     fn unit_return(&self, n: usize) -> Option<(usize, usize)> {
         let node = &self.graph.nodes[n];
         let u = &self.units[node.file];
@@ -615,14 +610,12 @@ impl<'a> Units<'a> {
         Some(UnitSummary { dim, line: inf.line, via: inf.via, what })
     }
 
-    /// Starts a fixpoint round: re-indexes the summarized nodes, then
-    /// runs one round of `.field = RHS` discovery — an assignment whose
-    /// RHS carries a concrete unit teaches the field (by name,
-    /// workspace-global). Fields whose *name* already carries a suffix
-    /// are left to the suffix — the declaration wins over any one
+    /// Starts a fixpoint round: one round of `.field = RHS` discovery —
+    /// an assignment whose RHS carries a concrete unit teaches the field
+    /// (by name, workspace-global). Fields whose *name* already carries a
+    /// suffix are left to the suffix — the declaration wins over any one
     /// assignment. Returns true when a new field was learned.
     fn learn(&mut self) -> bool {
-        self.by_name = summary::by_name(self.graph, |n| self.summaries[n].is_some());
         let learned = summary::learn_fields(
             self.units,
             |f| name_dim(f).is_some() || self.fields.contains_key(f),
@@ -758,13 +751,6 @@ impl<'a> Units<'a> {
             return Inferred::unknown();
         }
         let mut hi = hi.min(toks.len() - 1);
-        let is_value = |i: usize| {
-            i > lo
-                && ((toks[i - 1].kind == TokKind::Ident && !parse::is_keyword(&toks[i - 1].text))
-                    || toks[i - 1].kind == TokKind::Num
-                    || toks[i - 1].is_punct(')')
-                    || toks[i - 1].is_punct(']'))
-        };
         // Term boundaries at binary `+` / `-` (and the `%` stop).
         let mut term_cuts: Vec<usize> = Vec::new();
         let last = hi;
@@ -776,7 +762,7 @@ impl<'a> Units<'a> {
             match &*t.text {
                 "+" | "-" => {
                     let arrow = t.text == "-" && toks.get(i + 1).is_some_and(|n| n.is_punct('>'));
-                    if is_value(i) && !arrow {
+                    if i > lo && ends_value(&toks[i - 1]) && !arrow {
                         term_cuts.push(i);
                     }
                 }
@@ -821,15 +807,8 @@ impl<'a> Units<'a> {
         let mut cuts: Vec<(usize, char)> = Vec::new();
         for i in lexed.level(lo).take_while(|&i| i <= hi) {
             let t = &toks[i];
-            if t.is_punct('*') || t.is_punct('/') {
-                let binary = i > lo
-                    && (toks[i - 1].kind == TokKind::Ident
-                        || toks[i - 1].kind == TokKind::Num
-                        || toks[i - 1].is_punct(')')
-                        || toks[i - 1].is_punct(']'));
-                if binary {
-                    cuts.push((i, t.text.chars().next().unwrap_or('*')));
-                }
+            if (t.is_punct('*') || t.is_punct('/')) && i > lo && ends_value(&toks[i - 1]) {
+                cuts.push((i, t.text.chars().next().unwrap_or('*')));
             }
         }
         let mut result = Inferred::scalar();
@@ -903,15 +882,11 @@ impl<'a> Units<'a> {
                 // Receiver-transparent: the receiver's own token evidence
                 // carries the unit through (even when a `SimTime::max`-style
                 // summary would match by name).
-            } else if let Some(n) = summary::resolve_method(self.graph, &self.by_name, file, name) {
-                if let Some(s) = &self.summaries[n] {
-                    let chain = leaf(Hop::Callee(n));
-                    keep(
-                        found(s.dim, chain, Some(n), mc.dot, mc.line),
-                        Some(mc.args),
-                        &mut call_ev,
-                    );
-                }
+            } else if let Some((n, s)) =
+                summary::summarized(self.graph, &self.summaries, file, mc.dot)
+            {
+                let chain = leaf(Hop::Callee(n));
+                keep(found(s.dim, chain, Some(n), mc.dot, mc.line), Some(mc.args), &mut call_ev);
             } else {
                 return Inferred::unknown();
             }
@@ -925,13 +900,11 @@ impl<'a> Units<'a> {
             } else if let Some(named) = name_dim(name) {
                 let chain = leaf(Hop::Named { kind: Named::Free, name, at });
                 keep(found(named.dim, chain, None, fc.tok, fc.line), args, &mut call_ev);
-            } else if let Some(n) =
-                summary::resolve_free(self.graph, self.units, &self.by_name, file, &fc.qual, name)
+            } else if let Some((n, s)) =
+                summary::summarized(self.graph, &self.summaries, file, fc.tok)
             {
-                if let Some(s) = &self.summaries[n] {
-                    let chain = leaf(Hop::Callee(n));
-                    keep(found(s.dim, chain, Some(n), fc.tok, fc.line), args, &mut call_ev);
-                }
+                let chain = leaf(Hop::Callee(n));
+                keep(found(s.dim, chain, Some(n), fc.tok, fc.line), args, &mut call_ev);
             } else if name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
                 // A lower-case call we cannot see through could convert.
                 // (Upper-case names are tuple/enum constructors, which
@@ -955,7 +928,7 @@ impl<'a> Units<'a> {
             if t.kind != TokKind::Ident || parse::is_keyword(&t.text) {
                 continue;
             }
-            if NUM_TYPES.contains(&&*t.text) || t.text == "None" {
+            if NUM_TYPES.contains(&&*t.text) || matches!(&*t.text, "bool" | "char" | "None") {
                 continue;
             }
             let (name, at) = (&*t.text, Site { file, line: t.line });
@@ -1188,15 +1161,7 @@ impl<'a> Units<'a> {
                 }
                 continue;
             }
-            let resolved = summary::resolve_free(
-                self.graph,
-                self.units,
-                &self.all_by_name,
-                file,
-                &fc.qual,
-                &fc.name,
-            );
-            let Some(n) = resolved else { continue };
+            let Some(&n) = self.graph.callees(file, fc.tok).first() else { continue };
             let callee_params = &self.params[n];
             if callee_params.iter().all(|(_, d)| d.is_none()) {
                 continue;
@@ -1305,6 +1270,15 @@ fn return_spans(lexed: &Lexed, body: (usize, usize)) -> Vec<(usize, usize)> {
     spans
 }
 
+/// True when `t` can end a value, so that an operator after it is binary:
+/// a non-keyword identifier, a number, or a closing `)` or `]`.
+fn ends_value(t: &Token) -> bool {
+    (t.kind == TokKind::Ident && !parse::is_keyword(&t.text))
+        || t.kind == TokKind::Num
+        || t.is_punct(')')
+        || t.is_punct(']')
+}
+
 /// Identifies a binary operator starting at token `i`; returns the index
 /// the right operand starts at and a description of the op class.
 fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
@@ -1314,12 +1288,7 @@ fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
     }
     let prev = i.checked_sub(1).map(|p| &toks[p]);
     let next = toks.get(i + 1);
-    let prev_value = prev.is_some_and(|p| {
-        (p.kind == TokKind::Ident && !parse::is_keyword(&p.text))
-            || p.kind == TokKind::Num
-            || p.is_punct(')')
-            || p.is_punct(']')
-    });
+    let prev_value = prev.is_some_and(ends_value);
     let prev_is = |c: char| prev.is_some_and(|p| p.is_punct(c));
     let next_is = |c: char| next.is_some_and(|n| n.is_punct(c));
     match &*t.text {
@@ -1539,6 +1508,29 @@ mod tests {
             let chain = format!("parameter `a_ms` {at}{word} parameter `b_secs` (secs, ");
             assert!(f.message.contains(&chain), "{}", f.message);
         }
+    }
+
+    #[test]
+    fn a_bool_or_char_return_carries_no_unit() {
+        // A comparison's verdict and a tag hold no quantity, whatever the
+        // fn's name says or its body compares.
+        let units = [FileUnit::new(
+            "crates/a/src/lib.rs".to_string(),
+            "pub fn halted_at(t: SimTime, until: SimTime) -> bool { t < until } \
+             pub fn over_ms(a_ms: u64) -> bool { a_ms > 3 } \
+             pub fn tag_secs(c: char) -> char { c } \
+             pub fn wait_ms(a_ms: u64) -> u64 { a_ms }",
+        )];
+        let graph = Graph::build(&units);
+        let (_, sums) = analyze(&units, &graph);
+        let summarized: Vec<&str> = graph
+            .nodes
+            .iter()
+            .zip(&sums)
+            .filter(|(_, s)| s.is_some())
+            .map(|(n, _)| n.name)
+            .collect();
+        assert_eq!(summarized, ["wait_ms"]);
     }
 
     #[test]

@@ -81,6 +81,20 @@ fn policy_acting_through_returned_decisions_is_clean() {
 }
 
 #[test]
+fn a_free_hook_in_a_policy_module_without_types_is_checked() {
+    // The policy module declares no type, so it owns no state: clearing
+    // the server's queue is a finding, reading it is not.
+    let findings = effect_findings("mitigation_free_hook_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!((f.rule, f.line), ("mitigation-effect", 9));
+    assert!(f.path.ends_with("crates/meta/src/policy.rs"), "{f:?}");
+    assert!(f.message.contains("`shed`") && f.message.contains("Server.queue"), "{}", f.message);
+    let findings = effect_findings("mitigation_free_hook_neg");
+    assert!(findings.is_empty(), "a hook that only reads: {findings:?}");
+}
+
+#[test]
 fn a_fresh_temporary_passed_by_mut_keeps_the_callee_write_in_the_caller() {
     // `rate_at` hands `rate_from` a `&mut Cursor::default()` next to its
     // own by-value parameter: neither carries a mutable borrow in from

@@ -51,6 +51,27 @@ fn cross_crate_helper_flow_reports_the_full_path() {
 }
 
 #[test]
+fn an_imported_helper_carries_its_taint() {
+    // `use alpha::stamp;` then `stamp()`: the import names the callee.
+    let findings = flow_findings("imported_helper_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "digest-taint");
+    assert!(f.path.ends_with("crates/beta/src/lib.rs"), "{f:?}");
+    for hop in ["`now_nanos`", "`stamp`", "local `s`"] {
+        assert!(f.message.contains(hop), "missing {hop} in: {}", f.message);
+    }
+}
+
+#[test]
+fn a_namesake_module_in_another_crate_lends_no_taint() {
+    // beta's own `clock::now_nanos(t)` is pure; alpha's `clock` module
+    // shares only the names.
+    let findings = flow_findings("namesake_module_neg");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn struct_field_laundering_is_tracked_across_functions() {
     let findings = flow_findings("field");
     assert_eq!(findings.len(), 1, "{findings:?}");

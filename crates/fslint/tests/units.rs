@@ -152,6 +152,17 @@ fn nanos_into_a_millis_parameter_fires_across_crates() {
 }
 
 #[test]
+fn an_imported_helper_carries_its_return_unit() {
+    // `use crate::util::deadline;` then `deadline(3)`: the import names
+    // the callee, whose millis return meets a limit in seconds.
+    let findings = unit_findings("imported_helper_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!((f.rule, f.line), ("unit-mismatch", 12));
+    assert!(f.message.contains("`deadline`") && f.message.contains("wait_ms"), "{}", f.message);
+}
+
+#[test]
 fn same_unit_division_is_a_sanitised_ratio() {
     let findings = unit_findings("ratio_neg");
     assert!(findings.is_empty(), "nanos/nanos is dimensionless: {findings:?}");
