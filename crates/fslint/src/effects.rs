@@ -258,7 +258,7 @@ fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec
             && toks.get(i + 1).is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Num))
             && assign_after(toks, i + 2)
         {
-            let written = &*toks[i + 1].text;
+            let written = u.lexed.text(i + 1);
             let line = toks[i + 1].line;
             let (root, hop) = receiver_root(&u.lexed, i);
             let Some(root) = root else { continue };
@@ -279,11 +279,11 @@ fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec
         }
         // `*param = …`: a whole-value write through a `&mut` parameter.
         if toks[i].is_punct('*')
-            && (i == b0 || deref_position(&toks[i - 1]))
+            && (i == b0 || deref_position(&u.lexed, i - 1))
             && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
             && assign_after(toks, i + 2)
         {
-            if let Some(p) = param(sig, &toks[i + 1].text).filter(|p| p.mut_ref) {
+            if let Some(p) = param(sig, u.lexed.text(i + 1)).filter(|p| p.mut_ref) {
                 add(&mut out, Effect::at(E_WRITE, &p.ty_name, "*", toks[i + 1].line));
             }
         }
@@ -578,13 +578,10 @@ impl<'a> Effects<'a> {
     fn injector_surface(&self, owner: &'a str) -> BTreeSet<&'a str> {
         let mut surface = BTreeSet::from([owner, "Stream"]);
         for u in self.units {
-            let toks = &u.lexed.tokens;
+            let last = u.lexed.tokens.len().saturating_sub(1);
             for s in u.model.structs.iter().filter(|s| s.name == owner) {
-                let (s0, s1) = s.body;
-                let body = &toks[s0..=s1.min(toks.len().saturating_sub(1))];
-                let types = body.iter().filter(|t| t.kind == TokKind::Ident);
-                surface
-                    .extend(types.map(|t| &*t.text).filter(|t| t.starts_with(char::is_uppercase)));
+                let types = u.lexed.idents((s.body.0, s.body.1.min(last)));
+                surface.extend(types.filter(|t| t.starts_with(char::is_uppercase)));
             }
         }
         surface
@@ -634,7 +631,7 @@ impl EdgeUse {
     fn read(units: &[FileUnit], graph: &Graph, n: usize, m: usize) -> EdgeUse {
         let node = &graph.nodes[n];
         let u = &units[node.file];
-        let toks = &u.lexed.tokens;
+        let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
         let sig = sig_of(units, graph, n);
         let local =
             |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
@@ -644,19 +641,18 @@ impl EdgeUse {
         // either.
         let arg_stays = |(lo, hi): (usize, usize)| {
             if hi == lo && toks[lo].kind == TokKind::Ident {
-                let root = &*toks[lo].text;
+                let root = lexed.text(lo);
                 let mut_self = root == "self" && sig.receiver == Receiver::RefMut;
                 let mut_param = param(sig, root).is_some_and(|p| p.mut_ref);
                 return !(mut_self || mut_param || is_screaming(root));
             }
-            let mut_borrow =
-                toks[lo].is_punct('&') && toks.get(lo + 1).is_some_and(|t| t.is_ident("mut"));
+            let mut_borrow = toks[lo].is_punct('&') && lexed.is_ident(lo + 1, "mut");
             (if mut_borrow { lo + 2 } else { lo }..=hi).all(|i| {
                 toks[i].kind != TokKind::Ident
                     || toks[i - 1].is_punct('.')
                     || toks[i - 1].is_punct(':')
-                    || (toks[i].text != "self" && is_keyword(&toks[i].text))
-                    || local(&toks[i].text)
+                    || (lexed.text(i) != "self" && is_keyword(lexed.text(i)))
+                    || local(lexed.text(i))
             })
         };
         let args_stay = |(open, close): (usize, usize)| {
@@ -698,25 +694,22 @@ fn is_screaming(s: &str) -> bool {
 /// True when the token at `k` (after a field ident) begins an assignment:
 /// `=` (but not `==`/`=>`) or a compound `op=`.
 fn assign_after(toks: &[Token], k: usize) -> bool {
-    let Some(t) = toks.get(k) else { return false };
-    if t.kind != TokKind::Punct {
-        return false;
-    }
-    match &*t.text {
-        "=" => !toks.get(k + 1).is_some_and(|x| x.is_punct('=') || x.is_punct('>')),
-        "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" => {
+    match toks.get(k).and_then(Token::punct) {
+        Some(b'=') => !toks.get(k + 1).is_some_and(|x| x.is_punct('=') || x.is_punct('>')),
+        Some(b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^') => {
             toks.get(k + 1).is_some_and(|x| x.is_punct('='))
         }
         _ => false,
     }
 }
 
-/// True when the token before a `*` puts it at deref (not multiply)
-/// position: a statement/expression opener.
-fn deref_position(prev: &Token) -> bool {
-    match prev.kind {
-        TokKind::Punct => matches!(&*prev.text, ";" | "{" | "(" | "," | "="),
-        TokKind::Ident => matches!(&*prev.text, "let" | "return" | "else"),
+/// True when the token `prev`, just before a `*`, puts it at deref (not
+/// multiply) position: a statement/expression opener.
+fn deref_position(lexed: &Lexed, prev: usize) -> bool {
+    let t = &lexed.tokens[prev];
+    match t.kind {
+        TokKind::Punct => matches!(t.first, b';' | b'{' | b'(' | b',' | b'='),
+        TokKind::Ident => matches!(lexed.text(prev), "let" | "return" | "else"),
         _ => false,
     }
 }
@@ -745,11 +738,12 @@ fn receiver_root(lexed: &Lexed, dot: usize) -> (Option<&str>, Option<&str>) {
             continue;
         }
         if matches!(t.kind, TokKind::Ident | TokKind::Num) {
-            if t.kind == TokKind::Ident && is_keyword(&t.text) && t.text != "self" {
+            let text = lexed.text(j);
+            if t.kind == TokKind::Ident && is_keyword(text) && text != "self" {
                 return (root, hop);
             }
             hop = root.take();
-            root = Some(&t.text);
+            root = Some(text);
             if j >= 1 && toks[j - 1].is_punct('.') {
                 i = j - 1;
                 continue;
@@ -799,7 +793,7 @@ mod tests {
         let root_for = |method: &str| {
             let d = *dots
                 .iter()
-                .find(|&&i| toks[i + 1].text == method)
+                .find(|&&i| u.lexed.text(i + 1) == method)
                 .unwrap_or_else(|| panic!("no .{method}"));
             receiver_root(&u.lexed, d)
         };

@@ -3,9 +3,12 @@
 //! The engine runs in two phases. Phase one walks `crates/`, `src/`,
 //! `tests/`, and `examples/` under the workspace root (skipping `vendor/`,
 //! build `target/`s, and lint-test `fixtures/` trees) and lexes + parses
-//! every `.rs` file — sharded over worker threads, with each file's result
-//! landing in its own pre-assigned slot so the unit order (and therefore
-//! every downstream id and finding) is identical to a sequential scan.
+//! every `.rs` file — sharded over the calling thread and `jobs - 1`
+//! spawned ones, with each file's result landing in its own pre-assigned
+//! slot so the unit order (and therefore every downstream id and finding)
+//! is identical to a sequential scan. A file's read buffer moves into its
+//! [`FileUnit`] uncopied, and a one-thread scan starts no thread, so it
+//! allocates and frees in the caller's heap alone.
 //! Phase two builds the workspace call graph ([`crate::graph`]) over the
 //! whole set, then runs the per-file rules with graph-derived scopes, the
 //! whole-program rules (`oracle-coverage`, `dead-scenario`), the taint,
@@ -39,9 +42,10 @@ pub struct Config {
     /// Measure per-phase wall time and carry it in the report
     /// (`--timings`). Off by default so repeated runs stay byte-identical.
     pub timings: bool,
-    /// Cap on scan shard threads (`--jobs N`). `None` uses
-    /// `available_parallelism`. Sharding only changes which thread lexes
-    /// which file — output is byte-identical at any setting.
+    /// Scan threads, the calling thread among them (`--jobs N`): `Some(1)`
+    /// scans on the caller alone. `None` uses `available_parallelism`,
+    /// capped at 8. Sharding only changes which thread lexes which file —
+    /// output is byte-identical at any setting.
     pub jobs: Option<usize>,
 }
 
@@ -154,11 +158,12 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
     let mut timer = Timer::start(cfg.timings);
     let mut phases = PhaseTimings::default();
 
-    // Phase one: read, lex, and parse every file, sharded over worker
-    // threads. Each file's result lands in the slot matching its position
-    // in the (sorted) input list, so the assembled `units` vector — and
-    // with it every node id, scope, and finding downstream — is identical
-    // to what a sequential scan would produce, whatever the interleaving.
+    // Phase one: read, lex, and parse every file, sharded over the calling
+    // thread and `workers - 1` spawned ones. Each file's result lands in
+    // the slot matching its position in the (sorted) input list, so the
+    // assembled `units` vector — and with it every node id, scope, and
+    // finding downstream — is identical to what a sequential scan would
+    // produce, whatever the interleaving.
     type ScanSlot = Option<Result<FileUnit, (String, String)>>;
     let workers = match cfg.jobs {
         Some(n) => n.max(1),
@@ -166,24 +171,27 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
     };
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<ScanSlot>> = Mutex::new(files.iter().map(|_| None).collect());
+    let scan = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(file) = files.get(i) else { break };
+        let rel = file.strip_prefix(root).unwrap_or(file);
+        let path = rel.to_string_lossy().replace('\\', "/");
+        let slot = match fs::read_to_string(file) {
+            Ok(source) => Ok(FileUnit::new(path, source)),
+            Err(e) => Err((path, format!("could not read file: {e}"))),
+        };
+        slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(slot);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(files.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(file) = files.get(i) else { break };
-                let rel = file.strip_prefix(root).unwrap_or(file);
-                let path = rel.to_string_lossy().replace('\\', "/");
-                let slot = match fs::read_to_string(file) {
-                    Ok(source) => Ok(FileUnit::new(path, &source)),
-                    Err(e) => Err((path, format!("could not read file: {e}"))),
-                };
-                slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(slot);
-            });
+        for _ in 1..workers.min(files.len()) {
+            scope.spawn(scan);
         }
+        scan();
     });
     let mut units: Vec<FileUnit> = Vec::with_capacity(files.len());
-    // Every slot is filled: a worker that panics mid-file takes the run
-    // down with it, because the scope re-raises the panic on join.
+    // Every slot is filled: a thread that panics mid-file takes the run
+    // down with it, because the scope re-raises the panic once it has
+    // joined every spawned thread.
     for slot in slots.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten() {
         match slot {
             Ok(unit) => units.push(unit),

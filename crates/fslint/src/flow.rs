@@ -52,7 +52,7 @@
 //! function references contribute no value taint.
 
 use crate::graph::{FileUnit, Graph};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{Lexed, TokKind};
 use crate::rules::{id, Finding};
 use crate::summary::{self, call_args, field_read_shape, Locals};
 use std::collections::BTreeMap;
@@ -180,11 +180,11 @@ impl<'a> Flow<'a> {
     /// The earliest source token inside node `n`'s body, if any.
     fn direct_source(&self, n: usize) -> Option<Src> {
         let node = &self.graph.nodes[n];
-        let toks = &self.units[node.file].lexed.tokens;
+        let lexed = &self.units[node.file].lexed;
         let (b0, b1) = node.body;
         let mut best: Option<Src> = None;
-        for i in b0..=b1.min(toks.len().saturating_sub(1)) {
-            if let Some(s) = lexical_source(toks, i) {
+        for i in b0..=b1.min(lexed.tokens.len().saturating_sub(1)) {
+            if let Some(s) = lexical_source(lexed, i) {
                 best = Some(s);
                 break;
             }
@@ -222,18 +222,16 @@ impl<'a> Flow<'a> {
             return None;
         }
         let node = &self.graph.nodes[n];
-        let toks = &self.units[node.file].lexed.tokens;
+        let lexed = &self.units[node.file].lexed;
+        let toks = &lexed.tokens;
         let (b0, b1) = node.body;
         for i in b0..=b1.min(toks.len().saturating_sub(2)) {
-            if !toks[i].is_punct('.') {
+            if !toks[i].is_punct('.') || toks[i + 1].kind != TokKind::Ident {
                 continue;
             }
-            let nt = &toks[i + 1];
-            if nt.kind != TokKind::Ident || !self.fields.contains_key(&*nt.text) {
-                continue;
-            }
-            if field_read_shape(toks, i) {
-                return Some((&nt.text, nt.line));
+            let name = lexed.text(i + 1);
+            if self.fields.contains_key(name) && field_read_shape(toks, i) {
+                return Some((name, toks[i + 1].line));
             }
         }
         None
@@ -272,7 +270,7 @@ impl<'a> Flow<'a> {
     /// `file`, with `sort*()` sanitisation applied in textual order.
     fn locals_for(&self, file: usize, fk: usize) -> Locals<'a, Taint<'a>> {
         let u = &self.units[file];
-        let toks = &u.lexed.tokens;
+        let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
         let f = &u.model.fns[fk];
         let (b0, b1) = f.body;
         let mut locals = Locals::new();
@@ -284,11 +282,11 @@ impl<'a> Flow<'a> {
         for p in &f.sig.params {
             let (t0, t1) = p.ty;
             let Some(j) =
-                (t0..=t1).find(|&j| toks[j].is_ident("HashMap") || toks[j].is_ident("HashSet"))
+                (t0..=t1).find(|&j| lexed.is_ident(j, "HashMap") || lexed.is_ident(j, "HashSet"))
             else {
                 continue;
             };
-            let desc = format!("`{}`-typed parameter `{}`", toks[j].text, p.name);
+            let desc = format!("`{}`-typed parameter `{}`", lexed.text(j), p.name);
             let src = Src { kind: K_UNORD, tok: j, line: toks[j].line, desc };
             locals.bind(&p.name, b0, Taint { cause: Cause::Direct(src), via_locals: Vec::new() });
         }
@@ -301,8 +299,8 @@ impl<'a> Flow<'a> {
             .iter()
             .filter(|c| c.name.starts_with("sort"))
             .filter_map(|c| {
-                let r = toks.get(c.dot.checked_sub(1)?)?;
-                (r.kind == TokKind::Ident).then_some((c.dot, &*r.text))
+                let r = c.dot.checked_sub(1)?;
+                (toks[r].kind == TokKind::Ident).then(|| (c.dot, lexed.text(r)))
             })
             .collect();
         let mut sorted = 0usize;
@@ -337,7 +335,7 @@ impl<'a> Flow<'a> {
         locals: &Locals<'a, Taint<'a>>,
     ) -> Option<Taint<'a>> {
         let u = &self.units[file];
-        let toks = &u.lexed.tokens;
+        let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
         if toks.is_empty() || lo > hi {
             return None;
         }
@@ -350,7 +348,7 @@ impl<'a> Flow<'a> {
         };
         for i in lo..=hi {
             let t = &toks[i];
-            if let Some(src) = lexical_source(toks, i) {
+            if let Some(src) = lexical_source(lexed, i) {
                 consider(i, Taint { cause: Cause::Direct(src), via_locals: Vec::new() }, &mut best);
                 continue;
             }
@@ -360,7 +358,7 @@ impl<'a> Flow<'a> {
                 let after_dot = i > 0 && toks[i - 1].is_punct('.');
                 let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
                 if !after_dot && !in_path {
-                    if let Some(l) = locals.find(&t.text, i) {
+                    if let Some(l) = locals.find(lexed.text(i), i) {
                         let mut via = l.val.via_locals.clone();
                         if via.last() != Some(&l.name) {
                             via.push(l.name);
@@ -373,21 +371,14 @@ impl<'a> Flow<'a> {
                     }
                 }
             }
-            if t.is_punct('.') && !self.fields.is_empty() {
-                if let Some(nt) = toks.get(i + 1) {
-                    if nt.kind == TokKind::Ident
-                        && self.fields.contains_key(&*nt.text)
-                        && field_read_shape(toks, i)
-                    {
-                        consider(
-                            i,
-                            Taint {
-                                cause: Cause::Field { name: &nt.text },
-                                via_locals: Vec::new(),
-                            },
-                            &mut best,
-                        );
-                    }
+            if t.is_punct('.')
+                && !self.fields.is_empty()
+                && toks.get(i + 1).is_some_and(|nt| nt.kind == TokKind::Ident)
+            {
+                let name = lexed.text(i + 1);
+                if self.fields.contains_key(name) && field_read_shape(toks, i) {
+                    let cause = Cause::Field { name };
+                    consider(i, Taint { cause, via_locals: Vec::new() }, &mut best);
                 }
             }
         }
@@ -461,9 +452,7 @@ impl<'a> Flow<'a> {
                     continue;
                 }
                 let close = u.lexed.close_of(open);
-                let named_golden = toks[open..=close]
-                    .iter()
-                    .any(|t| t.kind == TokKind::Ident && t.text.starts_with("GOLDEN"));
+                let named_golden = u.lexed.idents((open, close)).any(|t| t.starts_with("GOLDEN"));
                 let in_golden_fn =
                     u.model.enclosing_fn(mac.tok).is_some_and(|f| f.name.starts_with("golden"));
                 if named_golden || in_golden_fn {
@@ -533,7 +522,7 @@ impl<'a> Flow<'a> {
             if u.path.starts_with("tests/") || u.path.contains("/tests/") {
                 continue;
             }
-            let toks = &u.lexed.tokens;
+            let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
             for fc in u.model.free_calls.iter().filter(|c| c.name == "from_seed" && c.called) {
                 if u.model.in_test_span(fc.tok)
                     || u.model.enclosing_fn(fc.tok).is_some_and(|f| f.in_test)
@@ -541,14 +530,13 @@ impl<'a> Flow<'a> {
                     continue;
                 }
                 let Some((open, close)) = call_args(&u.lexed, fc.tok) else { continue };
-                let rooted = toks[open + 1..close].iter().any(|t| {
-                    t.kind == TokKind::Num
-                        || (t.kind == TokKind::Ident
-                            && t.text.to_ascii_lowercase().contains("seed"))
+                let rooted = (open + 1..close).any(|k| {
+                    toks[k].kind == TokKind::Num
+                        || (toks[k].kind == TokKind::Ident
+                            && lexed.text(k).to_ascii_lowercase().contains("seed"))
                 });
                 if !rooted {
-                    let arg: Vec<&str> =
-                        toks[open + 1..close].iter().take(8).map(|t| &*t.text).collect();
+                    let arg: Vec<&str> = (open + 1..close).take(8).map(|k| lexed.text(k)).collect();
                     out.push(Finding {
                         path: u.path.clone(),
                         line: fc.line,
@@ -571,8 +559,9 @@ impl<'a> Flow<'a> {
 }
 
 /// True when the identifier at `i` is the last segment of `head::name`.
-fn prefixed(toks: &[Token], i: usize, head: &str) -> bool {
-    i >= 3 && toks[i - 3].is_ident(head) && toks[i - 2].is_punct(':') && toks[i - 1].is_punct(':')
+fn prefixed(lexed: &Lexed, i: usize, head: &str) -> bool {
+    let toks = &lexed.tokens;
+    i >= 3 && lexed.is_ident(i - 3, head) && toks[i - 2].is_punct(':') && toks[i - 1].is_punct(':')
 }
 
 /// The wall-clock, ambient-RNG or unordered-collection source the
@@ -581,48 +570,48 @@ fn prefixed(toks: &[Token], i: usize, head: &str) -> bool {
 /// `thread::sleep_ms` too). The taint pass roots on these names, and the
 /// `no-wall-clock`, `no-ambient-rng` and `no-unordered-collections` rules
 /// flag every one.
-pub(crate) fn named_source(toks: &[Token], i: usize) -> Option<(&'static str, &str)> {
-    let t = &toks[i];
-    if t.kind != TokKind::Ident {
+pub(crate) fn named_source(lexed: &Lexed, i: usize) -> Option<(&'static str, &str)> {
+    if lexed.tokens[i].kind != TokKind::Ident {
         return None;
     }
-    let kind = match &*t.text {
+    let name = lexed.text(i);
+    let kind = match name {
         "Instant" | "SystemTime" => K_WALL,
-        "sleep" | "sleep_ms" if prefixed(toks, i, "thread") => {
+        "sleep" | "sleep_ms" if prefixed(lexed, i, "thread") => {
             return Some((K_WALL, "thread::sleep"))
         }
         "thread_rng" | "from_entropy" | "OsRng" | "getrandom" => K_RNG,
-        "random" if prefixed(toks, i, "rand") => return Some((K_RNG, "rand::random")),
+        "random" if prefixed(lexed, i, "rand") => return Some((K_RNG, "rand::random")),
         "HashMap" | "HashSet" => K_UNORD,
         _ => return None,
     };
-    Some((kind, &t.text))
+    Some((kind, name))
 }
 
 /// A direct nondeterminism source at token `i`, if one starts here.
-fn lexical_source(toks: &[Token], i: usize) -> Option<Src> {
-    let t = &toks[i];
-    let (kind, desc) = match (named_source(toks, i), t.kind) {
+fn lexical_source(lexed: &Lexed, i: usize) -> Option<Src> {
+    let t = &lexed.tokens[i];
+    let (kind, desc) = match (named_source(lexed, i), t.kind) {
         (Some((K_WALL, "thread::sleep")), _) => {
             (K_WALL, "`thread::sleep` wall-clock wait".to_string())
         }
         (Some((K_WALL, name)), _) => (K_WALL, format!("`{name}` wall-clock read")),
         (Some((K_RNG, name)), _) => (K_RNG, format!("ambient RNG `{name}`")),
         (Some((kind, name)), _) => (kind, format!("`{name}` unordered iteration order")),
-        (None, TokKind::Ident) => match &*t.text {
-            "addr_of" | "addr_of_mut" => (K_PTR, format!("raw address `ptr::{}`", t.text)),
-            "current" if prefixed(toks, i, "thread") => {
+        (None, TokKind::Ident) => match lexed.text(i) {
+            name @ ("addr_of" | "addr_of_mut") => (K_PTR, format!("raw address `ptr::{name}`")),
+            "current" if prefixed(lexed, i, "thread") => {
                 (K_TID, "`thread::current()` identity".to_string())
             }
-            "var" | "var_os" | "vars" if prefixed(toks, i, "env") => {
-                (K_ENV, format!("environment read `env::{}`", t.text))
+            name @ ("var" | "var_os" | "vars") if prefixed(lexed, i, "env") => {
+                (K_ENV, format!("environment read `env::{name}`"))
             }
             _ => return None,
         },
         // The needle is assembled with `concat!` so this file's own string
         // literal does not register as a pointer-format source when
         // fs-lint lints itself; the description dodges the same way.
-        (None, TokKind::Str) if t.text.contains(concat!(":", "p}")) => {
+        (None, TokKind::Str) if lexed.text(i).contains(concat!(":", "p}")) => {
             (K_PTR, concat!("`{", ":", "p}` pointer formatting").to_string())
         }
         _ => return None,
@@ -634,8 +623,7 @@ fn lexical_source(toks: &[Token], i: usize) -> Option<Src> {
 /// span mentions `f64::min`/`f64::max` (or `f32`). The fold's value
 /// depends on NaN placement, which depends on evaluation order.
 fn nan_fold_sources(u: &FileUnit) -> Vec<Src> {
-    let toks = &u.lexed.tokens;
-    let folds = u.model.calls.iter().filter(|mc| mc.nan_absorbing(toks).is_some());
+    let folds = u.model.calls.iter().filter(|mc| mc.nan_absorbing(&u.lexed).is_some());
     folds
         .map(|mc| Src {
             kind: K_NAN,

@@ -87,8 +87,9 @@ pub struct FileUnit {
 }
 
 impl FileUnit {
-    /// Lexes, parses, and locates one file's source.
-    pub fn new(path: String, source: &str) -> FileUnit {
+    /// Lexes, parses, and locates one file's source, which the unit's
+    /// [`Lexed`] keeps: an owned `String` moves in uncopied.
+    pub fn new(path: String, source: impl Into<String>) -> FileUnit {
         let lexed = crate::lexer::lex(source);
         let model = parse::parse(&lexed);
         let mp = resolve::module_path(&path);
@@ -215,24 +216,27 @@ impl<'a> Mentions<'a> {
         let mut names: Vec<&str> = owned.chain(MENTION_GATES.iter().copied()).collect();
         names.sort_unstable();
         names.dedup();
-        let first = |name: &str| usize::from(name.as_bytes().first().copied().unwrap_or(0));
-        let len_bit = |name: &str| 1u64 << name.len().min(63);
+        let len_bit = |len: usize| 1u64 << len.min(63);
         // Per first byte: the names' range in sorted order, and their
         // lengths.
         let mut range = [(0usize, 0usize); 256];
         let mut lens = [0u64; 256];
         for (k, name) in names.iter().enumerate() {
-            let b = first(name);
+            let b = usize::from(name.as_bytes().first().copied().unwrap_or(0));
             range[b] = if lens[b] == 0 { (k, k + 1) } else { (range[b].0, k + 1) };
-            lens[b] |= len_bit(name);
+            lens[b] |= len_bit(name.len());
         }
         let mut hit = vec![false; units.len() * names.len()];
         for (row, u) in hit.chunks_mut(names.len().max(1)).zip(units) {
-            for t in u.lexed.tokens.iter().filter(|t| t.kind == TokKind::Ident) {
-                let (b, text) = (first(&t.text), &*t.text);
-                if lens[b] & len_bit(text) == 0 {
+            let idents =
+                u.lexed.tokens.iter().enumerate().filter(|(_, t)| t.kind == TokKind::Ident);
+            for (i, t) in idents {
+                // The token's first byte and length, read without the source.
+                let b = usize::from(t.first);
+                if lens[b] & len_bit((t.hi - t.lo) as usize) == 0 {
                     continue;
                 }
+                let text = u.lexed.text(i);
                 let (lo, hi) = range[b];
                 if let Ok(k) = names[lo..hi].binary_search(&text) {
                     row[lo + k] = true;
@@ -451,22 +455,14 @@ impl<'a> Graph<'a> {
                 continue;
             }
             for s in &u.model.structs {
-                let (b0, b1) = s.body;
-                if u.lexed.tokens[b0..=b1]
-                    .iter()
-                    .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE))
-                {
+                if names_queue(&u.lexed, s.body) {
                     queue_structs.insert(&s.name);
                 }
             }
             for h in &u.model.heaps {
-                let (a0, a1) = h.angles;
-                for t in &u.lexed.tokens[a0..=a1] {
-                    if t.kind == TokKind::Ident
-                        && t.text != "Reverse"
-                        && t.text.starts_with(char::is_uppercase)
-                    {
-                        heap_elem_types.insert(t.text.to_string());
+                for name in u.lexed.idents(h.angles) {
+                    if name != "Reverse" && name.starts_with(char::is_uppercase) {
+                        heap_elem_types.insert(name.to_string());
                     }
                 }
             }
@@ -481,9 +477,7 @@ impl<'a> Graph<'a> {
             let (b0, b1) = node.body;
             let touches_heap = queue_marked(node.file)
                 && (u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
-                    || u.lexed.tokens[b0..=b1]
-                        .iter()
-                        .any(|t| t.is_ident("BinaryHeap") || t.is_ident(QUEUE_KEY_TYPE)));
+                    || names_queue(&u.lexed, node.body));
             let calls_sched =
                 u.model.calls_in(b0, b1).iter().any(|c| SCHED_METHODS.contains(&c.name.as_str()))
                     || u.model
@@ -807,6 +801,12 @@ impl<'a> Graph<'a> {
         out.push_str("]\n}\n");
         out
     }
+}
+
+/// True when the token span `[lo, hi]` names `BinaryHeap` or the queue
+/// key type.
+fn names_queue(lexed: &Lexed, (lo, hi): (usize, usize)) -> bool {
+    (lo..=hi).any(|k| lexed.is_ident(k, "BinaryHeap") || lexed.is_ident(k, QUEUE_KEY_TYPE))
 }
 
 /// True when a node is an injector-reachability entry point.

@@ -10,17 +10,18 @@
 //! name inside a string, comment, or doc example can never fire a finding.
 //!
 //! The lexer walks the source by byte offset, decoding a char only where
-//! a byte is not ASCII, and slices each token's text out of the source
-//! once. A token whose text is one printable ASCII character (all
-//! punctuation) or a keyword borrows static text, so most tokens
-//! allocate nothing.
+//! a byte is not ASCII. A token holds no text: it is its kind, its text's
+//! first byte, its line and its byte span of the source, which [`Lexed`]
+//! owns once. Lexing a file therefore allocates per file (the source, the
+//! token and pair vectors, the comments), never per token, and
+//! [`Lexed::text`] slices a token's text where a pass reads it. The first
+//! byte answers every punctuation test ([`Token::is_punct`],
+//! [`Token::punct`]) without touching the source.
 //!
 //! Brackets are paired once per file, by one stack pass after lexing: the
 //! *pair table* beside the tokens gives each bracket its partner, so the
 //! parser and the analyses jump over a group, or walk one bracket level,
 //! by lookup instead of counting depth.
-
-use std::borrow::Cow;
 
 /// What kind of token a [`Token`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,17 +41,25 @@ pub enum TokKind {
     Punct,
 }
 
-/// One lexed token with its source position (1-based line and column).
-#[derive(Clone, Debug)]
+/// One lexed token. It holds no text: its text (identifier name, literal
+/// content, or punctuation char) is the byte span `[lo, hi)` of the
+/// file's source, which [`Lexed::text`] slices.
+#[derive(Clone, Copy, Debug)]
 pub struct Token {
     /// Token kind.
     pub kind: TokKind,
-    /// Token text: identifier name, literal content, or punctuation char.
-    /// Static for one printable ASCII character or a keyword, else owned.
-    pub text: Cow<'static, str>,
+    /// The text's first byte, 0 for an empty literal. A punctuation test
+    /// reads it instead of the source.
+    pub first: u8,
     /// 1-based line the token starts on.
     pub line: u32,
+    /// Byte offset of the text's start in [`Lexed::src`].
+    pub lo: u32,
+    /// Byte offset just past the text's end in [`Lexed::src`].
+    pub hi: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Token>() == 16);
 
 /// One comment (line or block, doc or plain), with its span.
 #[derive(Clone, Debug)]
@@ -63,9 +72,12 @@ pub struct Comment {
     pub end_line: u32,
 }
 
-/// The result of lexing one file: code tokens plus preserved comments.
+/// The result of lexing one file: its source, code tokens that span it,
+/// and preserved comments.
 #[derive(Clone, Debug, Default)]
 pub struct Lexed {
+    /// The file's source, which every token's span indexes.
+    pub src: String,
     /// Code tokens in source order.
     pub tokens: Vec<Token>,
     /// Comments in source order.
@@ -80,6 +92,28 @@ pub struct Lexed {
 const UNPAIRED: u32 = u32::MAX;
 
 impl Lexed {
+    /// The text of token `i`: identifier name, literal content, or
+    /// punctuation char.
+    pub fn text(&self, i: usize) -> &str {
+        let t = &self.tokens[i];
+        &self.src[t.lo as usize..t.hi as usize]
+    }
+
+    /// True if token `i` is the identifier `name`; false past the last
+    /// token. The source is read only when the lengths agree.
+    pub fn is_ident(&self, i: usize, name: &str) -> bool {
+        self.tokens.get(i).is_some_and(|t| {
+            t.kind == TokKind::Ident
+                && (t.hi - t.lo) as usize == name.len()
+                && self.src.as_bytes()[t.lo as usize..t.hi as usize] == *name.as_bytes()
+        })
+    }
+
+    /// The texts of the identifiers among the tokens `[lo, hi]`.
+    pub(crate) fn idents(&self, (lo, hi): (usize, usize)) -> impl Iterator<Item = &str> + '_ {
+        (lo..=hi).filter(|&k| self.tokens[k].kind == TokKind::Ident).map(|k| self.text(k))
+    }
+
     /// The bracket paired with the bracket at `i`: an opener's closer (the
     /// last token when it never closes) or a closer's opener. `None` for a
     /// token that is no bracket and for a closer with nothing open.
@@ -129,14 +163,18 @@ impl Lexed {
 }
 
 impl Token {
-    /// True if this token is the identifier `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
-        self.kind == TokKind::Ident && self.text == name
+    /// The first byte of a punctuation token's text, `None` for any other
+    /// token: the character itself when it is ASCII, a byte from 0x80 up
+    /// (which no ASCII pattern matches) when it is not.
+    pub fn punct(&self) -> Option<u8> {
+        (self.kind == TokKind::Punct).then_some(self.first)
     }
 
-    /// True if this token is the punctuation character `c`.
+    /// True if this token is the punctuation character `c`, which must be
+    /// ASCII.
     pub fn is_punct(&self, c: char) -> bool {
-        self.kind == TokKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
+        debug_assert!(c.is_ascii(), "`{c}` is no ASCII punctuation");
+        self.kind == TokKind::Punct && u32::from(self.first) == u32::from(c)
     }
 }
 
@@ -146,68 +184,6 @@ fn is_ident_start(c: char) -> bool {
 
 fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
-}
-
-/// The printable ASCII characters in code order. A token whose text is
-/// one of them borrows it from here instead of allocating.
-const PRINTABLE: &str = " !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~";
-
-/// The static text of `word` when it is a Rust keyword: a keyword token
-/// borrows it instead of allocating.
-pub(crate) fn keyword(word: &str) -> Option<&'static str> {
-    Some(match word {
-        "as" => "as",
-        "break" => "break",
-        "const" => "const",
-        "continue" => "continue",
-        "crate" => "crate",
-        "dyn" => "dyn",
-        "else" => "else",
-        "enum" => "enum",
-        "extern" => "extern",
-        "false" => "false",
-        "fn" => "fn",
-        "for" => "for",
-        "if" => "if",
-        "impl" => "impl",
-        "in" => "in",
-        "let" => "let",
-        "loop" => "loop",
-        "match" => "match",
-        "mod" => "mod",
-        "move" => "move",
-        "mut" => "mut",
-        "pub" => "pub",
-        "ref" => "ref",
-        "return" => "return",
-        "self" => "self",
-        "Self" => "Self",
-        "static" => "static",
-        "struct" => "struct",
-        "super" => "super",
-        "trait" => "trait",
-        "true" => "true",
-        "type" => "type",
-        "unsafe" => "unsafe",
-        "use" => "use",
-        "where" => "where",
-        "while" => "while",
-        _ => return None,
-    })
-}
-
-/// A token of `kind` spelled `s`: its text borrows static text when `s`
-/// is one printable ASCII character or a keyword, else owns a copy.
-fn token(kind: TokKind, s: &str, line: u32) -> Token {
-    let text = match (kind, s.as_bytes()) {
-        (_, &[b @ b' '..=b'~']) => {
-            let i = usize::from(b - b' ');
-            Cow::Borrowed(&PRINTABLE[i..=i])
-        }
-        (TokKind::Ident, _) => keyword(s).map_or_else(|| Cow::Owned(s.to_owned()), Cow::Borrowed),
-        _ => Cow::Owned(s.to_owned()),
-    };
-    Token { kind, text, line }
 }
 
 /// A byte-offset cursor over the source. It only ever rests on a char
@@ -254,16 +230,26 @@ impl<'s> Cursor<'s> {
         }
         &self.src[start..self.pos]
     }
+
+    /// A token of `kind` on `line` whose text is the source's `[lo, hi)`.
+    fn token(&self, kind: TokKind, (lo, hi): (usize, usize), line: u32) -> Token {
+        let first = if lo < hi { self.src.as_bytes()[lo] } else { 0 };
+        Token { kind, first, line, lo: lo as u32, hi: hi as u32 }
+    }
 }
 
-/// Lexes `src` into tokens and comments.
+/// Lexes `src` into tokens and comments. The returned [`Lexed`] owns the
+/// source, so a caller that has a `String` moves it in uncopied.
 ///
 /// The lexer never fails: malformed input (an unterminated string, a lone
 /// backslash) degrades to best-effort tokens rather than an error, because
 /// a linter must keep going to report what it *can* see.
-pub fn lex(src: &str) -> Lexed {
-    let mut cur = Cursor { src, pos: 0, line: 1 };
-    let mut out = Lexed::default();
+pub fn lex(src: impl Into<String>) -> Lexed {
+    let src = src.into();
+    // A span's ends are `u32`s; every offset below converts losslessly.
+    assert!(src.len() < u32::MAX as usize, "{} source bytes overflow a token span", src.len());
+    let mut cur = Cursor { src: &src, pos: 0, line: 1 };
+    let (mut tokens, mut comments) = (Vec::new(), Vec::new());
 
     while let Some(c) = cur.peek() {
         let line = cur.line;
@@ -278,21 +264,21 @@ pub fn lex(src: &str) -> Lexed {
                 let from = start + 2;
                 cur.pos = src[from..].find('\n').map_or(src.len(), |k| from + k);
                 let text = src[from..cur.pos].to_string();
-                out.comments.push(Comment { text, line, end_line: line });
+                comments.push(Comment { text, line, end_line: line });
             }
             '/' if cur.byte(1) == Some(b'*') => {
                 let (text_end, end) = block_comment_end(src.as_bytes(), start + 2);
                 cur.advance_to(end);
                 let text = src[start + 2..text_end].to_string();
-                out.comments.push(Comment { text, line, end_line: cur.line });
+                comments.push(Comment { text, line, end_line: cur.line });
             }
             '"' => {
                 let (text_end, end) = plain_string_end(src.as_bytes(), start + 1);
                 cur.advance_to(end);
-                out.tokens.push(token(TokKind::Str, &src[start + 1..text_end], line));
+                tokens.push(cur.token(TokKind::Str, (start + 1, text_end), line));
             }
-            '\'' => lex_quote(&mut cur, &mut out, line),
-            _ if is_ident_start(c) => lex_word(&mut cur, &mut out, line),
+            '\'' => lex_quote(&mut cur, &mut tokens, line),
+            _ if is_ident_start(c) => lex_word(&mut cur, &mut tokens, line),
             _ if c.is_ascii_digit() => {
                 cur.eat_ident();
                 // Consume a fractional part, but never a `..` range
@@ -300,7 +286,7 @@ pub fn lex(src: &str) -> Lexed {
                 // a lone `.` (`p.1.0` is `p`, `.`, `1`, `.`, `0`). The
                 // second dot of a `..` is not lone, so `0..1.5` keeps its
                 // float.
-                let dots = out.tokens.iter().rev().take(2).take_while(|t| t.is_punct('.'));
+                let dots = tokens.iter().rev().take(2).take_while(|t| t.is_punct('.'));
                 let tuple_index = dots.count() == 1;
                 if !tuple_index
                     && cur.byte(0) == Some(b'.')
@@ -309,16 +295,16 @@ pub fn lex(src: &str) -> Lexed {
                     cur.pos += 1;
                     cur.eat_ident();
                 }
-                out.tokens.push(token(TokKind::Num, &src[start..cur.pos], line));
+                tokens.push(cur.token(TokKind::Num, (start, cur.pos), line));
             }
             _ => {
                 cur.pos += c.len_utf8();
-                out.tokens.push(token(TokKind::Punct, &src[start..cur.pos], line));
+                tokens.push(cur.token(TokKind::Punct, (start, cur.pos), line));
             }
         }
     }
-    out.pairs = pair_brackets(&out.tokens);
-    out
+    let pairs = pair_brackets(&tokens);
+    Lexed { src, tokens, comments, pairs }
 }
 
 /// The pair table of `tokens`. The three bracket kinds nest as one depth,
@@ -331,10 +317,10 @@ fn pair_brackets(tokens: &[Token]) -> Vec<u32> {
     assert!(tokens.len() < UNPAIRED as usize, "{} tokens overflow the pair table", tokens.len());
     let mut pairs = vec![UNPAIRED; tokens.len()];
     let mut open: Vec<usize> = Vec::new();
-    for (i, t) in tokens.iter().enumerate().filter(|(_, t)| t.kind == TokKind::Punct) {
-        match t.text.as_bytes() {
-            b"(" | b"[" | b"{" => open.push(i),
-            b")" | b"]" | b"}" => {
+    for (i, t) in tokens.iter().enumerate() {
+        match t.punct() {
+            Some(b'(' | b'[' | b'{') => open.push(i),
+            Some(b')' | b']' | b'}') => {
                 if let Some(o) = open.pop() {
                     pairs[o] = i as u32;
                     pairs[i] = o as u32;
@@ -407,7 +393,7 @@ fn raw_string_end(b: &[u8], from: usize, hashes: usize) -> (usize, usize) {
 
 /// Disambiguates `'a'` / `'\n'` (char literal) from `'a` / `'static`
 /// (lifetime) at an opening single quote.
-fn lex_quote(cur: &mut Cursor, out: &mut Lexed, line: u32) {
+fn lex_quote(cur: &mut Cursor, tokens: &mut Vec<Token>, line: u32) {
     cur.pos += 1; // the opening '
     let start = cur.pos;
     let c0 = cur.peek();
@@ -424,26 +410,28 @@ fn lex_quote(cur: &mut Cursor, out: &mut Lexed, line: u32) {
             if cur.byte(0) == Some(b'\'') {
                 cur.pos += 1;
             }
-            out.tokens.push(token(TokKind::Char, &cur.src[start..end], line));
+            tokens.push(cur.token(TokKind::Char, (start, end), line));
         }
         (Some(_), Some('\'')) => {
             // 'x' — a one-character literal (covers '_' and 'r' too).
             cur.advance_to(after + 1);
-            out.tokens.push(token(TokKind::Char, &cur.src[start..after], line));
+            tokens.push(cur.token(TokKind::Char, (start, after), line));
         }
         (Some(c0), _) if is_ident_start(c0) => {
-            let name = cur.eat_ident();
-            out.tokens.push(token(TokKind::Lifetime, name, line));
+            cur.eat_ident();
+            tokens.push(cur.token(TokKind::Lifetime, (start, cur.pos), line));
         }
-        _ => out.tokens.push(token(TokKind::Punct, "'", line)),
+        _ => tokens.push(cur.token(TokKind::Punct, (start - 1, start), line)),
     }
 }
 
 /// Lexes something starting with an identifier character, resolving the
 /// string prefixes `r` / `b` / `br` and raw identifiers `r#ident`.
-fn lex_word(cur: &mut Cursor, out: &mut Lexed, line: u32) {
+fn lex_word(cur: &mut Cursor, tokens: &mut Vec<Token>, line: u32) {
     let src = cur.src;
+    let start = cur.pos;
     let word = cur.eat_ident();
+    let word_span = (start, cur.pos);
 
     let is_str_prefix = matches!(word, "r" | "b" | "br");
     match (is_str_prefix, cur.byte(0)) {
@@ -455,7 +443,7 @@ fn lex_word(cur: &mut Cursor, out: &mut Lexed, line: u32) {
                 raw_string_end(src.as_bytes(), from, 0)
             };
             cur.advance_to(end);
-            out.tokens.push(token(TokKind::Str, &src[from..text_end], line));
+            tokens.push(cur.token(TokKind::Str, (from, text_end), line));
         }
         (true, Some(b'#')) if word != "b" => {
             // Either a raw string r#…#"…"#…# or a raw identifier r#ident.
@@ -464,23 +452,24 @@ fn lex_word(cur: &mut Cursor, out: &mut Lexed, line: u32) {
                 let from = cur.pos + hashes + 1;
                 let (text_end, end) = raw_string_end(src.as_bytes(), from, hashes);
                 cur.advance_to(end);
-                out.tokens.push(token(TokKind::Str, &src[from..text_end], line));
+                tokens.push(cur.token(TokKind::Str, (from, text_end), line));
             } else if word == "r"
                 && hashes == 1
                 && cur.char_at(cur.pos + 1).is_some_and(is_ident_start)
             {
                 cur.pos += 1; // the '#'
-                let name = cur.eat_ident();
-                out.tokens.push(token(TokKind::Ident, name, line));
+                let name = cur.pos;
+                cur.eat_ident();
+                tokens.push(cur.token(TokKind::Ident, (name, cur.pos), line));
             } else {
-                out.tokens.push(token(TokKind::Ident, word, line));
+                tokens.push(cur.token(TokKind::Ident, word_span, line));
             }
         }
         (true, Some(b'\'')) if word == "b" => {
             // Byte literal b'x' — reuse the char path.
-            lex_quote(cur, out, line);
+            lex_quote(cur, tokens, line);
         }
-        _ => out.tokens.push(token(TokKind::Ident, word, line)),
+        _ => tokens.push(cur.token(TokKind::Ident, word_span, line)),
     }
 }
 
@@ -489,17 +478,14 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.into_owned())
-            .collect()
+        let t = toks(src).into_iter().filter(|(kind, ..)| *kind == TokKind::Ident);
+        t.map(|(_, text, _)| text).collect()
     }
 
     /// `(kind, text, line)` per token.
     fn toks(src: &str) -> Vec<(TokKind, String, u32)> {
-        lex(src).tokens.into_iter().map(|t| (t.kind, t.text.into_owned(), t.line)).collect()
+        let l = lex(src);
+        l.tokens.iter().enumerate().map(|(i, t)| (t.kind, l.text(i).to_string(), t.line)).collect()
     }
 
     #[test]
@@ -511,7 +497,7 @@ mod tests {
     #[test]
     fn comments_are_preserved_not_tokenised() {
         let l = lex("// HashMap here\nlet a = 1; /* SystemTime */");
-        assert!(l.tokens.iter().all(|t| t.text != "HashMap" && t.text != "SystemTime"));
+        assert!((0..l.tokens.len()).all(|i| l.text(i) != "HashMap" && l.text(i) != "SystemTime"));
         assert_eq!(l.comments.len(), 2);
         assert!(l.comments[0].text.contains("HashMap"));
     }
@@ -528,8 +514,8 @@ mod tests {
     #[test]
     fn line_numbers_survive_multiline_strings() {
         let l = lex("let a = \"x\ny\nz\";\nlet b = 2;");
-        let b = l.tokens.iter().find(|t| t.is_ident("b")).unwrap();
-        assert_eq!(b.line, 4);
+        let b = (0..l.tokens.len()).find(|&i| l.is_ident(i, "b")).unwrap();
+        assert_eq!(l.tokens[b].line, 4);
     }
 
     #[test]
@@ -593,16 +579,12 @@ mod tests {
     fn match_delim(toks: &[Token], open: usize) -> usize {
         let mut depth = 0usize;
         for (i, t) in toks.iter().enumerate().skip(open) {
-            if t.kind == TokKind::Punct {
-                match &*t.text {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            return i;
-                        }
-                    }
-                    _ => {}
+            if is_open(t) {
+                depth += 1;
+            } else if is_close(t) {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i;
                 }
             }
         }
@@ -616,16 +598,12 @@ mod tests {
         let mut i = close;
         loop {
             let t = &toks[i];
-            if t.kind == TokKind::Punct {
-                match &*t.text {
-                    ")" | "]" | "}" => depth += 1,
-                    "(" | "[" | "{" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some(i);
-                        }
-                    }
-                    _ => {}
+            if is_close(t) {
+                depth += 1;
+            } else if is_open(t) {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
                 }
             }
             i = i.checked_sub(1)?;
@@ -657,11 +635,11 @@ mod tests {
     }
 
     fn is_open(t: &Token) -> bool {
-        t.kind == TokKind::Punct && matches!(&*t.text, "(" | "[" | "{")
+        matches!(t.punct(), Some(b'(' | b'[' | b'{'))
     }
 
     fn is_close(t: &Token) -> bool {
-        t.kind == TokKind::Punct && matches!(&*t.text, ")" | "]" | "}")
+        matches!(t.punct(), Some(b')' | b']' | b'}'))
     }
 
     /// The tokens of `[lo, hi)` a depth counter starting at `lo` puts at
@@ -679,6 +657,43 @@ mod tests {
         out
     }
 
+    /// Source pieces for the span property: ASCII and non-ASCII
+    /// identifiers and punctuation, every literal form (some whose text
+    /// starts with a punctuation character), lifetimes, numbers, comments
+    /// and whitespace. Joined with no separator, they also lex as pieces
+    /// glued together.
+    const SPAN_PIECES: [&str; 26] = [
+        "x",
+        "größe",
+        "名前",
+        "r#type",
+        "(",
+        "}",
+        ".",
+        ":",
+        "→",
+        "—",
+        "'",
+        "\"",
+        "\"(a\"",
+        "\"\"",
+        "b\"\\\"\"",
+        "r#\".\"#",
+        "'x'",
+        "'\\n'",
+        "b'{'",
+        "'a",
+        "1.5",
+        "0..1",
+        "// c\n",
+        "/* → */",
+        " ",
+        "\n",
+    ];
+
+    /// ASCII characters a punctuation test may ask about.
+    const ASCII_PUNCT: &str = "()[]{}.:;,'\"#!&<>-=|*/\\_";
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
@@ -689,7 +704,7 @@ mod tests {
             choices in proptest::collection::vec(0usize..PIECES.len(), 0..64),
             balanced in 0u8..2,
         ) {
-            let lexed = lex(&source(&choices, balanced == 1));
+            let lexed = lex(source(&choices, balanced == 1));
             let toks = &lexed.tokens;
             for (i, t) in toks.iter().enumerate() {
                 if is_open(t) {
@@ -709,7 +724,7 @@ mod tests {
         fn level_walks_visit_the_depth_zero_tokens(
             choices in proptest::collection::vec(0usize..PIECES.len(), 0..64),
         ) {
-            let lexed = lex(&source(&choices, true));
+            let lexed = lex(source(&choices, true));
             let toks = &lexed.tokens;
             let mut spans = vec![(0, toks.len())];
             spans.extend((0..toks.len()).filter(|&i| is_open(&toks[i])).map(|i| (i + 1, lexed.close_of(i))));
@@ -731,6 +746,48 @@ mod tests {
                 backward.reverse();
                 proptest::prop_assert_eq!(backward, depth_zero(toks, lo, hi, false));
             }
+        }
+
+        /// On any source, each token's text is its span of the source,
+        /// the spans ascend and never overlap, `first` is the text's first
+        /// byte, the punctuation and identifier tests agree with the text,
+        /// and a literal's or a lifetime's span starts just past its
+        /// opening quote.
+        #[test]
+        fn tokens_are_ascending_spans_of_the_source(
+            choices in proptest::collection::vec(0usize..SPAN_PIECES.len(), 0..48),
+        ) {
+            let src: String = choices.iter().map(|&c| SPAN_PIECES[c]).collect();
+            let l = lex(src.as_str());
+            let mut end = 0;
+            for (i, t) in l.tokens.iter().enumerate() {
+                let (lo, hi) = (t.lo as usize, t.hi as usize);
+                proptest::prop_assert!(end <= lo && lo <= hi, "{src:?}: token {i} at {lo}..{hi}");
+                end = hi;
+                let text = l.text(i);
+                proptest::prop_assert_eq!(src.get(lo..hi), Some(text));
+                proptest::prop_assert_eq!(t.first, text.bytes().next().unwrap_or(0));
+                let punct = t.kind == TokKind::Punct;
+                proptest::prop_assert_eq!(t.punct(), punct.then_some(t.first));
+                for c in ASCII_PUNCT.chars() {
+                    let want = punct && text.len() == 1 && text.starts_with(c);
+                    proptest::prop_assert_eq!(t.is_punct(c), want, "{src:?}: {text:?} is `{c}`");
+                }
+                proptest::prop_assert_eq!(l.is_ident(i, text), t.kind == TokKind::Ident);
+                let quote = lo.checked_sub(1).map(|q| src.as_bytes()[q]);
+                match t.kind {
+                    TokKind::Punct => proptest::prop_assert_eq!(text.chars().count(), 1),
+                    TokKind::Ident => proptest::prop_assert!(
+                        text.starts_with(is_ident_start) && text.chars().all(is_ident_continue)
+                    ),
+                    TokKind::Str => proptest::prop_assert_eq!(quote, Some(b'"'), "{src:?}"),
+                    TokKind::Char | TokKind::Lifetime => {
+                        proptest::prop_assert_eq!(quote, Some(b'\''), "{src:?}")
+                    }
+                    TokKind::Num => proptest::prop_assert!(text.starts_with(|c: char| c.is_ascii_digit())),
+                }
+            }
+            proptest::prop_assert!(end <= src.len());
         }
     }
 
@@ -761,8 +818,8 @@ mod tests {
     #[test]
     fn a_number_after_a_lone_dot_is_a_tuple_index() {
         let nums = |src: &str| -> Vec<String> {
-            let toks = lex(src).tokens.into_iter().filter(|t| t.kind == TokKind::Num);
-            toks.map(|t| t.text.into_owned()).collect()
+            let t = toks(src).into_iter().filter(|(kind, ..)| *kind == TokKind::Num);
+            t.map(|(_, text, _)| text).collect()
         };
         assert_eq!(nums("let k = p.1.0;"), ["1", "0"]);
         assert_eq!(nums("|e| (e.0.1, e.1)"), ["0", "1", "1"]);
@@ -771,16 +828,5 @@ mod tests {
         assert_eq!(nums("..=2.5"), ["2.5"]);
         assert_eq!(nums("1.0.max(2.0)"), ["1.0", "2.0"]);
         assert_eq!(nums("1..2"), ["1", "2"]);
-    }
-
-    #[test]
-    fn punctuation_and_keywords_borrow_static_text() {
-        assert!(PRINTABLE.bytes().eq(b' '..=b'~'));
-        let l = lex("let f = (größe);");
-        let text = |s: &str| &l.tokens.iter().find(|t| t.text == s).unwrap().text;
-        assert!(matches!(text("("), Cow::Borrowed("(")));
-        assert!(matches!(text("let"), Cow::Borrowed("let")));
-        assert!(matches!(text("f"), Cow::Borrowed("f")));
-        assert!(matches!(text("größe"), Cow::Owned(_)));
     }
 }

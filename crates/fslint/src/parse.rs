@@ -40,9 +40,10 @@
 //! over the tokens ([`parse`]). An item's optional `<…>` is read by one
 //! routine, and its body `{` is found at its header's bracket level by
 //! another, so a bracketed type in a header (`[T; 4]`) is stepped over.
-//! Names and path segments are read by token index, and a token's text
-//! is copied only into an item the walk records: a path that turns out
-//! not to be a call costs no allocation. Method calls, free calls and
+//! Names and path segments are read by token index through
+//! [`Lexed::text`](crate::lexer::Lexed::text), and a token's text is
+//! copied only into an item the walk records: a path that turns out not
+//! to be a call costs no allocation. Method calls, free calls and
 //! macros are recorded in token order, so the calls inside a token span
 //! are found by binary search (`FileModel::calls_in` and its siblings)
 //! rather than by filtering the whole list. Like the lexer, the parser
@@ -57,13 +58,50 @@ use std::collections::BTreeSet;
 /// `&mut [T]` as an index expression and keyword "patterns" in `for`
 /// loops).
 pub(crate) fn is_keyword(word: &str) -> bool {
-    crate::lexer::keyword(word).is_some()
+    matches!(
+        word,
+        "as" | "break"
+            | "const"
+            | "continue"
+            | "crate"
+            | "dyn"
+            | "else"
+            | "enum"
+            | "extern"
+            | "false"
+            | "fn"
+            | "for"
+            | "if"
+            | "impl"
+            | "in"
+            | "let"
+            | "loop"
+            | "match"
+            | "mod"
+            | "move"
+            | "mut"
+            | "pub"
+            | "ref"
+            | "return"
+            | "self"
+            | "Self"
+            | "static"
+            | "struct"
+            | "super"
+            | "trait"
+            | "true"
+            | "type"
+            | "unsafe"
+            | "use"
+            | "where"
+            | "while"
+    )
 }
 
 /// How a method takes `self`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Receiver {
-    /// No `self` parameter (or a typed `self: T` one).
+    /// No `self` parameter: an associated function.
     #[default]
     None,
     /// `self` or `mut self`: the method consumes its receiver.
@@ -72,6 +110,8 @@ pub enum Receiver {
     Ref,
     /// `&mut self`.
     RefMut,
+    /// A typed `self: T` (`self: Box<Self>`), whose borrow is not read.
+    Typed,
 }
 
 /// One named parameter of a `fn` signature.
@@ -144,17 +184,19 @@ pub struct MethodCall {
 
 impl MethodCall {
     /// For a `fold`/`reduce` call whose arguments mention `f64::min`,
-    /// `f64::max` (or `f32`), that path's four tokens: such a fold
-    /// silently absorbs NaN, so its value depends on where NaN falls.
-    pub(crate) fn nan_absorbing<'t>(&self, toks: &'t [Token]) -> Option<&'t [Token]> {
+    /// `f64::max` (or `f32`), the index of that path's first token: such
+    /// a fold silently absorbs NaN, so its value depends on where NaN
+    /// falls.
+    pub(crate) fn nan_absorbing(&self, lexed: &Lexed) -> Option<usize> {
         if self.name != "fold" && self.name != "reduce" {
             return None;
         }
-        toks.get(self.args.0..=self.args.1)?.windows(4).find(|w| {
-            (w[0].is_ident("f64") || w[0].is_ident("f32"))
-                && w[1].is_punct(':')
-                && w[2].is_punct(':')
-                && (w[3].is_ident("min") || w[3].is_ident("max"))
+        let (open, close) = self.args;
+        (open..close.saturating_sub(2)).find(|&k| {
+            (lexed.is_ident(k, "f64") || lexed.is_ident(k, "f32"))
+                && punct_at(&lexed.tokens, k + 1, ':')
+                && punct_at(&lexed.tokens, k + 2, ':')
+                && (lexed.is_ident(k + 3, "min") || lexed.is_ident(k + 3, "max"))
         })
     }
 }
@@ -358,21 +400,18 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
     let mut depth = 0i32;
     let mut i = open;
     while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                "<" => depth += 1,
-                ">" if i > 0 && toks[i - 1].is_punct('-') => {} // `->` arrow
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i;
-                    }
+        match toks[i].punct() {
+            Some(b'<') => depth += 1,
+            Some(b'>') if i > 0 && toks[i - 1].is_punct('-') => {} // `->` arrow
+            Some(b'>') => {
+                depth -= 1;
+                if depth == 0 {
+                    return i;
                 }
-                // A delimiter mismatch means this `<` was a comparison.
-                ";" | "{" => return open,
-                _ => {}
             }
+            // A delimiter mismatch means this `<` was a comparison.
+            Some(b';' | b'{') => return open,
+            _ => {}
         }
         i += 1;
     }
@@ -430,29 +469,33 @@ pub fn parse(lexed: &Lexed) -> FileModel {
     let mut use_end = None;
     let mut segs = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        match t.kind {
-            TokKind::Punct if t.text == "#" => model.test_spans.extend(test_span(lexed, i)),
-            TokKind::Punct if t.text == "." => {
+        match t.punct() {
+            Some(b'#') => model.test_spans.extend(test_span(lexed, i)),
+            Some(b'.') => {
                 if let Some(call) = parse_method_call(lexed, i) {
                     model.calls.push(call);
                 } else if let Some(rhs_end) = field_write_rhs_end(lexed, i) {
                     model.field_writes.push(FieldWrite { dot: i, rhs_end });
                 }
             }
-            TokKind::Punct if t.text == "[" && is_index_open(toks, i) => {
+            Some(b'[') if is_index_open(lexed, i) => {
                 let close = lexed.close_of(i);
                 model.indexings.push(IndexExpr { line: t.line, brackets: (i, close) });
             }
-            TokKind::Ident if t.text == "fn" => model.fns.extend(fn_item(lexed, i, &model)),
-            TokKind::Ident if t.text == "impl" && at_item_position(toks, i) => {
-                model.impls.extend(impl_block(lexed, i));
-            }
-            TokKind::Ident if t.text == "struct" => model.structs.extend(struct_def(lexed, i)),
-            TokKind::Ident if t.text == "use" && at_item_position(toks, i) => {
+            _ => {}
+        }
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        match lexed.text(i) {
+            "fn" => model.fns.extend(fn_item(lexed, i, &model)),
+            "impl" if at_item_position(lexed, i) => model.impls.extend(impl_block(lexed, i)),
+            "struct" => model.structs.extend(struct_def(lexed, i)),
+            "use" if at_item_position(lexed, i) => {
                 let is_pub = use_is_pub(lexed, i);
                 use_end = Some(use_tree(lexed, i + 1, &mut segs, is_pub, t.line, &mut model.uses));
             }
-            TokKind::Ident if t.text == "BinaryHeap" => {
+            "BinaryHeap" => {
                 // `BinaryHeap<…>` or `BinaryHeap::<…>`.
                 let j = if punct_at(toks, i + 1, ':') && punct_at(toks, i + 2, ':') {
                     i + 3
@@ -463,13 +506,13 @@ pub fn parse(lexed: &Lexed) -> FileModel {
                     model.heaps.push(HeapType { line: t.line, angles: (j, past - 1) });
                 }
             }
-            TokKind::Ident if punct_at(toks, i + 1, '!') && !is_keyword(&t.text) => {
-                model.macros.push(MacroCall { name: t.text.to_string(), line: t.line, tok: i });
+            name if punct_at(toks, i + 1, '!') && !is_keyword(name) => {
+                model.macros.push(MacroCall { name: name.to_string(), line: t.line, tok: i });
             }
             _ => {}
         }
-        if t.kind == TokKind::Ident && use_end.is_none_or(|end| i > end) {
-            free_call_at(toks, i, &mut model.free_calls);
+        if use_end.is_none_or(|end| i > end) {
+            free_call_at(lexed, i, &mut model.free_calls);
         }
     }
     debug_assert!(model.calls.windows(2).all(|w| w[0].dot < w[1].dot));
@@ -496,8 +539,7 @@ fn field_write_rhs_end(lexed: &Lexed, dot: usize) -> Option<usize> {
 /// Token end of an assignment RHS starting at `from`: the last token
 /// before the `;`, `,` or closing delimiter at `from`'s bracket level.
 pub(crate) fn rhs_end(lexed: &Lexed, from: usize) -> Option<usize> {
-    let ends =
-        |t: &Token| t.kind == TokKind::Punct && matches!(&*t.text, ";" | "," | ")" | "]" | "}");
+    let ends = |t: &Token| matches!(t.punct(), Some(b';' | b',' | b')' | b']' | b'}'));
     let end = lexed.level(from).find(|&j| ends(&lexed.tokens[j]))?;
     (end > from).then(|| end - 1)
 }
@@ -511,11 +553,9 @@ fn test_span(lexed: &Lexed, i: usize) -> Option<(usize, usize)> {
     }
     let close = lexed.close_of(i + 1);
     // A `#[` that ends the file closes on its own `[`.
-    let attr_is_cfg_test = toks
-        .get(i + 2..close)
-        .unwrap_or_default()
-        .windows(3)
-        .any(|w| w[0].is_ident("cfg") && w[1].is_punct('(') && w[2].is_ident("test"));
+    let attr_is_cfg_test = (i + 2..close.saturating_sub(2)).any(|k| {
+        lexed.is_ident(k, "cfg") && punct_at(toks, k + 1, '(') && lexed.is_ident(k + 2, "test")
+    });
     if !attr_is_cfg_test {
         return None;
     }
@@ -524,10 +564,10 @@ fn test_span(lexed: &Lexed, i: usize) -> Option<(usize, usize)> {
     while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
         j = lexed.close_of(j + 1) + 1;
     }
-    if toks.get(j).is_some_and(|t| t.is_ident("pub")) {
+    if lexed.is_ident(j, "pub") {
         j += 1;
     }
-    if !toks.get(j).is_some_and(|t| t.is_ident("mod")) {
+    if !lexed.is_ident(j, "mod") {
         return None;
     }
     // A `mod name;` declaration has no body.
@@ -540,13 +580,13 @@ fn test_span(lexed: &Lexed, i: usize) -> Option<(usize, usize)> {
 /// `model` is test code.
 fn fn_item(lexed: &Lexed, i: usize, model: &FileModel) -> Option<FnItem> {
     let toks = &lexed.tokens;
-    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident).map(|_| lexed.text(i + 1))?;
     let open = body_open(lexed, i + 2)?;
     let close = lexed.close_of(open);
     let sig = parse_sig(lexed, i, open);
     let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
     let mut item = FnItem {
-        name: name.text.to_string(),
+        name: name.to_string(),
         line: toks[i].line,
         body: (open, close),
         sig,
@@ -568,7 +608,7 @@ fn has_test_attr(lexed: &Lexed, at: usize) -> bool {
     // Walk back over qualifiers to the potential attribute close bracket.
     while i > 0
         && toks[i - 1].kind == TokKind::Ident
-        && matches!(&*toks[i - 1].text, "pub" | "const" | "async" | "unsafe" | "extern")
+        && matches!(lexed.text(i - 1), "pub" | "const" | "async" | "unsafe" | "extern")
     {
         i -= 1;
     }
@@ -578,7 +618,7 @@ fn has_test_attr(lexed: &Lexed, at: usize) -> bool {
         if open == 0 || !toks[open - 1].is_punct('#') {
             return false;
         }
-        if toks[open..close].iter().any(|t| t.is_ident("test")) {
+        if (open..close).any(|k| lexed.is_ident(k, "test")) {
             return true;
         }
         i = open - 1;
@@ -602,17 +642,17 @@ fn parse_sig(lexed: &Lexed, at: usize, body: usize) -> FnSig {
         if toks[k].is_punct('<') {
             k = skip_angles(toks, k);
         } else if toks[k].is_punct(',') {
-            sig_param(toks, (start, k), &mut sig);
+            sig_param(lexed, (start, k), &mut sig);
             start = k + 1;
         }
         k = lexed.step(k);
     }
     if start < close {
-        sig_param(toks, (start, close), &mut sig);
+        sig_param(lexed, (start, close), &mut sig);
     }
     if punct_at(toks, close + 1, '-') && punct_at(toks, close + 2, '>') {
         let start = close + 3;
-        let end = (start..body).find(|&k| toks[k].is_ident("where")).unwrap_or(body) - 1;
+        let end = (start..body).find(|&k| lexed.is_ident(k, "where")).unwrap_or(body) - 1;
         sig.ret = (start <= end).then_some((start, end));
     }
     sig
@@ -620,12 +660,13 @@ fn parse_sig(lexed: &Lexed, at: usize, body: usize) -> FnSig {
 
 /// Reads one parameter, the tokens `s..e` between two commas of a
 /// signature: the receiver, or a named parameter with its type.
-fn sig_param(toks: &[Token], (s, e): (usize, usize), sig: &mut FnSig) {
+fn sig_param(lexed: &Lexed, (s, e): (usize, usize), sig: &mut FnSig) {
+    let toks = &lexed.tokens;
     let span = &toks[s..e];
     let colon = span.iter().position(|t| t.is_punct(':'));
-    if colon.is_none() && span.iter().any(|t| t.is_ident("self")) {
+    if colon.is_none() && (s..e).any(|k| lexed.is_ident(k, "self")) {
         let by_ref = span.iter().any(|t| t.is_punct('&'));
-        sig.receiver = match (by_ref, span.iter().any(|t| t.is_ident("mut"))) {
+        sig.receiver = match (by_ref, (s..e).any(|k| lexed.is_ident(k, "mut"))) {
             (false, _) => Receiver::Value,
             (true, false) => Receiver::Ref,
             (true, true) => Receiver::RefMut,
@@ -638,8 +679,12 @@ fn sig_param(toks: &[Token], (s, e): (usize, usize), sig: &mut FnSig) {
     else {
         return;
     };
-    let nt = &span[colon - 1];
-    if nt.kind != TokKind::Ident || is_keyword(&nt.text) {
+    let name = s + colon - 1;
+    if lexed.is_ident(name, "self") {
+        sig.receiver = Receiver::Typed;
+        return;
+    }
+    if toks[name].kind != TokKind::Ident || is_keyword(lexed.text(name)) {
         return;
     }
     // The type: skip refs and lifetimes, note `mut`, then take the
@@ -650,15 +695,14 @@ fn sig_param(toks: &[Token], (s, e): (usize, usize), sig: &mut FnSig) {
         saw_ref |= span[t].is_punct('&');
         t += 1;
     }
-    let mut_ref = saw_ref && t < span.len() && span[t].is_ident("mut");
-    let ty_name = span[t..]
-        .iter()
-        .position(|x| x.kind == TokKind::Ident && !is_keyword(&x.text))
-        .and_then(|p| read_path(toks, s + t + p))
-        .map(|(last, _)| toks[last].text.to_string())
+    let mut_ref = saw_ref && t < span.len() && lexed.is_ident(s + t, "mut");
+    let ty_name = (s + t..e)
+        .find(|&k| toks[k].kind == TokKind::Ident && !is_keyword(lexed.text(k)))
+        .and_then(|k| read_path(lexed, k))
+        .map(|(last, _)| lexed.text(last).to_string())
         .unwrap_or_default();
     sig.params.push(Param {
-        name: nt.text.to_string(),
+        name: lexed.text(name).to_string(),
         ty: (s + colon + 1, e - 1),
         ty_name,
         mut_ref,
@@ -671,28 +715,32 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
     let mut i = start;
     while i <= end && i < toks.len() {
         let t = &toks[i];
-        match t.kind {
+        // An identifier's text; punctuation is told by its first byte.
+        let word = if t.kind == TokKind::Ident { lexed.text(i) } else { "" };
+        // An identifier at `j` that is no keyword: a bindable name.
+        let name_at = |j: usize| {
+            (toks[j].kind == TokKind::Ident).then(|| lexed.text(j)).filter(|w| !is_keyword(w))
+        };
+        match word {
             // `for <pattern> in …` — every ident in the pattern is bound.
-            TokKind::Ident if t.text == "for" => {
+            "for" => {
                 let mut j = i + 1;
-                while j <= end && !toks[j].is_ident("in") && !punct_at(toks, j, '{') {
-                    if toks[j].kind == TokKind::Ident && !is_keyword(&toks[j].text) {
-                        record(&mut item.bound_vars, &toks[j].text);
+                while j <= end && !lexed.is_ident(j, "in") && !punct_at(toks, j, '{') {
+                    if let Some(name) = name_at(j) {
+                        record(&mut item.bound_vars, name);
                     }
                     j += 1;
                 }
                 i = j;
             }
             // `|a, b| …` closure parameter lists.
-            TokKind::Punct if t.text == "|" && closure_opens_here(toks, i) => {
+            _ if t.is_punct('|') && closure_opens_here(lexed, i) => {
                 let mut j = i + 1;
                 while j <= end && !punct_at(toks, j, '|') {
-                    if toks[j].kind == TokKind::Ident && !is_keyword(&toks[j].text) {
-                        // Skip type-ascription idents: `|x: usize|` binds `x`.
-                        let ascribed = j > 0 && punct_at(toks, j - 1, ':');
-                        if !ascribed {
-                            record(&mut item.bound_vars, &toks[j].text);
-                        }
+                    // Skip type-ascription idents: `|x: usize|` binds `x`.
+                    let ascribed = j > 0 && punct_at(toks, j - 1, ':');
+                    if let Some(name) = name_at(j).filter(|_| !ascribed) {
+                        record(&mut item.bound_vars, name);
                     }
                     j += 1;
                 }
@@ -702,15 +750,15 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
             // `=` or `;` at the `let`'s bracket level) is bound; a
             // single-name binding also classifies its initialiser for float
             // tracking.
-            TokKind::Ident if t.text == "let" => {
+            "let" => {
                 let mut j = i + 1;
-                if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
+                if lexed.is_ident(j, "mut") {
                     j += 1;
                 }
                 if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident)
                     && stmt_is_floaty(lexed, j + 1, end)
                 {
-                    record(&mut item.float_vars, &toks[j].text);
+                    record(&mut item.float_vars, lexed.text(j));
                 }
                 let limit = toks.len().min(end + 1);
                 let k = lexed
@@ -718,17 +766,15 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                     .take_while(|&k| k < limit)
                     .find(|&k| punct_at(toks, k, '=') || punct_at(toks, k, ';'))
                     .unwrap_or(limit);
-                for t in &toks[i + 1..k] {
-                    if t.kind == TokKind::Ident && !is_keyword(&t.text) {
-                        record(&mut item.bound_vars, &t.text);
-                    }
+                for name in (i + 1..k).filter_map(name_at) {
+                    record(&mut item.bound_vars, name);
                 }
                 i = k;
             }
             // Bare ascriptions `name: f64` (params, struct literals).
-            TokKind::Ident if matches!(&*t.text, "f64" | "f32") => {
+            "f64" | "f32" => {
                 if i >= 2 && punct_at(toks, i - 1, ':') && toks[i - 2].kind == TokKind::Ident {
-                    record(&mut item.float_vars, &toks[i - 2].text);
+                    record(&mut item.float_vars, lexed.text(i - 2));
                 }
                 i += 1;
             }
@@ -746,23 +792,24 @@ fn record(set: &mut BTreeSet<String>, name: &str) {
 
 /// Heuristic: does the `|` at `i` begin a closure parameter list?
 /// (Distinguishes from bitwise/logical `|` by what precedes it.)
-fn closure_opens_here(toks: &[Token], i: usize) -> bool {
+fn closure_opens_here(lexed: &Lexed, i: usize) -> bool {
     if i == 0 {
         return true;
     }
-    let prev = &toks[i - 1];
+    let prev = &lexed.tokens[i - 1];
     match prev.kind {
-        TokKind::Punct => matches!(&*prev.text, "(" | "," | "=" | "{" | ";" | "&" | ":"),
-        TokKind::Ident => matches!(&*prev.text, "move" | "return" | "else"),
+        TokKind::Punct => matches!(prev.first, b'(' | b',' | b'=' | b'{' | b';' | b'&' | b':'),
+        TokKind::Ident => matches!(lexed.text(i - 1), "move" | "return" | "else"),
         _ => false,
     }
 }
 
-/// True for a token that names a float type or is a float literal.
-pub(crate) fn is_float_token(t: &Token) -> bool {
-    match t.kind {
-        TokKind::Ident => matches!(&*t.text, "f64" | "f32"),
-        TokKind::Num => t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32"),
+/// True for a token `i` that names a float type or is a float literal.
+pub(crate) fn is_float_token(lexed: &Lexed, i: usize) -> bool {
+    let text = || lexed.text(i);
+    match lexed.tokens[i].kind {
+        TokKind::Ident => matches!(text(), "f64" | "f32"),
+        TokKind::Num => text().contains('.') || text().ends_with("f64") || text().ends_with("f32"),
         _ => false,
     }
 }
@@ -773,9 +820,9 @@ pub(crate) fn is_float_token(t: &Token) -> bool {
 fn stmt_is_floaty(lexed: &Lexed, from: usize, end: usize) -> bool {
     let toks = &lexed.tokens;
     let limit = toks.len().min(end + 1);
-    let ends = |t: &Token| t.kind == TokKind::Punct && matches!(&*t.text, ";" | ")" | "]" | "}");
+    let ends = |t: &Token| matches!(t.punct(), Some(b';' | b')' | b']' | b'}'));
     let stop = lexed.level(from).take_while(|&i| i < limit).find(|&i| ends(&toks[i]));
-    toks[from..stop.unwrap_or(limit)].iter().any(is_float_token)
+    (from..stop.unwrap_or(limit)).any(|i| is_float_token(lexed, i))
 }
 
 /// Parses a method call whose `.` sits at `dot`, tolerating turbofish.
@@ -791,12 +838,12 @@ fn parse_method_call(lexed: &Lexed, dot: usize) -> Option<MethodCall> {
     let chained = if punct_at(toks, close + 1, '.')
         && toks.get(close + 2).is_some_and(|t| t.kind == TokKind::Ident)
     {
-        Some(toks[close + 2].text.to_string())
+        Some(lexed.text(close + 2).to_string())
     } else {
         None
     };
     Some(MethodCall {
-        name: name_tok.text.to_string(),
+        name: lexed.text(dot + 1).to_string(),
         line: name_tok.line,
         dot,
         args: (j, close),
@@ -808,14 +855,13 @@ fn parse_method_call(lexed: &Lexed, dot: usize) -> Option<MethodCall> {
 /// must end a value (an identifier that is not a keyword, a close paren, a
 /// close bracket, or a string literal). Attributes (`#[…]`), slice types
 /// (`&[T]`, `&mut [T]`), and array literals never match.
-fn is_index_open(toks: &[Token], i: usize) -> bool {
+fn is_index_open(lexed: &Lexed, i: usize) -> bool {
     if i == 0 {
         return false;
     }
-    let prev = &toks[i - 1];
-    match prev.kind {
-        TokKind::Ident => !is_keyword(&prev.text),
-        TokKind::Punct => matches!(&*prev.text, ")" | "]"),
+    match lexed.tokens[i - 1].kind {
+        TokKind::Ident => !is_keyword(lexed.text(i - 1)),
+        TokKind::Punct => matches!(lexed.tokens[i - 1].first, b')' | b']'),
         TokKind::Str => true,
         _ => false,
     }
@@ -825,12 +871,12 @@ fn is_index_open(toks: &[Token], i: usize) -> bool {
 /// after `;`/`}`/`{`, after an attribute's `]` or a `pub(…)`'s `)`, or
 /// after a visibility / item qualifier keyword. Rejects `-> impl Trait`
 /// return types and `x: impl Fn()` argument positions.
-fn at_item_position(toks: &[Token], i: usize) -> bool {
+fn at_item_position(lexed: &Lexed, i: usize) -> bool {
     let Some(k) = i.checked_sub(1) else { return true };
-    let prev = &toks[k];
+    let prev = &lexed.tokens[k];
     match prev.kind {
-        TokKind::Punct => matches!(&*prev.text, ";" | "}" | "{" | "]" | ")"),
-        TokKind::Ident => matches!(&*prev.text, "pub" | "unsafe" | "const" | "default"),
+        TokKind::Punct => matches!(prev.first, b';' | b'}' | b'{' | b']' | b')'),
+        TokKind::Ident => matches!(lexed.text(k), "pub" | "unsafe" | "const" | "default"),
         _ => false,
     }
 }
@@ -838,9 +884,10 @@ fn at_item_position(toks: &[Token], i: usize) -> bool {
 /// Reads a type/trait path at `j` (`a::b::C`, optional trailing generics),
 /// returning the final segment's token index and the index just past the
 /// path.
-fn read_path(toks: &[Token], j: usize) -> Option<(usize, usize)> {
-    let t = toks.get(j)?;
-    if t.kind != TokKind::Ident || (is_keyword(&t.text) && t.text != "Self") {
+fn read_path(lexed: &Lexed, j: usize) -> Option<(usize, usize)> {
+    let toks = &lexed.tokens;
+    let head = toks.get(j).filter(|t| t.kind == TokKind::Ident).map(|_| lexed.text(j))?;
+    if is_keyword(head) && head != "Self" {
         return None;
     }
     let (last, past) = chain_end(toks, j);
@@ -865,23 +912,25 @@ fn chain_end(toks: &[Token], head: usize) -> (usize, usize) {
 fn impl_block(lexed: &Lexed, i: usize) -> Option<ImplBlock> {
     let toks = &lexed.tokens;
     let j = past_generics(toks, i + 1)?;
-    let (first, mut j) = read_path(toks, j)?;
-    let (trait_name, type_name) = if toks.get(j).is_some_and(|t| t.is_ident("for")) {
+    let (first, mut j) = read_path(lexed, j)?;
+    let (trait_name, type_name) = if lexed.is_ident(j, "for") {
         j += 1;
         // Skip reference/dyn sigils on the implementing type.
-        while toks.get(j).is_some_and(|t| {
-            t.is_punct('&') || t.is_ident("dyn") || t.is_ident("mut") || t.kind == TokKind::Lifetime
-        }) {
+        while punct_at(toks, j, '&')
+            || lexed.is_ident(j, "dyn")
+            || lexed.is_ident(j, "mut")
+            || toks.get(j).is_some_and(|t| t.kind == TokKind::Lifetime)
+        {
             j += 1;
         }
-        let (ty, after) = read_path(toks, j)?;
+        let (ty, after) = read_path(lexed, j)?;
         j = after;
         (Some(first), ty)
     } else {
         (None, first)
     };
     let open = body_open(lexed, j)?;
-    let name = |k: usize| toks[k].text.to_string();
+    let name = |k: usize| lexed.text(k).to_string();
     Some(ImplBlock {
         trait_name: trait_name.map(name),
         type_name: name(type_name),
@@ -894,12 +943,12 @@ fn impl_block(lexed: &Lexed, i: usize) -> Option<ImplBlock> {
 /// struct.
 fn struct_def(lexed: &Lexed, i: usize) -> Option<StructDef> {
     let toks = &lexed.tokens;
-    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident).map(|_| lexed.text(i + 1))?;
     let j = past_generics(toks, i + 2)?;
     // A tuple struct's body comes first; a `where` clause may precede `{`.
     let open = if punct_at(toks, j, '(') { j } else { body_open(lexed, j)? };
     Some(StructDef {
-        name: name.text.to_string(),
+        name: name.to_string(),
         line: toks[i].line,
         body: (open, lexed.close_of(open)),
     })
@@ -916,7 +965,7 @@ fn use_is_pub(lexed: &Lexed, i: usize) -> bool {
         };
         k = prev;
     }
-    toks[k].is_ident("pub")
+    lexed.is_ident(k, "pub")
 }
 
 /// Parses one use tree at `j` below the `segs` already read; emits
@@ -936,15 +985,15 @@ fn use_tree<'t>(
     let owned = |segs: &[&str]| segs.iter().map(|s| s.to_string()).collect();
     let end = loop {
         match toks.get(j) {
-            Some(t) if t.kind == TokKind::Ident && t.text != "as" => {
-                segs.push(&t.text);
+            Some(t) if t.kind == TokKind::Ident && lexed.text(j) != "as" => {
+                segs.push(lexed.text(j));
                 j += 1;
                 if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
                     j += 2;
                     continue;
                 }
-                let alias = if toks.get(j).is_some_and(|t| t.is_ident("as")) {
-                    let a = toks.get(j + 1).map(|t| t.text.to_string());
+                let alias = if lexed.is_ident(j, "as") {
+                    let a = (j + 1 < toks.len()).then(|| lexed.text(j + 1).to_string());
                     j += 2;
                     a
                 } else {
@@ -987,19 +1036,21 @@ fn is_path_head_keyword(word: &str) -> bool {
 /// identifier at `i`. A chain `a::b::name(…)` is recorded once, at its
 /// head, because its later segments follow a `::`; method names (after
 /// `.`), definitions (after `fn` etc.) and macros (before `!`) never match.
-fn free_call_at(toks: &[Token], i: usize, out: &mut Vec<FreeCall>) {
-    let t = &toks[i];
-    if is_keyword(&t.text) && !is_path_head_keyword(&t.text) {
+fn free_call_at(lexed: &Lexed, i: usize, out: &mut Vec<FreeCall>) {
+    let toks = &lexed.tokens;
+    let head = lexed.text(i);
+    if is_keyword(head) && !is_path_head_keyword(head) {
         return;
     }
     // Not a path head if preceded by `.` (method), `::` (path interior),
     // or an item-definition keyword.
     if i > 0 {
         let prev = &toks[i - 1];
-        let def_kw = matches!(
-            &*prev.text,
-            "fn" | "mod" | "struct" | "enum" | "trait" | "use" | "impl" | "macro" | "type"
-        ) && prev.kind == TokKind::Ident;
+        let def_kw = prev.kind == TokKind::Ident
+            && matches!(
+                lexed.text(i - 1),
+                "fn" | "mod" | "struct" | "enum" | "trait" | "use" | "impl" | "macro" | "type"
+            );
         if prev.is_punct('.')
             || def_kw
             || (prev.is_punct(':') && i > 1 && toks[i - 2].is_punct(':'))
@@ -1012,10 +1063,10 @@ fn free_call_at(toks: &[Token], i: usize, out: &mut Vec<FreeCall>) {
     let called = punct_at(toks, past_turbofish(toks, j).unwrap_or(j), '(');
     let qualified = name_tok > i;
     // Bare `self` is a receiver, never a call.
-    if qualified || (called && !t.is_ident("self")) {
+    if qualified || (called && head != "self") {
         out.push(FreeCall {
-            qual: (i..name_tok).step_by(3).map(|k| toks[k].text.to_string()).collect(),
-            name: toks[name_tok].text.to_string(),
+            qual: (i..name_tok).step_by(3).map(|k| lexed.text(k).to_string()).collect(),
+            name: lexed.text(name_tok).to_string(),
             line: toks[name_tok].line,
             tok: name_tok,
             called,
@@ -1131,11 +1182,11 @@ mod tests {
     fn heap_generics_are_spanned() {
         let src = "fn f() { let h: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new(); \
                    let g = std::collections::BinaryHeap::<u8>::new(); }";
-        let (toks, m) = (lex(src).tokens, model(src));
+        let (l, m) = (lex(src), model(src));
         let spans: Vec<String> = m
             .heaps
             .iter()
-            .map(|h| toks[h.angles.0..=h.angles.1].iter().map(|t| &*t.text).collect())
+            .map(|h| (h.angles.0..=h.angles.1).map(|k| l.text(k)).collect())
             .collect();
         assert_eq!(spans, ["<Reverse<(SimTime,usize)>>", "<u8>"]);
     }
@@ -1348,11 +1399,8 @@ mod tests {
             let src = "fn f(s: &mut S) { s.a = g(1, 2); s.b == 3; s.c += 4; self.d = x }";
             (lex(src), model(src))
         };
-        let writes: Vec<(&str, &str)> = m
-            .field_writes
-            .iter()
-            .map(|w| (&*src.tokens[w.dot + 1].text, &*src.tokens[w.rhs_end].text))
-            .collect();
+        let writes: Vec<(&str, &str)> =
+            m.field_writes.iter().map(|w| (src.text(w.dot + 1), src.text(w.rhs_end))).collect();
         assert_eq!(writes, [("a", ")"), ("d", "x")]);
     }
 }

@@ -272,9 +272,8 @@ pub(crate) fn push(
 /// finding per source name the taint pass roots on
 /// ([`flow::named_source`]), wall-clock names outside `crates/bench` only.
 fn named_sources(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        let Some((kind, name)) = flow::named_source(toks, i) else { continue };
+    for (i, t) in ctx.lexed.tokens.iter().enumerate() {
+        let Some((kind, name)) = flow::named_source(ctx.lexed, i) else { continue };
         let (rule, message) = match kind {
             // crates/bench may wall-time real executions (Criterion-style);
             // everything it *simulates* still runs on SimTime.
@@ -307,11 +306,11 @@ fn named_sources(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 fn forbid_unsafe_everywhere(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.lexed.tokens.iter().enumerate() {
-        if t.is_ident("unsafe") {
+    let lexed = ctx.lexed;
+    for (i, t) in lexed.tokens.iter().enumerate() {
+        if lexed.is_ident(i, "unsafe") {
             // Attribute mentions like `forbid(unsafe_code)` lex as the
             // distinct ident `unsafe_code`, so this is a real usage.
-            let _ = i;
             push(
                 findings,
                 ctx,
@@ -323,11 +322,11 @@ fn forbid_unsafe_everywhere(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
     if ctx.is_crate_root() {
         for (attr, arg) in [("forbid", "unsafe_code"), ("warn", "missing_docs")] {
-            let present = ctx.lexed.tokens.windows(4).any(|w| {
-                w[0].is_ident(attr)
-                    && w[1].is_punct('(')
-                    && w[2].is_ident(arg)
-                    && w[3].is_punct(')')
+            let present = (0..lexed.tokens.len().saturating_sub(3)).any(|k| {
+                lexed.is_ident(k, attr)
+                    && lexed.tokens[k + 1].is_punct('(')
+                    && lexed.is_ident(k + 2, arg)
+                    && lexed.tokens[k + 3].is_punct(')')
             });
             if !present {
                 push(
@@ -345,13 +344,14 @@ fn forbid_unsafe_everywhere(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 fn golden_regen_note(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     // Only *declarations* pin a golden: `const GOLDEN_…`, `fn golden_…`.
     // A mere use of an imported golden name is some other file's problem.
-    let toks = &ctx.lexed.tokens;
-    let Some(first_golden) = toks.iter().enumerate().find_map(|(i, t)| {
-        let declares = i > 0
-            && matches!(&*toks[i - 1].text, "const" | "static" | "fn")
-            && toks[i - 1].kind == TokKind::Ident;
-        (declares && t.kind == TokKind::Ident && t.text.to_ascii_lowercase().starts_with("golden"))
-            .then_some(t)
+    let lexed = ctx.lexed;
+    let toks = &lexed.tokens;
+    let Some(first_golden) = (1..toks.len()).find(|&i| {
+        let declares = toks[i - 1].kind == TokKind::Ident
+            && matches!(lexed.text(i - 1), "const" | "static" | "fn");
+        declares
+            && toks[i].kind == TokKind::Ident
+            && lexed.text(i).to_ascii_lowercase().starts_with("golden")
     }) else {
         return;
     };
@@ -361,12 +361,12 @@ fn golden_regen_note(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         push(
             findings,
             ctx,
-            first_golden.line,
+            toks[first_golden].line,
             id::GOLDEN_REGEN_NOTE,
             format!(
                 "`{}` pins a golden but the file has no regeneration note; add a comment \
                  saying how to regenerate the constants (see docs/TESTING.md)",
-                first_golden.text
+                lexed.text(first_golden)
             ),
         );
     }
@@ -390,16 +390,15 @@ pub struct LabelSite {
 /// attribute form `#[derive(Clone)]` never matches because its argument is
 /// an identifier, not a string literal.
 pub fn label_sites(ctx: &FileCtx<'_>) -> Vec<LabelSite> {
-    let toks = &ctx.lexed.tokens;
+    let (lexed, toks) = (ctx.lexed, &ctx.lexed.tokens);
     let mut out = Vec::new();
     for i in 0..toks.len() {
-        if toks[i].is_ident("derive")
+        if lexed.is_ident(i, "derive")
             && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
             && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
         {
-            let lit = &toks[i + 2];
-            let label = lit.text.to_string();
-            out.push(LabelSite { path: ctx.path.clone(), line: lit.line, label });
+            let label = lexed.text(i + 2).to_string();
+            out.push(LabelSite { path: ctx.path.clone(), line: toks[i + 2].line, label });
         }
     }
     out

@@ -49,7 +49,7 @@
 //! handled or carry a written `fslint: allow(panic-path)` reason.
 
 use crate::graph::FileScope;
-use crate::lexer::{Lexed, TokKind, Token};
+use crate::lexer::{Lexed, TokKind};
 use crate::parse::{is_float_token, past_turbofish, FileModel, MethodCall};
 use crate::rules::{id, push, FileCtx, Finding};
 
@@ -85,12 +85,12 @@ fn stable_tiebreak(
     scope: &FileScope,
     findings: &mut Vec<Finding>,
 ) {
-    let toks = &ctx.lexed.tokens;
+    let (lexed, toks) = (ctx.lexed, &ctx.lexed.tokens);
     for call in &model.calls {
         if KEYED.contains(&call.name.as_str()) {
-            let Some(body) = closure_body(toks, call) else { continue };
+            let Some(body) = closure_body(lexed, call) else { continue };
             if scope.in_sched(call.dot) {
-                if !is_tuple_expr(ctx.lexed, body) {
+                if !is_tuple_expr(lexed, body) {
                     push(
                         findings,
                         ctx,
@@ -104,10 +104,10 @@ fn stable_tiebreak(
                             call.name
                         ),
                     );
-                } else if span_mentions_float(toks, body, model, call.dot) {
+                } else if span_mentions_float(lexed, body, model, call.dot) {
                     push_float_key(findings, ctx, call.line, &call.name);
                 }
-            } else if scope.weak_tiebreak(call.dot) && bare_time_key(toks, body) {
+            } else if scope.weak_tiebreak(call.dot) && bare_time_key(lexed, body) {
                 push(
                     findings,
                     ctx,
@@ -125,8 +125,8 @@ fn stable_tiebreak(
             if !scope.in_sched(call.dot) {
                 continue;
             }
-            let Some(body) = closure_body(toks, call) else { continue };
-            check_comparator_body(ctx, model, toks, body, call.line, &call.name, findings);
+            let Some(body) = closure_body(lexed, call) else { continue };
+            check_comparator_body(ctx, model, body, call.line, &call.name, findings);
         }
     }
     // `impl Ord`/`impl PartialOrd` for heap-element types: the `cmp` body
@@ -137,7 +137,7 @@ fn stable_tiebreak(
             continue;
         }
         let what = format!("impl {tr} for {}", im.type_name);
-        check_comparator_body(ctx, model, toks, im.body, im.line, &what, findings);
+        check_comparator_body(ctx, model, im.body, im.line, &what, findings);
     }
     // A heap keyed on bare SimTime pops equal-time entries in heap order.
     for heap in &model.heaps {
@@ -145,7 +145,7 @@ fn stable_tiebreak(
             continue;
         }
         let (open, close) = heap.angles;
-        let mentions_time = toks[open..=close].iter().any(|t| t.is_ident("SimTime"));
+        let mentions_time = (open..=close).any(|k| lexed.is_ident(k, "SimTime"));
         // Any comma in the element type means the time is paired with
         // something — `Reverse<(SimTime, u64)>` nests the tuple arbitrarily
         // deep, so depth is not checked here.
@@ -169,20 +169,20 @@ fn stable_tiebreak(
 fn check_comparator_body(
     ctx: &FileCtx<'_>,
     model: &FileModel,
-    toks: &[Token],
     body: (usize, usize),
     line: u32,
     what: &str,
     findings: &mut Vec<Finding>,
 ) {
-    let has_then = toks[body.0..=body.1]
-        .iter()
-        .any(|t| t.is_ident("then") || t.is_ident("then_with") || t.is_ident("then_cmp"));
+    let lexed = ctx.lexed;
+    let has_then = (body.0..=body.1).any(|k| {
+        lexed.is_ident(k, "then") || lexed.is_ident(k, "then_with") || lexed.is_ident(k, "then_cmp")
+    });
     let calls = model.calls_in(body.0, body.1);
     // Any float comparison inside a scheduling comparator is a finding,
     // tiebreak or not: float keys belong outside the scheduler.
     let float_cmp = calls.iter().any(|c| matches!(c.name.as_str(), "partial_cmp" | "total_cmp"))
-        || span_mentions_float(toks, body, model, body.0);
+        || span_mentions_float(lexed, body, model, body.0);
     if float_cmp {
         push_float_key(findings, ctx, line, what);
         return;
@@ -192,11 +192,11 @@ fn check_comparator_body(
     }
     // `X.cmp(&Y)` where X is a non-tuple chain ending in a time name.
     for c in calls.iter().filter(|c| c.name == "cmp") {
-        if receiver_is_tuple(ctx.lexed, c.dot) {
+        if receiver_is_tuple(lexed, c.dot) {
             continue;
         }
-        if let Some(last) = receiver_tail_ident(toks, c.dot) {
-            if TIME_KEYS.contains(&last.as_str()) {
+        if let Some(last) = receiver_tail_ident(lexed, c.dot) {
+            if TIME_KEYS.contains(&last) {
                 push(
                     findings,
                     ctx,
@@ -215,13 +215,14 @@ fn check_comparator_body(
 
 /// True when a key-closure body is a bare chain ending in a time name
 /// (`|e| e.at`, `|e| *e.start`) — the weak-scope tiebreak check.
-fn bare_time_key(toks: &[Token], (start, end): (usize, usize)) -> bool {
+fn bare_time_key(lexed: &Lexed, (start, end): (usize, usize)) -> bool {
+    let toks = &lexed.tokens;
     let plain_chain = toks[start..=end].iter().all(|t| match t.kind {
         TokKind::Ident => true,
-        TokKind::Punct => matches!(&*t.text, "." | "&" | "*"),
+        TokKind::Punct => matches!(t.first, b'.' | b'&' | b'*'),
         _ => false,
     });
-    plain_chain && toks[end].kind == TokKind::Ident && TIME_KEYS.contains(&&*toks[end].text)
+    plain_chain && toks[end].kind == TokKind::Ident && TIME_KEYS.contains(&lexed.text(end))
 }
 
 fn push_float_key(findings: &mut Vec<Finding>, ctx: &FileCtx<'_>, line: u32, what: &str) {
@@ -243,7 +244,7 @@ fn push_float_key(findings: &mut Vec<Finding>, ctx: &FileCtx<'_>, line: u32, wha
 // ---------------------------------------------------------------------------
 
 fn float_total_order(ctx: &FileCtx<'_>, model: &FileModel, findings: &mut Vec<Finding>) {
-    let toks = &ctx.lexed.tokens;
+    let lexed = ctx.lexed;
     for call in &model.calls {
         if call.name == "partial_cmp" {
             let how = match call.chained.as_deref() {
@@ -267,7 +268,7 @@ fn float_total_order(ctx: &FileCtx<'_>, model: &FileModel, findings: &mut Vec<Fi
                          impossible with `fslint: allow(float-total-order)`"
                 ),
             );
-        } else if let Some(w) = call.nan_absorbing(toks) {
+        } else if let Some(k) = call.nan_absorbing(lexed) {
             push(
                 findings,
                 ctx,
@@ -277,7 +278,9 @@ fn float_total_order(ctx: &FileCtx<'_>, model: &FileModel, findings: &mut Vec<Fi
                     "`{}::{}` inside a `{}` silently absorbs NaN (IEEE minNum/maxNum), so a \
                      poisoned measurement vanishes from the digest; reduce with \
                      `min_by`/`max_by` + `total_cmp`, or give a written reason",
-                    w[0].text, w[3].text, call.name
+                    lexed.text(k),
+                    lexed.text(k + 3),
+                    call.name
                 ),
             );
         }
@@ -298,7 +301,7 @@ fn panic_path(
     scope: &FileScope,
     findings: &mut Vec<Finding>,
 ) {
-    let toks = &ctx.lexed.tokens;
+    let (lexed, toks) = (ctx.lexed, &ctx.lexed.tokens);
     let in_test =
         |i: usize| model.in_test_span(i) || model.enclosing_fn(i).is_some_and(|f| f.in_test);
     let live = |i: usize| scope.in_reach(i) && !in_test(i);
@@ -352,8 +355,9 @@ fn panic_path(
         // param) was established in scope; only computed subscripts carry
         // a claim of their own.
         if inner.len() == 1 && inner[0].kind == TokKind::Ident {
-            let bound =
-                model.enclosing_fn(open).is_some_and(|f| f.bound_vars.contains(&*inner[0].text));
+            let bound = model
+                .enclosing_fn(open)
+                .is_some_and(|f| f.bound_vars.contains(lexed.text(open + 1)));
             if bound {
                 continue;
             }
@@ -379,13 +383,14 @@ fn panic_path(
 /// `|` of the parameter list and the end of the argument list. `None` when
 /// the argument is not a closure literal (e.g. a named comparator fn, which
 /// carries its ordering contract in its own definition).
-fn closure_body(toks: &[Token], call: &MethodCall) -> Option<(usize, usize)> {
+fn closure_body(lexed: &Lexed, call: &MethodCall) -> Option<(usize, usize)> {
+    let toks = &lexed.tokens;
     let (open, close) = call.args;
     if close <= open + 1 {
         return None;
     }
     let mut i = open + 1;
-    if toks[i].is_ident("move") {
+    if lexed.is_ident(i, "move") {
         i += 1;
     }
     if !toks[i].is_punct('|') {
@@ -449,23 +454,24 @@ fn receiver_is_tuple(lexed: &Lexed, dot: usize) -> bool {
 
 /// The last identifier of the receiver chain ending just before `dot`
 /// (`other.entry.at.cmp(..)` → `Some("at")`).
-fn receiver_tail_ident(toks: &[Token], dot: usize) -> Option<String> {
-    let prev = toks.get(dot.checked_sub(1)?)?;
-    (prev.kind == TokKind::Ident).then(|| prev.text.to_string())
+fn receiver_tail_ident(lexed: &Lexed, dot: usize) -> Option<&str> {
+    let prev = dot.checked_sub(1)?;
+    (lexed.tokens[prev].kind == TokKind::Ident).then(|| lexed.text(prev))
 }
 
 /// True if the span references a float literal or an identifier the
 /// enclosing function knows to be float-typed.
 fn span_mentions_float(
-    toks: &[Token],
+    lexed: &Lexed,
     (start, end): (usize, usize),
     model: &FileModel,
     at: usize,
 ) -> bool {
     let floats = model.enclosing_fn(at).map(|f| &f.float_vars);
-    toks[start..=end].iter().any(|t| {
-        is_float_token(t)
-            || (t.kind == TokKind::Ident && floats.is_some_and(|s| s.contains(&*t.text)))
+    (start..=end).any(|k| {
+        is_float_token(lexed, k)
+            || (lexed.tokens[k].kind == TokKind::Ident
+                && floats.is_some_and(|s| s.contains(lexed.text(k))))
     })
 }
 

@@ -223,8 +223,8 @@ pub(crate) fn walk_bindings<'t, T: Clone>(
     let mut vals = Vec::new();
     let mut i = b0;
     while i <= b1 && i < toks.len() {
-        if toks[i].is_ident("let") {
-            let scoped = i > 0 && (toks[i - 1].is_ident("if") || toks[i - 1].is_ident("while"));
+        if lexed.is_ident(i, "let") {
+            let scoped = i > 0 && (lexed.is_ident(i - 1, "if") || lexed.is_ident(i - 1, "while"));
             let (eq, semi) = let_bounds(lexed, i + 1, b1);
             let block = |eq: usize| {
                 lexed.level(eq + 1).take_while(|&k| k <= b1).find(|&k| toks[k].is_punct('{'))
@@ -244,7 +244,7 @@ pub(crate) fn walk_bindings<'t, T: Clone>(
             }
             i = if scoped { i + 1 } else { from + 1 };
         } else if let Some((expr, brace)) =
-            toks[i].is_ident("for").then(|| for_binding(lexed, i, b1, &mut b.names)).flatten()
+            lexed.is_ident(i, "for").then(|| for_binding(lexed, i, b1, &mut b.names)).flatten()
         {
             (b.at, b.is_let, b.ty, b.rhs) = (i, false, None, expr);
             bind(locals, &b, &mut vals);
@@ -273,7 +273,7 @@ pub(crate) fn learn_fields<'a, T, V>(
     for (file, u) in units.iter().enumerate() {
         let mut cache: BTreeMap<usize, Locals<T>> = BTreeMap::new();
         for w in &u.model.field_writes {
-            let fname = &*u.lexed.tokens[w.dot + 1].text;
+            let fname = u.lexed.text(w.dot + 1);
             if known(fname) || learned.iter().any(|&(n, _)| n == fname) {
                 continue;
             }
@@ -344,28 +344,21 @@ pub(crate) fn let_bounds(
     let toks = &lexed.tokens;
     let mut eq = None;
     for i in lexed.level(from).take_while(|&i| i <= limit) {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match &*t.text {
-                ")" | "]" | "}" => break,
-                "=" if eq.is_none() => {
-                    // `>` is NOT compound here: before a let's binding `=`
-                    // it can only be a generic close (`let k: Vec<u64> =`) —
-                    // a real `>=` cannot appear in pattern/type position.
-                    let compound = i > 0
-                        && toks[i - 1].kind == TokKind::Punct
-                        && matches!(
-                            &*toks[i - 1].text,
-                            "=" | "<" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-                        );
-                    let double = toks.get(i + 1).is_some_and(|t| t.is_punct('='));
-                    if !compound && !double {
-                        eq = Some(i);
-                    }
+        match toks[i].punct() {
+            Some(b')' | b']' | b'}') => break,
+            Some(b'=') if eq.is_none() => {
+                // `>` is NOT compound here: before a let's binding `=`
+                // it can only be a generic close (`let k: Vec<u64> =`) —
+                // a real `>=` cannot appear in pattern/type position.
+                let compound =
+                    i > 0 && toks[i - 1].punct().is_some_and(|c| b"=<!+-*/%&|^".contains(&c));
+                let double = toks.get(i + 1).is_some_and(|t| t.is_punct('='));
+                if !compound && !double {
+                    eq = Some(i);
                 }
-                ";" => return (eq, Some(i)),
-                _ => {}
             }
+            Some(b';') => return (eq, Some(i)),
+            _ => {}
         }
     }
     (eq, None)
@@ -391,17 +384,16 @@ pub(crate) fn pattern_names<'t>(
     };
     let colon = lexed.level(from).take_while(|&j| j < end).find(|&j| ascription(j));
     names.clear();
-    names.extend(
-        toks[from..colon.unwrap_or(end)].iter().filter(|t| binding_name(t)).map(|t| &*t.text),
-    );
+    names.extend((from..colon.unwrap_or(end)).filter_map(|k| binding_name(lexed, k)));
     colon
 }
 
-/// True for a lower-case, non-keyword identifier: a pattern binding.
-fn binding_name(t: &Token) -> bool {
-    t.kind == TokKind::Ident
-        && !parse::is_keyword(&t.text)
-        && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+/// The name token `k` binds when it is a lower-case, non-keyword
+/// identifier: a pattern binding.
+fn binding_name(lexed: &Lexed, k: usize) -> Option<&str> {
+    let t = &lexed.tokens[k];
+    let lower = t.first.is_ascii_lowercase() || t.first == b'_';
+    (t.kind == TokKind::Ident && lower).then(|| lexed.text(k)).filter(|w| !parse::is_keyword(w))
 }
 
 /// `for PAT in EXPR {` starting at the `for` at `i`: the bound names,
@@ -417,19 +409,16 @@ pub(crate) fn for_binding<'t>(
     let mut j = i + 1;
     names.clear();
     while j <= limit && j < i + 24 && j < toks.len() {
-        let t = &toks[j];
-        if t.is_ident("in") {
+        if lexed.is_ident(j, "in") {
             break;
         }
-        if t.is_punct('{') || t.is_punct(';') {
+        if toks[j].is_punct('{') || toks[j].is_punct(';') {
             return None;
         }
-        if binding_name(t) {
-            names.push(&t.text);
-        }
+        names.extend(binding_name(lexed, j));
         j += 1;
     }
-    if !toks.get(j).is_some_and(|t| t.is_ident("in")) {
+    if !lexed.is_ident(j, "in") {
         return None;
     }
     let brace = lexed.level(j + 1).take_while(|&k| k <= limit).find(|&k| toks[k].is_punct('{'))?;
@@ -443,8 +432,9 @@ mod tests {
 
     /// The first and the last index of a token spelled `text`.
     fn first_last(l: &Lexed, text: &str) -> (usize, usize) {
-        let at = |t: &Token| t.text == text;
-        (l.tokens.iter().position(at).unwrap(), l.tokens.iter().rposition(at).unwrap())
+        let mut at = (0..l.tokens.len()).filter(|&i| l.text(i) == text);
+        let first = at.next().unwrap();
+        (first, at.next_back().unwrap_or(first))
     }
 
     #[test]

@@ -54,8 +54,8 @@
 //! checking the right.
 
 use crate::graph::{FileUnit, Graph};
-use crate::lexer::{Lexed, TokKind, Token};
-use crate::parse::{self, rhs_end, FreeCall};
+use crate::lexer::{Lexed, TokKind};
+use crate::parse::{self, rhs_end, FreeCall, Receiver};
 use crate::rules::{id, Finding};
 use crate::summary::{self, call_args, field_read_shape, split_args, Locals};
 use std::cell::RefCell;
@@ -507,12 +507,7 @@ impl<'a> Units<'a> {
             .iter()
             .map(|node| {
                 let u = &units[node.file];
-                let toks = &u.lexed.tokens;
-                let time = |(t0, t1): (usize, usize)| {
-                    toks[t0..=t1]
-                        .iter()
-                        .any(|t| t.kind == TokKind::Ident && TIME_TYPES.contains(&&*t.text))
-                };
+                let time = |ty| u.lexed.idents(ty).any(|t| TIME_TYPES.contains(&t));
                 let sig = &u.model.fns[node.fn_idx].sig;
                 sig.params
                     .iter()
@@ -546,7 +541,6 @@ impl<'a> Units<'a> {
     /// a struct-returning fn does not hand its unit to the whole struct.
     fn seed_summary(&self, n: usize) -> Option<UnitSummary> {
         let node = &self.graph.nodes[n];
-        let toks = &self.units[node.file].lexed.tokens;
         let ret = self.unit_return(n)?;
         if let Some(named) = name_dim(node.name) {
             return Some(UnitSummary {
@@ -556,17 +550,13 @@ impl<'a> Units<'a> {
                 what: format!("`{}` is {}", node.name, named.label()),
             });
         }
-        for t in &toks[ret.0..=ret.1] {
-            if t.kind == TokKind::Ident && TIME_TYPES.contains(&&*t.text) {
-                return Some(UnitSummary {
-                    dim: Dim::base("nanos"),
-                    line: node.line,
-                    via: None,
-                    what: format!("`{}` returns `{}` (sim time in nanos)", node.name, t.text),
-                });
-            }
-        }
-        None
+        let t = self.units[node.file].lexed.idents(ret).find(|t| TIME_TYPES.contains(t))?;
+        Some(UnitSummary {
+            dim: Dim::base("nanos"),
+            line: node.line,
+            via: None,
+            what: format!("`{}` returns `{t}` (sim time in nanos)", node.name),
+        })
     }
 
     /// Node `n`'s return-type span when it can carry ONE unit: every
@@ -577,14 +567,11 @@ impl<'a> Units<'a> {
     fn unit_return(&self, n: usize) -> Option<(usize, usize)> {
         let node = &self.graph.nodes[n];
         let u = &self.units[node.file];
-        let (r0, r1) = u.model.fns[node.fn_idx].sig.ret?;
-        let mut idents = u.lexed.tokens[r0..=r1]
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident && !parse::is_keyword(&t.text))
-            .peekable();
+        let ret = u.model.fns[node.fn_idx].sig.ret?;
+        let mut idents = u.lexed.idents(ret).filter(|t| !parse::is_keyword(t)).peekable();
         let bearing = idents.peek().is_some()
-            && idents.all(|t| NUM_TYPES.contains(&&*t.text) || TIME_TYPES.contains(&&*t.text));
-        bearing.then_some((r0, r1))
+            && idents.all(|t| NUM_TYPES.contains(&t) || TIME_TYPES.contains(&t));
+        bearing.then_some(ret)
     }
 
     /// Node `n`'s return unit from earlier rounds': the join of its
@@ -755,18 +742,14 @@ impl<'a> Units<'a> {
         let mut term_cuts: Vec<usize> = Vec::new();
         let last = hi;
         for i in lexed.level(lo).take_while(|&i| i <= last) {
-            let t = &toks[i];
-            if t.kind != TokKind::Punct {
-                continue;
-            }
-            match &*t.text {
-                "+" | "-" => {
-                    let arrow = t.text == "-" && toks.get(i + 1).is_some_and(|n| n.is_punct('>'));
-                    if i > lo && ends_value(&toks[i - 1]) && !arrow {
+            match toks[i].punct() {
+                Some(op @ (b'+' | b'-')) => {
+                    let arrow = op == b'-' && toks.get(i + 1).is_some_and(|n| n.is_punct('>'));
+                    if i > lo && ends_value(lexed, i - 1) && !arrow {
                         term_cuts.push(i);
                     }
                 }
-                "%" => {
+                Some(b'%') => {
                     hi = i.saturating_sub(1);
                     break;
                 }
@@ -806,9 +789,9 @@ impl<'a> Units<'a> {
         let toks = &lexed.tokens;
         let mut cuts: Vec<(usize, char)> = Vec::new();
         for i in lexed.level(lo).take_while(|&i| i <= hi) {
-            let t = &toks[i];
-            if (t.is_punct('*') || t.is_punct('/')) && i > lo && ends_value(&toks[i - 1]) {
-                cuts.push((i, t.text.chars().next().unwrap_or('*')));
+            let op = toks[i].punct().filter(|&c| c == b'*' || c == b'/');
+            if let Some(op) = op.filter(|_| i > lo && ends_value(lexed, i - 1)) {
+                cuts.push((i, char::from(op)));
             }
         }
         let mut result = Inferred::scalar();
@@ -837,7 +820,7 @@ impl<'a> Units<'a> {
     /// `Scalar`.
     fn eval_factor(&self, file: usize, lo: usize, hi: usize, locals: &ULocals<'a>) -> Inferred {
         let u = &self.units[file];
-        let toks = &u.lexed.tokens;
+        let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
         if lo > hi || lo >= toks.len() {
             return Inferred::unknown();
         }
@@ -915,7 +898,7 @@ impl<'a> Units<'a> {
         if !u.model.macros_in(lo, hi).is_empty() {
             return Inferred::unknown();
         }
-        if toks[lo..=hi].iter().any(|t| t.kind == TokKind::Num && conversion_literal(&t.text)) {
+        if (lo..=hi).any(|k| toks[k].kind == TokKind::Num && conversion_literal(lexed.text(k))) {
             return Inferred::unknown();
         }
         if let Some((ev, _)) = call_ev {
@@ -925,13 +908,17 @@ impl<'a> Units<'a> {
         let mut unresolved = false;
         for i in lo..=hi {
             let t = &toks[i];
-            if t.kind != TokKind::Ident || parse::is_keyword(&t.text) {
+            if t.kind != TokKind::Ident {
                 continue;
             }
-            if NUM_TYPES.contains(&&*t.text) || matches!(&*t.text, "bool" | "char" | "None") {
+            let name = lexed.text(i);
+            if parse::is_keyword(name)
+                || NUM_TYPES.contains(&name)
+                || matches!(name, "bool" | "char" | "None")
+            {
                 continue;
             }
-            let (name, at) = (&*t.text, Site { file, line: t.line });
+            let at = Site { file, line: t.line };
             let hit = |dim: Dim, hop: Hop<'a>| found(dim, leaf(hop), None, i, t.line);
             let after_dot = i > 0 && toks[i - 1].is_punct('.');
             let in_path = i > 1 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
@@ -961,14 +948,14 @@ impl<'a> Units<'a> {
             if let Some(named) = name_dim(name) {
                 return hit(named.dim, Hop::Named { kind: Named::Value, name, at });
             }
-            if t.text.starts_with(|c: char| c.is_ascii_uppercase()) {
+            if t.first.is_ascii_uppercase() {
                 // A type/variant mention, not a value.
                 let heads_literal = toks.get(i + 1).is_some_and(|n| n.is_punct('{'));
                 if !heads_literal {
                     // Upper-case consts (e.g. `QUEUE_CAP`) are values we
                     // cannot resolve — poison like any unknown ident,
                     // unless the name carried a suffix (handled above).
-                    if t.text.chars().all(|c| !c.is_ascii_lowercase()) {
+                    if !name.bytes().any(|c| c.is_ascii_lowercase()) {
                         unresolved = true;
                     }
                 }
@@ -1032,7 +1019,7 @@ impl<'a> Units<'a> {
         let (b0, b1) = body;
         let mut i = b0;
         while i <= b1 && i < toks.len() {
-            let Some((rhs_from, op_desc)) = binary_op_at(toks, i) else {
+            let Some((rhs_from, op_desc)) = binary_op_at(&u.lexed, i) else {
                 i += 1;
                 continue;
             };
@@ -1045,7 +1032,6 @@ impl<'a> Units<'a> {
                     if ld != rd {
                         out.push(self.mismatch_finding(
                             file,
-                            toks,
                             i,
                             op_desc,
                             (ll, lh, &l, ld),
@@ -1064,7 +1050,6 @@ impl<'a> Units<'a> {
     fn mismatch_finding(
         &self,
         file: usize,
-        toks: &[Token],
         op_tok: usize,
         op_desc: &'static str,
         left: (usize, usize, &Inferred, &Dim),
@@ -1072,19 +1057,18 @@ impl<'a> Units<'a> {
         scope: Option<&crate::graph::FileScope>,
     ) -> Finding {
         let u = &self.units[file];
+        let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
         let (ll, lh, l, ld) = left;
         let (rl, rh, r, rd) = right;
-        let lt = span_text(toks, ll, lh);
-        let rt = span_text(toks, rl, rh);
+        let lt = span_text(lexed, ll, lh);
+        let rt = span_text(lexed, rl, rh);
         let lc = self.render(l.chain).join(" -> ");
         let rc = self.render(r.chain).join(" -> ");
         let is_cmp = matches!(op_desc, "comparison");
         let mentions_cfg = |lo: usize, hi: usize| {
-            toks[lo..=hi.min(toks.len() - 1)].iter().any(|t| {
-                t.kind == TokKind::Ident && {
-                    let low = t.text.to_ascii_lowercase();
-                    low.contains("threshold") || low.contains("cfg") || low.contains("config")
-                }
+            lexed.idents((lo, hi.min(toks.len() - 1))).any(|t| {
+                let low = t.to_ascii_lowercase();
+                low.contains("threshold") || low.contains("cfg") || low.contains("config")
             })
         };
         let (rule, advice) = if ld.is_rate() || rd.is_rate() {
@@ -1131,7 +1115,6 @@ impl<'a> Units<'a> {
         out: &mut Vec<Finding>,
     ) {
         let u = &self.units[file];
-        let toks = &u.lexed.tokens;
         let (b0, b1) = body;
         for fc in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called) {
             let Some((open, close)) = call_args(&u.lexed, fc.tok) else { continue };
@@ -1152,7 +1135,7 @@ impl<'a> Units<'a> {
                                 "unit mismatch in constructor argument: `{q}::{ctor}` expects \
                                  {expect} but `{}` is {} ({}); pick the constructor matching the \
                                  value's unit",
-                                span_text(toks, open + 1, close - 1),
+                                span_text(&u.lexed, open + 1, close - 1),
                                 ad.render(),
                                 self.render(a.chain).join(" -> ")
                             ),
@@ -1166,12 +1149,17 @@ impl<'a> Units<'a> {
             if callee_params.iter().all(|(_, d)| d.is_none()) {
                 continue;
             }
-            for (k, (alo, ahi)) in split_args(&u.lexed, open, close).into_iter().enumerate() {
+            // A method called through its type's path (`S::wait(s, d)`)
+            // takes its receiver as the first argument; `params` holds the
+            // named parameters only.
+            let callee = &self.graph.nodes[n];
+            let receiver = self.units[callee.file].model.fns[callee.fn_idx].sig.receiver;
+            let args = split_args(&u.lexed, open, close).into_iter();
+            for (k, (alo, ahi)) in args.skip(usize::from(receiver != Receiver::None)).enumerate() {
                 let Some((pname, Some(pd))) = callee_params.get(k) else { continue };
                 let a = self.eval_span(file, alo, ahi, locals);
                 if let Unit::Of(ad) = &a.unit {
                     if ad != pd {
-                        let callee = &self.graph.nodes[n];
                         out.push(Finding {
                             path: u.path.clone(),
                             line: fc.line,
@@ -1184,7 +1172,7 @@ impl<'a> Units<'a> {
                                 self.units[callee.file].path,
                                 callee.line,
                                 pd.render(),
-                                span_text(toks, alo, ahi),
+                                span_text(&u.lexed, alo, ahi),
                                 ad.render(),
                                 self.render(a.chain).join(" -> ")
                             ),
@@ -1206,7 +1194,7 @@ impl<'a> Units<'a> {
             }
             let toks = &u.lexed.tokens;
             for (i, t) in toks.iter().enumerate() {
-                if t.kind != TokKind::Num || !raw_conversion_int(&t.text) {
+                if t.kind != TokKind::Num || !raw_conversion_int(u.lexed.text(i)) {
                     continue;
                 }
                 let scaled = [i.checked_sub(1).map(|p| &toks[p]), toks.get(i + 1)]
@@ -1223,7 +1211,7 @@ impl<'a> Units<'a> {
                              named constructors (`from_micros`/`from_millis`/`from_secs`) or the \
                              NANOS_PER_MICRO/NANOS_PER_MILLI/NANOS_PER_SEC consts so the target \
                              unit stays explicit (a named count const is fine too)",
-                            t.text
+                            u.lexed.text(i)
                         ),
                     });
                 }
@@ -1248,32 +1236,26 @@ fn return_spans(lexed: &Lexed, body: (usize, usize)) -> Vec<(usize, usize)> {
     let (b0, b1) = body;
     let mut spans = Vec::new();
     let last = b1.min(toks.len().saturating_sub(1));
-    for (i, t) in toks.iter().enumerate().take(last).skip(b0 + 1) {
-        if t.is_ident("return") {
-            // `rhs_end` returns the expression's last token.
-            if let Some(end) = rhs_end(lexed, i + 1) {
-                spans.push((i + 1, end));
-            }
+    for i in (b0 + 1..last).filter(|&i| lexed.is_ident(i, "return")) {
+        // `rhs_end` returns the expression's last token.
+        if let Some(end) = rhs_end(lexed, i + 1) {
+            spans.push((i + 1, end));
         }
     }
     // Trailing expression: whatever follows the body's last `;`.
     let semis = lexed.level(b0 + 1).take_while(|&i| i < last).filter(|&i| toks[i].is_punct(';'));
     let start = semis.last().map_or(b0 + 1, |semi| semi + 1);
-    if start < last
-        && !toks[start].is_ident("for")
-        && !toks[start].is_ident("while")
-        && !toks[start].is_ident("loop")
-        && !toks[start].is_ident("let")
-    {
+    if start < last && !["for", "while", "loop", "let"].iter().any(|k| lexed.is_ident(start, k)) {
         spans.push((start, last - 1));
     }
     spans
 }
 
-/// True when `t` can end a value, so that an operator after it is binary:
-/// a non-keyword identifier, a number, or a closing `)` or `]`.
-fn ends_value(t: &Token) -> bool {
-    (t.kind == TokKind::Ident && !parse::is_keyword(&t.text))
+/// True when token `i` can end a value, so that an operator after it is
+/// binary: a non-keyword identifier, a number, or a closing `)` or `]`.
+fn ends_value(lexed: &Lexed, i: usize) -> bool {
+    let t = &lexed.tokens[i];
+    (t.kind == TokKind::Ident && !parse::is_keyword(lexed.text(i)))
         || t.kind == TokKind::Num
         || t.is_punct(')')
         || t.is_punct(']')
@@ -1281,36 +1263,32 @@ fn ends_value(t: &Token) -> bool {
 
 /// Identifies a binary operator starting at token `i`; returns the index
 /// the right operand starts at and a description of the op class.
-fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
-    let t = &toks[i];
-    if t.kind != TokKind::Punct {
-        return None;
-    }
+fn binary_op_at(lexed: &Lexed, i: usize) -> Option<(usize, &'static str)> {
+    let toks = &lexed.tokens;
+    let op = toks[i].punct()?;
     let prev = i.checked_sub(1).map(|p| &toks[p]);
     let next = toks.get(i + 1);
-    let prev_value = prev.is_some_and(ends_value);
+    let prev_value = i.checked_sub(1).is_some_and(|p| ends_value(lexed, p));
     let prev_is = |c: char| prev.is_some_and(|p| p.is_punct(c));
     let next_is = |c: char| next.is_some_and(|n| n.is_punct(c));
-    match &*t.text {
-        "+" | "-" if prev_value && !next_is('>') && !next_is('=') => Some((i + 1, "addition")),
-        "+" | "-" if prev_value && next_is('=') => Some((i + 2, "compound assignment")),
-        "<" if prev_value
+    match op {
+        b'+' | b'-' if prev_value && !next_is('>') && !next_is('=') => Some((i + 1, "addition")),
+        b'+' | b'-' if prev_value && next_is('=') => Some((i + 2, "compound assignment")),
+        b'<' if prev_value
             && !prev_is('<')
             && !prev_is(':')
             && !next_is('<')
-            && !prev.is_some_and(|p| {
-                p.kind == TokKind::Ident && p.text.starts_with(|c: char| c.is_ascii_uppercase())
-            }) =>
+            && !prev.is_some_and(|p| p.kind == TokKind::Ident && p.first.is_ascii_uppercase()) =>
         {
             Some((if next_is('=') { i + 2 } else { i + 1 }, "comparison"))
         }
-        ">" if prev_value && !prev_is('-') && !prev_is('=') && !prev_is('>') && !next_is('>') => {
+        b'>' if prev_value && !prev_is('-') && !prev_is('=') && !prev_is('>') && !next_is('>') => {
             Some((if next_is('=') { i + 2 } else { i + 1 }, "comparison"))
         }
         // Plain `=` assignments are bindings, not combinations — the
         // binding rules (lets, field discovery) own those; only `==`
         // compares two existing quantities.
-        "=" if next_is('=')
+        b'=' if next_is('=')
             && !prev_is('=')
             && !prev_is('!')
             && !prev_is('<')
@@ -1326,7 +1304,7 @@ fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
         {
             Some((i + 2, "comparison"))
         }
-        "!" if next_is('=') => Some((i + 2, "comparison")),
+        b'!' if next_is('=') => Some((i + 2, "comparison")),
         _ => None,
     }
 }
@@ -1334,26 +1312,26 @@ fn binary_op_at(toks: &[Token], i: usize) -> Option<(usize, &'static str)> {
 /// True when token `j`, met walking an operand's bracket level (`back`
 /// toward its start, else toward its end), is an expression boundary:
 /// the operand lies strictly on this side of it.
-fn ends_operand(toks: &[Token], j: usize, back: bool) -> bool {
-    let t = &toks[j];
+fn ends_operand(lexed: &Lexed, j: usize, back: bool) -> bool {
+    let (toks, t) = (&lexed.tokens, &lexed.tokens[j]);
     match t.kind {
-        TokKind::Punct => match &*t.text {
-            ";" | "," | "=" | "<" | ">" | "+" | "-" | "&" | "|" | "?" | ":" => true,
+        TokKind::Punct => match t.first {
+            b';' | b',' | b'=' | b'<' | b'>' | b'+' | b'-' | b'&' | b'|' | b'?' | b':' => true,
             // Behind, the enclosing group's opener (or a `!`); ahead, its
             // closer. A `{` ends either walk: behind, it opens the
             // enclosing block; ahead, a block or struct body.
-            "(" | "[" | "!" => back,
-            ")" | "]" | "}" => !back,
-            "{" => true,
+            b'(' | b'[' | b'!' => back,
+            b')' | b']' | b'}' => !back,
+            b'{' => true,
             // A `..` range.
-            "." => {
+            b'.' => {
                 toks.get(j + 1).is_some_and(|n| n.is_punct('.'))
                     || (j > 0 && toks[j - 1].is_punct('.'))
             }
             _ => false,
         },
         TokKind::Ident => matches!(
-            &*t.text,
+            lexed.text(j),
             "return" | "let" | "if" | "else" | "while" | "match" | "in" | "for" | "loop"
         ),
         _ => false,
@@ -1368,7 +1346,7 @@ fn operand_back(lexed: &Lexed, from: usize, floor: usize) -> Option<(usize, usiz
         return None;
     }
     let mut walk = lexed.level_back(from).take_while(|&j| j >= floor);
-    let lo = walk.find(|&j| ends_operand(&lexed.tokens, j, true)).map_or(floor, |j| j + 1);
+    let lo = walk.find(|&j| ends_operand(lexed, j, true)).map_or(floor, |j| j + 1);
     (lo <= from).then_some((lo, from))
 }
 
@@ -1382,18 +1360,18 @@ fn operand_fwd(lexed: &Lexed, from: usize, ceil: usize) -> Option<(usize, usize)
     }
     let ceil = ceil.min(toks.len() - 1);
     let mut walk = lexed.level(from).take_while(|&j| j <= ceil);
-    let j = walk.find(|&j| ends_operand(toks, j, false)).unwrap_or(ceil + 1);
+    let j = walk.find(|&j| ends_operand(lexed, j, false)).unwrap_or(ceil + 1);
     (j > from).then_some((from, j - 1))
 }
 
 /// A short rendering of a token span for messages.
-fn span_text(toks: &[Token], lo: usize, hi: usize) -> String {
-    let hi = hi.min(toks.len().saturating_sub(1));
+fn span_text(lexed: &Lexed, lo: usize, hi: usize) -> String {
+    let hi = hi.min(lexed.tokens.len().saturating_sub(1));
     let mut parts: Vec<&str> = Vec::new();
-    for t in toks.iter().take(hi + 1).skip(lo).take(10) {
-        parts.push(match t.kind {
+    for k in (lo..=hi).take(10) {
+        parts.push(match lexed.tokens[k].kind {
             TokKind::Str => "\"..\"",
-            _ => &*t.text,
+            _ => lexed.text(k),
         });
     }
     let mut s = parts.join(" ");

@@ -35,13 +35,15 @@ fn lexer_resynchronises_after_tricky_constructs() {
 fn raw_string_hash_counts_nest_correctly() {
     use fslint::lexer::{lex, TokKind};
     let l = lex(r####"let x = r##"inner r#"deep"# HashMap"##; let y = HashSet::new();"####);
-    let strs: Vec<_> =
-        l.tokens.iter().filter(|t| t.kind == TokKind::Str).map(|t| t.text.to_string()).collect();
-    assert_eq!(strs, vec![r##"inner r#"deep"# HashMap"##.to_string()]);
+    let strs: Vec<_> = (0..l.tokens.len())
+        .filter(|&i| l.tokens[i].kind == TokKind::Str)
+        .map(|i| l.text(i))
+        .collect();
+    assert_eq!(strs, vec![r##"inner r#"deep"# HashMap"##]);
     // The HashMap inside the raw string is invisible; the HashSet after it
     // is real code and must be visible.
-    assert!(!l.tokens.iter().any(|t| t.is_ident("HashMap")));
-    assert!(l.tokens.iter().any(|t| t.is_ident("HashSet")));
+    assert!(!(0..l.tokens.len()).any(|i| l.is_ident(i, "HashMap")));
+    assert!((0..l.tokens.len()).any(|i| l.is_ident(i, "HashSet")));
 }
 
 #[test]
@@ -50,7 +52,7 @@ fn nested_block_comments_close_at_the_right_depth() {
     let l = lex("/* a /* b /* c */ b */ a */ let real = 1;");
     assert_eq!(l.comments.len(), 1);
     assert!(l.comments[0].text.contains("c"));
-    assert!(l.tokens.iter().any(|t| t.is_ident("real")));
+    assert!((0..l.tokens.len()).any(|i| l.is_ident(i, "real")));
 }
 
 #[test]
@@ -59,9 +61,9 @@ fn raw_identifiers_resolve_to_their_name() {
     // `r#type` is the identifier `type`, not a raw string opener; the
     // string after it must still lex as one string.
     let l = lex(r#"let r#type = "HashMap"; let done = 0;"#);
-    assert!(l.tokens.iter().any(|t| t.is_ident("type")));
-    assert!(l.tokens.iter().any(|t| t.is_ident("done")));
-    assert!(!l.tokens.iter().any(|t| t.is_ident("HashMap")));
+    assert!((0..l.tokens.len()).any(|i| l.is_ident(i, "type")));
+    assert!((0..l.tokens.len()).any(|i| l.is_ident(i, "done")));
+    assert!(!(0..l.tokens.len()).any(|i| l.is_ident(i, "HashMap")));
 }
 
 #[test]
@@ -71,5 +73,5 @@ fn char_literals_and_lifetimes_disambiguate() {
     assert_eq!(l.tokens.iter().filter(|t| t.kind == TokKind::Lifetime).count(), 2);
     assert_eq!(l.tokens.iter().filter(|t| t.kind == TokKind::Char).count(), 3);
     // Nothing after the '"' char literal may be swallowed as a string.
-    assert!(l.tokens.iter().any(|t| t.is_ident("c")));
+    assert!((0..l.tokens.len()).any(|i| l.is_ident(i, "c")));
 }

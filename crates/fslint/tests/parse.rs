@@ -17,7 +17,7 @@ fn item<'m>(m: &'m FileModel, name: &str) -> &'m FnItem {
 
 /// The tokens of `span`, space-joined.
 fn text(lexed: &Lexed, (lo, hi): (usize, usize)) -> String {
-    lexed.tokens[lo..=hi].iter().map(|t| &*t.text).collect::<Vec<_>>().join(" ")
+    (lo..=hi).map(|i| lexed.text(i)).collect::<Vec<_>>().join(" ")
 }
 
 /// `(name, type text, type name, &mut)` per parameter.
@@ -59,7 +59,7 @@ fn qualified_types_are_named_by_their_last_segment() {
 fn receivers_distinguish_owned_shared_and_exclusive_self() {
     let (_, m) = model(
         "impl W { fn a(&self) {} fn b(&mut self, n: u64) {} fn c(mut self) -> W { self } \
-         fn d(self) {} fn e(n: u64) {} }",
+         fn d(self) {} fn e(n: u64) {} fn f(mut self: Box<Self>, t_ms: u64) {} }",
     );
     let receiver = |name: &str| item(&m, name).sig.receiver;
     assert_eq!(receiver("a"), Receiver::Ref);
@@ -67,7 +67,9 @@ fn receivers_distinguish_owned_shared_and_exclusive_self() {
     assert_eq!(receiver("c"), Receiver::Value, "a by-value `mut self` consumes its receiver");
     assert_eq!(receiver("d"), Receiver::Value);
     assert_eq!(receiver("e"), Receiver::None);
+    assert_eq!(receiver("f"), Receiver::Typed);
     assert_eq!(item(&m, "b").sig.params.len(), 1, "`self` is no named parameter");
+    assert_eq!(item(&m, "f").sig.params.len(), 1, "nor is a typed `self`");
 }
 
 #[test]

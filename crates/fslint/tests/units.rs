@@ -152,6 +152,35 @@ fn nanos_into_a_millis_parameter_fires_across_crates() {
 }
 
 #[test]
+fn a_type_qualified_method_call_passes_its_receiver_first() {
+    // `S::wait(s, d_secs)`: `s` is the receiver, so `d_secs` meets the
+    // first named parameter `t_ms`, for `&self` and `self: Box<Self>`.
+    let findings = unit_findings("ufcs_arg_pos");
+    let mut callees: Vec<&str> = findings
+        .iter()
+        .map(|f| {
+            assert_eq!((f.rule, f.line), ("unit-mismatch", 24), "{f:?}");
+            assert!(f.message.contains("`t_ms`") && f.message.contains("`d_secs`"), "{f:?}");
+            if f.message.contains("`wait_boxed`") {
+                "wait_boxed"
+            } else {
+                "wait"
+            }
+        })
+        .collect();
+    callees.sort_unstable();
+    assert_eq!(callees, ["wait", "wait_boxed"], "{findings:?}");
+}
+
+#[test]
+fn a_type_qualified_receiver_is_no_parameter() {
+    // `S::wait(budget_secs, d_ms)`: the seconds-named receiver is not
+    // paired with `t_ms`; the millis argument after it agrees.
+    let findings = unit_findings("ufcs_arg_neg");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn an_imported_helper_carries_its_return_unit() {
     // `use crate::util::deadline;` then `deadline(3)`: the import names
     // the callee, whose millis return meets a limit in seconds.
