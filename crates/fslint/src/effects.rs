@@ -216,9 +216,11 @@ fn add<'a>(effects: &mut Vec<Effect<'a>>, e: Effect<'a>) {
 }
 
 /// The parameter of `sig` named `name`, if its type names a type (a
-/// write through it needs an owner).
-fn param<'s>(sig: &'s FnSig, name: &str) -> Option<&'s Param> {
-    sig.params.iter().find(|p| p.name == name && !p.ty_name.is_empty())
+/// write through it needs an owner): that type's name, and true for a
+/// `&mut` type.
+fn param<'l>(lexed: &'l Lexed, sig: &FnSig, name: &str) -> Option<(&'l str, bool)> {
+    let mut named = sig.params.iter().filter(|p| lexed.text(p.name) == name);
+    named.find_map(|p| Some((lexed.text(p.ty_name?), p.mut_ref)))
 }
 
 /// Runs the effect analysis: the three rule findings plus the per-node
@@ -271,10 +273,8 @@ fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec
                 }
             } else if is_screaming(root) {
                 add(&mut out, Effect::at(E_STATIC, root, written, line));
-            } else if let Some(p) = param(sig, root) {
-                if p.mut_ref {
-                    add(&mut out, Effect::at(E_WRITE, &p.ty_name, place, line));
-                }
+            } else if let Some((ty, true)) = param(&u.lexed, sig, root) {
+                add(&mut out, Effect::at(E_WRITE, ty, place, line));
             }
         }
         // `*param = …`: a whole-value write through a `&mut` parameter.
@@ -283,8 +283,8 @@ fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec
             && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
             && assign_after(toks, i + 2)
         {
-            if let Some(p) = param(sig, u.lexed.text(i + 1)).filter(|p| p.mut_ref) {
-                add(&mut out, Effect::at(E_WRITE, &p.ty_name, "*", toks[i + 1].line));
+            if let Some((ty, true)) = param(&u.lexed, sig, u.lexed.text(i + 1)) {
+                add(&mut out, Effect::at(E_WRITE, ty, "*", toks[i + 1].line));
             }
         }
     }
@@ -293,7 +293,7 @@ fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec
     // scheduler primitives.
     let sched_gate = SCHED_GATE.iter().any(|g| graph.mentions(node.file, g));
     for c in u.model.calls_in(b0, b1) {
-        let name = c.name.as_str();
+        let name = u.lexed.text(c.name);
         if DRAWS.contains(&name) && graph.mentions(node.file, "Stream") {
             add(&mut out, Effect::at(E_RNG, "Stream", name, c.line));
         }
@@ -321,20 +321,20 @@ fn direct_effects<'a>(units: &'a [FileUnit], graph: &Graph<'a>, n: usize) -> Vec
             }
         } else if is_screaming(root) {
             add(&mut out, Effect::at(E_STATIC, root, hop.unwrap_or("*"), c.line));
-        } else if let Some(p) = param(sig, root) {
+        } else if let Some((ty, mut_ref)) = param(&u.lexed, sig, root) {
             let place = hop.unwrap_or("*");
             if is_int {
-                add(&mut out, Effect::at(E_INTERIOR, &p.ty_name, place, c.line));
-            } else if p.mut_ref {
-                add(&mut out, Effect::at(E_WRITE, &p.ty_name, place, c.line));
+                add(&mut out, Effect::at(E_INTERIOR, ty, place, c.line));
+            } else if mut_ref {
+                add(&mut out, Effect::at(E_WRITE, ty, place, c.line));
             }
         }
     }
     // Free-call scheduler primitives (`schedule_event(&mut q, ..)`).
     if sched_gate {
         let free = u.model.free_calls_in(b0, b1).iter();
-        for c in free.filter(|c| c.called && c.name.starts_with("schedule")) {
-            add(&mut out, Effect::at(E_SCHED, "scheduler", &c.name, c.line));
+        for c in free.filter(|c| c.called && u.lexed.text(c.name).starts_with("schedule")) {
+            add(&mut out, Effect::at(E_SCHED, "scheduler", u.lexed.text(c.name), c.line));
         }
     }
     out
@@ -368,7 +368,8 @@ impl<'a> Effects<'a> {
                     let edge = *uses
                         .entry((n, m))
                         .or_insert_with(|| EdgeUse::read(self.units, self.graph, n, m));
-                    let callee_owner = self.graph.nodes[m].owner;
+                    let callee = &self.graph.nodes[m];
+                    let ty = |p: &Param| p.ty_name.map(|k| self.units[callee.file].lexed.text(k));
                     let callee_params = &sig_of(self.units, self.graph, m).params;
                     for e in &self.summaries[m] {
                         // The precision filter: a write to the callee's
@@ -376,7 +377,7 @@ impl<'a> Effects<'a> {
                         // receiver is a caller-local value.
                         if edge.owned_stays
                             && (e.kind == E_WRITE || e.kind == E_INTERIOR)
-                            && callee_owner == Some(e.owner)
+                            && callee.owner == Some(e.owner)
                         {
                             continue;
                         }
@@ -387,7 +388,7 @@ impl<'a> Effects<'a> {
                         // own stack slot.
                         if edge.args_stay
                             && e.kind == E_WRITE
-                            && callee_params.iter().any(|p| p.mut_ref && p.ty_name == e.owner)
+                            && callee_params.iter().any(|p| p.mut_ref && ty(p) == Some(e.owner))
                         {
                             continue;
                         }
@@ -553,7 +554,7 @@ impl<'a> Effects<'a> {
         let simcore =
             self.units.iter().filter(|u| u.mp.abs().first().is_some_and(|k| k == "simcore"));
         let mut sim_state: BTreeSet<&str> =
-            simcore.flat_map(|u| u.model.structs.iter().map(|s| s.name.as_str())).collect();
+            simcore.flat_map(|u| u.model.structs.iter().map(|s| u.lexed.text(s.name))).collect();
         sim_state.extend(["Simulation", "Scheduler"]);
         for ex in ORACLE_EXEMPT {
             sim_state.remove(ex);
@@ -566,8 +567,8 @@ impl<'a> Effects<'a> {
         let policy = self.units.iter().filter(|u| u.mp.abs().iter().skip(1).any(|m| m == "policy"));
         policy
             .flat_map(|u| {
-                let structs = u.model.structs.iter().map(|s| s.name.as_str());
-                structs.chain(u.model.impls.iter().map(|im| im.type_name.as_str()))
+                let types = u.model.structs.iter().map(|s| s.name);
+                types.chain(u.model.impls.iter().map(|im| im.type_name)).map(|k| u.lexed.text(k))
             })
             .collect()
     }
@@ -579,7 +580,7 @@ impl<'a> Effects<'a> {
         let mut surface = BTreeSet::from([owner, "Stream"]);
         for u in self.units {
             let last = u.lexed.tokens.len().saturating_sub(1);
-            for s in u.model.structs.iter().filter(|s| s.name == owner) {
+            for s in u.model.structs.iter().filter(|s| u.lexed.text(s.name) == owner) {
                 let types = u.lexed.idents((s.body.0, s.body.1.min(last)));
                 surface.extend(types.filter(|t| t.starts_with(char::is_uppercase)));
             }
@@ -634,7 +635,7 @@ impl EdgeUse {
         let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
         let sig = sig_of(units, graph, n);
         let local =
-            |root: &str| root != "self" && !is_screaming(root) && param(sig, root).is_none();
+            |root: &str| root != "self" && !is_screaming(root) && param(lexed, sig, root).is_none();
         // The argument `[lo, hi]` carries no mutable borrow in from
         // outside. Only chain roots count: `x` in `x.len()` does, `len`
         // does not, and path segments after `:` are not value roots
@@ -643,7 +644,7 @@ impl EdgeUse {
             if hi == lo && toks[lo].kind == TokKind::Ident {
                 let root = lexed.text(lo);
                 let mut_self = root == "self" && sig.receiver == Receiver::RefMut;
-                let mut_param = param(sig, root).is_some_and(|p| p.mut_ref);
+                let mut_param = param(lexed, sig, root).is_some_and(|(_, m)| m);
                 return !(mut_self || mut_param || is_screaming(root));
             }
             let mut_borrow = toks[lo].is_punct('&') && lexed.is_ident(lo + 1, "mut");
@@ -672,7 +673,7 @@ impl EdgeUse {
                 owned_stays = false;
                 if c.called {
                     saw_call = true;
-                    args_ok = args_ok && call_args(&u.lexed, c.tok).is_some_and(args_stay);
+                    args_ok = args_ok && call_args(&u.lexed, c.name).is_some_and(args_stay);
                 }
             }
         }

@@ -286,9 +286,10 @@ impl<'a> Flow<'a> {
             else {
                 continue;
             };
-            let desc = format!("`{}`-typed parameter `{}`", lexed.text(j), p.name);
+            let name = lexed.text(p.name);
+            let desc = format!("`{}`-typed parameter `{name}`", lexed.text(j));
             let src = Src { kind: K_UNORD, tok: j, line: toks[j].line, desc };
-            locals.bind(&p.name, b0, Taint { cause: Cause::Direct(src), via_locals: Vec::new() });
+            locals.bind(name, b0, Taint { cause: Cause::Direct(src), via_locals: Vec::new() });
         }
         // `recv.sort*()` sites re-establish a deterministic order on an
         // unordered-iteration local, killing its taint from that point;
@@ -297,7 +298,7 @@ impl<'a> Flow<'a> {
             .model
             .calls_in(b0 + 1, b1.saturating_sub(1))
             .iter()
-            .filter(|c| c.name.starts_with("sort"))
+            .filter(|c| lexed.text(c.name).starts_with("sort"))
             .filter_map(|c| {
                 let r = c.dot.checked_sub(1)?;
                 (toks[r].kind == TokKind::Ident).then(|| (c.dot, lexed.text(r)))
@@ -383,7 +384,7 @@ impl<'a> Flow<'a> {
             }
         }
         let methods = u.model.calls_in(lo, hi).iter().map(|c| c.dot);
-        let free = u.model.free_calls_in(lo, hi).iter().filter(|c| c.called).map(|c| c.tok);
+        let free = u.model.free_calls_in(lo, hi).iter().filter(|c| c.called).map(|c| c.name);
         for tok in methods.chain(free) {
             if let Some((node, _)) = summary::summarized(self.graph, &self.summaries, file, tok) {
                 let t = Taint { cause: Cause::Call { node }, via_locals: Vec::new() };
@@ -435,55 +436,55 @@ impl<'a> Flow<'a> {
         };
         let mut sinks: Vec<Sink> = Vec::new();
         for (file, u) in self.units.iter().enumerate() {
-            let toks = &u.lexed.tokens;
+            let (toks, text) = (&u.lexed.tokens, |k| u.lexed.text(k));
             if self.graph.mentions(file, "Fnv64") {
-                let folds = u.model.calls.iter().filter(|mc| DIGEST_METHODS.contains(&&*mc.name));
+                let folds =
+                    u.model.calls.iter().filter(|mc| DIGEST_METHODS.contains(&text(mc.name)));
                 sinks.extend(folds.map(|mc| {
-                    let name = format!("digest fold `{}`", mc.name);
+                    let name = format!("digest fold `{}`", text(mc.name));
                     (mc.dot, mc.line, mc.args, id::DIGEST_TAINT, name)
                 }));
             }
             for mac in &u.model.macros {
-                if !matches!(mac.name.as_str(), "assert" | "assert_eq" | "assert_ne") {
+                if !matches!(text(mac.name), "assert" | "assert_eq" | "assert_ne") {
                     continue;
                 }
-                let open = mac.tok + 2;
+                let open = mac.name + 2;
                 if !toks.get(open).is_some_and(|t| t.is_punct('(')) {
                     continue;
                 }
                 let close = u.lexed.close_of(open);
                 let named_golden = u.lexed.idents((open, close)).any(|t| t.starts_with("GOLDEN"));
-                let in_golden_fn =
-                    u.model.enclosing_fn(mac.tok).is_some_and(|f| f.name.starts_with("golden"));
-                if named_golden || in_golden_fn {
-                    let name = format!("golden assertion `{}!`", mac.name);
-                    sinks.push((mac.tok, mac.line, (open, close), id::DIGEST_TAINT, name));
+                let fn_name = u.model.enclosing_fn(mac.name).map_or("", |f| text(f.name));
+                if named_golden || fn_name.starts_with("golden") {
+                    let name = format!("golden assertion `{}!`", text(mac.name));
+                    sinks.push((mac.name, mac.line, (open, close), id::DIGEST_TAINT, name));
                 }
             }
             for fc in &u.model.free_calls {
-                if fc.name == "new"
+                if u.lexed.is_ident(fc.name, "new")
                     && fc.called
-                    && fc.qual.last().map(String::as_str) == Some("Finding")
+                    && fc.qual().next_back().is_some_and(|q| u.lexed.is_ident(q, "Finding"))
                 {
-                    if let Some(args) = call_args(&u.lexed, fc.tok) {
+                    if let Some(args) = call_args(&u.lexed, fc.name) {
                         let name = "bench metric `Finding::new`".to_string();
-                        sinks.push((fc.tok, fc.line, args, id::DIGEST_TAINT, name));
+                        sinks.push((fc.name, fc.line, args, id::DIGEST_TAINT, name));
                     }
                 }
             }
             if self.graph.mentions(file, "Table") {
-                sinks.extend(u.model.calls.iter().filter(|mc| mc.name == "row").map(|mc| {
+                sinks.extend(u.model.calls.iter().filter(|mc| text(mc.name) == "row").map(|mc| {
                     let name = "bench table `row`".to_string();
                     (mc.dot, mc.line, mc.args, id::DIGEST_TAINT, name)
                 }));
             }
             for fc in &u.model.free_calls {
-                if !fc.called || !self.graph.callees(file, fc.tok).iter().any(oracle_fn) {
+                if !fc.called || !self.graph.callees(file, fc.name).iter().any(oracle_fn) {
                     continue;
                 }
-                if let Some(args) = call_args(&u.lexed, fc.tok) {
-                    let name = format!("oracle check `{}`", fc.name);
-                    sinks.push((fc.tok, fc.line, args, id::ORACLE_TAINT, name));
+                if let Some(args) = call_args(&u.lexed, fc.name) {
+                    let name = format!("oracle check `{}`", text(fc.name));
+                    sinks.push((fc.name, fc.line, args, id::ORACLE_TAINT, name));
                 }
             }
             let mut locals: BTreeMap<Option<usize>, Locals<Taint<'a>>> = BTreeMap::new();
@@ -523,13 +524,11 @@ impl<'a> Flow<'a> {
                 continue;
             }
             let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
-            for fc in u.model.free_calls.iter().filter(|c| c.name == "from_seed" && c.called) {
-                if u.model.in_test_span(fc.tok)
-                    || u.model.enclosing_fn(fc.tok).is_some_and(|f| f.in_test)
-                {
+            for fc in u.model.free_calls.iter().filter(|c| lexed.is_ident(c.name, "from_seed")) {
+                if !fc.called || u.model.in_test(fc.name) {
                     continue;
                 }
-                let Some((open, close)) = call_args(&u.lexed, fc.tok) else { continue };
+                let Some((open, close)) = call_args(&u.lexed, fc.name) else { continue };
                 let rooted = (open + 1..close).any(|k| {
                     toks[k].kind == TokKind::Num
                         || (toks[k].kind == TokKind::Ident
@@ -629,7 +628,7 @@ fn nan_fold_sources(u: &FileUnit) -> Vec<Src> {
             kind: K_NAN,
             tok: mc.dot,
             line: mc.line,
-            desc: format!("NaN-sensitive `{}` over float min/max", mc.name),
+            desc: format!("NaN-sensitive `{}` over float min/max", u.lexed.text(mc.name)),
         })
         .collect()
 }

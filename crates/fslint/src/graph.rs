@@ -274,9 +274,9 @@ impl<'a> Graph<'a> {
                 nodes.push(FnNode {
                     file,
                     fn_idx,
-                    name: &f.name,
-                    owner: im.map(|im| im.type_name.as_str()),
-                    trait_name: im.and_then(|im| im.trait_name.as_deref()),
+                    name: u.lexed.text(f.name),
+                    owner: im.map(|im| u.lexed.text(im.type_name)),
+                    trait_name: im.and_then(|im| im.trait_name).map(|k| u.lexed.text(k)),
                     abs_module: u.mp.abs(),
                     line: f.line,
                     body: f.body,
@@ -287,8 +287,7 @@ impl<'a> Graph<'a> {
         file_start.push(nodes.len());
 
         let resolver = Resolver::from_mod_paths(units.iter().map(|u| &u.mp));
-        let imports: Vec<_> =
-            units.iter().map(|u| resolve::import_map(&u.model.uses, &resolver, &u.mp)).collect();
+        let imports: Vec<_> = units.iter().map(|u| resolve::import_map(u, &resolver)).collect();
 
         // Lookup tables.
         let mut free_fns: BTreeMap<Vec<&str>, Vec<usize>> = BTreeMap::new();
@@ -312,14 +311,11 @@ impl<'a> Graph<'a> {
         let mut key: Vec<&str> = Vec::new();
         for u in units {
             for d in u.model.uses.iter().filter(|d| d.is_pub) {
-                if !resolver.canon(&u.mp, d.segs.iter().map(String::as_str), &mut key) {
+                if !resolver.canon(&u.mp, d.segs.iter().map(|&k| u.lexed.text(k)), &mut key) {
                     continue;
                 }
-                let vis = if d.glob {
-                    None
-                } else {
-                    d.alias.as_deref().or(d.segs.last().map(String::as_str))
-                };
+                let vis = if d.glob { None } else { d.alias.or(d.segs.last().copied()) };
+                let vis = vis.map(|k| u.lexed.text(k));
                 let module = u.mp.abs().iter().map(String::as_str).collect();
                 reexports.entry(module).or_default().push((vis, key.clone()));
             }
@@ -328,8 +324,9 @@ impl<'a> Graph<'a> {
         // A path lookup can only reach a free fn by its own name or by an
         // alias a `use` gives it: a free call by any other name (`Some`,
         // a tuple struct, a std function) skips the path lookups.
-        let aliases =
-            units.iter().flat_map(|u| u.model.uses.iter().filter_map(|d| d.alias.as_deref()));
+        let aliases = units
+            .iter()
+            .flat_map(|u| u.model.uses.iter().filter_map(|d| Some(u.lexed.text(d.alias?))));
         let resolvable: BTreeSet<&str> =
             nodes.iter().filter(|n| n.owner.is_none()).map(|n| n.name).chain(aliases).collect();
 
@@ -357,7 +354,7 @@ impl<'a> Graph<'a> {
                 }
             };
             for call in &u.model.calls {
-                if let Some(tgts) = methods_by_name.get(call.name.as_str()) {
+                if let Some(tgts) = methods_by_name.get(u.lexed.text(call.name)) {
                     // By-name dispatch, gated: the caller's file must
                     // mention the candidate's self type (construction,
                     // import, annotation) or its trait (dyn / generic
@@ -370,18 +367,18 @@ impl<'a> Graph<'a> {
             }
             let module = || u.mp.abs().iter().map(String::as_str);
             for fc in &u.model.free_calls {
-                let name = fc.name.as_str();
-                match fc.qual.as_slice() {
-                    [q] if q == "Self" => {
+                let (name, text) = (u.lexed.text(fc.name), |k| u.lexed.text(k));
+                match fc.qual().len() {
+                    1 if u.lexed.is_ident(fc.head, "Self") => {
                         // Resolve against the enclosing impl's type.
-                        if let Some(k) = u.model.owning_impl((fc.tok, fc.tok)) {
-                            let ty = u.model.impls[k].type_name.as_str();
+                        if let Some(k) = u.model.owning_impl((fc.name, fc.name)) {
+                            let ty = text(u.model.impls[k].type_name);
                             if let Some(ts) = methods_by_type.get(&(ty, name)) {
                                 targets.extend(ts);
                             }
                         }
                     }
-                    [] => {
+                    0 => {
                         if fc.called && resolvable.contains(name) {
                             // Same module, then named import, then glob
                             // imports.
@@ -402,33 +399,30 @@ impl<'a> Graph<'a> {
                             }
                         }
                     }
-                    qual => {
+                    _ => {
                         // A type-qualified associated call (`Fnv64::new()`),
                         // by the last qualifier segment.
-                        if let Some(last) = qual.last() {
-                            if let Some(ts) = methods_by_type.get(&(last.as_str(), name)) {
-                                targets.extend(ts);
-                            }
+                        if let Some(ts) = methods_by_type.get(&(text(fc.name - 3), name)) {
+                            targets.extend(ts);
                         }
                         // A module-qualified free call, with the head
                         // segment substituted through the import map when
                         // it names an imported module (`use adapt::oracle
                         // as qoracle`).
                         if resolvable.contains(name) {
-                            let rest = || qual[1..].iter().map(String::as_str).chain([name]);
-                            if let Some(head_target) = imports[file].named.get(qual[0].as_str()) {
+                            let segs = (fc.head..=fc.name).step_by(3).map(text);
+                            if let Some(head_target) = imports[file].named.get(text(fc.head)) {
                                 key.clear();
-                                key.extend(head_target.iter().copied().chain(rest()));
+                                key.extend(head_target.iter().copied().chain(segs.clone().skip(1)));
                                 lookup.find(&key, 0, &mut targets);
                             }
-                            let segs = qual.iter().map(String::as_str).chain([name]);
                             if resolver.canon(&u.mp, segs, &mut key) {
                                 lookup.find(&key, 0, &mut targets);
                             }
                         }
                     }
                 }
-                record(fc.tok, fc.line, &mut targets);
+                record(fc.name, fc.line, &mut targets);
             }
             sites[site_start[file]..].sort_unstable_by_key(|s: &Site| s.tok);
         }
@@ -456,7 +450,7 @@ impl<'a> Graph<'a> {
             }
             for s in &u.model.structs {
                 if names_queue(&u.lexed, s.body) {
-                    queue_structs.insert(&s.name);
+                    queue_structs.insert(u.lexed.text(s.name));
                 }
             }
             for h in &u.model.heaps {
@@ -478,12 +472,9 @@ impl<'a> Graph<'a> {
             let touches_heap = queue_marked(node.file)
                 && (u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
                     || names_queue(&u.lexed, node.body));
-            let calls_sched =
-                u.model.calls_in(b0, b1).iter().any(|c| SCHED_METHODS.contains(&c.name.as_str()))
-                    || u.model
-                        .free_calls_in(b0, b1)
-                        .iter()
-                        .any(|c| c.called && SCHED_METHODS.contains(&c.name.as_str()));
+            let sched_call = |name: usize| SCHED_METHODS.contains(&u.lexed.text(name));
+            let calls_sched = u.model.calls_in(b0, b1).iter().any(|c| sched_call(c.name))
+                || u.model.free_calls_in(b0, b1).iter().any(|c| c.called && sched_call(c.name));
             sched[n] = touches_heap || calls_sched;
         }
 
@@ -1044,10 +1035,12 @@ mod tests {
             unit("crates/beta/src/lib.rs", "pub struct Vm; impl Vm { pub fn load(&self) {} }"),
         ];
         let g = Graph::build(&units);
-        let model = &units[0].model;
-        let site = |name: &str| match model.calls.iter().find(|c| c.name == name) {
+        let (lexed, model) = (&units[0].lexed, &units[0].model);
+        let site = |name: &str| match model.calls.iter().find(|c| lexed.is_ident(c.name, name)) {
             Some(c) => c.dot,
-            None => model.free_calls.iter().find(|c| c.name == name).map_or(0, |c| c.tok),
+            None => {
+                model.free_calls.iter().find(|c| lexed.is_ident(c.name, name)).map_or(0, |c| c.name)
+            }
         };
         for name in ["helper", "inner", "new", "step"] {
             assert_eq!(g.callees(0, site(name)), [node_id(&g, name)], "{name}");
@@ -1056,7 +1049,7 @@ mod tests {
         // A node's edges are the union of its own sites' callees.
         for (n, node) in g.nodes.iter().enumerate() {
             let m = &units[node.file].model;
-            let toks = m.calls.iter().map(|c| c.dot).chain(m.free_calls.iter().map(|c| c.tok));
+            let toks = m.calls.iter().map(|c| c.dot).chain(m.free_calls.iter().map(|c| c.name));
             let own = toks.filter(|&t| m.enclosing_fn_idx(t) == Some(node.fn_idx));
             let union: BTreeSet<usize> =
                 own.flat_map(|t| g.callees(node.file, t)).copied().collect();

@@ -474,7 +474,7 @@ fn lex_word(cur: &mut Cursor, tokens: &mut Vec<Token>, line: u32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
@@ -662,7 +662,7 @@ mod tests {
     /// starts with a punctuation character), lifetimes, numbers, comments
     /// and whitespace. Joined with no separator, they also lex as pieces
     /// glued together.
-    const SPAN_PIECES: [&str; 26] = [
+    pub(crate) const SPAN_PIECES: [&str; 26] = [
         "x",
         "größe",
         "名前",

@@ -7,8 +7,8 @@
 //! recovers exactly that structure — and nothing more — from the
 //! [`crate::lexer`] output:
 //!
-//! * `fn` items with their body spans, surrounding `#[test]`/`#[cfg(test)]`
-//!   markers, their signature (receiver, named parameters with their
+//! * `fn` items with their body spans, surrounding `#[test]`,
+//!   `#[…::test]` and `#[cfg(test)]` markers, their signature (receiver, named parameters with their
 //!   types, return type), `for`-loop variables, closure parameters, and a
 //!   per-function set of float-typed locals (`let x: f64`, float
 //!   literals, `as f64`);
@@ -35,23 +35,25 @@
 //!   which the summary passes learn struct fields from in every fixpoint
 //!   round without scanning the tokens again.
 //!
-//! Everything is spans of token indices into the original
+//! Everything is token indices into the original
 //! [`Lexed::tokens`](crate::lexer::Lexed) vector, recorded in one walk
-//! over the tokens ([`parse`]). An item's optional `<…>` is read by one
+//! over the tokens ([`parse`]): spans, and for every name the model keeps
+//! (a fn's, a parameter's and its type's, a method's, a path's segments,
+//! an import's, a bound local's) the index of the token that spells it.
+//! A reader takes a name's text with
+//! [`Lexed::text`](crate::lexer::Lexed::text) from the file's own
+//! `Lexed`, so the model holds no copy of a name and records items
+//! without allocating per name. An item's optional `<…>` is read by one
 //! routine, and its body `{` is found at its header's bracket level by
 //! another, so a bracketed type in a header (`[T; 4]`) is stepped over.
-//! Names and path segments are read by token index through
-//! [`Lexed::text`](crate::lexer::Lexed::text), and a token's text is
-//! copied only into an item the walk records: a path that turns out not
-//! to be a call costs no allocation. Method calls, free calls and
-//! macros are recorded in token order, so the calls inside a token span
-//! are found by binary search (`FileModel::calls_in` and its siblings)
-//! rather than by filtering the whole list. Like the lexer, the parser
-//! never fails: unparsable stretches are skipped, because a linter must
-//! report what it *can* see.
+//! Method calls, free calls and macros are recorded in token order, so
+//! the calls inside a token span are found by binary search
+//! (`FileModel::calls_in` and its siblings) rather than by filtering the
+//! whole list. Like the lexer, the parser never fails: unparsable
+//! stretches are skipped, because a linter must report what it *can*
+//! see.
 
 use crate::lexer::{Lexed, TokKind, Token};
-use std::collections::BTreeSet;
 
 /// True if `word` is a Rust keyword: a word that looks like an identifier
 /// but can never *be* an indexed value or a bound variable (used to reject
@@ -117,14 +119,14 @@ pub enum Receiver {
 /// One named parameter of a `fn` signature.
 #[derive(Debug)]
 pub struct Param {
-    /// The bound name (`mut x: u64` binds `x`).
-    pub name: String,
+    /// Token index of the bound name (`mut x: u64` binds `x`).
+    pub name: usize,
     /// Token span `[start, end]` of the type after the `:`.
     pub ty: (usize, usize),
-    /// The type's name past `&`, lifetimes and `mut`, by its last path
-    /// segment (`&mut simcore::Server` → `Server`); empty when the type
-    /// names nothing (`()`).
-    pub ty_name: String,
+    /// Token index of the type's name past `&`, lifetimes and `mut`, by
+    /// its last path segment (`&mut simcore::Server` → `Server`); `None`
+    /// when the type names nothing (`()`).
+    pub ty_name: Option<usize>,
     /// True for a `&mut` type.
     pub mut_ref: bool,
 }
@@ -145,41 +147,44 @@ pub struct FnSig {
 /// One parsed `fn` item.
 #[derive(Debug)]
 pub struct FnItem {
-    /// The function's name.
-    pub name: String,
+    /// Token index of the function's name, just after the `fn` keyword.
+    pub name: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token span `[start, end]` of the body block, braces included.
     pub body: (usize, usize),
     /// The signature.
     pub sig: FnSig,
-    /// True when the item is test code: it carries `#[test]` / `#[cfg(test)]`
-    /// or sits inside a `#[cfg(test)] mod`.
+    /// True when the item is test code: it carries `#[test]`, `#[…::test]`
+    /// or `#[cfg(test)]`, or sits inside a `#[cfg(test)] mod`.
     pub in_test: bool,
-    /// Variables the function binds locally: parameters, `let` patterns,
-    /// `for` patterns, and closure parameter lists. The `panic-path` rule
-    /// treats a bare bound identifier as an index established in scope —
-    /// only computed subscripts carry an arithmetic claim worth flagging.
-    pub bound_vars: BTreeSet<String>,
-    /// Locals and parameters the parser knows are float-typed: `x: f64`
-    /// ascriptions, `let x = 1.25`, and `let x = … as f64` initialisers.
-    pub float_vars: BTreeSet<String>,
+    /// Token indices of the names the function binds locally: parameters,
+    /// `let` patterns, `for` patterns, and closure parameter lists, one
+    /// per binding (a name bound twice is listed twice). The `panic-path`
+    /// rule treats a bare bound identifier as an index established in
+    /// scope — only computed subscripts carry an arithmetic claim worth
+    /// flagging.
+    pub bound_vars: Vec<usize>,
+    /// Token indices of the locals and parameters the parser knows are
+    /// float-typed: `x: f64` ascriptions, `let x = 1.25`, and `let x = …
+    /// as f64` initialisers.
+    pub float_vars: Vec<usize>,
 }
 
 /// One `.name(args)` method call.
 #[derive(Debug)]
 pub struct MethodCall {
-    /// The method name.
-    pub name: String,
+    /// Token index of the method name, just after the `.`.
+    pub name: usize,
     /// 1-based line of the method name token.
     pub line: u32,
     /// Token index of the `.` (the receiver ends just before it).
     pub dot: usize,
     /// Token span `(open, close)` of the argument parentheses.
     pub args: (usize, usize),
-    /// The method chained directly onto this call's result, if any
-    /// (`.partial_cmp(b).unwrap()` → `Some("unwrap")`).
-    pub chained: Option<String>,
+    /// Token index of the method chained directly onto this call's
+    /// result, if any (`.partial_cmp(b).unwrap()` → the `unwrap`).
+    pub chained: Option<usize>,
 }
 
 impl MethodCall {
@@ -188,7 +193,7 @@ impl MethodCall {
     /// a fold silently absorbs NaN, so its value depends on where NaN
     /// falls.
     pub(crate) fn nan_absorbing(&self, lexed: &Lexed) -> Option<usize> {
-        if self.name != "fold" && self.name != "reduce" {
+        if !lexed.is_ident(self.name, "fold") && !lexed.is_ident(self.name, "reduce") {
             return None;
         }
         let (open, close) = self.args;
@@ -205,10 +210,11 @@ impl MethodCall {
 /// (`impl Trait for T { … }`).
 #[derive(Debug)]
 pub struct ImplBlock {
-    /// The implemented trait's last path segment, `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// The implementing type's name (last path segment).
-    pub type_name: String,
+    /// Token index of the implemented trait's last path segment, `None`
+    /// for inherent impls.
+    pub trait_name: Option<usize>,
+    /// Token index of the implementing type's name (last path segment).
+    pub type_name: usize,
     /// 1-based line of the `impl` keyword.
     pub line: u32,
     /// Token span `[start, end]` of the impl body, braces included.
@@ -219,24 +225,32 @@ pub struct ImplBlock {
 /// path reference (`catalog::all` passed as a value, `Kind::Raid`).
 #[derive(Debug)]
 pub struct FreeCall {
-    /// Path segments before the final name (`beta::helper` → `["beta"]`).
-    /// May start with `crate`, `self`, `super`, or `Self`.
-    pub qual: Vec<String>,
-    /// The final path segment: the called or referenced name.
-    pub name: String,
+    /// Token index of the path's first segment. The qualifier segments
+    /// before the name are the tokens `head`, `head + 3`, … (`beta::helper`
+    /// → `beta`), and may start with `crate`, `self`, `super`, or `Self`;
+    /// `head` is `name` for an unqualified call.
+    pub head: usize,
+    /// Token index of the final path segment: the called or referenced
+    /// name.
+    pub name: usize,
     /// 1-based line of the name token.
     pub line: u32,
-    /// Token index of the name token.
-    pub tok: usize,
     /// True when an argument list follows (a call, not a bare reference).
     pub called: bool,
+}
+
+impl FreeCall {
+    /// The token indices of the qualifier segments, `head` first.
+    pub fn qual(&self) -> std::iter::StepBy<std::ops::Range<usize>> {
+        (self.head..self.name).step_by(3)
+    }
 }
 
 /// One `struct` definition with its body span (fields or tuple elements).
 #[derive(Debug)]
 pub struct StructDef {
-    /// The struct's name.
-    pub name: String,
+    /// Token index of the struct's name.
+    pub name: usize,
     /// 1-based line of the `struct` keyword.
     pub line: u32,
     /// Token span `[start, end]` of the `{…}`/`(…)` body, delimiters
@@ -248,11 +262,12 @@ pub struct StructDef {
 /// one [`UseDecl`] per imported name.
 #[derive(Debug)]
 pub struct UseDecl {
-    /// Full path segments as written (`use a::b::C` → `["a", "b", "C"]`).
-    pub segs: Vec<String>,
-    /// The `as` rename, if any; otherwise the last segment is the visible
-    /// name.
-    pub alias: Option<String>,
+    /// Token indices of the path segments as written (`use a::b::C` → the
+    /// tokens of `a`, `b` and `C`).
+    pub segs: Vec<usize>,
+    /// Token index of the `as` rename, if any; otherwise the last segment
+    /// is the visible name.
+    pub alias: Option<usize>,
     /// True for `use a::b::*`.
     pub glob: bool,
     /// True for `pub use` / `pub(crate) use` re-exports.
@@ -264,12 +279,10 @@ pub struct UseDecl {
 /// One `name!(…)` macro invocation.
 #[derive(Debug)]
 pub struct MacroCall {
-    /// The macro's name, without the `!`.
-    pub name: String,
+    /// Token index of the macro's name, just before the `!`.
+    pub name: usize,
     /// 1-based line of the name token.
     pub line: u32,
-    /// Token index of the name token.
-    pub tok: usize,
 }
 
 /// One index expression `recv[idx]`.
@@ -350,18 +363,24 @@ impl FileModel {
     /// The free calls and path references whose name token lies in
     /// `[lo, hi]`, in token order.
     pub(crate) fn free_calls_in(&self, lo: usize, hi: usize) -> &[FreeCall] {
-        in_span(&self.free_calls, lo, hi, |c| c.tok)
+        in_span(&self.free_calls, lo, hi, |c| c.name)
     }
 
     /// The macro invocations whose name token lies in `[lo, hi]`, in
     /// token order.
     pub(crate) fn macros_in(&self, lo: usize, hi: usize) -> &[MacroCall] {
-        in_span(&self.macros, lo, hi, |m| m.tok)
+        in_span(&self.macros, lo, hi, |m| m.name)
     }
 
     /// True if token index `i` falls inside a `#[cfg(test)]` module body.
     pub(crate) fn in_test_span(&self, i: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| i >= s && i <= e)
+    }
+
+    /// True if token index `i` is test code: inside a `#[cfg(test)]`
+    /// module body or a test fn.
+    pub(crate) fn in_test(&self, i: usize) -> bool {
+        self.in_test_span(i) || self.enclosing_fn(i).is_some_and(|f| f.in_test)
     }
 
     /// The innermost `fn` whose body contains token index `i`.
@@ -507,7 +526,7 @@ pub fn parse(lexed: &Lexed) -> FileModel {
                 }
             }
             name if punct_at(toks, i + 1, '!') && !is_keyword(name) => {
-                model.macros.push(MacroCall { name: name.to_string(), line: t.line, tok: i });
+                model.macros.push(MacroCall { name: i, line: t.line });
             }
             _ => {}
         }
@@ -516,8 +535,8 @@ pub fn parse(lexed: &Lexed) -> FileModel {
         }
     }
     debug_assert!(model.calls.windows(2).all(|w| w[0].dot < w[1].dot));
-    debug_assert!(model.free_calls.windows(2).all(|w| w[0].tok < w[1].tok));
-    debug_assert!(model.macros.windows(2).all(|w| w[0].tok < w[1].tok));
+    debug_assert!(model.free_calls.windows(2).all(|w| w[0].name < w[1].name));
+    debug_assert!(model.macros.windows(2).all(|w| w[0].name < w[1].name));
     model
 }
 
@@ -551,16 +570,11 @@ fn test_span(lexed: &Lexed, i: usize) -> Option<(usize, usize)> {
     if !punct_at(toks, i + 1, '[') {
         return None;
     }
-    let close = lexed.close_of(i + 1);
-    // A `#[` that ends the file closes on its own `[`.
-    let attr_is_cfg_test = (i + 2..close.saturating_sub(2)).any(|k| {
-        lexed.is_ident(k, "cfg") && punct_at(toks, k + 1, '(') && lexed.is_ident(k + 2, "test")
-    });
-    if !attr_is_cfg_test {
+    if test_attr(lexed, i + 1) != Some(true) {
         return None;
     }
     // Skip further attributes/doc markers to the item keyword.
-    let mut j = close + 1;
+    let mut j = lexed.close_of(i + 1) + 1;
     while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
         j = lexed.close_of(j + 1) + 1;
     }
@@ -580,28 +594,28 @@ fn test_span(lexed: &Lexed, i: usize) -> Option<(usize, usize)> {
 /// `model` is test code.
 fn fn_item(lexed: &Lexed, i: usize, model: &FileModel) -> Option<FnItem> {
     let toks = &lexed.tokens;
-    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident).map(|_| lexed.text(i + 1))?;
+    toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
     let open = body_open(lexed, i + 2)?;
     let close = lexed.close_of(open);
     let sig = parse_sig(lexed, i, open);
-    let bound_vars = sig.params.iter().map(|p| p.name.clone()).collect();
+    let bound_vars = sig.params.iter().map(|p| p.name).collect();
     let mut item = FnItem {
-        name: name.to_string(),
+        name: i + 1,
         line: toks[i].line,
         body: (open, close),
         sig,
         in_test: has_test_attr(lexed, i) || model.in_test_span(i),
         bound_vars,
-        float_vars: BTreeSet::new(),
+        float_vars: Vec::new(),
     };
     // The signature (params) participates in float tracking.
     analyze_fn(lexed, i, close, &mut item);
     Some(item)
 }
 
-/// True if the `fn` at `at` is directly preceded by a `#[test]`-ish or
-/// `#[cfg(test)]` attribute (scanning back across attributes and the
-/// visibility/`const`/`async` qualifiers).
+/// True if the `fn` at `at` is directly preceded by a `#[test]`,
+/// `#[…::test]` or `#[cfg(test)]` attribute (scanning back across
+/// attributes and the visibility/`const`/`async` qualifiers).
 fn has_test_attr(lexed: &Lexed, at: usize) -> bool {
     let toks = &lexed.tokens;
     let mut i = at;
@@ -613,17 +627,32 @@ fn has_test_attr(lexed: &Lexed, at: usize) -> bool {
         i -= 1;
     }
     while i >= 2 && toks[i - 1].is_punct(']') {
-        let close = i - 1;
-        let Some(open) = lexed.partner(close) else { return false };
+        let Some(open) = lexed.partner(i - 1) else { return false };
         if open == 0 || !toks[open - 1].is_punct('#') {
             return false;
         }
-        if (open..close).any(|k| lexed.is_ident(k, "test")) {
+        if test_attr(lexed, open).is_some() {
             return true;
         }
         i = open - 1;
     }
     false
+}
+
+/// What the attribute whose `[` is at `open` says about test code:
+/// `Some(true)` for `#[cfg(test)]`, `Some(false)` for `#[test]` or a path
+/// ending in `test` (`#[tokio::test]`), `None` for any other attribute
+/// (`#[cfg(not(test))]`, `#[cfg_attr(test, allow(dead_code))]`). A `#[`
+/// that ends the file closes on its own `[` and is none of them.
+fn test_attr(lexed: &Lexed, open: usize) -> Option<bool> {
+    let close = lexed.close_of(open);
+    let (last, past) = chain_end(&lexed.tokens, open + 1);
+    if past == close && lexed.is_ident(last, "test") {
+        return Some(false);
+    }
+    // `cfg ( test )`, its parentheses paired.
+    let cfg = lexed.is_ident(open + 1, "cfg") && lexed.is_ident(open + 3, "test");
+    (cfg && close == open + 5 && lexed.partner(open + 2) == Some(open + 4)).then_some(true)
 }
 
 /// Parses the signature of the `fn` at `at` whose body opens at `body`.
@@ -699,14 +728,8 @@ fn sig_param(lexed: &Lexed, (s, e): (usize, usize), sig: &mut FnSig) {
     let ty_name = (s + t..e)
         .find(|&k| toks[k].kind == TokKind::Ident && !is_keyword(lexed.text(k)))
         .and_then(|k| read_path(lexed, k))
-        .map(|(last, _)| lexed.text(last).to_string())
-        .unwrap_or_default();
-    sig.params.push(Param {
-        name: lexed.text(name).to_string(),
-        ty: (s + colon + 1, e - 1),
-        ty_name,
-        mut_ref,
-    });
+        .map(|(last, _)| last);
+    sig.params.push(Param { name, ty: (s + colon + 1, e - 1), ty_name, mut_ref });
 }
 
 /// Fills `bound_vars` and `float_vars` for the token range `[start, end]`.
@@ -718,16 +741,14 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
         // An identifier's text; punctuation is told by its first byte.
         let word = if t.kind == TokKind::Ident { lexed.text(i) } else { "" };
         // An identifier at `j` that is no keyword: a bindable name.
-        let name_at = |j: usize| {
-            (toks[j].kind == TokKind::Ident).then(|| lexed.text(j)).filter(|w| !is_keyword(w))
-        };
+        let name_at = |j: usize| toks[j].kind == TokKind::Ident && !is_keyword(lexed.text(j));
         match word {
             // `for <pattern> in …` — every ident in the pattern is bound.
             "for" => {
                 let mut j = i + 1;
                 while j <= end && !lexed.is_ident(j, "in") && !punct_at(toks, j, '{') {
-                    if let Some(name) = name_at(j) {
-                        record(&mut item.bound_vars, name);
+                    if name_at(j) {
+                        item.bound_vars.push(j);
                     }
                     j += 1;
                 }
@@ -738,9 +759,8 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 let mut j = i + 1;
                 while j <= end && !punct_at(toks, j, '|') {
                     // Skip type-ascription idents: `|x: usize|` binds `x`.
-                    let ascribed = j > 0 && punct_at(toks, j - 1, ':');
-                    if let Some(name) = name_at(j).filter(|_| !ascribed) {
-                        record(&mut item.bound_vars, name);
+                    if name_at(j) && !punct_at(toks, j - 1, ':') {
+                        item.bound_vars.push(j);
                     }
                     j += 1;
                 }
@@ -758,7 +778,7 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                 if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident)
                     && stmt_is_floaty(lexed, j + 1, end)
                 {
-                    record(&mut item.float_vars, lexed.text(j));
+                    item.float_vars.push(j);
                 }
                 let limit = toks.len().min(end + 1);
                 let k = lexed
@@ -766,15 +786,13 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
                     .take_while(|&k| k < limit)
                     .find(|&k| punct_at(toks, k, '=') || punct_at(toks, k, ';'))
                     .unwrap_or(limit);
-                for name in (i + 1..k).filter_map(name_at) {
-                    record(&mut item.bound_vars, name);
-                }
+                item.bound_vars.extend((i + 1..k).filter(|&j| name_at(j)));
                 i = k;
             }
             // Bare ascriptions `name: f64` (params, struct literals).
             "f64" | "f32" => {
                 if i >= 2 && punct_at(toks, i - 1, ':') && toks[i - 2].kind == TokKind::Ident {
-                    record(&mut item.float_vars, lexed.text(i - 2));
+                    item.float_vars.push(i - 2);
                 }
                 i += 1;
             }
@@ -783,16 +801,9 @@ fn analyze_fn(lexed: &Lexed, start: usize, end: usize, item: &mut FnItem) {
     }
 }
 
-/// Adds `name` to `set`, copying it only when it is new.
-fn record(set: &mut BTreeSet<String>, name: &str) {
-    if !set.contains(name) {
-        set.insert(name.to_string());
-    }
-}
-
 /// Heuristic: does the `|` at `i` begin a closure parameter list?
 /// (Distinguishes from bitwise/logical `|` by what precedes it.)
-fn closure_opens_here(lexed: &Lexed, i: usize) -> bool {
+pub(crate) fn closure_opens_here(lexed: &Lexed, i: usize) -> bool {
     if i == 0 {
         return true;
     }
@@ -835,20 +846,10 @@ fn parse_method_call(lexed: &Lexed, dot: usize) -> Option<MethodCall> {
         return None;
     }
     let close = lexed.close_of(j);
-    let chained = if punct_at(toks, close + 1, '.')
-        && toks.get(close + 2).is_some_and(|t| t.kind == TokKind::Ident)
-    {
-        Some(lexed.text(close + 2).to_string())
-    } else {
-        None
-    };
-    Some(MethodCall {
-        name: lexed.text(dot + 1).to_string(),
-        line: name_tok.line,
-        dot,
-        args: (j, close),
-        chained,
-    })
+    let chained = (punct_at(toks, close + 1, '.')
+        && toks.get(close + 2).is_some_and(|t| t.kind == TokKind::Ident))
+    .then_some(close + 2);
+    Some(MethodCall { name: dot + 1, line: name_tok.line, dot, args: (j, close), chained })
 }
 
 /// True when the `[` at `i` opens an *index expression*: the previous token
@@ -930,10 +931,9 @@ fn impl_block(lexed: &Lexed, i: usize) -> Option<ImplBlock> {
         (None, first)
     };
     let open = body_open(lexed, j)?;
-    let name = |k: usize| lexed.text(k).to_string();
     Some(ImplBlock {
-        trait_name: trait_name.map(name),
-        type_name: name(type_name),
+        trait_name,
+        type_name,
         line: toks[i].line,
         body: (open, lexed.close_of(open)),
     })
@@ -943,15 +943,11 @@ fn impl_block(lexed: &Lexed, i: usize) -> Option<ImplBlock> {
 /// struct.
 fn struct_def(lexed: &Lexed, i: usize) -> Option<StructDef> {
     let toks = &lexed.tokens;
-    let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident).map(|_| lexed.text(i + 1))?;
+    toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
     let j = past_generics(toks, i + 2)?;
     // A tuple struct's body comes first; a `where` clause may precede `{`.
     let open = if punct_at(toks, j, '(') { j } else { body_open(lexed, j)? };
-    Some(StructDef {
-        name: name.to_string(),
-        line: toks[i].line,
-        body: (open, lexed.close_of(open)),
-    })
+    Some(StructDef { name: i + 1, line: toks[i].line, body: (open, lexed.close_of(open)) })
 }
 
 /// True when the `use` at `i` is a `pub use` / `pub(crate) use` re-export.
@@ -970,36 +966,33 @@ fn use_is_pub(lexed: &Lexed, i: usize) -> bool {
 
 /// Parses one use tree at `j` below the `segs` already read; emits
 /// flattened [`UseDecl`]s and returns the index just past the tree.
-/// `segs` borrows the token texts and is restored on return; a
-/// [`UseDecl`] copies them.
-fn use_tree<'t>(
-    lexed: &'t Lexed,
+/// `segs` is restored on return.
+fn use_tree(
+    lexed: &Lexed,
     mut j: usize,
-    segs: &mut Vec<&'t str>,
+    segs: &mut Vec<usize>,
     is_pub: bool,
     line: u32,
     out: &mut Vec<UseDecl>,
 ) -> usize {
     let toks = &lexed.tokens;
     let prefix = segs.len();
-    let owned = |segs: &[&str]| segs.iter().map(|s| s.to_string()).collect();
     let end = loop {
         match toks.get(j) {
             Some(t) if t.kind == TokKind::Ident && lexed.text(j) != "as" => {
-                segs.push(lexed.text(j));
+                segs.push(j);
                 j += 1;
                 if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
                     j += 2;
                     continue;
                 }
                 let alias = if lexed.is_ident(j, "as") {
-                    let a = (j + 1 < toks.len()).then(|| lexed.text(j + 1).to_string());
                     j += 2;
-                    a
+                    toks.get(j - 1).filter(|t| t.kind == TokKind::Ident).map(|_| j - 1)
                 } else {
                     None
                 };
-                out.push(UseDecl { segs: owned(segs), alias, glob: false, is_pub, line });
+                out.push(UseDecl { segs: segs.clone(), alias, glob: false, is_pub, line });
                 break j;
             }
             Some(t) if t.is_punct('{') => {
@@ -1017,7 +1010,7 @@ fn use_tree<'t>(
                 break close + 1;
             }
             Some(t) if t.is_punct('*') => {
-                out.push(UseDecl { segs: owned(segs), alias: None, glob: true, is_pub, line });
+                out.push(UseDecl { segs: segs.clone(), alias: None, glob: true, is_pub, line });
                 break j + 1;
             }
             _ => break j,
@@ -1064,13 +1057,7 @@ fn free_call_at(lexed: &Lexed, i: usize, out: &mut Vec<FreeCall>) {
     let qualified = name_tok > i;
     // Bare `self` is a receiver, never a call.
     if qualified || (called && head != "self") {
-        out.push(FreeCall {
-            qual: (i..name_tok).step_by(3).map(|k| lexed.text(k).to_string()).collect(),
-            name: lexed.text(name_tok).to_string(),
-            line: toks[name_tok].line,
-            tok: name_tok,
-            called,
-        });
+        out.push(FreeCall { head: i, name: name_tok, line: toks[name_tok].line, called });
     }
 }
 
@@ -1078,24 +1065,36 @@ fn free_call_at(lexed: &Lexed, i: usize, out: &mut Vec<FreeCall>) {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use crate::lexer::tests::SPAN_PIECES;
 
-    fn model(src: &str) -> FileModel {
-        parse(&lex(src))
+    fn model(src: &str) -> (Lexed, FileModel) {
+        let lexed = lex(src);
+        let model = parse(&lexed);
+        (lexed, model)
+    }
+
+    /// The texts of the tokens at `names`.
+    fn texts(l: &Lexed, names: impl IntoIterator<Item = usize>) -> Vec<&str> {
+        names.into_iter().map(|k| l.text(k)).collect()
+    }
+
+    /// Each impl block's trait and type names.
+    fn impls<'l>(l: &'l Lexed, m: &FileModel) -> Vec<(Option<&'l str>, &'l str)> {
+        m.impls.iter().map(|im| (im.trait_name.map(|k| l.text(k)), l.text(im.type_name))).collect()
     }
 
     #[test]
     fn fn_items_and_bodies_are_recovered() {
-        let m = model("fn a() { 1 } fn b<T: Ord>(x: T) -> Vec<u8> { vec![] }");
-        assert_eq!(m.fns.len(), 2);
-        assert_eq!(m.fns[0].name, "a");
-        assert_eq!(m.fns[1].name, "b");
+        let (l, m) = model("fn a() { 1 } fn b<T: Ord>(x: T) -> Vec<u8> { vec![] }");
+        assert_eq!(texts(&l, m.fns.iter().map(|f| f.name)), ["a", "b"]);
         assert!(!m.fns[0].in_test);
     }
 
     #[test]
     fn cfg_test_mod_marks_fns_as_test() {
-        let m = model("fn lib() {} #[cfg(test)] mod tests { fn helper() {} #[test] fn t() {} }");
-        let by_name = |n: &str| m.fns.iter().find(|f| f.name == n).unwrap();
+        let (l, m) =
+            model("fn lib() {} #[cfg(test)] mod tests { fn helper() {} #[test] fn t() {} }");
+        let by_name = |n: &str| m.fns.iter().find(|f| l.is_ident(f.name, n)).unwrap();
         assert!(!by_name("lib").in_test);
         assert!(by_name("helper").in_test);
         assert!(by_name("t").in_test);
@@ -1104,77 +1103,80 @@ mod tests {
     #[test]
     fn an_attribute_left_open_at_the_end_of_the_file_parses() {
         for src in ["#[", "fn a() {}\n#[", "#[cfg(test)] mod t { #["] {
-            let m = model(src);
+            let (_, m) = model(src);
             assert!(m.test_spans.iter().all(|&(lo, hi)| lo <= hi), "{src}: {:?}", m.test_spans);
         }
     }
 
     #[test]
+    fn only_test_attributes_mark_test_code() {
+        let (l, m) = model(
+            "#[cfg(not(test))] fn a() {} #[cfg_attr(test, allow(dead_code))] fn b() {} \
+             #[tokio::test] async fn c() {} #[cfg(test)] fn d() {} #[inline] #[test] fn e() {} \
+             #[cfg(not(test))] mod m { fn f() {} } #[cfg(test)] mod t { fn g() {} }",
+        );
+        let tests = m.fns.iter().filter(|f| f.in_test).map(|f| f.name);
+        assert_eq!(texts(&l, tests), ["c", "d", "e", "g"]);
+    }
+
+    #[test]
     fn test_attr_with_qualifiers_is_seen() {
-        let m = model("#[test]\npub fn check() {}");
+        let (_, m) = model("#[test]\npub fn check() {}");
         assert!(m.fns[0].in_test);
     }
 
     #[test]
     fn method_calls_survive_turbofish_and_chaining() {
-        let m = model(
+        let (l, m) = model(
             "fn f() { let v = it.collect::<Vec<BTree<u8, i8>>>(); a.partial_cmp(b).unwrap(); }",
         );
-        let collect = m.calls.iter().find(|c| c.name == "collect").unwrap();
-        assert_eq!(collect.chained, None);
-        let pc = m.calls.iter().find(|c| c.name == "partial_cmp").unwrap();
-        assert_eq!(pc.chained.as_deref(), Some("unwrap"));
-        assert!(m.calls.iter().any(|c| c.name == "unwrap"));
+        assert_eq!(texts(&l, m.calls.iter().map(|c| c.name)), ["collect", "partial_cmp", "unwrap"]);
+        assert_eq!(m.calls[0].chained, None);
+        assert_eq!(texts(&l, m.calls[1].chained), ["unwrap"]);
     }
 
     #[test]
     fn closures_in_method_chains_bind_params() {
-        let m = model("fn f(v: Vec<u64>) { v.iter().map(|(i, x)| i + x).filter(|y| *y > 1); }");
-        let f = &m.fns[0];
-        for var in ["i", "x", "y"] {
-            assert!(f.bound_vars.contains(var), "{var} missing from {:?}", f.bound_vars);
-        }
+        let (l, m) =
+            model("fn f(v: Vec<u64>) { v.iter().map(|(i, x)| i + x).filter(|y| *y > 1); }");
+        assert_eq!(texts(&l, m.fns[0].bound_vars.iter().copied()), ["v", "i", "x", "y"]);
     }
 
     #[test]
     fn params_and_let_patterns_bind_vars() {
-        let m = model(
+        let (l, m) = model(
             "fn f(idx: usize, mesh: &Mesh<u8>) { let primary = idx; \
              let (a, b) = pair(); let v: Vec<u64> = Vec::new(); }",
         );
-        let f = &m.fns[0];
+        let bound = texts(&l, m.fns[0].bound_vars.iter().copied());
         for var in ["idx", "mesh", "primary", "a", "b", "v"] {
-            assert!(f.bound_vars.contains(var), "{var} missing from {:?}", f.bound_vars);
+            assert!(bound.contains(&var), "{var} missing from {bound:?}");
         }
     }
 
     #[test]
     fn for_patterns_bind_vars() {
-        let m = model("fn f() { for (a, b) in pairs { } for i in 0..n { } }");
-        let f = &m.fns[0];
-        for var in ["a", "b", "i"] {
-            assert!(f.bound_vars.contains(var));
-        }
-        assert!(!f.bound_vars.contains("pairs"));
+        let (l, m) = model("fn f() { for (a, b) in pairs { } for i in 0..n { } }");
+        assert_eq!(texts(&l, m.fns[0].bound_vars.iter().copied()), ["a", "b", "i"]);
     }
 
     #[test]
     fn float_locals_are_classified() {
-        let m = model(
+        let (l, m) = model(
             "fn f(rate: f64, n: usize) { let x = 1.5; let y: f64 = g(); \
              let z = n as f64; let k = 3; }",
         );
-        let f = &m.fns[0];
+        let floats = texts(&l, m.fns[0].float_vars.iter().copied());
         for var in ["rate", "x", "y", "z"] {
-            assert!(f.float_vars.contains(var), "{var} missing from {:?}", f.float_vars);
+            assert!(floats.contains(&var), "{var} missing from {floats:?}");
         }
-        assert!(!f.float_vars.contains("k"));
-        assert!(!f.float_vars.contains("n"));
+        assert!(!floats.contains(&"k") && !floats.contains(&"n"), "{floats:?}");
     }
 
     #[test]
     fn index_expressions_exclude_attrs_and_slice_types() {
-        let m = model("#[derive(Clone)] fn f(xs: &mut [u8]) { let a = xs[0]; let b = [1, 2]; }");
+        let (_, m) =
+            model("#[derive(Clone)] fn f(xs: &mut [u8]) { let a = xs[0]; let b = [1, 2]; }");
         assert_eq!(m.indexings.len(), 1);
     }
 
@@ -1182,7 +1184,7 @@ mod tests {
     fn heap_generics_are_spanned() {
         let src = "fn f() { let h: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new(); \
                    let g = std::collections::BinaryHeap::<u8>::new(); }";
-        let (l, m) = (lex(src), model(src));
+        let (l, m) = model(src);
         let spans: Vec<String> = m
             .heaps
             .iter()
@@ -1193,134 +1195,129 @@ mod tests {
 
     #[test]
     fn nested_generics_in_comparator_types_parse() {
-        let m = model(
+        let (l, m) = model(
             "fn f() { let c: BTreeMap<Key<Vec<u8>>, fn(&A) -> Ordering> = BTreeMap::new(); \
              xs.sort_by_key(|e: &Entry<Wrap<u8>>| e.seq); }",
         );
-        assert!(m.calls.iter().any(|c| c.name == "sort_by_key"));
+        assert!(m.calls.iter().any(|c| l.is_ident(c.name, "sort_by_key")));
     }
 
     #[test]
     fn macro_calls_are_recorded() {
-        let m = model("fn f() { panic!(\"boom\"); assert!(true); }");
-        assert!(m.macros.iter().any(|c| c.name == "panic"));
-        assert!(m.macros.iter().any(|c| c.name == "assert"));
+        let (l, m) = model("fn f() { panic!(\"boom\"); assert!(true); }");
+        assert_eq!(texts(&l, m.macros.iter().map(|c| c.name)), ["panic", "assert"]);
     }
 
     #[test]
     fn inherent_and_trait_impls_are_recorded() {
-        let m = model(
+        let (l, m) = model(
             "impl Widget { fn new() -> Self { Widget } } \
              impl fmt::Display for Widget<T> { fn fmt(&self) {} } \
              impl<S: State> Simulation<S> { fn step(&mut self) {} } \
              impl Ord for Entry { fn cmp(&self, o: &Self) -> Ordering { self.seq.cmp(&o.seq) } }",
         );
-        assert_eq!(m.impls.len(), 4, "{:?}", m.impls);
-        assert_eq!(m.impls[0].trait_name, None);
-        assert_eq!(m.impls[0].type_name, "Widget");
-        assert_eq!(m.impls[1].trait_name.as_deref(), Some("Display"));
-        assert_eq!(m.impls[1].type_name, "Widget");
-        assert_eq!(m.impls[2].trait_name, None);
-        assert_eq!(m.impls[2].type_name, "Simulation");
-        assert_eq!(m.impls[3].trait_name.as_deref(), Some("Ord"));
-        assert_eq!(m.impls[3].type_name, "Entry");
+        assert_eq!(
+            impls(&l, &m),
+            [
+                (None, "Widget"),
+                (Some("Display"), "Widget"),
+                (None, "Simulation"),
+                (Some("Ord"), "Entry")
+            ]
+        );
     }
 
     #[test]
     fn a_bracketed_type_in_a_header_keeps_the_item() {
-        let m = model(
+        let (l, m) = model(
             "struct S<T> where [T; 4]: Sized { t: T } \
              impl<T> Tr for W<[T; 4]> { fn a(&self) {} } \
              impl<T> Tr for S<T> where [T; 2]: Copy { fn b(&self) {} }",
         );
-        let structs: Vec<&str> = m.structs.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(structs, ["S"]);
-        let impls: Vec<(Option<&str>, &str)> =
-            m.impls.iter().map(|im| (im.trait_name.as_deref(), im.type_name.as_str())).collect();
-        assert_eq!(impls, [(Some("Tr"), "W"), (Some("Tr"), "S")]);
+        assert_eq!(texts(&l, m.structs.iter().map(|s| s.name)), ["S"]);
+        assert_eq!(impls(&l, &m), [(Some("Tr"), "W"), (Some("Tr"), "S")]);
         let owners: Vec<(&str, Option<&str>)> = m
             .fns
             .iter()
-            .map(|f| {
-                (f.name.as_str(), m.owning_impl(f.body).map(|k| m.impls[k].type_name.as_str()))
-            })
+            .map(|f| (l.text(f.name), m.owning_impl(f.body).map(|k| l.text(m.impls[k].type_name))))
             .collect();
         assert_eq!(owners, [("a", Some("W")), ("b", Some("S"))]);
     }
 
     #[test]
     fn return_position_impl_trait_is_not_an_impl_block() {
-        let m = model("fn f() -> impl Iterator<Item = u8> { it() } fn g(x: impl Fn()) { x() }");
+        let (_, m) =
+            model("fn f() -> impl Iterator<Item = u8> { it() } fn g(x: impl Fn()) { x() }");
         assert!(m.impls.is_empty(), "{:?}", m.impls);
     }
 
     #[test]
     fn methods_attach_to_their_impl_by_span() {
-        let m = model("fn free() {} impl W { fn method(&self) {} }");
-        let free = m.fns.iter().find(|f| f.name == "free").unwrap();
-        let method = m.fns.iter().find(|f| f.name == "method").unwrap();
+        let (l, m) = model("fn free() {} impl W { fn method(&self) {} }");
+        let (free, method) = (&m.fns[0], &m.fns[1]);
+        assert_eq!(texts(&l, [free.name, method.name]), ["free", "method"]);
         assert_eq!(m.owning_impl(free.body), None);
-        let owner = m.owning_impl(method.body).map(|k| m.impls[k].type_name.as_str());
+        let owner = m.owning_impl(method.body).map(|k| l.text(m.impls[k].type_name));
         assert_eq!(owner, Some("W"));
     }
 
     #[test]
     fn struct_bodies_are_recorded() {
-        let m = model("struct A { q: BinaryHeap<u8> } struct B(u8); struct C; struct D<T> where T: Ord { t: T }");
-        let names: Vec<&str> = m.structs.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "D"]);
+        let (l, m) = model("struct A { q: BinaryHeap<u8> } struct B(u8); struct C; struct D<T> where T: Ord { t: T }");
+        assert_eq!(texts(&l, m.structs.iter().map(|s| s.name)), ["A", "B", "D"]);
     }
 
     #[test]
     fn use_items_flatten_groups_globs_and_aliases() {
-        let m = model(
+        let (l, m) = model(
             "use adapt::oracle as qoracle; pub use eng::dispatch; \
              use std::collections::{BTreeMap, btree_map::Entry}; use crate::prelude::*;",
         );
         assert_eq!(m.uses.len(), 5, "{:?}", m.uses);
-        assert_eq!(m.uses[0].segs, vec!["adapt", "oracle"]);
-        assert_eq!(m.uses[0].alias.as_deref(), Some("qoracle"));
+        let segs = |k: usize| texts(&l, m.uses[k].segs.iter().copied());
+        assert_eq!(segs(0), ["adapt", "oracle"]);
+        assert_eq!(texts(&l, m.uses[0].alias), ["qoracle"]);
         assert!(!m.uses[0].is_pub);
         assert!(m.uses[1].is_pub);
-        assert_eq!(m.uses[1].segs, vec!["eng", "dispatch"]);
-        assert_eq!(m.uses[2].segs, vec!["std", "collections", "BTreeMap"]);
-        assert_eq!(m.uses[3].segs, vec!["std", "collections", "btree_map", "Entry"]);
+        assert_eq!(segs(1), ["eng", "dispatch"]);
+        assert_eq!(segs(2), ["std", "collections", "BTreeMap"]);
+        assert_eq!(segs(3), ["std", "collections", "btree_map", "Entry"]);
         assert!(m.uses[4].glob);
-        assert_eq!(m.uses[4].segs, vec!["crate", "prelude"]);
+        assert_eq!(segs(4), ["crate", "prelude"]);
     }
 
     #[test]
     fn free_calls_record_qualifiers_and_skip_methods_and_macros() {
-        let m = model(
+        let (l, m) = model(
             "fn f() { helper(1); beta::helper(2); x.method(); vec![q::r()]; \
              Fnv64::new(); crate::util::go::<u8>(3); assert!(ok()); }",
         );
-        let by_name = |n: &str| m.free_calls.iter().filter(|c| c.name == n).collect::<Vec<_>>();
+        let by_name =
+            |n: &str| m.free_calls.iter().filter(|c| l.is_ident(c.name, n)).collect::<Vec<_>>();
         assert_eq!(by_name("helper").len(), 2);
-        assert_eq!(by_name("helper")[1].qual, vec!["beta"]);
+        assert_eq!(texts(&l, by_name("helper")[1].qual()), ["beta"]);
         assert!(by_name("method").is_empty(), "{:?}", m.free_calls);
-        assert_eq!(by_name("new")[0].qual, vec!["Fnv64"]);
-        assert_eq!(by_name("go")[0].qual, vec!["crate", "util"]);
+        assert_eq!(texts(&l, by_name("new")[0].qual()), ["Fnv64"]);
+        assert_eq!(texts(&l, by_name("go")[0].qual()), ["crate", "util"]);
         assert!(by_name("go")[0].called);
-        assert_eq!(by_name("r")[0].qual, vec!["q"]);
+        assert_eq!(texts(&l, by_name("r")[0].qual()), ["q"]);
         assert!(by_name("ok")[0].called);
     }
 
     #[test]
     fn bare_references_with_qualifiers_are_recorded_uncalled() {
-        let m = model("fn f() { v.sort_by(f64::total_cmp); go(catalog::all); }");
-        let r = m.free_calls.iter().find(|c| c.name == "total_cmp").unwrap();
+        let (l, m) = model("fn f() { v.sort_by(f64::total_cmp); go(catalog::all); }");
+        let r = m.free_calls.iter().find(|c| l.is_ident(c.name, "total_cmp")).unwrap();
         assert!(!r.called);
-        assert_eq!(r.qual, vec!["f64"]);
-        let a = m.free_calls.iter().find(|c| c.name == "all").unwrap();
+        assert_eq!(texts(&l, r.qual()), ["f64"]);
+        let a = m.free_calls.iter().find(|c| l.is_ident(c.name, "all")).unwrap();
         assert!(!a.called);
     }
 
     #[test]
     fn use_paths_are_not_free_calls() {
-        let m = model("use a::b::c; use x::{y::z, w}; fn f() { b2::c2(); }");
-        assert!(m.free_calls.iter().all(|c| c.name != "c" && c.name != "z"), "{:?}", m.free_calls);
-        assert!(m.free_calls.iter().any(|c| c.name == "c2"));
+        let (l, m) = model("use a::b::c; use x::{y::z, w}; fn f() { b2::c2(); }");
+        assert_eq!(texts(&l, m.free_calls.iter().map(|c| c.name)), ["c2"]);
     }
 
     /// Checks one span lookup whose first two entries, named `names[0]`
@@ -1338,19 +1335,19 @@ mod tests {
 
     #[test]
     fn span_lookups_include_both_ends_and_nothing_past_them() {
-        let m = model("fn f() { a.x(); b.y(); g(); h(); m!(); n!(); }");
-        let names = |v: Vec<&str>| v.into_iter().map(String::from).collect::<Vec<_>>();
+        let (l, m) = model("fn f() { a.x(); b.y(); g(); h(); m!(); n!(); }");
+        let names = |v: Vec<usize>| v.into_iter().map(|k| l.text(k).to_string()).collect();
         check_span_ends(
-            |lo, hi| names(m.calls_in(lo, hi).iter().map(|c| c.name.as_str()).collect()),
+            |lo, hi| names(m.calls_in(lo, hi).iter().map(|c| c.name).collect()),
             (m.calls[0].dot, m.calls[1].dot),
         );
         check_span_ends(
-            |lo, hi| names(m.free_calls_in(lo, hi).iter().map(|c| c.name.as_str()).collect()),
-            (m.free_calls[0].tok, m.free_calls[1].tok),
+            |lo, hi| names(m.free_calls_in(lo, hi).iter().map(|c| c.name).collect()),
+            (m.free_calls[0].name, m.free_calls[1].name),
         );
         check_span_ends(
-            |lo, hi| names(m.macros_in(lo, hi).iter().map(|c| c.name.as_str()).collect()),
-            (m.macros[0].tok, m.macros[1].tok),
+            |lo, hi| names(m.macros_in(lo, hi).iter().map(|c| c.name).collect()),
+            (m.macros[0].name, m.macros[1].name),
         );
     }
 
@@ -1365,40 +1362,140 @@ mod tests {
         /// filter over the whole vector keeps, in the same order.
         #[test]
         fn span_lookups_match_the_whole_vector_filter(lo in 0usize..500, hi in 0usize..500) {
-            let m = model(SPAN_FIXTURE);
+            let (_, m) = model(SPAN_FIXTURE);
             let inside = |at: usize| lo <= at && at <= hi;
             let calls: Vec<usize> = m.calls.iter().map(|c| c.dot).filter(|&d| inside(d)).collect();
-            let free: Vec<usize> = m.free_calls.iter().map(|c| c.tok).filter(|&t| inside(t)).collect();
-            let macros: Vec<usize> = m.macros.iter().map(|c| c.tok).filter(|&t| inside(t)).collect();
+            let free: Vec<usize> = m.free_calls.iter().map(|c| c.name).filter(|&t| inside(t)).collect();
+            let macros: Vec<usize> = m.macros.iter().map(|c| c.name).filter(|&t| inside(t)).collect();
             proptest::prop_assert_eq!(
                 m.calls_in(lo, hi).iter().map(|c| c.dot).collect::<Vec<_>>(),
                 calls
             );
             proptest::prop_assert_eq!(
-                m.free_calls_in(lo, hi).iter().map(|c| c.tok).collect::<Vec<_>>(),
+                m.free_calls_in(lo, hi).iter().map(|c| c.name).collect::<Vec<_>>(),
                 free
             );
             proptest::prop_assert_eq!(
-                m.macros_in(lo, hi).iter().map(|c| c.tok).collect::<Vec<_>>(),
+                m.macros_in(lo, hi).iter().map(|c| c.name).collect::<Vec<_>>(),
                 macros
             );
         }
     }
 
+    /// Item-shaped pieces that, glued among the lexer's span pieces, let
+    /// random sources hold fns, calls, paths, imports and bindings.
+    const PARSE_PIECES: [&str; 39] = [
+        "use a::{b as c, d::*};",
+        "impl<T> Tr for W<T> ",
+        ").z(",
+        "fn ",
+        "fn x(a: &mut T, b: f64) -> u64 ",
+        "let ",
+        "mut ",
+        "for ",
+        " in ",
+        "impl ",
+        " for ",
+        "struct ",
+        "use ",
+        " as ",
+        "self",
+        "f64",
+        "crate",
+        "x.y(",
+        "a::b::c(",
+        "m!(",
+        "|a, b| ",
+        "#[test]",
+        "#[cfg(test)] mod t ",
+        "{",
+        ")",
+        "[",
+        "]",
+        "|",
+        "=",
+        ";",
+        ",",
+        "!",
+        "#",
+        "&",
+        "*",
+        "<",
+        ">",
+        "-",
+        "::",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// On any source, every name the model records is the index of an
+        /// identifier token where the item's syntax spells it: a fn's or a
+        /// struct's after its keyword, a parameter's before its `:`, a
+        /// method's right after its `.`, a chained method's after the
+        /// call's `)` and a `.`, a qualifier's segments three tokens apart
+        /// (`a :: b`) ending before the call's name, an alias after `as`
+        /// and a macro's before its `!`. Every bound or float position
+        /// lies inside its fn, from the name to the body's end.
+        #[test]
+        fn recorded_names_are_identifier_tokens(
+            choices in proptest::collection::vec(0usize..SPAN_PIECES.len() + PARSE_PIECES.len(), 0..64),
+        ) {
+            let pieces: Vec<&str> = SPAN_PIECES.iter().chain(&PARSE_PIECES).copied().collect();
+            let src: String = choices.iter().map(|&c| pieces[c]).collect();
+            let (l, m) = model(&src);
+            let ident = |k: usize| l.tokens.get(k).is_some_and(|t| t.kind == TokKind::Ident);
+            let punct = |k: usize, c: char| l.tokens.get(k).is_some_and(|t| t.is_punct(c));
+            for f in &m.fns {
+                proptest::prop_assert!(ident(f.name) && l.is_ident(f.name - 1, "fn"), "{src:?}");
+                for p in &f.sig.params {
+                    proptest::prop_assert!(ident(p.name) && punct(p.name + 1, ':'), "{src:?}");
+                    proptest::prop_assert!(p.ty_name.is_none_or(ident), "{src:?}");
+                }
+                for &k in f.bound_vars.iter().chain(&f.float_vars) {
+                    proptest::prop_assert!(ident(k) && f.name <= k && k <= f.body.1, "{src:?}: {k}");
+                }
+            }
+            for c in &m.calls {
+                proptest::prop_assert!(punct(c.dot, '.') && c.name == c.dot + 1 && ident(c.name));
+                if let Some(k) = c.chained {
+                    proptest::prop_assert!(ident(k) && k == c.args.1 + 2 && punct(k - 1, '.'));
+                }
+            }
+            for c in &m.free_calls {
+                proptest::prop_assert!(ident(c.name) && (c.name - c.head) % 3 == 0, "{src:?}");
+                for q in c.qual() {
+                    proptest::prop_assert!(ident(q) && punct(q + 1, ':') && punct(q + 2, ':'));
+                    proptest::prop_assert!(q + 3 <= c.name, "{src:?}");
+                }
+            }
+            for im in &m.impls {
+                proptest::prop_assert!(ident(im.type_name) && im.trait_name.is_none_or(ident));
+            }
+            for s in &m.structs {
+                proptest::prop_assert!(ident(s.name) && l.is_ident(s.name - 1, "struct"));
+            }
+            for u in &m.uses {
+                proptest::prop_assert!(u.segs.iter().all(|&k| ident(k)), "{src:?}");
+                proptest::prop_assert!(u.alias.is_none_or(|a| ident(a) && l.is_ident(a - 1, "as")));
+            }
+            for mac in &m.macros {
+                proptest::prop_assert!(ident(mac.name) && punct(mac.name + 1, '!'), "{src:?}");
+            }
+        }
+    }
+
     #[test]
     fn the_span_fixture_fills_the_proptest_range() {
-        let m = model(SPAN_FIXTURE);
-        let n = lex(SPAN_FIXTURE).tokens.len();
+        let (l, m) = model(SPAN_FIXTURE);
+        let n = l.tokens.len();
         assert!((400..500).contains(&n), "{n} tokens: resize the proptest's span range");
         assert!(m.calls.len() >= 10 && m.free_calls.len() >= 10 && m.macros.len() >= 3);
     }
 
     #[test]
     fn field_writes_record_the_dot_and_the_rhs_end() {
-        let (src, m) = {
-            let src = "fn f(s: &mut S) { s.a = g(1, 2); s.b == 3; s.c += 4; self.d = x }";
-            (lex(src), model(src))
-        };
+        let (src, m) = model("fn f(s: &mut S) { s.a = g(1, 2); s.b == 3; s.c += 4; self.d = x }");
         let writes: Vec<(&str, &str)> =
             m.field_writes.iter().map(|w| (src.text(w.dot + 1), src.text(w.rhs_end))).collect();
         assert_eq!(writes, [("a", ")"), ("d", "x")]);

@@ -27,10 +27,10 @@
 //!
 //! Paths are resolved as borrowed segments: the resolver's tables and an
 //! [`ImportMap`] hold `&str`s that point into the scanned files' module
-//! paths and `use` items, and [`Resolver::canon`] writes into a buffer
-//! its caller reuses, so resolving a call copies no name.
+//! paths and sources, and [`Resolver::canon`] writes into a buffer its
+//! caller reuses, so resolving a call copies no name.
 
-use crate::parse::UseDecl;
+use crate::graph::FileUnit;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A file's module coordinates: which crate it belongs to and the module
@@ -205,21 +205,17 @@ pub struct ImportMap<'a> {
 }
 
 /// Builds a file's [`ImportMap`] from its flattened `use` items.
-pub(crate) fn import_map<'a>(
-    uses: &'a [UseDecl],
-    res: &Resolver<'a>,
-    at: &'a ModPath,
-) -> ImportMap<'a> {
+pub(crate) fn import_map<'a>(unit: &'a FileUnit, res: &Resolver<'a>) -> ImportMap<'a> {
     let mut map = ImportMap::default();
     let mut abs = Vec::new();
-    for u in uses {
-        if !res.canon(at, u.segs.iter().map(String::as_str), &mut abs) {
+    let text = |k: usize| unit.lexed.text(k);
+    for u in &unit.model.uses {
+        if !res.canon(&unit.mp, u.segs.iter().map(|&k| text(k)), &mut abs) {
             continue;
         }
         if u.glob {
             map.globs.push(abs.clone());
-        } else if let Some(name) = u.alias.as_deref().or_else(|| u.segs.last().map(String::as_str))
-        {
+        } else if let Some(name) = u.alias.or(u.segs.last().copied()).map(text) {
             if name != "_" {
                 map.named.insert(name, abs.clone());
             }
@@ -322,23 +318,13 @@ mod tests {
 
     #[test]
     fn import_map_flattens_names_aliases_and_globs() {
-        use crate::parse::UseDecl;
         let mps = mod_paths();
         let res = Resolver::from_mod_paths(&mps);
-        let at = mp("bench", &["campaign", "scenario"]);
-        let d = |segs: &[&str], alias: Option<&str>, glob: bool| UseDecl {
-            segs: segs.iter().map(|s| s.to_string()).collect(),
-            alias: alias.map(String::from),
-            glob,
-            is_pub: false,
-            line: 1,
-        };
-        let uses = [
-            d(&["adapt", "oracle"], Some("qoracle"), false),
-            d(&["simcore", "prelude"], None, true),
-            d(&["std", "collections", "BTreeMap"], None, false),
-        ];
-        let map = import_map(&uses, &res, &at);
+        let unit = FileUnit::new(
+            "crates/bench/src/campaign/scenario.rs".to_string(),
+            "use adapt::oracle as qoracle; use simcore::prelude::*; use std::collections::BTreeMap;",
+        );
+        let map = import_map(&unit, &res);
         assert_eq!(map.named.get("qoracle").map(|v| v.join("::")), Some("adapt::oracle".into()));
         assert_eq!(map.globs.len(), 1);
         assert!(!map.named.contains_key("BTreeMap"), "std targets do not canonicalise");

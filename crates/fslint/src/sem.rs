@@ -87,7 +87,8 @@ fn stable_tiebreak(
 ) {
     let (lexed, toks) = (ctx.lexed, &ctx.lexed.tokens);
     for call in &model.calls {
-        if KEYED.contains(&call.name.as_str()) {
+        let name = lexed.text(call.name);
+        if KEYED.contains(&name) {
             let Some(body) = closure_body(lexed, call) else { continue };
             if scope.in_sched(call.dot) {
                 if !is_tuple_expr(lexed, body) {
@@ -97,15 +98,14 @@ fn stable_tiebreak(
                         call.line,
                         id::STABLE_TIEBREAK,
                         format!(
-                            "`{}` keys scheduling order on a single expression; equal keys fall \
-                             back to container/iterator order, which is insertion-order dependence \
-                             the campaign digest cannot localise — key on a tuple with a stable \
-                             secondary (sequence number, index, or label)",
-                            call.name
+                            "`{name}` keys scheduling order on a single expression; equal keys \
+                             fall back to container/iterator order, which is insertion-order \
+                             dependence the campaign digest cannot localise — key on a tuple with \
+                             a stable secondary (sequence number, index, or label)"
                         ),
                     );
                 } else if span_mentions_float(lexed, body, model, call.dot) {
-                    push_float_key(findings, ctx, call.line, &call.name);
+                    push_float_key(findings, ctx, call.line, name);
                 }
             } else if scope.weak_tiebreak(call.dot) && bare_time_key(lexed, body) {
                 push(
@@ -114,29 +114,28 @@ fn stable_tiebreak(
                     call.line,
                     id::STABLE_TIEBREAK,
                     format!(
-                        "`{}` in injector-reachable code keys on a bare time field; equal \
+                        "`{name}` in injector-reachable code keys on a bare time field; equal \
                          times fall back to container order, which an injected stutter can \
-                         reorder — key on a (time, stable-secondary) tuple",
-                        call.name
+                         reorder — key on a (time, stable-secondary) tuple"
                     ),
                 );
             }
-        } else if COMPARED.contains(&call.name.as_str()) {
+        } else if COMPARED.contains(&name) {
             if !scope.in_sched(call.dot) {
                 continue;
             }
             let Some(body) = closure_body(lexed, call) else { continue };
-            check_comparator_body(ctx, model, body, call.line, &call.name, findings);
+            check_comparator_body(ctx, model, body, call.line, name, findings);
         }
     }
     // `impl Ord`/`impl PartialOrd` for heap-element types: the `cmp` body
     // must not order on a bare time field.
     for im in &model.impls {
-        let Some(tr @ ("Ord" | "PartialOrd")) = im.trait_name.as_deref() else { continue };
-        if !scope.ord_in_scope(&im.type_name) {
+        let (tr, ty) = (im.trait_name.map_or("", |k| lexed.text(k)), lexed.text(im.type_name));
+        if !matches!(tr, "Ord" | "PartialOrd") || !scope.ord_in_scope(ty) {
             continue;
         }
-        let what = format!("impl {tr} for {}", im.type_name);
+        let what = format!("impl {tr} for {ty}");
         check_comparator_body(ctx, model, im.body, im.line, &what, findings);
     }
     // A heap keyed on bare SimTime pops equal-time entries in heap order.
@@ -181,7 +180,7 @@ fn check_comparator_body(
     let calls = model.calls_in(body.0, body.1);
     // Any float comparison inside a scheduling comparator is a finding,
     // tiebreak or not: float keys belong outside the scheduler.
-    let float_cmp = calls.iter().any(|c| matches!(c.name.as_str(), "partial_cmp" | "total_cmp"))
+    let float_cmp = calls.iter().any(|c| matches!(lexed.text(c.name), "partial_cmp" | "total_cmp"))
         || span_mentions_float(lexed, body, model, body.0);
     if float_cmp {
         push_float_key(findings, ctx, line, what);
@@ -191,7 +190,7 @@ fn check_comparator_body(
         return;
     }
     // `X.cmp(&Y)` where X is a non-tuple chain ending in a time name.
-    for c in calls.iter().filter(|c| c.name == "cmp") {
+    for c in calls.iter().filter(|c| lexed.is_ident(c.name, "cmp")) {
         if receiver_is_tuple(lexed, c.dot) {
             continue;
         }
@@ -246,8 +245,8 @@ fn push_float_key(findings: &mut Vec<Finding>, ctx: &FileCtx<'_>, line: u32, wha
 fn float_total_order(ctx: &FileCtx<'_>, model: &FileModel, findings: &mut Vec<Finding>) {
     let lexed = ctx.lexed;
     for call in &model.calls {
-        if call.name == "partial_cmp" {
-            let how = match call.chained.as_deref() {
+        if lexed.is_ident(call.name, "partial_cmp") {
+            let how = match call.chained.map(|k| lexed.text(k)) {
                 Some(m @ ("unwrap" | "expect")) => format!(
                     "`partial_cmp(..).{m}(..)` panics on NaN — the one input a stuttering \
                      component is most likely to produce"
@@ -280,7 +279,7 @@ fn float_total_order(ctx: &FileCtx<'_>, model: &FileModel, findings: &mut Vec<Fi
                      `min_by`/`max_by` + `total_cmp`, or give a written reason",
                     lexed.text(k),
                     lexed.text(k + 3),
-                    call.name
+                    lexed.text(call.name)
                 ),
             );
         }
@@ -302,37 +301,35 @@ fn panic_path(
     findings: &mut Vec<Finding>,
 ) {
     let (lexed, toks) = (ctx.lexed, &ctx.lexed.tokens);
-    let in_test =
-        |i: usize| model.in_test_span(i) || model.enclosing_fn(i).is_some_and(|f| f.in_test);
-    let live = |i: usize| scope.in_reach(i) && !in_test(i);
+    let live = |i: usize| scope.in_reach(i) && !model.in_test(i);
     for call in &model.calls {
-        if matches!(call.name.as_str(), "unwrap" | "expect") && live(call.dot) {
+        let name = lexed.text(call.name);
+        if matches!(name, "unwrap" | "expect") && live(call.dot) {
             push(
                 findings,
                 ctx,
                 call.line,
                 id::PANIC_PATH,
                 format!(
-                    "`{}` can panic in injector-reachable code; a panic under an injected \
+                    "`{name}` can panic in injector-reachable code; a panic under an injected \
                      fault is a fail-stop the model never scheduled — handle the `None`/`Err` \
-                     arm, or document the invariant with `fslint: allow(panic-path)`",
-                    call.name
+                     arm, or document the invariant with `fslint: allow(panic-path)`"
                 ),
             );
         }
     }
     for mac in &model.macros {
-        if PANIC_MACROS.contains(&mac.name.as_str()) && live(mac.tok) {
+        let name = lexed.text(mac.name);
+        if PANIC_MACROS.contains(&name) && live(mac.name) {
             push(
                 findings,
                 ctx,
                 mac.line,
                 id::PANIC_PATH,
                 format!(
-                    "`{}!` is an unconditional panic in injector-reachable code — return an \
+                    "`{name}!` is an unconditional panic in injector-reachable code — return an \
                      error instead, or document why it is unreachable with \
-                     `fslint: allow(panic-path)`",
-                    mac.name
+                     `fslint: allow(panic-path)`"
                 ),
             );
         }
@@ -355,9 +352,9 @@ fn panic_path(
         // param) was established in scope; only computed subscripts carry
         // a claim of their own.
         if inner.len() == 1 && inner[0].kind == TokKind::Ident {
-            let bound = model
-                .enclosing_fn(open)
-                .is_some_and(|f| f.bound_vars.contains(lexed.text(open + 1)));
+            let bound = model.enclosing_fn(open).is_some_and(|f| {
+                f.bound_vars.iter().any(|&k| lexed.text(k) == lexed.text(open + 1))
+            });
             if bound {
                 continue;
             }
@@ -467,11 +464,11 @@ fn span_mentions_float(
     model: &FileModel,
     at: usize,
 ) -> bool {
-    let floats = model.enclosing_fn(at).map(|f| &f.float_vars);
+    let floats = model.enclosing_fn(at).map_or(&[][..], |f| &f.float_vars);
     (start..=end).any(|k| {
         is_float_token(lexed, k)
             || (lexed.tokens[k].kind == TokKind::Ident
-                && floats.is_some_and(|s| s.contains(lexed.text(k))))
+                && floats.iter().any(|&f| lexed.text(f) == lexed.text(k)))
     })
 }
 

@@ -70,9 +70,11 @@ pub(crate) fn fixpoint<P, S>(
 /// The call chain from the root evidence down to node `from`, one hop
 /// per entry, root first. `hop(n)` is node `n`'s summary hop record,
 /// `(via, what, line)`: the callee the fact arrived through (`None` at
-/// the root), the root evidence, and its line. `via` links never cycle
-/// (a summary's provider was always assigned in an earlier round), but
-/// a depth cap guards the walk anyway.
+/// the root), the root evidence, and its line. The root hop cites its
+/// location once: a `what` rendered with it (a unit summary inferred
+/// from a hop) is not cited again. `via` links never cycle (a summary's
+/// provider was always assigned in an earlier round), but a depth cap
+/// guards the walk anyway.
 pub(crate) fn chain<'s>(
     graph: &Graph,
     units: &[FileUnit],
@@ -89,7 +91,8 @@ pub(crate) fn chain<'s>(
         match via {
             Some(v) if v != cur => cur = v,
             _ => {
-                hops.push(format!("{what} ({path}:{line})"));
+                let at = format!(" ({path}:{line})");
+                hops.push(format!("{}{at}", what.strip_suffix(&at).unwrap_or(what)));
                 break;
             }
         }

@@ -512,10 +512,11 @@ impl<'a> Units<'a> {
                 sig.params
                     .iter()
                     .map(|p| {
-                        let dim = name_dim(&p.name)
+                        let name = u.lexed.text(p.name);
+                        let dim = name_dim(name)
                             .map(|n| n.dim)
                             .or_else(|| time(p.ty).then(|| Dim::base("nanos")));
-                        (p.name.as_str(), dim)
+                        (name, dim)
                     })
                     .collect()
             })
@@ -582,7 +583,7 @@ impl<'a> Units<'a> {
         let locals = self.locals_for(node.file, node.fn_idx);
         let mut joined = Unit::Unknown;
         let mut first: Option<Inferred> = None;
-        for (lo, hi) in return_spans(&self.units[node.file].lexed, node.body) {
+        for (lo, hi) in return_spans(&self.units[node.file], node.body) {
             let inf = self.eval_span(node.file, lo, hi, &locals);
             if matches!(inf.unit, Unit::Of(_)) && first.is_none() {
                 first = Some(inf);
@@ -850,7 +851,7 @@ impl<'a> Units<'a> {
             }
         };
         for mc in u.model.calls_in(lo, hi) {
-            let (name, at) = (mc.name.as_str(), Site { file, line: mc.line });
+            let (name, at) = (lexed.text(mc.name), Site { file, line: mc.line });
             if let Some(base) = method_dim(name) {
                 let chain = leaf(Hop::Reads { name, base, at });
                 keep(
@@ -875,19 +876,19 @@ impl<'a> Units<'a> {
             }
         }
         for fc in u.model.free_calls_in(lo, hi).iter().filter(|c| c.called) {
-            let (name, at) = (fc.name.as_str(), Site { file, line: fc.line });
-            let args = call_args(&u.lexed, fc.tok);
-            if let Some(qual) = time_ctor(fc).map(|_| fc.qual.last().map_or("", String::as_str)) {
+            let (name, at) = (lexed.text(fc.name), Site { file, line: fc.line });
+            let args = call_args(&u.lexed, fc.name);
+            if let Some((qual, ..)) = time_ctor(lexed, fc) {
                 let chain = leaf(Hop::TimeCtor { qual, name, at });
-                keep(found(Dim::base("nanos"), chain, None, fc.tok, fc.line), args, &mut call_ev);
+                keep(found(Dim::base("nanos"), chain, None, fc.name, fc.line), args, &mut call_ev);
             } else if let Some(named) = name_dim(name) {
                 let chain = leaf(Hop::Named { kind: Named::Free, name, at });
-                keep(found(named.dim, chain, None, fc.tok, fc.line), args, &mut call_ev);
+                keep(found(named.dim, chain, None, fc.name, fc.line), args, &mut call_ev);
             } else if let Some((n, s)) =
-                summary::summarized(self.graph, &self.summaries, file, fc.tok)
+                summary::summarized(self.graph, &self.summaries, file, fc.name)
             {
                 let chain = leaf(Hop::Callee(n));
-                keep(found(s.dim, chain, Some(n), fc.tok, fc.line), args, &mut call_ev);
+                keep(found(s.dim, chain, Some(n), fc.name, fc.line), args, &mut call_ev);
             } else if name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
                 // A lower-case call we cannot see through could convert.
                 // (Upper-case names are tuple/enum constructors, which
@@ -1117,16 +1118,15 @@ impl<'a> Units<'a> {
         let u = &self.units[file];
         let (b0, b1) = body;
         for fc in u.model.free_calls_in(b0, b1).iter().filter(|c| c.called) {
-            let Some((open, close)) = call_args(&u.lexed, fc.tok) else { continue };
+            let Some((open, close)) = call_args(&u.lexed, fc.name) else { continue };
             if close <= open + 1 {
                 continue;
             }
-            if let Some((ctor, expect)) = time_ctor(fc) {
+            if let Some((q, ctor, expect)) = time_ctor(&u.lexed, fc) {
                 let want = Dim::base(expect);
                 let a = self.eval_span(file, open + 1, close - 1, locals);
                 if let Unit::Of(ad) = &a.unit {
                     if *ad != want {
-                        let q = fc.qual.last().map(String::as_str).unwrap_or("");
                         out.push(Finding {
                             path: u.path.clone(),
                             line: fc.line,
@@ -1144,7 +1144,7 @@ impl<'a> Units<'a> {
                 }
                 continue;
             }
-            let Some(&n) = self.graph.callees(file, fc.tok).first() else { continue };
+            let Some(&n) = self.graph.callees(file, fc.name).first() else { continue };
             let callee_params = &self.params[n];
             if callee_params.iter().all(|(_, d)| d.is_none()) {
                 continue;
@@ -1221,22 +1221,28 @@ impl<'a> Units<'a> {
     }
 }
 
-/// The time constructor a free call names, `(name, unit its argument
-/// takes)`: a `from_*` constructor qualified by a sim-time type.
-fn time_ctor(fc: &FreeCall) -> Option<&'static (&'static str, &'static str)> {
-    TIME_CTORS
-        .iter()
-        .find(|(n, _)| *n == fc.name)
-        .filter(|_| fc.qual.last().is_some_and(|q| TIME_TYPES.contains(&q.as_str())))
+/// The time constructor a free call names, `(type, name, unit its
+/// argument takes)`: a `from_*` constructor qualified by a sim-time type.
+fn time_ctor<'l>(lexed: &'l Lexed, fc: &FreeCall) -> Option<(&'l str, &'static str, &'static str)> {
+    let ty = lexed.text(fc.qual().next_back()?);
+    let &(name, unit) = TIME_CTORS.iter().find(|(n, _)| lexed.is_ident(fc.name, n))?;
+    TIME_TYPES.contains(&ty).then_some((ty, name, unit))
 }
 
-/// The `return EXPR;` spans plus the trailing expression of a body.
-fn return_spans(lexed: &Lexed, body: (usize, usize)) -> Vec<(usize, usize)> {
-    let toks = &lexed.tokens;
+/// The `return EXPR;` spans plus the trailing expression of a body. A
+/// `return` inside a closure or a nested fn leaves that, not the body's
+/// fn, and is skipped.
+fn return_spans(u: &FileUnit, body: (usize, usize)) -> Vec<(usize, usize)> {
+    let (lexed, toks) = (&u.lexed, &u.lexed.tokens);
     let (b0, b1) = body;
     let mut spans = Vec::new();
     let last = b1.min(toks.len().saturating_sub(1));
-    for i in (b0 + 1..last).filter(|&i| lexed.is_ident(i, "return")) {
+    let closures = closure_spans(lexed, b0, last);
+    let own = |i: usize| {
+        u.model.enclosing_fn(i).is_some_and(|f| f.body == body)
+            && !closures.iter().any(|&(lo, hi)| lo < i && i <= hi)
+    };
+    for i in (b0 + 1..last).filter(|&i| lexed.is_ident(i, "return") && own(i)) {
         // `rhs_end` returns the expression's last token.
         if let Some(end) = rhs_end(lexed, i + 1) {
             spans.push((i + 1, end));
@@ -1249,6 +1255,19 @@ fn return_spans(lexed: &Lexed, body: (usize, usize)) -> Vec<(usize, usize)> {
         spans.push((start, last - 1));
     }
     spans
+}
+
+/// The closures among the tokens `lo..hi`, each from the `|` that opens
+/// its parameter list to its body's last token: the block or expression
+/// up to the `,`, `;` or closer at the body's bracket level.
+fn closure_spans(lexed: &Lexed, lo: usize, hi: usize) -> Vec<(usize, usize)> {
+    let toks = &lexed.tokens;
+    let opens = (lo..hi).filter(|&i| toks[i].is_punct('|') && parse::closure_opens_here(lexed, i));
+    let spans = opens.filter_map(|i| {
+        let pipe = (i + 1..hi).find(|&j| toks[j].is_punct('|'))?;
+        Some((i, rhs_end(lexed, pipe + 1)?))
+    });
+    spans.collect()
 }
 
 /// True when token `i` can end a value, so that an operator after it is

@@ -7,10 +7,12 @@
 //! * The model pins digest the `{:?}` rendering of the parser's
 //!   [`FileModel`](fslint::parse::FileModel) for every corpus file, and
 //!   for every `.rs` fixture file, in sorted order: every recorded item
-//!   with its names, spans and lines, so a parser change that records one
+//!   with its positions and lines, so a parser change that records one
 //!   item differently moves them even when no analysis reads that item.
-//!   The fixture model pin sees shapes the corpus lacks, such as `impl
-//!   Ord` blocks.
+//!   The model keeps each name as the index of the token that spells it,
+//!   so these pins digest positions; the names' texts are the tokens'
+//!   texts, which the lex pin digests. The fixture model pin sees shapes
+//!   the corpus lacks, such as `impl Ord` blocks.
 //! * The graph pin digests the `--graph-out` export of the whole corpus,
 //!   scanned by the calling thread alone, by it and one or two spawned
 //!   threads, and at the default. The export carries every
@@ -42,20 +44,20 @@ use std::path::{Path, PathBuf};
 /// Digest of every token and comment of the corpus.
 const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
 /// Digest of the `{:?}` rendering of every corpus file's parsed model.
-const GOLDEN_CORPUS_MODEL: u64 = 0x21b1_5b44_9834_b985;
+const GOLDEN_CORPUS_MODEL: u64 = 0xae31_edb6_e138_987e;
 /// Digest of the corpus's `--graph-out` export.
 const GOLDEN_CORPUS_GRAPH: u64 = 0xbaac_6df2_1144_61de;
 /// Files the corpus holds.
 const CORPUS_FILES: usize = 151;
 /// Digest of the `{:?}` rendering of every `.rs` fixture file's parsed
 /// model.
-const GOLDEN_FIXTURE_MODEL: u64 = 0xc551_a77f_b119_5042;
+const GOLDEN_FIXTURE_MODEL: u64 = 0x923e_5322_2e44_6096;
 /// Digest of every fixture file's and fixture directory's lint outputs.
-const GOLDEN_FIXTURE_OUTPUTS: u64 = 0xab3c_f21d_0266_b5ea;
+const GOLDEN_FIXTURE_OUTPUTS: u64 = 0x6837_520d_3524_6331;
 /// Fixture files and fixture directories (the fixtures root included).
-const FIXTURE_TREE: (usize, usize) = (110, 270);
+const FIXTURE_TREE: (usize, usize) = (114, 278);
 /// Fixture directories that scan at least one file as a root.
-const FIXTURE_ROOTS_SCANNING: usize = 132;
+const FIXTURE_ROOTS_SCANNING: usize = 136;
 
 fn corpus() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/corpus")

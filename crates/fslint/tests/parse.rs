@@ -11,8 +11,8 @@ fn model(src: &str) -> (Lexed, FileModel) {
     (lexed, model)
 }
 
-fn item<'m>(m: &'m FileModel, name: &str) -> &'m FnItem {
-    m.fns.iter().find(|f| f.name == name).unwrap_or_else(|| panic!("no fn {name}"))
+fn item<'m>((lexed, m): &'m (Lexed, FileModel), name: &str) -> &'m FnItem {
+    m.fns.iter().find(|f| lexed.text(f.name) == name).unwrap_or_else(|| panic!("no fn {name}"))
 }
 
 /// The tokens of `span`, space-joined.
@@ -25,14 +25,17 @@ fn params(lexed: &Lexed, f: &FnItem) -> Vec<(String, String, String, bool)> {
     f.sig
         .params
         .iter()
-        .map(|p| (p.name.clone(), text(lexed, p.ty), p.ty_name.clone(), p.mut_ref))
+        .map(|p| {
+            let ty_name = p.ty_name.map_or(String::new(), |k| lexed.text(k).to_string());
+            (lexed.text(p.name).to_string(), text(lexed, p.ty), ty_name, p.mut_ref)
+        })
         .collect()
 }
 
 #[test]
 fn generic_commas_stay_inside_one_parameter() {
-    let (lexed, m) = model("fn f(m: &HashMap<K, V>, n: usize) {}");
-    let p = params(&lexed, item(&m, "f"));
+    let m = model("fn f(m: &HashMap<K, V>, n: usize) {}");
+    let p = params(&m.0, item(&m, "f"));
     assert_eq!(p.len(), 2, "{p:?}");
     assert_eq!(p[0], ("m".into(), "& HashMap < K , V >".into(), "HashMap".into(), false));
     assert_eq!(p[1].0, "n");
@@ -40,8 +43,8 @@ fn generic_commas_stay_inside_one_parameter() {
 
 #[test]
 fn lifetimes_and_mut_refs_are_seen_through() {
-    let (lexed, m) = model("fn f<'a>(x: &'a mut T, y: &'a T, mut z: Vec<T>) {}");
-    let p = params(&lexed, item(&m, "f"));
+    let m = model("fn f<'a>(x: &'a mut T, y: &'a T, mut z: Vec<T>) {}");
+    let p = params(&m.0, item(&m, "f"));
     let shapes: Vec<(&str, &str, bool)> =
         p.iter().map(|(n, _, t, r)| (n.as_str(), t.as_str(), *r)).collect();
     assert_eq!(shapes, vec![("x", "T", true), ("y", "T", false), ("z", "Vec", false)]);
@@ -49,15 +52,15 @@ fn lifetimes_and_mut_refs_are_seen_through() {
 
 #[test]
 fn qualified_types_are_named_by_their_last_segment() {
-    let (lexed, m) = model("fn f(srv: &mut simcore::Server, view: &plane::View) {}");
-    let p = params(&lexed, item(&m, "f"));
+    let m = model("fn f(srv: &mut simcore::Server, view: &plane::View) {}");
+    let p = params(&m.0, item(&m, "f"));
     assert_eq!((p[0].2.as_str(), p[0].3), ("Server", true));
     assert_eq!((p[1].2.as_str(), p[1].3), ("View", false));
 }
 
 #[test]
 fn receivers_distinguish_owned_shared_and_exclusive_self() {
-    let (_, m) = model(
+    let m = model(
         "impl W { fn a(&self) {} fn b(&mut self, n: u64) {} fn c(mut self) -> W { self } \
          fn d(self) {} fn e(n: u64) {} fn f(mut self: Box<Self>, t_ms: u64) {} }",
     );
@@ -74,22 +77,22 @@ fn receivers_distinguish_owned_shared_and_exclusive_self() {
 
 #[test]
 fn fn_types_in_generics_and_parameters_hide_nothing() {
-    let (lexed, m) = model(
+    let m = model(
         "fn g<T: Fn(u64) -> u64>(cb: T, lat_ms: u64) -> u64 { 0 } \
          fn fold(f: fn(u64) -> u64, m: &HashMap<u64, u64>) {}",
     );
-    let names = |f: &FnItem| f.sig.params.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
+    let lexed = &m.0;
+    let names = |f: &FnItem| f.sig.params.iter().map(|p| lexed.text(p.name)).collect::<Vec<_>>();
     assert_eq!(names(item(&m, "g")), ["cb", "lat_ms"]);
-    assert_eq!(item(&m, "g").sig.ret.map(|r| text(&lexed, r)).as_deref(), Some("u64"));
+    assert_eq!(item(&m, "g").sig.ret.map(|r| text(lexed, r)).as_deref(), Some("u64"));
     assert_eq!(names(item(&m, "fold")), ["f", "m"]);
-    assert_eq!(text(&lexed, item(&m, "fold").sig.params[0].ty), "fn ( u64 ) - > u64");
+    assert_eq!(text(lexed, item(&m, "fold").sig.params[0].ty), "fn ( u64 ) - > u64");
 }
 
 #[test]
 fn return_types_stop_at_a_where_clause() {
-    let (lexed, m) =
-        model("fn f<T>(x: T) -> Vec<T> where T: Ord { vec![x] } fn g() {} fn h() -> u64 { 1 }");
-    let ret = |name: &str| item(&m, name).sig.ret.map(|r| text(&lexed, r));
+    let m = model("fn f<T>(x: T) -> Vec<T> where T: Ord { vec![x] } fn g() {} fn h() -> u64 { 1 }");
+    let ret = |name: &str| item(&m, name).sig.ret.map(|r| text(&m.0, r));
     assert_eq!(ret("f").as_deref(), Some("Vec < T >"));
     assert_eq!(ret("g"), None);
     assert_eq!(ret("h").as_deref(), Some("u64"));
@@ -97,13 +100,14 @@ fn return_types_stop_at_a_where_clause() {
 
 #[test]
 fn patterns_without_a_single_name_are_not_parameters() {
-    let (_, m) = model(
+    let m = model(
         "fn f((a, b): (u64, u64), c: u64) {} \
          proptest! { #[test] fn p(x in 0u64..9, v in proptest::collection::vec(0u8..2, 1..4)) {} }",
     );
     let names =
-        |name: &str| item(&m, name).sig.params.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
+        |name: &str| item(&m, name).sig.params.iter().map(|p| m.0.text(p.name)).collect::<Vec<_>>();
     assert_eq!(names("f"), ["c"]);
     assert!(names("p").is_empty(), "`x in strategy` binds no typed parameter");
-    assert!(item(&m, "f").bound_vars.contains("c"), "bound_vars derive from the record");
+    let bound = |f: &FnItem| f.bound_vars.iter().map(|&k| m.0.text(k)).collect::<Vec<_>>();
+    assert_eq!(bound(item(&m, "f")), ["c"], "bound_vars derive from the record");
 }

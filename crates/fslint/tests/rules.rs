@@ -108,6 +108,19 @@ fn panic_path_positive_and_negative() {
 }
 
 #[test]
+fn only_test_attributes_make_test_code() {
+    // `#[cfg(not(test))]` and `#[cfg_attr(test, …)]` fns are built into
+    // the real binary: their fail-stops are findings.
+    let pos = lint(&["sem/cfg_not_test_pos.rs"]);
+    assert_eq!(rules_of(&pos), vec![id::PANIC_PATH]);
+    assert_eq!(pos.len(), 2, "{pos:?}");
+    // `#[test]`, `#[runtime::test]` and `#[cfg(test)]` fns are exempt, and
+    // the reasoned suppression under `#[cfg(not(test))]` silences a real
+    // finding instead of going stale.
+    assert!(lint(&["sem/cfg_not_test_neg.rs"]).is_empty());
+}
+
+#[test]
 fn no_entry_scan_runs_only_everywhere_rules() {
     // A scanned set with no entry points has empty S and R sets: the
     // scoped semantic rules stay silent even on scheduling-flavoured
@@ -156,6 +169,7 @@ fn all_negative_fixtures_are_clean_together() {
         "sem/crates/simcore/src/tiebreak_neg.rs",
         "sem/crates/stutter/src/panic_neg.rs",
         "sem/float_order_neg.rs",
+        "sem/cfg_not_test_neg.rs",
     ]);
     assert!(all.is_empty(), "{all:?}");
 }

@@ -47,6 +47,28 @@ fn cross_crate_mismatch_prints_both_inference_chains() {
     }
     // ≥ 2 hops means ≥ 2 chain arrows.
     assert!(f.message.matches(" -> ").count() >= 2, "{}", f.message);
+    // The root hop, inferred from `window`'s body, cites its call once.
+    let root = "(crates/alpha/src/lib.rs:14)";
+    assert_eq!(f.message.matches(root).count(), 1, "{}", f.message);
+}
+
+#[test]
+fn a_closure_return_is_not_its_fns_return() {
+    // `retries` returns a count; the millis its closure returns stay in
+    // the closure, so the count meets `limit_secs` unit-free.
+    let findings = unit_findings("closure_return_neg");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn a_fns_own_return_carries_its_unit_past_a_closure() {
+    // `backoff` returns millis; its closure's secs do not conflict with
+    // them, so the millis meet `limit_secs`.
+    let findings = unit_findings("closure_return_pos");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "unit-mismatch");
+    assert!(f.message.contains("`backoff ( xs , base_ms )` is millis"), "{}", f.message);
 }
 
 #[test]
