@@ -14,9 +14,12 @@
 //! from, including the per-function taint, unit, and effect summaries.
 //! `--timings` measures per-phase wall time (lex+parse, graph, flow,
 //! units, effects, rules), prints it to stderr, and carries it in the
-//! JSON report. `--jobs N` sets the scan threads, the calling thread
-//! among them (default: `available_parallelism`, capped at 8); sharding
-//! never changes output, so any `N` produces byte-identical reports. Exit status: 0 clean, 1
+//! JSON report. `--jobs N` sets the workers, the calling thread among
+//! them (default: `available_parallelism`, capped at 8), that run the
+//! file scan and, after the call graph, the taint, unit and effect
+//! passes and the per-file rules; with more than one worker those phase
+//! times overlap. Which worker runs which task never changes output, so
+//! any `N` produces byte-identical reports. Exit status: 0 clean, 1
 //! findings, 2 usage error.
 
 #![forbid(unsafe_code)]

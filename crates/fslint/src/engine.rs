@@ -1,32 +1,40 @@
 //! File discovery, orchestration, and report formatting.
 //!
-//! The engine runs in two phases. Phase one walks `crates/`, `src/`,
-//! `tests/`, and `examples/` under the workspace root (skipping `vendor/`,
-//! build `target/`s, and lint-test `fixtures/` trees) and lexes + parses
-//! every `.rs` file — sharded over the calling thread and `jobs - 1`
-//! spawned ones, with each file's result landing in its own pre-assigned
-//! slot so the unit order (and therefore every downstream id and finding)
-//! is identical to a sequential scan. A file's read buffer moves into its
-//! [`FileUnit`] uncopied, and a one-thread scan starts no thread, so it
-//! allocates and frees in the caller's heap alone.
-//! Phase two builds the workspace call graph ([`crate::graph`]) over the
-//! whole set, then runs the per-file rules with graph-derived scopes, the
-//! whole-program rules (`oracle-coverage`, `dead-scenario`), the taint,
-//! unit and effect passes ([`crate::flow`], [`crate::units`],
-//! [`crate::effects`]), and inline suppressions — reporting any
-//! suppression that no longer silences a finding as `suppression-stale`.
-//! Output is deterministic regardless of sharding: units keep the sorted
-//! file order and findings are sorted by (path, line, rule) before emit.
+//! The engine runs in two phases, each a set of tasks that the calling
+//! thread and `jobs - 1` scoped ones pull from one atomic cursor (one
+//! work loop, `run_tasks`). Each task writes its own slot, so results
+//! come back in task order whichever thread ran which task, and one job
+//! starts no thread at all: a one-thread run allocates and frees in the
+//! caller's heap alone. Phase one walks `crates/`, `src/`, `tests/`, and
+//! `examples/` under the workspace root (skipping `vendor/`, build
+//! `target/`s, and lint-test `fixtures/` trees) and reads, lexes and
+//! parses every `.rs` file, one task per file; a file's read buffer
+//! moves into its [`FileUnit`] uncopied. Between the phases the
+//! workspace call graph ([`crate::graph`]) is built over the whole set,
+//! on the calling thread. Phase two reads only the units and the graph:
+//! its tasks are the taint, unit and effect passes ([`crate::flow`],
+//! [`crate::units`], [`crate::effects`]), in that order, then one task
+//! per file for the per-file rules with graph-derived scopes, the label
+//! sites and the inline suppressions. After the join the whole-program
+//! rules (`oracle-coverage`, `dead-scenario`) run, every finding is
+//! routed through its own file's suppressions, and any suppression that
+//! no longer silences a finding is reported as `suppression-stale`.
+//! Output is deterministic at any job count: units keep the sorted file
+//! order, results merge in task order, and findings are sorted by (path,
+//! line, rule) before emit.
 
-use crate::flow;
+use crate::effects::{self, EffectSummary};
+use crate::flow::{self, TaintSummary};
 use crate::graph::{FileScope, FileUnit, Graph};
 use crate::rules::{self, FileCtx, Finding, LabelSite};
 use crate::sem;
 use crate::suppress;
+use crate::units::{self, UnitSummary};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["vendor", "target", "fixtures", ".git"];
@@ -42,10 +50,12 @@ pub struct Config {
     /// Measure per-phase wall time and carry it in the report
     /// (`--timings`). Off by default so repeated runs stay byte-identical.
     pub timings: bool,
-    /// Scan threads, the calling thread among them (`--jobs N`): `Some(1)`
-    /// scans on the caller alone. `None` uses `available_parallelism`,
-    /// capped at 8. Sharding only changes which thread lexes which file —
-    /// output is byte-identical at any setting.
+    /// Worker threads, the calling thread among them (`--jobs N`), for
+    /// both phases: the file scan and the passes and per-file rules after
+    /// the call graph. `Some(1)` runs every task on the caller alone, in
+    /// order. `None` uses `available_parallelism`, capped at 8. The job
+    /// count only changes which thread runs which task — output is
+    /// byte-identical at any setting.
     pub jobs: Option<usize>,
 }
 
@@ -62,10 +72,13 @@ pub struct Report {
     pub timings: Option<PhaseTimings>,
 }
 
-/// Wall time spent in each engine phase, in milliseconds.
+/// Wall time spent in each engine phase, in milliseconds. The flow,
+/// units, effects and rules times are each their own tasks' time: with
+/// more than one worker those tasks overlap, so the phase times can sum
+/// to more than `total_ms`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Phase one: read + lex + parse, across all shards.
+    /// Phase one: read + lex + parse, across all workers.
     pub lex_parse_ms: u64,
     /// Call-graph construction and reachability fixpoints.
     pub graph_ms: u64,
@@ -75,7 +88,8 @@ pub struct PhaseTimings {
     pub units_ms: u64,
     /// Interprocedural effect analysis.
     pub effects_ms: u64,
-    /// Per-file rules, whole-program rules, and suppression routing.
+    /// Per-file rules summed over the file tasks, then whole-program
+    /// rules and suppression routing.
     pub rules_ms: u64,
     /// End-to-end lint time.
     pub total_ms: u64,
@@ -110,6 +124,13 @@ impl Timer {
     /// Milliseconds since the timer started (0 when disabled).
     fn total(&self) -> u64 {
         self.t0.map_or(0, |t0| PhaseClock::now().duration_since(t0).as_millis() as u64)
+    }
+
+    /// Runs `f`; returns its result and its wall time (zero when disabled).
+    fn time<T>(&self, f: impl FnOnce() -> T) -> (T, Duration) {
+        let start = self.t0.map(|_| PhaseClock::now());
+        let out = f();
+        (out, start.map_or(Duration::ZERO, |s| PhaseClock::now().duration_since(s)))
     }
 }
 
@@ -151,48 +172,72 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Report {
     lint_paths(root, &collect_workspace_files(root), cfg)
 }
 
+/// Runs `task(0)` … `task(tasks - 1)` on the calling thread and `workers -
+/// 1` scoped ones, each pulling the next index from one atomic cursor, and
+/// returns the results in index order: each task writes its own slot, so
+/// the result is the same whichever thread ran which task. One worker
+/// starts no thread and runs the tasks in index order. A task that panics
+/// takes the run down: the scope re-raises the panic once it has joined
+/// every thread, so `fs-lint` exits 101.
+fn run_tasks<T: Send>(workers: usize, tasks: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks {
+            break;
+        }
+        let done = task(i);
+        slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(done);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(tasks) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    // Every slot is filled: a panicking task never returns here.
+    slots.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten().collect()
+}
+
+/// What one phase-two task leaves in its slot.
+enum Done<'a> {
+    Flow((Vec<Finding>, Vec<Option<TaintSummary>>)),
+    Units((Vec<Finding>, Vec<Option<UnitSummary>>)),
+    Effects((Vec<Finding>, Vec<Option<EffectSummary<'a>>>)),
+    /// A file's own rule findings, its label sites and its suppressions.
+    File(Vec<Finding>, Vec<LabelSite>, suppress::Scan),
+}
+
+/// Phase two's tasks ahead of the file tasks: the three passes.
+const PASSES: usize = 3;
+
 /// Lints exactly `files` (cross-file and whole-program rules run across
 /// this set), reporting paths relative to `root` where possible.
 pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
     let mut findings = Vec::new();
     let mut timer = Timer::start(cfg.timings);
     let mut phases = PhaseTimings::default();
-
-    // Phase one: read, lex, and parse every file, sharded over the calling
-    // thread and `workers - 1` spawned ones. Each file's result lands in
-    // the slot matching its position in the (sorted) input list, so the
-    // assembled `units` vector — and with it every node id, scope, and
-    // finding downstream — is identical to what a sequential scan would
-    // produce, whatever the interleaving.
-    type ScanSlot = Option<Result<FileUnit, (String, String)>>;
     let workers = match cfg.jobs {
         Some(n) => n.max(1),
         None => std::thread::available_parallelism().map_or(1, |n| n.get()).min(8),
     };
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<ScanSlot>> = Mutex::new(files.iter().map(|_| None).collect());
-    let scan = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(file) = files.get(i) else { break };
+
+    // Phase one: read, lex, and parse every file, one task per file. Each
+    // result comes back at its file's position in the (sorted) input list,
+    // so the assembled `units` vector — and with it every node id, scope,
+    // and finding downstream — is what a sequential scan would produce.
+    let scanned = run_tasks(workers, files.len(), |i| {
+        let file = &files[i];
         let rel = file.strip_prefix(root).unwrap_or(file);
         let path = rel.to_string_lossy().replace('\\', "/");
-        let slot = match fs::read_to_string(file) {
+        match fs::read_to_string(file) {
             Ok(source) => Ok(FileUnit::new(path, source)),
             Err(e) => Err((path, format!("could not read file: {e}"))),
-        };
-        slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(slot);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..workers.min(files.len()) {
-            scope.spawn(scan);
         }
-        scan();
     });
     let mut units: Vec<FileUnit> = Vec::with_capacity(files.len());
-    // Every slot is filled: a thread that panics mid-file takes the run
-    // down with it, because the scope re-raises the panic once it has
-    // joined every spawned thread.
-    for slot in slots.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten() {
+    for slot in scanned {
         match slot {
             Ok(unit) => units.push(unit),
             Err((path, message)) => findings.push(Finding {
@@ -206,24 +251,52 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
 
     phases.lex_parse_ms = timer.lap();
 
-    // Phase two: the call graph over the whole set. A set with no entry
-    // points (single-file runs, fixture subsets) has nothing to seed the
+    // The call graph over the whole set. A set with no entry points
+    // (single-file runs, fixture subsets) has nothing to seed the
     // reachability fixpoints from: those runs get the empty scope, and
     // only the everywhere rules apply.
     let graph = Graph::build(&units);
     let graph_mode = graph.has_entries();
     phases.graph_ms = timer.lap();
-    // The taint analysis needs edges, not entry roots — it runs on every
-    // set, so single-file and fixture runs still prove their flows.
-    let (flow_findings, taint) = flow::analyze(&units, &graph);
-    phases.flow_ms = timer.lap();
-    // Same for the unit inference: summaries propagate over edges alone.
-    let (unit_findings, usum) = crate::units::analyze(&units, &graph);
-    phases.units_ms = timer.lap();
-    // And the effect pass: write/interior/static/RNG/sched summaries to a
-    // fixpoint, then `oracle-pure`, `injection-scoped`, `mitigation-effect`.
-    let (effect_findings, esum) = crate::effects::analyze(&units, &graph);
-    phases.effects_ms = timer.lap();
+
+    // Phase two reads only `units` and `graph`. Its tasks are the three
+    // passes, in the order a one-thread lint has always run them, then
+    // one task per file, so the file tasks fill in behind the passes.
+    // Longest first (units, effects, flow) ends no sooner on two workers,
+    // and on the benchmark corpus (2-vCPU host) its peak RSS per pass read
+    // about 0.7 MiB higher at one worker and at two. The passes need
+    // edges, not entry roots — they run on every set, so single-file and
+    // fixture runs still prove their flows, units and effects.
+    let done = run_tasks(workers, PASSES + units.len(), |t| {
+        timer.time(|| match t {
+            0 => Done::Flow(flow::analyze(&units, &graph)),
+            1 => Done::Units(units::analyze(&units, &graph)),
+            2 => Done::Effects(effects::analyze(&units, &graph)),
+            t => {
+                let (i, u) = (t - PASSES, &units[t - PASSES]);
+                let ctx = FileCtx { path: u.path.clone(), lexed: &u.lexed };
+                let mut found = Vec::new();
+                rules::check_file(&ctx, &mut found);
+                let scope = if graph_mode { graph.scope_for(i) } else { FileScope::unscoped() };
+                sem::check_file(&ctx, &u.model, &scope, &mut found);
+                Done::File(found, rules::label_sites(&ctx), suppress::scan(&u.lexed.comments))
+            }
+        })
+    });
+    // The tasks timed themselves; the merge below is timed from here.
+    timer.lap();
+    let ms = |d: Duration| d.as_millis() as u64;
+    let mut done = done.into_iter();
+    let (
+        Some((Done::Flow((flow_findings, taint)), flow_t)),
+        Some((Done::Units((unit_findings, usum)), units_t)),
+        Some((Done::Effects((effect_findings, esum)), effects_t)),
+    ) = (done.next(), done.next(), done.next())
+    else {
+        unreachable!("phase two's first tasks are the three passes")
+    };
+    (phases.flow_ms, phases.units_ms, phases.effects_ms) = (ms(flow_t), ms(units_t), ms(effects_t));
+
     let graph_json = cfg.graph_json.then(|| graph.render_json(&units, &taint, &usum, &esum));
     let mut program_findings =
         if graph_mode { graph.whole_program_findings(&units) } else { Vec::new() };
@@ -232,23 +305,23 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
     program_findings.extend(effect_findings);
 
     let mut sites: Vec<LabelSite> = Vec::new();
-    let mut per_file: Vec<(usize, suppress::Scan, Vec<Finding>)> = Vec::new();
-    for (i, u) in units.iter().enumerate() {
-        let ctx = FileCtx { path: u.path.clone(), lexed: &u.lexed };
-        let mut file_findings = Vec::new();
-        rules::check_file(&ctx, &mut file_findings);
-        let scope = if graph_mode { graph.scope_for(i) } else { FileScope::unscoped() };
-        sem::check_file(&ctx, &u.model, &scope, &mut file_findings);
-        sites.extend(rules::label_sites(&ctx));
-        per_file.push((i, suppress::scan(&u.lexed.comments), file_findings));
+    let mut per_file: Vec<(suppress::Scan, Vec<Finding>)> = Vec::with_capacity(units.len());
+    let mut files_t = Duration::ZERO;
+    for (done, took) in done {
+        let Done::File(file_findings, file_sites, scan) = done else {
+            unreachable!("phase two's tasks after the passes are files")
+        };
+        sites.extend(file_sites);
+        per_file.push((scan, file_findings));
+        files_t += took;
     }
 
     // Cross-file and whole-program findings are pooled over the full set,
     // then routed back through their own file's suppressions.
     let mut label_findings = Vec::new();
     rules::check_unique_stream_labels(&sites, &mut label_findings);
-    for (i, scan, file_findings) in &mut per_file {
-        let path = units[*i].path.as_str();
+    for (u, (scan, file_findings)) in units.iter().zip(&mut per_file) {
+        let path = u.path.as_str();
         file_findings.extend(label_findings.iter().filter(|f| f.path == path).cloned());
         file_findings.extend(program_findings.iter().filter(|f| f.path == path).cloned());
         let (kept, silenced) = suppress::apply(path, scan, std::mem::take(file_findings));
@@ -269,7 +342,7 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
 
     findings.sort();
     findings.dedup();
-    phases.rules_ms = timer.lap();
+    phases.rules_ms = ms(files_t) + timer.lap();
     phases.total_ms = timer.total();
     let timings = cfg.timings.then_some(phases);
     Report { findings, files_scanned: files.len(), graph_json, timings }
@@ -347,6 +420,63 @@ mod tests {
     #[test]
     fn json_escaping_is_sound() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    }
+
+    #[test]
+    fn every_task_runs_once_at_any_worker_count() {
+        for (workers, tasks) in [(1, 40), (2, 40), (8, 40), (8, 3), (3, 1), (2, 0)] {
+            let runs: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
+            let out = run_tasks(workers, tasks, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                i * 10
+            });
+            let want: Vec<usize> = (0..tasks).map(|i| i * 10).collect();
+            assert_eq!(out, want, "{workers} worker(s), {tasks} task(s)");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{workers}, {tasks}");
+        }
+    }
+
+    #[test]
+    fn results_come_back_in_index_order_whatever_finishes_first() {
+        // Whichever of the two workers takes task 0 holds it until the
+        // other has finished task 1 and reached task 2, so task 1 is
+        // done first: its result must still come back second.
+        let meet = std::sync::Barrier::new(2);
+        let out = run_tasks(2, 3, |i| {
+            if i != 1 {
+                meet.wait();
+            }
+            i
+        });
+        assert_eq!(out, [0, 1, 2]);
+    }
+
+    #[test]
+    fn one_worker_runs_the_tasks_in_order_on_the_caller() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        run_tasks(1, 20, |i| seen.lock().unwrap().push((i, std::thread::current().id())));
+        let want: Vec<_> = (0..20).map(|i| (i, caller)).collect();
+        assert_eq!(seen.into_inner().unwrap(), want);
+    }
+
+    #[test]
+    fn a_panicking_task_is_reraised_after_the_join() {
+        for workers in [1, 2, 8] {
+            let ran = AtomicUsize::new(0);
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_tasks(workers, 30, |i| {
+                    assert_ne!(i, 12, "task 12 fails");
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            assert!(out.is_err(), "{workers} worker(s): the panic was swallowed");
+            // The panic surfaces only once every thread has joined: with a
+            // second worker the others finish every task but the failed
+            // one; alone, the caller stops at it.
+            let want = if workers == 1 { 12 } else { 29 };
+            assert_eq!(ran.load(Ordering::Relaxed), want, "{workers} worker(s)");
+        }
     }
 
     #[test]

@@ -71,10 +71,10 @@ pub(crate) fn fixpoint<P, S>(
 /// per entry, root first. `hop(n)` is node `n`'s summary hop record,
 /// `(via, what, line)`: the callee the fact arrived through (`None` at
 /// the root), the root evidence, and its line. The root hop cites its
-/// location once: a `what` rendered with it (a unit summary inferred
-/// from a hop) is not cited again. `via` links never cycle (a summary's
-/// provider was always assigned in an earlier round), but a depth cap
-/// guards the walk anyway.
+/// location once: a `what` that already ends with a location in this
+/// file (a unit summary's root hop, rendered with its own) is not cited
+/// again. `via` links never cycle (a summary's provider was always
+/// assigned in an earlier round), but a depth cap guards the walk anyway.
 pub(crate) fn chain<'s>(
     graph: &Graph,
     units: &[FileUnit],
@@ -91,8 +91,11 @@ pub(crate) fn chain<'s>(
         match via {
             Some(v) if v != cur => cur = v,
             _ => {
-                let at = format!(" ({path}:{line})");
-                hops.push(format!("{}{at}", what.strip_suffix(&at).unwrap_or(what)));
+                let cited = what
+                    .strip_suffix(')')
+                    .and_then(|w| w.rsplit_once(&format!("{path}:")))
+                    .is_some_and(|(_, at)| at.parse::<u32>().is_ok());
+                hops.push(if cited { what.to_string() } else { format!("{what} ({path}:{line})") });
                 break;
             }
         }

@@ -436,8 +436,9 @@ enum Hop<'a> {
     TimeValue { name: &'a str, at: Site },
     /// A read of the field `name`, whose unit an assignment taught.
     Field { name: &'a str },
-    /// A parameter whose name or type declares its unit.
-    Param { name: &'a str, dim: Dim, file: usize },
+    /// A parameter whose name or type declares its unit, at its
+    /// declaration.
+    Param { name: &'a str, dim: Dim, at: Site },
     /// A binding the value so far flowed into.
     Local { is_let: bool, name: &'a str },
     /// A factor that scaled (or divided) the value: the last hop of its
@@ -623,15 +624,17 @@ impl<'a> Units<'a> {
     /// binding takes its right-hand side's inferred unit.
     fn locals_for(&self, file: usize, fk: usize) -> ULocals<'a> {
         let u = &self.units[file];
-        let body = u.model.fns[fk].body;
+        let f = &u.model.fns[fk];
         let mut locals = Locals::new();
-        for &(name, dim) in &self.params[self.graph.node_of(file, fk)] {
+        for (&(name, dim), p) in self.params[self.graph.node_of(file, fk)].iter().zip(&f.sig.params)
+        {
             if let Some(dim) = dim {
-                let chain = self.hop(Chain::EMPTY, Hop::Param { name, dim, file });
-                locals.bind(name, body.0, (dim, chain));
+                let at = Site { file, line: u.lexed.tokens[p.name].line };
+                let chain = self.hop(Chain::EMPTY, Hop::Param { name, dim, at });
+                locals.bind(name, f.body.0, (dim, chain));
             }
         }
-        summary::walk_bindings(&u.lexed, body, &mut locals, |locals, b, vals| {
+        summary::walk_bindings(&u.lexed, f.body, &mut locals, |locals, b, vals| {
             let rhs = self.eval_span(file, b.rhs.0, b.rhs.1, locals);
             let at = Site { file, line: u.lexed.tokens[b.at].line };
             let is_let = b.is_let;
@@ -712,8 +715,8 @@ impl<'a> Units<'a> {
                 let desc = self.fields.get(name).map(|f| self.render(f.desc).join(" -> "));
                 format!("{} -> field `.{name}`", desc.unwrap_or_default())
             }
-            Hop::Param { name, dim, file } => {
-                format!("parameter `{name}` ({}, {})", dim.render(), self.units[file].path)
+            Hop::Param { name, dim, at } => {
+                format!("parameter `{name}` ({}, {}:{})", dim.render(), path(at), at.line)
             }
             Hop::Local { is_let, name } => {
                 format!("{} `{name}`", if is_let { "local" } else { "loop local" })
@@ -1500,7 +1503,7 @@ mod tests {
         )];
         let (findings, _) = analyze(&units, &Graph::build(&units));
         assert_eq!(findings.len(), 2, "{findings:?}");
-        let at = "(millis, crates/a/src/lib.rs) -> ";
+        let at = "(millis, crates/a/src/lib.rs:1) -> ";
         for (f, word) in findings.iter().zip(["scaled by", "divided by"]) {
             let chain = format!("parameter `a_ms` {at}{word} parameter `b_secs` (secs, ");
             assert!(f.message.contains(&chain), "{}", f.message);

@@ -202,8 +202,8 @@ fn timings_flag_reports_every_phase() {
 
 #[test]
 fn jobs_flag_caps_threads_without_changing_output() {
-    // A multi-file set exercises the sharded scan; sharding must only
-    // decide which thread lexes which file, never the output.
+    // A multi-file set gives both phases several tasks; the job count
+    // must only decide which thread runs which task, never the output.
     let tree = fixture("effects/oracle_pure_pos");
     let files: Vec<String> =
         ["crates/camp/src/oracle.rs", "crates/simcore/src/lib.rs", "crates/camp/src/extra.rs"]

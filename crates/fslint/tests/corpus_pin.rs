@@ -14,7 +14,7 @@
 //!   texts, which the lex pin digests. The fixture model pin sees shapes
 //!   the corpus lacks, such as `impl Ord` blocks.
 //! * The graph pin digests the `--graph-out` export of the whole corpus,
-//!   scanned by the calling thread alone, by it and one or two spawned
+//!   linted by the calling thread alone, by it and one or two spawned
 //!   threads, and at the default. The export carries every
 //!   node's edges and its taint, unit and effect summary with the `via`
 //!   hop it arrived through, so a reordered field learning round or
@@ -26,7 +26,10 @@
 //!   --root DIR` does). A directory with no `crates/`, `src/`, `tests/`
 //!   or `examples/` under it scans nothing, and every such one reports
 //!   the same empty scan, so the pin skips them. The fixture tests assert
-//!   chosen findings; this pin sees every byte.
+//!   chosen findings; this pin sees every byte. It lints at one, two and
+//!   eight jobs against the one digest: with more than one job the
+//!   passes and the per-file rules run on concurrent workers, and their
+//!   findings must merge into the same reports.
 //!
 //! All five are FNV-1a 64. The graph pin equals the digest of the file
 //! that `fs-lint --root benchmark/corpus --graph-out FILE` writes. To
@@ -46,14 +49,14 @@ const GOLDEN_CORPUS_LEX: u64 = 0x27b1_02d5_b750_2f3e;
 /// Digest of the `{:?}` rendering of every corpus file's parsed model.
 const GOLDEN_CORPUS_MODEL: u64 = 0xae31_edb6_e138_987e;
 /// Digest of the corpus's `--graph-out` export.
-const GOLDEN_CORPUS_GRAPH: u64 = 0xbaac_6df2_1144_61de;
+const GOLDEN_CORPUS_GRAPH: u64 = 0x8ae0_d593_551a_0a4f;
 /// Files the corpus holds.
 const CORPUS_FILES: usize = 151;
 /// Digest of the `{:?}` rendering of every `.rs` fixture file's parsed
 /// model.
 const GOLDEN_FIXTURE_MODEL: u64 = 0x923e_5322_2e44_6096;
 /// Digest of every fixture file's and fixture directory's lint outputs.
-const GOLDEN_FIXTURE_OUTPUTS: u64 = 0x6837_520d_3524_6331;
+const GOLDEN_FIXTURE_OUTPUTS: u64 = 0x7c76_1f83_f0e3_d1fd;
 /// Fixture files and fixture directories (the fixtures root included).
 const FIXTURE_TREE: (usize, usize) = (114, 278);
 /// Fixture directories that scan at least one file as a root.
@@ -161,22 +164,25 @@ fn fixture_outputs_are_pinned() {
     let (mut files, mut dirs) = (Vec::new(), Vec::new());
     tree(&fixtures, &mut files, &mut dirs);
     assert_eq!((files.len(), dirs.len()), FIXTURE_TREE);
-    let cfg = Config { graph_json: true, jobs: Some(1), ..Config::default() };
-    let alone = files.iter().map(|f| (f, lint_paths(&workspace, std::slice::from_ref(f), &cfg)));
-    let as_root: Vec<_> = dirs
-        .iter()
-        .map(|d| (d, lint_workspace(d, &cfg)))
-        .filter(|(_, report)| report.files_scanned > 0)
-        .collect();
-    assert_eq!(as_root.len(), FIXTURE_ROOTS_SCANNING);
-    let mut h = FNV_START;
-    for (input, report) in alone.chain(as_root) {
-        let name = input.strip_prefix(&fixtures).expect("a fixture path").to_string_lossy();
-        let graph = report.graph_json.as_deref().expect("the export was requested");
-        for part in [&*name, &render_text(&report), &render_json(&report), graph] {
-            h = fnv1a(h, part.as_bytes());
-            h = fnv1a(h, &[0x1e]);
+    for jobs in [Some(1), Some(2), Some(8)] {
+        let cfg = Config { graph_json: true, jobs, ..Config::default() };
+        let alone =
+            files.iter().map(|f| (f, lint_paths(&workspace, std::slice::from_ref(f), &cfg)));
+        let as_root: Vec<_> = dirs
+            .iter()
+            .map(|d| (d, lint_workspace(d, &cfg)))
+            .filter(|(_, report)| report.files_scanned > 0)
+            .collect();
+        assert_eq!(as_root.len(), FIXTURE_ROOTS_SCANNING);
+        let mut h = FNV_START;
+        for (input, report) in alone.chain(as_root) {
+            let name = input.strip_prefix(&fixtures).expect("a fixture path").to_string_lossy();
+            let graph = report.graph_json.as_deref().expect("the export was requested");
+            for part in [&*name, &render_text(&report), &render_json(&report), graph] {
+                h = fnv1a(h, part.as_bytes());
+                h = fnv1a(h, &[0x1e]);
+            }
         }
+        assert_eq!(h, GOLDEN_FIXTURE_OUTPUTS, "jobs {jobs:?}: got {h:#018x}");
     }
-    assert_eq!(h, GOLDEN_FIXTURE_OUTPUTS, "got {h:#018x}");
 }

@@ -231,8 +231,8 @@ fn graph_export_carries_taint_summaries() {
 
 #[test]
 fn double_lint_of_the_same_tree_is_byte_identical() {
-    // The scan shards phase one over the calling thread and spawned
-    // ones; the report must not depend on the interleaving. Render both runs to JSON and compare
+    // Both phases run as tasks on the calling thread and spawned ones;
+    // the report must not depend on the interleaving. Render both runs to JSON and compare
     // bytes (findings, counts, and graph export included).
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/flow/helper");
     let files = collect_workspace_files(&root);

@@ -69,6 +69,16 @@ fn a_fns_own_return_carries_its_unit_past_a_closure() {
     let f = &findings[0];
     assert_eq!(f.rule, "unit-mismatch");
     assert!(f.message.contains("`backoff ( xs , base_ms )` is millis"), "{}", f.message);
+    // A parameter hop cites its declaration's file and line once, as the
+    // root of `backoff`'s chain and as a bare operand: the chain does not
+    // cite the return that reads `base_ms` (line 17) again.
+    for hop in [
+        "(parameter `base_ms` (millis, crates/alpha/src/lib.rs:10) -> `backoff`",
+        "(parameter `limit_secs` (secs, crates/alpha/src/lib.rs:21));",
+    ] {
+        assert_eq!(f.message.matches(hop).count(), 1, "{hop} in: {}", f.message);
+    }
+    assert!(!f.message.contains("lib.rs:17") && !f.message.contains("lib.rs)"), "{}", f.message);
 }
 
 #[test]
