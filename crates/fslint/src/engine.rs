@@ -11,7 +11,10 @@
 //! parses every `.rs` file, one task per file; a file's read buffer
 //! moves into its [`FileUnit`] uncopied. Between the phases the
 //! workspace call graph ([`crate::graph`]) is built over the whole set,
-//! on the calling thread. Phase two reads only the units and the graph:
+//! on the same loop: the calling thread builds the tables every file
+//! reads, one task per file resolves that file's call sites and marks
+//! its scheduling code, and the calling thread merges the results in
+//! file order. Phase two reads only the units and the graph:
 //! its tasks are the taint, unit and effect passes ([`crate::flow`],
 //! [`crate::units`], [`crate::effects`]), in that order, then one task
 //! per file for the per-file rules with graph-derived scopes, the label
@@ -51,11 +54,11 @@ pub struct Config {
     /// (`--timings`). Off by default so repeated runs stay byte-identical.
     pub timings: bool,
     /// Worker threads, the calling thread among them (`--jobs N`), for
-    /// both phases: the file scan and the passes and per-file rules after
-    /// the call graph. `Some(1)` runs every task on the caller alone, in
-    /// order. `None` uses `available_parallelism`, capped at 8. The job
-    /// count only changes which thread runs which task — output is
-    /// byte-identical at any setting.
+    /// every task: the file scan, the call graph's file tasks, and the
+    /// passes and per-file rules after it. `Some(1)` runs every task on
+    /// the caller alone, in order. `None` uses `available_parallelism`,
+    /// capped at 8. The job count only changes which thread runs which
+    /// task — output is byte-identical at any setting.
     pub jobs: Option<usize>,
 }
 
@@ -80,7 +83,8 @@ pub struct Report {
 pub struct PhaseTimings {
     /// Phase one: read + lex + parse, across all workers.
     pub lex_parse_ms: u64,
-    /// Call-graph construction and reachability fixpoints.
+    /// Call-graph construction and reachability fixpoints, across all
+    /// workers: the tables, the file tasks and the merge.
     pub graph_ms: u64,
     /// Interprocedural taint analysis.
     pub flow_ms: u64,
@@ -179,7 +183,11 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Report {
 /// starts no thread and runs the tasks in index order. A task that panics
 /// takes the run down: the scope re-raises the panic once it has joined
 /// every thread, so `fs-lint` exits 101.
-fn run_tasks<T: Send>(workers: usize, tasks: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn run_tasks<T: Send>(
+    workers: usize,
+    tasks: usize,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
     let work = || loop {
@@ -251,11 +259,11 @@ pub fn lint_paths(root: &Path, files: &[PathBuf], cfg: &Config) -> Report {
 
     phases.lex_parse_ms = timer.lap();
 
-    // The call graph over the whole set. A set with no entry points
-    // (single-file runs, fixture subsets) has nothing to seed the
-    // reachability fixpoints from: those runs get the empty scope, and
-    // only the everywhere rules apply.
-    let graph = Graph::build(&units);
+    // The call graph over the whole set, its file tasks on the same
+    // workers. A set with no entry points (single-file runs, fixture
+    // subsets) has nothing to seed the reachability fixpoints from: those
+    // runs get the empty scope, and only the everywhere rules apply.
+    let graph = Graph::build_on(&units, workers);
     let graph_mode = graph.has_entries();
     phases.graph_ms = timer.lap();
 

@@ -60,6 +60,25 @@
 //! the sets slightly — the gate's backstop is that `workspace_clean` keeps
 //! the whole tree finding-free either way.
 //!
+//! ## How the build splits
+//!
+//! A build runs in three steps. The calling thread first builds what
+//! every file reads: the nodes, the module resolver, the free-fn and
+//! method lookup tables, the `pub use` re-exports, the names a free call
+//! can resolve by, and the gated names with each node's owner and trait
+//! indices. Then each file is one task of the engine's work loop
+//! ([`crate::engine`]), on the lint's workers. From those tables and its
+//! own file alone, a task builds the file's import map and mention row,
+//! resolves its call sites and marks its scheduling code. It returns its
+//! sites with their callee lists, which the graph keeps per file, its
+//! edges as (caller, callee) pairs, its mention row, and its nodes'
+//! marks with the names of its queue structs and heap element types.
+//! Last, the calling thread merges the results in file order: the pairs
+//! go into the edge sets, the rows and marks are appended, a queue
+//! struct's methods join `S`, and the entries seed `R`. The tasks share
+//! nothing, so the graph is the same at any worker count;
+//! [`Graph::build`] runs every task on the calling thread.
+//!
 //! ## No entry points
 //!
 //! When the scanned file set contains *no* entry points (single-file runs,
@@ -68,6 +87,7 @@
 //! everywhere rules apply. The v2 path lists and their `--scope-fallback`
 //! escape hatch are gone.
 
+use crate::engine::run_tasks;
 use crate::lexer::{Lexed, TokKind};
 use crate::parse::{self, FileModel};
 use crate::resolve::{self, ModPath, Resolver};
@@ -169,29 +189,39 @@ pub struct Graph<'a> {
     /// `sched[n]`: node is in the scheduling set `S`.
     pub sched: Vec<bool>,
     /// Type names appearing inside `BinaryHeap<…>` element types.
-    pub heap_elem_types: BTreeSet<String>,
+    pub heap_elem_types: BTreeSet<&'a str>,
     /// Which file mentions which gated name.
     mentions: Mentions<'a>,
     /// Node id of each file's first `fn`; its `fn_idx`-th is
     /// `file_start[file] + fn_idx`, and its nodes end where the next
     /// file's start (one entry past the last file).
     file_start: Vec<usize>,
-    /// Every call site that resolved to a node, file by file and in token
-    /// order within a file.
-    sites: Vec<Site>,
-    /// Index into `sites` of each file's first site, like `file_start`.
-    site_start: Vec<usize>,
-    /// The sites' callee lists, each sorted by node id.
-    callees: Vec<usize>,
+    /// Per file, every call site that resolved to a node.
+    calls: Vec<FileCalls>,
 }
 
 /// One resolved call site: the `.` of a method call or the name token of
 /// a free call or path reference, its line, and its callees' range in
-/// [`Graph`]'s callee lists.
+/// its file's callee list.
 struct Site {
     tok: usize,
     line: u32,
     to: std::ops::Range<usize>,
+}
+
+/// One file's resolved call sites, in token order, and their callee
+/// lists, each sorted by node id.
+#[derive(Default)]
+struct FileCalls {
+    sites: Vec<Site>,
+    callees: Vec<usize>,
+}
+
+impl FileCalls {
+    /// The nodes `site` reaches.
+    fn of(&self, site: &Site) -> &[usize] {
+        &self.callees[site.to.clone()]
+    }
 }
 
 /// The names some gate asks about, and which files mention each as an
@@ -200,71 +230,124 @@ struct Mentions<'a> {
     /// The gated names, sorted and distinct: every impl owner and trait,
     /// and [`MENTION_GATES`].
     names: Vec<&'a str>,
+    /// Per first byte: the range in `names` of the names it starts, and a
+    /// bit per length among them ([`len_bit`]).
+    by_byte: Vec<(usize, usize, u64)>,
     /// `hit[file * names.len() + k]`: the file mentions `names[k]`.
     hit: Vec<bool>,
     /// Per node, the indices of its owner's and its trait's names.
     owners: Vec<[Option<usize>; 2]>,
 }
 
+/// A name length's bit in [`Mentions`]' first-byte index; lengths from 63
+/// on share one bit.
+fn len_bit(len: usize) -> u64 {
+    1 << len.min(63)
+}
+
 impl<'a> Mentions<'a> {
-    /// Indexes `units` for the names `nodes` and the gates ask about. A
-    /// token is looked up only among the names that share its first
-    /// byte, and only when one of those has its length (lengths from 63
-    /// on share one bit).
-    fn index(units: &[FileUnit], nodes: &[FnNode<'a>]) -> Mentions<'a> {
+    /// The names `nodes` and the gates ask about, with no file's row yet.
+    fn new(nodes: &[FnNode<'a>]) -> Mentions<'a> {
         let owned = nodes.iter().flat_map(|n| [n.owner, n.trait_name]).flatten();
         let mut names: Vec<&str> = owned.chain(MENTION_GATES.iter().copied()).collect();
         names.sort_unstable();
         names.dedup();
-        let len_bit = |len: usize| 1u64 << len.min(63);
-        // Per first byte: the names' range in sorted order, and their
-        // lengths.
-        let mut range = [(0usize, 0usize); 256];
-        let mut lens = [0u64; 256];
+        let mut by_byte = vec![(0, 0, 0); 256];
         for (k, name) in names.iter().enumerate() {
             let b = usize::from(name.as_bytes().first().copied().unwrap_or(0));
-            range[b] = if lens[b] == 0 { (k, k + 1) } else { (range[b].0, k + 1) };
-            lens[b] |= len_bit(name.len());
-        }
-        let mut hit = vec![false; units.len() * names.len()];
-        for (row, u) in hit.chunks_mut(names.len().max(1)).zip(units) {
-            let idents =
-                u.lexed.tokens.iter().enumerate().filter(|(_, t)| t.kind == TokKind::Ident);
-            for (i, t) in idents {
-                // The token's first byte and length, read without the source.
-                let b = usize::from(t.first);
-                if lens[b] & len_bit((t.hi - t.lo) as usize) == 0 {
-                    continue;
-                }
-                let text = u.lexed.text(i);
-                let (lo, hi) = range[b];
-                if let Ok(k) = names[lo..hi].binary_search(&text) {
-                    row[lo + k] = true;
-                }
+            let (lo, hi, lens) = &mut by_byte[b];
+            if *lens == 0 {
+                *lo = k;
             }
+            *hi = k + 1;
+            *lens |= len_bit(name.len());
         }
         let find = |name: &str| names.binary_search(&name).ok();
         let owners =
             nodes.iter().map(|n| [n.owner, n.trait_name].map(|t| t.and_then(find))).collect();
-        Mentions { names, hit, owners }
+        Mentions { names, by_byte, hit: Vec::new(), owners }
+    }
+
+    /// `u`'s row: which gated names it mentions, in `names` order. A
+    /// token is looked up only among the names that share its first byte,
+    /// and only when one of those has its length.
+    fn row(&self, u: &FileUnit) -> Vec<bool> {
+        let mut row = vec![false; self.names.len()];
+        let idents = u.lexed.tokens.iter().enumerate().filter(|(_, t)| t.kind == TokKind::Ident);
+        for (i, t) in idents {
+            // The token's first byte and length, read without the source.
+            let (lo, hi, lens) = self.by_byte[usize::from(t.first)];
+            if lens & len_bit((t.hi - t.lo) as usize) == 0 {
+                continue;
+            }
+            if let Ok(k) = self.names[lo..hi].binary_search(&u.lexed.text(i)) {
+                row[lo + k] = true;
+            }
+        }
+        row
+    }
+
+    /// True when `row`, one file's, holds the gated name `name`.
+    fn in_row(&self, row: &[bool], name: &str) -> bool {
+        let k = self.names.binary_search(&name);
+        debug_assert!(k.is_ok(), "`{name}` is not a gated name");
+        k.is_ok_and(|k| row[k])
     }
 
     /// True when `file` mentions the gated name `name`.
     fn mentions(&self, file: usize, name: &str) -> bool {
-        let k = self.names.binary_search(&name);
-        debug_assert!(k.is_ok(), "`{name}` is not a gated name");
-        k.is_ok_and(|k| self.hit[file * self.names.len() + k])
+        let width = self.names.len();
+        self.in_row(&self.hit[file * width..(file + 1) * width], name)
     }
 
-    /// True when `file` mentions node `n`'s owner type or trait.
-    fn names_owner_of(&self, file: usize, n: usize) -> bool {
-        self.owners[n].iter().flatten().any(|&k| self.hit[file * self.names.len() + k])
+    /// True when `row`, one file's, holds node `n`'s owner type or trait.
+    fn names_owner_of(&self, row: &[bool], n: usize) -> bool {
+        self.owners[n].iter().flatten().any(|&k| row[k])
     }
 }
 
-impl<'a> Graph<'a> {
-    /// Builds the graph over the scanned files.
-    pub fn build(units: &'a [FileUnit]) -> Graph<'a> {
+/// Step one of a graph build, on the calling thread: the nodes, which
+/// pass through to the merge, and the workspace-wide tables each file
+/// task reads.
+struct Tables<'a> {
+    units: &'a [FileUnit],
+    nodes: Vec<FnNode<'a>>,
+    /// As [`Graph`]'s.
+    file_start: Vec<usize>,
+    resolver: Resolver<'a>,
+    lookup: FnLookup<'a>,
+    methods_by_name: BTreeMap<&'a str, Vec<usize>>,
+    methods_by_type: BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    /// The names a path lookup can reach a free fn by: its own name or
+    /// an alias a `use` gives it. A free call by any other name (`Some`,
+    /// a tuple struct, a std function) skips the path lookups.
+    resolvable: BTreeSet<&'a str>,
+    /// The gated names, with no file's row yet.
+    mentions: Mentions<'a>,
+}
+
+/// One file's share of the graph, as its task leaves it.
+struct FileGraph<'a> {
+    /// Its [`Mentions`] row.
+    row: Vec<bool>,
+    calls: FileCalls,
+    /// A (caller, callee) pair per callee of each site inside a fn, the
+    /// caller being the site's innermost fn.
+    edges: Vec<(usize, usize)>,
+    /// Per node of the file: it touches the event queue or calls a
+    /// scheduler primitive.
+    marks: Vec<bool>,
+    /// Its event-queue owners: structs with a `BinaryHeap` or `EventKey`
+    /// field.
+    queue_structs: Vec<&'a str>,
+    /// The type names inside its `BinaryHeap<…>` element types.
+    heap_elems: Vec<&'a str>,
+}
+
+impl<'a> Tables<'a> {
+    /// Step one: the nodes, the resolver, the free-fn and method lookup
+    /// tables, the re-exports, the resolvable names and the gated names.
+    fn new(units: &'a [FileUnit]) -> Tables<'a> {
         let mut nodes = Vec::new();
         let mut file_start = Vec::with_capacity(units.len() + 1);
         for (file, u) in units.iter().enumerate() {
@@ -287,9 +370,6 @@ impl<'a> Graph<'a> {
         file_start.push(nodes.len());
 
         let resolver = Resolver::from_mod_paths(units.iter().map(|u| &u.mp));
-        let imports: Vec<_> = units.iter().map(|u| resolve::import_map(u, &resolver)).collect();
-
-        // Lookup tables.
         let mut free_fns: BTreeMap<Vec<&str>, Vec<usize>> = BTreeMap::new();
         let mut methods_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut methods_by_type: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
@@ -320,115 +400,170 @@ impl<'a> Graph<'a> {
                 reexports.entry(module).or_default().push((vis, key.clone()));
             }
         }
-        let lookup = FnLookup { free_fns, reexports };
-        // A path lookup can only reach a free fn by its own name or by an
-        // alias a `use` gives it: a free call by any other name (`Some`,
-        // a tuple struct, a std function) skips the path lookups.
         let aliases = units
             .iter()
             .flat_map(|u| u.model.uses.iter().filter_map(|d| Some(u.lexed.text(d.alias?))));
-        let resolvable: BTreeSet<&str> =
+        let resolvable =
             nodes.iter().filter(|n| n.owner.is_none()).map(|n| n.name).chain(aliases).collect();
+        let mentions = Mentions::new(&nodes);
+        Tables {
+            units,
+            nodes,
+            file_start,
+            resolver,
+            lookup: FnLookup { free_fns, reexports },
+            methods_by_name,
+            methods_by_type,
+            resolvable,
+            mentions,
+        }
+    }
 
-        // The mention gate for method edges below and for the passes.
-        let mentions = Mentions::index(units, &nodes);
+    /// Step two, one file's task: its import map and mention row, its
+    /// call sites with their callees and edges, and its scheduling marks.
+    /// It reads only the tables and its own file.
+    fn file(&self, file: usize) -> FileGraph<'a> {
+        let u = &self.units[file];
+        let text = |k: usize| u.lexed.text(k);
+        let imports = resolve::import_map(u, &self.resolver);
+        let row = self.mentions.row(u);
 
-        // Call sites, in and outside fns; a site in a fn adds its callees
-        // to the innermost fn's edges. `key` and `targets` are reused for
-        // every call: resolving one copies no name.
-        let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let (mut sites, mut site_start, mut callees) = (Vec::new(), Vec::new(), Vec::new());
-        let mut targets: Vec<usize> = Vec::new();
-        for (file, u) in units.iter().enumerate() {
-            site_start.push(sites.len());
-            let mut record = |tok: usize, line: u32, targets: &mut Vec<usize>| {
-                if !targets.is_empty() {
-                    targets.sort_unstable();
-                    targets.dedup();
-                    if let Some(k) = u.model.enclosing_fn_idx(tok) {
-                        edges[file_start[file] + k].extend(targets.iter());
-                    }
-                    let to = callees.len()..callees.len() + targets.len();
-                    sites.push(Site { tok, line, to });
-                    callees.append(targets);
+        // Call sites, in and outside fns. `key` and `targets` are reused
+        // for every call: resolving one copies no name.
+        let (mut calls, mut edges) = (FileCalls::default(), Vec::new());
+        let (mut key, mut targets) = (Vec::new(), Vec::new());
+        let mut record = |tok: usize, line: u32, targets: &mut Vec<usize>| {
+            if !targets.is_empty() {
+                targets.sort_unstable();
+                targets.dedup();
+                if let Some(k) = u.model.enclosing_fn_idx(tok) {
+                    let caller = self.file_start[file] + k;
+                    edges.extend(targets.iter().map(|&t| (caller, t)));
                 }
-            };
-            for call in &u.model.calls {
-                if let Some(tgts) = methods_by_name.get(u.lexed.text(call.name)) {
-                    // By-name dispatch, gated: the caller's file must
-                    // mention the candidate's self type (construction,
-                    // import, annotation) or its trait (dyn / generic
-                    // dispatch). A bare name match against a std method
-                    // (`atomic.load`, `vec.push`) mentions neither and
-                    // resolves to nothing.
-                    targets.extend(tgts.iter().filter(|&&t| mentions.names_owner_of(file, t)));
-                    record(call.dot, call.line, &mut targets);
-                }
+                let to = calls.callees.len()..calls.callees.len() + targets.len();
+                calls.sites.push(Site { tok, line, to });
+                calls.callees.append(targets);
             }
-            let module = || u.mp.abs().iter().map(String::as_str);
-            for fc in &u.model.free_calls {
-                let (name, text) = (u.lexed.text(fc.name), |k| u.lexed.text(k));
-                match fc.qual().len() {
-                    1 if u.lexed.is_ident(fc.head, "Self") => {
-                        // Resolve against the enclosing impl's type.
-                        if let Some(k) = u.model.owning_impl((fc.name, fc.name)) {
-                            let ty = text(u.model.impls[k].type_name);
-                            if let Some(ts) = methods_by_type.get(&(ty, name)) {
-                                targets.extend(ts);
-                            }
-                        }
-                    }
-                    0 => {
-                        if fc.called && resolvable.contains(name) {
-                            // Same module, then named import, then glob
-                            // imports.
-                            key.clear();
-                            key.extend(module().chain([name]));
-                            lookup.find(&key, 0, &mut targets);
-                            if targets.is_empty() {
-                                if let Some(t) = imports[file].named.get(name) {
-                                    lookup.find(t, 0, &mut targets);
-                                }
-                            }
-                            if targets.is_empty() {
-                                for g in &imports[file].globs {
-                                    key.clear();
-                                    key.extend(g.iter().copied().chain([name]));
-                                    lookup.find(&key, 0, &mut targets);
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        // A type-qualified associated call (`Fnv64::new()`),
-                        // by the last qualifier segment.
-                        if let Some(ts) = methods_by_type.get(&(text(fc.name - 3), name)) {
+        };
+        for call in &u.model.calls {
+            if let Some(tgts) = self.methods_by_name.get(text(call.name)) {
+                // By-name dispatch, gated: the caller's file must mention
+                // the candidate's self type (construction, import,
+                // annotation) or its trait (dyn / generic dispatch). A
+                // bare name match against a std method (`atomic.load`,
+                // `vec.push`) mentions neither and resolves to nothing.
+                targets.extend(tgts.iter().filter(|&&t| self.mentions.names_owner_of(&row, t)));
+                record(call.dot, call.line, &mut targets);
+            }
+        }
+        let module = || u.mp.abs().iter().map(String::as_str);
+        for fc in &u.model.free_calls {
+            let name = text(fc.name);
+            match fc.qual().len() {
+                1 if u.lexed.is_ident(fc.head, "Self") => {
+                    // Resolve against the enclosing impl's type.
+                    if let Some(k) = u.model.owning_impl((fc.name, fc.name)) {
+                        let ty = text(u.model.impls[k].type_name);
+                        if let Some(ts) = self.methods_by_type.get(&(ty, name)) {
                             targets.extend(ts);
                         }
-                        // A module-qualified free call, with the head
-                        // segment substituted through the import map when
-                        // it names an imported module (`use adapt::oracle
-                        // as qoracle`).
-                        if resolvable.contains(name) {
-                            let segs = (fc.head..=fc.name).step_by(3).map(text);
-                            if let Some(head_target) = imports[file].named.get(text(fc.head)) {
-                                key.clear();
-                                key.extend(head_target.iter().copied().chain(segs.clone().skip(1)));
-                                lookup.find(&key, 0, &mut targets);
+                    }
+                }
+                0 => {
+                    if fc.called && self.resolvable.contains(name) {
+                        // Same module, then named import, then glob
+                        // imports.
+                        key.clear();
+                        key.extend(module().chain([name]));
+                        self.lookup.find(&key, 0, &mut targets);
+                        if targets.is_empty() {
+                            if let Some(t) = imports.named.get(name) {
+                                self.lookup.find(t, 0, &mut targets);
                             }
-                            if resolver.canon(&u.mp, segs, &mut key) {
-                                lookup.find(&key, 0, &mut targets);
+                        }
+                        if targets.is_empty() {
+                            for g in &imports.globs {
+                                key.clear();
+                                key.extend(g.iter().copied().chain([name]));
+                                self.lookup.find(&key, 0, &mut targets);
                             }
                         }
                     }
                 }
-                record(fc.name, fc.line, &mut targets);
+                _ => {
+                    // A type-qualified associated call (`Fnv64::new()`),
+                    // by the last qualifier segment.
+                    if let Some(ts) = self.methods_by_type.get(&(text(fc.name - 3), name)) {
+                        targets.extend(ts);
+                    }
+                    // A module-qualified free call, with the head segment
+                    // substituted through the import map when it names an
+                    // imported module (`use adapt::oracle as qoracle`).
+                    if self.resolvable.contains(name) {
+                        let segs = (fc.head..=fc.name).step_by(3).map(text);
+                        if let Some(head_target) = imports.named.get(text(fc.head)) {
+                            key.clear();
+                            key.extend(head_target.iter().copied().chain(segs.clone().skip(1)));
+                            self.lookup.find(&key, 0, &mut targets);
+                        }
+                        if self.resolver.canon(&u.mp, segs, &mut key) {
+                            self.lookup.find(&key, 0, &mut targets);
+                        }
+                    }
+                }
             }
-            sites[site_start[file]..].sort_unstable_by_key(|s: &Site| s.tok);
+            record(fc.name, fc.line, &mut targets);
         }
-        site_start.push(sites.len());
+        calls.sites.sort_unstable_by_key(|s| s.tok);
 
-        // Entry points.
+        // Scheduling marks. Only a file that mentions `BinaryHeap` or
+        // `EventKey` holds a queue struct or a heap.
+        let queue_marked =
+            ["BinaryHeap", QUEUE_KEY_TYPE].iter().any(|m| self.mentions.in_row(&row, m));
+        let (mut queue_structs, mut heap_elems) = (Vec::new(), Vec::new());
+        if queue_marked {
+            let queues = u.model.structs.iter().filter(|s| names_queue(&u.lexed, s.body));
+            queue_structs.extend(queues.map(|s| text(s.name)));
+            for h in &u.model.heaps {
+                let elem = |name: &&str| *name != "Reverse" && name.starts_with(char::is_uppercase);
+                heap_elems.extend(u.lexed.idents(h.angles).filter(elem));
+            }
+        }
+        let sched_call = |name: usize| SCHED_METHODS.contains(&text(name));
+        let marks = u.model.fns.iter().map(|f| {
+            let (b0, b1) = f.body;
+            let touches_heap = queue_marked
+                && (u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
+                    || names_queue(&u.lexed, f.body));
+            let calls_sched = u.model.calls_in(b0, b1).iter().any(|c| sched_call(c.name))
+                || u.model.free_calls_in(b0, b1).iter().any(|c| c.called && sched_call(c.name));
+            touches_heap || calls_sched
+        });
+        FileGraph { row, calls, edges, marks: marks.collect(), queue_structs, heap_elems }
+    }
+
+    /// Step three, on the calling thread: the files' mention rows, edges,
+    /// call sites and scheduling marks in file order, a queue struct's
+    /// methods into `S`, then the entries and the injector-reachable set.
+    fn merge(self, files: Vec<FileGraph<'a>>) -> Graph<'a> {
+        let Tables { nodes, file_start, mut mentions, .. } = self;
+        let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
+        let mut marks = Vec::with_capacity(nodes.len());
+        let (mut queue_structs, mut heap_elem_types) = (BTreeSet::new(), BTreeSet::new());
+        let mut calls = Vec::with_capacity(files.len());
+        mentions.hit.reserve_exact(files.len() * mentions.names.len());
+        for f in files {
+            mentions.hit.extend(f.row);
+            for (caller, callee) in f.edges {
+                edges[caller].insert(callee);
+            }
+            marks.extend(f.marks);
+            queue_structs.extend(f.queue_structs);
+            heap_elem_types.extend(f.heap_elems);
+            calls.push(f.calls);
+        }
+        let queue_owned = |n: &FnNode| n.owner.is_some_and(|t| queue_structs.contains(t));
+        let sched = nodes.iter().zip(marks).map(|(n, mark)| mark || queue_owned(n)).collect();
         let entries: Vec<usize> = nodes
             .iter()
             .enumerate()
@@ -436,48 +571,6 @@ impl<'a> Graph<'a> {
             .map(|(i, _)| i)
             .collect();
         let reachable = bfs(&edges, entries.iter().copied());
-
-        // The scheduling set and heap element types. "Queue structs" are
-        // event-queue owners: a `BinaryHeap` or `EventKey` field. Only a
-        // file that mentions one of the two holds either.
-        let queue_marked =
-            |file: usize| ["BinaryHeap", QUEUE_KEY_TYPE].iter().any(|m| mentions.mentions(file, m));
-        let mut queue_structs: BTreeSet<&str> = BTreeSet::new();
-        let mut heap_elem_types: BTreeSet<String> = BTreeSet::new();
-        for (file, u) in units.iter().enumerate() {
-            if !queue_marked(file) {
-                continue;
-            }
-            for s in &u.model.structs {
-                if names_queue(&u.lexed, s.body) {
-                    queue_structs.insert(u.lexed.text(s.name));
-                }
-            }
-            for h in &u.model.heaps {
-                for name in u.lexed.idents(h.angles) {
-                    if name != "Reverse" && name.starts_with(char::is_uppercase) {
-                        heap_elem_types.insert(name.to_string());
-                    }
-                }
-            }
-        }
-        let mut sched = vec![false; nodes.len()];
-        for (n, node) in nodes.iter().enumerate() {
-            if node.owner.is_some_and(|t| queue_structs.contains(t)) {
-                sched[n] = true;
-                continue;
-            }
-            let u = &units[node.file];
-            let (b0, b1) = node.body;
-            let touches_heap = queue_marked(node.file)
-                && (u.model.heaps.iter().any(|h| h.angles.0 >= b0 && h.angles.1 <= b1)
-                    || names_queue(&u.lexed, node.body));
-            let sched_call = |name: usize| SCHED_METHODS.contains(&u.lexed.text(name));
-            let calls_sched = u.model.calls_in(b0, b1).iter().any(|c| sched_call(c.name))
-                || u.model.free_calls_in(b0, b1).iter().any(|c| c.called && sched_call(c.name));
-            sched[n] = touches_heap || calls_sched;
-        }
-
         Graph {
             nodes,
             edges,
@@ -487,10 +580,27 @@ impl<'a> Graph<'a> {
             heap_elem_types,
             mentions,
             file_start,
-            sites,
-            site_start,
-            callees,
+            calls,
         }
+    }
+}
+
+impl<'a> Graph<'a> {
+    /// Builds the graph over the scanned files on one worker: the calling
+    /// thread runs every file's task, in file order.
+    pub fn build(units: &'a [FileUnit]) -> Graph<'a> {
+        Graph::build_on(units, 1)
+    }
+
+    /// Builds the graph over the scanned files in three steps: the
+    /// tables on the calling thread, one task per file on `workers`
+    /// workers, the calling thread among them ([`run_tasks`]), and the
+    /// merge of the tasks' results in file order on the calling thread.
+    /// The graph is the same at any worker count.
+    pub(crate) fn build_on(units: &'a [FileUnit], workers: usize) -> Graph<'a> {
+        let tables = Tables::new(units);
+        let files = run_tasks(workers, units.len(), |file| tables.file(file));
+        tables.merge(files)
     }
 
     /// The node of `units[file].model.fns[fn_idx]`.
@@ -505,19 +615,14 @@ impl<'a> Graph<'a> {
         self.mentions.mentions(file, name)
     }
 
-    /// The resolved call sites of `units[file]`, in token order.
-    fn sites_of(&self, file: usize) -> &[Site] {
-        &self.sites[self.site_start[file]..self.site_start[file + 1]]
-    }
-
     /// The nodes the call site at token `tok` of `units[file]` reaches,
     /// sorted by node id: `tok` is the `.` of a method call or the name
     /// token of a free call or path reference. Empty when the site
     /// resolves to no node.
     pub(crate) fn callees(&self, file: usize, tok: usize) -> &[usize] {
-        let sites = self.sites_of(file);
-        match sites.binary_search_by_key(&tok, |s| s.tok) {
-            Ok(k) => &self.callees[sites[k].to.clone()],
+        let calls = &self.calls[file];
+        match calls.sites.binary_search_by_key(&tok, |s| s.tok) {
+            Ok(k) => calls.of(&calls.sites[k]),
             Err(_) => &[],
         }
     }
@@ -526,11 +631,10 @@ impl<'a> Graph<'a> {
     /// order: each site's token and line.
     pub(crate) fn sites_to(&self, n: usize, m: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
         let node = &self.nodes[n];
-        let sites = self.sites_of(node.file);
-        let (b0, b1) = node.body;
-        let in_body = sites[sites.partition_point(|s| s.tok < b0)..].iter();
+        let (calls, (b0, b1)) = (&self.calls[node.file], node.body);
+        let in_body = calls.sites[calls.sites.partition_point(|s| s.tok < b0)..].iter();
         let reaching = in_body.take_while(move |s| s.tok <= b1);
-        reaching.filter(move |s| self.callees[s.to.clone()].contains(&m)).map(|s| (s.tok, s.line))
+        reaching.filter(move |s| calls.of(s).contains(&m)).map(|s| (s.tok, s.line))
     }
 
     /// The line of the first call site in node `n`'s body that reaches
@@ -572,16 +676,23 @@ impl<'a> Graph<'a> {
     /// (single-file runs, fixtures without one).
     pub fn whole_program_findings(&self, units: &[FileUnit]) -> Vec<Finding> {
         let mut findings = Vec::new();
-        self.oracle_coverage(units, &mut findings);
-        self.dead_scenario(units, &mut findings);
+        let from_main = self.campaign_main_reach();
+        self.oracle_coverage(units, from_main.as_deref(), &mut findings);
+        self.dead_scenario(units, from_main.as_deref(), &mut findings);
         findings
     }
 
     /// Every scenario-class dispatcher registered next to `run_scenario`
     /// must reach at least one `oracle` module, and every injector
     /// constructor in a `catalog` module must be reachable from the
-    /// campaign binary: no scenario cell runs unchecked.
-    fn oracle_coverage(&self, units: &[FileUnit], findings: &mut Vec<Finding>) {
+    /// campaign binary (`from_main`, `None` when the scanned set has
+    /// none): no scenario cell runs unchecked.
+    fn oracle_coverage(
+        &self,
+        units: &[FileUnit],
+        from_main: Option<&[bool]>,
+        findings: &mut Vec<Finding>,
+    ) {
         let dispatch: Vec<usize> = self
             .nodes
             .iter()
@@ -627,7 +738,7 @@ impl<'a> Graph<'a> {
         }
         // Registration side: catalog constructors must be wired into the
         // campaign binary, else an injector class silently runs nowhere.
-        if let Some(from_main) = self.campaign_main_reach() {
+        if let Some(from_main) = from_main {
             for (n, node) in self.nodes.iter().enumerate() {
                 let in_catalog = node.abs_module.last().is_some_and(|m| m == "catalog");
                 if in_catalog && node.owner.is_none() && !node.in_test && !from_main[n] {
@@ -649,9 +760,15 @@ impl<'a> Graph<'a> {
     }
 
     /// Campaign cells whose code is never reachable from the `fs-campaign`
-    /// binary's `main` are dead: they look covered but never run.
-    fn dead_scenario(&self, units: &[FileUnit], findings: &mut Vec<Finding>) {
-        let Some(from_main) = self.campaign_main_reach() else { return };
+    /// binary's `main` (`from_main`) are dead: they look covered but never
+    /// run.
+    fn dead_scenario(
+        &self,
+        units: &[FileUnit],
+        from_main: Option<&[bool]>,
+        findings: &mut Vec<Finding>,
+    ) {
+        let Some(from_main) = from_main else { return };
         for (n, node) in self.nodes.iter().enumerate() {
             let in_campaign = node.abs_module.get(1).is_some_and(|m| m == "campaign");
             // Trait-impl methods (`Default::default`, `Display::fmt`, …)
@@ -882,14 +999,14 @@ pub struct FileScope<'g> {
     pub reach_spans: Vec<(usize, usize)>,
     /// Type names whose `Ord`/`PartialOrd` impls are in tiebreak scope;
     /// `None` means every type (whole-file unit-test scopes only).
-    pub ord_types: Option<&'g BTreeSet<String>>,
+    pub ord_types: Option<&'g BTreeSet<&'g str>>,
     /// Whether `BinaryHeap<…>` declarations are in scope. Graph scopes
     /// always set this: every heap is scheduling infrastructure.
     pub heaps: bool,
 }
 
 /// The heap-element types of a scope that puts no `Ord` impl in scope.
-static NO_TYPES: BTreeSet<String> = BTreeSet::new();
+static NO_TYPES: BTreeSet<&str> = BTreeSet::new();
 
 impl FileScope<'_> {
     /// The empty scope, used when the scanned set has no entry points
@@ -955,6 +1072,7 @@ impl FileScope<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn unit(path: &str, src: &str) -> FileUnit {
         FileUnit::new(path.to_string(), src)
@@ -1046,16 +1164,78 @@ mod tests {
             assert_eq!(g.callees(0, site(name)), [node_id(&g, name)], "{name}");
         }
         assert!(g.callees(0, site("load")).is_empty());
-        // A node's edges are the union of its own sites' callees.
-        for (n, node) in g.nodes.iter().enumerate() {
-            let m = &units[node.file].model;
-            let toks = m.calls.iter().map(|c| c.dot).chain(m.free_calls.iter().map(|c| c.name));
-            let own = toks.filter(|&t| m.enclosing_fn_idx(t) == Some(node.fn_idx));
-            let union: BTreeSet<usize> =
-                own.flat_map(|t| g.callees(node.file, t)).copied().collect();
-            assert_eq!(g.edges[n], union, "{}", node.name);
-        }
+        assert_edges_are_site_unions(&g, &units);
         assert_eq!(g.edges[node_id(&g, "drive")].len(), 3);
+    }
+
+    /// Every call site of `u`: the `.` of each method call and the name
+    /// token of each free call or path reference.
+    fn call_toks(u: &FileUnit) -> impl Iterator<Item = usize> + '_ {
+        let m = &u.model;
+        m.calls.iter().map(|c| c.dot).chain(m.free_calls.iter().map(|c| c.name))
+    }
+
+    /// Asserts that each node's edges are the union of the callees of its
+    /// own sites, the sites whose innermost fn it is.
+    fn assert_edges_are_site_unions(g: &Graph, units: &[FileUnit]) {
+        let mut union = vec![BTreeSet::new(); g.nodes.len()];
+        for (file, u) in units.iter().enumerate() {
+            for tok in call_toks(u) {
+                if let Some(k) = u.model.enclosing_fn_idx(tok) {
+                    union[g.node_of(file, k)].extend(g.callees(file, tok));
+                }
+            }
+        }
+        for (n, node) in g.nodes.iter().enumerate() {
+            assert_eq!(g.edges[n], union[n], "{} `{}`", units[node.file].path, node.name);
+        }
+    }
+
+    #[test]
+    fn a_sharded_build_equals_the_one_worker_build_site_by_site() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/corpus");
+        let units: Vec<FileUnit> = crate::collect_workspace_files(&root)
+            .iter()
+            .map(|f| {
+                let path = f.strip_prefix(&root).unwrap_or(f).to_string_lossy().replace('\\', "/");
+                FileUnit::new(path, std::fs::read_to_string(f).expect("a readable corpus file"))
+            })
+            .collect();
+        assert!(units.len() > 100, "the corpus has {} files", units.len());
+        let one = Graph::build(&units);
+        // The merge keeps each file's sites with their own callees, and
+        // each file's mention row is its own identifiers.
+        assert_edges_are_site_unions(&one, &units);
+        for (file, u) in units.iter().enumerate() {
+            let ident = |i: &usize| u.lexed.tokens[*i].kind == TokKind::Ident;
+            let idents: BTreeSet<&str> =
+                (0..u.lexed.tokens.len()).filter(ident).map(|i| u.lexed.text(i)).collect();
+            for &name in &one.mentions.names {
+                assert_eq!(one.mentions(file, name), idents.contains(name), "{} {name}", u.path);
+            }
+        }
+        for workers in [1, 2, 8] {
+            let g = Graph::build_on(&units, workers);
+            // Whole tables compare without printing them.
+            let same = |what: &str, eq: bool| assert!(eq, "{what} differ at {workers} worker(s)");
+            same("edges", g.edges == one.edges);
+            same("entries", g.entries == one.entries);
+            same("reachable sets", g.reachable == one.reachable);
+            same("scheduling sets", g.sched == one.sched);
+            same("heap element types", g.heap_elem_types == one.heap_elem_types);
+            same("gated names", g.mentions.names == one.mentions.names);
+            for (file, u) in units.iter().enumerate() {
+                let path = &u.path;
+                for &name in &one.mentions.names {
+                    let (got, want) = (g.mentions(file, name), one.mentions(file, name));
+                    assert_eq!(got, want, "{path} mentions {name}, {workers} worker(s)");
+                }
+                for tok in call_toks(u) {
+                    let (got, want) = (g.callees(file, tok), one.callees(file, tok));
+                    assert_eq!(got, want, "{path} token {tok}, {workers} worker(s)");
+                }
+            }
+        }
     }
 
     #[test]

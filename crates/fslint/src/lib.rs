@@ -117,10 +117,10 @@
 //!
 //! `--out FILE` also writes the JSON report to a file, `--graph-out FILE`
 //! exports the call graph, `--timings` adds per-phase wall times, and
-//! `--jobs N` sets how many workers run the file scan and, after the
-//! call graph, the taint, unit and effect passes and the per-file rules,
-//! the calling thread among them (`--jobs 1` starts none). Exit status:
-//! 0 clean, 1 findings, 2 usage error.
+//! `--jobs N` sets how many workers run the file scan, the call graph's
+//! file tasks, and the taint, unit and effect passes and the per-file
+//! rules, the calling thread among them (`--jobs 1` starts none). Exit
+//! status: 0 clean, 1 findings, 2 usage error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
